@@ -48,19 +48,12 @@ func Check(cfg Config) (*Result, error) {
 		res.SymmetryGroup = len(red.group)
 	}
 
-	init := newWorld(&cfg)
-	var initKey string
-	var initPerm int32
-	if red != nil {
-		initKey, initPerm, err = red.canonicalize(init)
-	} else {
-		initKey, err = init.encode()
-	}
+	initKey, initPerm, err := new(keyScratch).key(newWorld(&cfg), red)
 	if err != nil {
 		return nil, err
 	}
 	vt := newVisited()
-	layer := []int32{vt.addRoot(initKey, initPerm)}
+	layer := []int32{vt.addRoot(string(initKey), initPerm)}
 	res.PeakFrontier = 1
 
 	for depth := 0; len(layer) > 0; depth++ {
@@ -136,6 +129,7 @@ type workerOut struct {
 	transitions int64
 	decodes     int64
 	cov         *obs.Coverage // per-worker coverage, merged at the barrier
+	keys        keyScratch    // successor keys are built here, never on the heap
 	err         error
 }
 
@@ -210,9 +204,11 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32) (
 
 // expandState decodes one state (once), enumerates its actions, and claims
 // every successor, deriving each from a clone of the decoded world — the
-// last from the decoded world itself. With symmetry reduction active every
-// successor is canonicalized before the claim, so the visited table (and
-// its per-shard balance statistics) sees only post-canonicalization keys.
+// last from the decoded world itself. A clone copies only the engine its
+// action runs on and shares the decoded world's other engines read-only
+// (see World.cloneFor). With symmetry reduction active every successor is
+// canonicalized before the claim, so the visited table (and its per-shard
+// balance statistics) sees only post-canonicalization keys.
 func expandState(cfg *Config, vt *visitedTable, red *reduction, layer []int32, pos int32, out *workerOut) error {
 	w, err := cfg.decode(vt.arena[layer[pos]].key)
 	if err != nil {
@@ -236,29 +232,11 @@ func expandState(cfg *Config, vt *visitedTable, red *reduction, layer []int32, p
 		return nil
 	}
 	for i, a := range acts {
-		wa := w
-		if i < len(acts)-1 {
-			if wa, err = w.clone(); err != nil {
-				return fmt.Errorf("mc: clone: %w", err)
-			}
+		wa, err := w.branch(a, i == len(acts)-1, out.cov)
+		if err != nil {
+			return fmt.Errorf("mc: clone: %w", err)
 		}
 		out.transitions++
-		if out.cov != nil {
-			// Handler-level coverage flows from the engines' event stream;
-			// the two fault actions no event kind exists for (reordered
-			// deliveries, corrupt bounces) are recorded at the action level.
-			wa.setObs(out.cov)
-			switch a.kind {
-			case actDeliver:
-				if a.idx > 0 {
-					out.cov.FaultSite(obs.FaultActionReorder,
-						int32(wa.channels[a.from*cfg.Nodes+a.to][a.idx].Tag))
-				}
-			case actCorrupt:
-				out.cov.FaultSite(obs.FaultActionCorrupt,
-					int32(wa.channels[a.from*cfg.Nodes+a.to][a.idx].Tag))
-			}
-		}
 		if err := wa.apply(a); err != nil {
 			out.take(&candidate{kind: "protocol-error", msg: err.Error(), pos: pos, ord: int32(i)})
 			continue
@@ -267,19 +245,47 @@ func expandState(cfg *Config, vt *visitedTable, red *reduction, layer []int32, p
 			out.take(&candidate{kind: "invariant", msg: msg, pos: pos, ord: int32(i)})
 			continue
 		}
-		var succ string
-		var permIdx int32
-		if red != nil {
-			succ, permIdx, err = red.canonicalize(wa)
-		} else {
-			succ, err = wa.encode()
-		}
+		succ, permIdx, err := out.keys.key(wa, red)
 		if err != nil {
 			return fmt.Errorf("mc: encode: %w", err)
 		}
 		vt.claim(succ, pos, int32(i), permIdx)
 	}
 	return nil
+}
+
+// branch returns the world action a is to be applied to: w itself for the
+// state's last action, otherwise a copy that clones only the engine a runs
+// on (see World.cloneFor). With cov set, the action's coverage is wired up:
+// handler-level coverage flows from the event stream of that one engine
+// (the others may be shared with w and are left alone), and the two fault
+// actions no event kind exists for (reordered deliveries, corrupt bounces)
+// are recorded at the action level.
+func (w *World) branch(a action, last bool, cov *obs.Coverage) (*World, error) {
+	wa := w
+	if !last {
+		var err error
+		if wa, err = w.cloneFor(a.engine()); err != nil {
+			return nil, err
+		}
+	}
+	if cov != nil {
+		wa.obsSink = cov
+		if n := a.engine(); n != noEngine {
+			wa.engines[n].SetObs(cov)
+		}
+		switch a.kind {
+		case actDeliver:
+			if a.idx > 0 {
+				cov.FaultSite(obs.FaultActionReorder,
+					int32(wa.channels[a.from*w.cfg.Nodes+a.to][a.idx].Tag))
+			}
+		case actCorrupt:
+			cov.FaultSite(obs.FaultActionCorrupt,
+				int32(wa.channels[a.from*w.cfg.Nodes+a.to][a.idx].Tag))
+		}
+	}
+	return wa, nil
 }
 
 // buildViolation re-derives the counterexample trace for the selected

@@ -19,9 +19,11 @@
 package mc
 
 import (
+	"bytes"
 	"fmt"
 	goruntime "runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"teapot/internal/netmodel"
@@ -452,40 +454,90 @@ func newWorld(cfg *Config) *World {
 	return w
 }
 
+// encoderPool backs the string-returning encode (Snapshot, the root state,
+// tests) so it allocates only the string it returns. The checker's hot
+// path encodes into per-worker scratch instead (see keyScratch).
+var encoderPool = sync.Pool{New: func() any { return new(runtime.Encoder) }}
+
 // encode canonically serializes the whole world.
 func (w *World) encode() (string, error) {
-	enc := &runtime.Encoder{}
-	for _, e := range w.engines {
-		if err := e.EncodeState(enc, w.cfg.Codec); err != nil {
-			return "", err
+	enc := encoderPool.Get().(*runtime.Encoder)
+	defer encoderPool.Put(enc)
+	enc.Reset(nil)
+	if _, err := w.encodeTo(enc, nil); err != nil {
+		return "", err
+	}
+	return string(enc.Bytes()), nil
+}
+
+// encodeTo writes the world's canonical serialization into enc. Under the
+// encoder's remap (π over nodes, σ over blocks) it writes the encoding of
+// the world's image instead: engines, channels, access and stalled entries
+// are walked in π⁻¹/σ⁻¹ order and the encoder maps every identity value it
+// writes, so the bytes equal those of the permuted world without that
+// world ever existing. With no remap this is the plain encoding.
+//
+// A non-nil bound turns the walk into a race against the best key so far:
+// it is abandoned at the first engine boundary where the bytes written
+// already compare greater than bound, and the result reports whether the
+// completed encoding is strictly smaller than bound.
+func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (bool, error) {
+	r := enc.Remap()
+	nodes, blocks := w.cfg.Nodes, w.cfg.Blocks
+	// decided: -1 smaller than bound, +1 not smaller, 0 equal through
+	// the first 'checked' bytes.
+	decided, checked := 0, 0
+	if bound == nil {
+		decided = 1
+	}
+	for i := 0; i < nodes; i++ {
+		if err := w.engines[r.SrcNode(i)].EncodeState(enc, w.cfg.Codec); err != nil {
+			return false, err
+		}
+		if decided == 0 {
+			n := min(len(enc.Bytes()), len(bound))
+			decided = bytes.Compare(enc.Bytes()[checked:n], bound[checked:n])
+			if decided > 0 {
+				return false, nil
+			}
+			checked = n
 		}
 	}
-	for ch, msgs := range w.channels {
-		enc.Int(int64(len(msgs)))
-		for _, m := range msgs {
+	for from := 0; from < nodes; from++ {
+		for to := 0; to < nodes; to++ {
 			// Channel messages may belong to any engine's blocks; use the
 			// destination engine for info-handle reconstruction symmetry.
-			if err := w.engines[ch%w.cfg.Nodes].EncodeMessage(enc, m, w.cfg.Codec); err != nil {
-				return "", err
+			dst := r.SrcNode(to)
+			msgs := w.channels[r.SrcNode(from)*nodes+dst]
+			enc.Int(int64(len(msgs)))
+			for _, m := range msgs {
+				if err := w.engines[dst].EncodeMessage(enc, m, w.cfg.Codec); err != nil {
+					return false, err
+				}
 			}
 		}
 	}
-	for _, a := range w.access {
-		enc.Byte(byte(a))
+	for n := 0; n < nodes; n++ {
+		row := w.access[r.SrcNode(n)*blocks:]
+		for b := 0; b < blocks; b++ {
+			enc.Byte(byte(row[r.SrcBlock(b)]))
+		}
 	}
-	for _, s := range w.stalled {
-		enc.Int(int64(s))
+	for n := 0; n < nodes; n++ {
+		enc.Int(int64(r.MapBlock(w.stalled[r.SrcNode(n)])))
 	}
 	enc.Int(int64(w.drops))
 	enc.Int(int64(w.dups))
 	enc.Int(int64(w.corrupts))
 	if w.pcs != nil {
+		// The client plane pins node and block identities, so reduction
+		// refuses it (buildReduction) and it is never written under a remap.
 		for _, pc := range w.pcs {
 			enc.Int(int64(pc))
 		}
-		for _, r := range w.regs {
-			enc.Int(int64(len(r)))
-			for _, v := range r {
+		for _, regs := range w.regs {
+			enc.Int(int64(len(regs)))
+			for _, v := range regs {
 				enc.Int(v)
 			}
 		}
@@ -496,7 +548,10 @@ func (w *World) encode() (string, error) {
 			enc.Int(v)
 		}
 	}
-	return string(enc.Bytes()), nil
+	if decided == 0 {
+		decided = bytes.Compare(enc.Bytes()[checked:], bound[checked:])
+	}
+	return decided < 0, nil
 }
 
 // decode restores a world from its canonical form.
@@ -845,11 +900,44 @@ func (w *World) networkEmpty() bool {
 	return true
 }
 
+// engine returns the node whose engine apply(a) runs handlers on: the
+// destination of a delivery, the node of an event, timeout or client step,
+// and noEngine for the network faults, which only edit channels.
+func (a *action) engine() int {
+	switch a.kind {
+	case actDeliver:
+		return a.to
+	case actDrop, actDup, actCorrupt:
+		return noEngine
+	}
+	return a.node
+}
+
+// Engine selectors for cloneFor beside a node index.
+const (
+	noEngine   = -1
+	allEngines = -2
+)
+
 // clone returns a deep copy of the world that can be mutated independently.
 // Immutable structure (messages, state values, continuation records) is
 // shared; mutable containers are copied with exact capacity so appends on
 // either side reallocate instead of aliasing.
-func (w *World) clone() (*World, error) {
+func (w *World) clone() (*World, error) { return w.cloneFor(allEngines) }
+
+// cloneFor returns a copy of the world on which one action may be applied.
+// Only the engine the action runs on (touch: a node, noEngine, or
+// allEngines for the full deep copy clone promises) is copied and bound to
+// the new world; the others are the parent's own engines, shared
+// read-only. That is sound because applying an action executes handlers on
+// that one engine alone — everything else an action changes (channels,
+// access, stalled, budgets, the client plane) lives in the World and is
+// copied here — and because the parent stays untouched until its last
+// successor has been encoded and dropped (expandState applies the final
+// action to the parent itself). A shared engine still calls back into the
+// parent world if run, so a world from cloneFor(node) must never execute
+// any other node's engine.
+func (w *World) cloneFor(touch int) (*World, error) {
 	nw := &World{
 		cfg:      w.cfg,
 		access:   append([]sema.AccessMode(nil), w.access...),
@@ -869,6 +957,10 @@ func (w *World) clone() (*World, error) {
 	}
 	nw.engines = make([]*runtime.Engine, len(w.engines))
 	for i, e := range w.engines {
+		if touch != allEngines && touch != i {
+			nw.engines[i] = e
+			continue
+		}
 		ne, err := e.Clone(nw, w.cfg.Codec)
 		if err != nil {
 			return nil, err
@@ -881,6 +973,16 @@ func (w *World) clone() (*World, error) {
 			continue
 		}
 		eng := nw.engines[ch%w.cfg.Nodes]
+		if eng == w.engines[ch%w.cfg.Nodes] {
+			// Bound for a shared engine: nothing in this world will deliver
+			// these messages, so they need no rebinding, and the parent's
+			// slice is shared with its capacity clipped: Send and the dup
+			// insertion append, which at full capacity reallocates instead
+			// of writing into the parent's array, and removeAt builds a
+			// fresh slice.
+			nw.channels[ch] = msgs[:len(msgs):len(msgs)]
+			continue
+		}
 		dst := make([]*runtime.Message, len(msgs))
 		for i, m := range msgs {
 			cm, err := eng.CloneMessage(m, w.cfg.Codec)

@@ -30,6 +30,16 @@ import (
 // key; the winning permutation index is stored alongside the int32
 // parent/action arena so counterexample traces can be rebuilt in original
 // coordinates (see buildViolation).
+//
+// No permuted world is ever built. A group element is a runtime.Remap the
+// encoder applies as it writes (World.encodeTo): the one walk that produces
+// the plain key produces, under a remap, the key of the permuted world.
+// Candidates go into a worker's two scratch buffers and lose early — a
+// candidate whose prefix already exceeds the best key so far is abandoned
+// at the next engine boundary — so a transition costs one full encode plus
+// a fraction of one per further group element, and allocates nothing.
+// What the remap must touch, and the reference implementation it is tested
+// against (permuteWorld), are in symmetry_internal_test.go.
 
 // SymmetryMode selects the reduction policy for a run.
 type SymmetryMode int
@@ -85,6 +95,18 @@ type EquivariantEvents interface {
 // maxSymmetryDim bounds permutation-group enumeration (dim! each way).
 const maxSymmetryDim = 8
 
+// maxAutoGroupOrder bounds the group SymmetryAuto will reduce by. A
+// transition pays one full encode plus a partial one per further group
+// element, so per-transition cost grows linearly in |G| while the orbits
+// only thin out by |G| deep into a run. Measured (EXPERIMENTS.md,
+// "Symmetry reduction: cost against group order"): up to order 120 a
+// reduced run reaches a given depth in under a fifth of the unreduced
+// time at 3.5–5.3× the cost per transition; at 240–720 the cost is 10–43×
+// and shallow prefixes break even at best; from 1440 up reduction loses
+// outright. SymmetryOn is the caller asking for the group whatever its
+// order.
+const maxAutoGroupOrder = 120
+
 // perm is one admissible group element.
 type perm struct {
 	node []int // node n appears as node[n] in the permuted world
@@ -131,8 +153,29 @@ func compose(h, g *perm) *perm {
 
 // reduction is the active symmetry machinery for one run.
 type reduction struct {
-	group     []*perm // identity first, then enumeration order
-	maskSlots []int   // protocol-variable slots holding node bitmasks
+	group []*perm // identity first, then enumeration order
+	// remaps[i] is group[i] as the encoder applies it, inverses
+	// precomputed; remaps[0] is nil (the identity encodes plainly).
+	remaps []*runtime.Remap
+}
+
+// keyScratch is one worker's pair of reusable key buffers: best holds the
+// smallest encoding so far, cand the challenger, and they swap when a
+// challenger wins. Keys returned from it are valid until its next use.
+type keyScratch struct {
+	best, cand runtime.Encoder
+}
+
+// key encodes w into the scratch — canonicalized when red is non-nil —
+// and returns the visited-set key with the index of the group element
+// that produced it (0 without reduction).
+func (sc *keyScratch) key(w *World, red *reduction) ([]byte, int32, error) {
+	if red != nil {
+		return red.canonicalize(w, sc)
+	}
+	sc.best.Reset(nil)
+	_, err := w.encodeTo(&sc.best, nil)
+	return sc.best.Bytes(), 0, err
 }
 
 // buildReduction decides whether reduction is enabled for this
@@ -194,25 +237,61 @@ func buildReduction(cfg *Config) (*reduction, string, error) {
 		}
 	}
 	group := enumerateGroup(cfg)
-	return &reduction{group: group, maskSlots: maskSlots}, "", nil
+	if cfg.Symmetry == SymmetryAuto && len(group) > maxAutoGroupOrder {
+		return refuse("the symmetry group of %d nodes / %d blocks has order %d, above the %d that -symmetry=auto reduces by (every transition would pay for up to %d encodes; -symmetry=on overrides)",
+			cfg.Nodes, cfg.Blocks, len(group), maxAutoGroupOrder, len(group))
+	}
+	red := &reduction{group: group, remaps: make([]*runtime.Remap, len(group))}
+	for i := 1; i < len(group); i++ {
+		red.remaps[i] = runtime.NewRemap(group[i].node, group[i].blk, maskSlots)
+	}
+	return red, "", nil
 }
 
 // enumerateGroup lists the admissible (node, block) permutation pairs,
-// identity first: every (π, σ) with π(home(b)) = home(σ(b)) for all b.
+// identity first: every (π, σ) with π(home(b)) = home(σ(b)) for all b, in
+// lexicographic order of σ and then of π. σ fixes π on the home nodes (or
+// rules itself out by asking one home for two images), and homes map onto
+// homes, so only the non-home nodes are permuted among themselves — the
+// enumeration never visits an inadmissible pair.
 func enumerateGroup(cfg *Config) []*perm {
+	isHome := make([]bool, cfg.Nodes)
+	for b := 0; b < cfg.Blocks; b++ {
+		isHome[cfg.HomeOf(b)] = true
+	}
+	var free []int // non-home nodes, ascending
+	for n, h := range isHome {
+		if !h {
+			free = append(free, n)
+		}
+	}
+	freePerms := permutations(len(free))
 	var group []*perm
+sigmas:
 	for _, sigma := range permutations(cfg.Blocks) {
-		for _, pi := range permutations(cfg.Nodes) {
-			ok := true
-			for b := 0; b < cfg.Blocks; b++ {
-				if pi[cfg.HomeOf(b)] != cfg.HomeOf(sigma[b]) {
-					ok = false
-					break
-				}
+		pi := make([]int, cfg.Nodes)
+		for i := range pi {
+			pi[i] = -1
+		}
+		taken := make([]bool, cfg.Nodes)
+		for b := 0; b < cfg.Blocks; b++ {
+			h, img := cfg.HomeOf(b), cfg.HomeOf(sigma[b])
+			switch {
+			case pi[h] == img:
+			case pi[h] >= 0 || taken[img]:
+				continue sigmas // π would not be a well-defined bijection
+			default:
+				pi[h], taken[img] = img, true
 			}
-			if ok {
-				group = append(group, &perm{node: pi, blk: sigma})
+		}
+		// Home positions are the same in every π for this σ, so ordering
+		// the free positions lexicographically orders the whole of π.
+		for _, fp := range freePerms {
+			full := append([]int(nil), pi...)
+			for i, n := range free {
+				full[n] = free[fp[i]]
 			}
+			group = append(group, &perm{node: full, blk: sigma})
 		}
 	}
 	// Lexicographic enumeration puts the identity pair first already;
@@ -260,31 +339,34 @@ func sortInts(s []int) {
 	}
 }
 
-// canonicalize returns the lexicographically smallest encoding of w over
-// the group, plus the index of the permutation that produced it.
-func (r *reduction) canonicalize(w *World) (string, int32, error) {
-	best, err := w.encode()
-	if err != nil {
-		return "", 0, err
+// canonicalize leaves the lexicographically smallest encoding of w over
+// the group in sc and returns it with the index of the permutation that
+// produced it; ties keep the lowest index. Each challenger is a remapped
+// encode of w itself that gives up once it can no longer win.
+func (r *reduction) canonicalize(w *World, sc *keyScratch) ([]byte, int32, error) {
+	sc.best.Reset(nil)
+	if _, err := w.encodeTo(&sc.best, nil); err != nil {
+		return nil, 0, err
 	}
 	bestIdx := int32(0)
-	for i := 1; i < len(r.group); i++ {
-		k, err := r.permuteWorld(w, r.group[i]).encode()
+	for i := 1; i < len(r.remaps); i++ {
+		sc.cand.Reset(r.remaps[i])
+		smaller, err := w.encodeTo(&sc.cand, sc.best.Bytes())
 		if err != nil {
-			return "", 0, err
+			return nil, 0, err
 		}
-		if k < best {
-			best, bestIdx = k, int32(i)
+		if smaller {
+			sc.best, sc.cand = sc.cand, sc.best
+			bestIdx = int32(i)
 		}
 	}
-	return best, bestIdx, nil
+	return sc.best.Bytes(), bestIdx, nil
 }
 
 // permValue maps identity-typed scalars through g and deep-copies value
-// containers (state values, continuations) so the permuted world never
-// aliases mutable structure with the original. Info handles are untouched:
-// the encoder writes only their kind (the handle is reconstructed from the
-// receiving block on decode), so their referent is irrelevant to the key.
+// containers (state values, continuations) so the result never aliases
+// mutable structure with the original. It serves trace de-permutation
+// (permEvent); keys are permuted by the encoder's remap instead.
 func (r *reduction) permValue(v vm.Value, g *perm) vm.Value {
 	switch v.Kind {
 	case vm.KNode:
@@ -297,7 +379,14 @@ func (r *reduction) permValue(v vm.Value, g *perm) vm.Value {
 		}
 	case vm.KState:
 		if s := v.State(); s != nil {
-			v.Ref = r.permStateVal(s, g)
+			ns := &vm.StateVal{State: s.State}
+			if len(s.Args) > 0 {
+				ns.Args = make([]vm.Value, len(s.Args))
+				for i, a := range s.Args {
+					ns.Args[i] = r.permValue(a, g)
+				}
+			}
+			v.Ref = ns
 		}
 	case vm.KCont:
 		if c := v.Cont(); c != nil {
@@ -314,60 +403,6 @@ func (r *reduction) permValue(v vm.Value, g *perm) vm.Value {
 	return v
 }
 
-func (r *reduction) permStateVal(s *vm.StateVal, g *perm) *vm.StateVal {
-	ns := &vm.StateVal{State: s.State}
-	if len(s.Args) > 0 {
-		ns.Args = make([]vm.Value, len(s.Args))
-		for i, a := range s.Args {
-			ns.Args[i] = r.permValue(a, g)
-		}
-	}
-	return ns
-}
-
-// permVars maps a block's protocol variables: element-wise by value kind,
-// then bit-wise re-indexing for the declared node-bitmask slots.
-func (r *reduction) permVars(vars []vm.Value, g *perm) []vm.Value {
-	out := make([]vm.Value, len(vars))
-	for i, v := range vars {
-		out[i] = r.permValue(v, g)
-	}
-	for _, slot := range r.maskSlots {
-		v := vars[slot]
-		var mask int64
-		for bit := 0; bit < 64; bit++ {
-			if v.Int&(1<<bit) == 0 {
-				continue
-			}
-			if bit < len(g.node) {
-				mask |= 1 << g.node[bit]
-			} else {
-				mask |= 1 << bit
-			}
-		}
-		v.Int = mask
-		out[slot] = v
-	}
-	return out
-}
-
-func (r *reduction) permMessage(m *runtime.Message, g *perm) *runtime.Message {
-	nm := &runtime.Message{Tag: m.Tag, ID: m.ID, Src: m.Src, Data: m.Data, Val: m.Val}
-	if nm.ID >= 0 && nm.ID < len(g.blk) {
-		nm.ID = g.blk[nm.ID]
-	}
-	if nm.Src >= 0 && nm.Src < len(g.node) {
-		nm.Src = g.node[nm.Src]
-	}
-	if len(m.Payload) > 0 {
-		nm.Payload = make([]vm.Value, len(m.Payload))
-		for i, v := range m.Payload {
-			nm.Payload[i] = r.permValue(v, g)
-		}
-	}
-	return nm
-}
-
 // permEvent maps an event's payload through g (name, tag, and stall flag
 // are identity-independent).
 func (r *reduction) permEvent(ev Event, g *perm) Event {
@@ -382,7 +417,7 @@ func (r *reduction) permEvent(ev Event, g *perm) Event {
 }
 
 // permAction maps an action on world w to the corresponding action on
-// permuteWorld(w, g). Channel positions are preserved: permuteWorld keeps
+// w's image under g. Channel positions are preserved: the image keeps
 // per-channel message order.
 func (r *reduction) permAction(a action, g *perm) action {
 	switch a.kind {
@@ -398,53 +433,4 @@ func (r *reduction) permAction(a action, g *perm) action {
 		a.block = g.blk[a.block]
 	}
 	return a
-}
-
-// permuteWorld builds the image of w under g: node n's engine state moves
-// to node g.node[n], block b's to slot g.blk[b], channels move end-to-end
-// with message order preserved, and every embedded identity value is
-// mapped. Fault budgets are permutation-invariant and copy through. The
-// result shares no mutable structure with w.
-func (r *reduction) permuteWorld(w *World, g *perm) *World {
-	cfg := w.cfg
-	pw := newWorld(cfg)
-	for n := 0; n < cfg.Nodes; n++ {
-		for b := 0; b < cfg.Blocks; b++ {
-			src := w.engines[n].Blocks[b]
-			dst := pw.engines[g.node[n]].Blocks[g.blk[b]]
-			dst.State = r.permStateVal(src.State, g)
-			dst.Vars = r.permVars(src.Vars, g)
-			dst.Deferred = nil
-			if len(src.Deferred) > 0 {
-				dst.Deferred = make([]*runtime.Message, len(src.Deferred))
-				for i, m := range src.Deferred {
-					dst.Deferred[i] = r.permMessage(m, g)
-				}
-			}
-			pw.access[g.node[n]*cfg.Blocks+g.blk[b]] = w.access[n*cfg.Blocks+b]
-		}
-	}
-	for from := 0; from < cfg.Nodes; from++ {
-		for to := 0; to < cfg.Nodes; to++ {
-			msgs := w.channels[from*cfg.Nodes+to]
-			if len(msgs) == 0 {
-				continue // newWorld channels start empty
-			}
-			out := make([]*runtime.Message, len(msgs))
-			for i, m := range msgs {
-				out[i] = r.permMessage(m, g)
-			}
-			pw.channels[g.node[from]*cfg.Nodes+g.node[to]] = out
-		}
-	}
-	for n := 0; n < cfg.Nodes; n++ {
-		s := w.stalled[n]
-		if s >= 0 {
-			s = g.blk[s]
-		}
-		pw.stalled[g.node[n]] = s
-	}
-	pw.drops, pw.dups, pw.corrupts = w.drops, w.dups, w.corrupts
-	pw.sendErr = w.sendErr
-	return pw
 }

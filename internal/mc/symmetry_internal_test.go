@@ -1,13 +1,16 @@
 package mc
 
 import (
+	"math/rand"
 	"testing"
 
 	"teapot/internal/cont"
 	"teapot/internal/lower"
+	"teapot/internal/obs"
 	"teapot/internal/parser"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
+	"teapot/internal/vm"
 )
 
 // TestPermAlgebra: inverse and compose satisfy the group laws the trace
@@ -36,11 +39,14 @@ func TestEnumerateGroup(t *testing.T) {
 	for _, tc := range []struct {
 		nodes, blocks, want int
 	}{
-		{2, 1, 1}, // must fix node 0: identity only
-		{3, 1, 2}, // swap nodes 1,2
-		{4, 1, 6}, // S3 on nodes 1..3
-		{3, 2, 2}, // swap blocks 0,1 together with homes 0,1
-		{4, 2, 4}, // block swap × swap of non-home nodes 2,3
+		{2, 1, 1},    // must fix node 0: identity only
+		{3, 1, 2},    // swap nodes 1,2
+		{4, 1, 6},    // S3 on nodes 1..3
+		{3, 2, 2},    // swap blocks 0,1 together with homes 0,1
+		{4, 2, 4},    // block swap × swap of non-home nodes 2,3
+		{2, 4, 8},    // two blocks per home: swap homes × swap within each pair
+		{6, 6, 720},  // every node a home: σ alone decides π
+		{8, 1, 5040}, // S7 on the non-home nodes
 	} {
 		cfg := &Config{Nodes: tc.nodes, Blocks: tc.blocks}
 		cfg.HomeOf = func(id int) int { return id % cfg.Nodes }
@@ -50,6 +56,29 @@ func TestEnumerateGroup(t *testing.T) {
 		}
 		if !group[0].identity() {
 			t.Errorf("%dn/%db: group[0] is not the identity", tc.nodes, tc.blocks)
+		}
+		if tc.want <= 8 {
+			// Indices into the group are recorded in the arena, so the
+			// order is part of the contract: the brute-force filter over
+			// the full σ × π product, both lexicographic.
+			var want []*perm
+			for _, sigma := range permutations(tc.blocks) {
+				for _, pi := range permutations(tc.nodes) {
+					g := &perm{node: pi, blk: sigma}
+					ok := true
+					for b := 0; b < tc.blocks; b++ {
+						ok = ok && pi[cfg.HomeOf(b)] == cfg.HomeOf(sigma[b])
+					}
+					if ok {
+						want = append(want, g)
+					}
+				}
+			}
+			for i := range want {
+				if i < len(group) && !compose(group[i], want[i].inverse()).identity() {
+					t.Errorf("%dn/%db: group[%d] = %v, brute force has %v", tc.nodes, tc.blocks, i, group[i], want[i])
+				}
+			}
 		}
 		for _, g := range group {
 			for b := 0; b < tc.blocks; b++ {
@@ -157,7 +186,7 @@ func TestCanonicalFixpoint(t *testing.T) {
 	p := compilePing(t)
 	cfg := Config{
 		Proto:    p,
-		Nodes:    3,
+		Nodes:    4, // |G| = 6: every early abort has several losers to drop
 		Blocks:   1,
 		Symmetry: SymmetryOn,
 	}
@@ -167,8 +196,8 @@ func TestCanonicalFixpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("buildReduction: %v (note %q)", err, note)
 	}
-	if len(red.group) != 2 {
-		t.Fatalf("group order %d, want 2", len(red.group))
+	if len(red.group) != 6 {
+		t.Fatalf("group order %d, want 6", len(red.group))
 	}
 
 	seen := map[string]bool{}
@@ -176,7 +205,7 @@ func TestCanonicalFixpoint(t *testing.T) {
 	for len(queue) > 0 {
 		w := queue[0]
 		queue = queue[1:]
-		key, _, err := red.canonicalize(w)
+		key, _, err := canonKey(red, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +217,7 @@ func TestCanonicalFixpoint(t *testing.T) {
 			t.Fatal("ping state space exploded; protocol or reduction broken")
 		}
 		for gi, g := range red.group {
-			k, _, err := red.canonicalize(red.permuteWorld(w, g))
+			k, _, err := canonKey(red, red.permuteWorld(w, g))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +229,7 @@ func TestCanonicalFixpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k2, idx2, err := red.canonicalize(cw)
+		k2, idx2, err := canonKey(red, cw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,4 +251,427 @@ func TestCanonicalFixpoint(t *testing.T) {
 		t.Fatalf("only %d reachable orbits; event generator inert", len(seen))
 	}
 	t.Logf("%d canonical orbits, all fixpoints", len(seen))
+}
+
+// canonKey canonicalizes through a fresh scratch and returns the key as a
+// string, for tests that keep keys across calls.
+func canonKey(red *reduction, w *World) (string, int32, error) {
+	k, idx, err := red.canonicalize(w, new(keyScratch))
+	return string(k), idx, err
+}
+
+// ---- The reference the streaming encoder is tested against ----
+//
+// permuteWorld is how canonicalization worked before the encoder learned
+// to remap: build the whole image of the world under g, then encode it
+// plainly. It stays here as the executable definition of "the encoding of
+// the permuted world" — slow, obviously right, and independent of
+// runtime.Remap.
+
+// maskSlots recovers the node-bitmask slots buildReduction resolved.
+func (r *reduction) maskSlots() []int {
+	if len(r.remaps) < 2 {
+		return nil
+	}
+	return r.remaps[1].MaskSlots
+}
+
+func (r *reduction) permStateVal(s *vm.StateVal, g *perm) *vm.StateVal {
+	return r.permValue(vm.StateValue(s), g).State()
+}
+
+// permVars maps a block's protocol variables: element-wise by value kind,
+// then bit-wise re-indexing for the declared node-bitmask slots.
+func (r *reduction) permVars(vars []vm.Value, g *perm) []vm.Value {
+	out := make([]vm.Value, len(vars))
+	for i, v := range vars {
+		out[i] = r.permValue(v, g)
+	}
+	for _, slot := range r.maskSlots() {
+		v := vars[slot]
+		var mask int64
+		for bit := 0; bit < 64; bit++ {
+			if v.Int&(1<<bit) == 0 {
+				continue
+			}
+			if bit < len(g.node) {
+				mask |= 1 << g.node[bit]
+			} else {
+				mask |= 1 << bit
+			}
+		}
+		v.Int = mask
+		out[slot] = v
+	}
+	return out
+}
+
+func (r *reduction) permMessage(m *runtime.Message, g *perm) *runtime.Message {
+	nm := &runtime.Message{Tag: m.Tag, ID: m.ID, Src: m.Src, Data: m.Data, Val: m.Val}
+	if nm.ID >= 0 && nm.ID < len(g.blk) {
+		nm.ID = g.blk[nm.ID]
+	}
+	if nm.Src >= 0 && nm.Src < len(g.node) {
+		nm.Src = g.node[nm.Src]
+	}
+	if len(m.Payload) > 0 {
+		nm.Payload = make([]vm.Value, len(m.Payload))
+		for i, v := range m.Payload {
+			nm.Payload[i] = r.permValue(v, g)
+		}
+	}
+	return nm
+}
+
+// permuteWorld builds the image of w under g: node n's engine state moves
+// to node g.node[n], block b's to slot g.blk[b], channels move end-to-end
+// with message order preserved, and every embedded identity value is
+// mapped. Fault budgets are permutation-invariant and copy through. The
+// result shares no mutable structure with w.
+func (r *reduction) permuteWorld(w *World, g *perm) *World {
+	cfg := w.cfg
+	pw := newWorld(cfg)
+	for n := 0; n < cfg.Nodes; n++ {
+		for b := 0; b < cfg.Blocks; b++ {
+			src := w.engines[n].Blocks[b]
+			dst := pw.engines[g.node[n]].Blocks[g.blk[b]]
+			dst.State = r.permStateVal(src.State, g)
+			dst.Vars = r.permVars(src.Vars, g)
+			dst.Deferred = nil
+			if len(src.Deferred) > 0 {
+				dst.Deferred = make([]*runtime.Message, len(src.Deferred))
+				for i, m := range src.Deferred {
+					dst.Deferred[i] = r.permMessage(m, g)
+				}
+			}
+			pw.access[g.node[n]*cfg.Blocks+g.blk[b]] = w.access[n*cfg.Blocks+b]
+		}
+	}
+	for from := 0; from < cfg.Nodes; from++ {
+		for to := 0; to < cfg.Nodes; to++ {
+			msgs := w.channels[from*cfg.Nodes+to]
+			if len(msgs) == 0 {
+				continue // newWorld channels start empty
+			}
+			out := make([]*runtime.Message, len(msgs))
+			for i, m := range msgs {
+				out[i] = r.permMessage(m, g)
+			}
+			pw.channels[g.node[from]*cfg.Nodes+g.node[to]] = out
+		}
+	}
+	for n := 0; n < cfg.Nodes; n++ {
+		s := w.stalled[n]
+		if s >= 0 {
+			s = g.blk[s]
+		}
+		pw.stalled[g.node[n]] = s
+	}
+	pw.drops, pw.dups, pw.corrupts = w.drops, w.dups, w.corrupts
+	pw.sendErr = w.sendErr
+	return pw
+}
+
+// ---- Helpers the external tests (package mc_test, which may import the
+// bundled protocols; this package may not) drive with real configurations.
+
+// StreamFeatures records which of the structures the remap must reach a
+// walk actually put under the encoder, so a test can insist that the
+// equivalence it observed was not vacuous.
+type StreamFeatures struct {
+	Worlds       int
+	MaskBits     bool // a declared node-bitmask slot was non-zero
+	ContIdentity bool // a KNode or KID value sat inside a continuation
+	DeferredMsg  bool // a deferred queue held a message
+	Stalled      bool // some node was stalled
+	InFlight     bool // a channel held a message
+}
+
+// Merge folds another walk's observations into f.
+func (f *StreamFeatures) Merge(o StreamFeatures) {
+	f.Worlds += o.Worlds
+	f.MaskBits = f.MaskBits || o.MaskBits
+	f.ContIdentity = f.ContIdentity || o.ContIdentity
+	f.DeferredMsg = f.DeferredMsg || o.DeferredMsg
+	f.Stalled = f.Stalled || o.Stalled
+	f.InFlight = f.InFlight || o.InFlight
+}
+
+// contHoldsIdentity reports whether v nests a KNode/KID inside a KCont.
+func contHoldsIdentity(v vm.Value, inCont bool) bool {
+	switch v.Kind {
+	case vm.KNode, vm.KID:
+		return inCont
+	case vm.KState:
+		if s := v.State(); s != nil {
+			for _, a := range s.Args {
+				if contHoldsIdentity(a, inCont) {
+					return true
+				}
+			}
+		}
+	case vm.KCont:
+		if c := v.Cont(); c != nil {
+			for _, a := range c.Saved {
+				if contHoldsIdentity(a, true) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+func (f *StreamFeatures) observe(w *World, maskSlots []int) {
+	f.Worlds++
+	for _, e := range w.engines {
+		for _, b := range e.Blocks {
+			for _, slot := range maskSlots {
+				f.MaskBits = f.MaskBits || b.Vars[slot].Int != 0
+			}
+			f.ContIdentity = f.ContIdentity || contHoldsIdentity(vm.StateValue(b.State), false)
+			for _, v := range b.Vars {
+				f.ContIdentity = f.ContIdentity || contHoldsIdentity(v, false)
+			}
+			f.DeferredMsg = f.DeferredMsg || len(b.Deferred) > 0
+		}
+	}
+	f.Stalled = f.Stalled || w.anyStalled()
+	f.InFlight = f.InFlight || !w.networkEmpty()
+}
+
+// randomWalk takes seeded random walks from the initial state (walks of at
+// most steps actions each; a walk ends early at a dead end, a protocol
+// error or an invariant violation) and calls visit on every world reached.
+func randomWalk(cfg *Config, seed int64, walks, steps int, visit func(w *World)) error {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < walks; i++ {
+		w := newWorld(cfg)
+		visit(w)
+		for s := 0; s < steps; s++ {
+			acts := w.actions()
+			if len(acts) == 0 {
+				break
+			}
+			a := acts[rng.Intn(len(acts))]
+			wa, err := w.cloneFor(a.engine())
+			if err != nil {
+				return err
+			}
+			if wa.apply(a) != nil || wa.checkInvariants() != "" {
+				break
+			}
+			w = wa
+			visit(w)
+		}
+	}
+	return nil
+}
+
+// CheckStreamedAgainstReference is the reference-equivalence property of
+// the streaming encoder on one configuration: at every world of the walks
+// and for every group element g, the remapped encode of w equals the plain
+// encode of permuteWorld(w, g) byte for byte, and canonicalize returns the
+// reference minimum with the lowest index among ties.
+func CheckStreamedAgainstReference(t *testing.T, cfg Config, seed int64, walks, steps int) StreamFeatures {
+	t.Helper()
+	cfg.normalize()
+	cfg.Symmetry = SymmetryOn
+	red, _, err := buildReduction(&cfg)
+	if err != nil {
+		t.Fatalf("buildReduction: %v", err)
+	}
+	var feat StreamFeatures
+	err = randomWalk(&cfg, seed, walks, steps, func(w *World) {
+		if !t.Failed() {
+			feat.observe(w, red.maskSlots())
+			checkWorldAgainstReference(t, red, w)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return feat
+}
+
+// checkWorldAgainstReference compares, for one world, every remapped encode
+// and the canonicalization result with the permuteWorld reference.
+func checkWorldAgainstReference(t *testing.T, red *reduction, w *World) {
+	t.Helper()
+	var enc runtime.Encoder
+	wantKey, wantIdx := "", int32(0)
+	for i, g := range red.group {
+		ref, err := red.permuteWorld(w, g).encode()
+		if err != nil {
+			t.Fatalf("reference encode: %v", err)
+		}
+		enc.Reset(red.remaps[i])
+		if _, err := w.encodeTo(&enc, nil); err != nil {
+			t.Fatalf("streamed encode: %v", err)
+		}
+		if string(enc.Bytes()) != ref {
+			t.Errorf("group[%d] = %v: streamed encoding differs from permuteWorld's\n streamed  %x\n reference %x",
+				i, g, enc.Bytes(), ref)
+			return
+		}
+		if i == 0 || ref < wantKey {
+			wantKey, wantIdx = ref, int32(i)
+		}
+	}
+	key, idx, err := canonKey(red, w)
+	if err != nil {
+		t.Fatalf("canonicalize: %v", err)
+	}
+	if key != wantKey || idx != wantIdx {
+		t.Errorf("canonicalize chose group[%d], reference minimum is group[%d] (keys equal: %v)",
+			idx, wantIdx, key == wantKey)
+	}
+}
+
+// CheckSharingSafety is the safety property of the touched-engine-only
+// clone: over the whole reachable space of cfg, deriving a successor the
+// way expandState does for every action but a state's last (branch, apply,
+// encode) leaves the parent's own encoding unchanged, and yields the same
+// successor a full deep copy would. It returns the transitions checked.
+func CheckSharingSafety(t *testing.T, cfg Config, withCoverage bool) int {
+	t.Helper()
+	cfg.normalize()
+	var cov *obs.Coverage
+	if withCoverage {
+		cov = obs.NewCoverage()
+	}
+	root, err := newWorld(&cfg).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{root: true}
+	queue := []string{root}
+	transitions := 0
+	for len(queue) > 0 {
+		before := queue[0]
+		queue = queue[1:]
+		w, err := cfg.decode(before)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range w.actions() {
+			deep, err := w.clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wa, err := w.branch(a, false, cov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			transitions++
+			errShared, errDeep := wa.apply(a), deep.apply(a)
+			if (errShared == nil) != (errDeep == nil) {
+				t.Fatalf("%s: shared clone error %v, deep clone error %v", w.describe(a), errShared, errDeep)
+			}
+			if after, err := w.encode(); err != nil || after != before {
+				t.Fatalf("%s: applying it to a sharing clone changed the parent (err %v)", w.describe(a), err)
+			}
+			if errShared != nil || wa.checkInvariants() != "" {
+				continue
+			}
+			succ, err := wa.encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := deep.encode(); succ != want {
+				t.Fatalf("%s: sharing clone and deep clone reach different states", w.describe(a))
+			}
+			if !seen[succ] {
+				seen[succ] = true
+				queue = append(queue, succ)
+			}
+		}
+	}
+	return transitions
+}
+
+// MidRunWorld returns the world a seeded random walk of the given length
+// ends in, for tests that need a state with traffic in it.
+func MidRunWorld(t *testing.T, cfg *Config, seed int64, steps int) *World {
+	t.Helper()
+	cfg.normalize()
+	var last *World
+	if err := randomWalk(cfg, seed, 1, steps, func(w *World) { last = w }); err != nil {
+		t.Fatal(err)
+	}
+	return last
+}
+
+// Canonicalizer returns a function that canonicalizes a world of cfg into
+// one reused scratch, the way a checker worker does.
+func Canonicalizer(t *testing.T, cfg *Config) func(w *World) error {
+	t.Helper()
+	cfg.normalize()
+	cfg.Symmetry = SymmetryOn
+	red, _, err := buildReduction(cfg)
+	if err != nil {
+		t.Fatalf("buildReduction: %v", err)
+	}
+	if len(red.group) < 2 {
+		t.Fatalf("trivial group: nothing to canonicalize")
+	}
+	sc := new(keyScratch)
+	return func(w *World) error {
+		_, _, err := red.canonicalize(w, sc)
+		return err
+	}
+}
+
+// TestStreamedEncodingPing runs the reference-equivalence property on the
+// in-package fixture at |G| = 6 (the bundled protocols are covered from
+// package mc_test, which can import them).
+func TestStreamedEncodingPing(t *testing.T) {
+	p := compilePing(t)
+	cfg := Config{Proto: p, Nodes: 4, Blocks: 1}
+	cfg.Events = &pingEvents{tag: p.MsgIndex("PING_FAULT")}
+	feat := CheckStreamedAgainstReference(t, cfg, 1, 20, 12)
+	if !feat.InFlight || feat.Worlds < 100 {
+		t.Errorf("walks too shallow to mean anything: %+v", feat)
+	}
+}
+
+// TestStreamedEncodingPlantedIdentities: no bundled protocol keeps a block
+// id alive across a suspend, so the walks never put a KID inside a
+// continuation or a queued payload. This world is planted rather than
+// reached — the encoder does not care — with node and block ids at every
+// nesting the remap must descend into, on a shape (4 nodes / 2 blocks,
+// |G| = 4) where both permutations are non-trivial and two nodes stall.
+func TestStreamedEncodingPlantedIdentities(t *testing.T) {
+	p := compilePing(t)
+	cfg := Config{Proto: p, Nodes: 4, Blocks: 2, Symmetry: SymmetryOn}
+	cfg.normalize()
+	red, _, err := buildReduction(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(red.group) != 4 {
+		t.Fatalf("group order %d, want 4", len(red.group))
+	}
+	w := newWorld(&cfg)
+	ids := func(n, b int) vm.Value {
+		return vm.ContVal(&vm.Cont{Site: n, Saved: []vm.Value{
+			vm.NodeVal(n), vm.IDVal(b),
+			vm.StateValue(&vm.StateVal{State: b, Args: []vm.Value{vm.IDVal(b), vm.NodeVal(-1)}}),
+		}})
+	}
+	for n, e := range w.engines {
+		for b, blk := range e.Blocks {
+			blk.State = &vm.StateVal{State: blk.State.State, Args: []vm.Value{ids(n, b)}}
+			blk.Deferred = []*runtime.Message{
+				{Tag: 1, ID: b, Src: (n + 1) % cfg.Nodes, Payload: []vm.Value{vm.IDVal(b), ids(n, 1-b)}},
+			}
+		}
+		w.channels[n*cfg.Nodes+(n+2)%cfg.Nodes] = []*runtime.Message{
+			{Tag: 2, ID: n % 2, Src: n, Payload: []vm.Value{vm.NodeVal(n), vm.IDVal(n % 2)}},
+			{Tag: 1, ID: 1 - n%2, Src: n},
+		}
+	}
+	w.access[2*cfg.Blocks+1] = sema.AccReadOnly
+	w.stalled[2], w.stalled[1] = 1, 0
+	checkWorldAgainstReference(t, red, w)
 }

@@ -1,13 +1,16 @@
 package mc_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"teapot/internal/fuzz"
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
+	"teapot/internal/obs"
 	"teapot/internal/protocols"
+	"teapot/internal/runtime"
 )
 
 // TestSymmetryEquivalence is the soundness contract of the reduction: for
@@ -217,5 +220,188 @@ func TestSymmetryProgressReportsGroup(t *testing.T) {
 	if last.ShardMax*64 < int64(res.States) {
 		t.Errorf("shard stats inconsistent with reduced count: max %d over 64 shards, %d states",
 			last.ShardMax, res.States)
+	}
+}
+
+// specConfig builds the checker configuration of a bundled protocol.
+func specConfig(t *testing.T, name string, nodes, blocks int, net netmodel.Model) mc.Config {
+	t.Helper()
+	spec, err := protocols.Spec(name, nodes, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Net = net
+	return spec.MCConfig()
+}
+
+// TestStreamedEncodingMatchesReference: canonicalization never builds a
+// permuted world any more — the encoder relabels as it writes — so the
+// definition it replaced is kept as a test reference and the two are
+// compared byte for byte along seeded random walks, at every world and
+// every group element. The shapes are chosen so that everything a remap
+// must reach is under the encoder at some point: node-bitmask slots
+// (sharers, awaiting), node and block ids saved in continuations, deferred
+// queues, in-flight and duplicated messages, stalled nodes, and block
+// permutations that drag home nodes with them (2 blocks).
+func TestStreamedEncodingMatchesReference(t *testing.T) {
+	walks, steps := 40, 60
+	if testing.Short() {
+		walks = 12
+	}
+	var all mc.StreamFeatures
+	for _, tc := range []struct {
+		name          string
+		nodes, blocks int
+		net           netmodel.Model
+	}{
+		{"stache-ft", 4, 2, netmodel.Model{MaxDrops: 1, MaxDups: 1}},
+		{"lcm", 3, 2, netmodel.Model{Reorder: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			feat := mc.CheckStreamedAgainstReference(t,
+				specConfig(t, tc.name, tc.nodes, tc.blocks, tc.net), 1, walks, steps)
+			t.Logf("%+v", feat)
+			if feat.Worlds < walks*steps/4 {
+				t.Errorf("walks died young: only %d worlds", feat.Worlds)
+			}
+			all.Merge(feat)
+		})
+	}
+	if !all.MaskBits || !all.ContIdentity || !all.DeferredMsg || !all.Stalled || !all.InFlight {
+		t.Errorf("the walks never put some remapped structure under the encoder: %+v", all)
+	}
+}
+
+// TestCloneSharingSafety: a successor copies only the engine its action
+// runs on and shares the parent's others, so the parent must come through
+// every one of its successors unchanged — checked on every transition of
+// two exhaustive shapes (fault actions touch no engine at all, timeouts
+// and events touch the acting node's), with coverage wiring off and on.
+func TestCloneSharingSafety(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func() mc.Config
+	}{
+		{"stache-ft-2n-drop-dup", func() mc.Config {
+			return specConfig(t, "stache-ft", 2, 1, netmodel.Model{MaxDrops: 1, MaxDups: 1})
+		}},
+		{"lcm-3n", func() mc.Config { return specConfig(t, "lcm", 3, 1, netmodel.Model{}) }},
+	} {
+		for _, withCoverage := range []bool{false, true} {
+			n := mc.CheckSharingSafety(t, tc.cfg(), withCoverage)
+			if n < 100 {
+				t.Errorf("%s: only %d transitions checked", tc.name, n)
+			}
+			// The walk visits every reachable state once, so its transition
+			// count is the checker's.
+			res, err := mc.Check(tc.cfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != res.Transitions {
+				t.Errorf("%s (coverage %v): checked %d transitions, the checker takes %d",
+					tc.name, withCoverage, n, res.Transitions)
+			}
+		}
+	}
+}
+
+// TestSymmetryWorkerEquivalence: canonicalization scratch is per worker,
+// so a reduced run must report the same counts, the same coverage and the
+// same counterexample whatever the worker count — on the seeded-bug
+// protocol, whose run ends in a violation found mid-layer.
+func TestSymmetryWorkerEquivalence(t *testing.T) {
+	run := func(workers int) (*mc.Result, *obs.CoverageReport) {
+		cfg := specConfig(t, "stache-ft-buggy", 3, 1, netmodel.Model{MaxDrops: 1})
+		cfg.Symmetry = mc.SymmetryOn
+		cfg.Workers = workers
+		cfg.Coverage = obs.NewCoverage()
+		res, err := mc.Check(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return res, cfg.Coverage.Report(runtime.ObsNames(cfg.Proto))
+	}
+	one, oneCov := run(1)
+	two, twoCov := run(2)
+	if one.SymmetryGroup != 2 || one.Violation == nil {
+		t.Fatalf("expected a reduced run ending in a violation, got group %d, violation %v",
+			one.SymmetryGroup, one.Violation)
+	}
+	if one.States != two.States || one.Transitions != two.Transitions || one.MaxDepth != two.MaxDepth {
+		t.Errorf("(states,transitions,depth): workers=1 (%d,%d,%d), workers=2 (%d,%d,%d)",
+			one.States, one.Transitions, one.MaxDepth, two.States, two.Transitions, two.MaxDepth)
+	}
+	if !reflect.DeepEqual(oneCov, twoCov) {
+		t.Errorf("coverage differs between workers=1 and workers=2:\n%+v\nvs\n%+v", oneCov, twoCov)
+	}
+	if two.Violation == nil || one.Violation.String() != two.Violation.String() ||
+		!reflect.DeepEqual(one.Violation.Steps, two.Violation.Steps) {
+		t.Errorf("counterexamples differ:\nworkers=1 %v\nworkers=2 %v", one.Violation, two.Violation)
+	}
+}
+
+// TestCanonicalizeAllocs: the reduction's per-transition work must not
+// touch the heap — candidates are written into the worker's scratch and
+// compared there — and the plain encode behind World.Snapshot allocates
+// the string it returns and nothing else.
+func TestCanonicalizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	cfg := specConfig(t, "stache-ft", 3, 1, netmodel.Model{MaxDrops: 1})
+	w := mc.MidRunWorld(t, &cfg, 3, 14)
+	canon := mc.Canonicalizer(t, &cfg)
+	if err := canon(w); err != nil { // warm the scratch
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := canon(w); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("canonicalize allocates %v times per world over warmed scratch, want 0", n)
+	}
+	if _, err := w.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := w.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Snapshot allocates %v times, want 1 (the returned string)", n)
+	}
+}
+
+// TestSymmetryAutoGroupBound: -symmetry=auto is the CLI default, so it must
+// not walk into a group whose canonicalization costs more than its orbits
+// save. 6 nodes / 6 blocks has |G| = 720: auto runs unreduced and says why,
+// on still honours the request.
+func TestSymmetryAutoGroupBound(t *testing.T) {
+	cfg := specConfig(t, "stache", 6, 6, netmodel.Model{})
+	cfg.MaxStates = 200
+	cfg.Symmetry = mc.SymmetryAuto
+	res, err := mc.Check(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SymmetryGroup != 1 {
+		t.Errorf("auto reduced by a group of order %d", res.SymmetryGroup)
+	}
+	for _, want := range []string{"order 720", "-symmetry=on"} {
+		if !strings.Contains(res.SymmetryNote, want) {
+			t.Errorf("SymmetryNote = %q, want it to mention %q", res.SymmetryNote, want)
+		}
+	}
+	cfg = specConfig(t, "stache", 6, 6, netmodel.Model{})
+	cfg.MaxStates = 20
+	cfg.Symmetry = mc.SymmetryOn
+	res, err = mc.Check(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SymmetryGroup != 720 {
+		t.Errorf("SymmetryOn group order = %d, want 720", res.SymmetryGroup)
 	}
 }

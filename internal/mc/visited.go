@@ -33,7 +33,7 @@ const (
 )
 
 // fingerprint is 64-bit FNV-1a over the canonical encoding.
-func fingerprint(s string) uint64 {
+func fingerprint(s []byte) uint64 {
 	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -76,7 +76,7 @@ type shard struct {
 
 // visitedTable is the sharded visited set plus the state arena.
 type visitedTable struct {
-	hash   func(string) uint64 // fingerprint; replaceable in tests
+	hash   func([]byte) uint64 // fingerprint; replaceable in tests
 	shards [numShards]shard
 	arena  []stateRec
 
@@ -100,7 +100,7 @@ func newVisited() *visitedTable {
 // the group element that canonicalized the initial world (0 when symmetry
 // reduction is off).
 func (t *visitedTable) addRoot(key string, perm int32) int32 {
-	fp := t.hash(key)
+	fp := t.hash([]byte(key))
 	t.arena = append(t.arena, stateRec{key: key, parent: -1, action: -1, perm: perm})
 	s := &t.shards[fp%numShards]
 	s.seen[fp] = append(s.seen[fp], 0)
@@ -111,9 +111,11 @@ func (t *visitedTable) addRoot(key string, perm int32) int32 {
 
 // claim records that key was reached from layer position pos via action
 // ord. Already-committed states are ignored; claims for the same key made
-// during one layer are merged keeping the smallest (pos, ord). Safe for
+// during one layer are merged keeping the smallest (pos, ord). key is the
+// caller's scratch: it is only compared here, and copied into a string
+// when — and only when — it becomes a new pending claim. Safe for
 // concurrent use while a layer expands.
-func (t *visitedTable) claim(key string, pos, ord, perm int32) {
+func (t *visitedTable) claim(key []byte, pos, ord, perm int32) {
 	fp := t.hash(key)
 	s := &t.shards[fp%numShards]
 	s.mu.Lock()
@@ -121,19 +123,19 @@ func (t *visitedTable) claim(key string, pos, ord, perm int32) {
 	for _, idx := range s.seen[fp] {
 		// The arena is only appended to at layer barriers, never while
 		// workers hold shard locks, so reading it here is race-free.
-		if t.arena[idx].key == key {
+		if t.arena[idx].key == string(key) {
 			return
 		}
 	}
 	for c := s.pending[fp]; c != nil; c = c.next {
-		if c.key == key {
+		if c.key == string(key) {
 			if pos < c.pos || (pos == c.pos && ord < c.ord) {
 				c.pos, c.ord, c.perm = pos, ord, perm
 			}
 			return
 		}
 	}
-	s.pending[fp] = &claim{key: key, fp: fp, pos: pos, ord: ord, perm: perm, next: s.pending[fp]}
+	s.pending[fp] = &claim{key: string(key), fp: fp, pos: pos, ord: ord, perm: perm, next: s.pending[fp]}
 }
 
 // commit folds the layer's claims into the arena in deterministic

@@ -13,10 +13,10 @@ func TestVisitedCommitOrder(t *testing.T) {
 	vt := newVisited()
 	layer := []int32{vt.addRoot("root", 0)}
 
-	vt.claim("b", 0, 2, 0)
-	vt.claim("a", 0, 1, 0)
-	vt.claim("a", 0, 0, 0) // duplicate from an earlier action: must win
-	vt.claim("b", 0, 3, 0) // worse duplicate: must lose
+	vt.claim([]byte("b"), 0, 2, 0)
+	vt.claim([]byte("a"), 0, 1, 0)
+	vt.claim([]byte("a"), 0, 0, 0) // duplicate from an earlier action: must win
+	vt.claim([]byte("b"), 0, 3, 0) // worse duplicate: must lose
 
 	next := vt.commit(layer)
 	if len(next) != 2 {
@@ -37,8 +37,8 @@ func TestVisitedCommitOrder(t *testing.T) {
 	}
 
 	// Next layer: re-claiming committed states is a no-op.
-	vt.claim("a", 1, 0, 0)
-	vt.claim("root", 0, 0, 0)
+	vt.claim([]byte("a"), 1, 0, 0)
+	vt.claim([]byte("root"), 0, 0, 0)
 	if got := vt.commit(next); len(got) != 0 {
 		t.Errorf("re-claimed committed states were committed again: %d", len(got))
 	}
@@ -48,14 +48,14 @@ func TestVisitedCommitOrder(t *testing.T) {
 // full-key confirmation must keep distinct states distinct.
 func TestVisitedFingerprintCollision(t *testing.T) {
 	vt := newVisited()
-	vt.hash = func(string) uint64 { return 42 }
+	vt.hash = func([]byte) uint64 { return 42 }
 	layer := []int32{vt.addRoot("root", 0)}
 
 	const n = 20
 	for i := 0; i < n; i++ {
-		vt.claim(fmt.Sprintf("s%02d", i), 0, int32(i), 0)
+		vt.claim([]byte(fmt.Sprintf("s%02d", i)), 0, int32(i), 0)
 	}
-	vt.claim("root", 0, 5, 0) // colliding fingerprint AND previously committed
+	vt.claim([]byte("root"), 0, 5, 0) // colliding fingerprint AND previously committed
 	next := vt.commit(layer)
 	if len(next) != n {
 		t.Fatalf("committed %d states under total fingerprint collision, want %d", len(next), n)
@@ -67,7 +67,7 @@ func TestVisitedFingerprintCollision(t *testing.T) {
 	}
 	// All distinct keys re-claimed: every one must be recognized.
 	for i := 0; i < n; i++ {
-		vt.claim(fmt.Sprintf("s%02d", i), 0, 0, 0)
+		vt.claim([]byte(fmt.Sprintf("s%02d", i)), 0, 0, 0)
 	}
 	if got := vt.commit(next); len(got) != 0 {
 		t.Errorf("collision chain lost committed states: %d re-committed", len(got))
@@ -92,7 +92,7 @@ func TestShardedVisitedRace(t *testing.T) {
 			for i := 0; i < keys; i++ {
 				// Every goroutine claims every key with a different
 				// ordinal; the minimum (0, i) must survive.
-				vt.claim(fmt.Sprintf("state-%03d", i), 0, int32(i+g), 0)
+				vt.claim([]byte(fmt.Sprintf("state-%03d", i)), 0, int32(i+g), 0)
 			}
 		}(g)
 	}

@@ -16,6 +16,13 @@ import (
 // slices). Info handles are rebound to the clone's blocks, mirroring what
 // DecodeValue does, and abstract support values are round-tripped through
 // the protocol's AbstractCodec.
+//
+// The checker clones one engine per successor, not one per node: an action
+// executes handlers on a single engine, so the successor world copies that
+// one and points at the parent's others, which it only ever reads (see
+// mc.World.cloneFor). Clone itself stays a full, independent copy of the
+// engine it is called on — sharing is the caller's decision, engine by
+// engine.
 
 // Clone returns a deep copy of the engine's protocol state bound to
 // machine m. The protocol, support module, and compiled program are

@@ -3,6 +3,7 @@ package runtime
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"teapot/internal/vm"
 )
@@ -13,10 +14,108 @@ import (
 // values, which is exactly what makes the "same source" verification of §7
 // possible over the compiled representation.
 
-// Encoder serializes values into a canonical byte form.
+// Encoder serializes values into a canonical byte form. The zero value
+// encodes state as it is; Reset with a non-nil Remap makes the same walk
+// write the state's image under a node/block relabelling instead.
 type Encoder struct {
-	buf []byte
+	buf   []byte
+	remap *Remap
 }
+
+// Remap is one node/block relabelling applied while encoding: the model
+// checker's symmetry reduction encodes a world under every element of its
+// permutation group without ever building the permuted world. Identity
+// values are mapped as they are written — KNode and KID values wherever
+// they nest (state arguments, continuation saves, message payloads),
+// message Src and ID fields, and the bits of the declared node-bitmask
+// variable slots — and containers are walked in image order through the
+// inverse maps, so the bytes equal those of the relabelled state.
+type Remap struct {
+	Node, Block       []int // node n is written as Node[n], block b as Block[b]
+	NodeInv, BlockInv []int // image position i is filled from NodeInv[i] / BlockInv[i]
+	MaskSlots         []int // protocol-variable slots holding node bitmasks
+}
+
+// NewRemap builds the relabelling for one permutation pair, precomputing
+// the inverses.
+func NewRemap(node, block, maskSlots []int) *Remap {
+	r := &Remap{Node: node, Block: block, MaskSlots: maskSlots,
+		NodeInv: make([]int, len(node)), BlockInv: make([]int, len(block))}
+	for i, v := range node {
+		r.NodeInv[v] = i
+	}
+	for i, v := range block {
+		r.BlockInv[v] = i
+	}
+	return r
+}
+
+// MapNode returns the label node n is written under (n itself for a nil
+// remap or an id outside the machine, e.g. the -1 "no node" sentinel).
+func (r *Remap) MapNode(n int) int {
+	if r == nil || n < 0 || n >= len(r.Node) {
+		return n
+	}
+	return r.Node[n]
+}
+
+// MapBlock is MapNode for block ids.
+func (r *Remap) MapBlock(b int) int {
+	if r == nil || b < 0 || b >= len(r.Block) {
+		return b
+	}
+	return r.Block[b]
+}
+
+// SrcNode returns the node whose state fills image position i.
+func (r *Remap) SrcNode(i int) int {
+	if r == nil {
+		return i
+	}
+	return r.NodeInv[i]
+}
+
+// SrcBlock is SrcNode for block positions.
+func (r *Remap) SrcBlock(i int) int {
+	if r == nil {
+		return i
+	}
+	return r.BlockInv[i]
+}
+
+// mapMask re-indexes a node bitmask bit by bit; bits beyond the machine
+// stay where they are.
+func (r *Remap) mapMask(mask int64) int64 {
+	var out int64
+	for rest := uint64(mask); rest != 0; rest &= rest - 1 {
+		bit := bits.TrailingZeros64(rest)
+		if bit < len(r.Node) {
+			bit = r.Node[bit]
+		}
+		out |= 1 << bit
+	}
+	return out
+}
+
+// isMaskSlot reports whether variable slot i holds a node bitmask.
+func (r *Remap) isMaskSlot(i int) bool {
+	for _, s := range r.MaskSlots {
+		if s == i {
+			return true
+		}
+	}
+	return false
+}
+
+// Reset empties the encoder, keeping its buffer, and installs the
+// relabelling for the next encoding (nil for none).
+func (e *Encoder) Reset(r *Remap) {
+	e.buf = e.buf[:0]
+	e.remap = r
+}
+
+// Remap returns the relabelling installed by Reset (nil for none).
+func (e *Encoder) Remap() *Remap { return e.remap }
 
 // Bytes returns the accumulated encoding.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -82,8 +181,12 @@ func (e *Engine) EncodeValue(enc *Encoder, v vm.Value, codec AbstractCodec) erro
 	enc.Byte(byte(v.Kind))
 	switch v.Kind {
 	case vm.KNil:
-	case vm.KInt, vm.KBool, vm.KNode, vm.KID, vm.KMsg, vm.KAccess:
+	case vm.KInt, vm.KBool, vm.KMsg, vm.KAccess:
 		enc.Int(v.Int)
+	case vm.KNode:
+		enc.Int(int64(enc.remap.MapNode(int(v.Int))))
+	case vm.KID:
+		enc.Int(int64(enc.remap.MapBlock(int(v.Int))))
 	case vm.KString:
 		enc.Str(v.Str)
 	case vm.KState:
@@ -174,8 +277,8 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block, codec AbstractCodec) (vm.
 // channel key carries).
 func (e *Engine) EncodeMessage(enc *Encoder, m *Message, codec AbstractCodec) error {
 	enc.Int(int64(m.Tag))
-	enc.Int(int64(m.ID))
-	enc.Int(int64(m.Src))
+	enc.Int(int64(enc.remap.MapBlock(m.ID)))
+	enc.Int(int64(enc.remap.MapNode(m.Src)))
 	if m.Data {
 		enc.Byte(1)
 	} else {
@@ -209,13 +312,19 @@ func (e *Engine) DecodeMessage(d *Decoder, codec AbstractCodec) (*Message, error
 }
 
 // EncodeState writes the engine's full protocol state (all blocks: state
-// value, protocol variables, deferred queue).
+// value, protocol variables, deferred queue). Under a remap the blocks are
+// written in image order and node-bitmask variables are re-indexed.
 func (e *Engine) EncodeState(enc *Encoder, codec AbstractCodec) error {
-	for _, b := range e.Blocks {
+	r := enc.remap
+	for i := range e.Blocks {
+		b := e.Blocks[r.SrcBlock(i)]
 		if err := e.EncodeValue(enc, vm.StateValue(b.State), codec); err != nil {
 			return err
 		}
-		for _, v := range b.Vars {
+		for slot, v := range b.Vars {
+			if r != nil && v.Kind == vm.KInt && r.isMaskSlot(slot) {
+				v.Int = r.mapMask(v.Int)
+			}
 			if err := e.EncodeValue(enc, v, codec); err != nil {
 				return err
 			}

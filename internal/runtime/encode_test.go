@@ -180,3 +180,102 @@ func TestAbstractValueWithoutCodecFails(t *testing.T) {
 		t.Error("expected error encoding abstract value without codec")
 	}
 }
+
+// relabel is the reference for Encoder remapping: the value with every
+// node and block id nested in it mapped, built the slow way.
+func relabel(v vm.Value, r *runtime.Remap) vm.Value {
+	switch v.Kind {
+	case vm.KNode:
+		v.Int = int64(r.MapNode(int(v.Int)))
+	case vm.KID:
+		v.Int = int64(r.MapBlock(int(v.Int)))
+	case vm.KState:
+		sv := &vm.StateVal{State: v.State().State}
+		for _, a := range v.State().Args {
+			sv.Args = append(sv.Args, relabel(a, r))
+		}
+		return vm.StateValue(sv)
+	case vm.KCont:
+		c := *v.Cont()
+		c.Saved = nil
+		for _, a := range v.Cont().Saved {
+			c.Saved = append(c.Saved, relabel(a, r))
+		}
+		return vm.ContVal(&c)
+	}
+	return v
+}
+
+// TestRemappedEncodeProperty: encoding under a Remap writes exactly the
+// bytes a plain encode of the relabelled structure would — for values
+// (ids nested in state arguments and continuation saves, the -1 "no node"
+// sentinel and out-of-machine ids left alone), for messages (Src, ID,
+// payload), and for a whole engine (blocks in image order, a declared
+// node-bitmask slot re-indexed bit by bit).
+func TestRemappedEncodeProperty(t *testing.T) {
+	e, p := encodeFixture(t)
+	if len(e.Blocks[0].Vars) == 0 {
+		t.Fatal("fixture protocol has no variable to use as a bitmask slot")
+	}
+	r := runtime.NewRemap([]int{0, 3, 1, 2, 5, 4}, []int{2, 0, 1}, []int{0})
+	plain := func(f func(enc *runtime.Encoder) error) string {
+		enc := &runtime.Encoder{}
+		if err := f(enc); err != nil {
+			t.Fatal(err)
+		}
+		return string(enc.Bytes())
+	}
+	remapped := func(f func(enc *runtime.Encoder) error) string {
+		enc := &runtime.Encoder{}
+		enc.Int(99) // Reset must discard earlier content and keep the buffer
+		enc.Reset(r)
+		if err := f(enc); err != nil {
+			t.Fatal(err)
+		}
+		return string(enc.Bytes())
+	}
+	rng := rand.New(rand.NewSource(7))
+	nested := 0
+	for i := 0; i < 500; i++ {
+		v := randomValue(rng, e, 2)
+		if v.Kind == vm.KCont || v.Kind == vm.KState {
+			nested++
+		}
+		got := remapped(func(enc *runtime.Encoder) error { return e.EncodeValue(enc, v, nil) })
+		want := plain(func(enc *runtime.Encoder) error { return e.EncodeValue(enc, relabel(v, r), nil) })
+		if got != want {
+			t.Fatalf("value %v: remapped encode %x, encode of relabelled value %x", v, got, want)
+		}
+		m := &runtime.Message{Tag: rng.Intn(4), ID: rng.Intn(4) - 1, Src: rng.Intn(8) - 1,
+			Payload: []vm.Value{v, randomValue(rng, e, 1)}}
+		rm := &runtime.Message{Tag: m.Tag, ID: r.MapBlock(m.ID), Src: r.MapNode(m.Src),
+			Payload: []vm.Value{relabel(m.Payload[0], r), relabel(m.Payload[1], r)}}
+		got = remapped(func(enc *runtime.Encoder) error { return e.EncodeMessage(enc, m, nil) })
+		want = plain(func(enc *runtime.Encoder) error { return e.EncodeMessage(enc, rm, nil) })
+		if got != want {
+			t.Fatalf("message %+v: remapped encode differs from encode of relabelled message", m)
+		}
+	}
+	if nested < 50 {
+		t.Fatalf("only %d nested values generated", nested)
+	}
+
+	// Whole engine: distinct state per block, mask slot 0 = {1, 2, 7}.
+	m2 := newTestMachine()
+	image := runtime.NewEngine(p, 1, 3, m2, nullSupport{})
+	for i, b := range e.Blocks {
+		b.State = &vm.StateVal{State: i % len(p.IR.Sema.States), Args: []vm.Value{vm.NodeVal(i + 1), vm.IDVal(i)}}
+		b.Vars[0] = vm.IntVal(1<<1 | 1<<2 | 1<<7)
+		b.Deferred = []*runtime.Message{{Tag: 1, ID: i, Src: 2, Payload: []vm.Value{vm.IDVal(i)}}}
+		ib := image.Blocks[r.MapBlock(i)]
+		ib.State = relabel(vm.StateValue(b.State), r).State()
+		copy(ib.Vars, b.Vars)
+		ib.Vars[0] = vm.IntVal(1<<3 | 1<<1 | 1<<7) // 1→3, 2→1, 7 is outside the machine
+		ib.Deferred = []*runtime.Message{{Tag: 1, ID: r.MapBlock(i), Src: 1, Payload: []vm.Value{vm.IDVal(r.MapBlock(i))}}}
+	}
+	got := remapped(func(enc *runtime.Encoder) error { return e.EncodeState(enc, nil) })
+	want := plain(func(enc *runtime.Encoder) error { return image.EncodeState(enc, nil) })
+	if got != want {
+		t.Errorf("engine state: remapped encode\n%x\nencode of relabelled engine\n%x", got, want)
+	}
+}

@@ -85,7 +85,10 @@ go test -race -count=1 -run 'TestDiffReplayCounterexamples|TestConfirmMCAgreesWi
 # deliberately asymmetric fixture), the asymmetric fixture must be refused
 # under -symmetry=on (exit 1 with a witness), reduction must not change
 # any verdict (the reduced-vs-unreduced equivalence suite under the race
-# detector), and a reduced run must actually reduce.
+# detector), the streaming canonicalizer must agree byte for byte with the
+# permuteWorld reference, engine-sharing clones must leave their parent
+# untouched, per-worker scratch must keep reduced runs worker-count
+# independent, and a reduced run must actually reduce.
 go run ./cmd/teapot-vet -json stache stache-cas stache-ft lcm lcm-mcc bufwrite update \
   | python3 -c 'import json,sys
 reports = json.load(sys.stdin)
@@ -99,7 +102,10 @@ if [ "$rc" -ne 1 ]; then
   echo "check.sh: stache-asym -symmetry=on should be refused (exit 1), got $rc" >&2
   exit 1
 fi
-go test -race -count=1 -short -run 'TestSymmetryEquivalence|TestCanonicalFixpoint|TestSymmetryGate' ./internal/mc/
+go test -race -count=1 -short -run 'TestSymmetryEquivalence|TestCanonicalFixpoint|TestSymmetryGate|TestStreamedEncoding|TestCloneSharingSafety|TestSymmetryWorkerEquivalence|TestSymmetryAutoGroupBound' ./internal/mc/
+# Allocation contracts (canonicalize: 0 over warmed scratch; Snapshot: the
+# returned string only). Not under -race, which perturbs sync.Pool.
+go test -count=1 -run 'TestCanonicalizeAllocs' ./internal/mc/
 symline="$("$verifybin" -proto stache -nodes 3 -symmetry=on)"
 case "$symline" in
   *"symmetry /2"*) ;;
@@ -198,3 +204,8 @@ PY
 # testdata/repro artifacts (byte-identical replays, mc cross-check).
 go test -race -count=1 -run 'TestRunMPAllSubstratesAgree|TestRunForbiddenReachable|TestReproCorpusReplays' \
   ./internal/litmus/ ./internal/fuzz/
+# The benchmark harness's own tests: small-shape correctness checks that run
+# the checker (reduced and unreduced), the simulator and the litmus corpus
+# against benchmarks/expected.json. A module of its own, so `go test ./...`
+# above does not reach it.
+(cd benchmarks && go test ./...)
