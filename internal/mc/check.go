@@ -17,9 +17,11 @@ import (
 // concurrently, by cfg.Workers goroutines — before any state at depth d+1,
 // which preserves the BFS invariant (counterexample traces are
 // shortest-path) and makes every reported figure deterministic. Expanding a
-// state decodes its canonical encoding exactly once; each successor is a
-// structural clone plus one action (the final action is applied to the
-// decoded world in place), never a re-decode. Violations found while a
+// state decodes its canonical encoding exactly once, into a world its
+// worker keeps for the whole run; each successor is a structural clone into
+// the worker's one scratch world plus one action (the final action is
+// applied to the decoded world in place), never a re-decode and never a new
+// World (see worker). Violations found while a
 // layer expands are collected, the layer is finished, and the one the
 // sequential scan would have hit first — smallest (frontier position,
 // action ordinal) — is reported, with its trace re-derived by replaying the
@@ -55,10 +57,11 @@ func Check(cfg Config) (*Result, error) {
 	vt := newVisited()
 	layer := []int32{vt.addRoot(string(initKey), initPerm)}
 	res.PeakFrontier = 1
+	workers := make([]worker, cfg.Workers)
 
 	for depth := 0; len(layer) > 0; depth++ {
 		res.MaxDepth = depth
-		out, err := expandLayer(&cfg, vt, red, layer)
+		out, err := expandLayer(&cfg, vt, red, layer, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -122,130 +125,152 @@ func (c *candidate) before(o *candidate) bool {
 	return c.ord < o.ord
 }
 
-// workerOut accumulates one worker's per-layer results; outputs are merged
-// at the barrier so workers share nothing while expanding.
-type workerOut struct {
+// layerOut is what expanding (part of) a layer produced; per-worker
+// outputs are merged at the barrier so workers share nothing while
+// expanding.
+type layerOut struct {
 	cand        *candidate
 	transitions int64
 	decodes     int64
-	cov         *obs.Coverage // per-worker coverage, merged at the barrier
-	keys        keyScratch    // successor keys are built here, never on the heap
-	err         error
 }
 
-func (o *workerOut) take(c *candidate) {
+func (o *layerOut) take(c *candidate) {
 	if o.cand == nil || c.before(o.cand) {
 		o.cand = c
 	}
 }
 
-// expandLayer expands every state of the layer, fanning out over
-// cfg.Workers goroutines pulling positions from a shared cursor.
-func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32) (*workerOut, error) {
-	workers := cfg.Workers
-	if workers > len(layer) {
-		workers = len(layer)
+// worker is everything one expanding goroutine reuses from state to state
+// for the whole of a Check, so that expanding a state builds nothing: the
+// parent world every state is decoded into (decodeInto), the scratch world
+// every successor but a state's last is cloned into (cloneInto), the action
+// buffer, and the key buffers. Reuse is sound because each of them is dead
+// before it is overwritten: a successor is finished with once its key is
+// claimed (claim copies the bytes it keeps), the parent is untouched until
+// its last action and finished with after it, and the Terminal and EventGen
+// hooks see a world only for the length of the call. The per-layer fields
+// (layerOut, cov, err) are reset by expandLayer.
+type worker struct {
+	parent, succ *World
+	acts         []action
+	keys         keyScratch // successor keys are built here, never on the heap
+
+	layerOut
+	cov *obs.Coverage // this layer's coverage, merged at the barrier
+	err error
+}
+
+// expandLayer expands every state of the layer, fanning out over up to
+// len(workers) goroutines pulling positions from a shared cursor.
+func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, workers []worker) (*layerOut, error) {
+	if len(workers) > len(layer) {
+		workers = workers[:len(layer)]
+	}
+	for i := range workers {
+		wk := &workers[i]
+		wk.layerOut, wk.cov, wk.err = layerOut{}, nil, nil
 	}
 
-	merged := &workerOut{}
-	if workers <= 1 {
-		merged.cov = cfg.Coverage // accumulate in place, nothing to merge
+	if len(workers) <= 1 {
+		wk := &workers[0]
+		wk.cov = cfg.Coverage // accumulate in place, nothing to merge
 		for pos := range layer {
-			if err := expandState(cfg, vt, red, layer, int32(pos), merged); err != nil {
+			if err := wk.expandState(cfg, vt, red, layer, int32(pos)); err != nil {
 				return nil, err
 			}
 		}
-		return merged, nil
+		return &wk.layerOut, nil
 	}
 
-	outs := make([]workerOut, workers)
-	if cfg.Coverage != nil {
-		for i := range outs {
-			outs[i].cov = obs.NewCoverage()
-		}
-	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := range workers {
+		if cfg.Coverage != nil {
+			workers[i].cov = obs.NewCoverage()
+		}
 		wg.Add(1)
-		go func(out *workerOut) {
+		go func(wk *worker) {
 			defer wg.Done()
 			for {
 				pos := cursor.Add(1) - 1
 				if pos >= int64(len(layer)) {
 					return
 				}
-				if err := expandState(cfg, vt, red, layer, int32(pos), out); err != nil {
-					out.err = err
+				if wk.err = wk.expandState(cfg, vt, red, layer, int32(pos)); wk.err != nil {
 					return
 				}
 			}
-		}(&outs[i])
+		}(&workers[i])
 	}
 	wg.Wait()
-	for i := range outs {
-		o := &outs[i]
-		if o.err != nil {
-			return nil, o.err
+	merged := &layerOut{}
+	for i := range workers {
+		wk := &workers[i]
+		if wk.err != nil {
+			return nil, wk.err
 		}
-		merged.transitions += o.transitions
-		merged.decodes += o.decodes
+		merged.transitions += wk.transitions
+		merged.decodes += wk.decodes
 		if cfg.Coverage != nil {
 			// Set union with count addition commutes, so merging in worker
 			// order (or any order) accumulates identical coverage.
-			cfg.Coverage.Merge(o.cov)
+			cfg.Coverage.Merge(wk.cov)
 		}
-		if o.cand != nil {
-			merged.take(o.cand)
+		if wk.cand != nil {
+			merged.take(wk.cand)
 		}
 	}
 	return merged, nil
 }
 
-// expandState decodes one state (once), enumerates its actions, and claims
-// every successor, deriving each from a clone of the decoded world — the
-// last from the decoded world itself. A clone copies only the engine its
-// action runs on and shares the decoded world's other engines read-only
-// (see World.cloneFor). With symmetry reduction active every successor is
-// canonicalized before the claim, so the visited table (and its per-shard
-// balance statistics) sees only post-canonicalization keys.
-func expandState(cfg *Config, vt *visitedTable, red *reduction, layer []int32, pos int32, out *workerOut) error {
-	w, err := cfg.decode(vt.arena[layer[pos]].key)
-	if err != nil {
+// expandState decodes one state (once) into the worker's parent world,
+// enumerates its actions, and claims every successor, deriving each from a
+// clone of the parent into the worker's scratch world — the last from the
+// parent itself. A clone copies only the engine its action runs on and
+// reads the parent's other engines (see World.cloneInto). With symmetry
+// reduction active every successor is canonicalized before the claim, so
+// the visited table (and its per-shard balance statistics) sees only
+// post-canonicalization keys.
+func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, layer []int32, pos int32) error {
+	if wk.parent == nil {
+		wk.parent, wk.succ = newWorld(cfg), &World{cfg: cfg}
+	}
+	w := wk.parent
+	if err := cfg.decodeInto(w, vt.arena[layer[pos]].key); err != nil {
 		return fmt.Errorf("mc: decode: %w", err)
 	}
-	out.decodes++
+	wk.decodes++
 	// Terminal-state judgment (litmus runs): a state where every script has
 	// finished, nothing is stalled, and the network has drained is a final
 	// outcome; a judging hook that rejects it makes the state itself the
 	// violation (ord -1, like deadlocks — the trace leads to the state).
 	if cfg.Terminal != nil && w.networkEmpty() && !w.anyStalled() && w.ClientDone() {
 		if msg := cfg.Terminal(w); msg != "" {
-			out.take(&candidate{kind: "litmus", msg: msg, pos: pos, ord: -1})
+			wk.take(&candidate{kind: "litmus", msg: msg, pos: pos, ord: -1})
 		}
 	}
-	acts := w.actions()
-	if len(acts) == 0 {
+	wk.acts = w.appendActions(wk.acts[:0])
+	if len(wk.acts) == 0 {
 		if w.anyStalled() && w.networkEmpty() {
-			out.take(&candidate{kind: "deadlock", msg: describeStall(w), pos: pos, ord: -1})
+			wk.take(&candidate{kind: "deadlock", msg: describeStall(w), pos: pos, ord: -1})
 		}
 		return nil
 	}
-	for i, a := range acts {
-		wa, err := w.branch(a, i == len(acts)-1, out.cov)
+	for i, a := range wk.acts {
+		wa, err := w.branch(a, i == len(wk.acts)-1, wk.cov, wk.succ)
 		if err != nil {
 			return fmt.Errorf("mc: clone: %w", err)
 		}
-		out.transitions++
+		wk.transitions++
 		if err := wa.apply(a); err != nil {
-			out.take(&candidate{kind: "protocol-error", msg: err.Error(), pos: pos, ord: int32(i)})
+			wk.take(&candidate{kind: "protocol-error", msg: err.Error(), pos: pos, ord: int32(i)})
 			continue
 		}
 		if msg := wa.checkInvariants(); msg != "" {
-			out.take(&candidate{kind: "invariant", msg: msg, pos: pos, ord: int32(i)})
+			wk.take(&candidate{kind: "invariant", msg: msg, pos: pos, ord: int32(i)})
 			continue
 		}
-		succ, permIdx, err := out.keys.key(wa, red)
+		succ, permIdx, err := wk.keys.key(wa, red)
 		if err != nil {
 			return fmt.Errorf("mc: encode: %w", err)
 		}
@@ -255,17 +280,17 @@ func expandState(cfg *Config, vt *visitedTable, red *reduction, layer []int32, p
 }
 
 // branch returns the world action a is to be applied to: w itself for the
-// state's last action, otherwise a copy that clones only the engine a runs
-// on (see World.cloneFor). With cov set, the action's coverage is wired up:
-// handler-level coverage flows from the event stream of that one engine
-// (the others may be shared with w and are left alone), and the two fault
-// actions no event kind exists for (reordered deliveries, corrupt bounces)
-// are recorded at the action level.
-func (w *World) branch(a action, last bool, cov *obs.Coverage) (*World, error) {
+// state's last action, otherwise scratch overwritten with a copy of w that
+// clones only the engine a runs on (see World.cloneInto). With cov set, the
+// action's coverage is wired up: handler-level coverage flows from the
+// event stream of that one engine (the others may be shared with w and are
+// left alone), and the two fault actions no event kind exists for
+// (reordered deliveries, corrupt bounces) are recorded at the action level.
+func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) (*World, error) {
 	wa := w
 	if !last {
-		var err error
-		if wa, err = w.cloneFor(a.engine()); err != nil {
+		wa = scratch
+		if err := w.cloneInto(wa, a.engine()); err != nil {
 			return nil, err
 		}
 	}

@@ -74,7 +74,10 @@ type Config struct {
 	// network is drained. A non-empty return is reported as a violation of
 	// kind "litmus" with the returned message and the trace leading to the
 	// terminal state — the hook litmus harnesses judge forbidden final
-	// states with. With Workers > 1 it must be safe for concurrent use.
+	// states with. With Workers > 1 it must be safe for concurrent use. The
+	// world is the worker's own, overwritten for the next state it expands:
+	// the hook must not retain it or anything it hands out by reference
+	// (ClientRegs and ClientFinal return copies).
 	Terminal func(*World) string
 
 	MaxStates  int // 0 = unlimited
@@ -203,7 +206,9 @@ func (cfg *Config) normalize() {
 // issue in a given global state (the paper's hand-written "event generation
 // loop", §7). When Config.Workers > 1 the checker calls Enabled from
 // multiple goroutines (on distinct worlds), so implementations must not
-// mutate shared state without synchronization.
+// mutate shared state without synchronization. The world is valid only for
+// the call — the checker decodes the next state it expands over it — so
+// Enabled must not retain it.
 type EventGen interface {
 	Enabled(w *World, node, block int) []Event
 }
@@ -231,7 +236,8 @@ type Result struct {
 	// mark for per-layer memory.
 	PeakFrontier int
 	// Decodes counts full state decodes — exactly one per expanded state
-	// (successors are derived by cloning, not re-decoding).
+	// (successors are derived by cloning, not re-decoding), each into the
+	// world its worker keeps.
 	Decodes int64
 	// VisitedBytes approximates the retained size of the visited set.
 	VisitedBytes int64
@@ -269,9 +275,14 @@ func (v *Violation) String() string {
 // World is one reachable global state, materialized for expansion. Event
 // generators read it through the accessor methods.
 type World struct {
-	cfg      *Config
+	cfg *Config
+	// engines[n] is the engine the world reads node n through; owned[n] is
+	// the engine the world may run and overwrite. They are the same engine
+	// except in a successor from cloneInto, whose engines point at its
+	// parent's for every node but the one its action runs on.
 	engines  []*runtime.Engine
-	channels [][]*runtime.Message // [from*Nodes+to]
+	owned    []*runtime.Engine
+	channels [][]*runtime.Message // [from*Nodes+to]; the arrays are the world's own
 	access   []sema.AccessMode    // [node*Blocks+block]
 	stalled  []int                // per node: block stalled on, or -1
 
@@ -301,6 +312,8 @@ type World struct {
 	obsSink obs.Sink
 
 	sendErr error
+
+	dec runtime.Decoder // decodeInto's reader, kept here so it is not allocated per state
 }
 
 // setObs attaches a sink to the world and all its engines (nil detaches).
@@ -438,10 +451,12 @@ func newWorld(cfg *Config) *World {
 		access:   make([]sema.AccessMode, cfg.Nodes*cfg.Blocks),
 		stalled:  make([]int, cfg.Nodes),
 	}
-	for n := 0; n < cfg.Nodes; n++ {
+	w.owned = make([]*runtime.Engine, cfg.Nodes)
+	for n := range w.owned {
 		w.stalled[n] = -1
-		w.engines = append(w.engines, runtime.NewEngine(cfg.Proto, n, cfg.Blocks, w, cfg.Support))
+		w.owned[n] = runtime.NewEngine(cfg.Proto, n, cfg.Blocks, w, cfg.Support)
 	}
+	w.engines = append([]*runtime.Engine(nil), w.owned...)
 	for b := 0; b < cfg.Blocks; b++ {
 		w.access[cfg.HomeOf(b)*cfg.Blocks+b] = sema.AccReadWrite
 	}
@@ -557,28 +572,57 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (bool, error) {
 // decode restores a world from its canonical form.
 func (cfg *Config) decode(key string) (*World, error) {
 	w := newWorld(cfg)
-	d := runtime.NewDecoder([]byte(key))
+	return w, cfg.decodeInto(w, key)
+}
+
+// decodeInto overwrites w — a world newWorld built for this configuration,
+// whatever state it last held and however it was left — with the state key
+// encodes. Every
+// part of a world that the encoding covers is rewritten in place (engines'
+// block states, variables and deferred queues, channels, access, stalled,
+// spent budgets, the client plane), reusing the block records and arrays w
+// already has; everything the encoding does not cover is reset to what a
+// new world has: w runs its own engines again, the send error and a
+// half-run handler's transitioned flags are cleared, and the sinks are
+// Config.Obs's (none during Check). So a reused world is indistinguishable
+// from decode's fresh one. key is read where it is, never copied.
+//
+// A damaged key is an error, never a panic: the decoder refuses short
+// input, malformed integers, counts the remaining bytes could not hold and
+// trailing bytes, and the indices the world is later read through (states,
+// message block ids, stalled blocks, script positions) are range-checked.
+// After an error w is unspecified but may be decoded into again.
+func (cfg *Config) decodeInto(w *World, key string) error {
+	d := &w.dec
+	d.Reset(key)
+	w.sendErr = nil
+	copy(w.engines, w.owned)
+	w.setObs(cfg.Obs)
 	for _, e := range w.engines {
 		if err := e.DecodeState(d, cfg.Codec); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for ch := range w.channels {
-		n := int(d.Int())
-		w.channels[ch] = nil
+		n := d.Count()
+		msgs := w.channels[ch][:0]
 		for i := 0; i < n; i++ {
 			m, err := w.engines[ch%cfg.Nodes].DecodeMessage(d, cfg.Codec)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			w.channels[ch] = append(w.channels[ch], m)
+			msgs = append(msgs, m)
 		}
+		w.channels[ch] = msgs
 	}
 	for i := range w.access {
 		w.access[i] = sema.AccessMode(d.Byte())
 	}
 	for i := range w.stalled {
 		w.stalled[i] = int(d.Int())
+		if w.stalled[i] < -1 || w.stalled[i] >= cfg.Blocks {
+			return fmt.Errorf("mc: node %d stalled on block %d in encoding", i, w.stalled[i])
+		}
 	}
 	w.drops = int(d.Int())
 	w.dups = int(d.Int())
@@ -586,10 +630,13 @@ func (cfg *Config) decode(key string) (*World, error) {
 	if w.pcs != nil {
 		for i := range w.pcs {
 			w.pcs[i] = int(d.Int())
+			if w.pcs[i] < 0 || w.pcs[i] > len(cfg.Client.program(i)) {
+				return fmt.Errorf("mc: node %d at script position %d in encoding", i, w.pcs[i])
+			}
 		}
 		for n := range w.regs {
-			cnt := int(d.Int())
-			w.regs[n] = nil
+			cnt := d.Count()
+			w.regs[n] = w.regs[n][:0]
 			for i := 0; i < cnt; i++ {
 				w.regs[n] = append(w.regs[n], d.Int())
 			}
@@ -601,7 +648,7 @@ func (cfg *Config) decode(key string) (*World, error) {
 			w.cmem[i] = d.Int()
 		}
 	}
-	return w, nil
+	return d.Finish()
 }
 
 // actKind classifies an action. Deliveries and faults act on a channel
@@ -673,8 +720,11 @@ func (w *World) describe(a action) string {
 // function of the world state: deliveries, then drops / dups / corrupts
 // (while their budgets last), then processor events, then timeouts — the
 // determinism contract (worker-count-independent traces) depends on it.
-func (w *World) actions() []action {
-	var out []action
+func (w *World) actions() []action { return w.appendActions(nil) }
+
+// appendActions appends the enabled transitions to out (a worker's reused
+// buffer) and returns it.
+func (w *World) appendActions(out []action) []action {
 	for from := 0; from < w.cfg.Nodes; from++ {
 		for to := 0; to < w.cfg.Nodes; to++ {
 			ch := w.channels[from*w.cfg.Nodes+to]
@@ -776,11 +826,14 @@ func (w *World) timeoutEnabled(node, block int) bool {
 	return true
 }
 
-// removeAt pops the message at idx from a channel without aliasing either
-// side of the split.
+// removeAt pops the message at idx from a channel, in place: a world's
+// channel arrays are its own (decodeInto and cloneInto fill them, neither
+// aliases another world's).
 func (w *World) removeAt(ch, idx int) *runtime.Message {
-	m := w.channels[ch][idx]
-	w.channels[ch] = append(append([]*runtime.Message{}, w.channels[ch][:idx]...), w.channels[ch][idx+1:]...)
+	msgs := w.channels[ch]
+	m := msgs[idx]
+	copy(msgs[idx:], msgs[idx+1:])
+	w.channels[ch] = msgs[:len(msgs)-1]
 	return m
 }
 
@@ -913,87 +966,90 @@ func (a *action) engine() int {
 	return a.node
 }
 
-// Engine selectors for cloneFor beside a node index.
+// Engine selectors for cloneInto beside a node index.
 const (
 	noEngine   = -1
 	allEngines = -2
 )
 
-// clone returns a deep copy of the world that can be mutated independently.
-// Immutable structure (messages, state values, continuation records) is
-// shared; mutable containers are copied with exact capacity so appends on
-// either side reallocate instead of aliasing.
-func (w *World) clone() (*World, error) { return w.cloneFor(allEngines) }
+// clone returns a deep copy of the world that can be mutated independently:
+// cloneInto a new world, every engine copied.
+func (w *World) clone() (*World, error) {
+	nw := &World{cfg: w.cfg}
+	return nw, w.cloneInto(nw, allEngines)
+}
 
-// cloneFor returns a copy of the world on which one action may be applied.
+// cloneInto overwrites dst — a new world, or one of this configuration to
+// reuse — with a copy of w on which one action may be applied. Immutable
+// structure (messages, state values, continuation records) is shared;
+// everything a world mutates (channels, access, stalled, budgets, the
+// client plane) is copied into the arrays dst already has, so neither side
+// ever appends into the other's. Nothing dst held before survives: its
+// sink and send error are cleared along with the copied engine's.
+//
 // Only the engine the action runs on (touch: a node, noEngine, or
-// allEngines for the full deep copy clone promises) is copied and bound to
-// the new world; the others are the parent's own engines, shared
-// read-only. That is sound because applying an action executes handlers on
-// that one engine alone — everything else an action changes (channels,
-// access, stalled, budgets, the client plane) lives in the World and is
-// copied here — and because the parent stays untouched until its last
-// successor has been encoded and dropped (expandState applies the final
-// action to the parent itself). A shared engine still calls back into the
-// parent world if run, so a world from cloneFor(node) must never execute
-// any other node's engine.
-func (w *World) cloneFor(touch int) (*World, error) {
-	nw := &World{
-		cfg:      w.cfg,
-		access:   append([]sema.AccessMode(nil), w.access...),
-		stalled:  append([]int(nil), w.stalled...),
-		drops:    w.drops,
-		dups:     w.dups,
-		corrupts: w.corrupts,
-	}
+// allEngines for the full deep copy clone promises) is copied, into dst's
+// own engine for that node, and bound to dst; for the others dst reads w's
+// engines, shared read-only. That is sound because applying an action
+// executes handlers on that one engine alone — everything else an action
+// changes lives in the World and is copied here — and because the parent
+// stays untouched until its last successor has been encoded and dropped
+// (expandState applies the final action to the parent itself). A shared
+// engine still calls back into the parent world if run, so a world from
+// cloneInto(dst, node) must never execute any other node's engine.
+func (w *World) cloneInto(dst *World, touch int) error {
+	dst.access = append(dst.access[:0], w.access...)
+	dst.stalled = append(dst.stalled[:0], w.stalled...)
+	dst.drops, dst.dups, dst.corrupts = w.drops, w.dups, w.corrupts
+	dst.obsSink, dst.sendErr = nil, nil
 	if w.pcs != nil {
-		nw.pcs = append([]int(nil), w.pcs...)
-		nw.cver = append([]int64(nil), w.cver...)
-		nw.cmem = append([]int64(nil), w.cmem...)
-		nw.regs = make([][]int64, len(w.regs))
+		dst.pcs = append(dst.pcs[:0], w.pcs...)
+		dst.cver = append(dst.cver[:0], w.cver...)
+		dst.cmem = append(dst.cmem[:0], w.cmem...)
+		if dst.regs == nil {
+			dst.regs = make([][]int64, len(w.regs))
+		}
 		for n, r := range w.regs {
-			nw.regs[n] = append([]int64(nil), r...)
+			dst.regs[n] = append(dst.regs[n][:0], r...)
 		}
 	}
-	nw.engines = make([]*runtime.Engine, len(w.engines))
+	if dst.owned == nil {
+		dst.owned = make([]*runtime.Engine, len(w.engines))
+		dst.engines = make([]*runtime.Engine, len(w.engines))
+		dst.channels = make([][]*runtime.Message, len(w.channels))
+	}
 	for i, e := range w.engines {
 		if touch != allEngines && touch != i {
-			nw.engines[i] = e
+			dst.engines[i] = e
 			continue
 		}
-		ne, err := e.Clone(nw, w.cfg.Codec)
-		if err != nil {
-			return nil, err
+		if dst.owned[i] == nil {
+			dst.owned[i] = new(runtime.Engine)
 		}
-		nw.engines[i] = ne
+		if err := e.CloneInto(dst.owned[i], dst, w.cfg.Codec); err != nil {
+			return err
+		}
+		dst.engines[i] = dst.owned[i]
 	}
-	nw.channels = make([][]*runtime.Message, len(w.channels))
 	for ch, msgs := range w.channels {
-		if len(msgs) == 0 {
-			continue
-		}
-		eng := nw.engines[ch%w.cfg.Nodes]
+		eng := dst.engines[ch%w.cfg.Nodes]
 		if eng == w.engines[ch%w.cfg.Nodes] {
 			// Bound for a shared engine: nothing in this world will deliver
-			// these messages, so they need no rebinding, and the parent's
-			// slice is shared with its capacity clipped: Send and the dup
-			// insertion append, which at full capacity reallocates instead
-			// of writing into the parent's array, and removeAt builds a
-			// fresh slice.
-			nw.channels[ch] = msgs[:len(msgs):len(msgs)]
+			// these messages, so they need no rebinding.
+			dst.channels[ch] = append(dst.channels[ch][:0], msgs...)
 			continue
 		}
-		dst := make([]*runtime.Message, len(msgs))
-		for i, m := range msgs {
+		out := dst.channels[ch][:0]
+		for _, m := range msgs {
 			cm, err := eng.CloneMessage(m, w.cfg.Codec)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			dst[i] = cm
+			out = append(out, cm)
 		}
-		nw.channels[ch] = dst
+		dst.channels[ch] = out
 	}
-	return nw, nil
+	return nil
 }
 
 // InitialWorld builds the machine's initial state (exported for benchmarks
@@ -1006,12 +1062,18 @@ func InitialWorld(cfg *Config) *World {
 // Snapshot returns the world's canonical encoding — the visited-set key.
 func (w *World) Snapshot() (string, error) { return w.encode() }
 
-// Restore materializes a world from a Snapshot encoding.
+// Restore materializes a world from a Snapshot encoding. A key that is
+// not one (truncated, damaged) is an error.
 func (cfg *Config) Restore(key string) (*World, error) {
 	cfg.normalize()
-	return cfg.decode(key)
+	w, err := cfg.decode(key)
+	if err != nil {
+		return nil, fmt.Errorf("mc: restore: %w", err)
+	}
+	return w, nil
 }
 
-// Clone returns a deep copy of the world (see the checker's
-// clone-not-decode successor generation).
+// Clone returns a deep copy of the world, sharing nothing mutable with it
+// (the checker's own successors are the same walk into a reused world that
+// copies one engine; see cloneInto).
 func (w *World) Clone() (*World, error) { return w.clone() }

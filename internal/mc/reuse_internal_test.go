@@ -1,0 +1,161 @@
+package mc
+
+import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"teapot/internal/obs"
+	"teapot/internal/vm"
+)
+
+// Helpers for the world-reuse tests of package mc_test (which may import
+// the bundled protocols; this package may not).
+
+// WalkSnapshots returns the canonical encoding of every world on seeded
+// random walks of cfg (see randomWalk), in visiting order.
+func WalkSnapshots(t testing.TB, cfg Config, seed int64, walks, steps int) []string {
+	t.Helper()
+	cfg.normalize()
+	var keys []string
+	err := randomWalk(&cfg, seed, walks, steps, func(w *World) {
+		key, err := w.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// DirtyStats counts the ways CheckDecodeIntoDirtyWorld left its reused
+// world before decoding over it, so a test can insist none was vacuous.
+type DirtyStats struct {
+	Decodes    int
+	Applied    int // an action ran on the world to completion
+	MidHandler int // an action failed with a protocol error, handler abandoned
+	Sinks      int // a coverage sink and a send error were planted
+	SharedBare int // a block's argument-less state value was shared with an earlier decode
+}
+
+// Merge folds another walk's counts into s.
+func (s *DirtyStats) Merge(o DirtyStats) {
+	s.Decodes += o.Decodes
+	s.Applied += o.Applied
+	s.MidHandler += o.MidHandler
+	s.Sinks += o.Sinks
+	s.SharedBare += o.SharedBare
+}
+
+// unexported reads a field of a runtime value the tests have no accessor
+// for (the engine's sink, a block's transitioned flag).
+func unexported(v any, field string) reflect.Value {
+	return reflect.ValueOf(v).Elem().FieldByName(field)
+}
+
+// CheckDecodeIntoDirtyWorld is the property that reuse is invisible: along
+// seeded random walks of cfg, decodeInto over one world that is never
+// rebuilt — and that is left, before each decode, holding a different state
+// with an action applied on top (to completion, or abandoned mid-handler by
+// a protocol error), with a coverage sink attached to it and its engines,
+// and with a send error pending — yields the encoding, the actions and the
+// successors of a fresh decode, and carries over no sink, no send error and
+// no transitioned flag. It also checks that the argument-less state values
+// the decodes share are never written through.
+func CheckDecodeIntoDirtyWorld(t *testing.T, cfg Config, seed int64, walks, steps int) DirtyStats {
+	t.Helper()
+	cfg.normalize()
+	keys := WalkSnapshots(t, cfg, seed, walks, steps)
+	rng := rand.New(rand.NewSource(seed))
+	w := newWorld(&cfg)
+	var stats DirtyStats
+	// Every shared argument-less state value seen so far, with the state it
+	// must still denote at the end.
+	bare := map[*vm.StateVal]int{}
+	for _, key := range keys {
+		// Dirty w: whatever it held, run one more action on it in place,
+		// then plant what a coverage-wired branch leaves behind.
+		if acts := w.actions(); len(acts) > 0 {
+			if err := w.apply(acts[rng.Intn(len(acts))]); err != nil {
+				stats.MidHandler++
+			} else {
+				stats.Applied++
+			}
+		}
+		if rng.Intn(2) == 0 {
+			w.setObs(obs.NewCoverage())
+			w.sendErr = errors.New("planted")
+			stats.Sinks++
+		}
+
+		if err := cfg.decodeInto(w, key); err != nil {
+			t.Fatalf("decodeInto: %v", err)
+		}
+		stats.Decodes++
+		fresh, err := cfg.decode(key)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if got, err := w.encode(); err != nil || got != key {
+			t.Fatalf("reused world re-encodes differently (err %v)", err)
+		}
+		if w.obsSink != nil || w.sendErr != nil {
+			t.Fatalf("sink %v / send error %v survived decodeInto", w.obsSink, w.sendErr)
+		}
+		for n, e := range w.engines {
+			if e != w.owned[n] {
+				t.Fatalf("node %d: reused world still reads another world's engine", n)
+			}
+			if e.Exec.Tracer != nil || !unexported(e, "obs").IsNil() || e.Exec.Depth() != 0 {
+				t.Fatalf("node %d: engine sink, tracer or register stack survived decodeInto", n)
+			}
+			for _, b := range e.Blocks {
+				if unexported(b, "transitioned").Bool() {
+					t.Fatalf("node %d block %d: transitioned flag survived decodeInto", n, b.ID)
+				}
+				if len(b.State.Args) == 0 {
+					if _, shared := bare[b.State]; shared {
+						stats.SharedBare++
+					}
+					bare[b.State] = b.State.State
+				}
+			}
+		}
+		acts, want := w.actions(), fresh.actions()
+		if !reflect.DeepEqual(acts, want) {
+			t.Fatalf("reused world enables %v, a fresh decode %v", acts, want)
+		}
+		for _, a := range acts {
+			ws, err := w.clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := fresh.clone()
+			if err != nil {
+				t.Fatal(err)
+			}
+			errW, errF := ws.apply(a), fs.apply(a)
+			if (errW == nil) != (errF == nil) {
+				t.Fatalf("%s: reused world error %v, fresh world error %v", w.describe(a), errW, errF)
+			}
+			if errW != nil {
+				continue
+			}
+			kw, _ := ws.encode()
+			kf, _ := fs.encode()
+			if kw != kf {
+				t.Fatalf("%s: reused and fresh worlds reach different states", w.describe(a))
+			}
+		}
+	}
+	for sv, state := range bare {
+		if sv.State != state || len(sv.Args) != 0 {
+			t.Fatalf("shared state value for state %d was written through: now %v", state, sv)
+		}
+	}
+	return stats
+}

@@ -454,8 +454,8 @@ func randomWalk(cfg *Config, seed int64, walks, steps int, visit func(w *World))
 				break
 			}
 			a := acts[rng.Intn(len(acts))]
-			wa, err := w.cloneFor(a.engine())
-			if err != nil {
+			wa := &World{cfg: cfg}
+			if err := w.cloneInto(wa, a.engine()); err != nil {
 				return err
 			}
 			if wa.apply(a) != nil || wa.checkInvariants() != "" {
@@ -528,30 +528,44 @@ func checkWorldAgainstReference(t *testing.T, red *reduction, w *World) {
 	}
 }
 
+// SharingStats counts what a CheckSharingSafety walk exercised.
+type SharingStats struct {
+	Transitions int
+	// AfterFault and AfterFailed count successors derived through the
+	// scratch world right after it held a drop/dup/corrupt successor (no
+	// engine copied) and right after an apply on it failed (a handler
+	// abandoned mid-run).
+	AfterFault, AfterFailed int
+}
+
 // CheckSharingSafety is the safety property of the touched-engine-only
-// clone: over the whole reachable space of cfg, deriving a successor the
-// way expandState does for every action but a state's last (branch, apply,
-// encode) leaves the parent's own encoding unchanged, and yields the same
-// successor a full deep copy would. It returns the transitions checked.
-func CheckSharingSafety(t *testing.T, cfg Config, withCoverage bool) int {
+// clone and of its reuse: over the reachable space of cfg (states past an
+// invariant violation included, up to maxStates), deriving every successor
+// the way expandState does for every action but a state's last — the parent
+// decoded into one reused world, branch into the one reused scratch world,
+// apply, encode — leaves the parent's own encoding unchanged and yields the
+// same successor, or the same failure, as a deep copy of the parent would,
+// whatever the scratch world held before.
+func CheckSharingSafety(t *testing.T, cfg Config, withCoverage bool, maxStates int) SharingStats {
 	t.Helper()
 	cfg.normalize()
 	var cov *obs.Coverage
 	if withCoverage {
 		cov = obs.NewCoverage()
 	}
-	root, err := newWorld(&cfg).encode()
+	w, scratch := newWorld(&cfg), &World{cfg: &cfg}
+	root, err := w.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{root: true}
 	queue := []string{root}
-	transitions := 0
+	var stats SharingStats
+	lastFault, lastFailed := false, false
 	for len(queue) > 0 {
 		before := queue[0]
 		queue = queue[1:]
-		w, err := cfg.decode(before)
-		if err != nil {
+		if err := cfg.decodeInto(w, before); err != nil {
 			t.Fatal(err)
 		}
 		for _, a := range w.actions() {
@@ -559,19 +573,30 @@ func CheckSharingSafety(t *testing.T, cfg Config, withCoverage bool) int {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wa, err := w.branch(a, false, cov)
+			wa, err := w.branch(a, false, cov, scratch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			transitions++
+			if wa != scratch {
+				t.Fatal("branch did not derive the successor in the scratch world")
+			}
+			stats.Transitions++
+			if lastFault {
+				stats.AfterFault++
+			}
+			if lastFailed {
+				stats.AfterFailed++
+			}
 			errShared, errDeep := wa.apply(a), deep.apply(a)
-			if (errShared == nil) != (errDeep == nil) {
-				t.Fatalf("%s: shared clone error %v, deep clone error %v", w.describe(a), errShared, errDeep)
+			lastFault, lastFailed = a.engine() == noEngine, errShared != nil
+			if (errShared == nil) != (errDeep == nil) ||
+				(errShared != nil && errShared.Error() != errDeep.Error()) {
+				t.Fatalf("%s: scratch successor error %v, deep clone error %v", w.describe(a), errShared, errDeep)
 			}
 			if after, err := w.encode(); err != nil || after != before {
-				t.Fatalf("%s: applying it to a sharing clone changed the parent (err %v)", w.describe(a), err)
+				t.Fatalf("%s: applying it to the scratch successor changed the parent (err %v)", w.describe(a), err)
 			}
-			if errShared != nil || wa.checkInvariants() != "" {
+			if errShared != nil {
 				continue
 			}
 			succ, err := wa.encode()
@@ -579,15 +604,18 @@ func CheckSharingSafety(t *testing.T, cfg Config, withCoverage bool) int {
 				t.Fatal(err)
 			}
 			if want, _ := deep.encode(); succ != want {
-				t.Fatalf("%s: sharing clone and deep clone reach different states", w.describe(a))
+				t.Fatalf("%s: scratch successor and deep clone reach different states", w.describe(a))
 			}
-			if !seen[succ] {
+			if wa.checkInvariants() != "" && maxStates == 0 {
+				continue
+			}
+			if !seen[succ] && (maxStates == 0 || len(seen) < maxStates) {
 				seen[succ] = true
 				queue = append(queue, succ)
 			}
 		}
 	}
-	return transitions
+	return stats
 }
 
 // MidRunWorld returns the world a seeded random walk of the given length

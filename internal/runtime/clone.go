@@ -20,65 +20,87 @@ import (
 // The checker clones one engine per successor, not one per node: an action
 // executes handlers on a single engine, so the successor world copies that
 // one and points at the parent's others, which it only ever reads (see
-// mc.World.cloneFor). Clone itself stays a full, independent copy of the
-// engine it is called on — sharing is the caller's decision, engine by
-// engine.
+// mc.World.cloneInto). And it clones into an engine it already has: each
+// worker's scratch successor keeps one engine per node for the whole run,
+// and CloneInto overwrites its block records, variable slots and deferred
+// queues where they stand. Clone is the same walk into a new engine. Either
+// way the result is a full, independent copy of the engine it was taken
+// from — sharing is the caller's decision, engine by engine.
 
 // Clone returns a deep copy of the engine's protocol state bound to
-// machine m. The protocol, support module, and compiled program are
-// shared; per-block state is copied so mutations of the clone never
-// observe or disturb the original. codec may be nil when the protocol
-// stores no abstract values (as for encoding).
+// machine m; see CloneInto.
 func (e *Engine) Clone(m Machine, codec AbstractCodec) (*Engine, error) {
-	c := &Engine{
+	c := new(Engine)
+	return c, e.CloneInto(c, m, codec)
+}
+
+// CloneInto overwrites dst with a deep copy of the engine's protocol state
+// bound to machine m, reusing the block records and slices dst already has
+// (a zero Engine has none and gets new ones). The protocol, support module,
+// and compiled program are shared; per-block state is copied so mutations
+// of the clone never observe or disturb the original. Nothing dst held
+// before survives except storage: its sink, its in-flight dispatch context
+// and its register stack's contents are dropped, and what is scratch in e
+// (register stack, parameter buffer, bare-state table) is not inherited.
+// codec may be nil when the protocol stores no abstract values (as for
+// encoding).
+func (e *Engine) CloneInto(dst *Engine, m Machine, codec AbstractCodec) error {
+	exec := dst.Exec
+	*dst = Engine{
 		Proto:        e.Proto,
 		Node:         e.Node,
 		Machine:      m,
 		Support:      e.Support,
-		Exec:         e.Exec,
+		Exec:         exec,
 		QueueRecords: e.QueueRecords,
 		Sends:        e.Sends,
+		Blocks:       dst.Blocks,
+		timeoutTag:   e.timeoutTag,
+		timerFor:     dst.timerFor[:0],
+		bare:         dst.bare,
+		params:       dst.params,
 	}
-	c.timeoutTag = e.timeoutTag
-	if c.timeoutTag >= 0 {
-		c.armer, _ = m.(TimeoutArmer)
+	// Clones never inherit observability (the tracer in e.Exec aims at e,
+	// and the checker clones concurrently while sinks are single-goroutine)
+	// nor the register stack, which e may be executing on.
+	e.Exec.CloneInto(&dst.Exec)
+	if dst.timeoutTag >= 0 {
+		dst.armer, _ = m.(TimeoutArmer)
 	}
-	if c.armer != nil {
-		c.timerFor = make([]int32, len(e.timerFor))
-		copy(c.timerFor, e.timerFor)
+	if dst.armer != nil {
+		dst.timerFor = append(dst.timerFor, e.timerFor...)
 	}
-	c.dataMachine, _ = m.(DataMachine)
-	// Clones never inherit observability: the tracer interface pointer in
-	// the copied Exec still aims at the original engine, and the checker
-	// clones concurrently while sinks are single-goroutine.
-	c.Exec.Tracer = nil
-	c.Blocks = make([]*Block, len(e.Blocks))
+	dst.dataMachine, _ = m.(DataMachine)
+	if len(dst.Blocks) != len(e.Blocks) {
+		dst.Blocks = make([]*Block, len(e.Blocks))
+		for i := range dst.Blocks {
+			dst.Blocks[i] = new(Block)
+		}
+	}
 	for i, b := range e.Blocks {
-		nb := &Block{ID: b.ID, transitioned: b.transitioned}
+		nb := dst.Blocks[i]
+		nb.ID, nb.transitioned = b.ID, b.transitioned
 		sv, _, err := cloneValue(vm.StateValue(b.State), nb, codec)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nb.State = sv.State()
-		if len(b.Vars) > 0 {
-			nb.Vars = make([]vm.Value, len(b.Vars))
-			for j, v := range b.Vars {
-				if nb.Vars[j], _, err = cloneValue(v, nb, codec); err != nil {
-					return nil, err
-				}
+		nb.Vars = nb.Vars[:0]
+		for _, v := range b.Vars {
+			if v, _, err = cloneValue(v, nb, codec); err != nil {
+				return err
 			}
+			nb.Vars = append(nb.Vars, v)
 		}
-		if len(b.Deferred) > 0 {
-			nb.Deferred = make([]*Message, len(b.Deferred))
-			for j, dm := range b.Deferred {
-				if nb.Deferred[j], err = cloneMessage(dm, nb, codec); err != nil {
-					return nil, err
-				}
+		nb.Deferred = nb.Deferred[:0]
+		for _, dm := range b.Deferred {
+			if dm, err = cloneMessage(dm, nb, codec); err != nil {
+				return err
 			}
+			nb.Deferred = append(nb.Deferred, dm)
 		}
-		c.Blocks[i] = nb
 	}
-	return c, nil
+	return nil
 }
 
 // CloneMessage returns a copy of msg safe to own alongside the original.

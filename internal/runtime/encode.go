@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -134,35 +135,94 @@ func (e *Encoder) Str(s string) {
 // Byte encodes one byte.
 func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
 
-// Decoder reads the canonical byte form.
+// Decoder reads the canonical byte form. Its error is sticky: once a read
+// fails (short input, a malformed varint, a count the remaining bytes could
+// not hold) every later read returns zero and Err reports the first failure,
+// so decoding code checks once per structure instead of once per field and
+// can never index past a damaged encoding.
 type Decoder struct {
-	buf []byte
+	buf string
 	off int
+	err error
 }
 
-// NewDecoder wraps a buffer.
-func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
+// NewDecoder wraps a buffer (copied: the decoder reads a string).
+func NewDecoder(b []byte) *Decoder { return &Decoder{buf: string(b)} }
 
-// Int decodes a signed integer.
-func (d *Decoder) Int() int64 {
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		panic("runtime: corrupt state encoding (varint)")
+// Reset points the decoder at s and clears its error.
+func (d *Decoder) Reset(s string) { *d = Decoder{buf: s} }
+
+// Err returns the first decoding failure, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// fail records err as the decoding failure unless one is already recorded.
+func (d *Decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+		d.off = len(d.buf) // nothing further is read
 	}
-	d.off += n
-	return v
+}
+
+// Finish reports the sticky error, or trailing bytes after the last read.
+func (d *Decoder) Finish() error {
+	if d.err == nil && d.off != len(d.buf) {
+		d.err = fmt.Errorf("runtime: corrupt state encoding (%d trailing bytes)", len(d.buf)-d.off)
+	}
+	return d.err
+}
+
+// Int decodes a signed integer (binary.Varint's zig-zag format, read
+// straight from the string).
+func (d *Decoder) Int() int64 {
+	var ux uint64
+	for shift := uint(0); shift < 64; shift += 7 {
+		if d.off >= len(d.buf) {
+			break
+		}
+		b := d.buf[d.off]
+		d.off++
+		ux |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			if shift == 63 && b > 1 {
+				break // overflows 64 bits
+			}
+			x := int64(ux >> 1)
+			if ux&1 != 0 {
+				x = ^x
+			}
+			return x
+		}
+	}
+	d.fail(errors.New("runtime: corrupt state encoding (varint)"))
+	return 0
+}
+
+// Count decodes the length of a sequence whose elements take at least one
+// byte each, so a count larger than the bytes left is corrupt — which also
+// bounds what a caller may allocate for it.
+func (d *Decoder) Count() int {
+	n := d.Int()
+	if n < 0 || n > int64(len(d.buf)-d.off) {
+		d.fail(fmt.Errorf("runtime: corrupt state encoding (count %d with %d bytes left)", n, len(d.buf)-d.off))
+		return 0
+	}
+	return int(n)
 }
 
 // Str decodes a string.
 func (d *Decoder) Str() string {
-	n := int(d.Int())
-	s := string(d.buf[d.off : d.off+n])
+	n := d.Count()
+	s := d.buf[d.off : d.off+n]
 	d.off += n
 	return s
 }
 
 // Byte decodes one byte.
 func (d *Decoder) Byte() byte {
+	if d.off >= len(d.buf) {
+		d.fail(errors.New("runtime: corrupt state encoding (short read)"))
+		return 0
+	}
 	b := d.buf[d.off]
 	d.off++
 	return b
@@ -221,7 +281,8 @@ func (e *Engine) EncodeValue(enc *Encoder, v vm.Value, codec AbstractCodec) erro
 }
 
 // DecodeValue reads one value; block is the block whose info handles are
-// being reconstructed.
+// being reconstructed. On damaged input it returns an error or leaves one
+// in the decoder (see Decoder.Err); it never panics.
 func (e *Engine) DecodeValue(d *Decoder, block *Block, codec AbstractCodec) (vm.Value, error) {
 	kind := vm.Kind(d.Byte())
 	switch kind {
@@ -232,14 +293,17 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block, codec AbstractCodec) (vm.
 	case vm.KString:
 		return vm.StringVal(d.Str()), nil
 	case vm.KState:
-		sv := &vm.StateVal{State: int(d.Int())}
-		n := int(d.Int())
-		for i := 0; i < n; i++ {
-			a, err := e.DecodeValue(d, block, codec)
-			if err != nil {
-				return vm.Value{}, err
-			}
-			sv.Args = append(sv.Args, a)
+		state := int(d.Int())
+		if state < 0 || state >= len(e.Proto.IR.Sema.States) {
+			return vm.Value{}, fmt.Errorf("runtime: bad state %d in encoding", state)
+		}
+		n := d.Count()
+		if n == 0 {
+			return vm.StateValue(e.bareState(state)), nil
+		}
+		sv := &vm.StateVal{State: state, Args: make([]vm.Value, n)}
+		if err := e.decodeValues(d, sv.Args, block, codec); err != nil {
+			return vm.Value{}, err
 		}
 		return vm.StateValue(sv), nil
 	case vm.KCont:
@@ -249,13 +313,11 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block, codec AbstractCodec) (vm.
 		}
 		s := e.Proto.IR.Sites[site]
 		c := &vm.Cont{Fn: s.Func, Frag: s.FragIdx, Site: site}
-		n := int(d.Int())
-		for i := 0; i < n; i++ {
-			a, err := e.DecodeValue(d, block, codec)
-			if err != nil {
+		if n := d.Count(); n > 0 {
+			c.Saved = make([]vm.Value, n)
+			if err := e.decodeValues(d, c.Saved, block, codec); err != nil {
 				return vm.Value{}, err
 			}
-			c.Saved = append(c.Saved, a)
 		}
 		return vm.ContVal(c), nil
 	case vm.KInfo:
@@ -271,6 +333,30 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block, codec AbstractCodec) (vm.
 		return vm.AbstractVal(ref), nil
 	}
 	return vm.Value{}, fmt.Errorf("runtime: cannot decode value kind %d", kind)
+}
+
+// decodeValues fills dst, which the caller sized from a Decoder.Count.
+func (e *Engine) decodeValues(d *Decoder, dst []vm.Value, block *Block, codec AbstractCodec) (err error) {
+	for i := range dst {
+		if dst[i], err = e.DecodeValue(d, block, codec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bareState returns the engine's one value for argument-less state i.
+// Decoded blocks share it, which is sound because state values are
+// immutable: a transition installs a new *vm.StateVal (SetState), it never
+// writes through the old one.
+func (e *Engine) bareState(i int) *vm.StateVal {
+	if e.bare == nil {
+		e.bare = make([]*vm.StateVal, len(e.Proto.IR.Sema.States))
+	}
+	if e.bare[i] == nil {
+		e.bare[i] = &vm.StateVal{State: i}
+	}
+	return e.bare[i]
 }
 
 // EncodeMessage writes a message (without its destination, which the
@@ -294,21 +380,23 @@ func (e *Engine) EncodeMessage(enc *Encoder, m *Message, codec AbstractCodec) er
 	return nil
 }
 
-// DecodeMessage reads a message encoded by EncodeMessage.
+// DecodeMessage reads a message encoded by EncodeMessage. The error may be
+// the decoder's sticky one.
 func (e *Engine) DecodeMessage(d *Decoder, codec AbstractCodec) (*Message, error) {
 	m := &Message{Tag: int(d.Int()), ID: int(d.Int()), Src: int(d.Int())}
 	m.Data = d.Byte() == 1
 	m.Val = d.Int()
-	n := int(d.Int())
-	block := e.Blocks[m.ID]
-	for i := 0; i < n; i++ {
-		v, err := e.DecodeValue(d, block, codec)
-		if err != nil {
+	n := d.Count()
+	if m.ID < 0 || m.ID >= len(e.Blocks) {
+		return nil, fmt.Errorf("runtime: bad block id %d in encoded message", m.ID)
+	}
+	if n > 0 {
+		m.Payload = make([]vm.Value, n)
+		if err := e.decodeValues(d, m.Payload, e.Blocks[m.ID], codec); err != nil {
 			return nil, err
 		}
-		m.Payload = append(m.Payload, v)
 	}
-	return m, nil
+	return m, d.Err()
 }
 
 // EncodeState writes the engine's full protocol state (all blocks: state
@@ -339,8 +427,11 @@ func (e *Engine) EncodeState(enc *Encoder, codec AbstractCodec) error {
 	return nil
 }
 
-// DecodeState restores the engine's protocol state from an encoding
-// produced by EncodeState on an engine with the same shape.
+// DecodeState overwrites the engine's protocol state in place from an
+// encoding produced by EncodeState on an engine with the same shape: block
+// records, variable slots and deferred-queue arrays are reused, and nothing
+// of what the engine held before (a half-run handler's transitioned flag
+// included) survives. The error may be the decoder's sticky one.
 func (e *Engine) DecodeState(d *Decoder, codec AbstractCodec) error {
 	for _, b := range e.Blocks {
 		sv, err := e.DecodeValue(d, b, codec)
@@ -351,13 +442,11 @@ func (e *Engine) DecodeState(d *Decoder, codec AbstractCodec) error {
 		if b.State == nil {
 			return fmt.Errorf("runtime: block %d decoded non-state", b.ID)
 		}
-		for i := range b.Vars {
-			if b.Vars[i], err = e.DecodeValue(d, b, codec); err != nil {
-				return err
-			}
+		if err := e.decodeValues(d, b.Vars, b, codec); err != nil {
+			return err
 		}
-		n := int(d.Int())
-		b.Deferred = nil
+		n := d.Count()
+		b.Deferred = b.Deferred[:0]
 		for i := 0; i < n; i++ {
 			m, err := e.DecodeMessage(d, codec)
 			if err != nil {
@@ -367,5 +456,5 @@ func (e *Engine) DecodeState(d *Decoder, codec AbstractCodec) error {
 		}
 		b.transitioned = false
 	}
-	return nil
+	return d.Err()
 }

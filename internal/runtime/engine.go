@@ -212,6 +212,15 @@ type Engine struct {
 	// dataMachine is the machine's optional data-modeling extension (see
 	// DataMachine); nil when the machine tracks access modes only.
 	dataMachine DataMachine
+
+	// bare[i] is the shared value of argument-less state i, filled on first
+	// decode (see bareState). Never shared between engines.
+	bare []*vm.StateVal
+
+	// params is dispatch's parameter buffer. RunHandler copies it into the
+	// activation's frame before the handler runs, so one buffer serves
+	// nested dispatches too.
+	params []vm.Value
 }
 
 // NewEngine builds an engine for a node managing numBlocks blocks.
@@ -361,9 +370,9 @@ func (e *Engine) dispatch(b *Block, m *Message) error {
 	e.cur.msg, e.cur.block = m, b
 	defer func() { e.cur.msg, e.cur.block = prevMsg, prevBlock }()
 
-	params := make([]vm.Value, 0, f.NumParams)
-	params = append(params, vm.IDVal(m.ID), vm.InfoVal(b), vm.NodeVal(m.Src))
+	params := append(e.params[:0], vm.IDVal(m.ID), vm.InfoVal(b), vm.NodeVal(m.Src))
 	params = append(params, m.Payload...)
+	e.params = params
 	if len(params) != f.NumParams {
 		return e.errf(b, "message %s delivered with %d payload values, handler %s expects %d",
 			e.msgName(m.Tag), len(m.Payload), f.Name, f.NumParams-3)

@@ -97,6 +97,41 @@ type Exec struct {
 	MaxSteps int
 	// Tracer, when non-nil, observes Suspend/Resume/MakeCont.
 	Tracer Tracer
+
+	// stack is the register stack: every activation carves its register
+	// file from the top (RunHandler and Resume push a frame and pop it on
+	// every return path; a Resume inside an activation is a tail transfer
+	// and replaces the frame). A nested activation that outgrows the stack
+	// moves it to a larger array and leaves the frames below on the old one,
+	// where their activations keep using them — so a frame is only ever
+	// reached through the slice its activation holds, never through stack.
+	stack []Value
+}
+
+// Depth returns the number of registers on the register stack: 0 whenever
+// no handler is executing.
+func (x *Exec) Depth() int { return len(x.stack) }
+
+// CloneInto copies the interpreter's program, options and counters into
+// dst. dst keeps its own register stack, emptied — a stack is never shared
+// or inherited, since x may be executing on its own — and gets no tracer,
+// which observes one host.
+func (x *Exec) CloneInto(dst *Exec) {
+	stack := dst.stack[:0]
+	*dst = *x
+	dst.stack, dst.Tracer = stack, nil
+}
+
+// frame carves a zeroed n-register frame at base, discarding whatever the
+// stack held above it.
+func (x *Exec) frame(base, n int) []Value {
+	if base+n > cap(x.stack) {
+		x.stack = make([]Value, base, max(2*cap(x.stack), base+n))
+	}
+	x.stack = x.stack[:base+n]
+	regs := x.stack[base : base+n : base+n]
+	clear(regs)
+	return regs
 }
 
 // DefaultMaxSteps bounds a single handler activation.
@@ -113,23 +148,30 @@ func (x *Exec) RunHandler(h Host, f *ir.Func, stateArgs, params []Value) error {
 	if len(params) != f.NumParams {
 		return fmt.Errorf("vm: %s: got %d params, want %d", f.Name, len(params), f.NumParams)
 	}
-	regs := make([]Value, f.NumRegs)
+	base := len(x.stack)
+	regs := x.frame(base, f.NumRegs)
 	copy(regs, stateArgs)
 	copy(regs[f.NumStateParams:], params)
 	x.Counters.Handlers++
-	return x.run(h, f, f.Frags[0].Start, regs)
+	err := x.run(h, f, f.Frags[0].Start, regs, base)
+	x.stack = x.stack[:base]
+	return err
 }
 
 // Resume executes a continuation (used by the runtime when a Resume
 // transfers into a previously suspended handler from outside the VM; within
 // an activation resumes are handled inline).
 func (x *Exec) Resume(h Host, c *Cont) error {
-	regs := x.restore(h, c)
-	return x.run(h, c.Fn, c.Fn.Frags[c.Frag].Start, regs)
+	base := len(x.stack)
+	regs := x.restore(h, c, base)
+	err := x.run(h, c.Fn, c.Fn.Frags[c.Frag].Start, regs, base)
+	x.stack = x.stack[:base]
+	return err
 }
 
-func (x *Exec) restore(h Host, c *Cont) []Value {
-	regs := make([]Value, c.Fn.NumRegs)
+// restore builds the frame of a resumed fragment at base.
+func (x *Exec) restore(h Host, c *Cont, base int) []Value {
+	regs := x.frame(base, c.Fn.NumRegs)
 	saved := c.Fn.Frags[c.Frag].Saved
 	for i, r := range saved {
 		regs[r] = c.Saved[i]
@@ -142,7 +184,9 @@ func (x *Exec) restore(h Host, c *Cont) []Value {
 	return regs
 }
 
-func (x *Exec) run(h Host, f *ir.Func, pc int, regs []Value) error {
+// run interprets f from pc over regs, the frame its caller carved at base
+// (and pops when run returns).
+func (x *Exec) run(h Host, f *ir.Func, pc int, regs []Value, base int) error {
 	steps := 0
 	max := x.MaxSteps
 	if max == 0 {
@@ -233,9 +277,10 @@ func (x *Exec) run(h Host, f *ir.Func, pc int, regs []Value) error {
 			if x.Tracer != nil {
 				x.Tracer.TraceResume(c, in.Idx >= 0)
 			}
-			// Tail-transfer into the suspended handler.
+			// Tail-transfer into the suspended handler: its frame replaces
+			// this one, which nothing reads again (c.Saved is its own array).
 			f = c.Fn
-			regs = x.restore(h, c)
+			regs = x.restore(h, c, base)
 			pc = f.Frags[c.Frag].Start
 			continue
 		case ir.OpReturn:

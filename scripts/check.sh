@@ -86,9 +86,11 @@ go test -race -count=1 -run 'TestDiffReplayCounterexamples|TestConfirmMCAgreesWi
 # under -symmetry=on (exit 1 with a witness), reduction must not change
 # any verdict (the reduced-vs-unreduced equivalence suite under the race
 # detector), the streaming canonicalizer must agree byte for byte with the
-# permuteWorld reference, engine-sharing clones must leave their parent
-# untouched, per-worker scratch must keep reduced runs worker-count
-# independent, and a reduced run must actually reduce.
+# permuteWorld reference, engine-sharing clones into the reused scratch
+# world must leave their parent untouched and equal a deep copy's, a world
+# decoded over must not show what it held before, per-worker scratch must
+# keep reduced runs worker-count independent, and a reduced run must
+# actually reduce.
 go run ./cmd/teapot-vet -json stache stache-cas stache-ft lcm lcm-mcc bufwrite update \
   | python3 -c 'import json,sys
 reports = json.load(sys.stdin)
@@ -102,10 +104,16 @@ if [ "$rc" -ne 1 ]; then
   echo "check.sh: stache-asym -symmetry=on should be refused (exit 1), got $rc" >&2
   exit 1
 fi
-go test -race -count=1 -short -run 'TestSymmetryEquivalence|TestCanonicalFixpoint|TestSymmetryGate|TestStreamedEncoding|TestCloneSharingSafety|TestSymmetryWorkerEquivalence|TestSymmetryAutoGroupBound' ./internal/mc/
+go test -race -count=1 -short -run 'TestSymmetryEquivalence|TestCanonicalFixpoint|TestSymmetryGate|TestStreamedEncoding|TestCloneSharingSafety|TestDecodeIntoDirtyWorld|TestSymmetryWorkerEquivalence|TestSymmetryAutoGroupBound' ./internal/mc/
 # Allocation contracts (canonicalize: 0 over warmed scratch; Snapshot: the
-# returned string only). Not under -race, which perturbs sync.Pool.
-go test -count=1 -run 'TestCanonicalizeAllocs' ./internal/mc/
+# returned string only; mc.Check: at most 12 per transition; a delivery into
+# a warmed engine: 0, register stack empty afterwards). Not under -race,
+# which perturbs sync.Pool and allocates on its own account.
+go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestDispatchAllocs' ./internal/mc/ ./internal/runtime/
+# Damaged snapshots: the FuzzRestore seed corpus (walk snapshots of three
+# shapes and every truncation of one each) must restore or be refused,
+# never panic.
+go test -count=1 -run FuzzRestore ./internal/mc/
 symline="$("$verifybin" -proto stache -nodes 3 -symmetry=on)"
 case "$symline" in
   *"symmetry /2"*) ;;
