@@ -11,13 +11,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"teapot/internal/bench"
+	"teapot/internal/cliflags"
 )
 
 func main() {
@@ -29,9 +28,12 @@ func main() {
 		nodes   = flag.Int("nodes", 32, "machine size for Tables 1-2")
 		iters   = flag.Int("iters", 4, "workload iterations for Tables 1-2")
 		workers = flag.Int("workers", 0, "model-checker workers for Table 3 (0 = GOMAXPROCS)")
-		mcOut   = flag.String("mc-out", "BENCH_mc.json", "checker-throughput baseline written with -table 3 (\"\" = skip)")
 	)
 	flag.Parse()
+	if *table < 0 || *table > 3 {
+		fmt.Fprintln(os.Stderr, cliflags.BadFlag("teapot-bench", "table", fmt.Sprint(*table), "1, 2, or 3 (0 = all)"))
+		os.Exit(1)
+	}
 
 	specific := *figures || *loc || *bug || *table != 0
 
@@ -56,30 +58,6 @@ func main() {
 		check(err)
 		fmt.Print(bench.FormatFaults(faultRows))
 		fmt.Println()
-		if *table == 3 && *mcOut != "" {
-			counts := []int{1}
-			if n := runtime.GOMAXPROCS(0); n > 1 {
-				counts = append(counts, n)
-			}
-			mcRows, err := bench.MCBench(counts)
-			check(err)
-			obsRows, err := bench.ObsBench(8, 3)
-			check(err)
-			symRows, err := bench.SymmetrySweep(*workers)
-			check(err)
-			fmt.Print(bench.FormatSymmetry(symRows))
-			fmt.Println()
-			covRows, err := bench.CoverageBench(8, 3, *workers)
-			check(err)
-			fmt.Print(bench.FormatCoverage(covRows))
-			fmt.Println()
-			data, err := json.MarshalIndent(bench.MCBaseline{
-				MC: mcRows, Obs: obsRows, Faults: faultRows, Symmetry: symRows,
-				Coverage: covRows}, "", "  ")
-			check(err)
-			check(os.WriteFile(*mcOut, append(data, '\n'), 0o644))
-			fmt.Printf("checker throughput + obs baseline written to %s (workers %v)\n\n", *mcOut, counts)
-		}
 	}
 	if *figures || !specific {
 		for _, f := range bench.Figures() {

@@ -34,19 +34,14 @@ func main() {
 		report   = cliflags.AddReport(flag.CommandLine)
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file after the run")
-
-		// Deprecated aliases, kept one release: -protocol for -proto and
-		// -reorder for -net reorder=N.
-		dep = cliflags.AddDeprecated(flag.CommandLine)
 	)
 	flag.Parse()
 
-	dep.Apply(run)
-	// Historical default: with no network flags at all, verify under
-	// "1 reordering max" (the paper's configuration).
-	given := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	if !given["net"] && !given["reorder"] {
+	// Historical default: with no -net flag, verify under "1 reordering
+	// max" (the paper's configuration).
+	netGiven := false
+	flag.Visit(func(f *flag.Flag) { netGiven = netGiven || f.Name == "net" })
+	if !netGiven {
 		run.Net.Model.Reorder = 1
 	}
 
@@ -65,7 +60,7 @@ func main() {
 	switch *progress {
 	case "always", "auto", "never":
 	default:
-		fmt.Fprintf(os.Stderr, "teapot-verify: -progress must be auto, always, or never (got %q)\n", *progress)
+		fmt.Fprintln(os.Stderr, cliflags.BadFlag("teapot-verify", "progress", *progress, "auto, always, or never"))
 		os.Exit(1)
 	}
 	if *progress == "always" || (*progress == "auto" && stderrIsTerminal()) {

@@ -19,6 +19,7 @@ import (
 	"teapot/internal/analysis"
 	"teapot/internal/core"
 	"teapot/internal/mc"
+	"teapot/internal/netmodel"
 	"teapot/internal/protocols/stache"
 )
 
@@ -65,7 +66,7 @@ func main() {
 	for _, reorder := range []int{0, 1} {
 		res, err := mc.Check(mc.Config{
 			Proto: fixed.Protocol, Support: stache.MustSupport(fixed.Protocol),
-			Nodes: 2, Blocks: 1, Reorder: reorder,
+			Nodes: 2, Blocks: 1, Net: netmodel.Model{Reorder: reorder},
 			Events: stache.NewEvents(fixed.Protocol), CheckCoherence: true,
 		})
 		if err != nil {

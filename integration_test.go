@@ -5,6 +5,7 @@ package teapot_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -108,19 +109,27 @@ func TestVerifyCleanAndBuggy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go toolchain")
 	}
-	out, err := runTool(t, "./cmd/teapot-verify", "-protocol", "stache", "-reorder", "1")
+	// No network flag means the paper's "1 reordering max".
+	out, err := runTool(t, "./cmd/teapot-verify", "-proto", "stache")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	if !strings.Contains(out, "verified") {
+	if !strings.Contains(out, "verified") || !strings.Contains(out, "219 states") || !strings.Contains(out, "net reorder=1") {
 		t.Errorf("output:\n%s", out)
 	}
-	out, err = runTool(t, "./cmd/teapot-verify", "-protocol", "stache-buggy")
+	out, err = runTool(t, "./cmd/teapot-verify", "-proto", "stache-buggy")
 	if err == nil {
 		t.Fatalf("buggy protocol should exit non-zero:\n%s", out)
 	}
 	if !strings.Contains(out, "VIOLATION") || !strings.Contains(out, "deadlock") {
 		t.Errorf("output:\n%s", out)
+	}
+	// The spellings -proto and -net replaced are usage errors.
+	for _, args := range [][]string{{"-protocol", "stache"}, {"-reorder", "1"}} {
+		out, err = runTool(t, append([]string{"./cmd/teapot-verify"}, args...)...)
+		if err == nil || !strings.Contains(out, "flag provided but not defined: "+args[0]) || !strings.Contains(out, "exit status 2") {
+			t.Errorf("%v: err %v, output:\n%s", args, err, out)
+		}
 	}
 }
 
@@ -143,14 +152,31 @@ func TestBenchToolTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go toolchain")
 	}
-	out, err := runTool(t, "./cmd/teapot-bench", "-table", "3")
+	bin := filepath.Join(t.TempDir(), "teapot-bench")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/teapot-bench").CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	// Run where anything the tool wrote would show.
+	cmd := exec.Command(bin, "-table", "3")
+	cmd.Dir = t.TempDir()
+	raw, err := cmd.CombinedOutput()
+	out := string(raw)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	for _, want := range []string{"Table 3", "Stache", "LCM MCC", "verified"} {
+	for _, want := range []string{"Table 3", "Stache", "LCM MCC", "verified", "Fault sweep", "VIOLATION deadlock"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+	if left, err := os.ReadDir(cmd.Dir); err != nil || len(left) != 0 {
+		t.Errorf("teapot-bench -table 3 left %v in its working directory (err %v)", left, err)
+	}
+
+	raw, err = exec.Command(bin, "-table", "7").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(string(raw), `-table "7"`) {
+		t.Errorf("-table 7: err %v, output:\n%s", err, raw)
 	}
 }
 
@@ -219,7 +245,7 @@ func TestVerifyJSONManifest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go toolchain")
 	}
-	out, err := runTool(t, "./cmd/teapot-verify", "-proto", "stache", "-reorder", "1", "-json")
+	out, err := runTool(t, "./cmd/teapot-verify", "-proto", "stache", "-net", "reorder=1", "-json")
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"teapot/internal/analysis"
 	"teapot/internal/mc"
+	"teapot/internal/netmodel"
 	"teapot/internal/obs"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
@@ -88,7 +89,7 @@ func TestExhaustiveCoverageMeetsStatic(t *testing.T) {
 	cov := obs.NewCoverage()
 	cfg := mc.Config{
 		Proto: p, Support: stache.MustSupport(p),
-		Nodes: 3, Blocks: 1, Reorder: 1,
+		Nodes: 3, Blocks: 1, Net: netmodel.Model{Reorder: 1},
 		Events: stache.NewEvents(p), CheckCoherence: true,
 		Coverage: cov,
 	}

@@ -1,13 +1,12 @@
 // Package bench regenerates the paper's evaluation: Table 1 (Stache
 // performance), Table 2 (LCM performance), Table 3 (verification), the
-// Figure 1/2/4 state machines, and the §6 code-size comparison. It is
-// shared by the repository's testing.B benchmarks (bench_test.go) and the
-// teapot-bench command.
+// Figure 1/2/4 state machines, and the §6 code-size comparison, for the
+// teapot-bench command. It reports facts (cycles, overheads, state
+// counts); how long things take is measured by benchmarks/.
 package bench
 
 import (
 	"fmt"
-	goruntime "runtime"
 	"strings"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 	"teapot/internal/dot"
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
-	"teapot/internal/obs"
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/bufwrite"
 	"teapot/internal/protocols/lcm"
 	"teapot/internal/protocols/stache"
@@ -167,223 +166,70 @@ type VerifyRow struct {
 	Violation    string
 }
 
-// namedConfig is one Table 3 machine configuration.
-type namedConfig struct {
-	name string
-	cfg  mc.Config
+// check model-checks a bundled protocol at one shape under one network
+// model, built the way teapot-verify builds it.
+func check(proto string, nodes, blocks int, net netmodel.Model, workers int) (*mc.Result, error) {
+	spec, err := protocols.Spec(proto, nodes, blocks)
+	if err != nil {
+		return nil, err
+	}
+	spec.Net, spec.Workers = net, workers
+	return core.Check(spec)
 }
 
-// table3Configs builds the Table 3 machines: Stache, Buffered-write, LCM
-// simple, and LCM MCC at the paper's configurations (2 nodes, 1 address,
-// bounded reordering) plus the larger configurations the paper could not
-// complete, and the write-update protocol beyond the paper.
-func table3Configs() []namedConfig {
-	st := stache.MustCompile(true)
-	stCfg := func(nodes, blocks, reorder int) mc.Config {
-		return mc.Config{
-			Proto: st.Protocol, Support: stache.MustSupport(st.Protocol),
-			Nodes: nodes, Blocks: blocks, Reorder: reorder,
-			Events: stache.NewEvents(st.Protocol), CheckCoherence: true,
-		}
+// verify runs check and reports it as a Table 3 line labelled label.
+func verify(label, proto string, nodes, blocks, reorder, workers int) (VerifyRow, error) {
+	res, err := check(proto, nodes, blocks, netmodel.Model{Reorder: reorder}, workers)
+	if err != nil {
+		return VerifyRow{}, fmt.Errorf("%s: %w", label, err)
 	}
-	configs := []namedConfig{
-		{"Stache", stCfg(2, 1, 1)},
-		{"Stache (2 addresses)", stCfg(2, 2, 0)},
+	row := VerifyRow{
+		Protocol: label, Nodes: nodes, Blocks: blocks, Reorder: reorder,
+		Workers: res.Workers, States: res.States, Transitions: res.Transitions,
+		Depth: res.MaxDepth, Elapsed: res.Elapsed, VisitedBytes: res.VisitedBytes,
 	}
-
-	bw := bufwrite.MustCompile(true)
-	configs = append(configs, namedConfig{"Buffered-Write", mc.Config{
-		Proto: bw.Protocol, Support: bufwrite.MustSupport(bw.Protocol),
-		Nodes: 2, Blocks: 1, Reorder: 1,
-		Events: bufwrite.NewEvents(bw.Protocol), CheckCoherence: true,
-	}})
-
-	for _, v := range []lcm.Variant{lcm.Base, lcm.MCC} {
-		a := lcm.MustCompile(v, true)
-		name := "LCM Simple"
-		if v == lcm.MCC {
-			name = "LCM MCC"
-		}
-		configs = append(configs, namedConfig{name, mc.Config{
-			Proto: a.Protocol, Support: lcm.MustSupport(a.Protocol, 2),
-			Nodes: 2, Blocks: 1, Reorder: 1,
-			Events: lcm.NewEvents(a.Protocol), CheckCoherence: false,
-		}})
+	if res.Violation != nil {
+		row.Violation = res.Violation.Kind + ": " + res.Violation.Msg
 	}
-
-	up := update.MustCompile(true)
-	configs = append(configs, namedConfig{"Update (extra)", mc.Config{
-		Proto: up.Protocol, Support: update.MustSupport(up.Protocol),
-		Nodes: 2, Blocks: 1, Reorder: 1,
-		Events: update.NewEvents(up.Protocol), CheckCoherence: true,
-	}})
-	return configs
+	return row, nil
 }
 
 // Table3 regenerates Table 3 with the given checker worker count
-// (0 = GOMAXPROCS).
+// (0 = GOMAXPROCS): Stache, Buffered-write, LCM simple, and LCM MCC at the
+// paper's configurations (2 nodes, 1 address, bounded reordering) plus the
+// two-address Stache the paper could not complete, and the write-update
+// protocol beyond the paper.
 func Table3(workers int) ([]VerifyRow, error) {
 	var rows []VerifyRow
-	for _, nc := range table3Configs() {
-		nc.cfg.Workers = workers
-		res, err := mc.Check(nc.cfg)
+	for _, m := range []struct {
+		label, proto    string
+		blocks, reorder int
+	}{
+		{"Stache", "stache", 1, 1},
+		{"Stache (2 addresses)", "stache", 2, 0},
+		{"Buffered-Write", "bufwrite", 1, 1},
+		{"LCM Simple", "lcm", 1, 1},
+		{"LCM MCC", "lcm-mcc", 1, 1},
+		{"Update (extra)", "update", 1, 1},
+	} {
+		row, err := verify(m.label, m.proto, 2, m.blocks, m.reorder, workers)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", nc.name, err)
-		}
-		row := VerifyRow{
-			Protocol: nc.name, Nodes: nc.cfg.Nodes, Blocks: nc.cfg.Blocks,
-			Reorder: nc.cfg.Reorder, Workers: res.Workers,
-			States: res.States, Transitions: res.Transitions, Depth: res.MaxDepth,
-			Elapsed: res.Elapsed, VisitedBytes: res.VisitedBytes,
-		}
-		if res.Violation != nil {
-			row.Violation = res.Violation.Kind + ": " + res.Violation.Msg
+			return nil, err
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// MCRow is one BENCH_mc.json record: the model checker's throughput on one
-// Table 3 machine at one worker count.
-type MCRow struct {
-	Protocol          string  `json:"protocol"`
-	Workers           int     `json:"workers"`
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	States            int     `json:"states"`
-	Transitions       int     `json:"transitions"`
-	WallMS            float64 `json:"wall_ms"`
-	StatesPerSec      float64 `json:"states_per_sec"`
-	VisitedBytesState float64 `json:"visited_bytes_per_state"`
-}
-
-// MCBench measures checker throughput on every Table 3 machine at each
-// worker count (typically 1 and GOMAXPROCS), for the committed
-// BENCH_mc.json baseline.
-func MCBench(workerCounts []int) ([]MCRow, error) {
-	var rows []MCRow
-	for _, workers := range workerCounts {
-		for _, nc := range table3Configs() {
-			nc.cfg.Workers = workers
-			res, err := mc.Check(nc.cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", nc.name, err)
-			}
-			row := MCRow{
-				Protocol: nc.name, Workers: res.Workers,
-				GOMAXPROCS:  goruntime.GOMAXPROCS(0),
-				States:      res.States,
-				Transitions: res.Transitions,
-				WallMS:      float64(res.Elapsed) / float64(time.Millisecond),
-			}
-			if secs := res.Elapsed.Seconds(); secs > 0 {
-				row.StatesPerSec = float64(res.States) / secs
-			}
-			if res.States > 0 {
-				row.VisitedBytesState = float64(res.VisitedBytes) / float64(res.States)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// ObsRow is one BENCH_mc.json observability record: the event volume and
-// sink-path allocation cost of tracing one Table 1 workload (Stache,
-// optimized) under a counting Collector.
-type ObsRow struct {
-	Workload      string  `json:"workload"`
-	Ops           int     `json:"ops"`
-	Events        int64   `json:"events"`
-	EventsPerOp   float64 `json:"events_per_op"`
-	HeapConts     int64   `json:"heap_conts"`
-	StaticConts   int64   `json:"static_conts"`
-	MaxQueueDepth int64   `json:"max_queue_depth"`
-	// SinkAllocsPerEvent is the extra heap objects per emitted event of an
-	// observed run versus a bare one (ring growth plus counter maps;
-	// expected well under one — the ring amortizes).
-	SinkAllocsPerEvent float64 `json:"sink_allocs_per_event"`
-}
-
-// ObsBench traces every Table 1 workload and measures what observing
-// costs: each workload runs once bare and once under a Collector, and the
-// malloc-count delta between the runs is attributed to the sink path.
-func ObsBench(nodes, iters int) ([]ObsRow, error) {
-	art := stache.MustCompile(true)
-	tags := tempest.ResolveTags(art.Protocol)
-	sup := stache.MustSupport(art.Protocol)
-	var rows []ObsRow
-	for _, w := range sim.Table1Workloads(nodes, iters) {
-		mk := func(m runtime.Machine) tempest.Engine {
-			return tempest.NewTeapotEngine(art.Protocol, nodes, w.Blocks, m, sup)
-		}
-		var before, mid, after goruntime.MemStats
-		goruntime.ReadMemStats(&before)
-		if _, err := run(w, nodes, tags, mk); err != nil {
-			return nil, fmt.Errorf("%s/bare: %w", w.Name, err)
-		}
-		goruntime.ReadMemStats(&mid)
-		col := obs.NewCollector(0)
-		if _, err := sim.Run(sim.Config{
-			Nodes: nodes, Blocks: w.Blocks,
-			Cost: tempest.DefaultCost, Tags: tags,
-			MakeEngine: mk, Program: w.Trace, Obs: col,
-		}); err != nil {
-			return nil, fmt.Errorf("%s/obs: %w", w.Name, err)
-		}
-		goruntime.ReadMemStats(&after)
-
-		row := ObsRow{
-			Workload:      w.Name,
-			Ops:           w.Trace.TotalOps(),
-			Events:        col.Total(),
-			HeapConts:     col.Count(obs.KindContAlloc),
-			MaxQueueDepth: col.MaxQueueDepth(),
-		}
-		heap, static := int64(0), int64(0)
-		for _, s := range col.HeapContSites() {
-			h, _ := col.SiteAllocs(s)
-			heap += h
-		}
-		for _, s := range col.StaticContSites() {
-			_, st := col.SiteAllocs(s)
-			static += st
-		}
-		row.HeapConts, row.StaticConts = heap, static
-		if row.Ops > 0 {
-			row.EventsPerOp = float64(row.Events) / float64(row.Ops)
-		}
-		bare := mid.Mallocs - before.Mallocs
-		observed := after.Mallocs - mid.Mallocs
-		if observed > bare && row.Events > 0 {
-			row.SinkAllocsPerEvent = float64(observed-bare) / float64(row.Events)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// MCBaseline is the committed BENCH_mc.json document: checker throughput
-// rows plus the observability-layer cost rows.
-type MCBaseline struct {
-	MC       []MCRow       `json:"mc"`
-	Obs      []ObsRow      `json:"obs"`
-	Faults   []FaultRow    `json:"faults"`
-	Symmetry []SymmetryRow `json:"symmetry"`
-	Coverage []CoverageRow `json:"coverage,omitempty"`
-}
-
-// FaultRow is one fault-budget verification record in the `faults` series
-// of BENCH_mc.json: how the explored state space grows with the network
-// fault budget.
+// FaultRow is one line of the fault sweep: how the explored state space
+// grows with the network fault budget.
 type FaultRow struct {
-	Protocol    string  `json:"protocol"`
-	Net         string  `json:"net"`
-	States      int     `json:"states"`
-	Transitions int     `json:"transitions"`
-	Depth       int     `json:"depth"`
-	WallMS      float64 `json:"wall_ms"`
-	Violation   string  `json:"violation,omitempty"`
+	Protocol    string
+	Net         string
+	States      int
+	Transitions int
+	Depth       int
+	Violation   string
 }
 
 // FaultSweep checks the fault-tolerant Stache at 2 nodes / 1 block across
@@ -394,10 +240,8 @@ type FaultRow struct {
 // under a single drop, whose recorded violation documents why the TIMEOUT
 // machinery exists.
 func FaultSweep(workers int) ([]FaultRow, error) {
-	type run struct {
-		name, proto, net string
-	}
-	runs := []run{
+	var rows []FaultRow
+	for _, r := range []struct{ label, proto, net string }{
 		{"Stache-FT", "stache-ft", ""},
 		{"Stache-FT", "stache-ft", "reorder=1"},
 		{"Stache-FT", "stache-ft", "drop=1"},
@@ -406,38 +250,21 @@ func FaultSweep(workers int) ([]FaultRow, error) {
 		{"Stache-FT", "stache-ft", "drop=2,dup=1"},
 		{"Stache-FT", "stache-ft", "dup=2"},
 		{"Stache", "stache", "drop=1"},
-	}
-	var rows []FaultRow
-	for _, r := range runs {
+	} {
 		net, err := netmodel.Parse(r.net)
 		if err != nil {
 			return nil, err
 		}
-		var cfg mc.Config
-		switch r.proto {
-		case "stache-ft":
-			a := stache.MustCompileFT(true)
-			cfg = mc.Config{Proto: a.Protocol, Support: stache.MustFTSupport(a.Protocol, 2),
-				Events: stache.NewEvents(a.Protocol)}
-		default:
-			a := stache.MustCompile(true)
-			cfg = mc.Config{Proto: a.Protocol, Support: stache.MustSupport(a.Protocol),
-				Events: stache.NewEvents(a.Protocol)}
-		}
-		cfg.Nodes, cfg.Blocks, cfg.Net, cfg.Workers = 2, 1, net, workers
-		cfg.CheckCoherence = true
-		res, err := mc.Check(cfg)
+		res, err := check(r.proto, 2, 1, net, workers)
 		if err != nil {
-			return nil, fmt.Errorf("%s net=%q: %w", r.name, r.net, err)
-		}
-		netLabel := r.net
-		if netLabel == "" {
-			netLabel = "none"
+			return nil, fmt.Errorf("%s net=%q: %w", r.label, r.net, err)
 		}
 		row := FaultRow{
-			Protocol: r.name, Net: netLabel,
+			Protocol: r.label, Net: r.net,
 			States: res.States, Transitions: res.Transitions, Depth: res.MaxDepth,
-			WallMS: float64(res.Elapsed) / float64(time.Millisecond),
+		}
+		if row.Net == "" {
+			row.Net = "none"
 		}
 		if res.Violation != nil {
 			row.Violation = res.Violation.Kind
@@ -463,163 +290,15 @@ func FormatFaults(rows []FaultRow) string {
 	return b.String()
 }
 
-// SymmetryLeg is one half of a symmetry-sweep row: the same verification
-// run with reduction either on or off.
-type SymmetryLeg struct {
-	States        int     `json:"states"`
-	Depth         int     `json:"depth"`
-	StatesPerSec  float64 `json:"states_per_sec"`
-	BytesPerState float64 `json:"bytes_per_state"`
-	WallMS        float64 `json:"wall_ms"`
-	Violation     string  `json:"violation,omitempty"`
-}
-
-// SymmetryRow is one record in the `symmetry` series of BENCH_mc.json:
-// the same protocol/shape/network verified with certificate-gated symmetry
-// reduction on (Reduced) and off (Full). MaxStates is nonzero on frontier
-// probes that deliberately cap exploration instead of exhausting the space
-// — on those rows both legs end in a "state-limit" violation and Depth is
-// the honest comparison (how deep an equal state budget reaches), while
-// Ratio is left zero because neither leg saw the whole space.
-type SymmetryRow struct {
-	Protocol  string      `json:"protocol"`
-	Nodes     int         `json:"nodes"`
-	Blocks    int         `json:"blocks"`
-	Net       string      `json:"net"`
-	Group     int         `json:"group"`
-	MaxStates int         `json:"max_states,omitempty"`
-	Reduced   SymmetryLeg `json:"reduced"`
-	Full      SymmetryLeg `json:"full"`
-	Ratio     float64     `json:"ratio,omitempty"`
-}
-
-// SymmetrySweep measures certificate-gated symmetry reduction: each shape
-// is verified twice, reduction on then off, and the row records states,
-// throughput, and per-state memory for both legs. Shapes were sized for a
-// single-core container (≈6-30k states/s): everything but the last row is
-// exhaustive; Stache-FT at 4 nodes / 2 blocks under a fault budget exceeds
-// 3.5M canonical states, so it rides along as an equal-budget frontier
-// probe rather than being silently dropped.
-func SymmetrySweep(workers int) ([]SymmetryRow, error) {
-	type run struct {
-		name, proto, net string
-		nodes, blocks    int
-		maxStates        int
-	}
-	runs := []run{
-		{"Stache", "stache", "reorder=1", 3, 1, 0},
-		{"Stache", "stache", "", 4, 1, 0},
-		{"Stache-FT", "stache-ft", "drop=1", 3, 1, 0},
-		{"Stache-FT", "stache-ft", "", 3, 2, 0},
-		{"Stache-FT", "stache-ft", "drop=1", 4, 2, 400000},
-	}
-	var rows []SymmetryRow
-	for _, r := range runs {
-		net, err := netmodel.Parse(r.net)
-		if err != nil {
-			return nil, err
-		}
-		row := SymmetryRow{
-			Protocol: r.name, Nodes: r.nodes, Blocks: r.blocks,
-			Net: r.net, MaxStates: r.maxStates,
-		}
-		if row.Net == "" {
-			row.Net = "none"
-		}
-		for _, mode := range []mc.SymmetryMode{mc.SymmetryOn, mc.SymmetryOff} {
-			var cfg mc.Config
-			switch r.proto {
-			case "stache-ft":
-				a := stache.MustCompileFT(true)
-				cfg = mc.Config{Proto: a.Protocol, Support: stache.MustFTSupport(a.Protocol, r.nodes),
-					Events: stache.NewEvents(a.Protocol)}
-			default:
-				a := stache.MustCompile(true)
-				cfg = mc.Config{Proto: a.Protocol, Support: stache.MustSupport(a.Protocol),
-					Events: stache.NewEvents(a.Protocol)}
-			}
-			cfg.Nodes, cfg.Blocks, cfg.Net, cfg.Workers = r.nodes, r.blocks, net, workers
-			cfg.CheckCoherence = true
-			cfg.MaxStates = r.maxStates
-			cfg.Symmetry = mode
-			res, err := mc.Check(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s %dn/%db net=%q symmetry=%s: %w",
-					r.name, r.nodes, r.blocks, r.net, mode, err)
-			}
-			leg := SymmetryLeg{
-				States: res.States, Depth: res.MaxDepth,
-				WallMS: float64(res.Elapsed) / float64(time.Millisecond),
-			}
-			if s := res.Elapsed.Seconds(); s > 0 {
-				leg.StatesPerSec = float64(res.States) / s
-			}
-			if res.States > 0 {
-				leg.BytesPerState = float64(res.VisitedBytes) / float64(res.States)
-			}
-			if res.Violation != nil {
-				leg.Violation = res.Violation.Kind
-			}
-			if mode == mc.SymmetryOn {
-				row.Group = res.SymmetryGroup
-				row.Reduced = leg
-			} else {
-				row.Full = leg
-			}
-		}
-		if r.maxStates == 0 && row.Reduced.States > 0 {
-			row.Ratio = float64(row.Full.States) / float64(row.Reduced.States)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// FormatSymmetry renders the symmetry sweep as a table.
-func FormatSymmetry(rows []SymmetryRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Symmetry sweep: certificate-gated reduction on vs. off\n")
-	fmt.Fprintf(&b, "%-10s %5s %-10s %3s %10s %10s %6s %9s %9s  %s\n",
-		"protocol", "shape", "net", "|G|", "reduced", "full", "ratio", "red B/st", "full B/st", "note")
-	for _, r := range rows {
-		ratio := "-"
-		note := ""
-		if r.Ratio > 0 {
-			ratio = fmt.Sprintf("%.2f", r.Ratio)
-		}
-		if r.MaxStates > 0 {
-			note = fmt.Sprintf("capped probe @%d: depth %d vs %d", r.MaxStates, r.Reduced.Depth, r.Full.Depth)
-		}
-		fmt.Fprintf(&b, "%-10s %2dn/%db %-10s %3d %10d %10d %6s %9.1f %9.1f  %s\n",
-			r.Protocol, r.Nodes, r.Blocks, r.Net, r.Group,
-			r.Reduced.States, r.Full.States, ratio,
-			r.Reduced.BytesPerState, r.Full.BytesPerState, note)
-	}
-	return b.String()
-}
-
 // ReorderSweep verifies Stache across reordering bounds (the paper:
 // "unrestricted reordering led to impractical simulation sizes"; it capped
 // at 1 — we sweep 0..2).
 func ReorderSweep() ([]VerifyRow, error) {
-	st := stache.MustCompile(true)
 	var rows []VerifyRow
 	for reorder := 0; reorder <= 2; reorder++ {
-		res, err := mc.Check(mc.Config{
-			Proto: st.Protocol, Support: stache.MustSupport(st.Protocol),
-			Nodes: 2, Blocks: 1, Reorder: reorder,
-			Events: stache.NewEvents(st.Protocol), CheckCoherence: true,
-		})
+		row, err := verify("Stache", "stache", 2, 1, reorder, 0)
 		if err != nil {
 			return nil, err
-		}
-		row := VerifyRow{
-			Protocol: "Stache", Nodes: 2, Blocks: 1, Reorder: reorder,
-			Workers: res.Workers, States: res.States, Transitions: res.Transitions,
-			Depth: res.MaxDepth, Elapsed: res.Elapsed, VisitedBytes: res.VisitedBytes,
-		}
-		if res.Violation != nil {
-			row.Violation = res.Violation.Kind + ": " + res.Violation.Msg
 		}
 		rows = append(rows, row)
 	}
@@ -629,15 +308,7 @@ func ReorderSweep() ([]VerifyRow, error) {
 // BugHunt reproduces the §7 story: the model checker finds the seeded
 // upgrade/invalidate deadlock and produces an event trace.
 func BugHunt() (*mc.Result, error) {
-	p, err := stache.CompileBuggy()
-	if err != nil {
-		return nil, err
-	}
-	return mc.Check(mc.Config{
-		Proto: p, Support: stache.MustSupport(p),
-		Nodes: 2, Blocks: 1,
-		Events: stache.NewEvents(p), CheckCoherence: true,
-	})
+	return check("stache-buggy", 2, 1, netmodel.Model{}, 0)
 }
 
 // FigureRow summarizes one extracted state machine.

@@ -1,7 +1,7 @@
 // Package cliflags holds the flag plumbing shared by the protocol-running
-// drivers (teapot-verify, teapot-sim, teapot-bench), so "-proto stache-ft
-// -net drop=1,dup=1 -workers 4" parses — and means — exactly the same
-// thing in each of them.
+// drivers (teapot-verify, teapot-fuzz, teapot-sim, teapot-litmus), so
+// "-proto stache-ft -net drop=1,dup=1 -workers 4" parses — and means —
+// exactly the same thing in each of them that takes it.
 package cliflags
 
 import (
@@ -105,33 +105,6 @@ func (l *Litmus) ModeOK() bool {
 // teapot-cover.
 func AddReport(fs *flag.FlagSet) *string {
 	return fs.String("report", "", "write a run manifest (coverage + resource accounting) to this JSON file")
-}
-
-// Deprecated bundles the flag aliases kept for one release: -protocol for
-// -proto, and -reorder for -net reorder=N.
-type Deprecated struct {
-	Protocol *string
-	Reorder  *int
-}
-
-// AddDeprecated registers the deprecated aliases on fs.
-func AddDeprecated(fs *flag.FlagSet) *Deprecated {
-	return &Deprecated{
-		Protocol: fs.String("protocol", "", "deprecated alias for -proto"),
-		Reorder:  fs.Int("reorder", 0, "deprecated alias for -net reorder=N (the larger wins)"),
-	}
-}
-
-// Apply merges the parsed aliases into the canonical flags: a non-empty
-// -protocol overrides -proto, and the larger of -reorder and -net's
-// reorder field wins.
-func (d *Deprecated) Apply(r *Run) {
-	if *d.Protocol != "" {
-		*r.Proto = *d.Protocol
-	}
-	if *d.Reorder > r.Net.Model.Reorder {
-		r.Net.Model.Reorder = *d.Reorder
-	}
 }
 
 // Spec resolves the parsed flags into a runnable spec.

@@ -2,7 +2,9 @@ package cliflags
 
 import (
 	"flag"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"teapot/internal/netmodel"
@@ -86,33 +88,16 @@ func TestSeedZeroDerives(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliases: -protocol overrides -proto, and the larger of
-// -reorder and -net's reorder field wins.
-func TestDeprecatedAliases(t *testing.T) {
-	for _, tc := range []struct {
-		args        []string
-		wantProto   string
-		wantReorder int
-	}{
-		{[]string{"-protocol", "stache-ft"}, "stache-ft", 0},
-		{[]string{"-proto", "update", "-protocol", "stache-ft"}, "stache-ft", 0},
-		{[]string{"-reorder", "2"}, "stache", 2},
-		{[]string{"-reorder", "2", "-net", "reorder=3"}, "stache", 3},
-		{[]string{"-reorder", "3", "-net", "reorder=2,drop=1"}, "stache", 3},
-		{[]string{}, "stache", 0},
-	} {
+// TestRemovedAliases: the -protocol and -reorder spellings -proto and -net
+// superseded are unknown flags, not silently accepted.
+func TestRemovedAliases(t *testing.T) {
+	for _, args := range [][]string{{"-protocol", "x"}, {"-reorder", "1"}} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
-		r := AddRun(fs, "stache", 2, 1)
-		d := AddDeprecated(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		d.Apply(r)
-		if *r.Proto != tc.wantProto {
-			t.Errorf("%v: proto %q, want %q", tc.args, *r.Proto, tc.wantProto)
-		}
-		if r.Net.Model.Reorder != tc.wantReorder {
-			t.Errorf("%v: reorder %d, want %d", tc.args, r.Net.Model.Reorder, tc.wantReorder)
+		fs.SetOutput(io.Discard)
+		AddRun(fs, "stache", 2, 1)
+		err := fs.Parse(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: err = %v, want an unknown-flag error", args, err)
 		}
 	}
 }

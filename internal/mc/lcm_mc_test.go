@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"teapot/internal/mc"
+	"teapot/internal/netmodel"
 	"teapot/internal/protocols/bufwrite"
 	"teapot/internal/protocols/lcm"
 )
@@ -16,7 +17,7 @@ func lcmConfig(t *testing.T, v lcm.Variant, nodes, blocks, reorder int) mc.Confi
 		Support:        lcm.MustSupport(a.Protocol, nodes),
 		Nodes:          nodes,
 		Blocks:         blocks,
-		Reorder:        reorder,
+		Net:            netmodel.Model{Reorder: reorder},
 		Events:         lcm.NewEvents(a.Protocol),
 		CheckCoherence: false, // LCM phases are deliberately inconsistent
 	}
@@ -63,7 +64,7 @@ func bufwriteConfig(t *testing.T, nodes, blocks, reorder int) mc.Config {
 		Support:        bufwrite.MustSupport(a.Protocol),
 		Nodes:          nodes,
 		Blocks:         blocks,
-		Reorder:        reorder,
+		Net:            netmodel.Model{Reorder: reorder},
 		Events:         bufwrite.NewEvents(a.Protocol),
 		CheckCoherence: true, // buffered mode is not counted as a writer
 	}

@@ -51,14 +51,6 @@ type Config struct {
 	// and deterministic for any worker count.
 	Net netmodel.Model
 
-	// Reorder bounds network reordering: a delivery may overtake at most
-	// Reorder earlier messages in its channel (0 = in-order, the paper
-	// verified with "1 reordering max").
-	//
-	// Deprecated: this is an alias for Net.Reorder, kept for one release so
-	// existing callers compile. normalize merges the two (the larger wins).
-	Reorder int
-
 	Events EventGen
 
 	// Client, when non-nil, attaches a scripted litmus workload: each node
@@ -179,12 +171,6 @@ func (cfg *Config) normalize() {
 		nodes := cfg.Nodes
 		cfg.HomeOf = func(id int) int { return id % nodes }
 	}
-	// Merge the deprecated Reorder alias into the fault model (larger wins),
-	// then keep the alias in sync so old readers see the effective value.
-	if cfg.Reorder > cfg.Net.Reorder {
-		cfg.Net.Reorder = cfg.Reorder
-	}
-	cfg.Reorder = cfg.Net.Reorder
 	cfg.timeoutTag = -1
 	cfg.nackTag = -1
 	if cfg.Proto != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"teapot/internal/mc"
+	"teapot/internal/netmodel"
 	"teapot/internal/protocols/stache"
 )
 
@@ -16,7 +17,7 @@ func stacheConfig(t *testing.T, nodes, blocks, reorder int) mc.Config {
 		Support:        stache.MustSupport(a.Protocol),
 		Nodes:          nodes,
 		Blocks:         blocks,
-		Reorder:        reorder,
+		Net:            netmodel.Model{Reorder: reorder},
 		Events:         stache.NewEvents(a.Protocol),
 		CheckCoherence: true,
 	}

@@ -40,7 +40,7 @@ func equivalenceConfigs(t *testing.T) map[string]func() mc.Config {
 			a := update.MustCompile(true)
 			return mc.Config{
 				Proto: a.Protocol, Support: update.MustSupport(a.Protocol),
-				Nodes: 2, Blocks: 1, Reorder: 1,
+				Nodes: 2, Blocks: 1, Net: netmodel.Model{Reorder: 1},
 				Events: update.NewEvents(a.Protocol), CheckCoherence: true,
 			}
 		},

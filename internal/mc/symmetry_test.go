@@ -25,18 +25,21 @@ func TestSymmetryEquivalence(t *testing.T) {
 		name  string
 		net   netmodel.Model
 		group int // expected group order at 3 nodes / 1 block
+		// Exact unreduced and reduced state counts, where EXPERIMENTS.md and
+		// DESIGN.md quote them; 0 = not pinned.
+		full, reduced int
 	}{
-		{"stache", netmodel.Model{Reorder: 1}, 2},
-		{"stache-ft", netmodel.Model{MaxDrops: 1}, 2},
+		{"stache", netmodel.Model{Reorder: 1}, 2, 29087, 14583},
+		{"stache-ft", netmodel.Model{MaxDrops: 1}, 2, 0, 0},
 		// Verifies, but is deliberately not node-symmetric: the certificate
 		// gate must refuse reduction and still agree with the full run.
-		{"stache-asym", netmodel.Model{}, 1},
-		{"stache-buggy", netmodel.Model{}, 2},
-		{"stache-ft-buggy", netmodel.Model{MaxDrops: 1}, 2},
-		{"lcm", netmodel.Model{}, 2},
-		{"lcm-mcc", netmodel.Model{}, 2},
-		{"bufwrite", netmodel.Model{}, 2},
-		{"update", netmodel.Model{}, 2},
+		{"stache-asym", netmodel.Model{}, 1, 0, 0},
+		{"stache-buggy", netmodel.Model{}, 2, 0, 0},
+		{"stache-ft-buggy", netmodel.Model{MaxDrops: 1}, 2, 0, 0},
+		{"lcm", netmodel.Model{}, 2, 0, 0},
+		{"lcm-mcc", netmodel.Model{}, 2, 0, 0},
+		{"bufwrite", netmodel.Model{}, 2, 0, 0},
+		{"update", netmodel.Model{}, 2, 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -86,6 +89,9 @@ func TestSymmetryEquivalence(t *testing.T) {
 			}
 			if tc.group > 1 && red.States >= full.States {
 				t.Errorf("no reduction: %d states reduced vs %d unreduced", red.States, full.States)
+			}
+			if tc.full != 0 && (full.States != tc.full || red.States != tc.reduced) {
+				t.Errorf("states %d -> %d, want %d -> %d", full.States, red.States, tc.full, tc.reduced)
 			}
 			t.Logf("states %d -> %d (group %d, ratio %.3f)",
 				full.States, red.States, red.SymmetryGroup,

@@ -42,7 +42,7 @@ func TestCleanRunPasses(t *testing.T) {
 	// Home of block 1 is node 1. Node 0 fetches RO, then upgrades with the
 	// home's copy invalidated first — a textbook invalidation sequence.
 	v := feed(t, AllInvariants(), []obs.Event{
-		acc(1, 1, sema.AccReadOnly),  // home downgrades itself
+		acc(1, 1, sema.AccReadOnly),                // home downgrades itself
 		data(0, 1, 0), acc(0, 1, sema.AccReadOnly), // fill
 		deliver(0, 1),
 		read(0, 1, 0),

@@ -241,7 +241,7 @@ func TestUpdateAndBothVerify(t *testing.T) {
 			a := lcm.MustCompile(v, true)
 			res, err := mc.Check(mc.Config{
 				Proto: a.Protocol, Support: lcm.MustSupport(a.Protocol, 2),
-				Nodes: 2, Blocks: 1, Reorder: 0,
+				Nodes: 2, Blocks: 1,
 				Events: lcm.NewEvents(a.Protocol),
 			})
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"teapot/internal/mc"
+	"teapot/internal/netmodel"
 	"teapot/internal/protocols/update"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
@@ -146,7 +147,7 @@ func TestModelChecked(t *testing.T) {
 	for _, reorder := range []int{0, 1} {
 		res, err := mc.Check(mc.Config{
 			Proto: a.Protocol, Support: update.MustSupport(a.Protocol),
-			Nodes: 2, Blocks: 1, Reorder: reorder,
+			Nodes: 2, Blocks: 1, Net: netmodel.Model{Reorder: reorder},
 			Events: update.NewEvents(a.Protocol), CheckCoherence: true,
 		})
 		if err != nil {

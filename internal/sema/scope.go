@@ -2,7 +2,6 @@ package sema
 
 import (
 	"teapot/internal/ast"
-	"teapot/internal/source"
 	"teapot/internal/token"
 )
 
@@ -331,5 +330,3 @@ func (sc *handlerScope) call(e *ast.CallExpr, asStmt bool) Type {
 	}
 	return sig.Result
 }
-
-var _ = source.Pos{} // silence potential unused import during refactors

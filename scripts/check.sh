@@ -4,8 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Nothing below may write into the tree: a test that rewrites a tracked
+# file shows up as a changed `git status` at the end, not as a churn commit.
+tree_before="$(git status --porcelain)"
 go build ./...
 go vet ./...
+unformatted="$(gofmt -l .)"
+test -z "$unformatted" || { echo "check.sh: gofmt -l . lists: $unformatted" >&2; exit 1; }
 go test -race ./...
 # The parallel checker's determinism contract and the sharded visited
 # table, hammered explicitly under the race detector.
@@ -19,7 +24,7 @@ tmptrace="$(mktemp -t teapot-trace.XXXXXX.json)"
 trap 'rm -f "$tmptrace"' EXIT
 go run ./cmd/teapot-sim -workload gauss -nodes 4 -iters 2 -trace "$tmptrace" -stats >/dev/null
 go run ./scripts/tracecheck "$tmptrace"
-go run ./cmd/teapot-verify -protocol stache -progress=always >/dev/null
+go run ./cmd/teapot-verify -proto stache -progress=always >/dev/null
 # Fault-injection smoke matrix: the fault-tolerant Stache must verify under
 # each budgeted fault the repo documents as its envelope, and the base
 # Stache must demonstrably need the TIMEOUT machinery — a single dropped
@@ -217,3 +222,8 @@ go test -race -count=1 -run 'TestRunMPAllSubstratesAgree|TestRunForbiddenReachab
 # against benchmarks/expected.json. A module of its own, so `go test ./...`
 # above does not reach it.
 (cd benchmarks && go test ./...)
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+  echo "check.sh: the checks changed the working tree:" >&2
+  git status --porcelain >&2
+  exit 1
+fi
