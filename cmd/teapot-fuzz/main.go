@@ -23,6 +23,7 @@ import (
 	"teapot/internal/cliflags"
 	"teapot/internal/fuzz"
 	"teapot/internal/manifest"
+	"teapot/internal/mc"
 	"teapot/internal/obs"
 	"teapot/internal/runtime"
 )
@@ -136,10 +137,10 @@ func main() {
 		} else {
 			fmt.Printf("mc-confirm: checker agrees (%s in %d states, %d-step counterexample)\n",
 				mcres.Violation.Kind, mcres.States, len(mcres.Violation.Steps))
-			if err := fuzz.DiffReplay(f.Spec(), mcres.Violation); err != nil {
+			if err := mc.DiffReplay(f.Spec().MCConfig(), mcres.Violation.Steps); err != nil {
 				fatal(fmt.Errorf("differential replay of checker counterexample: %w", err))
 			}
-			fmt.Println("mc-confirm: counterexample replays through the runtime engine with per-step state agreement")
+			fmt.Println("mc-confirm: counterexample replays straight-line and through the checker's decode/clone/encode path with per-step state agreement")
 		}
 	}
 	os.Exit(2)

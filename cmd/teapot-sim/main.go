@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"teapot/internal/cliflags"
-	"teapot/internal/core"
 	"teapot/internal/manifest"
 	"teapot/internal/obs"
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/lcm"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
@@ -63,44 +63,40 @@ func main() {
 		fatal(fmt.Errorf("unknown workload %q", *workload))
 	}
 
-	optimize := *engine != "unopt"
-	var mk func(m runtime.Machine) tempest.Engine
-	var tags tempest.EventTags
-	var proto *runtime.Protocol
-	if *engine == "ft" {
-		if isLCM {
-			fatal(fmt.Errorf("-engine ft is the fault-tolerant Stache; the LCM workloads have no fault-tolerant variant"))
-		}
-		p := stache.MustCompileFT(true).Protocol
-		proto = p
-		tags = tempest.ResolveTags(p)
-		mk = func(m runtime.Machine) tempest.Engine {
-			return tempest.NewTeapotEngine(p, *nodes, w.Blocks, m, stache.MustFTSupport(p, *nodes))
-		}
-	} else if isLCM {
-		p := lcm.MustCompile(lcm.Base, optimize).Protocol
-		proto = p
-		tags = tempest.ResolveTags(p)
-		mk = func(m runtime.Machine) tempest.Engine {
-			if *engine == "hw" {
-				return lcm.NewHW(p, *nodes, w.Blocks, m)
-			}
-			return tempest.NewTeapotEngine(p, *nodes, w.Blocks, m, lcm.MustSupport(p, *nodes))
-		}
-	} else {
-		p := stache.MustCompile(optimize).Protocol
-		proto = p
-		tags = tempest.ResolveTags(p)
-		mk = func(m runtime.Machine) tempest.Engine {
-			if *engine == "hw" {
-				return stache.NewHW(p, *nodes, w.Blocks, m)
-			}
-			return tempest.NewTeapotEngine(p, *nodes, w.Blocks, m, stache.MustSupport(p))
-		}
+	// The compiled engines come from the protocol registry; the paper's two
+	// baselines — the hand-written engines and the unoptimized compile — are
+	// not registry entries and are wired here.
+	protoName := "stache"
+	switch {
+	case *engine == "ft" && isLCM:
+		fatal(fmt.Errorf("-engine ft is the fault-tolerant Stache; the LCM workloads have no fault-tolerant variant"))
+	case *engine == "ft":
+		protoName = "stache-ft"
+	case isLCM:
+		protoName = "lcm"
 	}
-
-	if *seed == 0 {
-		*seed = core.RunSpec{Proto: proto, Nodes: *nodes, Blocks: w.Blocks, Net: net.Model}.EffectiveSeed()
+	run, err := protocols.Spec(protoName, *nodes, w.Blocks)
+	if err != nil {
+		fatal(err)
+	}
+	run.Net, run.Seed, run.Program = net.Model, *seed, w.Trace
+	var handWritten func(m runtime.Machine) tempest.Engine
+	switch {
+	case *engine == "hw" && isLCM:
+		handWritten = func(m runtime.Machine) tempest.Engine { return lcm.NewHW(run.Proto, *nodes, w.Blocks, m) }
+	case *engine == "hw":
+		handWritten = func(m runtime.Machine) tempest.Engine { return stache.NewHW(run.Proto, *nodes, w.Blocks, m) }
+	case *engine == "unopt" && isLCM:
+		run.Proto = lcm.MustCompile(lcm.Base, false).Protocol
+		run.Support = lcm.MustSupport(run.Proto, *nodes)
+	case *engine == "unopt":
+		run.Proto = stache.MustCompile(false).Protocol
+		run.Support = stache.MustSupport(run.Proto)
+	}
+	simCfg := run.SimConfig()
+	*seed = simCfg.Seed // -seed 0 derives a stable seed from the run shape
+	if handWritten != nil {
+		simCfg.MakeEngine = handWritten
 	}
 
 	var col *obs.Collector
@@ -116,26 +112,14 @@ func main() {
 	}
 
 	start := time.Now()
-	stats, err := sim.Run(sim.Config{
-		Nodes: *nodes, Blocks: w.Blocks,
-		Cost: tempest.DefaultCost, Tags: tags,
-		MakeEngine: mk, Program: w.Trace,
-		Obs: runSinks(col, cov),
-		Net: net.Model, Seed: *seed,
-	})
+	simCfg.Obs = runSinks(col, cov)
+	stats, err := sim.Run(simCfg)
 	elapsed := time.Since(start)
 	if err != nil {
 		fatal(err)
 	}
 
 	if *report != "" {
-		protoName := "stache"
-		switch {
-		case *engine == "ft":
-			protoName = "stache-ft"
-		case isLCM:
-			protoName = "lcm"
-		}
 		ss := &manifest.SimStats{
 			Cycles: stats.Cycles, Events: col.Total(),
 			ElapsedSec: elapsed.Seconds(),
@@ -154,7 +138,7 @@ func main() {
 			Blocks:          w.Blocks,
 			Net:             net.Model.String(),
 			Seed:            *seed,
-			Coverage:        cov.Report(runtime.ObsNames(proto)),
+			Coverage:        cov.Report(runtime.ObsNames(run.Proto)),
 			Obs: &manifest.ObsSummary{
 				Events: col.Total(), ByKind: col.KindCounts(),
 				MaxQueueDepth: col.MaxQueueDepth(),
@@ -171,7 +155,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := obs.WriteChromeTrace(f, col.Events(), runtime.ObsNames(proto)); err != nil {
+		if err := obs.WriteChromeTrace(f, col.Events(), runtime.ObsNames(run.Proto)); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -193,7 +177,7 @@ func main() {
 	fmt.Printf("  continuations: %d heap, %d static; queue records: %d\n",
 		stats.Protocol.HeapConts, stats.Protocol.StaticConts, stats.Protocol.QueueRecords)
 	if *showStats {
-		fmt.Print(col.Summary(runtime.ObsNames(proto)))
+		fmt.Print(col.Summary(runtime.ObsNames(run.Proto)))
 	}
 }
 

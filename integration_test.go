@@ -311,6 +311,76 @@ func TestVerifyJSONManifest(t *testing.T) {
 	}
 }
 
+// TestReportManifests: -report writes the shared run-manifest schema from
+// the checker and from the fuzzer alike — one stats block each (Load
+// validates version and exactly-one-of), the run shape, and dispatch
+// coverage for teapot-cover to diff. (The litmus manifest is asserted by
+// TestLitmusGoldenJSON, the -json spelling by TestVerifyJSONManifest.)
+func TestReportManifests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("invokes the go toolchain")
+	}
+	for _, args := range [][]string{
+		{"./cmd/teapot-verify", "-proto", "stache", "-nodes", "3", "-net", "reorder=1"},
+		{"./cmd/teapot-fuzz", "-proto", "stache", "-nodes", "3", "-blocks", "1", "-net", "reorder=1", "-schedules", "50", "-seed", "7"},
+	} {
+		report := filepath.Join(t.TempDir(), "man.json")
+		if out, err := runTool(t, append(args, "-report", report)...); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		man, err := manifest.Load(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if "./cmd/"+man.Tool != args[0] || man.Protocol != "stache" || man.Nodes != 3 {
+			t.Errorf("%v: manifest identifies %s on %s", args, man.Tool, man.Shape())
+		}
+		if (man.MC != nil) != (man.Tool == "teapot-verify") || (man.Fuzz != nil) != (man.Tool == "teapot-fuzz") {
+			t.Errorf("%v: stats blocks mc=%v fuzz=%v", args, man.MC != nil, man.Fuzz != nil)
+		}
+		if man.Coverage == nil || len(man.Coverage.Dispatch) == 0 {
+			t.Errorf("%v: manifest lacks dispatch coverage", args)
+		}
+	}
+}
+
+// TestSymmetryCertificates: teapot-vet -json embeds the static symmetry
+// certificate, and it must hold — node and block equivariance — for every
+// bundled protocol the checker reduces (stache-asym is the deliberate
+// exception and is left out).
+func TestSymmetryCertificates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("invokes the go toolchain")
+	}
+	protos := []string{"stache", "stache-cas", "stache-ft", "lcm", "lcm-mcc", "bufwrite", "update"}
+	cmd := exec.Command("go", append([]string{"run", "./cmd/teapot-vet", "-json"}, protos...)...)
+	cmd.Env = os.Environ()
+	stdout, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stdout)
+	}
+	type dim struct {
+		Equivariant bool `json:"equivariant"`
+	}
+	var reports []struct {
+		Protocol string `json:"protocol"`
+		Symmetry *struct {
+			Node, Block dim
+		} `json:"symmetry"`
+	}
+	if err := json.Unmarshal(stdout, &reports); err != nil {
+		t.Fatalf("stdout is not a JSON report list: %v\n%s", err, stdout)
+	}
+	if len(reports) != len(protos) {
+		t.Fatalf("%d reports for %d protocols", len(reports), len(protos))
+	}
+	for _, r := range reports {
+		if r.Symmetry == nil || !r.Symmetry.Node.Equivariant || !r.Symmetry.Block.Equivariant {
+			t.Errorf("%s: symmetry certificate %+v", r.Protocol, r.Symmetry)
+		}
+	}
+}
+
 // TestLitmusGoldenJSON: `teapot-litmus -mode mc -json` is fully
 // deterministic — the exhaustive checker enumerates outcome sets and the
 // report sorts every list — so the mp-family report is pinned

@@ -434,21 +434,3 @@ func FormatVerify(rows []VerifyRow) string {
 	}
 	return b.String()
 }
-
-// Artifacts compiles everything once (used by commands needing protocols).
-func Artifacts() map[string]*core.Artifacts {
-	casArt, err := stache.CompileCAS(true)
-	if err != nil {
-		panic(err)
-	}
-	return map[string]*core.Artifacts{
-		"stache":     stache.MustCompile(true),
-		"lcm":        lcm.MustCompile(lcm.Base, true),
-		"lcm-update": lcm.MustCompile(lcm.Update, true),
-		"lcm-mcc":    lcm.MustCompile(lcm.MCC, true),
-		"lcm-both":   lcm.MustCompile(lcm.Both, true),
-		"bufwrite":   bufwrite.MustCompile(true),
-		"stache-cas": casArt,
-		"update":     update.MustCompile(true),
-	}
-}

@@ -141,13 +141,6 @@ func TestLinesOfCode(t *testing.T) {
 	}
 }
 
-func TestArtifactsCompile(t *testing.T) {
-	arts := bench.Artifacts()
-	if len(arts) != 8 {
-		t.Errorf("artifacts = %d", len(arts))
-	}
-}
-
 // TestProducerConsumerComparison reproduces §1's motivation: on the
 // broadcast-heavy gauss pattern the write-update protocol needs fewer
 // messages and faults than invalidation.

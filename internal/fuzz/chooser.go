@@ -1,23 +1,9 @@
 package fuzz
 
 import (
+	"teapot/internal/netmodel"
 	"teapot/internal/tempest"
 )
-
-// splitmix64, the repo's standard small PRNG.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // DefaultRate is the per-choice deviation probability: how often the
 // recorder strays from the benign option. High enough that a handful of
@@ -30,7 +16,7 @@ const DefaultRate = 0.25
 // RNG and records every non-benign pick. The same seed always produces
 // the same decision sequence over the same run.
 type Recorder struct {
-	rng       rng
+	rng       netmodel.Rand
 	rate      float64
 	step      uint64
 	decisions []Decision
@@ -41,7 +27,7 @@ func NewRecorder(seed uint64, rate float64) *Recorder {
 	if rate == 0 {
 		rate = DefaultRate
 	}
-	return &Recorder{rng: rng{s: seed}, rate: rate}
+	return &Recorder{rng: netmodel.Rand(seed), rate: rate}
 }
 
 // Choose implements tempest.Chooser.
@@ -49,8 +35,8 @@ func (r *Recorder) Choose(kind tempest.ChoiceKind, n int) int {
 	step := r.step
 	r.step++
 	pick := 0
-	if r.rng.float() < r.rate {
-		pick = 1 + r.rng.intn(n-1)
+	if r.rng.Float() < r.rate {
+		pick = 1 + r.rng.Intn(n-1)
 	}
 	if pick != 0 {
 		r.decisions = append(r.decisions, Decision{Step: step, Kind: kindName(kind), Pick: pick})

@@ -3,13 +3,14 @@ package fuzz
 import (
 	"testing"
 
+	"teapot/internal/mc"
 	"teapot/internal/netmodel"
 )
 
-// TestDiffReplayCounterexamples checks the differential layer on every
-// bundled buggy fixture: the model checker's counterexample must replay
-// step-for-step through the independent runtime.Engine harness with
-// canonical-state agreement after every step.
+// TestDiffReplayCounterexamples runs mc.DiffReplay on the counterexample
+// of every bundled buggy fixture and of the documented dup=2 edge of
+// stache-ft: straight-line replay and the checker's own decode → clone →
+// apply → encode path must agree on the canonical state after every step.
 func TestDiffReplayCounterexamples(t *testing.T) {
 	for _, tc := range []struct {
 		proto    string
@@ -22,6 +23,8 @@ func TestDiffReplayCounterexamples(t *testing.T) {
 		// The seeded deadlock: reachable on a perfect network.
 		{"stache-buggy", 2, netmodel.Model{}, "deadlock"},
 		{"stache-buggy", 3, netmodel.Model{Reorder: 1}, "deadlock"},
+		// The epoch-less envelope edge: dup steps, three engines.
+		{"stache-ft", 3, netmodel.Model{MaxDups: 2}, "invariant"},
 	} {
 		f, err := New(Config{Proto: tc.proto, Nodes: tc.nodes, Blocks: 1, Net: tc.net})
 		if err != nil {
@@ -44,7 +47,7 @@ func TestDiffReplayCounterexamples(t *testing.T) {
 			t.Errorf("%s: %d machine-readable steps for a %d-entry trace",
 				tc.proto, len(res.Violation.Steps), len(res.Violation.Trace))
 		}
-		if err := DiffReplay(f.Spec(), res.Violation); err != nil {
+		if err := mc.DiffReplay(f.Spec().MCConfig(), res.Violation.Steps); err != nil {
 			t.Errorf("%s nodes=%d net=%s: differential replay: %v", tc.proto, tc.nodes, tc.net, err)
 		}
 	}
@@ -53,7 +56,7 @@ func TestDiffReplayCounterexamples(t *testing.T) {
 // TestConfirmMCAgreesWithFuzz closes the loop on the seeded bug: the fuzz
 // campaign finds an oracle violation, and the checker — exploring the same
 // spec exhaustively — confirms a coherence violation exists, with a
-// counterexample the differential harness accepts.
+// counterexample mc.DiffReplay accepts.
 func TestConfirmMCAgreesWithFuzz(t *testing.T) {
 	f, _ := fuzzSeededBug(t)
 	res, err := f.ConfirmMC(5_000_000)
@@ -67,7 +70,7 @@ func TestConfirmMCAgreesWithFuzz(t *testing.T) {
 		t.Fatalf("checker verdict %q (%s), want a coherence invariant violation",
 			res.Violation.Kind, res.Violation.Msg)
 	}
-	if err := DiffReplay(f.Spec(), res.Violation); err != nil {
+	if err := mc.DiffReplay(f.Spec().MCConfig(), res.Violation.Steps); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("checker: %s in %d states, %d-step counterexample", res.Violation.Msg, res.States, len(res.Violation.Steps))

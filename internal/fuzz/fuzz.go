@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"teapot/internal/core"
+	"teapot/internal/mc"
 	"teapot/internal/netmodel"
 	"teapot/internal/obs"
 	"teapot/internal/oracle"
@@ -159,8 +160,8 @@ type Result struct {
 func (f *Fuzzer) Fuzz() (*Result, error) {
 	res := &Result{}
 	for i := 0; i < f.cfg.Schedules; i++ {
-		recSeed := subSeed(f.cfg.Seed, uint64(2*i))
-		wSeed := subSeed(f.cfg.Seed, uint64(2*i+1))
+		recSeed := netmodel.Rand(f.cfg.Seed).Derive(uint64(2 * i))
+		wSeed := netmodel.Rand(f.cfg.Seed).Derive(uint64(2*i + 1))
 		rec := NewRecorder(recSeed, f.cfg.Rate)
 		rep := f.runWith(rec, wSeed)
 		rep.Steps = rec.Steps()
@@ -219,34 +220,40 @@ func ReplaySchedule(s *Schedule) (*Report, error) {
 // runWith executes one run under the given chooser and workload seed,
 // judged by a fresh oracle.
 func (f *Fuzzer) runWith(ch tempest.Chooser, wSeed uint64) *Report {
-	checker := oracle.New(oracle.Config{
-		Nodes: f.cfg.Nodes, Blocks: f.cfg.Blocks,
-		HomeOf: f.spec.HomeOf, Inv: f.prof.Inv,
-	})
-	simCfg := f.spec.SimConfig()
-	simCfg.Program = RandomProgram(WorkloadOpts{
+	spec := f.spec
+	spec.Program = RandomProgram(WorkloadOpts{
 		Nodes: f.cfg.Nodes, Blocks: f.cfg.Blocks, OpsPerNode: f.cfg.OpsPerNode,
 		Seed: wSeed, Evict: f.prof.Evict, Sync: f.prof.Sync,
 	})
+	spec.Obs = f.cfg.Obs
+	checker, stats, err := JudgedRun(spec, oracle.Config{Inv: f.prof.Inv}, ch, f.cfg.Coverage)
+	return &Report{Violation: checker.Finish(), RunErr: err, Stats: stats}
+}
+
+// JudgedRun executes spec.Program once on the simulator with the
+// data-version model on, under chooser ch (nil: seeded stochastic injection
+// from spec.Seed) and an event cap, its event stream judged by a fresh
+// oracle — configured by oc, the machine shape filled in from spec — ahead
+// of spec.Obs and cov. The caller reads the verdict, and with oc.TrackReads
+// the observations, off the returned oracle. Every fuzz schedule and every
+// litmus sim and fuzz run is this one body.
+func JudgedRun(spec core.RunSpec, oc oracle.Config, ch tempest.Chooser, cov *obs.Coverage) (*oracle.Checker, *tempest.Stats, error) {
+	oc.Nodes, oc.Blocks, oc.HomeOf = spec.Nodes, spec.Blocks, spec.HomeOf
+	checker := oracle.New(oc)
 	// Build the sink set explicitly: a nil *Coverage wrapped in the Sink
 	// interface would slip past NewTee's nil filter (typed nil).
-	sinks := []obs.Sink{checker}
-	if f.cfg.Coverage != nil {
-		sinks = append(sinks, f.cfg.Coverage)
+	sinks := []obs.Sink{checker, spec.Obs}
+	if cov != nil {
+		sinks = append(sinks, cov)
 	}
-	if f.cfg.Obs != nil {
-		sinks = append(sinks, f.cfg.Obs)
-	}
-	simCfg.Obs = obs.NewTee(sinks...)
+	spec.Obs = obs.NewTee(sinks...)
+	spec.InitMem = oc.InitMem
+	spec.MaxEvents = maxRunEvents
+	simCfg := spec.SimConfig()
 	simCfg.Sched = ch
 	simCfg.ObsMemory = true
-	simCfg.MaxEvents = maxRunEvents
 	stats, err := sim.Run(simCfg)
-	return &Report{
-		Violation: checker.Finish(),
-		RunErr:    err,
-		Stats:     stats,
-	}
+	return checker, stats, err
 }
 
 func (f *Fuzzer) schedule(dec []Decision, wSeed, recSeed uint64) *Schedule {
@@ -260,10 +267,15 @@ func (f *Fuzzer) schedule(dec []Decision, wSeed, recSeed uint64) *Schedule {
 	}
 }
 
-// subSeed derives the i-th stream seed from the master seed.
-func subSeed(seed, i uint64) uint64 {
-	r := rng{s: seed ^ (i+1)*0x9e3779b97f4a7c15}
-	return r.next()
+// ConfirmMC cross-checks a fuzz-found failure with the model checker: it
+// exhaustively explores the fuzzer's spec (same protocol, machine size, and
+// fault budgets) and returns the checker's verdict. A fuzz campaign that
+// found a violation should see the checker find one too (and its
+// counterexample pass mc.DiffReplay).
+func (f *Fuzzer) ConfirmMC(maxStates int) (*mc.Result, error) {
+	cfg := f.spec.MCConfig()
+	cfg.MaxStates = maxStates
+	return mc.Check(cfg)
 }
 
 var _ obs.Sink = (*oracle.Checker)(nil)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"teapot/internal/netmodel"
+	"teapot/internal/obs"
 )
 
 // TestCleanProtocolsFuzzClean smokes every judgeable bundled protocol
@@ -187,4 +188,34 @@ func verdictString(r *Report) string {
 		return r.RunErr.Error()
 	}
 	return "clean"
+}
+
+// TestCampaignCoverage: a fuzz campaign with Config.Coverage accumulates
+// dispatch coverage across schedules, and the same campaign re-run
+// accumulates the identical report (seeded schedules are deterministic).
+func TestCampaignCoverage(t *testing.T) {
+	campaign := func() *obs.Coverage {
+		cov := obs.NewCoverage()
+		f, err := New(Config{Proto: "stache", Nodes: 2, Blocks: 1,
+			Schedules: 20, Seed: 7, Coverage: cov})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Fuzz()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failure != nil {
+			t.Fatalf("clean protocol failed: %v", res.Failure.Report)
+		}
+		return cov
+	}
+	a, b := campaign(), campaign()
+	if a.DispatchPairs() == 0 {
+		t.Fatal("campaign accumulated no dispatch coverage")
+	}
+	if a.DispatchPairs() != b.DispatchPairs() || a.TransitionEdges() != b.TransitionEdges() {
+		t.Errorf("re-run drifted: %d/%d pairs, %d/%d edges",
+			a.DispatchPairs(), b.DispatchPairs(), a.TransitionEdges(), b.TransitionEdges())
+	}
 }

@@ -5,15 +5,14 @@ package fuzz
 // seeded-bug reproducers must still fail, fixed-bug twins must still run
 // clean — and replay must be deterministic down to the byte-identical obs
 // event stream. Failing entries are additionally cross-checked against
-// the model checker, whose counterexample must replay step-for-step
-// through the independent runtime engine (mc.ReplaySteps parity inside
-// DiffReplay).
+// the model checker, whose counterexample must pass mc.DiffReplay.
 
 import (
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"teapot/internal/mc"
 	"teapot/internal/obs"
 	"teapot/internal/runtime"
 )
@@ -89,8 +88,7 @@ func TestReproCorpusReplays(t *testing.T) {
 			}
 
 			// A still-failing reproducer must agree with the model checker,
-			// and the checker's counterexample must replay step-for-step
-			// through the independent runtime engine.
+			// and the checker's counterexample must pass its differential.
 			if s.Expect == "violation" {
 				mcres, err := f.ConfirmMC(500_000)
 				if err != nil {
@@ -99,7 +97,7 @@ func TestReproCorpusReplays(t *testing.T) {
 				if mcres.Violation == nil {
 					t.Fatalf("checker found no violation in %d states for a failing reproducer", mcres.States)
 				}
-				if err := DiffReplay(f.Spec(), mcres.Violation); err != nil {
+				if err := mc.DiffReplay(f.Spec().MCConfig(), mcres.Violation.Steps); err != nil {
 					t.Fatalf("differential replay of checker counterexample: %v", err)
 				}
 			}

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"teapot/internal/netmodel"
 	"teapot/internal/sim"
 	"teapot/internal/tempest"
 )
@@ -24,11 +25,11 @@ type WorkloadOpts struct {
 func RandomProgram(o WorkloadOpts) *sim.Trace {
 	ops := make([][]tempest.Op, o.Nodes)
 	for n := 0; n < o.Nodes; n++ {
-		r := rng{s: o.Seed*0x9e3779b97f4a7c15 + uint64(n)*0xbf58476d1ce4e5b9 + 1}
+		r := netmodel.Rand(o.Seed*0x9e3779b97f4a7c15 + uint64(n)*0xbf58476d1ce4e5b9 + 1)
 		var stream []tempest.Op
 		for i := 0; i < o.OpsPerNode; i++ {
-			addr := r.intn(o.Blocks)
-			roll := r.intn(100)
+			addr := r.Intn(o.Blocks)
+			roll := r.Intn(100)
 			switch {
 			case o.Evict && roll < 8:
 				stream = append(stream, tempest.Op{Kind: tempest.OpEvict, Addr: addr})
@@ -37,7 +38,7 @@ func RandomProgram(o WorkloadOpts) *sim.Trace {
 			case roll < 90:
 				stream = append(stream, tempest.Op{Kind: tempest.OpRead, Addr: addr})
 			default:
-				stream = append(stream, tempest.Op{Kind: tempest.OpCompute, Cycles: int64(1 + r.intn(50))})
+				stream = append(stream, tempest.Op{Kind: tempest.OpCompute, Cycles: int64(1 + r.Intn(50))})
 			}
 		}
 		if o.Sync {

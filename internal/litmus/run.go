@@ -28,9 +28,6 @@ const DefaultBudget = 300_000
 // jitter so the stochastic scheduler samples different interleavings.
 const simRuns = 12
 
-// maxRunEvents caps each simulator run (same rationale as the fuzzer's).
-const maxRunEvents = 1_000_000
-
 // Options shapes a harness run.
 type Options struct {
 	Mode    string // "sim" | "fuzz" | "mc" | "all" ("" = all)
@@ -154,6 +151,9 @@ type runner struct {
 	spec core.RunSpec
 	prof fuzz.Profile // oracle profile (sim/fuzz modes)
 	seed uint64       // master seed
+	// script is the test lowered once: the ops the checker's client plane
+	// runs as they are, and the simulator runs behind jitter yields.
+	script [][]tempest.Op
 }
 
 // Run executes one test under the requested substrates and diffs the
@@ -231,7 +231,14 @@ func newRunner(t *Test, opt Options) (*runner, error) {
 	spec.Net = net
 	spec.Workers = opt.Workers
 	spec.Seed = opt.Seed
-	r := &runner{t: t, opt: opt, spec: spec, seed: spec.EffectiveSeed()}
+	r := &runner{t: t, opt: opt, spec: spec, seed: spec.EffectiveSeed(),
+		script: make([][]tempest.Op, t.Nodes)}
+	for n, prog := range t.Progs {
+		for _, op := range prog {
+			r.script[n] = append(r.script[n], tempest.Op{
+				Kind: opKinds[op.Kind], Addr: op.Block, Val: op.Val, Expect: op.Expect})
+		}
+	}
 	if opt.wants("sim") || opt.wants("fuzz") {
 		prof, err := fuzz.ProfileFor(t.Proto)
 		if err != nil {
@@ -277,28 +284,20 @@ func (rr *runReport) describe() string {
 	return "clean"
 }
 
+// opKinds maps the script operations onto the processor's.
+var opKinds = [...]tempest.OpKind{Get: tempest.OpRead, Put: tempest.OpWrite, CAS: tempest.OpCAS}
+
 // execute runs the test's script once on the tempest machine: under a
-// chooser (fuzz substrate) or under seeded stochastic injection (sim
-// substrate, chooser nil), with jitterSeed phase-shifting the scripts.
+// chooser (fuzz substrate, which never draws from seed) or under stochastic
+// injection seeded with seed (sim substrate, chooser nil), with jitterSeed
+// phase-shifting the scripts.
 func (r *runner) execute(ch tempest.Chooser, seed, jitterSeed uint64) *runReport {
-	checker := oracle.New(oracle.Config{
-		Nodes: r.t.Nodes, Blocks: len(r.t.Blocks),
-		HomeOf: r.spec.HomeOf, Inv: r.prof.Inv,
-		InitMem: r.t.Init, TrackReads: true,
-	})
-	simCfg := r.spec.SimConfig()
-	simCfg.Seed = seed
-	simCfg.Program = r.trace(jitterSeed)
-	sinks := []obs.Sink{checker}
-	if r.opt.Coverage != nil {
-		sinks = append(sinks, r.opt.Coverage)
-	}
-	simCfg.Obs = obs.NewTee(sinks...)
-	simCfg.Sched = ch
-	simCfg.ObsMemory = true
-	simCfg.InitMem = r.t.Init
-	simCfg.MaxEvents = maxRunEvents
-	_, err := sim.Run(simCfg)
+	spec := r.spec
+	spec.Seed = seed
+	spec.Program = r.trace(jitterSeed)
+	checker, _, err := fuzz.JudgedRun(spec, oracle.Config{
+		Inv: r.prof.Inv, InitMem: r.t.Init, TrackReads: true,
+	}, ch, r.opt.Coverage)
 	rep := &runReport{viol: checker.Finish(), err: err}
 	if rep.viol != nil || rep.err != nil {
 		return rep
@@ -313,31 +312,21 @@ func (r *runner) execute(ch tempest.Chooser, seed, jitterSeed uint64) *runReport
 	return rep
 }
 
-// trace lowers the scripts to a tempest program. jitterSeed 0 is the plain
-// program; otherwise each op gets a seeded yield prefix of up to six
+// trace is the script as a tempest program. jitterSeed 0 is the script as
+// it is; otherwise each op gets a seeded yield prefix of up to six
 // network latencies. Yields (not computes: those never release the event
 // loop, so in-flight deliveries could not overtake a script) desynchronize
 // the per-node scripts so stochastic and recorded schedules sample
 // different interleavings of the same test.
 func (r *runner) trace(jitterSeed uint64) *sim.Trace {
-	ops := make([][]tempest.Op, r.t.Nodes)
-	for n := 0; n < r.t.Nodes && n < len(r.t.Progs); n++ {
-		var stream []tempest.Op
-		for i, op := range r.t.Progs[n] {
-			if jitterSeed != 0 {
-				c := jitterCycles(jitterSeed, n, i)
-				stream = append(stream, tempest.Op{Kind: tempest.OpYield, Cycles: c})
-			}
-			switch op.Kind {
-			case Get:
-				stream = append(stream, tempest.Op{Kind: tempest.OpRead, Addr: op.Block})
-			case Put:
-				stream = append(stream, tempest.Op{Kind: tempest.OpWrite, Addr: op.Block, Val: op.Val})
-			case CAS:
-				stream = append(stream, tempest.Op{Kind: tempest.OpCAS, Addr: op.Block, Val: op.Val, Expect: op.Expect})
-			}
+	if jitterSeed == 0 {
+		return sim.NewTrace(r.script)
+	}
+	ops := make([][]tempest.Op, len(r.script))
+	for n, prog := range r.script {
+		for i, op := range prog {
+			ops[n] = append(ops[n], tempest.Op{Kind: tempest.OpYield, Cycles: jitterCycles(jitterSeed, n, i)}, op)
 		}
-		ops[n] = stream
 	}
 	return sim.NewTrace(ops)
 }
@@ -348,18 +337,12 @@ func (r *runner) trace(jitterSeed uint64) *sim.Trace {
 // remote fault's full round trip, so sampling reaches interleavings where
 // either script runs ahead of the other.
 func jitterCycles(seed uint64, n, i int) int64 {
-	x := splitmix(seed ^ uint64(n)*0xbf58476d1ce4e5b9 ^ uint64(i)*0x94d049bb133111eb)
+	r := netmodel.Rand(seed ^ uint64(n)*0xbf58476d1ce4e5b9 ^ uint64(i)*0x94d049bb133111eb)
+	x := r.Next()
 	if x&3 == 0 {
 		return 0
 	}
 	return int64((x >> 2) % uint64(6*tempest.DefaultCost.NetLatency+1))
-}
-
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // outcomeFromOracle reads the register file and final block values back
@@ -386,10 +369,10 @@ func (r *runner) outcomeFromOracle(c *oracle.Checker) (*Outcome, error) {
 func (r *runner) runSim(res *Result) {
 	res.Sim = map[string]Outcome{}
 	for k := 0; k < simRuns; k++ {
-		seed := subSeed(r.seed, uint64(0x510+k))
+		seed := netmodel.Rand(r.seed).Derive(uint64(0x510 + k))
 		var jitter uint64
 		if k > 0 {
-			jitter = subSeed(seed, 1)
+			jitter = netmodel.Rand(seed).Derive(1)
 		}
 		rep := r.execute(nil, seed, jitter)
 		if class := rep.class(); class != "" {
@@ -409,10 +392,10 @@ func (r *runner) runSim(res *Result) {
 func (r *runner) runFuzz(res *Result) {
 	res.Fuzz = map[string]Outcome{}
 	for i := 0; i < r.opt.schedules(); i++ {
-		recSeed := subSeed(r.seed, uint64(0x1000+2*i))
-		jitterSeed := subSeed(r.seed, uint64(0x1000+2*i+1))
+		recSeed := netmodel.Rand(r.seed).Derive(uint64(0x1000 + 2*i))
+		jitterSeed := netmodel.Rand(r.seed).Derive(uint64(0x1000 + 2*i + 1))
 		rec := fuzz.NewRecorder(recSeed, fuzz.DefaultRate)
-		rep := r.execute(rec, 0, jitterSeed)
+		rep := r.execute(rec, r.seed, jitterSeed)
 		class := rep.class()
 		if class == "" {
 			res.Fuzz[r.t.Key(*rep.outcome)] = *rep.outcome
@@ -420,7 +403,7 @@ func (r *runner) runFuzz(res *Result) {
 		}
 		s := r.schedule(rec.Decisions(), jitterSeed, recSeed, class)
 		shrunk, tries := fuzz.ShrinkSchedule(s, func(cand *fuzz.Schedule) string {
-			return r.execute(fuzz.NewReplayer(cand), 0, cand.WorkloadSeed).class()
+			return r.execute(fuzz.NewReplayer(cand), r.seed, cand.WorkloadSeed).class()
 		})
 		res.Failures = append(res.Failures, &Failure{
 			Mode: "fuzz", Class: class,
@@ -466,31 +449,11 @@ func Replay(t *Test, s *fuzz.Schedule, opt Options) (class, desc string, err err
 	if err != nil {
 		return "", "", err
 	}
-	rep := r.execute(fuzz.NewReplayer(s), 0, s.WorkloadSeed)
+	rep := r.execute(fuzz.NewReplayer(s), r.seed, s.WorkloadSeed)
 	return rep.class(), rep.describe(), nil
 }
 
 // ---- model-checker substrate ----
-
-// clientOps lowers the scripts to the checker's client plane.
-func clientOps(t *Test) [][]mc.ClientOp {
-	progs := make([][]mc.ClientOp, len(t.Progs))
-	for n, prog := range t.Progs {
-		for _, op := range prog {
-			co := mc.ClientOp{Block: op.Block, Val: op.Val, Expect: op.Expect}
-			switch op.Kind {
-			case Get:
-				co.Kind = mc.ClientGet
-			case Put:
-				co.Kind = mc.ClientPut
-			case CAS:
-				co.Kind = mc.ClientCAS
-			}
-			progs[n] = append(progs[n], co)
-		}
-	}
-	return progs
-}
 
 // outcomeFromWorld reads a terminal world's outcome off the client plane.
 func outcomeFromWorld(t *Test, w *mc.World) Outcome {
@@ -507,21 +470,31 @@ func outcomeFromWorld(t *Test, w *mc.World) Outcome {
 	return o
 }
 
+// mcSpec is the run spec the checker explores: the script on the client
+// plane, as the only event source, under the state budget.
+func (r *runner) mcSpec() (core.RunSpec, error) {
+	client, err := mc.NewClient(r.spec.Proto, r.script, r.t.Init)
+	if err != nil {
+		return core.RunSpec{}, fmt.Errorf("litmus %s: %w", r.t.Name, err)
+	}
+	spec := r.spec
+	spec.Events = nil
+	spec.Client = client
+	spec.MaxStates = r.opt.Budget
+	return spec, nil
+}
+
 // runMC explores the test exhaustively. Pass 1 collects the reachable
 // outcome set (the Terminal hook approves every terminal state); when a
 // forbidden outcome is reachable, pass 2 re-runs with a judging hook so
 // the checker reports the shortest trace into it, and the counterexample
-// is confirmed by replaying its steps with mc.ReplaySteps.
+// is confirmed by replaying its steps (confirmForbidden).
 func (r *runner) runMC(res *Result) error {
 	t := r.t
-	client, err := mc.NewClient(r.spec.Proto, clientOps(t), t.Init)
+	spec, err := r.mcSpec()
 	if err != nil {
-		return fmt.Errorf("litmus %s: %w", t.Name, err)
+		return err
 	}
-	spec := r.spec
-	spec.Events = nil // the script is the only event source
-	spec.Client = client
-	spec.MaxStates = r.opt.Budget
 
 	var mu sync.Mutex
 	res.MC = map[string]Outcome{}
@@ -624,13 +597,14 @@ func (r *runner) anySatisfies(set map[string]Outcome, c Cond) bool {
 	return false
 }
 
-// confirmForbidden replays the judging pass's counterexample with
-// mc.ReplaySteps and re-derives the forbidden condition from the final
-// world — independent confirmation that the trace actually reaches the
-// forbidden outcome. Returns the condition name.
+// confirmForbidden puts the judging pass's counterexample through the
+// checker's differential (mc.DiffReplay), then replays it once more to
+// re-derive the forbidden condition from the final world — confirmation
+// that the trace actually reaches the forbidden outcome. Returns the
+// condition name.
 func confirmForbidden(t *Test, cfg mc.Config, v *mc.Violation) (string, error) {
-	if len(v.Steps) == 0 {
-		return "", fmt.Errorf("counterexample carries no steps")
+	if err := mc.DiffReplay(cfg, v.Steps); err != nil {
+		return "", err
 	}
 	name := ""
 	err := mc.ReplaySteps(cfg, v.Steps, func(i int, st mc.Step, ev *mc.Event, w *mc.World, applyErr error) error {
@@ -653,10 +627,4 @@ func confirmForbidden(t *Test, cfg mc.Config, v *mc.Violation) (string, error) {
 		return "", err
 	}
 	return name, nil
-}
-
-// subSeed derives the i-th stream seed from the master seed (the fuzzer's
-// derivation, reimplemented here so the two packages stay decoupled).
-func subSeed(seed, i uint64) uint64 {
-	return splitmix(seed ^ (i+1)*0x9e3779b97f4a7c15)
 }

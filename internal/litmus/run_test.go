@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"teapot/internal/fuzz"
+	"teapot/internal/mc"
 )
 
 // testOptions keeps budgets small so the differential runs stay fast under
@@ -102,6 +103,45 @@ func TestRunForbiddenReachable(t *testing.T) {
 	}
 	if class != ff.Class {
 		t.Errorf("replayed class = %q (%s), want %q", class, desc, ff.Class)
+	}
+}
+
+// TestFailCorpusCounterexampleDiffReplays: the checker's counterexample for
+// the seeded swmr bug under a three-node script — client steps, a drop,
+// data-carrying messages installing values — passes mc.DiffReplay under
+// the configuration that found it.
+func TestFailCorpusCounterexampleDiffReplays(t *testing.T) {
+	tt, err := LoadFile("../../testdata/litmus/fail/ft-buggy-swmr.lit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Mode: "mc", Seed: 7}
+	res, err := Run(tt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Failure()
+	if f == nil || f.MCViolation == nil || f.MCViolation.Kind != "invariant" {
+		t.Fatalf("mc failure = %+v", f)
+	}
+	kinds := map[string]int{}
+	for _, st := range f.MCViolation.Steps {
+		kinds[st.Kind]++
+	}
+	if kinds["client"] == 0 || kinds["deliver"] == 0 || kinds["drop"] == 0 {
+		t.Fatalf("counterexample steps by kind = %v, want client, deliver and drop steps", kinds)
+	}
+	opt.normalize()
+	r, err := newRunner(tt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := r.mcSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mc.DiffReplay(spec.MCConfig(), f.MCViolation.Steps); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -34,7 +34,7 @@ func Check(cfg Config) (*Result, error) {
 	// sink is the replay path's (see ReplaySteps). Coverage accounting has
 	// its own per-worker wiring below.
 	cfg.Obs = nil
-	if err := cfg.Net.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Net.MaxCorrupts > 0 && cfg.nackTag < 0 {

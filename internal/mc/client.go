@@ -2,9 +2,9 @@ package mc
 
 import (
 	"fmt"
+	"math"
 
 	"teapot/internal/runtime"
-	"teapot/internal/sema"
 	"teapot/internal/tempest"
 )
 
@@ -12,86 +12,82 @@ import (
 // per-node operation scripts the simulator runs, so one .lit scenario is
 // explored exhaustively (every interleaving of client steps, deliveries,
 // and faults) and its terminal states are judged against the simulator's
-// observed outcomes. The plane mirrors internal/tempest's processor model
-// op for op: an operation that the node's current access mode satisfies
-// completes immediately; otherwise it raises the matching fault event and
-// stalls the node until the protocol's WakeUp, which re-attempts the
-// completion exactly as the tempest machine does. Block contents use the
-// same packed version words (tempest.PackVal), so data messages, the
-// monotone stale-discard rule, and the oracle all behave identically.
+// observed outcomes. The scripts are tempest.Ops and the processor model is
+// tempest's own, called from here: an operation the node's access mode
+// satisfies (tempest.AccessOK) completes immediately; otherwise it raises
+// the event tempest's EventTags.FaultTag names and stalls the node until
+// the protocol's WakeUp, which completes it when tempest.WakeCompletes says
+// so. Block contents are tempest's packed version words (StoreWord), so
+// data messages, the monotone stale-discard rule, and the oracle all behave
+// identically.
 //
 // Everything here is gated on Config.Client: without one, worlds carry no
 // client state, encodings are byte-identical to previous releases, and
 // RecvDataMsg degrades to the plain access change RecvData makes.
 
-// ClientOpKind classifies a scripted client operation.
-type ClientOpKind uint8
-
-// Scripted client operations.
-const (
-	ClientGet ClientOpKind = iota // load; the observed value is recorded
-	ClientPut                     // store of Val
-	ClientCAS                     // compare-and-swap: record observed, store Val if it equals Expect
-)
-
-func (k ClientOpKind) String() string {
-	switch k {
-	case ClientGet:
-		return "get"
-	case ClientPut:
-		return "put"
-	case ClientCAS:
-		return "cas"
-	}
-	return "op?"
-}
-
-// ClientOp is one scripted operation.
-type ClientOp struct {
-	Kind   ClientOpKind
-	Block  int
-	Val    int64 // Put/CAS store value (32-bit)
-	Expect int64 // CAS comparison value
-}
-
 // Client is a scripted workload for the checker: one operation sequence
-// per node, plus initial block values. Build with NewClient, which
-// resolves the protocol's fault events once.
+// per node (reads, writes and CASes; a read or CAS records the value it
+// observed), plus initial block values. Build with NewClient.
 type Client struct {
-	Programs [][]ClientOp
+	Programs [][]tempest.Op
 	InitMem  []int64 // raw initial value per block (version 0)
 
-	rdTag, wrTag, wrroTag int
+	tags tempest.EventTags
 }
 
-// NewClient builds a Client for proto. The protocol must declare the
-// processor-fault events a script could raise (RD_FAULT for gets, WR_FAULT
-// for puts and CASes; WR_RO_FAULT is used when declared and the faulting
-// node holds the block read-only).
-func NewClient(proto *runtime.Protocol, programs [][]ClientOp, initMem []int64) (*Client, error) {
-	c := &Client{
-		Programs: programs,
-		InitMem:  initMem,
-		rdTag:    proto.MsgIndex("RD_FAULT"),
-		wrTag:    proto.MsgIndex("WR_FAULT"),
-		wrroTag:  proto.MsgIndex("WR_RO_FAULT"),
-	}
-	for _, prog := range programs {
-		for _, op := range prog {
-			if op.Kind == ClientGet && c.rdTag < 0 {
-				return nil, fmt.Errorf("mc: client script reads but protocol declares no RD_FAULT")
-			}
-			if op.Kind != ClientGet && c.wrTag < 0 {
-				return nil, fmt.Errorf("mc: client script writes but protocol declares no WR_FAULT")
+// clientOpNames are the script operations, as counterexample traces print
+// them.
+var clientOpNames = map[tempest.OpKind]string{
+	tempest.OpRead: "get", tempest.OpWrite: "put", tempest.OpCAS: "cas",
+}
+
+// NewClient builds a Client for proto, refusing a script the plane cannot
+// run: an operation that is not a read, write or CAS, a store value outside
+// the 32-bit value lane of the packed words, or a fault event the protocol
+// does not declare (RD_FAULT for reads, WR_FAULT for writes and CASes).
+// What depends on the machine size is checked when the client meets its
+// Config (see Config.validate).
+func NewClient(proto *runtime.Protocol, programs [][]tempest.Op, initMem []int64) (*Client, error) {
+	c := &Client{Programs: programs, InitMem: initMem, tags: tempest.ResolveTags(proto)}
+	for n, prog := range programs {
+		for i, op := range prog {
+			name, ok := clientOpNames[op.Kind]
+			switch {
+			case !ok:
+				return nil, fmt.Errorf("mc: client script node %d op %d: kind %d is not a read, write or CAS", n, i, op.Kind)
+			case op.Kind == tempest.OpRead:
+				if c.tags.ReadFault < 0 {
+					return nil, fmt.Errorf("mc: client script node %d op %d (%s) reads but protocol declares no RD_FAULT", n, i, name)
+				}
+			case op.Val < 0 || op.Val > math.MaxUint32:
+				return nil, fmt.Errorf("mc: client script node %d op %d (%s): store value %d outside the 32-bit value lane", n, i, name, op.Val)
+			case c.tags.WriteFault < 0:
+				return nil, fmt.Errorf("mc: client script node %d op %d (%s) writes but protocol declares no WR_FAULT", n, i, name)
 			}
 		}
 	}
 	return c, nil
 }
 
+// fits refuses a script written for a larger machine than the one it is
+// attached to.
+func (c *Client) fits(nodes, blocks int) error {
+	if len(c.Programs) > nodes {
+		return fmt.Errorf("mc: client script has programs for %d nodes, machine has %d", len(c.Programs), nodes)
+	}
+	for n, prog := range c.Programs {
+		for i, op := range prog {
+			if op.Addr < 0 || op.Addr >= blocks {
+				return fmt.Errorf("mc: client script node %d op %d (%s): block %d outside [0,%d)", n, i, clientOpNames[op.Kind], op.Addr, blocks)
+			}
+		}
+	}
+	return nil
+}
+
 // program returns node's script (empty when the script declares fewer
 // nodes than the machine has).
-func (c *Client) program(node int) []ClientOp {
+func (c *Client) program(node int) []tempest.Op {
 	if node >= len(c.Programs) {
 		return nil
 	}
@@ -115,54 +111,18 @@ func (w *World) initClient(c *Client) {
 	}
 }
 
-// clientAccessOK mirrors tempest's accessOK for client operations.
-func clientAccessOK(kind ClientOpKind, acc sema.AccessMode) bool {
-	switch acc {
-	case sema.AccReadWrite:
-		return true
-	case sema.AccReadOnly:
-		return kind == ClientGet
-	case sema.AccBuffered:
-		return kind == ClientPut
-	}
-	return false
-}
-
-// clientFaultTag mirrors tempest's faultTag.
-func (c *Client) clientFaultTag(kind ClientOpKind, acc sema.AccessMode) int {
-	if kind == ClientGet {
-		return c.rdTag
-	}
-	if acc == sema.AccReadOnly && c.wrroTag >= 0 {
-		return c.wrroTag
-	}
-	return c.wrTag
-}
-
 // clientComplete performs node's current operation (the access mode has
 // already been checked) and advances its program counter.
-func (w *World) clientComplete(node int, op ClientOp) {
-	blocks := w.cfg.Blocks
-	switch op.Kind {
-	case ClientGet:
-		w.regs[node] = append(w.regs[node], w.cmem[node*blocks+op.Block])
-	case ClientPut:
-		w.clientStore(node, op)
-	case ClientCAS:
-		observed := w.cmem[node*blocks+op.Block]
+func (w *World) clientComplete(node int, op tempest.Op) {
+	observed := w.cmem[node*w.cfg.Blocks+op.Addr]
+	if op.Kind != tempest.OpWrite {
 		w.regs[node] = append(w.regs[node], observed)
-		if tempest.ValueOf(observed) == op.Expect {
-			w.clientStore(node, op)
-		}
+	}
+	if op.Kind == tempest.OpWrite || (op.Kind == tempest.OpCAS && tempest.ValueOf(observed) == op.Expect) {
+		w.cver[op.Addr]++
+		w.cmem[node*w.cfg.Blocks+op.Addr] = tempest.StoreWord(w.cver[op.Addr], op.Val)
 	}
 	w.pcs[node]++
-}
-
-// clientStore commits a store: a fresh global version of the block with
-// the operation's value packed in, installed in the node's copy.
-func (w *World) clientStore(node int, op ClientOp) {
-	w.cver[op.Block]++
-	w.cmem[node*w.cfg.Blocks+op.Block] = tempest.PackVal(w.cver[op.Block], op.Val)
 }
 
 // clientStep attempts node's next scripted operation: complete it if the
@@ -171,29 +131,26 @@ func (w *World) clientStore(node int, op ClientOp) {
 func (w *World) clientStep(node int) error {
 	c := w.cfg.Client
 	op := c.program(node)[w.pcs[node]]
-	acc := w.Access(node, op.Block)
-	if clientAccessOK(op.Kind, acc) {
+	acc := w.Access(node, op.Addr)
+	if tempest.AccessOK(op.Kind, acc) {
 		w.clientComplete(node, op)
 		return nil
 	}
-	tag := c.clientFaultTag(op.Kind, acc)
+	tag := c.tags.FaultTag(op.Kind, acc)
 	if tag < 0 {
-		return fmt.Errorf("mc: no fault event for client op %v under access %v", op.Kind, acc)
+		return fmt.Errorf("mc: no fault event for client op %s under access %v", clientOpNames[op.Kind], acc)
 	}
-	w.stalled[node] = op.Block
-	if err := w.engines[node].InjectEvent(tag, op.Block); err != nil {
+	w.stalled[node] = op.Addr
+	if err := w.engines[node].InjectEvent(tag, op.Addr); err != nil {
 		return err
 	}
 	return w.sendErr
 }
 
 // clientWake re-attempts the faulted operation when the protocol wakes the
-// stalled node, mirroring tempest's WakeUp: the access is satisfied
-// atomically with the wakeup when the granted permission allows it, and a
-// faulted put completing with read-only access counts as performed by the
-// protocol (the write-through discipline). A CAS gets no such exception —
-// if the wakeup leaves the block below read-write the program counter
-// stays put and the operation refaults on its next client action.
+// stalled node, as tempest's WakeUp does (tempest.WakeCompletes). If the
+// wakeup leaves the access unsatisfied the program counter stays put and
+// the operation refaults on its next client action.
 func (w *World) clientWake(node, id int) {
 	if w.pcs == nil {
 		return
@@ -203,12 +160,7 @@ func (w *World) clientWake(node, id int) {
 		return
 	}
 	op := prog[w.pcs[node]]
-	if op.Block != id {
-		return
-	}
-	acc := w.Access(node, op.Block)
-	if clientAccessOK(op.Kind, acc) ||
-		(op.Kind == ClientPut && acc == sema.AccReadOnly) {
+	if op.Addr == id && tempest.WakeCompletes(op.Kind, w.Access(node, id)) {
 		w.clientComplete(node, op)
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"teapot/internal/obs"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
+	"teapot/internal/tempest"
 	"teapot/internal/vm"
 )
 
@@ -188,6 +189,19 @@ func (cfg *Config) normalize() {
 	}
 }
 
+// validate refuses what exploration and replay would otherwise fail on
+// later and less clearly: a malformed fault model, a client script written
+// for a larger machine.
+func (cfg *Config) validate() error {
+	if err := cfg.Net.Validate(); err != nil {
+		return err
+	}
+	if cfg.Client != nil {
+		return cfg.Client.fits(cfg.Nodes, cfg.Blocks)
+	}
+	return nil
+}
+
 // EventGen enumerates the protocol events a processor may spontaneously
 // issue in a given global state (the paper's hand-written "event generation
 // loop", §7). When Config.Workers > 1 the checker calls Enabled from
@@ -310,16 +324,12 @@ func (w *World) setObs(s obs.Sink) {
 	}
 }
 
-// emitFault mirrors the tempest machine's fault emission: the event is
-// attributed to the sending node with the in-flight message's flow id, so
-// a replayed counterexample and a live simulator run of the same schedule
-// produce the same Drop/Dup stream.
+// emitFault emits the tempest machine's own fault event.
 func (w *World) emitFault(kind obs.Kind, from, to int, m *runtime.Message) {
 	if w.obsSink == nil {
 		return
 	}
-	w.obsSink.Emit(obs.Event{Kind: kind, Node: int32(from), Block: int32(m.ID),
-		State: -1, Msg: int32(m.Tag), Peer: int32(to), Site: -1, Flow: m.Flow()})
+	w.obsSink.Emit(tempest.FaultEvent(kind, from, to, m))
 }
 
 // Drops returns how many messages have been dropped on the path to this
@@ -695,8 +705,8 @@ func (w *World) describe(a action) string {
 			a.block, a.node, w.StateName(a.node, a.block))
 	case actClient:
 		op := w.cfg.Client.program(a.node)[w.pcs[a.node]]
-		return fmt.Sprintf("client %v blk%d at node%d [access %v]",
-			op.Kind, op.Block, a.node, w.Access(a.node, op.Block))
+		return fmt.Sprintf("client %s blk%d at node%d [access %v]",
+			clientOpNames[op.Kind], op.Addr, a.node, w.Access(a.node, op.Addr))
 	}
 	return fmt.Sprintf("event %s blk%d at node%d [state %s]",
 		a.event.Name, a.block, a.node, w.StateName(a.node, a.block))
@@ -760,7 +770,7 @@ func (w *World) appendActions(out []action) []action {
 		for n := 0; n < w.cfg.Nodes; n++ {
 			if w.stalled[n] < 0 && w.pcs[n] < len(w.cfg.Client.program(n)) {
 				out = append(out, action{kind: actClient, node: n,
-					block: w.cfg.Client.program(n)[w.pcs[n]].Block})
+					block: w.cfg.Client.program(n)[w.pcs[n]].Addr})
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
 	"teapot/internal/protocols"
+	"teapot/internal/tempest"
 )
 
 // reuseShape is one configuration the world-reuse tests walk.
@@ -37,9 +38,9 @@ func litmusConfig(t testing.TB) mc.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := mc.NewClient(spec.Proto, [][]mc.ClientOp{
-		{{Kind: mc.ClientPut, Block: 0, Val: 1}, {Kind: mc.ClientGet, Block: 1}, {Kind: mc.ClientCAS, Block: 1, Val: 7, Expect: 2}},
-		{{Kind: mc.ClientPut, Block: 1, Val: 2}, {Kind: mc.ClientGet, Block: 0}, {Kind: mc.ClientGet, Block: 1}},
+	client, err := mc.NewClient(spec.Proto, [][]tempest.Op{
+		{{Kind: tempest.OpWrite, Addr: 0, Val: 1}, {Kind: tempest.OpRead, Addr: 1}, {Kind: tempest.OpCAS, Addr: 1, Val: 7, Expect: 2}},
+		{{Kind: tempest.OpWrite, Addr: 1, Val: 2}, {Kind: tempest.OpRead, Addr: 0}, {Kind: tempest.OpRead, Addr: 1}},
 	}, []int64{5, 6})
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"teapot/internal/fuzz"
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
 	"teapot/internal/obs"
@@ -18,8 +17,8 @@ import (
 // reach the same verdict as checking without — same violation kind (or
 // none), found at the same BFS depth with a counterexample of the same
 // length — while visiting ~|G|× fewer states. Counterexamples from the
-// reduced run must be valid in original coordinates: they are replayed
-// step-for-step through the fuzz package's independent engine harness.
+// reduced run must be valid in original coordinates: they must pass
+// mc.DiffReplay, which knows nothing of the reduction.
 func TestSymmetryEquivalence(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -78,9 +77,8 @@ func TestSymmetryEquivalence(t *testing.T) {
 					t.Errorf("trace length: unreduced %d, reduced %d",
 						len(full.Violation.Trace), len(red.Violation.Trace))
 				}
-				// The reduced trace must hold up in original coordinates on
-				// an independent substrate.
-				if err := fuzz.DiffReplay(spec, red.Violation); err != nil {
+				// The reduced trace must hold up in original coordinates.
+				if err := mc.DiffReplay(spec.MCConfig(), red.Violation.Steps); err != nil {
 					t.Errorf("reduced counterexample does not replay: %v", err)
 				}
 			}

@@ -4,8 +4,7 @@ import "fmt"
 
 // Step is one machine-readable counterexample step. Violation.Trace renders
 // the same transitions for humans; Step carries them structurally so tools
-// can re-execute a counterexample on an independent substrate (see
-// ReplaySteps and the fuzz package's differential harness).
+// can re-execute a counterexample (see ReplaySteps and DiffReplay).
 type Step struct {
 	// Kind is one of "deliver", "drop", "dup", "corrupt", "timeout",
 	// "event", "client".
@@ -102,7 +101,7 @@ func (w *World) resolveStep(st Step) (action, error) {
 // A visit error aborts the replay.
 func ReplaySteps(cfg Config, steps []Step, visit func(i int, st Step, ev *Event, w *World, applyErr error) error) error {
 	cfg.normalize()
-	if err := cfg.Net.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return err
 	}
 	w := newWorld(&cfg)
@@ -130,4 +129,65 @@ func ReplaySteps(cfg Config, steps []Step, visit func(i int, st Step, ev *Event,
 		}
 	}
 	return nil
+}
+
+// DiffReplay is the differential check on the checker's state machinery. It
+// re-executes a counterexample two ways at once and requires agreement
+// after every step. One side is ReplaySteps: straight-line execution on a
+// single world with persistent engines, nothing cloned, nothing decoded —
+// the way the simulator drives a protocol. The other takes each step the
+// way Check takes a transition: decode the pre-state's key into a kept
+// world, clone that into a kept scratch world copying only the engine the
+// action runs on, apply, encode. The two keys must be byte-equal, a failing
+// step must fail identically on both sides, and the decoded parent must
+// still encode to the key it was decoded from (Check derives a state's
+// other successors from it). So the visited-set codec, the in-place decode,
+// the single-engine clone and the channel edits are each exercised on every
+// step of every trace replayed.
+func DiffReplay(cfg Config, steps []Step) error {
+	if len(steps) == 0 {
+		// A deadlock in the initial state has nothing to replay.
+		return fmt.Errorf("mc: counterexample carries no machine-readable steps")
+	}
+	ccfg := cfg
+	ccfg.normalize()
+	ccfg.Obs = nil // as in Check
+	parent, succ := newWorld(&ccfg), &World{cfg: &ccfg}
+	key, err := parent.encode()
+	if err != nil {
+		return err
+	}
+	return ReplaySteps(cfg, steps, func(i int, st Step, _ *Event, w *World, applyErr error) error {
+		if err := ccfg.decodeInto(parent, key); err != nil {
+			return fmt.Errorf("mc: step %d: decode: %w", i, err)
+		}
+		a, err := parent.resolveStep(st)
+		if err != nil {
+			return fmt.Errorf("step %d, decoded world: %w", i, err)
+		}
+		if err := parent.cloneInto(succ, a.engine()); err != nil {
+			return fmt.Errorf("mc: step %d: clone: %w", i, err)
+		}
+		cloneErr := succ.apply(a)
+		if after, err := parent.encode(); err != nil || after != key {
+			return fmt.Errorf("mc: step %d (%v): applying to the clone changed its parent (encode error %v)", i, st, err)
+		}
+		if applyErr != nil || cloneErr != nil {
+			if applyErr == nil || cloneErr == nil || applyErr.Error() != cloneErr.Error() {
+				return fmt.Errorf("mc: step %d (%v): errors disagree:\n  straight-line: %v\n  decode+clone:  %v", i, st, applyErr, cloneErr)
+			}
+			return nil
+		}
+		want, err := w.encode()
+		if err != nil {
+			return fmt.Errorf("mc: step %d: encode: %w", i, err)
+		}
+		if key, err = succ.encode(); err != nil {
+			return fmt.Errorf("mc: step %d: encode: %w", i, err)
+		}
+		if key != want {
+			return fmt.Errorf("mc: step %d (%v): states diverge (%d vs %d canonical bytes)", i, st, len(want), len(key))
+		}
+		return nil
+	})
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // TestViolationSteps: every counterexample must carry machine-readable
-// steps matching its human trace one-for-one, and ReplaySteps must
-// re-execute them from the initial state without divergence.
+// steps matching its human trace one-for-one, ReplaySteps must re-execute
+// them from the initial state without divergence, and DiffReplay must find
+// the checker's decode/clone/encode path in agreement with that replay.
 func TestViolationSteps(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -56,6 +57,9 @@ func TestViolationSteps(t *testing.T) {
 		if visited != len(v.Steps) {
 			t.Errorf("%s: replay visited %d of %d steps", tc.name, visited, len(v.Steps))
 		}
+		if err := mc.DiffReplay(tc.cfg, v.Steps); err != nil {
+			t.Errorf("%s: differential replay: %v", tc.name, err)
+		}
 	}
 }
 
@@ -70,6 +74,9 @@ func TestReplayStepsRejectsDiverged(t *testing.T) {
 	err = mc.ReplaySteps(cfg, []mc.Step{{Kind: "timeout", Node: 0, Block: 0}}, nil)
 	if err == nil {
 		t.Fatal("TIMEOUT without a fault budget should not be enabled")
+	}
+	if err := mc.DiffReplay(cfg, nil); err == nil {
+		t.Fatal("a differential replay of no steps checks nothing and should say so")
 	}
 }
 

@@ -189,13 +189,41 @@ func (f Fault) String() string {
 	return "none"
 }
 
-// Injector draws per-message fault decisions from a seeded deterministic
-// RNG (splitmix64, the same generator the workload builders use), honoring
+// Rand is splitmix64, the one seeded generator every stochastic stream in
+// the repository draws from (fault injection here, the simulator's workload
+// builders, the fuzzer's recorder and workloads, litmus jitter). The value
+// is the whole state: Rand(seed) starts a stream, and the same seed always
+// yields the same stream.
+type Rand uint64
+
+// Next returns the stream's next 64 bits.
+func (r *Rand) Next() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Float returns the next value in [0, 1).
+func (r *Rand) Float() float64 { return float64(r.Next()>>11) / (1 << 53) }
+
+// Intn returns the next value in [0, n).
+func (r *Rand) Intn(n int) int { return int(r.Next() % uint64(n)) }
+
+// Derive returns the seed of the i-th stream derived from master seed r, so
+// one seed names a whole campaign and each of its runs.
+func (r Rand) Derive(i uint64) uint64 {
+	d := r ^ Rand((i+1)*0x9e3779b97f4a7c15)
+	return d.Next()
+}
+
+// Injector draws per-message fault decisions from a seeded Rand, honoring
 // the model's budgets: the same seed over the same send sequence always
 // yields the same faults, so simulator runs stay reproducible bit-for-bit.
 type Injector struct {
 	m     Model
-	s     uint64
+	rng   Rand
 	drops int
 	dups  int
 	delay int
@@ -207,15 +235,7 @@ func NewInjector(m Model, seed uint64) *Injector {
 	if !m.Active() {
 		return nil
 	}
-	return &Injector{m: m, s: seed}
-}
-
-func (i *Injector) next() uint64 {
-	i.s += 0x9e3779b97f4a7c15
-	z := i.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return &Injector{m: m, rng: Rand(seed)}
 }
 
 // Next decides the fate of the next message send. Budgeted faults (drop,
@@ -224,7 +244,7 @@ func (i *Injector) Next() Fault {
 	if i == nil {
 		return FaultNone
 	}
-	if float64(i.next()>>11)/(1<<53) >= i.m.rate() {
+	if i.rng.Float() >= i.m.rate() {
 		return FaultNone
 	}
 	var opts []Fault
@@ -240,7 +260,7 @@ func (i *Injector) Next() Fault {
 	if len(opts) == 0 {
 		return FaultNone
 	}
-	f := opts[i.next()%uint64(len(opts))]
+	f := opts[i.rng.Intn(len(opts))]
 	switch f {
 	case FaultDrop:
 		i.drops++

@@ -1,6 +1,9 @@
 package sim
 
-import "teapot/internal/tempest"
+import (
+	"teapot/internal/netmodel"
+	"teapot/internal/tempest"
+)
 
 // The three Table-2 workloads (adaptive, stencil, unstruct). All are
 // phase-structured: a barrier, phase entry, a burst of reads and writes on
@@ -59,7 +62,7 @@ func Adaptive(spec WorkloadSpec) *Workload {
 	if cells == 0 {
 		cells = 2 * spec.Nodes
 	}
-	r := newRNG(spec.Seed | 1)
+	r := netmodel.Rand(spec.Seed | 1)
 	ops := make([][]tempest.Op, spec.Nodes)
 	for it := 0; it < spec.Iters; it++ {
 		for n := 0; n < spec.Nodes; n++ {
@@ -69,8 +72,8 @@ func Adaptive(spec WorkloadSpec) *Workload {
 			for k := 0; k < 3; k++ {
 				touched = append(touched, (base+k)%cells)
 			}
-			if r.intn(2) == 0 { // refinement touches an extra random cell
-				touched = append(touched, r.intn(cells))
+			if r.Intn(2) == 0 { // refinement touches an extra random cell
+				touched = append(touched, r.Intn(cells))
 			}
 			touched = dedupe(touched)
 			ops[n] = append(ops[n], barrier())
@@ -96,12 +99,12 @@ func Unstruct(spec WorkloadSpec) *Workload {
 	if cells == 0 {
 		cells = 3 * spec.Nodes
 	}
-	r := newRNG(spec.Seed | 1)
+	r := netmodel.Rand(spec.Seed | 1)
 	// Fixed sparse structure: each node touches the same 4 cells each phase.
 	touch := make([][]int, spec.Nodes)
 	for n := range touch {
 		for k := 0; k < 4; k++ {
-			touch[n] = append(touch[n], r.intn(cells))
+			touch[n] = append(touch[n], r.Intn(cells))
 		}
 		touch[n] = dedupe(touch[n])
 	}

@@ -163,19 +163,3 @@ func (t *Trace) TotalOps() int {
 	}
 	return n
 }
-
-// rng is a small deterministic PRNG (splitmix-style) so workload
-// construction never depends on the library's math/rand defaults.
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng { return &rng{s: seed} }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }

@@ -1,6 +1,9 @@
 package sim
 
-import "teapot/internal/tempest"
+import (
+	"teapot/internal/netmodel"
+	"teapot/internal/tempest"
+)
 
 // The four Table-1 workloads. Each reproduces the *sharing pattern* of the
 // paper's benchmark (gauss, appbt, shallow, mp3d); the numerics are
@@ -123,12 +126,12 @@ func Mp3d(spec WorkloadSpec) *Workload {
 	if cells == 0 {
 		cells = 3 * spec.Nodes
 	}
-	r := newRNG(spec.Seed | 1)
+	r := netmodel.Rand(spec.Seed | 1)
 	ops := make([][]tempest.Op, spec.Nodes)
 	for it := 0; it < spec.Iters; it++ {
 		for n := 0; n < spec.Nodes; n++ {
 			for p := 0; p < 8; p++ {
-				cell := r.intn(cells)
+				cell := r.Intn(cells)
 				ops[n] = append(ops[n], read(cell), compute(30), write(cell), compute(90))
 			}
 		}

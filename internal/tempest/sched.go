@@ -244,19 +244,14 @@ func (m *Machine) noteRead(node, addr int) {
 // noteWrite records a completed store: a fresh version of the block now
 // lives in the node's copy. protocolPerformed marks stores the protocol
 // made on the processor's behalf (a faulted write completing with
-// read-only access — the write-through discipline). val, when nonzero, is
-// the value the store wrote (litmus workloads): it rides in the low bits
-// of the version word (PackVal), so the monotone stale-discard comparison
-// in RecvDataMsg keeps ordering by version.
+// read-only access — the write-through discipline). val is the value the
+// store wrote (see StoreWord).
 func (m *Machine) noteWrite(node, addr int, protocolPerformed bool, val int64) {
 	if m.mem == nil {
 		return
 	}
 	m.version[addr]++
-	v := m.version[addr]
-	if val != 0 {
-		v = PackVal(v, val)
-	}
+	v := StoreWord(m.version[addr], val)
 	m.mem[node*m.cfg.Blocks+addr] = v
 	if m.obs != nil {
 		site := int32(0)

@@ -441,8 +441,16 @@ func (m *Machine) emitFault(kind obs.Kind, from, dst int, msg *runtime.Message) 
 	if m.obs == nil {
 		return
 	}
-	m.obs.Emit(obs.Event{Kind: kind, Node: int32(from), Block: int32(msg.ID),
-		State: -1, Msg: int32(msg.Tag), Peer: int32(dst), Site: -1, Flow: msg.Flow()})
+	m.obs.Emit(FaultEvent(kind, from, dst, msg))
+}
+
+// FaultEvent is the event a network fault on msg in flight from→dst emits,
+// here and in the checker: attributed to the sending node, carrying the
+// message's flow id, so a replayed counterexample and a live run of the
+// same schedule produce the same Drop/Dup stream.
+func FaultEvent(kind obs.Kind, from, dst int, msg *runtime.Message) obs.Event {
+	return obs.Event{Kind: kind, Node: int32(from), Block: int32(msg.ID),
+		State: -1, Msg: int32(msg.Tag), Peer: int32(dst), Site: -1, Flow: msg.Flow()}
 }
 
 // ArmTimeout implements runtime.TimeoutArmer: (re)start the block's timer.
@@ -510,17 +518,7 @@ func (m *Machine) WakeUp(node, id int) {
 	}
 	if op := m.pendingOp[node]; op != nil &&
 		(op.Kind == OpRead || op.Kind == OpWrite || op.Kind == OpCAS) {
-		acc := m.Access(node, op.Addr)
-		// A wakeup on a faulted *write* that leaves the block read-only
-		// means the protocol performed the store on the processor's
-		// behalf (write-through/update protocols do exactly that in the
-		// fault handler); re-faulting would retry forever. CAS gets no
-		// such exception: its read-modify-write is only atomic with the
-		// block held read-write, so it is unsupported on write-through
-		// and buffered protocols.
-		ok := accessOK(op.Kind, acc) ||
-			(op.Kind == OpWrite && acc == sema.AccReadOnly)
-		if ok {
+		if acc := m.Access(node, op.Addr); WakeCompletes(op.Kind, acc) {
 			m.nodeTime[node] += m.cfg.Cost.MemAccess
 			m.stats.Accesses++
 			m.noteOp(node, op, op.Kind == OpWrite && acc == sema.AccReadOnly)
@@ -663,7 +661,7 @@ func (m *Machine) step(node int) {
 			return
 		case OpRead, OpWrite, OpCAS:
 			acc := m.Access(node, op.Addr)
-			if accessOK(op.Kind, acc) {
+			if AccessOK(op.Kind, acc) {
 				m.stats.Accesses++
 				m.nodeTime[node] += m.cfg.Cost.MemAccess
 				m.noteOp(node, &op, false)
@@ -671,7 +669,7 @@ func (m *Machine) step(node int) {
 			}
 			// Access fault: trap, run the protocol handler, stall.
 			m.stats.Faults++
-			tag := m.faultTag(op.Kind, acc)
+			tag := m.cfg.Tags.FaultTag(op.Kind, acc)
 			if tag < 0 {
 				m.err = fmt.Errorf("tempest: no fault event for op %v access %v", op.Kind, acc)
 				return
@@ -802,9 +800,14 @@ func (m *Machine) phaseEvent(node, tag, addr int) {
 	}
 }
 
-// accessOK reports whether an access completes under the given mode.
-// Buffered mode (weak ordering) completes stores into the write buffer.
-func accessOK(kind OpKind, acc sema.AccessMode) bool {
+// The processor model's rules. The checker's scripted-client plane
+// (internal/mc/client.go) calls these same functions, so the two machines
+// cannot disagree on when an access completes, which event a fault raises,
+// when a wakeup finishes the faulted access, or what word a store leaves.
+
+// AccessOK reports whether a read, write or CAS completes under the given
+// mode. Buffered mode (weak ordering) completes stores into the write buffer.
+func AccessOK(kind OpKind, acc sema.AccessMode) bool {
 	switch acc {
 	case sema.AccReadWrite:
 		return true
@@ -816,12 +819,36 @@ func accessOK(kind OpKind, acc sema.AccessMode) bool {
 	return false
 }
 
-func (m *Machine) faultTag(kind OpKind, acc sema.AccessMode) int {
+// FaultTag returns the event an access that AccessOK refuses raises, -1
+// when the protocol declares none.
+func (t EventTags) FaultTag(kind OpKind, acc sema.AccessMode) int {
 	if kind == OpRead {
-		return m.cfg.Tags.ReadFault
+		return t.ReadFault
 	}
 	if acc == sema.AccReadOnly {
-		return m.cfg.Tags.WriteRO
+		return t.WriteRO
 	}
-	return m.cfg.Tags.WriteFault
+	return t.WriteFault
+}
+
+// WakeCompletes reports whether the protocol's WakeUp finishes the faulted
+// access: when the granted mode allows it, and also for a faulted *write*
+// left read-only, which means the protocol performed the store on the
+// processor's behalf (write-through/update protocols do exactly that in the
+// fault handler); re-faulting would retry forever. CAS gets no such
+// exception: its read-modify-write is only atomic with the block held
+// read-write, so it is unsupported on write-through and buffered protocols.
+func WakeCompletes(kind OpKind, acc sema.AccessMode) bool {
+	return AccessOK(kind, acc) || (kind == OpWrite && acc == sema.AccReadOnly)
+}
+
+// StoreWord is the word a completed store leaves in the writer's copy:
+// version ver of the block, with val — when nonzero, the value a litmus
+// store wrote — packed into the low bits (PackVal), so every monotone
+// version comparison keeps ordering by version.
+func StoreWord(ver, val int64) int64 {
+	if val == 0 {
+		return ver
+	}
+	return PackVal(ver, val)
 }
