@@ -188,13 +188,14 @@ func main() {
 		if s := res.Elapsed.Seconds(); s > 0 {
 			rate = float64(res.States) / s
 		}
-		dedup := 0.0
+		dedup, perState := 0.0, 0.0
 		if res.States > 0 {
 			dedup = float64(res.Transitions) / float64(res.States)
+			perState = float64(res.VisitedBytes) / float64(res.States)
 		}
 		fmt.Printf("  peak frontier:  %d states\n", res.PeakFrontier)
 		fmt.Printf("  decodes:        %d (one per expanded state)\n", res.Decodes)
-		fmt.Printf("  visited set:    %s\n", mc.FormatBytes(res.VisitedBytes))
+		fmt.Printf("  visited set:    %s (%.0f bytes/state)\n", mc.FormatBytes(res.VisitedBytes), perState)
 		fmt.Printf("  rate:           %.0f states/s\n", rate)
 		fmt.Printf("  dedup ratio:    %.2f transitions/state\n", dedup)
 		fmt.Printf("  symmetry group: %d\n", res.SymmetryGroup)

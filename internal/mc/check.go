@@ -28,7 +28,11 @@ import (
 // compact parent chain from the initial state. States, Transitions,
 // MaxDepth, the violation kind, and the trace are identical for any worker
 // count.
-func Check(cfg Config) (*Result, error) {
+func Check(cfg Config) (*Result, error) { return check(cfg, newVisited()) }
+
+// check is Check over the visited table it is handed (empty; tests hand in
+// one with its limits lowered).
+func check(cfg Config, vt *visitedTable) (*Result, error) {
 	cfg.normalize()
 	// Exploration never attaches Config.Obs to the worlds it expands: that
 	// sink is the replay path's (see ReplaySteps). Coverage accounting has
@@ -54,8 +58,10 @@ func Check(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	vt := newVisited()
-	layer := []int32{vt.addRoot(string(initKey), initPerm)}
+	layer, err := vt.addRoot(initKey, initPerm)
+	if err != nil {
+		return nil, err
+	}
 	res.PeakFrontier = 1
 	workers := make([]worker, cfg.Workers)
 
@@ -67,7 +73,10 @@ func Check(cfg Config) (*Result, error) {
 		}
 		res.Transitions += int(out.transitions)
 		res.Decodes += out.decodes
-		next := vt.commit(layer)
+		next, err := vt.commit(layer)
+		if err != nil {
+			return nil, err
+		}
 		if len(next) > res.PeakFrontier {
 			res.PeakFrontier = len(next)
 		}
@@ -78,7 +87,7 @@ func Check(cfg Config) (*Result, error) {
 			cfg.Progress(ProgressInfo{
 				Depth:         depth,
 				Frontier:      len(next),
-				States:        len(vt.arena),
+				States:        vt.states(),
 				Transitions:   int64(res.Transitions),
 				Elapsed:       time.Since(start),
 				VisitedBytes:  vt.bytes(),
@@ -96,14 +105,14 @@ func Check(cfg Config) (*Result, error) {
 			break
 		}
 		layer = next
-		if cfg.MaxStates > 0 && len(vt.arena) >= cfg.MaxStates {
+		if cfg.MaxStates > 0 && vt.states() >= cfg.MaxStates {
 			res.Violation = &Violation{Kind: "state-limit",
-				Msg: fmt.Sprintf("exploration stopped at %d states", len(vt.arena))}
+				Msg: fmt.Sprintf("exploration stopped at %d states", vt.states())}
 			break
 		}
 	}
 
-	res.States = len(vt.arena)
+	res.States = vt.states()
 	res.VisitedBytes = vt.bytes()
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -160,8 +169,16 @@ type worker struct {
 	err error
 }
 
+// inlineLayer is the layer length below which fanning out costs more than
+// it buys: starting goroutines, allocating their coverage sets and merging
+// at the barrier is fixed work per layer, and a few dozen states expand in
+// microseconds.
+const inlineLayer = 64
+
 // expandLayer expands every state of the layer, fanning out over up to
-// len(workers) goroutines pulling positions from a shared cursor.
+// len(workers) goroutines pulling positions from a shared cursor — or, for
+// a layer shorter than inlineLayer, on the calling goroutine alone. Which of
+// the two ran cannot be told from the result.
 func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, workers []worker) (*layerOut, error) {
 	if len(workers) > len(layer) {
 		workers = workers[:len(layer)]
@@ -171,7 +188,7 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 		wk.layerOut, wk.cov, wk.err = layerOut{}, nil, nil
 	}
 
-	if len(workers) <= 1 {
+	if len(workers) <= 1 || len(layer) < inlineLayer {
 		wk := &workers[0]
 		wk.cov = cfg.Coverage // accumulate in place, nothing to merge
 		for pos := range layer {
@@ -197,6 +214,7 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 					return
 				}
 				if wk.err = wk.expandState(cfg, vt, red, layer, int32(pos)); wk.err != nil {
+					cursor.Store(int64(len(layer))) // the layer is lost: stop the others
 					return
 				}
 			}
@@ -236,7 +254,7 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 		wk.parent, wk.succ = newWorld(cfg), &World{cfg: cfg}
 	}
 	w := wk.parent
-	if err := cfg.decodeInto(w, vt.arena[layer[pos]].key); err != nil {
+	if err := cfg.decodeInto(w, vt.key(layer[pos])); err != nil {
 		return fmt.Errorf("mc: decode: %w", err)
 	}
 	wk.decodes++
@@ -274,7 +292,9 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 		if err != nil {
 			return fmt.Errorf("mc: encode: %w", err)
 		}
-		vt.claim(succ, pos, int32(i), permIdx)
+		if err := vt.claim(succ, pos, int32(i), permIdx); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -329,7 +349,7 @@ func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) (
 func buildViolation(cfg *Config, vt *visitedTable, red *reduction, layer []int32, c *candidate) (*Violation, error) {
 	// Arena indices from the root to the violating state, root first.
 	var chain []int32
-	for idx := layer[c.pos]; idx >= 0; idx = vt.arena[idx].parent {
+	for idx := layer[c.pos]; idx >= 0; idx = vt.recs[idx].parent {
 		chain = append(chain, idx)
 	}
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
@@ -340,7 +360,7 @@ func buildViolation(cfg *Config, vt *visitedTable, red *reduction, layer []int32
 	type traceStep struct{ pre, ord int32 }
 	steps := make([]traceStep, 0, len(chain))
 	for k := 1; k < len(chain); k++ {
-		steps = append(steps, traceStep{pre: chain[k-1], ord: vt.arena[chain[k]].action})
+		steps = append(steps, traceStep{pre: chain[k-1], ord: vt.recs[chain[k]].action})
 	}
 	if c.ord >= 0 {
 		steps = append(steps, traceStep{pre: chain[len(chain)-1], ord: c.ord})
@@ -349,7 +369,7 @@ func buildViolation(cfg *Config, vt *visitedTable, red *reduction, layer []int32
 	w := newWorld(cfg)
 	var g *perm
 	if red != nil {
-		g = red.group[vt.arena[chain[0]].perm]
+		g = red.group[vt.recs[chain[0]].perm]
 	}
 	msg := c.msg
 	trace := make([]string, 0, len(steps))
@@ -367,8 +387,8 @@ func buildViolation(cfg *Config, vt *visitedTable, red *reduction, layer []int32
 			// The ordinal indexes the action list expandState enumerated —
 			// the decoded canonical world's, not w's — so look it up there
 			// and map it back into original coordinates.
-			cw, err := cfg.decode(vt.arena[t.pre].key)
-			if err != nil {
+			cw := newWorld(cfg)
+			if err := cfg.decodeInto(cw, vt.key(t.pre)); err != nil {
 				return nil, fmt.Errorf("mc: decode: %w", err)
 			}
 			acts := cw.actions()
@@ -398,7 +418,7 @@ func buildViolation(cfg *Config, vt *visitedTable, red *reduction, layer []int32
 			return nil, fmt.Errorf("mc: trace replay diverged at step %d: %w", n, err)
 		}
 		if red != nil {
-			g = compose(red.group[vt.arena[chain[n+1]].perm], g)
+			g = compose(red.group[vt.recs[chain[n+1]].perm], g)
 		}
 	}
 	if c.kind == "deadlock" && red != nil {

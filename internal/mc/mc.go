@@ -134,8 +134,9 @@ type ProgressInfo struct {
 	States      int           // visited states committed so far
 	Transitions int64         // transitions taken so far
 	Elapsed     time.Duration // wall time since Check started
-	// VisitedBytes approximates the retained size of the visited set
-	// (canonical keys plus per-state bookkeeping).
+	// VisitedBytes is what the visited store's committed structures
+	// retain: key chunk capacity, per-state locators and records, and the
+	// shard tables' slots. It is the same for any worker count.
 	VisitedBytes int64
 	// ShardMin and ShardMax are the smallest and largest committed-state
 	// counts over the visited table's shards — a fingerprint-balance
@@ -239,7 +240,8 @@ type Result struct {
 	// (successors are derived by cloning, not re-decoding), each into the
 	// world its worker keeps.
 	Decodes int64
-	// VisitedBytes approximates the retained size of the visited set.
+	// VisitedBytes is what the visited store retains at the end of the
+	// run (see ProgressInfo.VisitedBytes).
 	VisitedBytes int64
 	// SymmetryGroup is the order of the node/block permutation group the
 	// run canonicalized by; 1 means no reduction (off, refused, or trivial).
@@ -568,7 +570,7 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (bool, error) {
 // decode restores a world from its canonical form.
 func (cfg *Config) decode(key string) (*World, error) {
 	w := newWorld(cfg)
-	return w, cfg.decodeInto(w, key)
+	return w, cfg.decodeInto(w, []byte(key))
 }
 
 // decodeInto overwrites w — a world newWorld built for this configuration,
@@ -588,7 +590,7 @@ func (cfg *Config) decode(key string) (*World, error) {
 // trailing bytes, and the indices the world is later read through (states,
 // message block ids, stalled blocks, script positions) are range-checked.
 // After an error w is unspecified but may be decoded into again.
-func (cfg *Config) decodeInto(w *World, key string) error {
+func (cfg *Config) decodeInto(w *World, key []byte) error {
 	d := &w.dec
 	d.Reset(key)
 	w.sendErr = nil

@@ -1,10 +1,12 @@
 package mc_test
 
 import (
+	"reflect"
 	"testing"
 
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
+	"teapot/internal/obs"
 	"teapot/internal/protocols/lcm"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/protocols/update"
@@ -135,6 +137,80 @@ func TestWorkerEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSmallLayersInline: a layer shorter than mc.InlineLayer is expanded on
+// the driver goroutine whatever Workers says. On shapes whose every layer is
+// that short — a clean run and one ending in a counterexample — a
+// four-worker check must equal the one-worker check field for field,
+// coverage included.
+func TestSmallLayersInline(t *testing.T) {
+	for _, name := range []string{"stache", "stache-buggy"} {
+		t.Run(name, func(t *testing.T) {
+			run := func(workers int) (*mc.Result, []mc.ProgressInfo, *obs.Coverage) {
+				cfg := equivalenceConfigs(t)[name]()
+				cfg.Workers = workers
+				cfg.Coverage = obs.NewCoverage()
+				var snaps []mc.ProgressInfo
+				cfg.Progress = func(p mc.ProgressInfo) {
+					p.Elapsed = 0
+					snaps = append(snaps, p)
+				}
+				res, err := mc.Check(cfg)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				res.Workers, res.Elapsed = 0, 0
+				return res, snaps, cfg.Coverage
+			}
+			want, wantSnaps, wantCov := run(1)
+			for _, p := range wantSnaps {
+				if p.Frontier >= mc.InlineLayer {
+					t.Fatalf("depth %d has %d states: the shape is too wide for this test", p.Depth, p.Frontier)
+				}
+			}
+			got, gotSnaps, gotCov := run(4)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("workers=4 result\n%+v\nworkers=1 result\n%+v", got, want)
+			}
+			if !reflect.DeepEqual(gotSnaps, wantSnaps) {
+				t.Errorf("progress snapshots differ between workers=4 and workers=1")
+			}
+			if !reflect.DeepEqual(gotCov, wantCov) {
+				t.Errorf("coverage differs between workers=4 and workers=1")
+			}
+		})
+	}
+}
+
+// TestWiderEnvelope pins the first committed shape that crosses the visited
+// store's chunk rollover and several doublings of every shard table:
+// stache-ft at 4 nodes with one dropped message, reduced by its group of 6,
+// cut at 300,000 states (the full space is 9,230,544; see EXPERIMENTS.md).
+// Where the cut falls is a whole layer, so states, transitions and depth
+// are exact and the same for any worker count.
+func TestWiderEnvelope(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("a few seconds of checking; minutes under the race detector")
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := specConfig(t, "stache-ft", 4, 1, netmodel.Model{MaxDrops: 1})
+		cfg.Symmetry = mc.SymmetryOn
+		cfg.MaxStates = 300000
+		cfg.Workers = workers
+		res, err := mc.Check(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if res.Violation == nil || res.Violation.Kind != "state-limit" || res.SymmetryGroup != 6 {
+			t.Fatalf("workers=%d: violation %v, group %d; want the state-limit cut under a group of 6",
+				workers, res.Violation, res.SymmetryGroup)
+		}
+		if res.States != 317585 || res.Transitions != 1064755 || res.MaxDepth != 18 {
+			t.Errorf("workers=%d: (states, transitions, depth) = (%d, %d, %d), want (317585, 1064755, 18)",
+				workers, res.States, res.Transitions, res.MaxDepth)
+		}
 	}
 }
 

@@ -92,7 +92,7 @@ func CheckDecodeIntoDirtyWorld(t *testing.T, cfg Config, seed int64, walks, step
 			stats.Sinks++
 		}
 
-		if err := cfg.decodeInto(w, key); err != nil {
+		if err := cfg.decodeInto(w, []byte(key)); err != nil {
 			t.Fatalf("decodeInto: %v", err)
 		}
 		stats.Decodes++

@@ -565,7 +565,7 @@ func CheckSharingSafety(t *testing.T, cfg Config, withCoverage bool, maxStates i
 	for len(queue) > 0 {
 		before := queue[0]
 		queue = queue[1:]
-		if err := cfg.decodeInto(w, before); err != nil {
+		if err := cfg.decodeInto(w, []byte(before)); err != nil {
 			t.Fatal(err)
 		}
 		for _, a := range w.actions() {

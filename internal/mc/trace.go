@@ -158,7 +158,7 @@ func DiffReplay(cfg Config, steps []Step) error {
 		return err
 	}
 	return ReplaySteps(cfg, steps, func(i int, st Step, _ *Event, w *World, applyErr error) error {
-		if err := ccfg.decodeInto(parent, key); err != nil {
+		if err := ccfg.decodeInto(parent, []byte(key)); err != nil {
 			return fmt.Errorf("mc: step %d: decode: %w", i, err)
 		}
 		a, err := parent.resolveStep(st)

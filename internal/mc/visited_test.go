@@ -2,44 +2,74 @@ package mc
 
 import (
 	"fmt"
+	"math/rand"
+	goruntime "runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
+
+// InlineLayer lets the external tests see the threshold they test around.
+const InlineLayer = inlineLayer
+
+func mustRoot(t *testing.T, vt *visitedTable, key string) []int32 {
+	t.Helper()
+	layer, err := vt.addRoot([]byte(key), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return layer
+}
+
+func mustClaim(t *testing.T, vt *visitedTable, key string, pos, ord, perm int32) {
+	t.Helper()
+	if err := vt.claim([]byte(key), pos, ord, perm); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustCommit(t *testing.T, vt *visitedTable, layer []int32) []int32 {
+	t.Helper()
+	next, err := vt.commit(layer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
 
 // TestVisitedCommitOrder: claims commit in (parent position, action
 // ordinal) order, duplicate claims keep the minimum, and committed states
 // are recognized in later layers.
 func TestVisitedCommitOrder(t *testing.T) {
 	vt := newVisited()
-	layer := []int32{vt.addRoot("root", 0)}
+	layer := mustRoot(t, vt, "root")
 
-	vt.claim([]byte("b"), 0, 2, 0)
-	vt.claim([]byte("a"), 0, 1, 0)
-	vt.claim([]byte("a"), 0, 0, 0) // duplicate from an earlier action: must win
-	vt.claim([]byte("b"), 0, 3, 0) // worse duplicate: must lose
+	mustClaim(t, vt, "b", 0, 2, 0)
+	mustClaim(t, vt, "a", 0, 1, 0)
+	mustClaim(t, vt, "a", 0, 0, 0) // duplicate from an earlier action: must win
+	mustClaim(t, vt, "b", 0, 3, 0) // worse duplicate: must lose
 
-	next := vt.commit(layer)
+	next := mustCommit(t, vt, layer)
 	if len(next) != 2 {
 		t.Fatalf("committed %d states, want 2", len(next))
 	}
-	if vt.arena[next[0]].key != "a" || vt.arena[next[0]].action != 0 {
-		t.Errorf("first commit = %q action %d, want \"a\" action 0",
-			vt.arena[next[0]].key, vt.arena[next[0]].action)
+	if k := string(vt.key(next[0])); k != "a" || vt.recs[next[0]].action != 0 {
+		t.Errorf("first commit = %q action %d, want \"a\" action 0", k, vt.recs[next[0]].action)
 	}
-	if vt.arena[next[1]].key != "b" || vt.arena[next[1]].action != 2 {
-		t.Errorf("second commit = %q action %d, want \"b\" action 2",
-			vt.arena[next[1]].key, vt.arena[next[1]].action)
+	if k := string(vt.key(next[1])); k != "b" || vt.recs[next[1]].action != 2 {
+		t.Errorf("second commit = %q action %d, want \"b\" action 2", k, vt.recs[next[1]].action)
 	}
 	for _, idx := range next {
-		if vt.arena[idx].parent != 0 {
-			t.Errorf("parent = %d, want 0", vt.arena[idx].parent)
+		if vt.recs[idx].parent != 0 {
+			t.Errorf("parent = %d, want 0", vt.recs[idx].parent)
 		}
 	}
 
 	// Next layer: re-claiming committed states is a no-op.
-	vt.claim([]byte("a"), 1, 0, 0)
-	vt.claim([]byte("root"), 0, 0, 0)
-	if got := vt.commit(next); len(got) != 0 {
+	mustClaim(t, vt, "a", 1, 0, 0)
+	mustClaim(t, vt, "root", 0, 0, 0)
+	if got := mustCommit(t, vt, next); len(got) != 0 {
 		t.Errorf("re-claimed committed states were committed again: %d", len(got))
 	}
 }
@@ -49,27 +79,27 @@ func TestVisitedCommitOrder(t *testing.T) {
 func TestVisitedFingerprintCollision(t *testing.T) {
 	vt := newVisited()
 	vt.hash = func([]byte) uint64 { return 42 }
-	layer := []int32{vt.addRoot("root", 0)}
+	layer := mustRoot(t, vt, "root")
 
 	const n = 20
 	for i := 0; i < n; i++ {
-		vt.claim([]byte(fmt.Sprintf("s%02d", i)), 0, int32(i), 0)
+		mustClaim(t, vt, fmt.Sprintf("s%02d", i), 0, int32(i), 0)
 	}
-	vt.claim([]byte("root"), 0, 5, 0) // colliding fingerprint AND previously committed
-	next := vt.commit(layer)
+	mustClaim(t, vt, "root", 0, 5, 0) // colliding fingerprint AND previously committed
+	next := mustCommit(t, vt, layer)
 	if len(next) != n {
 		t.Fatalf("committed %d states under total fingerprint collision, want %d", len(next), n)
 	}
 	for i, idx := range next {
-		if want := fmt.Sprintf("s%02d", i); vt.arena[idx].key != want {
-			t.Errorf("commit %d = %q, want %q", i, vt.arena[idx].key, want)
+		if want := fmt.Sprintf("s%02d", i); string(vt.key(idx)) != want {
+			t.Errorf("commit %d = %q, want %q", i, vt.key(idx), want)
 		}
 	}
 	// All distinct keys re-claimed: every one must be recognized.
 	for i := 0; i < n; i++ {
-		vt.claim([]byte(fmt.Sprintf("s%02d", i)), 0, 0, 0)
+		mustClaim(t, vt, fmt.Sprintf("s%02d", i), 0, 0, 0)
 	}
-	if got := vt.commit(next); len(got) != 0 {
+	if got := mustCommit(t, vt, next); len(got) != 0 {
 		t.Errorf("collision chain lost committed states: %d re-committed", len(got))
 	}
 }
@@ -80,7 +110,7 @@ func TestVisitedFingerprintCollision(t *testing.T) {
 // interleaving.
 func TestShardedVisitedRace(t *testing.T) {
 	vt := newVisited()
-	layer := []int32{vt.addRoot("root", 0)}
+	layer := mustRoot(t, vt, "root")
 
 	const goroutines = 16
 	const keys = 200
@@ -92,23 +122,274 @@ func TestShardedVisitedRace(t *testing.T) {
 			for i := 0; i < keys; i++ {
 				// Every goroutine claims every key with a different
 				// ordinal; the minimum (0, i) must survive.
-				vt.claim([]byte(fmt.Sprintf("state-%03d", i)), 0, int32(i+g), 0)
+				if err := vt.claim([]byte(fmt.Sprintf("state-%03d", i)), 0, int32(i+g), 0); err != nil {
+					t.Error(err)
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	next := vt.commit(layer)
+	next := mustCommit(t, vt, layer)
 	if len(next) != keys {
 		t.Fatalf("committed %d states, want %d", len(next), keys)
 	}
 	for i, idx := range next {
-		rec := vt.arena[idx]
-		if want := fmt.Sprintf("state-%03d", i); rec.key != want {
-			t.Errorf("commit %d = %q, want %q", i, rec.key, want)
+		if want := fmt.Sprintf("state-%03d", i); string(vt.key(idx)) != want {
+			t.Errorf("commit %d = %q, want %q", i, vt.key(idx), want)
 		}
-		if rec.action != int32(i) {
-			t.Errorf("key %q kept claim ord %d, want minimum %d", rec.key, rec.action, i)
+		if rec := vt.recs[idx]; rec.action != int32(i) {
+			t.Errorf("key %q kept claim ord %d, want minimum %d", vt.key(idx), rec.action, i)
 		}
+	}
+}
+
+// modelClaim is one claim of a model-test layer.
+type modelClaim struct {
+	key            string
+	pos, ord, perm int32
+}
+
+// modelState is what the reference remembers of a committed state.
+type modelState struct {
+	key string
+	stateRec
+}
+
+// modelStore is the visited table's specification: a map from key to the
+// best claim, committed in (pos, ord) order.
+type modelStore struct {
+	seen    map[string]bool
+	pending map[string]modelClaim
+	arena   []modelState
+}
+
+func (m *modelStore) claim(c modelClaim) {
+	if m.seen[c.key] {
+		return
+	}
+	if p, ok := m.pending[c.key]; ok && (p.pos < c.pos || p.pos == c.pos && p.ord <= c.ord) {
+		return
+	}
+	m.pending[c.key] = c
+}
+
+func (m *modelStore) commit(layer []int32) []int32 {
+	claims := make([]modelClaim, 0, len(m.pending))
+	for _, c := range m.pending {
+		claims = append(claims, c)
+	}
+	sort.Slice(claims, func(i, j int) bool {
+		return claims[i].pos < claims[j].pos || claims[i].pos == claims[j].pos && claims[i].ord < claims[j].ord
+	})
+	var next []int32
+	for _, c := range claims {
+		next = append(next, int32(len(m.arena)))
+		m.arena = append(m.arena, modelState{c.key, stateRec{layer[c.pos], c.ord, c.perm}})
+		m.seen[c.key] = true
+	}
+	clear(m.pending)
+	return next
+}
+
+// modelLayer draws one layer's claims: mostly new keys of assorted lengths
+// (the empty key and one filling a whole chunk among them), with in-layer
+// duplicates under other (pos, ord) and re-claims of committed keys mixed
+// in. (pos, ord) pairs are unique, as they are in a real layer.
+func modelLayer(rng *rand.Rand, m *modelStore, layerLen, chunk int) []modelClaim {
+	var claims []modelClaim
+	ord := make([]int32, layerLen)
+	for n := 20 + rng.Intn(60); n > 0; n-- {
+		var key string
+		switch r := rng.Intn(10); {
+		case r == 0 && len(m.arena) > 0:
+			key = m.arena[rng.Intn(len(m.arena))].key
+		case r <= 2 && len(claims) > 0:
+			key = claims[rng.Intn(len(claims))].key
+		case r == 3:
+			key = ""
+		case r == 4:
+			// With its one-byte length prefix this fills a chunk exactly.
+			key = strings.Repeat(string(rune('a'+rng.Intn(26))), chunk-1)
+		default:
+			key = fmt.Sprintf("%0*d", 1+rng.Intn(chunk/2), rng.Intn(1000))
+		}
+		pos := int32(rng.Intn(layerLen))
+		claims = append(claims, modelClaim{key, pos, ord[pos], int32(rng.Intn(6))})
+		ord[pos]++
+	}
+	rng.Shuffle(len(claims), func(i, j int) { claims[i], claims[j] = claims[j], claims[i] })
+	return claims
+}
+
+// checkAgainstModel compares the table's arena with the reference's.
+func checkAgainstModel(t *testing.T, vt *visitedTable, m *modelStore) {
+	t.Helper()
+	if vt.states() != len(m.arena) {
+		t.Fatalf("%d states, reference has %d", vt.states(), len(m.arena))
+	}
+	for i, want := range m.arena {
+		if got := string(vt.key(int32(i))); got != want.key || vt.recs[i] != want.stateRec {
+			t.Fatalf("state %d = %q %+v, reference has %q %+v", i, got, vt.recs[i], want.key, want.stateRec)
+		}
+	}
+	committed := 0
+	for i := range vt.shards {
+		committed += vt.shards[i].used
+	}
+	if committed != len(m.arena) {
+		t.Fatalf("shard counts sum to %d, want %d", committed, len(m.arena))
+	}
+}
+
+// TestVisitedModel drives random claim/commit sequences against the table
+// and a map-backed reference and requires identical arenas: order, keys,
+// parents, actions and perms. A four-value fingerprint puts every key in
+// one of four probe chains (confirming by full key is all that tells them
+// apart, and every table doubling happens with pending refs live), and
+// 64-byte chunks put a rollover every few states, including keys that end
+// exactly on a chunk's last byte. With claimers > 1 each layer's claims are
+// dealt to that many goroutines, so under -race this is also the store's
+// concurrency test.
+func TestVisitedModel(t *testing.T) {
+	for _, claimers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("claimers=%d", claimers), func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				vt := newVisited()
+				vt.hash = func(b []byte) uint64 { return uint64(len(b)%4) * (1<<shardShift + 1) }
+				vt.chunkSize = 64
+				m := &modelStore{seen: map[string]bool{"root": true}, pending: map[string]modelClaim{},
+					arena: []modelState{{"root", stateRec{-1, -1, 0}}}}
+				layer := mustRoot(t, vt, "root")
+				for depth := 0; depth < 12 && len(layer) > 0; depth++ {
+					claims := modelLayer(rng, m, len(layer), vt.chunkSize)
+					var wg sync.WaitGroup
+					for g := 0; g < claimers; g++ {
+						wg.Add(1)
+						go func(g int) {
+							defer wg.Done()
+							for i := g; i < len(claims); i += claimers {
+								c := claims[i]
+								if err := vt.claim([]byte(c.key), c.pos, c.ord, c.perm); err != nil {
+									t.Error(err)
+								}
+							}
+						}(g)
+					}
+					wg.Wait()
+					for _, c := range claims {
+						m.claim(c)
+					}
+					next, want := mustCommit(t, vt, layer), m.commit(layer)
+					if fmt.Sprint(next) != fmt.Sprint(want) {
+						t.Fatalf("seed %d depth %d: next layer %v, reference %v", seed, depth, next, want)
+					}
+					checkAgainstModel(t, vt, m)
+					layer = next
+				}
+				if len(vt.chunks) < 10 || vt.shards[0].used < 2*minSlots {
+					t.Fatalf("seed %d: run too thin: %d chunks, %d states", seed, len(vt.chunks), vt.states())
+				}
+			}
+		})
+	}
+}
+
+// CheckVisitedAllocs is the store's allocation contract (TestVisitedAllocs
+// runs it, where raceEnabled is in reach): looking up a state already seen —
+// committed or pending — allocates nothing, and inserting N new states
+// allocates per chunk, per table doubling and per slice growth, not per
+// state.
+func CheckVisitedAllocs(t *testing.T) {
+	const n = 1 << 20
+	keys := make([]byte, 0, n*24)
+	for i := 0; i < n; i++ {
+		keys = fmt.Appendf(keys, "state-encoding-%09d", i)
+	}
+	key := func(i int) []byte { return keys[i*24 : (i+1)*24] }
+	mallocs := func() uint64 {
+		var ms goruntime.MemStats
+		goruntime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+
+	vt := newVisited()
+	layer := mustRoot(t, vt, "root")
+	before := mallocs()
+	for i := 0; i < n; i++ {
+		if err := vt.claim(key(i), 0, int32(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	layer = mustCommit(t, vt, layer)
+	insert := mallocs() - before
+	if len(layer) != n {
+		t.Fatalf("committed %d states, want %d", len(layer), n)
+	}
+	t.Logf("inserting %d states: %d allocations, %d chunks", n, insert, len(vt.chunks))
+	if insert >= n/100 {
+		t.Errorf("inserting %d states made %d allocations, want fewer than %d", n, insert, n/100)
+	}
+
+	mustClaim(t, vt, "pending", 0, 0, 0)
+	pending := []byte("pending")
+	before = mallocs()
+	for i := 0; i < n; i++ {
+		vt.claim(key(i), 0, 0, 0)
+		vt.claim(pending, 0, 1, 0)
+	}
+	if hit := mallocs() - before; hit != 0 {
+		t.Errorf("claiming seen keys made %d allocations in %d claims, want 0", hit, 2*n)
+	}
+}
+
+// TestVisitedLimits: running into one of the store's hard limits — the
+// int32 state index space, the chunks a key locator can address, the chunk a
+// single key must fit — is an error from Check that names the limit, for
+// any worker count; never a wrapped index and never a panic in a worker.
+func TestVisitedLimits(t *testing.T) {
+	p := compilePing(t)
+	cfg := Config{Proto: p, Nodes: 7, Blocks: 1, Symmetry: SymmetryOff}
+	cfg.Events = &pingEvents{tag: p.MsgIndex("PING_FAULT")}
+	full, err := Check(cfg)
+	if err != nil || full.Violation != nil || full.States < 100 {
+		t.Fatalf("unlimited run: %+v, err %v", full, err)
+	}
+	for _, tc := range []struct {
+		name  string
+		lower func(vt *visitedTable)
+		want  string
+	}{
+		{"state index space", func(vt *visitedTable) { vt.maxStates = full.States - 1 }, "32-bit arena indices"},
+		{"state index space, one layer's claims", func(vt *visitedTable) { vt.maxStates = 1 }, "32-bit arena indices"},
+		{"root alone", func(vt *visitedTable) { vt.maxStates = 0 }, "32-bit arena indices"},
+		// In one shard, the fifth layer (120 states, so expanded by all the
+		// workers) claims 216 successors on top of 204 committed states:
+		// the limit is met inside claim, on a worker goroutine.
+		{"state index space, pending slab", func(vt *visitedTable) {
+			vt.maxStates, vt.hash = 210, func([]byte) uint64 { return 7 }
+		}, "32-bit arena indices"},
+		{"locator chunks", func(vt *visitedTable) { vt.chunkSize, vt.maxChunks = 256, 3 }, "key locators address at most 3 chunks"},
+		{"key longer than a chunk", func(vt *visitedTable) { vt.chunkSize = 16 }, "exceeds the visited store's 16-byte key chunk"},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				vt := newVisited()
+				tc.lower(vt)
+				c := cfg
+				c.Workers = workers
+				res, err := check(c, vt)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v (result %+v), want one naming %q", err, res, tc.want)
+				}
+			})
+		}
+	}
+	// At the limit exactly, the run completes.
+	vt := newVisited()
+	vt.maxStates = full.States
+	if res, err := check(cfg, vt); err != nil || res.States != full.States {
+		t.Fatalf("maxStates == reachable states: %+v, err %v", res, err)
 	}
 }

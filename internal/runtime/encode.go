@@ -141,16 +141,18 @@ func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
 // so decoding code checks once per structure instead of once per field and
 // can never index past a damaged encoding.
 type Decoder struct {
-	buf string
+	buf []byte
 	off int
 	err error
 }
 
-// NewDecoder wraps a buffer (copied: the decoder reads a string).
-func NewDecoder(b []byte) *Decoder { return &Decoder{buf: string(b)} }
+// NewDecoder wraps a buffer, which it reads where it is: the caller must
+// not change b while the decoder is in use.
+func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
-// Reset points the decoder at s and clears its error.
-func (d *Decoder) Reset(s string) { *d = Decoder{buf: s} }
+// Reset points the decoder at b (read in place, as NewDecoder does) and
+// clears its error.
+func (d *Decoder) Reset(b []byte) { *d = Decoder{buf: b} }
 
 // Err returns the first decoding failure, or nil.
 func (d *Decoder) Err() error { return d.err }
@@ -171,30 +173,15 @@ func (d *Decoder) Finish() error {
 	return d.err
 }
 
-// Int decodes a signed integer (binary.Varint's zig-zag format, read
-// straight from the string).
+// Int decodes a signed integer.
 func (d *Decoder) Int() int64 {
-	var ux uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		if d.off >= len(d.buf) {
-			break
-		}
-		b := d.buf[d.off]
-		d.off++
-		ux |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			if shift == 63 && b > 1 {
-				break // overflows 64 bits
-			}
-			x := int64(ux >> 1)
-			if ux&1 != 0 {
-				x = ^x
-			}
-			return x
-		}
+	v, n := binary.Varint(d.buf[d.off:])
+	if n <= 0 { // short input, or a value overflowing 64 bits
+		d.fail(errors.New("runtime: corrupt state encoding (varint)"))
+		return 0
 	}
-	d.fail(errors.New("runtime: corrupt state encoding (varint)"))
-	return 0
+	d.off += n
+	return v
 }
 
 // Count decodes the length of a sequence whose elements take at least one
@@ -209,10 +196,10 @@ func (d *Decoder) Count() int {
 	return int(n)
 }
 
-// Str decodes a string.
+// Str decodes a string (copied out of the buffer).
 func (d *Decoder) Str() string {
 	n := d.Count()
-	s := d.buf[d.off : d.off+n]
+	s := string(d.buf[d.off : d.off+n])
 	d.off += n
 	return s
 }

@@ -47,6 +47,18 @@ if [ "$rc" -ne 2 ]; then
   echo "check.sh: stache -net drop=1 should exit 2 (violation), got $rc" >&2
   exit 1
 fi
+# The large-shape path through the built binary: 4 nodes under one drop is
+# 9.2 M states in full, so cut it — the run must stop at the first layer
+# barrier past the limit (exit 2) with exactly these counts (TestWiderEnvelope
+# pins the 300 000 cut the same way), having rolled the visited store's
+# chunks over and doubled every shard table several times on the way.
+rc=0
+cutout="$("$verifybin" -proto stache-ft -nodes 4 -blocks 1 -net drop=1 -max-states 200000)" || rc=$?
+case "$rc:$cutout" in
+  2:*"223300 states, 732744 transitions, depth 17"*"VIOLATION state-limit"*) ;;
+  *) echo "check.sh: stache-ft 4n/1b drop=1 -max-states 200000 should exit 2 at 223300 states, got $rc:" >&2
+     printf '%s\n' "$cutout" >&2; exit 1 ;;
+esac
 # Fuzz smoke: short fixed-seed campaigns over every judgeable bundled
 # protocol must run clean, and the seeded stache-ft-buggy coherence bug
 # under a one-drop budget must be found, shrunk to a <=10-decision minimal
@@ -91,10 +103,11 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 # Allocation contracts (canonicalize: 0 over warmed scratch; Snapshot: the
-# returned string only; mc.Check: at most 12 per transition; a delivery into
-# a warmed engine: 0, register stack empty afterwards). Not under -race,
-# which perturbs sync.Pool and allocates on its own account.
-go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestDispatchAllocs' ./internal/mc/ ./internal/runtime/
+# returned string only; mc.Check: at most 8 per transition; the visited
+# store: 0 per claim of a seen key, under N/100 to insert N states; a
+# delivery into a warmed engine: 0, register stack empty afterwards). Not
+# under -race, which perturbs sync.Pool and allocates on its own account.
+go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs' ./internal/mc/ ./internal/runtime/
 # Input from outside the checker: the FuzzRestore seed corpus (walk
 # snapshots of three shapes and every truncation of one each) must restore
 # or be refused, and the FuzzClientScript seeds (one script per refusal)
