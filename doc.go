@@ -11,6 +11,6 @@
 // EXPERIMENTS.md for the reproduced tables and figures. The public entry
 // points are internal/core.Compile, which runs the full pipeline, and
 // internal/core.Vet, which runs the static protocol analyses
-// (internal/analysis, also available as the teapot-vet command) over a
+// (internal/analysis, also available as `teapot vet`) over a
 // compiled protocol; the runnable examples live under examples/.
 package teapot

@@ -2,7 +2,7 @@
 // a Stache variant that mishandles the upgrade/invalidate race, producing
 // the event trace that explains it; the fixed protocol then verifies
 // clean, including on a reordering network. Before exploring any state
-// space, the static analyses (teapot-vet) already name the offending
+// space, the static analyses (teapot vet) already name the offending
 // state and message.
 //
 //	go run ./examples/verification
@@ -32,7 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("\nStatic analysis (teapot-vet) flags it without exploring")
+	fmt.Println("\nStatic analysis (teapot vet) flags it without exploring")
 	fmt.Println("a single machine state:")
 	fmt.Println()
 	for _, d := range core.Vet(buggy) {
@@ -57,7 +57,7 @@ func main() {
 	fmt.Println("== 2. The fixed protocol ==")
 	fixed := stache.MustCompile(true)
 	if ds := core.Vet(fixed.Protocol); len(ds) == 0 {
-		fmt.Println("teapot-vet: no findings.")
+		fmt.Println("teapot vet: no findings.")
 	} else {
 		for _, d := range ds {
 			fmt.Println(analysis.Format(d))

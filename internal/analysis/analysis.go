@@ -1,4 +1,4 @@
-// Package analysis is teapot-vet: a static protocol-analysis pass suite
+// Package analysis is `teapot vet`: a static protocol-analysis pass suite
 // over compiled Teapot protocols that catches coherence-protocol bugs
 // before the model checker runs.
 //

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 )
 
-// Machine-readable vet output (teapot-vet -json). CI and the model
+// Machine-readable vet output (teapot vet -json). CI and the model
 // checker's certificate loader share this one format: the findings list
 // mirrors the human report line for line, and the symmetry certificate is
 // embedded verbatim so a consumer never re-derives it from prose.
@@ -49,7 +49,7 @@ func (r *Report) JSON(protocol string, cert *SymmetryCert) *JSONReport {
 }
 
 // MarshalJSONReports renders a deterministic, indented JSON array of
-// per-protocol reports (the exact bytes teapot-vet -json prints). HTML
+// per-protocol reports (the exact bytes teapot vet -json prints). HTML
 // escaping is off: IR witnesses quote instructions like "r4 := r2 < r3"
 // and must survive a round trip readably.
 func MarshalJSONReports(reports []*JSONReport) ([]byte, error) {

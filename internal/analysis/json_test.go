@@ -9,7 +9,7 @@ import (
 )
 
 // TestJSONReportGolden pins the machine-readable vet schema byte for byte:
-// tools consuming `teapot-vet -json` (and scripts/check.sh) parse this
+// tools consuming `teapot vet -json` parse this
 // shape, so schema drift must be a deliberate, test-visible change.
 func TestJSONReportGolden(t *testing.T) {
 	const src = `protocol P begin

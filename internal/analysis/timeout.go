@@ -37,7 +37,7 @@ func runTimeout(c *Ctx) {
 			pos = c.Sema.AST.Protocol.Pos()
 		}
 		c.Reportf(source.SevInfo, pos,
-			"protocol declares no TIMEOUT message: %d transient state(s) block on a message the network may drop (teapot-verify -net drop=1 shows the stall)",
+			"protocol declares no TIMEOUT message: %d transient state(s) block on a message the network may drop (teapot verify -net drop=1 shows the stall)",
 			len(waiting))
 		return
 	}

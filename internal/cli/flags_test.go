@@ -1,33 +1,15 @@
-package cliflags
+package cli
 
 import (
 	"flag"
-	"io"
-	"reflect"
-	"strings"
 	"testing"
 
 	"teapot/internal/netmodel"
-	"teapot/internal/protocols"
 )
-
-// TestRunnableNamesInSync: the static help list must be exactly the set of
-// registry entries protocols.Spec accepts, in registry order.
-func TestRunnableNamesInSync(t *testing.T) {
-	var want []string
-	for _, e := range protocols.All() {
-		if _, err := protocols.Spec(e.Name, 2, 1); err == nil {
-			want = append(want, e.Name)
-		}
-	}
-	if got := RunnableNames(); !reflect.DeepEqual(got, want) {
-		t.Errorf("RunnableNames() = %v, want %v", got, want)
-	}
-}
 
 func TestNetFlag(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	n := AddNet(fs)
+	n := addNet(fs)
 	if err := fs.Parse([]string{"-net", "drop=1,dup=2,reorder=1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +24,11 @@ func TestNetFlag(t *testing.T) {
 
 func TestRunSpec(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	r := AddRun(fs, "stache", 2, 1)
+	r := addRun(fs, "stache", 2, 1)
 	if err := fs.Parse([]string{"-proto", "stache-ft", "-net", "drop=1", "-workers", "3", "-seed", "9"}); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := r.Spec()
+	spec, err := r.spec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +39,7 @@ func TestRunSpec(t *testing.T) {
 		t.Errorf("flags not threaded: %+v", spec)
 	}
 	*r.Proto = "no-such-proto"
-	if _, err := r.Spec(); err == nil {
+	if _, err := r.spec(); err == nil {
 		t.Error("unknown protocol accepted")
 	}
 }
@@ -66,11 +48,11 @@ func TestRunSpec(t *testing.T) {
 // the literal zero, and the derivation must depend on the run shape.
 func TestSeedZeroDerives(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	r := AddRun(fs, "stache", 2, 1)
+	r := addRun(fs, "stache", 2, 1)
 	if err := fs.Parse([]string{"-seed", "0", "-net", "drop=1"}); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := r.Spec()
+	spec, err := r.spec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,19 +67,5 @@ func TestSeedZeroDerives(t *testing.T) {
 	other.Net.MaxDrops = 2
 	if other.EffectiveSeed() == derived {
 		t.Error("different net model derived the same seed")
-	}
-}
-
-// TestRemovedAliases: the -protocol and -reorder spellings -proto and -net
-// superseded are unknown flags, not silently accepted.
-func TestRemovedAliases(t *testing.T) {
-	for _, args := range [][]string{{"-protocol", "x"}, {"-reorder", "1"}} {
-		fs := flag.NewFlagSet("x", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		AddRun(fs, "stache", 2, 1)
-		err := fs.Parse(args)
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-			t.Errorf("%v: err = %v, want an unknown-flag error", args, err)
-		}
 	}
 }

@@ -1,15 +1,15 @@
-package bench_test
+package cli
 
 import (
 	"reflect"
 	"strings"
 	"testing"
 
-	"teapot/internal/bench"
+	"teapot/internal/sim"
 )
 
 func TestTable1Shape(t *testing.T) {
-	rows, err := bench.Table1(8, 3)
+	rows, err := perfTable("stache", sim.Table1Workloads(8, 3), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func TestTable1Shape(t *testing.T) {
 			t.Errorf("%s: opt allocs %d not below unopt %d", r.Benchmark, r.AllocsOpt, r.AllocsUnopt)
 		}
 	}
-	t.Logf("\n%s", bench.FormatPerf("Table 1", rows))
+	t.Logf("\n%s", formatPerf("Table 1", rows))
 }
 
 func TestTable2Shape(t *testing.T) {
-	rows, err := bench.Table2(8, 3)
+	rows, err := perfTable("lcm", sim.Table2Workloads(8, 3), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +44,18 @@ func TestTable2Shape(t *testing.T) {
 			t.Errorf("%s: opt slower than unopt", r.Benchmark)
 		}
 	}
-	t.Logf("\n%s", bench.FormatPerf("Table 2", rows))
+	t.Logf("\n%s", formatPerf("Table 2", rows))
 }
 
 // TestTable3AllVerified pins Table 3 and the fault sweep exactly: these
 // are the counts EXPERIMENTS.md records and benchmarks/expected.json
 // checks on the verify_small workload.
 func TestTable3AllVerified(t *testing.T) {
-	rows, err := bench.Table3(0)
+	rows, err := table3(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []bench.VerifyRow{
+	want := []verifyRow{
 		{Protocol: "Stache", Nodes: 2, Blocks: 1, Reorder: 1, States: 219, Transitions: 402, Depth: 20},
 		{Protocol: "Stache (2 addresses)", Nodes: 2, Blocks: 2, Reorder: 0, States: 3138, Transitions: 6598, Depth: 28},
 		{Protocol: "Buffered-Write", Nodes: 2, Blocks: 1, Reorder: 1, States: 220, Transitions: 535, Depth: 15},
@@ -79,13 +79,13 @@ func TestTable3AllVerified(t *testing.T) {
 			t.Errorf("row %d = %+v, want %+v", i, r, want[i])
 		}
 	}
-	t.Logf("\n%s", bench.FormatVerify(rows))
+	t.Logf("\n%s", formatVerify(rows))
 
-	faults, err := bench.FaultSweep(0)
+	faults, err := faultSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFaults := []bench.FaultRow{
+	wantFaults := []faultRow{
 		{"Stache-FT", "none", 105, 186, 15, ""},
 		{"Stache-FT", "reorder=1", 235, 434, 20, ""},
 		{"Stache-FT", "drop=1", 554, 1018, 23, ""},
@@ -96,12 +96,12 @@ func TestTable3AllVerified(t *testing.T) {
 		{"Stache", "drop=1", 14, 13, 2, "deadlock"},
 	}
 	if !reflect.DeepEqual(faults, wantFaults) {
-		t.Errorf("fault sweep:\n%swant:\n%s", bench.FormatFaults(faults), bench.FormatFaults(wantFaults))
+		t.Errorf("fault sweep:\n%swant:\n%s", formatFaults(faults), formatFaults(wantFaults))
 	}
 }
 
 func TestBugHunt(t *testing.T) {
-	res, err := bench.BugHunt()
+	res, err := bugHunt()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,10 @@ func TestBugHunt(t *testing.T) {
 }
 
 func TestFigures(t *testing.T) {
-	figs := bench.Figures()
+	figs, err := paperFigures()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(figs) != 4 {
 		t.Fatalf("figures = %d", len(figs))
 	}
@@ -131,7 +134,10 @@ func TestFigures(t *testing.T) {
 }
 
 func TestLinesOfCode(t *testing.T) {
-	rows := bench.LinesOfCode(0, 0)
+	rows, err := linesOfCode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
 		if r.Generated <= r.Teapot {
 			t.Errorf("%s: generated (%d) should exceed Teapot source (%d)",
@@ -145,7 +151,7 @@ func TestLinesOfCode(t *testing.T) {
 // broadcast-heavy gauss pattern the write-update protocol needs fewer
 // messages and faults than invalidation.
 func TestProducerConsumerComparison(t *testing.T) {
-	rows, err := bench.ProducerConsumer(8, 3)
+	rows, err := producerConsumer(8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +166,17 @@ func TestProducerConsumerComparison(t *testing.T) {
 	t.Logf("%-22s cycles=%-8d faults=%-5d messages=%d", up.Protocol, up.Cycles, up.Faults, up.Messages)
 }
 
+// TestReorderSweep verifies Stache across reordering bounds (the paper:
+// "unrestricted reordering led to impractical simulation sizes"; it capped
+// at 1 — we sweep 0..2).
 func TestReorderSweep(t *testing.T) {
-	rows, err := bench.ReorderSweep()
-	if err != nil {
-		t.Fatal(err)
+	var rows []verifyRow
+	for reorder := 0; reorder <= 2; reorder++ {
+		row, err := verifyLine("Stache", "stache", 2, 1, reorder, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))

@@ -201,7 +201,7 @@ func (f *Fuzzer) Replay(s *Schedule) *Report {
 // replays it: the path from artifact on disk back to a verdict.
 func ReplaySchedule(s *Schedule) (*Report, error) {
 	if s.Litmus != "" {
-		return nil, fmt.Errorf("fuzz: schedule drives litmus test %q — replay it with teapot-litmus -replay", s.Litmus)
+		return nil, fmt.Errorf("fuzz: schedule drives litmus test %q — replay it with teapot litmus -replay", s.Litmus)
 	}
 	net, err := s.NetModel()
 	if err != nil {

@@ -75,7 +75,7 @@ func TestFindsSeededBug(t *testing.T) {
 }
 
 // TestScheduleRoundTrip serializes a failing schedule to disk, loads it
-// back, and replays it — the artifact path teapot-fuzz ships failures on.
+// back, and replays it — the artifact path teapot fuzz ships failures on.
 func TestScheduleRoundTrip(t *testing.T) {
 	f, res := fuzzSeededBug(t)
 	sched := res.Failure.Schedule

@@ -41,7 +41,7 @@ type Schedule struct {
 	RecordSeed   uint64     `json:"record_seed,omitempty"` // provenance: the recorder RNG that found it
 	Decisions    []Decision `json:"decisions"`
 
-	// Litmus names the litmus test the schedule drives (teapot-litmus
+	// Litmus names the litmus test the schedule drives (teapot litmus
 	// artifacts). Litmus schedules replay through the litmus harness —
 	// their workload is the test's script, not a RandomProgram — so the
 	// fuzzer's own replay refuses them.

@@ -70,7 +70,7 @@ type Failure struct {
 
 	Violation *oracle.Violation // sim/fuzz oracle verdict, when one fired
 	// Schedule is the fuzz mode's shrunk reproducer (Litmus names the test;
-	// replay it with teapot-litmus -replay).
+	// replay it with teapot litmus -replay).
 	Schedule        *fuzz.Schedule
 	ShrunkDecisions int
 	ShrinkTries     int

@@ -1,11 +1,11 @@
 // Package manifest defines the versioned run manifest: the machine-readable
 // artifact every protocol-running tool can leave behind (-report out.json,
-// teapot-verify -json). A manifest names the run (protocol, geometry,
+// teapot verify -json). A manifest names the run (protocol, geometry,
 // network fault model, seed), carries the coverage sets the run exercised
 // (internal/obs.Coverage), an obs counter summary, per-substrate resource
 // accounting, and — after a violation — the flight-recorder tail of the
 // counterexample replay. Manifests from different substrates are diffable:
-// teapot-cover names fuzz-vs-mc coverage gaps by exact (state, message)
+// teapot cover names fuzz-vs-mc coverage gaps by exact (state, message)
 // pair, and the static cross-check compares a manifest against
 // internal/analysis reachability.
 //
@@ -30,13 +30,16 @@ const Version = 1
 
 // Manifest is one run's machine-readable record.
 type Manifest struct {
-	ManifestVersion int    `json:"manifest_version"`
-	Tool            string `json:"tool"`     // "teapot-verify" | "teapot-sim" | "teapot-fuzz"
-	Protocol        string `json:"protocol"` // bundled-protocol registry name
-	Nodes           int    `json:"nodes"`
-	Blocks          int    `json:"blocks"`
-	Net             string `json:"net,omitempty"`  // netmodel string, "" = perfect network
-	Seed            uint64 `json:"seed,omitempty"` // sim/fuzz RNG seed; 0 for the checker
+	ManifestVersion int `json:"manifest_version"`
+	// Tool is the subcommand that ran, under the name it had as a command
+	// of its own (the values are versioned with the schema): "teapot-verify"
+	// | "teapot-sim" | "teapot-fuzz" | "teapot-litmus".
+	Tool     string `json:"tool"`
+	Protocol string `json:"protocol"` // bundled-protocol registry name
+	Nodes    int    `json:"nodes"`
+	Blocks   int    `json:"blocks"`
+	Net      string `json:"net,omitempty"`  // netmodel string, "" = perfect network
+	Seed     uint64 `json:"seed,omitempty"` // sim/fuzz RNG seed; 0 for the checker
 
 	Coverage *obs.CoverageReport `json:"coverage,omitempty"`
 	Obs      *ObsSummary         `json:"obs,omitempty"`
@@ -147,7 +150,7 @@ type LitmusStats struct {
 }
 
 // Encode renders the manifest as deterministic, indented JSON. Mirrors
-// teapot-vet -json conventions: HTML escaping off (state names like
+// teapot vet -json conventions: HTML escaping off (state names like
 // "Home_RO->..." in transition keys must survive readably), two-space
 // indent, trailing newline.
 func (m *Manifest) Encode() ([]byte, error) {

@@ -93,7 +93,7 @@ func TestValidate(t *testing.T) {
 }
 
 // TestSchemaKeys pins the top-level JSON key set — the manifest schema
-// consumers (teapot-cover, check.sh) key on.
+// consumers (teapot cover) key on.
 func TestSchemaKeys(t *testing.T) {
 	m := validManifest()
 	m.Obs = &ObsSummary{Events: 5}

@@ -191,9 +191,13 @@ func (cfg *Config) normalize() {
 }
 
 // validate refuses what exploration and replay would otherwise fail on
-// later and less clearly: a malformed fault model, a client script written
-// for a larger machine.
+// later and less clearly: a machine with no node or no block (the default
+// HomeOf divides by Nodes; the symmetry group is sized by it), a malformed
+// fault model, a client script written for a larger machine.
 func (cfg *Config) validate() error {
+	if cfg.Nodes < 1 || cfg.Blocks < 1 {
+		return fmt.Errorf("mc: a machine of %d node(s) and %d block(s): want at least 1 of each", cfg.Nodes, cfg.Blocks)
+	}
 	if err := cfg.Net.Validate(); err != nil {
 		return err
 	}

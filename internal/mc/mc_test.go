@@ -116,6 +116,24 @@ func TestStateLimit(t *testing.T) {
 	}
 }
 
+// TestEmptyMachineRefused: a machine with no node or no block is an error
+// from Check and ReplaySteps — under any symmetry mode — not a divide by
+// zero in the default HomeOf or a negative makeslice in the group builder.
+func TestEmptyMachineRefused(t *testing.T) {
+	for _, shape := range [][2]int{{0, 1}, {-1, 1}, {2, 0}, {2, -1}} {
+		for _, sym := range []mc.SymmetryMode{mc.SymmetryOff, mc.SymmetryAuto, mc.SymmetryOn} {
+			cfg := stacheConfig(t, shape[0], shape[1], 0)
+			cfg.Symmetry = sym
+			if res, err := mc.Check(cfg); err == nil || !strings.Contains(err.Error(), "want at least 1 of each") {
+				t.Errorf("Check at %d nodes, %d blocks (symmetry %v): result %v, err %v", shape[0], shape[1], sym, res, err)
+			}
+			if err := mc.ReplaySteps(cfg, nil, nil); err == nil {
+				t.Errorf("ReplaySteps at %d nodes, %d blocks accepted the machine", shape[0], shape[1])
+			}
+		}
+	}
+}
+
 func TestDeterministicStateCount(t *testing.T) {
 	r1, err := mc.Check(stacheConfig(t, 2, 1, 0))
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 const DefaultProgressInterval = 500 * time.Millisecond
 
 // ProgressWriter renders ProgressInfo snapshots as rate-limited plain-text
-// lines (teapot-verify -progress attaches one to stderr). The zero
+// lines (teapot verify -progress attaches one to stderr). The zero
 // Interval means DefaultProgressInterval; Now is a test hook for the rate
 // limiter's clock. Report is the Config.Progress callback.
 type ProgressWriter struct {

@@ -220,7 +220,7 @@ func (c *Collector) DispatchCount(state, msg int) int64 {
 const summaryTopHandlers = 10
 
 // Summary renders the counters as a plain-text table (the format is pinned
-// by a golden test; teapot-sim -stats prints it verbatim).
+// by a golden test; teapot sim -stats prints it verbatim).
 func (c *Collector) Summary(names Names) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "obs summary: %d events (%d retained, %d dropped)\n",

@@ -153,7 +153,7 @@ func (c *Coverage) DispatchCount(state, msg int) uint64 {
 
 // PairName renders a dispatch pair in the canonical "State.MESSAGE" form
 // every consumer of the coverage plane keys by (run manifests, the static
-// cross-check in internal/analysis, teapot-cover diffs).
+// cross-check in internal/analysis, teapot cover diffs).
 func PairName(names Names, state, msg int32) string {
 	return names.State(state) + "." + names.Message(msg)
 }

@@ -83,7 +83,7 @@ func TestCollectorClock(t *testing.T) {
 	}
 }
 
-// TestSummaryGolden pins the text summary format (teapot-sim -stats prints
+// TestSummaryGolden pins the text summary format (teapot sim -stats prints
 // it verbatim; scripts/check.sh relies on the first line's shape).
 func TestSummaryGolden(t *testing.T) {
 	names := Names{

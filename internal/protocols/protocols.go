@@ -1,16 +1,30 @@
-// Package protocols registers the bundled protocol sources under the
-// names the command-line drivers accept (teapotc -builtin, teapot-vet),
-// so every tool resolves the same name to the same source text and
-// start-state configuration.
+// Package protocols is the one table of bundled protocols: the name every
+// `teapot` subcommand accepts, the source text and start states it compiles
+// to, and — for the protocols that can be run and not only compiled — the
+// support module, event generator and coherence judgement that wire the
+// compiled protocol into a core.RunSpec.
 package protocols
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
+
 	"teapot/internal/core"
+	"teapot/internal/mc"
 	"teapot/internal/protocols/bufwrite"
 	"teapot/internal/protocols/lcm"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/protocols/update"
+	"teapot/internal/runtime"
+	"teapot/internal/tempest"
 )
+
+// MaxNodes bounds every run of a bundled protocol: the support modules
+// keep sharer sets as bits of one int64 protocol variable, so a node id of
+// 64 or more would never enter a set and never be invalidated.
+const MaxNodes = 64
 
 // Entry is one bundled protocol.
 type Entry struct {
@@ -22,10 +36,48 @@ type Entry struct {
 	// verification, shipped as negative test material. Drivers that sweep
 	// "all bundled protocols" skip them unless named explicitly.
 	Buggy bool
+
+	// Support and Events build the support module and the checker's event
+	// generator for a compiled protocol; both are nil for the entries that
+	// exist only as compilation fixtures (see Runnable).
+	Support func(p *runtime.Protocol, nodes int) (runtime.Support, error)
+	Events  func(p *runtime.Protocol) mc.EventGen
+	// CheckCoherence is off for LCM, whose phases are deliberately
+	// inconsistent.
+	CheckCoherence bool
+	// HandWritten builds the hand-written state-machine engine the paper's
+	// Tables 1-2 compare against (stache and lcm only).
+	HandWritten func(p *runtime.Protocol, nodes, blocks int, m runtime.Machine) tempest.Engine
 }
 
-// All returns the bundled protocols in a fixed order.
-func All() []Entry {
+// Runnable reports whether Spec can wire the entry for execution.
+func (e Entry) Runnable() bool { return e.Support != nil }
+
+// The constructors the table below wires in, adapted to Entry's field
+// types (the packages return their concrete types).
+func stacheSupport(p *runtime.Protocol, _ int) (runtime.Support, error) { return stache.NewSupport(p) }
+func ftSupport(p *runtime.Protocol, nodes int) (runtime.Support, error) {
+	return stache.NewFTSupport(p, nodes)
+}
+func lcmSupport(p *runtime.Protocol, nodes int) (runtime.Support, error) {
+	return lcm.NewSupport(p, nodes)
+}
+func updateSupport(p *runtime.Protocol, _ int) (runtime.Support, error) { return update.NewSupport(p) }
+func stacheEvents(p *runtime.Protocol) mc.EventGen                      { return stache.NewEvents(p) }
+func lcmEvents(p *runtime.Protocol) mc.EventGen                         { return lcm.NewEvents(p) }
+func bufwriteEvents(p *runtime.Protocol) mc.EventGen                    { return bufwrite.NewEvents(p) }
+func updateEvents(p *runtime.Protocol) mc.EventGen                      { return update.NewEvents(p) }
+func stacheHW(p *runtime.Protocol, nodes, blocks int, m runtime.Machine) tempest.Engine {
+	return stache.NewHW(p, nodes, blocks, m)
+}
+func lcmHW(p *runtime.Protocol, nodes, blocks int, m runtime.Machine) tempest.Engine {
+	return lcm.NewHW(p, nodes, blocks, m)
+}
+
+// registry builds the table once per process: it compiles nothing, but
+// assembling the four LCM source texts takes a millisecond, and Lookup is on
+// the path of every Spec call.
+var registry = sync.OnceValue(func() []Entry {
 	cfg := func(name, src, home string) core.Config {
 		return core.Config{
 			Name: name + ".tea", Source: src, Optimize: true,
@@ -33,27 +85,41 @@ func All() []Entry {
 		}
 	}
 	return []Entry{
-		{Name: "stache", Config: cfg("stache", stache.Source, "Home_Idle")},
-		{Name: "stache-ft", Config: cfg("stache-ft", stache.FTSource, "Home_Idle")},
+		{Name: "stache", Config: cfg("stache", stache.Source, "Home_Idle"),
+			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true, HandWritten: stacheHW},
+		{Name: "stache-ft", Config: cfg("stache-ft", stache.FTSource, "Home_Idle"),
+			Support: ftSupport, Events: stacheEvents, CheckCoherence: true},
 		{Name: "stache-cas", Config: cfg("stache-cas", stache.CASSource, "Home_Idle")},
 		// Not buggy — it verifies — but deliberately NOT node-symmetric:
 		// the negative fixture for the model checker's certificate-gated
 		// symmetry reduction (see internal/analysis.ProveSymmetry).
-		{Name: "stache-asym", Config: cfg("stache-asym", stache.AsymSource, "Home_Idle")},
-		{Name: "stache-buggy", Config: cfg("stache-buggy", stache.BuggySource, "Home_Idle"), Buggy: true},
-		{Name: "stache-ft-buggy", Config: cfg("stache-ft-buggy", stache.FTBuggySource, "Home_Idle"), Buggy: true},
-		{Name: "lcm", Config: cfg("lcm", lcm.Source(lcm.Base), "Home_Idle")},
+		{Name: "stache-asym", Config: cfg("stache-asym", stache.AsymSource, "Home_Idle"),
+			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true},
+		{Name: "stache-buggy", Config: cfg("stache-buggy", stache.BuggySource, "Home_Idle"), Buggy: true,
+			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true},
+		{Name: "stache-ft-buggy", Config: cfg("stache-ft-buggy", stache.FTBuggySource, "Home_Idle"), Buggy: true,
+			Support: ftSupport, Events: stacheEvents, CheckCoherence: true},
+		{Name: "lcm", Config: cfg("lcm", lcm.Source(lcm.Base), "Home_Idle"),
+			Support: lcmSupport, Events: lcmEvents, HandWritten: lcmHW},
 		{Name: "lcm-update", Config: cfg("lcm-update", lcm.Source(lcm.Update), "Home_Idle")},
-		{Name: "lcm-mcc", Config: cfg("lcm-mcc", lcm.Source(lcm.MCC), "Home_Idle")},
+		{Name: "lcm-mcc", Config: cfg("lcm-mcc", lcm.Source(lcm.MCC), "Home_Idle"),
+			Support: lcmSupport, Events: lcmEvents},
 		{Name: "lcm-both", Config: cfg("lcm-both", lcm.Source(lcm.Both), "Home_Idle")},
-		{Name: "bufwrite", Config: cfg("bufwrite", bufwrite.Source, "Home_Idle")},
-		{Name: "update", Config: cfg("update", update.Source, "Home")},
+		// Buffered-write adds no support routines, only a counter variable.
+		{Name: "bufwrite", Config: cfg("bufwrite", bufwrite.Source, "Home_Idle"),
+			Support: stacheSupport, Events: bufwriteEvents, CheckCoherence: true},
+		{Name: "update", Config: cfg("update", update.Source, "Home"),
+			Support: updateSupport, Events: updateEvents, CheckCoherence: true},
 	}
-}
+})
+
+// All returns the bundled protocols in a fixed order (a copy: an Entry is
+// a value, and callers flip Config.Optimize on theirs).
+func All() []Entry { return slices.Clone(registry()) }
 
 // Lookup finds a bundled protocol by name.
 func Lookup(name string) (Entry, bool) {
-	for _, e := range All() {
+	for _, e := range registry() {
 		if e.Name == name {
 			return e, true
 		}
@@ -63,10 +129,62 @@ func Lookup(name string) (Entry, bool) {
 
 // Names lists the registered names in registry order.
 func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, e := range all {
-		names[i] = e.Name
+	var names []string
+	for _, e := range registry() {
+		names = append(names, e.Name)
 	}
 	return names
+}
+
+// RunnableNames lists, in registry order, the names Spec accepts: the
+// registry minus the compile-only fixtures. It compiles nothing, so help
+// texts and error messages can quote it.
+func RunnableNames() []string {
+	var names []string
+	for _, e := range registry() {
+		if e.Runnable() {
+			names = append(names, e.Name)
+		}
+	}
+	return names
+}
+
+// Spec is Lookup followed by Entry.Spec; a name Lookup does not know is
+// refused the way a compile-only one is.
+func Spec(name string, nodes, blocks int) (core.RunSpec, error) {
+	e, ok := Lookup(name)
+	if !ok {
+		e = Entry{Name: name}
+	}
+	return e.Spec(nodes, blocks)
+}
+
+// Spec compiles the entry (as Config says: flip Config.Optimize first for
+// the unoptimized build) and wires protocol, support module and event
+// generator into a core.RunSpec, the same way for every caller. The caller
+// fills the run-shape knobs (Net, Workers, Seed, Program, ...) on the
+// returned spec.
+func (e Entry) Spec(nodes, blocks int) (core.RunSpec, error) {
+	if !e.Runnable() {
+		return core.RunSpec{}, fmt.Errorf("no runnable spec for protocol %q (runnable: %s)",
+			e.Name, strings.Join(RunnableNames(), ", "))
+	}
+	if nodes < 1 || nodes > MaxNodes {
+		return core.RunSpec{}, fmt.Errorf("-nodes %d: want 1..%d (sharer sets are %d-bit masks)", nodes, MaxNodes, MaxNodes)
+	}
+	if blocks < 1 {
+		return core.RunSpec{}, fmt.Errorf("-blocks %d: want at least 1", blocks)
+	}
+	art, err := core.Compile(e.Config)
+	if err != nil {
+		return core.RunSpec{}, err
+	}
+	sup, err := e.Support(art.Protocol, nodes)
+	if err != nil {
+		return core.RunSpec{}, err
+	}
+	return core.RunSpec{
+		Proto: art.Protocol, Support: sup, Events: e.Events(art.Protocol),
+		Nodes: nodes, Blocks: blocks, CheckCoherence: e.CheckCoherence,
+	}, nil
 }

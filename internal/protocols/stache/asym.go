@@ -1,10 +1,6 @@
 package stache
 
-import (
-	"strings"
-
-	"teapot/internal/core"
-)
+import "strings"
 
 // Deliberately asymmetric Stache: the invalidation handler in Cache_RO
 // branches on the ORDER of two node ids (src < MyNode()). Both arms are
@@ -50,17 +46,3 @@ var AsymSource = func() string {
 	}
 	return out
 }()
-
-// CompileAsym compiles the asymmetric variant.
-func CompileAsym(optimize bool) (*core.Artifacts, error) {
-	return compileSource("stache-asym.tea", AsymSource, optimize)
-}
-
-// MustCompileAsym panics on compile errors (the embedded source is tested).
-func MustCompileAsym(optimize bool) *core.Artifacts {
-	a, err := CompileAsym(optimize)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}

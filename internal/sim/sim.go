@@ -55,13 +55,23 @@ type Config struct {
 	MaxEvents int64
 }
 
-// Run executes the workload to completion.
-func Run(cfg Config) (*tempest.Stats, error) {
+// Validate refuses a fault model the simulator cannot inject. Run calls it
+// first; a caller that must tell a refused configuration from a failed run
+// calls it before Run.
+func (cfg Config) Validate() error {
 	if err := cfg.Net.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Net.MaxCorrupts > 0 {
-		return nil, fmt.Errorf("sim: Net corrupt=%d is checker-only (the simulator injects drop/dup/delay)", cfg.Net.MaxCorrupts)
+		return fmt.Errorf("sim: Net corrupt=%d is checker-only (the simulator injects drop/dup/delay)", cfg.Net.MaxCorrupts)
+	}
+	return nil
+}
+
+// Run executes the workload to completion.
+func Run(cfg Config) (*tempest.Stats, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	prog := cfg.Program
 	if t, ok := prog.(*Trace); ok {
