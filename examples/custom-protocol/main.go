@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
@@ -54,10 +55,7 @@ func (m *loopback) pump() error {
 }
 
 func main() {
-	art, err := stache.CompileCAS(true)
-	if err != nil {
-		log.Fatal(err)
-	}
+	art := protocols.MustCompile("stache-cas", true)
 	sup, err := stache.NewCASSupport(art.Protocol)
 	if err != nil {
 		log.Fatal(err)

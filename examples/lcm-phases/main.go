@@ -11,9 +11,8 @@ import (
 	"fmt"
 	"log"
 
-	"teapot/internal/protocols/lcm"
-	"teapot/internal/protocols/stache"
-	"teapot/internal/runtime"
+	"teapot/internal/core"
+	"teapot/internal/protocols"
 	"teapot/internal/sim"
 	"teapot/internal/tempest"
 )
@@ -25,31 +24,21 @@ func main() {
 	// An unstructured sweep with a small, heavily shared cell set: the
 	// access pattern that makes invalidation protocols thrash (every
 	// write invalidates and recalls) and that LCM was designed for.
-	mkWorkload := func() *sim.Workload {
-		return sim.Unstruct(sim.WorkloadSpec{Nodes: nodes, Iters: iters, Seed: 1, Scale: 8})
-	}
-
-	runWith := func(name string, p *runtime.Protocol, sup runtime.Support) *tempest.Stats {
-		w := mkWorkload()
-		stats, err := sim.Run(sim.Config{
-			Nodes: nodes, Blocks: w.Blocks,
-			Cost: tempest.DefaultCost, Tags: tempest.ResolveTags(p),
-			MakeEngine: func(m runtime.Machine) tempest.Engine {
-				return tempest.NewTeapotEngine(p, nodes, w.Blocks, m, sup)
-			},
-			Program: w.Trace,
-		})
+	runWith := func(proto string) *tempest.Stats {
+		w := sim.Unstruct(sim.WorkloadSpec{Nodes: nodes, Iters: iters, Seed: 1, Scale: 8})
+		spec, err := protocols.Spec(proto, nodes, w.Blocks)
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", proto, err)
+		}
+		spec.Program = w.Trace
+		stats, err := core.Simulate(spec)
+		if err != nil {
+			log.Fatalf("%s: %v", proto, err)
 		}
 		return stats
 	}
-
-	st := stache.MustCompile(true).Protocol
-	stacheStats := runWith("stache", st, stache.MustSupport(st))
-
-	lc := lcm.MustCompile(lcm.Base, true).Protocol
-	lcmStats := runWith("lcm", lc, lcm.MustSupport(lc, nodes))
+	stacheStats := runWith("stache")
+	lcmStats := runWith("lcm")
 
 	fmt.Printf("unstructured sweep on %d nodes, %d phases, 8 shared cells:\n\n", nodes, iters)
 	fmt.Printf("%-22s %14s %10s %10s %12s\n", "protocol", "cycles", "faults", "messages", "fault time")

@@ -18,16 +18,15 @@ import (
 
 	"teapot/internal/analysis"
 	"teapot/internal/core"
-	"teapot/internal/mc"
 	"teapot/internal/netmodel"
-	"teapot/internal/protocols/stache"
+	"teapot/internal/protocols"
 )
 
 func main() {
 	fmt.Println("== 1. The buggy protocol ==")
 	fmt.Println("A node waiting for an upgrade merely queues the home's")
 	fmt.Println("invalidation instead of acknowledging it.")
-	buggy, err := stache.CompileBuggy()
+	buggy, err := protocols.Spec("stache-buggy", 2, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,17 +34,13 @@ func main() {
 	fmt.Println("\nStatic analysis (teapot vet) flags it without exploring")
 	fmt.Println("a single machine state:")
 	fmt.Println()
-	for _, d := range core.Vet(buggy) {
+	for _, d := range core.Vet(buggy.Proto) {
 		fmt.Println("  " + analysis.Format(d))
 	}
 
 	fmt.Println("\nThe model checker confirms the hazard with a concrete")
 	fmt.Println("interleaving. Exploring...")
-	res, err := mc.Check(mc.Config{
-		Proto: buggy, Support: stache.MustSupport(buggy),
-		Nodes: 2, Blocks: 1,
-		Events: stache.NewEvents(buggy), CheckCoherence: true,
-	})
+	res, err := core.Check(buggy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,8 +50,11 @@ func main() {
 	fmt.Printf("\nfound after %d states (%s):\n%s\n", res.States, res.Elapsed, res.Violation)
 
 	fmt.Println("== 2. The fixed protocol ==")
-	fixed := stache.MustCompile(true)
-	if ds := core.Vet(fixed.Protocol); len(ds) == 0 {
+	fixed, err := protocols.Spec("stache", 2, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if ds := core.Vet(fixed.Proto); len(ds) == 0 {
 		fmt.Println("teapot vet: no findings.")
 	} else {
 		for _, d := range ds {
@@ -64,11 +62,8 @@ func main() {
 		}
 	}
 	for _, reorder := range []int{0, 1} {
-		res, err := mc.Check(mc.Config{
-			Proto: fixed.Protocol, Support: stache.MustSupport(fixed.Protocol),
-			Nodes: 2, Blocks: 1, Net: netmodel.Model{Reorder: reorder},
-			Events: stache.NewEvents(fixed.Protocol), CheckCoherence: true,
-		})
+		fixed.Net = netmodel.Model{Reorder: reorder}
+		res, err := core.Check(fixed)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,7 +6,7 @@ import (
 
 	"teapot/internal/analysis"
 	"teapot/internal/mc"
-	"teapot/internal/protocols/stache"
+	"teapot/internal/protocols"
 )
 
 // TestVetAgreesWithModelChecker is the acceptance test for the suite: on
@@ -16,14 +16,14 @@ import (
 // confirms the hazard with a concrete interleaving ending in a deadlock
 // where the flagged state is holding the flagged message in its queue.
 func TestVetAgreesWithModelChecker(t *testing.T) {
-	p, err := stache.CompileBuggy()
+	spec, err := protocols.Spec("stache-buggy", 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const state, msg = "Cache_RO_To_RW", "PUT_NO_DATA_REQ"
 
-	ds := analysis.Analyze(p).ByCheck("defer-deadlock")
+	ds := analysis.Analyze(spec.Proto).ByCheck("defer-deadlock")
 	if len(ds) != 1 {
 		t.Fatalf("defer-deadlock findings = %v", ds)
 	}
@@ -33,11 +33,7 @@ func TestVetAgreesWithModelChecker(t *testing.T) {
 		}
 	}
 
-	res, err := mc.Check(mc.Config{
-		Proto: p, Support: stache.MustSupport(p),
-		Nodes: 2, Blocks: 1,
-		Events: stache.NewEvents(p), CheckCoherence: true,
-	})
+	res, err := mc.Check(spec.Config)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"teapot/internal/analysis"
-	"teapot/internal/protocols/stache"
+	"teapot/internal/protocols"
 	"teapot/internal/source"
 )
 
@@ -15,7 +15,7 @@ import (
 // resume a continuation without a duplicate-delivery guard. The home-side
 // acknowledgement path is guarded by TakeAwaiting and must stay silent.
 func TestDupIdempotenceStacheFT(t *testing.T) {
-	rep := analysis.Analyze(stache.MustCompileFT(true).Protocol)
+	rep := analysis.Analyze(protocols.MustCompile("stache-ft", true).Protocol)
 	ds := rep.ByCheck("dup-idempotence")
 	var handlers []string
 	for _, d := range ds {
@@ -52,7 +52,7 @@ func TestDupIdempotenceStacheFT(t *testing.T) {
 // stays quiet on the base protocol even though its handlers resume
 // continuations unguarded.
 func TestDupIdempotenceSilentWithoutTimeout(t *testing.T) {
-	rep := analysis.Analyze(stache.MustCompile(true).Protocol)
+	rep := analysis.Analyze(protocols.MustCompile("stache", true).Protocol)
 	if ds := rep.ByCheck("dup-idempotence"); len(ds) != 0 {
 		t.Errorf("base stache flagged (no TIMEOUT declared): %v", ds)
 	}

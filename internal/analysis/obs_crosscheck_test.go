@@ -5,6 +5,7 @@ import (
 
 	"teapot/internal/analysis"
 	"teapot/internal/obs"
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/sim"
@@ -20,7 +21,7 @@ import (
 // Stache the lint is expected to stay silent — that too is asserted, so a
 // regression in either the optimizer or the lint shows up here.
 func TestObsAgreesWithContAllocAnalysis(t *testing.T) {
-	art := stache.MustCompile(true)
+	art := protocols.MustCompile("stache", true)
 	p := art.Protocol
 
 	staticSite := map[int]bool{}

@@ -9,12 +9,13 @@ import (
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
 	"teapot/internal/obs"
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 )
 
 func TestExpectedDispatchShape(t *testing.T) {
-	p := stache.MustCompile(true).Protocol
+	p := protocols.MustCompile("stache", true).Protocol
 	exp := analysis.ExpectedDispatch(p)
 	if len(exp) == 0 {
 		t.Fatal("empty dispatch universe for stache")
@@ -46,7 +47,7 @@ func TestExpectedDispatchShape(t *testing.T) {
 }
 
 func TestExpectedDispatchFTHasTimeouts(t *testing.T) {
-	p := stache.MustCompileFT(true).Protocol
+	p := protocols.MustCompile("stache-ft", true).Protocol
 	var timeouts int
 	for _, pair := range analysis.ExpectedDispatch(p) {
 		if strings.HasSuffix(pair, ".TIMEOUT") {
@@ -59,7 +60,7 @@ func TestExpectedDispatchFTHasTimeouts(t *testing.T) {
 }
 
 func TestCoverageGaps(t *testing.T) {
-	p := stache.MustCompile(true).Protocol
+	p := protocols.MustCompile("stache", true).Protocol
 	exp := analysis.ExpectedDispatch(p)
 	full := map[string]uint64{}
 	for _, pair := range exp {
@@ -85,7 +86,7 @@ func TestCoverageGaps(t *testing.T) {
 // dispatch exactly the statically reachable universe minus that known,
 // named remainder.
 func TestExhaustiveCoverageMeetsStatic(t *testing.T) {
-	p := stache.MustCompile(true).Protocol
+	p := protocols.MustCompile("stache", true).Protocol
 	cov := obs.NewCoverage()
 	cfg := mc.Config{
 		Proto: p, Support: stache.MustSupport(p),

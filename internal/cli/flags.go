@@ -57,7 +57,7 @@ func addIters(fs *flag.FlagSet) *int {
 }
 
 func addWorkers(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0, "model-checker BFS worker goroutines (0 = GOMAXPROCS)")
+	return intRange(fs, "workers", 0, 0, -1, "model-checker BFS worker goroutines (0 = GOMAXPROCS)")
 }
 
 func addSeed(fs *flag.FlagSet) *uint64 {

@@ -34,7 +34,7 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 		replay    = fs.String("replay", "", "replay a saved schedule instead of fuzzing; all run-shape flags are taken from the file")
 		noShrink  = fs.Bool("no-shrink", false, "keep the first failing schedule as-is instead of delta-debugging it")
 		mcConfirm = fs.Bool("mc-confirm", false, "after a failure, cross-check with the model checker and differentially replay its counterexample")
-		mcStates  = fs.Int("mc-states", 5_000_000, "state budget for -mc-confirm (0 = unlimited)")
+		mcStates  = intRange(fs, "mc-states", 5_000_000, 0, -1, "state budget for -mc-confirm (0 = unlimited)")
 		report    = addReport(fs)
 	)
 	if err := parse(fs, args, 0); err != nil {

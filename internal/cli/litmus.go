@@ -35,7 +35,7 @@ func cmdLitmus(args []string, stdout, stderr io.Writer) error {
 	var (
 		corpus  = fs.String("corpus", filepath.Join("testdata", "litmus"), "directory of .lit litmus tests (non-recursive)")
 		mode    = choice(fs, "mode", "all", "substrates to run", "sim", "fuzz", "mc", "all")
-		budget  = fs.Int("budget", 0, "model-checker state budget per test (0 = the harness default); fuzz schedule counts scale with it")
+		budget  = intRange(fs, "budget", 0, 0, -1, "model-checker state budget per test (0 = the harness default); fuzz schedule counts scale with it")
 		seed    = addSeed(fs)
 		workers = addWorkers(fs)
 		only    = fs.String("only", "", "run only tests whose name contains this substring")

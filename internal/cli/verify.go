@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime/pprof"
 
+	"teapot/internal/core"
 	"teapot/internal/manifest"
 	"teapot/internal/mc"
 	"teapot/internal/obs"
@@ -27,7 +28,7 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("verify", stderr, "[flags]")
 	run := addRun(fs, "stache", 2, 1)
 	var (
-		maxState = fs.Int("max-states", 0, "abort after exploring this many states (0 = unlimited)")
+		maxState = intRange(fs, "max-states", 0, 0, -1, "abort after exploring this many states (0 = unlimited)")
 		symmetry = choice(fs, "symmetry", "auto", "symmetry reduction — auto: reduce when the static certificate and support vouches allow; on: fail unless reduction is possible", "auto", "off", "on")
 		progress = choice(fs, "progress", "auto", "live per-layer progress on stderr (auto: only when stderr is a terminal)", "auto", "always", "never")
 		stats    = fs.Bool("stats", false, "print a final exploration stats block")
@@ -60,12 +61,11 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 	// Manifest plumbing: accumulate coverage during exploration and keep the
 	// final progress snapshot (the only carrier of shard balance).
 	wantManifest := *jsonOut || *report != ""
-	cfg := spec.MCConfig()
 	var lastProg mc.ProgressInfo
 	if wantManifest {
-		cfg.Coverage = obs.NewCoverage()
-		live := cfg.Progress
-		cfg.Progress = func(p mc.ProgressInfo) {
+		spec.Coverage = obs.NewCoverage()
+		live := spec.Progress
+		spec.Progress = func(p mc.ProgressInfo) {
 			lastProg = p
 			if live != nil {
 				live(p)
@@ -84,7 +84,7 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	res, err := mc.Check(cfg)
+	res, err := core.Check(spec)
 	if err != nil {
 		return err
 	}
@@ -108,16 +108,15 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 	st := mcStats(res, lastProg)
 
 	if wantManifest {
-		man := newManifest("teapot-verify", *run.Proto, *run.Nodes, *run.Blocks, spec.Net.String(), 0, cfg.Coverage, spec.Proto)
+		man := newManifest("teapot-verify", *run.Proto, *run.Nodes, *run.Blocks, spec.Net.String(), 0, spec.Coverage, spec.Proto)
 		man.MC = st
 		if res.Violation != nil && len(res.Violation.Steps) > 0 {
 			// Replay the counterexample with a flight recorder attached so
 			// the manifest (and stderr) carry the event tail leading into
 			// the violation.
 			fr := obs.NewFlightRecorder(0)
-			rcfg := spec.MCConfig()
-			rcfg.Obs = fr
-			if err := mc.ReplaySteps(rcfg, res.Violation.Steps, nil); err != nil {
+			spec.Obs = fr
+			if err := mc.ReplaySteps(spec.Config, res.Violation.Steps, nil); err != nil {
 				return fmt.Errorf("flight-recorder replay: %w", err)
 			}
 			man.FlightRecorder = flightTail(stderr, "counterexample tail", fr, spec.Proto)
@@ -159,7 +158,12 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  symmetry group: %d\n", res.SymmetryGroup)
 	}
 	if res.Violation == nil {
-		fmt.Fprintln(stdout, "verified: no deadlock, no unexpected messages, coherence holds")
+		// Say what was checked: SWMR is evaluated only where the table asks.
+		coherence := "coherence holds"
+		if !spec.CheckCoherence {
+			coherence = "coherence not checked (phases are deliberately inconsistent)"
+		}
+		fmt.Fprintf(stdout, "verified: no deadlock, no unexpected messages, %s\n", coherence)
 	} else {
 		fmt.Fprintf(stdout, "VIOLATION %s\n", res.Violation)
 	}

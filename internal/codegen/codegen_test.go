@@ -8,13 +8,12 @@ import (
 	"testing"
 
 	"teapot/internal/codegen"
-	"teapot/internal/protocols/bufwrite"
-	"teapot/internal/protocols/lcm"
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/stache"
 )
 
 func TestGenerateStache(t *testing.T) {
-	a := stache.MustCompile(true)
+	a := protocols.MustCompile("stache", true)
 	src := codegen.Generate(a.IR, "stacheproto")
 	for _, want := range []string{
 		"package stacheproto",
@@ -50,16 +49,10 @@ func TestGeneratedCodeCompiles(t *testing.T) {
 		t.Skip("invokes the go toolchain")
 	}
 	cases := map[string]string{
-		"stache":   codegen.Generate(stache.MustCompile(true).IR, "proto"),
-		"lcm":      codegen.Generate(lcm.MustCompile(lcm.Base, true).IR, "proto"),
-		"bufwrite": codegen.Generate(bufwrite.MustCompile(true).IR, "proto"),
-		"cas": func() string {
-			a, err := stache.CompileCAS(true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return codegen.Generate(a.IR, "proto")
-		}(),
+		"stache":   codegen.Generate(protocols.MustCompile("stache", true).IR, "proto"),
+		"lcm":      codegen.Generate(protocols.MustCompile("lcm", true).IR, "proto"),
+		"bufwrite": codegen.Generate(protocols.MustCompile("bufwrite", true).IR, "proto"),
+		"cas":      codegen.Generate(protocols.MustCompile("stache-cas", true).IR, "proto"),
 	}
 	for name, src := range cases {
 		name, src := name, src

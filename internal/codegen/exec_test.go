@@ -10,7 +10,7 @@ import (
 	"teapot/internal/codegen"
 	"teapot/internal/core"
 	"teapot/internal/ir"
-	"teapot/internal/protocols/stache"
+	"teapot/internal/protocols"
 )
 
 // execProtocol is compiled, generated to Go, then *executed* by a driver
@@ -145,7 +145,7 @@ func TestGeneratedCodeExecutes(t *testing.T) {
 // TestHandlerTableComplete: the generated dispatch table covers exactly the
 // handlers of the semantic model.
 func TestHandlerTableComplete(t *testing.T) {
-	a := stache.MustCompile(true)
+	a := protocols.MustCompile("stache", true)
 	src := codegen.Generate(a.IR, "proto")
 	for si, st := range a.Sema.States {
 		for _, h := range st.Handlers {

@@ -5,8 +5,6 @@ import (
 	"hash/fnv"
 
 	"teapot/internal/mc"
-	"teapot/internal/netmodel"
-	"teapot/internal/obs"
 	"teapot/internal/runtime"
 	"teapot/internal/sim"
 	"teapot/internal/tempest"
@@ -14,52 +12,27 @@ import (
 
 // RunSpec describes one protocol run, shared by both backends: Check
 // explores it exhaustively with the model checker, Simulate executes it on
-// the discrete-event machine. The network fault model is a single value
-// with one meaning everywhere — the checker explores its faults
-// nondeterministically within the budgets, the simulator injects them
-// stochastically from Seed — so "-net drop=1,dup=1" names the same network
-// to every tool.
+// the discrete-event machine. It is the checker's configuration — protocol,
+// support module, machine shape, network, sink — plus the five things only
+// the simulator needs, so there is nothing to keep in step between the two.
+// The network fault model is a single value with one meaning everywhere —
+// the checker explores its faults nondeterministically within the budgets,
+// the simulator injects them stochastically from Seed — so "-net
+// drop=1,dup=1" names the same network to every tool.
+//
+// Of the embedded fields Simulate reads Proto, Support, Nodes, Blocks, Net
+// and Obs; Events, Client and Terminal drive the checker only (the
+// simulator runs Program, which carries a litmus Client's script as
+// tempest ops).
 type RunSpec struct {
-	Proto   *runtime.Protocol
-	Support runtime.Support
-	// Events generates the processor events (read/write faults) the
-	// checker injects; ignored by Simulate, which drives the engine from
-	// Program instead.
-	Events mc.EventGen
-	// Client attaches a scripted litmus workload to the checker (see
-	// mc.Config.Client); ignored by Simulate, whose Program carries the
-	// same script as tempest ops. Terminal is the checker's terminal-state
-	// judge (requires Client).
-	Client   *mc.Client
-	Terminal func(*mc.World) string
+	mc.Config
+
+	Seed    uint64 // fault-injection RNG seed; see EffectiveSeed
+	Program tempest.Program
+	Cost    tempest.CostModel // zero value: tempest.DefaultCost
 	// InitMem gives blocks initial values in the simulator's data model
 	// (litmus workloads); the checker takes them from Client.InitMem.
-	InitMem []int64
-	// Codec is only needed by protocols that snapshot abstract values.
-	Codec runtime.AbstractCodec
-
-	Nodes  int
-	Blocks int
-	HomeOf func(id int) int // default: id % Nodes
-
-	// Net is the network fault model (netmodel.Parse understands the
-	// "drop=1,dup=1,reorder=2" flag syntax).
-	Net netmodel.Model
-
-	// Checker knobs.
-	Workers        int // BFS goroutines (0 = GOMAXPROCS)
-	CheckCoherence bool
-	MaxStates      int // 0 = unlimited
-	// Symmetry selects certificate-gated symmetry reduction (see
-	// mc.SymmetryMode; the zero value is off). Ignored by Simulate.
-	Symmetry mc.SymmetryMode
-	Progress func(mc.ProgressInfo)
-
-	// Simulator knobs.
-	Seed      uint64 // fault-injection RNG seed
-	Program   tempest.Program
-	Cost      tempest.CostModel // zero value: tempest.DefaultCost
-	Obs       obs.Sink
+	InitMem   []int64
 	MaxEvents int64 // event budget for the run (0 = tempest's default)
 }
 
@@ -85,29 +58,11 @@ func (s RunSpec) EffectiveSeed() uint64 {
 	return seed
 }
 
-// MCConfig lowers the spec to a checker configuration.
-func (s RunSpec) MCConfig() mc.Config {
-	return mc.Config{
-		Proto:          s.Proto,
-		Support:        s.Support,
-		Codec:          s.Codec,
-		Nodes:          s.Nodes,
-		Blocks:         s.Blocks,
-		HomeOf:         s.HomeOf,
-		Net:            s.Net,
-		Events:         s.Events,
-		Client:         s.Client,
-		Terminal:       s.Terminal,
-		Workers:        s.Workers,
-		CheckCoherence: s.CheckCoherence,
-		MaxStates:      s.MaxStates,
-		Symmetry:       s.Symmetry,
-		Progress:       s.Progress,
-	}
-}
+// MCConfig returns the checker's configuration: the embedded value.
+func (s RunSpec) MCConfig() mc.Config { return s.Config }
 
 // SimConfig lowers the spec to a simulator configuration, building the
-// engine from Proto and Support.
+// engine from Proto and Support and resolving the seed.
 func (s RunSpec) SimConfig() sim.Config {
 	if s.Cost == (tempest.CostModel{}) {
 		s.Cost = tempest.DefaultCost
@@ -115,7 +70,6 @@ func (s RunSpec) SimConfig() sim.Config {
 	return sim.Config{
 		Nodes:  s.Nodes,
 		Blocks: s.Blocks,
-		HomeOf: s.HomeOf,
 		Cost:   s.Cost,
 		Tags:   tempest.ResolveTags(s.Proto),
 		MakeEngine: func(m runtime.Machine) tempest.Engine {
@@ -132,7 +86,7 @@ func (s RunSpec) SimConfig() sim.Config {
 
 // Check model-checks the spec.
 func Check(spec RunSpec) (*mc.Result, error) {
-	return mc.Check(spec.MCConfig())
+	return mc.Check(spec.Config)
 }
 
 // Simulate executes the spec's workload on the discrete-event machine.

@@ -16,8 +16,8 @@ type stubProgram struct{}
 
 func (*stubProgram) Next(node int) (tempest.Op, bool) { return tempest.Op{}, false }
 
-// specFixture builds a fully-populated RunSpec over a real compiled
-// protocol, with every lowering-relevant knob set to a distinctive value.
+// specFixture builds a RunSpec over a real compiled protocol, with
+// everything SimConfig lowers set to a distinctive value.
 func specFixture(t *testing.T) core.RunSpec {
 	t.Helper()
 	spec, err := protocols.Spec("stache-ft", 3, 2)
@@ -25,10 +25,6 @@ func specFixture(t *testing.T) core.RunSpec {
 		t.Fatal(err)
 	}
 	spec.Net = netmodel.Model{Reorder: 2, MaxDrops: 3, MaxDups: 4, MaxCorrupts: 5, Delay: 6, Rate: 0.5}
-	spec.HomeOf = func(id int) int { return (id + 1) % 3 }
-	spec.Workers = 7
-	spec.MaxStates = 123456
-	spec.Progress = func(mc.ProgressInfo) {}
 	spec.Seed = 42
 	spec.Program = &stubProgram{}
 	spec.Cost = tempest.CostModel{Dispatch: 99}
@@ -37,32 +33,20 @@ func specFixture(t *testing.T) core.RunSpec {
 	return spec
 }
 
-// TestMCConfigLowering: every checker-relevant RunSpec field must survive
-// the lowering, including the full set of -net fault budgets.
+// TestMCConfigLowering: the checker's configuration is the embedded value,
+// so what is assigned through the promoted fields is what Check gets — the
+// coverage set and the sink included, which therefore need no patching into
+// a lowered copy.
 func TestMCConfigLowering(t *testing.T) {
 	spec := specFixture(t)
+	spec.Workers, spec.Symmetry = 7, mc.SymmetryOn
+	spec.Coverage = obs.NewCoverage()
 	cfg := spec.MCConfig()
-
-	if cfg.Proto != spec.Proto || cfg.Support == nil || cfg.Events == nil {
-		t.Error("protocol wiring not threaded")
+	if cfg.Proto != spec.Proto || cfg.Net != spec.Net || cfg.Workers != 7 || cfg.Symmetry != mc.SymmetryOn {
+		t.Errorf("promoted fields did not reach the checker configuration: %+v", cfg)
 	}
-	if cfg.Nodes != 3 || cfg.Blocks != 2 {
-		t.Errorf("machine shape: %d nodes, %d blocks", cfg.Nodes, cfg.Blocks)
-	}
-	if cfg.Net != spec.Net {
-		t.Errorf("net model: %+v, want %+v", cfg.Net, spec.Net)
-	}
-	if cfg.Workers != 7 || cfg.MaxStates != 123456 {
-		t.Errorf("checker knobs: workers %d, max-states %d", cfg.Workers, cfg.MaxStates)
-	}
-	if !cfg.CheckCoherence {
-		t.Error("CheckCoherence dropped")
-	}
-	if cfg.Progress == nil {
-		t.Error("Progress dropped")
-	}
-	if cfg.HomeOf == nil || cfg.HomeOf(0) != 1 {
-		t.Error("HomeOf not threaded")
+	if cfg.Coverage != spec.Coverage || cfg.Obs != spec.Obs {
+		t.Error("coverage set or sink left behind")
 	}
 }
 
@@ -93,9 +77,6 @@ func TestSimConfigLowering(t *testing.T) {
 	}
 	if cfg.Program != spec.Program {
 		t.Error("program not threaded")
-	}
-	if cfg.HomeOf == nil || cfg.HomeOf(0) != 1 {
-		t.Error("HomeOf not threaded")
 	}
 	if cfg.MakeEngine == nil {
 		t.Fatal("MakeEngine missing")

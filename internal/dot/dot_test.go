@@ -5,11 +5,11 @@ import (
 	"testing"
 
 	"teapot/internal/dot"
-	"teapot/internal/protocols/stache"
+	"teapot/internal/protocols"
 )
 
 func TestFigure1NonHomeIdealized(t *testing.T) {
-	a := stache.MustCompile(true)
+	a := protocols.MustCompile("stache", true)
 	m := dot.Extract(a.IR, dot.Options{Prefix: "Cache_", IncludeTransient: false})
 	// Figure 1's idealized non-home machine: Invalid, Readable, Writable.
 	want := map[string]bool{"Cache_Inv": true, "Cache_RO": true, "Cache_RW": true}
@@ -36,7 +36,7 @@ func TestFigure1NonHomeIdealized(t *testing.T) {
 }
 
 func TestFigure2HomeIdealized(t *testing.T) {
-	a := stache.MustCompile(true)
+	a := protocols.MustCompile("stache", true)
 	m := dot.Extract(a.IR, dot.Options{Prefix: "Home_", IncludeTransient: false})
 	// Figure 2: Idle, ReadShared, Exclusive.
 	if len(m.States) != 3 {
@@ -45,7 +45,7 @@ func TestFigure2HomeIdealized(t *testing.T) {
 }
 
 func TestFigure4HomeWithIntermediates(t *testing.T) {
-	a := stache.MustCompile(true)
+	a := protocols.MustCompile("stache", true)
 	ideal := dot.Count(a.IR, dot.Options{Prefix: "Home_", IncludeTransient: false})
 	full := dot.Count(a.IR, dot.Options{Prefix: "Home_", IncludeTransient: true})
 	if full.States <= ideal.States {
@@ -56,7 +56,7 @@ func TestFigure4HomeWithIntermediates(t *testing.T) {
 }
 
 func TestRenderDOT(t *testing.T) {
-	a := stache.MustCompile(true)
+	a := protocols.MustCompile("stache", true)
 	m := dot.Extract(a.IR, dot.Options{Prefix: "Cache_", IncludeTransient: true})
 	out := dot.Render(m, "stache-cache")
 	for _, want := range []string{"digraph", "rankdir=LR", "Cache_Inv", "->", "style=dashed"} {

@@ -13,30 +13,6 @@ import (
 	"teapot/internal/tempest"
 )
 
-// Profile is how a protocol is fuzzed and judged. Invalidation protocols
-// get the full oracle; write-through and buffered protocols propagate
-// values asynchronously, so only the access-control invariant applies.
-type Profile struct {
-	Inv   oracle.Invariants
-	Evict bool // workload includes voluntary evictions
-	Sync  bool // workload ends with a SYNC sweep
-}
-
-// ProfileFor returns the fuzzing profile for a bundled protocol. LCM
-// protocols are not judgeable: their phases are deliberately inconsistent
-// (that is the protocol's point), so no oracle profile exists.
-func ProfileFor(proto string) (Profile, error) {
-	switch proto {
-	case "stache", "stache-buggy", "stache-ft", "stache-ft-buggy":
-		return Profile{Inv: oracle.AllInvariants(), Evict: true}, nil
-	case "update":
-		return Profile{Inv: oracle.SWMROnly()}, nil
-	case "bufwrite":
-		return Profile{Inv: oracle.SWMROnly(), Sync: true}, nil
-	}
-	return Profile{}, fmt.Errorf("fuzz: no oracle profile for protocol %q (judgeable: stache, stache-ft, stache-buggy, stache-ft-buggy, update, bufwrite)", proto)
-}
-
 // Config shapes a fuzzing campaign.
 type Config struct {
 	Proto  string
@@ -70,7 +46,7 @@ const maxRunEvents = 1_000_000
 type Fuzzer struct {
 	cfg  Config
 	spec core.RunSpec
-	prof Profile
+	prof protocols.Profile // how runs are driven and judged (the table's)
 }
 
 // New builds a fuzzer, compiling the protocol.
@@ -90,7 +66,7 @@ func New(cfg Config) (*Fuzzer, error) {
 	if cfg.OpsPerNode == 0 {
 		cfg.OpsPerNode = 40
 	}
-	prof, err := ProfileFor(cfg.Proto)
+	prof, err := protocols.OracleProfile(cfg.Proto)
 	if err != nil {
 		return nil, err
 	}
@@ -113,9 +89,6 @@ func New(cfg Config) (*Fuzzer, error) {
 
 // Spec exposes the underlying run spec (for mc cross-checking).
 func (f *Fuzzer) Spec() core.RunSpec { return f.spec }
-
-// Profile exposes the active oracle profile.
-func (f *Fuzzer) Profile() Profile { return f.prof }
 
 // Report is the outcome of one scheduled run.
 type Report struct {
@@ -238,7 +211,7 @@ func (f *Fuzzer) runWith(ch tempest.Chooser, wSeed uint64) *Report {
 // the observations, off the returned oracle. Every fuzz schedule and every
 // litmus sim and fuzz run is this one body.
 func JudgedRun(spec core.RunSpec, oc oracle.Config, ch tempest.Chooser, cov *obs.Coverage) (*oracle.Checker, *tempest.Stats, error) {
-	oc.Nodes, oc.Blocks, oc.HomeOf = spec.Nodes, spec.Blocks, spec.HomeOf
+	oc.Nodes, oc.Blocks = spec.Nodes, spec.Blocks
 	checker := oracle.New(oc)
 	// Build the sink set explicitly: a nil *Coverage wrapped in the Sink
 	// interface would slip past NewTee's nil filter (typed nil).
@@ -273,9 +246,9 @@ func (f *Fuzzer) schedule(dec []Decision, wSeed, recSeed uint64) *Schedule {
 // found a violation should see the checker find one too (and its
 // counterexample pass mc.DiffReplay).
 func (f *Fuzzer) ConfirmMC(maxStates int) (*mc.Result, error) {
-	cfg := f.spec.MCConfig()
-	cfg.MaxStates = maxStates
-	return mc.Check(cfg)
+	spec := f.spec
+	spec.MaxStates = maxStates
+	return core.Check(spec)
 }
 
 var _ obs.Sink = (*oracle.Checker)(nil)

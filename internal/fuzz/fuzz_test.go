@@ -148,20 +148,6 @@ func TestReplayerTotality(t *testing.T) {
 	}
 }
 
-// TestProfileFor pins the judgeability boundary.
-func TestProfileFor(t *testing.T) {
-	for _, name := range []string{"stache", "stache-ft", "stache-buggy", "stache-ft-buggy", "update", "bufwrite"} {
-		if _, err := ProfileFor(name); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	for _, name := range []string{"lcm", "lcm-mcc", "nonsense"} {
-		if _, err := ProfileFor(name); err == nil {
-			t.Errorf("%s: want an error (not judgeable)", name)
-		}
-	}
-}
-
 // fuzzSeededBug runs the canonical failing campaign the schedule tests
 // share: stache-ft-buggy under a one-drop budget, master seed 2.
 func fuzzSeededBug(t *testing.T) (*Fuzzer, *Result) {

@@ -149,8 +149,8 @@ type runner struct {
 	t    *Test
 	opt  Options
 	spec core.RunSpec
-	prof fuzz.Profile // oracle profile (sim/fuzz modes)
-	seed uint64       // master seed
+	prof protocols.Profile // oracle profile (sim/fuzz modes)
+	seed uint64            // master seed
 	// script is the test lowered once: the ops the checker's client plane
 	// runs as they are, and the simulator runs behind jitter yields.
 	script [][]tempest.Op
@@ -240,7 +240,7 @@ func newRunner(t *Test, opt Options) (*runner, error) {
 		}
 	}
 	if opt.wants("sim") || opt.wants("fuzz") {
-		prof, err := fuzz.ProfileFor(t.Proto)
+		prof, err := protocols.OracleProfile(t.Proto)
 		if err != nil {
 			return nil, fmt.Errorf("litmus %s: %w", t.Name, err)
 		}
@@ -505,9 +505,8 @@ func (r *runner) runMC(res *Result) error {
 		mu.Unlock()
 		return ""
 	}
-	cfg := spec.MCConfig()
-	cfg.Coverage = r.opt.Coverage
-	mcres, err := mc.Check(cfg)
+	spec.Coverage = r.opt.Coverage
+	mcres, err := core.Check(spec)
 	if err != nil {
 		return fmt.Errorf("litmus %s: %w", t.Name, err)
 	}
@@ -567,15 +566,15 @@ func (r *runner) runMC(res *Result) error {
 		}
 		return ""
 	}
-	jcfg := spec.MCConfig()
-	jres, err := mc.Check(jcfg)
+	spec.Coverage = nil // pass 1 has counted this state space
+	jres, err := core.Check(spec)
 	if err != nil {
 		return fmt.Errorf("litmus %s: %w", t.Name, err)
 	}
 	if jres.Violation == nil {
 		return fmt.Errorf("litmus %s: forbidden outcome collected in pass 1 but judging pass found none", t.Name)
 	}
-	confirmed, err := confirmForbidden(t, jcfg, jres.Violation)
+	confirmed, err := confirmForbidden(t, spec.Config, jres.Violation)
 	if err != nil {
 		return fmt.Errorf("litmus %s: counterexample replay: %w", t.Name, err)
 	}

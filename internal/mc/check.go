@@ -275,10 +275,7 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 		return nil
 	}
 	for i, a := range wk.acts {
-		wa, err := w.branch(a, i == len(wk.acts)-1, wk.cov, wk.succ)
-		if err != nil {
-			return fmt.Errorf("mc: clone: %w", err)
-		}
+		wa := w.branch(a, i == len(wk.acts)-1, wk.cov, wk.succ)
 		wk.transitions++
 		if err := wa.apply(a); err != nil {
 			wk.take(&candidate{kind: "protocol-error", msg: err.Error(), pos: pos, ord: int32(i)})
@@ -306,13 +303,11 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 // event stream of that one engine (the others may be shared with w and are
 // left alone), and the two fault actions no event kind exists for
 // (reordered deliveries, corrupt bounces) are recorded at the action level.
-func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) (*World, error) {
+func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) *World {
 	wa := w
 	if !last {
 		wa = scratch
-		if err := w.cloneInto(wa, a.engine()); err != nil {
-			return nil, err
-		}
+		w.cloneInto(wa, a.engine())
 	}
 	if cov != nil {
 		wa.obsSink = cov
@@ -330,7 +325,7 @@ func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) (
 				int32(wa.channels[a.from*w.cfg.Nodes+a.to][a.idx].Tag))
 		}
 	}
-	return wa, nil
+	return wa
 }
 
 // buildViolation re-derives the counterexample trace for the selected
@@ -395,17 +390,14 @@ func buildViolation(cfg *Config, vt *visitedTable, red *reduction, layer []int32
 			if int(t.ord) >= len(acts) {
 				return nil, fmt.Errorf("mc: trace replay diverged at step %d", n)
 			}
-			a = red.permAction(acts[t.ord], g.inverse())
+			a = permAction(acts[t.ord], g.inverse())
 		}
 		trace = append(trace, w.describe(a))
 		machineSteps = append(machineSteps, w.step(a))
 		if final {
 			if red != nil {
 				// Re-derive the violation message in original coordinates.
-				wf, err := w.clone()
-				if err != nil {
-					return nil, fmt.Errorf("mc: clone: %w", err)
-				}
+				wf := w.clone()
 				if err := wf.apply(a); err != nil {
 					msg = err.Error()
 				} else if im := wf.checkInvariants(); im != "" {

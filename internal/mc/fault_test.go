@@ -6,21 +6,12 @@ import (
 
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
-	"teapot/internal/protocols/stache"
 )
 
 func stacheFTConfig(t *testing.T, nodes, blocks int, net netmodel.Model) mc.Config {
-	t.Helper()
-	a := stache.MustCompileFT(true)
-	return mc.Config{
-		Proto:          a.Protocol,
-		Support:        stache.MustFTSupport(a.Protocol, nodes),
-		Nodes:          nodes,
-		Blocks:         blocks,
-		Net:            net,
-		Events:         stache.NewEvents(a.Protocol),
-		CheckCoherence: true,
-	}
+	cfg := bundled(t, "stache-ft", nodes, blocks)
+	cfg.Net = net
+	return cfg
 }
 
 // TestStacheFailsUnderDrop: the base protocol has no retransmission, so a

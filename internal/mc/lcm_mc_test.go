@@ -5,22 +5,15 @@ import (
 
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
-	"teapot/internal/protocols/bufwrite"
 	"teapot/internal/protocols/lcm"
 )
 
+// lcmConfig checks a runnable LCM variant (Base or MCC) without the
+// coherence invariant: LCM phases are deliberately inconsistent.
 func lcmConfig(t *testing.T, v lcm.Variant, nodes, blocks, reorder int) mc.Config {
-	t.Helper()
-	a := lcm.MustCompile(v, true)
-	return mc.Config{
-		Proto:          a.Protocol,
-		Support:        lcm.MustSupport(a.Protocol, nodes),
-		Nodes:          nodes,
-		Blocks:         blocks,
-		Net:            netmodel.Model{Reorder: reorder},
-		Events:         lcm.NewEvents(a.Protocol),
-		CheckCoherence: false, // LCM phases are deliberately inconsistent
-	}
+	cfg := bundled(t, v.String(), nodes, blocks)
+	cfg.Net = netmodel.Model{Reorder: reorder}
+	return cfg
 }
 
 func TestLCMSimpleTwoNodes(t *testing.T) {
@@ -56,18 +49,12 @@ func TestLCMReorder1(t *testing.T) {
 	t.Logf("states=%d transitions=%d depth=%d", res.States, res.Transitions, res.MaxDepth)
 }
 
+// bufwriteConfig checks with the coherence invariant on: buffered mode is
+// not counted as a writer.
 func bufwriteConfig(t *testing.T, nodes, blocks, reorder int) mc.Config {
-	t.Helper()
-	a := bufwrite.MustCompile(true)
-	return mc.Config{
-		Proto:          a.Protocol,
-		Support:        bufwrite.MustSupport(a.Protocol),
-		Nodes:          nodes,
-		Blocks:         blocks,
-		Net:            netmodel.Model{Reorder: reorder},
-		Events:         bufwrite.NewEvents(a.Protocol),
-		CheckCoherence: true, // buffered mode is not counted as a writer
-	}
+	cfg := bundled(t, "bufwrite", nodes, blocks)
+	cfg.Net = netmodel.Model{Reorder: reorder}
+	return cfg
 }
 
 func TestBufferedWriteTwoNodes(t *testing.T) {

@@ -38,11 +38,11 @@ import (
 type Config struct {
 	Proto   *runtime.Protocol
 	Support runtime.Support
-	Codec   runtime.AbstractCodec // nil unless the protocol snapshots abstract values
 
+	// Nodes and Blocks size the machine; block b's home is node
+	// runtime.HomeOf(b, Nodes).
 	Nodes  int
 	Blocks int
-	HomeOf func(id int) int // default: id % Nodes
 
 	// Net is the network fault model. The checker explores its faults
 	// nondeterministically: every in-flight message is a drop / duplicate /
@@ -73,9 +73,7 @@ type Config struct {
 	// (ClientRegs and ClientFinal return copies).
 	Terminal func(*World) string
 
-	MaxStates  int // 0 = unlimited
-	ChannelCap int // default 12
-	QueueCap   int // default 8
+	MaxStates int // 0 = unlimited
 
 	// Workers is the number of goroutines expanding each BFS layer
 	// (0 = GOMAXPROCS). Results are identical for any worker count; see
@@ -169,21 +167,11 @@ func (p ProgressInfo) DedupRatio() float64 {
 
 // normalize fills configuration defaults in place.
 func (cfg *Config) normalize() {
-	if cfg.HomeOf == nil {
-		nodes := cfg.Nodes
-		cfg.HomeOf = func(id int) int { return id % nodes }
-	}
 	cfg.timeoutTag = -1
 	cfg.nackTag = -1
 	if cfg.Proto != nil {
 		cfg.timeoutTag = cfg.Proto.MsgIndex("TIMEOUT")
 		cfg.nackTag = cfg.Proto.MsgIndex("NACK")
-	}
-	if cfg.ChannelCap == 0 {
-		cfg.ChannelCap = 12
-	}
-	if cfg.QueueCap == 0 {
-		cfg.QueueCap = 8
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = goruntime.GOMAXPROCS(0)
@@ -191,8 +179,8 @@ func (cfg *Config) normalize() {
 }
 
 // validate refuses what exploration and replay would otherwise fail on
-// later and less clearly: a machine with no node or no block (the default
-// HomeOf divides by Nodes; the symmetry group is sized by it), a malformed
+// later and less clearly: a machine with no node or no block (the home rule
+// divides by Nodes; the symmetry group is sized by it), a malformed
 // fault model, a client script written for a larger machine.
 func (cfg *Config) validate() error {
 	if cfg.Nodes < 1 || cfg.Blocks < 1 {
@@ -209,21 +197,22 @@ func (cfg *Config) validate() error {
 
 // EventGen enumerates the protocol events a processor may spontaneously
 // issue in a given global state (the paper's hand-written "event generation
-// loop", §7). When Config.Workers > 1 the checker calls Enabled from
-// multiple goroutines (on distinct worlds), so implementations must not
-// mutate shared state without synchronization. The world is valid only for
-// the call — the checker decodes the next state it expands over it — so
-// Enabled must not retain it.
+// loop", §7). The processor is single-issue, and that rule is the checker's:
+// Enabled is never called for a node stalled on a fault, so a generator
+// describes only what a running processor may do. When Config.Workers > 1
+// the checker calls Enabled from multiple goroutines (on distinct worlds),
+// so implementations must not mutate shared state without synchronization.
+// The world is valid only for the call — the checker decodes the next state
+// it expands over it — so Enabled must not retain it.
 type EventGen interface {
 	Enabled(w *World, node, block int) []Event
 }
 
 // Event is one processor-issued protocol event.
 type Event struct {
-	Name    string
-	Tag     int
-	Stalls  bool // the processor stalls until WakeUp on this block
-	Payload []vm.Value
+	Name   string
+	Tag    int
+	Stalls bool // the processor stalls until WakeUp on this block
 }
 
 // Result summarizes a run. Every figure except Elapsed is deterministic:
@@ -353,11 +342,8 @@ func (w *World) Access(node, block int) sema.AccessMode {
 	return w.access[node*w.cfg.Blocks+block]
 }
 
-// Stalled returns the block node is stalled on, or -1.
-func (w *World) Stalled(node int) int { return w.stalled[node] }
-
 // IsHome reports whether node is block's home.
-func (w *World) IsHome(node, block int) bool { return w.cfg.HomeOf(block) == node }
+func (w *World) IsHome(node, block int) bool { return w.HomeNode(block) == node }
 
 // Engine exposes a node's engine (for invariant helpers).
 func (w *World) Engine(node int) *runtime.Engine { return w.engines[node] }
@@ -441,7 +427,7 @@ func (w *World) WakeUp(node, id int) {
 	}
 }
 
-func (w *World) HomeNode(id int) int { return w.cfg.HomeOf(id) }
+func (w *World) HomeNode(id int) int { return runtime.HomeOf(id, w.cfg.Nodes) }
 
 func (w *World) Print(node int, s string) {}
 
@@ -460,7 +446,7 @@ func newWorld(cfg *Config) *World {
 	}
 	w.engines = append([]*runtime.Engine(nil), w.owned...)
 	for b := 0; b < cfg.Blocks; b++ {
-		w.access[cfg.HomeOf(b)*cfg.Blocks+b] = sema.AccReadWrite
+		w.access[w.HomeNode(b)*cfg.Blocks+b] = sema.AccReadWrite
 	}
 	if cfg.Client != nil {
 		w.initClient(cfg.Client)
@@ -508,7 +494,7 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (bool, error) {
 		decided = 1
 	}
 	for i := 0; i < nodes; i++ {
-		if err := w.engines[r.SrcNode(i)].EncodeState(enc, w.cfg.Codec); err != nil {
+		if err := w.engines[r.SrcNode(i)].EncodeState(enc); err != nil {
 			return false, err
 		}
 		if decided == 0 {
@@ -528,7 +514,7 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (bool, error) {
 			msgs := w.channels[r.SrcNode(from)*nodes+dst]
 			enc.Int(int64(len(msgs)))
 			for _, m := range msgs {
-				if err := w.engines[dst].EncodeMessage(enc, m, w.cfg.Codec); err != nil {
+				if err := w.engines[dst].EncodeMessage(enc, m); err != nil {
 					return false, err
 				}
 			}
@@ -601,7 +587,7 @@ func (cfg *Config) decodeInto(w *World, key []byte) error {
 	copy(w.engines, w.owned)
 	w.setObs(cfg.Obs)
 	for _, e := range w.engines {
-		if err := e.DecodeState(d, cfg.Codec); err != nil {
+		if err := e.DecodeState(d); err != nil {
 			return err
 		}
 	}
@@ -609,7 +595,7 @@ func (cfg *Config) decodeInto(w *World, key []byte) error {
 		n := d.Count()
 		msgs := w.channels[ch][:0]
 		for i := 0; i < n; i++ {
-			m, err := w.engines[ch%cfg.Nodes].DecodeMessage(d, cfg.Codec)
+			m, err := w.engines[ch%cfg.Nodes].DecodeMessage(d)
 			if err != nil {
 				return err
 			}
@@ -765,6 +751,9 @@ func (w *World) appendActions(out []action) []action {
 	}
 	if w.cfg.Events != nil {
 		for n := 0; n < w.cfg.Nodes; n++ {
+			if w.stalled[n] >= 0 {
+				continue // single-issue: blocked on a fault until WakeUp
+			}
 			for b := 0; b < w.cfg.Blocks; b++ {
 				for _, ev := range w.cfg.Events.Enabled(w, n, b) {
 					out = append(out, action{kind: actEvent, node: n, block: b, event: ev})
@@ -856,10 +845,7 @@ func (w *World) apply(a action) error {
 	case actDup:
 		ch := a.from*w.cfg.Nodes + a.to
 		m := w.channels[ch][a.idx]
-		cm, err := w.engines[ch%w.cfg.Nodes].CloneMessage(m, w.cfg.Codec)
-		if err != nil {
-			return fmt.Errorf("mc: duplicate message: %w", err)
-		}
+		cm := w.engines[ch%w.cfg.Nodes].CloneMessage(m)
 		// The copy goes immediately behind the original: duplication alone
 		// must not reorder the channel. Appending at the tail instead would
 		// let the copy arrive behind arbitrarily many later messages —
@@ -895,11 +881,20 @@ func (w *World) apply(a action) error {
 	if a.event.Stalls {
 		w.stalled[a.node] = a.block
 	}
-	if err := w.engines[a.node].InjectEvent(a.event.Tag, a.block, a.event.Payload...); err != nil {
+	if err := w.engines[a.node].InjectEvent(a.event.Tag, a.block); err != nil {
 		return err
 	}
 	return w.sendErr
 }
+
+// The bounds behind the "bounded channels and deferred queues" invariant: a
+// channel holding more than channelCap messages, or a block's deferred queue
+// more than queueCap, is a flood no bundled protocol produces at any checked
+// shape, so reaching one is reported as a livelock.
+const (
+	channelCap = 12
+	queueCap   = 8
+)
 
 // checkInvariants returns a violation message, or "".
 func (w *World) checkInvariants() string {
@@ -920,15 +915,15 @@ func (w *World) checkInvariants() string {
 		}
 	}
 	for ch, msgs := range w.channels {
-		if len(msgs) > w.cfg.ChannelCap {
+		if len(msgs) > channelCap {
 			return fmt.Sprintf("channel %d->%d exceeds %d messages",
-				ch/w.cfg.Nodes, ch%w.cfg.Nodes, w.cfg.ChannelCap)
+				ch/w.cfg.Nodes, ch%w.cfg.Nodes, channelCap)
 		}
 	}
 	for n, e := range w.engines {
 		for _, b := range e.Blocks {
-			if len(b.Deferred) > w.cfg.QueueCap {
-				return fmt.Sprintf("deferred queue for block %d on node %d exceeds %d", b.ID, n, w.cfg.QueueCap)
+			if len(b.Deferred) > queueCap {
+				return fmt.Sprintf("deferred queue for block %d on node %d exceeds %d", b.ID, n, queueCap)
 			}
 		}
 	}
@@ -976,9 +971,10 @@ const (
 
 // clone returns a deep copy of the world that can be mutated independently:
 // cloneInto a new world, every engine copied.
-func (w *World) clone() (*World, error) {
+func (w *World) clone() *World {
 	nw := &World{cfg: w.cfg}
-	return nw, w.cloneInto(nw, allEngines)
+	w.cloneInto(nw, allEngines)
+	return nw
 }
 
 // cloneInto overwrites dst — a new world, or one of this configuration to
@@ -999,7 +995,7 @@ func (w *World) clone() (*World, error) {
 // (expandState applies the final action to the parent itself). A shared
 // engine still calls back into the parent world if run, so a world from
 // cloneInto(dst, node) must never execute any other node's engine.
-func (w *World) cloneInto(dst *World, touch int) error {
+func (w *World) cloneInto(dst *World, touch int) {
 	dst.access = append(dst.access[:0], w.access...)
 	dst.stalled = append(dst.stalled[:0], w.stalled...)
 	dst.drops, dst.dups, dst.corrupts = w.drops, w.dups, w.corrupts
@@ -1028,9 +1024,7 @@ func (w *World) cloneInto(dst *World, touch int) error {
 		if dst.owned[i] == nil {
 			dst.owned[i] = new(runtime.Engine)
 		}
-		if err := e.CloneInto(dst.owned[i], dst, w.cfg.Codec); err != nil {
-			return err
-		}
+		e.CloneInto(dst.owned[i], dst)
 		dst.engines[i] = dst.owned[i]
 	}
 	for ch, msgs := range w.channels {
@@ -1043,15 +1037,10 @@ func (w *World) cloneInto(dst *World, touch int) error {
 		}
 		out := dst.channels[ch][:0]
 		for _, m := range msgs {
-			cm, err := eng.CloneMessage(m, w.cfg.Codec)
-			if err != nil {
-				return err
-			}
-			out = append(out, cm)
+			out = append(out, eng.CloneMessage(m))
 		}
 		dst.channels[ch] = out
 	}
-	return nil
 }
 
 // InitialWorld builds the machine's initial state (exported for benchmarks
@@ -1077,5 +1066,6 @@ func (cfg *Config) Restore(key string) (*World, error) {
 
 // Clone returns a deep copy of the world, sharing nothing mutable with it
 // (the checker's own successors are the same walk into a reused world that
-// copies one engine; see cloneInto).
-func (w *World) Clone() (*World, error) { return w.clone() }
+// copies one engine; see cloneInto). Cloning cannot fail: the error is always
+// nil, and the result is there for the benchmark harness, which reads it.
+func (w *World) Clone() (*World, error) { return w.clone(), nil }

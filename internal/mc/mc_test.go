@@ -6,21 +6,24 @@ import (
 
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
-	"teapot/internal/protocols/stache"
+	"teapot/internal/protocols"
 )
 
-func stacheConfig(t *testing.T, nodes, blocks, reorder int) mc.Config {
+// bundled returns the checker configuration of a bundled protocol at one
+// shape, wired as the protocols table wires it.
+func bundled(t testing.TB, name string, nodes, blocks int) mc.Config {
 	t.Helper()
-	a := stache.MustCompile(true)
-	return mc.Config{
-		Proto:          a.Protocol,
-		Support:        stache.MustSupport(a.Protocol),
-		Nodes:          nodes,
-		Blocks:         blocks,
-		Net:            netmodel.Model{Reorder: reorder},
-		Events:         stache.NewEvents(a.Protocol),
-		CheckCoherence: true,
+	spec, err := protocols.Spec(name, nodes, blocks)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return spec.Config
+}
+
+func stacheConfig(t *testing.T, nodes, blocks, reorder int) mc.Config {
+	cfg := bundled(t, "stache", nodes, blocks)
+	cfg.Net = netmodel.Model{Reorder: reorder}
+	return cfg
 }
 
 func TestStacheTwoNodesOneBlockInOrder(t *testing.T) {
@@ -69,19 +72,7 @@ func TestStacheTwoNodesTwoBlocks(t *testing.T) {
 }
 
 func TestBuggyStacheDeadlocks(t *testing.T) {
-	p, err := stache.CompileBuggy()
-	if err != nil {
-		t.Fatalf("compile buggy: %v", err)
-	}
-	cfg := mc.Config{
-		Proto:          p,
-		Support:        stache.MustSupport(p),
-		Nodes:          2,
-		Blocks:         1,
-		Events:         stache.NewEvents(p),
-		CheckCoherence: true,
-	}
-	res, err := mc.Check(cfg)
+	res, err := mc.Check(bundled(t, "stache-buggy", 2, 1))
 	if err != nil {
 		t.Fatalf("mc: %v", err)
 	}
@@ -118,12 +109,13 @@ func TestStateLimit(t *testing.T) {
 
 // TestEmptyMachineRefused: a machine with no node or no block is an error
 // from Check and ReplaySteps — under any symmetry mode — not a divide by
-// zero in the default HomeOf or a negative makeslice in the group builder.
+// zero in the home rule or a negative makeslice in the group builder.
 func TestEmptyMachineRefused(t *testing.T) {
 	for _, shape := range [][2]int{{0, 1}, {-1, 1}, {2, 0}, {2, -1}} {
 		for _, sym := range []mc.SymmetryMode{mc.SymmetryOff, mc.SymmetryAuto, mc.SymmetryOn} {
-			cfg := stacheConfig(t, shape[0], shape[1], 0)
-			cfg.Symmetry = sym
+			// The table refuses these shapes itself; the checker must too.
+			cfg := stacheConfig(t, 2, 1, 0)
+			cfg.Nodes, cfg.Blocks, cfg.Symmetry = shape[0], shape[1], sym
 			if res, err := mc.Check(cfg); err == nil || !strings.Contains(err.Error(), "want at least 1 of each") {
 				t.Errorf("Check at %d nodes, %d blocks (symmetry %v): result %v, err %v", shape[0], shape[1], sym, res, err)
 			}

@@ -8,8 +8,6 @@ import (
 	"teapot/internal/netmodel"
 	"teapot/internal/obs"
 	"teapot/internal/protocols/lcm"
-	"teapot/internal/protocols/stache"
-	"teapot/internal/protocols/update"
 )
 
 // equivalenceConfigs are the machines the worker-equivalence contract is
@@ -19,18 +17,8 @@ import (
 func equivalenceConfigs(t *testing.T) map[string]func() mc.Config {
 	t.Helper()
 	return map[string]func() mc.Config{
-		"stache": func() mc.Config { return stacheConfig(t, 2, 1, 1) },
-		"stache-buggy": func() mc.Config {
-			p, err := stache.CompileBuggy()
-			if err != nil {
-				t.Fatalf("compile buggy: %v", err)
-			}
-			return mc.Config{
-				Proto: p, Support: stache.MustSupport(p),
-				Nodes: 2, Blocks: 1,
-				Events: stache.NewEvents(p), CheckCoherence: true,
-			}
-		},
+		"stache":       func() mc.Config { return stacheConfig(t, 2, 1, 1) },
+		"stache-buggy": func() mc.Config { return bundled(t, "stache-buggy", 2, 1) },
 		// Fault budgets multiply the action set (drops, dups, timeouts) and
 		// thread extra counters through the canonical encoding; the
 		// equivalence contract must hold across all of it.
@@ -39,12 +27,9 @@ func equivalenceConfigs(t *testing.T) map[string]func() mc.Config {
 		},
 		"bufwrite": func() mc.Config { return bufwriteConfig(t, 2, 1, 1) },
 		"update": func() mc.Config {
-			a := update.MustCompile(true)
-			return mc.Config{
-				Proto: a.Protocol, Support: update.MustSupport(a.Protocol),
-				Nodes: 2, Blocks: 1, Net: netmodel.Model{Reorder: 1},
-				Events: update.NewEvents(a.Protocol), CheckCoherence: true,
-			}
+			cfg := bundled(t, "update", 2, 1)
+			cfg.Net = netmodel.Model{Reorder: 1}
+			return cfg
 		},
 		"lcm": func() mc.Config { return lcmConfig(t, lcm.Base, 2, 1, 0) },
 		// Symmetry-reduced runs at 3 nodes (the smallest shape with a
@@ -56,16 +41,9 @@ func equivalenceConfigs(t *testing.T) map[string]func() mc.Config {
 			return cfg
 		},
 		"stache-buggy-sym": func() mc.Config {
-			p, err := stache.CompileBuggy()
-			if err != nil {
-				t.Fatalf("compile buggy: %v", err)
-			}
-			return mc.Config{
-				Proto: p, Support: stache.MustSupport(p),
-				Nodes: 3, Blocks: 1,
-				Events: stache.NewEvents(p), CheckCoherence: true,
-				Symmetry: mc.SymmetryOn,
-			}
+			cfg := bundled(t, "stache-buggy", 3, 1)
+			cfg.Symmetry = mc.SymmetryOn
+			return cfg
 		},
 		"lcm-sym": func() mc.Config {
 			cfg := lcmConfig(t, lcm.Base, 3, 1, 0)
@@ -275,16 +253,8 @@ func TestBuggyTraceIdenticalAcrossWorkers(t *testing.T) {
 		t.Run("symmetry-"+sym.String(), func(t *testing.T) {
 			var replayCfg mc.Config
 			run := func(workers int) *mc.Result {
-				p, err := stache.CompileBuggy()
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := mc.Config{
-					Proto: p, Support: stache.MustSupport(p),
-					Nodes: 3, Blocks: 1,
-					Events: stache.NewEvents(p), CheckCoherence: true,
-					Workers: workers, Symmetry: sym,
-				}
+				cfg := bundled(t, "stache-buggy", 3, 1)
+				cfg.Workers, cfg.Symmetry = workers, sym
 				replayCfg = cfg
 				res, err := mc.Check(cfg)
 				if err != nil {

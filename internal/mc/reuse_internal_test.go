@@ -130,14 +130,8 @@ func CheckDecodeIntoDirtyWorld(t *testing.T, cfg Config, seed int64, walks, step
 			t.Fatalf("reused world enables %v, a fresh decode %v", acts, want)
 		}
 		for _, a := range acts {
-			ws, err := w.clone()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs, err := fresh.clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+			ws := w.clone()
+			fs := fresh.clone()
 			errW, errF := ws.apply(a), fs.apply(a)
 			if (errW == nil) != (errF == nil) {
 				t.Fatalf("%s: reused world error %v, fresh world error %v", w.describe(a), errW, errF)

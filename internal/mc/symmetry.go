@@ -5,7 +5,6 @@ import (
 
 	"teapot/internal/analysis"
 	"teapot/internal/runtime"
-	"teapot/internal/vm"
 )
 
 // Certificate-gated symmetry reduction.
@@ -19,17 +18,16 @@ import (
 //     dimensions over the compiled IR,
 //   - every support routine the IR calls is vouched equivariant by the
 //     support module itself (runtime.SymmetryDecl), with its node-bitmask
-//     variable slots declared so canonicalization can re-index them,
-//   - the event generator declares equivariance (EquivariantEvents), and
-//   - no abstract codec is in play (opaque values cannot be permuted).
+//     variable slots declared so canonicalization can re-index them, and
+//   - the event generator declares equivariance (EquivariantEvents).
 //
 // The admissible group is {(π over nodes, σ over blocks) : π(home(b)) =
-// home(σ(b)) for all b} — home bindings are configuration, not state, so a
-// permutation must map homes onto homes. Canonicalization encodes the
-// world under every group element and keeps the lexicographically smallest
-// key; the winning permutation index is stored alongside the int32
-// parent/action arena so counterexample traces can be rebuilt in original
-// coordinates (see buildViolation).
+// home(σ(b)) for all b}, home being runtime.HomeOf — home bindings are the
+// machine's, not state, so a permutation must map homes onto homes.
+// Canonicalization encodes the world under every group element and keeps
+// the lexicographically smallest key; the winning permutation index is
+// stored alongside the int32 parent/action arena so counterexample traces
+// can be rebuilt in original coordinates (see buildViolation).
 //
 // No permuted world is ever built. A group element is a runtime.Remap the
 // encoder applies as it writes (World.encodeTo): the one walk that produces
@@ -193,9 +191,6 @@ func buildReduction(cfg *Config) (*reduction, string, error) {
 	if cfg.Symmetry == SymmetryOff {
 		return nil, "", nil
 	}
-	if cfg.Codec != nil {
-		return refuse("the protocol snapshots abstract values the checker cannot permute")
-	}
 	if cfg.Client != nil {
 		return refuse("a scripted litmus client pins node and block identities")
 	}
@@ -257,7 +252,7 @@ func buildReduction(cfg *Config) (*reduction, string, error) {
 func enumerateGroup(cfg *Config) []*perm {
 	isHome := make([]bool, cfg.Nodes)
 	for b := 0; b < cfg.Blocks; b++ {
-		isHome[cfg.HomeOf(b)] = true
+		isHome[runtime.HomeOf(b, cfg.Nodes)] = true
 	}
 	var free []int // non-home nodes, ascending
 	for n, h := range isHome {
@@ -275,7 +270,7 @@ sigmas:
 		}
 		taken := make([]bool, cfg.Nodes)
 		for b := 0; b < cfg.Blocks; b++ {
-			h, img := cfg.HomeOf(b), cfg.HomeOf(sigma[b])
+			h, img := runtime.HomeOf(b, cfg.Nodes), runtime.HomeOf(sigma[b], cfg.Nodes)
 			switch {
 			case pi[h] == img:
 			case pi[h] >= 0 || taken[img]:
@@ -363,72 +358,15 @@ func (r *reduction) canonicalize(w *World, sc *keyScratch) ([]byte, int32, error
 	return sc.best.Bytes(), bestIdx, nil
 }
 
-// permValue maps identity-typed scalars through g and deep-copies value
-// containers (state values, continuations) so the result never aliases
-// mutable structure with the original. It serves trace de-permutation
-// (permEvent); keys are permuted by the encoder's remap instead.
-func (r *reduction) permValue(v vm.Value, g *perm) vm.Value {
-	switch v.Kind {
-	case vm.KNode:
-		if v.Int >= 0 && int(v.Int) < len(g.node) {
-			v.Int = int64(g.node[v.Int])
-		}
-	case vm.KID:
-		if v.Int >= 0 && int(v.Int) < len(g.blk) {
-			v.Int = int64(g.blk[v.Int])
-		}
-	case vm.KState:
-		if s := v.State(); s != nil {
-			ns := &vm.StateVal{State: s.State}
-			if len(s.Args) > 0 {
-				ns.Args = make([]vm.Value, len(s.Args))
-				for i, a := range s.Args {
-					ns.Args[i] = r.permValue(a, g)
-				}
-			}
-			v.Ref = ns
-		}
-	case vm.KCont:
-		if c := v.Cont(); c != nil {
-			nc := &vm.Cont{Fn: c.Fn, Frag: c.Frag, Site: c.Site, Heap: c.Heap}
-			if len(c.Saved) > 0 {
-				nc.Saved = make([]vm.Value, len(c.Saved))
-				for i, a := range c.Saved {
-					nc.Saved[i] = r.permValue(a, g)
-				}
-			}
-			v.Ref = nc
-		}
-	}
-	return v
-}
-
-// permEvent maps an event's payload through g (name, tag, and stall flag
-// are identity-independent).
-func (r *reduction) permEvent(ev Event, g *perm) Event {
-	if len(ev.Payload) > 0 {
-		payload := make([]vm.Value, len(ev.Payload))
-		for i, v := range ev.Payload {
-			payload[i] = r.permValue(v, g)
-		}
-		ev.Payload = payload
-	}
-	return ev
-}
-
 // permAction maps an action on world w to the corresponding action on
 // w's image under g. Channel positions are preserved: the image keeps
 // per-channel message order.
-func (r *reduction) permAction(a action, g *perm) action {
+func permAction(a action, g *perm) action {
 	switch a.kind {
 	case actDeliver, actDrop, actDup, actCorrupt:
 		a.from = g.node[a.from]
 		a.to = g.node[a.to]
-	case actEvent:
-		a.node = g.node[a.node]
-		a.block = g.blk[a.block]
-		a.event = r.permEvent(a.event, g)
-	case actTimeout:
+	case actEvent, actTimeout:
 		a.node = g.node[a.node]
 		a.block = g.blk[a.block]
 	}

@@ -49,7 +49,7 @@ func TestEnumerateGroup(t *testing.T) {
 		{8, 1, 5040}, // S7 on the non-home nodes
 	} {
 		cfg := &Config{Nodes: tc.nodes, Blocks: tc.blocks}
-		cfg.HomeOf = func(id int) int { return id % cfg.Nodes }
+		home := func(b int) int { return runtime.HomeOf(b, tc.nodes) }
 		group := enumerateGroup(cfg)
 		if len(group) != tc.want {
 			t.Errorf("%dn/%db: group order %d, want %d", tc.nodes, tc.blocks, len(group), tc.want)
@@ -67,7 +67,7 @@ func TestEnumerateGroup(t *testing.T) {
 					g := &perm{node: pi, blk: sigma}
 					ok := true
 					for b := 0; b < tc.blocks; b++ {
-						ok = ok && pi[cfg.HomeOf(b)] == cfg.HomeOf(sigma[b])
+						ok = ok && pi[home(b)] == home(sigma[b])
 					}
 					if ok {
 						want = append(want, g)
@@ -82,7 +82,7 @@ func TestEnumerateGroup(t *testing.T) {
 		}
 		for _, g := range group {
 			for b := 0; b < tc.blocks; b++ {
-				if g.node[cfg.HomeOf(b)] != cfg.HomeOf(g.blk[b]) {
+				if g.node[home(b)] != home(g.blk[b]) {
 					t.Fatalf("%dn/%db: inadmissible element %v", tc.nodes, tc.blocks, g)
 				}
 			}
@@ -165,7 +165,7 @@ func compilePing(t *testing.T) *runtime.Protocol {
 type pingEvents struct{ tag int }
 
 func (e *pingEvents) Enabled(w *World, node, block int) []Event {
-	if node == w.cfg.HomeOf(block) || w.StateName(node, block) != "Cache_Inv" {
+	if w.IsHome(node, block) || w.StateName(node, block) != "Cache_Inv" {
 		return nil
 	}
 	return []Event{{Name: "PING_FAULT", Tag: e.tag}}
@@ -237,10 +237,7 @@ func TestCanonicalFixpoint(t *testing.T) {
 			t.Fatalf("canonical key is not a fixpoint (perm index %d)", idx2)
 		}
 		for _, a := range w.actions() {
-			wa, err := w.clone()
-			if err != nil {
-				t.Fatal(err)
-			}
+			wa := w.clone()
 			if err := wa.apply(a); err != nil {
 				t.Fatalf("ping protocol error: %v", err)
 			}
@@ -274,6 +271,45 @@ func (r *reduction) maskSlots() []int {
 		return nil
 	}
 	return r.remaps[1].MaskSlots
+}
+
+// permValue maps identity-typed scalars through g and deep-copies value
+// containers (state values, continuations) so the result never aliases
+// mutable structure with the original.
+func (r *reduction) permValue(v vm.Value, g *perm) vm.Value {
+	switch v.Kind {
+	case vm.KNode:
+		if v.Int >= 0 && int(v.Int) < len(g.node) {
+			v.Int = int64(g.node[v.Int])
+		}
+	case vm.KID:
+		if v.Int >= 0 && int(v.Int) < len(g.blk) {
+			v.Int = int64(g.blk[v.Int])
+		}
+	case vm.KState:
+		if s := v.State(); s != nil {
+			ns := &vm.StateVal{State: s.State}
+			if len(s.Args) > 0 {
+				ns.Args = make([]vm.Value, len(s.Args))
+				for i, a := range s.Args {
+					ns.Args[i] = r.permValue(a, g)
+				}
+			}
+			v.Ref = ns
+		}
+	case vm.KCont:
+		if c := v.Cont(); c != nil {
+			nc := &vm.Cont{Fn: c.Fn, Frag: c.Frag, Site: c.Site, Heap: c.Heap}
+			if len(c.Saved) > 0 {
+				nc.Saved = make([]vm.Value, len(c.Saved))
+				for i, a := range c.Saved {
+					nc.Saved[i] = r.permValue(a, g)
+				}
+			}
+			v.Ref = nc
+		}
+	}
+	return v
 }
 
 func (r *reduction) permStateVal(s *vm.StateVal, g *perm) *vm.StateVal {
@@ -455,9 +491,7 @@ func randomWalk(cfg *Config, seed int64, walks, steps int, visit func(w *World))
 			}
 			a := acts[rng.Intn(len(acts))]
 			wa := &World{cfg: cfg}
-			if err := w.cloneInto(wa, a.engine()); err != nil {
-				return err
-			}
+			w.cloneInto(wa, a.engine())
 			if wa.apply(a) != nil || wa.checkInvariants() != "" {
 				break
 			}
@@ -569,14 +603,8 @@ func CheckSharingSafety(t *testing.T, cfg Config, withCoverage bool, maxStates i
 			t.Fatal(err)
 		}
 		for _, a := range w.actions() {
-			deep, err := w.clone()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wa, err := w.branch(a, false, cov, scratch)
-			if err != nil {
-				t.Fatal(err)
-			}
+			deep := w.clone()
+			wa := w.branch(a, false, cov, scratch)
 			if wa != scratch {
 				t.Fatal("branch did not derive the successor in the scratch world")
 			}

@@ -5,7 +5,6 @@ import (
 
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
-	"teapot/internal/protocols/stache"
 )
 
 // TestViolationSteps: every counterexample must carry machine-readable
@@ -81,25 +80,13 @@ func TestReplayStepsRejectsDiverged(t *testing.T) {
 }
 
 func stacheBuggyCfg(t *testing.T, nodes int, net netmodel.Model) mc.Config {
-	t.Helper()
-	p, err := stache.CompileBuggy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mc.Config{
-		Proto: p, Support: stache.MustSupport(p), Events: stache.NewEvents(p),
-		Nodes: nodes, Blocks: 1, Net: net, CheckCoherence: true,
-	}
+	cfg := bundled(t, "stache-buggy", nodes, 1)
+	cfg.Net = net
+	return cfg
 }
 
 func stacheFTBuggyCfg(t *testing.T, nodes int, net netmodel.Model) mc.Config {
-	t.Helper()
-	a, err := stache.CompileFTBuggy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mc.Config{
-		Proto: a.Protocol, Support: stache.MustFTSupport(a.Protocol, nodes), Events: stache.NewEvents(a.Protocol),
-		Nodes: nodes, Blocks: 1, Net: net, CheckCoherence: true,
-	}
+	cfg := bundled(t, "stache-ft-buggy", nodes, 1)
+	cfg.Net = net
+	return cfg
 }

@@ -7,7 +7,6 @@ import (
 
 	"teapot/internal/core"
 	"teapot/internal/mc"
-	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/vm"
 )
@@ -43,19 +42,16 @@ func (g *recordingGen) Enabled(w *mc.World, node, block int) []mc.Event {
 }
 
 func TestWorldAccessors(t *testing.T) {
-	a := stache.MustCompile(true)
+	cfg := bundled(t, "stache", 2, 1)
 	slot := -1
-	for _, v := range a.Sema.ProtVars {
+	for _, v := range cfg.Proto.Sema().ProtVars {
 		if v.Name == "sharers" {
 			slot = v.Index
 		}
 	}
-	g := &recordingGen{inner: stache.NewEvents(a.Protocol), varSlot: slot}
-	res, err := mc.Check(mc.Config{
-		Proto: a.Protocol, Support: stache.MustSupport(a.Protocol),
-		Nodes: 2, Blocks: 1,
-		Events: g, CheckCoherence: true,
-	})
+	g := &recordingGen{inner: cfg.Events, varSlot: slot}
+	cfg.Events = g
+	res, err := mc.Check(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +66,7 @@ func TestWorldAccessors(t *testing.T) {
 // TestTraceStepsAreWellFormed: a violation trace contains only valid action
 // descriptions ordered from the initial state.
 func TestTraceStepsAreWellFormed(t *testing.T) {
-	p, err := stache.CompileBuggy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mc.Check(mc.Config{
-		Proto: p, Support: stache.MustSupport(p),
-		Nodes: 2, Blocks: 1,
-		Events: stache.NewEvents(p), CheckCoherence: true,
-	})
+	res, err := mc.Check(bundled(t, "stache-buggy", 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +97,7 @@ type deferGen struct {
 }
 
 func (g *deferGen) Enabled(w *mc.World, node, block int) []mc.Event {
-	if node != 1 || w.Stalled(1) >= 0 || w.StateName(1, 0) != "Cache_Inv" {
+	if node != 1 || w.StateName(1, 0) != "Cache_Inv" {
 		return nil
 	}
 	return []mc.Event{{Name: "RD_FAULT", Tag: g.tag, Stalls: true}}
@@ -190,14 +178,16 @@ func (g *pingOnce) Enabled(w *mc.World, node, block int) []mc.Event {
 	return []mc.Event{{Name: "PING", Tag: g.tag}}
 }
 
-func TestQueueCapViolation(t *testing.T) {
+// TestDeferredQueueBound: a protocol that defers without bound trips the
+// checker's queue (or channel) bound instead of exploring forever.
+func TestDeferredQueueBound(t *testing.T) {
 	art, err := compileInline(queueFloodProto, "S", "S")
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := mc.Check(mc.Config{
 		Proto: art, Support: nullSupport{},
-		Nodes: 2, Blocks: 1, QueueCap: 4, ChannelCap: 6,
+		Nodes: 2, Blocks: 1,
 		Events: &pingOnce{tag: art.MsgIndex("PING")},
 	})
 	if err != nil {

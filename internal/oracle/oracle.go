@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"teapot/internal/obs"
+	"teapot/internal/runtime"
 	"teapot/internal/sema"
 )
 
@@ -50,13 +51,12 @@ func AllInvariants() Invariants {
 // SWMROnly checks the access-control invariant alone.
 func SWMROnly() Invariants { return Invariants{SWMR: true} }
 
-// Config describes the run being judged.
+// Config describes the run being judged. Block b's home is node
+// runtime.HomeOf(b, Nodes), as in the machine, whose initial access map the
+// oracle mirrors: the home starts read-write.
 type Config struct {
 	Nodes  int
 	Blocks int
-	// HomeOf gives each block's home node (default id % Nodes), mirroring
-	// the machine's initial access map: the home starts read-write.
-	HomeOf func(id int) int
 	Inv    Invariants
 
 	// InitMem mirrors the machine's initial block values (litmus runs;
@@ -146,10 +146,6 @@ type Checker struct {
 
 // New builds a checker for a run over nodes×blocks.
 func New(cfg Config) *Checker {
-	if cfg.HomeOf == nil {
-		nodes := cfg.Nodes
-		cfg.HomeOf = func(id int) int { return id % nodes }
-	}
 	c := &Checker{
 		cfg:     cfg,
 		access:  make([]sema.AccessMode, cfg.Nodes*cfg.Blocks),
@@ -159,7 +155,7 @@ func New(cfg Config) *Checker {
 		dirty:   make([]bool, cfg.Blocks),
 	}
 	for b := 0; b < cfg.Blocks; b++ {
-		c.access[cfg.HomeOf(b)*cfg.Blocks+b] = sema.AccReadWrite
+		c.access[runtime.HomeOf(b, cfg.Nodes)*cfg.Blocks+b] = sema.AccReadWrite
 		c.writer[b] = -1
 	}
 	for b, v := range cfg.InitMem {
@@ -332,7 +328,7 @@ func (c *Checker) Finish() *Violation {
 			if !c.survives(b) {
 				c.fail("no-lost-writes", int(c.writer[b]), b, end,
 					fmt.Sprintf("latest write (version %d by node %d) survives on no valid copy and not at home node %d",
-						c.version[b], c.writer[b], c.cfg.HomeOf(b)))
+						c.version[b], c.writer[b], runtime.HomeOf(b, c.cfg.Nodes)))
 			}
 			if c.v != nil {
 				break
@@ -352,7 +348,7 @@ func (c *Checker) survives(b int) bool {
 			continue
 		}
 		mode := c.access[n*c.cfg.Blocks+b]
-		if mode == sema.AccReadOnly || mode == sema.AccReadWrite || n == c.cfg.HomeOf(b) {
+		if mode == sema.AccReadOnly || mode == sema.AccReadWrite || n == runtime.HomeOf(b, c.cfg.Nodes) {
 			return true
 		}
 	}

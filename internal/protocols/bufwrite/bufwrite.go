@@ -17,9 +17,7 @@ package bufwrite
 import (
 	"strings"
 
-	"teapot/internal/core"
 	"teapot/internal/protocols/stache"
-	"teapot/internal/runtime"
 )
 
 // decls extends the protocol declaration block: one new event message and
@@ -281,30 +279,4 @@ func replace1(src, old, new string) string {
 		panic("bufwrite: marker not found: " + old)
 	}
 	return out
-}
-
-// Compile compiles the Buffered-write protocol.
-func Compile(optimize bool) (*core.Artifacts, error) {
-	return core.Compile(core.Config{
-		Name:       "bufwrite.tea",
-		Source:     Source,
-		Optimize:   optimize,
-		HomeStart:  "Home_Idle",
-		CacheStart: "Cache_Inv",
-	})
-}
-
-// MustCompile panics on error.
-func MustCompile(optimize bool) *core.Artifacts {
-	a, err := Compile(optimize)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// MustSupport builds the (Stache) support module — Buffered-write adds no
-// routines, only the buffered counter variable.
-func MustSupport(p *runtime.Protocol) *stache.Support {
-	return stache.MustSupport(p)
 }

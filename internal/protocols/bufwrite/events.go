@@ -13,11 +13,12 @@ import (
 type Events struct {
 	rd, wr, wrro, sync int
 	bufferedSlot       int
-	// MaxBuffered bounds how many writes may accumulate in the buffer
-	// between synchronizations (a bounded write buffer; unbounded
-	// counting would make the state space infinite).
-	MaxBuffered int64
 }
+
+// MaxBuffered bounds how many writes may accumulate in the buffer between
+// synchronizations (a bounded write buffer; unbounded counting would make
+// the state space infinite).
+const MaxBuffered = 2
 
 // NewEvents builds the generator.
 func NewEvents(p *runtime.Protocol) *Events {
@@ -27,7 +28,6 @@ func NewEvents(p *runtime.Protocol) *Events {
 		wrro:         p.MsgIndex("WR_RO_FAULT"),
 		sync:         p.MsgIndex("SYNC"),
 		bufferedSlot: -1,
-		MaxBuffered:  2,
 	}
 	for _, v := range p.Sema().ProtVars {
 		if v.Name == "buffered" {
@@ -39,9 +39,6 @@ func NewEvents(p *runtime.Protocol) *Events {
 
 // Enabled implements mc.EventGen.
 func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
-	if w.Stalled(node) >= 0 {
-		return nil
-	}
 	syncEv := mc.Event{Name: "SYNC", Tag: g.sync, Stalls: true}
 	switch w.StateName(node, block) {
 	case "Cache_Inv":
@@ -68,7 +65,7 @@ func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
 		case sema.AccReadOnly:
 			// Upgrade still pending with the read copy intact: stores
 			// fault read-only and accumulate in the buffer (bounded).
-			if g.bufferedSlot >= 0 && w.BlockVarInt(node, block, g.bufferedSlot) < g.MaxBuffered {
+			if g.bufferedSlot >= 0 && w.BlockVarInt(node, block, g.bufferedSlot) < MaxBuffered {
 				evs = append(evs, mc.Event{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true})
 			}
 		case sema.AccBuffered:

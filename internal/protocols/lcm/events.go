@@ -62,9 +62,6 @@ func (g *Events) phaseActive(w *mc.World, block int) bool {
 
 // Enabled implements mc.EventGen.
 func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
-	if w.Stalled(node) >= 0 {
-		return nil
-	}
 	active := g.phaseActive(w, block)
 	vote := mc.Event{Name: "BEGIN_LCM_EV", Tag: g.begin}
 	endEv := mc.Event{Name: "END_LCM_EV", Tag: g.end}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"teapot/internal/mc"
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/lcm"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
@@ -25,7 +26,7 @@ type delivery struct {
 
 func newMachine(t *testing.T, v lcm.Variant, nodes, blocks int) (*machine, *runtime.Protocol, *lcm.Support) {
 	t.Helper()
-	a := lcm.MustCompile(v, true)
+	a := protocols.MustCompile(v.String(), true)
 	sup := lcm.MustSupport(a.Protocol, nodes)
 	m := &machine{t: t, access: make(map[[2]int]sema.AccessMode)}
 	for n := 0; n < nodes; n++ {
@@ -238,7 +239,7 @@ func TestUpdateAndBothVerify(t *testing.T) {
 	for _, v := range []lcm.Variant{lcm.Update, lcm.Both} {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
-			a := lcm.MustCompile(v, true)
+			a := protocols.MustCompile(v.String(), true)
 			res, err := mc.Check(mc.Config{
 				Proto: a.Protocol, Support: lcm.MustSupport(a.Protocol, 2),
 				Nodes: 2, Blocks: 1,

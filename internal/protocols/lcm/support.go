@@ -4,31 +4,10 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"teapot/internal/core"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/vm"
 )
-
-// Compile compiles an LCM variant.
-func Compile(v Variant, optimize bool) (*core.Artifacts, error) {
-	return core.Compile(core.Config{
-		Name:       v.String() + ".tea",
-		Source:     Source(v),
-		Optimize:   optimize,
-		HomeStart:  "Home_Idle",
-		CacheStart: "Cache_Inv",
-	})
-}
-
-// MustCompile panics on error (the generated sources are tested).
-func MustCompile(v Variant, optimize bool) *core.Artifacts {
-	a, err := Compile(v, optimize)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
 
 // Support implements the LCMSupport module. It reuses the Stache support
 // for sharer-set routines (consumers share the same bitmask — the set is

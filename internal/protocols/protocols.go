@@ -2,7 +2,8 @@
 // `teapot` subcommand accepts, the source text and start states it compiles
 // to, and — for the protocols that can be run and not only compiled — the
 // support module, event generator and coherence judgement that wire the
-// compiled protocol into a core.RunSpec.
+// compiled protocol into a core.RunSpec, and the profile the oracle judges
+// its simulated runs by.
 package protocols
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"teapot/internal/core"
 	"teapot/internal/mc"
+	"teapot/internal/oracle"
 	"teapot/internal/protocols/bufwrite"
 	"teapot/internal/protocols/lcm"
 	"teapot/internal/protocols/stache"
@@ -45,9 +47,21 @@ type Entry struct {
 	// CheckCoherence is off for LCM, whose phases are deliberately
 	// inconsistent.
 	CheckCoherence bool
+	// Oracle is how the fuzzer and the litmus harness drive and judge the
+	// protocol's simulated runs; nil means not judgeable — LCM again, for
+	// the same reason, and the compile-only fixtures.
+	Oracle *Profile
 	// HandWritten builds the hand-written state-machine engine the paper's
 	// Tables 1-2 compare against (stache and lcm only).
 	HandWritten func(p *runtime.Protocol, nodes, blocks int, m runtime.Machine) tempest.Engine
+}
+
+// Profile is an entry's oracle profile: which invariants hold of its runs
+// and what the random workload that exercises it includes.
+type Profile struct {
+	Inv   oracle.Invariants
+	Evict bool // workload includes voluntary evictions
+	Sync  bool // workload ends with a SYNC sweep
 }
 
 // Runnable reports whether Spec can wire the entry for execution.
@@ -84,21 +98,25 @@ var registry = sync.OnceValue(func() []Entry {
 			HomeStart: home, CacheStart: "Cache_Inv",
 		}
 	}
+	// Invalidation protocols get the full oracle; write-through and buffered
+	// protocols propagate values asynchronously, so only the access-control
+	// invariant applies to them.
+	invalidation := &Profile{Inv: oracle.AllInvariants(), Evict: true}
 	return []Entry{
 		{Name: "stache", Config: cfg("stache", stache.Source, "Home_Idle"),
-			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true, HandWritten: stacheHW},
+			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true, Oracle: invalidation, HandWritten: stacheHW},
 		{Name: "stache-ft", Config: cfg("stache-ft", stache.FTSource, "Home_Idle"),
-			Support: ftSupport, Events: stacheEvents, CheckCoherence: true},
+			Support: ftSupport, Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
 		{Name: "stache-cas", Config: cfg("stache-cas", stache.CASSource, "Home_Idle")},
 		// Not buggy — it verifies — but deliberately NOT node-symmetric:
 		// the negative fixture for the model checker's certificate-gated
 		// symmetry reduction (see internal/analysis.ProveSymmetry).
 		{Name: "stache-asym", Config: cfg("stache-asym", stache.AsymSource, "Home_Idle"),
-			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true},
+			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
 		{Name: "stache-buggy", Config: cfg("stache-buggy", stache.BuggySource, "Home_Idle"), Buggy: true,
-			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true},
+			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
 		{Name: "stache-ft-buggy", Config: cfg("stache-ft-buggy", stache.FTBuggySource, "Home_Idle"), Buggy: true,
-			Support: ftSupport, Events: stacheEvents, CheckCoherence: true},
+			Support: ftSupport, Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
 		{Name: "lcm", Config: cfg("lcm", lcm.Source(lcm.Base), "Home_Idle"),
 			Support: lcmSupport, Events: lcmEvents, HandWritten: lcmHW},
 		{Name: "lcm-update", Config: cfg("lcm-update", lcm.Source(lcm.Update), "Home_Idle")},
@@ -107,9 +125,11 @@ var registry = sync.OnceValue(func() []Entry {
 		{Name: "lcm-both", Config: cfg("lcm-both", lcm.Source(lcm.Both), "Home_Idle")},
 		// Buffered-write adds no support routines, only a counter variable.
 		{Name: "bufwrite", Config: cfg("bufwrite", bufwrite.Source, "Home_Idle"),
-			Support: stacheSupport, Events: bufwriteEvents, CheckCoherence: true},
+			Support: stacheSupport, Events: bufwriteEvents, CheckCoherence: true,
+			Oracle: &Profile{Inv: oracle.SWMROnly(), Sync: true}},
 		{Name: "update", Config: cfg("update", update.Source, "Home"),
-			Support: updateSupport, Events: updateEvents, CheckCoherence: true},
+			Support: updateSupport, Events: updateEvents, CheckCoherence: true,
+			Oracle: &Profile{Inv: oracle.SWMROnly()}},
 	}
 })
 
@@ -127,26 +147,45 @@ func Lookup(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Names lists the registered names in registry order.
-func Names() []string {
-	var names []string
-	for _, e := range registry() {
-		names = append(names, e.Name)
+// MustCompile compiles a bundled protocol, optimized or not, and panics on
+// an unknown name or a compile error: for tests and examples, whose names
+// are literals and whose sources the table's own tests compile.
+func MustCompile(name string, optimize bool) *core.Artifacts {
+	e, ok := Lookup(name)
+	if !ok {
+		panic(fmt.Sprintf("protocols: no bundled protocol %q", name))
 	}
-	return names
+	e.Config.Optimize = optimize
+	return core.MustCompile(e.Config)
 }
 
-// RunnableNames lists, in registry order, the names Spec accepts: the
-// registry minus the compile-only fixtures. It compiles nothing, so help
-// texts and error messages can quote it.
-func RunnableNames() []string {
-	var names []string
+// names lists, in registry order, the entries keep accepts. It compiles
+// nothing, so help texts and error messages can quote it.
+func names(keep func(Entry) bool) []string {
+	var out []string
 	for _, e := range registry() {
-		if e.Runnable() {
-			names = append(names, e.Name)
+		if keep(e) {
+			out = append(out, e.Name)
 		}
 	}
-	return names
+	return out
+}
+
+// Names lists every registered name.
+func Names() []string { return names(func(Entry) bool { return true }) }
+
+// RunnableNames lists the names Spec accepts: the registry minus the
+// compile-only fixtures.
+func RunnableNames() []string { return names(Entry.Runnable) }
+
+// OracleProfile returns the named protocol's oracle profile, refusing a name
+// that has none — unknown ones included — with the names that do.
+func OracleProfile(name string) (Profile, error) {
+	if e, _ := Lookup(name); e.Oracle != nil {
+		return *e.Oracle, nil
+	}
+	return Profile{}, fmt.Errorf("no oracle profile for protocol %q (judgeable: %s)", name,
+		strings.Join(names(func(e Entry) bool { return e.Oracle != nil }), ", "))
 }
 
 // Spec is Lookup followed by Entry.Spec; a name Lookup does not know is
@@ -183,8 +222,8 @@ func (e Entry) Spec(nodes, blocks int) (core.RunSpec, error) {
 	if err != nil {
 		return core.RunSpec{}, err
 	}
-	return core.RunSpec{
+	return core.RunSpec{Config: mc.Config{
 		Proto: art.Protocol, Support: sup, Events: e.Events(art.Protocol),
 		Nodes: nodes, Blocks: blocks, CheckCoherence: e.CheckCoherence,
-	}, nil
+	}}, nil
 }

@@ -74,3 +74,39 @@ func TestSpecRefusesBadShape(t *testing.T) {
 		t.Errorf("64 nodes: %v", err)
 	}
 }
+
+// TestOracleProfiles pins the judgeability boundary: a runnable protocol has
+// an oracle profile exactly when the checker judges its coherence (LCM,
+// whose phases are deliberately inconsistent, has neither), every profile
+// includes the access-control invariant, and a refusal lists the names that
+// have one. A table row that sets CheckCoherence and forgets the profile —
+// as stache-asym's did while the profiles were a switch in internal/fuzz —
+// fails here.
+func TestOracleProfiles(t *testing.T) {
+	var judgeable []string
+	for _, e := range protocols.All() {
+		if e.Oracle != nil {
+			judgeable = append(judgeable, e.Name)
+		}
+		if want := e.Runnable() && e.CheckCoherence; (e.Oracle != nil) != want {
+			t.Errorf("%s: runnable %v, CheckCoherence %v, but oracle profile present: %v",
+				e.Name, e.Runnable(), e.CheckCoherence, e.Oracle != nil)
+		}
+		prof, err := protocols.OracleProfile(e.Name)
+		if (err == nil) != (e.Oracle != nil) {
+			t.Errorf("%s: OracleProfile err = %v with profile present: %v", e.Name, err, e.Oracle != nil)
+		}
+		if err == nil && !prof.Inv.SWMR {
+			t.Errorf("%s: profile %+v does not judge SWMR", e.Name, prof)
+		}
+	}
+	want := "(judgeable: " + strings.Join(judgeable, ", ") + ")"
+	for _, name := range []string{"lcm", "lcm-mcc", "stache-cas", "no-such-proto"} {
+		if _, err := protocols.OracleProfile(name); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want a refusal listing %s", name, err, want)
+		}
+	}
+	if !strings.Contains(want, "stache-asym") {
+		t.Errorf("stache-asym is not judgeable: %s", want)
+	}
+}

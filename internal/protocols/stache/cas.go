@@ -3,7 +3,6 @@ package stache
 import (
 	"strings"
 
-	"teapot/internal/core"
 	"teapot/internal/runtime"
 	"teapot/internal/vm"
 )
@@ -147,17 +146,6 @@ var CASSource = func() string {
 	insert("state Stache.Cache_RW(", casIssue)
 	return casModule + casResultModule + src + casAwaitState
 }()
-
-// CompileCAS compiles the Compare&Swap extension.
-func CompileCAS(optimize bool) (*core.Artifacts, error) {
-	return core.Compile(core.Config{
-		Name:       "stache-cas.tea",
-		Source:     CASSource,
-		Optimize:   optimize,
-		HomeStart:  "Home_Idle",
-		CacheStart: "Cache_Inv",
-	})
-}
 
 // CASSupport wraps the Stache support module with the word storage the
 // compare-and-swap operates on and per-node result recording.

@@ -1,18 +1,17 @@
-package stache
+package stache_test
 
 import (
 	"testing"
 
+	"teapot/internal/protocols"
+	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
 	"teapot/internal/vm"
 )
 
 func TestCASCompiles(t *testing.T) {
-	a, err := CompileCAS(true)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+	a := protocols.MustCompile("stache-cas", true)
 	cns := a.Sema.MessageByName("CNS_REQ")
 	if cns == nil || len(cns.Payload) != 2 {
 		t.Fatalf("CNS_REQ payload = %v", cns)
@@ -24,13 +23,10 @@ func TestCASCompiles(t *testing.T) {
 }
 
 // casMachine reuses the stache test machine with the CAS protocol.
-func newCASMachine(t *testing.T, nodes, blocks int) (*machine, *CASSupport) {
+func newCASMachine(t *testing.T, nodes, blocks int) (*machine, *stache.CASSupport) {
 	t.Helper()
-	a, err := CompileCAS(true)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	sup, err := NewCASSupport(a.Protocol)
+	a := protocols.MustCompile("stache-cas", true)
+	sup, err := stache.NewCASSupport(a.Protocol)
 	if err != nil {
 		t.Fatalf("support: %v", err)
 	}

@@ -8,32 +8,26 @@ import (
 )
 
 // Events is the nondeterministic event generator for Stache verification:
-// any non-stalled processor may read, write, or (on a clean remote copy)
-// evict any block — the paper's "each node should process any stream of
+// a processor (the checker asks only about running ones) may read, write,
+// or (on a clean remote copy) evict any block — the paper's "each node should process any stream of
 // loads and stores to any shared addresses" (§7, ~50 lines of Murphi for
 // Stache).
 type Events struct {
 	rd, wr, wrro, evict int
-	// Evictions can be disabled to shrink the state space.
-	WithEvictions bool
 }
 
 // NewEvents builds the generator for a compiled Stache-family protocol.
 func NewEvents(p *runtime.Protocol) *Events {
 	return &Events{
-		rd:            p.MsgIndex("RD_FAULT"),
-		wr:            p.MsgIndex("WR_FAULT"),
-		wrro:          p.MsgIndex("WR_RO_FAULT"),
-		evict:         p.MsgIndex("EVICT"),
-		WithEvictions: true,
+		rd:    p.MsgIndex("RD_FAULT"),
+		wr:    p.MsgIndex("WR_FAULT"),
+		wrro:  p.MsgIndex("WR_RO_FAULT"),
+		evict: p.MsgIndex("EVICT"),
 	}
 }
 
 // Enabled implements mc.EventGen.
 func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
-	if w.Stalled(node) >= 0 {
-		return nil // single-issue processor is blocked on a fault
-	}
 	switch w.StateName(node, block) {
 	case "Cache_Inv":
 		return []mc.Event{
@@ -41,11 +35,10 @@ func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
 			{Name: "WR_FAULT", Tag: g.wr, Stalls: true},
 		}
 	case "Cache_RO":
-		evs := []mc.Event{{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true}}
-		if g.WithEvictions {
-			evs = append(evs, mc.Event{Name: "EVICT", Tag: g.evict})
+		return []mc.Event{
+			{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true},
+			{Name: "EVICT", Tag: g.evict},
 		}
-		return evs
 	case "Cache_RO_Evicting":
 		// The eviction handshake does not stall the processor, which may
 		// fault on the (now inaccessible) block before the ack arrives.
@@ -91,15 +84,6 @@ var BuggySource = func() string {
 	}
 	return out
 }()
-
-// CompileBuggy compiles the seeded-bug variant.
-func CompileBuggy() (*runtime.Protocol, error) {
-	a, err := compileSource("stache-buggy.tea", BuggySource, true)
-	if err != nil {
-		return nil, err
-	}
-	return a.Protocol, nil
-}
 
 // SymmetricEvents implements mc.EquivariantEvents: enablement depends only
 // on state names, stall status, and home-ness — all permutation-covariant.

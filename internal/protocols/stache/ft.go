@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"teapot/internal/core"
 	"teapot/internal/runtime"
 	"teapot/internal/vm"
 )
@@ -610,25 +609,6 @@ var FTBuggySource = func() string {
 	return out
 }()
 
-// CompileFT compiles the fault-tolerant variant.
-func CompileFT(optimize bool) (*core.Artifacts, error) {
-	return compileSource("stache-ft.tea", FTSource, optimize)
-}
-
-// CompileFTBuggy compiles the seeded-bug fault-tolerant variant.
-func CompileFTBuggy() (*core.Artifacts, error) {
-	return compileSource("stache-ft-buggy.tea", FTBuggySource, true)
-}
-
-// MustCompileFT panics on compile errors (the embedded source is tested).
-func MustCompileFT(optimize bool) *core.Artifacts {
-	a, err := CompileFT(optimize)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // FTSupport extends the Stache support module with precise retransmission
 // bookkeeping: the per-block 'awaiting' variable records exactly which
 // nodes were sent an invalidation and have not been counted yet, so
@@ -657,15 +637,6 @@ func NewFTSupport(p *runtime.Protocol, nodes int) (*FTSupport, error) {
 		return nil, fmt.Errorf("stache-ft support: protocol lacks an 'awaiting' variable")
 	}
 	return ft, nil
-}
-
-// MustFTSupport panics on error.
-func MustFTSupport(p *runtime.Protocol, nodes int) *FTSupport {
-	s, err := NewFTSupport(p, nodes)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 func (s *FTSupport) awaiting(ctx *runtime.Ctx) int64 {

@@ -1,4 +1,4 @@
-package stache
+package stache_test
 
 import (
 	"testing"

@@ -1,10 +1,12 @@
-package stache
+package stache_test
 
 import (
 	"fmt"
 	"strings"
 	"testing"
 
+	"teapot/internal/protocols"
+	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
 	"teapot/internal/vm"
@@ -12,10 +14,7 @@ import (
 
 func TestCompiles(t *testing.T) {
 	for _, opt := range []bool{false, true} {
-		a, err := Compile(opt)
-		if err != nil {
-			t.Fatalf("optimize=%v: %v", opt, err)
-		}
+		a := protocols.MustCompile("stache", opt)
 		if got := len(a.Sema.States); got != 16 {
 			t.Errorf("states = %d, want 16", got)
 		}
@@ -29,7 +28,7 @@ func TestCompiles(t *testing.T) {
 }
 
 func TestSubroutineStateSharing(t *testing.T) {
-	a := MustCompile(true)
+	a := protocols.MustCompile("stache", true)
 	// Home_AwaitPutData serves six transitions (GET_RO, GET_RW, UPGRADE,
 	// RD_FAULT, WR_FAULT, stale WR_RO_FAULT from Home_Excl);
 	// Home_AwaitInvAcks serves four (UPGRADE, GET_RW, WR_RO_FAULT, stale
@@ -69,9 +68,9 @@ type delivery struct {
 }
 
 func newMachine(t *testing.T, nodes, blocks int, optimize bool) *machine {
-	a := MustCompile(optimize)
+	a := protocols.MustCompile("stache", optimize)
 	m := &machine{t: t, access: make(map[[2]int]sema.AccessMode), woken: make(map[[2]int]int)}
-	sup := MustSupport(a.Protocol)
+	sup := stache.MustSupport(a.Protocol)
 	for n := 0; n < nodes; n++ {
 		m.engines = append(m.engines, runtime.NewEngine(a.Protocol, n, blocks, m, sup))
 	}
@@ -365,8 +364,8 @@ func TestAllocCountsOptVsUnopt(t *testing.T) {
 }
 
 func TestSupportErrors(t *testing.T) {
-	a := MustCompile(true)
-	sup := MustSupport(a.Protocol)
+	a := protocols.MustCompile("stache", true)
+	sup := stache.MustSupport(a.Protocol)
 	_, err := sup.Call(&runtime.Ctx{}, "NoSuchRoutine", nil)
 	if err == nil {
 		t.Error("expected error for unknown routine")
@@ -378,18 +377,18 @@ func TestSupportErrors(t *testing.T) {
 // against drift: the buggy variant must be the real source minus exactly
 // the upgrade/invalidate race handler.
 func TestBuggySourceDiffersOnlyInOneHandler(t *testing.T) {
-	if BuggySource == Source {
+	if stache.BuggySource == stache.Source {
 		t.Fatal("buggy source identical to the real one")
 	}
-	if len(Source)-len(BuggySource) <= 0 {
+	if len(stache.Source)-len(stache.BuggySource) <= 0 {
 		t.Fatal("buggy source should be strictly smaller")
 	}
 	// The removed text is the Cache_RO_To_RW PUT_NO_DATA_REQ handler.
-	if !strings.Contains(Source, "message PUT_NO_DATA_REQ") {
+	if !strings.Contains(stache.Source, "message PUT_NO_DATA_REQ") {
 		t.Fatal("marker missing from real source")
 	}
-	realCount := strings.Count(Source, "message PUT_NO_DATA_REQ")
-	buggyCount := strings.Count(BuggySource, "message PUT_NO_DATA_REQ")
+	realCount := strings.Count(stache.Source, "message PUT_NO_DATA_REQ")
+	buggyCount := strings.Count(stache.BuggySource, "message PUT_NO_DATA_REQ")
 	if buggyCount != realCount-1 {
 		t.Errorf("buggy source removes %d handlers, want exactly 1", realCount-buggyCount)
 	}

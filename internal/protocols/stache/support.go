@@ -3,34 +3,9 @@ package stache
 import (
 	"fmt"
 
-	"teapot/internal/core"
 	"teapot/internal/runtime"
 	"teapot/internal/vm"
 )
-
-// Compile compiles the Stache protocol with the given optimization level.
-func Compile(optimize bool) (*core.Artifacts, error) {
-	return compileSource("stache.tea", Source, optimize)
-}
-
-func compileSource(name, src string, optimize bool) (*core.Artifacts, error) {
-	return core.Compile(core.Config{
-		Name:       name,
-		Source:     src,
-		Optimize:   optimize,
-		HomeStart:  "Home_Idle",
-		CacheStart: "Cache_Inv",
-	})
-}
-
-// MustCompile panics on compile errors (the embedded source is tested).
-func MustCompile(optimize bool) *core.Artifacts {
-	a, err := Compile(optimize)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
 
 // Support implements the StacheSupport module: the sharer set is a bitmask
 // kept in the per-block protocol variable "sharers", so it participates in

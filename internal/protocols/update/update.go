@@ -18,7 +18,6 @@ package update
 import (
 	"fmt"
 
-	"teapot/internal/core"
 	"teapot/internal/mc"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
@@ -284,26 +283,6 @@ begin
 end;
 `
 
-// Compile compiles the update protocol.
-func Compile(optimize bool) (*core.Artifacts, error) {
-	return core.Compile(core.Config{
-		Name:       "update.tea",
-		Source:     Source,
-		Optimize:   optimize,
-		HomeStart:  "Home",
-		CacheStart: "Cache_Inv",
-	})
-}
-
-// MustCompile panics on error.
-func MustCompile(optimize bool) *core.Artifacts {
-	a, err := Compile(optimize)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Support implements the UpdateSupport module over the sharers bitmask;
 // SendUpdates multicasts data-carrying UPDATE messages.
 type Support struct {
@@ -323,15 +302,6 @@ func NewSupport(p *runtime.Protocol) (*Support, error) {
 		return nil, fmt.Errorf("update support: protocol lacks 'sharers' or UPDATE")
 	}
 	return s, nil
-}
-
-// MustSupport panics on error.
-func MustSupport(p *runtime.Protocol) *Support {
-	s, err := NewSupport(p)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 func (s *Support) mask(ctx *runtime.Ctx) int64 { return ctx.Block.Vars[s.sharersSlot].Int }
@@ -399,9 +369,6 @@ func NewEvents(p *runtime.Protocol) *Events {
 
 // Enabled implements mc.EventGen.
 func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
-	if w.Stalled(node) >= 0 {
-		return nil
-	}
 	switch w.StateName(node, block) {
 	case "Cache_Inv":
 		return []mc.Event{

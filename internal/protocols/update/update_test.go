@@ -5,6 +5,7 @@ import (
 
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/update"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
@@ -12,10 +13,7 @@ import (
 
 func TestCompiles(t *testing.T) {
 	for _, opt := range []bool{false, true} {
-		a, err := update.Compile(opt)
-		if err != nil {
-			t.Fatalf("optimize=%v: %v", opt, err)
-		}
+		a := protocols.MustCompile("update", opt)
 		if got := len(a.Sema.States); got != 7 {
 			t.Errorf("states = %d, want 7", got)
 		}
@@ -41,9 +39,12 @@ type machine struct {
 }
 
 func newMachine(t *testing.T, nodes int) (*machine, *runtime.Protocol) {
-	a := update.MustCompile(true)
+	a := protocols.MustCompile("update", true)
 	m := &machine{t: t, access: map[[2]int]sema.AccessMode{{0, 0}: sema.AccReadWrite}}
-	sup := update.MustSupport(a.Protocol)
+	sup, err := update.NewSupport(a.Protocol)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for n := 0; n < nodes; n++ {
 		m.engines = append(m.engines, runtime.NewEngine(a.Protocol, n, 1, m, sup))
 	}
@@ -143,13 +144,13 @@ func TestHomeWriteUpdatesSharers(t *testing.T) {
 }
 
 func TestModelChecked(t *testing.T) {
-	a := update.MustCompile(true)
+	spec, err := protocols.Spec("update", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, reorder := range []int{0, 1} {
-		res, err := mc.Check(mc.Config{
-			Proto: a.Protocol, Support: update.MustSupport(a.Protocol),
-			Nodes: 2, Blocks: 1, Net: netmodel.Model{Reorder: reorder},
-			Events: update.NewEvents(a.Protocol), CheckCoherence: true,
-		})
+		spec.Net = netmodel.Model{Reorder: reorder}
+		res, err := mc.Check(spec.Config)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,8 +14,8 @@ import (
 // built fresh by the VM and never mutated in place — and deep for the
 // mutable containers (block variable slots, deferred queues, channel
 // slices). Info handles are rebound to the clone's blocks, mirroring what
-// DecodeValue does, and abstract support values are round-tripped through
-// the protocol's AbstractCodec.
+// DecodeValue does; an abstract support value is opaque to the runtime and
+// is shared (it cannot be encoded either, see EncodeValue).
 //
 // The checker clones one engine per successor, not one per node: an action
 // executes handlers on a single engine, so the successor world copies that
@@ -29,9 +29,10 @@ import (
 
 // Clone returns a deep copy of the engine's protocol state bound to
 // machine m; see CloneInto.
-func (e *Engine) Clone(m Machine, codec AbstractCodec) (*Engine, error) {
+func (e *Engine) Clone(m Machine) *Engine {
 	c := new(Engine)
-	return c, e.CloneInto(c, m, codec)
+	e.CloneInto(c, m)
+	return c
 }
 
 // CloneInto overwrites dst with a deep copy of the engine's protocol state
@@ -42,9 +43,7 @@ func (e *Engine) Clone(m Machine, codec AbstractCodec) (*Engine, error) {
 // before survives except storage: its sink, its in-flight dispatch context
 // and its register stack's contents are dropped, and what is scratch in e
 // (register stack, parameter buffer, bare-state table) is not inherited.
-// codec may be nil when the protocol stores no abstract values (as for
-// encoding).
-func (e *Engine) CloneInto(dst *Engine, m Machine, codec AbstractCodec) error {
+func (e *Engine) CloneInto(dst *Engine, m Machine) {
 	exec := dst.Exec
 	*dst = Engine{
 		Proto:        e.Proto,
@@ -80,48 +79,35 @@ func (e *Engine) CloneInto(dst *Engine, m Machine, codec AbstractCodec) error {
 	for i, b := range e.Blocks {
 		nb := dst.Blocks[i]
 		nb.ID, nb.transitioned = b.ID, b.transitioned
-		sv, _, err := cloneValue(vm.StateValue(b.State), nb, codec)
-		if err != nil {
-			return err
-		}
+		sv, _ := cloneValue(vm.StateValue(b.State), nb)
 		nb.State = sv.State()
 		nb.Vars = nb.Vars[:0]
 		for _, v := range b.Vars {
-			if v, _, err = cloneValue(v, nb, codec); err != nil {
-				return err
-			}
+			v, _ = cloneValue(v, nb)
 			nb.Vars = append(nb.Vars, v)
 		}
 		nb.Deferred = nb.Deferred[:0]
 		for _, dm := range b.Deferred {
-			if dm, err = cloneMessage(dm, nb, codec); err != nil {
-				return err
-			}
-			nb.Deferred = append(nb.Deferred, dm)
+			nb.Deferred = append(nb.Deferred, cloneMessage(dm, nb))
 		}
 	}
-	return nil
 }
 
 // CloneMessage returns a copy of msg safe to own alongside the original.
 // Messages are immutable after construction, so the same pointer is
-// returned unless the payload holds block-bound values (info handles,
-// abstract values), which are rebound to this engine's blocks exactly as
-// DecodeMessage would.
-func (e *Engine) CloneMessage(msg *Message, codec AbstractCodec) (*Message, error) {
+// returned unless the payload holds info handles, which are rebound to this
+// engine's blocks exactly as DecodeMessage would.
+func (e *Engine) CloneMessage(msg *Message) *Message {
 	if msg.ID < 0 || msg.ID >= len(e.Blocks) {
-		return msg, nil
+		return msg
 	}
-	return cloneMessage(msg, e.Blocks[msg.ID], codec)
+	return cloneMessage(msg, e.Blocks[msg.ID])
 }
 
-func cloneMessage(msg *Message, block *Block, codec AbstractCodec) (*Message, error) {
+func cloneMessage(msg *Message, block *Block) *Message {
 	var payload []vm.Value
 	for i, v := range msg.Payload {
-		nv, changed, err := cloneValue(v, block, codec)
-		if err != nil {
-			return nil, err
-		}
+		nv, changed := cloneValue(v, block)
 		if changed && payload == nil {
 			payload = make([]vm.Value, len(msg.Payload))
 			copy(payload, msg.Payload[:i])
@@ -131,78 +117,55 @@ func cloneMessage(msg *Message, block *Block, codec AbstractCodec) (*Message, er
 		}
 	}
 	if payload == nil {
-		return msg, nil
+		return msg
 	}
 	nm := *msg
 	nm.Payload = payload
-	return &nm, nil
+	return &nm
 }
 
 // cloneValue copies v for a world bound to block. The returned bool
 // reports whether a new value had to be built; unchanged subtrees are
-// shared, so cloning a protocol state with no info handles or abstract
-// values allocates nothing per value.
-func cloneValue(v vm.Value, block *Block, codec AbstractCodec) (vm.Value, bool, error) {
+// shared, so cloning a protocol state with no info handles allocates
+// nothing per value.
+func cloneValue(v vm.Value, block *Block) (vm.Value, bool) {
 	switch v.Kind {
 	case vm.KState:
 		sv := v.State()
 		if sv == nil {
-			return v, false, nil
+			return v, false
 		}
-		args, changed, err := cloneValues(sv.Args, block, codec)
-		if err != nil {
-			return vm.Value{}, false, err
-		}
+		args, changed := cloneValues(sv.Args, block)
 		if !changed {
-			return v, false, nil
+			return v, false
 		}
-		return vm.StateValue(&vm.StateVal{State: sv.State, Args: args}), true, nil
+		return vm.StateValue(&vm.StateVal{State: sv.State, Args: args}), true
 	case vm.KCont:
 		c := v.Cont()
 		if c == nil {
-			return v, false, nil
+			return v, false
 		}
-		saved, changed, err := cloneValues(c.Saved, block, codec)
-		if err != nil {
-			return vm.Value{}, false, err
-		}
+		saved, changed := cloneValues(c.Saved, block)
 		if !changed {
-			return v, false, nil
+			return v, false
 		}
 		nc := *c
 		nc.Saved = saved
-		return vm.ContVal(&nc), true, nil
+		return vm.ContVal(&nc), true
 	case vm.KInfo:
 		// Info handles always denote the enclosing block (see DecodeValue).
-		return vm.InfoVal(block), true, nil
-	case vm.KAbstract:
-		if codec == nil {
-			// Without a codec the value cannot be rebuilt; share it. A
-			// protocol that mutates abstract values must supply a codec —
-			// the same requirement encode already imposes.
-			return v, false, nil
-		}
-		enc := &Encoder{}
-		if err := codec.EncodeAbstract(v.Ref, enc); err != nil {
-			return vm.Value{}, false, err
-		}
-		ref, err := codec.DecodeAbstract(NewDecoder(enc.Bytes()))
-		if err != nil {
-			return vm.Value{}, false, err
-		}
-		return vm.AbstractVal(ref), true, nil
+		return vm.InfoVal(block), true
 	default:
-		return v, false, nil
+		// Scalars are values; an abstract value cannot be rebuilt and is
+		// shared.
+		return v, false
 	}
 }
 
-func cloneValues(vs []vm.Value, block *Block, codec AbstractCodec) ([]vm.Value, bool, error) {
+func cloneValues(vs []vm.Value, block *Block) ([]vm.Value, bool) {
 	var out []vm.Value
 	for i, v := range vs {
-		nv, changed, err := cloneValue(v, block, codec)
-		if err != nil {
-			return nil, false, err
-		}
+		nv, changed := cloneValue(v, block)
 		if changed && out == nil {
 			out = make([]vm.Value, len(vs))
 			copy(out, vs[:i])
@@ -212,7 +175,7 @@ func cloneValues(vs []vm.Value, block *Block, codec AbstractCodec) ([]vm.Value, 
 		}
 	}
 	if out == nil {
-		return vs, false, nil
+		return vs, false
 	}
-	return out, true, nil
+	return out, true
 }

@@ -32,7 +32,7 @@ func cloneFixture(t *testing.T, seed int64) (*runtime.Engine, string) {
 		}
 	}
 	enc := &runtime.Encoder{}
-	if err := e.EncodeState(enc, nil); err != nil {
+	if err := e.EncodeState(enc); err != nil {
 		t.Fatal(err)
 	}
 	return e, string(enc.Bytes())
@@ -44,12 +44,9 @@ func cloneFixture(t *testing.T, seed int64) (*runtime.Engine, string) {
 func TestClonePreservesCanonicalEncoding(t *testing.T) {
 	f := func(seed int64) bool {
 		e, key := cloneFixture(t, seed)
-		c, err := e.Clone(newTestMachine(), nil)
-		if err != nil {
-			return false
-		}
+		c := e.Clone(newTestMachine())
 		enc := &runtime.Encoder{}
-		if err := c.EncodeState(enc, nil); err != nil {
+		if err := c.EncodeState(enc); err != nil {
 			return false
 		}
 		return string(enc.Bytes()) == key
@@ -63,10 +60,7 @@ func TestClonePreservesCanonicalEncoding(t *testing.T) {
 // state never disturbs the original's canonical encoding.
 func TestCloneIsolation(t *testing.T) {
 	e, key := cloneFixture(t, 7)
-	c, err := e.Clone(newTestMachine(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := e.Clone(newTestMachine())
 	for _, b := range c.Blocks {
 		b.State = &vm.StateVal{State: 0}
 		for i := range b.Vars {
@@ -75,7 +69,7 @@ func TestCloneIsolation(t *testing.T) {
 		b.Deferred = append(b.Deferred, &runtime.Message{Tag: 0, ID: b.ID})
 	}
 	enc := &runtime.Encoder{}
-	if err := e.EncodeState(enc, nil); err != nil {
+	if err := e.EncodeState(enc); err != nil {
 		t.Fatal(err)
 	}
 	if string(enc.Bytes()) != key {
@@ -95,10 +89,7 @@ func TestCloneRebindsInfoHandles(t *testing.T) {
 		Tag: 0, ID: b.ID, Payload: []vm.Value{vm.InfoVal(b)},
 	})
 
-	c, err := e.Clone(newTestMachine(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := e.Clone(newTestMachine())
 	cb := c.Blocks[1]
 	if cb.Vars[0].Ref != cb {
 		t.Error("cloned var info handle still points at the original block")
@@ -122,14 +113,31 @@ func TestCloneSharesImmutableStructure(t *testing.T) {
 	msg := &runtime.Message{Tag: 1, ID: 0, Payload: []vm.Value{vm.IntVal(9)}}
 	b.Deferred = append(b.Deferred, msg)
 
-	c, err := e.Clone(newTestMachine(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := e.Clone(newTestMachine())
 	if c.Blocks[0].State != sv {
 		t.Error("state value without info handles should be shared")
 	}
 	if c.Blocks[0].Deferred[0] != msg {
 		t.Error("message without block-bound payload should be shared")
+	}
+}
+
+// TestCloneSharesAbstractValues: an abstract support value cannot be
+// rebuilt, so the clone holds the very value the original does — in a
+// variable, and in a message payload without copying the message.
+func TestCloneSharesAbstractValues(t *testing.T) {
+	e, _ := encodeFixture(t)
+	ref := new(int)
+	b := e.Blocks[0]
+	b.Vars[0] = vm.AbstractVal(ref)
+	msg := &runtime.Message{Tag: 1, ID: 0, Payload: []vm.Value{vm.AbstractVal(ref)}}
+	b.Deferred = append(b.Deferred, msg)
+
+	c := e.Clone(newTestMachine())
+	if got := c.Blocks[0].Vars[0]; got.Kind != vm.KAbstract || got.Ref != ref {
+		t.Errorf("cloned variable = %+v, want the original's abstract value", got)
+	}
+	if c.Blocks[0].Deferred[0] != msg || e.CloneMessage(msg) != msg {
+		t.Error("a message whose payload is abstract should be shared")
 	}
 }

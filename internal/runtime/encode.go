@@ -215,16 +215,10 @@ func (d *Decoder) Byte() byte {
 	return b
 }
 
-// AbstractCodec lets a support module participate in snapshots when a
-// protocol stores abstract values in block variables or continuations.
-type AbstractCodec interface {
-	EncodeAbstract(v any, e *Encoder) error
-	DecodeAbstract(d *Decoder) (any, error)
-}
-
-// EncodeValue writes one value. The engine is needed to resolve
-// continuations; codec may be nil when no abstract values occur.
-func (e *Engine) EncodeValue(enc *Encoder, v vm.Value, codec AbstractCodec) error {
+// EncodeValue writes one value. An abstract support value is opaque to the
+// runtime and has no encoding: a protocol that keeps one in a block variable
+// or a continuation cannot be snapshotted, and says so here.
+func (e *Engine) EncodeValue(enc *Encoder, v vm.Value) error {
 	enc.Byte(byte(v.Kind))
 	switch v.Kind {
 	case vm.KNil:
@@ -241,7 +235,7 @@ func (e *Engine) EncodeValue(enc *Encoder, v vm.Value, codec AbstractCodec) erro
 		enc.Int(int64(sv.State))
 		enc.Int(int64(len(sv.Args)))
 		for _, a := range sv.Args {
-			if err := e.EncodeValue(enc, a, codec); err != nil {
+			if err := e.EncodeValue(enc, a); err != nil {
 				return err
 			}
 		}
@@ -250,17 +244,14 @@ func (e *Engine) EncodeValue(enc *Encoder, v vm.Value, codec AbstractCodec) erro
 		enc.Int(int64(c.Site))
 		enc.Int(int64(len(c.Saved)))
 		for _, a := range c.Saved {
-			if err := e.EncodeValue(enc, a, codec); err != nil {
+			if err := e.EncodeValue(enc, a); err != nil {
 				return err
 			}
 		}
 	case vm.KInfo:
 		// The info handle always refers to the enclosing block.
 	case vm.KAbstract:
-		if codec == nil {
-			return fmt.Errorf("runtime: abstract value in state but no codec provided")
-		}
-		return codec.EncodeAbstract(v.Ref, enc)
+		return fmt.Errorf("runtime: abstract value in state: it has no encoding")
 	default:
 		return fmt.Errorf("runtime: cannot encode value kind %d", v.Kind)
 	}
@@ -270,7 +261,7 @@ func (e *Engine) EncodeValue(enc *Encoder, v vm.Value, codec AbstractCodec) erro
 // DecodeValue reads one value; block is the block whose info handles are
 // being reconstructed. On damaged input it returns an error or leaves one
 // in the decoder (see Decoder.Err); it never panics.
-func (e *Engine) DecodeValue(d *Decoder, block *Block, codec AbstractCodec) (vm.Value, error) {
+func (e *Engine) DecodeValue(d *Decoder, block *Block) (vm.Value, error) {
 	kind := vm.Kind(d.Byte())
 	switch kind {
 	case vm.KNil:
@@ -289,7 +280,7 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block, codec AbstractCodec) (vm.
 			return vm.StateValue(e.bareState(state)), nil
 		}
 		sv := &vm.StateVal{State: state, Args: make([]vm.Value, n)}
-		if err := e.decodeValues(d, sv.Args, block, codec); err != nil {
+		if err := e.decodeValues(d, sv.Args, block); err != nil {
 			return vm.Value{}, err
 		}
 		return vm.StateValue(sv), nil
@@ -302,30 +293,21 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block, codec AbstractCodec) (vm.
 		c := &vm.Cont{Fn: s.Func, Frag: s.FragIdx, Site: site}
 		if n := d.Count(); n > 0 {
 			c.Saved = make([]vm.Value, n)
-			if err := e.decodeValues(d, c.Saved, block, codec); err != nil {
+			if err := e.decodeValues(d, c.Saved, block); err != nil {
 				return vm.Value{}, err
 			}
 		}
 		return vm.ContVal(c), nil
 	case vm.KInfo:
 		return vm.InfoVal(block), nil
-	case vm.KAbstract:
-		if codec == nil {
-			return vm.Value{}, fmt.Errorf("runtime: abstract value in encoding but no codec provided")
-		}
-		ref, err := codec.DecodeAbstract(d)
-		if err != nil {
-			return vm.Value{}, err
-		}
-		return vm.AbstractVal(ref), nil
 	}
 	return vm.Value{}, fmt.Errorf("runtime: cannot decode value kind %d", kind)
 }
 
 // decodeValues fills dst, which the caller sized from a Decoder.Count.
-func (e *Engine) decodeValues(d *Decoder, dst []vm.Value, block *Block, codec AbstractCodec) (err error) {
+func (e *Engine) decodeValues(d *Decoder, dst []vm.Value, block *Block) (err error) {
 	for i := range dst {
-		if dst[i], err = e.DecodeValue(d, block, codec); err != nil {
+		if dst[i], err = e.DecodeValue(d, block); err != nil {
 			return err
 		}
 	}
@@ -348,7 +330,7 @@ func (e *Engine) bareState(i int) *vm.StateVal {
 
 // EncodeMessage writes a message (without its destination, which the
 // channel key carries).
-func (e *Engine) EncodeMessage(enc *Encoder, m *Message, codec AbstractCodec) error {
+func (e *Engine) EncodeMessage(enc *Encoder, m *Message) error {
 	enc.Int(int64(m.Tag))
 	enc.Int(int64(enc.remap.MapBlock(m.ID)))
 	enc.Int(int64(enc.remap.MapNode(m.Src)))
@@ -360,7 +342,7 @@ func (e *Engine) EncodeMessage(enc *Encoder, m *Message, codec AbstractCodec) er
 	enc.Int(m.Val)
 	enc.Int(int64(len(m.Payload)))
 	for _, v := range m.Payload {
-		if err := e.EncodeValue(enc, v, codec); err != nil {
+		if err := e.EncodeValue(enc, v); err != nil {
 			return err
 		}
 	}
@@ -369,7 +351,7 @@ func (e *Engine) EncodeMessage(enc *Encoder, m *Message, codec AbstractCodec) er
 
 // DecodeMessage reads a message encoded by EncodeMessage. The error may be
 // the decoder's sticky one.
-func (e *Engine) DecodeMessage(d *Decoder, codec AbstractCodec) (*Message, error) {
+func (e *Engine) DecodeMessage(d *Decoder) (*Message, error) {
 	m := &Message{Tag: int(d.Int()), ID: int(d.Int()), Src: int(d.Int())}
 	m.Data = d.Byte() == 1
 	m.Val = d.Int()
@@ -379,7 +361,7 @@ func (e *Engine) DecodeMessage(d *Decoder, codec AbstractCodec) (*Message, error
 	}
 	if n > 0 {
 		m.Payload = make([]vm.Value, n)
-		if err := e.decodeValues(d, m.Payload, e.Blocks[m.ID], codec); err != nil {
+		if err := e.decodeValues(d, m.Payload, e.Blocks[m.ID]); err != nil {
 			return nil, err
 		}
 	}
@@ -389,24 +371,24 @@ func (e *Engine) DecodeMessage(d *Decoder, codec AbstractCodec) (*Message, error
 // EncodeState writes the engine's full protocol state (all blocks: state
 // value, protocol variables, deferred queue). Under a remap the blocks are
 // written in image order and node-bitmask variables are re-indexed.
-func (e *Engine) EncodeState(enc *Encoder, codec AbstractCodec) error {
+func (e *Engine) EncodeState(enc *Encoder) error {
 	r := enc.remap
 	for i := range e.Blocks {
 		b := e.Blocks[r.SrcBlock(i)]
-		if err := e.EncodeValue(enc, vm.StateValue(b.State), codec); err != nil {
+		if err := e.EncodeValue(enc, vm.StateValue(b.State)); err != nil {
 			return err
 		}
 		for slot, v := range b.Vars {
 			if r != nil && v.Kind == vm.KInt && r.isMaskSlot(slot) {
 				v.Int = r.mapMask(v.Int)
 			}
-			if err := e.EncodeValue(enc, v, codec); err != nil {
+			if err := e.EncodeValue(enc, v); err != nil {
 				return err
 			}
 		}
 		enc.Int(int64(len(b.Deferred)))
 		for _, m := range b.Deferred {
-			if err := e.EncodeMessage(enc, m, codec); err != nil {
+			if err := e.EncodeMessage(enc, m); err != nil {
 				return err
 			}
 		}
@@ -419,9 +401,9 @@ func (e *Engine) EncodeState(enc *Encoder, codec AbstractCodec) error {
 // records, variable slots and deferred-queue arrays are reused, and nothing
 // of what the engine held before (a half-run handler's transitioned flag
 // included) survives. The error may be the decoder's sticky one.
-func (e *Engine) DecodeState(d *Decoder, codec AbstractCodec) error {
+func (e *Engine) DecodeState(d *Decoder) error {
 	for _, b := range e.Blocks {
-		sv, err := e.DecodeValue(d, b, codec)
+		sv, err := e.DecodeValue(d, b)
 		if err != nil {
 			return err
 		}
@@ -429,13 +411,13 @@ func (e *Engine) DecodeState(d *Decoder, codec AbstractCodec) error {
 		if b.State == nil {
 			return fmt.Errorf("runtime: block %d decoded non-state", b.ID)
 		}
-		if err := e.decodeValues(d, b.Vars, b, codec); err != nil {
+		if err := e.decodeValues(d, b.Vars, b); err != nil {
 			return err
 		}
 		n := d.Count()
 		b.Deferred = b.Deferred[:0]
 		for i := 0; i < n; i++ {
-			m, err := e.DecodeMessage(d, codec)
+			m, err := e.DecodeMessage(d)
 			if err != nil {
 				return err
 			}

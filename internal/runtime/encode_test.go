@@ -65,16 +65,16 @@ func TestValueRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		v := randomValue(rng, e, 2)
 		enc := &runtime.Encoder{}
-		if err := e.EncodeValue(enc, v, nil); err != nil {
+		if err := e.EncodeValue(enc, v); err != nil {
 			return false
 		}
-		got, err := e.DecodeValue(runtime.NewDecoder(enc.Bytes()), block, nil)
+		got, err := e.DecodeValue(runtime.NewDecoder(enc.Bytes()), block)
 		if err != nil {
 			return false
 		}
 		// Continuations compare by re-encoding (pointer identity differs).
 		enc2 := &runtime.Encoder{}
-		if err := e.EncodeValue(enc2, got, nil); err != nil {
+		if err := e.EncodeValue(enc2, got); err != nil {
 			return false
 		}
 		return string(enc.Bytes()) == string(enc2.Bytes())
@@ -106,7 +106,7 @@ func TestStateRoundTrip(t *testing.T) {
 		}
 	}
 	enc := &runtime.Encoder{}
-	if err := e.EncodeState(enc, nil); err != nil {
+	if err := e.EncodeState(enc); err != nil {
 		t.Fatal(err)
 	}
 	// Decode into a fresh engine of the same shape.
@@ -116,11 +116,11 @@ func TestStateRoundTrip(t *testing.T) {
 	})
 	m2 := newTestMachine()
 	e2 := runtime.NewEngine(art.Protocol, 1, 3, m2, nullSupport{})
-	if err := e2.DecodeState(runtime.NewDecoder(enc.Bytes()), nil); err != nil {
+	if err := e2.DecodeState(runtime.NewDecoder(enc.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	enc2 := &runtime.Encoder{}
-	if err := e2.EncodeState(enc2, nil); err != nil {
+	if err := e2.EncodeState(enc2); err != nil {
 		t.Fatal(err)
 	}
 	if string(enc.Bytes()) != string(enc2.Bytes()) {
@@ -141,10 +141,10 @@ func TestMessageRoundTrip(t *testing.T) {
 		Payload: []vm.Value{vm.IntVal(7), vm.BoolVal(true), vm.StringVal("x")},
 	}
 	enc := &runtime.Encoder{}
-	if err := e.EncodeMessage(enc, msg, nil); err != nil {
+	if err := e.EncodeMessage(enc, msg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.DecodeMessage(runtime.NewDecoder(enc.Bytes()), nil)
+	got, err := e.DecodeMessage(runtime.NewDecoder(enc.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,18 @@ func TestEncoderPrimitives(t *testing.T) {
 	}
 }
 
-func TestAbstractValueWithoutCodecFails(t *testing.T) {
+// TestAbstractValueCannotBeSnapshotted: an abstract support value is opaque
+// to the runtime, so a state holding one has no encoding, and an encoding
+// claiming to hold one is refused.
+func TestAbstractValueCannotBeSnapshotted(t *testing.T) {
 	e, _ := encodeFixture(t)
 	enc := &runtime.Encoder{}
-	if err := e.EncodeValue(enc, vm.AbstractVal("opaque"), nil); err == nil {
-		t.Error("expected error encoding abstract value without codec")
+	if err := e.EncodeValue(enc, vm.AbstractVal("opaque")); err == nil {
+		t.Error("an abstract value was encoded")
+	}
+	d := runtime.NewDecoder([]byte{byte(vm.KAbstract)})
+	if _, err := e.DecodeValue(d, e.Blocks[0]); err == nil {
+		t.Error("an abstract value was decoded")
 	}
 }
 
@@ -241,8 +248,8 @@ func TestRemappedEncodeProperty(t *testing.T) {
 		if v.Kind == vm.KCont || v.Kind == vm.KState {
 			nested++
 		}
-		got := remapped(func(enc *runtime.Encoder) error { return e.EncodeValue(enc, v, nil) })
-		want := plain(func(enc *runtime.Encoder) error { return e.EncodeValue(enc, relabel(v, r), nil) })
+		got := remapped(func(enc *runtime.Encoder) error { return e.EncodeValue(enc, v) })
+		want := plain(func(enc *runtime.Encoder) error { return e.EncodeValue(enc, relabel(v, r)) })
 		if got != want {
 			t.Fatalf("value %v: remapped encode %x, encode of relabelled value %x", v, got, want)
 		}
@@ -250,8 +257,8 @@ func TestRemappedEncodeProperty(t *testing.T) {
 			Payload: []vm.Value{v, randomValue(rng, e, 1)}}
 		rm := &runtime.Message{Tag: m.Tag, ID: r.MapBlock(m.ID), Src: r.MapNode(m.Src),
 			Payload: []vm.Value{relabel(m.Payload[0], r), relabel(m.Payload[1], r)}}
-		got = remapped(func(enc *runtime.Encoder) error { return e.EncodeMessage(enc, m, nil) })
-		want = plain(func(enc *runtime.Encoder) error { return e.EncodeMessage(enc, rm, nil) })
+		got = remapped(func(enc *runtime.Encoder) error { return e.EncodeMessage(enc, m) })
+		want = plain(func(enc *runtime.Encoder) error { return e.EncodeMessage(enc, rm) })
 		if got != want {
 			t.Fatalf("message %+v: remapped encode differs from encode of relabelled message", m)
 		}
@@ -273,8 +280,8 @@ func TestRemappedEncodeProperty(t *testing.T) {
 		ib.Vars[0] = vm.IntVal(1<<3 | 1<<1 | 1<<7) // 1→3, 2→1, 7 is outside the machine
 		ib.Deferred = []*runtime.Message{{Tag: 1, ID: r.MapBlock(i), Src: 1, Payload: []vm.Value{vm.IDVal(r.MapBlock(i))}}}
 	}
-	got := remapped(func(enc *runtime.Encoder) error { return e.EncodeState(enc, nil) })
-	want := plain(func(enc *runtime.Encoder) error { return image.EncodeState(enc, nil) })
+	got := remapped(func(enc *runtime.Encoder) error { return e.EncodeState(enc) })
+	want := plain(func(enc *runtime.Encoder) error { return image.EncodeState(enc) })
 	if got != want {
 		t.Errorf("engine state: remapped encode\n%x\nencode of relabelled engine\n%x", got, want)
 	}

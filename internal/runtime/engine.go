@@ -90,6 +90,13 @@ type Machine interface {
 	Print(node int, s string)
 }
 
+// HomeOf is the home rule of every machine in the tree: block id lives on
+// node id mod nodes. The simulator's and the checker's HomeNode, their
+// initial access maps (a block starts read-write at its home), the
+// checker's symmetry group and the oracle all call it, so they cannot
+// disagree on where a block lives.
+func HomeOf(id, nodes int) int { return id % nodes }
+
 // TimeoutArmer is the optional machine extension behind runtime timeouts.
 // A protocol opts into timeout recovery by declaring a TIMEOUT message and
 // handling it explicitly in the states that wait on droppable replies; the

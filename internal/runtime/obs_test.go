@@ -110,10 +110,7 @@ func TestObsDetach(t *testing.T) {
 	}
 
 	cache.SetObs(c)
-	clone, err := cache.Clone(m, nil)
-	if err != nil {
-		t.Fatalf("clone: %v", err)
-	}
+	clone := cache.Clone(m)
 	if clone.Exec.Tracer != nil {
 		t.Error("clone inherited the VM tracer")
 	}

@@ -79,11 +79,9 @@ func TestCloneIntoReusedEngine(t *testing.T) {
 		src, key := cloneFixture(t, seed)
 		src.SetObs(sink)
 		m := newTestMachine()
-		if err := src.CloneInto(dst, m, nil); err != nil {
-			t.Fatal(err)
-		}
+		src.CloneInto(dst, m)
 		enc := &runtime.Encoder{}
-		if err := dst.EncodeState(enc, nil); err != nil {
+		if err := dst.EncodeState(enc); err != nil {
 			t.Fatal(err)
 		}
 		if string(enc.Bytes()) != key {
@@ -100,7 +98,7 @@ func TestCloneIntoReusedEngine(t *testing.T) {
 			b.Deferred = b.Deferred[:0]
 		}
 		enc.Reset(nil)
-		if err := src.EncodeState(enc, nil); err != nil {
+		if err := src.EncodeState(enc); err != nil {
 			t.Fatal(err)
 		}
 		if string(enc.Bytes()) != key {
@@ -109,9 +107,7 @@ func TestCloneIntoReusedEngine(t *testing.T) {
 	}
 	before := sink.Total()
 	toy, p := buildToy(t, true)
-	if err := toy.engines[1].CloneInto(dst, toy, nil); err != nil {
-		t.Fatal(err)
-	}
+	toy.engines[1].CloneInto(dst, toy)
 	if err := dst.Deliver(&runtime.Message{Tag: p.MsgIndex("PING"), ID: 0, Src: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +123,12 @@ func TestDecodeDamagedEncoding(t *testing.T) {
 	fresh := func() *runtime.Engine {
 		return runtime.NewEngine(e.Proto, 1, 3, newTestMachine(), nullSupport{})
 	}
-	if err := fresh().DecodeState(runtime.NewDecoder([]byte(key)), nil); err != nil {
+	if err := fresh().DecodeState(runtime.NewDecoder([]byte(key))); err != nil {
 		t.Fatalf("intact encoding: %v", err)
 	}
 	for cut := 0; cut < len(key); cut++ {
 		d := runtime.NewDecoder([]byte(key[:cut]))
-		err := fresh().DecodeState(d, nil)
+		err := fresh().DecodeState(d)
 		if err == nil {
 			err = d.Finish()
 		}
@@ -141,16 +137,16 @@ func TestDecodeDamagedEncoding(t *testing.T) {
 		}
 	}
 	d := runtime.NewDecoder([]byte(key + "\x00"))
-	if err := fresh().DecodeState(d, nil); err != nil || d.Finish() == nil {
+	if err := fresh().DecodeState(d); err != nil || d.Finish() == nil {
 		t.Errorf("trailing byte: DecodeState %v, Finish %v; want nil and an error", err, d.Finish())
 	}
 
 	// A message naming a block the engine does not have.
 	enc := &runtime.Encoder{}
-	if err := e.EncodeMessage(enc, &runtime.Message{Tag: 1, ID: 99, Src: 0}, nil); err != nil {
+	if err := e.EncodeMessage(enc, &runtime.Message{Tag: 1, ID: 99, Src: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.DecodeMessage(runtime.NewDecoder(enc.Bytes()), nil); err == nil {
+	if _, err := e.DecodeMessage(runtime.NewDecoder(enc.Bytes())); err == nil {
 		t.Error("message for block 99 of 3 decoded without error")
 	}
 	// A payload count no encoding this short could hold.
@@ -161,7 +157,7 @@ func TestDecodeDamagedEncoding(t *testing.T) {
 	enc.Byte(0)      // no data
 	enc.Int(0)       // val
 	enc.Int(1 << 40) // payload count
-	if _, err := e.DecodeMessage(runtime.NewDecoder(enc.Bytes()), nil); err == nil {
+	if _, err := e.DecodeMessage(runtime.NewDecoder(enc.Bytes())); err == nil {
 		t.Error("absurd payload count decoded without error")
 	}
 	// Sticky: after a failure every read is zero and the first error stays.

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"teapot/internal/core"
 	"teapot/internal/netmodel"
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/sim"
@@ -13,19 +15,12 @@ import (
 
 func runStacheFT(t *testing.T, w *sim.Workload, nodes int, net netmodel.Model, seed uint64) *tempest.Stats {
 	t.Helper()
-	proto := stache.MustCompileFT(true).Protocol
-	stats, err := sim.Run(sim.Config{
-		Nodes:  nodes,
-		Blocks: w.Blocks,
-		Cost:   tempest.DefaultCost,
-		Tags:   tempest.ResolveTags(proto),
-		MakeEngine: func(m runtime.Machine) tempest.Engine {
-			return tempest.NewTeapotEngine(proto, nodes, w.Blocks, m, stache.MustFTSupport(proto, nodes))
-		},
-		Program: w.Trace,
-		Net:     net,
-		Seed:    seed,
-	})
+	spec, err := protocols.Spec("stache-ft", nodes, w.Blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Program, spec.Net, spec.Seed = w.Trace, net, seed
+	stats, err := core.Simulate(spec)
 	if err != nil {
 		t.Fatalf("%s: %v", w.Name, err)
 	}
@@ -77,7 +72,7 @@ func TestSimCleanNetUnchanged(t *testing.T) {
 // TestSimCorruptRejected: corruption is a checker-only fault.
 func TestSimCorruptRejected(t *testing.T) {
 	w := sim.Table1Workloads(2, 1)[0]
-	proto := stache.MustCompile(true).Protocol
+	proto := protocols.MustCompile("stache", true).Protocol
 	_, err := sim.Run(sim.Config{
 		Nodes:  2,
 		Blocks: w.Blocks,

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/lcm"
 	"teapot/internal/runtime"
 	"teapot/internal/sim"
@@ -12,7 +13,7 @@ import (
 func runLCM(t *testing.T, w *sim.Workload, nodes int, v lcm.Variant, optimize bool) *tempest.Stats {
 	t.Helper()
 	w.Trace.Reset()
-	p := lcm.MustCompile(v, optimize).Protocol
+	p := protocols.MustCompile(v.String(), optimize).Protocol
 	stats, err := sim.Run(sim.Config{
 		Nodes:  nodes,
 		Blocks: w.Blocks,
@@ -55,7 +56,7 @@ func TestLCMVariantsRun(t *testing.T) {
 func runLCMHW(t *testing.T, w *sim.Workload, nodes int, cost tempest.CostModel) *tempest.Stats {
 	t.Helper()
 	w.Trace.Reset()
-	p := lcm.MustCompile(lcm.Base, true).Protocol
+	p := protocols.MustCompile("lcm", true).Protocol
 	stats, err := sim.Run(sim.Config{
 		Nodes:  nodes,
 		Blocks: w.Blocks,
@@ -75,7 +76,7 @@ func runLCMHW(t *testing.T, w *sim.Workload, nodes int, cost tempest.CostModel) 
 func runLCMCost(t *testing.T, w *sim.Workload, nodes int, v lcm.Variant, optimize bool, cost tempest.CostModel) *tempest.Stats {
 	t.Helper()
 	w.Trace.Reset()
-	p := lcm.MustCompile(v, optimize).Protocol
+	p := protocols.MustCompile(v.String(), optimize).Protocol
 	stats, err := sim.Run(sim.Config{
 		Nodes:  nodes,
 		Blocks: w.Blocks,

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/sim"
@@ -21,14 +22,14 @@ func runStacheCost(t *testing.T, w *sim.Workload, nodes int, flavor string, cost
 	t.Helper()
 	w.Trace.Reset()
 	var mk func(m runtime.Machine) tempest.Engine
-	proto := stache.MustCompile(true).Protocol
+	proto := protocols.MustCompile("stache", true).Protocol
 	switch flavor {
 	case "hw":
 		mk = func(m runtime.Machine) tempest.Engine {
 			return stache.NewHW(proto, nodes, w.Blocks, m)
 		}
 	case "unopt":
-		p := stache.MustCompile(false).Protocol
+		p := protocols.MustCompile("stache", false).Protocol
 		mk = func(m runtime.Machine) tempest.Engine {
 			return tempest.NewTeapotEngine(p, nodes, w.Blocks, m, stache.MustSupport(p))
 		}

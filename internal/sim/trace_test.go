@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"teapot/internal/obs"
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/sim"
@@ -89,7 +90,7 @@ func TestRunWithObsSink(t *testing.T) {
 
 func runStacheObs(t *testing.T, w *sim.Workload, nodes int, sink obs.Sink) *tempest.Stats {
 	t.Helper()
-	proto := stache.MustCompile(true).Protocol
+	proto := protocols.MustCompile("stache", true).Protocol
 	stats, err := sim.Run(sim.Config{
 		Nodes:  nodes,
 		Blocks: w.Blocks,

@@ -214,8 +214,8 @@ func (m *Machine) RecvDataMsg(node, id int, mode sema.AccessMode, msg *runtime.M
 	if cur := m.mem[node*m.cfg.Blocks+id]; msg.Val > cur {
 		m.mem[node*m.cfg.Blocks+id] = msg.Val
 	}
-	if m.obs != nil {
-		m.obs.Emit(obs.Event{Kind: obs.KindData, Node: int32(node), Block: int32(id),
+	if m.cfg.Obs != nil {
+		m.cfg.Obs.Emit(obs.Event{Kind: obs.KindData, Node: int32(node), Block: int32(id),
 			State: -1, Msg: int32(msg.Tag), Peer: int32(msg.Src), Site: -1, Arg: msg.Val})
 	}
 }
@@ -224,8 +224,8 @@ func (m *Machine) RecvDataMsg(node, id int, mode sema.AccessMode, msg *runtime.M
 // when the run is being judged.
 func (m *Machine) setAccess(node, id int, mode sema.AccessMode) {
 	m.access[node*m.cfg.Blocks+id] = mode
-	if m.mem != nil && m.obs != nil {
-		m.obs.Emit(obs.Event{Kind: obs.KindAccess, Node: int32(node), Block: int32(id),
+	if m.mem != nil && m.cfg.Obs != nil {
+		m.cfg.Obs.Emit(obs.Event{Kind: obs.KindAccess, Node: int32(node), Block: int32(id),
 			State: -1, Msg: -1, Peer: -1, Site: -1, Arg: int64(mode)})
 	}
 }
@@ -235,8 +235,8 @@ func (m *Machine) noteRead(node, addr int) {
 	if m.mem == nil {
 		return
 	}
-	if m.obs != nil {
-		m.obs.Emit(obs.Event{Kind: obs.KindRead, Node: int32(node), Block: int32(addr),
+	if m.cfg.Obs != nil {
+		m.cfg.Obs.Emit(obs.Event{Kind: obs.KindRead, Node: int32(node), Block: int32(addr),
 			State: -1, Msg: -1, Peer: -1, Site: -1, Arg: m.mem[node*m.cfg.Blocks+addr]})
 	}
 }
@@ -253,12 +253,12 @@ func (m *Machine) noteWrite(node, addr int, protocolPerformed bool, val int64) {
 	m.version[addr]++
 	v := StoreWord(m.version[addr], val)
 	m.mem[node*m.cfg.Blocks+addr] = v
-	if m.obs != nil {
+	if m.cfg.Obs != nil {
 		site := int32(0)
 		if protocolPerformed {
 			site = 1
 		}
-		m.obs.Emit(obs.Event{Kind: obs.KindWrite, Node: int32(node), Block: int32(addr),
+		m.cfg.Obs.Emit(obs.Event{Kind: obs.KindWrite, Node: int32(node), Block: int32(addr),
 			State: -1, Msg: -1, Peer: -1, Site: site, Arg: v})
 	}
 }

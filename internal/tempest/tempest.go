@@ -193,23 +193,37 @@ type Program interface {
 	Next(node int) (op Op, ok bool)
 }
 
-// Config assembles a machine.
+// Config describes one run of the machine: its shape (block b's home is
+// node runtime.HomeOf(b, Nodes)), the protocol engine, the workload, and
+// the network. internal/sim's Config is this type.
 type Config struct {
-	Nodes   int
-	Blocks  int
-	HomeOf  func(id int) int // default id % Nodes
-	Cost    CostModel
-	Tags    EventTags
-	Engine  Engine
-	Program Program
-	// MaxEvents bounds the simulation (safety net; 0 = default 100M).
+	Nodes  int
+	Blocks int
+	Cost   CostModel
+	Tags   EventTags
+	// MakeEngine builds the protocol engine — compiled Teapot or a
+	// hand-written baseline — against the machine, which is the engine's
+	// runtime.Machine.
+	MakeEngine func(m runtime.Machine) Engine
+	Program    Program
+	// Obs, when non-nil, receives the machine's fault events (and under
+	// ObsMemory its memory events) and — if the engine implements
+	// obs.Attacher — the engine's handler-level events.
+	// A sink that implements obs.ClockSetter is driven by the machine's
+	// virtual clock.
+	Obs obs.Sink
+	// MaxEvents bounds the simulation (safety net; 0 = default 100M). The
+	// fuzzer sets a small budget so a livelocked schedule returns an error
+	// instead of spinning toward the safety net.
 	MaxEvents int64
 
 	// Net is the network fault model: faults are injected stochastically at
 	// send time from a deterministic RNG seeded with Seed, so two runs with
 	// the same Config produce bit-identical Stats. Protocols without TIMEOUT
 	// recovery will deadlock (reported, not hung) if a message they depend
-	// on is dropped.
+	// on is dropped. Message corruption is a checker-only fault (the machine
+	// has no per-message NACK bounce path), so Net.MaxCorrupts must be 0;
+	// see Validate.
 	Net  netmodel.Model
 	Seed uint64
 
@@ -250,9 +264,23 @@ type Stats struct {
 	Timeouts int64 // TIMEOUT pseudo-messages fired
 }
 
+// Validate refuses a fault model the machine cannot inject. sim.Run calls
+// it first; a caller that must tell a refused configuration from a failed
+// run calls it before Run.
+func (cfg Config) Validate() error {
+	if err := cfg.Net.Validate(); err != nil {
+		return err
+	}
+	if cfg.Net.MaxCorrupts > 0 {
+		return fmt.Errorf("sim: Net corrupt=%d is checker-only (the simulator injects drop/dup/delay)", cfg.Net.MaxCorrupts)
+	}
+	return nil
+}
+
 // Machine is the simulated multiprocessor.
 type Machine struct {
 	cfg   Config
+	eng   Engine
 	now   int64
 	queue eventQueue
 	seq   int64
@@ -273,7 +301,6 @@ type Machine struct {
 	// current, which makes cancellation O(1) without queue surgery.
 	inj      *netmodel.Injector
 	timerGen []int64
-	obs      obs.Sink
 
 	// Schedule control (Config.Sched): per-channel in-flight counts and
 	// held-back deliveries for the bounded-reorder choice.
@@ -325,12 +352,10 @@ func (q *eventQueue) Pop() any {
 // use it as a clock so trace timestamps line up with the cost model.
 func (m *Machine) Now() int64 { return m.now }
 
-// New builds a machine.
+// New builds a machine and, against it, the engine cfg.MakeEngine names
+// (the engine needs the machine as its runtime.Machine), with cfg.Obs
+// attached to both.
 func New(cfg Config) *Machine {
-	if cfg.HomeOf == nil {
-		nodes := cfg.Nodes
-		cfg.HomeOf = func(id int) int { return id % nodes }
-	}
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = 100_000_000
 	}
@@ -372,17 +397,20 @@ func New(cfg Config) *Machine {
 		m.stalledOn[n] = -1
 	}
 	for b := 0; b < cfg.Blocks; b++ {
-		m.access[cfg.HomeOf(b)*cfg.Blocks+b] = sema.AccReadWrite
+		m.access[m.HomeNode(b)*cfg.Blocks+b] = sema.AccReadWrite
+	}
+	m.eng = cfg.MakeEngine(m)
+	if cs, ok := cfg.Obs.(obs.ClockSetter); ok {
+		cs.SetClock(m.Now)
+	}
+	if a, ok := m.eng.(obs.Attacher); ok && cfg.Obs != nil {
+		a.SetObs(cfg.Obs)
 	}
 	return m
 }
 
-// SetEngine installs the protocol engine (which typically needs the
-// machine as its runtime.Machine, hence the two-step construction).
-func (m *Machine) SetEngine(e Engine) { m.cfg.Engine = e }
-
 // HomeNode implements runtime.Machine.
-func (m *Machine) HomeNode(id int) int { return m.cfg.HomeOf(id) }
+func (m *Machine) HomeNode(id int) int { return runtime.HomeOf(id, m.cfg.Nodes) }
 
 // Access returns the current access mode of (node, block).
 func (m *Machine) Access(node, id int) sema.AccessMode {
@@ -433,15 +461,11 @@ func (m *Machine) trackInflight(from, dst int) {
 	}
 }
 
-// SetObs attaches a sink for the machine's own fault events (Drop/Dup);
-// handler-level events are emitted by the protocol engines.
-func (m *Machine) SetObs(s obs.Sink) { m.obs = s }
-
 func (m *Machine) emitFault(kind obs.Kind, from, dst int, msg *runtime.Message) {
-	if m.obs == nil {
+	if m.cfg.Obs == nil {
 		return
 	}
-	m.obs.Emit(FaultEvent(kind, from, dst, msg))
+	m.cfg.Obs.Emit(FaultEvent(kind, from, dst, msg))
 }
 
 // FaultEvent is the event a network fault on msg in flight from→dst emits,
@@ -482,7 +506,7 @@ func (m *Machine) fireTimer(e *event) {
 	if start < m.now {
 		start = m.now
 	}
-	if err := m.cfg.Engine.Event(e.node, m.cfg.Tags.Timeout, e.block); err != nil {
+	if err := m.eng.Event(e.node, m.cfg.Tags.Timeout, e.block); err != nil {
 		m.err = err
 		return
 	}
@@ -542,7 +566,7 @@ func (m *Machine) schedule(e *event) {
 // chargeProtocol advances a node's clock by the protocol work done since
 // the last snapshot.
 func (m *Machine) chargeProtocol(node int, start int64) int64 {
-	cur := m.cfg.Engine.Counters(node)
+	cur := m.eng.Counters(node)
 	delta := cur.Sub(m.last[node])
 	m.last[node] = cur
 	cost := m.cfg.Cost.Cycles(delta)
@@ -623,7 +647,7 @@ func (m *Machine) deliverMsg(node int, msg *runtime.Message) {
 	if start < m.now {
 		start = m.now
 	}
-	if err := m.cfg.Engine.Deliver(node, msg); err != nil {
+	if err := m.eng.Deliver(node, msg); err != nil {
 		m.err = err
 		return
 	}
@@ -679,7 +703,7 @@ func (m *Machine) step(node int) {
 			m.stalledOn[node] = op.Addr
 			m.stallStart[node] = m.now
 			m.pendingOp[node] = &op // retry after wakeup
-			if err := m.cfg.Engine.Event(node, tag, op.Addr); err != nil {
+			if err := m.eng.Event(node, tag, op.Addr); err != nil {
 				m.err = err
 				return
 			}
@@ -691,7 +715,7 @@ func (m *Machine) step(node int) {
 			return
 		case OpEvict:
 			if m.cfg.Tags.Evict >= 0 && m.Access(node, op.Addr) == sema.AccReadOnly &&
-				m.cfg.HomeOf(op.Addr) != node {
+				m.HomeNode(op.Addr) != node {
 				m.fireEvent(node, m.cfg.Tags.Evict, op.Addr)
 				if m.err != nil {
 					return
@@ -710,7 +734,7 @@ func (m *Machine) step(node int) {
 				m.now = m.nodeTime[node]
 				m.stalledOn[node] = b
 				m.stallStart[node] = m.now
-				if err := m.cfg.Engine.Event(node, m.cfg.Tags.Sync, b); err != nil {
+				if err := m.eng.Event(node, m.cfg.Tags.Sync, b); err != nil {
 					m.err = err
 					return
 				}
@@ -777,7 +801,7 @@ func (m *Machine) step(node int) {
 // fireEvent injects a non-stalling protocol event for one block.
 func (m *Machine) fireEvent(node, tag, addr int) {
 	m.now = m.nodeTime[node]
-	if err := m.cfg.Engine.Event(node, tag, addr); err != nil {
+	if err := m.eng.Event(node, tag, addr); err != nil {
 		m.err = err
 		return
 	}

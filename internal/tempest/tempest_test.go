@@ -3,6 +3,7 @@ package tempest_test
 import (
 	"testing"
 
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
@@ -31,14 +32,17 @@ func (p *fixedProgram) Next(node int) (tempest.Op, bool) {
 
 func stacheMachine(t *testing.T, nodes, blocks int, prog tempest.Program, cost tempest.CostModel) (*tempest.Machine, *tempest.TeapotEngine) {
 	t.Helper()
-	p := stache.MustCompile(true).Protocol
+	p := protocols.MustCompile("stache", true).Protocol
+	var te *tempest.TeapotEngine
 	m := tempest.New(tempest.Config{
 		Nodes: nodes, Blocks: blocks,
 		Cost: cost, Tags: tempest.ResolveTags(p),
+		MakeEngine: func(m runtime.Machine) tempest.Engine {
+			te = tempest.NewTeapotEngine(p, nodes, blocks, m, stache.MustSupport(p))
+			return te
+		},
 		Program: prog,
 	})
-	te := tempest.NewTeapotEngine(p, nodes, blocks, m, stache.MustSupport(p))
-	m.SetEngine(te)
 	return m, te
 }
 
@@ -189,7 +193,7 @@ func TestCostModelCycles(t *testing.T) {
 }
 
 func TestResolveTags(t *testing.T) {
-	p := stache.MustCompile(true).Protocol
+	p := protocols.MustCompile("stache", true).Protocol
 	tags := tempest.ResolveTags(p)
 	if tags.ReadFault < 0 || tags.WriteFault < 0 || tags.WriteRO < 0 || tags.Evict < 0 {
 		t.Errorf("stache tags = %+v", tags)
@@ -223,7 +227,7 @@ func TestEvictOpOnlyFiresOnRemoteReadOnly(t *testing.T) {
 // TestZeroCostModelStillRuns guards the wire-equivalence configuration.
 func TestZeroCostModelStillRuns(t *testing.T) {
 	w := sim.Gauss(sim.WorkloadSpec{Nodes: 4, Iters: 1, Seed: 5})
-	p := stache.MustCompile(true).Protocol
+	p := protocols.MustCompile("stache", true).Protocol
 	stats, err := sim.Run(sim.Config{
 		Nodes: 4, Blocks: w.Blocks,
 		Cost: tempest.CostModel{MemAccess: 1, NetLatency: 1},

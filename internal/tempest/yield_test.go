@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"teapot/internal/obs"
+	"teapot/internal/protocols"
 	"teapot/internal/protocols/stache"
+	"teapot/internal/runtime"
 	"teapot/internal/tempest"
 )
 
@@ -28,18 +30,19 @@ func (s *memSink) Emit(ev obs.Event) {
 // memMachine is stacheMachine with the data-version model on.
 func memMachine(t *testing.T, nodes, blocks int, prog tempest.Program, initMem []int64) (*tempest.Machine, *memSink) {
 	t.Helper()
-	p := stache.MustCompile(true).Protocol
+	p := protocols.MustCompile("stache", true).Protocol
+	sink := newMemSink()
 	m := tempest.New(tempest.Config{
 		Nodes: nodes, Blocks: blocks,
 		Cost: tempest.DefaultCost, Tags: tempest.ResolveTags(p),
+		MakeEngine: func(m runtime.Machine) tempest.Engine {
+			return tempest.NewTeapotEngine(p, nodes, blocks, m, stache.MustSupport(p))
+		},
 		Program:   prog,
+		Obs:       sink,
 		ObsMemory: true,
 		InitMem:   initMem,
 	})
-	te := tempest.NewTeapotEngine(p, nodes, blocks, m, stache.MustSupport(p))
-	m.SetEngine(te)
-	sink := newMemSink()
-	m.SetObs(sink)
 	return m, sink
 }
 
