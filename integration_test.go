@@ -18,6 +18,10 @@ import (
 	"teapot/internal/cli"
 	"teapot/internal/manifest"
 	"teapot/internal/obs"
+	"teapot/internal/protocols"
+	"teapot/internal/runtime"
+	"teapot/internal/sim"
+	"teapot/internal/tempest"
 )
 
 // teapot runs one command line in process.
@@ -362,8 +366,8 @@ func TestVerifyCleanAndBuggy(t *testing.T) {
 	}
 }
 
-// TestSimTool: a run prints its statistics, and its -trace output is a
-// Chrome trace that passes the schema check.
+// TestSimTool: a run prints its statistics, its wall time and rates last,
+// and its -trace output is a Chrome trace that passes the schema check.
 func TestSimTool(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.json")
 	status, out, stderr := teapot("sim", "-workload", "gauss", "-nodes", "4", "-iters", "2", "-trace", trace, "-stats")
@@ -375,6 +379,10 @@ func TestSimTool(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if last := lines[len(lines)-1]; !regexp.MustCompile(`^  wall: [0-9.]+ ms \([0-9.]+M handlers/s, [0-9.]+M messages/s\)$`).MatchString(last) {
+		t.Errorf("last line is not the wall-clock line: %q", last)
+	}
 	f, err := os.Open(trace)
 	if err != nil {
 		t.Fatal(err)
@@ -382,6 +390,49 @@ func TestSimTool(t *testing.T) {
 	defer f.Close()
 	if err := obs.ValidateChromeTrace(f); err != nil {
 		t.Errorf("sim -trace output: %v", err)
+	}
+}
+
+// TestSimAllocsPerMessage is the execution tier's whole-run allocation
+// contract: compiled Stache on mp3d at 8 nodes — machine, engines and event
+// loop included — allocates at most 2 objects per simulated message. What
+// is left are the values that differ from one message to the next: payload
+// arrays, state values with arguments, continuation records that save
+// registers. The hand-written engine's figure is pinned beside it: it makes
+// a record per message and per fault and shares the event loop.
+func TestSimAllocsPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const nodes = 8
+	w := sim.Mp3d(sim.WorkloadSpec{Nodes: nodes, Iters: 32, Seed: 99})
+	entry, _ := protocols.Lookup("stache")
+	spec, err := entry.Spec(nodes, w.Blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Program = w.Trace
+	compiled := spec.SimConfig()
+	handWritten := compiled
+	handWritten.MakeEngine = func(m runtime.Machine) tempest.Engine {
+		return entry.HandWritten(spec.Proto, nodes, w.Blocks, m)
+	}
+	for _, c := range []struct {
+		engine string
+		cfg    sim.Config
+		max    float64
+	}{{"compiled", compiled, 2}, {"hand-written", handWritten, 1.5}} {
+		var stats *tempest.Stats
+		allocs := testing.AllocsPerRun(1, func() {
+			if stats, err = sim.Run(c.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		per := allocs / float64(stats.Messages)
+		t.Logf("%s: %.0f allocations for %d messages, %.2f per message", c.engine, allocs, stats.Messages, per)
+		if per > c.max {
+			t.Errorf("%s engine: %.2f allocations per simulated message, want at most %v", c.engine, per, c.max)
+		}
 	}
 }
 

@@ -120,8 +120,8 @@ func runContStuck(c *Ctx) {
 // order, then the DEFAULT), deterministically.
 func stateFuncs(p *ir.Program, si int) []*ir.Func {
 	var out []*ir.Func
-	for mi := 0; mi < len(p.Sema.Messages); mi++ {
-		if fn, ok := p.HandlerFunc[si][mi]; ok {
+	for _, fn := range p.HandlerFunc[si] {
+		if fn != nil {
 			out = append(out, fn)
 		}
 	}

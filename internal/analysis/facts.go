@@ -161,7 +161,7 @@ func computeFacts(p *runtime.Protocol) *facts {
 			def = classifyDefault(d)
 		}
 		for mi := range sp.Messages {
-			if _, ok := irp.HandlerFunc[si][mi]; ok {
+			if irp.HandlerFunc[si][mi] != nil {
 				row[mi] = polExplicit
 			} else {
 				row[mi] = def

@@ -68,8 +68,8 @@ func runDeferDeadlock(c *Ctx) {
 		var replies map[int]bool // ⊤ as nil before the first handler
 		sidesAgree := true
 		for si := range c.Sema.States {
-			fn, ok := c.IR.HandlerFunc[si][mi]
-			if !ok {
+			fn := c.IR.HandlerFunc[si][mi]
+			if fn == nil {
 				continue
 			}
 			handlers++
@@ -119,8 +119,8 @@ func replyAwaited(c *Ctx, replies map[int]bool, handlerSide side) bool {
 			if !replies[ri] {
 				continue
 			}
-			fn, ok := c.IR.HandlerFunc[si][ri]
-			if !ok {
+			fn := c.IR.HandlerFunc[si][ri]
+			if fn == nil {
 				continue
 			}
 			for i := range fn.Code {

@@ -42,7 +42,7 @@ func runTimeout(c *Ctx) {
 		return
 	}
 	for _, si := range waiting {
-		if _, ok := c.IR.HandlerFunc[si][tt]; ok {
+		if c.IR.HandlerFunc[si][tt] != nil {
 			continue
 		}
 		st := c.Sema.States[si]

@@ -171,5 +171,8 @@ func cmdSim(args []string, stdout, stderr io.Writer) error {
 	if *showStats {
 		fmt.Fprint(stdout, col.Summary(runtime.ObsNames(run.Proto)))
 	}
+	// What the run cost on this machine, sinks included when one is attached.
+	fmt.Fprintf(stdout, "  wall: %.1f ms (%.2fM handlers/s, %.2fM messages/s)\n", 1e3*elapsed.Seconds(),
+		perSec(float64(stats.Protocol.Handlers), elapsed)/1e6, perSec(float64(stats.Messages), elapsed)/1e6)
 	return nil
 }

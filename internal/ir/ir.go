@@ -153,18 +153,39 @@ type SuspendSite struct {
 type Program struct {
 	Sema  *sema.Program
 	Funcs []*Func
-	// HandlerFunc[stateIndex] maps message index -> *Func; Defaults holds
-	// each state's DEFAULT handler (or nil).
-	HandlerFunc []map[int]*Func
+	// HandlerFunc[state][msg] is the state's explicit handler for the
+	// message, nil when it declares none; Defaults holds each state's
+	// DEFAULT handler (or nil).
+	HandlerFunc [][]*Func
 	Defaults    []*Func
 	Sites       []*SuspendSite
+
+	// dispatch is HandlerFunc with each state's DEFAULT folded into the
+	// empty cells, row-major: what FuncFor loads from. Built by Link.
+	dispatch []*Func
+}
+
+// Link builds the dispatch table from HandlerFunc and Defaults; the lowering
+// pass calls it once, after the last handler is in place.
+func (p *Program) Link() {
+	msgs := len(p.Sema.Messages)
+	p.dispatch = make([]*Func, len(p.HandlerFunc)*msgs)
+	for si, row := range p.HandlerFunc {
+		for mi, f := range row {
+			if f == nil {
+				f = p.Defaults[si]
+			}
+			p.dispatch[si*msgs+mi] = f
+		}
+	}
 }
 
 // FuncFor returns the handler Func for (state, msg), falling back to the
-// state's DEFAULT handler; nil if neither exists.
+// state's DEFAULT handler; nil if neither exists. A tag the protocol does
+// not declare can only meet the DEFAULT.
 func (p *Program) FuncFor(state, msg int) *Func {
-	if f, ok := p.HandlerFunc[state][msg]; ok {
-		return f
+	if msgs := len(p.Sema.Messages); uint(msg) < uint(msgs) {
+		return p.dispatch[state*msgs+msg]
 	}
 	return p.Defaults[state]
 }

@@ -21,11 +21,11 @@ import (
 func Lower(sp *sema.Program) *ir.Program {
 	p := &ir.Program{
 		Sema:        sp,
-		HandlerFunc: make([]map[int]*ir.Func, len(sp.States)),
+		HandlerFunc: make([][]*ir.Func, len(sp.States)),
 		Defaults:    make([]*ir.Func, len(sp.States)),
 	}
 	for si, st := range sp.States {
-		p.HandlerFunc[si] = make(map[int]*ir.Func)
+		p.HandlerFunc[si] = make([]*ir.Func, len(sp.Messages))
 		for _, h := range st.Handlers {
 			f := lowerHandler(p, st, h)
 			p.Funcs = append(p.Funcs, f)
@@ -36,6 +36,7 @@ func Lower(sp *sema.Program) *ir.Program {
 			}
 		}
 	}
+	p.Link()
 	return p
 }
 

@@ -42,7 +42,8 @@ func (e *Engine) Clone(m Machine) *Engine {
 // of the clone never observe or disturb the original. Nothing dst held
 // before survives except storage: its sink, its in-flight dispatch context
 // and its register stack's contents are dropped, and what is scratch in e
-// (register stack, parameter buffer, bare-state table) is not inherited.
+// (register stack, shared-value tables, parameter and retry buffers, free
+// message records) is not inherited — dst keeps its own.
 func (e *Engine) CloneInto(dst *Engine, m Machine) {
 	exec := dst.Exec
 	*dst = Engine{
@@ -55,9 +56,11 @@ func (e *Engine) CloneInto(dst *Engine, m Machine) {
 		Sends:        e.Sends,
 		Blocks:       dst.Blocks,
 		timeoutTag:   e.timeoutTag,
+		nackTag:      e.nackTag,
 		timerFor:     dst.timerFor[:0],
-		bare:         dst.bare,
 		params:       dst.params,
+		retry:        dst.retry[:0],
+		free:         dst.free,
 	}
 	// Clones never inherit observability (the tracer in e.Exec aims at e,
 	// and the checker clones concurrently while sinks are single-goroutine)

@@ -277,7 +277,7 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block) (vm.Value, error) {
 		}
 		n := d.Count()
 		if n == 0 {
-			return vm.StateValue(e.bareState(state)), nil
+			return vm.StateValue(e.Exec.BareState(state)), nil
 		}
 		sv := &vm.StateVal{State: state, Args: make([]vm.Value, n)}
 		if err := e.decodeValues(d, sv.Args, block); err != nil {
@@ -290,12 +290,16 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block) (vm.Value, error) {
 			return vm.Value{}, fmt.Errorf("runtime: bad suspend site %d in encoding", site)
 		}
 		s := e.Proto.IR.Sites[site]
-		c := &vm.Cont{Fn: s.Func, Frag: s.FragIdx, Site: site}
-		if n := d.Count(); n > 0 {
-			c.Saved = make([]vm.Value, n)
-			if err := e.decodeValues(d, c.Saved, block); err != nil {
-				return vm.Value{}, err
-			}
+		n := d.Count()
+		if want := len(s.Func.Frags[s.FragIdx].Saved); d.Err() == nil && n != want {
+			return vm.Value{}, fmt.Errorf("runtime: suspend site %d saves %d registers, encoding holds %d", site, want, n)
+		}
+		if n == 0 {
+			return vm.ContVal(e.Exec.SiteCont(site)), nil
+		}
+		c := &vm.Cont{Fn: s.Func, Frag: s.FragIdx, Site: site, Saved: make([]vm.Value, n)}
+		if err := e.decodeValues(d, c.Saved, block); err != nil {
+			return vm.Value{}, err
 		}
 		return vm.ContVal(c), nil
 	case vm.KInfo:
@@ -312,20 +316,6 @@ func (e *Engine) decodeValues(d *Decoder, dst []vm.Value, block *Block) (err err
 		}
 	}
 	return nil
-}
-
-// bareState returns the engine's one value for argument-less state i.
-// Decoded blocks share it, which is sound because state values are
-// immutable: a transition installs a new *vm.StateVal (SetState), it never
-// writes through the old one.
-func (e *Engine) bareState(i int) *vm.StateVal {
-	if e.bare == nil {
-		e.bare = make([]*vm.StateVal, len(e.Proto.IR.Sema.States))
-	}
-	if e.bare[i] == nil {
-		e.bare[i] = &vm.StateVal{State: i}
-	}
-	return e.bare[i]
 }
 
 // EncodeMessage writes a message (without its destination, which the

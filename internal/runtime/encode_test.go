@@ -57,7 +57,7 @@ func randomValue(rng *rand.Rand, e *runtime.Engine, depth int) vm.Value {
 }
 
 // TestValueRoundTripProperty: encode∘decode is the identity on encodable
-// values (up to vm.Equal and re-encoding).
+// values, under vm.Equal and under re-encoding.
 func TestValueRoundTripProperty(t *testing.T) {
 	e, _ := encodeFixture(t)
 	block := e.Blocks[0]
@@ -72,12 +72,11 @@ func TestValueRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// Continuations compare by re-encoding (pointer identity differs).
 		enc2 := &runtime.Encoder{}
 		if err := e.EncodeValue(enc2, got); err != nil {
 			return false
 		}
-		return string(enc.Bytes()) == string(enc2.Bytes())
+		return vm.Equal(v, got) && string(enc.Bytes()) == string(enc2.Bytes())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -130,6 +129,40 @@ func TestStateRoundTrip(t *testing.T) {
 	for i, b := range e.Blocks {
 		if len(b.Deferred) != len(e2.Blocks[i].Deferred) {
 			t.Errorf("block %d deferred: %d vs %d", i, len(b.Deferred), len(e2.Blocks[i].Deferred))
+		}
+	}
+}
+
+// TestStateEqualsItsRoundTrip: the state a block reached by running handlers
+// and the state a checker worker decodes for it are one value under the
+// language's "=", continuations included — whichever records each side
+// happens to share (the protocol verified is the protocol run).
+func TestStateEqualsItsRoundTrip(t *testing.T) {
+	for _, optimize := range []bool{false, true} {
+		art := core.MustCompile(core.Config{
+			Name: "nest.tea", Source: nestedProtocol, Optimize: optimize,
+			HomeStart: "S", CacheStart: "S",
+		})
+		e := runtime.NewEngine(art.Protocol, 0, 1, newTestMachine(), nullSupport{})
+		for _, name := range []string{"GO", "M1"} { // into W1{L}, then W2{L2, y}
+			if err := e.Deliver(&runtime.Message{Tag: art.Protocol.MsgIndex(name), ID: 0, Src: 0}); err != nil {
+				t.Fatal(err)
+			}
+			enc := &runtime.Encoder{}
+			if err := e.EncodeState(enc); err != nil {
+				t.Fatal(err)
+			}
+			decoded := runtime.NewEngine(art.Protocol, 0, 1, newTestMachine(), nullSupport{})
+			if err := decoded.DecodeState(runtime.NewDecoder(enc.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			ran, dec := e.Blocks[0].State, decoded.Blocks[0].State
+			if ran.Args[0].Cont() == dec.Args[0].Cont() {
+				t.Fatalf("optimize=%v after %s: decoding shared the engine's record; the test compares nothing", optimize, name)
+			}
+			if !vm.Equal(vm.StateValue(ran), vm.StateValue(dec)) {
+				t.Errorf("optimize=%v after %s: %v does not equal its own round trip %v", optimize, name, ran, dec)
+			}
 		}
 	}
 }

@@ -193,8 +193,6 @@ type Engine struct {
 	cur struct {
 		msg   *Message
 		block *Block
-		enq   bool // current message was enqueued
-		drop  bool
 	}
 
 	// obs is the optional event sink (see SetObs). Every emission below is
@@ -206,8 +204,10 @@ type Engine struct {
 	// timeoutTag is the protocol's TIMEOUT message index (-1 when the
 	// protocol declares none) and armer the machine's timer extension (nil
 	// when the machine has no timers). Both nil-ish states make the timer
-	// hook in Deliver a no-op.
+	// hook in Deliver a no-op. nackTag is its NACK message index (-1
+	// likewise), which the Nack builtin needs.
 	timeoutTag int
+	nackTag    int
 	armer      TimeoutArmer
 	// timerFor[id] is the state the block's timer was armed in (-1 =
 	// unarmed). The timer is armed on *entry* into a TIMEOUT-declaring
@@ -220,21 +220,29 @@ type Engine struct {
 	// DataMachine); nil when the machine tracks access modes only.
 	dataMachine DataMachine
 
-	// bare[i] is the shared value of argument-less state i, filled on first
-	// decode (see bareState). Never shared between engines.
-	bare []*vm.StateVal
-
 	// params is dispatch's parameter buffer. RunHandler copies it into the
 	// activation's frame before the handler runs, so one buffer serves
 	// nested dispatches too.
 	params []vm.Value
+
+	// Scratch that saves an allocation per use; like params it belongs to
+	// this engine alone and no clone inherits it. retry is the stack of
+	// deferred queues being retried (see drain). ctx is what support
+	// routines are handed, valid for the duration of the call. event is the
+	// message an injected event is delivered as (Enqueue copies it before
+	// deferring it). free holds the message records machines handed back
+	// (see Release), which Send and Nack reuse.
+	retry []*Message
+	ctx   Ctx
+	event Message
+	free  []*Message
 }
 
 // NewEngine builds an engine for a node managing numBlocks blocks.
 func NewEngine(p *Protocol, node, numBlocks int, m Machine, sup Support) *Engine {
 	e := &Engine{Proto: p, Node: node, Machine: m, Support: sup}
 	e.Exec = vm.Exec{Prog: p.IR, ConstCont: p.Opts.ConstCont}
-	e.timeoutTag = p.MsgIndex("TIMEOUT")
+	e.timeoutTag, e.nackTag = p.MsgIndex("TIMEOUT"), p.MsgIndex("NACK")
 	if e.timeoutTag >= 0 {
 		e.armer, _ = m.(TimeoutArmer)
 	}
@@ -259,7 +267,7 @@ func (e *Engine) newBlock(id int) *Block {
 	}
 	b := &Block{
 		ID:    id,
-		State: &vm.StateVal{State: start},
+		State: e.Exec.BareState(start),
 		Vars:  make([]vm.Value, len(e.Proto.IR.Sema.ProtVars)),
 	}
 	for i, v := range e.Proto.IR.Sema.ProtVars {
@@ -328,7 +336,7 @@ func (e *Engine) updateTimer(b *Block, fired bool) {
 		return
 	}
 	state := int32(b.State.State)
-	if _, ok := e.Proto.IR.HandlerFunc[b.State.State][e.timeoutTag]; ok {
+	if e.Proto.IR.HandlerFunc[b.State.State][e.timeoutTag] != nil {
 		if e.timerFor[b.ID] != state || fired {
 			e.armer.ArmTimeout(e.Node, b.ID)
 			e.timerFor[b.ID] = state
@@ -347,8 +355,12 @@ func (e *Engine) drain(b *Block) error {
 			return e.errf(b, "deferred queue never drained (livelock)")
 		}
 		b.transitioned = false
-		q := b.Deferred
-		b.Deferred = nil
+		// Retry the queue as it stands, from a copy on the engine's retry
+		// stack; what the handlers re-enqueue refills the block's own array.
+		base := len(e.retry)
+		e.retry = append(e.retry, b.Deferred...)
+		q := e.retry[base:]
+		b.Deferred = b.Deferred[:0]
 		for i, m := range q {
 			if e.obs != nil {
 				e.obs.Emit(obs.Event{Kind: obs.KindDequeue, Node: int32(e.Node), Block: int32(b.ID),
@@ -356,13 +368,11 @@ func (e *Engine) drain(b *Block) error {
 					Arg: int64(len(q) - 1 - i)})
 			}
 			if err := e.dispatch(b, m); err != nil {
+				e.retry = e.retry[:base]
 				return err
 			}
-			// If the handler transitioned, newer queue order still holds:
-			// remaining messages stay in arrival order after any the
-			// handler re-enqueued.
-			_ = i
 		}
+		e.retry = e.retry[:base]
 	}
 	return nil
 }
@@ -373,10 +383,6 @@ func (e *Engine) dispatch(b *Block, m *Message) error {
 		return e.errf(b, "no handler for message %s in state %s",
 			e.msgName(m.Tag), b.StateName(e.Proto))
 	}
-	prevMsg, prevBlock := e.cur.msg, e.cur.block
-	e.cur.msg, e.cur.block = m, b
-	defer func() { e.cur.msg, e.cur.block = prevMsg, prevBlock }()
-
 	params := append(e.params[:0], vm.IDVal(m.ID), vm.InfoVal(b), vm.NodeVal(m.Src))
 	params = append(params, m.Payload...)
 	e.params = params
@@ -384,21 +390,62 @@ func (e *Engine) dispatch(b *Block, m *Message) error {
 		return e.errf(b, "message %s delivered with %d payload values, handler %s expects %d",
 			e.msgName(m.Tag), len(m.Payload), f.Name, f.NumParams-3)
 	}
-	if e.obs == nil {
-		return e.Exec.RunHandler(e, f, b.State.Args, params)
+	prev := e.cur
+	e.cur.msg, e.cur.block = m, b
+	if e.obs != nil {
+		e.obs.Emit(obs.Event{Kind: obs.KindHandlerEnter, Node: int32(e.Node), Block: int32(b.ID),
+			State: int32(b.State.State), Msg: int32(m.Tag), Peer: int32(m.Src)})
 	}
-	e.obs.Emit(obs.Event{Kind: obs.KindHandlerEnter, Node: int32(e.Node), Block: int32(b.ID),
-		State: int32(b.State.State), Msg: int32(m.Tag), Peer: int32(m.Src)})
 	err := e.Exec.RunHandler(e, f, b.State.Args, params)
-	e.obs.Emit(obs.Event{Kind: obs.KindHandlerExit, Node: int32(e.Node), Block: int32(b.ID),
-		State: int32(b.State.State), Msg: int32(m.Tag), Peer: int32(m.Src)})
+	if e.obs != nil {
+		e.obs.Emit(obs.Event{Kind: obs.KindHandlerExit, Node: int32(e.Node), Block: int32(b.ID),
+			State: int32(b.State.State), Msg: int32(m.Tag), Peer: int32(m.Src)})
+	}
+	e.cur = prev
 	return err
 }
 
 // InjectEvent synthesizes a locally generated protocol event (access fault,
-// synchronization, phase boundary) as a message from this node.
+// synchronization, phase boundary) as a message from this node. The message
+// is the engine's scratch record, in use until Deliver returns: a machine
+// must not inject a second event into the same engine from inside the first.
 func (e *Engine) InjectEvent(tag, id int, payload ...vm.Value) error {
-	return e.Deliver(&Message{Tag: tag, ID: id, Src: e.Node, Payload: payload})
+	e.event = Message{Tag: tag, ID: id, Src: e.Node, Payload: payload}
+	return e.Deliver(&e.event)
+}
+
+// Release hands a message record back for reuse. The rule is ownership: the
+// machine that scheduled a delivery owns the record until Deliver returns,
+// and may then release it to the engine it delivered to — which keeps it
+// only if the engine did not defer the message. Deliver itself never
+// releases (a caller may deliver one message many times), the payload array
+// is never reused (a duplicated message shares it with its copy), and a
+// machine that shares messages between worlds, as the model checker does,
+// never releases at all.
+func (e *Engine) Release(m *Message) {
+	for _, d := range e.Blocks[m.ID].Deferred {
+		if d == m {
+			return
+		}
+	}
+	e.free = append(e.free, m)
+}
+
+// newMessage returns a record for Send to fill: a released one if there is
+// one, else a new one.
+func (e *Engine) newMessage() *Message {
+	if n := len(e.free); n > 0 {
+		m := e.free[n-1]
+		e.free = e.free[:n-1]
+		return m
+	}
+	return new(Message)
+}
+
+// supportCtx fills the engine's scratch Ctx for one support call.
+func (e *Engine) supportCtx() *Ctx {
+	e.ctx = Ctx{Engine: e, Block: e.cur.block, Msg: e.cur.msg}
+	return &e.ctx
 }
 
 func (e *Engine) msgName(tag int) string {
@@ -429,8 +476,7 @@ func (e *Engine) StoreVar(slot int, v vm.Value) { e.cur.block.Vars[slot] = v }
 
 // ModConst implements vm.Host.
 func (e *Engine) ModConst(slot int) vm.Value {
-	name := e.Proto.IR.Sema.ModConsts[slot].Name
-	return e.Support.ModConst(&Ctx{Engine: e, Block: e.cur.block, Msg: e.cur.msg}, name)
+	return e.Support.ModConst(e.supportCtx(), e.Proto.IR.Sema.ModConsts[slot].Name)
 }
 
 // MessageTag implements vm.Host.
@@ -441,7 +487,8 @@ func (e *Engine) MessageSrc() vm.Value { return vm.NodeVal(e.cur.msg.Src) }
 
 // Send implements vm.Host.
 func (e *Engine) Send(data bool, dst, tag, id vm.Value, payload []vm.Value) error {
-	m := &Message{
+	m := e.newMessage()
+	*m = Message{
 		Tag:     int(tag.Int),
 		ID:      int(id.Int),
 		Src:     e.Node,
@@ -467,7 +514,14 @@ func (e *Engine) SetState(sv *vm.StateVal) error {
 
 // Enqueue implements vm.Host: defer the current message.
 func (e *Engine) Enqueue() error {
-	e.cur.block.Deferred = append(e.cur.block.Deferred, e.cur.msg)
+	m := e.cur.msg
+	if m == &e.event {
+		// The scratch record serves the next injected event; the queue
+		// gets a copy of its own.
+		c := e.event
+		m = &c
+	}
+	e.cur.block.Deferred = append(e.cur.block.Deferred, m)
 	e.QueueRecords++
 	if e.obs != nil {
 		e.obs.Emit(obs.Event{Kind: obs.KindEnqueue, Node: int32(e.Node), Block: int32(e.cur.block.ID),
@@ -480,13 +534,13 @@ func (e *Engine) Enqueue() error {
 // Nack implements vm.Host: send a NACK back to the sender carrying the
 // original tag. The protocol must declare a NACK message to use this.
 func (e *Engine) Nack() error {
-	nack := e.Proto.MsgIndex("NACK")
-	if nack < 0 {
+	if e.nackTag < 0 {
 		return e.errf(e.cur.block, "Nack() on message %s: protocol declares no NACK message",
 			e.msgName(e.cur.msg.Tag))
 	}
-	m := &Message{
-		Tag:     nack,
+	m := e.newMessage()
+	*m = Message{
+		Tag:     e.nackTag,
 		ID:      e.cur.msg.ID,
 		Src:     e.Node,
 		Payload: []vm.Value{vm.MsgVal(e.cur.msg.Tag)},
@@ -544,7 +598,7 @@ func (e *Engine) BlockInfo() vm.Value { return vm.InfoVal(e.cur.block) }
 
 // CallSupport implements vm.Host.
 func (e *Engine) CallSupport(name string, args []*vm.Value) (vm.Value, error) {
-	return e.Support.Call(&Ctx{Engine: e, Block: e.cur.block, Msg: e.cur.msg}, name, args)
+	return e.Support.Call(e.supportCtx(), name, args)
 }
 
 // ProtocolError implements vm.Host.

@@ -20,6 +20,9 @@ type testMachine struct {
 	woken   []int
 	printed []string
 	homes   func(id int) int
+	// releases makes pump hand each record back after its delivery, as the
+	// simulator's machine does (see runtime.Engine.Release).
+	releases bool
 }
 
 type delivery struct {
@@ -52,16 +55,19 @@ func (m *testMachine) Print(node int, s string) {
 // pump delivers queued messages until quiescence.
 func (m *testMachine) pump(t testing.TB) {
 	t.Helper()
-	for steps := 0; len(m.queue) > 0; steps++ {
-		if steps > 10000 {
+	for i := 0; i < len(m.queue); i++ { // deliveries append to the queue
+		if i > 10000 {
 			t.Fatal("message pump did not quiesce")
 		}
-		d := m.queue[0]
-		m.queue = m.queue[1:]
+		d := m.queue[i]
 		if err := m.engines[d.dst].Deliver(d.msg); err != nil {
 			t.Fatalf("deliver: %v", err)
 		}
+		if m.releases {
+			m.engines[d.dst].Release(d.msg)
+		}
 	}
+	m.queue = m.queue[:0]
 }
 
 // nullSupport has no module routines.

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,11 +11,73 @@ import (
 	"teapot/internal/vm"
 )
 
-// TestDispatchAllocs pins the two allocation contracts of the dispatch
-// path: a delivery into a warmed engine allocates nothing (the handler's
-// registers come off the Exec's register stack and its parameters out of
-// the engine's buffer), and the register stack is empty again after every
-// delivery, whichever way the handler left — returning, suspending,
+// loopProtocol is one node talking to itself, so every record its machine
+// releases comes back to the engine that sends: GO calls a support routine,
+// sends, and moves between two argument-less states (BACK undoes it); ASK
+// sends and suspends at a site with nothing to save, and ANS resumes it.
+const loopProtocol = `
+module Notes begin
+  procedure Note(var info : INFO; n : NODE);
+end;
+
+protocol Loop begin
+  var notes : int;
+  state A();
+  state B();
+  state W(C : CONT) transient;
+  message GO;
+  message BACK;
+  message ASK;
+  message ANS;
+end;
+
+state Loop.A() begin
+  message GO (id : ID; var info : INFO; src : NODE)
+  begin
+    Note(info, src);
+    Send(src, BACK, id);
+    SetState(info, B{});
+  end;
+  message ASK (id : ID; var info : INFO; src : NODE)
+  begin
+    Send(src, ANS, id);
+    Suspend(L, W{L});
+    SetState(info, A{});
+  end;
+end;
+
+state Loop.B() begin
+  message BACK (id : ID; var info : INFO; src : NODE)
+  begin
+    SetState(info, A{});
+  end;
+end;
+
+state Loop.W(C : CONT) begin
+  message ANS (id : ID; var info : INFO; src : NODE)
+  begin
+    Resume(C);
+  end;
+end;
+`
+
+// noteSupport counts Note calls in the block's first variable.
+type noteSupport struct{}
+
+func (noteSupport) Call(ctx *runtime.Ctx, name string, args []*vm.Value) (vm.Value, error) {
+	ctx.Block.Vars[0].Int += args[1].Int + 1
+	return vm.Value{}, nil
+}
+func (noteSupport) ModConst(ctx *runtime.Ctx, name string) vm.Value { return vm.Value{} }
+
+// TestDispatchAllocs pins the allocation contracts of the dispatch path: a
+// delivery into a warmed engine allocates nothing (the handler's registers
+// come off the Exec's register stack and its parameters out of the engine's
+// buffer) — not for a support call, a Send whose record the machine
+// releases, or a transition into an argument-less state either — a Suspend
+// at a static site allocates the state value that carries the continuation
+// and no continuation record; and the register stack is empty again after
+// every delivery, whichever way the handler left — returning, suspending,
 // tail-resuming through nested continuations, or failing.
 func TestDispatchAllocs(t *testing.T) {
 	// The BenchmarkEngineDispatch/NoSink loop: a PING into C_Valid.
@@ -30,6 +93,48 @@ func TestDispatchAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Deliver allocates %v times over a warmed engine, want 0", n)
+	}
+
+	art := core.MustCompile(core.Config{
+		Name: "loop.tea", Source: loopProtocol, Optimize: true,
+		HomeStart: "A", CacheStart: "A",
+	})
+	lm := newTestMachine()
+	lm.releases = true
+	loop := runtime.NewEngine(art.Protocol, 0, 1, lm, noteSupport{})
+	lm.engines = append(lm.engines, loop)
+	var waiting *vm.Cont // the record the block waited on in the last ASK round
+	round := func(name string) func() {
+		msg := &runtime.Message{Tag: art.Protocol.MsgIndex(name), ID: 0, Src: 0}
+		return func() {
+			if err := loop.Deliver(msg); err != nil {
+				t.Fatal(err)
+			}
+			if name == "ASK" {
+				waiting = loop.Blocks[0].State.Args[0].Cont()
+			}
+			lm.pump(t)
+			if d, s := loop.Exec.Depth(), loop.Blocks[0].StateName(art.Protocol); d != 0 || s != "A" {
+				t.Fatalf("%s round ended at stack depth %d in state %s", name, d, s)
+			}
+		}
+	}
+	for _, row := range []struct {
+		name string
+		max  float64
+	}{{"GO", 0}, {"ASK", 2}} {
+		run := round(row.name)
+		run() // warm: the free list gets its record, the tables their entries
+		first := waiting
+		if n := testing.AllocsPerRun(200, run); n > row.max {
+			t.Errorf("a %s round allocates %v times over a warmed engine, want at most %v", row.name, n, row.max)
+		}
+		if waiting != first {
+			t.Errorf("%s: the static site built a second continuation record", row.name)
+		}
+	}
+	if got := loop.Blocks[0].Vars[0].Int; got != 202 {
+		t.Errorf("support routine ran %d times, want 202", got)
 	}
 
 	for _, optimize := range []bool{false, true} {
@@ -107,12 +212,96 @@ func TestCloneIntoReusedEngine(t *testing.T) {
 	}
 	before := sink.Total()
 	toy, p := buildToy(t, true)
-	toy.engines[1].CloneInto(dst, toy)
+	src := toy.engines[1]
+	// Each engine holds one released record; the clone must keep its own.
+	mine, theirs := new(runtime.Message), new(runtime.Message)
+	dst.Release(mine)
+	src.Release(theirs)
+	src.CloneInto(dst, toy)
 	if err := dst.Deliver(&runtime.Message{Tag: p.MsgIndex("PING"), ID: 0, Src: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Total() != before {
 		t.Errorf("a reused clone emitted %d events into the sink it once had", sink.Total()-before)
+	}
+	for _, c := range []struct {
+		e    *runtime.Engine
+		want *runtime.Message
+	}{{dst, mine}, {src, theirs}} {
+		if err := c.e.InjectEvent(p.MsgIndex("RD_FAULT"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := toy.queue[len(toy.queue)-1].msg; got != c.want {
+			t.Error("after CloneInto an engine sent on a record from the other's free list")
+		}
+	}
+	if dst.Exec.BareState(0) == src.Exec.BareState(0) || dst.Exec.SiteCont(0) == src.Exec.SiteCont(0) {
+		t.Error("clone shares its source's table of shared state values or continuation records")
+	}
+}
+
+// TestDeferredSurvivesRecycling: a record the engine deferred is not the
+// machine's to recycle, and an injected event that was deferred is not left
+// in the engine's scratch message. Both wait out a hundred later sends on
+// recycled records and drain with the tag and source they arrived with.
+func TestDeferredSurvivesRecycling(t *testing.T) {
+	art := core.MustCompile(core.Config{
+		Name: "toy.tea", Source: toyProtocol, Optimize: true,
+		HomeStart: "H_Idle", CacheStart: "C_Idle",
+	})
+	p := art.Protocol
+	m := newTestMachine()
+	m.releases = true
+	const blocks = 101
+	for n := 0; n < 2; n++ {
+		m.engines = append(m.engines, runtime.NewEngine(p, n, blocks, m, nullSupport{}))
+	}
+	cache := m.engines[1]
+	sink := obs.NewCollector(0)
+	cache.SetObs(sink)
+	fault, ping := p.MsgIndex("RD_FAULT"), p.MsgIndex("PING")
+
+	// Block 0 waits for its fill, whose request is held back.
+	if err := cache.InjectEvent(fault, 0); err != nil {
+		t.Fatal(err)
+	}
+	held := m.queue
+	m.queue = nil
+	// A network PING and a local one both arrive meanwhile and are deferred.
+	fromHome := &runtime.Message{Tag: ping, ID: 0, Src: 0}
+	if err := cache.Deliver(fromHome); err != nil {
+		t.Fatal(err)
+	}
+	cache.Release(fromHome) // refused: the engine holds it
+	if err := cache.InjectEvent(ping, 0); err != nil {
+		t.Fatal(err)
+	}
+	// A hundred fills on the other blocks: every one an injected event, a
+	// send, and a reply whose record is released to the cache and reused.
+	for b := 1; b < blocks; b++ {
+		if err := cache.InjectEvent(fault, b); err != nil {
+			t.Fatal(err)
+		}
+		m.pump(t)
+	}
+	if cache.Sends != blocks {
+		t.Fatalf("cache sent %d messages, want %d", cache.Sends, blocks)
+	}
+	m.queue = held
+	m.pump(t)
+
+	var drained [][2]int32
+	for _, ev := range sink.Events() {
+		if ev.Kind == obs.KindDequeue {
+			drained = append(drained, [2]int32{ev.Msg, ev.Peer})
+		}
+	}
+	want := [][2]int32{{int32(ping), 0}, {int32(ping), 1}}
+	if !reflect.DeepEqual(drained, want) {
+		t.Errorf("drained (tag, source) = %v, want %v", drained, want)
+	}
+	if got := cache.Blocks[0].Vars[slotOf(t, p, "pings")].Int; got != 2 {
+		t.Errorf("pings = %d, want 2", got)
 	}
 }
 

@@ -34,6 +34,11 @@ func (te *TeapotEngine) Deliver(dst int, m *runtime.Message) error {
 	return te.Engines[dst].Deliver(m)
 }
 
+// Release implements Recycler.
+func (te *TeapotEngine) Release(dst int, m *runtime.Message) {
+	te.Engines[dst].Release(m)
+}
+
 // Event implements Engine.
 func (te *TeapotEngine) Event(node int, tag int, id int) error {
 	return te.Engines[node].InjectEvent(tag, id)

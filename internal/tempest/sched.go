@@ -1,8 +1,6 @@
 package tempest
 
 import (
-	"container/heap"
-
 	"teapot/internal/netmodel"
 	"teapot/internal/obs"
 	"teapot/internal/runtime"
@@ -153,10 +151,10 @@ func (m *Machine) deliverOn(ch, node int, msg *runtime.Message) {
 // earlier delivery on its own channel.
 const maxTieCandidates = 8
 
-func (m *Machine) pickTie(first *event) *event {
-	cand := []*event{first}
-	for m.queue.Len() > 0 && len(cand) < maxTieCandidates && m.queue[0].at == first.at {
-		cand = append(cand, heap.Pop(&m.queue).(*event))
+func (m *Machine) pickTie(first event) event {
+	cand := []event{first}
+	for len(m.queue) > 0 && len(cand) < maxTieCandidates && m.queue[0].at == first.at {
+		cand = append(cand, m.queue.pop())
 	}
 	if len(cand) == 1 {
 		return first
@@ -180,13 +178,13 @@ func (m *Machine) pickTie(first *event) *event {
 			pick = 0
 		}
 	}
-	chosen := cand[eligible[pick]]
-	for _, e := range cand {
-		if e != chosen {
-			heap.Push(&m.queue, e)
+	chosen := eligible[pick]
+	for i, e := range cand {
+		if i != chosen {
+			m.queue.push(e) // with the sequence it had: its place is unchanged
 		}
 	}
-	return chosen
+	return cand[chosen]
 }
 
 // ---- data-version model (Config.ObsMemory) ----

@@ -13,7 +13,6 @@
 package tempest
 
 import (
-	"container/heap"
 	"fmt"
 
 	"teapot/internal/netmodel"
@@ -36,24 +35,19 @@ type CostCounters struct {
 	Calls        int64 // support-routine invocations
 }
 
-// Sub returns c - o.
-func (c CostCounters) Sub(o CostCounters) CostCounters {
-	return CostCounters{
-		Instrs:       c.Instrs - o.Instrs,
-		Handlers:     c.Handlers - o.Handlers,
-		HeapConts:    c.HeapConts - o.HeapConts,
-		StaticConts:  c.StaticConts - o.StaticConts,
-		Resumes:      c.Resumes - o.Resumes,
-		ConstResumes: c.ConstResumes - o.ConstResumes,
-		QueueRecords: c.QueueRecords - o.QueueRecords,
-		Sends:        c.Sends - o.Sends,
-		Calls:        c.Calls - o.Calls,
-	}
-}
-
 // Add returns c + o.
 func (c CostCounters) Add(o CostCounters) CostCounters {
-	return c.Sub(CostCounters{}.Sub(o))
+	return CostCounters{
+		Instrs:       c.Instrs + o.Instrs,
+		Handlers:     c.Handlers + o.Handlers,
+		HeapConts:    c.HeapConts + o.HeapConts,
+		StaticConts:  c.StaticConts + o.StaticConts,
+		Resumes:      c.Resumes + o.Resumes,
+		ConstResumes: c.ConstResumes + o.ConstResumes,
+		QueueRecords: c.QueueRecords + o.QueueRecords,
+		Sends:        c.Sends + o.Sends,
+		Calls:        c.Calls + o.Calls,
+	}
 }
 
 // CostModel converts counter deltas into cycles. The absolute values are a
@@ -122,6 +116,14 @@ type Engine interface {
 	Event(node int, tag int, id int) error
 	// Counters reports cumulative per-node work counters.
 	Counters(node int) CostCounters
+}
+
+// Recycler is the optional engine extension behind message recycling: after
+// each delivery it schedules, the machine hands the record back to the
+// engine (see runtime.Engine.Release for the ownership rule). Hand-written
+// engines, which make their own messages, do not implement it.
+type Recycler interface {
+	Release(dst int, m *runtime.Message)
 }
 
 // EventTags names the protocol events the machine raises; resolve with
@@ -289,9 +291,16 @@ type Machine struct {
 	stalledOn  []int // block or -1
 	stallStart []int64
 	finished   []bool
-	pendingOp  []*Op // op being retried after a fault
+	pendingOp  []Op   // op being retried after a fault,
+	hasPending []bool // when the node has one
 	access     []sema.AccessMode
-	last       []CostCounters // per node, last counter snapshot
+	// charged[n] is the cost, in cycles, of all protocol work node n's
+	// engine had done when its clock was last advanced. The cost model is
+	// linear in the counters, so the difference of two totals is the cost
+	// of the work between them.
+	charged []int64
+	// recycler is the engine's record-recycling extension, nil without.
+	recycler Recycler
 
 	atBarrier []bool
 	nBarrier  int
@@ -329,23 +338,58 @@ type event struct {
 	gen   int64 // timer generation at arm time
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before is the queue's order: by time, then by scheduling sequence. The
+// sequence is unique, so the order is total and the pop order does not
+// depend on how the heap happens to be arranged.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of events held by value: scheduling an
+// event allocates nothing once the array has grown to the run's peak.
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	*q = h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+// pop removes and returns the first event; the queue must not be empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	first, last := h[0], h[len(h)-1]
+	h[len(h)-1].msg = nil // the vacated slot must not pin the message
+	h = h[:len(h)-1]
+	*q = h
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if child+1 < len(h) && h[child+1].before(&h[child]) {
+			child++
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	return first
 }
 
 // Now returns the machine's current virtual time in cycles. Event sinks
@@ -368,9 +412,10 @@ func New(cfg Config) *Machine {
 		stalledOn:  make([]int, cfg.Nodes),
 		stallStart: make([]int64, cfg.Nodes),
 		finished:   make([]bool, cfg.Nodes),
-		pendingOp:  make([]*Op, cfg.Nodes),
+		pendingOp:  make([]Op, cfg.Nodes),
+		hasPending: make([]bool, cfg.Nodes),
 		access:     make([]sema.AccessMode, cfg.Nodes*cfg.Blocks),
-		last:       make([]CostCounters, cfg.Nodes),
+		charged:    make([]int64, cfg.Nodes),
 		inj:        netmodel.NewInjector(cfg.Net, cfg.Seed),
 		timerGen:   make([]int64, cfg.Nodes*cfg.Blocks),
 	}
@@ -400,6 +445,7 @@ func New(cfg Config) *Machine {
 		m.access[m.HomeNode(b)*cfg.Blocks+b] = sema.AccReadWrite
 	}
 	m.eng = cfg.MakeEngine(m)
+	m.recycler, _ = m.eng.(Recycler)
 	if cs, ok := cfg.Obs.(obs.ClockSetter); ok {
 		cs.SetClock(m.Now)
 	}
@@ -442,14 +488,14 @@ func (m *Machine) Send(from, dst int, msg *runtime.Message) {
 		// behind the original, so duplication never reorders a channel
 		// (matching the checker's fault model).
 		m.trackInflight(from, dst)
-		m.schedule(&event{at: m.now + lat, kind: 0, node: dst, msg: &c})
+		m.schedule(event{at: m.now + lat, kind: 0, node: dst, msg: &c})
 	case netmodel.FaultDelay:
 		m.stats.Delays++
 		m.emitFault(obs.KindDelay, from, dst, msg)
 		lat += int64(m.cfg.Net.Delay) * m.cfg.Cost.NetLatency
 	}
 	m.trackInflight(from, dst)
-	m.schedule(&event{at: m.now + lat, kind: 0, node: dst, msg: msg})
+	m.schedule(event{at: m.now + lat, kind: 0, node: dst, msg: msg})
 }
 
 // trackInflight counts a scheduled delivery on its channel (schedule
@@ -485,7 +531,7 @@ func (m *Machine) ArmTimeout(node, id int) {
 	}
 	slot := node*m.cfg.Blocks + id
 	m.timerGen[slot]++
-	m.schedule(&event{at: m.now + m.cfg.Cost.TimeoutInterval, kind: 2,
+	m.schedule(event{at: m.now + m.cfg.Cost.TimeoutInterval, kind: 2,
 		node: node, block: id, gen: m.timerGen[slot]})
 }
 
@@ -540,16 +586,16 @@ func (m *Machine) WakeUp(node, id int) {
 	if m.nodeTime[node] < m.now {
 		m.nodeTime[node] = m.now
 	}
-	if op := m.pendingOp[node]; op != nil &&
+	if op := &m.pendingOp[node]; m.hasPending[node] &&
 		(op.Kind == OpRead || op.Kind == OpWrite || op.Kind == OpCAS) {
 		if acc := m.Access(node, op.Addr); WakeCompletes(op.Kind, acc) {
 			m.nodeTime[node] += m.cfg.Cost.MemAccess
 			m.stats.Accesses++
 			m.noteOp(node, op, op.Kind == OpWrite && acc == sema.AccReadOnly)
-			m.pendingOp[node] = nil
+			m.hasPending[node] = false
 		}
 	}
-	m.schedule(&event{at: m.nodeTime[node], kind: 1, node: node})
+	m.schedule(event{at: m.nodeTime[node], kind: 1, node: node})
 }
 
 // Print implements runtime.Machine.
@@ -557,20 +603,18 @@ func (m *Machine) Print(node int, s string) {
 	// Protocol debug output is discarded in simulation runs.
 }
 
-func (m *Machine) schedule(e *event) {
+func (m *Machine) schedule(e event) {
 	e.seq = m.seq
 	m.seq++
-	heap.Push(&m.queue, e)
+	m.queue.push(e)
 }
 
 // chargeProtocol advances a node's clock by the protocol work done since
-// the last snapshot.
+// it was last charged.
 func (m *Machine) chargeProtocol(node int, start int64) int64 {
-	cur := m.eng.Counters(node)
-	delta := cur.Sub(m.last[node])
-	m.last[node] = cur
-	cost := m.cfg.Cost.Cycles(delta)
-	m.stats.Protocol = m.stats.Protocol.Add(delta)
+	total := m.cfg.Cost.Cycles(m.eng.Counters(node))
+	cost := total - m.charged[node]
+	m.charged[node] = total
 	m.stats.ProtoTime += cost
 	return start + cost
 }
@@ -578,23 +622,23 @@ func (m *Machine) chargeProtocol(node int, start int64) int64 {
 // Run executes the workload to completion and returns statistics.
 func (m *Machine) Run() (*Stats, error) {
 	for n := 0; n < m.cfg.Nodes; n++ {
-		m.schedule(&event{at: 0, kind: 1, node: n})
+		m.schedule(event{at: 0, kind: 1, node: n})
 	}
 	var events int64
-	for m.queue.Len() > 0 {
+	for len(m.queue) > 0 {
 		if events++; events > m.cfg.MaxEvents {
 			return nil, fmt.Errorf("tempest: event budget exhausted (livelock?)")
 		}
-		e := heap.Pop(&m.queue).(*event)
-		if m.sched != nil && m.queue.Len() > 0 && m.queue[0].at == e.at {
+		e := m.queue.pop()
+		if m.sched != nil && len(m.queue) > 0 && m.queue[0].at == e.at {
 			e = m.pickTie(e)
 		}
 		m.now = e.at
 		switch e.kind {
 		case 0:
-			m.deliver(e)
+			m.deliver(e.node, e.msg)
 		case 2:
-			m.fireTimer(e)
+			m.fireTimer(&e)
 		default:
 			m.step(e.node)
 		}
@@ -626,6 +670,7 @@ func (m *Machine) Run() (*Stats, error) {
 		if m.nodeTime[n] > m.stats.Cycles {
 			m.stats.Cycles = m.nodeTime[n]
 		}
+		m.stats.Protocol = m.stats.Protocol.Add(m.eng.Counters(n))
 	}
 	return &m.stats, nil
 }
@@ -634,14 +679,16 @@ func (m *Machine) Run() (*Stats, error) {
 // execute on the destination node and occupy its processor. Under schedule
 // control with a reorder budget the arrival first passes through the
 // hold/release choice (see arrive).
-func (m *Machine) deliver(e *event) {
+func (m *Machine) deliver(node int, msg *runtime.Message) {
 	if m.inflight != nil {
-		m.arrive(e.node, e.msg)
+		m.arrive(node, msg)
 		return
 	}
-	m.deliverMsg(e.node, e.msg)
+	m.deliverMsg(node, msg)
 }
 
+// deliverMsg hands msg to the engine; the delivery was the machine's to
+// schedule, so the record is the machine's to release afterwards.
 func (m *Machine) deliverMsg(node int, msg *runtime.Message) {
 	start := m.nodeTime[node]
 	if start < m.now {
@@ -650,6 +697,9 @@ func (m *Machine) deliverMsg(node int, msg *runtime.Message) {
 	if err := m.eng.Deliver(node, msg); err != nil {
 		m.err = err
 		return
+	}
+	if m.recycler != nil {
+		m.recycler.Release(node, msg)
 	}
 	m.nodeTime[node] = m.chargeProtocol(node, start)
 }
@@ -665,9 +715,9 @@ func (m *Machine) step(node int) {
 	// event queue interleaves by time).
 	for {
 		var op Op
-		if m.pendingOp[node] != nil {
-			op = *m.pendingOp[node]
-			m.pendingOp[node] = nil
+		if m.hasPending[node] {
+			op = m.pendingOp[node]
+			m.hasPending[node] = false
 		} else {
 			var ok bool
 			op, ok = m.cfg.Program.Next(node)
@@ -681,7 +731,7 @@ func (m *Machine) step(node int) {
 			m.nodeTime[node] += op.Cycles
 		case OpYield:
 			m.nodeTime[node] += op.Cycles
-			m.schedule(&event{at: m.nodeTime[node], kind: 1, node: node})
+			m.schedule(event{at: m.nodeTime[node], kind: 1, node: node})
 			return
 		case OpRead, OpWrite, OpCAS:
 			acc := m.Access(node, op.Addr)
@@ -702,7 +752,7 @@ func (m *Machine) step(node int) {
 			m.now = m.nodeTime[node]
 			m.stalledOn[node] = op.Addr
 			m.stallStart[node] = m.now
-			m.pendingOp[node] = &op // retry after wakeup
+			m.pendingOp[node], m.hasPending[node] = op, true // retry after wakeup
 			if err := m.eng.Event(node, tag, op.Addr); err != nil {
 				m.err = err
 				return
@@ -740,9 +790,8 @@ func (m *Machine) step(node int) {
 				}
 				m.nodeTime[node] = m.chargeProtocol(node, m.nodeTime[node])
 				if m.stalledOn[node] >= 0 {
-					cont := op
-					cont.Addr = b + 1
-					m.pendingOp[node] = &cont
+					m.pendingOp[node], m.hasPending[node] = op, true
+					m.pendingOp[node].Addr = b + 1
 					done = false
 					break
 				}
@@ -776,7 +825,7 @@ func (m *Machine) step(node int) {
 				m.atBarrier[n] = false
 				m.nodeTime[n] = release
 				if n != node {
-					m.schedule(&event{at: release, kind: 1, node: n})
+					m.schedule(event{at: release, kind: 1, node: n})
 				}
 			}
 			continue

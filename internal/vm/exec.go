@@ -106,6 +106,17 @@ type Exec struct {
 	// where their activations keep using them — so a frame is only ever
 	// reached through the slice its activation holds, never through stack.
 	stack []Value
+
+	// What never changes is built once. State values and continuation
+	// records are immutable, so every activation may hand out the same one:
+	// bare[i] is the value of argument-less state i (see BareState) and
+	// siteConts[s] the record of suspend site s when its fragment restores
+	// no registers (see SiteCont). args is the stack of support-call
+	// argument vectors. All three fill lazily and, like the register stack,
+	// are never shared between Execs.
+	bare      []*StateVal
+	siteConts []*Cont
+	args      []*Value
 }
 
 // Depth returns the number of registers on the register stack: 0 whenever
@@ -113,13 +124,32 @@ type Exec struct {
 func (x *Exec) Depth() int { return len(x.stack) }
 
 // CloneInto copies the interpreter's program, options and counters into
-// dst. dst keeps its own register stack, emptied — a stack is never shared
-// or inherited, since x may be executing on its own — and gets no tracer,
-// which observes one host.
+// dst. dst keeps its own register stack, emptied, and its own shared-value
+// tables and argument scratch — none is shared or inherited, since x may be
+// executing, and filling its tables, on its own goroutine — and gets no
+// tracer, which observes one host. The tables describe the program, so they
+// are dropped when dst last ran a different one.
 func (x *Exec) CloneInto(dst *Exec) {
-	stack := dst.stack[:0]
+	stack, bare, siteConts, args := dst.stack[:0], dst.bare, dst.siteConts, dst.args[:0]
+	if dst.Prog != x.Prog || dst.ConstCont != x.ConstCont {
+		bare, siteConts = nil, nil
+	}
 	*dst = *x
-	dst.stack, dst.Tracer = stack, nil
+	dst.stack, dst.bare, dst.siteConts, dst.args, dst.Tracer = stack, bare, siteConts, args, nil
+}
+
+// BareState returns the one value of argument-less state i: what an
+// OpMakeState without arguments yields and what a decoder installs for such
+// a state. Sharing it is sound because a transition installs a new state
+// value, it never writes through the old one.
+func (x *Exec) BareState(i int) *StateVal {
+	if x.bare == nil {
+		x.bare = make([]*StateVal, len(x.Prog.Sema.States))
+	}
+	if x.bare[i] == nil {
+		x.bare[i] = &StateVal{State: i}
+	}
+	return x.bare[i]
 }
 
 // frame carves a zeroed n-register frame at base, discarding whatever the
@@ -244,6 +274,10 @@ func (x *Exec) run(h Host, f *ir.Func, pc int, regs []Value, base int) error {
 				return err
 			}
 		case ir.OpMakeState:
+			if len(in.Args) == 0 {
+				regs[in.Dst] = StateValue(x.BareState(in.Idx))
+				break
+			}
 			args := make([]Value, len(in.Args))
 			for i, r := range in.Args {
 				args[i] = regs[r]
@@ -324,25 +358,50 @@ func constValue(in *ir.Instr) Value {
 	return IntVal(in.Int)
 }
 
-func (x *Exec) makeCont(f *ir.Func, in *ir.Instr, regs []Value) Value {
-	saved := make([]Value, len(in.Args))
-	for i, r := range in.Args {
-		saved[i] = regs[r]
+// heapSite reports whether the paper's compiler would allocate the record
+// of suspend site `site` dynamically: always, except under ConstCont at a
+// static or constant site.
+func (x *Exec) heapSite(site int) bool {
+	s := x.Prog.Sites[site]
+	return !(x.ConstCont && (s.Static || s.Constant))
+}
+
+// SiteCont returns the one record of a suspend site whose fragment restores
+// no registers: what an OpMakeCont there yields and what a decoder installs
+// for it. It is the paper's statically allocated continuation; that the
+// record is immutable is what makes handing it out repeatedly sound.
+func (x *Exec) SiteCont(site int) *Cont {
+	if x.siteConts == nil {
+		x.siteConts = make([]*Cont, len(x.Prog.Sites))
 	}
-	site := f.Frags[in.Idx].Site
-	heap := true
-	if x.ConstCont && site >= 0 && site < len(x.Prog.Sites) {
+	if x.siteConts[site] == nil {
 		s := x.Prog.Sites[site]
-		if s.Static || s.Constant {
-			heap = false
-		}
+		x.siteConts[site] = &Cont{Fn: s.Func, Frag: s.FragIdx, Site: site, Heap: x.heapSite(site)}
 	}
+	return x.siteConts[site]
+}
+
+// makeCont builds the continuation record of an OpMakeCont. The counters
+// and the tracer report what the paper's compiler would have allocated,
+// whatever this interpreter does (see SiteCont).
+func (x *Exec) makeCont(f *ir.Func, in *ir.Instr, regs []Value) Value {
+	site := f.Frags[in.Idx].Site
+	heap := x.heapSite(site)
 	if heap {
 		x.Counters.HeapConts++
 	} else {
 		x.Counters.StaticConts++
 	}
-	c := &Cont{Fn: f, Frag: in.Idx, Saved: saved, Site: site, Heap: heap}
+	var c *Cont
+	if len(in.Args) == 0 {
+		c = x.SiteCont(site)
+	} else {
+		saved := make([]Value, len(in.Args))
+		for i, r := range in.Args {
+			saved[i] = regs[r]
+		}
+		c = &Cont{Fn: f, Frag: in.Idx, Saved: saved, Site: site, Heap: heap}
+	}
 	if x.Tracer != nil {
 		x.Tracer.TraceContAlloc(c)
 	}
@@ -391,11 +450,14 @@ func (x *Exec) callOp(h Host, f *ir.Func, in *ir.Instr, regs []Value) error {
 	switch in.Fn.Builtin {
 	case sema.BNone:
 		x.Counters.Calls++
-		args := make([]*Value, len(in.Args))
-		for i, r := range in.Args {
-			args[i] = &regs[r]
+		// The vector is carved off the top of x.args and popped after the
+		// call, so a routine that re-enters the interpreter keeps its own.
+		base := len(x.args)
+		for _, r := range in.Args {
+			x.args = append(x.args, &regs[r])
 		}
-		res, err := h.CallSupport(in.Fn.Name, args)
+		res, err := h.CallSupport(in.Fn.Name, x.args[base:])
+		x.args = x.args[:base]
 		if err != nil {
 			return err
 		}

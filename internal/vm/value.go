@@ -112,7 +112,11 @@ func (v Value) String() string {
 	return "?"
 }
 
-// Equal implements Teapot's "=" on values.
+// Equal implements Teapot's "=" on values. States and the continuations
+// they carry compare by structure, never by identity: which records share
+// storage is the implementation's business (the interpreter reuses one
+// record per save-nothing site, the checker rebuilds every record when it
+// decodes a state), and the same logical value must compare the same in both.
 func Equal(a, b Value) bool {
 	if a.Kind != b.Kind {
 		return false
@@ -132,6 +136,20 @@ func Equal(a, b Value) bool {
 		}
 		for i := range sa.Args {
 			if !Equal(sa.Args[i], sb.Args[i]) {
+				return false
+			}
+		}
+		return true
+	case KCont:
+		ca, cb := a.Cont(), b.Cont()
+		if ca == nil || cb == nil || ca == cb {
+			return ca == cb
+		}
+		if ca.Fn != cb.Fn || ca.Frag != cb.Frag || len(ca.Saved) != len(cb.Saved) {
+			return false
+		}
+		for i := range ca.Saved {
+			if !Equal(ca.Saved[i], cb.Saved[i]) {
 				return false
 			}
 		}

@@ -281,6 +281,16 @@ func TestCountersAccumulate(t *testing.T) {
 }
 
 func TestValueEquality(t *testing.T) {
+	// Continuations compare by structure: the simulator hands out one
+	// record per save-nothing site while the checker rebuilds every record
+	// it decodes, and both must see the same "=".
+	fn, other := &ir.Func{Name: "S.GO"}, &ir.Func{Name: "S.ACK"}
+	rec := func(f *ir.Func, frag int, saved ...vm.Value) vm.Value {
+		return vm.ContVal(&vm.Cont{Fn: f, Frag: frag, Saved: saved})
+	}
+	waiting := func(c vm.Value) vm.Value {
+		return vm.StateValue(&vm.StateVal{State: 2, Args: []vm.Value{c, vm.NodeVal(1)}})
+	}
 	cases := []struct {
 		a, b vm.Value
 		eq   bool
@@ -303,6 +313,15 @@ func TestValueEquality(t *testing.T) {
 			vm.StateValue(&vm.StateVal{State: 1, Args: []vm.Value{vm.IntVal(6)}}),
 			false,
 		},
+		{rec(fn, 1), rec(fn, 1), true}, // two records, one value
+		{rec(fn, 1, vm.IntVal(5)), rec(fn, 1, vm.IntVal(5)), true},
+		{rec(fn, 1, vm.IntVal(5)), rec(fn, 1, vm.IntVal(6)), false},
+		{rec(fn, 1, vm.IntVal(5)), rec(fn, 1), false},
+		{rec(fn, 1), rec(fn, 2), false},
+		{rec(fn, 1), rec(other, 1), false},
+		{rec(fn, 1), vm.ContVal(nil), false},
+		{waiting(rec(fn, 1, vm.IDVal(3))), waiting(rec(fn, 1, vm.IDVal(3))), true},
+		{waiting(rec(fn, 1, vm.IDVal(3))), waiting(rec(fn, 2, vm.IDVal(3))), false},
 	}
 	for i, c := range cases {
 		if got := vm.Equal(c.a, c.b); got != c.eq {

@@ -20,13 +20,14 @@ test -z "$unformatted" || { echo "check.sh: gofmt -l . lists: $unformatted" >&2;
 # fuzz-target seed corpora are all in here once.
 go test -race ./...
 # Not under -race. The allocation contracts (canonicalize: 0 over warmed
-# scratch; Snapshot: the returned string only; mc.Check: at most 8 per
+# scratch; Snapshot: the returned string only; mc.Check: at most 6.5 per
 # transition; the visited store: 0 per claim of a seen key, under N/100 to
-# insert N states; a delivery into a warmed engine: 0, register stack empty
-# afterwards), which -race perturbs by allocating on its own account; and
-# the TestExitStatus rows that skip under it for taking seconds (the 3-node
-# drop envelope, the 4-node cut at 200 000 states).
-go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestExitStatus' ./internal/mc/ ./internal/runtime/ .
+# insert N states; a delivery into a warmed engine: 0, support call, send
+# and all, register stack empty afterwards; a whole simulated run: at most
+# 2 per message), which -race perturbs by allocating on its own account;
+# and the TestExitStatus rows that skip under it for taking seconds (the
+# 3-node drop envelope, the 4-node cut at 200 000 states).
+go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestExitStatus' ./internal/mc/ ./internal/runtime/ .
 # The benchmark harness's own tests: small-shape correctness checks that run
 # the checker (reduced and unreduced), the simulator and the litmus corpus
 # against benchmarks/expected.json. A module of its own, so `go test ./...`
