@@ -58,8 +58,30 @@ func containsInOrder(s, want string) bool {
 // skipped under -short and the race detector.
 func TestExitStatus(t *testing.T) {
 	tmp := t.TempDir()
-	if err := os.WriteFile(filepath.Join(tmp, "bad.tea"), []byte("protocol P begin end"), 0o644); err != nil {
+	// Input files that state what a flag would refuse, or that do not
+	// describe a run: the committed clean reproducer, edited.
+	fixed, err := os.ReadFile("testdata/repro/stache-ft-ack-fixed.json")
+	if err != nil {
 		t.Fatal(err)
+	}
+	edited := func(old, new string) string { return strings.Replace(string(fixed), old, new, 1) }
+	for name, content := range map[string]string{
+		"bad.tea":          "protocol P begin end",
+		"huge/huge.lit":    "litmus huge\nproto stache\nblocks x\nnode 30000000:\n  put x 1\n",
+		"neg-ops.json":     edited(`"ops_per_node": 40`, `"ops_per_node": -5`),
+		"bogus-kind.json":  edited(`"kind": "fault"`, `"kind": "bogus"`),
+		"pick-99.json":     edited(`"pick": 1`, `"pick": 99`),
+		"pick-neg.json":    edited(`"pick": 1`, `"pick": -7`),
+		"one-node.json":    edited(`"nodes": 3`, `"nodes": 1`),
+		"lit-pick-99.json": `{"proto":"stache","nodes":2,"blocks":2,"net":"","workload_seed":1,"ops_per_node":0,"litmus":"mp","decisions":[{"step":3,"kind":"tie","pick":99}]}`,
+	} {
+		path := filepath.Join(tmp, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rows := []struct {
 		args   string
@@ -165,7 +187,16 @@ func TestExitStatus(t *testing.T) {
 		{args: "fuzz -proto stache-ft-buggy -net drop=1 -seed 2 -schedules 100 -out $T/repro.json", status: 1,
 			stdout: "(replay with: teapot fuzz -replay "},
 		{args: "fuzz -replay $T/repro.json", status: 1, stdout: "reproduced: coherence violation (swmr)"},
-		{args: "fuzz -replay testdata/repro/stache-ft-ack-fixed.json", status: 0, stdout: "schedule ran clean"},
+		{args: "fuzz -replay testdata/repro/stache-ft-ack-fixed.json", status: 0, stdout: "applied 1 of 1 decisions … schedule ran clean"},
+		{args: "fuzz -replay testdata/repro/stache-ft-buggy-ack.json", status: 1, stdout: "applied 1 of 1 decisions … reproduced: coherence violation (swmr)"},
+		// A reproducer file is held to the flags' ranges, and a clean run
+		// that skipped one of its decisions is no verdict, never a pass.
+		{args: "fuzz -replay $T/neg-ops.json", status: 2, stderr: "ops_per_node -5: want at least 1", absent: "ran clean"},
+		{args: "fuzz -replay $T/one-node.json", status: 2, stderr: "nodes 1: want 2..64", absent: "ran clean"},
+		{args: "fuzz -replay $T/bogus-kind.json", status: 2, stderr: `decision 0: unknown kind "bogus"`, absent: "ran clean"},
+		{args: "fuzz -replay $T/pick-neg.json", status: 2, stderr: "decision 0: pick -7: want at least 1", absent: "ran clean"},
+		{args: "fuzz -replay $T/pick-99.json", status: 2, stdout: "applied 0 of 1 decisions",
+			stderr: "the file does not describe a run of this build", absent: "ran clean"},
 		{args: "fuzz -replay $T/missing.json", status: 2, stderr: "no such file"},
 		{args: "fuzz -nodes 0", status: 2, stderr: `invalid value "0" for flag -nodes: want 2..64`},
 		{args: "fuzz -nodes -1", status: 2, stderr: `invalid value "-1" for flag -nodes: want 2..64`},
@@ -183,7 +214,12 @@ func TestExitStatus(t *testing.T) {
 		{args: "litmus -mode all", status: 0, stdout: "corpus testdata/litmus: 11 test(s), 0 failed"},
 		{args: "litmus -corpus testdata/litmus/fail -mode all -out $T/lit.json", status: 1,
 			stdout: "swmr … deadlock … corpus testdata/litmus/fail: 2 test(s), 2 failed"},
-		{args: "litmus -corpus testdata/litmus/fail -replay $T/lit.json", status: 1, stdout: "reproduced: "},
+		{args: "litmus -corpus testdata/litmus/fail -replay $T/lit.json", status: 1, stdout: "applied 1 of 1 decisions … reproduced: "},
+		{args: "litmus -replay $T/lit-pick-99.json", status: 2, stdout: "applied 0 of 1 decisions",
+			stderr: "the file does not describe a run of this build", absent: "ran clean"},
+		// A node header is refused before it sizes anything (this one took
+		// 10.9 s and 1.4 GB to reach the -nodes range check).
+		{args: "litmus -corpus $T/huge", status: 2, stderr: "huge.lit:4: node 30000000: a machine has nodes 0..63"},
 		{args: "litmus -mode bogus", status: 2, stderr: `invalid value "bogus" for flag -mode: want sim | fuzz | mc | all`},
 		{args: "litmus -corpus $T/nodir", status: 2, stderr: "teapot litmus: "},
 		{args: "litmus -only zzz", status: 2, stderr: `no test in testdata/litmus matches -only "zzz"`},

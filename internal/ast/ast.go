@@ -413,28 +413,3 @@ func WalkExprs(e Expr, fn func(Expr)) {
 		WalkExprs(e.X, fn)
 	}
 }
-
-// StmtExprs calls fn for every expression directly contained in s (not
-// recursing into nested statements).
-func StmtExprs(s Stmt, fn func(Expr)) {
-	switch s := s.(type) {
-	case *IfStmt:
-		WalkExprs(s.Cond, fn)
-	case *WhileStmt:
-		WalkExprs(s.Cond, fn)
-	case *CallStmt:
-		WalkExprs(s.Call, fn)
-	case *AssignStmt:
-		WalkExprs(s.RHS, fn)
-	case *SuspendStmt:
-		WalkExprs(s.Target, fn)
-	case *ResumeStmt:
-		WalkExprs(s.Cont, fn)
-	case *ReturnStmt:
-		WalkExprs(s.Value, fn)
-	case *PrintStmt:
-		for _, a := range s.Args {
-			WalkExprs(a, fn)
-		}
-	}
-}

@@ -51,12 +51,11 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "replaying %s\n", s)
-		if !rep.Failed() {
-			fmt.Fprintln(stdout, "schedule ran clean: no violation")
-			return nil
+		failure := ""
+		if rep.Failed() {
+			failure = fuzzVerdict(rep)
 		}
-		fmt.Fprintf(stdout, "reproduced: %s\n", fuzzVerdict(rep))
-		return errNegative
+		return replayVerdict(stdout, s, rep.Applied, failure)
 	}
 
 	var cov *obs.Coverage
@@ -176,6 +175,24 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return errNegative
+}
+
+// replayVerdict ends a -replay of s, of whose decisions applied took effect
+// and which failed with failure ("" = ran clean). A decision takes effect
+// only where the run offers its kind of choice, with that many options, at
+// that step, so a clean run that skipped one is not the run the file
+// describes, and is no verdict.
+func replayVerdict(stdout io.Writer, s *fuzz.Schedule, applied int, failure string) error {
+	fmt.Fprintf(stdout, "applied %d of %d decisions\n", applied, len(s.Decisions))
+	switch {
+	case failure != "":
+		fmt.Fprintf(stdout, "reproduced: %s\n", failure)
+		return errNegative
+	case applied < len(s.Decisions):
+		return fmt.Errorf("the run finished without a violation, but only %d of the schedule's %d decisions applied: the file does not describe a run of this build", applied, len(s.Decisions))
+	}
+	fmt.Fprintln(stdout, "schedule ran clean: no violation")
+	return nil
 }
 
 func fuzzVerdict(r *fuzz.Report) string {

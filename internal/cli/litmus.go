@@ -174,7 +174,7 @@ func saveReproducers(w io.Writer, res *litmus.Result, outPath string) error {
 		if err != nil {
 			return err
 		}
-		class, desc, err := litmus.Replay(res.Test, loaded, litmus.Options{})
+		class, desc, _, err := litmus.Replay(res.Test, loaded, litmus.Options{})
 		if err != nil {
 			return err
 		}
@@ -209,20 +209,20 @@ func litmusReplay(stdout io.Writer, path, corpus string) error {
 	if t == nil {
 		return fmt.Errorf("test %q not found in %s (or its fail/ subdirectory); point -corpus at its corpus", s.Litmus, corpus)
 	}
-	class, desc, err := litmus.Replay(t, s, litmus.Options{})
+	class, desc, applied, err := litmus.Replay(t, s, litmus.Options{})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "replaying %s against litmus %s\n", path, t.Name)
-	if class == "" {
-		fmt.Fprintln(stdout, "schedule ran clean: no violation")
-		return nil
+	failure := ""
+	if class != "" {
+		failure = class + ": " + desc
 	}
-	fmt.Fprintf(stdout, "reproduced: %s: %s\n", class, desc)
-	if s.Expect != "" && class != s.Expect {
+	err = replayVerdict(stdout, s, applied, failure)
+	if class != "" && s.Expect != "" && class != s.Expect {
 		fmt.Fprintf(stdout, "note: schedule expected class %q\n", s.Expect)
 	}
-	return errNegative
+	return err
 }
 
 // writeLitmusManifest lowers the corpus run into the shared run-manifest

@@ -96,6 +96,7 @@ type Report struct {
 	RunErr    error             // simulator/protocol failure (deadlock, protocol error)
 	Stats     *tempest.Stats
 	Steps     uint64 // choice points the run exposed
+	Applied   int    // replays: how many of the schedule's decisions took effect
 }
 
 // Failed reports whether the run is a fuzzing failure.
@@ -166,7 +167,7 @@ func (f *Fuzzer) ReplayObserved(s *Schedule, sink obs.Sink) *Report {
 func (f *Fuzzer) Replay(s *Schedule) *Report {
 	rp := NewReplayer(s)
 	rep := f.runWith(rp, s.WorkloadSeed)
-	rep.Steps = rp.Steps()
+	rep.Steps, rep.Applied = rp.Steps(), rp.Applied()
 	return rep
 }
 

@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"teapot/internal/netmodel"
+	"teapot/internal/protocols"
 	"teapot/internal/tempest"
 )
 
@@ -66,11 +67,16 @@ func (s *Schedule) String() string {
 
 // Save writes the schedule as indented JSON.
 func (s *Schedule) Save(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
+	data, err := s.encode()
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return os.WriteFile(path, data, 0o644)
+}
+
+func (s *Schedule) encode() ([]byte, error) {
+	data, err := json.MarshalIndent(s, "", "  ")
+	return append(data, '\n'), err
 }
 
 // Load reads a schedule written by Save.
@@ -79,12 +85,46 @@ func Load(path string) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decode(path, data)
+}
+
+// decode parses a schedule file's contents and holds them to the ranges
+// teapot fuzz's flags state, so that an edited file cannot describe a run
+// the command line would refuse. A litmus schedule's workload is its test's
+// script: it records no ops_per_node, and one scripted node is a machine.
+// Whether each decision names a choice the run really offers is not
+// knowable here; Replayer.Applied reports it.
+func decode(path string, data []byte) (*Schedule, error) {
 	var s Schedule
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("fuzz: %s: %w", path, err)
 	}
-	if s.Proto == "" || s.Nodes <= 0 || s.Blocks <= 0 {
-		return nil, fmt.Errorf("fuzz: %s: incomplete schedule (proto/nodes/blocks)", path)
+	refuse := func(format string, args ...any) (*Schedule, error) {
+		return nil, fmt.Errorf("fuzz: %s: %s", path, fmt.Sprintf(format, args...))
+	}
+	minNodes, minOps := 2, 1
+	if s.Litmus != "" {
+		minNodes, minOps = 1, 0
+	}
+	switch {
+	case s.Proto == "":
+		return refuse("incomplete schedule: no proto")
+	case s.Nodes < minNodes || s.Nodes > protocols.MaxNodes:
+		return refuse("nodes %d: want %d..%d", s.Nodes, minNodes, protocols.MaxNodes)
+	case s.Blocks < 1:
+		return refuse("blocks %d: want at least 1", s.Blocks)
+	case s.OpsPerNode < minOps:
+		return refuse("ops_per_node %d: want at least %d", s.OpsPerNode, minOps)
+	}
+	for i, d := range s.Decisions {
+		switch d.Kind {
+		case kindName(tempest.ChooseFault), kindName(tempest.ChooseHold), kindName(tempest.ChooseTie):
+		default:
+			return refuse("decision %d: unknown kind %q", i, d.Kind)
+		}
+		if d.Pick < 1 {
+			return refuse("decision %d: pick %d: want at least 1 (option 0 is never recorded)", i, d.Pick)
+		}
 	}
 	return &s, nil
 }

@@ -31,6 +31,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"teapot/internal/protocols"
 )
 
 // maxVal bounds store values: they must survive the 32-bit value lane of
@@ -65,6 +67,9 @@ func Parse(path string, data []byte) (*Test, error) {
 			n, err := strconv.Atoi(rest)
 			if err != nil || n < 0 {
 				return nil, fail("bad node header %q (want e.g. \"node 0:\")", line)
+			}
+			if n >= protocols.MaxNodes {
+				return nil, fail("node %d: a machine has nodes 0..%d", n, protocols.MaxNodes-1)
 			}
 			for len(t.Progs) <= n {
 				t.Progs = append(t.Progs, nil)
@@ -107,13 +112,16 @@ func Parse(path string, data []byte) (*Test, error) {
 				return nil, fail("want: nodes <count>")
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n <= 0 {
-				return nil, fail("bad node count %q", fields[1])
+			if err != nil || n <= 0 || n > protocols.MaxNodes {
+				return nil, fail("bad node count %q (want 1..%d)", fields[1], protocols.MaxNodes)
 			}
 			t.Nodes = n
 		case "blocks":
 			if len(fields) < 2 {
 				return nil, fail("want: blocks <name>...")
+			}
+			if t.Blocks != nil {
+				return nil, fail("blocks declared twice (ops and inits above index the first list)")
 			}
 			t.Blocks = fields[1:]
 		case "net":

@@ -104,6 +104,14 @@ func TestParseRejects(t *testing.T) {
 		{"no scripts", "litmus t\nproto p\nblocks x\n", "no node scripts"},
 		{"empty clause", "litmus t\nproto p\nblocks x\nnode 0:\n put x 1\nforbid f: x=1 &\n", "empty clause"},
 		{"bad assignment", "litmus t\nproto p\nblocks x\nnode 0:\n put x 1\nforbid f: x\n", "bad assignment"},
+		// Found by go test -fuzz FuzzParse: the header grew Progs to n+1
+		// entries (1.4 GB for this one) before anything checked n.
+		{"node beyond any machine", "litmus t\nproto p\nblocks x\nnode 30000000:\n put x 1\n", "t.lit:4: node 30000000: a machine has nodes 0..63"},
+		{"node 64", "litmus t\nproto p\nblocks x\nnode 64:\n put x 1\n", "t.lit:4: node 64"},
+		{"nodes beyond any machine", "litmus t\nproto p\nnodes 65\nblocks x\nnode 0:\n put x 1\n", `t.lit:3: bad node count "65" (want 1..64)`},
+		// The round trip of FuzzParse: a second list renamed the blocks under
+		// the ops and inits already parsed, and left Init shorter than Blocks.
+		{"blocks declared twice", "litmus t\nproto p\nblocks x\ninit x=1\nblocks y z\nnode 0:\n put y 1\n", "t.lit:5: blocks declared twice"},
 		{"bad cas arity", "litmus t\nproto p\nblocks x\nnode 0:\n cas x 1 -> r0\n", "bad op"},
 	}
 	for _, c := range cases {

@@ -434,23 +434,25 @@ func (r *runner) schedule(dec []fuzz.Decision, jitterSeed, recSeed uint64, class
 
 // Replay re-judges a litmus schedule artifact against its test: the path
 // from a reproducer on disk back to a verdict. The returned class is ""
-// when the schedule runs clean.
-func Replay(t *Test, s *fuzz.Schedule, opt Options) (class, desc string, err error) {
+// when the schedule runs clean; applied is how many of its decisions took
+// effect.
+func Replay(t *Test, s *fuzz.Schedule, opt Options) (class, desc string, applied int, err error) {
 	opt.Mode = "fuzz" // replay needs the oracle profile, nothing else
 	opt.normalize()
 	if s.Litmus != t.Name {
-		return "", "", fmt.Errorf("litmus: schedule drives test %q, not %q", s.Litmus, t.Name)
+		return "", "", 0, fmt.Errorf("litmus: schedule drives test %q, not %q", s.Litmus, t.Name)
 	}
 	if s.Proto != t.Proto || s.Nodes != t.Nodes || s.Blocks != len(t.Blocks) {
-		return "", "", fmt.Errorf("litmus: schedule shape %s/%dn/%db does not match test %s (%s/%dn/%db)",
+		return "", "", 0, fmt.Errorf("litmus: schedule shape %s/%dn/%db does not match test %s (%s/%dn/%db)",
 			s.Proto, s.Nodes, s.Blocks, t.Name, t.Proto, t.Nodes, len(t.Blocks))
 	}
 	r, err := newRunner(t, opt)
 	if err != nil {
-		return "", "", err
+		return "", "", 0, err
 	}
-	rep := r.execute(fuzz.NewReplayer(s), r.seed, s.WorkloadSeed)
-	return rep.class(), rep.describe(), nil
+	rp := fuzz.NewReplayer(s)
+	rep := r.execute(rp, r.seed, s.WorkloadSeed)
+	return rep.class(), rep.describe(), rp.Applied(), nil
 }
 
 // ---- model-checker substrate ----

@@ -97,7 +97,7 @@ func TestRunForbiddenReachable(t *testing.T) {
 	}
 	// The shrunk reproducer must still reproduce through the public replay
 	// path (the -replay round trip, minus the disk).
-	class, desc, err := Replay(tt, ff.Schedule, testOptions(""))
+	class, desc, _, err := Replay(tt, ff.Schedule, testOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestRunExpectViolated(t *testing.T) {
 func TestReplayRejectsMismatch(t *testing.T) {
 	tt := mustParse(t, mpSrc)
 	s := &fuzz.Schedule{Proto: tt.Proto, Nodes: tt.Nodes, Blocks: len(tt.Blocks), Litmus: "other"}
-	if _, _, err := Replay(tt, s, Options{}); err == nil || !strings.Contains(err.Error(), "drives test") {
+	if _, _, _, err := Replay(tt, s, Options{}); err == nil || !strings.Contains(err.Error(), "drives test") {
 		t.Errorf("mismatched test name accepted: %v", err)
 	}
 	s = &fuzz.Schedule{Proto: tt.Proto, Nodes: 4, Blocks: len(tt.Blocks), Litmus: tt.Name}
-	if _, _, err := Replay(tt, s, Options{}); err == nil || !strings.Contains(err.Error(), "shape") {
+	if _, _, _, err := Replay(tt, s, Options{}); err == nil || !strings.Contains(err.Error(), "shape") {
 		t.Errorf("mismatched shape accepted: %v", err)
 	}
 }

@@ -1,762 +1,13 @@
 package lcm
 
 import (
-	"fmt"
-
+	"teapot/internal/protocols/hw"
 	"teapot/internal/runtime"
-	"teapot/internal/sema"
-	"teapot/internal/tempest"
 )
 
-// HW is the hand-written state-machine implementation of base LCM — the
-// "C State Machine" column of Table 2. Like the Stache baseline it is
-// wire-compatible with the compiled Teapot protocol, but every waiting
-// point is an explicit intermediate state with per-block pending fields.
-// The paper reports the hand-written LCM at ~2500 lines of C that
-// "contained numerous bugs that consumed months of effort to fix"; the
-// Teapot version of the same protocol is generated from the verified
-// specification.
-type HW struct {
-	nodes, blocks int
-	machine       runtime.Machine
-	msg           hwMsgs
-	blks          [][]hwBlock
-	counters      []tempest.CostCounters
+// NewHW builds the hand-written state-machine implementation of base LCM —
+// the "C State Machine" column of Table 2: the Stache baseline plus the rows
+// LCM adds (internal/protocols/hw).
+func NewHW(p *runtime.Protocol, nodes, blocks int, m runtime.Machine) *hw.Engine {
+	return hw.NewLCM(p, nodes, blocks, m)
 }
-
-type hwMsgs struct {
-	rdFault, wrFault, wrROFault, evict                   int
-	getROReq, getROResp, getRWReq, getRWResp             int
-	upgradeReq, upgradeAck                               int
-	putDataReq, putDataResp, putNoDataReq, putNoDataResp int
-	evictROReq, evictROAck                               int
-	beginEv, endEv, begin                                int
-	getLCMReq, getLCMResp, putAccum, putAccumAck         int
-	fwdReq, fwdBounce, update                            int
-}
-
-type hwState int
-
-const (
-	hwInv hwState = iota
-	hwRO
-	hwRW
-	hwInvToRO
-	hwInvToROP
-	hwInvToRW
-	hwROToRW
-	hwROEvicting
-	hwEvToRO
-	hwEvToRW
-	hwPEvicting
-	hwIdle
-	hwRS
-	hwExcl
-	hwAwaitPut
-	hwAwaitAcks
-	// LCM states.
-	hwLCMIdle
-	hwLCMDirty
-	hwLCMWait
-	hwAccumWait // cache: flushed at phase entry, awaiting PUT_ACCUM_ACK
-	hwLCM
-	hwAwaitBegin // home: acknowledged an entry flush, awaiting BEGIN_LCM
-)
-
-var hwStateNames = [...]string{
-	"Cache_Inv", "Cache_RO", "Cache_RW", "Cache_Inv_To_RO", "Cache_Inv_To_RO_P",
-	"Cache_Inv_To_RW", "Cache_RO_To_RW", "Cache_RO_Evicting", "Cache_Ev_To_RO",
-	"Cache_Ev_To_RW", "Cache_P_Evicting", "Home_Idle", "Home_RS", "Home_Excl",
-	"Home_AwaitPutData", "Home_AwaitInvAcks",
-	"Cache_LCM_Idle", "Cache_LCM_Dirty", "Cache_LCM_Wait", "Cache_AwaitAccumAck",
-	"Home_LCM", "Home_Await_BEGIN_LCM",
-}
-
-func (s hwState) String() string { return hwStateNames[s] }
-
-type hwPending int
-
-const (
-	pNone hwPending = iota
-	pGrantRO
-	pGrantRW
-	pUpgrade
-	pHomeRead
-	pHomeWrite
-	pGrantLCM // after acks or put-data: grant a private phase copy
-)
-
-type hwBlock struct {
-	state   hwState
-	sharers int64
-	owner   int
-
-	pending     hwPending
-	pendingSrc  int
-	pendingAcks int
-
-	copies int
-
-	deferred     []*runtime.Message
-	transitioned bool
-}
-
-// NewHW builds the hand-written base-LCM engine, wire-compatible with the
-// compiled protocol p.
-func NewHW(p *runtime.Protocol, nodes, blocks int, m runtime.Machine) *HW {
-	h := &HW{
-		nodes: nodes, blocks: blocks, machine: m,
-		msg: hwMsgs{
-			rdFault: p.MsgIndex("RD_FAULT"), wrFault: p.MsgIndex("WR_FAULT"),
-			wrROFault: p.MsgIndex("WR_RO_FAULT"), evict: p.MsgIndex("EVICT"),
-			getROReq: p.MsgIndex("GET_RO_REQ"), getROResp: p.MsgIndex("GET_RO_RESP"),
-			getRWReq: p.MsgIndex("GET_RW_REQ"), getRWResp: p.MsgIndex("GET_RW_RESP"),
-			upgradeReq: p.MsgIndex("UPGRADE_REQ"), upgradeAck: p.MsgIndex("UPGRADE_ACK"),
-			putDataReq: p.MsgIndex("PUT_DATA_REQ"), putDataResp: p.MsgIndex("PUT_DATA_RESP"),
-			putNoDataReq: p.MsgIndex("PUT_NO_DATA_REQ"), putNoDataResp: p.MsgIndex("PUT_NO_DATA_RESP"),
-			evictROReq: p.MsgIndex("EVICT_RO_REQ"), evictROAck: p.MsgIndex("EVICT_RO_ACK"),
-			beginEv: p.MsgIndex("BEGIN_LCM_EV"), endEv: p.MsgIndex("END_LCM_EV"),
-			begin:     p.MsgIndex("BEGIN_LCM"),
-			getLCMReq: p.MsgIndex("GET_LCM_REQ"), getLCMResp: p.MsgIndex("GET_LCM_RESP"),
-			putAccum: p.MsgIndex("PUT_ACCUM"), putAccumAck: p.MsgIndex("PUT_ACCUM_ACK"),
-			fwdReq: p.MsgIndex("FWD_LCM_REQ"), fwdBounce: p.MsgIndex("FWD_BOUNCE"),
-			update: p.MsgIndex("LCM_UPDATE"),
-		},
-		counters: make([]tempest.CostCounters, nodes),
-	}
-	h.blks = make([][]hwBlock, nodes)
-	for n := range h.blks {
-		h.blks[n] = make([]hwBlock, blocks)
-		for b := range h.blks[n] {
-			if m.HomeNode(b) == n {
-				h.blks[n][b].state = hwIdle
-			} else {
-				h.blks[n][b].state = hwInv
-			}
-			h.blks[n][b].owner = -1
-		}
-	}
-	return h
-}
-
-// StateName reports a block's state (for tests).
-func (h *HW) StateName(node, block int) string { return h.blks[node][block].state.String() }
-
-// Counters implements tempest.Engine.
-func (h *HW) Counters(node int) tempest.CostCounters { return h.counters[node] }
-
-// Event implements tempest.Engine.
-func (h *HW) Event(node int, tag int, id int) error {
-	return h.Deliver(node, &runtime.Message{Tag: tag, ID: id, Src: node})
-}
-
-// Deliver implements tempest.Engine.
-func (h *HW) Deliver(node int, m *runtime.Message) error {
-	b := &h.blks[node][m.ID]
-	b.transitioned = false
-	if err := h.dispatch(node, b, m); err != nil {
-		return err
-	}
-	for pass := 0; b.transitioned && len(b.deferred) > 0; pass++ {
-		if pass > 10000 {
-			return fmt.Errorf("lcm-hw: deferred queue never drained")
-		}
-		b.transitioned = false
-		q := b.deferred
-		b.deferred = nil
-		for _, dm := range q {
-			if err := h.dispatch(node, b, dm); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (h *HW) ops(node int, n int64) { h.counters[node].Instrs += n }
-
-func (h *HW) send(node, dst int, tag, id int, data bool) {
-	h.counters[node].Sends++
-	h.ops(node, 1)
-	h.machine.Send(node, dst, &runtime.Message{Tag: tag, ID: id, Src: node, Data: data})
-}
-
-func (h *HW) setState(node int, b *hwBlock, s hwState) {
-	h.ops(node, 1)
-	b.state = s
-	b.transitioned = true
-}
-
-func (h *HW) access(node, id int, mode sema.AccessMode) {
-	h.ops(node, 1)
-	h.machine.AccessChange(node, id, mode)
-}
-
-func (h *HW) enqueue(node int, b *hwBlock, m *runtime.Message) {
-	h.ops(node, 2)
-	b.deferred = append(b.deferred, m)
-}
-
-func (h *HW) home(id int) int { return h.machine.HomeNode(id) }
-
-func (h *HW) errf(node int, b *hwBlock, m *runtime.Message) error {
-	return fmt.Errorf("lcm-hw: node %d: invalid msg %d to %s (block %d)", node, m.Tag, b.state, m.ID)
-}
-
-func (h *HW) invalidateSharers(node int, b *hwBlock, excl, id int) int {
-	count := 0
-	for n := 0; n < h.nodes; n++ {
-		if b.sharers&(1<<uint(n)) == 0 || n == excl {
-			continue
-		}
-		h.send(node, n, h.msg.putNoDataReq, id, false)
-		count++
-	}
-	h.ops(node, 2)
-	return count
-}
-
-func (h *HW) completeAcks(node int, b *hwBlock, id int) {
-	switch b.pending {
-	case pUpgrade:
-		if b.sharers&(1<<uint(b.pendingSrc)) != 0 {
-			h.send(node, b.pendingSrc, h.msg.upgradeAck, id, false)
-		} else {
-			h.send(node, b.pendingSrc, h.msg.getRWResp, id, true)
-		}
-		b.sharers = 0
-		b.owner = b.pendingSrc
-		h.access(node, id, sema.AccInvalid)
-		h.setState(node, b, hwExcl)
-	case pGrantRW:
-		b.sharers = 0
-		h.send(node, b.pendingSrc, h.msg.getRWResp, id, true)
-		b.owner = b.pendingSrc
-		h.access(node, id, sema.AccInvalid)
-		h.setState(node, b, hwExcl)
-	case pHomeWrite:
-		b.sharers = 0
-		h.access(node, id, sema.AccReadWrite)
-		h.setState(node, b, hwIdle)
-		h.machine.WakeUp(node, id)
-	case pGrantLCM:
-		b.sharers = 0
-		h.grantLCM(node, b, id, b.pendingSrc)
-		h.access(node, id, sema.AccReadWrite)
-		h.setState(node, b, hwLCM)
-	}
-	b.pending = pNone
-	h.ops(node, 3)
-}
-
-func (h *HW) completePut(node int, b *hwBlock, id int) {
-	switch b.pending {
-	case pGrantRO:
-		h.send(node, b.pendingSrc, h.msg.getROResp, id, true)
-		b.sharers |= 1 << uint(b.pendingSrc)
-		h.access(node, id, sema.AccReadOnly)
-		h.setState(node, b, hwRS)
-	case pGrantRW, pUpgrade:
-		h.send(node, b.pendingSrc, h.msg.getRWResp, id, true)
-		b.owner = b.pendingSrc
-		h.access(node, id, sema.AccInvalid)
-		h.setState(node, b, hwExcl)
-	case pHomeRead, pHomeWrite:
-		h.access(node, id, sema.AccReadWrite)
-		h.setState(node, b, hwIdle)
-		h.machine.WakeUp(node, id)
-	case pGrantLCM:
-		h.grantLCM(node, b, id, b.pendingSrc)
-		h.access(node, id, sema.AccReadWrite)
-		h.setState(node, b, hwLCM)
-	}
-	b.pending = pNone
-	h.ops(node, 3)
-}
-
-// grantLCM hands out one private phase copy.
-func (h *HW) grantLCM(node int, b *hwBlock, id, src int) {
-	b.copies++
-	b.sharers |= 1 << uint(src) // consumer tracking
-	h.ops(node, 3)
-	h.send(node, src, h.msg.getLCMResp, id, true)
-}
-
-func (h *HW) dispatch(node int, b *hwBlock, m *runtime.Message) error {
-	h.counters[node].Handlers++
-	h.ops(node, 5)
-	msg := &h.msg
-	id := m.ID
-	switch b.state {
-
-	// ---- Stache-mode cache states (identical to the Stache baseline) ----
-
-	case hwInv:
-		switch m.Tag {
-		case msg.rdFault:
-			h.send(node, h.home(id), msg.getROReq, id, false)
-			h.setState(node, b, hwInvToRO)
-		case msg.wrFault:
-			h.send(node, h.home(id), msg.getRWReq, id, false)
-			h.setState(node, b, hwInvToRW)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-		case msg.putDataReq:
-			h.ops(node, 1) // stale recall, satisfied by a reconciliation
-		case msg.beginEv:
-			h.setState(node, b, hwLCMIdle)
-		case msg.update:
-			h.machine.RecvData(node, id, sema.AccReadOnly)
-			h.ops(node, 1)
-			h.setState(node, b, hwRO)
-		default:
-			return h.errf(node, b, m)
-		}
-
-	case hwInvToRO:
-		switch m.Tag {
-		case msg.putDataReq:
-			h.ops(node, 1) // stale recall
-		case msg.getROResp:
-			h.machine.RecvData(node, id, sema.AccReadOnly)
-			h.ops(node, 1)
-			h.setState(node, b, hwRO)
-			h.machine.WakeUp(node, id)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-			h.setState(node, b, hwInvToROP)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwInvToROP:
-		switch m.Tag {
-		case msg.getROResp:
-			h.send(node, h.home(id), msg.evictROReq, id, false)
-			h.setState(node, b, hwPEvicting)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwPEvicting:
-		switch m.Tag {
-		case msg.evictROAck:
-			h.send(node, h.home(id), msg.getROReq, id, false)
-			h.setState(node, b, hwInvToRO)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwInvToRW:
-		switch m.Tag {
-		case msg.putDataReq:
-			h.ops(node, 1) // stale recall
-		case msg.getRWResp:
-			h.machine.RecvData(node, id, sema.AccReadWrite)
-			h.ops(node, 1)
-			h.setState(node, b, hwRW)
-			h.machine.WakeUp(node, id)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwRO:
-		switch m.Tag {
-		case msg.wrROFault:
-			h.send(node, h.home(id), msg.upgradeReq, id, false)
-			h.setState(node, b, hwROToRW)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-			h.setState(node, b, hwInv)
-			h.access(node, id, sema.AccInvalid)
-		case msg.evict:
-			h.send(node, h.home(id), msg.evictROReq, id, false)
-			h.setState(node, b, hwROEvicting)
-			h.access(node, id, sema.AccInvalid)
-		case msg.putDataReq:
-			h.ops(node, 1) // stale recall
-		case msg.beginEv:
-			h.send(node, h.home(id), msg.begin, id, false)
-			h.access(node, id, sema.AccInvalid)
-			h.setState(node, b, hwLCMIdle)
-		default:
-			return h.errf(node, b, m)
-		}
-
-	case hwROToRW:
-		switch m.Tag {
-		case msg.putDataReq:
-			h.ops(node, 1) // stale recall
-		case msg.upgradeAck:
-			h.setState(node, b, hwRW)
-			h.access(node, id, sema.AccReadWrite)
-			h.machine.WakeUp(node, id)
-		case msg.getRWResp:
-			h.machine.RecvData(node, id, sema.AccReadWrite)
-			h.ops(node, 1)
-			h.setState(node, b, hwRW)
-			h.machine.WakeUp(node, id)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-			h.access(node, id, sema.AccInvalid)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwRW:
-		switch m.Tag {
-		case msg.putDataReq:
-			h.send(node, h.home(id), msg.putDataResp, id, true)
-			h.setState(node, b, hwInv)
-			h.access(node, id, sema.AccInvalid)
-		case msg.beginEv:
-			// Figure 11's FlushCopy: reconcile and announce the entry; the
-			// BEGIN_LCM chases the PUT_ACCUM into the home.
-			h.send(node, h.home(id), msg.putAccum, id, true)
-			h.send(node, h.home(id), msg.begin, id, false)
-			h.access(node, id, sema.AccInvalid)
-			h.setState(node, b, hwAccumWait)
-		default:
-			return h.errf(node, b, m)
-		}
-
-	case hwAccumWait:
-		switch m.Tag {
-		case msg.putAccumAck:
-			h.setState(node, b, hwLCMIdle)
-		case msg.putDataReq:
-			h.ops(node, 1) // recall crossed our reconciliation
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwROEvicting:
-		switch m.Tag {
-		case msg.evictROAck:
-			h.setState(node, b, hwInv)
-		case msg.rdFault:
-			h.setState(node, b, hwEvToRO)
-		case msg.wrFault:
-			h.setState(node, b, hwEvToRW)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwEvToRO:
-		switch m.Tag {
-		case msg.evictROAck:
-			h.send(node, h.home(id), msg.getROReq, id, false)
-			h.setState(node, b, hwInvToRO)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwEvToRW:
-		switch m.Tag {
-		case msg.evictROAck:
-			h.send(node, h.home(id), msg.getRWReq, id, false)
-			h.setState(node, b, hwInvToRW)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	// ---- LCM cache states ----
-
-	case hwLCMIdle:
-		switch m.Tag {
-		case msg.rdFault, msg.wrFault:
-			h.send(node, h.home(id), msg.getLCMReq, id, false)
-			h.setState(node, b, hwLCMWait)
-		case msg.endEv:
-			h.setState(node, b, hwInv)
-		case msg.beginEv:
-			h.ops(node, 1) // idempotent re-entry
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-		case msg.putDataReq:
-			h.ops(node, 1) // stale recall
-		case msg.fwdReq:
-			h.send(node, h.home(id), msg.fwdBounce, id, false) // payload elided in HW
-		case msg.putAccumAck, msg.update:
-			// stale
-		default:
-			return h.errf(node, b, m)
-		}
-
-	case hwLCMWait:
-		switch m.Tag {
-		case msg.getLCMResp:
-			h.machine.RecvData(node, id, sema.AccReadWrite)
-			h.ops(node, 1)
-			h.setState(node, b, hwLCMDirty)
-			h.machine.WakeUp(node, id)
-		case msg.putNoDataReq:
-			h.send(node, h.home(id), msg.putNoDataResp, id, false)
-		case msg.putDataReq:
-			h.ops(node, 1) // stale recall
-		case msg.fwdReq:
-			h.send(node, h.home(id), msg.fwdBounce, id, false)
-		case msg.update:
-			// stale
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwLCMDirty:
-		switch m.Tag {
-		case msg.endEv:
-			h.send(node, h.home(id), msg.putAccum, id, true)
-			h.access(node, id, sema.AccInvalid)
-			h.setState(node, b, hwInv)
-		case msg.fwdReq:
-			h.send(node, m.Src, msg.getLCMResp, id, true)
-		case msg.putDataReq:
-			h.ops(node, 1) // stale recall
-		case msg.putAccumAck, msg.update:
-			// stale
-		default:
-			return h.errf(node, b, m)
-		}
-
-	// ---- Home side, Stache mode ----
-
-	case hwIdle:
-		switch m.Tag {
-		case msg.getROReq:
-			h.send(node, m.Src, msg.getROResp, id, true)
-			b.sharers |= 1 << uint(m.Src)
-			h.access(node, id, sema.AccReadOnly)
-			h.setState(node, b, hwRS)
-		case msg.getRWReq, msg.upgradeReq:
-			h.send(node, m.Src, msg.getRWResp, id, true)
-			b.owner = m.Src
-			h.access(node, id, sema.AccInvalid)
-			h.setState(node, b, hwExcl)
-		case msg.evictROReq:
-			h.send(node, m.Src, msg.evictROAck, id, false)
-		case msg.rdFault, msg.wrFault, msg.wrROFault:
-			h.machine.WakeUp(node, id)
-			h.ops(node, 1)
-		case msg.getLCMReq:
-			h.grantLCM(node, b, id, m.Src)
-			h.access(node, id, sema.AccReadWrite)
-			h.setState(node, b, hwLCM)
-		case msg.putAccum:
-			h.machine.RecvData(node, id, sema.AccReadWrite)
-			h.ops(node, 2) // merge
-		case msg.begin, msg.beginEv, msg.endEv:
-			h.ops(node, 1) // stale / purely local
-		default:
-			return h.errf(node, b, m)
-		}
-
-	case hwRS:
-		switch m.Tag {
-		case msg.getROReq:
-			if b.sharers&(1<<uint(m.Src)) != 0 {
-				h.enqueue(node, b, m)
-			} else {
-				h.send(node, m.Src, msg.getROResp, id, true)
-				b.sharers |= 1 << uint(m.Src)
-				h.ops(node, 1)
-			}
-		case msg.upgradeReq:
-			n := h.invalidateSharers(node, b, m.Src, id)
-			b.pending, b.pendingSrc, b.pendingAcks = pUpgrade, m.Src, n
-			if n == 0 {
-				h.completeAcks(node, b, id)
-			} else {
-				h.setState(node, b, hwAwaitAcks)
-			}
-		case msg.getRWReq:
-			if b.sharers&(1<<uint(m.Src)) != 0 {
-				h.enqueue(node, b, m)
-				break
-			}
-			n := h.invalidateSharers(node, b, m.Src, id)
-			b.pending, b.pendingSrc, b.pendingAcks = pGrantRW, m.Src, n
-			if n == 0 {
-				h.completeAcks(node, b, id)
-			} else {
-				h.setState(node, b, hwAwaitAcks)
-			}
-		case msg.wrROFault, msg.wrFault:
-			n := h.invalidateSharers(node, b, node, id)
-			b.pending, b.pendingAcks = pHomeWrite, n
-			if n == 0 {
-				h.completeAcks(node, b, id)
-			} else {
-				h.setState(node, b, hwAwaitAcks)
-			}
-		case msg.rdFault:
-			h.machine.WakeUp(node, id)
-			h.ops(node, 1)
-		case msg.evictROReq:
-			b.sharers &^= 1 << uint(m.Src)
-			h.send(node, m.Src, msg.evictROAck, id, false)
-			if b.sharers == 0 {
-				h.access(node, id, sema.AccReadWrite)
-				h.setState(node, b, hwIdle)
-			} else {
-				h.setState(node, b, hwRS)
-			}
-		case msg.getLCMReq:
-			n := h.invalidateSharers(node, b, m.Src, id)
-			b.pending, b.pendingSrc, b.pendingAcks = pGrantLCM, m.Src, n
-			if n == 0 {
-				h.completeAcks(node, b, id)
-			} else {
-				h.setState(node, b, hwAwaitAcks)
-			}
-		case msg.begin:
-			b.sharers &^= 1 << uint(m.Src)
-			h.ops(node, 1)
-			if b.sharers == 0 {
-				h.access(node, id, sema.AccReadWrite)
-				h.setState(node, b, hwIdle)
-			} else {
-				h.setState(node, b, hwRS)
-			}
-		case msg.beginEv, msg.endEv:
-			h.ops(node, 1)
-		default:
-			return h.errf(node, b, m)
-		}
-
-	case hwExcl:
-		switch m.Tag {
-		case msg.getROReq:
-			h.send(node, b.owner, msg.putDataReq, id, false)
-			b.pending, b.pendingSrc = pGrantRO, m.Src
-			h.setState(node, b, hwAwaitPut)
-		case msg.getRWReq, msg.upgradeReq:
-			h.send(node, b.owner, msg.putDataReq, id, false)
-			b.pending, b.pendingSrc = pGrantRW, m.Src
-			h.setState(node, b, hwAwaitPut)
-		case msg.rdFault:
-			h.send(node, b.owner, msg.putDataReq, id, false)
-			b.pending = pHomeRead
-			h.setState(node, b, hwAwaitPut)
-		case msg.wrFault, msg.wrROFault:
-			h.send(node, b.owner, msg.putDataReq, id, false)
-			b.pending = pHomeWrite
-			h.setState(node, b, hwAwaitPut)
-		case msg.evictROReq:
-			h.send(node, m.Src, msg.evictROAck, id, false)
-		case msg.putAccum:
-			// Figure 11: the owner reconciles on phase entry.
-			h.machine.RecvData(node, id, sema.AccReadOnly)
-			h.ops(node, 2)
-			h.send(node, m.Src, msg.putAccumAck, id, false)
-			h.setState(node, b, hwAwaitBegin)
-		case msg.begin:
-			if m.Src == b.owner {
-				h.enqueue(node, b, m) // overtook the owner's reconciliation
-			} else {
-				h.ops(node, 1) // stale
-			}
-		case msg.beginEv, msg.endEv:
-			h.ops(node, 1) // purely local
-		case msg.getLCMReq:
-			h.send(node, b.owner, msg.putDataReq, id, false)
-			b.pending, b.pendingSrc = pGrantLCM, m.Src
-			h.setState(node, b, hwAwaitPut)
-		case msg.putDataResp:
-			// Voluntary give-back: the owner answered a stale recall.
-			h.machine.RecvData(node, id, sema.AccReadOnly)
-			h.ops(node, 1)
-			h.access(node, id, sema.AccReadWrite)
-			h.setState(node, b, hwIdle)
-		default:
-			return h.errf(node, b, m)
-		}
-
-	case hwAwaitPut:
-		switch m.Tag {
-		case msg.putDataResp:
-			h.machine.RecvData(node, id, sema.AccReadOnly)
-			h.ops(node, 1)
-			h.completePut(node, b, id)
-		case msg.putAccum:
-			// The owner reconciled (phase entry) instead of answering the
-			// recall; the data came back all the same.
-			h.machine.RecvData(node, id, sema.AccReadOnly)
-			h.ops(node, 2)
-			h.send(node, m.Src, msg.putAccumAck, id, false)
-			h.completePut(node, b, id)
-		case msg.evictROReq:
-			h.send(node, m.Src, msg.evictROAck, id, false)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwAwaitAcks:
-		switch m.Tag {
-		case msg.putNoDataResp:
-			b.sharers &^= 1 << uint(m.Src)
-			b.pendingAcks--
-			h.ops(node, 2)
-			if b.pendingAcks == 0 {
-				h.completeAcks(node, b, id)
-			}
-		case msg.evictROReq:
-			b.sharers &^= 1 << uint(m.Src)
-			h.send(node, m.Src, msg.evictROAck, id, false)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	// ---- Home side, LCM mode ----
-
-	case hwAwaitBegin:
-		switch m.Tag {
-		case msg.begin:
-			h.access(node, id, sema.AccReadWrite)
-			h.setState(node, b, hwIdle)
-		default:
-			h.enqueue(node, b, m)
-		}
-
-	case hwLCM:
-		switch m.Tag {
-		case msg.getLCMReq:
-			h.grantLCM(node, b, id, m.Src)
-		case msg.fwdBounce:
-			h.send(node, m.Src, msg.getLCMResp, id, true)
-		case msg.putAccum:
-			h.machine.RecvData(node, id, sema.AccReadWrite)
-			h.ops(node, 2)
-			b.copies--
-			if b.copies == 0 {
-				b.sharers = 0 // ClearConsumers (base variant)
-				h.setState(node, b, hwIdle)
-			}
-		case msg.getROReq, msg.getRWReq, msg.upgradeReq:
-			h.enqueue(node, b, m)
-		case msg.evictROReq:
-			h.send(node, m.Src, msg.evictROAck, id, false)
-		case msg.begin, msg.beginEv, msg.endEv:
-			h.ops(node, 1)
-		default:
-			return h.errf(node, b, m)
-		}
-
-	default:
-		return fmt.Errorf("lcm-hw: unknown state %d", b.state)
-	}
-	return nil
-}
-
-var _ tempest.Engine = (*HW)(nil)

@@ -75,12 +75,3 @@ func (t *Trace) Reset() {
 		t.pos[i] = 0
 	}
 }
-
-// TotalOps returns the total operation count.
-func (t *Trace) TotalOps() int {
-	n := 0
-	for _, ops := range t.Ops {
-		n += len(ops)
-	}
-	return n
-}

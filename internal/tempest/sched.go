@@ -295,6 +295,3 @@ func PackVal(version, val int64) int64 { return version<<32 | (val & 0xffffffff)
 
 // ValueOf extracts the value from a packed version word.
 func ValueOf(packed int64) int64 { return packed & 0xffffffff }
-
-// VersionOf extracts the version from a packed version word.
-func VersionOf(packed int64) int64 { return packed >> 32 }

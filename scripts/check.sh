@@ -19,6 +19,13 @@ test -z "$unformatted" || { echo "check.sh: gofmt -l . lists: $unformatted" >&2;
 # equivalence suite, the litmus harness, the committed reproducers and the
 # fuzz-target seed corpora are all in here once.
 go test -race ./...
+# Five seconds of coverage-guided fuzzing per input the tools read (go test
+# -fuzz takes one target and one package; a new input is minimized for ten
+# executions, not a minute). A crasher stops the script and is left in the
+# package's testdata/fuzz/, where the gate at the end would catch it too.
+for target in FuzzParse:litmus FuzzLoad:fuzz FuzzCompile:core; do
+  go test -run '^$' -fuzz "${target%%:*}" -fuzztime 5s -fuzzminimizetime 10x "./internal/${target##*:}"
+done
 # Not under -race. The allocation contracts (canonicalize: 0 over warmed
 # scratch; Snapshot: the returned string only; mc.Check: at most 6.5 per
 # transition; the visited store: 0 per claim of a seen key, under N/100 to
