@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"teapot/internal/obs"
+	"teapot/internal/runtime"
 )
 
 // Check runs the breadth-first exploration.
@@ -54,7 +55,7 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 		res.SymmetryGroup = len(red.group)
 	}
 
-	initKey, initPerm, err := new(keyScratch).key(newWorld(&cfg), red)
+	initKey, initPerm, err := new(keyScratch).key(newWorld(&cfg), red, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -73,6 +74,8 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 		}
 		res.Transitions += int(out.transitions)
 		res.Decodes += out.decodes
+		res.KeyBytes += out.keyBytes
+		res.KeyBytesEncoded += out.keyEncoded
 		next, err := vt.commit(layer)
 		if err != nil {
 			return nil, err
@@ -141,6 +144,8 @@ type layerOut struct {
 	cand        *candidate
 	transitions int64
 	decodes     int64
+	// Key bytes built and key bytes encoded (see Result.KeyBytes).
+	keyBytes, keyEncoded int64
 }
 
 func (o *layerOut) take(c *candidate) {
@@ -150,17 +155,19 @@ func (o *layerOut) take(c *candidate) {
 }
 
 // worker is everything one expanding goroutine reuses from state to state
-// for the whole of a Check, so that expanding a state builds nothing: the
+// for the whole of a Check, so that expanding a state allocates nothing: the
 // parent world every state is decoded into (decodeInto), the scratch world
-// every successor but a state's last is cloned into (cloneInto), the action
-// buffer, and the key buffers. Reuse is sound because each of them is dead
-// before it is overwritten: a successor is finished with once its key is
-// claimed (claim copies the bytes it keeps), the parent is untouched until
-// its last action and finished with after it, and the Terminal and EventGen
-// hooks see a world only for the length of the call. The per-layer fields
-// (layerOut, cov, err) are reset by expandLayer.
+// every successor but a state's last is cloned into (cloneInto), the region
+// every record of either is built in (see decode), the action buffer, and
+// the key buffers. Reuse is sound because each of them is dead before it is
+// overwritten: a successor is finished with once its key is claimed (claim
+// copies the bytes it keeps), the parent is untouched until its last action
+// and finished with after it, and the Terminal and EventGen hooks see a
+// world only for the length of the call. The per-layer fields (layerOut,
+// cov, err) are reset by expandLayer.
 type worker struct {
 	parent, succ *World
+	region       runtime.Region
 	acts         []action
 	keys         keyScratch // successor keys are built here, never on the heap
 
@@ -229,6 +236,8 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 		}
 		merged.transitions += wk.transitions
 		merged.decodes += wk.decodes
+		merged.keyBytes += wk.keyBytes
+		merged.keyEncoded += wk.keyEncoded
 		if cfg.Coverage != nil {
 			// Set union with count addition commutes, so merging in worker
 			// order (or any order) accumulates identical coverage.
@@ -250,14 +259,10 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 // the visited table (and its per-shard balance statistics) sees only
 // post-canonicalization keys.
 func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, layer []int32, pos int32) error {
-	if wk.parent == nil {
-		wk.parent, wk.succ = newWorld(cfg), &World{cfg: cfg}
+	w, err := wk.decode(cfg, vt.key(layer[pos]))
+	if err != nil {
+		return err
 	}
-	w := wk.parent
-	if err := cfg.decodeInto(w, vt.key(layer[pos])); err != nil {
-		return fmt.Errorf("mc: decode: %w", err)
-	}
-	wk.decodes++
 	// Terminal-state judgment (litmus runs): a state where every script has
 	// finished, nothing is stalled, and the network has drained is a final
 	// outcome; a judging hook that rejects it makes the state itself the
@@ -285,15 +290,39 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 			wk.take(&candidate{kind: "invariant", msg: msg, pos: pos, ord: int32(i)})
 			continue
 		}
-		succ, permIdx, err := wk.keys.key(wa, red)
+		succ, permIdx, err := wk.keys.key(wa, red, &wk.acts[i])
 		if err != nil {
 			return fmt.Errorf("mc: encode: %w", err)
 		}
+		wk.keyBytes += int64(len(succ))
+		wk.keyEncoded += int64(wk.keys.encoded)
 		if err := vt.claim(succ, pos, int32(i), permIdx); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// decode empties the worker's region and decodes key into its parent world
+// (built, with the scratch successor, on first use), in that order: the
+// region holds the previous state's records, and the decode that follows
+// overwrites or abandons every reference to them (runtime.Region has the
+// rule). key must stay where it is until the state's last successor has
+// been keyed (World.src) — the visited store's chunks never move, and only
+// a barrier appends to them.
+func (wk *worker) decode(cfg *Config, key []byte) (*World, error) {
+	if wk.parent == nil {
+		wk.parent, wk.succ = newWorld(cfg), &World{cfg: cfg}
+		for _, e := range wk.parent.owned {
+			e.SetRegion(&wk.region)
+		}
+	}
+	wk.region.Reset()
+	if err := cfg.decodeInto(wk.parent, key); err != nil {
+		return nil, fmt.Errorf("mc: decode: %w", err)
+	}
+	wk.decodes++
+	return wk.parent, nil
 }
 
 // branch returns the world action a is to be applied to: w itself for the

@@ -203,7 +203,9 @@ func (cfg *Config) validate() error {
 // the checker calls Enabled from multiple goroutines (on distinct worlds),
 // so implementations must not mutate shared state without synchronization.
 // The world is valid only for the call — the checker decodes the next state
-// it expands over it — so Enabled must not retain it.
+// it expands over it — so Enabled must not retain it. The checker only reads
+// the slice it gets back: a generator may build its lists once and return
+// the same one every time (the bundled ones do).
 type EventGen interface {
 	Enabled(w *World, node, block int) []Event
 }
@@ -233,6 +235,14 @@ type Result struct {
 	// (successors are derived by cloning, not re-decoding), each into the
 	// world its worker keeps.
 	Decodes int64
+	// KeyBytes is the total length of the successor keys built, one per
+	// transition that reached a state. KeyBytesEncoded is how many bytes
+	// were actually encoded to build them: the segments copied from the
+	// parent's key (see World.encodeTo) are left out, and every byte a
+	// symmetry challenger wrote before winning or giving up is counted in —
+	// so without reduction the ratio is the share of a key an action
+	// touches, and with it the price of canonicalization.
+	KeyBytes, KeyBytesEncoded int64
 	// VisitedBytes is what the visited store retains at the end of the
 	// run (see ProgressInfo.VisitedBytes).
 	VisitedBytes int64
@@ -309,6 +319,14 @@ type World struct {
 	sendErr error
 
 	dec runtime.Decoder // decodeInto's reader, kept here so it is not allocated per state
+
+	// src is the key decodeInto last read this world from — or, in a
+	// successor from cloneInto, its parent's — and segEnds[k] where segment
+	// k ends in it: engine k for k < Nodes, then channel k-Nodes. It lets the
+	// key of a successor copy what its action did not touch (see encodeTo).
+	// src is read in place: it must not move while a successor is keyed.
+	src     []byte
+	segEnds []int
 }
 
 // setObs attaches a sink to the world and all its engines (nil detaches).
@@ -467,7 +485,7 @@ func (w *World) encode() (string, error) {
 	enc := encoderPool.Get().(*runtime.Encoder)
 	defer encoderPool.Put(enc)
 	enc.Reset(nil)
-	if _, err := w.encodeTo(enc, nil); err != nil {
+	if _, _, err := w.encodeTo(enc, nil, nil); err != nil {
 		return "", err
 	}
 	return string(enc.Bytes()), nil
@@ -484,7 +502,13 @@ func (w *World) encode() (string, error) {
 // it is abandoned at the first engine boundary where the bytes written
 // already compare greater than bound, and the result reports whether the
 // completed encoding is strictly smaller than bound.
-func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (bool, error) {
+//
+// A non-nil via (plain encoding only) says w is the world w.src was decoded
+// into, or a cloneInto of it, with via applied and nothing else: the
+// segments of src that via cannot have touched (action.touches) are copied
+// instead of encoded. Which those are is a function of the action — there
+// are no dirty flags to forget to set. copied is how many bytes that saved.
+func (w *World) encodeTo(enc *runtime.Encoder, bound []byte, via *action) (smaller bool, copied int, err error) {
 	r := enc.Remap()
 	nodes, blocks := w.cfg.Nodes, w.cfg.Blocks
 	// decided: -1 smaller than bound, +1 not smaller, 0 equal through
@@ -493,21 +517,39 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (bool, error) {
 	if bound == nil {
 		decided = 1
 	}
+	// kept copies segment seg from src if via left it alone.
+	kept := func(seg int) bool {
+		if via == nil || via.touches(seg, nodes) {
+			return false
+		}
+		start := 0
+		if seg > 0 {
+			start = w.segEnds[seg-1]
+		}
+		enc.Raw(w.src[start:w.segEnds[seg]])
+		copied += w.segEnds[seg] - start
+		return true
+	}
 	for i := 0; i < nodes; i++ {
-		if err := w.engines[r.SrcNode(i)].EncodeState(enc); err != nil {
-			return false, err
+		if !kept(i) {
+			if err := w.engines[r.SrcNode(i)].EncodeState(enc); err != nil {
+				return false, copied, err
+			}
 		}
 		if decided == 0 {
 			n := min(len(enc.Bytes()), len(bound))
 			decided = bytes.Compare(enc.Bytes()[checked:n], bound[checked:n])
 			if decided > 0 {
-				return false, nil
+				return false, copied, nil
 			}
 			checked = n
 		}
 	}
 	for from := 0; from < nodes; from++ {
 		for to := 0; to < nodes; to++ {
+			if kept(nodes + from*nodes + to) {
+				continue
+			}
 			// Channel messages may belong to any engine's blocks; use the
 			// destination engine for info-handle reconstruction symmetry.
 			dst := r.SrcNode(to)
@@ -515,7 +557,7 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (bool, error) {
 			enc.Int(int64(len(msgs)))
 			for _, m := range msgs {
 				if err := w.engines[dst].EncodeMessage(enc, m); err != nil {
-					return false, err
+					return false, copied, err
 				}
 			}
 		}
@@ -554,7 +596,7 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (bool, error) {
 	if decided == 0 {
 		decided = bytes.Compare(enc.Bytes()[checked:], bound[checked:])
 	}
-	return decided < 0, nil
+	return decided < 0, copied, nil
 }
 
 // decode restores a world from its canonical form.
@@ -586,10 +628,12 @@ func (cfg *Config) decodeInto(w *World, key []byte) error {
 	w.sendErr = nil
 	copy(w.engines, w.owned)
 	w.setObs(cfg.Obs)
+	w.src, w.segEnds = key, w.segEnds[:0]
 	for _, e := range w.engines {
 		if err := e.DecodeState(d); err != nil {
 			return err
 		}
+		w.segEnds = append(w.segEnds, d.Pos())
 	}
 	for ch := range w.channels {
 		n := d.Count()
@@ -602,6 +646,7 @@ func (cfg *Config) decodeInto(w *World, key []byte) error {
 			msgs = append(msgs, m)
 		}
 		w.channels[ch] = msgs
+		w.segEnds = append(w.segEnds, d.Pos())
 	}
 	for i := range w.access {
 		w.access[i] = sema.AccessMode(d.Byte())
@@ -963,6 +1008,29 @@ func (a *action) engine() int {
 	return a.node
 }
 
+// touches reports whether applying a may change key segment seg (engine seg
+// for seg < nodes, then channel seg-nodes; see World.src). An action runs
+// handlers on one engine, and a handler's only way out of its engine is to
+// send from it; the faults edit the channel they name (a corrupt also
+// appends the NACK to the reverse one). So a touches its engine, that
+// engine's outgoing row, and the channel a delivery or fault names — what
+// else it changes (access, stalled, budgets, the client plane) lies in the
+// tail, which is always encoded.
+func (a *action) touches(seg, nodes int) bool {
+	e := a.engine()
+	if seg < nodes {
+		return seg == e
+	}
+	from, to := (seg-nodes)/nodes, (seg-nodes)%nodes
+	switch a.kind {
+	case actDeliver, actDrop, actDup:
+		return from == e || from == a.from && to == a.to
+	case actCorrupt:
+		return from == a.from && to == a.to || from == a.to && to == a.from
+	}
+	return from == e
+}
+
 // Engine selectors for cloneInto beside a node index.
 const (
 	noEngine   = -1
@@ -1000,6 +1068,7 @@ func (w *World) cloneInto(dst *World, touch int) {
 	dst.stalled = append(dst.stalled[:0], w.stalled...)
 	dst.drops, dst.dups, dst.corrupts = w.drops, w.dups, w.corrupts
 	dst.obsSink, dst.sendErr = nil, nil
+	dst.src, dst.segEnds = w.src, w.segEnds
 	if w.pcs != nil {
 		dst.pcs = append(dst.pcs[:0], w.pcs...)
 		dst.cver = append(dst.cver[:0], w.cver...)

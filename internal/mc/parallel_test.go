@@ -100,6 +100,11 @@ func TestWorkerEquivalence(t *testing.T) {
 						workers, res.States, res.Transitions, res.MaxDepth,
 						base.States, base.Transitions, base.MaxDepth)
 				}
+				if res.KeyBytes != base.KeyBytes || res.KeyBytesEncoded != base.KeyBytesEncoded ||
+					res.KeyBytes == 0 || res.KeyBytesEncoded == 0 {
+					t.Errorf("workers=%d: key bytes (built,encoded) = (%d,%d), want (%d,%d), neither zero",
+						workers, res.KeyBytes, res.KeyBytesEncoded, base.KeyBytes, base.KeyBytesEncoded)
+				}
 				switch {
 				case (res.Violation == nil) != (base.Violation == nil):
 					t.Errorf("workers=%d: violation presence differs", workers)

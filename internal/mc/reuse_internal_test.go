@@ -1,9 +1,11 @@
 package mc
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"teapot/internal/obs"
@@ -152,4 +154,77 @@ func CheckDecodeIntoDirtyWorld(t *testing.T, cfg Config, seed int64, walks, step
 		}
 	}
 	return stats
+}
+
+// CheckExpandMatchesReference is the differential test of the two things a
+// worker does that a textbook expansion does not: it builds every record of
+// a decoded world and its successors in a region it resets per state, and it
+// makes a successor's key by copying from its parent's the segments the
+// action cannot have touched. For every state cfg reaches, the worker path —
+// one worker reused from state to state, decode (region reset, decodeInto),
+// branch, apply, key with the action — must yield, action by action, the
+// same error or the byte-identical key and permutation index as the
+// reference: cfg.decode into a new heap world, clone() per action, a full
+// encode (and canonicalization) that is told of no action. It returns how
+// many states and successors it compared.
+//
+// Mutations that must each fail it (tried when it was written): the
+// region reset moved after decodeInto in worker.decode (the decoded state
+// is overwritten by what the successors build); action.touches answering
+// false for the engine the action ran on (its stale segment is copied).
+func CheckExpandMatchesReference(t *testing.T, cfg Config) (states, succs int) {
+	t.Helper()
+	cfg.Workers = 1
+	vt := newVisited()
+	// A violation only ends the exploration early: the states stored by
+	// then are compared all the same, and the caller judges their number.
+	if _, err := check(cfg, vt); err != nil {
+		t.Fatal(err)
+	}
+	cfg.normalize()
+	red, _, err := buildReduction(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wk worker
+	var ref keyScratch
+	for idx := int32(0); idx < int32(vt.states()); idx++ {
+		w, err := wk.decode(&cfg, vt.key(idx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := cfg.decode(string(vt.key(idx)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wk.acts = w.appendActions(wk.acts[:0])
+		if want := fresh.actions(); !slices.Equal(wk.acts, want) {
+			t.Fatalf("state %d: worker's world enables %v, a fresh decode %v", idx, wk.acts, want)
+		}
+		for i, a := range wk.acts {
+			what := fresh.describe(a)
+			wa, fs := w.branch(a, i == len(wk.acts)-1, nil, wk.succ), fresh.clone()
+			errW, errF := wa.apply(a), fs.apply(a)
+			if errW != nil || errF != nil {
+				if errW == nil || errF == nil || errW.Error() != errF.Error() {
+					t.Fatalf("state %d, %s: worker error %v, reference error %v", idx, what, errW, errF)
+				}
+				continue
+			}
+			got, gotPerm, err := wk.keys.key(wa, red, &wk.acts[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantPerm, err := ref.key(fs, red, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || gotPerm != wantPerm {
+				t.Fatalf("state %d, %s: worker key (%d bytes, perm %d) differs from the reference's (%d bytes, perm %d)",
+					idx, what, len(got), gotPerm, len(want), wantPerm)
+			}
+			succs++
+		}
+	}
+	return vt.states(), succs
 }

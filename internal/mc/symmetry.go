@@ -34,8 +34,9 @@ import (
 // the plain key produces, under a remap, the key of the permuted world.
 // Candidates go into a worker's two scratch buffers and lose early — a
 // candidate whose prefix already exceeds the best key so far is abandoned
-// at the next engine boundary — so a transition costs one full encode plus
-// a fraction of one per further group element, and allocates nothing.
+// at the next engine boundary — so a transition costs one plain encode (of
+// the segments its action touched: World.encodeTo) plus a fraction of a full
+// one per further group element, and allocates nothing.
 // What the remap must touch, and the reference implementation it is tested
 // against (permuteWorld), are in symmetry_internal_test.go.
 
@@ -160,20 +161,27 @@ type reduction struct {
 // keyScratch is one worker's pair of reusable key buffers: best holds the
 // smallest encoding so far, cand the challenger, and they swap when a
 // challenger wins. Keys returned from it are valid until its next use.
+// encoded is how many bytes the last key cost to encode (see
+// Result.KeyBytesEncoded).
 type keyScratch struct {
 	best, cand runtime.Encoder
+	encoded    int
 }
 
 // key encodes w into the scratch — canonicalized when red is non-nil —
 // and returns the visited-set key with the index of the group element
-// that produced it (0 without reduction).
-func (sc *keyScratch) key(w *World, red *reduction) ([]byte, int32, error) {
-	if red != nil {
-		return red.canonicalize(w, sc)
-	}
+// that produced it (0 without reduction). via is the action that derived w
+// from the state it was decoded from (nil: encode all of it; see
+// World.encodeTo); only the plain encoding can use it, the remapped
+// challengers stream every byte.
+func (sc *keyScratch) key(w *World, red *reduction, via *action) ([]byte, int32, error) {
 	sc.best.Reset(nil)
-	_, err := w.encodeTo(&sc.best, nil)
-	return sc.best.Bytes(), 0, err
+	_, copied, err := w.encodeTo(&sc.best, nil, via)
+	sc.encoded = len(sc.best.Bytes()) - copied
+	if err != nil || red == nil {
+		return sc.best.Bytes(), 0, err
+	}
+	return red.canonicalize(w, sc)
 }
 
 // buildReduction decides whether reduction is enabled for this
@@ -334,19 +342,17 @@ func sortInts(s []int) {
 	}
 }
 
-// canonicalize leaves the lexicographically smallest encoding of w over
-// the group in sc and returns it with the index of the permutation that
-// produced it; ties keep the lowest index. Each challenger is a remapped
-// encode of w itself that gives up once it can no longer win.
+// canonicalize takes sc.best, holding the plain encoding of w, to the
+// lexicographically smallest encoding of w over the group and returns it
+// with the index of the permutation that produced it; ties keep the lowest
+// index. Each challenger is a remapped encode of w itself that gives up
+// once it can no longer win.
 func (r *reduction) canonicalize(w *World, sc *keyScratch) ([]byte, int32, error) {
-	sc.best.Reset(nil)
-	if _, err := w.encodeTo(&sc.best, nil); err != nil {
-		return nil, 0, err
-	}
 	bestIdx := int32(0)
 	for i := 1; i < len(r.remaps); i++ {
 		sc.cand.Reset(r.remaps[i])
-		smaller, err := w.encodeTo(&sc.cand, sc.best.Bytes())
+		smaller, _, err := w.encodeTo(&sc.cand, sc.best.Bytes(), nil)
+		sc.encoded += len(sc.cand.Bytes())
 		if err != nil {
 			return nil, 0, err
 		}

@@ -253,7 +253,7 @@ func TestCanonicalFixpoint(t *testing.T) {
 // canonKey canonicalizes through a fresh scratch and returns the key as a
 // string, for tests that keep keys across calls.
 func canonKey(red *reduction, w *World) (string, int32, error) {
-	k, idx, err := red.canonicalize(w, new(keyScratch))
+	k, idx, err := new(keyScratch).key(w, red, nil)
 	return string(k), idx, err
 }
 
@@ -540,7 +540,7 @@ func checkWorldAgainstReference(t *testing.T, red *reduction, w *World) {
 			t.Fatalf("reference encode: %v", err)
 		}
 		enc.Reset(red.remaps[i])
-		if _, err := w.encodeTo(&enc, nil); err != nil {
+		if _, _, err := w.encodeTo(&enc, nil, nil); err != nil {
 			t.Fatalf("streamed encode: %v", err)
 		}
 		if string(enc.Bytes()) != ref {
@@ -673,7 +673,7 @@ func Canonicalizer(t *testing.T, cfg *Config) func(w *World) error {
 	}
 	sc := new(keyScratch)
 	return func(w *World) error {
-		_, _, err := red.canonicalize(w, sc)
+		_, _, err := sc.key(w, red, nil)
 		return err
 	}
 }

@@ -11,8 +11,11 @@ import (
 // handle synchronization operations randomly interleaved with the loads
 // and stores", ~100 lines of Murphi).
 type Events struct {
-	rd, wr, wrro, sync int
-	bufferedSlot       int
+	// The lists Enabled hands out, built once: by state name, and the two
+	// a pending upgrade adds a fault to.
+	byState              map[string][]mc.Event
+	upgradeWR, upgradeRD []mc.Event
+	bufferedSlot         int
 }
 
 // MaxBuffered bounds how many writes may accumulate in the buffer between
@@ -22,11 +25,23 @@ const MaxBuffered = 2
 
 // NewEvents builds the generator.
 func NewEvents(p *runtime.Protocol) *Events {
+	rd := mc.Event{Name: "RD_FAULT", Tag: p.MsgIndex("RD_FAULT"), Stalls: true}
+	wr := mc.Event{Name: "WR_FAULT", Tag: p.MsgIndex("WR_FAULT"), Stalls: true}
+	wrro := mc.Event{Name: "WR_RO_FAULT", Tag: p.MsgIndex("WR_RO_FAULT"), Stalls: true}
+	syncEv := mc.Event{Name: "SYNC", Tag: p.MsgIndex("SYNC"), Stalls: true}
 	g := &Events{
-		rd:           p.MsgIndex("RD_FAULT"),
-		wr:           p.MsgIndex("WR_FAULT"),
-		wrro:         p.MsgIndex("WR_RO_FAULT"),
-		sync:         p.MsgIndex("SYNC"),
+		byState: map[string][]mc.Event{
+			"Cache_Inv":         {rd, wr, syncEv},
+			"Cache_RO":          {wrro, syncEv},
+			"Cache_RW":          {syncEv},
+			"Cache_Buf_Fill":    {rd, syncEv},
+			"Cache_Buf_Upgrade": {syncEv},
+			"Home_RS":           {wrro, syncEv},
+			"Home_Excl":         {rd, wr, syncEv},
+			"Home_Idle":         {syncEv},
+		},
+		upgradeWR:    []mc.Event{syncEv, wrro},
+		upgradeRD:    []mc.Event{syncEv, rd},
 		bufferedSlot: -1,
 	}
 	for _, v := range p.Sema().ProtVars {
@@ -39,53 +54,22 @@ func NewEvents(p *runtime.Protocol) *Events {
 
 // Enabled implements mc.EventGen.
 func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
-	syncEv := mc.Event{Name: "SYNC", Tag: g.sync, Stalls: true}
-	switch w.StateName(node, block) {
-	case "Cache_Inv":
-		return []mc.Event{
-			{Name: "RD_FAULT", Tag: g.rd, Stalls: true},
-			{Name: "WR_FAULT", Tag: g.wr, Stalls: true},
-			syncEv,
-		}
-	case "Cache_RO":
-		return []mc.Event{
-			{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true},
-			syncEv,
-		}
-	case "Cache_RW":
-		return []mc.Event{syncEv}
-	case "Cache_Buf_Fill":
-		return []mc.Event{
-			{Name: "RD_FAULT", Tag: g.rd, Stalls: true},
-			syncEv,
-		}
-	case "Cache_Buf_Upgrade":
-		evs := []mc.Event{syncEv}
+	state := w.StateName(node, block)
+	if state == "Cache_Buf_Upgrade" {
 		switch w.Access(node, block) {
 		case sema.AccReadOnly:
 			// Upgrade still pending with the read copy intact: stores
 			// fault read-only and accumulate in the buffer (bounded).
 			if g.bufferedSlot >= 0 && w.BlockVarInt(node, block, g.bufferedSlot) < MaxBuffered {
-				evs = append(evs, mc.Event{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true})
+				return g.upgradeWR
 			}
 		case sema.AccBuffered:
 			// The copy was recalled mid-upgrade: stores buffer silently,
 			// loads fault and stall for the grant.
-			evs = append(evs, mc.Event{Name: "RD_FAULT", Tag: g.rd, Stalls: true})
+			return g.upgradeRD
 		}
-		return evs
-	case "Home_RS":
-		return []mc.Event{{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true}, syncEv}
-	case "Home_Excl":
-		return []mc.Event{
-			{Name: "RD_FAULT", Tag: g.rd, Stalls: true},
-			{Name: "WR_FAULT", Tag: g.wr, Stalls: true},
-			syncEv,
-		}
-	case "Home_Idle":
-		return []mc.Event{syncEv}
 	}
-	return nil
+	return g.byState[state]
 }
 
 // SymmetricEvents implements mc.EquivariantEvents: enablement reads state

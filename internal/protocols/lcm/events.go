@@ -16,20 +16,39 @@ import (
 // lazy protocol tolerates entries racing invalidation epochs, and the
 // checker proves it.
 type Events struct {
-	rd, wr, wrro int
-	begin, end   int
-	phaseTags    map[int]struct{}
+	// The lists Enabled hands out, by state name and built once: inPhase
+	// while a phase is active for the block, quiet otherwise.
+	inPhase, quiet map[string][]mc.Event
+	phaseTags      map[int]struct{}
 }
 
 // NewEvents builds the generator for a compiled LCM protocol.
 func NewEvents(p *runtime.Protocol) *Events {
-	g := &Events{
-		rd:        p.MsgIndex("RD_FAULT"),
-		wr:        p.MsgIndex("WR_FAULT"),
-		wrro:      p.MsgIndex("WR_RO_FAULT"),
-		begin:     p.MsgIndex("BEGIN_LCM_EV"),
-		end:       p.MsgIndex("END_LCM_EV"),
-		phaseTags: make(map[int]struct{}),
+	rd := mc.Event{Name: "RD_FAULT", Tag: p.MsgIndex("RD_FAULT"), Stalls: true}
+	wr := mc.Event{Name: "WR_FAULT", Tag: p.MsgIndex("WR_FAULT"), Stalls: true}
+	wrro := mc.Event{Name: "WR_RO_FAULT", Tag: p.MsgIndex("WR_RO_FAULT"), Stalls: true}
+	vote := mc.Event{Name: "BEGIN_LCM_EV", Tag: p.MsgIndex("BEGIN_LCM_EV")}
+	endEv := mc.Event{Name: "END_LCM_EV", Tag: p.MsgIndex("END_LCM_EV")}
+	g := &Events{phaseTags: make(map[int]struct{})}
+	idle, dirty := []mc.Event{rd, wr, endEv}, []mc.Event{endEv}
+	g.inPhase = map[string][]mc.Event{
+		"Cache_Inv": {vote},
+		"Cache_RO":  {vote},
+		// Figure 11's race: the owner's reconciliation chases other
+		// nodes' phase activity into the home.
+		"Cache_RW":        {vote},
+		"Cache_LCM_Idle":  idle,
+		"Cache_LCM_Dirty": dirty,
+	}
+	// Normal (Stache-mode) accesses happen only outside phases.
+	g.quiet = map[string][]mc.Event{
+		"Cache_Inv":       {vote, rd, wr},
+		"Cache_RO":        {vote, wrro},
+		"Cache_RW":        {vote},
+		"Cache_LCM_Idle":  idle,
+		"Cache_LCM_Dirty": dirty,
+		"Home_RS":         {wrro},
+		"Home_Excl":       {rd, wr},
 	}
 	for _, name := range []string{
 		"BEGIN_LCM", "GET_LCM_REQ", "GET_LCM_RESP",
@@ -62,49 +81,11 @@ func (g *Events) phaseActive(w *mc.World, block int) bool {
 
 // Enabled implements mc.EventGen.
 func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
-	active := g.phaseActive(w, block)
-	vote := mc.Event{Name: "BEGIN_LCM_EV", Tag: g.begin}
-	endEv := mc.Event{Name: "END_LCM_EV", Tag: g.end}
-	switch w.StateName(node, block) {
-	case "Cache_Inv":
-		evs := []mc.Event{vote}
-		if !active {
-			evs = append(evs,
-				mc.Event{Name: "RD_FAULT", Tag: g.rd, Stalls: true},
-				mc.Event{Name: "WR_FAULT", Tag: g.wr, Stalls: true})
-		}
-		return evs
-	case "Cache_RO":
-		evs := []mc.Event{vote}
-		if !active {
-			evs = append(evs, mc.Event{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true})
-		}
-		return evs
-	case "Cache_RW":
-		// Figure 11's race: the owner's reconciliation chases other
-		// nodes' phase activity into the home.
-		return []mc.Event{vote}
-	case "Cache_LCM_Idle":
-		return []mc.Event{
-			{Name: "RD_FAULT", Tag: g.rd, Stalls: true},
-			{Name: "WR_FAULT", Tag: g.wr, Stalls: true},
-			endEv,
-		}
-	case "Cache_LCM_Dirty":
-		return []mc.Event{endEv}
-	case "Home_RS":
-		if !active {
-			return []mc.Event{{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true}}
-		}
-	case "Home_Excl":
-		if !active {
-			return []mc.Event{
-				{Name: "RD_FAULT", Tag: g.rd, Stalls: true},
-				{Name: "WR_FAULT", Tag: g.wr, Stalls: true},
-			}
-		}
+	evs := g.quiet
+	if g.phaseActive(w, block) {
+		evs = g.inPhase
 	}
-	return nil
+	return evs[w.StateName(node, block)]
 }
 
 // SymmetricEvents implements mc.EquivariantEvents: phase detection scans

@@ -77,13 +77,7 @@ func (s *Support) Call(ctx *runtime.Ctx, name string, args []*vm.Value) (vm.Valu
 			if mask&(1<<uint(n)) == 0 || n == ctx.Engine.Node {
 				continue
 			}
-			ctx.Engine.Sends++
-			ctx.Engine.Machine.Send(ctx.Engine.Node, n, &runtime.Message{
-				Tag:  s.updateMsg,
-				ID:   id,
-				Src:  ctx.Engine.Node,
-				Data: true,
-			})
+			ctx.Engine.SendTo(n, s.updateMsg, id, true)
 		}
 		// The home never pushes to itself; drop it from the sharer set.
 		ctx.Block.Vars[s.sharersSlot] = vm.IntVal(mask &^ (1 << uint(ctx.Engine.Node)))

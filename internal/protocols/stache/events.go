@@ -13,49 +13,31 @@ import (
 // loads and stores to any shared addresses" (§7, ~50 lines of Murphi for
 // Stache).
 type Events struct {
-	rd, wr, wrro, evict int
+	byState map[string][]mc.Event // built once; Enabled hands the lists out
 }
 
 // NewEvents builds the generator for a compiled Stache-family protocol.
 func NewEvents(p *runtime.Protocol) *Events {
-	return &Events{
-		rd:    p.MsgIndex("RD_FAULT"),
-		wr:    p.MsgIndex("WR_FAULT"),
-		wrro:  p.MsgIndex("WR_RO_FAULT"),
-		evict: p.MsgIndex("EVICT"),
+	faults := []mc.Event{
+		{Name: "RD_FAULT", Tag: p.MsgIndex("RD_FAULT"), Stalls: true},
+		{Name: "WR_FAULT", Tag: p.MsgIndex("WR_FAULT"), Stalls: true},
 	}
+	wrro := mc.Event{Name: "WR_RO_FAULT", Tag: p.MsgIndex("WR_RO_FAULT"), Stalls: true}
+	return &Events{byState: map[string][]mc.Event{
+		"Cache_Inv": faults,
+		"Cache_RO":  {wrro, {Name: "EVICT", Tag: p.MsgIndex("EVICT")}},
+		// The eviction handshake does not stall the processor, which may
+		// fault on the (now inaccessible) block before the ack arrives.
+		"Cache_RO_Evicting": faults,
+		// The home processor writing a shared block.
+		"Home_RS":   {wrro},
+		"Home_Excl": faults,
+	}}
 }
 
 // Enabled implements mc.EventGen.
 func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
-	switch w.StateName(node, block) {
-	case "Cache_Inv":
-		return []mc.Event{
-			{Name: "RD_FAULT", Tag: g.rd, Stalls: true},
-			{Name: "WR_FAULT", Tag: g.wr, Stalls: true},
-		}
-	case "Cache_RO":
-		return []mc.Event{
-			{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true},
-			{Name: "EVICT", Tag: g.evict},
-		}
-	case "Cache_RO_Evicting":
-		// The eviction handshake does not stall the processor, which may
-		// fault on the (now inaccessible) block before the ack arrives.
-		return []mc.Event{
-			{Name: "RD_FAULT", Tag: g.rd, Stalls: true},
-			{Name: "WR_FAULT", Tag: g.wr, Stalls: true},
-		}
-	case "Home_RS":
-		// The home processor writing a shared block.
-		return []mc.Event{{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true}}
-	case "Home_Excl":
-		return []mc.Event{
-			{Name: "RD_FAULT", Tag: g.rd, Stalls: true},
-			{Name: "WR_FAULT", Tag: g.wr, Stalls: true},
-		}
-	}
-	return nil
+	return g.byState[w.StateName(node, block)]
 }
 
 // buggyHandler is the race handler whose removal reintroduces a deadlock

@@ -672,12 +672,7 @@ func (s *FTSupport) Call(ctx *runtime.Ctx, name string, args []*vm.Value) (vm.Va
 			if m&(1<<uint(n)) == 0 {
 				continue
 			}
-			ctx.Engine.Sends++
-			ctx.Engine.Machine.Send(ctx.Engine.Node, n, &runtime.Message{
-				Tag: s.invReq,
-				ID:  id,
-				Src: ctx.Engine.Node,
-			})
+			ctx.Engine.SendTo(n, s.invReq, id, false)
 		}
 		return vm.Value{}, nil
 	}

@@ -83,12 +83,7 @@ func (s *Support) Call(ctx *runtime.Ctx, name string, args []*vm.Value) (vm.Valu
 			if m&(1<<uint(n)) == 0 || int64(n) == excl {
 				continue
 			}
-			ctx.Engine.Sends++
-			ctx.Engine.Machine.Send(ctx.Engine.Node, n, &runtime.Message{
-				Tag: s.invReq,
-				ID:  id,
-				Src: ctx.Engine.Node,
-			})
+			ctx.Engine.SendTo(n, s.invReq, id, false)
 			count++
 		}
 		return vm.IntVal(count), nil

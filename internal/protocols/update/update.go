@@ -336,10 +336,7 @@ func (s *Support) Call(ctx *runtime.Ctx, name string, args []*vm.Value) (vm.Valu
 			if m&(1<<uint(n)) == 0 || int64(n) == excl {
 				continue
 			}
-			ctx.Engine.Sends++
-			ctx.Engine.Machine.Send(ctx.Engine.Node, n, &runtime.Message{
-				Tag: s.updateMsg, ID: id, Src: ctx.Engine.Node, Data: true,
-			})
+			ctx.Engine.SendTo(n, s.updateMsg, id, true)
 			count++
 		}
 		return vm.IntVal(count), nil
@@ -353,16 +350,20 @@ func (s *Support) ModConst(ctx *runtime.Ctx, name string) vm.Value { return vm.V
 // Events is the verification event generator: reads, write-throughs and
 // evictions in every stable state.
 type Events struct {
-	rd, wr, wrro, evict, update int
+	inv, ro, home []mc.Event // the lists Enabled hands out, built once
+	update        int
 }
 
 // NewEvents builds the generator.
 func NewEvents(p *runtime.Protocol) *Events {
+	wrro := mc.Event{Name: "WR_RO_FAULT", Tag: p.MsgIndex("WR_RO_FAULT"), Stalls: true}
 	return &Events{
-		rd:     p.MsgIndex("RD_FAULT"),
-		wr:     p.MsgIndex("WR_FAULT"),
-		wrro:   p.MsgIndex("WR_RO_FAULT"),
-		evict:  p.MsgIndex("EVICT"),
+		inv: []mc.Event{
+			{Name: "RD_FAULT", Tag: p.MsgIndex("RD_FAULT"), Stalls: true},
+			{Name: "WR_FAULT", Tag: p.MsgIndex("WR_FAULT"), Stalls: true},
+		},
+		ro:     []mc.Event{wrro, {Name: "EVICT", Tag: p.MsgIndex("EVICT")}},
+		home:   []mc.Event{wrro},
 		update: p.MsgIndex("UPDATE"),
 	}
 }
@@ -371,15 +372,9 @@ func NewEvents(p *runtime.Protocol) *Events {
 func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
 	switch w.StateName(node, block) {
 	case "Cache_Inv":
-		return []mc.Event{
-			{Name: "RD_FAULT", Tag: g.rd, Stalls: true},
-			{Name: "WR_FAULT", Tag: g.wr, Stalls: true},
-		}
+		return g.inv
 	case "Cache_RO":
-		return []mc.Event{
-			{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true},
-			{Name: "EVICT", Tag: g.evict},
-		}
+		return g.ro
 	case "Home":
 		// The home's write completes locally (it is woken in-handler), so
 		// unconstrained generation would flood the channels with UPDATEs;
@@ -390,7 +385,7 @@ func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
 				return m.Src == node && m.ID == block && m.Tag == g.update
 			})
 			if !pending {
-				return []mc.Event{{Name: "WR_RO_FAULT", Tag: g.wrro, Stalls: true}}
+				return g.home
 			}
 		}
 	}

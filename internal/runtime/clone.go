@@ -39,9 +39,10 @@ func (e *Engine) Clone(m Machine) *Engine {
 // bound to machine m, reusing the block records and slices dst already has
 // (a zero Engine has none and gets new ones). The protocol, support module,
 // and compiled program are shared; per-block state is copied so mutations
-// of the clone never observe or disturb the original. Nothing dst held
-// before survives except storage: its sink, its in-flight dispatch context
-// and its register stack's contents are dropped, and what is scratch in e
+// of the clone never observe or disturb the original, and the clone builds
+// its records where e does (see SetRegion). Nothing dst held before
+// survives except storage: its sink, its in-flight dispatch context and
+// its register stack's contents are dropped, and what is scratch in e
 // (register stack, shared-value tables, parameter and retry buffers, free
 // message records) is not inherited — dst keeps its own.
 func (e *Engine) CloneInto(dst *Engine, m Machine) {
@@ -61,6 +62,7 @@ func (e *Engine) CloneInto(dst *Engine, m Machine) {
 		params:       dst.params,
 		retry:        dst.retry[:0],
 		free:         dst.free,
+		region:       e.region,
 	}
 	// Clones never inherit observability (the tracer in e.Exec aims at e,
 	// and the checker clones concurrently while sinks are single-goroutine)
@@ -82,16 +84,16 @@ func (e *Engine) CloneInto(dst *Engine, m Machine) {
 	for i, b := range e.Blocks {
 		nb := dst.Blocks[i]
 		nb.ID, nb.transitioned = b.ID, b.transitioned
-		sv, _ := cloneValue(vm.StateValue(b.State), nb)
+		sv, _ := dst.cloneValue(vm.StateValue(b.State), nb)
 		nb.State = sv.State()
 		nb.Vars = nb.Vars[:0]
 		for _, v := range b.Vars {
-			v, _ = cloneValue(v, nb)
+			v, _ = dst.cloneValue(v, nb)
 			nb.Vars = append(nb.Vars, v)
 		}
 		nb.Deferred = nb.Deferred[:0]
 		for _, dm := range b.Deferred {
-			nb.Deferred = append(nb.Deferred, cloneMessage(dm, nb))
+			nb.Deferred = append(nb.Deferred, dst.cloneMessage(dm, nb))
 		}
 	}
 }
@@ -104,15 +106,15 @@ func (e *Engine) CloneMessage(msg *Message) *Message {
 	if msg.ID < 0 || msg.ID >= len(e.Blocks) {
 		return msg
 	}
-	return cloneMessage(msg, e.Blocks[msg.ID])
+	return e.cloneMessage(msg, e.Blocks[msg.ID])
 }
 
-func cloneMessage(msg *Message, block *Block) *Message {
+func (e *Engine) cloneMessage(msg *Message, block *Block) *Message {
 	var payload []vm.Value
 	for i, v := range msg.Payload {
-		nv, changed := cloneValue(v, block)
+		nv, changed := e.cloneValue(v, block)
 		if changed && payload == nil {
-			payload = make([]vm.Value, len(msg.Payload))
+			payload = e.Exec.Region.Values(len(msg.Payload))
 			copy(payload, msg.Payload[:i])
 		}
 		if payload != nil {
@@ -122,39 +124,40 @@ func cloneMessage(msg *Message, block *Block) *Message {
 	if payload == nil {
 		return msg
 	}
-	nm := *msg
+	nm := e.newMessage()
+	*nm = *msg
 	nm.Payload = payload
-	return &nm
+	return nm
 }
 
 // cloneValue copies v for a world bound to block. The returned bool
 // reports whether a new value had to be built; unchanged subtrees are
-// shared, so cloning a protocol state with no info handles allocates
+// shared, so cloning a protocol state with no info handles builds
 // nothing per value.
-func cloneValue(v vm.Value, block *Block) (vm.Value, bool) {
+func (e *Engine) cloneValue(v vm.Value, block *Block) (vm.Value, bool) {
 	switch v.Kind {
 	case vm.KState:
 		sv := v.State()
 		if sv == nil {
 			return v, false
 		}
-		args, changed := cloneValues(sv.Args, block)
+		args, changed := e.cloneValues(sv.Args, block)
 		if !changed {
 			return v, false
 		}
-		return vm.StateValue(&vm.StateVal{State: sv.State, Args: args}), true
+		return vm.StateValue(e.Exec.Region.NewState(sv.State, args)), true
 	case vm.KCont:
 		c := v.Cont()
 		if c == nil {
 			return v, false
 		}
-		saved, changed := cloneValues(c.Saved, block)
+		saved, changed := e.cloneValues(c.Saved, block)
 		if !changed {
 			return v, false
 		}
 		nc := *c
 		nc.Saved = saved
-		return vm.ContVal(&nc), true
+		return vm.ContVal(e.Exec.Region.NewCont(nc)), true
 	case vm.KInfo:
 		// Info handles always denote the enclosing block (see DecodeValue).
 		return vm.InfoVal(block), true
@@ -165,12 +168,12 @@ func cloneValue(v vm.Value, block *Block) (vm.Value, bool) {
 	}
 }
 
-func cloneValues(vs []vm.Value, block *Block) ([]vm.Value, bool) {
+func (e *Engine) cloneValues(vs []vm.Value, block *Block) ([]vm.Value, bool) {
 	var out []vm.Value
 	for i, v := range vs {
-		nv, changed := cloneValue(v, block)
+		nv, changed := e.cloneValue(v, block)
 		if changed && out == nil {
-			out = make([]vm.Value, len(vs))
+			out = e.Exec.Region.Values(len(vs))
 			copy(out, vs[:i])
 		}
 		if out != nil {

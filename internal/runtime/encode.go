@@ -135,6 +135,11 @@ func (e *Encoder) Str(s string) {
 // Byte encodes one byte.
 func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
 
+// Raw appends bytes that are already an encoding: a stretch of another key
+// that the caller knows this one shares (never under a remap, which would
+// have written them differently).
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
 // Decoder reads the canonical byte form. Its error is sticky: once a read
 // fails (short input, a malformed varint, a count the remaining bytes could
 // not hold) every later read returns zero and Err reports the first failure,
@@ -153,6 +158,9 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 // Reset points the decoder at b (read in place, as NewDecoder does) and
 // clears its error.
 func (d *Decoder) Reset(b []byte) { *d = Decoder{buf: b} }
+
+// Pos returns how many bytes of the buffer have been read.
+func (d *Decoder) Pos() int { return d.off }
 
 // Err returns the first decoding failure, or nil.
 func (d *Decoder) Err() error { return d.err }
@@ -279,11 +287,11 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block) (vm.Value, error) {
 		if n == 0 {
 			return vm.StateValue(e.Exec.BareState(state)), nil
 		}
-		sv := &vm.StateVal{State: state, Args: make([]vm.Value, n)}
-		if err := e.decodeValues(d, sv.Args, block); err != nil {
+		args := e.Exec.Region.Values(n)
+		if err := e.decodeValues(d, args, block); err != nil {
 			return vm.Value{}, err
 		}
-		return vm.StateValue(sv), nil
+		return vm.StateValue(e.Exec.Region.NewState(state, args)), nil
 	case vm.KCont:
 		site := int(d.Int())
 		if site < 0 || site >= len(e.Proto.IR.Sites) {
@@ -297,11 +305,11 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block) (vm.Value, error) {
 		if n == 0 {
 			return vm.ContVal(e.Exec.SiteCont(site)), nil
 		}
-		c := &vm.Cont{Fn: s.Func, Frag: s.FragIdx, Site: site, Saved: make([]vm.Value, n)}
-		if err := e.decodeValues(d, c.Saved, block); err != nil {
+		saved := e.Exec.Region.Values(n)
+		if err := e.decodeValues(d, saved, block); err != nil {
 			return vm.Value{}, err
 		}
-		return vm.ContVal(c), nil
+		return vm.ContVal(e.Exec.Region.NewCont(vm.Cont{Fn: s.Func, Frag: s.FragIdx, Site: site, Saved: saved})), nil
 	case vm.KInfo:
 		return vm.InfoVal(block), nil
 	}
@@ -342,7 +350,8 @@ func (e *Engine) EncodeMessage(enc *Encoder, m *Message) error {
 // DecodeMessage reads a message encoded by EncodeMessage. The error may be
 // the decoder's sticky one.
 func (e *Engine) DecodeMessage(d *Decoder) (*Message, error) {
-	m := &Message{Tag: int(d.Int()), ID: int(d.Int()), Src: int(d.Int())}
+	m := e.newMessage()
+	*m = Message{Tag: int(d.Int()), ID: int(d.Int()), Src: int(d.Int())}
 	m.Data = d.Byte() == 1
 	m.Val = d.Int()
 	n := d.Count()
@@ -350,7 +359,7 @@ func (e *Engine) DecodeMessage(d *Decoder) (*Message, error) {
 		return nil, fmt.Errorf("runtime: bad block id %d in encoded message", m.ID)
 	}
 	if n > 0 {
-		m.Payload = make([]vm.Value, n)
+		m.Payload = e.Exec.Region.Values(n)
 		if err := e.decodeValues(d, m.Payload, e.Blocks[m.ID]); err != nil {
 			return nil, err
 		}

@@ -236,6 +236,10 @@ type Engine struct {
 	ctx   Ctx
 	event Message
 	free  []*Message
+
+	// region, when non-nil, is where this engine's records are built (see
+	// SetRegion); Exec.Region is its vm half.
+	region *Region
 }
 
 // NewEngine builds an engine for a node managing numBlocks blocks.
@@ -431,9 +435,46 @@ func (e *Engine) Release(m *Message) {
 	e.free = append(e.free, m)
 }
 
-// newMessage returns a record for Send to fill: a released one if there is
-// one, else a new one.
+// Region is a vm.Region that also holds message records: everything an
+// engine builds while the checker expands one state. A nil *Region is the
+// heap. The rule is lifetime, as Release's is ownership: nothing built in a
+// region may be reachable after its next Reset, so whoever resets it (an mc
+// worker, before each decodeInto) must overwrite or abandon every world
+// whose engines build into it, and a world that must outlive the reset is
+// decoded from its key onto the heap, never cloned from one built here —
+// CloneInto hands the region on.
+type Region struct {
+	vm.Region
+	msgs []*Message // records handed out since Reset: msgs[:used]
+	used int
+}
+
+// Reset takes back every record and value the region handed out.
+func (r *Region) Reset() {
+	r.Region.Reset()
+	r.used = 0
+}
+
+// SetRegion makes the engine build its records in r from here on (nil: on
+// the heap). Clones of the engine inherit it.
+func (e *Engine) SetRegion(r *Region) {
+	e.region, e.Exec.Region = r, nil
+	if r != nil {
+		e.Exec.Region = &r.Region
+	}
+}
+
+// newMessage returns a record for the caller to fill: the region's next
+// when the engine has one, else a released one if there is one, else a new
+// one.
 func (e *Engine) newMessage() *Message {
+	if r := e.region; r != nil {
+		if r.used == len(r.msgs) {
+			r.msgs = append(r.msgs, new(Message))
+		}
+		r.used++
+		return r.msgs[r.used-1]
+	}
 	if n := len(e.free); n > 0 {
 		m := e.free[n-1]
 		e.free = e.free[:n-1]
@@ -503,6 +544,20 @@ func (e *Engine) Send(data bool, dst, tag, id vm.Value, payload []vm.Value) erro
 	return nil
 }
 
+// SendTo sends a payload-less message about block id to node dst: what a
+// support routine multicasting to a sharer set calls per member. It is Send
+// without the vm's values — the record comes from where Send's does, Sends
+// is counted in one place, and a sink sees the same Send event and flow id.
+func (e *Engine) SendTo(dst, tag, id int, data bool) {
+	m := e.newMessage()
+	*m = Message{Tag: tag, ID: id, Src: e.Node, Data: data}
+	e.Sends++
+	if e.obs != nil {
+		e.emitSend(m, dst)
+	}
+	e.Machine.Send(e.Node, dst, m)
+}
+
 // SetState implements vm.Host: transition the current block. Every
 // transition (including Suspend's implicit one and self-transitions) makes
 // deferred messages eligible for retry.
@@ -518,8 +573,8 @@ func (e *Engine) Enqueue() error {
 	if m == &e.event {
 		// The scratch record serves the next injected event; the queue
 		// gets a copy of its own.
-		c := e.event
-		m = &c
+		m = e.newMessage()
+		*m = e.event
 	}
 	e.cur.block.Deferred = append(e.cur.block.Deferred, m)
 	e.QueueRecords++
@@ -539,12 +594,8 @@ func (e *Engine) Nack() error {
 			e.msgName(e.cur.msg.Tag))
 	}
 	m := e.newMessage()
-	*m = Message{
-		Tag:     e.nackTag,
-		ID:      e.cur.msg.ID,
-		Src:     e.Node,
-		Payload: []vm.Value{vm.MsgVal(e.cur.msg.Tag)},
-	}
+	*m = Message{Tag: e.nackTag, ID: e.cur.msg.ID, Src: e.Node, Payload: e.Exec.Region.Values(1)}
+	m.Payload[0] = vm.MsgVal(e.cur.msg.Tag)
 	if e.obs != nil {
 		e.obs.Emit(obs.Event{Kind: obs.KindNACK, Node: int32(e.Node), Block: int32(e.cur.block.ID),
 			State: int32(e.cur.block.State.State), Msg: int32(e.cur.msg.Tag), Peer: int32(e.cur.msg.Src)})

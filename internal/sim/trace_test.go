@@ -72,6 +72,27 @@ func TestRunWithObsSink(t *testing.T) {
 	if got := c.Count(obs.KindSend); got != bare.Messages {
 		t.Errorf("Send events = %d, machine counted %d messages", got, bare.Messages)
 	}
+	// A support routine's multicast is a send like any other: on a
+	// workload that invalidates sharers (mp3d; gauss never does) every
+	// message still has its Send event, and every delivery the flow id
+	// that ties it to one.
+	mp := sim.Mp3d(sim.WorkloadSpec{Nodes: nodes, Iters: 2, Seed: 7})
+	mc := obs.NewCollector(0)
+	if st := runStacheObs(t, mp, nodes, mc); mc.Count(obs.KindSend) != st.Messages {
+		t.Errorf("mp3d: Send events = %d, machine counted %d messages", mc.Count(obs.KindSend), st.Messages)
+	}
+	invalidations, invReq := 0, int32(protocols.MustCompile("stache", true).Protocol.MsgIndex("PUT_NO_DATA_REQ"))
+	for _, ev := range mc.Events() {
+		if ev.Kind == obs.KindDeliver && ev.Peer != ev.Node && ev.Flow == 0 {
+			t.Fatalf("mp3d: delivery without a flow id: %+v", ev)
+		}
+		if ev.Kind == obs.KindSend && ev.Msg == invReq {
+			invalidations++
+		}
+	}
+	if invalidations == 0 {
+		t.Error("mp3d sent no invalidation: the workload no longer exercises the support-module send")
+	}
 	var lastTime int64 = -1
 	timed := false
 	for _, ev := range c.Events() {

@@ -97,6 +97,11 @@ type Exec struct {
 	MaxSteps int
 	// Tracer, when non-nil, observes Suspend/Resume/MakeCont.
 	Tracer Tracer
+	// Region is where the records handlers build go (state values with
+	// arguments, continuations that save registers, message payloads); nil
+	// is the heap. CloneInto hands it on: a clone builds where its original
+	// does.
+	Region *Region
 
 	// stack is the register stack: every activation carves its register
 	// file from the top (RunHandler and Resume push a frame and pop it on
@@ -123,12 +128,12 @@ type Exec struct {
 // no handler is executing.
 func (x *Exec) Depth() int { return len(x.stack) }
 
-// CloneInto copies the interpreter's program, options and counters into
-// dst. dst keeps its own register stack, emptied, and its own shared-value
-// tables and argument scratch — none is shared or inherited, since x may be
-// executing, and filling its tables, on its own goroutine — and gets no
-// tracer, which observes one host. The tables describe the program, so they
-// are dropped when dst last ran a different one.
+// CloneInto copies the interpreter's program, options, counters and region
+// into dst. dst keeps its own register stack, emptied, and its own
+// shared-value tables and argument scratch — none is shared or inherited,
+// since x may be executing, and filling its tables, on its own goroutine —
+// and gets no tracer, which observes one host. The tables describe the
+// program, so they are dropped when dst last ran a different one.
 func (x *Exec) CloneInto(dst *Exec) {
 	stack, bare, siteConts, args := dst.stack[:0], dst.bare, dst.siteConts, dst.args[:0]
 	if dst.Prog != x.Prog || dst.ConstCont != x.ConstCont {
@@ -278,11 +283,11 @@ func (x *Exec) run(h Host, f *ir.Func, pc int, regs []Value, base int) error {
 				regs[in.Dst] = StateValue(x.BareState(in.Idx))
 				break
 			}
-			args := make([]Value, len(in.Args))
+			args := x.Region.Values(len(in.Args))
 			for i, r := range in.Args {
 				args[i] = regs[r]
 			}
-			regs[in.Dst] = StateValue(&StateVal{State: in.Idx, Args: args})
+			regs[in.Dst] = StateValue(x.Region.NewState(in.Idx, args))
 		case ir.OpMakeCont:
 			regs[in.Dst] = x.makeCont(f, in, regs)
 		case ir.OpSuspend:
@@ -396,11 +401,11 @@ func (x *Exec) makeCont(f *ir.Func, in *ir.Instr, regs []Value) Value {
 	if len(in.Args) == 0 {
 		c = x.SiteCont(site)
 	} else {
-		saved := make([]Value, len(in.Args))
+		saved := x.Region.Values(len(in.Args))
 		for i, r := range in.Args {
 			saved[i] = regs[r]
 		}
-		c = &Cont{Fn: f, Frag: in.Idx, Saved: saved, Site: site, Heap: heap}
+		c = x.Region.NewCont(Cont{Fn: f, Frag: in.Idx, Saved: saved, Site: site, Heap: heap})
 	}
 	if x.Tracer != nil {
 		x.Tracer.TraceContAlloc(c)
@@ -466,9 +471,9 @@ func (x *Exec) callOp(h Host, f *ir.Func, in *ir.Instr, regs []Value) error {
 		}
 		return nil
 	case sema.BSend, sema.BSendData:
-		payload := make([]Value, 0, len(in.Args)-3)
-		for _, r := range in.Args[3:] {
-			payload = append(payload, regs[r])
+		payload := x.Region.Values(len(in.Args) - 3)
+		for i, r := range in.Args[3:] {
+			payload[i] = regs[r]
 		}
 		return h.Send(in.Fn.Builtin == sema.BSendData, regs[in.Args[0]], regs[in.Args[1]], regs[in.Args[2]], payload)
 	case sema.BSetState:

@@ -372,3 +372,55 @@ func TestValueStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRegion: what a region hands out stays where it is and keeps what was
+// put there until Reset, however many chunks later runs spill into; after
+// Reset the same storage is handed out again; and a nil region is the heap.
+func TestRegion(t *testing.T) {
+	for _, r := range []*vm.Region{nil, new(vm.Region)} {
+		var runs [][]vm.Value
+		var states []*vm.StateVal
+		var conts []*vm.Cont
+		for n := 1; n <= 200; n++ { // 20,100 values: several doublings of a 32-value chunk
+			run := r.Values(n)
+			if len(run) != n || cap(run) != n {
+				t.Fatalf("Values(%d): len %d cap %d", n, len(run), cap(run))
+			}
+			for i := range run {
+				run[i] = vm.IntVal(int64(n*1000 + i))
+			}
+			runs = append(runs, run)
+			states = append(states, r.NewState(n, run))
+			conts = append(conts, r.NewCont(vm.Cont{Site: n, Saved: run}))
+		}
+		for k, run := range runs {
+			n := k + 1
+			for i, v := range run {
+				if v.Int != int64(n*1000+i) {
+					t.Fatalf("region %v: run %d value %d overwritten: %v", r != nil, n, i, v)
+				}
+			}
+			if states[k].State != n || &states[k].Args[0] != &run[0] || conts[k].Site != n || &conts[k].Saved[0] != &run[0] {
+				t.Fatalf("region %v: record %d does not hold what it was built with", r != nil, n)
+			}
+		}
+		if r == nil {
+			continue
+		}
+		first := &runs[0][0]
+		r.Reset()
+		if again := r.Values(1); &again[0] != first {
+			t.Error("Reset did not hand the first chunk out again")
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			r.Reset()
+			for n := 1; n <= 200; n++ {
+				r.NewState(n, r.Values(n))
+				r.NewCont(vm.Cont{Site: n})
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a warmed region allocated %.0f times for the load it was warmed with", allocs)
+		}
+	}
+}

@@ -23,15 +23,16 @@ go test -race ./...
 # -fuzz takes one target and one package; a new input is minimized for ten
 # executions, not a minute). A crasher stops the script and is left in the
 # package's testdata/fuzz/, where the gate at the end would catch it too.
-for target in FuzzParse:litmus FuzzLoad:fuzz FuzzCompile:core; do
+for target in FuzzParse:litmus FuzzLoad:fuzz FuzzCompile:core FuzzDecodeState:runtime; do
   go test -run '^$' -fuzz "${target%%:*}" -fuzztime 5s -fuzzminimizetime 10x "./internal/${target##*:}"
 done
 # Not under -race. The allocation contracts (canonicalize: 0 over warmed
-# scratch; Snapshot: the returned string only; mc.Check: at most 6.5 per
-# transition; the visited store: 0 per claim of a seen key, under N/100 to
-# insert N states; a delivery into a warmed engine: 0, support call, send
-# and all, register stack empty afterwards; a whole simulated run: at most
-# 2 per message), which -race perturbs by allocating on its own account;
+# scratch; Snapshot: the returned string only; mc.Check: at most 0.1 per
+# transition a larger exploration adds — regions, not the heap, hold what
+# expanding a state builds; the visited store: 0 per claim of a seen key,
+# under N/100 to insert N states; a delivery into a warmed engine: 0, support
+# call, send and all, register stack empty afterwards; a whole simulated run:
+# at most 2 per message), which -race perturbs by allocating on its own account;
 # and the TestExitStatus rows that skip under it for taking seconds (the
 # 3-node drop envelope, the 4-node cut at 200 000 states).
 go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestExitStatus' ./internal/mc/ ./internal/runtime/ .
