@@ -119,8 +119,16 @@ func TestExitStatus(t *testing.T) {
 		{args: "verify -proto lcm", status: 0, stdout: "verified: no deadlock, no unexpected messages, coherence not checked", absent: "coherence holds"},
 		{args: "verify -proto stache -progress=always", status: 0, stderr: "mc: depth 0  frontier 2  states 3"},
 		{args: "verify -proto stache -nodes 3 -symmetry=on", status: 0, stdout: "symmetry /2"},
-		{args: "verify -proto stache-buggy", status: 1, stdout: "VIOLATION deadlock"},
-		{args: "verify -proto stache -net drop=1", status: 1, stdout: "VIOLATION deadlock"},
+		// A deadlock says what each stalled block waits for: the messages
+		// its state handles, and the drops of messages about it.
+		{args: "verify -proto stache-buggy", status: 1, stdout: "VIOLATION deadlock" +
+			" … node 0 block 0 in Home_AwaitInvAcks handles PUT_NO_DATA_RESP, EVICT_RO_REQ\n" +
+			" … node 1 block 0 in Cache_RO_To_RW handles GET_RW_RESP, UPGRADE_ACK\n"},
+		{args: "verify -proto stache -net drop=1", status: 1, stdout: "VIOLATION deadlock" +
+			" … node 1 block 0 in Cache_Inv_To_RO handles GET_RO_RESP, PUT_NO_DATA_REQ; GET_RO_REQ 1->0 lost at step 2\n"},
+		// A value is read whole: read as far as it parses, drop=0x10 would
+		// explore a perfect network and verify.
+		{args: "verify -proto stache -net drop=0x10", status: 2, stderr: `invalid value "drop=0x10" for flag -net: netmodel: bad value "0x10" for drop`},
 		{args: "verify -proto stache -nodes 6 -blocks 6 -max-states 100", status: 1, stdout: "VIOLATION state-limit"},
 		{args: "verify -net drip=1", status: 2, stderr: `invalid value "drip=1" for flag -net: netmodel: unknown key "drip"`},
 		{args: "verify -nope", status: 2, stderr: "flag provided but not defined: -nope"},

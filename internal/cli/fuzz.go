@@ -171,7 +171,7 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 			if err := mc.DiffReplay(f.Spec().MCConfig(), mcres.Violation.Steps); err != nil {
 				return fmt.Errorf("differential replay of checker counterexample: %w", err)
 			}
-			fmt.Fprintln(stdout, "mc-confirm: counterexample replays straight-line and through the checker's decode/clone/encode path with per-step state agreement")
+			fmt.Fprintln(stdout, "mc-confirm: counterexample replays straight-line and through the checker's decode/derive/encode path with per-step state agreement")
 		}
 	}
 	return errNegative

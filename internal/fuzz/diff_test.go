@@ -9,7 +9,7 @@ import (
 
 // TestDiffReplayCounterexamples runs mc.DiffReplay on the counterexample
 // of every bundled buggy fixture and of the documented dup=2 edge of
-// stache-ft: straight-line replay and the checker's own decode → clone →
+// stache-ft: straight-line replay and the checker's own decode → derive →
 // apply → encode path must agree on the canonical state after every step.
 func TestDiffReplayCounterexamples(t *testing.T) {
 	for _, tc := range []struct {

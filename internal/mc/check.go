@@ -19,10 +19,10 @@ import (
 // which preserves the BFS invariant (counterexample traces are
 // shortest-path) and makes every reported figure deterministic. Expanding a
 // state decodes its canonical encoding exactly once, into a world its
-// worker keeps for the whole run; each successor is a structural clone into
-// the worker's one scratch world plus one action (the final action is
-// applied to the decoded world in place), never a re-decode and never a new
-// World (see worker). Violations found while a
+// worker keeps for the whole run; each successor is derived into the
+// worker's one scratch world — re-decoding only the engine its action runs
+// on — plus one action (the final action is applied to the decoded world in
+// place), never a new World (see worker). Violations found while a
 // layer expands are collected, the layer is finished, and the one the
 // sequential scan would have hit first — smallest (frontier position,
 // action ordinal) — is reported, with its trace re-derived by replaying the
@@ -157,7 +157,7 @@ func (o *layerOut) take(c *candidate) {
 // worker is everything one expanding goroutine reuses from state to state
 // for the whole of a Check, so that expanding a state allocates nothing: the
 // parent world every state is decoded into (decodeInto), the scratch world
-// every successor but a state's last is cloned into (cloneInto), the region
+// every successor but a state's last is derived into (derive), the region
 // every record of either is built in (see decode), the action buffer, and
 // the key buffers. Reuse is sound because each of them is dead before it is
 // overwritten: a successor is finished with once its key is claimed (claim
@@ -251,10 +251,10 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 }
 
 // expandState decodes one state (once) into the worker's parent world,
-// enumerates its actions, and claims every successor, deriving each from a
-// clone of the parent into the worker's scratch world — the last from the
-// parent itself. A clone copies only the engine its action runs on and
-// reads the parent's other engines (see World.cloneInto). With symmetry
+// enumerates its actions, and claims every successor, deriving each into
+// the worker's scratch world — the last from the parent itself. A derived
+// successor decodes only the engine its action runs on and reads the
+// parent's other engines (see World.derive). With symmetry
 // reduction active every successor is canonicalized before the claim, so
 // the visited table (and its per-shard balance statistics) sees only
 // post-canonicalization keys.
@@ -275,12 +275,16 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 	wk.acts = w.appendActions(wk.acts[:0])
 	if len(wk.acts) == 0 {
 		if w.anyStalled() && w.networkEmpty() {
-			wk.take(&candidate{kind: "deadlock", msg: describeStall(w), pos: pos, ord: -1})
+			// Described by buildViolation, from the world its trace reaches.
+			wk.take(&candidate{kind: "deadlock", pos: pos, ord: -1})
 		}
 		return nil
 	}
 	for i, a := range wk.acts {
-		wa := w.branch(a, i == len(wk.acts)-1, wk.cov, wk.succ)
+		wa, err := w.branch(a, i == len(wk.acts)-1, wk.cov, wk.succ)
+		if err != nil {
+			return fmt.Errorf("mc: decode: %w", err)
+		}
 		wk.transitions++
 		if err := wa.apply(a); err != nil {
 			wk.take(&candidate{kind: "protocol-error", msg: err.Error(), pos: pos, ord: int32(i)})
@@ -312,9 +316,10 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 // a barrier appends to them.
 func (wk *worker) decode(cfg *Config, key []byte) (*World, error) {
 	if wk.parent == nil {
-		wk.parent, wk.succ = newWorld(cfg), &World{cfg: cfg}
-		for _, e := range wk.parent.owned {
-			e.SetRegion(&wk.region)
+		wk.parent, wk.succ = newWorld(cfg), newWorld(cfg)
+		for n := range wk.parent.owned {
+			wk.parent.owned[n].SetRegion(&wk.region)
+			wk.succ.owned[n].SetRegion(&wk.region)
 		}
 	}
 	wk.region.Reset()
@@ -326,17 +331,19 @@ func (wk *worker) decode(cfg *Config, key []byte) (*World, error) {
 }
 
 // branch returns the world action a is to be applied to: w itself for the
-// state's last action, otherwise scratch overwritten with a copy of w that
-// clones only the engine a runs on (see World.cloneInto). With cov set, the
-// action's coverage is wired up: handler-level coverage flows from the
-// event stream of that one engine (the others may be shared with w and are
-// left alone), and the two fault actions no event kind exists for
-// (reordered deliveries, corrupt bounces) are recorded at the action level.
-func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) *World {
+// state's last action, otherwise scratch derived from w for the engine a
+// runs on (see World.derive). With cov set, the action's coverage is wired
+// up: handler-level coverage flows from the event stream of that one engine
+// (the others may be shared with w and are left alone), and the two fault
+// actions no event kind exists for (reordered deliveries, corrupt bounces)
+// are recorded at the action level.
+func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) (*World, error) {
 	wa := w
 	if !last {
 		wa = scratch
-		w.cloneInto(wa, a.engine())
+		if err := w.derive(wa, a.engine()); err != nil {
+			return nil, err
+		}
 	}
 	if cov != nil {
 		wa.obsSink = cov
@@ -354,7 +361,7 @@ func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) *
 				int32(wa.channels[a.from*w.cfg.Nodes+a.to][a.idx].Tag))
 		}
 	}
-	return wa
+	return wa, nil
 }
 
 // buildViolation re-derives the counterexample trace for the selected
@@ -425,11 +432,11 @@ func buildViolation(cfg *Config, vt *visitedTable, red *reduction, layer []int32
 		machineSteps = append(machineSteps, w.step(a))
 		if final {
 			if red != nil {
-				// Re-derive the violation message in original coordinates.
-				wf := w.clone()
-				if err := wf.apply(a); err != nil {
+				// Re-derive the violation message in original coordinates;
+				// w is not read again.
+				if err := w.apply(a); err != nil {
 					msg = err.Error()
-				} else if im := wf.checkInvariants(); im != "" {
+				} else if im := w.checkInvariants(); im != "" {
 					msg = im
 				}
 			}
@@ -442,14 +449,45 @@ func buildViolation(cfg *Config, vt *visitedTable, red *reduction, layer []int32
 			g = compose(red.group[vt.recs[chain[n+1]].perm], g)
 		}
 	}
-	if c.kind == "deadlock" && red != nil {
-		// Deadlocks are a property of the final state; re-describe the
-		// stall against the original-coordinate world. (Litmus terminal
-		// judgments are also ord -1 but carry their own message — and never
-		// coexist with reduction, which refuses scripted clients.)
-		msg = describeStall(w)
+	var waits []string
+	if c.kind == "deadlock" {
+		// A property of the final state, described against the
+		// original-coordinate world the trace reaches. (Litmus terminal
+		// judgments are also ord -1 but carry their own message.)
+		msg, waits = describeStall(w), waitsFor(w, machineSteps)
 	}
-	return &Violation{Kind: c.kind, Msg: msg, Trace: trace, Steps: machineSteps}, nil
+	return &Violation{Kind: c.kind, Msg: msg, Waits: waits, Trace: trace, Steps: machineSteps}, nil
+}
+
+// waitsFor explains a deadlock in w, reached by steps: one line per stalled
+// (node, block) naming the state the block sits in, the messages that state
+// has handlers for — a Teapot state is a guard, so they are what it waits
+// for (a DEFAULT handler is not named) — and the trace's drops of messages
+// about the block to or from the node.
+func waitsFor(w *World, steps []Step) []string {
+	var out []string
+	for n, b := range w.stalled {
+		if b < 0 {
+			continue
+		}
+		st := w.engines[n].Blocks[b].State.State
+		var handles []string
+		for tag, f := range w.cfg.Proto.IR.HandlerFunc[st] {
+			if f != nil {
+				handles = append(handles, w.msgName(tag))
+			}
+		}
+		line := fmt.Sprintf("node %d block %d in %s handles %s", n, b, w.StateName(n, b), strings.Join(handles, ", "))
+		sep := "; "
+		for i, s := range steps {
+			if s.Kind == "drop" && s.Block == b && (s.From == n || s.To == n) {
+				line += fmt.Sprintf("%s%s %d->%d lost at step %d", sep, s.Msg, s.From, s.To, i+1)
+				sep = ", "
+			}
+		}
+		out = append(out, line)
+	}
+	return out
 }
 
 // describeStall renders a deadlock. When messages were dropped on the path

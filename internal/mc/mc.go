@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -232,8 +233,8 @@ type Result struct {
 	// mark for per-layer memory.
 	PeakFrontier int
 	// Decodes counts full state decodes — exactly one per expanded state
-	// (successors are derived by cloning, not re-decoding), each into the
-	// world its worker keeps.
+	// (a successor re-decodes only the segments its action touches), each
+	// into the world its worker keeps.
 	Decodes int64
 	// KeyBytes is the total length of the successor keys built, one per
 	// transition that reached a state. KeyBytesEncoded is how many bytes
@@ -258,8 +259,11 @@ type Result struct {
 // state (the paper: "Murphi produces a trace of events leading to the
 // erroneous state").
 type Violation struct {
-	Kind  string
-	Msg   string
+	Kind string
+	Msg  string
+	// Waits explains a deadlock: one line per stalled (node, block), saying
+	// what the block waits for (see waitsFor). Empty for other kinds.
+	Waits []string
 	Trace []string
 	// Steps is the same trace in machine-readable form, replayable with
 	// ReplaySteps. Its final entry is the violating transition itself
@@ -271,6 +275,9 @@ type Violation struct {
 func (v *Violation) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n", v.Kind, v.Msg)
+	for _, w := range v.Waits {
+		fmt.Fprintf(&b, "  %s\n", w)
+	}
 	for i, step := range v.Trace {
 		fmt.Fprintf(&b, "  %2d. %s\n", i+1, step)
 	}
@@ -283,7 +290,7 @@ type World struct {
 	cfg *Config
 	// engines[n] is the engine the world reads node n through; owned[n] is
 	// the engine the world may run and overwrite. They are the same engine
-	// except in a successor from cloneInto, whose engines point at its
+	// except in a successor from derive, whose engines point at its
 	// parent's for every node but the one its action runs on.
 	engines  []*runtime.Engine
 	owned    []*runtime.Engine
@@ -312,8 +319,8 @@ type World struct {
 
 	// obsSink, when non-nil, receives the world's fault events (Drop/Dup,
 	// in the simulator's emission shape) and is attached to every engine.
-	// Set from Config.Obs for replay worlds, or per-clone by the checker's
-	// coverage accounting. Never part of the canonical encoding.
+	// Set from Config.Obs for replay worlds, or per successor by the
+	// checker's coverage accounting. Never part of the canonical encoding.
 	obsSink obs.Sink
 
 	sendErr error
@@ -321,10 +328,11 @@ type World struct {
 	dec runtime.Decoder // decodeInto's reader, kept here so it is not allocated per state
 
 	// src is the key decodeInto last read this world from — or, in a
-	// successor from cloneInto, its parent's — and segEnds[k] where segment
-	// k ends in it: engine k for k < Nodes, then channel k-Nodes. It lets the
-	// key of a successor copy what its action did not touch (see encodeTo).
-	// src is read in place: it must not move while a successor is keyed.
+	// successor from derive, its parent's — and segEnds[k] where segment
+	// k ends in it: engine k for k < Nodes, then channel k-Nodes. A successor
+	// is derived from the segments its action touches, and its key copies the
+	// others (see encodeTo). src is read in place: it must not move while a
+	// state's successors are derived and keyed.
 	src     []byte
 	segEnds []int
 }
@@ -504,7 +512,7 @@ func (w *World) encode() (string, error) {
 // completed encoding is strictly smaller than bound.
 //
 // A non-nil via (plain encoding only) says w is the world w.src was decoded
-// into, or a cloneInto of it, with via applied and nothing else: the
+// into, or derived from it, with via applied and nothing else: the
 // segments of src that via cannot have touched (action.touches) are copied
 // instead of encoded. Which those are is a function of the action — there
 // are no dirty flags to forget to set. copied is how many bytes that saved.
@@ -636,16 +644,10 @@ func (cfg *Config) decodeInto(w *World, key []byte) error {
 		w.segEnds = append(w.segEnds, d.Pos())
 	}
 	for ch := range w.channels {
-		n := d.Count()
-		msgs := w.channels[ch][:0]
-		for i := 0; i < n; i++ {
-			m, err := w.engines[ch%cfg.Nodes].DecodeMessage(d)
-			if err != nil {
-				return err
-			}
-			msgs = append(msgs, m)
+		var err error
+		if w.channels[ch], err = decodeChannel(d, w.engines[ch%cfg.Nodes], w.channels[ch]); err != nil {
+			return err
 		}
-		w.channels[ch] = msgs
 		w.segEnds = append(w.segEnds, d.Pos())
 	}
 	for i := range w.access {
@@ -863,7 +865,7 @@ func (w *World) timeoutEnabled(node, block int) bool {
 }
 
 // removeAt pops the message at idx from a channel, in place: a world's
-// channel arrays are its own (decodeInto and cloneInto fill them, neither
+// channel arrays are its own (decodeInto and derive fill them, neither
 // aliases another world's).
 func (w *World) removeAt(ch, idx int) *runtime.Message {
 	msgs := w.channels[ch]
@@ -890,16 +892,14 @@ func (w *World) apply(a action) error {
 	case actDup:
 		ch := a.from*w.cfg.Nodes + a.to
 		m := w.channels[ch][a.idx]
-		cm := w.engines[ch%w.cfg.Nodes].CloneMessage(m)
-		// The copy goes immediately behind the original: duplication alone
-		// must not reorder the channel. Appending at the tail instead would
-		// let the copy arrive behind arbitrarily many later messages —
-		// unbounded reordering smuggled in through the dup budget, which no
-		// protocol without per-message epochs can survive. Combining dup
-		// with a reorder credit still lets the copy drift that far.
-		w.channels[ch] = append(w.channels[ch], nil)
-		copy(w.channels[ch][a.idx+2:], w.channels[ch][a.idx+1:])
-		w.channels[ch][a.idx+1] = cm
+		// The copy is the same record (messages are immutable), and it goes
+		// immediately behind the original: duplication alone must not
+		// reorder the channel. Appending at the tail instead would let the
+		// copy arrive behind arbitrarily many later messages — unbounded
+		// reordering smuggled in through the dup budget, which no protocol
+		// without per-message epochs can survive. Combining dup with a
+		// reorder credit still lets the copy drift that far.
+		w.channels[ch] = slices.Insert(w.channels[ch], a.idx+1, m)
 		w.emitFault(obs.KindDup, a.from, a.to, m)
 		w.dups++
 		return nil
@@ -1031,85 +1031,86 @@ func (a *action) touches(seg, nodes int) bool {
 	return from == e
 }
 
-// Engine selectors for cloneInto beside a node index.
-const (
-	noEngine   = -1
-	allEngines = -2
-)
+// noEngine is action.engine's answer for the network faults.
+const noEngine = -1
 
-// clone returns a deep copy of the world that can be mutated independently:
-// cloneInto a new world, every engine copied.
-func (w *World) clone() *World {
-	nw := &World{cfg: w.cfg}
-	w.cloneInto(nw, allEngines)
-	return nw
+// segment returns key segment k of w.src (see World.src).
+func (w *World) segment(k int) []byte {
+	start := 0
+	if k > 0 {
+		start = w.segEnds[k-1]
+	}
+	return w.src[start:w.segEnds[k]]
 }
 
-// cloneInto overwrites dst — a new world, or one of this configuration to
-// reuse — with a copy of w on which one action may be applied. Immutable
-// structure (messages, state values, continuation records) is shared;
-// everything a world mutates (channels, access, stalled, budgets, the
-// client plane) is copied into the arrays dst already has, so neither side
-// ever appends into the other's. Nothing dst held before survives: its
-// sink and send error are cleared along with the copied engine's.
-//
-// Only the engine the action runs on (touch: a node, noEngine, or
-// allEngines for the full deep copy clone promises) is copied, into dst's
-// own engine for that node, and bound to dst; for the others dst reads w's
-// engines, shared read-only. That is sound because applying an action
-// executes handlers on that one engine alone — everything else an action
-// changes lives in the World and is copied here — and because the parent
-// stays untouched until its last successor has been encoded and dropped
-// (expandState applies the final action to the parent itself). A shared
-// engine still calls back into the parent world if run, so a world from
-// cloneInto(dst, node) must never execute any other node's engine.
-func (w *World) cloneInto(dst *World, touch int) {
-	dst.access = append(dst.access[:0], w.access...)
-	dst.stalled = append(dst.stalled[:0], w.stalled...)
+// derive overwrites dst — a world newWorld built for this configuration,
+// whatever it last held — with the state w.src encodes, ready for one action
+// that runs handlers on engine touch (a node, or noEngine). w must be the
+// world w.src was decoded into, untouched since. The tail (access, stalled,
+// budgets, the client plane) is copied into dst's own arrays, and so are the
+// channels, whose messages are immutable and shared. Engine touch alone is
+// decoded from its segment into dst's own engine for that node, which is
+// bound to dst, and the channels into it are decoded with it, so nothing it
+// runs can reach a record of w; for every other node dst reads w's engine,
+// shared read-only. That is sound because applying an action executes
+// handlers on that one engine alone, and because the parent stays untouched
+// until its last successor has been keyed (expandState applies the final
+// action to the parent itself). A shared engine calls back into w if run, so
+// a world derived for one node must never execute another's engine.
+func (w *World) derive(dst *World, touch int) error {
+	copy(dst.access, w.access)
+	copy(dst.stalled, w.stalled)
 	dst.drops, dst.dups, dst.corrupts = w.drops, w.dups, w.corrupts
 	dst.obsSink, dst.sendErr = nil, nil
 	dst.src, dst.segEnds = w.src, w.segEnds
 	if w.pcs != nil {
-		dst.pcs = append(dst.pcs[:0], w.pcs...)
-		dst.cver = append(dst.cver[:0], w.cver...)
-		dst.cmem = append(dst.cmem[:0], w.cmem...)
-		if dst.regs == nil {
-			dst.regs = make([][]int64, len(w.regs))
-		}
+		copy(dst.pcs, w.pcs)
+		copy(dst.cver, w.cver)
+		copy(dst.cmem, w.cmem)
 		for n, r := range w.regs {
 			dst.regs[n] = append(dst.regs[n][:0], r...)
 		}
 	}
-	if dst.owned == nil {
-		dst.owned = make([]*runtime.Engine, len(w.engines))
-		dst.engines = make([]*runtime.Engine, len(w.engines))
-		dst.channels = make([][]*runtime.Message, len(w.channels))
-	}
-	for i, e := range w.engines {
-		if touch != allEngines && touch != i {
-			dst.engines[i] = e
-			continue
-		}
-		if dst.owned[i] == nil {
-			dst.owned[i] = new(runtime.Engine)
-		}
-		e.CloneInto(dst.owned[i], dst)
-		dst.engines[i] = dst.owned[i]
-	}
+	copy(dst.engines, w.engines)
+	nodes := w.cfg.Nodes
 	for ch, msgs := range w.channels {
-		eng := dst.engines[ch%w.cfg.Nodes]
-		if eng == w.engines[ch%w.cfg.Nodes] {
-			// Bound for a shared engine: nothing in this world will deliver
-			// these messages, so they need no rebinding.
+		if ch%nodes != touch {
 			dst.channels[ch] = append(dst.channels[ch][:0], msgs...)
-			continue
 		}
-		out := dst.channels[ch][:0]
-		for _, m := range msgs {
-			out = append(out, eng.CloneMessage(m))
-		}
-		dst.channels[ch] = out
 	}
+	if touch == noEngine {
+		return nil
+	}
+	e, d := dst.owned[touch], &dst.dec
+	e.SetObs(nil)
+	dst.engines[touch] = e
+	d.Reset(w.segment(touch))
+	if err := e.DecodeState(d); err != nil {
+		return err
+	}
+	for from := 0; from < nodes; from++ {
+		ch := from*nodes + touch
+		d.Reset(w.segment(nodes + ch))
+		var err error
+		if dst.channels[ch], err = decodeChannel(d, e, dst.channels[ch]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeChannel reads one channel's messages, built by the engine they are
+// bound for, into the array of msgs.
+func decodeChannel(d *runtime.Decoder, e *runtime.Engine, msgs []*runtime.Message) ([]*runtime.Message, error) {
+	msgs = msgs[:0]
+	for n := d.Count(); n > 0; n-- {
+		m, err := e.DecodeMessage(d)
+		if err != nil {
+			return msgs, err
+		}
+		msgs = append(msgs, m)
+	}
+	return msgs, d.Err()
 }
 
 // InitialWorld builds the machine's initial state (exported for benchmarks
@@ -1133,8 +1134,12 @@ func (cfg *Config) Restore(key string) (*World, error) {
 	return w, nil
 }
 
-// Clone returns a deep copy of the world, sharing nothing mutable with it
-// (the checker's own successors are the same walk into a reused world that
-// copies one engine; see cloneInto). Cloning cannot fail: the error is always
-// nil, and the result is there for the benchmark harness, which reads it.
-func (w *World) Clone() (*World, error) { return w.clone(), nil }
+// Clone returns an independent copy of the world: Restore of its Snapshot,
+// so it fails where Snapshot does.
+func (w *World) Clone() (*World, error) {
+	key, err := w.encode()
+	if err != nil {
+		return nil, err
+	}
+	return w.cfg.decode(key)
+}

@@ -197,8 +197,9 @@ func TestWiderEnvelope(t *testing.T) {
 	}
 }
 
-// TestDecodesPerState asserts the clone-not-decode contract: a clean run
-// decodes every visited state exactly once (the seed checker decoded once
+// TestDecodesPerState asserts the one-full-decode contract: a clean run
+// decodes every visited state exactly once (a successor re-decodes only the
+// segments its action touches; the seed checker decoded the whole state once
 // per enabled action on top of once per state).
 func TestDecodesPerState(t *testing.T) {
 	res, err := mc.Check(stacheConfig(t, 2, 1, 1))

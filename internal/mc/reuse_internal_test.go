@@ -132,19 +132,27 @@ func CheckDecodeIntoDirtyWorld(t *testing.T, cfg Config, seed int64, walks, step
 			t.Fatalf("reused world enables %v, a fresh decode %v", acts, want)
 		}
 		for _, a := range acts {
-			ws := w.clone()
-			fs := fresh.clone()
-			errW, errF := ws.apply(a), fs.apply(a)
+			// The reused world is decoded over again, left as the previous
+			// action left it; the fresh one is new each time.
+			what := fresh.describe(a)
+			if err := cfg.decodeInto(w, []byte(key)); err != nil {
+				t.Fatalf("decodeInto: %v", err)
+			}
+			fs, err := cfg.decode(key)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			errW, errF := w.apply(a), fs.apply(a)
 			if (errW == nil) != (errF == nil) {
-				t.Fatalf("%s: reused world error %v, fresh world error %v", w.describe(a), errW, errF)
+				t.Fatalf("%s: reused world error %v, fresh world error %v", what, errW, errF)
 			}
 			if errW != nil {
 				continue
 			}
-			kw, _ := ws.encode()
+			kw, _ := w.encode()
 			kf, _ := fs.encode()
 			if kw != kf {
-				t.Fatalf("%s: reused and fresh worlds reach different states", w.describe(a))
+				t.Fatalf("%s: reused and fresh worlds reach different states", what)
 			}
 		}
 	}
@@ -156,23 +164,37 @@ func CheckDecodeIntoDirtyWorld(t *testing.T, cfg Config, seed int64, walks, step
 	return stats
 }
 
-// CheckExpandMatchesReference is the differential test of the two things a
-// worker does that a textbook expansion does not: it builds every record of
-// a decoded world and its successors in a region it resets per state, and it
-// makes a successor's key by copying from its parent's the segments the
-// action cannot have touched. For every state cfg reaches, the worker path —
-// one worker reused from state to state, decode (region reset, decodeInto),
-// branch, apply, key with the action — must yield, action by action, the
-// same error or the byte-identical key and permutation index as the
-// reference: cfg.decode into a new heap world, clone() per action, a full
-// encode (and canonicalization) that is told of no action. It returns how
-// many states and successors it compared.
+// ExpandStats counts what CheckExpandMatchesReference compared.
+type ExpandStats struct {
+	States, Succs int
+	// Failed counts actions whose apply failed, and AfterFailed the
+	// successors derived into the scratch world right after an apply on it
+	// failed (a handler abandoned mid-run).
+	Failed, AfterFailed int
+}
+
+// CheckExpandMatchesReference is the differential test of what a worker
+// does that a textbook expansion does not: it builds every record of a
+// decoded world and its successors in a region it resets per state, it
+// derives every successor but a state's last into one scratch world by
+// decoding only the engine the action runs on and sharing the parent's
+// others, and it makes a successor's key by copying from its parent's the
+// segments the action cannot have touched. For every state cfg reaches, the
+// worker path — one worker reused from state to state, decode (region
+// reset, decodeInto), branch (wired to a coverage sink when withCoverage is
+// set), apply, key with the action — must yield, action by action, the same
+// error or the byte-identical key and permutation index as the reference: a
+// new heap world decoded from the parent's key for that action alone, and a
+// full encode (and canonicalization) that is told of no action. And after
+// every derived successor the parent must still encode to its key.
 //
 // Mutations that must each fail it (tried when it was written): the
 // region reset moved after decodeInto in worker.decode (the decoded state
 // is overwritten by what the successors build); action.touches answering
-// false for the engine the action ran on (its stale segment is copied).
-func CheckExpandMatchesReference(t *testing.T, cfg Config) (states, succs int) {
+// false for the engine the action ran on (its stale segment is copied); the
+// scratch world's engines bound to the parent world instead of the
+// successor (what a derived engine sends lands in the parent).
+func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) ExpandStats {
 	t.Helper()
 	cfg.Workers = 1
 	vt := newVisited()
@@ -187,13 +209,19 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config) (states, succs int) {
 		t.Fatal(err)
 	}
 	var wk worker
+	if withCoverage {
+		wk.cov = obs.NewCoverage()
+	}
 	var ref keyScratch
+	st := ExpandStats{States: vt.states()}
+	lastFailed := false
 	for idx := int32(0); idx < int32(vt.states()); idx++ {
+		key := string(vt.key(idx))
 		w, err := wk.decode(&cfg, vt.key(idx))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := cfg.decode(string(vt.key(idx)))
+		fresh, err := cfg.decode(key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,12 +231,29 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config) (states, succs int) {
 		}
 		for i, a := range wk.acts {
 			what := fresh.describe(a)
-			wa, fs := w.branch(a, i == len(wk.acts)-1, nil, wk.succ), fresh.clone()
+			wa, err := w.branch(a, i == len(wk.acts)-1, wk.cov, wk.succ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := cfg.decode(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wa == wk.succ && lastFailed {
+				st.AfterFailed++
+			}
 			errW, errF := wa.apply(a), fs.apply(a)
+			if wa == wk.succ {
+				lastFailed = errW != nil
+				if got, err := w.encode(); err != nil || got != key {
+					t.Fatalf("state %d, %s: deriving and applying the successor changed its parent (err %v)", idx, what, err)
+				}
+			}
 			if errW != nil || errF != nil {
 				if errW == nil || errF == nil || errW.Error() != errF.Error() {
 					t.Fatalf("state %d, %s: worker error %v, reference error %v", idx, what, errW, errF)
 				}
+				st.Failed++
 				continue
 			}
 			got, gotPerm, err := wk.keys.key(wa, red, &wk.acts[i])
@@ -223,8 +268,8 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config) (states, succs int) {
 				t.Fatalf("state %d, %s: worker key (%d bytes, perm %d) differs from the reference's (%d bytes, perm %d)",
 					idx, what, len(got), gotPerm, len(want), wantPerm)
 			}
-			succs++
+			st.Succs++
 		}
 	}
-	return vt.states(), succs
+	return st
 }

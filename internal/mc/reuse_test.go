@@ -110,7 +110,11 @@ func corruptConfig(t testing.TB) mc.Config {
 // TestExpandMatchesReference: see mc.CheckExpandMatchesReference. The shapes
 // are the reuse shapes at the sizes Table 3's fault sweep checks them, three
 // nodes so that the symmetry group is not trivial (a two-node machine has
-// one non-home node and nothing to permute), and corruptConfig.
+// one non-home node and nothing to permute), lcm at three nodes, corruptConfig,
+// and base Stache under a duplicate it has no tolerance for, whose handlers
+// fail — so the scratch world is also derived into right after an action
+// abandoned it mid-handler. Each runs with symmetry off and auto, and once
+// more with coverage sinks wired to every successor.
 func TestExpandMatchesReference(t *testing.T) {
 	shapes := []struct {
 		reuseShape
@@ -119,18 +123,28 @@ func TestExpandMatchesReference(t *testing.T) {
 		{reuseShape{"stache-ft-2n-drop2-dup1", namedConfig("stache-ft", 2, 1, netmodel.Model{MaxDrops: 2, MaxDups: 1})}, 8021},
 		{reuseShape{"stache-ft-3n", namedConfig("stache-ft", 3, 1, netmodel.Model{})}, 3136},
 		{reuseShape{"lcm-2n-reorder", namedConfig("lcm", 2, 1, netmodel.Model{Reorder: 1})}, 399},
+		{reuseShape{"lcm-3n", namedConfig("lcm", 3, 1, netmodel.Model{})}, 7216},
 		{reuseShape{"litmus-sb-cas", litmusConfig}, 123},
 		{reuseShape{"stache-nack-3n-corrupt", corruptConfig}, 25},
+		{reuseShape{"stache-2n-dup", namedConfig("stache", 2, 1, netmodel.Model{MaxDups: 1})}, 65},
 	}
+	legs := []struct {
+		name     string
+		sym      mc.SymmetryMode
+		coverage bool
+	}{{"symmetry-off", mc.SymmetryOff, false}, {"symmetry-auto", mc.SymmetryAuto, false}, {"coverage", mc.SymmetryOff, true}}
 	for _, sh := range shapes {
-		for _, sym := range []mc.SymmetryMode{mc.SymmetryOff, mc.SymmetryAuto} {
-			t.Run(sh.name+"/symmetry-"+sym.String(), func(t *testing.T) {
+		for _, leg := range legs {
+			t.Run(sh.name+"/"+leg.name, func(t *testing.T) {
 				cfg := sh.cfg(t)
-				cfg.Symmetry = sym
-				states, succs := mc.CheckExpandMatchesReference(t, cfg)
-				t.Logf("%d states, %d successors compared", states, succs)
-				if states < sh.minStates || succs < states {
-					t.Errorf("exploration too thin to mean anything: %d states (want at least %d), %d successors", states, sh.minStates, succs)
+				cfg.Symmetry = leg.sym
+				st := mc.CheckExpandMatchesReference(t, cfg, leg.coverage)
+				t.Logf("%+v", st)
+				if st.States < sh.minStates || st.Succs < st.States {
+					t.Errorf("exploration too thin to mean anything: %+v (want at least %d states)", st, sh.minStates)
+				}
+				if sh.name == "stache-2n-dup" && st.AfterFailed == 0 {
+					t.Errorf("the scratch world was never derived into after a failed apply: %+v", st)
 				}
 			})
 		}
@@ -139,8 +153,8 @@ func TestExpandMatchesReference(t *testing.T) {
 
 // TestExpandAllocs is the checker's allocation contract per transition:
 // none. A worker decodes into a world it keeps, builds every record of that
-// world and of its successors in a region it resets per state, clones into a
-// scratch world it keeps, runs handlers on a register stack and keys a
+// world and of its successors in a region it resets per state, derives into
+// a scratch world it keeps, runs handlers on a register stack and keys a
 // successor in scratch buffers, and the visited store adds nothing per state
 // (TestVisitedAllocs). What a run does allocate is set-up — the protocol's
 // tables, the worlds, slabs growing to one state's need — and the visited

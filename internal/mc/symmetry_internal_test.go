@@ -6,7 +6,6 @@ import (
 
 	"teapot/internal/cont"
 	"teapot/internal/lower"
-	"teapot/internal/obs"
 	"teapot/internal/parser"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
@@ -237,7 +236,10 @@ func TestCanonicalFixpoint(t *testing.T) {
 			t.Fatalf("canonical key is not a fixpoint (perm index %d)", idx2)
 		}
 		for _, a := range w.actions() {
-			wa := w.clone()
+			wa, err := w.Clone()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := wa.apply(a); err != nil {
 				t.Fatalf("ping protocol error: %v", err)
 			}
@@ -490,8 +492,10 @@ func randomWalk(cfg *Config, seed int64, walks, steps int, visit func(w *World))
 				break
 			}
 			a := acts[rng.Intn(len(acts))]
-			wa := &World{cfg: cfg}
-			w.cloneInto(wa, a.engine())
+			wa, err := w.Clone()
+			if err != nil {
+				return err
+			}
 			if wa.apply(a) != nil || wa.checkInvariants() != "" {
 				break
 			}
@@ -560,90 +564,6 @@ func checkWorldAgainstReference(t *testing.T, red *reduction, w *World) {
 		t.Errorf("canonicalize chose group[%d], reference minimum is group[%d] (keys equal: %v)",
 			idx, wantIdx, key == wantKey)
 	}
-}
-
-// SharingStats counts what a CheckSharingSafety walk exercised.
-type SharingStats struct {
-	Transitions int
-	// AfterFault and AfterFailed count successors derived through the
-	// scratch world right after it held a drop/dup/corrupt successor (no
-	// engine copied) and right after an apply on it failed (a handler
-	// abandoned mid-run).
-	AfterFault, AfterFailed int
-}
-
-// CheckSharingSafety is the safety property of the touched-engine-only
-// clone and of its reuse: over the reachable space of cfg (states past an
-// invariant violation included, up to maxStates), deriving every successor
-// the way expandState does for every action but a state's last — the parent
-// decoded into one reused world, branch into the one reused scratch world,
-// apply, encode — leaves the parent's own encoding unchanged and yields the
-// same successor, or the same failure, as a deep copy of the parent would,
-// whatever the scratch world held before.
-func CheckSharingSafety(t *testing.T, cfg Config, withCoverage bool, maxStates int) SharingStats {
-	t.Helper()
-	cfg.normalize()
-	var cov *obs.Coverage
-	if withCoverage {
-		cov = obs.NewCoverage()
-	}
-	w, scratch := newWorld(&cfg), &World{cfg: &cfg}
-	root, err := w.encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{root: true}
-	queue := []string{root}
-	var stats SharingStats
-	lastFault, lastFailed := false, false
-	for len(queue) > 0 {
-		before := queue[0]
-		queue = queue[1:]
-		if err := cfg.decodeInto(w, []byte(before)); err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range w.actions() {
-			deep := w.clone()
-			wa := w.branch(a, false, cov, scratch)
-			if wa != scratch {
-				t.Fatal("branch did not derive the successor in the scratch world")
-			}
-			stats.Transitions++
-			if lastFault {
-				stats.AfterFault++
-			}
-			if lastFailed {
-				stats.AfterFailed++
-			}
-			errShared, errDeep := wa.apply(a), deep.apply(a)
-			lastFault, lastFailed = a.engine() == noEngine, errShared != nil
-			if (errShared == nil) != (errDeep == nil) ||
-				(errShared != nil && errShared.Error() != errDeep.Error()) {
-				t.Fatalf("%s: scratch successor error %v, deep clone error %v", w.describe(a), errShared, errDeep)
-			}
-			if after, err := w.encode(); err != nil || after != before {
-				t.Fatalf("%s: applying it to the scratch successor changed the parent (err %v)", w.describe(a), err)
-			}
-			if errShared != nil {
-				continue
-			}
-			succ, err := wa.encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want, _ := deep.encode(); succ != want {
-				t.Fatalf("%s: scratch successor and deep clone reach different states", w.describe(a))
-			}
-			if wa.checkInvariants() != "" && maxStates == 0 {
-				continue
-			}
-			if !seen[succ] && (maxStates == 0 || len(seen) < maxStates) {
-				seen[succ] = true
-				queue = append(queue, succ)
-			}
-		}
-	}
-	return stats
 }
 
 // MidRunWorld returns the world a seeded random walk of the given length

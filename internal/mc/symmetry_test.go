@@ -276,58 +276,6 @@ func TestStreamedEncodingMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCloneSharingSafety: a successor copies only the engine its action
-// runs on, into a scratch world that is reused for every successor, and
-// shares the parent's other engines, so the parent must come through every
-// one of its successors unchanged and every successor must be what a deep
-// copy would have produced — checked on every transition of two exhaustive
-// shapes (fault actions touch no engine at all, timeouts and events touch
-// the acting node's), with coverage wiring off and on. A third shape walks
-// base Stache under a duplicate it has no tolerance for, past the first
-// violation, where handlers hit protocol errors — so the scratch world is
-// also reused right after an action abandoned it mid-handler.
-func TestCloneSharingSafety(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		cfg       func() mc.Config
-		maxStates int // 0: the whole space, which must be the checker's
-	}{
-		{"stache-ft-2n-drop-dup", func() mc.Config {
-			return specConfig(t, "stache-ft", 2, 1, netmodel.Model{MaxDrops: 1, MaxDups: 1})
-		}, 0},
-		{"lcm-3n", func() mc.Config { return specConfig(t, "lcm", 3, 1, netmodel.Model{}) }, 0},
-		{"stache-2n-dup-past-violation", func() mc.Config {
-			return specConfig(t, "stache", 2, 1, netmodel.Model{MaxDups: 1})
-		}, 3000},
-	} {
-		for _, withCoverage := range []bool{false, true} {
-			st := mc.CheckSharingSafety(t, tc.cfg(), withCoverage, tc.maxStates)
-			if st.Transitions < 100 {
-				t.Errorf("%s: only %d transitions checked", tc.name, st.Transitions)
-			}
-			if tc.maxStates > 0 {
-				if st.AfterFailed == 0 || st.AfterFault == 0 {
-					t.Errorf("%s: scratch world never reused after a failed apply or a fault action: %+v", tc.name, st)
-				}
-				continue
-			}
-			if tc.cfg().Net.Active() && st.AfterFault == 0 {
-				t.Errorf("%s: scratch world never reused after a fault action: %+v", tc.name, st)
-			}
-			// The walk visits every reachable state once, so its transition
-			// count is the checker's.
-			res, err := mc.Check(tc.cfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Transitions != res.Transitions {
-				t.Errorf("%s (coverage %v): checked %d transitions, the checker takes %d",
-					tc.name, withCoverage, st.Transitions, res.Transitions)
-			}
-		}
-	}
-}
-
 // TestSymmetryWorkerEquivalence: canonicalization scratch is per worker,
 // so a reduced run must report the same counts, the same coverage and the
 // same counterexample whatever the worker count — on the seeded-bug

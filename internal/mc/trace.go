@@ -133,16 +133,16 @@ func ReplaySteps(cfg Config, steps []Step, visit func(i int, st Step, ev *Event,
 // DiffReplay is the differential check on the checker's state machinery. It
 // re-executes a counterexample two ways at once and requires agreement
 // after every step. One side is ReplaySteps: straight-line execution on a
-// single world with persistent engines, nothing cloned, nothing decoded —
-// the way the simulator drives a protocol. The other takes each step the
-// way Check takes a transition: decode the pre-state's key into a kept
-// world, clone that into a kept scratch world copying only the engine the
-// action runs on, apply, encode. The two keys must be byte-equal, a failing
-// step must fail identically on both sides, and the decoded parent must
-// still encode to the key it was decoded from (Check derives a state's
-// other successors from it). So the visited-set codec, the in-place decode,
-// the single-engine clone and the channel edits are each exercised on every
-// step of every trace replayed.
+// single world with persistent engines, nothing decoded — the way the
+// simulator drives a protocol. The other takes each step the way Check
+// takes a transition: decode the pre-state's key into a kept world, derive
+// from it into a kept scratch world re-decoding only the engine the action
+// runs on, apply, encode. The two keys must be byte-equal, a failing step
+// must fail identically on both sides, and the decoded parent must still
+// encode to the key it was decoded from (Check derives a state's other
+// successors from it). So the visited-set codec, the in-place decode, the
+// single-engine derivation and the channel edits are each exercised on
+// every step of every trace replayed.
 func DiffReplay(cfg Config, steps []Step) error {
 	if len(steps) == 0 {
 		// A deadlock in the initial state has nothing to replay.
@@ -151,7 +151,7 @@ func DiffReplay(cfg Config, steps []Step) error {
 	ccfg := cfg
 	ccfg.normalize()
 	ccfg.Obs = nil // as in Check
-	parent, succ := newWorld(&ccfg), &World{cfg: &ccfg}
+	parent, succ := newWorld(&ccfg), newWorld(&ccfg)
 	key, err := parent.encode()
 	if err != nil {
 		return err
@@ -164,14 +164,16 @@ func DiffReplay(cfg Config, steps []Step) error {
 		if err != nil {
 			return fmt.Errorf("step %d, decoded world: %w", i, err)
 		}
-		parent.cloneInto(succ, a.engine())
-		cloneErr := succ.apply(a)
-		if after, err := parent.encode(); err != nil || after != key {
-			return fmt.Errorf("mc: step %d (%v): applying to the clone changed its parent (encode error %v)", i, st, err)
+		if err := parent.derive(succ, a.engine()); err != nil {
+			return fmt.Errorf("mc: step %d: derive: %w", i, err)
 		}
-		if applyErr != nil || cloneErr != nil {
-			if applyErr == nil || cloneErr == nil || applyErr.Error() != cloneErr.Error() {
-				return fmt.Errorf("mc: step %d (%v): errors disagree:\n  straight-line: %v\n  decode+clone:  %v", i, st, applyErr, cloneErr)
+		derivedErr := succ.apply(a)
+		if after, err := parent.encode(); err != nil || after != key {
+			return fmt.Errorf("mc: step %d (%v): applying to the derived successor changed its parent (encode error %v)", i, st, err)
+		}
+		if applyErr != nil || derivedErr != nil {
+			if applyErr == nil || derivedErr == nil || applyErr.Error() != derivedErr.Error() {
+				return fmt.Errorf("mc: step %d (%v): errors disagree:\n  straight-line:  %v\n  decode+derive:  %v", i, st, applyErr, derivedErr)
 			}
 			return nil
 		}

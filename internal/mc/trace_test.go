@@ -10,7 +10,7 @@ import (
 // TestViolationSteps: every counterexample must carry machine-readable
 // steps matching its human trace one-for-one, ReplaySteps must re-execute
 // them from the initial state without divergence, and DiffReplay must find
-// the checker's decode/clone/encode path in agreement with that replay.
+// the checker's decode/derive/encode path in agreement with that replay.
 func TestViolationSteps(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

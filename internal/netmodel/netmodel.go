@@ -18,6 +18,7 @@ package netmodel
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -80,7 +81,7 @@ func (m Model) Validate() error {
 			return fmt.Errorf("netmodel: %s must be >= 0 (got %d)", f.name, f.v)
 		}
 	}
-	if m.Rate < 0 || m.Rate > 1 {
+	if !(m.Rate >= 0 && m.Rate <= 1) { // NaN fails both comparisons
 		return fmt.Errorf("netmodel: rate must be in [0,1] (got %g)", m.Rate)
 	}
 	return nil
@@ -96,14 +97,19 @@ func (m Model) rate() float64 {
 }
 
 // Parse reads the -net flag syntax: a comma-separated list of key=value
-// pairs. Keys: reorder, delay, drop, dup, corrupt, rate. The empty string
-// is the zero Model.
+// pairs, each key at most once. Keys: reorder, delay, drop, dup, corrupt
+// (decimal integers) and rate (a number in [0,1]); a value is read whole, so
+// "drop=0x10" and "rate=0.5abc" are refused, not read as far as they parse.
+// The empty string is the zero Model.
 func Parse(s string) (Model, error) {
 	var m Model
 	s = strings.TrimSpace(s)
 	if s == "" || s == "none" {
 		return m, nil
 	}
+	ints := map[string]*int{"reorder": &m.Reorder, "delay": &m.Delay,
+		"drop": &m.MaxDrops, "dup": &m.MaxDups, "corrupt": &m.MaxCorrupts}
+	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -113,32 +119,28 @@ func Parse(s string) (Model, error) {
 		if !ok {
 			return m, fmt.Errorf("netmodel: %q is not key=value (want e.g. drop=1,dup=1,reorder=2)", part)
 		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+		if seen[key] {
+			return m, fmt.Errorf("netmodel: %s given twice", key)
+		}
+		seen[key] = true
 		if key == "rate" {
-			if _, err := fmt.Sscanf(val, "%g", &m.Rate); err != nil {
+			r, err := strconv.ParseFloat(val, 64)
+			if err != nil {
 				return m, fmt.Errorf("netmodel: bad rate %q", val)
 			}
+			m.Rate = r
 			continue
 		}
-		var n int
-		if _, err := fmt.Sscanf(val, "%d", &n); err != nil {
-			return m, fmt.Errorf("netmodel: bad value %q for %s", val, key)
-		}
-		switch key {
-		case "reorder":
-			m.Reorder = n
-		case "delay":
-			m.Delay = n
-		case "drop":
-			m.MaxDrops = n
-		case "dup":
-			m.MaxDups = n
-		case "corrupt":
-			m.MaxCorrupts = n
-		default:
+		field, known := ints[key]
+		if !known {
 			return m, fmt.Errorf("netmodel: unknown key %q (known: reorder, delay, drop, dup, corrupt, rate)", key)
 		}
+		n, err := strconv.Atoi(val)
+		if err != nil {
+			return m, fmt.Errorf("netmodel: bad value %q for %s", val, key)
+		}
+		*field = n
 	}
 	return m, m.Validate()
 }

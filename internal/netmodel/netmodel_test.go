@@ -1,6 +1,9 @@
 package netmodel
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParse(t *testing.T) {
 	cases := []struct {
@@ -24,12 +27,52 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseErrors: each refusal names what it refuses. From drop=0x10 on
+// the rows are what a lenient reader would take: a value read only as far
+// as it parses (drop=0x10 as drop=0, a perfect network), a NaN rate, which
+// fails both range comparisons, a second value for a key.
 func TestParseErrors(t *testing.T) {
-	for _, in := range []string{"drop", "drop=x", "bogus=1", "drop=-1", "rate=2"} {
-		if _, err := Parse(in); err == nil {
-			t.Errorf("Parse(%q): expected error", in)
+	for _, c := range []struct{ in, want string }{
+		{"drop", `"drop" is not key=value`},
+		{"drop=x", `bad value "x" for drop`},
+		{"bogus=1", `unknown key "bogus"`},
+		{"drop=-1", "drop must be >= 0"},
+		{"rate=2", "rate must be in [0,1]"},
+		{"drop=0x10", `bad value "0x10" for drop`},
+		{"drop=1x", `bad value "1x" for drop`},
+		{"drop=1.5", `bad value "1.5" for drop`},
+		{"rate=0.5abc", `bad rate "0.5abc"`},
+		{"rate=NaN", "rate must be in [0,1] (got NaN)"},
+		{"rate=-Inf", "rate must be in [0,1]"},
+		{"drop=1,drop=2", "drop given twice"},
+	} {
+		if _, err := Parse(c.in); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q): error %v, want one containing %q", c.in, err, c.want)
 		}
 	}
+}
+
+// FuzzNetModel: the -net flag is read from the command line and from
+// reproducer files, so every input must give an error that says it is the
+// fault model's, or a model that String renders back to itself.
+func FuzzNetModel(f *testing.F) {
+	for _, s := range []string{"", "none", "drop=1,dup=1,reorder=2", " drop=2 , corrupt=1 ",
+		"delay=1,rate=0.5", "rate=1e-9", "drop=0x10", "drop=1x", "drop=1.5", "rate=0.5abc",
+		"rate=NaN", "drop=1,drop=2"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := Parse(s)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "netmodel: ") {
+				t.Fatalf("Parse(%q): unnamed error %v", s, err)
+			}
+			return
+		}
+		if back, err := Parse(m.String()); err != nil || back != m {
+			t.Fatalf("Parse(%q) = %+v renders as %q, which parses to %+v (err %v)", s, m, m.String(), back, err)
+		}
+	})
 }
 
 func TestStringRoundTrip(t *testing.T) {

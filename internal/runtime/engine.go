@@ -226,7 +226,7 @@ type Engine struct {
 	params []vm.Value
 
 	// Scratch that saves an allocation per use; like params it belongs to
-	// this engine alone and no clone inherits it. retry is the stack of
+	// this engine alone. retry is the stack of
 	// deferred queues being retried (see drain). ctx is what support
 	// routines are handed, valid for the duration of the call. event is the
 	// message an injected event is delivered as (Enqueue copies it before
@@ -441,8 +441,7 @@ func (e *Engine) Release(m *Message) {
 // region may be reachable after its next Reset, so whoever resets it (an mc
 // worker, before each decodeInto) must overwrite or abandon every world
 // whose engines build into it, and a world that must outlive the reset is
-// decoded from its key onto the heap, never cloned from one built here —
-// CloneInto hands the region on.
+// decoded from its key onto the heap.
 type Region struct {
 	vm.Region
 	msgs []*Message // records handed out since Reset: msgs[:used]
@@ -456,7 +455,7 @@ func (r *Region) Reset() {
 }
 
 // SetRegion makes the engine build its records in r from here on (nil: on
-// the heap). Clones of the engine inherit it.
+// the heap).
 func (e *Engine) SetRegion(r *Region) {
 	e.region, e.Exec.Region = r, nil
 	if r != nil {

@@ -172,74 +172,6 @@ func TestDispatchAllocs(t *testing.T) {
 	}
 }
 
-// TestCloneIntoReusedEngine: CloneInto over an engine that last held a
-// different state (and a sink, and a used register stack) yields exactly
-// what Clone into a new engine yields, and nothing of the destination's
-// past — nor the source's scratch — comes along.
-func TestCloneIntoReusedEngine(t *testing.T) {
-	dst, _ := cloneFixture(t, 1)
-	sink := obs.NewCollector(0)
-	dst.SetObs(sink)
-	for seed := int64(2); seed < 40; seed++ {
-		src, key := cloneFixture(t, seed)
-		src.SetObs(sink)
-		m := newTestMachine()
-		src.CloneInto(dst, m)
-		enc := &runtime.Encoder{}
-		if err := dst.EncodeState(enc); err != nil {
-			t.Fatal(err)
-		}
-		if string(enc.Bytes()) != key {
-			t.Fatalf("seed %d: CloneInto over a used engine changed the encoding", seed)
-		}
-		if dst.Machine != runtime.Machine(m) || dst.Exec.Tracer != nil || dst.Exec.Depth() != 0 {
-			t.Fatalf("seed %d: clone kept machine/tracer/stack of its past or its source", seed)
-		}
-		// The clone owns its containers: emptying them leaves the source be.
-		for _, b := range dst.Blocks {
-			for i := range b.Vars {
-				b.Vars[i] = vm.IntVal(-1)
-			}
-			b.Deferred = b.Deferred[:0]
-		}
-		enc.Reset(nil)
-		if err := src.EncodeState(enc); err != nil {
-			t.Fatal(err)
-		}
-		if string(enc.Bytes()) != key {
-			t.Fatalf("seed %d: mutating the clone disturbed its source", seed)
-		}
-	}
-	before := sink.Total()
-	toy, p := buildToy(t, true)
-	src := toy.engines[1]
-	// Each engine holds one released record; the clone must keep its own.
-	mine, theirs := new(runtime.Message), new(runtime.Message)
-	dst.Release(mine)
-	src.Release(theirs)
-	src.CloneInto(dst, toy)
-	if err := dst.Deliver(&runtime.Message{Tag: p.MsgIndex("PING"), ID: 0, Src: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if sink.Total() != before {
-		t.Errorf("a reused clone emitted %d events into the sink it once had", sink.Total()-before)
-	}
-	for _, c := range []struct {
-		e    *runtime.Engine
-		want *runtime.Message
-	}{{dst, mine}, {src, theirs}} {
-		if err := c.e.InjectEvent(p.MsgIndex("RD_FAULT"), 0); err != nil {
-			t.Fatal(err)
-		}
-		if got := toy.queue[len(toy.queue)-1].msg; got != c.want {
-			t.Error("after CloneInto an engine sent on a record from the other's free list")
-		}
-	}
-	if dst.Exec.BareState(0) == src.Exec.BareState(0) || dst.Exec.SiteCont(0) == src.Exec.SiteCont(0) {
-		t.Error("clone shares its source's table of shared state values or continuation records")
-	}
-}
-
 // TestDeferredSurvivesRecycling: a record the engine deferred is not the
 // machine's to recycle, and an injected event that was deferred is not left
 // in the engine's scratch message. Both wait out a hundred later sends on
@@ -308,7 +240,7 @@ func TestDeferredSurvivesRecycling(t *testing.T) {
 // TestDecodeDamagedEncoding: a truncated or otherwise damaged encoding is
 // an error, never a panic and never a huge allocation.
 func TestDecodeDamagedEncoding(t *testing.T) {
-	e, key := cloneFixture(t, 11)
+	e, key := stateFixture(t, 11)
 	fresh := func() *runtime.Engine {
 		return runtime.NewEngine(e.Proto, 1, 3, newTestMachine(), nullSupport{})
 	}

@@ -99,8 +99,7 @@ type Exec struct {
 	Tracer Tracer
 	// Region is where the records handlers build go (state values with
 	// arguments, continuations that save registers, message payloads); nil
-	// is the heap. CloneInto hands it on: a clone builds where its original
-	// does.
+	// is the heap.
 	Region *Region
 
 	// stack is the register stack: every activation carves its register
@@ -127,21 +126,6 @@ type Exec struct {
 // Depth returns the number of registers on the register stack: 0 whenever
 // no handler is executing.
 func (x *Exec) Depth() int { return len(x.stack) }
-
-// CloneInto copies the interpreter's program, options, counters and region
-// into dst. dst keeps its own register stack, emptied, and its own
-// shared-value tables and argument scratch — none is shared or inherited,
-// since x may be executing, and filling its tables, on its own goroutine —
-// and gets no tracer, which observes one host. The tables describe the
-// program, so they are dropped when dst last ran a different one.
-func (x *Exec) CloneInto(dst *Exec) {
-	stack, bare, siteConts, args := dst.stack[:0], dst.bare, dst.siteConts, dst.args[:0]
-	if dst.Prog != x.Prog || dst.ConstCont != x.ConstCont {
-		bare, siteConts = nil, nil
-	}
-	*dst = *x
-	dst.stack, dst.bare, dst.siteConts, dst.args, dst.Tracer = stack, bare, siteConts, args, nil
-}
 
 // BareState returns the one value of argument-less state i: what an
 // OpMakeState without arguments yields and what a decoder installs for such
