@@ -620,6 +620,7 @@ func TestVerifyJSONManifest(t *testing.T) {
 	var stats struct {
 		Violation *struct {
 			Kind  string            `json:"kind"`
+			Waits []string          `json:"waits"`
 			Steps []json.RawMessage `json:"steps"`
 		} `json:"violation"`
 	}
@@ -628,6 +629,9 @@ func TestVerifyJSONManifest(t *testing.T) {
 	}
 	if stats.Violation == nil || stats.Violation.Kind == "" || len(stats.Violation.Steps) == 0 {
 		t.Errorf("violating manifest lacks a counterexample: %s", man["mc"])
+	}
+	if stats.Violation != nil && len(stats.Violation.Waits) == 0 {
+		t.Errorf("deadlock manifest lacks what the stalled block waits for: %s", man["mc"])
 	}
 	if _, ok := man["flight_recorder"]; !ok {
 		t.Error("violating manifest lacks the flight-recorder tail")
@@ -754,7 +758,9 @@ func TestLitmusFailCorpus(t *testing.T) {
 	if status != 1 {
 		t.Fatalf("fail corpus: status %d, want 1:\n%s%s", status, out, stderr)
 	}
-	for _, want := range []string{"swmr", "deadlock", "(replay with: teapot litmus -replay "} {
+	// "handles" is a checker deadlock's explanation, one line per stalled
+	// block under the FAILURE line.
+	for _, want := range []string{"swmr", "deadlock", "handles", "(replay with: teapot litmus -replay "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fail-corpus output missing %q:\n%s", want, out)
 		}

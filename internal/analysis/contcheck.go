@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"teapot/internal/dot"
 	"teapot/internal/ir"
 	"teapot/internal/sema"
 	"teapot/internal/source"
@@ -27,7 +28,7 @@ func runContLeak(c *Ctx) {
 		for _, fn := range stateFuncs(c.IR, si) {
 			for i := range fn.Code {
 				in := &fn.Code[i]
-				if in.Op != ir.OpMakeState || in.Idx == si || !stateIsSet(fn, i) {
+				if in.Op != ir.OpMakeState || in.Idx == si || !dot.StateIsSet(fn, i) {
 					continue
 				}
 				if argsContain(in, creg) {

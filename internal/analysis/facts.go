@@ -336,27 +336,6 @@ func intersect(a, b map[int]bool) map[int]bool {
 	return out
 }
 
-// stateIsSet reports whether the MakeState at index i actually transitions
-// the block: it feeds a Suspend or a SetState call (as opposed to a state
-// value used in a comparison). Mirrors the DOT extractor's rule.
-func stateIsSet(fn *ir.Func, i int) bool {
-	dst := fn.Code[i].Dst
-	for j := i + 1; j < len(fn.Code); j++ {
-		in := &fn.Code[j]
-		if in.Op == ir.OpSuspend && in.A == dst {
-			return true
-		}
-		if in.Op == ir.OpCall && in.Fn.Builtin == sema.BSetState &&
-			len(in.Args) == 2 && in.Args[1] == dst {
-			return true
-		}
-		if in.Def() == dst {
-			return false
-		}
-	}
-	return false
-}
-
 // argsContain reports whether reg appears in the instruction's Args.
 func argsContain(in *ir.Instr, reg ir.Reg) bool {
 	for _, a := range in.Args {

@@ -151,6 +151,11 @@ func printLitmusResult(w io.Writer, res *litmus.Result) {
 	}
 	for _, f := range res.Failures {
 		fmt.Fprintf(w, "  FAILURE %s: %s\n", t.Name, f)
+		if f.MCViolation != nil {
+			for _, wait := range f.MCViolation.Waits {
+				fmt.Fprintf(w, "    %s\n", wait)
+			}
+		}
 	}
 }
 

@@ -73,7 +73,7 @@ func mcStats(res *mc.Result, last mc.ProgressInfo) *manifest.MCStats {
 		st.DedupRatio = float64(res.Transitions) / float64(res.States)
 	}
 	if v := res.Violation; v != nil {
-		st.Violation = &manifest.Violation{Kind: v.Kind, Msg: v.Msg, Trace: v.Trace}
+		st.Violation = &manifest.Violation{Kind: v.Kind, Msg: v.Msg, Waits: v.Waits, Trace: v.Trace}
 		for _, s := range v.Steps {
 			st.Violation.Steps = append(st.Violation.Steps, manifest.Step(s))
 		}

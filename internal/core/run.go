@@ -13,7 +13,7 @@ import (
 // RunSpec describes one protocol run, shared by both backends: Check
 // explores it exhaustively with the model checker, Simulate executes it on
 // the discrete-event machine. It is the checker's configuration — protocol,
-// support module, machine shape, network, sink — plus the five things only
+// support module, machine shape, network, sink — plus the four things only
 // the simulator needs, so there is nothing to keep in step between the two.
 // The network fault model is a single value with one meaning everywhere —
 // the checker explores its faults nondeterministically within the budgets,
@@ -29,7 +29,6 @@ type RunSpec struct {
 
 	Seed    uint64 // fault-injection RNG seed; see EffectiveSeed
 	Program tempest.Program
-	Cost    tempest.CostModel // zero value: tempest.DefaultCost
 	// InitMem gives blocks initial values in the simulator's data model
 	// (litmus workloads); the checker takes them from Client.InitMem.
 	InitMem   []int64
@@ -62,15 +61,13 @@ func (s RunSpec) EffectiveSeed() uint64 {
 func (s RunSpec) MCConfig() mc.Config { return s.Config }
 
 // SimConfig lowers the spec to a simulator configuration, building the
-// engine from Proto and Support and resolving the seed.
+// engine from Proto and Support and resolving the seed. The cost model is
+// tempest.DefaultCost; a caller that needs another sets it on the result.
 func (s RunSpec) SimConfig() sim.Config {
-	if s.Cost == (tempest.CostModel{}) {
-		s.Cost = tempest.DefaultCost
-	}
 	return sim.Config{
 		Nodes:  s.Nodes,
 		Blocks: s.Blocks,
-		Cost:   s.Cost,
+		Cost:   tempest.DefaultCost,
 		Tags:   tempest.ResolveTags(s.Proto),
 		MakeEngine: func(m runtime.Machine) tempest.Engine {
 			return tempest.NewTeapotEngine(s.Proto, s.Nodes, s.Blocks, m, s.Support)

@@ -27,7 +27,6 @@ func specFixture(t *testing.T) core.RunSpec {
 	spec.Net = netmodel.Model{Reorder: 2, MaxDrops: 3, MaxDups: 4, MaxCorrupts: 5, Delay: 6, Rate: 0.5}
 	spec.Seed = 42
 	spec.Program = &stubProgram{}
-	spec.Cost = tempest.CostModel{Dispatch: 99}
 	spec.Obs = obs.NewCollector(0)
 	spec.MaxEvents = 777
 	return spec
@@ -51,8 +50,9 @@ func TestMCConfigLowering(t *testing.T) {
 }
 
 // TestSimConfigLowering: every simulator-relevant RunSpec field must
-// survive the lowering — Net budgets, seed resolution, cost model, event
-// budget, observability sink, workload, and engine wiring.
+// survive the lowering — Net budgets, seed resolution, event budget,
+// observability sink, workload, and engine wiring — and the cost model is
+// the default one.
 func TestSimConfigLowering(t *testing.T) {
 	spec := specFixture(t)
 	cfg := spec.SimConfig()
@@ -66,8 +66,8 @@ func TestSimConfigLowering(t *testing.T) {
 	if cfg.Seed != 42 {
 		t.Errorf("seed %d, want the verbatim nonzero seed 42", cfg.Seed)
 	}
-	if cfg.Cost.Dispatch != 99 {
-		t.Errorf("cost model not threaded: %+v", cfg.Cost)
+	if cfg.Cost != tempest.DefaultCost {
+		t.Errorf("cost model %+v, want tempest.DefaultCost", cfg.Cost)
 	}
 	if cfg.MaxEvents != 777 {
 		t.Errorf("event budget %d, want 777", cfg.MaxEvents)
@@ -83,12 +83,6 @@ func TestSimConfigLowering(t *testing.T) {
 	}
 	if cfg.Tags.ReadFault < 0 && cfg.Tags.WriteFault < 0 {
 		t.Error("event tags unresolved")
-	}
-
-	// The zero Cost falls back to the default cost model.
-	spec.Cost = tempest.CostModel{}
-	if got := spec.SimConfig().Cost; got != tempest.DefaultCost {
-		t.Errorf("zero cost lowered to %+v, want tempest.DefaultCost", got)
 	}
 }
 

@@ -70,7 +70,7 @@ func Extract(p *ir.Program, opts Options) *Machine {
 			}
 			for i := range f.Code {
 				in := &f.Code[i]
-				if in.Op != ir.OpMakeState || !stateIsSet(f, i) {
+				if in.Op != ir.OpMakeState || !StateIsSet(f, i) {
 					continue
 				}
 				if transient(in.Idx) {
@@ -98,7 +98,7 @@ func Extract(p *ir.Program, opts Options) *Machine {
 		}
 		for i := range f.Code {
 			in := &f.Code[i]
-			if in.Op != ir.OpMakeState || !stateIsSet(f, i) {
+			if in.Op != ir.OpMakeState || !StateIsSet(f, i) {
 				continue
 			}
 			targets := []int{in.Idx}
@@ -139,10 +139,12 @@ func Extract(p *ir.Program, opts Options) *Machine {
 	return m
 }
 
-// stateIsSet reports whether the MakeState at index i feeds a SetState
+// StateIsSet reports whether the MakeState at index i feeds a SetState
 // call or a Suspend (i.e., it actually transitions the block, as opposed
-// to a state value used in a comparison).
-func stateIsSet(f *ir.Func, i int) bool {
+// to a state value used in a comparison). It is the one transition rule of
+// the static state graph: the DOT extractor and internal/analysis both use
+// it.
+func StateIsSet(f *ir.Func, i int) bool {
 	dst := f.Code[i].Dst
 	for j := i + 1; j < len(f.Code); j++ {
 		in := &f.Code[j]

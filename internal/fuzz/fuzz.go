@@ -29,9 +29,6 @@ type Config struct {
 	// across every schedule in the campaign (teed behind the oracle, so the
 	// judging path is unchanged).
 	Coverage *obs.Coverage
-	// Obs, when set, is teed into each run's event stream alongside the
-	// oracle (e.g. a flight recorder for the failing schedule's tail).
-	Obs obs.Sink
 }
 
 // maxRunEvents caps each scheduled run. Clean fuzz workloads finish in a
@@ -137,7 +134,7 @@ func (f *Fuzzer) Fuzz() (*Result, error) {
 		recSeed := netmodel.Rand(f.cfg.Seed).Derive(uint64(2 * i))
 		wSeed := netmodel.Rand(f.cfg.Seed).Derive(uint64(2*i + 1))
 		rec := NewRecorder(recSeed, f.cfg.Rate)
-		rep := f.runWith(rec, wSeed)
+		rep := f.runWith(rec, wSeed, nil)
 		rep.Steps = rec.Steps()
 		res.Ran++
 		res.Steps += rec.Steps()
@@ -157,19 +154,14 @@ func (f *Fuzzer) Seed() uint64 { return f.cfg.Seed }
 // run's event stream — how a failing schedule gets a flight-recorder pass
 // after the campaign stops.
 func (f *Fuzzer) ReplayObserved(s *Schedule, sink obs.Sink) *Report {
-	saved := f.cfg.Obs
-	f.cfg.Obs = sink
-	defer func() { f.cfg.Obs = saved }()
-	return f.Replay(s)
-}
-
-// Replay runs one schedule through the fuzzer's compiled protocol.
-func (f *Fuzzer) Replay(s *Schedule) *Report {
 	rp := NewReplayer(s)
-	rep := f.runWith(rp, s.WorkloadSeed)
+	rep := f.runWith(rp, s.WorkloadSeed, sink)
 	rep.Steps, rep.Applied = rp.Steps(), rp.Applied()
 	return rep
 }
+
+// Replay runs one schedule through the fuzzer's compiled protocol.
+func (f *Fuzzer) Replay(s *Schedule) *Report { return f.ReplayObserved(s, nil) }
 
 // ReplaySchedule reconstructs a fuzzer from a serialized schedule and
 // replays it: the path from artifact on disk back to a verdict.
@@ -192,14 +184,15 @@ func ReplaySchedule(s *Schedule) (*Report, error) {
 }
 
 // runWith executes one run under the given chooser and workload seed,
-// judged by a fresh oracle.
-func (f *Fuzzer) runWith(ch tempest.Chooser, wSeed uint64) *Report {
+// judged by a fresh oracle, with sink (when non-nil) teed into its event
+// stream.
+func (f *Fuzzer) runWith(ch tempest.Chooser, wSeed uint64, sink obs.Sink) *Report {
 	spec := f.spec
 	spec.Program = RandomProgram(WorkloadOpts{
 		Nodes: f.cfg.Nodes, Blocks: f.cfg.Blocks, OpsPerNode: f.cfg.OpsPerNode,
 		Seed: wSeed, Evict: f.prof.Evict, Sync: f.prof.Sync,
 	})
-	spec.Obs = f.cfg.Obs
+	spec.Obs = sink
 	checker, stats, err := JudgedRun(spec, oracle.Config{Inv: f.prof.Inv}, ch, f.cfg.Coverage)
 	return &Report{Violation: checker.Finish(), RunErr: err, Stats: stats}
 }

@@ -87,8 +87,10 @@ type MCStats struct {
 // Violation is a checker counterexample in manifest form (mirrors
 // mc.Violation; Steps replay with mc.ReplaySteps after conversion).
 type Violation struct {
-	Kind  string   `json:"kind"`
-	Msg   string   `json:"msg"`
+	Kind string `json:"kind"`
+	Msg  string `json:"msg"`
+	// Waits explains a deadlock, one line per stalled (node, block).
+	Waits []string `json:"waits,omitempty"`
 	Trace []string `json:"trace,omitempty"`
 	Steps []Step   `json:"steps,omitempty"`
 }

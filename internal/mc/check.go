@@ -1,7 +1,9 @@
 package mc
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -55,11 +57,11 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 		res.SymmetryGroup = len(red.group)
 	}
 
-	initKey, initPerm, err := new(keyScratch).key(newWorld(&cfg), red, nil)
+	initKey, err := new(keyScratch).key(newWorld(&cfg), red, nil)
 	if err != nil {
 		return nil, err
 	}
-	layer, err := vt.addRoot(initKey, initPerm)
+	layer, err := vt.addRoot(initKey)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +102,7 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 			})
 		}
 		if out.cand != nil {
-			v, err := buildViolation(&cfg, vt, red, layer, out.cand)
+			v, err := workers[0].buildViolation(&cfg, vt, red, layer[out.cand.pos], out.cand)
 			if err != nil {
 				return nil, err
 			}
@@ -286,21 +288,17 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 			return fmt.Errorf("mc: decode: %w", err)
 		}
 		wk.transitions++
-		if err := wa.apply(a); err != nil {
-			wk.take(&candidate{kind: "protocol-error", msg: err.Error(), pos: pos, ord: int32(i)})
+		if kind, msg := wa.applyChecked(a); kind != "" {
+			wk.take(&candidate{kind: kind, msg: msg, pos: pos, ord: int32(i)})
 			continue
 		}
-		if msg := wa.checkInvariants(); msg != "" {
-			wk.take(&candidate{kind: "invariant", msg: msg, pos: pos, ord: int32(i)})
-			continue
-		}
-		succ, permIdx, err := wk.keys.key(wa, red, &wk.acts[i])
+		succ, err := wk.keys.key(wa, red, &wk.acts[i])
 		if err != nil {
 			return fmt.Errorf("mc: encode: %w", err)
 		}
 		wk.keyBytes += int64(len(succ))
 		wk.keyEncoded += int64(wk.keys.encoded)
-		if err := vt.claim(succ, pos, int32(i), permIdx); err != nil {
+		if err := vt.claim(succ, pos, int32(i)); err != nil {
 			return err
 		}
 	}
@@ -364,99 +362,91 @@ func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) (
 	return wa, nil
 }
 
-// buildViolation re-derives the counterexample trace for the selected
-// candidate by replaying the parent chain's action ordinals from the
-// initial state. Descriptions are rendered against the pre-action world,
-// exactly as the transitions were originally taken.
-//
-// With symmetry reduction active, the arena stores canonical orbit
-// representatives and the recorded ordinals index the *canonical* worlds'
-// action lists, so the trace is rebuilt by de-permuting: g tracks the
-// accumulated group element mapping the original-coordinate world onto the
-// canonical chain (g_{k+1} = perm_of(child) ∘ g_k), each ordinal is looked
-// up in the decoded canonical world and mapped back through g⁻¹, and the
-// violation message itself is re-derived in original coordinates so users
-// never see a permuted node or block id.
-func buildViolation(cfg *Config, vt *visitedTable, red *reduction, layer []int32, c *candidate) (*Violation, error) {
-	// Arena indices from the root to the violating state, root first.
-	var chain []int32
-	for idx := layer[c.pos]; idx >= 0; idx = vt.recs[idx].parent {
+// applyChecked applies a and returns the violation the successor is, if
+// any: kind "protocol-error" with the error apply returned, or "invariant"
+// with the invariant it breaks. kind is "" for a sound successor.
+func (w *World) applyChecked(a action) (kind, msg string) {
+	if err := w.apply(a); err != nil {
+		return "protocol-error", err.Error()
+	}
+	if msg := w.checkInvariants(); msg != "" {
+		return "invariant", msg
+	}
+	return "", ""
+}
+
+// buildViolation re-derives the counterexample trace to state — the one
+// the candidate was found at — by one replay from the initial state along
+// the stored parent chain, the same with or without symmetry reduction. At
+// each state of the chain the world the trace has reached, in original
+// coordinates, is decoded into wk's parent world and its successors are
+// derived into wk's scratch world in action order, as expandState derives
+// them; the step taken is the first whose successor is no violation and has
+// the next chain state's stored key (canonical under reduction, so the step
+// lands in that state's orbit). Without reduction that is the transition
+// the chain recorded: claims keep the smallest ordinal. At the violating
+// state the step taken is the first that fails with the candidate's kind,
+// and the message is the one it fails with; a deadlock or a rejected
+// terminal state is the state itself. Steps are described against the
+// pre-action world.
+func (wk *worker) buildViolation(cfg *Config, vt *visitedTable, red *reduction, state int32, c *candidate) (*Violation, error) {
+	var chain []int32 // arena indices from the root to state
+	for idx := state; idx >= 0; idx = vt.parents[idx] {
 		chain = append(chain, idx)
 	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
+	slices.Reverse(chain)
+	key, err := newWorld(cfg).encode()
+	if err != nil {
+		return nil, err
 	}
-	// One (pre-state arena index, ordinal) pair per transition, plus the
-	// violating action itself when the violation is a transition.
-	type traceStep struct{ pre, ord int32 }
-	steps := make([]traceStep, 0, len(chain))
-	for k := 1; k < len(chain); k++ {
-		steps = append(steps, traceStep{pre: chain[k-1], ord: vt.recs[chain[k]].action})
-	}
-	if c.ord >= 0 {
-		steps = append(steps, traceStep{pre: chain[len(chain)-1], ord: c.ord})
-	}
-
-	w := newWorld(cfg)
-	var g *perm
-	if red != nil {
-		g = red.group[vt.recs[chain[0]].perm]
-	}
-	msg := c.msg
-	trace := make([]string, 0, len(steps))
-	machineSteps := make([]Step, 0, len(steps))
-	for n, t := range steps {
-		final := n == len(steps)-1 && c.ord >= 0
-		var a action
-		if red == nil {
-			acts := w.actions()
-			if int(t.ord) >= len(acts) {
-				return nil, fmt.Errorf("mc: trace replay diverged at step %d", n)
+	v := &Violation{Kind: c.kind, Msg: c.msg}
+	for k := 1; ; k++ {
+		w, err := wk.decode(cfg, []byte(key))
+		if err != nil {
+			return nil, err
+		}
+		final := k == len(chain)
+		if final && c.ord < 0 {
+			if c.kind == "deadlock" {
+				v.Msg, v.Waits = describeStall(w), waitsFor(w, v.Steps)
 			}
-			a = acts[t.ord]
-		} else {
-			// The ordinal indexes the action list expandState enumerated —
-			// the decoded canonical world's, not w's — so look it up there
-			// and map it back into original coordinates.
-			cw := newWorld(cfg)
-			if err := cfg.decodeInto(cw, vt.key(t.pre)); err != nil {
+			return v, nil
+		}
+		wk.acts = w.appendActions(wk.acts[:0])
+		taken := -1
+		for i := 0; i < len(wk.acts) && taken < 0; i++ {
+			succ, err := w.branch(wk.acts[i], false, nil, wk.succ)
+			if err != nil {
 				return nil, fmt.Errorf("mc: decode: %w", err)
 			}
-			acts := cw.actions()
-			if int(t.ord) >= len(acts) {
-				return nil, fmt.Errorf("mc: trace replay diverged at step %d", n)
-			}
-			a = permAction(acts[t.ord], g.inverse())
-		}
-		trace = append(trace, w.describe(a))
-		machineSteps = append(machineSteps, w.step(a))
-		if final {
-			if red != nil {
-				// Re-derive the violation message in original coordinates;
-				// w is not read again.
-				if err := w.apply(a); err != nil {
-					msg = err.Error()
-				} else if im := w.checkInvariants(); im != "" {
-					msg = im
+			kind, msg := succ.applyChecked(wk.acts[i])
+			switch {
+			case final:
+				if kind == c.kind {
+					taken, v.Msg = i, msg
+				}
+			case kind == "":
+				sk, err := wk.keys.key(succ, red, &wk.acts[i])
+				if err != nil {
+					return nil, fmt.Errorf("mc: encode: %w", err)
+				}
+				if bytes.Equal(sk, vt.key(chain[k])) {
+					taken = i
+					if key, err = succ.encode(); err != nil {
+						return nil, err
+					}
 				}
 			}
-			break // the final action is the violation itself
 		}
-		if err := w.apply(a); err != nil {
-			return nil, fmt.Errorf("mc: trace replay diverged at step %d: %w", n, err)
+		if taken < 0 {
+			return nil, fmt.Errorf("mc: trace replay diverged at step %d", k)
 		}
-		if red != nil {
-			g = compose(red.group[vt.recs[chain[n+1]].perm], g)
+		v.Trace = append(v.Trace, w.describe(wk.acts[taken]))
+		v.Steps = append(v.Steps, w.step(wk.acts[taken]))
+		if final {
+			return v, nil
 		}
 	}
-	var waits []string
-	if c.kind == "deadlock" {
-		// A property of the final state, described against the
-		// original-coordinate world the trace reaches. (Litmus terminal
-		// judgments are also ord -1 but carry their own message.)
-		msg, waits = describeStall(w), waitsFor(w, machineSteps)
-	}
-	return &Violation{Kind: c.kind, Msg: msg, Waits: waits, Trace: trace, Steps: machineSteps}, nil
 }
 
 // waitsFor explains a deadlock in w, reached by steps: one line per stalled

@@ -25,9 +25,10 @@ import (
 // home(σ(b)) for all b}, home being runtime.HomeOf — home bindings are the
 // machine's, not state, so a permutation must map homes onto homes.
 // Canonicalization encodes the world under every group element and keeps
-// the lexicographically smallest key; the winning permutation index is
-// stored alongside the int32 parent/action arena so counterexample traces
-// can be rebuilt in original coordinates (see buildViolation).
+// the lexicographically smallest key. Which element won is not kept:
+// counterexample traces are replayed in original coordinates, each step the
+// first whose successor canonicalizes to the next stored key (see
+// buildViolation), so no group algebra is ever needed.
 //
 // No permuted world is ever built. A group element is a runtime.Remap the
 // encoder applies as it writes (World.encodeTo): the one walk that produces
@@ -126,30 +127,6 @@ func (g *perm) identity() bool {
 	return true
 }
 
-// inverse returns the inverse permutation.
-func (g *perm) inverse() *perm {
-	inv := &perm{node: make([]int, len(g.node)), blk: make([]int, len(g.blk))}
-	for i, v := range g.node {
-		inv.node[v] = i
-	}
-	for i, v := range g.blk {
-		inv.blk[v] = i
-	}
-	return inv
-}
-
-// compose returns h∘g: first apply g, then h.
-func compose(h, g *perm) *perm {
-	out := &perm{node: make([]int, len(g.node)), blk: make([]int, len(g.blk))}
-	for i, v := range g.node {
-		out.node[i] = h.node[v]
-	}
-	for i, v := range g.blk {
-		out.blk[i] = h.blk[v]
-	}
-	return out
-}
-
 // reduction is the active symmetry machinery for one run.
 type reduction struct {
 	group []*perm // identity first, then enumeration order
@@ -169,17 +146,16 @@ type keyScratch struct {
 }
 
 // key encodes w into the scratch — canonicalized when red is non-nil —
-// and returns the visited-set key with the index of the group element
-// that produced it (0 without reduction). via is the action that derived w
+// and returns the visited-set key. via is the action that derived w
 // from the state it was decoded from (nil: encode all of it; see
 // World.encodeTo); only the plain encoding can use it, the remapped
 // challengers stream every byte.
-func (sc *keyScratch) key(w *World, red *reduction, via *action) ([]byte, int32, error) {
+func (sc *keyScratch) key(w *World, red *reduction, via *action) ([]byte, error) {
 	sc.best.Reset(nil)
 	_, copied, err := w.encodeTo(&sc.best, nil, via)
 	sc.encoded = len(sc.best.Bytes()) - copied
 	if err != nil || red == nil {
-		return sc.best.Bytes(), 0, err
+		return sc.best.Bytes(), err
 	}
 	return red.canonicalize(w, sc)
 }
@@ -343,38 +319,20 @@ func sortInts(s []int) {
 }
 
 // canonicalize takes sc.best, holding the plain encoding of w, to the
-// lexicographically smallest encoding of w over the group and returns it
-// with the index of the permutation that produced it; ties keep the lowest
-// index. Each challenger is a remapped encode of w itself that gives up
-// once it can no longer win.
-func (r *reduction) canonicalize(w *World, sc *keyScratch) ([]byte, int32, error) {
-	bestIdx := int32(0)
+// lexicographically smallest encoding of w over the group and returns it.
+// Each challenger is a remapped encode of w itself that gives up once it
+// can no longer win.
+func (r *reduction) canonicalize(w *World, sc *keyScratch) ([]byte, error) {
 	for i := 1; i < len(r.remaps); i++ {
 		sc.cand.Reset(r.remaps[i])
 		smaller, _, err := w.encodeTo(&sc.cand, sc.best.Bytes(), nil)
 		sc.encoded += len(sc.cand.Bytes())
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if smaller {
 			sc.best, sc.cand = sc.cand, sc.best
-			bestIdx = int32(i)
 		}
 	}
-	return sc.best.Bytes(), bestIdx, nil
-}
-
-// permAction maps an action on world w to the corresponding action on
-// w's image under g. Channel positions are preserved: the image keeps
-// per-channel message order.
-func permAction(a action, g *perm) action {
-	switch a.kind {
-	case actDeliver, actDrop, actDup, actCorrupt:
-		a.from = g.node[a.from]
-		a.to = g.node[a.to]
-	case actEvent, actTimeout:
-		a.node = g.node[a.node]
-		a.block = g.blk[a.block]
-	}
-	return a
+	return sc.best.Bytes(), nil
 }

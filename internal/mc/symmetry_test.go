@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"cmp"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,33 +20,45 @@ import (
 // length — while visiting ~|G|× fewer states. Counterexamples from the
 // reduced run must be valid in original coordinates: they must pass
 // mc.DiffReplay, which knows nothing of the reduction.
+//
+// The 4-node shapes (|G| = 6) are where a reduced trace is rebuilt through
+// a group with more than one non-identity element: each step is the first
+// whose successor canonicalizes to the next stored key. Matching the
+// successor's plain key instead must fail them (tried when they were
+// added: the replay diverges at the first step off the canonical path).
 func TestSymmetryEquivalence(t *testing.T) {
 	cases := []struct {
 		name  string
+		proto string // "" = name
+		nodes int    // 0 = 3
 		net   netmodel.Model
-		group int // expected group order at 3 nodes / 1 block
+		group int // expected group order at the shape's nodes / 1 block
 		// Exact unreduced and reduced state counts, where EXPERIMENTS.md and
 		// DESIGN.md quote them; 0 = not pinned.
 		full, reduced int
 	}{
-		{"stache", netmodel.Model{Reorder: 1}, 2, 29087, 14583},
-		{"stache-ft", netmodel.Model{MaxDrops: 1}, 2, 0, 0},
+		{name: "stache", net: netmodel.Model{Reorder: 1}, group: 2, full: 29087, reduced: 14583},
+		{name: "stache-ft", net: netmodel.Model{MaxDrops: 1}, group: 2},
 		// Verifies, but is deliberately not node-symmetric: the certificate
 		// gate must refuse reduction and still agree with the full run.
-		{"stache-asym", netmodel.Model{}, 1, 0, 0},
-		{"stache-buggy", netmodel.Model{}, 2, 0, 0},
-		{"stache-ft-buggy", netmodel.Model{MaxDrops: 1}, 2, 0, 0},
-		{"lcm", netmodel.Model{}, 2, 0, 0},
-		{"lcm-mcc", netmodel.Model{}, 2, 0, 0},
-		{"bufwrite", netmodel.Model{}, 2, 0, 0},
-		{"update", netmodel.Model{}, 2, 0, 0},
+		{name: "stache-asym", group: 1},
+		{name: "stache-buggy", group: 2},
+		{name: "stache-ft-buggy", net: netmodel.Model{MaxDrops: 1}, group: 2},
+		{name: "lcm", group: 2},
+		{name: "lcm-mcc", group: 2},
+		{name: "bufwrite", group: 2},
+		{name: "update", group: 2},
+		{name: "stache-4n-drop", proto: "stache", nodes: 4, net: netmodel.Model{MaxDrops: 1}, group: 6},
+		{name: "stache-ft-buggy-4n-drop", proto: "stache-ft-buggy", nodes: 4, net: netmodel.Model{MaxDrops: 1}, group: 6},
+		{name: "stache-buggy-4n-reorder", proto: "stache-buggy", nodes: 4, net: netmodel.Model{Reorder: 1}, group: 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if testing.Short() && tc.name == "stache-ft" {
 				t.Skip("multi-second state space; run without -short")
 			}
-			spec, err := protocols.Spec(tc.name, 3, 1)
+			proto, nodes := cmp.Or(tc.proto, tc.name), cmp.Or(tc.nodes, 3)
+			spec, err := protocols.Spec(proto, nodes, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,6 +76,9 @@ func TestSymmetryEquivalence(t *testing.T) {
 			if red.SymmetryGroup != tc.group {
 				t.Errorf("group order = %d (note %q), want %d",
 					red.SymmetryGroup, red.SymmetryNote, tc.group)
+			}
+			if tc.nodes == 4 && full.Violation == nil {
+				t.Fatal("the 4-node shapes are here for their counterexamples, and this one verifies")
 			}
 			switch {
 			case (full.Violation == nil) != (red.Violation == nil):

@@ -17,14 +17,16 @@ import (
 //
 //   - Every discovered state lives once in an append-only arena. Its
 //     canonical encoding sits length-prefixed in a []byte chunk; locs[i]
-//     locates state i's key (chunk index and offset) and recs[i] holds its
-//     twelve bytes of (parent, action, perm) — the counterexample trace is
-//     re-derived by replaying that chain. Chunks have a fixed capacity and
-//     a key never straddles two, so a key is read (compared, decoded) where
-//     it lies. They are chunks rather than one growing slice because append
-//     grows a large slice by a quarter at a time and so copies — and for a
-//     while holds twice — the whole arena again and again; the first chunks
-//     are small so that a 14-state check does not pay for a 1 MiB one.
+//     locates state i's key (chunk index and offset) and parents[i] is the
+//     arena index of the state it was first reached from — all a
+//     counterexample trace needs, since replaying the chain finds each step
+//     as the one whose successor has the next state's key (buildViolation).
+//     Chunks have a fixed capacity and a key never straddles two, so a key
+//     is read (compared, decoded) where it lies. They are chunks rather than
+//     one growing slice because append grows a large slice by a quarter at a
+//     time and so copies — and for a while holds twice — the whole arena
+//     again and again; the first chunks are small so that a 14-state check
+//     does not pay for a 1 MiB one.
 //   - Membership is numShards mutex-protected open-addressed tables (linear
 //     probing, doubled under the shard lock, allocated on first use) of
 //     parallel fingerprints and refs: a positive ref is an arena index + 1,
@@ -38,9 +40,9 @@ import (
 //     the arena only at the layer barrier, ordered by (parent position,
 //     action ordinal). Concurrent workers may race to claim the same
 //     successor, but the merge keeps the smallest claim — the transition a
-//     sequential scan would have taken — so arena order, recorded parents,
-//     and therefore every result the checker reports are identical for any
-//     worker count.
+//     sequential scan would have taken, and the one trace replay picks — so
+//     arena order, recorded parents, and therefore every result the checker
+//     reports are identical for any worker count.
 
 const (
 	numShards  = 64
@@ -72,28 +74,14 @@ func fingerprint(s []byte) uint64 {
 	return h ^ h>>32
 }
 
-// stateRec is one visited state's compact parent chain link, used to
-// rebuild counterexample traces.
-type stateRec struct {
-	parent int32 // arena index of the parent state, -1 for the root
-	action int32 // ordinal into the parent's action list, -1 for the root
-	// perm is the index (into the run's permutation group) of the
-	// permutation that mapped the concretely-reached successor onto the
-	// state's key. Always 0 (identity) when symmetry reduction is off;
-	// buildViolation composes these down the parent chain to rebuild traces
-	// in the original, unpermuted coordinates.
-	perm int32
-}
-
 // pendRec is a tentative intra-layer discovery: the key at keyOff in the
 // shard's pendKeys (up to the next record's keyOff) was reached from the
-// state at layer position pos via its ord-th action, permuted onto its
-// canonical representative by group element perm. slot is where the claim's
-// ref sits in the shard table, kept current when the table grows, so commit
-// can overwrite it without probing.
+// state at layer position pos via its ord-th action. slot is where the
+// claim's ref sits in the shard table, kept current when the table grows, so
+// commit can overwrite it without probing.
 type pendRec struct {
-	keyOff, slot   int
-	pos, ord, perm int32
+	keyOff, slot int
+	pos, ord     int32
 }
 
 type shard struct {
@@ -117,10 +105,10 @@ type visitedTable struct {
 	hash   func([]byte) uint64 // fingerprint; replaceable in tests
 	shards [numShards]shard
 
-	chunks [][]byte
-	locs   []uint64 // per state: chunk index << 32 | offset of its length prefix
-	recs   []stateRec
-	order  []commitRec // commit's sort buffer, reused
+	chunks  [][]byte
+	locs    []uint64    // per state: chunk index << 32 | offset of its length prefix
+	parents []int32     // per state: arena index of its parent, -1 for the root
+	order   []commitRec // commit's sort buffer, reused
 
 	// The store's hard limits, fields so tests can reach them: states are
 	// int32 arena indices, a key locator holds a 32-bit chunk index, and a
@@ -134,7 +122,7 @@ func newVisited() *visitedTable {
 }
 
 // states returns the number of committed states.
-func (t *visitedTable) states() int { return len(t.recs) }
+func (t *visitedTable) states() int { return len(t.parents) }
 
 // key returns state idx's canonical encoding, read-only, in place.
 func (t *visitedTable) key(idx int32) []byte {
@@ -184,8 +172,8 @@ func (s *shard) grow() {
 
 // appendState adds a state to the arena and returns its index. Only commit
 // calls it: on the driver goroutine, never while workers run.
-func (t *visitedTable) appendState(key []byte, rec stateRec) (int32, error) {
-	if len(t.recs) >= t.maxStates {
+func (t *visitedTable) appendState(key []byte, parent int32) (int32, error) {
+	if len(t.parents) >= t.maxStates {
 		return 0, t.errFull()
 	}
 	var prefix [binary.MaxVarintLen64]byte
@@ -203,19 +191,17 @@ func (t *visitedTable) appendState(key []byte, rec stateRec) (int32, error) {
 		last++
 	}
 	c := t.chunks[last]
-	idx := int32(len(t.recs))
+	idx := int32(len(t.parents))
 	t.locs = append(t.locs, uint64(last)<<32|uint64(len(c)))
-	t.recs = append(t.recs, rec)
+	t.parents = append(t.parents, parent)
 	t.chunks[last] = append(append(c, prefix[:need-len(key)]...), key...)
 	return idx, nil
 }
 
 // addRoot installs the initial state — the one claim of a layer whose
-// parent is nothing — and returns it as the first layer. perm is the group
-// element that canonicalized the initial world (0 when symmetry reduction
-// is off).
-func (t *visitedTable) addRoot(key []byte, perm int32) ([]int32, error) {
-	if err := t.claim(key, 0, -1, perm); err != nil {
+// parent is nothing — and returns it as the first layer.
+func (t *visitedTable) addRoot(key []byte) ([]int32, error) {
+	if err := t.claim(key, 0, -1); err != nil {
 		return nil, err
 	}
 	return t.commit([]int32{-1})
@@ -228,7 +214,7 @@ func (t *visitedTable) addRoot(key []byte, perm int32) ([]int32, error) {
 // pending slab when — and only when — it becomes a new pending claim. Safe
 // for concurrent use while a layer expands. The error is a store limit
 // reached (see visitedTable); the table is then good for nothing further.
-func (t *visitedTable) claim(key []byte, pos, ord, perm int32) error {
+func (t *visitedTable) claim(key []byte, pos, ord int32) error {
 	fp := t.hash(key)
 	s := &t.shards[fp>>shardShift]
 	s.mu.Lock()
@@ -247,7 +233,7 @@ func (t *visitedTable) claim(key []byte, pos, ord, perm int32) error {
 				}
 			} else if p := int(-ref - 1); bytes.Equal(s.pendKey(p), key) {
 				if c := &s.pend[p]; pos < c.pos || (pos == c.pos && ord < c.ord) {
-					c.pos, c.ord, c.perm = pos, ord, perm
+					c.pos, c.ord = pos, ord
 				}
 				return nil
 			}
@@ -260,7 +246,7 @@ func (t *visitedTable) claim(key []byte, pos, ord, perm int32) error {
 		s.grow()
 	}
 	s.used++
-	s.pend = append(s.pend, pendRec{keyOff: len(s.pendKeys), pos: pos, ord: ord, perm: perm})
+	s.pend = append(s.pend, pendRec{keyOff: len(s.pendKeys), pos: pos, ord: ord})
 	s.pendKeys = append(s.pendKeys, key...)
 	s.pend[len(s.pend)-1].slot = s.put(fp, int32(-len(s.pend)))
 	return nil
@@ -290,7 +276,7 @@ func (t *visitedTable) commit(layer []int32) ([]int32, error) {
 	for n, c := range order {
 		s := &t.shards[c.shard]
 		p := &s.pend[c.pend]
-		idx, err := t.appendState(s.pendKey(int(c.pend)), stateRec{parent: layer[p.pos], action: p.ord, perm: p.perm})
+		idx, err := t.appendState(s.pendKey(int(c.pend)), layer[p.pos])
 		if err != nil {
 			return nil, err
 		}
@@ -305,14 +291,14 @@ func (t *visitedTable) commit(layer []int32) ([]int32, error) {
 }
 
 // bytes is what the committed structures retain: the key chunks' capacity,
-// the per-state locators and records, and every shard's table slots. The
+// the per-state locators and parents, and every shard's table slots. The
 // pending slabs and the sort buffer, scratch reused from layer to layer, are
 // left out. Called between layers it depends only on which states have been
 // committed, never on how workers interleaved: chunks and the two flat
 // slices grow in commit order, and every claim a table grew for has become
 // a state by the barrier.
 func (t *visitedTable) bytes() int64 {
-	n := int64(cap(t.locs))*8 + int64(cap(t.recs))*12
+	n := int64(cap(t.locs))*8 + int64(cap(t.parents))*4
 	for _, c := range t.chunks {
 		n += int64(cap(c))
 	}

@@ -15,16 +15,16 @@ const InlineLayer = inlineLayer
 
 func mustRoot(t *testing.T, vt *visitedTable, key string) []int32 {
 	t.Helper()
-	layer, err := vt.addRoot([]byte(key), 0)
+	layer, err := vt.addRoot([]byte(key))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return layer
 }
 
-func mustClaim(t *testing.T, vt *visitedTable, key string, pos, ord, perm int32) {
+func mustClaim(t *testing.T, vt *visitedTable, key string, pos, ord int32) {
 	t.Helper()
-	if err := vt.claim([]byte(key), pos, ord, perm); err != nil {
+	if err := vt.claim([]byte(key), pos, ord); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -39,36 +39,34 @@ func mustCommit(t *testing.T, vt *visitedTable, layer []int32) []int32 {
 }
 
 // TestVisitedCommitOrder: claims commit in (parent position, action
-// ordinal) order, duplicate claims keep the minimum, and committed states
-// are recognized in later layers.
+// ordinal) order, duplicate claims keep the minimum — which only the order
+// shows, the store keeping no ordinal — and committed states are recognized
+// in later layers.
 func TestVisitedCommitOrder(t *testing.T) {
 	vt := newVisited()
 	layer := mustRoot(t, vt, "root")
 
-	mustClaim(t, vt, "b", 0, 2, 0)
-	mustClaim(t, vt, "a", 0, 1, 0)
-	mustClaim(t, vt, "a", 0, 0, 0) // duplicate from an earlier action: must win
-	mustClaim(t, vt, "b", 0, 3, 0) // worse duplicate: must lose
+	mustClaim(t, vt, "b", 0, 1)
+	mustClaim(t, vt, "a", 0, 3)
+	mustClaim(t, vt, "a", 0, 0) // duplicate from an earlier action: must win, so a precedes b
+	mustClaim(t, vt, "c", 0, 4)
+	mustClaim(t, vt, "b", 0, 5) // worse duplicate: must lose, so b precedes c
 
 	next := mustCommit(t, vt, layer)
-	if len(next) != 2 {
-		t.Fatalf("committed %d states, want 2", len(next))
-	}
-	if k := string(vt.key(next[0])); k != "a" || vt.recs[next[0]].action != 0 {
-		t.Errorf("first commit = %q action %d, want \"a\" action 0", k, vt.recs[next[0]].action)
-	}
-	if k := string(vt.key(next[1])); k != "b" || vt.recs[next[1]].action != 2 {
-		t.Errorf("second commit = %q action %d, want \"b\" action 2", k, vt.recs[next[1]].action)
-	}
+	var got []string
 	for _, idx := range next {
-		if vt.recs[idx].parent != 0 {
-			t.Errorf("parent = %d, want 0", vt.recs[idx].parent)
+		got = append(got, string(vt.key(idx)))
+		if vt.parents[idx] != 0 {
+			t.Errorf("parent = %d, want 0", vt.parents[idx])
 		}
+	}
+	if fmt.Sprint(got) != "[a b c]" {
+		t.Errorf("committed %v, want [a b c]", got)
 	}
 
 	// Next layer: re-claiming committed states is a no-op.
-	mustClaim(t, vt, "a", 1, 0, 0)
-	mustClaim(t, vt, "root", 0, 0, 0)
+	mustClaim(t, vt, "a", 1, 0)
+	mustClaim(t, vt, "root", 0, 0)
 	if got := mustCommit(t, vt, next); len(got) != 0 {
 		t.Errorf("re-claimed committed states were committed again: %d", len(got))
 	}
@@ -83,9 +81,9 @@ func TestVisitedFingerprintCollision(t *testing.T) {
 
 	const n = 20
 	for i := 0; i < n; i++ {
-		mustClaim(t, vt, fmt.Sprintf("s%02d", i), 0, int32(i), 0)
+		mustClaim(t, vt, fmt.Sprintf("s%02d", i), 0, int32(i))
 	}
-	mustClaim(t, vt, "root", 0, 5, 0) // colliding fingerprint AND previously committed
+	mustClaim(t, vt, "root", 0, 5) // colliding fingerprint AND previously committed
 	next := mustCommit(t, vt, layer)
 	if len(next) != n {
 		t.Fatalf("committed %d states under total fingerprint collision, want %d", len(next), n)
@@ -97,7 +95,7 @@ func TestVisitedFingerprintCollision(t *testing.T) {
 	}
 	// All distinct keys re-claimed: every one must be recognized.
 	for i := 0; i < n; i++ {
-		mustClaim(t, vt, fmt.Sprintf("s%02d", i), 0, 0, 0)
+		mustClaim(t, vt, fmt.Sprintf("s%02d", i), 0, 0)
 	}
 	if got := mustCommit(t, vt, next); len(got) != 0 {
 		t.Errorf("collision chain lost committed states: %d re-committed", len(got))
@@ -107,7 +105,8 @@ func TestVisitedFingerprintCollision(t *testing.T) {
 // TestShardedVisitedRace hammers the table from many goroutines with
 // overlapping keys — run under -race (scripts/check.sh does) — and then
 // checks the merge kept the minimum claim for every key regardless of the
-// interleaving.
+// interleaving: key i's claims have ordinals i + keys·m for every m below
+// goroutines, so only the minimum, i, commits the keys in ascending order.
 func TestShardedVisitedRace(t *testing.T) {
 	vt := newVisited()
 	layer := mustRoot(t, vt, "root")
@@ -122,7 +121,8 @@ func TestShardedVisitedRace(t *testing.T) {
 			for i := 0; i < keys; i++ {
 				// Every goroutine claims every key with a different
 				// ordinal; the minimum (0, i) must survive.
-				if err := vt.claim([]byte(fmt.Sprintf("state-%03d", i)), 0, int32(i+g), 0); err != nil {
+				ord := i + keys*((g+i)%goroutines)
+				if err := vt.claim([]byte(fmt.Sprintf("state-%03d", i)), 0, int32(ord)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -136,24 +136,21 @@ func TestShardedVisitedRace(t *testing.T) {
 	}
 	for i, idx := range next {
 		if want := fmt.Sprintf("state-%03d", i); string(vt.key(idx)) != want {
-			t.Errorf("commit %d = %q, want %q", i, vt.key(idx), want)
-		}
-		if rec := vt.recs[idx]; rec.action != int32(i) {
-			t.Errorf("key %q kept claim ord %d, want minimum %d", vt.key(idx), rec.action, i)
+			t.Errorf("commit %d = %q, want %q: a claim other than the minimum was kept", i, vt.key(idx), want)
 		}
 	}
 }
 
 // modelClaim is one claim of a model-test layer.
 type modelClaim struct {
-	key            string
-	pos, ord, perm int32
+	key      string
+	pos, ord int32
 }
 
 // modelState is what the reference remembers of a committed state.
 type modelState struct {
-	key string
-	stateRec
+	key    string
+	parent int32
 }
 
 // modelStore is the visited table's specification: a map from key to the
@@ -185,7 +182,7 @@ func (m *modelStore) commit(layer []int32) []int32 {
 	var next []int32
 	for _, c := range claims {
 		next = append(next, int32(len(m.arena)))
-		m.arena = append(m.arena, modelState{c.key, stateRec{layer[c.pos], c.ord, c.perm}})
+		m.arena = append(m.arena, modelState{c.key, layer[c.pos]})
 		m.seen[c.key] = true
 	}
 	clear(m.pending)
@@ -215,7 +212,7 @@ func modelLayer(rng *rand.Rand, m *modelStore, layerLen, chunk int) []modelClaim
 			key = fmt.Sprintf("%0*d", 1+rng.Intn(chunk/2), rng.Intn(1000))
 		}
 		pos := int32(rng.Intn(layerLen))
-		claims = append(claims, modelClaim{key, pos, ord[pos], int32(rng.Intn(6))})
+		claims = append(claims, modelClaim{key, pos, ord[pos]})
 		ord[pos]++
 	}
 	rng.Shuffle(len(claims), func(i, j int) { claims[i], claims[j] = claims[j], claims[i] })
@@ -229,8 +226,8 @@ func checkAgainstModel(t *testing.T, vt *visitedTable, m *modelStore) {
 		t.Fatalf("%d states, reference has %d", vt.states(), len(m.arena))
 	}
 	for i, want := range m.arena {
-		if got := string(vt.key(int32(i))); got != want.key || vt.recs[i] != want.stateRec {
-			t.Fatalf("state %d = %q %+v, reference has %q %+v", i, got, vt.recs[i], want.key, want.stateRec)
+		if got := string(vt.key(int32(i))); got != want.key || vt.parents[i] != want.parent {
+			t.Fatalf("state %d = %q parent %d, reference has %q parent %d", i, got, vt.parents[i], want.key, want.parent)
 		}
 	}
 	committed := 0
@@ -243,8 +240,9 @@ func checkAgainstModel(t *testing.T, vt *visitedTable, m *modelStore) {
 }
 
 // TestVisitedModel drives random claim/commit sequences against the table
-// and a map-backed reference and requires identical arenas: order, keys,
-// parents, actions and perms. A four-value fingerprint puts every key in
+// and a map-backed reference and requires identical arenas: order, keys
+// and parents. The order is where the smallest-ordinal rule shows: a claim
+// kept other than the minimum commits out of place. A four-value fingerprint puts every key in
 // one of four probe chains (confirming by full key is all that tells them
 // apart, and every table doubling happens with pending refs live), and
 // 64-byte chunks put a rollover every few states, including keys that end
@@ -260,7 +258,7 @@ func TestVisitedModel(t *testing.T) {
 				vt.hash = func(b []byte) uint64 { return uint64(len(b)%4) * (1<<shardShift + 1) }
 				vt.chunkSize = 64
 				m := &modelStore{seen: map[string]bool{"root": true}, pending: map[string]modelClaim{},
-					arena: []modelState{{"root", stateRec{-1, -1, 0}}}}
+					arena: []modelState{{"root", -1}}}
 				layer := mustRoot(t, vt, "root")
 				for depth := 0; depth < 12 && len(layer) > 0; depth++ {
 					claims := modelLayer(rng, m, len(layer), vt.chunkSize)
@@ -271,7 +269,7 @@ func TestVisitedModel(t *testing.T) {
 							defer wg.Done()
 							for i := g; i < len(claims); i += claimers {
 								c := claims[i]
-								if err := vt.claim([]byte(c.key), c.pos, c.ord, c.perm); err != nil {
+								if err := vt.claim([]byte(c.key), c.pos, c.ord); err != nil {
 									t.Error(err)
 								}
 							}
@@ -318,7 +316,7 @@ func CheckVisitedAllocs(t *testing.T) {
 	layer := mustRoot(t, vt, "root")
 	before := mallocs()
 	for i := 0; i < n; i++ {
-		if err := vt.claim(key(i), 0, int32(i), 0); err != nil {
+		if err := vt.claim(key(i), 0, int32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,12 +330,12 @@ func CheckVisitedAllocs(t *testing.T) {
 		t.Errorf("inserting %d states made %d allocations, want fewer than %d", n, insert, n/100)
 	}
 
-	mustClaim(t, vt, "pending", 0, 0, 0)
+	mustClaim(t, vt, "pending", 0, 0)
 	pending := []byte("pending")
 	before = mallocs()
 	for i := 0; i < n; i++ {
-		vt.claim(key(i), 0, 0, 0)
-		vt.claim(pending, 0, 1, 0)
+		vt.claim(key(i), 0, 0)
+		vt.claim(pending, 0, 1)
 	}
 	if hit := mallocs() - before; hit != 0 {
 		t.Errorf("claiming seen keys made %d allocations in %d claims, want 0", hit, 2*n)

@@ -41,7 +41,7 @@ go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs
 # against benchmarks/expected.json. A module of its own, so `go test ./...`
 # above does not reach it.
 (cd benchmarks && go test ./...)
-# The tracked size metric (ROADMAP "Prune, round two"), measured the one way
+# The tracked size metric (ROADMAP "Prune, round three"), measured the one way
 # every CHANGES.md entry quotes it.
 echo "non-test Go outside benchmarks/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l) lines"
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
