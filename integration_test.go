@@ -331,6 +331,27 @@ func TestTeapotcStats(t *testing.T) {
 	}
 }
 
+// TestUnoptimizedSitesAllHeap: -O=false reports the allocation the
+// unoptimized engine performs — every record on the heap — in -emit sites,
+// -emit stats and its options line alike.
+func TestUnoptimizedSitesAllHeap(t *testing.T) {
+	_, out, _ := teapot("compile", "-O=false", "-emit", "sites", "stache")
+	rows := strings.Split(strings.TrimSpace(out), "\n")[2:]
+	for _, row := range rows {
+		if f := strings.Fields(row); len(f) != 5 || f[3] != "heap" {
+			t.Errorf("site row %q: want class heap", row)
+		}
+	}
+	_, out, _ = teapot("compile", "-O=false", "-emit", "stats", "stache")
+	n := strconv.Itoa(len(rows))
+	for _, want := range []string{"suspend sites: " + n + " (static 0, constant 0, dynamic " + n + ",",
+		"options:   {Liveness:true ConstCont:false}"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-O=false -emit stats lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestTeapotcEmitsAllArtifacts(t *testing.T) {
 	cases := map[string]string{
 		"go":     "package proto",

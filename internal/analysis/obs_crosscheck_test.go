@@ -14,8 +14,8 @@ import (
 
 // TestObsAgreesWithContAllocAnalysis is dynamic evidence for the static
 // continuation pass: every continuation-allocation event a real Stache run
-// emits must match the compiler's per-site classification (ir.SuspendSite
-// Static/Constant), heap allocations must only occur at sites the compiler
+// emits must match the compiler's per-site decision (ir.SuspendSite.Heap),
+// heap allocations must only occur at sites the compiler
 // predicted could heap-allocate, and any site the cont-alloc lint flags as
 // needlessly heap-allocating must be in that predicted-heap set. On clean
 // Stache the lint is expected to stay silent — that too is asserted, so a
@@ -26,7 +26,7 @@ func TestObsAgreesWithContAllocAnalysis(t *testing.T) {
 
 	staticSite := map[int]bool{}
 	for _, s := range p.IR.Sites {
-		staticSite[s.ID] = s.Static
+		staticSite[s.ID] = !s.Heap
 	}
 
 	// Drive enough traffic to hit suspends on multiple sites: a workload

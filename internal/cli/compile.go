@@ -10,7 +10,6 @@ import (
 	"teapot/internal/analysis"
 	"teapot/internal/ast"
 	"teapot/internal/codegen"
-	"teapot/internal/cont"
 	"teapot/internal/core"
 	"teapot/internal/dot"
 	"teapot/internal/murphi"
@@ -119,7 +118,7 @@ func cmdCompile(args []string, stdout, stderr io.Writer) error {
 	case "fmt":
 		out = ast.Print(art.AST)
 	case "stats":
-		out = stats(art)
+		out = stats(art, e.Config)
 	case "sites":
 		out = sites(art)
 	}
@@ -130,7 +129,7 @@ func cmdCompile(args []string, stdout, stderr io.Writer) error {
 	return os.WriteFile(*outFile, []byte(out), 0o644)
 }
 
-func stats(art *core.Artifacts) string {
+func stats(art *core.Artifacts, cfg core.Config) string {
 	sp := art.Sema
 	st := art.Stats
 	transient := 0
@@ -145,21 +144,22 @@ func stats(art *core.Artifacts) string {
 	out += fmt.Sprintf("  handlers:  %d\n", sp.NumHandlers())
 	out += fmt.Sprintf("  suspend sites: %d (static %d, constant %d, dynamic %d, max saved %d)\n",
 		st.Sites, st.Static, st.Constant, st.Dynamic, st.MaxSaved)
-	out += fmt.Sprintf("  options:   %+v\n", cont.Options{Liveness: true, ConstCont: art.Protocol.Opts.ConstCont})
+	out += fmt.Sprintf("  options:   %+v\n", cfg.Options())
 	return out
 }
 
-// sites renders the suspend-site classification table.
+// sites renders the suspend-site classification table: how each site's
+// record is allocated, as the continuation pass decided it.
 func sites(art *core.Artifacts) string {
 	out := fmt.Sprintf("suspend sites for %s\n", art.Sema.ProtoName)
 	out += fmt.Sprintf("  %4s  %-34s %-22s %-9s %s\n", "site", "handler", "target state", "class", "saved regs")
 	for _, s := range art.IR.Sites {
-		class := "heap"
+		class := "static"
 		switch {
-		case s.Static && s.Constant:
+		case s.Heap:
+			class = "heap"
+		case s.Constant:
 			class = "constant"
-		case s.Static:
-			class = "static"
 		}
 		out += fmt.Sprintf("  %4d  %-34s %-22s %-9s %d\n",
 			s.ID, s.Func.Name, art.Sema.States[s.TargetState].Name, class,

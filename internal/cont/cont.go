@@ -99,15 +99,16 @@ func transformFunc(p *ir.Program, f *ir.Func, opts Options) {
 }
 
 // classifySites marks sites as Static (empty save set) and, with ConstCont,
-// Constant (unique suspend site for the target state), then rewrites Resume
-// instructions that can only observe a constant continuation.
+// Constant (unique suspend site for the target state), rewrites Resume
+// instructions that can only observe a constant continuation, and decides
+// which sites heap-allocate: every one, except under ConstCont a static or
+// constant one.
 func classifySites(p *ir.Program, opts Options) {
-	bySite := make(map[int]*ir.SuspendSite)
 	targets := make(map[int][]*ir.SuspendSite) // state index -> sites
 	for _, s := range p.Sites {
-		bySite[s.ID] = s
 		targets[s.TargetState] = append(targets[s.TargetState], s)
 		s.Static = len(s.Func.Frags[s.FragIdx].Saved) == 0
+		s.Heap = true
 	}
 	if !opts.ConstCont {
 		return
@@ -153,6 +154,9 @@ func classifySites(p *ir.Program, opts Options) {
 				}
 			}
 		}
+	}
+	for _, s := range p.Sites {
+		s.Heap = !s.Static && !s.Constant
 	}
 }
 
@@ -203,8 +207,8 @@ func contPassedDirectly(site *ir.SuspendSite, slot int) bool {
 // allocation counts).
 type Stats struct {
 	Sites    int
-	Static   int
-	Constant int
+	Static   int // sites whose one record serves every activation
+	Constant int // other sites whose record is not heap-allocated
 	Dynamic  int // heap-allocating sites
 	MaxSaved int
 }
@@ -219,12 +223,12 @@ func Summarize(p *ir.Program) Stats {
 			st.MaxSaved = saved
 		}
 		switch {
+		case s.Heap:
+			st.Dynamic++
 		case s.Static:
 			st.Static++
-		case s.Constant:
-			st.Constant++
 		default:
-			st.Dynamic++
+			st.Constant++
 		}
 	}
 	return st

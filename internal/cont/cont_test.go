@@ -182,14 +182,20 @@ func TestConstantContinuation(t *testing.T) {
 	if !rewritten {
 		t.Errorf("resume not rewritten to constant site:\n%s", f.Disassemble())
 	}
-	// Unoptimized: no constant marking, no rewrite.
-	p2 := compile(t, uniqueSite, cont.Unoptimized)
-	if p2.Sites[0].Constant {
-		t.Errorf("unoptimized site marked constant")
+	if s.Heap {
+		t.Errorf("static site marked heap-allocating")
 	}
-	st := cont.Summarize(p)
-	if st.Sites != 1 || st.Static != 1 {
+	// Unoptimized: no constant marking, no rewrite, and the record is
+	// heap-allocated although it saves nothing.
+	p2 := compile(t, uniqueSite, cont.Unoptimized)
+	if p2.Sites[0].Constant || !p2.Sites[0].Heap {
+		t.Errorf("unoptimized site: constant %v, heap %v", p2.Sites[0].Constant, p2.Sites[0].Heap)
+	}
+	if st := cont.Summarize(p); st.Sites != 1 || st.Static != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+	if st := cont.Summarize(p2); st.Sites != 1 || st.Static != 0 || st.Dynamic != 1 {
+		t.Errorf("unoptimized stats = %+v", st)
 	}
 }
 
@@ -242,8 +248,8 @@ func TestSuspendInLoopSavesCounter(t *testing.T) {
 	if p.Sites[0].Static {
 		t.Errorf("site with live counter should not be static")
 	}
-	if !p.Sites[0].Constant {
-		t.Errorf("unique site should still be constant")
+	if !p.Sites[0].Constant || p.Sites[0].Heap {
+		t.Errorf("unique site should still be constant, its record not heap-allocated")
 	}
 }
 

@@ -80,10 +80,9 @@ func Compile(cfg Config) (*Artifacts, error) {
 		return nil, fmt.Errorf("check: %w", err)
 	}
 	irp := lower.Lower(sp)
-	opts := cfg.Options()
-	cont.Transform(irp, opts)
+	cont.Transform(irp, cfg.Options())
 
-	p := &runtime.Protocol{IR: irp, Opts: opts}
+	p := &runtime.Protocol{IR: irp}
 	if cfg.HomeStart != "" {
 		p.HomeStart = p.StateIndex(cfg.HomeStart)
 		if p.HomeStart < 0 {

@@ -144,8 +144,12 @@ type SuspendSite struct {
 	FragIdx     int // fragment entered on resume
 	TargetState int
 	// Classification filled by the continuation pass:
-	Static   bool // no saved registers: record shared, never heap-allocated
+	Static   bool // no saved registers: one record can serve every activation
 	Constant bool // unique site for its target state: resumes are direct
+	// Heap is the pass's one allocation decision: the site's record is
+	// heap-allocated, as it is at every site unless the constant-continuation
+	// optimization makes it static or constant.
+	Heap bool
 }
 
 // Program is the compiled protocol: all handlers plus metadata shared with

@@ -134,9 +134,8 @@ func compilePing(t *testing.T) *runtime.Protocol {
 		t.Fatalf("check: %v", err)
 	}
 	irp := lower.Lower(sp)
-	opts := cont.Options{Liveness: true, ConstCont: true}
-	cont.Transform(irp, opts)
-	p := &runtime.Protocol{IR: irp, Opts: opts}
+	cont.Transform(irp, cont.Optimized)
+	p := &runtime.Protocol{IR: irp}
 	p.HomeStart = p.StateIndex("Home")
 	p.CacheStart = p.StateIndex("Cache_Inv")
 	return p

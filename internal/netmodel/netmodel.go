@@ -228,7 +228,6 @@ type Injector struct {
 	rng   Rand
 	drops int
 	dups  int
-	delay int
 }
 
 // NewInjector builds an injector for the model. A nil return means the
@@ -268,32 +267,6 @@ func (i *Injector) Next() Fault {
 		i.drops++
 	case FaultDup:
 		i.dups++
-	case FaultDelay:
-		i.delay++
 	}
 	return f
-}
-
-// Drops returns how many messages the injector has dropped so far.
-func (i *Injector) Drops() int {
-	if i == nil {
-		return 0
-	}
-	return i.drops
-}
-
-// Dups returns how many messages the injector has duplicated so far.
-func (i *Injector) Dups() int {
-	if i == nil {
-		return 0
-	}
-	return i.dups
-}
-
-// Delays returns how many messages the injector has delayed so far.
-func (i *Injector) Delays() int {
-	if i == nil {
-		return 0
-	}
-	return i.delay
 }

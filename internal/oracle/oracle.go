@@ -25,7 +25,6 @@ package oracle
 
 import (
 	"fmt"
-	"strings"
 
 	"teapot/internal/obs"
 	"teapot/internal/runtime"
@@ -87,26 +86,6 @@ type Violation struct {
 func (v *Violation) Error() string {
 	return fmt.Sprintf("coherence violation (%s) at event %d, node %d, block %d: %s",
 		v.Invariant, v.Seq, v.Node, v.Block, v.Detail)
-}
-
-// ContextString renders the violation's event context one line per event.
-func (v *Violation) ContextString(names obs.Names) string {
-	var b strings.Builder
-	for _, ev := range v.Context {
-		fmt.Fprintf(&b, "  [%6d] t=%-8d node %d blk %d %s", ev.Seq, ev.Time, ev.Node, ev.Block, ev.Kind)
-		switch ev.Kind {
-		case obs.KindAccess:
-			fmt.Fprintf(&b, " -> %s", accName(sema.AccessMode(ev.Arg)))
-		case obs.KindData:
-			fmt.Fprintf(&b, " %s from node %d (v%d)", names.Message(ev.Msg), ev.Peer, ev.Arg)
-		case obs.KindRead, obs.KindWrite:
-			fmt.Fprintf(&b, " v%d", ev.Arg)
-		case obs.KindDeliver, obs.KindSend, obs.KindDrop, obs.KindDup:
-			fmt.Fprintf(&b, " %s peer %d", names.Message(ev.Msg), ev.Peer)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 func accName(m sema.AccessMode) string {

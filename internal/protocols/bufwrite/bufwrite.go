@@ -14,11 +14,7 @@
 // Like the paper's version, it is composed from the Stache source.
 package bufwrite
 
-import (
-	"strings"
-
-	"teapot/internal/protocols/stache"
-)
+import "teapot/internal/protocols/stache"
 
 // decls extends the protocol declaration block: one new event message and
 // the paper's four new states.
@@ -214,69 +210,31 @@ const bufferedUpgrade = `  message WR_RO_FAULT (id : ID; var info : INFO; src : 
   end;
 `
 
-// Source is the assembled Buffered-write protocol.
-var Source = func() string {
-	src := stache.Source
-	src = replace1(src, "protocol Stache begin", "protocol BufWrite begin")
-	src = strings.ReplaceAll(src, "state Stache.", "state BufWrite.")
-	src = replace1(src, "  message EVICT_RO_ACK;\nend;", "  message EVICT_RO_ACK;\n"+decls+"end;")
-	// Replace the blocking write-fault handlers with buffering ones.
-	src = replace1(src, `  message WR_FAULT (id : ID; var info : INFO; src : NODE)
+// Source is the assembled Buffered-write protocol: the blocking write-fault
+// handlers replaced by buffering ones, SYNC completing at once in the stable
+// states, and Cache_RO_To_RW — unreachable once the buffered upgrade no
+// longer suspends into it — dropped.
+var Source = stache.Extend("bufwrite", "BufWrite", stache.Source).
+	Declare(decls).
+	Replace(`  message WR_FAULT (id : ID; var info : INFO; src : NODE)
   begin
     Send(HomeNode(id), GET_RW_REQ, id);
     Suspend(L, Cache_Inv_To_RW{L});
     WakeUp(id);
   end;
-`, bufferedWrFault)
-	src = replace1(src, `  message WR_RO_FAULT (id : ID; var info : INFO; src : NODE)
+`, bufferedWrFault).
+	Replace(`  message WR_RO_FAULT (id : ID; var info : INFO; src : NODE)
   begin
     Send(HomeNode(id), UPGRADE_REQ, id);
     Suspend(L, Cache_RO_To_RW{L});
     WakeUp(id);
   end;
-`, bufferedUpgrade)
-	// SYNC completes immediately in the stable states.
-	for _, marker := range []string{
-		`Error("invalid msg %s to Cache_Inv"`,
-		`Error("invalid msg %s to Cache_RO"`,
-		`Error("invalid msg %s to Cache_RW"`,
-		`Error("invalid msg %s to Home_Idle"`,
-		`Error("invalid msg %s to Home_RS"`,
-		`Error("invalid msg %s to Home_Excl"`,
-	} {
-		at := strings.Index(src, marker)
-		if at < 0 {
-			panic("bufwrite: marker not found: " + marker)
-		}
-		// Insert before the "message DEFAULT" that contains the marker.
-		def := strings.LastIndex(src[:at], "  message DEFAULT")
-		src = src[:def] + syncNop + "\n" + src[def:]
-	}
-	// The buffered upgrade no longer suspends into Cache_RO_To_RW, leaving
-	// the state unreachable: drop its declaration and body.
-	src = replace1(src, "  state Cache_RO_To_RW(C : CONT) transient;\n", "")
-	src = dropState(src, "Cache_RO_To_RW")
-	return src + newStates
-}()
-
-// dropState removes a whole state body (header through the column-zero
-// "end;" closing it).
-func dropState(src, state string) string {
-	i := strings.Index(src, "state BufWrite."+state+"(")
-	if i < 0 {
-		panic("bufwrite: state not found: " + state)
-	}
-	j := strings.Index(src[i:], "\nend;\n")
-	if j < 0 {
-		panic("bufwrite: end of state not found: " + state)
-	}
-	return src[:i] + src[i+j+len("\nend;\n"):]
-}
-
-func replace1(src, old, new string) string {
-	out := strings.Replace(src, old, new, 1)
-	if out == src {
-		panic("bufwrite: marker not found: " + old)
-	}
-	return out
-}
+`, bufferedUpgrade).
+	InsertBeforeDefault("Cache_Inv", syncNop).
+	InsertBeforeDefault("Cache_RO", syncNop).
+	InsertBeforeDefault("Cache_RW", syncNop).
+	InsertBeforeDefault("Home_Idle", syncNop).
+	InsertBeforeDefault("Home_RS", syncNop).
+	InsertBeforeDefault("Home_Excl", syncNop).
+	Drop("Cache_RO_To_RW").
+	Source() + newStates

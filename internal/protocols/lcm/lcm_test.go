@@ -101,8 +101,8 @@ func TestBasePhaseLifecycle(t *testing.T) {
 			t.Errorf("node %d after phase = %s, want Cache_Inv", n, got)
 		}
 	}
-	if sup.Merges != 2 {
-		t.Errorf("merges = %d, want 2 (one per reconciled copy)", sup.Merges)
+	if n := sup.Merges.Load(); n != 2 {
+		t.Errorf("merges = %d, want 2 (one per reconciled copy)", n)
 	}
 	// Post-phase: a normal read works again.
 	m.event(1, p, "RD_FAULT", 0)

@@ -25,12 +25,7 @@
 // BEGIN_LCM resumes the suspended transition.
 package lcm
 
-import (
-	"fmt"
-	"strings"
-
-	"teapot/internal/protocols/stache"
-)
+import "teapot/internal/protocols/stache"
 
 // Variant selects an LCM flavor.
 type Variant int
@@ -597,66 +592,31 @@ module LCMSupport begin
 end;
 `
 
-// Source assembles the Teapot source for a variant.
+// Source assembles the Teapot source for a variant: Stache's text with the
+// LCM states appended, renamed LCM, extended, and with the variant's
+// Home_LCM bodies in place.
 func Source(v Variant) string {
-	src := stache.Source
-	// Rename the protocol.
-	src = mustReplace(src, "protocol Stache begin", "protocol LCM begin")
-	src = strings.ReplaceAll(src, "state Stache.", "state LCM.")
-	// Prepend the support module.
-	src = supportDecls + src
-	// Extend the declaration block.
-	src = mustReplace(src, "  message EVICT_RO_ACK;\nend;", "  message EVICT_RO_ACK;\n"+lcmDecls+"end;")
-	// Insert phase-entry handlers into the Stache states.
-	src = insertHandlers(src, "Cache_Inv", cacheInvEntry)
-	src = insertHandlers(src, "Cache_RO", cacheROEntry)
-	src = insertHandlers(src, "Cache_RW", cacheRWEntry)
-	src = insertHandlers(src, "Home_Idle", homeIdleEntry)
-	src = insertHandlers(src, "Home_RS", homeRSEntry)
-	src = insertHandlers(src, "Home_Excl", homeExclEntry)
-	src = insertHandlers(src, "Home_AwaitPutData", awaitPutDataEntry)
-	src = insertHandlers(src, "Home_Excl", homeExclGiveBack)
+	get, end := getLCMPlain, phaseEndPlain
+	if v == MCC || v == Both {
+		get = getLCMMCC
+	}
+	if v == Update || v == Both {
+		end = phaseEndUpdate
+	}
+	p := stache.Extend(v.String(), "LCM", stache.Source+lcmStates).
+		Declare(lcmDecls).
+		Insert("Cache_Inv", cacheInvEntry).
+		Insert("Cache_RO", cacheROEntry).
+		Insert("Cache_RW", cacheRWEntry).
+		Insert("Home_Idle", homeIdleEntry).
+		Insert("Home_RS", homeRSEntry).
+		Insert("Home_Excl", homeExclEntry).
+		Insert("Home_AwaitPutData", awaitPutDataEntry).
+		Insert("Home_Excl", homeExclGiveBack).
+		Replace("--GET_LCM_BODY--", get).
+		Replace("--PHASE_END_BODY--", end)
 	for _, st := range []string{"Cache_RO", "Cache_Inv_To_RO", "Cache_Inv_To_RW", "Cache_RO_To_RW"} {
-		src = insertHandlers(src, st, staleRecallEntry)
+		p.Insert(st, staleRecallEntry)
 	}
-	// Append the LCM states with variant-specific bodies.
-	states := lcmStates
-	switch v {
-	case Base:
-		states = mustReplace(states, "--GET_LCM_BODY--", getLCMPlain)
-		states = strings.ReplaceAll(states, "--PHASE_END_BODY--", phaseEndPlain)
-	case Update:
-		states = mustReplace(states, "--GET_LCM_BODY--", getLCMPlain)
-		states = strings.ReplaceAll(states, "--PHASE_END_BODY--", phaseEndUpdate)
-	case MCC:
-		states = mustReplace(states, "--GET_LCM_BODY--", getLCMMCC)
-		states = strings.ReplaceAll(states, "--PHASE_END_BODY--", phaseEndPlain)
-	case Both:
-		states = mustReplace(states, "--GET_LCM_BODY--", getLCMMCC)
-		states = strings.ReplaceAll(states, "--PHASE_END_BODY--", phaseEndUpdate)
-	}
-	return src + states
-}
-
-// insertHandlers adds handler text at the top of the named state's body.
-func insertHandlers(src, state, handlers string) string {
-	marker := "state LCM." + state + "("
-	i := strings.Index(src, marker)
-	if i < 0 {
-		panic(fmt.Sprintf("lcm: state %s not found", state))
-	}
-	j := strings.Index(src[i:], "begin")
-	if j < 0 {
-		panic(fmt.Sprintf("lcm: begin of state %s not found", state))
-	}
-	at := i + j + len("begin")
-	return src[:at] + "\n" + handlers + src[at:]
-}
-
-func mustReplace(src, old, new string) string {
-	out := strings.Replace(src, old, new, 1)
-	if out == src {
-		panic(fmt.Sprintf("lcm: marker %q not found", old))
-	}
-	return out
+	return supportDecls + p.Source()
 }

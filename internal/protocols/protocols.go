@@ -23,9 +23,9 @@ import (
 	"teapot/internal/tempest"
 )
 
-// MaxNodes bounds every run of a bundled protocol: the support modules
-// keep sharer sets as bits of one int64 protocol variable, so a node id of
-// 64 or more would never enter a set and never be invalidated.
+// MaxNodes bounds every run of a bundled protocol: the support module keeps
+// node sets as bits of int64 protocol variables, so a node id of 64 or more
+// would never enter a set and never be invalidated.
 const MaxNodes = 64
 
 // Entry is one bundled protocol.
@@ -42,7 +42,7 @@ type Entry struct {
 	// Support and Events build the support module and the checker's event
 	// generator for a compiled protocol; both are nil for the entries that
 	// exist only as compilation fixtures (see Runnable).
-	Support func(p *runtime.Protocol, nodes int) (runtime.Support, error)
+	Support func(p *runtime.Protocol) (runtime.Support, error)
 	Events  func(p *runtime.Protocol) mc.EventGen
 	// CheckCoherence is off for LCM, whose phases are deliberately
 	// inconsistent.
@@ -69,18 +69,14 @@ func (e Entry) Runnable() bool { return e.Support != nil }
 
 // The constructors the table below wires in, adapted to Entry's field
 // types (the packages return their concrete types).
-func stacheSupport(p *runtime.Protocol, _ int) (runtime.Support, error) { return stache.NewSupport(p) }
-func ftSupport(p *runtime.Protocol, nodes int) (runtime.Support, error) {
-	return stache.NewFTSupport(p, nodes)
+func bind(t stache.Table) func(*runtime.Protocol) (runtime.Support, error) {
+	return func(p *runtime.Protocol) (runtime.Support, error) { return t.Bind(p) }
 }
-func lcmSupport(p *runtime.Protocol, nodes int) (runtime.Support, error) {
-	return lcm.NewSupport(p, nodes)
-}
-func updateSupport(p *runtime.Protocol, _ int) (runtime.Support, error) { return update.NewSupport(p) }
-func stacheEvents(p *runtime.Protocol) mc.EventGen                      { return stache.NewEvents(p) }
-func lcmEvents(p *runtime.Protocol) mc.EventGen                         { return lcm.NewEvents(p) }
-func bufwriteEvents(p *runtime.Protocol) mc.EventGen                    { return bufwrite.NewEvents(p) }
-func updateEvents(p *runtime.Protocol) mc.EventGen                      { return update.NewEvents(p) }
+func lcmSupport(p *runtime.Protocol) (runtime.Support, error) { return lcm.NewSupport(p) }
+func stacheEvents(p *runtime.Protocol) mc.EventGen            { return stache.NewEvents(p) }
+func lcmEvents(p *runtime.Protocol) mc.EventGen               { return lcm.NewEvents(p) }
+func bufwriteEvents(p *runtime.Protocol) mc.EventGen          { return bufwrite.NewEvents(p) }
+func updateEvents(p *runtime.Protocol) mc.EventGen            { return update.NewEvents(p) }
 func stacheHW(p *runtime.Protocol, nodes, blocks int, m runtime.Machine) tempest.Engine {
 	return stache.NewHW(p, nodes, blocks, m)
 }
@@ -104,19 +100,19 @@ var registry = sync.OnceValue(func() []Entry {
 	invalidation := &Profile{Inv: oracle.AllInvariants(), Evict: true}
 	return []Entry{
 		{Name: "stache", Config: cfg("stache", stache.Source, "Home_Idle"),
-			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true, Oracle: invalidation, HandWritten: stacheHW},
+			Support: bind(stache.Routines), Events: stacheEvents, CheckCoherence: true, Oracle: invalidation, HandWritten: stacheHW},
 		{Name: "stache-ft", Config: cfg("stache-ft", stache.FTSource, "Home_Idle"),
-			Support: ftSupport, Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
+			Support: bind(stache.FTRoutines), Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
 		{Name: "stache-cas", Config: cfg("stache-cas", stache.CASSource, "Home_Idle")},
 		// Not buggy — it verifies — but deliberately NOT node-symmetric:
 		// the negative fixture for the model checker's certificate-gated
 		// symmetry reduction (see internal/analysis.ProveSymmetry).
 		{Name: "stache-asym", Config: cfg("stache-asym", stache.AsymSource, "Home_Idle"),
-			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
+			Support: bind(stache.Routines), Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
 		{Name: "stache-buggy", Config: cfg("stache-buggy", stache.BuggySource, "Home_Idle"), Buggy: true,
-			Support: stacheSupport, Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
+			Support: bind(stache.Routines), Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
 		{Name: "stache-ft-buggy", Config: cfg("stache-ft-buggy", stache.FTBuggySource, "Home_Idle"), Buggy: true,
-			Support: ftSupport, Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
+			Support: bind(stache.FTRoutines), Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
 		{Name: "lcm", Config: cfg("lcm", lcm.Source(lcm.Base), "Home_Idle"),
 			Support: lcmSupport, Events: lcmEvents, HandWritten: lcmHW},
 		{Name: "lcm-update", Config: cfg("lcm-update", lcm.Source(lcm.Update), "Home_Idle")},
@@ -125,10 +121,10 @@ var registry = sync.OnceValue(func() []Entry {
 		{Name: "lcm-both", Config: cfg("lcm-both", lcm.Source(lcm.Both), "Home_Idle")},
 		// Buffered-write adds no support routines, only a counter variable.
 		{Name: "bufwrite", Config: cfg("bufwrite", bufwrite.Source, "Home_Idle"),
-			Support: stacheSupport, Events: bufwriteEvents, CheckCoherence: true,
+			Support: bind(stache.Routines), Events: bufwriteEvents, CheckCoherence: true,
 			Oracle: &Profile{Inv: oracle.SWMROnly(), Sync: true}},
 		{Name: "update", Config: cfg("update", update.Source, "Home"),
-			Support: updateSupport, Events: updateEvents, CheckCoherence: true,
+			Support: bind(update.Routines), Events: updateEvents, CheckCoherence: true,
 			Oracle: &Profile{Inv: oracle.SWMROnly()}},
 	}
 })
@@ -218,7 +214,7 @@ func (e Entry) Spec(nodes, blocks int) (core.RunSpec, error) {
 	if err != nil {
 		return core.RunSpec{}, err
 	}
-	sup, err := e.Support(art.Protocol, nodes)
+	sup, err := e.Support(art.Protocol)
 	if err != nil {
 		return core.RunSpec{}, err
 	}

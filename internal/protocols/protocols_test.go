@@ -1,10 +1,15 @@
 package protocols_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"teapot/internal/ir"
 	"teapot/internal/protocols"
+	"teapot/internal/runtime"
+	"teapot/internal/sema"
+	"teapot/internal/vm"
 )
 
 // TestSpecWiresEveryRunnableEntry: Spec accepts exactly the entries that
@@ -38,7 +43,9 @@ func TestSpecWiresEveryRunnableEntry(t *testing.T) {
 }
 
 // TestSpecHonoursOptimize: Entry.Spec compiles what Entry.Config says, so
-// the unoptimized build is the same entry with the flag flipped.
+// the unoptimized build is the same entry with the flag flipped: every
+// continuation record heap-allocated, where the optimized build makes some
+// static.
 func TestSpecHonoursOptimize(t *testing.T) {
 	e, _ := protocols.Lookup("stache")
 	for _, optimize := range []bool{true, false} {
@@ -47,11 +54,94 @@ func TestSpecHonoursOptimize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := spec.Proto.Opts.ConstCont; got != optimize {
-			t.Errorf("Optimize=%v compiled with ConstCont=%v", optimize, got)
+		heap := 0
+		for _, s := range spec.Proto.IR.Sites {
+			if s.Heap {
+				heap++
+			}
+		}
+		if allHeap := heap == len(spec.Proto.IR.Sites); allHeap == optimize {
+			t.Errorf("Optimize=%v compiled %d of %d sites heap-allocating", optimize, heap, len(spec.Proto.IR.Sites))
 		}
 	}
 }
+
+// TestSupportWiring: for every runnable entry, the module Spec wires answers
+// every support routine the compiled IR calls and every routine it vouches
+// for, and the vouch — routines and node-set variables — is the one pinned
+// here, which the symmetry reduction of every bundled protocol was measured
+// with.
+func TestSupportWiring(t *testing.T) {
+	stacheVouch := []string{"AddSharer", "ClearSharers", "InvalidateSharers", "IsSharer", "NumSharers", "RemoveSharer"}
+	ftVouch := append(slices.Clone(stacheVouch), "ResendInvalidates", "TakeAwaiting")
+	lcmVouch := append(slices.Clone(stacheVouch), "ClearConsumers", "ClearHolder", "HasHolder", "Merge", "PushUpdates", "RecordConsumer")
+	sharers := []string{"sharers"}
+	want := map[string]struct{ vouch, sets []string }{
+		"stache":          {stacheVouch, sharers},
+		"stache-ft":       {ftVouch, []string{"sharers", "awaiting"}},
+		"stache-asym":     {stacheVouch, sharers},
+		"stache-buggy":    {stacheVouch, sharers},
+		"stache-ft-buggy": {ftVouch, []string{"sharers", "awaiting"}},
+		"lcm":             {lcmVouch, sharers},
+		"lcm-mcc":         {lcmVouch, sharers},
+		"bufwrite":        {stacheVouch, sharers},
+		"update":          {[]string{"AddSharer", "IsSharer", "NumSharers", "RemoveSharer", "SendUpdates"}, sharers},
+	}
+	for _, name := range protocols.RunnableNames() {
+		spec, err := protocols.Spec(name, 3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decl, ok := spec.Support.(runtime.SymmetryDecl)
+		if !ok {
+			t.Errorf("%s: the support module vouches for nothing", name)
+			continue
+		}
+		vouch := slices.Clone(decl.EquivariantRoutines())
+		slices.Sort(vouch)
+		var sets []string
+		for _, slot := range decl.NodeMaskSlots() {
+			sets = append(sets, spec.Proto.Sema().ProtVars[slot].Name)
+		}
+		w := want[name]
+		slices.Sort(w.vouch)
+		if !slices.Equal(vouch, w.vouch) || !slices.Equal(sets, w.sets) {
+			t.Errorf("%s: vouches for %v over %v, want %v over %v", name, vouch, sets, w.vouch, w.sets)
+		}
+		var called []string
+		for _, f := range spec.Proto.IR.Funcs {
+			for _, in := range f.Code {
+				if in.Op == ir.OpCall && in.Fn.Builtin == sema.BNone && !slices.Contains(called, in.Fn.Name) {
+					called = append(called, in.Fn.Name)
+				}
+			}
+		}
+		if len(called) == 0 {
+			t.Errorf("%s: the IR calls no support routine", name)
+		}
+		e := runtime.NewEngine(spec.Proto, 0, 1, nopMachine{}, spec.Support)
+		ctx := &runtime.Ctx{Engine: e, Block: e.Blocks[0]}
+		for _, r := range append(called, vouch...) {
+			args := make([]*vm.Value, len(spec.Proto.Sema().Funcs[r].Sig.Params))
+			for i := range args {
+				args[i] = &vm.Value{}
+			}
+			if _, err := spec.Support.Call(ctx, r, args); err != nil {
+				t.Errorf("%s: %s: %v", name, r, err)
+			}
+		}
+	}
+}
+
+// nopMachine is a runtime.Machine on which every operation is a no-op.
+type nopMachine struct{}
+
+func (nopMachine) Send(int, int, *runtime.Message)        {}
+func (nopMachine) AccessChange(int, int, sema.AccessMode) {}
+func (nopMachine) RecvData(int, int, sema.AccessMode)     {}
+func (nopMachine) WakeUp(int, int)                        {}
+func (nopMachine) HomeNode(id int) int                    { return 0 }
+func (nopMachine) Print(int, string)                      {}
 
 // TestSpecRefusesBadShape: a node id past bit 63 would never enter a sharer
 // mask, and a machine needs a node and a block.

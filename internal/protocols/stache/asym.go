@@ -1,7 +1,5 @@
 package stache
 
-import "strings"
-
 // Deliberately asymmetric Stache: the invalidation handler in Cache_RO
 // branches on the ORDER of two node ids (src < MyNode()). Both arms are
 // behaviorally identical, so the protocol still verifies — but ordering
@@ -39,10 +37,4 @@ const asymReplacement = `  message PUT_NO_DATA_REQ (id : ID; var info : INFO; sr
   -- Voluntary eviction of a clean read-only copy`
 
 // AsymSource is the asymmetric Stache protocol text.
-var AsymSource = func() string {
-	out := strings.Replace(Source, asymTarget, asymReplacement, 1)
-	if out == Source {
-		panic("stache-asym: handler marker not found")
-	}
-	return out
-}()
+var AsymSource = Extend("stache-asym", "Stache", Source).Replace(asymTarget, asymReplacement).Source()

@@ -1,8 +1,6 @@
 package stache
 
 import (
-	"strings"
-
 	"teapot/internal/runtime"
 	"teapot/internal/vm"
 )
@@ -126,62 +124,44 @@ end;
 // paper's count: the hand-written version needs pending-operation tests at
 // 14 places; here the extension is three home handlers, one issue handler
 // per stable cache state, and one subroutine state.
-var CASSource = func() string {
-	src := Source
-	src = strings.Replace(src, "  message EVICT_RO_ACK;\nend;", "  message EVICT_RO_ACK;\n"+casDecls+"end;", 1)
-	insert := func(stateMarker, handlers string) {
-		at := strings.Index(src, stateMarker)
-		if at < 0 {
-			panic("cas: marker not found: " + stateMarker)
-		}
-		j := strings.Index(src[at:], "begin")
-		pos := at + j + len("begin")
-		src = src[:pos] + "\n" + handlers + src[pos:]
-	}
-	insert("state Stache.Home_Idle(", casHomeIdle)
-	insert("state Stache.Home_RS(", casHomeRS)
-	insert("state Stache.Home_Excl(", casHomeExcl)
-	insert("state Stache.Cache_Inv(", casIssue)
-	insert("state Stache.Cache_RO(", casIssue)
-	insert("state Stache.Cache_RW(", casIssue)
-	return casModule + casResultModule + src + casAwaitState
-}()
+var CASSource = casModule + casResultModule + Extend("stache-cas", "Stache", Source).
+	Declare(casDecls).
+	Insert("Home_Idle", casHomeIdle).
+	Insert("Home_RS", casHomeRS).
+	Insert("Home_Excl", casHomeExcl).
+	Insert("Cache_Inv", casIssue).
+	Insert("Cache_RO", casIssue).
+	Insert("Cache_RW", casIssue).
+	Source() + casAwaitState
 
-// CASSupport wraps the Stache support module with the word storage the
-// compare-and-swap operates on and per-node result recording.
+// CASSupport is Stache's support module plus the word storage the
+// compare-and-swap operates on and per-node result recording. Neither CAS
+// routine is vouched equivariant: both key state by concrete node and block.
 type CASSupport struct {
 	*Support
 	Words   map[int]int64 // block -> current word value at its home
 	Results map[[2]int]bool
 }
 
-// NewCASSupport builds the extended support module.
+// NewCASSupport binds Routines and the two CAS routines to p.
 func NewCASSupport(p *runtime.Protocol) (*CASSupport, error) {
-	s, err := NewSupport(p)
+	s := &CASSupport{Words: make(map[int]int64), Results: make(map[[2]int]bool)}
+	sup, err := Routines.With(Table{
+		"CASApply": {Body: func(c Call) vm.Value {
+			if s.Words[c.Block.ID] != c.Arg(1) {
+				return vm.BoolVal(false)
+			}
+			s.Words[c.Block.ID] = c.Arg(2)
+			return vm.BoolVal(true)
+		}},
+		"SetCNSResult": {Body: func(c Call) vm.Value {
+			s.Results[[2]int{c.Engine.Node, c.Block.ID}] = c.Args[1].Bool()
+			return vm.Value{}
+		}},
+	}).Bind(p)
 	if err != nil {
 		return nil, err
 	}
-	return &CASSupport{
-		Support: s,
-		Words:   make(map[int]int64),
-		Results: make(map[[2]int]bool),
-	}, nil
-}
-
-// Call implements runtime.Support.
-func (s *CASSupport) Call(ctx *runtime.Ctx, name string, args []*vm.Value) (vm.Value, error) {
-	switch name {
-	case "CASApply":
-		old, new := args[1].Int, args[2].Int
-		blk := ctx.Block.ID
-		if s.Words[blk] == old {
-			s.Words[blk] = new
-			return vm.BoolVal(true), nil
-		}
-		return vm.BoolVal(false), nil
-	case "SetCNSResult":
-		s.Results[[2]int{ctx.Engine.Node, ctx.Block.ID}] = args[1].Bool()
-		return vm.Value{}, nil
-	}
-	return s.Support.Call(ctx, name, args)
+	s.Support = sup
+	return s, nil
 }

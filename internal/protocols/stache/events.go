@@ -1,8 +1,6 @@
 package stache
 
 import (
-	"strings"
-
 	"teapot/internal/mc"
 	"teapot/internal/runtime"
 )
@@ -59,13 +57,7 @@ const buggyHandler = `  -- The home invalidated us before seeing our upgrade: ac
 // BuggySource is Stache with the upgrade/invalidate race handler removed;
 // the model checker finds the resulting deadlock (see the verification
 // example and mc tests).
-var BuggySource = func() string {
-	out := strings.Replace(Source, buggyHandler, "", 1)
-	if out == Source {
-		panic("stache: buggy handler marker not found")
-	}
-	return out
-}()
+var BuggySource = Extend("stache-buggy", "Stache", Source).Replace(buggyHandler, "").Source()
 
 // SymmetricEvents implements mc.EquivariantEvents: enablement depends only
 // on state names, stall status, and home-ness — all permutation-covariant.

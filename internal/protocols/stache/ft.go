@@ -1,12 +1,6 @@
 package stache
 
-import (
-	"fmt"
-	"strings"
-
-	"teapot/internal/runtime"
-	"teapot/internal/vm"
-)
+import "teapot/internal/vm"
 
 // Fault-tolerant Stache: the base protocol extended to survive a lossy,
 // duplicating network (internal/netmodel). Three ingredients:
@@ -540,50 +534,34 @@ const ftHomeExclUpgrade = `
 `
 
 // FTSource is the fault-tolerant Stache protocol text.
-var FTSource = func() string {
-	src := Source
-	src = strings.Replace(src, "  message EVICT_RO_ACK;\nend;", "  message EVICT_RO_ACK;\n"+ftDecls+"end;", 1)
-	replace := func(old, new string) {
-		out := strings.Replace(src, old, new, 1)
-		if out == src {
-			panic("stache-ft: replacement target not found")
-		}
-		src = out
-	}
-	replace("  var sharers : int;    -- sharer bitmask, managed by the support module",
-		"  var sharers : int;    -- sharer bitmask, managed by the support module\n"+
-			"  var awaiting : int;   -- FT: nodes owing an invalidation ack, managed by the support module")
-	replace(baseHomeRSGetRO, ftHomeRSGetRO)
-	replace(baseHomeExclGetRW, ftHomeExclGetRW+ftHomeExclUpgrade)
-	replace(baseAwaitInvAcksAck, ftAwaitInvAcksAck)
-	replace(baseAwaitPutDataResp, ftAwaitPutDataResp)
-	insert := func(stateMarker, handlers string) {
-		at := strings.Index(src, stateMarker)
-		if at < 0 {
-			panic("stache-ft: marker not found: " + stateMarker)
-		}
-		j := strings.Index(src[at:], "begin")
-		pos := at + j + len("begin")
-		src = src[:pos] + "\n" + handlers + src[pos:]
-	}
-	insert("state Stache.Cache_Inv(", ftCacheInv)
-	insert("state Stache.Cache_RO(", ftCacheRO)
-	insert("state Stache.Cache_RW(", ftCacheRW)
-	insert("state Stache.Cache_Inv_To_RO(", ftCacheInvToRO)
-	insert("state Stache.Cache_Inv_To_RO_P(", ftCacheInvToROP)
-	insert("state Stache.Cache_Inv_To_RW(", ftCacheInvToRW)
-	insert("state Stache.Cache_RO_To_RW(", ftCacheROToRW)
-	insert("state Stache.Cache_RO_Evicting(", ftEvictRetry)
-	insert("state Stache.Cache_Ev_To_RO(", ftEvictRetry)
-	insert("state Stache.Cache_Ev_To_RW(", ftEvictRetry)
-	insert("state Stache.Cache_P_Evicting(", ftEvictRetry+ftPutDataReanswer)
-	insert("state Stache.Home_Idle(", ftHomeStale)
-	insert("state Stache.Home_RS(", ftHomeStale)
-	insert("state Stache.Home_Excl(", ftHomeStale)
-	insert("state Stache.Home_AwaitPutData(", ftHomeAwaitPutData)
-	insert("state Stache.Home_AwaitInvAcks(", ftHomeAwaitInvAcks)
-	return ftModule + src + ftCacheInvToRWP
-}()
+var FTSource = ftModule + Extend("stache-ft", "Stache", Source).
+	Declare(ftDecls).
+	Replace(sharersDecl, sharersDecl+"\n"+
+		"  var awaiting : int;   -- FT: nodes owing an invalidation ack, managed by the support module").
+	Replace(baseHomeRSGetRO, ftHomeRSGetRO).
+	Replace(baseHomeExclGetRW, ftHomeExclGetRW+ftHomeExclUpgrade).
+	Replace(baseAwaitInvAcksAck, ftAwaitInvAcksAck).
+	Replace(baseAwaitPutDataResp, ftAwaitPutDataResp).
+	Insert("Cache_Inv", ftCacheInv).
+	Insert("Cache_RO", ftCacheRO).
+	Insert("Cache_RW", ftCacheRW).
+	Insert("Cache_Inv_To_RO", ftCacheInvToRO).
+	Insert("Cache_Inv_To_RO_P", ftCacheInvToROP).
+	Insert("Cache_Inv_To_RW", ftCacheInvToRW).
+	Insert("Cache_RO_To_RW", ftCacheROToRW).
+	Insert("Cache_RO_Evicting", ftEvictRetry).
+	Insert("Cache_Ev_To_RO", ftEvictRetry).
+	Insert("Cache_Ev_To_RW", ftEvictRetry).
+	Insert("Cache_P_Evicting", ftEvictRetry+ftPutDataReanswer).
+	Insert("Home_Idle", ftHomeStale).
+	Insert("Home_RS", ftHomeStale).
+	Insert("Home_Excl", ftHomeStale).
+	Insert("Home_AwaitPutData", ftHomeAwaitPutData).
+	Insert("Home_AwaitInvAcks", ftHomeAwaitInvAcks).
+	Source() + ftCacheInvToRWP
+
+// sharersDecl is the declaration the awaiting set is declared after.
+const sharersDecl = "  var sharers : int;    -- sharer bitmask, managed by the support module"
 
 // ftBuggyTarget is the recall-during-upgrade handler body whose
 // invalidation FTBuggySource removes (must match ftCacheROToRW verbatim).
@@ -599,93 +577,35 @@ const ftBuggyTarget = `    SendData(HomeNode(id), PUT_DATA_RESP, id);
 // lets this node read stale data while the recall's beneficiary writes: a
 // single-writer-multiple-reader violation only a faulted schedule can
 // surface, shipped as the fuzzer's seeded-bug fixture.
-var FTBuggySource = func() string {
-	buggy := `    SendData(HomeNode(id), PUT_DATA_RESP, id);
-    SetState(info, Cache_Inv_To_RW_P{C});`
-	out := strings.Replace(FTSource, ftBuggyTarget, buggy, 1)
-	if out == FTSource {
-		panic("stache-ft-buggy: handler marker not found")
-	}
-	return out
-}()
+var FTBuggySource = Extend("stache-ft-buggy", "Stache", FTSource).Replace(ftBuggyTarget,
+	`    SendData(HomeNode(id), PUT_DATA_RESP, id);
+    SetState(info, Cache_Inv_To_RW_P{C});`).Source()
 
-// FTSupport extends the Stache support module with precise retransmission
-// bookkeeping: the per-block 'awaiting' variable records exactly which
-// nodes were sent an invalidation and have not been counted yet, so
+// awaiting is the variable the fault-tolerant routines keep the nodes owing
+// an invalidation acknowledgement in.
+var awaiting = []string{"awaiting"}
+
+// FTRoutines is StacheFTSupport: Stache's routines with precise
+// retransmission bookkeeping. The per-block 'awaiting' set records exactly
+// which nodes were sent an invalidation and have not been counted yet, so
 // ResendInvalidates re-targets only them and TakeAwaiting keeps a
 // volunteered or duplicated ack from substituting for an outstanding one
 // (see ftModule).
-type FTSupport struct {
-	*Support
-	nodes        int
-	awaitingSlot int
-}
-
-// NewFTSupport builds the fault-tolerant support module.
-func NewFTSupport(p *runtime.Protocol, nodes int) (*FTSupport, error) {
-	s, err := NewSupport(p)
-	if err != nil {
-		return nil, err
-	}
-	ft := &FTSupport{Support: s, nodes: nodes, awaitingSlot: -1}
-	for _, v := range p.Sema().ProtVars {
-		if v.Name == "awaiting" {
-			ft.awaitingSlot = v.Index
-		}
-	}
-	if ft.awaitingSlot < 0 {
-		return nil, fmt.Errorf("stache-ft support: protocol lacks an 'awaiting' variable")
-	}
-	return ft, nil
-}
-
-func (s *FTSupport) awaiting(ctx *runtime.Ctx) int64 {
-	return ctx.Block.Vars[s.awaitingSlot].Int
-}
-
-func (s *FTSupport) setAwaiting(ctx *runtime.Ctx, m int64) {
-	ctx.Block.Vars[s.awaitingSlot] = vm.IntVal(m)
-}
-
-// Call implements runtime.Support.
-func (s *FTSupport) Call(ctx *runtime.Ctx, name string, args []*vm.Value) (vm.Value, error) {
-	switch name {
-	case "InvalidateSharers":
-		// Record exactly the set the base routine is about to invalidate:
-		// every current sharer except the excluded requester. These are
-		// the nodes whose acks the wait loop may count.
-		excl := args[1].Int
-		s.setAwaiting(ctx, s.mask(ctx)&^(1<<uint(excl)))
-		return s.Support.Call(ctx, name, args)
-	case "TakeAwaiting":
-		n := args[1].Int
-		m := s.awaiting(ctx)
-		if m&(1<<uint(n)) == 0 {
-			return vm.BoolVal(false), nil
-		}
-		s.setAwaiting(ctx, m&^(1<<uint(n)))
-		return vm.BoolVal(true), nil
-	case "ResendInvalidates":
-		id := int(args[1].Int)
-		m := s.awaiting(ctx)
-		for n := 0; n < s.nodes; n++ {
-			if m&(1<<uint(n)) == 0 {
-				continue
-			}
-			ctx.Engine.SendTo(n, s.invReq, id, false)
-		}
-		return vm.Value{}, nil
-	}
-	return s.Support.Call(ctx, name, args)
-}
-
-// NodeMaskSlots implements runtime.SymmetryDecl: both 'sharers' and the
-// fault-tolerant 'awaiting' set are node bitmasks.
-func (s *FTSupport) NodeMaskSlots() []int { return []int{s.Support.sharersSlot, s.awaitingSlot} }
-
-// EquivariantRoutines implements runtime.SymmetryDecl: the base Stache
-// routines plus the retransmission pair, which read/clear the awaiting
-// mask and re-multicast to its members.
-func (s *FTSupport) EquivariantRoutines() []string {
-	return append(s.Support.EquivariantRoutines(), "TakeAwaiting", "ResendInvalidates")
-}
+var FTRoutines = Routines.With(Table{
+	// Records the set it invalidates — every sharer but the excluded
+	// requester: the nodes whose acks the wait loop may count.
+	"InvalidateSharers": {Vars: []string{"sharers", "awaiting"}, Msg: "PUT_NO_DATA_REQ", Equivariant: true, Body: func(c Call) vm.Value {
+		set := c.Mask(0) &^ c.Bit(1)
+		c.SetMask(1, set)
+		return vm.IntVal(c.Multicast(set, c.Arg(2), false))
+	}},
+	"TakeAwaiting": {Vars: awaiting, Equivariant: true, Body: func(c Call) vm.Value {
+		owed := c.Mask(0)&c.Bit(1) != 0
+		c.SetMask(0, c.Mask(0)&^c.Bit(1))
+		return vm.BoolVal(owed)
+	}},
+	"ResendInvalidates": {Vars: awaiting, Msg: "PUT_NO_DATA_REQ", Equivariant: true, Body: func(c Call) vm.Value {
+		c.Multicast(c.Mask(0), c.Arg(1), false)
+		return vm.Value{}
+	}},
+})

@@ -370,7 +370,15 @@ func TestSupportErrors(t *testing.T) {
 	if err == nil {
 		t.Error("expected error for unknown routine")
 	}
-	_ = fmt.Sprintf // keep fmt import meaningful if asserts change
+	// Binding refuses a declared routine the table lacks, and an entry
+	// whose variable the protocol lacks.
+	cas := protocols.MustCompile("stache-cas", true)
+	if _, err := stache.Routines.Bind(cas.Protocol); err == nil || !strings.Contains(err.Error(), "routine CASApply, which the module does not implement") {
+		t.Errorf("Routines bound to stache-cas: %v", err)
+	}
+	if _, err := stache.FTRoutines.Bind(a.Protocol); err == nil || !strings.Contains(err.Error(), `InvalidateSharers needs protocol variable "awaiting"`) {
+		t.Errorf("FTRoutines bound to stache: %v", err)
+	}
 }
 
 // TestBuggySourceDiffersOnlyInOneHandler guards the seeded-bug fixture
@@ -391,5 +399,33 @@ func TestBuggySourceDiffersOnlyInOneHandler(t *testing.T) {
 	buggyCount := strings.Count(stache.BuggySource, "message PUT_NO_DATA_REQ")
 	if buggyCount != realCount-1 {
 		t.Errorf("buggy source removes %d handlers, want exactly 1", realCount-buggyCount)
+	}
+}
+
+// TestPatchFailsNamingVariantAndAnchor: every patch operation whose anchor
+// the base lacks panics with the variant's name and the anchor — a DEFAULT
+// handler only counts inside the state's own body.
+func TestPatchFailsNamingVariantAndAnchor(t *testing.T) {
+	const base = "protocol Stache begin\nend;\n\nstate Stache.S()\nbegin\nend;\n\n" +
+		"state Stache.T()\nbegin\n  message DEFAULT (id : ID; var info : INFO; src : NODE)\n  begin\n  end;\nend;\n"
+	for _, c := range []struct {
+		anchor string
+		op     func(p *stache.Patch)
+	}{
+		{"NoSuchText", func(p *stache.Patch) { p.Replace("NoSuchText", "") }},
+		{"state Stache.U(", func(p *stache.Patch) { p.Insert("U", "") }},
+		{"state S has no DEFAULT handler", func(p *stache.Patch) { p.InsertBeforeDefault("S", "") }},
+		{"  state S(", func(p *stache.Patch) { p.Drop("S") }},
+		{"protocol Stache begin", func(p *stache.Patch) { p.Replace("protocol Stache begin", "protocol P begin").Declare("") }},
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.HasPrefix(msg, "v: ") || !strings.Contains(msg, c.anchor) {
+					t.Errorf("anchor %q: panic %q, want one naming variant v and the anchor", c.anchor, msg)
+				}
+			}()
+			c.op(stache.Extend("v", "Stache", base))
+		}()
 	}
 }

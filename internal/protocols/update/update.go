@@ -16,9 +16,8 @@
 package update
 
 import (
-	"fmt"
-
 	"teapot/internal/mc"
+	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
 	"teapot/internal/vm"
@@ -283,69 +282,14 @@ begin
 end;
 `
 
-// Support implements the UpdateSupport module over the sharers bitmask;
-// SendUpdates multicasts data-carrying UPDATE messages.
-type Support struct {
-	sharersSlot int
-	updateMsg   int
-}
-
-// NewSupport builds the support module.
-func NewSupport(p *runtime.Protocol) (*Support, error) {
-	s := &Support{sharersSlot: -1, updateMsg: p.MsgIndex("UPDATE")}
-	for _, v := range p.Sema().ProtVars {
-		if v.Name == "sharers" {
-			s.sharersSlot = v.Index
-		}
-	}
-	if s.sharersSlot < 0 || s.updateMsg < 0 {
-		return nil, fmt.Errorf("update support: protocol lacks 'sharers' or UPDATE")
-	}
-	return s, nil
-}
-
-func (s *Support) mask(ctx *runtime.Ctx) int64 { return ctx.Block.Vars[s.sharersSlot].Int }
-func (s *Support) setMask(ctx *runtime.Ctx, m int64) {
-	ctx.Block.Vars[s.sharersSlot] = vm.IntVal(m)
-}
-
-// Call implements runtime.Support.
-func (s *Support) Call(ctx *runtime.Ctx, name string, args []*vm.Value) (vm.Value, error) {
-	switch name {
-	case "AddSharer":
-		s.setMask(ctx, s.mask(ctx)|1<<uint(args[1].Int))
-		return vm.Value{}, nil
-	case "RemoveSharer":
-		s.setMask(ctx, s.mask(ctx)&^(1<<uint(args[1].Int)))
-		return vm.Value{}, nil
-	case "IsSharer":
-		return vm.BoolVal(s.mask(ctx)&(1<<uint(args[1].Int)) != 0), nil
-	case "NumSharers":
-		m := s.mask(ctx)
-		n := int64(0)
-		for ; m != 0; m &= m - 1 {
-			n++
-		}
-		return vm.IntVal(n), nil
-	case "SendUpdates":
-		excl := args[1].Int
-		id := int(args[2].Int)
-		m := s.mask(ctx)
-		count := int64(0)
-		for n := 0; n < 64; n++ {
-			if m&(1<<uint(n)) == 0 || int64(n) == excl {
-				continue
-			}
-			ctx.Engine.SendTo(n, s.updateMsg, id, true)
-			count++
-		}
-		return vm.IntVal(count), nil
-	}
-	return vm.Value{}, fmt.Errorf("update support: unknown routine %q", name)
-}
-
-// ModConst implements runtime.Support.
-func (s *Support) ModConst(ctx *runtime.Ctx, name string) vm.Value { return vm.Value{} }
+// Routines is UpdateSupport: Stache's sharer-set routines (the protocol
+// declares all but ClearSharers and InvalidateSharers) and the
+// data-carrying UPDATE multicast.
+var Routines = stache.Routines.With(stache.Table{
+	"SendUpdates": {Vars: []string{"sharers"}, Msg: "UPDATE", Equivariant: true, Body: func(c stache.Call) vm.Value {
+		return vm.IntVal(c.Multicast(c.Mask(0)&^c.Bit(1), c.Arg(2), true))
+	}},
+})
 
 // Events is the verification event generator: reads, write-throughs and
 // evictions in every stable state.
@@ -390,17 +334,6 @@ func (g *Events) Enabled(w *mc.World, node, block int) []mc.Event {
 		}
 	}
 	return nil
-}
-
-// NodeMaskSlots implements runtime.SymmetryDecl: 'sharers' is a node
-// bitmask.
-func (s *Support) NodeMaskSlots() []int { return []int{s.sharersSlot} }
-
-// EquivariantRoutines implements runtime.SymmetryDecl: bit tests/sets on
-// the sharer mask and a multicast to its members, all
-// permutation-equivariant once the mask is re-indexed.
-func (s *Support) EquivariantRoutines() []string {
-	return []string{"AddSharer", "RemoveSharer", "IsSharer", "NumSharers", "SendUpdates"}
 }
 
 // SymmetricEvents implements mc.EquivariantEvents: enablement reads state

@@ -41,7 +41,7 @@ type machine struct {
 func newMachine(t *testing.T, nodes int) (*machine, *runtime.Protocol) {
 	a := protocols.MustCompile("update", true)
 	m := &machine{t: t, access: map[[2]int]sema.AccessMode{{0, 0}: sema.AccReadWrite}}
-	sup, err := update.NewSupport(a.Protocol)
+	sup, err := update.Routines.Bind(a.Protocol)
 	if err != nil {
 		t.Fatal(err)
 	}

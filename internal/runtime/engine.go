@@ -8,7 +8,6 @@ package runtime
 import (
 	"fmt"
 
-	"teapot/internal/cont"
 	"teapot/internal/ir"
 	"teapot/internal/obs"
 	"teapot/internal/sema"
@@ -47,8 +46,7 @@ func (m *Message) Flow() int64 { return m.flow }
 // Protocol is a compiled protocol plus execution options, shared by all
 // engines (one per node).
 type Protocol struct {
-	IR   *ir.Program
-	Opts cont.Options
+	IR *ir.Program
 
 	// Initial states for blocks on their home node and elsewhere.
 	HomeStart  int
@@ -245,7 +243,7 @@ type Engine struct {
 // NewEngine builds an engine for a node managing numBlocks blocks.
 func NewEngine(p *Protocol, node, numBlocks int, m Machine, sup Support) *Engine {
 	e := &Engine{Proto: p, Node: node, Machine: m, Support: sup}
-	e.Exec = vm.Exec{Prog: p.IR, ConstCont: p.Opts.ConstCont}
+	e.Exec = vm.Exec{Prog: p.IR}
 	e.timeoutTag, e.nackTag = p.MsgIndex("TIMEOUT"), p.MsgIndex("NACK")
 	if e.timeoutTag >= 0 {
 		e.armer, _ = m.(TimeoutArmer)

@@ -90,9 +90,6 @@ type Tracer interface {
 type Exec struct {
 	Prog     *ir.Program
 	Counters Counters
-	// ConstCont mirrors the compile option: when set, continuations at
-	// static/constant sites are not counted as heap allocations.
-	ConstCont bool
 	// MaxSteps bounds one activation (runaway-loop guard); 0 = default.
 	MaxSteps int
 	// Tracer, when non-nil, observes Suspend/Resume/MakeCont.
@@ -347,14 +344,6 @@ func constValue(in *ir.Instr) Value {
 	return IntVal(in.Int)
 }
 
-// heapSite reports whether the paper's compiler would allocate the record
-// of suspend site `site` dynamically: always, except under ConstCont at a
-// static or constant site.
-func (x *Exec) heapSite(site int) bool {
-	s := x.Prog.Sites[site]
-	return !(x.ConstCont && (s.Static || s.Constant))
-}
-
 // SiteCont returns the one record of a suspend site whose fragment restores
 // no registers: what an OpMakeCont there yields and what a decoder installs
 // for it. It is the paper's statically allocated continuation; that the
@@ -365,7 +354,7 @@ func (x *Exec) SiteCont(site int) *Cont {
 	}
 	if x.siteConts[site] == nil {
 		s := x.Prog.Sites[site]
-		x.siteConts[site] = &Cont{Fn: s.Func, Frag: s.FragIdx, Site: site, Heap: x.heapSite(site)}
+		x.siteConts[site] = &Cont{Fn: s.Func, Frag: s.FragIdx, Site: site, Heap: s.Heap}
 	}
 	return x.siteConts[site]
 }
@@ -375,7 +364,7 @@ func (x *Exec) SiteCont(site int) *Cont {
 // whatever this interpreter does (see SiteCont).
 func (x *Exec) makeCont(f *ir.Func, in *ir.Instr, regs []Value) Value {
 	site := f.Frags[in.Idx].Site
-	heap := x.heapSite(site)
+	heap := x.Prog.Sites[site].Heap
 	if heap {
 		x.Counters.HeapConts++
 	} else {

@@ -123,7 +123,7 @@ end;
 
 func runGo(t *testing.T, p *ir.Program, f *ir.Func, h vm.Host) *vm.Exec {
 	t.Helper()
-	x := &vm.Exec{Prog: p, ConstCont: true}
+	x := &vm.Exec{Prog: p}
 	params := []vm.Value{vm.IDVal(0), vm.InfoVal(nil), vm.NodeVal(3)}
 	if err := x.RunHandler(h, f, nil, params); err != nil {
 		t.Fatalf("run: %v", err)

@@ -23,7 +23,8 @@ go test -race ./...
 # -fuzz takes one target and one package; a new input is minimized for ten
 # executions, not a minute). A crasher stops the script and is left in the
 # package's testdata/fuzz/, where the gate at the end would catch it too.
-for target in FuzzParse:litmus FuzzLoad:fuzz FuzzCompile:core FuzzDecodeState:runtime FuzzNetModel:netmodel; do
+for target in FuzzParse:litmus FuzzLoad:fuzz FuzzCompile:core FuzzDecodeState:runtime FuzzNetModel:netmodel \
+  FuzzClientScript:mc FuzzRestore:mc; do
   go test -run '^$' -fuzz "${target%%:*}" -fuzztime 5s -fuzzminimizetime 10x "./internal/${target##*:}"
 done
 # Not under -race. The allocation contracts (canonicalize: 0 over warmed
