@@ -237,7 +237,7 @@ func (e *Engine) EncodeValue(enc *Encoder, v vm.Value) error {
 	case vm.KID:
 		enc.Int(int64(enc.remap.MapBlock(int(v.Int))))
 	case vm.KString:
-		enc.Str(v.Str)
+		enc.Str(v.Str())
 	case vm.KState:
 		sv := v.State()
 		enc.Int(int64(sv.State))
@@ -287,11 +287,11 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block) (vm.Value, error) {
 		if n == 0 {
 			return vm.StateValue(e.Exec.BareState(state)), nil
 		}
-		args := e.Exec.Region.Values(n)
-		if err := e.decodeValues(d, args, block); err != nil {
+		sv := e.Exec.Region.NewState(state, n)
+		if err := e.decodeValues(d, sv.Args, block); err != nil {
 			return vm.Value{}, err
 		}
-		return vm.StateValue(e.Exec.Region.NewState(state, args)), nil
+		return vm.StateValue(sv), nil
 	case vm.KCont:
 		site := int(d.Int())
 		if site < 0 || site >= len(e.Proto.IR.Sites) {
@@ -305,11 +305,11 @@ func (e *Engine) DecodeValue(d *Decoder, block *Block) (vm.Value, error) {
 		if n == 0 {
 			return vm.ContVal(e.Exec.SiteCont(site)), nil
 		}
-		saved := e.Exec.Region.Values(n)
-		if err := e.decodeValues(d, saved, block); err != nil {
+		c := e.Exec.Region.NewCont(s, n)
+		if err := e.decodeValues(d, c.Saved, block); err != nil {
 			return vm.Value{}, err
 		}
-		return vm.ContVal(e.Exec.Region.NewCont(vm.Cont{Fn: s.Func, Frag: s.FragIdx, Site: site, Saved: saved})), nil
+		return vm.ContVal(c), nil
 	case vm.KInfo:
 		return vm.InfoVal(block), nil
 	}

@@ -229,7 +229,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	if got.Tag != 2 || got.ID != 1 || got.Src != 3 || !got.Data || len(got.Payload) != 3 {
 		t.Errorf("got %+v", got)
 	}
-	if got.Payload[0].Int != 7 || !got.Payload[1].Bool() || got.Payload[2].Str != "x" {
+	if got.Payload[0].Int != 7 || !got.Payload[1].Bool() || got.Payload[2].Str() != "x" {
 		t.Errorf("payload = %v", got.Payload)
 	}
 }

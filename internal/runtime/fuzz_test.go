@@ -4,6 +4,7 @@ import (
 	"bytes"
 	goruntime "runtime"
 	"sort"
+	"strconv"
 	"testing"
 
 	"teapot/internal/mc"
@@ -118,7 +119,7 @@ func FuzzDecodeState(f *testing.F) {
 		goruntime.ReadMemStats(&before)
 		err := decode(e, data)
 		goruntime.ReadMemStats(&after)
-		// A value is 48 bytes and takes at least one byte of input, a record
+		// A value is 32 bytes and takes at least one byte of input, a record
 		// about as much; the slack is for whatever else the process does.
 		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+256*len(data)); got > bound {
 			t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(data), got, bound)
@@ -180,6 +181,165 @@ func FuzzDecodeState(f *testing.F) {
 		}
 		if err := e2.EncodeState(&enc2); err != nil || !bytes.Equal(enc1.Bytes(), enc2.Bytes()) {
 			t.Fatalf("encode∘decode is not a fixpoint (err %v): %x then %x", err, enc1.Bytes(), enc2.Bytes())
+		}
+	})
+}
+
+// deliveries reads a fuzz input as a sequence of messages for an engine of
+// p: per message a tag byte (read modulo the declared tags plus two, so -1
+// and one past the last are undeclared), a block byte (modulo fuzzBlocks), a
+// source byte (any int8), a byte whose low bit is the data flag and whose
+// next two bits count the payload values, and the values. Input past the
+// end reads as zeros.
+type deliveries struct {
+	p    *runtime.Protocol
+	data []byte
+}
+
+func (r *deliveries) next() int {
+	if len(r.data) == 0 {
+		return 0
+	}
+	b := r.data[0]
+	r.data = r.data[1:]
+	return int(b)
+}
+
+func (r *deliveries) message() *runtime.Message {
+	m := &runtime.Message{
+		Tag: r.next()%(len(r.p.Sema().Messages)+2) - 1,
+		ID:  r.next() % fuzzBlocks,
+		Src: int(int8(r.next())),
+	}
+	flags := r.next()
+	m.Data = flags&1 == 1
+	for i := 0; i < flags>>1&3; i++ {
+		m.Payload = append(m.Payload, r.value(1))
+	}
+	return m
+}
+
+// value reads one value of any kind: a kind byte, an int8 operand, and for a
+// state or continuation what it holds. A state has the arity its third byte
+// names, whatever its declaration says (arity 3 is a state value with no
+// record at all); a continuation is a well-formed record of a suspend site,
+// holding values that need not be of the types the fragment expects.
+func (r *deliveries) value(depth int) vm.Value {
+	kind, n := vm.Kind(r.next()%int(vm.KInfo+1)), int64(int8(r.next()))
+	nested := func(vals []vm.Value) { // left nil below the given depth
+		for i := range vals {
+			if depth > 0 {
+				vals[i] = r.value(depth - 1)
+			}
+		}
+	}
+	switch kind {
+	case vm.KString:
+		return vm.StringVal(strconv.FormatInt(n, 10))
+	case vm.KState:
+		arity := r.next() % 4
+		if arity == 3 {
+			return vm.Value{Kind: vm.KState}
+		}
+		sv := &vm.StateVal{State: int(uint8(n)) % len(r.p.Sema().States), Args: make([]vm.Value, arity)}
+		nested(sv.Args)
+		return vm.StateValue(sv)
+	case vm.KCont:
+		sites := r.p.IR.Sites
+		if len(sites) == 0 {
+			return vm.Value{}
+		}
+		s := sites[int(uint8(n))%len(sites)]
+		c := (*vm.Region)(nil).NewCont(s, len(s.Func.Frags[s.FragIdx].Saved))
+		nested(c.Saved)
+		return vm.ContVal(c)
+	case vm.KInfo:
+		return vm.InfoVal(nil)
+	case vm.KAbstract:
+		return vm.AbstractVal([]int64{n})
+	}
+	return vm.Value{Kind: kind, Int: n} // nil and the scalars, with any operand
+}
+
+// FuzzExec: the interpreter runs compiled handlers on whatever a machine
+// delivers, so on any message sequence — tags the protocol does not declare,
+// payloads of any length holding values of any kind (strings, states,
+// continuations, nil, values Go cannot compare) — every Deliver returns nil
+// or an error and never panics, and the register stack is empty after each.
+// The engines are every runnable bundled protocol, optimized and not, as
+// node 1 of a stub machine on which block 0 is cached and block 1 at home,
+// with a step budget small enough that a runaway loop ends the handler
+// quickly; an input is read as at most 64 deliveries. Seeds deliver every
+// declared tag in order to each block, with the payload arity the block's
+// start state expects, holding nils and holding each kind in turn.
+func FuzzExec(f *testing.F) {
+	type target struct {
+		p   *runtime.Protocol
+		sup runtime.Support
+	}
+	var targets []target
+	for _, e := range protocols.All() {
+		if !e.Runnable() {
+			continue
+		}
+		for _, optimize := range []bool{true, false} {
+			e.Config.Optimize = optimize
+			spec, err := e.Spec(3, fuzzBlocks)
+			if err != nil {
+				f.Fatal(err)
+			}
+			targets = append(targets, target{spec.Proto, spec.Support})
+		}
+	}
+	for i, tg := range targets {
+		// seedValue is what value reads back as a value of kind k, operand n,
+		// holding integers.
+		seedValue := func(k vm.Kind, n int) []byte {
+			b := []byte{byte(k), byte(n)}
+			switch k {
+			case vm.KState:
+				b = append(b, 1, byte(vm.KInt), 5)
+			case vm.KCont:
+				if sites := tg.p.IR.Sites; len(sites) > 0 {
+					s := sites[n%len(sites)]
+					for range s.Func.Frags[s.FragIdx].Saved {
+						b = append(b, byte(vm.KInt), 5)
+					}
+				}
+			}
+			return b
+		}
+		for block, start := range []int{tg.p.CacheStart, tg.p.HomeStart} {
+			var bare, loaded []byte
+			for tag := range tg.p.Sema().Messages {
+				params := 0
+				if h := tg.p.IR.FuncFor(start, tag); h != nil {
+					params = min(h.NumParams-3, 3)
+				}
+				bare = append(bare, byte(tag+1), byte(block), 0, byte(params<<1))
+				bare = append(bare, make([]byte, 2*params)...) // nil values
+				loaded = append(loaded, byte(tag+1), byte(block), byte(tag), byte(1|params<<1))
+				for j := 0; j < params; j++ {
+					loaded = append(loaded, seedValue(vm.Kind((tag+j)%int(vm.KInfo+1)), tag)...)
+				}
+			}
+			f.Add(uint8(i), bare)
+			f.Add(uint8(i), loaded)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		tg := targets[int(which)%len(targets)]
+		m := newTestMachine()
+		m.homes = func(id int) int { return runtime.HomeOf(id, 2) }
+		e := runtime.NewEngine(tg.p, 1, fuzzBlocks, m, tg.sup)
+		e.Exec.MaxSteps = 200
+		r := &deliveries{p: tg.p, data: data}
+		for i := 0; len(r.data) > 0 && i < 64; i++ {
+			msg := r.message()
+			err := e.Deliver(msg)
+			if d := e.Exec.Depth(); d != 0 {
+				t.Fatalf("delivery %d (%+v, err %v) left the register stack at depth %d", i, *msg, err, d)
+			}
 		}
 	})
 }

@@ -75,8 +75,9 @@ func (noteSupport) ModConst(ctx *runtime.Ctx, name string) vm.Value { return vm.
 // come off the Exec's register stack and its parameters out of the engine's
 // buffer) — not for a support call, a Send whose record the machine
 // releases, or a transition into an argument-less state either — a Suspend
-// at a static site allocates the state value that carries the continuation
-// and no continuation record; and the register stack is empty again after
+// at a static site allocates the state value that carries the continuation,
+// in one allocation with its argument, and no continuation record; and the
+// register stack is empty again after
 // every delivery, whichever way the handler left — returning, suspending,
 // tail-resuming through nested continuations, or failing.
 func TestDispatchAllocs(t *testing.T) {
@@ -122,7 +123,7 @@ func TestDispatchAllocs(t *testing.T) {
 	for _, row := range []struct {
 		name string
 		max  float64
-	}{{"GO", 0}, {"ASK", 2}} {
+	}{{"GO", 0}, {"ASK", 1}} {
 		run := round(row.name)
 		run() // warm: the free list gets its record, the tables their entries
 		first := waiting

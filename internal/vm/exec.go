@@ -220,9 +220,9 @@ func (x *Exec) run(h Host, f *ir.Func, pc int, regs []Value, base int) error {
 		switch in.Op {
 		case ir.OpNop:
 		case ir.OpConst:
-			regs[in.Dst] = constValue(in)
+			regs[in.Dst] = Value{Kind: constKinds[in.Kind], Int: in.Int}
 		case ir.OpConstStr:
-			regs[in.Dst] = StringVal(in.Str)
+			regs[in.Dst] = Value{Kind: KString, Ref: &in.Str}
 		case ir.OpMove:
 			regs[in.Dst] = regs[in.A]
 		case ir.OpBin:
@@ -264,11 +264,11 @@ func (x *Exec) run(h Host, f *ir.Func, pc int, regs []Value, base int) error {
 				regs[in.Dst] = StateValue(x.BareState(in.Idx))
 				break
 			}
-			args := x.Region.Values(len(in.Args))
+			sv := x.Region.NewState(in.Idx, len(in.Args))
 			for i, r := range in.Args {
-				args[i] = regs[r]
+				sv.Args[i] = regs[r]
 			}
-			regs[in.Dst] = StateValue(x.Region.NewState(in.Idx, args))
+			regs[in.Dst] = StateValue(sv)
 		case ir.OpMakeCont:
 			regs[in.Dst] = x.makeCont(f, in, regs)
 		case ir.OpSuspend:
@@ -328,20 +328,9 @@ func (x *Exec) run(h Host, f *ir.Func, pc int, regs []Value, base int) error {
 	}
 }
 
-func constValue(in *ir.Instr) Value {
-	switch in.Kind {
-	case ir.KBool:
-		return Value{Kind: KBool, Int: in.Int}
-	case ir.KNode:
-		return Value{Kind: KNode, Int: in.Int}
-	case ir.KID:
-		return Value{Kind: KID, Int: in.Int}
-	case ir.KMsg:
-		return Value{Kind: KMsg, Int: in.Int}
-	case ir.KAccess:
-		return Value{Kind: KAccess, Int: in.Int}
-	}
-	return IntVal(in.Int)
+// constKinds is the value kind of each OpConst immediate kind.
+var constKinds = [...]Kind{
+	ir.KInt: KInt, ir.KBool: KBool, ir.KNode: KNode, ir.KID: KID, ir.KMsg: KMsg, ir.KAccess: KAccess,
 }
 
 // SiteCont returns the one record of a suspend site whose fragment restores
@@ -363,22 +352,20 @@ func (x *Exec) SiteCont(site int) *Cont {
 // and the tracer report what the paper's compiler would have allocated,
 // whatever this interpreter does (see SiteCont).
 func (x *Exec) makeCont(f *ir.Func, in *ir.Instr, regs []Value) Value {
-	site := f.Frags[in.Idx].Site
-	heap := x.Prog.Sites[site].Heap
-	if heap {
+	s := x.Prog.Sites[f.Frags[in.Idx].Site]
+	if s.Heap {
 		x.Counters.HeapConts++
 	} else {
 		x.Counters.StaticConts++
 	}
 	var c *Cont
 	if len(in.Args) == 0 {
-		c = x.SiteCont(site)
+		c = x.SiteCont(s.ID)
 	} else {
-		saved := x.Region.Values(len(in.Args))
+		c = x.Region.NewCont(s, len(in.Args))
 		for i, r := range in.Args {
-			saved[i] = regs[r]
+			c.Saved[i] = regs[r]
 		}
-		c = x.Region.NewCont(Cont{Fn: f, Frag: in.Idx, Saved: saved, Site: site, Heap: heap})
 	}
 	if x.Tracer != nil {
 		x.Tracer.TraceContAlloc(c)
@@ -462,7 +449,7 @@ func (x *Exec) callOp(h Host, f *ir.Func, in *ir.Instr, regs []Value) error {
 	case sema.BDrop:
 		return h.Drop()
 	case sema.BError:
-		msg := regs[in.Args[0]].Str
+		msg := regs[in.Args[0]].Str()
 		extra := make([]any, 0, len(in.Args)-1)
 		for _, r := range in.Args[1:] {
 			extra = append(extra, regs[r].String())

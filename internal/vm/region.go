@@ -1,5 +1,7 @@
 package vm
 
+import "teapot/internal/ir"
+
 // Region is storage for records whose lifetime someone else bounds: the
 // model checker gives each worker one and resets it before decoding the next
 // state, so every state value, continuation record and argument vector a
@@ -55,26 +57,52 @@ func (r *Region) Values(n int) []Value {
 	return r.vals.take(n)
 }
 
-// NewState builds a state value; it keeps args.
-func (r *Region) NewState(state int, args []Value) *StateVal {
-	if r == nil {
-		return &StateVal{State: state, Args: args}
+// NewState builds a value of state with n arguments, which the caller fills
+// as it fills a Values vector. On the heap a one-argument state — the only
+// kind with arguments the bundled protocols declare — is a single allocation
+// holding the record and its argument.
+func (r *Region) NewState(state, n int) *StateVal {
+	if r != nil {
+		sv := &r.states.take(1)[0]
+		sv.State, sv.Args = state, r.vals.take(n)
+		return sv
 	}
-	sv := &r.states.take(1)[0]
-	sv.State, sv.Args = state, args
-	return sv
+	if n == 1 {
+		rec := new(struct {
+			sv   StateVal
+			args [1]Value
+		})
+		rec.sv = StateVal{State: state, Args: rec.args[:]}
+		return &rec.sv
+	}
+	return &StateVal{State: state, Args: make([]Value, n)}
 }
 
-// NewCont builds a continuation record holding c. The heap path copies into
-// a new record instead of returning &c, which would move the parameter to
-// the heap on the region path too (escape analysis is per function).
-func (r *Region) NewCont(c Cont) *Cont {
-	var nc *Cont
-	if r == nil {
-		nc = new(Cont)
-	} else {
-		nc = &r.conts.take(1)[0]
+// NewCont builds a record of suspend site s saving n registers, which the
+// caller fills as it fills a Values vector. On the heap a record saving one
+// or two registers — nearly every bundled site that saves any — is a single
+// allocation holding the record and its saves.
+func (r *Region) NewCont(s *ir.SuspendSite, n int) *Cont {
+	var c *Cont
+	var saved []Value
+	switch {
+	case r != nil:
+		c, saved = &r.conts.take(1)[0], r.vals.take(n)
+	case n == 1:
+		rec := new(struct {
+			c     Cont
+			saved [1]Value
+		})
+		c, saved = &rec.c, rec.saved[:]
+	case n == 2:
+		rec := new(struct {
+			c     Cont
+			saved [2]Value
+		})
+		c, saved = &rec.c, rec.saved[:]
+	default:
+		c, saved = new(Cont), make([]Value, n)
 	}
-	*nc = c
-	return nc
+	*c = Cont{Fn: s.Func, Frag: s.FragIdx, Saved: saved, Site: s.ID, Heap: s.Heap}
+	return c
 }

@@ -6,13 +6,14 @@ package vm
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"teapot/internal/ir"
 )
 
 // Kind tags a runtime value.
-type Kind int
+type Kind uint8
 
 // Value kinds.
 const (
@@ -30,13 +31,16 @@ const (
 	KInfo
 )
 
-// Value is a Teapot runtime value. Scalars live in Int; strings in Str;
-// states, continuations, info handles, and abstract support values in Ref.
+// Value is a Teapot runtime value: 32 bytes, the unit every register,
+// parameter, state argument and continuation save is copied in. Scalars live
+// in Int; everything else behind Ref — states, continuations, info handles,
+// abstract support values, and strings as a *string (see Str), so that the
+// value of a string constant points into the instruction that holds it and
+// building one allocates nothing.
 type Value struct {
-	Kind Kind
 	Int  int64
-	Str  string
 	Ref  any
+	Kind Kind
 }
 
 // Convenience constructors.
@@ -46,7 +50,7 @@ func NodeVal(n int) Value      { return Value{Kind: KNode, Int: int64(n)} }
 func IDVal(id int) Value       { return Value{Kind: KID, Int: int64(id)} }
 func MsgVal(m int) Value       { return Value{Kind: KMsg, Int: int64(m)} }
 func AccessVal(a int64) Value  { return Value{Kind: KAccess, Int: a} }
-func StringVal(s string) Value { return Value{Kind: KString, Str: s} }
+func StringVal(s string) Value { return Value{Kind: KString, Ref: &s} }
 func StateValue(s *StateVal) Value {
 	return Value{Kind: KState, Ref: s}
 }
@@ -76,6 +80,14 @@ func (v Value) Cont() *Cont {
 	return c
 }
 
+// Str returns the string, or "".
+func (v Value) Str() string {
+	if s, _ := v.Ref.(*string); s != nil {
+		return *s
+	}
+	return ""
+}
+
 func (v Value) String() string {
 	switch v.Kind {
 	case KNil:
@@ -93,7 +105,7 @@ func (v Value) String() string {
 	case KAccess:
 		return fmt.Sprintf("acc%d", v.Int)
 	case KString:
-		return v.Str
+		return v.Str()
 	case KState:
 		if s := v.State(); s != nil {
 			return s.String()
@@ -117,6 +129,8 @@ func (v Value) String() string {
 // storage is the implementation's business (the interpreter reuses one
 // record per save-nothing site, the checker rebuilds every record when it
 // decodes a state), and the same logical value must compare the same in both.
+// An abstract value is whatever its support module hands out; one Go cannot
+// compare (a slice, a map) equals nothing, itself included.
 func Equal(a, b Value) bool {
 	if a.Kind != b.Kind {
 		return false
@@ -125,7 +139,7 @@ func Equal(a, b Value) bool {
 	case KInt, KBool, KNode, KID, KMsg, KAccess:
 		return a.Int == b.Int
 	case KString:
-		return a.Str == b.Str
+		return a.Str() == b.Str()
 	case KState:
 		sa, sb := a.State(), b.State()
 		if sa == nil || sb == nil {
@@ -155,7 +169,10 @@ func Equal(a, b Value) bool {
 		}
 		return true
 	default:
-		return a.Ref == b.Ref
+		if a.Ref == nil || b.Ref == nil {
+			return a.Ref == b.Ref
+		}
+		return reflect.ValueOf(a.Ref).Comparable() && reflect.ValueOf(b.Ref).Comparable() && a.Ref == b.Ref
 	}
 }
 

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -291,6 +292,14 @@ func TestValueEquality(t *testing.T) {
 	waiting := func(c vm.Value) vm.Value {
 		return vm.StateValue(&vm.StateVal{State: 2, Args: []vm.Value{c, vm.NodeVal(1)}})
 	}
+	// A support module may hand out what Go cannot compare: such a value
+	// equals nothing, itself included, and comparing it must not panic.
+	slice, table := vm.AbstractVal([]int{1}), vm.AbstractVal(map[int]int{})
+	nested := vm.AbstractVal(struct{ v any }{[]int{1}})
+	handle := vm.AbstractVal(&struct{ n int }{})
+	// Strings live behind Ref: two with the same text in different arrays
+	// are one value.
+	word := func() vm.Value { return vm.StringVal(string([]byte("word"))) }
 	cases := []struct {
 		a, b vm.Value
 		eq   bool
@@ -322,6 +331,20 @@ func TestValueEquality(t *testing.T) {
 		{rec(fn, 1), vm.ContVal(nil), false},
 		{waiting(rec(fn, 1, vm.IDVal(3))), waiting(rec(fn, 1, vm.IDVal(3))), true},
 		{waiting(rec(fn, 1, vm.IDVal(3))), waiting(rec(fn, 2, vm.IDVal(3))), false},
+		{slice, slice, false},
+		{table, table, false},
+		{nested, nested, false},
+		{slice, table, false},
+		{handle, handle, true},
+		{handle, vm.AbstractVal(&struct{ n int }{}), false},
+		{vm.AbstractVal(3), vm.AbstractVal(3), true},
+		{vm.AbstractVal(3), slice, false},
+		{vm.AbstractVal(nil), vm.AbstractVal(nil), true},
+		{vm.AbstractVal(nil), slice, false},
+		{word(), word(), true},
+		{word(), vm.StringVal("ward"), false},
+		{word(), vm.Value{Kind: vm.KString}, false},
+		{vm.StringVal(""), vm.Value{Kind: vm.KString}, true},
 	}
 	for i, c := range cases {
 		if got := vm.Equal(c.a, c.b); got != c.eq {
@@ -373,38 +396,64 @@ func TestValueStrings(t *testing.T) {
 	}
 }
 
+// heapSink keeps what TestRegion takes from the heap reachable, so that the
+// compiler cannot build it on the stack instead.
+var heapSink any
+
 // TestRegion: what a region hands out stays where it is and keeps what was
 // put there until Reset, however many chunks later runs spill into; after
-// Reset the same storage is handed out again; and a nil region is the heap.
+// Reset the same storage is handed out again; and a nil region is the heap,
+// where a state with one argument and a record saving one or two registers
+// are one allocation each.
 func TestRegion(t *testing.T) {
+	sites := make([]*ir.SuspendSite, 201)
+	for n := range sites {
+		sites[n] = &ir.SuspendSite{ID: n, FragIdx: n % 3, Heap: n%2 == 0}
+	}
+	fill := func(vals []vm.Value, n, tag int) {
+		for i := range vals {
+			vals[i] = vm.IntVal(int64(tag*1000000 + n*1000 + i))
+		}
+	}
 	for _, r := range []*vm.Region{nil, new(vm.Region)} {
 		var runs [][]vm.Value
 		var states []*vm.StateVal
 		var conts []*vm.Cont
-		for n := 1; n <= 200; n++ { // 20,100 values: several doublings of a 32-value chunk
-			run := r.Values(n)
-			if len(run) != n || cap(run) != n {
-				t.Fatalf("Values(%d): len %d cap %d", n, len(run), cap(run))
-			}
-			for i := range run {
-				run[i] = vm.IntVal(int64(n*1000 + i))
-			}
-			runs = append(runs, run)
-			states = append(states, r.NewState(n, run))
-			conts = append(conts, r.NewCont(vm.Cont{Site: n, Saved: run}))
-		}
-		for k, run := range runs {
-			n := k + 1
-			for i, v := range run {
-				if v.Int != int64(n*1000+i) {
-					t.Fatalf("region %v: run %d value %d overwritten: %v", r != nil, n, i, v)
+		for n := 1; n <= 200; n++ { // 60,300 values: several doublings of a 32-value chunk
+			run, sv, c := r.Values(n), r.NewState(n, n), r.NewCont(sites[n], n)
+			for _, vals := range [][]vm.Value{run, sv.Args, c.Saved} {
+				if len(vals) != n || cap(vals) != n {
+					t.Fatalf("arity %d: len %d cap %d", n, len(vals), cap(vals))
 				}
 			}
-			if states[k].State != n || &states[k].Args[0] != &run[0] || conts[k].Site != n || &conts[k].Saved[0] != &run[0] {
+			fill(run, n, 1)
+			fill(sv.Args, n, 2)
+			fill(c.Saved, n, 3)
+			runs, states, conts = append(runs, run), append(states, sv), append(conts, c)
+		}
+		for k := range runs {
+			n := k + 1
+			for tag, vals := range [][]vm.Value{runs[k], states[k].Args, conts[k].Saved} {
+				for i, v := range vals {
+					if v.Int != int64((tag+1)*1000000+n*1000+i) {
+						t.Fatalf("region %v: arity %d, vector %d, value %d overwritten: %v", r != nil, n, tag, i, v)
+					}
+				}
+			}
+			c, s := conts[k], sites[n]
+			if states[k].State != n || c.Site != n || c.Frag != s.FragIdx || c.Heap != s.Heap {
 				t.Fatalf("region %v: record %d does not hold what it was built with", r != nil, n)
 			}
 		}
 		if r == nil {
+			for _, n := range []int{1, 2} {
+				if a := testing.AllocsPerRun(100, func() { heapSink = r.NewCont(sites[n], n) }); a != 1 {
+					t.Errorf("a heap record saving %d registers took %v allocations, want 1", n, a)
+				}
+			}
+			if a := testing.AllocsPerRun(100, func() { heapSink = r.NewState(1, 1) }); a != 1 {
+				t.Errorf("a heap state with one argument took %v allocations, want 1", a)
+			}
 			continue
 		}
 		first := &runs[0][0]
@@ -415,12 +464,22 @@ func TestRegion(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, func() {
 			r.Reset()
 			for n := 1; n <= 200; n++ {
-				r.NewState(n, r.Values(n))
-				r.NewCont(vm.Cont{Site: n})
+				r.Values(n)
+				r.NewState(n, n)
+				r.NewCont(sites[n], n)
 			}
 		})
 		if allocs != 0 {
 			t.Errorf("a warmed region allocated %.0f times for the load it was warmed with", allocs)
 		}
+	}
+}
+
+// TestValueSize is the layout contract the interpreter's speed rests on:
+// every register, parameter, state argument and continuation save is one
+// 32-byte value.
+func TestValueSize(t *testing.T) {
+	if got := reflect.TypeOf(vm.Value{}).Size(); got != 32 {
+		t.Errorf("vm.Value is %d bytes, want 32", got)
 	}
 }

@@ -24,7 +24,7 @@ go test -race ./...
 # executions, not a minute). A crasher stops the script and is left in the
 # package's testdata/fuzz/, where the gate at the end would catch it too.
 for target in FuzzParse:litmus FuzzLoad:fuzz FuzzCompile:core FuzzDecodeState:runtime FuzzNetModel:netmodel \
-  FuzzClientScript:mc FuzzRestore:mc; do
+  FuzzExec:runtime FuzzClientScript:mc FuzzRestore:mc; do
   go test -run '^$' -fuzz "${target%%:*}" -fuzztime 5s -fuzzminimizetime 10x "./internal/${target##*:}"
 done
 # Not under -race. The allocation contracts (canonicalize: 0 over warmed
@@ -33,7 +33,7 @@ done
 # expanding a state builds; the visited store: 0 per claim of a seen key,
 # under N/100 to insert N states; a delivery into a warmed engine: 0, support
 # call, send and all, register stack empty afterwards; a whole simulated run:
-# at most 2 per message), which -race perturbs by allocating on its own account;
+# at most 1 per message), which -race perturbs by allocating on its own account;
 # and the TestExitStatus rows that skip under it for taking seconds (the
 # 3-node drop envelope, the 4-node cut at 200 000 states).
 go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestExitStatus' ./internal/mc/ ./internal/runtime/ .
