@@ -119,6 +119,9 @@ func TestExitStatus(t *testing.T) {
 		{args: "verify -proto lcm", status: 0, stdout: "verified: no deadlock, no unexpected messages, coherence not checked", absent: "coherence holds"},
 		{args: "verify -proto stache -progress=always", status: 0, stderr: "mc: depth 0  frontier 2  states 3"},
 		{args: "verify -proto stache -nodes 3 -symmetry=on", status: 0, stdout: "symmetry /2"},
+		// -stats says what a key cost and how evenly the fingerprint spread
+		// the visited shards.
+		{args: "verify -proto stache -stats", status: 0, stdout: "  keys:           41 bytes mean, 68% encoded per successor\n … \n  shards:         0..7 states per shard\n"},
 		// A deadlock says what each stalled block waits for: the messages
 		// its state handles, and the drops of messages about it.
 		{args: "verify -proto stache-buggy", status: 1, stdout: "VIOLATION deadlock" +
@@ -159,6 +162,12 @@ func TestExitStatus(t *testing.T) {
 		{args: "verify -proto stache-ft -net dup=1", status: 0, stdout: "verified"},
 		{args: "verify -proto stache-ft -net drop=1,dup=1", status: 0, stdout: "verified"},
 		{args: "verify -proto stache-ft -nodes 3 -blocks 1 -net drop=1", status: 0, stdout: "verified", slow: true},
+		// The same shape unreduced is the verify_full benchmark: a successor's
+		// key copies from its parent's what its action cannot have changed,
+		// and the copied bytes are not counted as encoded.
+		{args: "verify -proto stache-ft -nodes 3 -blocks 1 -net drop=1 -symmetry=off -stats", status: 0,
+			stdout: "170738 states, 521346 transitions … keys:           75 bytes mean, 43% encoded per successor\n" +
+				" … shards:         2552..2772 states per shard\n", slow: true},
 		// The large shape: 4 nodes under one drop is 9.2 M states in full, so
 		// cut it — the run stops at the first layer barrier past the limit
 		// with exactly these counts (TestWiderEnvelope pins the 300 000 cut),

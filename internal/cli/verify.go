@@ -58,12 +58,15 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 		spec.Progress = pw.Report
 	}
 
-	// Manifest plumbing: accumulate coverage during exploration and keep the
-	// final progress snapshot (the only carrier of shard balance).
+	// Manifest plumbing: accumulate coverage during exploration. The manifest
+	// and -stats keep the final progress snapshot (the only carrier of shard
+	// balance).
 	wantManifest := *jsonOut || *report != ""
 	var lastProg mc.ProgressInfo
 	if wantManifest {
 		spec.Coverage = obs.NewCoverage()
+	}
+	if wantManifest || *stats {
 		live := spec.Progress
 		spec.Progress = func(p mc.ProgressInfo) {
 			lastProg = p
@@ -155,6 +158,7 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  keys:           %d bytes mean, %.0f%% encoded per successor\n",
 			res.KeyBytes/int64(max(res.Transitions, 1)), 100*float64(res.KeyBytesEncoded)/float64(max(res.KeyBytes, 1)))
 		fmt.Fprintf(stdout, "  visited set:    %s (%.0f bytes/state)\n", mc.FormatBytes(res.VisitedBytes), st.BytesPerState)
+		fmt.Fprintf(stdout, "  shards:         %d..%d states per shard\n", st.ShardMin, st.ShardMax)
 		fmt.Fprintf(stdout, "  rate:           %.0f states/s\n", st.StatesPerSec)
 		fmt.Fprintf(stdout, "  dedup ratio:    %.2f transitions/state\n", st.DedupRatio)
 		fmt.Fprintf(stdout, "  symmetry group: %d\n", res.SymmetryGroup)

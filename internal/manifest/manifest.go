@@ -184,12 +184,21 @@ func Load(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, nil
+}
+
+// Decode parses and validates a manifest. Its errors start "manifest: ".
+func Decode(data []byte) (*Manifest, error) {
 	m := &Manifest{}
 	if err := json.Unmarshal(data, m); err != nil {
-		return nil, fmt.Errorf("manifest: %s: %w", path, err)
+		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("manifest: %s: %w", path, err)
+		return nil, fmt.Errorf("manifest: %w", err)
 	}
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package manifest
 
 import (
+	"bytes"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -114,6 +115,58 @@ func TestSchemaKeys(t *testing.T) {
 	if _, ok := raw["sim"]; ok {
 		t.Error("nil sim stats should be omitted")
 	}
+}
+
+// FuzzManifest: a manifest is read back from a file anyone may have edited
+// (teapot cover), so any input is either refused with an error that says it
+// is the manifest that was refused, or decodes to a manifest whose encoding
+// survives decode → Encode unchanged. Seeds are a verify manifest with a
+// counterexample, a sim, a fuzz and a litmus manifest, and two refusals.
+func FuzzManifest(f *testing.F) {
+	verify := validManifest()
+	verify.MC.Violation = &Violation{Kind: "deadlock", Msg: "network empty",
+		Waits: []string{"node 1 block 0 in Cache_Inv_To_RO handles GET_RO_RESP"},
+		Trace: []string{"event RD_FAULT blk0 at node1"},
+		Steps: []Step{{Kind: "event", Node: 1, Event: "RD_FAULT"}, {Kind: "drop", From: 1, To: 0, Msg: "GET_RO_REQ"}}}
+	verify.FlightRecorder = []string{"#0 @0 Send node0 blk0"}
+	sim := &Manifest{ManifestVersion: Version, Tool: "teapot-sim", Protocol: "stache", Nodes: 8, Blocks: 64, Seed: 7,
+		Obs: &ObsSummary{Events: 42, ByKind: map[string]int64{"Send": 40, "Fault": 2}, MaxQueueDepth: 3},
+		Sim: &SimStats{Cycles: 123456, Events: 42, ElapsedSec: 0.01, Accesses: 900, Faults: 2, Messages: 40}}
+	fuzz := &Manifest{ManifestVersion: Version, Tool: "teapot-fuzz", Protocol: "stache-ft", Nodes: 3, Blocks: 1, Net: "drop=1", Seed: 2,
+		Fuzz: &FuzzStats{Schedules: 100, ChoicePoints: 5000, Failed: true, Verdict: "coherence violation (swmr)", ShrunkDecisions: 1}}
+	litmus := &Manifest{ManifestVersion: Version, Tool: "teapot-litmus", Protocol: "stache", Nodes: 2, Blocks: 2,
+		Coverage: &obs.CoverageReport{Dispatch: map[string]uint64{"Cache_Inv.RD_FAULT": 1}, Transitions: map[string]uint64{}},
+		Litmus:   &LitmusStats{Corpus: "testdata/litmus", Mode: "all", Tests: 11, MCStates: 1234}}
+	for _, m := range []*Manifest{verify, sim, fuzz, litmus} {
+		data, err := m.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"manifest_version": 2}`))
+	f.Add([]byte(`{"manifest_version": 1, "tool": "teapot-verify", "protocol": "stache", "nodes": 2, "blocks": 1, "mc": {}, "coverage": {}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil {
+			if m != nil || !strings.HasPrefix(err.Error(), "manifest: ") {
+				t.Fatalf("refused with a manifest %v, or with an error not naming the manifest: %v", m, err)
+			}
+			return
+		}
+		first, err := m.Encode()
+		if err != nil {
+			t.Fatalf("decoded manifest does not encode: %v", err)
+		}
+		again, err := Decode(first)
+		if err != nil {
+			t.Fatalf("re-encoded manifest refused: %v\n%s", err, first)
+		}
+		second, err := again.Encode()
+		if err != nil || !bytes.Equal(first, second) {
+			t.Fatalf("decode → Encode is not a fixpoint (err %v):\n%s\nthen\n%s", err, first, second)
+		}
+	})
 }
 
 func TestShape(t *testing.T) {

@@ -331,7 +331,7 @@ type World struct {
 	// successor from derive, its parent's — and segEnds[k] where segment
 	// k ends in it: engine k for k < Nodes, then channel k-Nodes. A successor
 	// is derived from the segments its action touches, and its key copies the
-	// others (see encodeTo). src is read in place: it must not move while a
+	// others (see encodeVia). src is read in place: it must not move while a
 	// state's successors are derived and keyed.
 	src     []byte
 	segEnds []int
@@ -493,7 +493,7 @@ func (w *World) encode() (string, error) {
 	enc := encoderPool.Get().(*runtime.Encoder)
 	defer encoderPool.Put(enc)
 	enc.Reset(nil)
-	if _, _, err := w.encodeTo(enc, nil, nil); err != nil {
+	if _, err := w.encodeTo(enc, nil); err != nil {
 		return "", err
 	}
 	return string(enc.Bytes()), nil
@@ -510,66 +510,99 @@ func (w *World) encode() (string, error) {
 // it is abandoned at the first engine boundary where the bytes written
 // already compare greater than bound, and the result reports whether the
 // completed encoding is strictly smaller than bound.
-//
-// A non-nil via (plain encoding only) says w is the world w.src was decoded
-// into, or derived from it, with via applied and nothing else: the
-// segments of src that via cannot have touched (action.touches) are copied
-// instead of encoded. Which those are is a function of the action — there
-// are no dirty flags to forget to set. copied is how many bytes that saved.
-func (w *World) encodeTo(enc *runtime.Encoder, bound []byte, via *action) (smaller bool, copied int, err error) {
+func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (smaller bool, err error) {
 	r := enc.Remap()
-	nodes, blocks := w.cfg.Nodes, w.cfg.Blocks
+	nodes := w.cfg.Nodes
 	// decided: -1 smaller than bound, +1 not smaller, 0 equal through
 	// the first 'checked' bytes.
 	decided, checked := 0, 0
 	if bound == nil {
 		decided = 1
 	}
-	// kept copies segment seg from src if via left it alone.
-	kept := func(seg int) bool {
-		if via == nil || via.touches(seg, nodes) {
-			return false
-		}
-		start := 0
-		if seg > 0 {
-			start = w.segEnds[seg-1]
-		}
-		enc.Raw(w.src[start:w.segEnds[seg]])
-		copied += w.segEnds[seg] - start
-		return true
-	}
 	for i := 0; i < nodes; i++ {
-		if !kept(i) {
-			if err := w.engines[r.SrcNode(i)].EncodeState(enc); err != nil {
-				return false, copied, err
-			}
+		if err := w.engines[r.SrcNode(i)].EncodeState(enc); err != nil {
+			return false, err
 		}
 		if decided == 0 {
 			n := min(len(enc.Bytes()), len(bound))
 			decided = bytes.Compare(enc.Bytes()[checked:n], bound[checked:n])
 			if decided > 0 {
-				return false, copied, nil
+				return false, nil
 			}
 			checked = n
 		}
 	}
-	for from := 0; from < nodes; from++ {
-		for to := 0; to < nodes; to++ {
-			if kept(nodes + from*nodes + to) {
-				continue
-			}
-			// Channel messages may belong to any engine's blocks; use the
-			// destination engine for info-handle reconstruction symmetry.
-			dst := r.SrcNode(to)
-			msgs := w.channels[r.SrcNode(from)*nodes+dst]
-			enc.Int(int64(len(msgs)))
-			for _, m := range msgs {
-				if err := w.engines[dst].EncodeMessage(enc, m); err != nil {
-					return false, copied, err
-				}
-			}
+	for ch := 0; ch < nodes*nodes; ch++ {
+		if err := w.encodeChannel(enc, ch); err != nil {
+			return false, err
 		}
 	}
+	w.encodeTail(enc)
+	if decided == 0 {
+		decided = bytes.Compare(enc.Bytes()[checked:], bound[checked:])
+	}
+	return decided < 0, nil
+}
+
+// encodeVia writes the plain encoding of w, which must be the world w.src
+// was decoded into, or derived from it, with via applied and nothing else.
+// Only the segments via may change (action.changes) are encoded; each
+// maximal run of the others is copied from src whole. Which those are is a
+// function of the action — there are no dirty flags to forget to set.
+// copied is how many bytes were copied.
+func (w *World) encodeVia(enc *runtime.Encoder, via *action) (copied int, err error) {
+	nodes := w.cfg.Nodes
+	// The changed ranges, then an empty one at the end of the channels, so
+	// that the run after the last range is copied too.
+	end := nodes + nodes*nodes
+	var buf [4]segRange
+	next := 0 // the first segment not yet written
+	for _, c := range append(via.changes(nodes, buf[:]), segRange{end, end}) {
+		if c.lo > next {
+			run := w.span(next, c.lo)
+			enc.Raw(run)
+			copied += len(run)
+		}
+		for seg := c.lo; seg < c.hi; seg++ {
+			if seg < nodes {
+				err = w.engines[seg].EncodeState(enc)
+			} else {
+				err = w.encodeChannel(enc, seg-nodes)
+			}
+			if err != nil {
+				return copied, err
+			}
+		}
+		next = c.hi
+	}
+	w.encodeTail(enc)
+	return copied, nil
+}
+
+// encodeChannel writes channel ch of the world's image under the encoder's
+// remap (ch = from*Nodes + to in image positions): its length, then its
+// messages, built — for info-handle reconstruction — by the destination's
+// engine.
+func (w *World) encodeChannel(enc *runtime.Encoder, ch int) error {
+	r, nodes := enc.Remap(), w.cfg.Nodes
+	dst := r.SrcNode(ch % nodes)
+	msgs := w.channels[r.SrcNode(ch/nodes)*nodes+dst]
+	enc.Int(int64(len(msgs)))
+	for _, m := range msgs {
+		if err := w.engines[dst].EncodeMessage(enc, m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeTail writes what follows the engines and channels in the world's
+// image under the encoder's remap: access, stalled, the spent budgets and
+// the client plane. Every key encodes it; no action leaves it alone for
+// sure, and it is short.
+func (w *World) encodeTail(enc *runtime.Encoder) {
+	r := enc.Remap()
+	nodes, blocks := w.cfg.Nodes, w.cfg.Blocks
 	for n := 0; n < nodes; n++ {
 		row := w.access[r.SrcNode(n)*blocks:]
 		for b := 0; b < blocks; b++ {
@@ -601,10 +634,6 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte, via *action) (small
 			enc.Int(v)
 		}
 	}
-	if decided == 0 {
-		decided = bytes.Compare(enc.Bytes()[checked:], bound[checked:])
-	}
-	return decided < 0, copied, nil
 }
 
 // decode restores a world from its canonical form.
@@ -1008,39 +1037,57 @@ func (a *action) engine() int {
 	return a.node
 }
 
-// touches reports whether applying a may change key segment seg (engine seg
-// for seg < nodes, then channel seg-nodes; see World.src). An action runs
-// handlers on one engine, and a handler's only way out of its engine is to
-// send from it; the faults edit the channel they name (a corrupt also
-// appends the NACK to the reverse one). So a touches its engine, that
-// engine's outgoing row, and the channel a delivery or fault names — what
-// else it changes (access, stalled, budgets, the client plane) lies in the
-// tail, which is always encoded.
-func (a *action) touches(seg, nodes int) bool {
-	e := a.engine()
-	if seg < nodes {
-		return seg == e
-	}
-	from, to := (seg-nodes)/nodes, (seg-nodes)%nodes
-	switch a.kind {
-	case actDeliver, actDrop, actDup:
-		return from == e || from == a.from && to == a.to
-	case actCorrupt:
-		return from == a.from && to == a.to || from == a.to && to == a.from
-	}
-	return from == e
-}
-
 // noEngine is action.engine's answer for the network faults.
 const noEngine = -1
 
-// segment returns key segment k of w.src (see World.src).
-func (w *World) segment(k int) []byte {
-	start := 0
-	if k > 0 {
-		start = w.segEnds[k-1]
+// segRange is the key segments lo..hi-1: engine k is segment k, channel c
+// segment Nodes+c (see World.src).
+type segRange struct{ lo, hi int }
+
+// changes returns the key segments applying a may change as at most three
+// ranges, ascending and disjoint, in the array of buf (whose contents it
+// drops). An action runs handlers on one engine, and a handler's only way
+// out of its engine is to send from it; the faults edit the channel they
+// name (a corrupt also appends the NACK to the reverse one). So a may change
+// its engine, that engine's outgoing row of channels — one range, the
+// channels from a node being adjacent — and the channels it names. What
+// else it changes (access, stalled, budgets, the client plane) lies in the
+// tail, which every key encodes.
+func (a *action) changes(nodes int, buf []segRange) []segRange {
+	out := buf[:0]
+	if e := a.engine(); e != noEngine {
+		row := nodes + e*nodes
+		out = append(out, segRange{e, e + 1}, segRange{row, row + nodes})
 	}
-	return w.src[start:w.segEnds[k]]
+	switch a.kind {
+	case actDeliver, actDrop, actDup:
+		out = withSegment(out, nodes+a.from*nodes+a.to)
+	case actCorrupt:
+		out = withSegment(out, nodes+a.from*nodes+a.to)
+		out = withSegment(out, nodes+a.to*nodes+a.from)
+	}
+	return out
+}
+
+// withSegment adds segment k to the ascending, disjoint ranges rs.
+func withSegment(rs []segRange, k int) []segRange {
+	i := 0
+	for i < len(rs) && rs[i].hi <= k {
+		i++
+	}
+	if i < len(rs) && rs[i].lo <= k {
+		return rs // already in
+	}
+	return slices.Insert(rs, i, segRange{k, k + 1})
+}
+
+// span returns key segments lo..hi-1 of w.src, in place (see World.src).
+func (w *World) span(lo, hi int) []byte {
+	start := 0
+	if lo > 0 {
+		start = w.segEnds[lo-1]
+	}
+	return w.src[start:w.segEnds[hi-1]]
 }
 
 // derive overwrites dst — a world newWorld built for this configuration,
@@ -1073,9 +1120,11 @@ func (w *World) derive(dst *World, touch int) error {
 	}
 	copy(dst.engines, w.engines)
 	nodes := w.cfg.Nodes
-	for ch, msgs := range w.channels {
-		if ch%nodes != touch {
-			dst.channels[ch] = append(dst.channels[ch][:0], msgs...)
+	for from := 0; from < nodes; from++ {
+		for to := 0; to < nodes; to++ {
+			if ch := from*nodes + to; to != touch {
+				dst.channels[ch] = append(dst.channels[ch][:0], w.channels[ch]...)
+			}
 		}
 	}
 	if touch == noEngine {
@@ -1084,13 +1133,13 @@ func (w *World) derive(dst *World, touch int) error {
 	e, d := dst.owned[touch], &dst.dec
 	e.SetObs(nil)
 	dst.engines[touch] = e
-	d.Reset(w.segment(touch))
+	d.Reset(w.span(touch, touch+1))
 	if err := e.DecodeState(d); err != nil {
 		return err
 	}
 	for from := 0; from < nodes; from++ {
 		ch := from*nodes + touch
-		d.Reset(w.segment(nodes + ch))
+		d.Reset(w.span(nodes+ch, nodes+ch+1))
 		var err error
 		if dst.channels[ch], err = decodeChannel(d, e, dst.channels[ch]); err != nil {
 			return err

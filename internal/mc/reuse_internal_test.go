@@ -190,10 +190,12 @@ type ExpandStats struct {
 //
 // Mutations that must each fail it (tried when it was written): the
 // region reset moved after decodeInto in worker.decode (the decoded state
-// is overwritten by what the successors build); action.touches answering
-// false for the engine the action ran on (its stale segment is copied); the
-// scratch world's engines bound to the parent world instead of the
-// successor (what a derived engine sends lands in the parent).
+// is overwritten by what the successors build); action.changes leaving out
+// the engine the action ran on (its stale segment is copied); the scratch
+// world's engines bound to the parent world instead of the successor (what
+// a derived engine sends lands in the parent); a run encodeVia copies
+// reaching one segment into the changed range after it (the touched
+// engine's stale bytes are copied).
 func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) ExpandStats {
 	t.Helper()
 	cfg.Workers = 1

@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"math"
 	goruntime "runtime"
 	"strings"
 	"testing"
@@ -194,6 +195,47 @@ func TestVisitedAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own account")
 	}
 	mc.CheckVisitedAllocs(t)
+}
+
+// TestFingerprintSpread: over every key a real exploration stores, the
+// fingerprint gives no two keys the same 64 bits, balances the 64 shards,
+// and almost never sends a lookup to compare against a key it is not. The
+// explorations are stache-ft 2n under drops and a duplicate (8,021 states)
+// and the verify_full benchmark's 3n drop=1 (170,738). A shard's count is
+// held within ±15 % of the mean, or within five standard deviations of what
+// a uniform hash would put there where that is wider: at 125 states per
+// shard one deviation is 8.9 % of the mean, and a uniform hash puts a few of
+// 64 shards outside ±15 %; at 2,668 it is 1.9 %.
+func TestFingerprintSpread(t *testing.T) {
+	for _, sh := range []struct {
+		reuseShape
+		states int
+		slow   bool
+	}{
+		{reuseShape{"stache-ft-2n-drop2-dup1", namedConfig("stache-ft", 2, 1, netmodel.Model{MaxDrops: 2, MaxDups: 1})}, 8021, false},
+		{reuseShape{"stache-ft-3n-drop1", namedConfig("stache-ft", 3, 1, netmodel.Model{MaxDrops: 1})}, 170738, true},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			if sh.slow && (raceEnabled || testing.Short()) {
+				t.Skip("a second to explore, several under the race detector")
+			}
+			cfg := sh.cfg(t)
+			cfg.Symmetry = mc.SymmetryOff
+			st := mc.CheckFingerprintSpread(t, cfg)
+			t.Logf("%+v", st)
+			if st.States != sh.states {
+				t.Fatalf("%d states, want %d", st.States, sh.states)
+			}
+			mean := float64(st.States) / 64
+			tol := max(0.15, 5*math.Sqrt(mean*63/64)/mean)
+			if float64(st.ShardMin) < (1-tol)*mean || float64(st.ShardMax) > (1+tol)*mean {
+				t.Errorf("shards hold %d..%d states around a mean of %.1f, want within ±%.0f%%", st.ShardMin, st.ShardMax, mean, 100*tol)
+			}
+			if st.Failed*1000 >= st.Confirms {
+				t.Errorf("%d of %d full-key confirmations failed, want under 1 in 1,000", st.Failed, st.Confirms)
+			}
+		})
+	}
 }
 
 // FuzzRestore: Restore takes its key from outside the checker (a snapshot

@@ -147,12 +147,18 @@ type keyScratch struct {
 
 // key encodes w into the scratch — canonicalized when red is non-nil —
 // and returns the visited-set key. via is the action that derived w
-// from the state it was decoded from (nil: encode all of it; see
-// World.encodeTo); only the plain encoding can use it, the remapped
-// challengers stream every byte.
+// from the state it was decoded from (nil: encode all of it); only the
+// plain encoding can use it (World.encodeVia), the remapped challengers
+// stream every byte.
 func (sc *keyScratch) key(w *World, red *reduction, via *action) ([]byte, error) {
 	sc.best.Reset(nil)
-	_, copied, err := w.encodeTo(&sc.best, nil, via)
+	var copied int
+	var err error
+	if via != nil {
+		copied, err = w.encodeVia(&sc.best, via)
+	} else {
+		_, err = w.encodeTo(&sc.best, nil)
+	}
 	sc.encoded = len(sc.best.Bytes()) - copied
 	if err != nil || red == nil {
 		return sc.best.Bytes(), err
@@ -325,7 +331,7 @@ func sortInts(s []int) {
 func (r *reduction) canonicalize(w *World, sc *keyScratch) ([]byte, error) {
 	for i := 1; i < len(r.remaps); i++ {
 		sc.cand.Reset(r.remaps[i])
-		smaller, _, err := w.encodeTo(&sc.cand, sc.best.Bytes(), nil)
+		smaller, err := w.encodeTo(&sc.cand, sc.best.Bytes())
 		sc.encoded += len(sc.cand.Bytes())
 		if err != nil {
 			return nil, err

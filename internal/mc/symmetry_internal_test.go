@@ -524,7 +524,7 @@ func checkWorldAgainstReference(t *testing.T, red *reduction, w *World) {
 			t.Fatalf("reference encode: %v", err)
 		}
 		enc.Reset(red.remaps[i])
-		if _, _, err := w.encodeTo(&enc, nil, nil); err != nil {
+		if _, err := w.encodeTo(&enc, nil); err != nil {
 			t.Fatalf("streamed encode: %v", err)
 		}
 		if string(enc.Bytes()) != ref {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -29,8 +30,11 @@ import (
 //     does not pay for a 1 MiB one.
 //   - Membership is numShards mutex-protected open-addressed tables (linear
 //     probing, doubled under the shard lock, allocated on first use) of
-//     parallel fingerprints and refs: a positive ref is an arena index + 1,
-//     a negative one a slot in the shard's pending slab, 0 an empty slot. A
+//     8-byte slots, each the low 32 bits of a key's fingerprint above a
+//     32-bit ref: a positive ref is an arena index + 1, a negative one a slot
+//     in the shard's pending slab, 0 an empty slot. A probe reads one array,
+//     and the fingerprint bits it keeps are the ones the slot index came
+//     from, so a table can be doubled without hashing a key again. A
 //     fingerprint hit is confirmed against the full key, so hash collisions
 //     can never merge distinct states (unlike Murphi's lossy hash
 //     compaction, exactness is preserved).
@@ -53,25 +57,49 @@ const (
 
 	minSlots = 8 // a shard table's first allocation; always a power of two
 
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	// A slot is a key's fingerprint tag (its low 32 bits) above its ref.
+	refBits = 32
+	refMask = 1<<refBits - 1
+
+	// The fingerprint's seed and multipliers: fixed odd 64-bit constants
+	// with well-spread bits (the first is 2⁶⁴ over the golden ratio).
+	fpSeed = 0x9e3779b97f4a7c15
+	fpMul  = 0xa0761d6478bd642f
+	fpFin  = 0xe7037ed1a0b428db
 )
 
-// fingerprint is 64-bit FNV-1a over the canonical encoding, finished with
-// one multiply-xorshift round. FNV-1a alone mixes upwards only — bit k of
-// the hash depends on no input bit above k — so its low bits, and any
-// residue of them, spread keys unevenly. After the round the top bits depend
-// on every bit of the FNV hash and are folded into the bottom ones; the
-// table takes the shard from the top of the result and the slot from the
-// bottom.
-func fingerprint(s []byte) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
+// fingerprint hashes the canonical encoding eight bytes at a time: each
+// little-endian word is xored into the state, and the state is folded —
+// the two halves of its 128-bit product with a fixed multiplier xored
+// together — so that every bit of the result depends on every bit of the
+// word and of what came before it. The last one to eight bytes are read as
+// the key's final word (overlapping the words already read) or, in a key
+// shorter than a word, as its bytes zero-extended; the state starts from the
+// length, so keys that differ only in trailing zero bytes differ. It is a
+// pure function of the bytes — nothing random — so shard balance repeats
+// from run to run. The table takes the shard from the top of the result and
+// the slot from the bottom.
+func fingerprint(key []byte) uint64 {
+	h := fpSeed ^ uint64(len(key))
+	s := key
+	for ; len(s) > 8; s = s[8:] {
+		h = fold(h^binary.LittleEndian.Uint64(s), fpMul)
 	}
-	h *= 0x9E3779B97F4A7C15
-	return h ^ h>>32
+	var last uint64
+	if len(key) >= 8 {
+		last = binary.LittleEndian.Uint64(key[len(key)-8:])
+	} else {
+		for i, b := range s {
+			last |= uint64(b) << (8 * i)
+		}
+	}
+	return fold(h^last, fpFin)
+}
+
+// fold is the xor of the high and low halves of a·b.
+func fold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
 // pendRec is a tentative intra-layer discovery: the key at keyOff in the
@@ -85,10 +113,12 @@ type pendRec struct {
 }
 
 type shard struct {
-	mu   sync.Mutex
-	fps  []uint64 // fingerprint of the entry in each slot
-	refs []int32  // arena index + 1, or -(pend index + 1), or 0 for empty
-	used int      // occupied slots
+	mu sync.Mutex
+	// slots[i] is 0 when empty, else its entry's fingerprint tag <<
+	// refBits | uint32(ref), ref being the arena index + 1 or -(pend index
+	// + 1).
+	slots []uint64
+	used  int // occupied slots
 
 	pend     []pendRec
 	pendKeys []byte
@@ -141,30 +171,30 @@ func (s *shard) pendKey(i int) []byte {
 	return s.pendKeys[s.pend[i].keyOff:end]
 }
 
-// put stores (fp, ref) in the first empty slot of fp's probe sequence,
-// which must exist.
-func (s *shard) put(fp uint64, ref int32) int {
-	mask := len(s.refs) - 1
-	i := int(fp) & mask
-	for s.refs[i] != 0 {
+// put stores e, a slot value, in the first empty slot of its probe
+// sequence — which starts where the fingerprint's low bits say, and the tag
+// holds them — and returns where. An empty slot must exist.
+func (s *shard) put(e uint64) int {
+	mask := len(s.slots) - 1
+	i := int(e>>refBits) & mask
+	for s.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	s.fps[i], s.refs[i] = fp, ref
+	s.slots[i] = e
 	return i
 }
 
 // grow doubles the shard's table (or allocates it), moving every entry and
 // telling live pending claims their new slot.
 func (s *shard) grow() {
-	fps, refs := s.fps, s.refs
-	n := max(2*len(refs), minSlots)
-	s.fps, s.refs = make([]uint64, n), make([]int32, n)
-	for i, ref := range refs {
-		if ref == 0 {
+	old := s.slots
+	s.slots = make([]uint64, max(2*len(old), minSlots))
+	for _, e := range old {
+		if e == 0 {
 			continue
 		}
-		slot := s.put(fps[i], ref)
-		if ref < 0 {
+		slot := s.put(e)
+		if ref := int32(e); ref < 0 {
 			s.pend[-ref-1].slot = slot
 		}
 	}
@@ -219,12 +249,13 @@ func (t *visitedTable) claim(key []byte, pos, ord int32) error {
 	s := &t.shards[fp>>shardShift]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if mask := len(s.refs) - 1; mask > 0 { // else the shard has no table yet
-		for i := int(fp) & mask; s.refs[i] != 0; i = (i + 1) & mask {
-			if s.fps[i] != fp {
+	tag := fp << refBits
+	if mask := len(s.slots) - 1; mask > 0 { // else the shard has no table yet
+		for i := int(fp) & mask; s.slots[i] != 0; i = (i + 1) & mask {
+			if s.slots[i]&^refMask != tag {
 				continue
 			}
-			if ref := s.refs[i]; ref > 0 {
+			if ref := int32(s.slots[i]); ref > 0 {
 				// The arena is only appended to at layer barriers, never
 				// while workers hold shard locks, so reading it here is
 				// race-free.
@@ -242,13 +273,13 @@ func (t *visitedTable) claim(key []byte, pos, ord int32) error {
 	if len(s.pend) >= t.maxStates {
 		return t.errFull()
 	}
-	if (s.used+1)*4 > len(s.refs)*3 {
+	if (s.used+1)*4 > len(s.slots)*3 {
 		s.grow()
 	}
 	s.used++
 	s.pend = append(s.pend, pendRec{keyOff: len(s.pendKeys), pos: pos, ord: ord})
 	s.pendKeys = append(s.pendKeys, key...)
-	s.pend[len(s.pend)-1].slot = s.put(fp, int32(-len(s.pend)))
+	s.pend[len(s.pend)-1].slot = s.put(tag | uint64(uint32(-len(s.pend))))
 	return nil
 }
 
@@ -280,7 +311,7 @@ func (t *visitedTable) commit(layer []int32) ([]int32, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.refs[p.slot] = idx + 1
+		s.slots[p.slot] = s.slots[p.slot]&^refMask | uint64(idx+1)
 		next[n] = idx
 	}
 	for i := range t.shards {
@@ -303,7 +334,7 @@ func (t *visitedTable) bytes() int64 {
 		n += int64(cap(c))
 	}
 	for i := range t.shards {
-		n += int64(len(t.shards[i].refs)) * (8 + 4)
+		n += int64(len(t.shards[i].slots)) * 8
 	}
 	return n
 }

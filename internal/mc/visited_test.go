@@ -342,6 +342,58 @@ func CheckVisitedAllocs(t *testing.T) {
 	}
 }
 
+// SpreadStats is what CheckFingerprintSpread measured.
+type SpreadStats struct {
+	States             int
+	ShardMin, ShardMax int
+	// Confirms is how many full-key comparisons looking every stored key up
+	// again makes, Failed how many of them find another key under the same
+	// fingerprint tag.
+	Confirms, Failed int
+}
+
+// CheckFingerprintSpread explores cfg and looks at how the fingerprint
+// spread what the run stored: it fails the test if two distinct keys share
+// a 64-bit fingerprint, and reports the shard balance and the full-key
+// confirmations that looking every stored key up in the final tables makes
+// — each slot on its probe sequence whose tag equals its fingerprint's is
+// one, and those holding another state are the failed ones.
+func CheckFingerprintSpread(t *testing.T, cfg Config) SpreadStats {
+	t.Helper()
+	vt := newVisited()
+	if _, err := check(cfg, vt); err != nil {
+		t.Fatal(err)
+	}
+	st := SpreadStats{States: vt.states()}
+	mins, maxs := vt.shardStats()
+	st.ShardMin, st.ShardMax = int(mins), int(maxs)
+	owner := make(map[uint64]int32, vt.states())
+	for idx := int32(0); idx < int32(vt.states()); idx++ {
+		fp := fingerprint(vt.key(idx))
+		if other, dup := owner[fp]; dup {
+			t.Errorf("states %d and %d share the fingerprint %#x", other, idx, fp)
+		}
+		owner[fp] = idx
+		s := &vt.shards[fp>>shardShift]
+		mask := len(s.slots) - 1
+		for i := int(fp) & mask; ; i = (i + 1) & mask {
+			e := s.slots[i]
+			if e == 0 {
+				t.Fatalf("state %d is not in its shard's table", idx)
+			}
+			if e&^refMask != fp<<refBits {
+				continue
+			}
+			st.Confirms++
+			if int32(e) == idx+1 {
+				break
+			}
+			st.Failed++
+		}
+	}
+	return st
+}
+
 // TestVisitedLimits: running into one of the store's hard limits — the
 // int32 state index space, the chunks a key locator can address, the chunk a
 // single key must fit — is an error from Check that names the limit, for

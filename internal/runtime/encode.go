@@ -121,8 +121,14 @@ func (e *Encoder) Remap() *Remap { return e.remap }
 // Bytes returns the accumulated encoding.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Int encodes a signed integer.
+// Int encodes a signed integer as binary.AppendVarint does. Nearly every
+// integer in a state — a state or site number, a count, a node or block id,
+// a small variable — takes one byte, appended here without the varint loop.
 func (e *Encoder) Int(v int64) {
+	if uint64(v+64) < 128 { // -64 <= v < 64: the zig-zag form fits seven bits
+		e.buf = append(e.buf, byte(v<<1^v>>63))
+		return
+	}
 	e.buf = binary.AppendVarint(e.buf, v)
 }
 
@@ -181,8 +187,22 @@ func (d *Decoder) Finish() error {
 	return d.err
 }
 
-// Int decodes a signed integer.
+// Int decodes a signed integer written by Encoder.Int (any binary.Varint
+// encoding). A one-byte varint is read here; the rest, and every malformed
+// input, go through intSlow. (The inliner cannot take Int: the call to
+// intSlow alone costs 57 of its budget of 80.)
 func (d *Decoder) Int() int64 {
+	if d.off < len(d.buf) {
+		if b := d.buf[d.off]; b < 0x80 {
+			d.off++
+			return int64(b>>1) ^ -int64(b&1)
+		}
+	}
+	return d.intSlow()
+}
+
+// intSlow decodes a varint of more than one byte, or refuses the input.
+func (d *Decoder) intSlow() int64 {
 	v, n := binary.Varint(d.buf[d.off:])
 	if n <= 0 { // short input, or a value overflowing 64 bits
 		d.fail(errors.New("runtime: corrupt state encoding (varint)"))

@@ -1,6 +1,9 @@
 package runtime_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -248,6 +251,48 @@ func TestEncoderPrimitives(t *testing.T) {
 	}
 	if got := d.Byte(); got != 0xAB {
 		t.Errorf("Byte = %x", got)
+	}
+}
+
+// TestIntEncodingMatchesVarint: Encoder.Int writes exactly the bytes of
+// binary.AppendVarint — its one-byte path included — for every value across
+// the one-, two- and three-byte lengths and for the int64 extremes, and
+// Decoder.Int reads each back, to the last byte. Malformed input is refused
+// with the one varint error, whichever path the first byte takes: a
+// continuation byte with nothing after it, and eleven bytes whose value
+// overflows 64 bits.
+func TestIntEncodingMatchesVarint(t *testing.T) {
+	vals := []int64{math.MinInt64, math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64}
+	for v := int64(-1 << 14); v <= 1<<14; v++ {
+		vals = append(vals, v)
+	}
+	var enc runtime.Encoder
+	for _, v := range vals {
+		enc.Reset(nil)
+		enc.Int(v)
+		if want := binary.AppendVarint(nil, v); !bytes.Equal(enc.Bytes(), want) {
+			t.Fatalf("Int(%d) wrote %x, binary.AppendVarint %x", v, enc.Bytes(), want)
+		}
+		d := runtime.NewDecoder(enc.Bytes())
+		if got := d.Int(); got != v || d.Finish() != nil {
+			t.Fatalf("%x read back as %d (err %v), want %d", enc.Bytes(), got, d.Finish(), v)
+		}
+	}
+	const want = "runtime: corrupt state encoding (varint)"
+	for _, bad := range [][]byte{
+		{},
+		{0x80},
+		{0xff, 0xff},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02},
+	} {
+		d := runtime.NewDecoder(bad)
+		if got := d.Int(); got != 0 || d.Err() == nil || d.Err().Error() != want {
+			t.Errorf("%x: read %d with error %v, want 0 with %q", bad, got, d.Err(), want)
+		}
+		if d.Pos() != len(bad) || d.Int() != 0 || d.Err().Error() != want {
+			t.Errorf("%x: the error is not sticky, or reading went on after it", bad)
+		}
 	}
 }
 

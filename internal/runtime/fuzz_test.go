@@ -75,8 +75,10 @@ func reachableEngineStates(t testing.TB, name string, net netmodel.Model, max in
 // its records were built on the heap or in a region that earlier inputs left
 // dirty. Seeds are engine states of stache-ft and lcm reachable at 3 nodes /
 // 2 blocks (deferred queues, continuations with saved registers, mask
-// variables), every truncation of one of each, and that one with a count no
-// input this short could carry spliced in at every offset.
+// variables), every truncation of one of each, that one with a count no
+// input this short could carry spliced in at every offset, and that one with
+// every variable at −65, −64, −63, 63 and 64, either side of the edges of
+// the one-byte varint.
 func FuzzDecodeState(f *testing.F) {
 	var protos []*runtime.Protocol
 	for i, sh := range []struct {
@@ -100,6 +102,22 @@ func FuzzDecodeState(f *testing.F) {
 		}
 		for at := range last {
 			f.Add(uint8(i), append(append(append([]byte{}, last[:at]...), 0xfe, 0xff, 0xff, 0x7f), last[at:]...))
+		}
+		e := runtime.NewEngine(p, 1, fuzzBlocks, newTestMachine(), nil)
+		if err := e.DecodeState(runtime.NewDecoder(last)); err != nil || len(e.Blocks[0].Vars) == 0 {
+			f.Fatalf("%s: seed state does not decode (%v) or has no variables", sh.name, err)
+		}
+		for _, v := range []int64{-65, -64, -63, 63, 64} {
+			for _, b := range e.Blocks {
+				for slot := range b.Vars {
+					b.Vars[slot] = vm.IntVal(v)
+				}
+			}
+			var enc runtime.Encoder
+			if err := e.EncodeState(&enc); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(i), enc.Bytes())
 		}
 	}
 	region := new(runtime.Region)

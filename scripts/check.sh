@@ -24,7 +24,7 @@ go test -race ./...
 # executions, not a minute). A crasher stops the script and is left in the
 # package's testdata/fuzz/, where the gate at the end would catch it too.
 for target in FuzzParse:litmus FuzzLoad:fuzz FuzzCompile:core FuzzDecodeState:runtime FuzzNetModel:netmodel \
-  FuzzExec:runtime FuzzClientScript:mc FuzzRestore:mc; do
+  FuzzExec:runtime FuzzClientScript:mc FuzzRestore:mc FuzzManifest:manifest; do
   go test -run '^$' -fuzz "${target%%:*}" -fuzztime 5s -fuzzminimizetime 10x "./internal/${target##*:}"
 done
 # Not under -race. The allocation contracts (canonicalize: 0 over warmed
