@@ -7,7 +7,7 @@
 // simulated multiprocessor to run protocols on, and the Stache, LCM, and
 // Buffered-write protocols from the paper's evaluation.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
+// See README.md for a tour, DESIGN.md for how it is built, and
 // EXPERIMENTS.md for the reproduced tables and figures. The public entry
 // points are internal/core.Compile, which runs the full pipeline, and
 // internal/core.Vet, which runs the static protocol analyses

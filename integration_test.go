@@ -145,6 +145,9 @@ func TestExitStatus(t *testing.T) {
 		{args: "verify -blocks 0", status: 2, stderr: `invalid value "0" for flag -blocks: want at least 1`},
 		{args: "verify -max-states -5", status: 2, stderr: `invalid value "-5" for flag -max-states: want at least 0`},
 		{args: "verify -workers -3", status: 2, stderr: `invalid value "-3" for flag -workers: want at least 0`},
+		// A flag is registered only where it is read: the checker draws
+		// nothing, and a campaign's worker count reaches nothing.
+		{args: "verify -proto stache -seed 3", status: 2, stderr: "flag provided but not defined: -seed"},
 		{args: "verify -symmetry maybe", status: 2, stderr: `invalid value "maybe" for flag -symmetry: want auto | off | on`},
 		{args: "verify -progress loud", status: 2, stderr: `invalid value "loud" for flag -progress: want auto | always | never`},
 		{args: "verify -proto nosuch", status: 2, stderr: `no runnable spec for protocol "nosuch" (runnable: stache, stache-ft, stache-asym,`},
@@ -220,6 +223,7 @@ func TestExitStatus(t *testing.T) {
 		{args: "fuzz -blocks -1", status: 2, stderr: `invalid value "-1" for flag -blocks: want at least 1`},
 		{args: "fuzz -ops 0", status: 2, stderr: `invalid value "0" for flag -ops: want at least 1`},
 		{args: "fuzz -schedules 0", status: 2, stderr: `invalid value "0" for flag -schedules: want at least 1`},
+		{args: "fuzz -proto stache -workers 2", status: 2, stderr: "flag provided but not defined: -workers"},
 		{args: "fuzz -proto lcm", status: 2, stderr: `no oracle profile for protocol "lcm" (judgeable: stache, stache-ft, stache-asym, stache-buggy, stache-ft-buggy, bufwrite, update)`},
 		{args: "fuzz -net corrupt=1", status: 2, stderr: "checker-only"},
 		{args: "fuzz stache", status: 2, stderr: "did you mean -proto stache?"},
@@ -511,6 +515,8 @@ func TestSimAllocsPerMessage(t *testing.T) {
 	}
 }
 
+// TestBenchToolTables: `teapot tables` writes nothing but its output (what
+// it prints is EXPERIMENTS.md's checked blocks).
 func TestBenchToolTables(t *testing.T) {
 	// Run where anything the subcommand wrote would show.
 	dir := t.TempDir()
@@ -522,14 +528,8 @@ func TestBenchToolTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chdir(wd)
-	status, out, stderr := teapot("tables", "-table", "3")
-	if status != 0 {
+	if status, _, stderr := teapot("tables", "-table", "3"); status != 0 {
 		t.Fatalf("status %d\n%s", status, stderr)
-	}
-	for _, want := range []string{"Table 3", "Stache", "LCM MCC", "verified", "Fault sweep", "VIOLATION deadlock"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
 	}
 	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
 		t.Errorf("tables -table 3 left %v in its working directory (err %v)", left, err)

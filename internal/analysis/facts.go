@@ -127,7 +127,7 @@ func computeFacts(p *runtime.Protocol) *facts {
 
 	// Per-state instruction facts.
 	for si, st := range sp.States {
-		f.contReg[si] = contParamReg(st)
+		f.contReg[si] = ir.Reg(st.ContParam())
 	}
 	for _, fn := range irp.Funcs {
 		si := fn.StateIndex
@@ -197,21 +197,6 @@ func appendUnique(s []int, v int) []int {
 		}
 	}
 	return append(s, v)
-}
-
-// contParamReg returns the register of the state's unique CONT parameter,
-// or NoReg (state parameters occupy the first registers, in order).
-func contParamReg(st *sema.StateSym) ir.Reg {
-	reg := ir.NoReg
-	for i, prm := range st.Params {
-		if prm.Type.Kind == sema.TCont {
-			if reg != ir.NoReg {
-				return ir.NoReg // several CONT params: treated as opaque
-			}
-			reg = ir.Reg(i)
-		}
-	}
-	return reg
 }
 
 // classifyDefault inspects a DEFAULT handler's body for its policy. Enqueue

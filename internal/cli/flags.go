@@ -73,35 +73,27 @@ func addReport(fs *flag.FlagSet) *string {
 }
 
 // runFlags bundles the run-shape flags of the subcommands that take a
-// bundled protocol by name (verify, fuzz).
+// bundled protocol by name (verify, fuzz). What only one of them reads —
+// verify's -workers, fuzz's -seed — it registers itself.
 type runFlags struct {
-	Proto   *string
-	Nodes   *int
-	Blocks  *int
-	Workers *int
-	Seed    *uint64
-	Net     *netFlag
+	Proto  *string
+	Nodes  *int
+	Blocks *int
+	Net    *netFlag
 }
 
 func addRun(fs *flag.FlagSet, defProto string, defNodes, defBlocks int) *runFlags {
 	return &runFlags{
-		Proto:   fs.String("proto", defProto, "bundled protocol: "+strings.Join(protocols.RunnableNames(), " | ")),
-		Nodes:   addNodes(fs, defNodes, 2),
-		Blocks:  intRange(fs, "blocks", defBlocks, 1, 0, "number of shared blocks"),
-		Workers: addWorkers(fs),
-		Seed:    addSeed(fs),
-		Net:     addNet(fs),
+		Proto:  fs.String("proto", defProto, "bundled protocol: "+strings.Join(protocols.RunnableNames(), " | ")),
+		Nodes:  addNodes(fs, defNodes, 2),
+		Blocks: intRange(fs, "blocks", defBlocks, 1, 0, "number of shared blocks"),
+		Net:    addNet(fs),
 	}
 }
 
 // spec resolves the parsed flags into a runnable spec.
 func (r *runFlags) spec() (core.RunSpec, error) {
 	spec, err := protocols.Spec(*r.Proto, *r.Nodes, *r.Blocks)
-	if err != nil {
-		return spec, err
-	}
 	spec.Net = r.Net.Model
-	spec.Workers = *r.Workers
-	spec.Seed = *r.Seed
-	return spec, nil
+	return spec, err
 }

@@ -25,7 +25,7 @@ func TestNetFlag(t *testing.T) {
 func TestRunSpec(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	r := addRun(fs, "stache", 2, 1)
-	if err := fs.Parse([]string{"-proto", "stache-ft", "-net", "drop=1", "-workers", "3", "-seed", "9"}); err != nil {
+	if err := fs.Parse([]string{"-proto", "stache-ft", "-nodes", "3", "-blocks", "2", "-net", "drop=1"}); err != nil {
 		t.Fatal(err)
 	}
 	spec, err := r.spec()
@@ -35,7 +35,7 @@ func TestRunSpec(t *testing.T) {
 	if spec.Proto == nil || spec.Support == nil || spec.Events == nil {
 		t.Fatal("spec missing protocol wiring")
 	}
-	if spec.Net.MaxDrops != 1 || spec.Workers != 3 || spec.Seed != 9 {
+	if spec.Net.MaxDrops != 1 || spec.Nodes != 3 || spec.Blocks != 2 {
 		t.Errorf("flags not threaded: %+v", spec)
 	}
 	*r.Proto = "no-such-proto"
@@ -49,6 +49,7 @@ func TestRunSpec(t *testing.T) {
 func TestSeedZeroDerives(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	r := addRun(fs, "stache", 2, 1)
+	seed := addSeed(fs)
 	if err := fs.Parse([]string{"-seed", "0", "-net", "drop=1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +57,7 @@ func TestSeedZeroDerives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.Seed = *seed
 	if spec.Seed != 0 {
 		t.Fatalf("Spec rewrote the sentinel seed to %d; EffectiveSeed owns the derivation", spec.Seed)
 	}

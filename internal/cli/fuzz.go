@@ -27,6 +27,7 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("fuzz", stderr, "[flags]")
 	run := addRun(fs, "stache", 3, 2)
 	var (
+		seed      = addSeed(fs)
 		schedules = intRange(fs, "schedules", 500, 1, 0, "schedules to run (campaign stops at the first failure)")
 		ops       = intRange(fs, "ops", 40, 1, 0, "workload operations per node per schedule")
 		rate      = fs.Float64("rate", 0, fmt.Sprintf("per-choice deviation probability (0 = default %.2f)", fuzz.DefaultRate))
@@ -65,7 +66,7 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 	f, err := fuzz.New(fuzz.Config{
 		Proto: *run.Proto, Nodes: *run.Nodes, Blocks: *run.Blocks,
 		Net: run.Net.Model, Schedules: *schedules, OpsPerNode: *ops,
-		Seed: *run.Seed, Rate: *rate, Coverage: cov,
+		Seed: *seed, Rate: *rate, Coverage: cov,
 	})
 	if err != nil {
 		return err

@@ -50,9 +50,8 @@ func flightTail(stderr io.Writer, of string, fr *obs.Collector, p *runtime.Proto
 	return lines
 }
 
-// mcStats lowers a checker result (plus the final progress snapshot, the
-// only carrier of shard balance) into manifest form.
-func mcStats(res *mc.Result, last mc.ProgressInfo) *manifest.MCStats {
+// mcStats lowers a checker result into manifest form.
+func mcStats(res *mc.Result) *manifest.MCStats {
 	st := &manifest.MCStats{
 		States:        res.States,
 		Transitions:   res.Transitions,
@@ -63,8 +62,8 @@ func mcStats(res *mc.Result, last mc.ProgressInfo) *manifest.MCStats {
 		PeakFrontier:  res.PeakFrontier,
 		Decodes:       res.Decodes,
 		VisitedBytes:  res.VisitedBytes,
-		ShardMin:      last.ShardMin,
-		ShardMax:      last.ShardMax,
+		ShardMin:      res.ShardMin,
+		ShardMax:      res.ShardMax,
 		SymmetryGroup: res.SymmetryGroup,
 		SymmetryNote:  res.SymmetryNote,
 	}

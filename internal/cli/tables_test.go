@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -47,56 +46,21 @@ func TestTable2Shape(t *testing.T) {
 	t.Logf("\n%s", formatPerf("Table 2", rows))
 }
 
-// TestTable3AllVerified pins Table 3 and the fault sweep exactly: these
-// are the counts EXPERIMENTS.md records and benchmarks/expected.json
-// checks on the verify_small workload.
+// TestTable3AllVerified: every Table 3 machine verifies. The counts are
+// EXPERIMENTS.md's checked block of `teapot tables -table 3`, which also
+// holds the fault sweep.
 func TestTable3AllVerified(t *testing.T) {
 	rows, err := table3(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []verifyRow{
-		{Protocol: "Stache", Nodes: 2, Blocks: 1, Reorder: 1, States: 219, Transitions: 402, Depth: 20},
-		{Protocol: "Stache (2 addresses)", Nodes: 2, Blocks: 2, Reorder: 0, States: 3138, Transitions: 6598, Depth: 28},
-		{Protocol: "Buffered-Write", Nodes: 2, Blocks: 1, Reorder: 1, States: 220, Transitions: 535, Depth: 15},
-		{Protocol: "LCM Simple", Nodes: 2, Blocks: 1, Reorder: 1, States: 399, Transitions: 964, Depth: 19},
-		{Protocol: "LCM MCC", Nodes: 2, Blocks: 1, Reorder: 1, States: 399, Transitions: 964, Depth: 19},
-		{Protocol: "Update (extra)", Nodes: 2, Blocks: 1, Reorder: 1, States: 23, Transitions: 46, Depth: 9},
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(rows))
 	}
-	if len(rows) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(want))
-	}
-	for i, r := range rows {
-		if r.Workers < 1 {
-			t.Errorf("%s: workers = %d", r.Protocol, r.Workers)
+	for _, r := range rows {
+		if r.Violation != "" || r.States == 0 || r.Workers < 1 || r.VisitedBytes <= 0 {
+			t.Errorf("%s: %+v", r.Protocol, r)
 		}
-		if r.VisitedBytes <= 0 {
-			t.Errorf("%s: visited bytes = %d", r.Protocol, r.VisitedBytes)
-		}
-		// The columns that depend on the machine, checked above.
-		r.Workers, r.Elapsed, r.VisitedBytes = 0, 0, 0
-		if r != want[i] {
-			t.Errorf("row %d = %+v, want %+v", i, r, want[i])
-		}
-	}
-	t.Logf("\n%s", formatVerify(rows))
-
-	faults, err := faultSweep(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFaults := []faultRow{
-		{"Stache-FT", "none", 105, 186, 15, ""},
-		{"Stache-FT", "reorder=1", 235, 434, 20, ""},
-		{"Stache-FT", "drop=1", 554, 1018, 23, ""},
-		{"Stache-FT", "dup=1", 952, 1919, 22, ""},
-		{"Stache-FT", "drop=1,dup=1", 4022, 9280, 25, ""},
-		{"Stache-FT", "drop=2,dup=1", 8021, 21108, 27, ""},
-		{"Stache-FT", "dup=2", 2599, 5719, 12, "invariant"},
-		{"Stache", "drop=1", 14, 13, 2, "deadlock"},
-	}
-	if !reflect.DeepEqual(faults, wantFaults) {
-		t.Errorf("fault sweep:\n%swant:\n%s", formatFaults(faults), formatFaults(wantFaults))
 	}
 }
 

@@ -28,6 +28,7 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("verify", stderr, "[flags]")
 	run := addRun(fs, "stache", 2, 1)
 	var (
+		workers  = addWorkers(fs)
 		maxState = intRange(fs, "max-states", 0, 0, -1, "abort after exploring this many states (0 = unlimited)")
 		symmetry = choice(fs, "symmetry", "auto", "symmetry reduction — auto: reduce when the static certificate and support vouches allow; on: fail unless reduction is possible", "auto", "off", "on")
 		progress = choice(fs, "progress", "auto", "live per-layer progress on stderr (auto: only when stderr is a terminal)", "auto", "always", "never")
@@ -49,7 +50,7 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	spec.MaxStates = *maxState
+	spec.Workers, spec.MaxStates = *workers, *maxState
 	if spec.Symmetry, err = mc.ParseSymmetryMode(*symmetry); err != nil {
 		return err
 	}
@@ -58,22 +59,10 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 		spec.Progress = pw.Report
 	}
 
-	// Manifest plumbing: accumulate coverage during exploration. The manifest
-	// and -stats keep the final progress snapshot (the only carrier of shard
-	// balance).
+	// Manifest plumbing: accumulate coverage during exploration.
 	wantManifest := *jsonOut || *report != ""
-	var lastProg mc.ProgressInfo
 	if wantManifest {
 		spec.Coverage = obs.NewCoverage()
-	}
-	if wantManifest || *stats {
-		live := spec.Progress
-		spec.Progress = func(p mc.ProgressInfo) {
-			lastProg = p
-			if live != nil {
-				live(p)
-			}
-		}
 	}
 
 	if *cpuProf != "" {
@@ -108,7 +97,7 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 	if res.Violation != nil {
 		verdict = errNegative
 	}
-	st := mcStats(res, lastProg)
+	st := mcStats(res)
 
 	if wantManifest {
 		man := newManifest("teapot-verify", *run.Proto, *run.Nodes, *run.Blocks, spec.Net.String(), 0, spec.Coverage, spec.Proto)

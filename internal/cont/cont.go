@@ -18,7 +18,6 @@ package cont
 import (
 	"teapot/internal/ir"
 	"teapot/internal/liveness"
-	"teapot/internal/sema"
 )
 
 // Options selects which transformations run.
@@ -132,7 +131,7 @@ func classifySites(p *ir.Program, opts Options) {
 		if len(sites) != 1 || makeStateCount[si] != 1 {
 			continue
 		}
-		contReg := contParamReg(st)
+		contReg := ir.Reg(st.ContParam())
 		if contReg == ir.NoReg {
 			continue
 		}
@@ -158,21 +157,6 @@ func classifySites(p *ir.Program, opts Options) {
 	for _, s := range p.Sites {
 		s.Heap = !s.Static && !s.Constant
 	}
-}
-
-// contParamReg returns the register of the state's single CONT parameter,
-// or NoReg if it has zero or several.
-func contParamReg(st *sema.StateSym) ir.Reg {
-	reg := ir.NoReg
-	for i, prm := range st.Params {
-		if prm.Type.Kind == sema.TCont {
-			if reg != ir.NoReg {
-				return ir.NoReg
-			}
-			reg = ir.Reg(i)
-		}
-	}
-	return reg
 }
 
 // contPassedDirectly checks that the suspend site's MakeState passes the

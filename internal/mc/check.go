@@ -119,6 +119,7 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 
 	res.States = vt.states()
 	res.VisitedBytes = vt.bytes()
+	res.ShardMin, res.ShardMax = vt.shardStats()
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

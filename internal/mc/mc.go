@@ -245,8 +245,9 @@ type Result struct {
 	// touches, and with it the price of canonicalization.
 	KeyBytes, KeyBytesEncoded int64
 	// VisitedBytes is what the visited store retains at the end of the
-	// run (see ProgressInfo.VisitedBytes).
-	VisitedBytes int64
+	// run, and ShardMin/ShardMax its final shard balance (see ProgressInfo).
+	VisitedBytes       int64
+	ShardMin, ShardMax int64
 	// SymmetryGroup is the order of the node/block permutation group the
 	// run canonicalized by; 1 means no reduction (off, refused, or trivial).
 	SymmetryGroup int

@@ -83,9 +83,11 @@ func TestWorkerEquivalence(t *testing.T) {
 					}
 				}
 				if last := snaps[len(snaps)-1]; last.States != res.States ||
-					last.Transitions != int64(res.Transitions) {
-					t.Errorf("workers=%d: final snapshot (states,transitions) = (%d,%d), result has (%d,%d)",
-						workers, last.States, last.Transitions, res.States, res.Transitions)
+					last.Transitions != int64(res.Transitions) ||
+					last.ShardMin != res.ShardMin || last.ShardMax != res.ShardMax {
+					t.Errorf("workers=%d: final snapshot (states,transitions,shards) = (%d,%d,%d..%d), result has (%d,%d,%d..%d)",
+						workers, last.States, last.Transitions, last.ShardMin, last.ShardMax,
+						res.States, res.Transitions, res.ShardMin, res.ShardMax)
 				}
 				if res.Workers != workers {
 					t.Errorf("res.Workers = %d, want %d", res.Workers, workers)
@@ -104,6 +106,10 @@ func TestWorkerEquivalence(t *testing.T) {
 					res.KeyBytes == 0 || res.KeyBytesEncoded == 0 {
 					t.Errorf("workers=%d: key bytes (built,encoded) = (%d,%d), want (%d,%d), neither zero",
 						workers, res.KeyBytes, res.KeyBytesEncoded, base.KeyBytes, base.KeyBytesEncoded)
+				}
+				if res.ShardMin != base.ShardMin || res.ShardMax != base.ShardMax || res.ShardMax == 0 {
+					t.Errorf("workers=%d: shards %d..%d, want %d..%d, not empty",
+						workers, res.ShardMin, res.ShardMax, base.ShardMin, base.ShardMax)
 				}
 				switch {
 				case (res.Violation == nil) != (base.Violation == nil):

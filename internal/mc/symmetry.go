@@ -98,12 +98,12 @@ const maxSymmetryDim = 8
 // maxAutoGroupOrder bounds the group SymmetryAuto will reduce by. A
 // transition pays one full encode plus a partial one per further group
 // element, so per-transition cost grows linearly in |G| while the orbits
-// only thin out by |G| deep into a run. Measured (EXPERIMENTS.md,
-// "Symmetry reduction: cost against group order"): up to order 120 a
-// reduced run reaches a given depth in under a fifth of the unreduced
-// time at 3.5–5.3× the cost per transition; at 240–720 the cost is 10–43×
-// and shallow prefixes break even at best; from 1440 up reduction loses
-// outright. SymmetryOn is the caller asking for the group whatever its
+// only thin out by |G| deep into a run. Measured on base Stache and LCM
+// Simple, state-capped, at the deepest layer both runs finished: up to
+// order 120 a reduced run reaches a given depth in under a fifth of the
+// unreduced time at 3.5–5.3× the cost per transition; at 240–720 the cost
+// is 10–43× and shallow prefixes break even at best; from 1440 up
+// reduction loses outright. SymmetryOn is the caller asking for the group whatever its
 // order.
 const maxAutoGroupOrder = 120
 

@@ -33,8 +33,7 @@ func TestSymmetryEquivalence(t *testing.T) {
 		nodes int    // 0 = 3
 		net   netmodel.Model
 		group int // expected group order at the shape's nodes / 1 block
-		// Exact unreduced and reduced state counts, where EXPERIMENTS.md and
-		// DESIGN.md quote them; 0 = not pinned.
+		// Exact unreduced and reduced state counts; 0 = not pinned.
 		full, reduced int
 	}{
 		{name: "stache", net: netmodel.Model{Reorder: 1}, group: 2, full: 29087, reduced: 14583},

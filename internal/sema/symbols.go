@@ -79,6 +79,22 @@ func (s *StateSym) IsSubroutine() bool {
 	return false
 }
 
+// ContParam returns the index of the state's CONT parameter, or -1 if it
+// has none or several (state parameters occupy the first registers, in
+// order, so this is also the parameter's register).
+func (s *StateSym) ContParam() int {
+	idx := -1
+	for i, p := range s.Params {
+		if p.Type.Kind == TCont {
+			if idx >= 0 {
+				return -1
+			}
+			idx = i
+		}
+	}
+	return idx
+}
+
 // HandlerFor returns the handler for a message index, falling back to the
 // DEFAULT handler; nil if neither exists.
 func (s *StateSym) HandlerFor(msg int) *HandlerSym {

@@ -34,17 +34,19 @@ done
 # under N/100 to insert N states; a delivery into a warmed engine: 0, support
 # call, send and all, register stack empty afterwards; a whole simulated run:
 # at most 1 per message), which -race perturbs by allocating on its own account;
-# and the TestExitStatus rows that skip under it for taking seconds (the
-# 3-node drop envelope, the 4-node cut at 200 000 states).
-go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestExitStatus' ./internal/mc/ ./internal/runtime/ .
+# and the TestExitStatus rows and EXPERIMENTS.md blocks that skip under it
+# for taking seconds (the 3-node drop envelope, the 4-node cut at 200 000
+# states, the larger symmetry pairs).
+go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestExitStatus|TestExperimentsCurrent' ./internal/mc/ ./internal/runtime/ .
 # The benchmark harness's own tests: small-shape correctness checks that run
 # the checker (reduced and unreduced), the simulator and the litmus corpus
 # against benchmarks/expected.json. A module of its own, so `go test ./...`
 # above does not reach it.
 (cd benchmarks && go test ./...)
-# The tracked size metric (ROADMAP "Prune, round three"), measured the one way
-# every CHANGES.md entry quotes it.
-echo "non-test Go outside benchmarks/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l) lines"
+# The tracked size metrics (ROADMAP "Prune, round three"), measured the one
+# way every CHANGES.md entry quotes them.
+echo "non-test Go outside benchmarks/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l) lines;" \
+  "DESIGN.md: $(wc -l < DESIGN.md) lines; EXPERIMENTS.md: $(wc -l < EXPERIMENTS.md) lines"
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
   echo "check.sh: the checks changed the working tree:" >&2
   git status --porcelain >&2
