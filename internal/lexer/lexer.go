@@ -8,6 +8,8 @@
 package lexer
 
 import (
+	"unicode/utf8"
+
 	"teapot/internal/source"
 	"teapot/internal/token"
 )
@@ -29,23 +31,28 @@ func (t Token) String() string {
 	return t.Kind.String()
 }
 
-// Lexer scans one file.
+// Lexer scans one file. It tracks the current line and where it starts as
+// it advances, so a token's position costs no search of the file's line
+// table.
 type Lexer struct {
-	file *source.File
-	src  string
-	off  int
-	errs *source.ErrorList
+	file      *source.File
+	src       string
+	off       int
+	line      int // 1-based line of off
+	lineStart int // offset of the first byte of that line
+	errs      *source.ErrorList
 }
 
 // New builds a Lexer over a file, reporting errors to errs.
 func New(file *source.File, errs *source.ErrorList) *Lexer {
-	return &Lexer{file: file, src: file.Text, errs: errs}
+	return &Lexer{file: file, src: file.Text, line: 1, errs: errs}
 }
 
-// ScanAll scans the entire file, always ending with an EOF token.
+// ScanAll scans the entire file, always ending with an EOF token. The slice
+// is sized once for a token every 4 bytes; the bundled sources average 5.5.
 func ScanAll(file *source.File, errs *source.ErrorList) []Token {
 	lx := New(file, errs)
-	var toks []Token
+	toks := make([]Token, 0, len(file.Text)/4+1)
 	for {
 		t := lx.Next()
 		toks = append(toks, t)
@@ -79,11 +86,23 @@ func isLetter(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// newline records that the byte at l.off is a newline the lexer is about to
+// step over. Whitespace, block comments and a backslash-newline in a string
+// literal step over one; a line comment stops before its newline, and a
+// string literal ends at an unescaped one.
+func (l *Lexer) newline() {
+	l.line++
+	l.lineStart = l.off + 1
+}
+
 func (l *Lexer) skipSpaceAndComments() {
 	for l.off < len(l.src) {
 		c := l.src[l.off]
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+		case c == '\n':
+			l.newline()
+			l.off++
+		case c == ' ' || c == '\t' || c == '\r':
 			l.off++
 		case c == '-' && l.peekAt(1) == '-':
 			for l.off < len(l.src) && l.src[l.off] != '\n' {
@@ -105,6 +124,9 @@ func (l *Lexer) skipSpaceAndComments() {
 					depth--
 					l.off += 2
 				} else {
+					if l.src[l.off] == '\n' {
+						l.newline()
+					}
 					l.off++
 				}
 			}
@@ -121,7 +143,7 @@ func (l *Lexer) skipSpaceAndComments() {
 func (l *Lexer) Next() Token {
 	l.skipSpaceAndComments()
 	start := l.off
-	pos := l.file.PosFor(start)
+	pos := source.Pos{Offset: start, Line: l.line, Col: start - l.lineStart + 1}
 	if l.off >= len(l.src) {
 		return Token{Kind: token.EOF, Pos: pos}
 	}
@@ -132,11 +154,7 @@ func (l *Lexer) Next() Token {
 			l.off++
 		}
 		lit := l.src[start:l.off]
-		kind := token.Lookup(lit)
-		if kind == token.IDENT {
-			return Token{Kind: token.IDENT, Lit: lit, Pos: pos}
-		}
-		return Token{Kind: kind, Lit: lit, Pos: pos}
+		return Token{Kind: token.Lookup(lit), Lit: lit, Pos: pos}
 	case isDigit(c):
 		for l.off < len(l.src) && isDigit(l.src[l.off]) {
 			l.off++
@@ -216,47 +234,71 @@ func (l *Lexer) Next() Token {
 			return mk(token.OR)
 		}
 	}
-	l.errorf(start, "illegal character %q", string(c))
-	return Token{Kind: token.ILLEGAL, Lit: string(c), Pos: pos}
+	// One ILLEGAL token per UTF-8 rune, spelled as written; a byte that
+	// starts no valid rune is one token of its own, quoted as "\xc3".
+	_, size := utf8.DecodeRuneInString(l.src[start:])
+	l.off = start + size
+	lit := l.src[start:l.off]
+	l.errorf(start, "illegal character %q", lit)
+	return Token{Kind: token.ILLEGAL, Lit: lit, Pos: pos}
 }
 
+// scanString scans a double-quoted literal. Its text is a slice of the
+// source until an escape makes the two differ; from the first escape on it
+// is built in buf.
 func (l *Lexer) scanString(pos source.Pos) Token {
 	start := l.off
 	l.off++ // opening quote
 	var buf []byte
+	escaped := false
+	text := func() string {
+		if escaped {
+			return string(buf)
+		}
+		return l.src[start+1 : l.off]
+	}
 	for l.off < len(l.src) {
 		c := l.src[l.off]
 		switch c {
 		case '"':
+			lit := text()
 			l.off++
-			return Token{Kind: token.STRING, Lit: string(buf), Pos: pos}
-		case '\n':
-			l.errorf(start, "unterminated string literal")
-			return Token{Kind: token.ILLEGAL, Lit: string(buf), Pos: pos}
+			return Token{Kind: token.STRING, Lit: lit, Pos: pos}
 		case '\\':
+			if !escaped {
+				buf = append(buf, l.src[start+1:l.off]...)
+				escaped = true
+			}
 			l.off++
 			if l.off >= len(l.src) {
 				break
 			}
-			switch l.src[l.off] {
-			case 'n':
+			_, size := utf8.DecodeRuneInString(l.src[l.off:])
+			switch esc := l.src[l.off : l.off+size]; esc {
+			case "n":
 				buf = append(buf, '\n')
-			case 't':
+			case "t":
 				buf = append(buf, '\t')
-			case '"':
-				buf = append(buf, '"')
-			case '\\':
-				buf = append(buf, '\\')
+			case `"`, `\`:
+				buf = append(buf, esc...)
 			default:
-				l.errorf(l.off, "unknown escape \\%c", l.src[l.off])
-				buf = append(buf, l.src[l.off])
+				l.errorf(l.off, "unknown escape \\%s", esc)
+				buf = append(buf, esc...)
+				if esc == "\n" { // the literal goes on on the next line
+					l.newline()
+				}
 			}
-			l.off++
+			l.off += size
+		case '\n':
+			l.errorf(start, "unterminated string literal")
+			return Token{Kind: token.ILLEGAL, Lit: text(), Pos: pos}
 		default:
-			buf = append(buf, c)
+			if escaped {
+				buf = append(buf, c)
+			}
 			l.off++
 		}
 	}
 	l.errorf(start, "unterminated string literal")
-	return Token{Kind: token.ILLEGAL, Lit: string(buf), Pos: pos}
+	return Token{Kind: token.ILLEGAL, Lit: text(), Pos: pos}
 }

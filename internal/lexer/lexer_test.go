@@ -105,6 +105,38 @@ func TestIllegalCharacter(t *testing.T) {
 	}
 }
 
+// TestIllegalRunes: a character outside the language is one ILLEGAL token
+// per UTF-8 rune, spelled as written, and a byte that starts no rune is one
+// token quoted as a hex escape.
+func TestIllegalRunes(t *testing.T) {
+	cases := []struct {
+		src, lit, diag string
+	}{
+		{"a é b", "é", `t:1:3: illegal character "é"`},
+		{"a 中 b", "中", `t:1:3: illegal character "中"`},
+		{"a \xc3 b", "\xc3", `t:1:3: illegal character "\xc3"`},
+		{"a \xff b", "\xff", `t:1:3: illegal character "\xff"`},
+	}
+	for _, c := range cases {
+		var errs source.ErrorList
+		toks := ScanAll(source.NewFile("t", c.src), &errs)
+		want := []token.Kind{token.IDENT, token.ILLEGAL, token.IDENT, token.EOF}
+		if !reflect.DeepEqual(kinds(toks), want) {
+			t.Errorf("%q: kinds = %v, want %v", c.src, kinds(toks), want)
+			continue
+		}
+		if toks[1].Lit != c.lit {
+			t.Errorf("%q: ILLEGAL token spelled %q, want %q", c.src, toks[1].Lit, c.lit)
+		}
+		if got := errs.Error(); got != c.diag {
+			t.Errorf("%q: diagnostics %q, want %q", c.src, got, c.diag)
+		}
+		if b := toks[2]; b.Pos.Offset != len(c.src)-1 || b.Pos.Col != len(c.src) {
+			t.Errorf("%q: b at %v (offset %d)", c.src, b.Pos, b.Pos.Offset)
+		}
+	}
+}
+
 func TestPositions(t *testing.T) {
 	toks := scan(t, "a\n  bb\nccc")
 	checks := []struct{ i, line, col int }{{0, 1, 1}, {1, 2, 3}, {2, 3, 1}}

@@ -98,20 +98,29 @@ type Result struct {
 // backward fixed-point iteration. OpSuspend is treated as flowing into the
 // fragment its resumption enters (see ir.Func.Succs), so registers used
 // after a Suspend are live across it.
+//
+// It allocates three times whatever the length of f: the Result, its LiveIn
+// headers, and one array holding every live-in set plus the scratch set the
+// iteration computes each instruction's live-out in. (An instruction reading
+// more registers than usesBuf holds adds a fourth.)
 func Analyze(f *ir.Func) *Result {
 	n := len(f.Code)
+	words := (f.NumRegs + 63) / 64
+	arena := make([]uint64, (n+1)*words)
 	res := &Result{LiveIn: make([]Set, n)}
 	for i := range res.LiveIn {
-		res.LiveIn[i] = NewSet(f.NumRegs)
+		res.LiveIn[i] = Set(arena[i*words : (i+1)*words : (i+1)*words])
 	}
-	var uses []ir.Reg
-	var succs []int
+	out := Set(arena[n*words:])
+	var usesBuf [16]ir.Reg
+	var succsBuf [2]int
+	uses, succs := usesBuf[:0], succsBuf[:0]
 	for changed := true; changed; {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
 			in := &f.Code[i]
 			// out = union of live-in of successors
-			out := NewSet(f.NumRegs)
+			clear(out)
 			succs = f.Succs(i, succs[:0])
 			for _, s := range succs {
 				out.Union(res.LiveIn[s])

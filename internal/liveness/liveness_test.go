@@ -211,3 +211,32 @@ func TestLivenessContainsUsesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLivenessAllocs: Analyze allocates at most three times per function,
+// however long it is and however many fixpoint rounds its loops take.
+func TestLivenessAllocs(t *testing.T) {
+	const regs = 150
+	for _, n := range []int{1, 10, 100, 1000} {
+		fn := &ir.Func{Name: "a", NumRegs: regs, Frags: []ir.Fragment{{Start: 0, Site: -1}}}
+		for i := 0; i < n; i++ {
+			r := ir.Reg(i % regs)
+			switch i % 5 {
+			case 0:
+				fn.Code = append(fn.Code, ir.Instr{Op: ir.OpBin, Dst: r, A: (r + 1) % regs, B: (r + 7) % regs, Tok: token.PLUS})
+			case 1:
+				fn.Code = append(fn.Code, ir.Instr{Op: ir.OpMakeState, Dst: r, Args: []ir.Reg{0, 1, 2, 3, 4, 5, 6}})
+			case 2:
+				fn.Code = append(fn.Code, ir.Instr{Op: ir.OpBranch, A: r, Idx: i / 2, Idx2: i + 1})
+			case 3:
+				fn.Code = append(fn.Code, ir.Instr{Op: ir.OpMove, Dst: r, A: (r + 3) % regs})
+			case 4:
+				fn.Code = append(fn.Code, ir.Instr{Op: ir.OpSuspend, A: r, Dst: ir.NoReg})
+				fn.Frags = append(fn.Frags, ir.Fragment{Start: i + 1, Site: len(fn.Frags) - 1})
+			}
+		}
+		fn.Code = append(fn.Code, ir.Instr{Op: ir.OpReturn})
+		if got := testing.AllocsPerRun(10, func() { Analyze(fn) }); got > 3 {
+			t.Errorf("Analyze of %d instructions allocates %v times, want at most 3", n+1, got)
+		}
+	}
+}

@@ -13,7 +13,8 @@
 package parser
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"teapot/internal/ast"
 	"teapot/internal/lexer"
@@ -23,12 +24,19 @@ import (
 
 // Parse parses a named Teapot source text into a Program. On error it
 // returns a partial tree together with the accumulated diagnostics.
+//
+// Tokens are pulled from the lexer one at a time; none is kept once the
+// parser has moved past it. A parse that stops before the end still lexes
+// the rest of the text, so every lexical error is reported.
 func Parse(name, src string) (*ast.Program, error) {
 	file := source.NewFile(name, src)
 	var errs source.ErrorList
-	toks := lexer.ScanAll(file, &errs)
-	p := &parser{file: file, toks: toks, errs: &errs}
+	p := &parser{file: file, lx: lexer.New(file, &errs), errs: &errs}
+	p.tok = p.lx.Next()
 	prog := p.parseProgram()
+	for p.tok.Kind != token.EOF {
+		p.tok = p.lx.Next()
+	}
 	prog.File = file
 	errs.Sort()
 	return prog, errs.Err()
@@ -36,24 +44,42 @@ func Parse(name, src string) (*ast.Program, error) {
 
 type parser struct {
 	file *source.File
-	toks []lexer.Token
-	pos  int
+	lx   *lexer.Lexer
+	tok  lexer.Token // the current token
+	pos  int         // tokens consumed so far: the progress check in parseStmts
 	errs *source.ErrorList
 
 	panicking bool // suppress cascading errors until resync
+
+	idents []ast.Ident // allocated in blocks; newIdent hands them out
+
+	// Lists under construction, innermost last: a list is built on the end
+	// of its stack and copied out at its exact length by collect.
+	params []*ast.Param
+	stmts  []ast.Stmt
+	exprs  []ast.Expr
 }
 
-func (p *parser) cur() lexer.Token { return p.toks[p.pos] }
-func (p *parser) peek() lexer.Token {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+// collect returns the elements of the stack from base on in a slice of
+// their own (nil if there are none) and pops them.
+func collect[T any](stack *[]T, base int) []T {
+	s := *stack
+	if len(s) == base {
+		return nil
 	}
-	return p.toks[len(p.toks)-1]
+	list := slices.Clone(s[base:])
+	clear(s[base:])
+	*stack = s[:base]
+	return list
 }
 
+func (p *parser) cur() lexer.Token { return p.tok }
+
+// next consumes the current token and returns it. EOF is never consumed.
 func (p *parser) next() lexer.Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
+	t := p.tok
+	if t.Kind != token.EOF {
+		p.tok = p.lx.Next()
 		p.pos++
 	}
 	return t
@@ -100,8 +126,21 @@ func (p *parser) sync(kinds ...token.Kind) {
 }
 
 func (p *parser) ident() *ast.Ident {
-	t := p.expect(token.IDENT)
-	return &ast.Ident{Name: t.Lit, NamePos: t.Pos}
+	return p.newIdent(p.expect(token.IDENT))
+}
+
+// newIdent builds the identifier node for a token. Identifiers are the most
+// numerous nodes, so they are carved from blocks of identBlock instead of
+// being allocated one by one.
+func (p *parser) newIdent(t lexer.Token) *ast.Ident {
+	const identBlock = 64
+	if len(p.idents) == 0 {
+		p.idents = make([]ast.Ident, identBlock)
+	}
+	id := &p.idents[0]
+	p.idents = p.idents[1:]
+	*id = ast.Ident{Name: t.Lit, NamePos: t.Pos}
+	return id
 }
 
 // typeIdent parses a type name. Keywords are allowed here so that support
@@ -109,8 +148,7 @@ func (p *parser) ident() *ast.Ident {
 // SetState prototype takes a state value).
 func (p *parser) typeIdent() *ast.Ident {
 	if p.cur().Kind.IsKeyword() {
-		t := p.next()
-		return &ast.Ident{Name: t.Lit, NamePos: t.Pos}
+		return p.newIdent(p.next())
 	}
 	return p.ident()
 }
@@ -156,14 +194,14 @@ func (p *parser) parseModule() *ast.Module {
 			m.Decls = append(m.Decls, d)
 		case token.FUNCTION:
 			d := &ast.SubDecl{DeclPos: p.next().Pos, Name: p.ident()}
-			d.Params = p.parseParamList(token.LPAREN, token.RPAREN, false)
+			d.Params = p.parseParamList(token.LPAREN, token.RPAREN)
 			p.expect(token.COLON)
 			d.Result = p.typeIdent()
 			p.expect(token.SEMICOLON)
 			m.Decls = append(m.Decls, d)
 		case token.PROCEDURE:
 			d := &ast.SubDecl{DeclPos: p.next().Pos, Name: p.ident()}
-			d.Params = p.parseParamList(token.LPAREN, token.RPAREN, false)
+			d.Params = p.parseParamList(token.LPAREN, token.RPAREN)
 			p.expect(token.SEMICOLON)
 			m.Decls = append(m.Decls, d)
 		default:
@@ -197,9 +235,9 @@ func (p *parser) parseProtocol() *ast.Protocol {
 		case token.STATE:
 			d := &ast.StateDecl{StatePos: p.next().Pos, Name: p.ident()}
 			if p.at(token.LPAREN) {
-				d.Params = p.parseParamList(token.LPAREN, token.RPAREN, false)
+				d.Params = p.parseParamList(token.LPAREN, token.RPAREN)
 			} else if p.at(token.LBRACE) {
-				d.Params = p.parseParamList(token.LBRACE, token.RBRACE, false)
+				d.Params = p.parseParamList(token.LBRACE, token.RBRACE)
 			}
 			d.Transient = p.accept(token.TRANSIENT)
 			p.expect(token.SEMICOLON)
@@ -220,11 +258,11 @@ func (p *parser) parseProtocol() *ast.Protocol {
 
 // parseParamList parses "(a, b : T; var c : U)" (or the brace form). A
 // missing list yields nil.
-func (p *parser) parseParamList(open, close token.Kind, _ bool) []*ast.Param {
+func (p *parser) parseParamList(open, close token.Kind) []*ast.Param {
 	if !p.accept(open) {
 		return nil
 	}
-	var list []*ast.Param
+	base := len(p.params)
 	for !p.at(close) && !p.at(token.EOF) {
 		g := &ast.Param{}
 		if p.at(token.VAR) {
@@ -237,13 +275,13 @@ func (p *parser) parseParamList(open, close token.Kind, _ bool) []*ast.Param {
 		}
 		p.expect(token.COLON)
 		g.Type = p.typeIdent()
-		list = append(list, g)
+		p.params = append(p.params, g)
 		if !p.accept(token.SEMICOLON) {
 			break
 		}
 	}
 	p.expect(close)
-	return list
+	return collect(&p.params, base)
 }
 
 func (p *parser) parseState() *ast.State {
@@ -256,9 +294,9 @@ func (p *parser) parseState() *ast.State {
 		s.Name = first
 	}
 	if p.at(token.LPAREN) {
-		s.Params = p.parseParamList(token.LPAREN, token.RPAREN, false)
+		s.Params = p.parseParamList(token.LPAREN, token.RPAREN)
 	} else if p.at(token.LBRACE) {
-		s.Params = p.parseParamList(token.LBRACE, token.RBRACE, false)
+		s.Params = p.parseParamList(token.LBRACE, token.RBRACE)
 	}
 	p.expect(token.BEGIN)
 	for p.at(token.MESSAGE) {
@@ -273,7 +311,7 @@ func (p *parser) parseHandler() *ast.Handler {
 	h := &ast.Handler{MsgPos: p.expect(token.MESSAGE).Pos}
 	h.Name = p.ident()
 	if p.at(token.LPAREN) {
-		h.Params = p.parseParamList(token.LPAREN, token.RPAREN, true)
+		h.Params = p.parseParamList(token.LPAREN, token.RPAREN)
 	}
 	// Optional block-decls: var a, b : T; c : U; ... begin
 	if p.at(token.VAR) {
@@ -308,12 +346,12 @@ func (p *parser) stmtTerm(terms ...token.Kind) bool {
 }
 
 func (p *parser) parseStmts(terms ...token.Kind) []ast.Stmt {
-	var list []ast.Stmt
+	base := len(p.stmts)
 	for !p.stmtTerm(terms...) {
 		before := p.pos
 		s := p.parseStmt()
 		if s != nil {
-			list = append(list, s)
+			p.stmts = append(p.stmts, s)
 		}
 		// Statement separator: required between statements, tolerated
 		// (optional) before a terminator.
@@ -326,7 +364,7 @@ func (p *parser) parseStmts(terms ...token.Kind) []ast.Stmt {
 			p.next()
 		}
 	}
-	return list
+	return collect(&p.stmts, base)
 }
 
 func (p *parser) parseStmt() ast.Stmt {
@@ -414,14 +452,14 @@ func (p *parser) parseStmt() ast.Stmt {
 // parseExprList parses a possibly empty list of expressions separated by ","
 // or ";" up to (not consuming) the closing token.
 func (p *parser) parseExprList(close token.Kind) []ast.Expr {
-	var list []ast.Expr
+	base := len(p.exprs)
 	for !p.at(close) && !p.at(token.EOF) {
-		list = append(list, p.parseExpr())
+		p.exprs = append(p.exprs, p.parseExpr())
 		if !p.accept(token.COMMA) && !p.accept(token.SEMICOLON) {
 			break
 		}
 	}
-	return list
+	return collect(&p.exprs, base)
 }
 
 func (p *parser) parseExpr() ast.Expr { return p.parseBin(1) }
@@ -456,8 +494,9 @@ func (p *parser) parsePrimary() ast.Expr {
 	switch p.cur().Kind {
 	case token.INT:
 		t := p.next()
-		var v int64
-		if _, err := fmt.Sscanf(t.Lit, "%d", &v); err != nil {
+		v, err := strconv.ParseInt(t.Lit, 10, 64)
+		if err != nil {
+			v = 0
 			p.errorf(t.Pos, "bad integer literal %q", t.Lit)
 		}
 		return &ast.IntLit{LitPos: t.Pos, Value: v}

@@ -1,10 +1,13 @@
 package parser
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"teapot/internal/ast"
+	"teapot/internal/lexer"
+	"teapot/internal/source"
 	"teapot/internal/token"
 )
 
@@ -309,5 +312,38 @@ end;
 	}
 	if se, ok := call.Args[1].(*ast.StateExpr); !ok || se.Name.Name != "T" {
 		t.Errorf("arg 1 = %s", ast.ExprString(call.Args[1]))
+	}
+}
+
+// TestParseReportsTrailingLexErrors: a parse that stops early still lexes
+// the rest of the text, so its diagnostics include every one ScanAll
+// reports on the same text. (Mutation: without the loop in Parse that
+// drains the lexer after parseProgram, the lexical errors after the stray
+// "end" are lost and this test fails.)
+func TestParseReportsTrailingLexErrors(t *testing.T) {
+	src := "protocol P begin state S(); message M; end;\n" +
+		"state P.S() begin end;\n" +
+		"end; @ é \"open\n(* open"
+	_, err := Parse("t.tea", src)
+	var list *source.ErrorList
+	if !errors.As(err, &list) {
+		t.Fatalf("Parse error = %v, want a diagnostic list", err)
+	}
+	got := map[string]bool{}
+	for _, d := range list.List {
+		got[d.Error()] = true
+	}
+	if !got[`t.tea:3:1: unexpected "end" after states`] {
+		t.Errorf("the parse does not stop at the stray end: %v", list)
+	}
+	var lexErrs source.ErrorList
+	lexer.ScanAll(source.NewFile("t.tea", src), &lexErrs)
+	if lexErrs.Len() != 4 {
+		t.Fatalf("ScanAll reports %d diagnostics, want 4: %v", lexErrs.Len(), &lexErrs)
+	}
+	for _, d := range lexErrs.List {
+		if !got[d.Error()] {
+			t.Errorf("Parse does not report %q", d.Error())
+		}
 	}
 }

@@ -3,8 +3,6 @@
 // examples freely mix "Begin"/"begin", "If"/"if", "Suspend"/"suspend".
 package token
 
-import "strings"
-
 // Kind identifies a lexical token class.
 type Kind int
 
@@ -141,6 +139,10 @@ func (k Kind) String() string {
 	return "UNKNOWN"
 }
 
+// maxKeywordLen is the length of the longest keywords ("procedure",
+// "transient").
+const maxKeywordLen = 9
+
 var keywords = func() map[string]Kind {
 	m := make(map[string]Kind)
 	for k := keywordStart + 1; k < keywordEnd; k++ {
@@ -150,9 +152,23 @@ var keywords = func() map[string]Kind {
 }()
 
 // Lookup maps an identifier spelling to its keyword kind, or IDENT.
-// Keyword recognition is case-insensitive.
+// Keyword recognition is case-insensitive. It does not allocate: the
+// spelling is lower-cased into a fixed buffer, and one longer than every
+// keyword is an identifier without a lookup. Only ASCII letters are folded;
+// no other rune lower-cases to a letter of a keyword.
 func Lookup(ident string) Kind {
-	if k, ok := keywords[strings.ToLower(ident)]; ok {
+	if len(ident) > maxKeywordLen {
+		return IDENT
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(ident); i++ {
+		c := ident[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	if k, ok := keywords[string(buf[:len(ident)])]; ok {
 		return k
 	}
 	return IDENT

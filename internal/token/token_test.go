@@ -1,6 +1,31 @@
 package token
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
+
+// TestLookupAllocs: Lookup allocates nothing, for keywords in any case and
+// for identifiers short and long. Every keyword is found in lower, upper and
+// title case, which also fails if a keyword outgrows maxKeywordLen.
+func TestLookupAllocs(t *testing.T) {
+	var spellings []string
+	for k := keywordStart + 1; k < keywordEnd; k++ {
+		name := k.String()
+		for _, s := range []string{name, strings.ToUpper(name), strings.ToUpper(name[:1]) + name[1:]} {
+			if got := Lookup(s); got != k {
+				t.Errorf("Lookup(%q) = %v, want %v", s, got, k)
+			}
+			spellings = append(spellings, s)
+		}
+	}
+	spellings = append(spellings, "x", "Cache_RO", "GET_RO_REQ", "Cache_RO_To_RW", "Home_Exclusive_Waiting")
+	for _, s := range spellings {
+		if n := testing.AllocsPerRun(100, func() { Lookup(s) }); n != 0 {
+			t.Errorf("Lookup(%q) allocates %v times, want 0", s, n)
+		}
+	}
+}
 
 func TestLookupCaseInsensitive(t *testing.T) {
 	cases := map[string]Kind{

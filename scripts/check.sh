@@ -23,7 +23,7 @@ go test -race ./...
 # -fuzz takes one target and one package; a new input is minimized for ten
 # executions, not a minute). A crasher stops the script and is left in the
 # package's testdata/fuzz/, where the gate at the end would catch it too.
-for target in FuzzParse:litmus FuzzLoad:fuzz FuzzCompile:core FuzzDecodeState:runtime FuzzNetModel:netmodel \
+for target in FuzzLex:lexer FuzzParse:litmus FuzzLoad:fuzz FuzzCompile:core FuzzDecodeState:runtime FuzzNetModel:netmodel \
   FuzzExec:runtime FuzzClientScript:mc FuzzRestore:mc FuzzManifest:manifest; do
   go test -run '^$' -fuzz "${target%%:*}" -fuzztime 5s -fuzzminimizetime 10x "./internal/${target##*:}"
 done
@@ -33,11 +33,14 @@ done
 # expanding a state builds; the visited store: 0 per claim of a seen key,
 # under N/100 to insert N states; a delivery into a warmed engine: 0, support
 # call, send and all, register stack empty afterwards; a whole simulated run:
-# at most 1 per message), which -race perturbs by allocating on its own account;
+# at most 1 per message; token.Lookup: 0; liveness.Analyze: at most 3 per
+# function; core.Compile of stache: within 5 % of the count the test names),
+# which -race perturbs by allocating on its own account;
 # and the TestExitStatus rows and EXPERIMENTS.md blocks that skip under it
 # for taking seconds (the 3-node drop envelope, the 4-node cut at 200 000
 # states, the larger symmetry pairs).
-go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestExitStatus|TestExperimentsCurrent' ./internal/mc/ ./internal/runtime/ .
+go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestLookupAllocs|TestLivenessAllocs|TestCompileAllocs|TestExitStatus|TestExperimentsCurrent' \
+  ./internal/mc/ ./internal/runtime/ ./internal/token/ ./internal/liveness/ ./internal/core/ .
 # The benchmark harness's own tests: small-shape correctness checks that run
 # the checker (reduced and unreduced), the simulator and the litmus corpus
 # against benchmarks/expected.json. A module of its own, so `go test ./...`
