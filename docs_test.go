@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"teapot/internal/netmodel"
 )
 
 // A checked block in EXPERIMENTS.md is a marker line naming one command,
@@ -211,8 +213,9 @@ func TestExperimentsCurrent(t *testing.T) {
 
 // TestReadmeFlags holds README's table of shared flags to the flags: each
 // row's "taken by" column must name exactly the subcommands whose -h lists
-// that flag. It also requires every "DESIGN.md §N" that README.md and
-// EXPERIMENTS.md cite to be a heading of DESIGN.md.
+// that flag. README's -net table must list netmodel.Keys, in order. It also
+// requires every "DESIGN.md §N" that README.md and EXPERIMENTS.md cite to be
+// a heading of DESIGN.md.
 func TestReadmeFlags(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -269,6 +272,18 @@ func TestReadmeFlags(t *testing.T) {
 	}
 	if rows < 8 {
 		t.Errorf("read %d rows of README's shared-flag table, want at least 8", rows)
+	}
+
+	var keys []string
+	inTable = false
+	for _, line := range strings.Split(string(readme), "\n") {
+		inTable = strings.HasPrefix(line, "| key ") || inTable && strings.HasPrefix(line, "|")
+		if inTable && strings.HasPrefix(line, "| `") {
+			keys = append(keys, strings.Trim(strings.Split(line, "|")[1], " `"))
+		}
+	}
+	if want := strings.Split(netmodel.Keys, ", "); !slices.Equal(keys, want) {
+		t.Errorf("README's -net table lists keys %v, want netmodel.Keys %v", keys, want)
 	}
 
 	design, err := os.ReadFile("DESIGN.md")

@@ -121,7 +121,7 @@ func TestExitStatus(t *testing.T) {
 		{args: "verify -proto stache -nodes 3 -symmetry=on", status: 0, stdout: "symmetry /2"},
 		// -stats says what a key cost and how evenly the fingerprint spread
 		// the visited shards.
-		{args: "verify -proto stache -stats", status: 0, stdout: "  keys:           41 bytes mean, 68% encoded per successor\n … \n  shards:         0..7 states per shard\n"},
+		{args: "verify -proto stache -stats", status: 0, stdout: "  keys:           40 bytes mean, 67% encoded per successor\n … \n  shards:         0..8 states per shard\n"},
 		// A deadlock says what each stalled block waits for: the messages
 		// its state handles, and the drops of messages about it.
 		{args: "verify -proto stache-buggy", status: 1, stdout: "VIOLATION deadlock" +
@@ -134,6 +134,8 @@ func TestExitStatus(t *testing.T) {
 		{args: "verify -proto stache -net drop=0x10", status: 2, stderr: `invalid value "drop=0x10" for flag -net: netmodel: bad value "0x10" for drop`},
 		{args: "verify -proto stache -nodes 6 -blocks 6 -max-states 100", status: 1, stdout: "VIOLATION state-limit"},
 		{args: "verify -net drip=1", status: 2, stderr: `invalid value "drip=1" for flag -net: netmodel: unknown key "drip"`},
+		// -net has the faults traffic takes, and no others.
+		{args: "verify -net corrupt=1", status: 2, stderr: `netmodel: unknown key "corrupt" (known: reorder, delay, drop, dup)`},
 		{args: "verify -nope", status: 2, stderr: "flag provided but not defined: -nope"},
 		{args: "verify -protocol stache", status: 2, stderr: "flag provided but not defined: -protocol"},
 		{args: "verify -reorder 1", status: 2, stderr: "flag provided but not defined: -reorder"},
@@ -169,8 +171,8 @@ func TestExitStatus(t *testing.T) {
 		// key copies from its parent's what its action cannot have changed,
 		// and the copied bytes are not counted as encoded.
 		{args: "verify -proto stache-ft -nodes 3 -blocks 1 -net drop=1 -symmetry=off -stats", status: 0,
-			stdout: "170738 states, 521346 transitions … keys:           75 bytes mean, 43% encoded per successor\n" +
-				" … shards:         2552..2772 states per shard\n", slow: true},
+			stdout: "170738 states, 521346 transitions … keys:           74 bytes mean, 43% encoded per successor\n" +
+				" … shards:         2551..2735 states per shard\n", slow: true},
 		// The large shape: 4 nodes under one drop is 9.2 M states in full, so
 		// cut it — the run stops at the first layer barrier past the limit
 		// with exactly these counts (TestWiderEnvelope pins the 300 000 cut),
@@ -188,7 +190,7 @@ func TestExitStatus(t *testing.T) {
 		{args: "sim -nodes 0", status: 2, stderr: `invalid value "0" for flag -nodes: want 1..64`},
 		{args: "sim -nodes 100", status: 2, stderr: `invalid value "100" for flag -nodes: want 1..64`},
 		{args: "sim -iters 0", status: 2, stderr: `invalid value "0" for flag -iters: want at least 1`},
-		{args: "sim -net corrupt=1", status: 2, stderr: "checker-only"},
+		{args: "sim -net corrupt=1", status: 2, stderr: `netmodel: unknown key "corrupt" (known: reorder, delay, drop, dup)`},
 		{args: "sim -workload stencil -engine ft", status: 2, stderr: "no fault-tolerant variant"},
 		{args: "sim -engine hw -stats", status: 2, stderr: "need a Teapot engine"},
 		{args: "sim gauss", status: 2, stderr: `unexpected argument "gauss"`},
@@ -225,7 +227,8 @@ func TestExitStatus(t *testing.T) {
 		{args: "fuzz -schedules 0", status: 2, stderr: `invalid value "0" for flag -schedules: want at least 1`},
 		{args: "fuzz -proto stache -workers 2", status: 2, stderr: "flag provided but not defined: -workers"},
 		{args: "fuzz -proto lcm", status: 2, stderr: `no oracle profile for protocol "lcm" (judgeable: stache, stache-ft, stache-asym, stache-buggy, stache-ft-buggy, bufwrite, update)`},
-		{args: "fuzz -net corrupt=1", status: 2, stderr: "checker-only"},
+		{args: "fuzz -net rate=0.5", status: 2, stderr: `netmodel: unknown key "rate" (known: reorder, delay, drop, dup)`},
+		{args: "fuzz -rate 0.5", status: 2, stderr: "flag provided but not defined: -rate"},
 		{args: "fuzz stache", status: 2, stderr: "did you mean -proto stache?"},
 
 		// The committed corpus runs clean under all three substrates (the
@@ -698,6 +701,42 @@ func TestReportManifests(t *testing.T) {
 		}
 		if man.Coverage == nil || len(man.Coverage.Dispatch) == 0 {
 			t.Errorf("%v: manifest lacks dispatch coverage", args)
+		}
+	}
+}
+
+// TestManifestNet: every tool names a run's network as netmodel renders it,
+// so a perfect network is "none" in a litmus manifest as in a verify one,
+// and two spellings of one model are one model. Only litmus tests whose
+// models differ leave it empty (the per-test record is in -json).
+func TestManifestNet(t *testing.T) {
+	corpus, out := t.TempDir(), t.TempDir()
+	src, err := os.ReadFile(filepath.Join("testdata", "litmus", "mp-drop-ft.lit"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, net := range map[string]string{"a": "drop=1", "b": "dup=0,drop=1"} {
+		lit := strings.Replace(strings.Replace(string(src), "litmus mp-drop-ft", "litmus "+name, 1), "net drop=1", "net "+net, 1)
+		if err := os.WriteFile(filepath.Join(corpus, name+".lit"), []byte(lit), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct{ args, net string }{
+		{"verify -proto stache -net none", "none"},
+		{"litmus -only corr -mode mc", "none"},
+		{"litmus -corpus " + corpus + " -mode mc", "drop=1"},
+		{"litmus -only mp-d -mode mc", ""}, // drop=1 and dup=1
+	} {
+		report := filepath.Join(out, "man.json")
+		if status, _, stderr := teapot(append(strings.Fields(c.args), "-report", report)...); status != 0 {
+			t.Fatalf("teapot %s: status %d\n%s", c.args, status, stderr)
+		}
+		man, err := manifest.Load(report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man.Net != c.net {
+			t.Errorf("teapot %s: manifest net %q, want %q", c.args, man.Net, c.net)
 		}
 	}
 }

@@ -128,21 +128,6 @@ func Run(p *runtime.Protocol, ids []string) (*Report, error) {
 	return c.report, nil
 }
 
-// Max returns the most severe finding level, or (SevInfo, false) when the
-// report is empty.
-func (r *Report) Max() (source.Severity, bool) {
-	if len(r.Findings) == 0 {
-		return source.SevInfo, false
-	}
-	max := source.SevInfo
-	for _, d := range r.Findings {
-		if d.Severity < max {
-			max = d.Severity
-		}
-	}
-	return max, true
-}
-
 // Actionable returns the findings of warning severity or worse — the set
 // the drivers gate on (info findings are advisory).
 func (r *Report) Actionable() []source.Diagnostic {

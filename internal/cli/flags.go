@@ -17,8 +17,7 @@ import (
 //
 //	-net drop=1,dup=1,reorder=2
 //
-// Keys: reorder, delay, drop, dup, corrupt, rate; "" and "none" mean a
-// perfect network.
+// The keys are netmodel.Keys; "" and "none" mean a perfect network.
 type netFlag struct {
 	Model netmodel.Model
 }
@@ -41,7 +40,7 @@ func (n *netFlag) Set(s string) error {
 
 func addNet(fs *flag.FlagSet) *netFlag {
 	n := &netFlag{}
-	fs.Var(n, "net", `network fault model, e.g. "drop=1,dup=1,reorder=2" (keys: reorder, delay, drop, dup, corrupt, rate; default: perfect network)`)
+	fs.Var(n, "net", `network fault model, e.g. "drop=1,dup=1,reorder=2" (keys: `+netmodel.Keys+`; default: perfect network)`)
 	return n
 }
 

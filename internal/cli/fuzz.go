@@ -30,7 +30,6 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 		seed      = addSeed(fs)
 		schedules = intRange(fs, "schedules", 500, 1, 0, "schedules to run (campaign stops at the first failure)")
 		ops       = intRange(fs, "ops", 40, 1, 0, "workload operations per node per schedule")
-		rate      = fs.Float64("rate", 0, fmt.Sprintf("per-choice deviation probability (0 = default %.2f)", fuzz.DefaultRate))
 		out       = fs.String("out", "", "write the shrunk reproducer schedule to this file (default <proto>-repro.json)")
 		replay    = fs.String("replay", "", "replay a saved schedule instead of fuzzing; all run-shape flags are taken from the file")
 		noShrink  = fs.Bool("no-shrink", false, "keep the first failing schedule as-is instead of delta-debugging it")
@@ -66,7 +65,7 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 	f, err := fuzz.New(fuzz.Config{
 		Proto: *run.Proto, Nodes: *run.Nodes, Blocks: *run.Blocks,
 		Net: run.Net.Model, Schedules: *schedules, OpsPerNode: *ops,
-		Seed: *seed, Rate: *rate, Coverage: cov,
+		Seed: *seed, Coverage: cov,
 	})
 	if err != nil {
 		return err
@@ -78,12 +77,8 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	net := run.Net.Model.String()
-	if net == "" {
-		net = "none"
-	}
 	fmt.Fprintf(stdout, "protocol %s (%d nodes, %d blocks, net %s): %d schedule(s), %d choice points, %s",
-		*run.Proto, *run.Nodes, *run.Blocks, net, res.Ran, res.Steps, elapsed.Round(time.Millisecond))
+		*run.Proto, *run.Nodes, *run.Blocks, run.Net.Model, res.Ran, res.Steps, elapsed.Round(time.Millisecond))
 	if elapsed > 0 {
 		fmt.Fprintf(stdout, " (%.0f sched/s)", perSec(float64(res.Ran), elapsed))
 	}

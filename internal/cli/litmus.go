@@ -9,6 +9,7 @@ import (
 	"teapot/internal/fuzz"
 	"teapot/internal/litmus"
 	"teapot/internal/manifest"
+	"teapot/internal/netmodel"
 	"teapot/internal/obs"
 	"teapot/internal/protocols"
 )
@@ -232,15 +233,24 @@ func litmusReplay(stdout io.Writer, path, corpus string) error {
 
 // writeLitmusManifest lowers the corpus run into the shared run-manifest
 // schema: one manifest per run, carrying the aggregate litmus stats and the
-// coverage union of every substrate of every test.
+// coverage union of every substrate of every test. Its network is the
+// tests' fault model as every tool writes it, or "" when the tests' models
+// differ (the per-test record is in -json).
 func writeLitmusManifest(path, corpus, mode string, tests []*litmus.Test, results []*litmus.Result, cov *obs.Coverage, seed uint64) error {
-	nodes, blocks := 0, 0
-	net := tests[0].Net
-	for _, t := range tests {
+	nodes, blocks, net := 0, 0, ""
+	var first netmodel.Model
+	for i, t := range tests {
 		nodes = max(nodes, t.Nodes)
 		blocks = max(blocks, len(t.Blocks))
-		if t.Net != net {
-			net = "" // mixed fault models: the per-test record is in -json
+		m, err := netmodel.Parse(t.Net)
+		if err != nil {
+			return err
+		}
+		switch {
+		case i == 0:
+			first, net = m, m.String()
+		case m != first:
+			net = ""
 		}
 	}
 	ls := &manifest.LitmusStats{Corpus: corpus, Mode: mode, Tests: len(results)}

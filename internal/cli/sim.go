@@ -86,9 +86,6 @@ func cmdSim(args []string, stdout, stderr io.Writer) error {
 	}
 	run.Net, run.Seed, run.Program = net.Model, *seed, w.Trace
 	simCfg := run.SimConfig()
-	if err := simCfg.Validate(); err != nil {
-		return err
-	}
 	*seed = simCfg.Seed // -seed 0 derives a stable seed from the run shape
 	if *engine == "hw" {
 		simCfg.MakeEngine = func(m runtime.Machine) tempest.Engine {

@@ -128,16 +128,12 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	net := ""
-	if s := spec.Net.String(); s != "" {
-		net = fmt.Sprintf(", net %s", s)
-	}
 	sym := ""
 	if res.SymmetryGroup > 1 {
 		sym = fmt.Sprintf(", symmetry /%d", res.SymmetryGroup)
 	}
-	fmt.Fprintf(stdout, "protocol %s: %d states, %d transitions, depth %d, %d workers%s%s, %s\n",
-		*run.Proto, res.States, res.Transitions, res.MaxDepth, res.Workers, net, sym, res.Elapsed)
+	fmt.Fprintf(stdout, "protocol %s: %d states, %d transitions, depth %d, %d workers, net %s%s, %s\n",
+		*run.Proto, res.States, res.Transitions, res.MaxDepth, res.Workers, spec.Net, sym, res.Elapsed)
 	if res.SymmetryNote != "" {
 		fmt.Fprintf(stdout, "  symmetry reduction off: %s\n", res.SymmetryNote)
 	}

@@ -24,7 +24,7 @@ func specFixture(t *testing.T) core.RunSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Net = netmodel.Model{Reorder: 2, MaxDrops: 3, MaxDups: 4, MaxCorrupts: 5, Delay: 6, Rate: 0.5}
+	spec.Net = netmodel.Model{Reorder: 2, MaxDrops: 3, MaxDups: 4, Delay: 6}
 	spec.Seed = 42
 	spec.Program = &stubProgram{}
 	spec.Obs = obs.NewCollector(0)

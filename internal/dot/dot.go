@@ -181,17 +181,3 @@ func Render(m *Machine, title string) string {
 	b.WriteString("}\n")
 	return b.String()
 }
-
-// Counts summarizes a machine for the Figure 4 comparison ("the new, more
-// complex state machine which is still a simplification of the actual
-// protocol").
-type Counts struct {
-	States int
-	Edges  int
-}
-
-// Count extracts and counts in one step.
-func Count(p *ir.Program, opts Options) Counts {
-	m := Extract(p, opts)
-	return Counts{States: len(m.States), Edges: len(m.Edges)}
-}

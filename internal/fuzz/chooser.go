@@ -5,37 +5,31 @@ import (
 	"teapot/internal/tempest"
 )
 
-// DefaultRate is the per-choice deviation probability: how often the
+// deviationRate is the per-choice deviation probability: how often the
 // recorder strays from the benign option. High enough that a handful of
 // schedules exercises faults and reorderings, low enough that most of a
 // run stays on the fast path (heavily faulted runs mostly die of budget
 // exhaustion, not interesting interleavings).
-const DefaultRate = 0.25
+const deviationRate = 0.25
 
 // Recorder is the fuzzing chooser: it draws each decision from a seeded
 // RNG and records every non-benign pick. The same seed always produces
 // the same decision sequence over the same run.
 type Recorder struct {
 	rng       netmodel.Rand
-	rate      float64
 	step      uint64
 	decisions []Decision
 }
 
-// NewRecorder builds a recorder. rate 0 means DefaultRate.
-func NewRecorder(seed uint64, rate float64) *Recorder {
-	if rate == 0 {
-		rate = DefaultRate
-	}
-	return &Recorder{rng: netmodel.Rand(seed), rate: rate}
-}
+// NewRecorder builds a recorder.
+func NewRecorder(seed uint64) *Recorder { return &Recorder{rng: netmodel.Rand(seed)} }
 
 // Choose implements tempest.Chooser.
 func (r *Recorder) Choose(kind tempest.ChoiceKind, n int) int {
 	step := r.step
 	r.step++
 	pick := 0
-	if r.rng.Float() < r.rate {
+	if r.rng.Float() < deviationRate {
 		pick = 1 + r.rng.Intn(n-1)
 	}
 	if pick != 0 {

@@ -20,10 +20,9 @@ type Config struct {
 	Blocks int // default 2
 	Net    netmodel.Model
 
-	Schedules  int     // schedules per campaign (default 100)
-	OpsPerNode int     // workload length (default 40)
-	Seed       uint64  // master seed; 0 derives one from the run shape
-	Rate       float64 // deviation probability (default DefaultRate)
+	Schedules  int    // schedules per campaign (default 100)
+	OpsPerNode int    // workload length (default 40)
+	Seed       uint64 // master seed; 0 derives one from the run shape
 
 	// Coverage, when set, accumulates dispatch/transition/fault coverage
 	// across every schedule in the campaign (teed behind the oracle, so the
@@ -74,9 +73,6 @@ func New(cfg Config) (*Fuzzer, error) {
 	spec.Net = cfg.Net
 	if err := spec.Net.Validate(); err != nil {
 		return nil, err
-	}
-	if spec.Net.MaxCorrupts > 0 {
-		return nil, fmt.Errorf("fuzz: corrupt faults are checker-only (the simulator has no NACK bounce path)")
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = spec.EffectiveSeed()
@@ -133,7 +129,7 @@ func (f *Fuzzer) Fuzz() (*Result, error) {
 	for i := 0; i < f.cfg.Schedules; i++ {
 		recSeed := netmodel.Rand(f.cfg.Seed).Derive(uint64(2 * i))
 		wSeed := netmodel.Rand(f.cfg.Seed).Derive(uint64(2*i + 1))
-		rec := NewRecorder(recSeed, f.cfg.Rate)
+		rec := NewRecorder(recSeed)
 		rep := f.runWith(rec, wSeed, nil)
 		rep.Steps = rec.Steps()
 		res.Ran++

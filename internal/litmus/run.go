@@ -394,7 +394,7 @@ func (r *runner) runFuzz(res *Result) {
 	for i := 0; i < r.opt.schedules(); i++ {
 		recSeed := netmodel.Rand(r.seed).Derive(uint64(0x1000 + 2*i))
 		jitterSeed := netmodel.Rand(r.seed).Derive(uint64(0x1000 + 2*i + 1))
-		rec := fuzz.NewRecorder(recSeed, fuzz.DefaultRate)
+		rec := fuzz.NewRecorder(recSeed)
 		rep := r.execute(rec, r.seed, jitterSeed)
 		class := rep.class()
 		if class == "" {

@@ -38,7 +38,7 @@ type Manifest struct {
 	Protocol string `json:"protocol"` // bundled-protocol registry name
 	Nodes    int    `json:"nodes"`
 	Blocks   int    `json:"blocks"`
-	Net      string `json:"net,omitempty"`  // netmodel string, "" = perfect network
+	Net      string `json:"net,omitempty"`  // netmodel.Model.String(); "" = litmus tests whose models differ
 	Seed     uint64 `json:"seed,omitempty"` // sim/fuzz RNG seed; 0 for the checker
 
 	Coverage *obs.CoverageReport `json:"coverage,omitempty"`

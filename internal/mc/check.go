@@ -44,9 +44,6 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Net.MaxCorrupts > 0 && cfg.nackTag < 0 {
-		return nil, fmt.Errorf("mc: Net corrupt=%d but the protocol declares no NACK message to bounce corrupted tags with", cfg.Net.MaxCorrupts)
-	}
 	red, note, err := buildReduction(&cfg)
 	if err != nil {
 		return nil, err
@@ -333,9 +330,8 @@ func (wk *worker) decode(cfg *Config, key []byte) (*World, error) {
 // state's last action, otherwise scratch derived from w for the engine a
 // runs on (see World.derive). With cov set, the action's coverage is wired
 // up: handler-level coverage flows from the event stream of that one engine
-// (the others may be shared with w and are left alone), and the two fault
-// actions no event kind exists for (reordered deliveries, corrupt bounces)
-// are recorded at the action level.
+// (the others may be shared with w and are left alone), and a reordered
+// delivery, for which no event kind exists, is recorded at the action level.
 func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) (*World, error) {
 	wa := w
 	if !last {
@@ -349,14 +345,8 @@ func (w *World) branch(a action, last bool, cov *obs.Coverage, scratch *World) (
 		if n := a.engine(); n != noEngine {
 			wa.engines[n].SetObs(cov)
 		}
-		switch a.kind {
-		case actDeliver:
-			if a.idx > 0 {
-				cov.FaultSite(obs.FaultActionReorder,
-					int32(wa.channels[a.from*w.cfg.Nodes+a.to][a.idx].Tag))
-			}
-		case actCorrupt:
-			cov.FaultSite(obs.FaultActionCorrupt,
+		if a.kind == actDeliver && a.idx > 0 {
+			cov.FaultSite(obs.FaultActionReorder,
 				int32(wa.channels[a.from*w.cfg.Nodes+a.to][a.idx].Tag))
 		}
 	}

@@ -32,7 +32,6 @@ import (
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
 	"teapot/internal/tempest"
-	"teapot/internal/vm"
 )
 
 // Config parameterizes a verification run.
@@ -46,8 +45,8 @@ type Config struct {
 	Blocks int
 
 	// Net is the network fault model. The checker explores its faults
-	// nondeterministically: every in-flight message is a drop / duplicate /
-	// corrupt candidate while the corresponding budget lasts, and delivery
+	// nondeterministically: every in-flight message is a drop / duplicate
+	// candidate while the corresponding budget lasts, and delivery
 	// may overtake up to Net.EffectiveReorder() earlier messages. The spent
 	// budgets are part of the canonical state, so exploration stays finite
 	// and deterministic for any worker count.
@@ -119,10 +118,9 @@ type Config struct {
 	// never attaches sinks to the worlds it expands.
 	Obs obs.Sink
 
-	// Resolved by normalize: message tags for the TIMEOUT pseudo-message and
-	// NACK (-1 when the protocol does not declare them).
+	// Resolved by normalize: the message tag of the TIMEOUT pseudo-message
+	// (-1 when the protocol does not declare it).
 	timeoutTag int
-	nackTag    int
 }
 
 // ProgressInfo is one layer-barrier snapshot handed to Config.Progress.
@@ -169,10 +167,8 @@ func (p ProgressInfo) DedupRatio() float64 {
 // normalize fills configuration defaults in place.
 func (cfg *Config) normalize() {
 	cfg.timeoutTag = -1
-	cfg.nackTag = -1
 	if cfg.Proto != nil {
 		cfg.timeoutTag = cfg.Proto.MsgIndex("TIMEOUT")
-		cfg.nackTag = cfg.Proto.MsgIndex("NACK")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = goruntime.GOMAXPROCS(0)
@@ -304,9 +300,8 @@ type World struct {
 	// are different states, which keeps the search finite under budgets and
 	// the trace replay exact. With all budgets 0 they stay constant and the
 	// state count matches a fault-free run.
-	drops    int
-	dups     int
-	corrupts int
+	drops int
+	dups  int
 
 	// Scripted-client plane (Config.Client; see client.go). nil without a
 	// client, in which case none of it is encoded. pcs is each node's next
@@ -615,7 +610,6 @@ func (w *World) encodeTail(enc *runtime.Encoder) {
 	}
 	enc.Int(int64(w.drops))
 	enc.Int(int64(w.dups))
-	enc.Int(int64(w.corrupts))
 	if w.pcs != nil {
 		// The client plane pins node and block identities, so reduction
 		// refuses it (buildReduction) and it is never written under a remap.
@@ -691,7 +685,6 @@ func (cfg *Config) decodeInto(w *World, key []byte) error {
 	}
 	w.drops = int(d.Int())
 	w.dups = int(d.Int())
-	w.corrupts = int(d.Int())
 	if w.pcs != nil {
 		for i := range w.pcs {
 			w.pcs[i] = int(d.Int())
@@ -724,7 +717,6 @@ const (
 	actDeliver actKind = iota
 	actDrop            // remove the message — lost by the network
 	actDup             // insert a copy right behind the original
-	actCorrupt         // bounce back to the sender as a NACK
 	actEvent
 	actClient // the node's scripted client attempts its next operation
 	actTimeout
@@ -765,10 +757,6 @@ func (w *World) describe(a action) string {
 		m := w.channels[a.from*w.cfg.Nodes+a.to][a.idx]
 		return fmt.Sprintf("DUPLICATE %s blk%d node%d->node%d",
 			w.msgName(m.Tag), m.ID, a.from, a.to)
-	case actCorrupt:
-		m := w.channels[a.from*w.cfg.Nodes+a.to][a.idx]
-		return fmt.Sprintf("CORRUPT %s blk%d node%d->node%d (bounced to sender as NACK)",
-			w.msgName(m.Tag), m.ID, a.from, a.to)
 	case actTimeout:
 		return fmt.Sprintf("TIMEOUT blk%d at node%d [state %s]",
 			a.block, a.node, w.StateName(a.node, a.block))
@@ -782,8 +770,8 @@ func (w *World) describe(a action) string {
 }
 
 // actions enumerates every transition enabled in w. Order is a pure
-// function of the world state: deliveries, then drops / dups / corrupts
-// (while their budgets last), then processor events, then timeouts — the
+// function of the world state: deliveries, then drops and dups (while
+// their budgets last), then processor events, then timeouts — the
 // determinism contract (worker-count-independent traces) depends on it.
 func (w *World) actions() []action { return w.appendActions(nil) }
 
@@ -803,16 +791,15 @@ func (w *World) appendActions(out []action) []action {
 		}
 	}
 	// Faults target any in-flight position, not just the reorder window:
-	// loss, duplication and corruption are independent of delivery order.
-	// Fixed enumeration order (drop, dup, corrupt) — action ordinals must be
-	// a pure function of the world state.
+	// loss and duplication are independent of delivery order. Fixed
+	// enumeration order (drop, dup) — action ordinals must be a pure function
+	// of the world state.
 	for _, f := range [...]struct {
 		kind   actKind
 		budget bool
 	}{
 		{actDrop, w.drops < w.cfg.Net.MaxDrops},
 		{actDup, w.dups < w.cfg.Net.MaxDups},
-		{actCorrupt, w.corrupts < w.cfg.Net.MaxCorrupts},
 	} {
 		if !f.budget {
 			continue
@@ -933,18 +920,6 @@ func (w *World) apply(a action) error {
 		w.emitFault(obs.KindDup, a.from, a.to, m)
 		w.dups++
 		return nil
-	case actCorrupt:
-		m := w.removeAt(a.from*w.cfg.Nodes+a.to, a.idx)
-		// The receiving interface detects the corruption and bounces the
-		// tag back to the sender, exactly like the engine's Nack() builtin.
-		w.channels[a.to*w.cfg.Nodes+a.from] = append(w.channels[a.to*w.cfg.Nodes+a.from], &runtime.Message{
-			Tag:     w.cfg.nackTag,
-			ID:      m.ID,
-			Src:     a.to,
-			Payload: []vm.Value{vm.MsgVal(m.Tag)},
-		})
-		w.corrupts++
-		return nil
 	case actTimeout:
 		if err := w.engines[a.node].InjectEvent(w.cfg.timeoutTag, a.block); err != nil {
 			return err
@@ -1032,7 +1007,7 @@ func (a *action) engine() int {
 	switch a.kind {
 	case actDeliver:
 		return a.to
-	case actDrop, actDup, actCorrupt:
+	case actDrop, actDup:
 		return noEngine
 	}
 	return a.node
@@ -1049,11 +1024,10 @@ type segRange struct{ lo, hi int }
 // ranges, ascending and disjoint, in the array of buf (whose contents it
 // drops). An action runs handlers on one engine, and a handler's only way
 // out of its engine is to send from it; the faults edit the channel they
-// name (a corrupt also appends the NACK to the reverse one). So a may change
-// its engine, that engine's outgoing row of channels — one range, the
-// channels from a node being adjacent — and the channels it names. What
-// else it changes (access, stalled, budgets, the client plane) lies in the
-// tail, which every key encodes.
+// name. So a may change its engine, that engine's outgoing row of channels
+// — one range, the channels from a node being adjacent — and the channel it
+// names. What else it changes (access, stalled, budgets, the client plane)
+// lies in the tail, which every key encodes.
 func (a *action) changes(nodes int, buf []segRange) []segRange {
 	out := buf[:0]
 	if e := a.engine(); e != noEngine {
@@ -1063,9 +1037,6 @@ func (a *action) changes(nodes int, buf []segRange) []segRange {
 	switch a.kind {
 	case actDeliver, actDrop, actDup:
 		out = withSegment(out, nodes+a.from*nodes+a.to)
-	case actCorrupt:
-		out = withSegment(out, nodes+a.from*nodes+a.to)
-		out = withSegment(out, nodes+a.to*nodes+a.from)
 	}
 	return out
 }
@@ -1108,7 +1079,7 @@ func (w *World) span(lo, hi int) []byte {
 func (w *World) derive(dst *World, touch int) error {
 	copy(dst.access, w.access)
 	copy(dst.stalled, w.stalled)
-	dst.drops, dst.dups, dst.corrupts = w.drops, w.dups, w.corrupts
+	dst.drops, dst.dups = w.drops, w.dups
 	dst.obsSink, dst.sendErr = nil, nil
 	dst.src, dst.segEnds = w.src, w.segEnds
 	if w.pcs != nil {

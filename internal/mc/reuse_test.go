@@ -3,14 +3,11 @@ package mc_test
 import (
 	"math"
 	goruntime "runtime"
-	"strings"
 	"testing"
 
-	"teapot/internal/core"
 	"teapot/internal/mc"
 	"teapot/internal/netmodel"
 	"teapot/internal/protocols"
-	"teapot/internal/protocols/stache"
 	"teapot/internal/tempest"
 )
 
@@ -89,30 +86,11 @@ func TestDecodeIntoDirtyWorld(t *testing.T) {
 	}
 }
 
-// corruptConfig is base Stache with a NACK declared and nothing handling it,
-// 3 nodes / 1 block, corrupt=1. No bundled protocol declares the NACK a
-// corrupted message is bounced as, so none can be checked under corrupt; this
-// one can until the first NACK is delivered (a protocol error, a few layers
-// in), which is far enough to key every corrupt successor of the states
-// before it — the one action that edits two channels.
-func corruptConfig(t testing.TB) mc.Config {
-	t.Helper()
-	const decl = "  message EVICT_RO_ACK;\n"
-	art, err := core.Compile(core.Config{Name: "stache-nack.tea",
-		Source:   strings.Replace(stache.Source, decl, decl+"  message NACK;\n", 1),
-		Optimize: true, HomeStart: "Home_Idle", CacheStart: "Cache_Inv"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mc.Config{Proto: art.Protocol, Support: stache.MustSupport(art.Protocol), Nodes: 3, Blocks: 1,
-		Net: netmodel.Model{MaxCorrupts: 1}, Events: stache.NewEvents(art.Protocol), CheckCoherence: true}
-}
-
 // TestExpandMatchesReference: see mc.CheckExpandMatchesReference. The shapes
 // are the reuse shapes at the sizes Table 3's fault sweep checks them, three
 // nodes so that the symmetry group is not trivial (a two-node machine has
-// one non-home node and nothing to permute), lcm at three nodes, corruptConfig,
-// and base Stache under a duplicate it has no tolerance for, whose handlers
+// one non-home node and nothing to permute), lcm at three nodes, and base
+// Stache under a duplicate it has no tolerance for, whose handlers
 // fail — so the scratch world is also derived into right after an action
 // abandoned it mid-handler. Each runs with symmetry off and auto, and once
 // more with coverage sinks wired to every successor.
@@ -126,7 +104,6 @@ func TestExpandMatchesReference(t *testing.T) {
 		{reuseShape{"lcm-2n-reorder", namedConfig("lcm", 2, 1, netmodel.Model{Reorder: 1})}, 399},
 		{reuseShape{"lcm-3n", namedConfig("lcm", 3, 1, netmodel.Model{})}, 7216},
 		{reuseShape{"litmus-sb-cas", litmusConfig}, 123},
-		{reuseShape{"stache-nack-3n-corrupt", corruptConfig}, 25},
 		{reuseShape{"stache-2n-dup", namedConfig("stache", 2, 1, netmodel.Model{MaxDups: 1})}, 65},
 	}
 	legs := []struct {
@@ -243,7 +220,7 @@ func TestFingerprintSpread(t *testing.T) {
 // panic, never an allocation sized by a corrupt count — and whatever world
 // it does return must be whole enough to re-encode. Seeds are snapshots
 // along random walks of the three reuse shapes, plus every truncation of
-// one snapshot per shape.
+// one snapshot per shape and that snapshot with a trailing byte.
 func FuzzRestore(f *testing.F) {
 	cfgs := make([]mc.Config, len(reuseShapes))
 	for i, sh := range reuseShapes {
@@ -256,6 +233,7 @@ func FuzzRestore(f *testing.F) {
 		for cut := 0; cut < len(last); cut++ {
 			f.Add(uint8(i), []byte(last[:cut]))
 		}
+		f.Add(uint8(i), []byte(last+"\x00"))
 	}
 	f.Fuzz(func(t *testing.T, shape uint8, key []byte) {
 		cfg := cfgs[int(shape)%len(cfgs)]

@@ -385,7 +385,7 @@ func (r *reduction) permuteWorld(w *World, g *perm) *World {
 		}
 		pw.stalled[g.node[n]] = s
 	}
-	pw.drops, pw.dups, pw.corrupts = w.drops, w.dups, w.corrupts
+	pw.drops, pw.dups = w.drops, w.dups
 	pw.sendErr = w.sendErr
 	return pw
 }

@@ -6,11 +6,11 @@ import "fmt"
 // the same transitions for humans; Step carries them structurally so tools
 // can re-execute a counterexample (see ReplaySteps and DiffReplay).
 type Step struct {
-	// Kind is one of "deliver", "drop", "dup", "corrupt", "timeout",
-	// "event", "client".
+	// Kind is one of "deliver", "drop", "dup", "timeout", "event",
+	// "client".
 	Kind string
 	// From, To, Idx locate the message for the channel kinds (deliver,
-	// drop, dup, corrupt): position Idx within the From->To channel.
+	// drop, dup): position Idx within the From->To channel.
 	From, To, Idx int
 	// Node, Block locate the processor for "timeout", "event", and
 	// "client" (a client step is the node's next scripted operation, so
@@ -25,7 +25,7 @@ type Step struct {
 
 func (s Step) String() string {
 	switch s.Kind {
-	case "deliver", "drop", "dup", "corrupt":
+	case "deliver", "drop", "dup":
 		return fmt.Sprintf("%s %s node%d->node%d[%d]", s.Kind, s.Msg, s.From, s.To, s.Idx)
 	case "timeout":
 		return fmt.Sprintf("timeout blk%d node%d", s.Block, s.Node)
@@ -46,8 +46,6 @@ func (w *World) step(a action) Step {
 		st.Kind = "drop"
 	case actDup:
 		st.Kind = "dup"
-	case actCorrupt:
-		st.Kind = "corrupt"
 	case actTimeout:
 		st.Kind = "timeout"
 		return st
@@ -71,7 +69,7 @@ func (w *World) resolveStep(st Step) (action, error) {
 	for _, a := range w.actions() {
 		cand := w.step(a)
 		switch st.Kind {
-		case "deliver", "drop", "dup", "corrupt":
+		case "deliver", "drop", "dup":
 			if cand.Kind == st.Kind && cand.From == st.From && cand.To == st.To && cand.Idx == st.Idx {
 				return a, nil
 			}

@@ -1,12 +1,11 @@
 // Package netmodel is the network fault model shared by every Teapot
 // backend. One Model value describes what the network may do to in-flight
-// messages — reorder, delay, drop, duplicate, corrupt — and both execution
+// messages — reorder, delay, drop, duplicate — and both execution
 // substrates consume it:
 //
 //   - the model checker (internal/mc) explores faults *nondeterministically*
-//     under bounded budgets (MaxDrops/MaxDups/MaxCorrupts per run), keeping
-//     the state space finite and the parallel-BFS determinism contract
-//     intact;
+//     under bounded budgets (MaxDrops/MaxDups per run), keeping the state
+//     space finite and the parallel-BFS determinism contract intact;
 //   - the simulator (internal/tempest, via internal/sim) injects faults
 //     *stochastically* from a seeded deterministic RNG (Injector), recording
 //     each as an obs event so Chrome traces show the lost arrows.
@@ -17,10 +16,17 @@ package netmodel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// Keys lists the -net keys: Parse, String and Validate read the fields in
+// this order, and the flag's help and Parse's errors name them from here.
+const Keys = "reorder, delay, drop, dup"
+
+var keys = strings.Split(Keys, ", ")
 
 // Model is a network fault model. The zero value is a perfect in-order
 // network (the seed repo's default).
@@ -41,74 +47,45 @@ type Model struct {
 
 	// MaxDups bounds how many in-flight messages may be duplicated per run.
 	MaxDups int
-
-	// MaxCorrupts bounds how many messages may be corrupted per run. A
-	// corrupted message is detected by the receiving interface and bounced
-	// back to its sender as a NACK carrying the original tag, so the
-	// protocol must declare a NACK message to be checked under corruption.
-	MaxCorrupts int
-
-	// Rate is the per-message fault probability for stochastic injection
-	// (the simulator only; the checker branches on every opportunity).
-	// 0 means DefaultRate whenever any fault budget is set.
-	Rate float64
 }
 
-// DefaultRate is the stochastic injection probability used when a fault
-// budget is configured but Rate is left 0.
+// DefaultRate is the per-message fault probability of stochastic injection
+// (the simulator only; the checker branches on every opportunity).
 const DefaultRate = 0.25
 
 // Active reports whether the model injects any faults (reordering alone is
 // not a fault: it needs no budget and no recovery).
 func (m Model) Active() bool {
-	return m.MaxDrops > 0 || m.MaxDups > 0 || m.MaxCorrupts > 0 || m.Delay > 0
+	return m.MaxDrops > 0 || m.MaxDups > 0 || m.Delay > 0
 }
 
 // EffectiveReorder is the reorder credit the checker grants a delivery:
 // the configured reorder bound plus the delay credit.
 func (m Model) EffectiveReorder() int { return m.Reorder + m.Delay }
 
+// fields returns the field each of Keys sets, in the same order.
+func (m *Model) fields() [4]*int { return [...]*int{&m.Reorder, &m.Delay, &m.MaxDrops, &m.MaxDups} }
+
 // Validate rejects malformed models.
 func (m Model) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"reorder", m.Reorder}, {"delay", m.Delay},
-		{"drop", m.MaxDrops}, {"dup", m.MaxDups}, {"corrupt", m.MaxCorrupts},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("netmodel: %s must be >= 0 (got %d)", f.name, f.v)
+	for i, v := range m.fields() {
+		if *v < 0 {
+			return fmt.Errorf("netmodel: %s must be >= 0 (got %d)", keys[i], *v)
 		}
-	}
-	if !(m.Rate >= 0 && m.Rate <= 1) { // NaN fails both comparisons
-		return fmt.Errorf("netmodel: rate must be in [0,1] (got %g)", m.Rate)
 	}
 	return nil
 }
 
-// rate returns the stochastic injection probability with the default
-// applied.
-func (m Model) rate() float64 {
-	if m.Rate > 0 {
-		return m.Rate
-	}
-	return DefaultRate
-}
-
 // Parse reads the -net flag syntax: a comma-separated list of key=value
-// pairs, each key at most once. Keys: reorder, delay, drop, dup, corrupt
-// (decimal integers) and rate (a number in [0,1]); a value is read whole, so
-// "drop=0x10" and "rate=0.5abc" are refused, not read as far as they parse.
-// The empty string is the zero Model.
+// pairs, each key (one of Keys) at most once, each value a decimal integer.
+// A value is read whole, so "drop=0x10" is refused, not read as far as it
+// parses. The empty string is the zero Model.
 func Parse(s string) (Model, error) {
 	var m Model
 	s = strings.TrimSpace(s)
 	if s == "" || s == "none" {
 		return m, nil
 	}
-	ints := map[string]*int{"reorder": &m.Reorder, "delay": &m.Delay,
-		"drop": &m.MaxDrops, "dup": &m.MaxDups, "corrupt": &m.MaxCorrupts}
 	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -124,23 +101,15 @@ func Parse(s string) (Model, error) {
 			return m, fmt.Errorf("netmodel: %s given twice", key)
 		}
 		seen[key] = true
-		if key == "rate" {
-			r, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return m, fmt.Errorf("netmodel: bad rate %q", val)
-			}
-			m.Rate = r
-			continue
-		}
-		field, known := ints[key]
-		if !known {
-			return m, fmt.Errorf("netmodel: unknown key %q (known: reorder, delay, drop, dup, corrupt, rate)", key)
+		i := slices.Index(keys, key)
+		if i < 0 {
+			return m, fmt.Errorf("netmodel: unknown key %q (known: %s)", key, Keys)
 		}
 		n, err := strconv.Atoi(val)
 		if err != nil {
 			return m, fmt.Errorf("netmodel: bad value %q for %s", val, key)
 		}
-		*field = n
+		*m.fields()[i] = n
 	}
 	return m, m.Validate()
 }
@@ -148,18 +117,10 @@ func Parse(s string) (Model, error) {
 // String renders the model in Parse's syntax (Parse(m.String()) == m).
 func (m Model) String() string {
 	var parts []string
-	add := func(k string, v int) {
-		if v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", k, v))
+	for i, v := range m.fields() {
+		if *v != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", keys[i], *v))
 		}
-	}
-	add("reorder", m.Reorder)
-	add("delay", m.Delay)
-	add("drop", m.MaxDrops)
-	add("dup", m.MaxDups)
-	add("corrupt", m.MaxCorrupts)
-	if m.Rate != 0 {
-		parts = append(parts, fmt.Sprintf("rate=%g", m.Rate))
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -245,7 +206,7 @@ func (i *Injector) Next() Fault {
 	if i == nil {
 		return FaultNone
 	}
-	if i.rng.Float() >= i.m.rate() {
+	if i.rng.Float() >= DefaultRate {
 		return FaultNone
 	}
 	var opts []Fault

@@ -13,8 +13,8 @@ func TestParse(t *testing.T) {
 		{"", Model{}},
 		{"none", Model{}},
 		{"drop=1,dup=1,reorder=2", Model{Reorder: 2, MaxDrops: 1, MaxDups: 1}},
-		{" drop=2 , corrupt=1 ", Model{MaxDrops: 2, MaxCorrupts: 1}},
-		{"delay=1,rate=0.5", Model{Delay: 1, Rate: 0.5}},
+		{" drop=2 , dup=1 ", Model{MaxDrops: 2, MaxDups: 1}},
+		{"delay=1,reorder=0", Model{Delay: 1}},
 	}
 	for _, c := range cases {
 		got, err := Parse(c.in)
@@ -29,22 +29,21 @@ func TestParse(t *testing.T) {
 
 // TestParseErrors: each refusal names what it refuses. From drop=0x10 on
 // the rows are what a lenient reader would take: a value read only as far
-// as it parses (drop=0x10 as drop=0, a perfect network), a NaN rate, which
-// fails both range comparisons, a second value for a key.
+// as it parses (drop=0x10 as drop=0, a perfect network), a second value for
+// a key. The last rows are the keys of faults no traffic takes.
 func TestParseErrors(t *testing.T) {
 	for _, c := range []struct{ in, want string }{
 		{"drop", `"drop" is not key=value`},
 		{"drop=x", `bad value "x" for drop`},
-		{"bogus=1", `unknown key "bogus"`},
+		{"bogus=1", `unknown key "bogus" (known: reorder, delay, drop, dup)`},
 		{"drop=-1", "drop must be >= 0"},
-		{"rate=2", "rate must be in [0,1]"},
+		{"delay=-2", "delay must be >= 0"},
 		{"drop=0x10", `bad value "0x10" for drop`},
 		{"drop=1x", `bad value "1x" for drop`},
 		{"drop=1.5", `bad value "1.5" for drop`},
-		{"rate=0.5abc", `bad rate "0.5abc"`},
-		{"rate=NaN", "rate must be in [0,1] (got NaN)"},
-		{"rate=-Inf", "rate must be in [0,1]"},
 		{"drop=1,drop=2", "drop given twice"},
+		{"corrupt=1", `unknown key "corrupt"`},
+		{"rate=0.5", `unknown key "rate"`},
 	} {
 		if _, err := Parse(c.in); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Parse(%q): error %v, want one containing %q", c.in, err, c.want)
@@ -56,9 +55,9 @@ func TestParseErrors(t *testing.T) {
 // reproducer files, so every input must give an error that says it is the
 // fault model's, or a model that String renders back to itself.
 func FuzzNetModel(f *testing.F) {
-	for _, s := range []string{"", "none", "drop=1,dup=1,reorder=2", " drop=2 , corrupt=1 ",
-		"delay=1,rate=0.5", "rate=1e-9", "drop=0x10", "drop=1x", "drop=1.5", "rate=0.5abc",
-		"rate=NaN", "drop=1,drop=2"} {
+	for _, s := range []string{"", "none", "drop=1,dup=1,reorder=2", " drop=2 , dup=1 ",
+		"delay=1,reorder=0", "reorder=3", "drop=0x10", "drop=1x", "drop=1.5", "dup=1abc",
+		"delay=-1", "drop=1,drop=2"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -76,7 +75,7 @@ func FuzzNetModel(f *testing.F) {
 }
 
 func TestStringRoundTrip(t *testing.T) {
-	for _, in := range []string{"", "drop=1,dup=1,reorder=2", "corrupt=1,delay=2"} {
+	for _, in := range []string{"", "drop=1,dup=1,reorder=2", "dup=3,delay=2"} {
 		m, err := Parse(in)
 		if err != nil {
 			t.Fatal(err)
@@ -99,7 +98,7 @@ func TestEffectiveReorder(t *testing.T) {
 }
 
 func TestInjectorDeterministic(t *testing.T) {
-	m := Model{MaxDrops: 3, MaxDups: 2, Delay: 1, Rate: 0.5}
+	m := Model{MaxDrops: 3, MaxDups: 2, Delay: 1}
 	a, b := NewInjector(m, 42), NewInjector(m, 42)
 	count := map[Fault]int{}
 	for i := 0; i < 200; i++ {
@@ -113,7 +112,7 @@ func TestInjectorDeterministic(t *testing.T) {
 		t.Errorf("budgets exceeded: drops=%d dups=%d", count[FaultDrop], count[FaultDup])
 	}
 	if count[FaultNone] == 200 {
-		t.Error("rate=0.5 over 200 sends injected nothing")
+		t.Error("200 sends at DefaultRate injected nothing")
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 //     by pairing each HandlerEnter with its HandlerExit — the dynamic edges
 //     of the state graph the static analysis extracts.
 //   - fault-action coverage: which network fault actions (drop, dup,
-//     reorder, corrupt, delay) were actually taken, per message tag. The
-//     simulator feeds these from its Drop/Dup/Delay events; the checker
-//     records its budgeted fault actions directly via FaultSite.
+//     reorder, delay) were actually taken, per message tag. Both back ends
+//     feed drops and dups as Drop/Dup events and the simulator delays as
+//     Delay events; the checker records reordered deliveries via FaultSite.
 //
 // Deferred-queue pressure is tracked separately: Enqueue events record
 // which (state, message) pairs were parked, the defer-path complement of
@@ -61,12 +61,11 @@ type FaultAction uint8
 const (
 	FaultActionDrop FaultAction = iota
 	FaultActionDup
-	FaultActionCorrupt
 	FaultActionReorder
 	FaultActionDelay
 )
 
-var faultActionNames = [...]string{"drop", "dup", "corrupt", "reorder", "delay"}
+var faultActionNames = [...]string{"drop", "dup", "reorder", "delay"}
 
 func (a FaultAction) String() string {
 	if int(a) < len(faultActionNames) {
@@ -110,9 +109,8 @@ func (c *Coverage) Emit(ev Event) {
 }
 
 // FaultSite records one fault action taken on a message tag directly —
-// the model checker's path: its drop/dup/corrupt budget actions and
-// reordered deliveries happen at the World level, outside any engine, so
-// no event stream carries them.
+// the model checker's path for a reordered delivery, which no event kind
+// describes.
 func (c *Coverage) FaultSite(a FaultAction, msg int32) {
 	c.faults[faultKey{a, msg}]++
 }

@@ -64,11 +64,10 @@ func TestCoverageFaultsAndDeferred(t *testing.T) {
 	c.Emit(Event{Kind: KindDelay, Node: 0, Msg: 2})
 	c.Emit(Event{Kind: KindEnqueue, Node: 0, State: 1, Msg: 0})
 	c.FaultSite(FaultActionReorder, 1)
-	c.FaultSite(FaultActionCorrupt, 0)
 	r := c.Report(testNames())
 	want := map[string]uint64{
 		"drop:RESP": 1, "dup:RESP": 1, "delay:TIMEOUT": 1,
-		"reorder:RESP": 1, "corrupt:REQ": 1,
+		"reorder:RESP": 1,
 	}
 	if !reflect.DeepEqual(r.Faults, want) {
 		t.Errorf("Faults = %v, want %v", r.Faults, want)

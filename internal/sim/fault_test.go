@@ -8,8 +8,6 @@ import (
 	"teapot/internal/netmodel"
 	"teapot/internal/obs"
 	"teapot/internal/protocols"
-	"teapot/internal/protocols/stache"
-	"teapot/internal/runtime"
 	"teapot/internal/sim"
 	"teapot/internal/tempest"
 )
@@ -177,25 +175,5 @@ func TestSimCleanNetUnchanged(t *testing.T) {
 	b := runStacheFT(t, w, nodes, netmodel.Model{}, 99)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("seed changed a clean-network run:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestSimCorruptRejected: corruption is a checker-only fault.
-func TestSimCorruptRejected(t *testing.T) {
-	w := sim.Table1Workloads(2, 1)[0]
-	proto := protocols.MustCompile("stache", true).Protocol
-	_, err := sim.Run(sim.Config{
-		Nodes:  2,
-		Blocks: w.Blocks,
-		Cost:   tempest.DefaultCost,
-		Tags:   tempest.ResolveTags(proto),
-		MakeEngine: func(m runtime.Machine) tempest.Engine {
-			return tempest.NewTeapotEngine(proto, 2, w.Blocks, m, stache.MustSupport(proto))
-		},
-		Program: w.Trace,
-		Net:     netmodel.Model{MaxCorrupts: 1},
-	})
-	if err == nil {
-		t.Fatal("corrupt budget accepted by the simulator")
 	}
 }

@@ -11,7 +11,7 @@ type Config = tempest.Config
 
 // Run executes the workload to completion.
 func Run(cfg Config) (*tempest.Stats, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Net.Validate(); err != nil {
 		return nil, err
 	}
 	if t, ok := cfg.Program.(*Trace); ok {

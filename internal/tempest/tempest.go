@@ -223,9 +223,7 @@ type Config struct {
 	// send time from a deterministic RNG seeded with Seed, so two runs with
 	// the same Config produce bit-identical Stats. Protocols without TIMEOUT
 	// recovery will deadlock (reported, not hung) if a message they depend
-	// on is dropped. Message corruption is a checker-only fault (the machine
-	// has no per-message NACK bounce path), so Net.MaxCorrupts must be 0;
-	// see Validate.
+	// on is dropped. sim.Run refuses a malformed model.
 	Net  netmodel.Model
 	Seed uint64
 
@@ -264,19 +262,6 @@ type Stats struct {
 	Dups     int64 // messages duplicated by the network
 	Delays   int64 // messages held back Delay extra latencies
 	Timeouts int64 // TIMEOUT pseudo-messages fired
-}
-
-// Validate refuses a fault model the machine cannot inject. sim.Run calls
-// it first; a caller that must tell a refused configuration from a failed
-// run calls it before Run.
-func (cfg Config) Validate() error {
-	if err := cfg.Net.Validate(); err != nil {
-		return err
-	}
-	if cfg.Net.MaxCorrupts > 0 {
-		return fmt.Errorf("sim: Net corrupt=%d is checker-only (the simulator injects drop/dup/delay)", cfg.Net.MaxCorrupts)
-	}
-	return nil
 }
 
 // Machine is the simulated multiprocessor.
