@@ -9,7 +9,6 @@ import (
 	"teapot/internal/obs"
 	"teapot/internal/oracle"
 	"teapot/internal/protocols"
-	"teapot/internal/sim"
 	"teapot/internal/tempest"
 )
 
@@ -37,12 +36,14 @@ type Config struct {
 const maxRunEvents = 1_000_000
 
 // Fuzzer runs seeded schedules of one protocol. The compiled protocol and
-// support module are built once and shared across runs (they are
-// stateless; all per-run state lives in the engines each run rebuilds).
+// support module are built once; so is the Judge every schedule, shrink
+// and replay runs on, on first use. A Fuzzer is not safe for concurrent
+// use.
 type Fuzzer struct {
-	cfg  Config
-	spec core.RunSpec
-	prof protocols.Profile // how runs are driven and judged (the table's)
+	cfg   Config
+	spec  core.RunSpec
+	prof  protocols.Profile // how runs are driven and judged (the table's)
+	judge *Judge
 }
 
 // New builds a fuzzer, compiling the protocol.
@@ -179,44 +180,90 @@ func ReplaySchedule(s *Schedule) (*Report, error) {
 	return f.Replay(s), nil
 }
 
-// runWith executes one run under the given chooser and workload seed,
-// judged by a fresh oracle, with sink (when non-nil) teed into its event
-// stream.
+// runWith executes one run of a fresh workload from wSeed under the given
+// chooser on the fuzzer's judge, with sink (when non-nil) teed into its
+// event stream.
 func (f *Fuzzer) runWith(ch tempest.Chooser, wSeed uint64, sink obs.Sink) *Report {
-	spec := f.spec
-	spec.Program = RandomProgram(WorkloadOpts{
+	prog := RandomProgram(WorkloadOpts{
 		Nodes: f.cfg.Nodes, Blocks: f.cfg.Blocks, OpsPerNode: f.cfg.OpsPerNode,
 		Seed: wSeed, Evict: f.prof.Evict, Sync: f.prof.Sync,
 	})
-	spec.Obs = sink
-	checker, stats, err := JudgedRun(spec, oracle.Config{Inv: f.prof.Inv}, ch, f.cfg.Coverage)
+	if f.judge == nil {
+		f.judge = NewJudge(f.spec, oracle.Config{Inv: f.prof.Inv}, f.cfg.Coverage)
+	}
+	// The fault RNG's seed: a chooser takes every fault decision, so the
+	// run never draws from it.
+	checker, stats, err := f.judge.Run(prog, f.cfg.Seed, ch, sink)
 	return &Report{Violation: checker.Finish(), RunErr: err, Stats: stats}
 }
 
-// JudgedRun executes spec.Program once on the simulator with the
-// data-version model on, under chooser ch (nil: seeded stochastic injection
-// from spec.Seed) and an event cap, its event stream judged by a fresh
-// oracle — configured by oc, the machine shape filled in from spec — ahead
-// of spec.Obs and cov. The caller reads the verdict, and with oc.TrackReads
-// the observations, off the returned oracle. Every fuzz schedule and every
-// litmus sim and fuzz run is this one body.
-func JudgedRun(spec core.RunSpec, oc oracle.Config, ch tempest.Chooser, cov *obs.Coverage) (*oracle.Checker, *tempest.Stats, error) {
-	oc.Nodes, oc.Blocks = spec.Nodes, spec.Blocks
-	checker := oracle.New(oc)
-	// Build the sink set explicitly: a nil *Coverage wrapped in the Sink
-	// interface would slip past NewTee's nil filter (typed nil).
-	sinks := []obs.Sink{checker, spec.Obs}
-	if cov != nil {
-		sinks = append(sinks, cov)
+// Judge runs programs on one shape of simulated machine — protocol, nodes,
+// blocks, network model and oracle configuration — with the data-version
+// model on, an event cap, and its event stream judged by an oracle ahead of
+// the run's extra sink and the campaign's coverage. It owns one machine,
+// its engines, one oracle and the tee between them, built once and reset
+// before every Run (tempest.Machine.Reset, oracle.Checker.Reset), so a run
+// costs only its events. Every fuzz schedule, every litmus sim and fuzz
+// run, and every shrink and replay is a Run. A Judge is not safe for
+// concurrent use.
+type Judge struct {
+	m   *tempest.Machine
+	tee judgeTee
+}
+
+// judgeTee is the judge's sink: the oracle first, then the run's extra sink
+// and the coverage, each when there is one.
+type judgeTee struct {
+	oracle *oracle.Checker
+	extra  obs.Sink
+	cov    *obs.Coverage
+}
+
+func (t *judgeTee) Emit(ev obs.Event) {
+	t.oracle.Emit(ev)
+	if t.extra != nil {
+		t.extra.Emit(ev)
 	}
-	spec.Obs = obs.NewTee(sinks...)
+	if t.cov != nil {
+		t.cov.Emit(ev)
+	}
+}
+
+func (t *judgeTee) SetClock(now func() int64) { t.oracle.SetClock(now) }
+
+// NewJudge builds a judge for spec's protocol, support, shape and network;
+// spec's program, seed and sink are Run's arguments instead. oc configures
+// the oracle, its machine shape filled in from spec; cov, when non-nil,
+// accumulates coverage over every run.
+func NewJudge(spec core.RunSpec, oc oracle.Config, cov *obs.Coverage) *Judge {
+	oc.Nodes, oc.Blocks = spec.Nodes, spec.Blocks
+	j := &Judge{tee: judgeTee{oracle: oracle.New(oc), cov: cov}}
+	spec.Obs = &j.tee
 	spec.InitMem = oc.InitMem
 	spec.MaxEvents = maxRunEvents
-	simCfg := spec.SimConfig()
-	simCfg.Sched = ch
-	simCfg.ObsMemory = true
-	stats, err := sim.Run(simCfg)
-	return checker, stats, err
+	cfg := spec.SimConfig()
+	cfg.ObsMemory = true
+	j.m = tempest.New(cfg)
+	return j
+}
+
+// Run executes prog once under chooser ch (nil: stochastic injection seeded
+// with seed), with extra (when non-nil) teed into the event stream and
+// driven by the machine's clock. The caller reads the verdict, and with
+// oracle.Config.TrackReads the observations, off the returned oracle, which
+// is the judge's own: valid until the next Run.
+func (j *Judge) Run(prog tempest.Program, seed uint64, ch tempest.Chooser, extra obs.Sink) (*oracle.Checker, *tempest.Stats, error) {
+	j.tee.oracle.Reset()
+	if err := j.m.Reset(prog, seed, ch); err != nil {
+		return j.tee.oracle, nil, err
+	}
+	if cs, ok := extra.(obs.ClockSetter); ok {
+		cs.SetClock(j.m.Now)
+	}
+	j.tee.extra = extra
+	stats, err := j.m.Run()
+	j.tee.extra = nil
+	return j.tee.oracle, stats, err
 }
 
 func (f *Fuzzer) schedule(dec []Decision, wSeed, recSeed uint64) *Schedule {

@@ -144,7 +144,8 @@ func (r *Result) ExtraVsMC(set map[string]Outcome) []string {
 	return out
 }
 
-// runner holds the per-test machinery shared by the substrates.
+// runner holds the per-test machinery shared by the substrates. It is not
+// safe for concurrent use.
 type runner struct {
 	t    *Test
 	opt  Options
@@ -154,6 +155,11 @@ type runner struct {
 	// script is the test lowered once: the ops the checker's client plane
 	// runs as they are, and the simulator runs behind jitter yields.
 	script [][]tempest.Op
+	// plain is script as a trace; jittered is the trace of the jittered
+	// script, its ops rewritten in place for every run (see program).
+	plain, jittered *sim.Trace
+	// judge runs every sim and fuzz run, built on first use.
+	judge *fuzz.Judge
 }
 
 // Run executes one test under the requested substrates and diffs the
@@ -292,12 +298,12 @@ var opKinds = [...]tempest.OpKind{Get: tempest.OpRead, Put: tempest.OpWrite, CAS
 // injection seeded with seed (sim substrate, chooser nil), with jitterSeed
 // phase-shifting the scripts.
 func (r *runner) execute(ch tempest.Chooser, seed, jitterSeed uint64) *runReport {
-	spec := r.spec
-	spec.Seed = seed
-	spec.Program = r.trace(jitterSeed)
-	checker, _, err := fuzz.JudgedRun(spec, oracle.Config{
-		Inv: r.prof.Inv, InitMem: r.t.Init, TrackReads: true,
-	}, ch, r.opt.Coverage)
+	if r.judge == nil {
+		r.judge = fuzz.NewJudge(r.spec, oracle.Config{
+			Inv: r.prof.Inv, InitMem: r.t.Init, TrackReads: true,
+		}, r.opt.Coverage)
+	}
+	checker, _, err := r.judge.Run(r.program(jitterSeed), seed, ch, nil)
 	rep := &runReport{viol: checker.Finish(), err: err}
 	if rep.viol != nil || rep.err != nil {
 		return rep
@@ -312,23 +318,34 @@ func (r *runner) execute(ch tempest.Chooser, seed, jitterSeed uint64) *runReport
 	return rep
 }
 
-// trace is the script as a tempest program. jitterSeed 0 is the script as
-// it is; otherwise each op gets a seeded yield prefix of up to six
+// program is the script as a tempest program. jitterSeed 0 is the script
+// as it is; otherwise each op gets a seeded yield prefix of up to six
 // network latencies. Yields (not computes: those never release the event
 // loop, so in-flight deliveries could not overtake a script) desynchronize
 // the per-node scripts so stochastic and recorded schedules sample
-// different interleavings of the same test.
-func (r *runner) trace(jitterSeed uint64) *sim.Trace {
+// different interleavings of the same test. The program is valid until the
+// next call.
+func (r *runner) program(jitterSeed uint64) tempest.Program {
 	if jitterSeed == 0 {
-		return sim.NewTrace(r.script)
+		if r.plain == nil {
+			r.plain = sim.NewTrace(r.script)
+		}
+		return r.plain.NewCursor()
 	}
-	ops := make([][]tempest.Op, len(r.script))
+	if r.jittered == nil {
+		ops := make([][]tempest.Op, len(r.script))
+		for n, prog := range r.script {
+			ops[n] = make([]tempest.Op, 2*len(prog))
+		}
+		r.jittered = sim.NewTrace(ops)
+	}
 	for n, prog := range r.script {
 		for i, op := range prog {
-			ops[n] = append(ops[n], tempest.Op{Kind: tempest.OpYield, Cycles: jitterCycles(jitterSeed, n, i)}, op)
+			r.jittered.Ops[n][2*i] = tempest.Op{Kind: tempest.OpYield, Cycles: jitterCycles(jitterSeed, n, i)}
+			r.jittered.Ops[n][2*i+1] = op
 		}
 	}
-	return sim.NewTrace(ops)
+	return r.jittered.NewCursor()
 }
 
 // jitterCycles derives op i of node n's compute prefix from the seed: a

@@ -200,6 +200,14 @@ func NewInjector(m Model, seed uint64) *Injector {
 	return &Injector{m: m, rng: Rand(seed)}
 }
 
+// Reseed restarts the injector as NewInjector(m, seed) would have built it:
+// the stream from seed, both budgets unspent. A nil injector stays inert.
+func (i *Injector) Reseed(seed uint64) {
+	if i != nil {
+		*i = Injector{m: i.m, rng: Rand(seed)}
+	}
+}
+
 // Next decides the fate of the next message send. Budgeted faults (drop,
 // dup) stop once spent; delay is per-message and unbudgeted.
 func (i *Injector) Next() Fault {
@@ -209,7 +217,8 @@ func (i *Injector) Next() Fault {
 	if i.rng.Float() >= DefaultRate {
 		return FaultNone
 	}
-	var opts []Fault
+	var buf [3]Fault
+	opts := buf[:0]
 	if i.drops < i.m.MaxDrops {
 		opts = append(opts, FaultDrop)
 	}

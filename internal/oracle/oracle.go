@@ -118,7 +118,8 @@ type Checker struct {
 	dirty   []bool            // per block: access map changed since last SWMR eval
 	reads   [][]int64         // per node: observed read values (Config.TrackReads)
 
-	ring []obs.Event
+	// ring holds the last contextSize events: event seq at seq%contextSize.
+	ring [contextSize]obs.Event
 	seq  int64
 	v    *Violation
 }
@@ -133,6 +134,21 @@ func New(cfg Config) *Checker {
 		writer:  make([]int32, cfg.Blocks),
 		dirty:   make([]bool, cfg.Blocks),
 	}
+	if cfg.TrackReads {
+		c.reads = make([][]int64, cfg.Nodes)
+	}
+	c.Reset()
+	return c
+}
+
+// Reset readies the checker to judge another run of the same shape, as New
+// built it; the clock stays.
+func (c *Checker) Reset() {
+	cfg := c.cfg
+	clear(c.access)
+	clear(c.mem)
+	clear(c.version)
+	clear(c.dirty)
 	for b := 0; b < cfg.Blocks; b++ {
 		c.access[runtime.HomeOf(b, cfg.Nodes)*cfg.Blocks+b] = sema.AccReadWrite
 		c.writer[b] = -1
@@ -148,10 +164,10 @@ func New(cfg Config) *Checker {
 			c.mem[n*cfg.Blocks+b] = v
 		}
 	}
-	if cfg.TrackReads {
-		c.reads = make([][]int64, cfg.Nodes)
+	for n := range c.reads {
+		c.reads[n] = c.reads[n][:0]
 	}
-	return c
+	c.seq, c.v = 0, nil
 }
 
 // SetClock implements obs.ClockSetter; timestamps make the violation
@@ -168,12 +184,7 @@ func (c *Checker) Emit(ev obs.Event) {
 	if c.now != nil {
 		ev.Time = c.now()
 	}
-	if len(c.ring) < contextSize {
-		c.ring = append(c.ring, ev)
-	} else {
-		copy(c.ring, c.ring[1:])
-		c.ring[contextSize-1] = ev
-	}
+	c.ring[ev.Seq%contextSize] = ev
 	if c.v != nil {
 		return
 	}
@@ -336,7 +347,7 @@ func (c *Checker) survives(b int) bool {
 
 // Reads returns the values node's completed reads observed, in completion
 // order (Config.TrackReads; nil otherwise). The returned slice is the
-// checker's own — callers must not mutate it.
+// checker's own, valid until the next Reset — callers must not mutate it.
 func (c *Checker) Reads(node int) []int64 {
 	if c.reads == nil {
 		return nil
@@ -350,8 +361,11 @@ func (c *Checker) Reads(node int) []int64 {
 func (c *Checker) FinalValue(b int) int64 { return c.version[b] }
 
 func (c *Checker) fail(inv string, node, block int, at obs.Event, detail string) {
-	ctx := make([]obs.Event, len(c.ring))
-	copy(ctx, c.ring)
+	// The ring unrolled oldest first: the last min(seq, contextSize) events.
+	ctx := make([]obs.Event, min(c.seq, contextSize))
+	for i := range ctx {
+		ctx[i] = c.ring[(c.seq-int64(len(ctx))+int64(i))%contextSize]
+	}
 	c.v = &Violation{
 		Invariant: inv,
 		Node:      node,

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -221,5 +222,49 @@ func TestFirstViolationLatched(t *testing.T) {
 	v := c.Finish()
 	if v == nil || v.Invariant != "swmr" || v.Seq != 1 {
 		t.Fatalf("latched violation = %+v", v)
+	}
+}
+
+// TestViolationContextRing: the context is the last contextSize events,
+// oldest first, with their sequence numbers, whether the violation comes
+// after fewer, exactly or more events than the ring holds — and a Reset
+// checker judging the same stream again reports the identical violation.
+func TestViolationContextRing(t *testing.T) {
+	c := New(Config{Nodes: 3, Blocks: 2, Inv: AllInvariants()})
+	for _, n := range []int{2, 5, contextSize, contextSize + 1, 3*contextSize + 7} {
+		// n-2 data events on block 1 (harmless, and told apart by value),
+		// then a second read-write copy of block 0 judged at a boundary.
+		var evs []obs.Event
+		for i := 0; i < n-2; i++ {
+			evs = append(evs, data(2, 1, int64(100+i)))
+		}
+		evs = append(evs, acc(1, 0, sema.AccReadWrite), deliver(1, 0))
+		var want []obs.Event
+		for i, ev := range evs {
+			ev.Seq = int64(i)
+			want = append(want, ev)
+		}
+		want = want[max(0, n-contextSize):]
+
+		var got [2]*Violation
+		for i := range got {
+			c.Reset()
+			for _, ev := range evs {
+				c.Emit(ev)
+			}
+			got[i] = c.Finish()
+			if got[i] == nil {
+				t.Fatalf("%d events: no violation", n)
+			}
+		}
+		if !reflect.DeepEqual(got[0].Context, want) {
+			t.Errorf("%d events: context\n  got  %v\n  want %v", n, got[0].Context, want)
+		}
+		if got[0].Seq != int64(n-1) {
+			t.Errorf("%d events: violation at event %d, want %d", n, got[0].Seq, n-1)
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Errorf("%d events: the reset checker reported\n  %+v\n  not %+v", n, got[1], got[0])
+		}
 	}
 }

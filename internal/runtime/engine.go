@@ -250,32 +250,40 @@ func NewEngine(p *Protocol, node, numBlocks int, m Machine, sup Support) *Engine
 	}
 	if e.armer != nil {
 		e.timerFor = make([]int32, numBlocks)
-		for i := range e.timerFor {
-			e.timerFor[i] = -1
-		}
 	}
 	e.dataMachine, _ = m.(DataMachine)
 	e.Blocks = make([]*Block, numBlocks)
 	for i := range e.Blocks {
-		e.Blocks[i] = e.newBlock(i)
+		e.Blocks[i] = &Block{ID: i, Vars: make([]vm.Value, len(p.IR.Sema.ProtVars))}
 	}
+	e.Reset()
 	return e
 }
 
-func (e *Engine) newBlock(id int) *Block {
-	start := e.Proto.CacheStart
-	if e.Machine.HomeNode(id) == e.Node {
-		start = e.Proto.HomeStart
+// Reset puts the engine back in the state NewEngine leaves it in: every
+// block in its start state with zeroed variables and an empty deferred
+// queue, and the counters, flow ids and timers cleared. What is immutable
+// or scratch stays warm: the register and argument stacks, the bare-state
+// and site-continuation tables, and the free message list.
+func (e *Engine) Reset() {
+	for _, b := range e.Blocks {
+		start := e.Proto.CacheStart
+		if e.Machine.HomeNode(b.ID) == e.Node {
+			start = e.Proto.HomeStart
+		}
+		b.State = e.Exec.BareState(start)
+		for i, v := range e.Proto.IR.Sema.ProtVars {
+			b.Vars[i] = zeroValue(v.Type)
+		}
+		clear(b.Deferred)
+		b.Deferred = b.Deferred[:0]
+		b.transitioned = false
 	}
-	b := &Block{
-		ID:    id,
-		State: e.Exec.BareState(start),
-		Vars:  make([]vm.Value, len(e.Proto.IR.Sema.ProtVars)),
+	e.Exec.Counters = vm.Counters{}
+	e.QueueRecords, e.Sends, e.flowSeq = 0, 0, 0
+	for i := range e.timerFor {
+		e.timerFor[i] = -1
 	}
-	for i, v := range e.Proto.IR.Sema.ProtVars {
-		b.Vars[i] = zeroValue(v.Type)
-	}
-	return b
 }
 
 func zeroValue(t sema.Type) vm.Value {

@@ -292,3 +292,81 @@ func TestDecodeDamagedEncoding(t *testing.T) {
 		t.Error("decoder error is not sticky")
 	}
 }
+
+// TestResetMatchesNew: an engine that has run — blocks moved out of their
+// start states, a variable counted up, a message deferred, counters and
+// flow ids advanced — encodes after Reset to the bytes a new engine does,
+// with every counter zero, and its next send carries the flow id a new
+// engine's first send would.
+func TestResetMatchesNew(t *testing.T) {
+	art := core.MustCompile(core.Config{
+		Name: "toy.tea", Source: toyProtocol, Optimize: true,
+		HomeStart: "H_Idle", CacheStart: "C_Idle",
+	})
+	p := art.Protocol
+	m := newTestMachine()
+	m.releases = true
+	for n := 0; n < 2; n++ {
+		m.engines = append(m.engines, runtime.NewEngine(p, n, 3, m, nullSupport{}))
+	}
+	cache := m.engines[1]
+	sink := obs.NewCollector(0)
+	cache.SetObs(sink)
+	fault, ping := p.MsgIndex("RD_FAULT"), p.MsgIndex("PING")
+	firstFlow := func() int64 {
+		for _, ev := range sink.Events() {
+			if ev.Kind == obs.KindSend {
+				return ev.Flow
+			}
+		}
+		t.Fatal("no send")
+		return 0
+	}
+	encode := func(e *runtime.Engine) string {
+		enc := &runtime.Encoder{}
+		if err := e.EncodeState(enc); err != nil {
+			t.Fatal(err)
+		}
+		return string(enc.Bytes())
+	}
+
+	// Block 0 waits for a fill that is held back, with a PING deferred
+	// behind it; block 1 is filled and pinged.
+	if err := cache.InjectEvent(fault, 0); err != nil {
+		t.Fatal(err)
+	}
+	flow := firstFlow()
+	m.queue = nil
+	for _, id := range []int{0, 1} {
+		if err := cache.Deliver(&runtime.Message{Tag: ping, ID: id, Src: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cache.InjectEvent(fault, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.pump(t)
+	if len(cache.Blocks[0].Deferred) != 1 || cache.QueueRecords == 0 || cache.Sends != 2 {
+		t.Fatalf("fixture: %d deferred, %d queue records, %d sends", len(cache.Blocks[0].Deferred), cache.QueueRecords, cache.Sends)
+	}
+	want := encode(runtime.NewEngine(p, 1, 3, newTestMachine(), nullSupport{}))
+	if encode(cache) == want {
+		t.Fatal("fixture: the run left the engine in its start state")
+	}
+
+	cache.Reset()
+	if got := encode(cache); got != want {
+		t.Errorf("after Reset the engine encodes to %q, a new engine to %q", got, want)
+	}
+	if c := cache.Counters(); c != (vm.Counters{}) || cache.QueueRecords != 0 || cache.Sends != 0 {
+		t.Errorf("after Reset: counters %+v, %d queue records, %d sends", c, cache.QueueRecords, cache.Sends)
+	}
+	sink = obs.NewCollector(0)
+	cache.SetObs(sink)
+	if err := cache.InjectEvent(fault, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := firstFlow(); got != flow {
+		t.Errorf("first send after Reset has flow id %#x, a new engine's has %#x", got, flow)
+	}
+}

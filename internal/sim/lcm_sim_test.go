@@ -12,7 +12,6 @@ import (
 
 func runLCM(t *testing.T, w *sim.Workload, nodes int, v lcm.Variant, optimize bool) *tempest.Stats {
 	t.Helper()
-	w.Trace.Reset()
 	p := protocols.MustCompile(v.String(), optimize).Protocol
 	stats, err := sim.Run(sim.Config{
 		Nodes:  nodes,
@@ -55,7 +54,6 @@ func TestLCMVariantsRun(t *testing.T) {
 
 func runLCMHW(t *testing.T, w *sim.Workload, nodes int, cost tempest.CostModel) *tempest.Stats {
 	t.Helper()
-	w.Trace.Reset()
 	p := protocols.MustCompile("lcm", true).Protocol
 	stats, err := sim.Run(sim.Config{
 		Nodes:  nodes,
@@ -75,7 +73,6 @@ func runLCMHW(t *testing.T, w *sim.Workload, nodes int, cost tempest.CostModel) 
 
 func runLCMCost(t *testing.T, w *sim.Workload, nodes int, v lcm.Variant, optimize bool, cost tempest.CostModel) *tempest.Stats {
 	t.Helper()
-	w.Trace.Reset()
 	p := protocols.MustCompile(v.String(), optimize).Protocol
 	stats, err := sim.Run(sim.Config{
 		Nodes:  nodes,

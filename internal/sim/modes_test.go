@@ -38,7 +38,6 @@ func TestCompileModesBehaviorallyEquivalent(t *testing.T) {
 	var results = map[string]result{}
 	for name, p := range modes {
 		for _, w := range sim.Table1Workloads(8, 2) {
-			w.Trace.Reset()
 			stats, err := sim.Run(sim.Config{
 				Nodes: 8, Blocks: w.Blocks, Cost: cost,
 				Tags: tempest.ResolveTags(p),

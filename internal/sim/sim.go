@@ -68,10 +68,3 @@ func (c *TraceCursor) Next(node int) (tempest.Op, bool) {
 	c.pos[node]++
 	return op, true
 }
-
-// Reset rewinds the trace so another engine can replay it.
-func (t *Trace) Reset() {
-	for i := range t.pos {
-		t.pos[i] = 0
-	}
-}

@@ -20,7 +20,6 @@ var zeroProtoCost = tempest.CostModel{MemAccess: 1, NetLatency: 120}
 
 func runStacheCost(t *testing.T, w *sim.Workload, nodes int, flavor string, cost tempest.CostModel) *tempest.Stats {
 	t.Helper()
-	w.Trace.Reset()
 	var mk func(m runtime.Machine) tempest.Engine
 	proto := protocols.MustCompile("stache", true).Protocol
 	switch flavor {

@@ -19,7 +19,7 @@ import (
 func TestRunDoesNotConsumeSharedTrace(t *testing.T) {
 	const nodes = 4
 	w := sim.Gauss(sim.WorkloadSpec{Nodes: nodes, Iters: 2, Seed: 7})
-	// Deliberately no w.Trace.Reset() between these runs.
+	// The same trace, twice: sim.Run replays it through a private cursor.
 	s1 := runStache(t, w, nodes, "opt")
 	s2 := runStache(t, w, nodes, "opt")
 	if s1.Cycles != s2.Cycles || s1.Messages != s2.Messages || s1.Accesses != s2.Accesses {

@@ -29,6 +29,13 @@ func (te *TeapotEngine) SetObs(s obs.Sink) {
 	}
 }
 
+// Reset implements Resetter.
+func (te *TeapotEngine) Reset() {
+	for _, e := range te.Engines {
+		e.Reset()
+	}
+}
+
 // Deliver implements Engine.
 func (te *TeapotEngine) Deliver(dst int, m *runtime.Message) error {
 	return te.Engines[dst].Deliver(m)

@@ -1,6 +1,8 @@
 package tempest
 
 import (
+	"slices"
+
 	"teapot/internal/netmodel"
 	"teapot/internal/obs"
 	"teapot/internal/runtime"
@@ -152,22 +154,25 @@ func (m *Machine) deliverOn(ch, node int, msg *runtime.Message) {
 const maxTieCandidates = 8
 
 func (m *Machine) pickTie(first event) event {
-	cand := []event{first}
+	// The lists live in arrays on the stack: at most maxTieCandidates each,
+	// so a linear scan finds a channel's earlier delivery.
+	var candBuf [maxTieCandidates]event
+	cand := append(candBuf[:0], first)
 	for len(m.queue) > 0 && len(cand) < maxTieCandidates && m.queue[0].at == first.at {
 		cand = append(cand, m.queue.pop())
 	}
 	if len(cand) == 1 {
 		return first
 	}
-	var eligible []int
-	seenCh := make(map[int]bool, len(cand))
-	for i, e := range cand {
-		if e.kind == 0 {
+	var eligibleBuf, chansBuf [maxTieCandidates]int
+	eligible, chans := eligibleBuf[:0], chansBuf[:0]
+	for i := range cand {
+		if e := &cand[i]; e.kind == 0 {
 			ch := m.chanIndex(e.msg.Src, e.node)
-			if seenCh[ch] {
+			if slices.Contains(chans, ch) {
 				continue
 			}
-			seenCh[ch] = true
+			chans = append(chans, ch)
 		}
 		eligible = append(eligible, i)
 	}

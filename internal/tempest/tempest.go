@@ -118,6 +118,13 @@ type Engine interface {
 	Counters(node int) CostCounters
 }
 
+// Resetter is the optional engine extension behind machine reuse
+// (Machine.Reset): Reset puts the engine back in the state its constructor
+// left it in, against the same machine.
+type Resetter interface {
+	Reset()
+}
+
 // Recycler is the optional engine extension behind message recycling: after
 // each delivery it schedules, the machine hands the record back to the
 // engine (see runtime.Engine.Release for the ownership rule). Hand-written
@@ -297,8 +304,10 @@ type Machine struct {
 	timerGen []int64
 
 	// Schedule control (Config.Sched): per-channel in-flight counts and
-	// held-back deliveries for the bounded-reorder choice.
+	// held-back deliveries for the bounded-reorder choice, in use (holding)
+	// when a chooser runs the machine under a reorder budget.
 	sched    Chooser
+	holding  bool
 	inflight []int
 	held     [][]heldMsg
 
@@ -308,6 +317,7 @@ type Machine struct {
 	mem     []int64
 	version []int64
 
+	// stats counts the run so far; Run returns a copy.
 	stats Stats
 	err   error
 }
@@ -401,34 +411,15 @@ func New(cfg Config) *Machine {
 		hasPending: make([]bool, cfg.Nodes),
 		access:     make([]sema.AccessMode, cfg.Nodes*cfg.Blocks),
 		charged:    make([]int64, cfg.Nodes),
+		atBarrier:  make([]bool, cfg.Nodes),
 		inj:        netmodel.NewInjector(cfg.Net, cfg.Seed),
 		timerGen:   make([]int64, cfg.Nodes*cfg.Blocks),
-	}
-	m.stats.NodeCycles = make([]int64, cfg.Nodes)
-	m.atBarrier = make([]bool, cfg.Nodes)
-	m.sched = cfg.Sched
-	if m.sched != nil && cfg.Net.Reorder > 0 {
-		m.inflight = make([]int, cfg.Nodes*cfg.Nodes)
-		m.held = make([][]heldMsg, cfg.Nodes*cfg.Nodes)
 	}
 	if cfg.ObsMemory {
 		m.mem = make([]int64, cfg.Nodes*cfg.Blocks)
 		m.version = make([]int64, cfg.Blocks)
-		for b, v := range cfg.InitMem {
-			if b >= cfg.Blocks {
-				break
-			}
-			for n := 0; n < cfg.Nodes; n++ {
-				m.mem[n*cfg.Blocks+b] = PackVal(0, v)
-			}
-		}
 	}
-	for n := range m.stalledOn {
-		m.stalledOn[n] = -1
-	}
-	for b := 0; b < cfg.Blocks; b++ {
-		m.access[m.HomeNode(b)*cfg.Blocks+b] = sema.AccReadWrite
-	}
+	m.init(cfg.Program, cfg.Seed, cfg.Sched)
 	m.eng = cfg.MakeEngine(m)
 	m.recycler, _ = m.eng.(Recycler)
 	if cs, ok := cfg.Obs.(obs.ClockSetter); ok {
@@ -438,6 +429,70 @@ func New(cfg Config) *Machine {
 		a.SetObs(cfg.Obs)
 	}
 	return m
+}
+
+// Reset readies the machine for another run of the same shape — nodes,
+// blocks, engine, network model, sink — over prog, with the fault RNG
+// reseeded from seed and ch taking the nondeterministic decisions (nil: the
+// RNG). The engine must implement Resetter; the run that follows is the run
+// a machine built by New with these three values would make.
+func (m *Machine) Reset(prog Program, seed uint64, ch Chooser) error {
+	r, ok := m.eng.(Resetter)
+	if !ok {
+		return fmt.Errorf("tempest: engine %T cannot be reset", m.eng)
+	}
+	r.Reset()
+	m.init(prog, seed, ch)
+	return nil
+}
+
+// init puts everything a run changes back in its starting state: what New
+// and Reset share.
+func (m *Machine) init(prog Program, seed uint64, ch Chooser) {
+	m.cfg.Program, m.cfg.Seed, m.sched = prog, seed, ch
+	m.now, m.seq, m.err = 0, 0, nil
+	clear(m.queue) // the events of a run that stopped early must not pin its messages
+	m.queue = m.queue[:0]
+	clear(m.nodeTime)
+	clear(m.stallStart)
+	clear(m.finished)
+	clear(m.pendingOp)
+	clear(m.hasPending)
+	clear(m.charged)
+	clear(m.atBarrier)
+	m.nBarrier = 0
+	for n := range m.stalledOn {
+		m.stalledOn[n] = -1
+	}
+	clear(m.access)
+	for b := 0; b < m.cfg.Blocks; b++ {
+		m.access[m.HomeNode(b)*m.cfg.Blocks+b] = sema.AccReadWrite
+	}
+	m.inj.Reseed(seed)
+	clear(m.timerGen)
+	m.holding = ch != nil && m.cfg.Net.Reorder > 0
+	if m.holding && m.inflight == nil {
+		m.inflight = make([]int, m.cfg.Nodes*m.cfg.Nodes)
+		m.held = make([][]heldMsg, m.cfg.Nodes*m.cfg.Nodes)
+	}
+	clear(m.inflight)
+	for i, q := range m.held {
+		clear(q)
+		m.held[i] = q[:0]
+	}
+	if m.mem != nil {
+		clear(m.mem)
+		clear(m.version)
+		for b, v := range m.cfg.InitMem {
+			if b >= m.cfg.Blocks {
+				break
+			}
+			for n := 0; n < m.cfg.Nodes; n++ {
+				m.mem[n*m.cfg.Blocks+b] = PackVal(0, v)
+			}
+		}
+	}
+	m.stats = Stats{}
 }
 
 // HomeNode implements runtime.Machine.
@@ -487,7 +542,7 @@ func (m *Machine) Send(from, dst int, msg *runtime.Message) {
 // control with a reorder budget only; drops never count — they are decided
 // at send time, so a held message can never wait on a lost arrival).
 func (m *Machine) trackInflight(from, dst int) {
-	if m.inflight != nil {
+	if m.holding {
 		m.inflight[m.chanIndex(from, dst)]++
 	}
 }
@@ -650,14 +705,16 @@ func (m *Machine) Run() (*Stats, error) {
 				n, m.nBarrier, m.cfg.Nodes, status)
 		}
 	}
-	for n := range m.nodeTime {
-		m.stats.NodeCycles[n] = m.nodeTime[n]
-		if m.nodeTime[n] > m.stats.Cycles {
-			m.stats.Cycles = m.nodeTime[n]
-		}
-		m.stats.Protocol = m.stats.Protocol.Add(m.eng.Counters(n))
+	// A copy: the caller may keep it across a Reset, and it must not keep
+	// the machine alive.
+	st := m.stats
+	st.NodeCycles = make([]int64, len(m.nodeTime))
+	for n, t := range m.nodeTime {
+		st.NodeCycles[n] = t
+		st.Cycles = max(st.Cycles, t)
+		st.Protocol = st.Protocol.Add(m.eng.Counters(n))
 	}
-	return &m.stats, nil
+	return &st, nil
 }
 
 // deliver runs a protocol handler for an incoming message. Handlers
@@ -665,7 +722,7 @@ func (m *Machine) Run() (*Stats, error) {
 // control with a reorder budget the arrival first passes through the
 // hold/release choice (see arrive).
 func (m *Machine) deliver(node int, msg *runtime.Message) {
-	if m.inflight != nil {
+	if m.holding {
 		m.arrive(node, msg)
 		return
 	}

@@ -1,8 +1,12 @@
 package tempest_test
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"teapot/internal/netmodel"
 	"teapot/internal/protocols"
 	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
@@ -244,4 +248,130 @@ func TestZeroCostModelStillRuns(t *testing.T) {
 	}
 }
 
+// TestResetReruns: stats a caller holds survive a Reset and a second Run
+// unchanged (Run returns a copy, not the machine's own counters), a reset
+// machine reruns a program to the stats a new machine reports, and an
+// engine that cannot be reset is refused with an error.
+func TestResetReruns(t *testing.T) {
+	w := sim.Gauss(sim.WorkloadSpec{Nodes: 4, Iters: 1, Seed: 5})
+	m, _ := stacheMachine(t, 4, w.Blocks, w.Trace.NewCursor(), tempest.DefaultCost)
+	first, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := *first
+	held.NodeCycles = slices.Clone(first.NodeCycles)
+
+	// A different run in between: one remote read.
+	ops := make([][]tempest.Op, 4)
+	ops[1] = []tempest.Op{read(0)}
+	if err := m.Reset(newProgram(ops...), 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	other, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Faults != 1 || other.Accesses != 1 {
+		t.Errorf("the reset machine's one-read run: %d faults, %d accesses; want 1, 1", other.Faults, other.Accesses)
+	}
+	if !reflect.DeepEqual(*first, held) {
+		t.Errorf("held stats changed across Reset and Run:\n  was %+v\n  now %+v", held, *first)
+	}
+
+	if err := m.Reset(w.Trace.NewCursor(), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	again, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Errorf("rerun after Reset differs from the first run:\n  first %+v\n  rerun %+v", *first, *again)
+	}
+
+	p := protocols.MustCompile("stache", true).Protocol
+	hw := tempest.New(tempest.Config{
+		Nodes: 2, Blocks: 1, Cost: tempest.DefaultCost, Tags: tempest.ResolveTags(p),
+		MakeEngine: func(m runtime.Machine) tempest.Engine { return stache.NewHW(p, 2, 1, m) },
+	})
+	if err := hw.Reset(newProgram(nil, nil), 0, nil); err == nil || !strings.Contains(err.Error(), "cannot be reset") {
+		t.Errorf("Reset over a hand-written engine: err = %v, want a refusal", err)
+	}
+}
+
 var _ = sema.AccReadOnly // keep sema imported for future assertions
+
+// dropFirst drops the first message it may and takes the benign option
+// everywhere else, logging every choice it is asked for.
+type dropFirst struct {
+	asked   []tempest.ChoiceKind
+	dropped bool
+}
+
+func (c *dropFirst) Choose(k tempest.ChoiceKind, n int) int {
+	c.asked = append(c.asked, k)
+	if k == tempest.ChooseFault && !c.dropped {
+		c.dropped = true
+		return 1 // the first fault option: drop
+	}
+	return 0
+}
+
+// TestResetAfterStoppedRun: a run that stops mid-way — out of events, with
+// a block's timer armed and a message in flight on a channel that may
+// reorder — leaves nothing behind for the next run on the machine. In the
+// next run the same two reads need the timer to recover the dropped
+// request and send on that channel again; it must run exactly as on a new
+// machine, asked the same choices.
+func TestResetAfterStoppedRun(t *testing.T) {
+	spec, err := protocols.Spec("stache-ft", 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tempest.Config{
+		Nodes: 3, Blocks: 1, Cost: tempest.DefaultCost, Tags: tempest.ResolveTags(spec.Proto),
+		MakeEngine: func(m runtime.Machine) tempest.Engine {
+			return tempest.NewTeapotEngine(spec.Proto, 3, 1, m, spec.Support)
+		},
+		Net:       netmodel.Model{MaxDrops: 1, Reorder: 1},
+		MaxEvents: 12,
+	}
+	yields := make([]tempest.Op, 20)
+	for i := range yields {
+		yields[i] = tempest.Op{Kind: tempest.OpYield, Cycles: 1}
+	}
+	// Node 1's request is dropped and its timer armed; node 2's is in flight
+	// while node 0 yields the event budget away.
+	stopped := newProgram(yields, []tempest.Op{read(0)}, []tempest.Op{read(0)})
+	reads := func() *fixedProgram { return newProgram(nil, []tempest.Op{read(0)}, []tempest.Op{read(0)}) }
+
+	m := tempest.New(cfg)
+	if err := m.Reset(stopped, 0, &dropFirst{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "event budget") {
+		t.Fatalf("the first run was to stop out of events, got err = %v", err)
+	}
+	var got, want dropFirst
+	if err := m.Reset(reads(), 0, &got); err != nil {
+		t.Fatal(err)
+	}
+	reused, err := m.Run()
+	if err != nil {
+		t.Fatalf("run after a stopped run: %v", err)
+	}
+	fresh := cfg
+	fresh.Program, fresh.Sched = reads(), &want
+	wantStats, err := tempest.New(fresh).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantStats.Timeouts == 0 || wantStats.Drops != 1 {
+		t.Fatalf("fixture: %d timeouts, %d drops; want the timer to recover a drop", wantStats.Timeouts, wantStats.Drops)
+	}
+	if !reflect.DeepEqual(reused, wantStats) || !reflect.DeepEqual(got.asked, want.asked) {
+		t.Errorf("after a stopped run the machine ran\n  %+v, asked %v\nnot, as a new one,\n  %+v, asked %v",
+			*reused, got.asked, *wantStats, want.asked)
+	}
+}

@@ -33,14 +33,16 @@ done
 # expanding a state builds; the visited store: 0 per claim of a seen key,
 # under N/100 to insert N states; a delivery into a warmed engine: 0, support
 # call, send and all, register stack empty afterwards; a whole simulated run:
-# at most 1 per message; token.Lookup: 0; liveness.Analyze: at most 3 per
-# function; core.Compile of stache: within 5 % of the count the test names),
+# at most 1 per message; a warmed fuzz.Judge run of each litmus corpus test,
+# recorder and trace cursor included: under 20; token.Lookup: 0;
+# liveness.Analyze: at most 3 per function; core.Compile of stache: within
+# 5 % of the count the test names),
 # which -race perturbs by allocating on its own account;
 # and the TestExitStatus rows and EXPERIMENTS.md blocks that skip under it
 # for taking seconds (the 3-node drop envelope, the 4-node cut at 200 000
 # states, the larger symmetry pairs).
-go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestLookupAllocs|TestLivenessAllocs|TestCompileAllocs|TestExitStatus|TestExperimentsCurrent' \
-  ./internal/mc/ ./internal/runtime/ ./internal/token/ ./internal/liveness/ ./internal/core/ .
+go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestJudgeAllocs|TestLookupAllocs|TestLivenessAllocs|TestCompileAllocs|TestExitStatus|TestExperimentsCurrent' \
+  ./internal/mc/ ./internal/runtime/ ./internal/litmus/ ./internal/token/ ./internal/liveness/ ./internal/core/ .
 # The benchmark harness's own tests: small-shape correctness checks that run
 # the checker (reduced and unreduced), the simulator and the litmus corpus
 # against benchmarks/expected.json. A module of its own, so `go test ./...`
