@@ -290,3 +290,52 @@ func TestJudgeAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRunnerAllocs pins a warmed runner run that repeats an outcome its set
+// already holds — a jittered sim run and a fuzz run on each corpus test — at
+// no more than a warmed Judge.Run's bound (20) plus 2: the outcome costs one
+// allocation, and its key and forbid conditions none.
+func TestRunnerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	tests, err := LoadDir("../../testdata/litmus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range tests {
+		opt := Options{Mode: "all"}
+		opt.normalize()
+		r, err := newRunner(tt, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simSeed := netmodel.Rand(r.seed).Derive(0x511)
+		recSeed := netmodel.Rand(r.seed).Derive(0x1000)
+		jitter := netmodel.Rand(r.seed).Derive(0x1001)
+		for _, run := range []struct {
+			name string
+			do   func() runReport
+		}{
+			{"sim", func() runReport { return r.execute(nil, simSeed, netmodel.Rand(simSeed).Derive(1)) }},
+			{"fuzz", func() runReport { return r.execute(fuzz.NewRecorder(recSeed), r.seed, jitter) }},
+		} {
+			set := map[string]Outcome{}
+			do := func() {
+				rep := run.do()
+				if class := rep.class(); class != "" {
+					t.Fatalf("%s %s: %s", tt.Name, run.name, rep.describe())
+				}
+				r.record(set, rep.outcome)
+			}
+			do()
+			n := testing.AllocsPerRun(20, do)
+			if len(set) != 1 {
+				t.Fatalf("%s %s: %d outcomes, want the one run's", tt.Name, run.name, len(set))
+			}
+			if n > 22 {
+				t.Errorf("%s %s: a warmed runner run allocates %v times, want at most 22", tt.Name, run.name, n)
+			}
+		}
+	}
+}

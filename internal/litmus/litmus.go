@@ -32,6 +32,7 @@ package litmus
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -105,10 +106,11 @@ func (s Sense) String() string {
 // Clause is one conjunct of a condition: register Reg (when IsReg) or
 // block Block has final value Val.
 type Clause struct {
-	IsReg bool
-	Reg   string // register name (IsReg)
-	Block int    // block index (!IsReg)
-	Val   int64
+	IsReg  bool
+	Reg    string // register name (IsReg)
+	RegIdx int    // Reg's index in Test.Regs, resolved by Parse (IsReg)
+	Block  int    // block index (!IsReg)
+	Val    int64
 }
 
 // Cond is a named final-state condition: the conjunction of its clauses.
@@ -147,6 +149,8 @@ type Test struct {
 	// assert the failure matches.
 	MustFail string
 	Path     string // source file (diagnostics)
+
+	regs []string // Regs, listed once by validate
 }
 
 // BlockIndex resolves a block name (-1 when unknown).
@@ -161,17 +165,8 @@ func (t *Test) BlockIndex(name string) int {
 
 // Regs returns the test's register names in canonical order: node order,
 // then program order within the node — the order outcome keys list them.
-func (t *Test) Regs() []string {
-	var regs []string
-	for _, prog := range t.Progs {
-		for _, op := range prog {
-			if op.Reg != "" {
-				regs = append(regs, op.Reg)
-			}
-		}
-	}
-	return regs
-}
+// The slice is the test's own; callers must not modify it.
+func (t *Test) Regs() []string { return t.regs }
 
 // obsCount returns the number of observing ops (gets and CASes) in node
 // n's script — the register-file length a clean run must produce.
@@ -205,15 +200,21 @@ func (t *Test) validate() error {
 	if t.Nodes < len(t.Progs) {
 		return fmt.Errorf("nodes %d < %d scripted nodes", t.Nodes, len(t.Progs))
 	}
-	seen := map[string]bool{}
-	for _, r := range t.Regs() {
-		if seen[r] {
-			return fmt.Errorf("register %s observed twice", r)
+	regIdx := map[string]int{}
+	for _, prog := range t.Progs {
+		for _, op := range prog {
+			if op.Reg == "" {
+				continue
+			}
+			if _, dup := regIdx[op.Reg]; dup {
+				return fmt.Errorf("register %s observed twice", op.Reg)
+			}
+			regIdx[op.Reg] = len(t.regs)
+			t.regs = append(t.regs, op.Reg)
 		}
-		seen[r] = true
 	}
 	for _, b := range t.Blocks {
-		if seen[b] {
+		if _, ok := regIdx[b]; ok {
 			return fmt.Errorf("block %s shadows a register", b)
 		}
 	}
@@ -223,10 +224,15 @@ func (t *Test) validate() error {
 			return fmt.Errorf("condition %s declared twice", c.Name)
 		}
 		condNames[c.Name] = true
-		for _, cl := range c.Clauses {
-			if cl.IsReg && !seen[cl.Reg] {
+		for i, cl := range c.Clauses {
+			if !cl.IsReg {
+				continue
+			}
+			idx, ok := regIdx[cl.Reg]
+			if !ok {
 				return fmt.Errorf("condition %s references unknown register %s", c.Name, cl.Reg)
 			}
+			c.Clauses[i].RegIdx = idx
 		}
 	}
 	return nil
@@ -242,34 +248,34 @@ type Outcome struct {
 
 // Key renders the outcome's canonical string form, e.g.
 // "r0=1 r1=0 | x=1 y=2". Keys are the identity outcome sets diff by.
-func (t *Test) Key(o Outcome) string {
-	var b strings.Builder
-	for i, r := range t.Regs() {
+func (t *Test) Key(o Outcome) string { return string(t.AppendKey(nil, o)) }
+
+// AppendKey appends the outcome's Key to b and returns the extended buffer.
+func (t *Test) AppendKey(b []byte, o Outcome) []byte {
+	for i, r := range t.regs {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", r, o.Regs[i])
+		b = append(append(b, r...), '=')
+		b = strconv.AppendInt(b, o.Regs[i], 10)
 	}
-	b.WriteString(" | ")
+	b = append(b, " | "...)
 	for i, name := range t.Blocks {
 		if i > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", name, o.Mem[i])
+		b = append(append(b, name...), '=')
+		b = strconv.AppendInt(b, o.Mem[i], 10)
 	}
-	return b.String()
+	return b
 }
 
 // Satisfies reports whether the outcome satisfies the condition (the
 // conjunction of its clauses).
 func (t *Test) Satisfies(o Outcome, c Cond) bool {
-	regIdx := map[string]int{}
-	for i, r := range t.Regs() {
-		regIdx[r] = i
-	}
 	for _, cl := range c.Clauses {
 		if cl.IsReg {
-			if o.Regs[regIdx[cl.Reg]] != cl.Val {
+			if o.Regs[cl.RegIdx] != cl.Val {
 				return false
 			}
 		} else if o.Mem[cl.Block] != cl.Val {

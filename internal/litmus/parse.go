@@ -24,7 +24,6 @@ package litmus
 // the whole test; condition clauses name registers or blocks.
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,14 +42,17 @@ const maxVal = 1<<31 - 1
 func Parse(path string, data []byte) (*Test, error) {
 	t := &Test{Path: path}
 	var curNode = -1 // node script being filled, -1 = none
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
+	// Lines are cut from one copy of the file: no scanner buffer, and no
+	// string per line (a trailing '\r' goes with the surrounding space).
+	rest := string(data)
 	lineNo := 0
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%s:%d: %s", path, lineNo, fmt.Sprintf(format, args...))
 	}
-	for sc.Scan() {
+	for rest != "" {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		lineNo++
-		line := sc.Text()
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -163,9 +165,6 @@ func Parse(path string, data []byte) (*Test, error) {
 		default:
 			return nil, fail("unknown directive %q", key)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if t.Nodes == 0 {
 		t.Nodes = len(t.Progs)

@@ -3,6 +3,7 @@ package litmus
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,27 @@ func TestParseMP(t *testing.T) {
 	}
 	if s := tt.Conds[0].String(tt.Blocks); s != "forbid stale: r0=1 & r1=0" {
 		t.Errorf("cond render = %q", s)
+	}
+}
+
+// TestParseCRLF: a file with CRLF line endings and no final newline parses
+// to the same test, and a diagnostic names the same line.
+func TestParseCRLF(t *testing.T) {
+	want, err := Parse("mp.lit", []byte(mpSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crlf := strings.TrimSuffix(strings.ReplaceAll(mpSrc, "\n", "\r\n"), "\r\n")
+	got, err := Parse("mp.lit", []byte(crlf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("CRLF parse = %+v, want %+v", got, want)
+	}
+	bad := strings.Replace(crlf, "put y 1", "put y 0", 1)
+	if _, err := Parse("mp.lit", []byte(bad)); err == nil || !strings.HasPrefix(err.Error(), "mp.lit:9: ") {
+		t.Errorf("err = %v, want a diagnostic on line 9", err)
 	}
 }
 

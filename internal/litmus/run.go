@@ -160,6 +160,8 @@ type runner struct {
 	plain, jittered *sim.Trace
 	// judge runs every sim and fuzz run, built on first use.
 	judge *fuzz.Judge
+	// key is the buffer record builds outcome keys in.
+	key []byte
 }
 
 // Run executes one test under the requested substrates and diffs the
@@ -261,12 +263,12 @@ func newRunner(t *Test, opt Options) (*runner, error) {
 type runReport struct {
 	viol      *oracle.Violation
 	err       error
-	outcome   *Outcome
-	forbidden string // forbid condition the outcome satisfies
+	outcome   Outcome // the run's outcome, when it ran clean
+	forbidden string  // forbid condition the outcome satisfies
 }
 
 // class buckets the report the way schedule shrinking must preserve it.
-func (rr *runReport) class() string {
+func (rr runReport) class() string {
 	switch {
 	case rr.viol != nil:
 		return "violation"
@@ -278,7 +280,7 @@ func (rr *runReport) class() string {
 	return ""
 }
 
-func (rr *runReport) describe() string {
+func (rr runReport) describe() string {
 	switch {
 	case rr.viol != nil:
 		return rr.viol.Error()
@@ -297,24 +299,21 @@ var opKinds = [...]tempest.OpKind{Get: tempest.OpRead, Put: tempest.OpWrite, CAS
 // chooser (fuzz substrate, which never draws from seed) or under stochastic
 // injection seeded with seed (sim substrate, chooser nil), with jitterSeed
 // phase-shifting the scripts.
-func (r *runner) execute(ch tempest.Chooser, seed, jitterSeed uint64) *runReport {
+func (r *runner) execute(ch tempest.Chooser, seed, jitterSeed uint64) runReport {
 	if r.judge == nil {
 		r.judge = fuzz.NewJudge(r.spec, oracle.Config{
 			Inv: r.prof.Inv, InitMem: r.t.Init, TrackReads: true,
 		}, r.opt.Coverage)
 	}
 	checker, _, err := r.judge.Run(r.program(jitterSeed), seed, ch, nil)
-	rep := &runReport{viol: checker.Finish(), err: err}
+	rep := runReport{viol: checker.Finish(), err: err}
 	if rep.viol != nil || rep.err != nil {
 		return rep
 	}
-	o, oerr := r.outcomeFromOracle(checker)
-	if oerr != nil {
-		rep.err = oerr
-		return rep
+	rep.outcome, rep.err = r.outcomeFromOracle(checker)
+	if rep.err == nil {
+		rep.forbidden = r.t.ForbiddenBy(rep.outcome)
 	}
-	rep.outcome = o
-	rep.forbidden = r.t.ForbiddenBy(*o)
 	return rep
 }
 
@@ -362,14 +361,22 @@ func jitterCycles(seed uint64, n, i int) int64 {
 	return int64((x >> 2) % uint64(6*tempest.DefaultCost.NetLatency+1))
 }
 
+// newOutcome returns an empty outcome with room for t's registers and
+// blocks, both in one allocation.
+func newOutcome(t *Test) Outcome {
+	nr := len(t.Regs())
+	vals := make([]int64, nr+len(t.Blocks))
+	return Outcome{Regs: vals[:0:nr], Mem: vals[nr:nr]}
+}
+
 // outcomeFromOracle reads the register file and final block values back
 // from the oracle's tracked reads — the simulator substrates' outcome.
-func (r *runner) outcomeFromOracle(c *oracle.Checker) (*Outcome, error) {
-	o := &Outcome{}
+func (r *runner) outcomeFromOracle(c *oracle.Checker) (Outcome, error) {
+	o := newOutcome(r.t)
 	for n := range r.t.Progs {
 		reads := c.Reads(n)
 		if len(reads) != r.t.obsCount(n) {
-			return nil, fmt.Errorf("litmus %s: node %d completed %d observation(s), script has %d",
+			return Outcome{}, fmt.Errorf("litmus %s: node %d completed %d observation(s), script has %d",
 				r.t.Name, n, len(reads), r.t.obsCount(n))
 		}
 		for _, v := range reads {
@@ -380,6 +387,15 @@ func (r *runner) outcomeFromOracle(c *oracle.Checker) (*Outcome, error) {
 		o.Mem = append(o.Mem, tempest.ValueOf(c.FinalValue(b)))
 	}
 	return o, nil
+}
+
+// record adds o to set under its key. The key is built in the runner's
+// buffer and becomes a string only when set has not seen it.
+func (r *runner) record(set map[string]Outcome, o Outcome) {
+	r.key = r.t.AppendKey(r.key[:0], o)
+	if _, ok := set[string(r.key)]; !ok {
+		set[string(r.key)] = o
+	}
 }
 
 // runSim samples simRuns seeded stochastic runs.
@@ -400,7 +416,7 @@ func (r *runner) runSim(res *Result) {
 			})
 			return
 		}
-		res.Sim[r.t.Key(*rep.outcome)] = *rep.outcome
+		r.record(res.Sim, rep.outcome)
 	}
 }
 
@@ -415,7 +431,7 @@ func (r *runner) runFuzz(res *Result) {
 		rep := r.execute(rec, r.seed, jitterSeed)
 		class := rep.class()
 		if class == "" {
-			res.Fuzz[r.t.Key(*rep.outcome)] = *rep.outcome
+			r.record(res.Fuzz, rep.outcome)
 			continue
 		}
 		s := r.schedule(rec.Decisions(), jitterSeed, recSeed, class)
@@ -476,7 +492,7 @@ func Replay(t *Test, s *fuzz.Schedule, opt Options) (class, desc string, applied
 
 // outcomeFromWorld reads a terminal world's outcome off the client plane.
 func outcomeFromWorld(t *Test, w *mc.World) Outcome {
-	o := Outcome{}
+	o := newOutcome(t)
 	regs := w.ClientRegs()
 	for n := range t.Progs {
 		for _, v := range regs[n] {
@@ -520,7 +536,7 @@ func (r *runner) runMC(res *Result) error {
 	spec.Terminal = func(w *mc.World) string {
 		o := outcomeFromWorld(t, w)
 		mu.Lock()
-		res.MC[t.Key(o)] = o
+		r.record(res.MC, o)
 		mu.Unlock()
 		return ""
 	}

@@ -84,9 +84,10 @@ func lcmHW(p *runtime.Protocol, nodes, blocks int, m runtime.Machine) tempest.En
 	return lcm.NewHW(p, nodes, blocks, m)
 }
 
-// registry builds the table once per process: it compiles nothing, but
-// assembling the four LCM source texts takes a millisecond, and Lookup is on
-// the path of every Spec call.
+// registry builds the table once per process. It compiles nothing (builds
+// are memoized apart, per Config, by build), but assembling the four LCM
+// source texts takes a millisecond, and Lookup is on the path of every Spec
+// call.
 var registry = sync.OnceValue(func() []Entry {
 	cfg := func(name, src, home string) core.Config {
 		return core.Config{
@@ -143,16 +144,38 @@ func Lookup(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// MustCompile compiles a bundled protocol, optimized or not, and panics on
-// an unknown name or a compile error: for tests and examples, whose names
-// are literals and whose sources the table's own tests compile.
+// MustCompile returns a bundled protocol's build, optimized or not (the one
+// Spec shares), and panics on an unknown name or a compile error: for tests
+// and examples, whose names are literals and whose sources the table's own
+// tests compile.
 func MustCompile(name string, optimize bool) *core.Artifacts {
 	e, ok := Lookup(name)
 	if !ok {
 		panic(fmt.Sprintf("protocols: no bundled protocol %q", name))
 	}
 	e.Config.Optimize = optimize
-	return core.MustCompile(e.Config)
+	art, err := build(e.Config)
+	if err != nil {
+		panic(err)
+	}
+	return art
+}
+
+// builds memoizes compilation per process: a core.Config (a comparable
+// value, source text and flags included) maps to a sync.OnceValues over
+// core.Compile, so concurrent first callers compile once and a compile
+// error is remembered like a build.
+var builds sync.Map
+
+// build returns the process's one build of cfg. The artifacts are shared by
+// every caller and read-only: a caller that changes IR compiles its own copy
+// with core.Compile.
+func build(cfg core.Config) (*core.Artifacts, error) {
+	f, ok := builds.Load(cfg)
+	if !ok {
+		f, _ = builds.LoadOrStore(cfg, sync.OnceValues(func() (*core.Artifacts, error) { return core.Compile(cfg) }))
+	}
+	return f.(func() (*core.Artifacts, error))()
 }
 
 // names lists, in registry order, the entries keep accepts. It compiles
@@ -194,11 +217,12 @@ func Spec(name string, nodes, blocks int) (core.RunSpec, error) {
 	return e.Spec(nodes, blocks)
 }
 
-// Spec compiles the entry (as Config says: flip Config.Optimize first for
-// the unoptimized build) and wires protocol, support module and event
-// generator into a core.RunSpec, the same way for every caller. The caller
-// fills the run-shape knobs (Net, Workers, Seed, Program, ...) on the
-// returned spec.
+// Spec wires the entry's build (as Config says: flip Config.Optimize first
+// for the unoptimized build) with a new support module and event generator
+// into a core.RunSpec, the same way for every caller. Each Config compiles
+// once per process, and the protocol in the spec is shared and read-only.
+// The caller fills the run-shape knobs (Net, Workers, Seed, Program, ...) on
+// the returned spec.
 func (e Entry) Spec(nodes, blocks int) (core.RunSpec, error) {
 	if !e.Runnable() {
 		return core.RunSpec{}, fmt.Errorf("no runnable spec for protocol %q (runnable: %s)",
@@ -210,7 +234,7 @@ func (e Entry) Spec(nodes, blocks int) (core.RunSpec, error) {
 	if blocks < 1 {
 		return core.RunSpec{}, fmt.Errorf("-blocks %d: want at least 1", blocks)
 	}
-	art, err := core.Compile(e.Config)
+	art, err := build(e.Config)
 	if err != nil {
 		return core.RunSpec{}, err
 	}

@@ -1,12 +1,21 @@
 package protocols_test
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"teapot/internal/core"
+	"teapot/internal/fuzz"
 	"teapot/internal/ir"
+	"teapot/internal/litmus"
+	"teapot/internal/mc"
+	"teapot/internal/netmodel"
 	"teapot/internal/protocols"
+	"teapot/internal/protocols/stache"
 	"teapot/internal/runtime"
 	"teapot/internal/sema"
 	"teapot/internal/vm"
@@ -199,4 +208,180 @@ func TestOracleProfiles(t *testing.T) {
 	if !strings.Contains(want, "stache-asym") {
 		t.Errorf("stache-asym is not judgeable: %s", want)
 	}
+}
+
+// TestSpecSharesOneBuild: a Config compiles once per process. Spec at any
+// shape hands out the same protocol with a support module of its own;
+// MustCompile returns that same build; the unoptimized and no-liveness
+// builds are builds of their own, each shared in turn; and a compile error
+// is remembered like a build.
+func TestSpecSharesOneBuild(t *testing.T) {
+	e, _ := protocols.Lookup("stache")
+	spec := func(e protocols.Entry, nodes, blocks int) core.RunSpec {
+		t.Helper()
+		s, err := e.Spec(nodes, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	small, large := spec(e, 2, 1), spec(e, 5, 3)
+	if small.Proto != large.Proto {
+		t.Errorf("Spec at 2n/1b and 5n/3b compiled two builds")
+	}
+	if small.Support.(*stache.Support) == large.Support.(*stache.Support) {
+		t.Errorf("two Spec calls share one support module")
+	}
+	if art := protocols.MustCompile("stache", true); art.Protocol != small.Proto {
+		t.Errorf("MustCompile(stache, true) is not the build Spec shares")
+	}
+	builds := []*runtime.Protocol{small.Proto}
+	for _, c := range []struct {
+		name                 string
+		optimize, noLiveness bool
+	}{{"Optimize=false", false, false}, {"NoLiveness", true, true}} {
+		e := e
+		e.Config.Optimize, e.Config.NoLiveness = c.optimize, c.noLiveness
+		p := spec(e, 2, 1).Proto
+		if p != spec(e, 4, 2).Proto {
+			t.Errorf("%s: Spec at two shapes compiled two builds", c.name)
+		}
+		if slices.Contains(builds, p) {
+			t.Errorf("%s: shares another Config's build", c.name)
+		}
+		builds = append(builds, p)
+	}
+	if protocols.MustCompile("stache", false).Protocol != builds[1] {
+		t.Errorf("MustCompile(stache, false) is not the build Spec shares")
+	}
+	bad := e
+	bad.Config.HomeStart = "No_Such_State"
+	_, err1 := bad.Spec(2, 1)
+	_, err2 := bad.Spec(2, 1)
+	if err1 == nil || err1 != err2 {
+		t.Errorf("a failed compile: errors %v and %v, want one remembered error", err1, err2)
+	}
+}
+
+// TestSpecConcurrentFirstCallers: eight goroutines that ask for a build no
+// one has compiled yet, all at once, get one protocol (and, under -race, no
+// race).
+func TestSpecConcurrentFirstCallers(t *testing.T) {
+	e, _ := protocols.Lookup("stache-ft")
+	e.Config.Name = "concurrent-first-callers.tea" // a Config no other test compiles
+	protos := make([]*runtime.Protocol, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range protos {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			spec, err := e.Spec(2, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			protos[i] = spec.Proto
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, p := range protos {
+		if p == nil || p != protos[0] {
+			t.Fatalf("goroutine %d got build %p, goroutine 0 got %p", i, p, protos[0])
+		}
+	}
+}
+
+// TestSharedBuildsStayImmutable: after every kind of run that shares a
+// build — the litmus corpus in mode all, a model check with symmetry and two
+// workers, a fuzz campaign — each bundled protocol's shared build still
+// equals a fresh core.Compile of its Config: every handler's disassembly and
+// instructions, the dispatch table, the suspend-site table and the start
+// states.
+func TestSharedBuildsStayImmutable(t *testing.T) {
+	tests, err := litmus.LoadDir("../../testdata/litmus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range tests {
+		if _, err := litmus.Run(tt, litmus.Options{Mode: "all", Seed: 1, Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec, err := protocols.Spec("stache-ft", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Net, spec.Workers, spec.Symmetry = netmodel.Model{MaxDrops: 1}, 2, mc.SymmetryAuto
+	if _, err := core.Check(spec); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fuzz.New(fuzz.Config{Proto: "stache", Nodes: 3, Net: netmodel.Model{MaxDrops: 1, MaxDups: 1}, Schedules: 30, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Fuzz(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, e := range protocols.All() {
+		for _, optimize := range []bool{true, false} {
+			e.Config.Optimize = optimize
+			got, want := protocols.MustCompile(e.Name, optimize), core.MustCompile(e.Config)
+			if diff := buildDiff(got, want); diff != "" {
+				t.Errorf("%s (Optimize=%v): the shared build changed: %s", e.Name, optimize, diff)
+			}
+		}
+	}
+}
+
+// buildDiff names the first difference between two builds of one Config,
+// "" when there is none.
+func buildDiff(got, want *core.Artifacts) string {
+	gp, wp := got.Protocol, want.Protocol
+	if gp.HomeStart != wp.HomeStart || gp.CacheStart != wp.CacheStart {
+		return fmt.Sprintf("start states %d/%d, fresh %d/%d", gp.HomeStart, gp.CacheStart, wp.HomeStart, wp.CacheStart)
+	}
+	g, w := gp.IR, wp.IR
+	if len(g.Funcs) != len(w.Funcs) {
+		return fmt.Sprintf("%d handlers, fresh %d", len(g.Funcs), len(w.Funcs))
+	}
+	for i := range g.Funcs {
+		if gd, wd := g.Funcs[i].Disassemble(), w.Funcs[i].Disassemble(); gd != wd {
+			return fmt.Sprintf("handler %s:\n%s\nfresh:\n%s", g.Funcs[i].Name, gd, wd)
+		}
+		// What the disassembly leaves out: an immediate on a non-const
+		// instruction, positions, call signatures.
+		if !reflect.DeepEqual(g.Funcs[i].Code, w.Funcs[i].Code) || !reflect.DeepEqual(g.Funcs[i].Frags, w.Funcs[i].Frags) {
+			return fmt.Sprintf("handler %s: instructions or fragments differ from a fresh build", g.Funcs[i].Name)
+		}
+	}
+	name := func(f *ir.Func) string {
+		if f == nil {
+			return "<none>"
+		}
+		return f.Name
+	}
+	for si := range w.Sema.States {
+		for mi := -1; mi <= len(w.Sema.Messages); mi++ {
+			if gn, wn := name(g.FuncFor(si, mi)), name(w.FuncFor(si, mi)); gn != wn {
+				return fmt.Sprintf("dispatch (%d, %d) = %s, fresh %s", si, mi, gn, wn)
+			}
+		}
+	}
+	site := func(s *ir.SuspendSite) string {
+		return fmt.Sprintf("%d %s frag %d -> state %d static %v constant %v heap %v",
+			s.ID, s.Func.Name, s.FragIdx, s.TargetState, s.Static, s.Constant, s.Heap)
+	}
+	if len(g.Sites) != len(w.Sites) {
+		return fmt.Sprintf("%d suspend sites, fresh %d", len(g.Sites), len(w.Sites))
+	}
+	for i := range w.Sites {
+		if gs, ws := site(g.Sites[i]), site(w.Sites[i]); gs != ws {
+			return fmt.Sprintf("suspend site %s, fresh %s", gs, ws)
+		}
+	}
+	return ""
 }

@@ -17,8 +17,10 @@ test -z "$unformatted" || { echo "check.sh: gofmt -l . lists: $unformatted" >&2;
 # Every suite under the race detector: the parallel checker's determinism
 # contract and sharded visited table, the differential replay, the symmetry
 # equivalence suite, the litmus harness, the committed reproducers and the
-# fuzz-target seed corpora are all in here once.
-go test -race ./...
+# fuzz-target seed corpora are all in here once. Tests run in shuffled order:
+# a bundled protocol compiles once per process and every Spec shares it, so
+# no test may depend on which test compiled it first.
+go test -race -shuffle=on ./...
 # Five seconds of coverage-guided fuzzing per input the tools read (go test
 # -fuzz takes one target and one package; a new input is minimized for ten
 # executions, not a minute). A crasher stops the script and is left in the
@@ -34,14 +36,16 @@ done
 # under N/100 to insert N states; a delivery into a warmed engine: 0, support
 # call, send and all, register stack empty afterwards; a whole simulated run:
 # at most 1 per message; a warmed fuzz.Judge run of each litmus corpus test,
-# recorder and trace cursor included: under 20; token.Lookup: 0;
+# recorder and trace cursor included: under 20; a warmed litmus runner run
+# that repeats an outcome its set holds: at most that bound plus 2, 22;
+# token.Lookup: 0;
 # liveness.Analyze: at most 3 per function; core.Compile of stache: within
 # 5 % of the count the test names),
 # which -race perturbs by allocating on its own account;
 # and the TestExitStatus rows and EXPERIMENTS.md blocks that skip under it
 # for taking seconds (the 3-node drop envelope, the 4-node cut at 200 000
 # states, the larger symmetry pairs).
-go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestJudgeAllocs|TestLookupAllocs|TestLivenessAllocs|TestCompileAllocs|TestExitStatus|TestExperimentsCurrent' \
+go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestJudgeAllocs|TestRunnerAllocs|TestLookupAllocs|TestLivenessAllocs|TestCompileAllocs|TestExitStatus|TestExperimentsCurrent' \
   ./internal/mc/ ./internal/runtime/ ./internal/litmus/ ./internal/token/ ./internal/liveness/ ./internal/core/ .
 # The benchmark harness's own tests: small-shape correctness checks that run
 # the checker (reduced and unreduced), the simulator and the litmus corpus
