@@ -480,8 +480,10 @@ func TestSimTool(t *testing.T) {
 // is left are the values that differ from one message to the next: payload
 // arrays, and state values with arguments and continuation records that
 // save registers, each one allocation with the values it holds. The
-// hand-written engine's figure is pinned beside it: it makes a record per
-// message and per fault and shares the event loop.
+// hand-written engine's figure is pinned beside it: it recycles its message
+// records as the compiled engine does and shares the event loop, so what is
+// left is records still deferred when a delivery returns and the growth of
+// its deferred queues.
 func TestSimAllocsPerMessage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -503,7 +505,7 @@ func TestSimAllocsPerMessage(t *testing.T) {
 		engine string
 		cfg    sim.Config
 		max    float64
-	}{{"compiled", compiled, 1}, {"hand-written", handWritten, 1.5}} {
+	}{{"compiled", compiled, 1}, {"hand-written", handWritten, 0.1}} {
 		var stats *tempest.Stats
 		allocs := testing.AllocsPerRun(1, func() {
 			if stats, err = sim.Run(c.cfg); err != nil {

@@ -24,6 +24,11 @@ import (
 // Teapot engine but never allocates continuation or queue records; its
 // per-block pending fields are the paper's footnote-1 "flag in the protocol
 // state associated with a block".
+//
+// Message records are recycled under runtime.Engine.Release's ownership
+// rule: a machine hands each delivered record back (tempest.Recycler), an
+// event's record comes back when Deliver returns, and a deferred record is
+// kept until its block's queue lets go of it.
 type Engine struct {
 	name     string // "stache-hw" or "lcm-hw", the prefix of its errors
 	nodes    int
@@ -33,6 +38,7 @@ type Engine struct {
 	lcm      *lcmMsgs    // nil under plain Stache: no LCM row can fire
 	blks     [][]hwBlock // [node][block]
 	counters []tempest.CostCounters
+	free     []*runtime.Message // released records, which send and Event reuse
 }
 
 // hwMsgs caches message tag indices; using the compiled protocol's indices
@@ -147,7 +153,32 @@ func (h *Engine) Counters(node int) tempest.CostCounters { return h.counters[nod
 
 // Event implements tempest.Engine.
 func (h *Engine) Event(node int, tag int, id int) error {
-	return h.Deliver(node, &runtime.Message{Tag: tag, ID: id, Src: node})
+	m := h.newMessage()
+	*m = runtime.Message{Tag: tag, ID: id, Src: node}
+	err := h.Deliver(node, m)
+	h.Release(node, m)
+	return err
+}
+
+// Release implements tempest.Recycler: the record is reused unless the
+// block it concerns still holds it deferred.
+func (h *Engine) Release(dst int, m *runtime.Message) {
+	for _, d := range h.blks[dst][m.ID].deferred {
+		if d == m {
+			return
+		}
+	}
+	h.free = append(h.free, m)
+}
+
+// newMessage returns a released record if there is one, else a new one.
+func (h *Engine) newMessage() *runtime.Message {
+	if n := len(h.free); n > 0 {
+		m := h.free[n-1]
+		h.free = h.free[:n-1]
+		return m
+	}
+	return new(runtime.Message)
 }
 
 // Deliver implements tempest.Engine: dispatch plus deferred-queue retry on
@@ -181,7 +212,9 @@ func (h *Engine) ops(node int, n int64) { h.counters[node].Instrs += n }
 func (h *Engine) send(node, dst int, tag, id int, data bool) {
 	h.counters[node].Sends++
 	h.ops(node, 1)
-	h.machine.Send(node, dst, &runtime.Message{Tag: tag, ID: id, Src: node, Data: data})
+	m := h.newMessage()
+	*m = runtime.Message{Tag: tag, ID: id, Src: node, Data: data}
+	h.machine.Send(node, dst, m)
 }
 
 func (h *Engine) setState(node int, b *hwBlock, s hwState) {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"teapot/internal/netmodel"
 	"teapot/internal/tempest"
 )
@@ -27,31 +29,33 @@ func Stencil(spec WorkloadSpec) *Workload {
 		band = 4
 	}
 	blocks := band * spec.Nodes
-	ops := make([][]tempest.Op, spec.Nodes)
-	for it := 0; it < spec.Iters; it++ {
-		for n := 0; n < spec.Nodes; n++ {
-			north := ((n-1+spec.Nodes)%spec.Nodes)*band + band - 1
-			south := ((n + 1) % spec.Nodes) * band
-			touched := []int{north, south}
-			for r := 0; r < band; r++ {
-				touched = append(touched, n*band+r)
+	trace := buildTrace(spec.Nodes, func(tb *traceBuilder) {
+		touched := make([]int, 0, band+2)
+		for it := 0; it < spec.Iters; it++ {
+			for n := 0; n < spec.Nodes; n++ {
+				north := ((n-1+spec.Nodes)%spec.Nodes)*band + band - 1
+				south := ((n + 1) % spec.Nodes) * band
+				touched = append(touched[:0], north, south)
+				for r := 0; r < band; r++ {
+					touched = append(touched, n*band+r)
+				}
+				tb.add(n, barrier())
+				for _, b := range touched {
+					tb.add(n, beginPhase(b))
+				}
+				tb.add(n, read(north), read(south), compute(100))
+				for r := 0; r < band; r++ {
+					row := n*band + r
+					tb.add(n, read(row), compute(60), write(row))
+				}
+				for _, b := range touched {
+					tb.add(n, endPhase(b))
+				}
+				tb.add(n, barrier())
 			}
-			ops[n] = append(ops[n], barrier())
-			for _, b := range touched {
-				ops[n] = append(ops[n], beginPhase(b))
-			}
-			ops[n] = append(ops[n], read(north), read(south), compute(100))
-			for r := 0; r < band; r++ {
-				row := n*band + r
-				ops[n] = append(ops[n], read(row), compute(60), write(row))
-			}
-			for _, b := range touched {
-				ops[n] = append(ops[n], endPhase(b))
-			}
-			ops[n] = append(ops[n], barrier())
 		}
-	}
-	w := &Workload{Name: "stencil", Blocks: blocks, Trace: NewTrace(ops)}
+	})
+	w := &Workload{Name: "stencil", Blocks: blocks, Trace: trace}
 	return remapBlocks(w, spec.Nodes, band)
 }
 
@@ -62,34 +66,36 @@ func Adaptive(spec WorkloadSpec) *Workload {
 	if cells == 0 {
 		cells = 2 * spec.Nodes
 	}
-	r := netmodel.Rand(spec.Seed | 1)
-	ops := make([][]tempest.Op, spec.Nodes)
-	for it := 0; it < spec.Iters; it++ {
-		for n := 0; n < spec.Nodes; n++ {
-			// A drifting working set: a base region plus refined cells.
-			base := (n + it) % cells
-			touched := []int{}
-			for k := 0; k < 3; k++ {
-				touched = append(touched, (base+k)%cells)
+	trace := buildTrace(spec.Nodes, func(b *traceBuilder) {
+		r := netmodel.Rand(spec.Seed | 1)
+		touched := make([]int, 0, 4)
+		for it := 0; it < spec.Iters; it++ {
+			for n := 0; n < spec.Nodes; n++ {
+				// A drifting working set: a base region plus refined cells.
+				base := (n + it) % cells
+				touched = touched[:0]
+				for k := 0; k < 3; k++ {
+					touched = append(touched, (base+k)%cells)
+				}
+				if r.Intn(2) == 0 { // refinement touches an extra random cell
+					touched = append(touched, r.Intn(cells))
+				}
+				touched = dedupe(touched)
+				b.add(n, barrier())
+				for _, c := range touched {
+					b.add(n, beginPhase(c))
+				}
+				for _, c := range touched {
+					b.add(n, read(c), compute(70), write(c))
+				}
+				for _, c := range touched {
+					b.add(n, endPhase(c))
+				}
+				b.add(n, barrier())
 			}
-			if r.Intn(2) == 0 { // refinement touches an extra random cell
-				touched = append(touched, r.Intn(cells))
-			}
-			touched = dedupe(touched)
-			ops[n] = append(ops[n], barrier())
-			for _, c := range touched {
-				ops[n] = append(ops[n], beginPhase(c))
-			}
-			for _, c := range touched {
-				ops[n] = append(ops[n], read(c), compute(70), write(c))
-			}
-			for _, c := range touched {
-				ops[n] = append(ops[n], endPhase(c))
-			}
-			ops[n] = append(ops[n], barrier())
 		}
-	}
-	return &Workload{Name: "adaptive", Blocks: cells, Trace: NewTrace(ops)}
+	})
+	return &Workload{Name: "adaptive", Blocks: cells, Trace: trace}
 }
 
 // Unstruct models an unstructured-mesh sweep: a fixed random graph decides
@@ -108,23 +114,24 @@ func Unstruct(spec WorkloadSpec) *Workload {
 		}
 		touch[n] = dedupe(touch[n])
 	}
-	ops := make([][]tempest.Op, spec.Nodes)
-	for it := 0; it < spec.Iters; it++ {
-		for n := 0; n < spec.Nodes; n++ {
-			ops[n] = append(ops[n], barrier())
-			for _, c := range touch[n] {
-				ops[n] = append(ops[n], beginPhase(c))
+	trace := buildTrace(spec.Nodes, func(b *traceBuilder) {
+		for it := 0; it < spec.Iters; it++ {
+			for n := 0; n < spec.Nodes; n++ {
+				b.add(n, barrier())
+				for _, c := range touch[n] {
+					b.add(n, beginPhase(c))
+				}
+				for _, c := range touch[n] {
+					b.add(n, read(c), compute(50), write(c), compute(30))
+				}
+				for _, c := range touch[n] {
+					b.add(n, endPhase(c))
+				}
+				b.add(n, barrier())
 			}
-			for _, c := range touch[n] {
-				ops[n] = append(ops[n], read(c), compute(50), write(c), compute(30))
-			}
-			for _, c := range touch[n] {
-				ops[n] = append(ops[n], endPhase(c))
-			}
-			ops[n] = append(ops[n], barrier())
 		}
-	}
-	return &Workload{Name: "unstruct", Blocks: cells, Trace: NewTrace(ops)}
+	})
+	return &Workload{Name: "unstruct", Blocks: cells, Trace: trace}
 }
 
 // Table2Workloads builds the three LCM benchmarks.
@@ -136,13 +143,12 @@ func Table2Workloads(nodes, iters int) []*Workload {
 	}
 }
 
-// dedupe removes duplicates while preserving order.
+// dedupe removes duplicates while preserving order. The sets are a handful
+// of cells, so a scan of what is kept beats a map.
 func dedupe(xs []int) []int {
-	seen := map[int]bool{}
 	out := xs[:0]
 	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
+		if !slices.Contains(out, x) {
 			out = append(out, x)
 		}
 	}

@@ -35,6 +35,44 @@ func NewTrace(ops [][]tempest.Op) *Trace {
 	return &Trace{Ops: ops, pos: make([]int, len(ops))}
 }
 
+// traceBuilder collects the per-node op streams of a bundled workload. A
+// generator runs twice over one builder: the first run counts each node's
+// ops, the second stores them into slices cut from one allocation of the
+// exact total, so a trace costs its own size and no append growth.
+type traceBuilder struct {
+	counting bool
+	counts   []int
+	ops      [][]tempest.Op
+}
+
+func (b *traceBuilder) add(n int, ops ...tempest.Op) {
+	if b.counting {
+		b.counts[n] += len(ops)
+		return
+	}
+	b.ops[n] = append(b.ops[n], ops...)
+}
+
+// buildTrace runs gen, which must be deterministic, once to count and once
+// to fill.
+func buildTrace(nodes int, gen func(b *traceBuilder)) *Trace {
+	b := &traceBuilder{counting: true, counts: make([]int, nodes)}
+	gen(b)
+	total := 0
+	for _, c := range b.counts {
+		total += c
+	}
+	flat := make([]tempest.Op, total)
+	b.counting, b.ops = false, make([][]tempest.Op, nodes)
+	for n, c := range b.counts {
+		if c > 0 { // a node with no ops keeps a nil stream
+			b.ops[n], flat = flat[:0:c], flat[c:]
+		}
+	}
+	gen(b)
+	return NewTrace(b.ops)
+}
+
 // Next implements tempest.Program. It advances the trace's own cursor;
 // callers that share one Trace across runs should prefer NewCursor.
 func (t *Trace) Next(node int) (tempest.Op, bool) {

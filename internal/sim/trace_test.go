@@ -128,3 +128,30 @@ func runStacheObs(t *testing.T, w *sim.Workload, nodes int, sink obs.Sink) *temp
 	}
 	return stats
 }
+
+// TestWorkloadTracesExactlySized: every bundled generator stores each
+// node's stream at its final size, cut from one array, so making a trace
+// allocates the trace and a few headers, never append growth. Mp3d at 32
+// nodes, the largest Table 1 trace, pins the count.
+func TestWorkloadTracesExactlySized(t *testing.T) {
+	spec := sim.WorkloadSpec{Nodes: 8, Iters: 4, Seed: 3}
+	for _, w := range []*sim.Workload{
+		sim.Gauss(spec), sim.Appbt(spec), sim.Shallow(spec), sim.Mp3d(spec),
+		sim.ProdCons(spec), sim.Adaptive(spec), sim.Stencil(spec), sim.Unstruct(spec),
+	} {
+		for n, ops := range w.Trace.Ops {
+			if len(ops) != cap(ops) {
+				t.Errorf("%s node %d: %d ops in a stream of capacity %d", w.Name, n, len(ops), cap(ops))
+			}
+		}
+	}
+	if raceEnabled {
+		return // the race detector allocates on its own account
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		sim.Mp3d(sim.WorkloadSpec{Nodes: 32, Iters: 256, Seed: 3})
+	})
+	if allocs > 8 {
+		t.Errorf("Mp3d at 32 nodes: %.0f allocations, want at most 8", allocs)
+	}
+}

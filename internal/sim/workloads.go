@@ -38,26 +38,27 @@ func Gauss(spec WorkloadSpec) *Workload {
 	if rows == 0 {
 		rows = 4 * spec.Nodes
 	}
-	ops := make([][]tempest.Op, spec.Nodes)
-	for k := 0; k < rows-1 && k < spec.Iters*spec.Nodes; k++ {
-		owner := k % spec.Nodes
-		// The pivot owner normalizes the pivot row; the iteration barrier
-		// (present in the real program's data dependences) separates the
-		// production of the pivot row from its broadcast consumption.
-		ops[owner] = append(ops[owner], read(k), compute(200), write(k), write(k))
-		for n := 0; n < spec.Nodes; n++ {
-			ops[n] = append(ops[n], barrier())
-			// Everyone reads the pivot row and updates its own rows below k.
-			ops[n] = append(ops[n], read(k), compute(60))
-			for r := k + 1; r < rows; r++ {
-				if r%spec.Nodes == n {
-					ops[n] = append(ops[n], read(r), compute(40), write(r))
+	trace := buildTrace(spec.Nodes, func(b *traceBuilder) {
+		for k := 0; k < rows-1 && k < spec.Iters*spec.Nodes; k++ {
+			owner := k % spec.Nodes
+			// The pivot owner normalizes the pivot row; the iteration barrier
+			// (present in the real program's data dependences) separates the
+			// production of the pivot row from its broadcast consumption.
+			b.add(owner, read(k), compute(200), write(k), write(k))
+			for n := 0; n < spec.Nodes; n++ {
+				b.add(n, barrier())
+				// Everyone reads the pivot row and updates its own rows below k.
+				b.add(n, read(k), compute(60))
+				for r := k + 1; r < rows; r++ {
+					if r%spec.Nodes == n {
+						b.add(n, read(r), compute(40), write(r))
+					}
 				}
+				b.add(n, barrier())
 			}
-			ops[n] = append(ops[n], barrier())
 		}
-	}
-	return &Workload{Name: "gauss", Blocks: rows, Trace: NewTrace(ops)}
+	})
+	return &Workload{Name: "gauss", Blocks: rows, Trace: trace}
 }
 
 // Appbt models the NAS BT kernel: a 3-D block decomposition where each
@@ -69,27 +70,28 @@ func Appbt(spec WorkloadSpec) *Workload {
 		per = 6
 	}
 	blocks := per * spec.Nodes
-	ops := make([][]tempest.Op, spec.Nodes)
 	neighbor := func(n, d int) int { return ((n+d)%spec.Nodes + spec.Nodes) % spec.Nodes }
-	for it := 0; it < spec.Iters; it++ {
-		for n := 0; n < spec.Nodes; n++ {
-			// Read one face block from each of six 3-D neighbors.
-			for _, d := range []int{1, -1, 2, -2, 4, -4} {
-				nb := neighbor(n, d)
-				face := nb*per + (it+d+per)%per
-				if face < 0 {
-					face += blocks
+	trace := buildTrace(spec.Nodes, func(tb *traceBuilder) {
+		for it := 0; it < spec.Iters; it++ {
+			for n := 0; n < spec.Nodes; n++ {
+				// Read one face block from each of six 3-D neighbors.
+				for _, d := range [...]int{1, -1, 2, -2, 4, -4} {
+					nb := neighbor(n, d)
+					face := nb*per + (it+d+per)%per
+					if face < 0 {
+						face += blocks
+					}
+					tb.add(n, read(face%blocks), compute(80))
 				}
-				ops[n] = append(ops[n], read(face%blocks), compute(80))
-			}
-			// Update own blocks.
-			for b := 0; b < per; b++ {
-				blk := n*per + b
-				ops[n] = append(ops[n], read(blk), compute(150), write(blk))
+				// Update own blocks.
+				for b := 0; b < per; b++ {
+					blk := n*per + b
+					tb.add(n, read(blk), compute(150), write(blk))
+				}
 			}
 		}
-	}
-	w := &Workload{Name: "appbt", Blocks: blocks, Trace: NewTrace(ops)}
+	})
+	w := &Workload{Name: "appbt", Blocks: blocks, Trace: trace}
 	return remapBlocks(w, spec.Nodes, per)
 }
 
@@ -102,19 +104,20 @@ func Shallow(spec WorkloadSpec) *Workload {
 		band = 8
 	}
 	blocks := band * spec.Nodes
-	ops := make([][]tempest.Op, spec.Nodes)
-	for it := 0; it < spec.Iters; it++ {
-		for n := 0; n < spec.Nodes; n++ {
-			north := ((n-1+spec.Nodes)%spec.Nodes)*band + band - 1
-			south := ((n + 1) % spec.Nodes) * band
-			ops[n] = append(ops[n], read(north), read(south), compute(120))
-			for r := 0; r < band; r++ {
-				row := n*band + r
-				ops[n] = append(ops[n], read(row), compute(50), write(row))
+	trace := buildTrace(spec.Nodes, func(b *traceBuilder) {
+		for it := 0; it < spec.Iters; it++ {
+			for n := 0; n < spec.Nodes; n++ {
+				north := ((n-1+spec.Nodes)%spec.Nodes)*band + band - 1
+				south := ((n + 1) % spec.Nodes) * band
+				b.add(n, read(north), read(south), compute(120))
+				for r := 0; r < band; r++ {
+					row := n*band + r
+					b.add(n, read(row), compute(50), write(row))
+				}
 			}
 		}
-	}
-	w := &Workload{Name: "shallow", Blocks: blocks, Trace: NewTrace(ops)}
+	})
+	w := &Workload{Name: "shallow", Blocks: blocks, Trace: trace}
 	return remapBlocks(w, spec.Nodes, band)
 }
 
@@ -126,17 +129,18 @@ func Mp3d(spec WorkloadSpec) *Workload {
 	if cells == 0 {
 		cells = 3 * spec.Nodes
 	}
-	r := netmodel.Rand(spec.Seed | 1)
-	ops := make([][]tempest.Op, spec.Nodes)
-	for it := 0; it < spec.Iters; it++ {
-		for n := 0; n < spec.Nodes; n++ {
-			for p := 0; p < 8; p++ {
-				cell := r.Intn(cells)
-				ops[n] = append(ops[n], read(cell), compute(30), write(cell), compute(90))
+	trace := buildTrace(spec.Nodes, func(b *traceBuilder) {
+		r := netmodel.Rand(spec.Seed | 1)
+		for it := 0; it < spec.Iters; it++ {
+			for n := 0; n < spec.Nodes; n++ {
+				for p := 0; p < 8; p++ {
+					cell := r.Intn(cells)
+					b.add(n, read(cell), compute(30), write(cell), compute(90))
+				}
 			}
 		}
-	}
-	return &Workload{Name: "mp3d", Blocks: cells, Trace: NewTrace(ops)}
+	})
+	return &Workload{Name: "mp3d", Blocks: cells, Trace: trace}
 }
 
 // remapBlocks renumbers "node n owns blocks [n*per, n*per+per)" into the
@@ -176,18 +180,19 @@ func Table1Workloads(nodes, iters int) []*Workload {
 // transfer"); under a write-update protocol it costs one UPDATE per
 // consumer.
 func ProdCons(spec WorkloadSpec) *Workload {
-	ops := make([][]tempest.Op, spec.Nodes)
-	for it := 0; it < spec.Iters; it++ {
-		for n := 0; n < spec.Nodes; n++ {
-			ops[n] = append(ops[n], barrier())
-			if n == 0 {
-				ops[n] = append(ops[n], compute(50), write(0))
-			}
-			ops[n] = append(ops[n], barrier())
-			if n != 0 {
-				ops[n] = append(ops[n], read(0), compute(30))
+	trace := buildTrace(spec.Nodes, func(b *traceBuilder) {
+		for it := 0; it < spec.Iters; it++ {
+			for n := 0; n < spec.Nodes; n++ {
+				b.add(n, barrier())
+				if n == 0 {
+					b.add(n, compute(50), write(0))
+				}
+				b.add(n, barrier())
+				if n != 0 {
+					b.add(n, read(0), compute(30))
+				}
 			}
 		}
-	}
-	return &Workload{Name: "prodcons", Blocks: 1, Trace: NewTrace(ops)}
+	})
+	return &Workload{Name: "prodcons", Blocks: 1, Trace: trace}
 }

@@ -127,8 +127,8 @@ type Resetter interface {
 
 // Recycler is the optional engine extension behind message recycling: after
 // each delivery it schedules, the machine hands the record back to the
-// engine (see runtime.Engine.Release for the ownership rule). Hand-written
-// engines, which make their own messages, do not implement it.
+// engine (see runtime.Engine.Release for the ownership rule). The compiled
+// engines and the hand-written baselines both implement it.
 type Recycler interface {
 	Release(dst int, m *runtime.Message)
 }
