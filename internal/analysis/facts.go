@@ -35,9 +35,9 @@ const (
 type facts struct {
 	file string
 
-	// succ is the static state graph: for each state, the dedup'd sorted
-	// set of successor states over SetState and Suspend targets (extracted
-	// by internal/dot, including transient states; self-loops excluded).
+	// succ is the static state graph: for each state, the dedup'd set of
+	// successor states over SetState and Suspend targets (the transitions
+	// internal/dot draws, including transient states; self-loops excluded).
 	succ [][]int
 	// preds is succ inverted.
 	preds [][]int
@@ -63,7 +63,21 @@ type facts struct {
 	policies [][]policy
 	// alwaysSends[func] is the set of message tags the handler sends on
 	// every path from entry to a terminator of its first fragment.
-	alwaysSends map[*ir.Func]map[int]bool
+	alwaysSends map[*ir.Func]tagSet
+}
+
+// tagSet is a set of message tags, one bit each.
+type tagSet []uint64
+
+func (s tagSet) has(t int) bool { return t >= 0 && t/64 < len(s) && s[t/64]&(1<<(t%64)) != 0 }
+
+func (s tagSet) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func computeFacts(p *runtime.Protocol) *facts {
@@ -81,21 +95,24 @@ func computeFacts(p *runtime.Protocol) *facts {
 		enqueues:    make([]bool, n),
 		contReg:     make([]ir.Reg, n),
 		policies:    make([][]policy, n),
-		alwaysSends: make(map[*ir.Func]map[int]bool, len(irp.Funcs)),
+		alwaysSends: make(map[*ir.Func]tagSet, len(irp.Funcs)),
 	}
 	if sp.AST != nil && sp.AST.File != nil {
 		f.file = sp.AST.File.Name
 	}
 
-	// State graph, via the extraction the DOT backend already implements.
-	m := dot.Extract(irp, dot.Options{IncludeTransient: true})
-	for _, e := range m.Edges {
-		from, to := sp.StateByName(e.From), sp.StateByName(e.To)
-		if from == nil || to == nil || from.Index == to.Index {
-			continue
+	// State graph: the transitions the DOT backend draws (dot.StateIsSet),
+	// transient states included.
+	for _, fn := range irp.Funcs {
+		for i := range fn.Code {
+			if fn.Code[i].Op != ir.OpMakeState || !dot.StateIsSet(fn, i) {
+				continue
+			}
+			if from, to := fn.StateIndex, fn.Code[i].Idx; from != to {
+				f.succ[from] = appendUnique(f.succ[from], to)
+				f.preds[to] = appendUnique(f.preds[to], from)
+			}
 		}
-		f.succ[from.Index] = appendUnique(f.succ[from.Index], to.Index)
-		f.preds[to.Index] = appendUnique(f.preds[to.Index], from.Index)
 	}
 
 	// Sides and reachability.
@@ -129,6 +146,8 @@ func computeFacts(p *runtime.Protocol) *facts {
 	for si, st := range sp.States {
 		f.contReg[si] = ir.Reg(st.ContParam())
 	}
+	flow := sendFlow{words: (len(sp.Messages) + 63) / 64}
+	sends := make(tagSet, len(irp.Funcs)*flow.words)
 	for _, fn := range irp.Funcs {
 		si := fn.StateIndex
 		for i := range fn.Code {
@@ -150,7 +169,8 @@ func computeFacts(p *runtime.Protocol) *facts {
 				}
 			}
 		}
-		f.alwaysSends[fn] = alwaysSends(fn)
+		f.alwaysSends[fn] = flow.alwaysSends(fn, sends[:flow.words:flow.words])
+		sends = sends[flow.words:]
 	}
 
 	// Policy matrix.
@@ -241,84 +261,99 @@ func constMsgTag(fn *ir.Func, reg ir.Reg) (int, bool) {
 	return tag, defs == 1
 }
 
-// alwaysSends computes the set of message tags fn sends on every path from
-// entry to a terminator of its first atomic fragment (Return, Resume, or
-// Suspend — a handler that suspends before answering has not answered).
-// Forward dataflow with set intersection at joins.
-func alwaysSends(fn *ir.Func) map[int]bool {
+// alwaysSends computes into dst the set of message tags fn sends on every
+// path from entry to a terminator of its first atomic fragment (Return,
+// Resume, or Suspend — a handler that suspends before answering has not
+// answered). Forward dataflow with set intersection at joins. It returns
+// dst.
+func (fl *sendFlow) alwaysSends(fn *ir.Func, dst tagSet) tagSet {
 	n := len(fn.Code)
 	if n == 0 {
-		return nil
+		return dst
 	}
-	// sent[i] is the set of tags definitely sent before executing i;
-	// nil means "not yet reached" (⊤).
-	sent := make([]map[int]bool, n)
-	sent[0] = map[int]bool{}
-	var exit map[int]bool // intersection over all exits; nil = ⊤
-	work := []int{0}
+	words := fl.words
+	// Set i, words words from i*words, holds the tags definitely sent before
+	// executing i once reached[i] (until then it is ⊤); set n is the
+	// instruction's out-set.
+	sets := grow(&fl.sets, (n+1)*words)
+	set := func(i int) tagSet { return sets[i*words : (i+1)*words] }
+	reached := grow(&fl.reached, n)
+	out := set(n)
+	exitReached := false
+	// meet intersects d with out, or sets it to out if it is still ⊤ (not
+	// reached); it reports whether d changed.
+	meet := func(d tagSet, reached *bool) bool {
+		if !*reached {
+			*reached = true
+			copy(d, out)
+			return true
+		}
+		changed := false
+		for w := range d {
+			if m := d[w] & out[w]; m != d[w] {
+				d[w], changed = m, true
+			}
+		}
+		return changed
+	}
+	reached[0] = true
+	work := append(fl.work[:0], 0)
+	var succsBuf [2]int
 	for len(work) > 0 {
 		i := work[len(work)-1]
 		work = work[:len(work)-1]
 		in := &fn.Code[i]
-		out := sent[i]
+		copy(out, set(i))
 		if in.Op == ir.OpCall && (in.Fn.Builtin == sema.BSend || in.Fn.Builtin == sema.BSendData) && len(in.Args) >= 2 {
-			if tag, ok := constMsgTag(fn, in.Args[1]); ok {
-				out = cloneSet(out)
-				out[tag] = true
+			if tag, ok := constMsgTag(fn, in.Args[1]); ok && tag >= 0 && tag/64 < words {
+				out[tag/64] |= 1 << (tag % 64)
 			}
 		}
-		var succs []int
+		succs := succsBuf[:0]
 		switch in.Op {
 		case ir.OpReturn, ir.OpResume, ir.OpSuspend:
-			exit = intersect(exit, out)
+			meet(dst, &exitReached)
 		case ir.OpJump:
-			succs = []int{in.Idx}
+			succs = append(succs, in.Idx)
 		case ir.OpBranch:
-			succs = []int{in.Idx, in.Idx2}
+			succs = append(succs, in.Idx, in.Idx2)
 		default:
 			if i+1 < n {
-				succs = []int{i + 1}
+				succs = append(succs, i+1)
 			} else {
-				exit = intersect(exit, out)
+				meet(dst, &exitReached)
 			}
 		}
 		for _, s := range succs {
-			merged := intersect(sent[s], out)
-			if sent[s] == nil || len(merged) != len(sent[s]) {
-				sent[s] = merged
+			if meet(set(s), &reached[s]) {
 				work = append(work, s)
 			}
 		}
 	}
-	if exit == nil {
-		return map[int]bool{}
+	fl.work = work
+	if !exitReached {
+		clear(dst)
 	}
-	return exit
+	return dst
 }
 
-func cloneSet(s map[int]bool) map[int]bool {
-	c := make(map[int]bool, len(s)+1)
-	for k := range s {
-		c[k] = true
-	}
-	return c
+// sendFlow is alwaysSends' scratch, reused across the handlers of one
+// protocol; words is the length of a tagSet.
+type sendFlow struct {
+	words   int
+	sets    []uint64
+	reached []bool
+	work    []int
 }
 
-// intersect meets two sets where nil is ⊤ (everything).
-func intersect(a, b map[int]bool) map[int]bool {
-	if a == nil {
-		return cloneSet(b)
+// grow returns (*buf)[:n] cleared, reallocating *buf if it is too short.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	if b == nil {
-		return cloneSet(a)
-	}
-	out := map[int]bool{}
-	for k := range a {
-		if b[k] {
-			out[k] = true
-		}
-	}
-	return out
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // argsContain reports whether reg appears in the instruction's Args.

@@ -31,11 +31,12 @@ var pureOps = map[ir.Op]bool{
 // runDeadStore flags pure instructions whose destination register is dead
 // immediately after the instruction (not live into any successor).
 func runDeadStore(c *Ctx) {
+	var live liveness.Result // one handler's live sets at a time
 	for _, fn := range c.IR.Funcs {
 		if len(fn.Code) == 0 {
 			continue
 		}
-		live := liveness.Analyze(fn)
+		live.Analyze(fn)
 		var succs []int
 		for i := range fn.Code {
 			in := &fn.Code[i]

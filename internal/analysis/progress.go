@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -65,7 +66,7 @@ func runDeferDeadlock(c *Ctx) {
 	for mi, msg := range c.Sema.Messages {
 		handlers := 0
 		handlerSide := sideNone
-		var replies map[int]bool // ⊤ as nil before the first handler
+		var replies tagSet // ⊤ as nil before the first handler
 		sidesAgree := true
 		for si := range c.Sema.States {
 			fn := c.IR.HandlerFunc[si][mi]
@@ -80,9 +81,15 @@ func runDeferDeadlock(c *Ctx) {
 			case handlerSide != s:
 				sidesAgree = false
 			}
-			replies = intersect(replies, c.facts.alwaysSends[fn])
+			if sent := c.facts.alwaysSends[fn]; replies == nil {
+				replies = slices.Clone(sent)
+			} else {
+				for w := range replies {
+					replies[w] &= sent[w]
+				}
+			}
 		}
-		if handlers < 2 || !sidesAgree || handlerSide == sideBoth || handlerSide == sideNone || len(replies) == 0 {
+		if handlers < 2 || !sidesAgree || handlerSide == sideBoth || handlerSide == sideNone || replies.empty() {
 			continue
 		}
 		if !replyAwaited(c, replies, handlerSide) {
@@ -109,14 +116,14 @@ func runDeferDeadlock(c *Ctx) {
 // replyAwaited reports whether some reply tag is handled, on the opposite
 // side, by a subroutine state's dedicated handler containing a Resume —
 // the static signature of a requester suspended for the answer.
-func replyAwaited(c *Ctx, replies map[int]bool, handlerSide side) bool {
+func replyAwaited(c *Ctx, replies tagSet, handlerSide side) bool {
 	for si := range c.Sema.States {
 		s := c.facts.sides[si]
 		if s == handlerSide || s == sideNone || c.facts.contReg[si] == ir.NoReg {
 			continue
 		}
 		for ri := range c.Sema.Messages {
-			if !replies[ri] {
+			if !replies.has(ri) {
 				continue
 			}
 			fn := c.IR.HandlerFunc[si][ri]
@@ -155,11 +162,11 @@ func wakeUpInFlight(c *Ctx, si int) bool {
 		}
 		for _, fn := range c.IR.Funcs {
 			sent := c.facts.alwaysSends[fn]
-			if !sent[xi] {
+			if !sent.has(xi) {
 				continue
 			}
 			for ui := range c.Sema.Messages {
-				if sent[ui] && c.facts.policies[si][ui] == polExplicit {
+				if sent.has(ui) && c.facts.policies[si][ui] == polExplicit {
 					return true
 				}
 			}
@@ -169,11 +176,11 @@ func wakeUpInFlight(c *Ctx, si int) bool {
 }
 
 // describeTags renders a reply-tag set as sorted message names.
-func describeTags(c *Ctx, tags map[int]bool) string {
+func describeTags(c *Ctx, tags tagSet) string {
 	var names []string
-	for t := range tags {
-		if t >= 0 && t < len(c.Sema.Messages) {
-			names = append(names, c.Sema.Messages[t].Name)
+	for t, m := range c.Sema.Messages {
+		if tags.has(t) {
+			names = append(names, m.Name)
 		}
 	}
 	sort.Strings(names)

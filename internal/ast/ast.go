@@ -21,6 +21,10 @@ type Node interface {
 type Ident struct {
 	Name    string
 	NamePos source.Pos
+	// Ord numbers the identifier among its Program's: the parser gives
+	// the identifiers it makes the ordinals 0 to Program.Idents-1, so a
+	// table of per-identifier facts can be a slice of exact length.
+	Ord int
 }
 
 func (x *Ident) Pos() source.Pos { return x.NamePos }
@@ -37,6 +41,7 @@ type Program struct {
 	Modules  []*Module
 	Protocol *Protocol
 	States   []*State
+	Idents   int // identifiers in the tree, numbered by their Ord
 }
 
 func (p *Program) Pos() source.Pos {

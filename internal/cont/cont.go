@@ -16,6 +16,8 @@
 package cont
 
 import (
+	"slices"
+
 	"teapot/internal/ir"
 	"teapot/internal/liveness"
 )
@@ -41,16 +43,16 @@ var Optimized = Options{Liveness: true, ConstCont: true}
 // site classifications, then (optionally) rewrites constant Resume sites.
 // It must run exactly once on a freshly lowered program.
 func Transform(p *ir.Program, opts Options) {
+	var live liveness.Result // one function's live sets at a time
 	for _, f := range p.Funcs {
-		transformFunc(p, f, opts)
+		transformFunc(f, opts, &live)
 	}
 	classifySites(p, opts)
 }
 
-func transformFunc(p *ir.Program, f *ir.Func, opts Options) {
-	var live *liveness.Result
+func transformFunc(f *ir.Func, opts Options, live *liveness.Result) {
 	if opts.Liveness {
-		live = liveness.Analyze(f)
+		live.Analyze(f)
 	}
 	// The first two handler parameters are, by the delivery convention
 	// sema enforces, the block ID and the block's info handle. Both are
@@ -59,10 +61,8 @@ func transformFunc(p *ir.Program, f *ir.Func, opts Options) {
 	// from the dispatch context). This is the refinement that lets the
 	// common fill-path continuations ("nothing to save but the block
 	// identity") be statically allocated, as §5 of the paper describes.
-	remat := map[ir.Reg]bool{}
-	if f.NumParams >= 2 {
-		remat[f.ParamReg(0)] = true
-		remat[f.ParamReg(1)] = true
+	remat := func(r ir.Reg) bool {
+		return f.NumParams >= 2 && (r == f.ParamReg(0) || r == f.ParamReg(1))
 	}
 	// Compute saved sets per fragment.
 	for fi := range f.Frags {
@@ -76,16 +76,13 @@ func transformFunc(p *ir.Program, f *ir.Func, opts Options) {
 		} else {
 			// Save every named register (state params, params, locals),
 			// as the naive translation does.
-			named := f.NumStateParams + f.NumParams + f.NumLocals
-			for i := 0; i < named; i++ {
-				regs = append(regs, ir.Reg(i))
+			regs = make([]ir.Reg, f.NumStateParams+f.NumParams+f.NumLocals)
+			for i := range regs {
+				regs[i] = ir.Reg(i)
 			}
 		}
-		fr.Saved = nil
-		for _, r := range regs {
-			if !remat[r] {
-				fr.Saved = append(fr.Saved, r)
-			}
+		if fr.Saved = slices.DeleteFunc(regs, remat); len(fr.Saved) == 0 {
+			fr.Saved = nil
 		}
 	}
 	// Point each MakeCont at its fragment's save set.

@@ -61,9 +61,14 @@ func (s Set) Clone() Set {
 	return c
 }
 
-// Members returns the registers in ascending order.
+// Members returns the registers in ascending order, in a slice of exactly
+// that length (nil if there are none).
 func (s Set) Members() []ir.Reg {
-	var out []ir.Reg
+	n := s.Count()
+	if n == 0 {
+		return nil
+	}
+	out := make([]ir.Reg, 0, n)
 	for w, bits := range s {
 		for bits != 0 {
 			b := bits & -bits
@@ -89,9 +94,11 @@ func (s Set) Count() int {
 	return n
 }
 
-// Result holds live-in sets per instruction.
+// Result holds the live-in set of every instruction: instruction i's is
+// the view sets[i*words : (i+1)*words].
 type Result struct {
-	LiveIn []Set
+	n, words int
+	sets     []uint64
 }
 
 // Analyze computes live-in sets for every instruction of f with a standard
@@ -99,19 +106,31 @@ type Result struct {
 // fragment its resumption enters (see ir.Func.Succs), so registers used
 // after a Suspend are live across it.
 //
-// It allocates three times whatever the length of f: the Result, its LiveIn
-// headers, and one array holding every live-in set plus the scratch set the
-// iteration computes each instruction's live-out in. (An instruction reading
-// more registers than usesBuf holds adds a fourth.)
+// It allocates twice whatever the length of f: the Result and one array
+// holding every live-in set plus the scratch set the iteration computes
+// each instruction's live-out in. (An instruction reading more registers
+// than usesBuf holds adds a third.)
 func Analyze(f *ir.Func) *Result {
+	r := new(Result)
+	r.Analyze(f)
+	return r
+}
+
+// Analyze recomputes r for f, reusing r's array when it is large enough:
+// a pass over many functions can keep one Result for them all. Sets taken
+// from r before are overwritten.
+func (r *Result) Analyze(f *ir.Func) {
 	n := len(f.Code)
 	words := (f.NumRegs + 63) / 64
-	arena := make([]uint64, (n+1)*words)
-	res := &Result{LiveIn: make([]Set, n)}
-	for i := range res.LiveIn {
-		res.LiveIn[i] = Set(arena[i*words : (i+1)*words : (i+1)*words])
+	size := (n + 1) * words
+	if cap(r.sets) < size {
+		r.sets = make([]uint64, size)
+	} else {
+		r.sets = r.sets[:size]
+		clear(r.sets)
 	}
-	out := Set(arena[n*words:])
+	r.n, r.words = n, words
+	out := Set(r.sets[n*words:])
 	var usesBuf [16]ir.Reg
 	var succsBuf [2]int
 	uses, succs := usesBuf[:0], succsBuf[:0]
@@ -123,7 +142,7 @@ func Analyze(f *ir.Func) *Result {
 			clear(out)
 			succs = f.Succs(i, succs[:0])
 			for _, s := range succs {
-				out.Union(res.LiveIn[s])
+				out.Union(r.set(s))
 			}
 			// in = uses ∪ (out − def)
 			if d := in.Def(); d != ir.NoReg {
@@ -133,18 +152,22 @@ func Analyze(f *ir.Func) *Result {
 			for _, u := range uses {
 				out.Add(u)
 			}
-			if res.LiveIn[i].Union(out) {
+			if r.set(i).Union(out) {
 				changed = true
 			}
 		}
 	}
-	return res
+}
+
+// set is the live-in set of instruction i, a view into r.sets.
+func (r *Result) set(i int) Set {
+	return Set(r.sets[i*r.words : (i+1)*r.words : (i+1)*r.words])
 }
 
 // LiveAt returns the live-in set at an instruction index (nil-safe).
 func (r *Result) LiveAt(i int) Set {
-	if r == nil || i < 0 || i >= len(r.LiveIn) {
+	if r == nil || i < 0 || i >= r.n {
 		return nil
 	}
-	return r.LiveIn[i]
+	return r.set(i)
 }

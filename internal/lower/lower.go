@@ -18,16 +18,34 @@ import (
 
 // Lower compiles every handler of a checked program. It panics on internal
 // inconsistencies (sema guarantees well-formedness).
+//
+// The handlers of one call share the builder's scratch: each is built in
+// it and copied out at its final length, so every Func's Code, Frags and
+// instruction operands are allocated once, at their exact size.
 func Lower(sp *sema.Program) *ir.Program {
+	handlers, sites := 0, 0
+	for _, st := range sp.States {
+		handlers += len(st.Handlers)
+		for _, h := range st.Handlers {
+			sites += h.Suspends
+		}
+	}
+	msgs := len(sp.Messages)
 	p := &ir.Program{
 		Sema:        sp,
+		Funcs:       make([]*ir.Func, 0, handlers),
 		HandlerFunc: make([][]*ir.Func, len(sp.States)),
 		Defaults:    make([]*ir.Func, len(sp.States)),
+		Sites:       make([]*ir.SuspendSite, 0, sites),
 	}
+	funcs := make([]ir.Func, handlers)
+	cells := make([]*ir.Func, len(sp.States)*msgs)
+	b := &builder{p: p, sp: sp, refs: make(map[string]*ir.FuncRef, len(sp.Funcs))}
 	for si, st := range sp.States {
-		p.HandlerFunc[si] = make([]*ir.Func, len(sp.Messages))
+		p.HandlerFunc[si] = cells[si*msgs : (si+1)*msgs : (si+1)*msgs]
 		for _, h := range st.Handlers {
-			f := lowerHandler(p, st, h)
+			f := &funcs[len(p.Funcs)]
+			b.handler(f, st, h)
 			p.Funcs = append(p.Funcs, f)
 			if h.Msg != nil {
 				p.HandlerFunc[si][h.Msg.Index] = f
@@ -43,17 +61,23 @@ func Lower(sp *sema.Program) *ir.Program {
 type builder struct {
 	p    *ir.Program
 	sp   *sema.Program
-	st   *sema.StateSym
-	hs   *sema.HandlerSym
 	f    *ir.Func
 	next ir.Reg
 
 	contName string // continuation bound by the innermost Suspend target
 	contReg  ir.Reg
+
+	// Scratch reused by every handler of one Lower call.
+	code  []ir.Instr // the handler's instructions
+	frags []ir.Fragment
+	regs  []ir.Reg // operands evaluated but not yet emitted, innermost last
+	args  []ir.Reg // the Args of code's instructions
+	refs  map[string]*ir.FuncRef
 }
 
-func lowerHandler(p *ir.Program, st *sema.StateSym, hs *sema.HandlerSym) *ir.Func {
-	f := &ir.Func{
+// handler lowers one handler into f.
+func (b *builder) handler(f *ir.Func, st *sema.StateSym, hs *sema.HandlerSym) {
+	*f = ir.Func{
 		Name:           st.Name + "." + hs.Name(),
 		StateIndex:     st.Index,
 		MsgIndex:       -1,
@@ -64,21 +88,54 @@ func lowerHandler(p *ir.Program, st *sema.StateSym, hs *sema.HandlerSym) *ir.Fun
 	if hs.Msg != nil {
 		f.MsgIndex = hs.Msg.Index
 	}
-	b := &builder{p: p, sp: p.Sema, st: st, hs: hs, f: f}
+	b.f = f
 	b.next = ir.Reg(f.NumStateParams + f.NumParams + f.NumLocals)
-	f.Frags = []ir.Fragment{{Start: 0, Site: -1}}
+	b.code, b.args = b.code[:0], b.args[:0]
+	b.frags = append(b.frags[:0], ir.Fragment{Start: 0, Site: -1})
 	b.stmts(hs.Body)
 	// Always end with an explicit Return: a trailing Suspend leaves an
 	// empty final fragment that needs a landing point, and a trailing
 	// while-loop's exit branch targets the instruction after the body.
 	b.emit(ir.Instr{Op: ir.OpReturn})
 	f.NumRegs = int(b.next)
-	return f
+
+	f.Code = make([]ir.Instr, len(b.code))
+	copy(f.Code, b.code)
+	f.Frags = make([]ir.Fragment, len(b.frags))
+	copy(f.Frags, b.frags)
+	if len(b.args) > 0 {
+		args := make([]ir.Reg, len(b.args))
+		for i := range f.Code {
+			in := &f.Code[i]
+			if n := len(in.Args); n > 0 {
+				copy(args, in.Args)
+				in.Args, args = args[:n:n], args[n:]
+			}
+		}
+	}
 }
 
 func (b *builder) emit(in ir.Instr) int {
-	b.f.Code = append(b.f.Code, in)
-	return len(b.f.Code) - 1
+	b.code = append(b.code, in)
+	return len(b.code) - 1
+}
+
+// exprs evaluates es in order and returns their registers as an
+// instruction's Args (nil if there are none), a slice of the scratch until
+// the handler is copied out.
+func (b *builder) exprs(es []ast.Expr) []ir.Reg {
+	if len(es) == 0 {
+		return nil
+	}
+	base := len(b.regs)
+	for _, e := range es {
+		r := b.expr(e) // may push and pop operands of its own
+		b.regs = append(b.regs, r)
+	}
+	start := len(b.args)
+	b.args = append(b.args, b.regs[base:]...)
+	b.regs = b.regs[:base]
+	return b.args[start:len(b.args):len(b.args)]
 }
 
 func (b *builder) newReg() ir.Reg {
@@ -87,10 +144,10 @@ func (b *builder) newReg() ir.Reg {
 	return r
 }
 
-func (b *builder) here() int { return len(b.f.Code) }
+func (b *builder) here() int { return len(b.code) }
 
 func (b *builder) sym(id *ast.Ident) *sema.Symbol {
-	s := b.sp.Uses[id]
+	s := b.sp.Use(id)
 	if s == nil {
 		panic(fmt.Sprintf("lower: unresolved identifier %q at %s", id.Name, id.Pos()))
 	}
@@ -108,24 +165,24 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.IfStmt:
 		cond := b.expr(s.Cond)
 		br := b.emit(ir.Instr{Op: ir.OpBranch, A: cond, Pos: s.IfPos})
-		b.f.Code[br].Idx = b.here()
+		b.code[br].Idx = b.here()
 		b.stmts(s.Then)
 		if len(s.Else) == 0 {
-			b.f.Code[br].Idx2 = b.here()
+			b.code[br].Idx2 = b.here()
 			return
 		}
 		jmp := b.emit(ir.Instr{Op: ir.OpJump})
-		b.f.Code[br].Idx2 = b.here()
+		b.code[br].Idx2 = b.here()
 		b.stmts(s.Else)
-		b.f.Code[jmp].Idx = b.here()
+		b.code[jmp].Idx = b.here()
 	case *ast.WhileStmt:
 		head := b.here()
 		cond := b.expr(s.Cond)
 		br := b.emit(ir.Instr{Op: ir.OpBranch, A: cond, Pos: s.WhilePos})
-		b.f.Code[br].Idx = b.here()
+		b.code[br].Idx = b.here()
 		b.stmts(s.Body)
 		b.emit(ir.Instr{Op: ir.OpJump, Idx: head})
-		b.f.Code[br].Idx2 = b.here()
+		b.code[br].Idx2 = b.here()
 	case *ast.CallStmt:
 		b.call(s.Call, true)
 	case *ast.AssignStmt:
@@ -151,11 +208,7 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.ReturnStmt:
 		b.emit(ir.Instr{Op: ir.OpReturn, Pos: s.ReturnPos})
 	case *ast.PrintStmt:
-		var args []ir.Reg
-		for _, a := range s.Args {
-			args = append(args, b.expr(a))
-		}
-		b.emit(ir.Instr{Op: ir.OpPrint, Dst: ir.NoReg, Args: args, Pos: s.PrintPos})
+		b.emit(ir.Instr{Op: ir.OpPrint, Dst: ir.NoReg, Args: b.exprs(s.Args), Pos: s.PrintPos})
 	default:
 		panic(fmt.Sprintf("lower: unknown statement %T", s))
 	}
@@ -163,7 +216,7 @@ func (b *builder) stmt(s ast.Stmt) {
 
 func (b *builder) suspend(s *ast.SuspendStmt) {
 	target := b.sp.StateByName(s.Target.Name.Name)
-	fragIdx := len(b.f.Frags)
+	fragIdx := len(b.frags)
 	site := &ir.SuspendSite{
 		ID:          len(b.p.Sites),
 		Func:        b.f,
@@ -178,16 +231,13 @@ func (b *builder) suspend(s *ast.SuspendStmt) {
 	// Bind the continuation name while evaluating the target's arguments.
 	prevName, prevReg := b.contName, b.contReg
 	b.contName, b.contReg = s.Cont.Name, contReg
-	var args []ir.Reg
-	for _, a := range s.Target.Args {
-		args = append(args, b.expr(a))
-	}
+	args := b.exprs(s.Target.Args)
 	b.contName, b.contReg = prevName, prevReg
 
 	sv := b.newReg()
 	b.emit(ir.Instr{Op: ir.OpMakeState, Dst: sv, Idx: target.Index, Args: args, Pos: s.Target.Pos()})
 	b.emit(ir.Instr{Op: ir.OpSuspend, A: sv, Dst: ir.NoReg, Pos: s.SuspendPos})
-	b.f.Frags = append(b.f.Frags, ir.Fragment{Start: b.here(), Site: site.ID})
+	b.frags = append(b.frags, ir.Fragment{Start: b.here(), Site: site.ID})
 }
 
 func (b *builder) expr(e ast.Expr) ir.Reg {
@@ -214,10 +264,7 @@ func (b *builder) expr(e ast.Expr) ir.Reg {
 		return b.call(e, false)
 	case *ast.StateExpr:
 		st := b.sp.StateByName(e.Name.Name)
-		var args []ir.Reg
-		for _, a := range e.Args {
-			args = append(args, b.expr(a))
-		}
+		args := b.exprs(e.Args)
 		r := b.newReg()
 		b.emit(ir.Instr{Op: ir.OpMakeState, Dst: r, Idx: st.Index, Args: args, Pos: e.Pos()})
 		return r
@@ -306,41 +353,36 @@ func (b *builder) name(id *ast.Ident) ir.Reg {
 
 // call lowers a routine application. Enqueue's arguments are not evaluated:
 // the builtin re-queues the *current* message regardless of what the paper's
-// convention passes.
+// convention passes. Calls of one routine share one FuncRef.
 func (b *builder) call(e *ast.CallExpr, asStmt bool) ir.Reg {
 	fsym := b.sp.Funcs[e.Func.Name]
-	ref := &ir.FuncRef{Name: fsym.Name, Builtin: fsym.Builtin, Sig: fsym.Sig}
-	var args []ir.Reg
-	type writeback struct {
-		slot int
-		reg  ir.Reg
+	ref := b.refs[fsym.Name]
+	if ref == nil {
+		ref = &ir.FuncRef{Name: fsym.Name, Builtin: fsym.Builtin, Sig: fsym.Sig}
+		b.refs[fsym.Name] = ref
 	}
-	var wbs []writeback
+	var args []ir.Reg
 	if fsym.Builtin != sema.BEnqueue {
-		for i, a := range e.Args {
-			r := b.expr(a)
-			args = append(args, r)
-			// A protocol variable passed to a var parameter lives in the
-			// block's info record, not a register: store the (possibly
-			// mutated) value back after the call. Registers themselves are
-			// passed by reference to the callee, and abstract types have
-			// reference semantics, so only this case needs a writeback.
-			if i < len(fsym.Sig.Params) && fsym.Sig.ByRef[i] {
-				if n, ok := a.(*ast.Name); ok {
-					if sym := b.sym(n.Ident); sym.Kind == sema.SymProtVar {
-						wbs = append(wbs, writeback{slot: sym.Index, reg: r})
-					}
-				}
-			}
-		}
+		args = b.exprs(e.Args)
 	}
 	dst := ir.NoReg
 	if fsym.Sig.Result.Kind != sema.TInvalid && !asStmt {
 		dst = b.newReg()
 	}
 	b.emit(ir.Instr{Op: ir.OpCall, Dst: dst, Fn: ref, Args: args, Pos: e.Pos()})
-	for _, wb := range wbs {
-		b.emit(ir.Instr{Op: ir.OpStoreVar, Idx: wb.slot, A: wb.reg, Pos: e.Pos()})
+	// A protocol variable passed to a var parameter lives in the block's
+	// info record, not a register: store the (possibly mutated) value back
+	// after the call. Registers themselves are passed by reference to the
+	// callee, and abstract types have reference semantics, so only this
+	// case needs a writeback.
+	for i, r := range args {
+		if i < len(fsym.Sig.Params) && fsym.Sig.ByRef[i] {
+			if n, ok := e.Args[i].(*ast.Name); ok {
+				if sym := b.sym(n.Ident); sym.Kind == sema.SymProtVar {
+					b.emit(ir.Instr{Op: ir.OpStoreVar, Idx: sym.Index, A: r, Pos: e.Pos()})
+				}
+			}
+		}
 	}
 	return dst
 }

@@ -38,6 +38,7 @@ func Parse(name, src string) (*ast.Program, error) {
 		p.tok = p.lx.Next()
 	}
 	prog.File = file
+	prog.Idents = p.nident
 	errs.Sort()
 	return prog, errs.Err()
 }
@@ -52,6 +53,7 @@ type parser struct {
 	panicking bool // suppress cascading errors until resync
 
 	idents []ast.Ident // allocated in blocks; newIdent hands them out
+	nident int         // identifiers made so far: the next one's Ord
 
 	// Lists under construction, innermost last: a list is built on the end
 	// of its stack and copied out at its exact length by collect.
@@ -139,7 +141,8 @@ func (p *parser) newIdent(t lexer.Token) *ast.Ident {
 	}
 	id := &p.idents[0]
 	p.idents = p.idents[1:]
-	*id = ast.Ident{Name: t.Lit, NamePos: t.Pos}
+	*id = ast.Ident{Name: t.Lit, NamePos: t.Pos, Ord: p.nident}
+	p.nident++
 	return id
 }
 
@@ -404,7 +407,7 @@ func (p *parser) parseStmt() ast.Stmt {
 			s.Target = &ast.StateExpr{Name: t.Ident}
 		default:
 			p.errorf(target.Pos(), "suspend target must be a state constructor, found %s", ast.ExprString(target))
-			s.Target = &ast.StateExpr{Name: &ast.Ident{Name: "<error>", NamePos: target.Pos()}}
+			s.Target = &ast.StateExpr{Name: p.newIdent(lexer.Token{Lit: "<error>", Pos: target.Pos()})}
 		}
 		p.expect(token.RPAREN)
 		return s

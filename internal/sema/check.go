@@ -17,7 +17,7 @@ func Check(prog *ast.Program) (*Program, error) {
 			Funcs:       make(map[string]*FuncSym),
 			msgByName:   make(map[string]*Message),
 			stateByName: make(map[string]*StateSym),
-			Uses:        make(map[*ast.Ident]*Symbol),
+			uses:        make([]symRef, prog.Idents),
 		},
 	}
 	if prog.File != nil {
@@ -26,8 +26,10 @@ func Check(prog *ast.Program) (*Program, error) {
 	for name, t := range builtinTypes {
 		c.p.Types[name] = t
 	}
-	for _, f := range builtinFuncs {
-		c.p.Funcs[f.Name] = f
+	builtins := make([]FuncSym, len(builtinFuncs))
+	for i, f := range builtinFuncs {
+		builtins[i] = *f
+		c.p.Funcs[f.Name] = &builtins[i]
 	}
 	c.collectModules(prog.Modules)
 	if prog.Protocol != nil {
@@ -41,6 +43,7 @@ func Check(prog *ast.Program) (*Program, error) {
 	for _, s := range c.p.States {
 		c.collectHandlers(s)
 	}
+	c.declare()
 	for _, s := range c.p.States {
 		for _, h := range s.Handlers {
 			c.checkHandlerBody(h)
@@ -54,6 +57,13 @@ type checker struct {
 	p     *Program
 	fname string
 	errs  source.ErrorList
+
+	// global maps each name a handler can see outside its own scope to
+	// the Symbol it resolves to (see handlerScope for the order).
+	global map[string]*Symbol
+	// types holds the argument types of the calls being checked,
+	// innermost last.
+	types []Type
 }
 
 func (c *checker) errorf(pos source.Pos, format string, args ...any) {
@@ -140,17 +150,11 @@ func (c *checker) collectProtocol(pr *ast.Protocol) {
 				continue
 			}
 			st := &StateSym{
-				Name:         d.Name.Name,
-				Index:        len(c.p.States),
-				Transient:    d.Transient,
-				handlerByMsg: make(map[int]*HandlerSym),
+				Name:      d.Name.Name,
+				Index:     len(c.p.States),
+				Transient: d.Transient,
 			}
-			for _, g := range d.Params {
-				t := c.lookupType(g.Type)
-				for _, n := range g.Names {
-					st.Params = append(st.Params, ParamSym{Name: n.Name, Type: t, ByRef: g.ByRef})
-				}
-			}
+			st.Params = c.params(d.Params, true)
 			c.p.States = append(c.p.States, st)
 			c.p.stateByName[st.Name] = st
 		case *ast.MessageDecl:
@@ -167,15 +171,6 @@ func (c *checker) collectProtocol(pr *ast.Protocol) {
 
 func (c *checker) findProtVar(name string) *VarSym {
 	for _, v := range c.p.ProtVars {
-		if v.Name == name {
-			return v
-		}
-	}
-	return nil
-}
-
-func (c *checker) findModConst(name string) *VarSym {
-	for _, v := range c.p.ModConsts {
 		if v.Name == name {
 			return v
 		}
@@ -219,16 +214,10 @@ func (c *checker) collectStates(states []*ast.State) {
 		if st == nil {
 			// Body without a forward declaration: declare implicitly.
 			st = &StateSym{
-				Name:         s.Name.Name,
-				Index:        len(c.p.States),
-				handlerByMsg: make(map[int]*HandlerSym),
+				Name:  s.Name.Name,
+				Index: len(c.p.States),
 			}
-			for _, g := range s.Params {
-				t := c.lookupType(g.Type)
-				for _, n := range g.Names {
-					st.Params = append(st.Params, ParamSym{Name: n.Name, Type: t, ByRef: g.ByRef})
-				}
-			}
+			st.Params = c.params(s.Params, true)
 			c.p.States = append(c.p.States, st)
 			c.p.stateByName[st.Name] = st
 		} else if st.Body != nil {
@@ -236,13 +225,7 @@ func (c *checker) collectStates(states []*ast.State) {
 			continue
 		} else {
 			// Body must agree with the forward declaration.
-			var bodyParams []ParamSym
-			for _, g := range s.Params {
-				t := c.lookupType(g.Type)
-				for _, n := range g.Names {
-					bodyParams = append(bodyParams, ParamSym{Name: n.Name, Type: t, ByRef: g.ByRef})
-				}
-			}
+			bodyParams := c.params(s.Params, true)
 			if len(bodyParams) != len(st.Params) {
 				c.errorf(s.Pos(), "state %q has %d parameters here but %d in its declaration",
 					s.Name.Name, len(bodyParams), len(st.Params))
@@ -268,6 +251,149 @@ func (c *checker) collectStates(states []*ast.State) {
 	}
 }
 
+// params flattens parameter groups into one slice of their exact length
+// (nil if they declare none); byRef says whether a group's var marking
+// counts, which it does not for locals.
+func (c *checker) params(groups []*ast.Param, byRef bool) []ParamSym {
+	n := 0
+	for _, g := range groups {
+		n += len(g.Names)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]ParamSym, 0, n)
+	for _, g := range groups {
+		t := c.lookupType(g.Type)
+		for _, name := range g.Names {
+			out = append(out, ParamSym{Name: name.Name, Type: t, ByRef: byRef && g.ByRef})
+		}
+	}
+	return out
+}
+
+// declare gives every declaration the one Symbol all its uses share, in
+// one array sized once, and fills c.global. It runs after the last
+// declaration is collected and before the first handler body is checked.
+//
+// A handler usually declares what the handler before it did, at least
+// (id, info, src), and a state what the state before it did: a local or
+// parameter equal to the one in the same place before it shares that
+// one's Symbol, which is equal field for field.
+func (c *checker) declare() {
+	p := c.p
+	globals := len(p.ProtVars) + len(p.Consts) + len(p.ModConsts) + len(builtinAccessConsts) +
+		len(builtinValues) + len(p.Messages) + len(p.States) + len(p.Funcs)
+	n, refs := globals, 0
+	var prevState, prevLocals, prevParams []ParamSym
+	for _, st := range p.States {
+		refs += len(st.Params)
+		n += fresh(st.Params, prevState)
+		prevState = st.Params
+		for _, h := range st.Handlers {
+			refs += len(h.Locals) + len(h.Params) + h.Suspends
+			n += fresh(h.Locals, prevLocals) + fresh(h.Params, prevParams) + h.Suspends
+			prevLocals, prevParams = h.Locals, h.Params
+		}
+	}
+	p.symbols = make([]Symbol, n)
+	c.global = make(map[string]*Symbol, globals)
+	next := 0
+	take := func(s Symbol) *Symbol {
+		sym := &p.symbols[next]
+		next++
+		*sym = s
+		sym.ref = symRef(next)
+		return sym
+	}
+	// Names are declared in lookup order, so the first to claim one keeps it.
+	declare := func(s Symbol) *Symbol {
+		sym := take(s)
+		if _, taken := c.global[s.Name]; !taken {
+			c.global[s.Name] = sym
+		}
+		return sym
+	}
+	for _, v := range p.ProtVars {
+		declare(Symbol{Kind: SymProtVar, Name: v.Name, Type: v.Type, Index: v.Index})
+	}
+	for name, cv := range p.Consts {
+		declare(Symbol{Kind: SymConst, Name: name, Type: cv.Type, Const: cv})
+	}
+	for _, v := range p.ModConsts {
+		declare(Symbol{Kind: SymModConst, Name: v.Name, Type: v.Type, Index: v.Index})
+	}
+	access := make([]ConstVal, 0, len(builtinAccessConsts))
+	for name, mode := range builtinAccessConsts {
+		access = append(access, ConstVal{Type: Access, Int: int64(mode)})
+		declare(Symbol{Kind: SymConst, Name: name, Type: Access, Const: &access[len(access)-1]})
+	}
+	for name, bv := range builtinValues {
+		declare(Symbol{Kind: SymBuiltinVal, Name: name, Type: bv.Type, Index: int(bv.Builtin)})
+	}
+	for _, m := range p.Messages {
+		declare(Symbol{Kind: SymMessage, Name: m.Name, Type: Msg, Index: m.Index})
+	}
+	for _, st := range p.States {
+		st.sym = declare(Symbol{Kind: SymState, Name: st.Name, Type: State, Index: st.Index})
+	}
+	for name, f := range p.Funcs {
+		f.sym = declare(Symbol{Kind: SymFunc, Name: name, Type: f.Sig.Result, Sig: f.Sig})
+	}
+
+	// A handler's own names are looked up in its scope, before c.global.
+	ptrs := make([]*Symbol, refs)
+	cut := func(k int) []*Symbol {
+		s := ptrs[:k:k]
+		ptrs = ptrs[k:]
+		return s
+	}
+	scope := func(kind SymKind, list, prev []ParamSym, syms, prevSyms []*Symbol) {
+		for i, d := range list {
+			if sameDecl(list, prev, i) {
+				syms[i] = prevSyms[i]
+			} else {
+				syms[i] = take(Symbol{Kind: kind, Name: d.Name, Type: d.Type, Index: i})
+			}
+		}
+	}
+	prevState, prevLocals, prevParams = nil, nil, nil
+	var prevStateSyms, prevLocalSyms, prevParamSyms []*Symbol
+	for _, st := range p.States {
+		st.paramSyms = cut(len(st.Params))
+		scope(SymStateParam, st.Params, prevState, st.paramSyms, prevStateSyms)
+		prevState, prevStateSyms = st.Params, st.paramSyms
+		for _, h := range st.Handlers {
+			h.scope = cut(len(h.Locals) + len(h.Params) + h.Suspends)
+			locals, params := h.scope[:len(h.Locals)], h.scope[len(h.Locals):len(h.Locals)+len(h.Params)]
+			scope(SymLocal, h.Locals, prevLocals, locals, prevLocalSyms)
+			scope(SymParam, h.Params, prevParams, params, prevParamSyms)
+			// Each suspend statement's continuation, named when it is checked.
+			for i := len(h.Locals) + len(h.Params); i < len(h.scope); i++ {
+				h.scope[i] = take(Symbol{Kind: SymSuspendCont})
+			}
+			prevLocals, prevLocalSyms, prevParams, prevParamSyms = h.Locals, locals, h.Params, params
+		}
+	}
+}
+
+// fresh counts the declarations of list that differ from the one in the
+// same place of prev.
+func fresh(list, prev []ParamSym) int {
+	n := 0
+	for i := range list {
+		if !sameDecl(list, prev, i) {
+			n++
+		}
+	}
+	return n
+}
+
+// sameDecl reports whether list[i] declares what prev[i] does.
+func sameDecl(list, prev []ParamSym, i int) bool {
+	return i < len(prev) && list[i].Name == prev[i].Name && list[i].Type == prev[i].Type
+}
+
 func (c *checker) collectHandlers(st *StateSym) {
 	if st.Body == nil {
 		// Declared but not defined: legal only for non-subroutine states with
@@ -275,6 +401,7 @@ func (c *checker) collectHandlers(st *StateSym) {
 		c.errorf(source.Pos{}, "state %q declared but never defined", st.Name)
 		return
 	}
+	st.handlerByMsg = make([]*HandlerSym, len(c.p.Messages))
 	for _, h := range st.Body.Handlers {
 		hs := &HandlerSym{State: st, Body: h.Body, AST: h}
 		if !h.IsDefault() {
@@ -296,18 +423,13 @@ func (c *checker) collectHandlers(st *StateSym) {
 			}
 			st.Default = hs
 		}
-		for _, g := range h.Params {
-			t := c.lookupType(g.Type)
-			for _, n := range g.Names {
-				hs.Params = append(hs.Params, ParamSym{Name: n.Name, Type: t, ByRef: g.ByRef})
+		hs.Params = c.params(h.Params, true)
+		hs.Locals = c.params(h.Locals, false)
+		ast.Walk(h.Body, func(s ast.Stmt) {
+			if _, ok := s.(*ast.SuspendStmt); ok {
+				hs.Suspends++
 			}
-		}
-		for _, g := range h.Locals {
-			t := c.lookupType(g.Type)
-			for _, n := range g.Names {
-				hs.Locals = append(hs.Locals, ParamSym{Name: n.Name, Type: t, ByRef: false})
-			}
-		}
+		})
 		c.checkHandlerSignature(hs)
 		st.Handlers = append(st.Handlers, hs)
 	}
@@ -345,8 +467,11 @@ func (c *checker) checkHandlerSignature(hs *HandlerSym) {
 	// the Appendix A grammar, so payloads are inferred from handlers and
 	// checked against Send sites.)
 	var ptypes []Type
-	for _, p := range payload {
-		ptypes = append(ptypes, p.Type)
+	if len(payload) > 0 {
+		ptypes = make([]Type, len(payload))
+		for i, p := range payload {
+			ptypes[i] = p.Type
+		}
 	}
 	if hs.Msg.Payload == nil {
 		hs.Msg.Payload = ptypes

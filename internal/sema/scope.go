@@ -12,9 +12,10 @@ import (
 type handlerScope struct {
 	c  *checker
 	hs *HandlerSym
-	// suspendConts maps continuation names bound by enclosing Suspend
-	// statements (visible only inside the suspend target expression).
+	// suspendCont is the continuation bound by the enclosing Suspend
+	// statement (visible only inside the suspend target expression).
 	suspendCont *Symbol
+	suspends    int // suspend statements checked so far
 }
 
 func (sc *handlerScope) lookup(id *ast.Ident) *Symbol {
@@ -22,48 +23,27 @@ func (sc *handlerScope) lookup(id *ast.Ident) *Symbol {
 	if sc.suspendCont != nil && sc.suspendCont.Name == name {
 		return sc.suspendCont
 	}
-	for i, l := range sc.hs.Locals {
+	hs := sc.hs
+	for i, l := range hs.Locals {
 		if l.Name == name {
-			return &Symbol{Kind: SymLocal, Name: name, Type: l.Type, Index: i}
+			return hs.scope[i]
 		}
 	}
-	for i, p := range sc.hs.Params {
+	for i, p := range hs.Params {
 		if p.Name == name {
-			return &Symbol{Kind: SymParam, Name: name, Type: p.Type, Index: i}
+			return hs.scope[len(hs.Locals)+i]
 		}
 	}
-	for i, p := range sc.hs.State.Params {
+	for i, p := range hs.State.Params {
 		if p.Name == name {
-			return &Symbol{Kind: SymStateParam, Name: name, Type: p.Type, Index: i}
+			return hs.State.paramSyms[i]
 		}
 	}
-	if v := sc.c.findProtVar(name); v != nil {
-		return &Symbol{Kind: SymProtVar, Name: name, Type: v.Type, Index: v.Index}
-	}
-	if cv, ok := sc.c.p.Consts[name]; ok {
-		return &Symbol{Kind: SymConst, Name: name, Type: cv.Type, Const: cv}
-	}
-	if v := sc.c.findModConst(name); v != nil {
-		return &Symbol{Kind: SymModConst, Name: name, Type: v.Type, Index: v.Index}
-	}
-	if mode, ok := builtinAccessConsts[name]; ok {
-		return &Symbol{Kind: SymConst, Name: name, Type: Access,
-			Const: &ConstVal{Type: Access, Int: int64(mode)}}
-	}
-	if bv, ok := builtinValues[name]; ok {
-		return &Symbol{Kind: SymBuiltinVal, Name: name, Type: bv.Type, Index: int(bv.Builtin)}
-	}
-	if m := sc.c.p.msgByName[name]; m != nil {
-		return &Symbol{Kind: SymMessage, Name: name, Type: Msg, Index: m.Index}
-	}
-	if st := sc.c.p.stateByName[name]; st != nil {
-		return &Symbol{Kind: SymState, Name: name, Type: State, Index: st.Index}
-	}
-	if f, ok := sc.c.p.Funcs[name]; ok {
-		return &Symbol{Kind: SymFunc, Name: name, Type: f.Sig.Result, Sig: f.Sig}
-	}
-	return nil
+	return sc.c.global[name]
 }
+
+// use records what an identifier resolved to.
+func (c *checker) use(id *ast.Ident, sym *Symbol) { c.p.uses[id.Ord] = sym.ref }
 
 func (c *checker) checkHandlerBody(hs *HandlerSym) {
 	sc := &handlerScope{c: c, hs: hs}
@@ -94,7 +74,7 @@ func (sc *handlerScope) stmt(s ast.Stmt) {
 			c.errorf(s.LHS.Pos(), "undefined: %s", s.LHS.Name)
 			return
 		}
-		c.p.Uses[s.LHS] = sym
+		c.use(s.LHS, sym)
 		switch sym.Kind {
 		case SymLocal, SymParam, SymProtVar:
 			// assignable
@@ -108,13 +88,14 @@ func (sc *handlerScope) stmt(s ast.Stmt) {
 		}
 	case *ast.SuspendStmt:
 		hs := sc.hs
-		hs.Suspends++
+		contSym := hs.scope[len(hs.Locals)+len(hs.Params)+sc.suspends]
+		sc.suspends++
 		target := c.p.stateByName[s.Target.Name.Name]
 		if target == nil {
 			c.errorf(s.Target.Pos(), "suspend target %q is not a state", s.Target.Name.Name)
 			return
 		}
-		c.p.Uses[s.Target.Name] = &Symbol{Kind: SymState, Name: target.Name, Type: State, Index: target.Index}
+		c.use(s.Target.Name, target.sym)
 		if !target.IsSubroutine() {
 			c.errorf(s.Target.Pos(), "suspend target state %q has no CONT parameter", target.Name)
 		}
@@ -123,8 +104,8 @@ func (sc *handlerScope) stmt(s ast.Stmt) {
 		if prev := sc.lookup(s.Cont); prev != nil {
 			c.errorf(s.Cont.Pos(), "continuation name %q shadows an existing name", s.Cont.Name)
 		}
-		contSym := &Symbol{Kind: SymSuspendCont, Name: s.Cont.Name, Type: Cont}
-		c.p.Uses[s.Cont] = contSym
+		contSym.Name, contSym.Type = s.Cont.Name, Cont
+		c.use(s.Cont, contSym)
 		outer := sc.suspendCont
 		sc.suspendCont = contSym
 		used := sc.stateArgs(s.Target, target)
@@ -193,7 +174,7 @@ func (sc *handlerScope) expr(e ast.Expr) Type {
 			c.errorf(e.Pos(), "undefined: %s", e.Ident.Name)
 			return Invalid
 		}
-		c.p.Uses[e.Ident] = sym
+		c.use(e.Ident, sym)
 		if sym.Kind == SymFunc {
 			c.errorf(e.Pos(), "routine %s used as a value", e.Ident.Name)
 			return Invalid
@@ -207,7 +188,7 @@ func (sc *handlerScope) expr(e ast.Expr) Type {
 			c.errorf(e.Pos(), "unknown state %q", e.Name.Name)
 			return Invalid
 		}
-		c.p.Uses[e.Name] = &Symbol{Kind: SymState, Name: st.Name, Type: State, Index: st.Index}
+		c.use(e.Name, st.sym)
 		sc.stateArgs(e, st)
 		return State
 	case *ast.BinExpr:
@@ -284,7 +265,7 @@ func (sc *handlerScope) call(e *ast.CallExpr, asStmt bool) Type {
 		}
 		return Invalid
 	}
-	c.p.Uses[e.Func] = &Symbol{Kind: SymFunc, Name: f.Name, Type: f.Sig.Result, Sig: f.Sig}
+	c.use(e.Func, f.sym)
 	if !asStmt && f.Sig.Result.Kind == TInvalid {
 		c.errorf(e.Pos(), "procedure %s used in an expression", f.Name)
 	}
@@ -292,10 +273,10 @@ func (sc *handlerScope) call(e *ast.CallExpr, asStmt bool) Type {
 	if len(e.Args) < sig.NumFixed() || (!sig.Variadic && len(e.Args) > sig.NumFixed()) {
 		c.errorf(e.Pos(), "%s expects %s, got %d arguments", f.Name, sig, len(e.Args))
 	}
-	var argTypes []Type
+	base := len(c.types)
 	for i, a := range e.Args {
 		t := sc.expr(a)
-		argTypes = append(argTypes, t)
+		c.types = append(c.types, t)
 		if i < sig.NumFixed() {
 			want := sig.Params[i]
 			if !t.Same(want) && t.Kind != TInvalid && want.Kind != TInvalid {
@@ -313,7 +294,7 @@ func (sc *handlerScope) call(e *ast.CallExpr, asStmt bool) Type {
 	if (f.Builtin == BSend || f.Builtin == BSendData) && len(e.Args) >= 3 {
 		if n, ok := e.Args[1].(*ast.Name); ok {
 			if m := c.p.msgByName[n.Ident.Name]; m != nil && m.Payload != nil {
-				payload := argTypes[3:]
+				payload := c.types[base+3:]
 				if len(payload) != len(m.Payload) {
 					c.errorf(e.Pos(), "%s of %s carries %d payload values, handlers declare %d",
 						f.Name, m.Name, len(payload), len(m.Payload))
@@ -328,5 +309,6 @@ func (sc *handlerScope) call(e *ast.CallExpr, asStmt bool) Type {
 			}
 		}
 	}
+	c.types = c.types[:base]
 	return sig.Result
 }

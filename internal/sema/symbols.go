@@ -23,7 +23,9 @@ const (
 	SymBuiltinVal          // builtin value (MessageTag, MySelf)
 )
 
-// Symbol is the result of resolving an identifier.
+// Symbol is the result of resolving an identifier. Every declaration has
+// one Symbol, which all its uses share; nothing writes to it once Check
+// has returned.
 type Symbol struct {
 	Kind  SymKind
 	Name  string
@@ -31,7 +33,12 @@ type Symbol struct {
 	Index int       // slot/ID meaning depends on Kind
 	Sig   *Sig      // for SymFunc
 	Const *ConstVal // for SymConst
+
+	ref symRef // the Symbol's own place in Program.symbols
 }
+
+// symRef is 1 + the index of a Symbol in Program.symbols; 0 refers to none.
+type symRef int32
 
 // ConstVal is a compile-time constant value.
 type ConstVal struct {
@@ -63,9 +70,12 @@ type StateSym struct {
 	Transient bool
 	Body      *ast.State // nil if declared but not defined
 	Handlers  []*HandlerSym
-	// handlerByMsg maps message index -> handler; -1 keyed entry unused.
-	handlerByMsg map[int]*HandlerSym
+	// handlerByMsg[i] is the handler for message i, nil if none.
+	handlerByMsg []*HandlerSym
 	Default      *HandlerSym
+
+	sym       *Symbol   // the state's own Symbol
+	paramSyms []*Symbol // Params' Symbols
 }
 
 // IsSubroutine reports whether the state takes a continuation parameter
@@ -98,8 +108,8 @@ func (s *StateSym) ContParam() int {
 // HandlerFor returns the handler for a message index, falling back to the
 // DEFAULT handler; nil if neither exists.
 func (s *StateSym) HandlerFor(msg int) *HandlerSym {
-	if h, ok := s.handlerByMsg[msg]; ok {
-		return h
+	if uint(msg) < uint(len(s.handlerByMsg)) && s.handlerByMsg[msg] != nil {
+		return s.handlerByMsg[msg]
 	}
 	return s.Default
 }
@@ -112,7 +122,11 @@ type HandlerSym struct {
 	Locals   []ParamSym
 	Body     []ast.Stmt
 	AST      *ast.Handler
-	Suspends int // number of suspend statements (for diagnostics/stats)
+	Suspends int // number of suspend statements
+
+	// scope points to the Symbols of Locals, then of Params, then of the
+	// continuation each suspend statement binds, in statement order.
+	scope []*Symbol
 }
 
 // Name returns the handled message name or DEFAULT.
@@ -135,6 +149,8 @@ type FuncSym struct {
 	Name    string
 	Sig     *Sig
 	Builtin Builtin // BNone for module routines
+
+	sym *Symbol // the routine's own Symbol
 }
 
 // Program is the semantic model of a Teapot protocol, the single source for
@@ -154,9 +170,21 @@ type Program struct {
 	msgByName   map[string]*Message
 	stateByName map[string]*StateSym
 
-	// Uses records resolution results for every identifier expression,
-	// keyed by node identity; consumed by the lowerer and backends.
-	Uses map[*ast.Ident]*Symbol
+	// symbols holds the Symbol of every declaration, in one array sized
+	// once; uses[id.Ord] refers to the Symbol the identifier id resolved to.
+	symbols []Symbol
+	uses    []symRef
+}
+
+// Use returns the Symbol an identifier of the checked program resolved to,
+// or nil if it was not resolved (a declaration, or a name in error).
+func (p *Program) Use(id *ast.Ident) *Symbol {
+	if uint(id.Ord) < uint(len(p.uses)) {
+		if r := p.uses[id.Ord]; r > 0 {
+			return &p.symbols[r-1]
+		}
+	}
+	return nil
 }
 
 // MessageByName returns the message with the given name, or nil.

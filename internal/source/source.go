@@ -44,14 +44,18 @@ type File struct {
 	lineStarts []int // byte offset of each line start
 }
 
-// NewFile builds a File and indexes its line starts.
+// NewFile builds a File and indexes its line starts in a table allocated
+// at its final size.
 func NewFile(name, text string) *File {
 	f := &File{Name: name, Text: text}
-	f.lineStarts = append(f.lineStarts, 0)
-	for i := 0; i < len(text); i++ {
-		if text[i] == '\n' {
-			f.lineStarts = append(f.lineStarts, i+1)
+	f.lineStarts = make([]int, 1, strings.Count(text, "\n")+1)
+	for off := 0; ; {
+		i := strings.IndexByte(text[off:], '\n')
+		if i < 0 {
+			break
 		}
+		off += i + 1
+		f.lineStarts = append(f.lineStarts, off)
 	}
 	return f
 }

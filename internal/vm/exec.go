@@ -55,7 +55,6 @@ type Counters struct {
 	StaticConts  int64 // statically allocated (optimized-away) records
 	Resumes      int64 // dynamic (indirect) resumes
 	ConstResumes int64 // constant-continuation (direct) resumes
-	Suspends     int64
 	Calls        int64 // support routine calls
 }
 
@@ -67,7 +66,6 @@ func (c *Counters) Add(o Counters) {
 	c.StaticConts += o.StaticConts
 	c.Resumes += o.Resumes
 	c.ConstResumes += o.ConstResumes
-	c.Suspends += o.Suspends
 	c.Calls += o.Calls
 }
 
@@ -272,7 +270,6 @@ func (x *Exec) run(h Host, f *ir.Func, pc int, regs []Value, base int) error {
 		case ir.OpMakeCont:
 			regs[in.Dst] = x.makeCont(f, in, regs)
 		case ir.OpSuspend:
-			x.Counters.Suspends++
 			sv := regs[in.A].State()
 			if sv == nil {
 				return h.ProtocolError(fmt.Sprintf("suspend in %s to non-state value", f.Name))

@@ -39,14 +39,16 @@ done
 # recorder and trace cursor included: under 20; a warmed litmus runner run
 # that repeats an outcome its set holds: at most that bound plus 2, 22;
 # token.Lookup: 0;
-# liveness.Analyze: at most 3 per function; core.Compile of stache: within
-# 5 % of the count the test names),
+# liveness.Analyze: at most 2 per function; core.Compile of stache: within
+# 5 % of the count and of the bytes the test names; codegen and murphi:
+# under 1.5 times the text they return; making the Mp3d trace at 32 nodes:
+# at most 8),
 # which -race perturbs by allocating on its own account;
 # and the TestExitStatus rows and EXPERIMENTS.md blocks that skip under it
 # for taking seconds (the 3-node drop envelope, the 4-node cut at 200 000
 # states, the larger symmetry pairs).
-go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestJudgeAllocs|TestRunnerAllocs|TestLookupAllocs|TestLivenessAllocs|TestCompileAllocs|TestExitStatus|TestExperimentsCurrent' \
-  ./internal/mc/ ./internal/runtime/ ./internal/litmus/ ./internal/token/ ./internal/liveness/ ./internal/core/ .
+go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestJudgeAllocs|TestRunnerAllocs|TestLookupAllocs|TestLivenessAllocs|TestCompileAllocs|TestBackEndsAllocateTheirText|TestWorkloadTracesExactlySized|TestExitStatus|TestExperimentsCurrent' \
+  ./internal/mc/ ./internal/runtime/ ./internal/litmus/ ./internal/token/ ./internal/liveness/ ./internal/core/ ./internal/sim/ .
 # The benchmark harness's own tests: small-shape correctness checks that run
 # the checker (reduced and unreduced), the simulator and the litmus corpus
 # against benchmarks/expected.json. A module of its own, so `go test ./...`
