@@ -209,6 +209,10 @@ func TestExitStatus(t *testing.T) {
 		{args: "fuzz -proto stache-ft-buggy -net drop=1 -seed 2 -schedules 100 -out $T/repro.json", status: 1,
 			stdout: "(replay with: teapot fuzz -replay "},
 		{args: "fuzz -replay $T/repro.json", status: 1, stdout: "reproduced: coherence violation (swmr)"},
+		// A checker run cut by its state budget confirms nothing and has no
+		// counterexample to replay: the fuzz verdict stands.
+		{args: "fuzz -proto stache-ft-buggy -net drop=1 -seed 2 -mc-confirm -mc-states 50 -out $T/cut.json", status: 1,
+			stdout: "mc-confirm: exploration cut at 185 states (-mc-states) — confirms nothing\n", absent: "checker agrees"},
 		{args: "fuzz -replay testdata/repro/stache-ft-ack-fixed.json", status: 0, stdout: "applied 1 of 1 decisions … schedule ran clean"},
 		{args: "fuzz -replay testdata/repro/stache-ft-buggy-ack.json", status: 1, stdout: "applied 1 of 1 decisions … reproduced: coherence violation (swmr)"},
 		// A reproducer file is held to the flags' ranges, and a clean run

@@ -60,29 +60,26 @@ import (
 	"teapot/internal/source"
 )
 
-// Pass is one static analysis. Run inspects the compiled protocol through
-// the Ctx and reports findings; it must be deterministic.
-type Pass struct {
-	ID  string // stable check ID without the "vet:" prefix
-	Doc string // one-line description
-	Run func(*Ctx)
-}
-
-// Passes is the registered suite, in a fixed order.
-var Passes = []*Pass{
-	{ID: "coverage", Doc: "every (state, message) pair has a handler or an explicit policy", Run: runCoverage},
-	{ID: "unreachable", Doc: "every state is reachable from the configured start states", Run: runReachability},
-	{ID: "no-exit", Doc: "transient states have an outgoing transition or Resume", Run: runNoExit},
-	{ID: "cont-leak", Doc: "subroutine states never drop their continuation on a transition", Run: runContLeak},
-	{ID: "cont-stuck", Doc: "subroutine states can resume or forward their continuation", Run: runContStuck},
-	{ID: "queue-stuck", Doc: "states that Enqueue have a handler that transitions", Run: runQueueStuck},
-	{ID: "defer-deadlock", Doc: "synchronously answered requests are not deferred on the answering side", Run: runDeferDeadlock},
-	{ID: "dead-store", Doc: "no pure instruction computes a value that is never used", Run: runDeadStore},
-	{ID: "unassigned", Doc: "no register is read before any path writes it", Run: runUnassigned},
-	{ID: "cont-alloc", Doc: "heap continuation records do not save only rematerializable constants", Run: runCostLint},
-	{ID: "timeout", Doc: "transient states of a TIMEOUT-declaring protocol have explicit TIMEOUT handlers", Run: runTimeout},
-	{ID: "symmetry", Doc: "handlers are equivariant under node and block permutations (refutations, advisory)", Run: runSymmetry},
-	{ID: "dup-idempotence", Doc: "handlers of droppable protocols are idempotent under duplicated delivery (advisory)", Run: runDupIdempotence},
+// passes is the suite, in a fixed order: each pass inspects the compiled
+// protocol through the Ctx and reports findings under its check ID, and
+// must be deterministic.
+var passes = []struct {
+	check string
+	run   func(*Ctx)
+}{
+	{"vet:coverage", runCoverage},
+	{"vet:unreachable", runReachability},
+	{"vet:no-exit", runNoExit},
+	{"vet:cont-leak", runContLeak},
+	{"vet:cont-stuck", runContStuck},
+	{"vet:queue-stuck", runQueueStuck},
+	{"vet:defer-deadlock", runDeferDeadlock},
+	{"vet:dead-store", runDeadStore},
+	{"vet:unassigned", runUnassigned},
+	{"vet:cont-alloc", runCostLint},
+	{"vet:timeout", runTimeout},
+	{"vet:symmetry", runSymmetry},
+	{"vet:dup-idempotence", runDupIdempotence},
 }
 
 // Report is the outcome of a vet run: findings sorted by file, position,
@@ -91,41 +88,16 @@ type Report struct {
 	Findings []source.Diagnostic
 }
 
-// Analyze runs every registered pass over a compiled protocol and returns
-// the sorted report.
+// Analyze runs every pass over a compiled protocol and returns the sorted
+// report.
 func Analyze(p *runtime.Protocol) *Report {
-	r, err := Run(p, nil)
-	if err != nil {
-		panic(err) // unreachable: nil selection never fails
-	}
-	return r
-}
-
-// Run executes the selected passes (nil or empty = all) and returns the
-// sorted report. Unknown pass IDs are an error.
-func Run(p *runtime.Protocol, ids []string) (*Report, error) {
-	selected := Passes
-	if len(ids) > 0 {
-		byID := make(map[string]*Pass, len(Passes))
-		for _, ps := range Passes {
-			byID[ps.ID] = ps
-		}
-		selected = nil
-		for _, id := range ids {
-			ps, ok := byID[strings.TrimPrefix(id, "vet:")]
-			if !ok {
-				return nil, fmt.Errorf("unknown vet pass %q", id)
-			}
-			selected = append(selected, ps)
-		}
-	}
 	c := newCtx(p)
-	for _, ps := range selected {
-		c.pass = ps
-		ps.Run(c)
+	for _, ps := range passes {
+		c.check = ps.check
+		ps.run(c)
 	}
 	source.SortDiagnostics(c.report.Findings)
-	return c.report, nil
+	return c.report
 }
 
 // Actionable returns the findings of warning severity or worse — the set
@@ -183,7 +155,7 @@ type Ctx struct {
 	Sema  *sema.Program
 
 	facts  *facts
-	pass   *Pass
+	check  string // the running pass's check ID
 	report *Report
 }
 
@@ -203,7 +175,7 @@ func (c *Ctx) Reportf(sev source.Severity, pos source.Pos, format string, args .
 		File:     c.facts.file,
 		Pos:      pos,
 		Msg:      fmt.Sprintf(format, args...),
-		Check:    "vet:" + c.pass.ID,
+		Check:    c.check,
 		Severity: sev,
 	})
 }

@@ -159,12 +159,16 @@ func cmdFuzz(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if mcres.Violation == nil {
+		switch v := mcres.Violation; {
+		case v == nil:
 			fmt.Fprintf(stdout, "mc-confirm: checker found NO violation in %d states — fuzz failure not confirmed\n", mcres.States)
-		} else {
+		case v.Kind == "state-limit":
+			// A cut exploration has no counterexample to replay.
+			fmt.Fprintf(stdout, "mc-confirm: exploration cut at %d states (-mc-states) — confirms nothing\n", mcres.States)
+		default:
 			fmt.Fprintf(stdout, "mc-confirm: checker agrees (%s in %d states, %d-step counterexample)\n",
-				mcres.Violation.Kind, mcres.States, len(mcres.Violation.Steps))
-			if err := mc.DiffReplay(f.Spec().MCConfig(), mcres.Violation.Steps); err != nil {
+				v.Kind, mcres.States, len(v.Steps))
+			if err := mc.DiffReplay(f.Spec().MCConfig(), v.Steps); err != nil {
 				return fmt.Errorf("differential replay of checker counterexample: %w", err)
 			}
 			fmt.Fprintln(stdout, "mc-confirm: counterexample replays straight-line and through the checker's decode/derive/encode path with per-step state agreement")

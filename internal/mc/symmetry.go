@@ -289,39 +289,27 @@ sigmas:
 
 // permutations returns all permutations of 0..n-1 in lexicographic order.
 func permutations(n int) [][]int {
-	cur := make([]int, n)
-	for i := range cur {
-		cur[i] = i
-	}
 	var out [][]int
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
+	cur := make([]int, 0, n)
+	used := make([]bool, n)
+	var rec func()
+	rec = func() {
+		if len(cur) == n {
 			out = append(out, append([]int(nil), cur...))
 			return
 		}
-		// Pick the k-th element from the remaining values in ascending
-		// order by swapping each candidate into place and sorting the tail
-		// back afterwards (the tail stays sorted between picks).
-		for i := k; i < n; i++ {
-			cur[k], cur[i] = cur[i], cur[k]
-			tail := append([]int(nil), cur[k+1:]...)
-			sortInts(cur[k+1:])
-			rec(k + 1)
-			copy(cur[k+1:], tail)
-			cur[k], cur[i] = cur[i], cur[k]
+		for v := range used {
+			if !used[v] {
+				used[v] = true
+				cur = append(cur, v)
+				rec()
+				cur = cur[:len(cur)-1]
+				used[v] = false
+			}
 		}
 	}
-	rec(0)
+	rec()
 	return out
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // canonicalize takes sc.best, holding the plain encoding of w, to the

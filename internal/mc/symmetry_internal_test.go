@@ -15,8 +15,14 @@ import (
 
 // TestEnumerateGroup pins the admissible group orders for the shapes the
 // docs quote: permutations must map homes onto homes, so with one block
-// every element fixes its home node and permutes only the others.
+// every element fixes its home node and permutes only the others. The
+// brute force below enumerates with permutations, whose order is pinned
+// first against a literal.
 func TestEnumerateGroup(t *testing.T) {
+	want3 := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+	if got := permutations(3); !slices.EqualFunc(got, want3, slices.Equal) {
+		t.Fatalf("permutations(3) = %v, want %v", got, want3)
+	}
 	for _, tc := range []struct {
 		nodes, blocks, want int
 	}{

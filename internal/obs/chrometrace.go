@@ -197,8 +197,9 @@ func (e *traceEncoder) write(b []byte) {
 	}
 }
 
-// ValidateChromeTrace is the tiny schema check scripts/check.sh (and the
-// package tests) run over emitted traces: the document must be a
+// ValidateChromeTrace is the tiny schema check the tests run over emitted
+// traces (this package's, runtime's, and the `teapot sim -trace` one in
+// the integration suite): the document must be a
 // {"traceEvents": [...]} object whose events carry a known phase, named
 // begin/instant/flow events, per-track balanced B/E slices, and an "s"
 // flow start for every "f" flow end.

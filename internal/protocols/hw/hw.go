@@ -3,7 +3,9 @@
 // once; lcm.go is base LCM as the tags, states, pending action and rows it
 // adds to Stache. The paper's hand-written LCM has the same shape (it
 // contains the hand-written Stache): ~2500 lines of C that "contained
-// numerous bugs that consumed months of effort to fix".
+// numerous bugs that consumed months of effort to fix". Both engines keep
+// the compiled engine's whole tempest.Engine contract, Reset included, but
+// neither emits events.
 package hw
 
 import (
@@ -26,9 +28,9 @@ import (
 // state associated with a block".
 //
 // Message records are recycled under runtime.Engine.Release's ownership
-// rule: a machine hands each delivered record back (tempest.Recycler), an
-// event's record comes back when Deliver returns, and a deferred record is
-// kept until its block's queue lets go of it.
+// rule: a machine hands each delivered record back (tempest.Engine's
+// Release), an event's record comes back when Deliver returns, and a
+// deferred record is kept until its block's queue lets go of it.
 type Engine struct {
 	name     string // "stache-hw" or "lcm-hw", the prefix of its errors
 	nodes    int
@@ -133,16 +135,24 @@ func NewStache(p *runtime.Protocol, nodes, blocks int, m runtime.Machine) *Engin
 	h.blks = make([][]hwBlock, nodes)
 	for n := range h.blks {
 		h.blks[n] = make([]hwBlock, blocks)
-		for b := range h.blks[n] {
-			if m.HomeNode(b) == n {
-				h.blks[n][b].state = hwIdle
-			} else {
-				h.blks[n][b].state = hwInv
+	}
+	h.Reset()
+	return h
+}
+
+// Reset implements tempest.Engine: every block back in its start state
+// with no pending action and an empty deferred queue, and the counters
+// cleared. The free record list stays warm.
+func (h *Engine) Reset() {
+	for n, blks := range h.blks {
+		for id := range blks {
+			blks[id] = hwBlock{state: hwInv, owner: -1}
+			if h.machine.HomeNode(id) == n {
+				blks[id].state = hwIdle
 			}
-			h.blks[n][b].owner = -1
 		}
 	}
-	return h
+	clear(h.counters)
 }
 
 // StateName reports a block's state (for tests).
@@ -160,7 +170,7 @@ func (h *Engine) Event(node int, tag int, id int) error {
 	return err
 }
 
-// Release implements tempest.Recycler: the record is reused unless the
+// Release implements tempest.Engine: the record is reused unless the
 // block it concerns still holds it deferred.
 func (h *Engine) Release(dst int, m *runtime.Message) {
 	for _, d := range h.blks[dst][m.ID].deferred {

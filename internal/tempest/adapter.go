@@ -29,7 +29,7 @@ func (te *TeapotEngine) SetObs(s obs.Sink) {
 	}
 }
 
-// Reset implements Resetter.
+// Reset implements Engine.
 func (te *TeapotEngine) Reset() {
 	for _, e := range te.Engines {
 		e.Reset()
@@ -41,7 +41,7 @@ func (te *TeapotEngine) Deliver(dst int, m *runtime.Message) error {
 	return te.Engines[dst].Deliver(m)
 }
 
-// Release implements Recycler.
+// Release implements Engine.
 func (te *TeapotEngine) Release(dst int, m *runtime.Message) {
 	te.Engines[dst].Release(m)
 }

@@ -112,25 +112,16 @@ func (cm CostModel) Cycles(d CostCounters) int64 {
 type Engine interface {
 	// Deliver a network message to node dst.
 	Deliver(dst int, m *runtime.Message) error
+	// Release hands back a record the machine delivered, once Deliver has
+	// returned (runtime.Engine.Release states the ownership rule).
+	Release(dst int, m *runtime.Message)
 	// Event injects a locally generated protocol event at a node.
 	Event(node int, tag int, id int) error
 	// Counters reports cumulative per-node work counters.
 	Counters(node int) CostCounters
-}
-
-// Resetter is the optional engine extension behind machine reuse
-// (Machine.Reset): Reset puts the engine back in the state its constructor
-// left it in, against the same machine.
-type Resetter interface {
+	// Reset puts the engine back in the state its constructor left it in,
+	// against the same machine (Machine.Reset).
 	Reset()
-}
-
-// Recycler is the optional engine extension behind message recycling: after
-// each delivery it schedules, the machine hands the record back to the
-// engine (see runtime.Engine.Release for the ownership rule). The compiled
-// engines and the hand-written baselines both implement it.
-type Recycler interface {
-	Release(dst int, m *runtime.Message)
 }
 
 // EventTags names the protocol events the machine raises; resolve with
@@ -291,8 +282,6 @@ type Machine struct {
 	// linear in the counters, so the difference of two totals is the cost
 	// of the work between them.
 	charged []int64
-	// recycler is the engine's record-recycling extension, nil without.
-	recycler Recycler
 
 	atBarrier []bool
 	nBarrier  int
@@ -421,7 +410,6 @@ func New(cfg Config) *Machine {
 	}
 	m.init(cfg.Program, cfg.Seed, cfg.Sched)
 	m.eng = cfg.MakeEngine(m)
-	m.recycler, _ = m.eng.(Recycler)
 	if cs, ok := cfg.Obs.(obs.ClockSetter); ok {
 		cs.SetClock(m.Now)
 	}
@@ -434,16 +422,11 @@ func New(cfg Config) *Machine {
 // Reset readies the machine for another run of the same shape — nodes,
 // blocks, engine, network model, sink — over prog, with the fault RNG
 // reseeded from seed and ch taking the nondeterministic decisions (nil: the
-// RNG). The engine must implement Resetter; the run that follows is the run
-// a machine built by New with these three values would make.
-func (m *Machine) Reset(prog Program, seed uint64, ch Chooser) error {
-	r, ok := m.eng.(Resetter)
-	if !ok {
-		return fmt.Errorf("tempest: engine %T cannot be reset", m.eng)
-	}
-	r.Reset()
+// RNG). The run that follows is the run a machine built by New with these
+// three values would make.
+func (m *Machine) Reset(prog Program, seed uint64, ch Chooser) {
+	m.eng.Reset()
 	m.init(prog, seed, ch)
-	return nil
 }
 
 // init puts everything a run changes back in its starting state: what New
@@ -740,9 +723,7 @@ func (m *Machine) deliverMsg(node int, msg *runtime.Message) {
 		m.err = err
 		return
 	}
-	if m.recycler != nil {
-		m.recycler.Release(node, msg)
-	}
+	m.eng.Release(node, msg)
 	m.nodeTime[node] = m.chargeProtocol(node, start)
 }
 

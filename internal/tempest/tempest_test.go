@@ -249,9 +249,9 @@ func TestZeroCostModelStillRuns(t *testing.T) {
 }
 
 // TestResetReruns: stats a caller holds survive a Reset and a second Run
-// unchanged (Run returns a copy, not the machine's own counters), a reset
-// machine reruns a program to the stats a new machine reports, and an
-// engine that cannot be reset is refused with an error.
+// unchanged (Run returns a copy, not the machine's own counters), and a
+// reset machine reruns a program to the stats of its first run, over the
+// compiled engine and over either hand-written one.
 func TestResetReruns(t *testing.T) {
 	w := sim.Gauss(sim.WorkloadSpec{Nodes: 4, Iters: 1, Seed: 5})
 	m, _ := stacheMachine(t, 4, w.Blocks, w.Trace.NewCursor(), tempest.DefaultCost)
@@ -265,9 +265,7 @@ func TestResetReruns(t *testing.T) {
 	// A different run in between: one remote read.
 	ops := make([][]tempest.Op, 4)
 	ops[1] = []tempest.Op{read(0)}
-	if err := m.Reset(newProgram(ops...), 1, nil); err != nil {
-		t.Fatal(err)
-	}
+	m.Reset(newProgram(ops...), 1, nil)
 	other, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -279,9 +277,7 @@ func TestResetReruns(t *testing.T) {
 		t.Errorf("held stats changed across Reset and Run:\n  was %+v\n  now %+v", held, *first)
 	}
 
-	if err := m.Reset(w.Trace.NewCursor(), 0, nil); err != nil {
-		t.Fatal(err)
-	}
+	m.Reset(w.Trace.NewCursor(), 0, nil)
 	again, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -290,13 +286,43 @@ func TestResetReruns(t *testing.T) {
 		t.Errorf("rerun after Reset differs from the first run:\n  first %+v\n  rerun %+v", *first, *again)
 	}
 
-	p := protocols.MustCompile("stache", true).Protocol
-	hw := tempest.New(tempest.Config{
-		Nodes: 2, Blocks: 1, Cost: tempest.DefaultCost, Tags: tempest.ResolveTags(p),
-		MakeEngine: func(m runtime.Machine) tempest.Engine { return stache.NewHW(p, 2, 1, m) },
-	})
-	if err := hw.Reset(newProgram(nil, nil), 0, nil); err == nil || !strings.Contains(err.Error(), "cannot be reset") {
-		t.Errorf("Reset over a hand-written engine: err = %v, want a refusal", err)
+	// The hand-written engines rerun alike: Stache under Gauss, and LCM
+	// under a Table 2 workload, whose phases reach the rows LCM adds.
+	const nodes = 4
+	for _, tc := range []struct {
+		proto string
+		w     *sim.Workload
+	}{
+		{"stache", sim.Gauss(sim.WorkloadSpec{Nodes: nodes, Iters: 1, Seed: 5})},
+		{"lcm", sim.Table2Workloads(nodes, 2)[0]},
+	} {
+		t.Run("hand-written "+tc.proto, func(t *testing.T) {
+			entry, _ := protocols.Lookup(tc.proto)
+			p := protocols.MustCompile(tc.proto, true).Protocol
+			m := tempest.New(tempest.Config{
+				Nodes: nodes, Blocks: tc.w.Blocks, Cost: tempest.DefaultCost, Tags: tempest.ResolveTags(p),
+				MakeEngine: func(m runtime.Machine) tempest.Engine { return entry.HandWritten(p, nodes, tc.w.Blocks, m) },
+				Program:    tc.w.Trace.NewCursor(),
+			})
+			first, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := make([][]tempest.Op, nodes)
+			ops[1] = []tempest.Op{write(0), read(1)}
+			m.Reset(newProgram(ops...), 1, nil)
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			m.Reset(tc.w.Trace.NewCursor(), 0, nil)
+			again, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again, first) {
+				t.Errorf("rerun after Reset differs from the first run:\n  first %+v\n  rerun %+v", *first, *again)
+			}
+		})
 	}
 }
 
@@ -347,16 +373,12 @@ func TestResetAfterStoppedRun(t *testing.T) {
 	reads := func() *fixedProgram { return newProgram(nil, []tempest.Op{read(0)}, []tempest.Op{read(0)}) }
 
 	m := tempest.New(cfg)
-	if err := m.Reset(stopped, 0, &dropFirst{}); err != nil {
-		t.Fatal(err)
-	}
+	m.Reset(stopped, 0, &dropFirst{})
 	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "event budget") {
 		t.Fatalf("the first run was to stop out of events, got err = %v", err)
 	}
 	var got, want dropFirst
-	if err := m.Reset(reads(), 0, &got); err != nil {
-		t.Fatal(err)
-	}
+	m.Reset(reads(), 0, &got)
 	reused, err := m.Run()
 	if err != nil {
 		t.Fatalf("run after a stopped run: %v", err)

@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 tree_before="$(git status --porcelain)"
 go build ./...
 go vet ./...
+# The benchmark harness is a module of its own, which `go vet ./...` above
+# does not reach.
+(cd benchmarks && go vet ./...)
 unformatted="$(gofmt -l .)"
 test -z "$unformatted" || { echo "check.sh: gofmt -l . lists: $unformatted" >&2; exit 1; }
 # Every suite under the race detector: the parallel checker's determinism
