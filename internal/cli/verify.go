@@ -143,6 +143,7 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  keys:           %d bytes mean, %.0f%% encoded per successor\n",
 			res.KeyBytes/int64(max(res.Transitions, 1)), 100*float64(res.KeyBytesEncoded)/float64(max(res.KeyBytes, 1)))
 		fmt.Fprintf(stdout, "  visited set:    %s (%.0f bytes/state)\n", mc.FormatBytes(res.VisitedBytes), st.BytesPerState)
+		fmt.Fprintf(stdout, "  segments:       %d distinct, %s\n", res.Segments, mc.FormatBytes(res.SegmentBytes))
 		fmt.Fprintf(stdout, "  shards:         %d..%d states per shard\n", st.ShardMin, st.ShardMax)
 		fmt.Fprintf(stdout, "  rate:           %.0f states/s\n", st.StatesPerSec)
 		fmt.Fprintf(stdout, "  dedup ratio:    %.2f transitions/state\n", st.DedupRatio)

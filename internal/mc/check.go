@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -54,11 +53,11 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 		res.SymmetryGroup = len(red.group)
 	}
 
-	initKey, err := new(keyScratch).key(newWorld(&cfg), red, nil)
+	root, err := new(keyScratch).key(newWorld(&cfg), red, nil)
 	if err != nil {
 		return nil, err
 	}
-	layer, err := vt.addRoot(initKey)
+	layer, err := vt.addRoot(root)
 	if err != nil {
 		return nil, err
 	}
@@ -116,6 +115,7 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 
 	res.States = vt.states()
 	res.VisitedBytes = vt.bytes()
+	res.Segments, res.SegmentBytes = len(vt.segs), vt.segBytes
 	res.ShardMin, res.ShardMax = vt.shardStats()
 	res.Elapsed = time.Since(start)
 	return res, nil
@@ -170,10 +170,13 @@ type worker struct {
 	region       runtime.Region
 	acts         []action
 	keys         keyScratch // successor keys are built here, never on the heap
+	src          []byte     // the key of the state being expanded, spelled out of its segments
+	from         parentSegs // and those segments
 
 	layerOut
-	cov *obs.Coverage // this layer's coverage, merged at the barrier
-	err error
+	cov    *obs.Coverage // this layer's coverage, merged at the barrier
+	err    error
+	shared bool // other workers expand the same layer at the same time
 }
 
 // inlineLayer is the layer length below which fanning out costs more than
@@ -192,7 +195,7 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 	}
 	for i := range workers {
 		wk := &workers[i]
-		wk.layerOut, wk.cov, wk.err = layerOut{}, nil, nil
+		wk.layerOut, wk.cov, wk.err, wk.shared = layerOut{}, nil, nil, false
 	}
 
 	if len(workers) <= 1 || len(layer) < inlineLayer {
@@ -212,6 +215,7 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 		if cfg.Coverage != nil {
 			workers[i].cov = obs.NewCoverage()
 		}
+		workers[i].shared = true
 		wg.Add(1)
 		go func(wk *worker) {
 			defer wg.Done()
@@ -259,10 +263,16 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 // the visited table (and its per-shard balance statistics) sees only
 // post-canonicalization keys.
 func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, layer []int32, pos int32) error {
-	w, err := wk.decode(cfg, vt.key(layer[pos]))
+	if wk.src == nil {
+		wk.src = make([]byte, 0, 256)
+		wk.from = parentSegs{ids: make([]uint32, 0, 2*cfg.Nodes+1), ends: make([]int, 0, 2*cfg.Nodes)}
+	}
+	wk.src, wk.from.ids = vt.expand(wk.src[:0], wk.from.ids[:0], layer[pos])
+	w, err := wk.decode(cfg, wk.src)
 	if err != nil {
 		return err
 	}
+	wk.from.ends = partEnds(wk.from.ends[:0], w.segEnds, cfg.Nodes)
 	// Terminal-state judgment (litmus runs): a state where every script has
 	// finished, nothing is stalled, and the network has drained is a final
 	// outcome; a judging hook that rejects it makes the state itself the
@@ -294,9 +304,9 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 		if err != nil {
 			return fmt.Errorf("mc: encode: %w", err)
 		}
-		wk.keyBytes += int64(len(succ))
+		wk.keyBytes += int64(len(succ.Bytes()))
 		wk.keyEncoded += int64(wk.keys.encoded)
-		if err := vt.claim(succ, pos, int32(i)); err != nil {
+		if err := vt.claim(succ, &wk.from, pos, int32(i), wk.shared); err != nil {
 			return err
 		}
 	}
@@ -308,8 +318,8 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 // region holds the previous state's records, and the decode that follows
 // overwrites or abandons every reference to them (runtime.Region has the
 // rule). key must stay where it is until the state's last successor has
-// been keyed (World.src) — the visited store's chunks never move, and only
-// a barrier appends to them.
+// been keyed (World.src): expandState spells the state's key out into the
+// worker's src, which nothing else writes.
 func (wk *worker) decode(cfg *Config, key []byte) (*World, error) {
 	if wk.parent == nil {
 		wk.parent, wk.succ = newWorld(cfg), newWorld(cfg)
@@ -421,7 +431,8 @@ func (wk *worker) buildViolation(cfg *Config, vt *visitedTable, red *reduction, 
 				if err != nil {
 					return nil, fmt.Errorf("mc: encode: %w", err)
 				}
-				if bytes.Equal(sk, vt.key(chain[k])) {
+				// The replayed world is not a stored state: no ids to lend.
+				if vt.equal(chain[k], sk, nil) {
 					taken = i
 					if key, err = succ.encode(); err != nil {
 						return nil, err

@@ -244,6 +244,11 @@ type Result struct {
 	// run, and ShardMin/ShardMax its final shard balance (see ProgressInfo).
 	VisitedBytes       int64
 	ShardMin, ShardMax int64
+	// Segments is how many distinct key segments the visited store
+	// interned — a state is stored as the ids of its segments — and
+	// SegmentBytes their total length.
+	Segments     int
+	SegmentBytes int64
 	// SymmetryGroup is the order of the node/block permutation group the
 	// run canonicalized by; 1 means no reduction (off, refused, or trivial).
 	SymmetryGroup int
@@ -479,23 +484,74 @@ func newWorld(cfg *Config) *World {
 	return w
 }
 
+// keyBuf is an encoder that also records how the key it holds divides
+// into the segments the visited store interns it by: one per engine, one
+// per node's row of outgoing channels, and the tail — coarser than the
+// world's (World.src), whose channels are one segment each, because a
+// channel is mostly a byte or two and its id would cost as much. ends[k]
+// is where store segment k ends; the tail's end, the key's, is not
+// recorded. Bit k of copied is set when store segment k — one of the first
+// 64, and never the tail — was copied whole from the key of the world it
+// was derived from (encodeVia).
+type keyBuf struct {
+	runtime.Encoder
+	ends   []int
+	copied uint64
+}
+
+// sizeEnds sizes kb's ends for a key of a machine of the given nodes, and
+// returns them to be filled in.
+func (kb *keyBuf) sizeEnds(nodes int) []int {
+	if cap(kb.ends) < 2*nodes {
+		kb.ends = make([]int, 2*nodes)
+	}
+	kb.ends = kb.ends[:2*nodes]
+	return kb.ends
+}
+
+// partEnds appends to dst where the store segments but the tail end in a
+// key whose world segments end at segEnds (see keyBuf).
+func partEnds(dst, segEnds []int, nodes int) []int {
+	for part := range 2 * nodes {
+		dst = append(dst, segEnds[partLast(part, nodes)])
+	}
+	return dst
+}
+
+// partFirst and partLast return the world segments that store segment
+// part, not the tail, starts and ends with (see keyBuf): engine part, or a
+// row's first and last channels.
+func partFirst(part, nodes int) int {
+	if part < nodes {
+		return part
+	}
+	return (part - nodes + 1) * nodes
+}
+
+func partLast(part, nodes int) int {
+	if part < nodes {
+		return part
+	}
+	return (part-nodes+2)*nodes - 1
+}
+
 // encoderPool backs the string-returning encode (Snapshot, the root state,
 // tests) so it allocates only the string it returns. The checker's hot
 // path encodes into per-worker scratch instead (see keyScratch).
-var encoderPool = sync.Pool{New: func() any { return new(runtime.Encoder) }}
+var encoderPool = sync.Pool{New: func() any { return new(keyBuf) }}
 
 // encode canonically serializes the whole world.
 func (w *World) encode() (string, error) {
-	enc := encoderPool.Get().(*runtime.Encoder)
-	defer encoderPool.Put(enc)
-	enc.Reset(nil)
-	if _, err := w.encodeTo(enc, nil); err != nil {
+	kb := encoderPool.Get().(*keyBuf)
+	defer encoderPool.Put(kb)
+	kb.Reset(nil)
+	if _, err := w.encodeTo(kb, nil); err != nil {
 		return "", err
 	}
-	return string(enc.Bytes()), nil
+	return string(kb.Bytes()), nil
 }
 
-// encodeTo writes the world's canonical serialization into enc. Under the
+// encodeTo writes the world's canonical serialization into kb. Under the
 // encoder's remap (π over nodes, σ over blocks) it writes the encoding of
 // the world's image instead: engines, channels, access and stalled entries
 // are walked in π⁻¹/σ⁻¹ order and the encoder maps every identity value it
@@ -506,9 +562,12 @@ func (w *World) encode() (string, error) {
 // it is abandoned at the first engine boundary where the bytes written
 // already compare greater than bound, and the result reports whether the
 // completed encoding is strictly smaller than bound.
-func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (smaller bool, err error) {
+func (w *World) encodeTo(kb *keyBuf, bound []byte) (smaller bool, err error) {
+	enc := &kb.Encoder
 	r := enc.Remap()
 	nodes := w.cfg.Nodes
+	ends := kb.sizeEnds(nodes)
+	kb.copied = 0
 	// decided: -1 smaller than bound, +1 not smaller, 0 equal through
 	// the first 'checked' bytes.
 	decided, checked := 0, 0
@@ -519,6 +578,7 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (smaller bool, err 
 		if err := w.engines[r.SrcNode(i)].EncodeState(enc); err != nil {
 			return false, err
 		}
+		ends[i] = len(enc.Bytes())
 		if decided == 0 {
 			n := min(len(enc.Bytes()), len(bound))
 			decided = bytes.Compare(enc.Bytes()[checked:n], bound[checked:n])
@@ -528,10 +588,13 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (smaller bool, err 
 			checked = n
 		}
 	}
-	for ch := 0; ch < nodes*nodes; ch++ {
-		if err := w.encodeChannel(enc, ch); err != nil {
-			return false, err
+	for from := 0; from < nodes; from++ {
+		for ch := from * nodes; ch < (from+1)*nodes; ch++ {
+			if err := w.encodeChannel(enc, ch); err != nil {
+				return false, err
+			}
 		}
+		ends[nodes+from] = len(enc.Bytes())
 	}
 	w.encodeTail(enc)
 	if decided == 0 {
@@ -546,8 +609,12 @@ func (w *World) encodeTo(enc *runtime.Encoder, bound []byte) (smaller bool, err 
 // maximal run of the others is copied from src whole. Which those are is a
 // function of the action — there are no dirty flags to forget to set.
 // copied is how many bytes were copied.
-func (w *World) encodeVia(enc *runtime.Encoder, via *action) (copied int, err error) {
+func (w *World) encodeVia(kb *keyBuf, via *action) (copied int, err error) {
+	enc := &kb.Encoder
 	nodes := w.cfg.Nodes
+	ends, mask := kb.sizeEnds(nodes), uint64(0)
+	// part is the next store segment to end, at world segment last.
+	part, last := 0, 0
 	// The changed ranges, then an empty one at the end of the channels, so
 	// that the run after the last range is copied too.
 	end := nodes + nodes*nodes
@@ -556,8 +623,17 @@ func (w *World) encodeVia(enc *runtime.Encoder, via *action) (copied int, err er
 	for _, c := range append(via.changes(nodes, buf[:]), segRange{end, end}) {
 		if c.lo > next {
 			run := w.span(next, c.lo)
+			shift := len(enc.Bytes()) - (w.segEnds[c.lo-1] - len(run))
 			enc.Raw(run)
 			copied += len(run)
+			// The store segments ending in the run end where they did in
+			// src, shifted; those it holds whole are copied.
+			for ; last < c.lo; part, last = part+1, partLast(part+1, nodes) {
+				if partFirst(part, nodes) >= next && part < 64 {
+					mask |= 1 << part
+				}
+				ends[part] = w.segEnds[last] + shift
+			}
 		}
 		for seg := c.lo; seg < c.hi; seg++ {
 			if seg < nodes {
@@ -568,9 +644,14 @@ func (w *World) encodeVia(enc *runtime.Encoder, via *action) (copied int, err er
 			if err != nil {
 				return copied, err
 			}
+			if seg == last {
+				ends[part] = len(enc.Bytes())
+				part, last = part+1, partLast(part+1, nodes)
+			}
 		}
 		next = c.hi
 	}
+	kb.copied = mask
 	w.encodeTail(enc)
 	return copied, nil
 }

@@ -54,8 +54,9 @@ func equivalenceConfigs(t *testing.T) map[string]func() mc.Config {
 }
 
 // TestWorkerEquivalence is the determinism contract of the parallel
-// checker: States, Transitions, MaxDepth, the violation kind, and the
-// counterexample trace length must be identical for any worker count.
+// checker: States, Transitions, MaxDepth, the violation kind, the
+// counterexample trace length, and what the visited store holds (its bytes
+// and interned segments) must be identical for any worker count.
 // Every run has a Progress callback installed — observation must never
 // perturb the result — and the snapshots themselves are checked for the
 // deterministic shape Check promises (one per layer, depth increasing,
@@ -110,6 +111,14 @@ func TestWorkerEquivalence(t *testing.T) {
 				if res.ShardMin != base.ShardMin || res.ShardMax != base.ShardMax || res.ShardMax == 0 {
 					t.Errorf("workers=%d: shards %d..%d, want %d..%d, not empty",
 						workers, res.ShardMin, res.ShardMax, base.ShardMin, base.ShardMax)
+				}
+				// The store interns segments at the barrier, in commit order,
+				// so what it holds is the same for any worker count too.
+				if res.VisitedBytes != base.VisitedBytes || res.Segments != base.Segments ||
+					res.SegmentBytes != base.SegmentBytes || res.VisitedBytes == 0 {
+					t.Errorf("workers=%d: visited %d bytes, %d segments of %d bytes; want %d, %d, %d",
+						workers, res.VisitedBytes, res.Segments, res.SegmentBytes,
+						base.VisitedBytes, base.Segments, base.SegmentBytes)
 				}
 				switch {
 				case (res.Violation == nil) != (base.Violation == nil):

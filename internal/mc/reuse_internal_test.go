@@ -195,7 +195,9 @@ type ExpandStats struct {
 // world's engines bound to the parent world instead of the successor (what
 // a derived engine sends lands in the parent); a run encodeVia copies
 // reaching one segment into the changed range after it (the touched
-// engine's stale bytes are copied).
+// engine's stale bytes are copied); partFirst putting an engine's start
+// one segment early, so that encodeVia does not mark untouched engines
+// copied (the store would intern what it could take from the parent).
 func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) ExpandStats {
 	t.Helper()
 	cfg.Workers = 1
@@ -218,8 +220,9 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 	st := ExpandStats{States: vt.states()}
 	lastFailed := false
 	for idx := int32(0); idx < int32(vt.states()); idx++ {
-		key := string(vt.key(idx))
-		w, err := wk.decode(&cfg, vt.key(idx))
+		src, _ := vt.expand(nil, nil, idx)
+		key := string(src)
+		w, err := wk.decode(&cfg, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,12 +269,50 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want) {
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("state %d, %s: worker key (%d bytes) differs from the reference's (%d bytes)",
-					idx, what, len(got), len(want))
+					idx, what, len(got.Bytes()), len(want.Bytes()))
+			}
+			// The segments the store interns the key by are the ones
+			// reading the key back finds, however the key was built: where
+			// the worker encoded a segment it says where it ends, and a
+			// segment it says it copied is its parent's there.
+			if err := cfg.decodeInto(fs, want.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			decoded, parent := partEnds(nil, fs.segEnds, cfg.Nodes), partEnds(nil, w.segEnds, cfg.Nodes)
+			if want.copied != 0 || !slices.Equal(want.ends, decoded) {
+				t.Fatalf("state %d, %s: reference segment ends %v (copied %#x), decoded %v", idx, what, want.ends, want.copied, decoded)
+			}
+			if !slices.Equal(got.ends, decoded) {
+				t.Fatalf("state %d, %s: segment ends %v, decoded %v", idx, what, got.ends, decoded)
+			}
+			changed := wk.acts[i].changes(cfg.Nodes, nil)
+			for k := range decoded {
+				first, last := partFirst(k, cfg.Nodes), partLast(k, cfg.Nodes)
+				untouched := !slices.ContainsFunc(changed, func(r segRange) bool { return r.lo <= last && first < r.hi })
+				switch copied := got.copied&(1<<k) != 0; {
+				case copied && !bytes.Equal(segmentOf(got.Bytes(), decoded, k), segmentOf(src, parent, k)):
+					t.Fatalf("state %d, %s: segment %d marked copied but differs from the parent's", idx, what, k)
+				case copied != untouched && red == nil:
+					t.Fatalf("state %d, %s: segment %d marked copied %v, but the action leaves it untouched: %v", idx, what, k, copied, untouched)
+				}
 			}
 			st.Succs++
 		}
 	}
 	return st
+}
+
+// segmentOf returns segment k of key, whose segments but the last end at
+// ends.
+func segmentOf(key []byte, ends []int, k int) []byte {
+	start, end := 0, len(key)
+	if k > 0 {
+		start = ends[k-1]
+	}
+	if k < len(ends) {
+		end = ends[k]
+	}
+	return key[start:end]
 }

@@ -141,16 +141,16 @@ type reduction struct {
 // encoded is how many bytes the last key cost to encode (see
 // Result.KeyBytesEncoded).
 type keyScratch struct {
-	best, cand runtime.Encoder
+	best, cand keyBuf
 	encoded    int
 }
 
 // key encodes w into the scratch — canonicalized when red is non-nil —
-// and returns the visited-set key. via is the action that derived w
-// from the state it was decoded from (nil: encode all of it); only the
-// plain encoding can use it (World.encodeVia), the remapped challengers
-// stream every byte.
-func (sc *keyScratch) key(w *World, red *reduction, via *action) ([]byte, error) {
+// and returns the buffer holding the visited-set key, with its segments
+// (keyBuf). via is the action that derived w from the state it was decoded
+// from (nil: encode all of it); only the plain encoding can use it
+// (World.encodeVia), the remapped challengers stream every byte.
+func (sc *keyScratch) key(w *World, red *reduction, via *action) (*keyBuf, error) {
 	sc.best.Reset(nil)
 	var copied int
 	var err error
@@ -160,10 +160,10 @@ func (sc *keyScratch) key(w *World, red *reduction, via *action) ([]byte, error)
 		_, err = w.encodeTo(&sc.best, nil)
 	}
 	sc.encoded = len(sc.best.Bytes()) - copied
-	if err != nil || red == nil {
-		return sc.best.Bytes(), err
+	if err == nil && red != nil {
+		err = red.canonicalize(w, sc)
 	}
-	return red.canonicalize(w, sc)
+	return &sc.best, err
 }
 
 // buildReduction decides whether reduction is enabled for this
@@ -313,20 +313,19 @@ func permutations(n int) [][]int {
 }
 
 // canonicalize takes sc.best, holding the plain encoding of w, to the
-// lexicographically smallest encoding of w over the group and returns it.
-// Each challenger is a remapped encode of w itself that gives up once it
-// can no longer win.
-func (r *reduction) canonicalize(w *World, sc *keyScratch) ([]byte, error) {
+// lexicographically smallest encoding of w over the group. Each challenger
+// is a remapped encode of w itself that gives up once it can no longer win.
+func (r *reduction) canonicalize(w *World, sc *keyScratch) error {
 	for i := 1; i < len(r.remaps); i++ {
 		sc.cand.Reset(r.remaps[i])
 		smaller, err := w.encodeTo(&sc.cand, sc.best.Bytes())
 		sc.encoded += len(sc.cand.Bytes())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if smaller {
 			sc.best, sc.cand = sc.cand, sc.best
 		}
 	}
-	return sc.best.Bytes(), nil
+	return nil
 }

@@ -242,7 +242,10 @@ func TestCanonicalFixpoint(t *testing.T) {
 // string, for tests that keep keys across calls.
 func canonKey(red *reduction, w *World) (string, error) {
 	k, err := new(keyScratch).key(w, red, nil)
-	return string(k), err
+	if err != nil {
+		return "", err
+	}
+	return string(k.Bytes()), nil
 }
 
 // ---- The reference the streaming encoder is tested against ----
@@ -522,20 +525,21 @@ func CheckStreamedAgainstReference(t *testing.T, cfg Config, seed int64, walks, 
 // and the canonicalization result with the permuteWorld reference.
 func checkWorldAgainstReference(t *testing.T, red *reduction, w *World) {
 	t.Helper()
-	var enc runtime.Encoder
+	var enc, plain keyBuf
 	wantKey := ""
 	for i, g := range red.group {
-		ref, err := red.permuteWorld(w, g).encode()
-		if err != nil {
+		plain.Reset(nil)
+		if _, err := red.permuteWorld(w, g).encodeTo(&plain, nil); err != nil {
 			t.Fatalf("reference encode: %v", err)
 		}
+		ref := string(plain.Bytes())
 		enc.Reset(red.remaps[i])
 		if _, err := w.encodeTo(&enc, nil); err != nil {
 			t.Fatalf("streamed encode: %v", err)
 		}
-		if string(enc.Bytes()) != ref {
-			t.Errorf("group[%d] = %v: streamed encoding differs from permuteWorld's\n streamed  %x\n reference %x",
-				i, g, enc.Bytes(), ref)
+		if string(enc.Bytes()) != ref || !slices.Equal(enc.ends, plain.ends) {
+			t.Errorf("group[%d] = %v: streamed encoding differs from permuteWorld's\n streamed  %x ends %v\n reference %x ends %v",
+				i, g, enc.Bytes(), enc.ends, ref, plain.ends)
 			return
 		}
 		if i == 0 || ref < wantKey {

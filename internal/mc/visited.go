@@ -14,39 +14,58 @@ import (
 // The visited set is the checker's dominant memory consumer: how many states
 // it can hold is how far verification reaches. It is therefore built from
 // flat, pointer-free arrays the garbage collector neither traces nor moves —
-// a run holds O(chunks + shards) heap objects, not O(states):
+// a run holds O(chunks + shards) heap objects, not O(states) — and it stores
+// a state as the ids of its key's segments, not as the key:
 //
-//   - Every discovered state lives once in an append-only arena. Its
-//     canonical encoding sits length-prefixed in a []byte chunk; locs[i]
-//     locates state i's key (chunk index and offset) and parents[i] is the
-//     arena index of the state it was first reached from — all a
+//   - A canonical key divides into one segment per engine, one per node's
+//     row of outgoing channels, and the tail (keyBuf). The intern table
+//     gives every distinct segment an id — one id space for every position
+//     — and keeps its bytes once. A run has few distinct segments
+//     (stache-ft at 3 nodes under one drop: 2,487 over 170,738 states), so
+//     a state's record, one uvarint id per segment, is an eighth of its
+//     key. SPIN's collapse compression does the same with its process and
+//     channel vectors.
+//   - Every discovered state lives once in an append-only arena: locs[i]
+//     locates state i's record (chunk index and offset) and parents[i] is
+//     the arena index of the state it was first reached from — all a
 //     counterexample trace needs, since replaying the chain finds each step
 //     as the one whose successor has the next state's key (buildViolation).
-//     Chunks have a fixed capacity and a key never straddles two, so a key
-//     is read (compared, decoded) where it lies. They are chunks rather than
-//     one growing slice because append grows a large slice by a quarter at a
-//     time and so copies — and for a while holds twice — the whole arena
-//     again and again; the first chunks are small so that a 14-state check
-//     does not pay for a 1 MiB one.
+//     Records and segment bytes share []byte chunks of a fixed capacity,
+//     and nothing straddles two, so everything is read where it lies. They
+//     are chunks rather than one growing slice because append grows a
+//     large slice by a quarter at a time and so copies — and for a while
+//     holds twice — the whole arena again and again; the first chunks are
+//     small so that a 14-state check does not pay for a 1 MiB one.
 //   - Membership is numShards mutex-protected open-addressed tables (linear
 //     probing, doubled under the shard lock, allocated on first use) of
 //     8-byte slots, each the low 32 bits of a key's fingerprint above a
 //     32-bit ref: a positive ref is an arena index + 1, a negative one a slot
 //     in the shard's pending slab, 0 an empty slot. A probe reads one array,
 //     and the fingerprint bits it keeps are the ones the slot index came
-//     from, so a table can be doubled without hashing a key again. A
-//     fingerprint hit is confirmed against the full key, so hash collisions
-//     can never merge distinct states (unlike Murphi's lossy hash
-//     compaction, exactness is preserved).
+//     from, so a table can be doubled without hashing a key again. The
+//     fingerprint is taken over the whole key, and a hit is confirmed
+//     against the whole key — a committed state's segments, read in order,
+//     must spell it — so hash collisions can never merge distinct states
+//     (unlike Murphi's lossy hash compaction, exactness is preserved).
 //   - Discoveries made while a BFS layer is expanding are buffered as
 //     per-shard pending claims — a slab of records plus a slab of their key
-//     bytes, both truncated and reused at every barrier — and folded into
-//     the arena only at the layer barrier, ordered by (parent position,
-//     action ordinal). Concurrent workers may race to claim the same
-//     successor, but the merge keeps the smallest claim — the transition a
-//     sequential scan would have taken, and the one trace replay picks — so
-//     arena order, recorded parents, and therefore every result the checker
-//     reports are identical for any worker count.
+//     bytes and segment descriptors, both truncated and reused at every
+//     barrier — and folded into the arena only at the layer barrier,
+//     ordered by (parent position, action ordinal). Concurrent workers may
+//     race to claim the same successor, but the merge keeps the smallest
+//     claim — the transition a sequential scan would have taken, and the
+//     one trace replay picks — so arena order, recorded parents, and
+//     therefore every result the checker reports are identical for any
+//     worker count.
+//   - Segments are interned at the barrier too, in commit order, so ids and
+//     the store's size are the same for any worker count, and the intern
+//     table is never written while workers read it: they take no lock to
+//     look a segment up, to confirm a hit, or to spell a state's key out of
+//     its segments. The claims of one key carry
+//     the same segmentation whichever worker made them, because the
+//     canonical encoding is self-delimiting: where each segment ends is a
+//     function of the bytes (World.decodeInto finds the same ends reading
+//     them), so a key has exactly one record.
 
 const (
 	numShards  = 64
@@ -56,6 +75,12 @@ const (
 	chunkSize  = 1 << 20 // ... up to this, the size of all later chunks
 
 	minSlots = 8 // a shard table's first allocation; always a power of two
+
+	// The first allocations of the intern table (its slots, a power of
+	// two, and its segment locators) and of commit's layer buffers: past
+	// the sizes a few-state check would otherwise grow through one by one.
+	minSegSlots = 64
+	minLayer    = 64
 
 	// A slot is a key's fingerprint tag (its low 32 bits) above its ref.
 	refBits = 32
@@ -103,13 +128,14 @@ func fold(a, b uint64) uint64 {
 }
 
 // pendRec is a tentative intra-layer discovery: the key at keyOff in the
-// shard's pendKeys (up to the next record's keyOff) was reached from the
-// state at layer position pos via its ord-th action. slot is where the
-// claim's ref sits in the shard table, kept current when the table grows, so
-// commit can overwrite it without probing.
+// shard's pendKeys, keyLen bytes long and followed by its segments'
+// descriptors (up to the next record's keyOff; see claim), was reached from
+// the state at layer position pos via its ord-th action. slot is where the
+// claim's ref sits in the shard table, kept current when the table grows,
+// so commit can overwrite it without probing.
 type pendRec struct {
-	keyOff, slot int
-	pos, ord     int32
+	keyOff, slot     int
+	keyLen, pos, ord int32
 }
 
 type shard struct {
@@ -130,19 +156,39 @@ type commitRec struct {
 	shard, pend int32
 }
 
-// visitedTable is the sharded visited set plus the state arena.
+// segRef locates an interned segment's bytes: n bytes at off in chunk.
+type segRef struct{ chunk, off, n uint32 }
+
+// visitedTable is the sharded visited set, the state arena and the intern
+// table.
 type visitedTable struct {
 	hash   func([]byte) uint64 // fingerprint; replaceable in tests
 	shards [numShards]shard
 
-	chunks  [][]byte
-	locs    []uint64    // per state: chunk index << 32 | offset of its length prefix
-	parents []int32     // per state: arena index of its parent, -1 for the root
-	order   []commitRec // commit's sort buffer, reused
+	chunks  [][]byte // records and segment bytes
+	locs    []uint64 // per state: chunk index << 32 | offset of its record
+	parents []int32  // per state: arena index of its parent, -1 for the root
+
+	// The intern table: segs[id] locates segment id in chunks, segSlots
+	// is an open-addressed table of the segments' fingerprint tags above
+	// id + 1, segBytes the segments' total length. nseg is the segments per
+	// key, set by the root's claim.
+	segs     []segRef
+	segSlots []uint64
+	segBytes int64
+	nseg     int
+
+	// commit's scratch, reused: the sort buffer, the record being built,
+	// and the two next-layer buffers it alternates between (flip is the
+	// one the next commit fills).
+	order  []commitRec
+	rec    []byte
+	layers [2][]int32
+	flip   int
 
 	// The store's hard limits, fields so tests can reach them: states are
-	// int32 arena indices, a key locator holds a 32-bit chunk index, and a
-	// key (with its length prefix) must fit a chunk.
+	// int32 arena indices, a locator holds a 32-bit chunk index, and a
+	// record or a segment must fit a chunk.
 	maxStates, maxChunks, chunkSize int
 }
 
@@ -154,33 +200,117 @@ func newVisited() *visitedTable {
 // states returns the number of committed states.
 func (t *visitedTable) states() int { return len(t.parents) }
 
-// key returns state idx's canonical encoding, read-only, in place.
-func (t *visitedTable) key(idx int32) []byte {
+// segment returns interned segment id, read-only, in place.
+func (t *visitedTable) segment(id uint32) []byte {
+	s := t.segs[id]
+	return t.chunks[s.chunk][s.off : s.off+s.n]
+}
+
+// record returns state idx's record, its nseg segment ids, in place — and
+// whatever follows it in its chunk.
+func (t *visitedTable) record(idx int32) []byte {
 	loc := t.locs[idx]
-	b := t.chunks[loc>>32][uint32(loc):]
-	n, w := binary.Uvarint(b)
-	return b[w : w+int(n)]
+	return t.chunks[loc>>32][uint32(loc):]
+}
+
+// nextID returns the id at the front of rec and its width in bytes.
+func nextID(rec []byte) (id uint32, w int) {
+	for {
+		b := rec[w]
+		id |= uint32(b&0x7f) << (7 * w)
+		w++
+		if b < 0x80 {
+			return id, w
+		}
+	}
+}
+
+// expand appends state idx's canonical encoding — its segments in order —
+// to key, and their ids to ids.
+func (t *visitedTable) expand(key []byte, ids []uint32, idx int32) ([]byte, []uint32) {
+	rec := t.record(idx)
+	for range t.nseg {
+		id, w := nextID(rec)
+		rec = rec[w:]
+		key, ids = append(key, t.segment(id)...), append(ids, id)
+	}
+	return key, ids
+}
+
+// parentSegs is what a worker knows of the state it is expanding: its
+// segments' ids, and where they end in its key (partEnds). A successor
+// key's copied segments (keyBuf.copied) are that state's.
+type parentSegs struct {
+	ids  []uint32
+	ends []int
+}
+
+// span returns where segment k, which is not the tail, starts and ends in
+// the parent's key.
+func (p *parentSegs) span(k int) (start, end int) {
+	if k > 0 {
+		start = p.ends[k-1]
+	}
+	return start, p.ends[k]
+}
+
+// equal reports whether the key kb holds is state idx's canonical
+// encoding: whether the state's segments, read in order, spell it. A
+// segment kb copied from its parent (nil: none lent) is the state's when
+// its id is the parent's there; any other is compared byte for byte.
+func (t *visitedTable) equal(idx int32, kb *keyBuf, from *parentSegs) bool {
+	key, copied := kb.Bytes(), kb.copied
+	if from == nil {
+		copied = 0
+	}
+	rec, off := t.record(idx), 0
+	for k := range t.nseg {
+		id, w := nextID(rec)
+		rec = rec[w:]
+		if copied&(1<<k) != 0 {
+			if id != from.ids[k] {
+				return false
+			}
+			start, end := from.span(k)
+			off += end - start
+			continue
+		}
+		seg := t.segment(id)
+		if len(seg) > len(key)-off || string(seg) != string(key[off:off+len(seg)]) {
+			return false
+		}
+		off += len(seg)
+	}
+	return off == len(key)
 }
 
 // pendKey returns the key of the shard's i-th pending claim.
 func (s *shard) pendKey(i int) []byte {
+	p := &s.pend[i]
+	return s.pendKeys[p.keyOff : p.keyOff+int(p.keyLen)]
+}
+
+// pendSegs returns the segment descriptors of the shard's i-th pending
+// claim (see claim).
+func (s *shard) pendSegs(i int) []byte {
 	end := len(s.pendKeys)
 	if i+1 < len(s.pend) {
 		end = s.pend[i+1].keyOff
 	}
-	return s.pendKeys[s.pend[i].keyOff:end]
+	p := &s.pend[i]
+	return s.pendKeys[p.keyOff+int(p.keyLen) : end]
 }
 
 // put stores e, a slot value, in the first empty slot of its probe
 // sequence — which starts where the fingerprint's low bits say, and the tag
 // holds them — and returns where. An empty slot must exist.
-func (s *shard) put(e uint64) int {
-	mask := len(s.slots) - 1
+func put(slots []uint64, e uint64) int {
+	mask := len(slots) - 1
 	i := int(e>>refBits) & mask
-	for s.slots[i] != 0 {
+	for slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	s.slots[i] = e
+	slots[i] = e
 	return i
 }
 
@@ -193,62 +323,147 @@ func (s *shard) grow() {
 		if e == 0 {
 			continue
 		}
-		slot := s.put(e)
+		slot := put(s.slots, e)
 		if ref := int32(e); ref < 0 {
 			s.pend[-ref-1].slot = slot
 		}
 	}
 }
 
-// appendState adds a state to the arena and returns its index. Only commit
-// calls it: on the driver goroutine, never while workers run.
-func (t *visitedTable) appendState(key []byte, parent int32) (int32, error) {
-	if len(t.parents) >= t.maxStates {
-		return 0, t.errFull()
-	}
-	var prefix [binary.MaxVarintLen64]byte
-	need := binary.PutUvarint(prefix[:], uint64(len(key))) + len(key)
+// store appends b, a record or a segment (what says which), to the last
+// chunk — to a new one if it does not fit — and returns its locator, chunk
+// index << 32 | offset. Only commit calls it.
+func (t *visitedTable) store(b []byte, what string) (uint64, error) {
 	last := len(t.chunks) - 1
-	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < need {
-		if need > t.chunkSize {
-			return 0, fmt.Errorf("mc: a %d-byte state encoding exceeds the visited store's %d-byte key chunk", len(key), t.chunkSize)
+	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < len(b) {
+		if len(b) > t.chunkSize {
+			return 0, fmt.Errorf("mc: a %d-byte %s exceeds the visited store's %d-byte key chunk", len(b), what, t.chunkSize)
 		}
 		if len(t.chunks) >= t.maxChunks {
 			return 0, fmt.Errorf("mc: visited store is full: its key locators address at most %d chunks of %d bytes", t.maxChunks, t.chunkSize)
 		}
-		size := min(max(firstChunk<<min(len(t.chunks), 8), need), t.chunkSize)
+		size := min(max(firstChunk<<min(len(t.chunks), 8), len(b)), t.chunkSize)
 		t.chunks = append(t.chunks, make([]byte, 0, size))
 		last++
 	}
 	c := t.chunks[last]
+	t.chunks[last] = append(c, b...)
+	return uint64(last)<<32 | uint64(len(c)), nil
+}
+
+// lookup returns the id of seg, whose fingerprint is fp, if it has one.
+// Workers call it while a layer expands: the intern table is written only
+// at the barrier.
+func (t *visitedTable) lookup(seg []byte, fp uint64) (uint32, bool) {
+	tag := fp << refBits
+	if mask := len(t.segSlots) - 1; mask > 0 {
+		for i := int(fp) & mask; t.segSlots[i] != 0; i = (i + 1) & mask {
+			if e := t.segSlots[i]; e&^refMask == tag && string(t.segment(uint32(e)-1)) == string(seg) {
+				return uint32(e) - 1, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// intern returns seg's id, giving it the next one if it is new. Only
+// commit calls it, so ids are handed out in commit order.
+func (t *visitedTable) intern(seg []byte) (uint32, error) {
+	fp := t.hash(seg)
+	if id, ok := t.lookup(seg, fp); ok {
+		return id, nil
+	}
+	if (len(t.segs)+1)*4 > len(t.segSlots)*3 {
+		old := t.segSlots
+		t.segSlots = make([]uint64, max(2*len(old), minSegSlots))
+		for _, e := range old {
+			if e != 0 {
+				put(t.segSlots, e)
+			}
+		}
+	}
+	loc, err := t.store(seg, "key segment")
+	if err != nil {
+		return 0, err
+	}
+	id := uint32(len(t.segs))
+	if t.segs == nil {
+		t.segs = make([]segRef, 0, minSegSlots)
+	}
+	t.segs = append(t.segs, segRef{chunk: uint32(loc >> 32), off: uint32(loc), n: uint32(len(seg))})
+	t.segBytes += int64(len(seg))
+	put(t.segSlots, fp<<refBits|uint64(id+1))
+	return id, nil
+}
+
+// appendState adds the state with key to the arena and returns its index.
+// segs are its segments' descriptors (see claim): a known segment's id is
+// in its descriptor, a new one is interned. Only commit calls it: on the
+// driver goroutine, never while workers run.
+func (t *visitedTable) appendState(key, segs []byte, parent int32) (int32, error) {
+	if len(t.parents) >= t.maxStates {
+		return 0, t.errFull()
+	}
+	rec := t.rec[:0]
+	for range t.nseg {
+		d, w := binary.Uvarint(segs)
+		segs = segs[w:]
+		id := uint32(d) - 1
+		if d == 0 {
+			start, w := binary.Uvarint(segs)
+			n, w2 := binary.Uvarint(segs[w:])
+			segs = segs[w+w2:]
+			var err error
+			if id, err = t.intern(key[start : start+n]); err != nil {
+				return 0, err
+			}
+		}
+		rec = binary.AppendUvarint(rec, uint64(id))
+	}
+	t.rec = rec
+	loc, err := t.store(rec, "state record")
+	if err != nil {
+		return 0, err
+	}
 	idx := int32(len(t.parents))
-	t.locs = append(t.locs, uint64(last)<<32|uint64(len(c)))
+	t.locs = append(t.locs, loc)
 	t.parents = append(t.parents, parent)
-	t.chunks[last] = append(append(c, prefix[:need-len(key)]...), key...)
 	return idx, nil
 }
 
 // addRoot installs the initial state — the one claim of a layer whose
-// parent is nothing — and returns it as the first layer.
-func (t *visitedTable) addRoot(key []byte) ([]int32, error) {
-	if err := t.claim(key, 0, -1); err != nil {
+// parent is nothing — and returns it as the first layer. Its segments fix
+// how many every key has.
+func (t *visitedTable) addRoot(kb *keyBuf) ([]int32, error) {
+	t.nseg = len(kb.ends) + 1
+	t.rec = make([]byte, 0, binary.MaxVarintLen32*t.nseg)
+	if err := t.claim(kb, nil, 0, -1, false); err != nil {
 		return nil, err
 	}
 	return t.commit([]int32{-1})
 }
 
-// claim records that key was reached from layer position pos via action
-// ord. Already-committed states are ignored; claims for the same key made
-// during one layer are merged keeping the smallest (pos, ord). key is the
-// caller's scratch: it is only compared here, and copied into the shard's
-// pending slab when — and only when — it becomes a new pending claim. Safe
-// for concurrent use while a layer expands. The error is a store limit
-// reached (see visitedTable); the table is then good for nothing further.
-func (t *visitedTable) claim(key []byte, pos, ord int32) error {
+// claim records that the key kb holds was reached from layer position pos
+// via action ord, from the state from describes (which may be nil only when
+// kb copied no segment). Already-committed states are ignored; claims for
+// the same key made during one layer are merged keeping the smallest (pos,
+// ord). kb and from are the caller's scratch: they are only read here, and
+// the key is copied into the shard's pending slab when — and only when — it
+// becomes a new pending claim, followed by a uvarint descriptor per
+// segment: id+1 for a segment whose id is known — copied from the parent,
+// or found in the intern table — and for a new one 0, its start and its
+// length, to be interned at the barrier. shared says whether other
+// goroutines may be claiming at the same time; if so the shard is locked,
+// which a lone worker need not pay for. The error is a store limit reached
+// (see visitedTable); the table is then good for nothing further.
+func (t *visitedTable) claim(kb *keyBuf, from *parentSegs, pos, ord int32, shared bool) error {
+	key := kb.Bytes()
 	fp := t.hash(key)
 	s := &t.shards[fp>>shardShift]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if shared {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
 	tag := fp << refBits
 	if mask := len(s.slots) - 1; mask > 0 { // else the shard has no table yet
 		for i := int(fp) & mask; s.slots[i] != 0; i = (i + 1) & mask {
@@ -256,10 +471,10 @@ func (t *visitedTable) claim(key []byte, pos, ord int32) error {
 				continue
 			}
 			if ref := int32(s.slots[i]); ref > 0 {
-				// The arena is only appended to at layer barriers, never
-				// while workers hold shard locks, so reading it here is
-				// race-free.
-				if bytes.Equal(t.key(ref-1), key) {
+				// The arena and the intern table are only appended to at
+				// layer barriers, never while workers hold shard locks, so
+				// reading them here is race-free.
+				if t.equal(ref-1, kb, from) {
 					return nil
 				}
 			} else if p := int(-ref - 1); bytes.Equal(s.pendKey(p), key) {
@@ -277,9 +492,28 @@ func (t *visitedTable) claim(key []byte, pos, ord int32) error {
 		s.grow()
 	}
 	s.used++
-	s.pend = append(s.pend, pendRec{keyOff: len(s.pendKeys), pos: pos, ord: ord})
-	s.pendKeys = append(s.pendKeys, key...)
-	s.pend[len(s.pend)-1].slot = s.put(tag | uint64(uint32(-len(s.pend))))
+	s.pend = append(s.pend, pendRec{keyOff: len(s.pendKeys), keyLen: int32(len(key)), pos: pos, ord: ord})
+	b, copied, off := append(s.pendKeys, key...), kb.copied, 0
+	for k := range t.nseg {
+		if copied&(1<<k) != 0 {
+			b = binary.AppendUvarint(b, uint64(from.ids[k])+1)
+			start, end := from.span(k)
+			off += end - start
+			continue
+		}
+		end := len(key)
+		if k < len(kb.ends) {
+			end = kb.ends[k]
+		}
+		if id, ok := t.lookup(key[off:end], t.hash(key[off:end])); ok {
+			b = binary.AppendUvarint(b, uint64(id)+1)
+		} else {
+			b = binary.AppendUvarint(binary.AppendUvarint(append(b, 0), uint64(off)), uint64(end-off))
+		}
+		off = end
+	}
+	s.pendKeys = b
+	s.pend[len(s.pend)-1].slot = put(s.slots, tag|uint64(uint32(-len(s.pend))))
 	return nil
 }
 
@@ -289,9 +523,12 @@ func (t *visitedTable) errFull() error {
 
 // commit folds the layer's claims into the arena in deterministic
 // (parent position, action ordinal) order and returns the next layer as
-// arena indices. layer maps claim positions back to arena indices. Called
-// at the barrier only — never concurrently with claim. The error is a store
-// limit reached.
+// arena indices. layer maps claim positions back to arena indices; it must
+// be the previous commit's result (or addRoot's one-entry layer), and it
+// stays valid after the call: the next layer goes into the other of the
+// table's two buffers. Both are grown together, so a commit no larger than
+// an earlier one allocates nothing of its own. Called at the barrier only —
+// never concurrently with claim. The error is a store limit reached.
 func (t *visitedTable) commit(layer []int32) ([]int32, error) {
 	order := t.order[:0]
 	for i := range t.shards {
@@ -303,33 +540,40 @@ func (t *visitedTable) commit(layer []int32) ([]int32, error) {
 	// (pos, ord) pairs are unique — one transition yields one successor,
 	// and duplicate keys were merged in claim — so this order is total.
 	slices.SortFunc(order, func(a, b commitRec) int { return cmp.Compare(a.at, b.at) })
-	next := make([]int32, len(order))
-	for n, c := range order {
+	if n := len(order); cap(t.layers[t.flip]) < n {
+		// Both grow, geometrically; the caller's layer keeps the array it has.
+		n = max(n, 2*cap(t.layers[t.flip]), minLayer)
+		t.layers = [2][]int32{make([]int32, 0, n), make([]int32, 0, n)}
+	}
+	next := t.layers[t.flip][:0]
+	for _, c := range order {
 		s := &t.shards[c.shard]
 		p := &s.pend[c.pend]
-		idx, err := t.appendState(s.pendKey(int(c.pend)), layer[p.pos])
+		idx, err := t.appendState(s.pendKey(int(c.pend)), s.pendSegs(int(c.pend)), layer[p.pos])
 		if err != nil {
 			return nil, err
 		}
 		s.slots[p.slot] = s.slots[p.slot]&^refMask | uint64(idx+1)
-		next[n] = idx
+		next = append(next, idx)
 	}
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.pend, s.pendKeys = s.pend[:0], s.pendKeys[:0]
 	}
+	t.layers[t.flip], t.flip = next, 1-t.flip
 	return next, nil
 }
 
-// bytes is what the committed structures retain: the key chunks' capacity,
-// the per-state locators and parents, and every shard's table slots. The
-// pending slabs and the sort buffer, scratch reused from layer to layer, are
-// left out. Called between layers it depends only on which states have been
-// committed, never on how workers interleaved: chunks and the two flat
-// slices grow in commit order, and every claim a table grew for has become
-// a state by the barrier.
+// bytes is what the committed structures retain: the chunks' capacity, the
+// per-state locators and parents, every shard's table slots, and the
+// intern table's locators and slots. The pending slabs and commit's
+// buffers, scratch reused from layer to layer, are left out. Called between
+// layers it depends only on which states have been committed, never on how
+// workers interleaved: chunks and the flat slices grow in commit order, and
+// every claim a table grew for has become a state by the barrier.
 func (t *visitedTable) bytes() int64 {
-	n := int64(cap(t.locs))*8 + int64(cap(t.parents))*4
+	n := int64(cap(t.locs))*8 + int64(cap(t.parents))*4 +
+		int64(cap(t.segs))*12 + int64(len(t.segSlots))*8 // a segRef is 12 bytes
 	for _, c := range t.chunks {
 		n += int64(cap(c))
 	}

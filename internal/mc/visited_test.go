@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,9 +14,34 @@ import (
 // InlineLayer lets the external tests see the threshold they test around.
 const InlineLayer = inlineLayer
 
+// segmented returns a test key as claim takes it: split at its '|'s, the
+// separators left out, none of its segments copied.
+func segmented(key string) *keyBuf {
+	kb := new(keyBuf)
+	for i, seg := range strings.Split(key, "|") {
+		if i > 0 {
+			kb.ends = append(kb.ends, len(kb.Bytes()))
+		}
+		kb.Raw([]byte(seg))
+	}
+	return kb
+}
+
+// appendIDs appends state idx's segment ids to dst.
+func (t *visitedTable) appendIDs(dst []uint32, idx int32) []uint32 {
+	_, ids := t.expand(nil, dst, idx)
+	return ids
+}
+
+// keyOf returns state idx's key.
+func keyOf(vt *visitedTable, idx int32) string {
+	key, _ := vt.expand(nil, nil, idx)
+	return string(key)
+}
+
 func mustRoot(t *testing.T, vt *visitedTable, key string) []int32 {
 	t.Helper()
-	layer, err := vt.addRoot([]byte(key))
+	layer, err := vt.addRoot(segmented(key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +50,7 @@ func mustRoot(t *testing.T, vt *visitedTable, key string) []int32 {
 
 func mustClaim(t *testing.T, vt *visitedTable, key string, pos, ord int32) {
 	t.Helper()
-	if err := vt.claim([]byte(key), pos, ord); err != nil {
+	if err := vt.claim(segmented(key), nil, pos, ord, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -55,7 +81,7 @@ func TestVisitedCommitOrder(t *testing.T) {
 	next := mustCommit(t, vt, layer)
 	var got []string
 	for _, idx := range next {
-		got = append(got, string(vt.key(idx)))
+		got = append(got, keyOf(vt, idx))
 		if vt.parents[idx] != 0 {
 			t.Errorf("parent = %d, want 0", vt.parents[idx])
 		}
@@ -89,8 +115,8 @@ func TestVisitedFingerprintCollision(t *testing.T) {
 		t.Fatalf("committed %d states under total fingerprint collision, want %d", len(next), n)
 	}
 	for i, idx := range next {
-		if want := fmt.Sprintf("s%02d", i); string(vt.key(idx)) != want {
-			t.Errorf("commit %d = %q, want %q", i, vt.key(idx), want)
+		if want := fmt.Sprintf("s%02d", i); keyOf(vt, idx) != want {
+			t.Errorf("commit %d = %q, want %q", i, keyOf(vt, idx), want)
 		}
 	}
 	// All distinct keys re-claimed: every one must be recognized.
@@ -122,7 +148,7 @@ func TestShardedVisitedRace(t *testing.T) {
 				// Every goroutine claims every key with a different
 				// ordinal; the minimum (0, i) must survive.
 				ord := i + keys*((g+i)%goroutines)
-				if err := vt.claim([]byte(fmt.Sprintf("state-%03d", i)), 0, int32(ord)); err != nil {
+				if err := vt.claim(segmented(fmt.Sprintf("state-%03d", i)), nil, 0, int32(ord), true); err != nil {
 					t.Error(err)
 				}
 			}
@@ -135,16 +161,30 @@ func TestShardedVisitedRace(t *testing.T) {
 		t.Fatalf("committed %d states, want %d", len(next), keys)
 	}
 	for i, idx := range next {
-		if want := fmt.Sprintf("state-%03d", i); string(vt.key(idx)) != want {
-			t.Errorf("commit %d = %q, want %q: a claim other than the minimum was kept", i, vt.key(idx), want)
+		if want := fmt.Sprintf("state-%03d", i); keyOf(vt, idx) != want {
+			t.Errorf("commit %d = %q, want %q: a claim other than the minimum was kept", i, keyOf(vt, idx), want)
 		}
 	}
 }
 
-// modelClaim is one claim of a model-test layer.
+// modelClaim is one claim of a model-test layer: key is its segments
+// concatenated, each a length byte and that many bytes, so that — like a
+// canonical encoding — where each segment ends is a function of the bytes.
+// Bit k of copied says segment k is the parent's, as encodeVia would.
 type modelClaim struct {
 	key      string
 	pos, ord int32
+	copied   uint64
+}
+
+// modelSegs splits a model key into its segments.
+func modelSegs(key string) []string {
+	var segs []string
+	for key != "" {
+		n := 1 + int(key[0])
+		segs, key = append(segs, key[:n]), key[n:]
+	}
+	return segs
 }
 
 // modelState is what the reference remembers of a committed state.
@@ -154,11 +194,13 @@ type modelState struct {
 }
 
 // modelStore is the visited table's specification: a map from key to the
-// best claim, committed in (pos, ord) order.
+// best claim, committed in (pos, ord) order, and a map from segment to id,
+// ids handed out in the order committed keys first use them.
 type modelStore struct {
 	seen    map[string]bool
 	pending map[string]modelClaim
 	arena   []modelState
+	ids     map[string]uint32
 }
 
 func (m *modelStore) claim(c modelClaim) {
@@ -184,51 +226,119 @@ func (m *modelStore) commit(layer []int32) []int32 {
 		next = append(next, int32(len(m.arena)))
 		m.arena = append(m.arena, modelState{c.key, layer[c.pos]})
 		m.seen[c.key] = true
+		for _, seg := range modelSegs(c.key) {
+			if _, ok := m.ids[seg]; !ok {
+				m.ids[seg] = uint32(len(m.ids))
+			}
+		}
 	}
 	clear(m.pending)
 	return next
 }
 
-// modelLayer draws one layer's claims: mostly new keys of assorted lengths
-// (the empty key and one filling a whole chunk among them), with in-layer
-// duplicates under other (pos, ord) and re-claims of committed keys mixed
-// in. (pos, ord) pairs are unique, as they are in a real layer.
-func modelLayer(rng *rand.Rand, m *modelStore, layerLen, chunk int) []modelClaim {
+// modelSeg draws a segment: mostly one of a few dozen shared ones — the
+// same bytes at any of a key's three positions, the empty body and a
+// segment filling a whole chunk among them — and sometimes one no key had.
+func modelSeg(rng *rand.Rand, fresh *int, chunk int) string {
+	var body string
+	switch r := rng.Intn(10); {
+	case r == 0:
+		*fresh++
+		body = fmt.Sprintf("fresh-%d", *fresh)
+	case r == 1:
+		body = ""
+	case r == 2:
+		// With its length byte this fills a chunk exactly.
+		body = strings.Repeat(string(rune('a'+rng.Intn(3))), chunk-1)
+	default:
+		body = fmt.Sprintf("%0*d", 1+rng.Intn(chunk/2), rng.Intn(8))
+	}
+	return string(rune(len(body))) + body
+}
+
+// modelLayer draws one layer's claims: mostly new keys of three segments
+// — fresh, or the parent's with one or two replaced, the rest marked
+// copied or not at random — with in-layer duplicates under other (pos, ord)
+// (marking their copied segments afresh), re-claims of committed keys, and
+// pairs of new keys sharing a segment no committed key has mixed in. (pos,
+// ord) pairs are unique, as they are in a real layer.
+func modelLayer(rng *rand.Rand, m *modelStore, layer []int32, chunk int, fresh *int) []modelClaim {
 	var claims []modelClaim
-	ord := make([]int32, layerLen)
+	ord := make([]int32, len(layer))
+	add := func(key string, pos int32) {
+		var copied uint64
+		for k, seg := range modelSegs(m.arena[layer[pos]].key)[:2] { // never the tail
+			if modelSegs(key)[k] == seg && rng.Intn(2) == 0 {
+				copied |= 1 << k
+			}
+		}
+		claims = append(claims, modelClaim{key, pos, ord[pos], copied})
+		ord[pos]++
+	}
 	for n := 20 + rng.Intn(60); n > 0; n-- {
-		var key string
+		pos := int32(rng.Intn(len(layer)))
 		switch r := rng.Intn(10); {
 		case r == 0 && len(m.arena) > 0:
-			key = m.arena[rng.Intn(len(m.arena))].key
+			add(m.arena[rng.Intn(len(m.arena))].key, pos)
 		case r <= 2 && len(claims) > 0:
-			key = claims[rng.Intn(len(claims))].key
+			add(claims[rng.Intn(len(claims))].key, pos)
 		case r == 3:
-			key = ""
-		case r == 4:
-			// With its one-byte length prefix this fills a chunk exactly.
-			key = strings.Repeat(string(rune('a'+rng.Intn(26))), chunk-1)
+			*fresh++
+			shared := fmt.Sprintf("\x07shared%d", *fresh%10)
+			add(modelSeg(rng, fresh, chunk)+shared+modelSeg(rng, fresh, chunk), pos)
+			add(shared+modelSeg(rng, fresh, chunk)+modelSeg(rng, fresh, chunk), int32(rng.Intn(len(layer))))
+		case r <= 6:
+			segs := modelSegs(m.arena[layer[pos]].key)
+			for range 1 + rng.Intn(2) {
+				segs[rng.Intn(3)] = modelSeg(rng, fresh, chunk)
+			}
+			add(strings.Join(segs, ""), pos)
 		default:
-			key = fmt.Sprintf("%0*d", 1+rng.Intn(chunk/2), rng.Intn(1000))
+			add(modelSeg(rng, fresh, chunk)+modelSeg(rng, fresh, chunk)+modelSeg(rng, fresh, chunk), pos)
 		}
-		pos := int32(rng.Intn(layerLen))
-		claims = append(claims, modelClaim{key, pos, ord[pos]})
-		ord[pos]++
 	}
 	rng.Shuffle(len(claims), func(i, j int) { claims[i], claims[j] = claims[j], claims[i] })
 	return claims
 }
 
-// checkAgainstModel compares the table's arena with the reference's.
+// modelKey returns a model claim as claim takes it.
+func modelKey(c modelClaim) *keyBuf {
+	kb := &keyBuf{copied: c.copied}
+	kb.Raw([]byte(c.key))
+	n := 0
+	for _, seg := range modelSegs(c.key)[:2] {
+		n += len(seg)
+		kb.ends = append(kb.ends, n)
+	}
+	return kb
+}
+
+// checkAgainstModel compares the table's arena and intern table with the
+// reference's: each state's key, parent, and the ids its record holds.
 func checkAgainstModel(t *testing.T, vt *visitedTable, m *modelStore) {
 	t.Helper()
 	if vt.states() != len(m.arena) {
 		t.Fatalf("%d states, reference has %d", vt.states(), len(m.arena))
 	}
 	for i, want := range m.arena {
-		if got := string(vt.key(int32(i))); got != want.key || vt.parents[i] != want.parent {
+		if got := keyOf(vt, int32(i)); got != want.key || vt.parents[i] != want.parent {
 			t.Fatalf("state %d = %q parent %d, reference has %q parent %d", i, got, vt.parents[i], want.key, want.parent)
 		}
+		rec := vt.record(int32(i))
+		for k, seg := range modelSegs(want.key) {
+			id, w := nextID(rec)
+			rec = rec[w:]
+			if id != m.ids[seg] {
+				t.Fatalf("state %d segment %d has id %d, reference %d", i, k, id, m.ids[seg])
+			}
+		}
+	}
+	var segBytes int64
+	for seg := range m.ids {
+		segBytes += int64(len(seg))
+	}
+	if len(vt.segs) != len(m.ids) || vt.segBytes != segBytes {
+		t.Fatalf("%d segments of %d bytes interned, reference has %d of %d", len(vt.segs), vt.segBytes, len(m.ids), segBytes)
 	}
 	committed := 0
 	for i := range vt.shards {
@@ -240,15 +350,29 @@ func checkAgainstModel(t *testing.T, vt *visitedTable, m *modelStore) {
 }
 
 // TestVisitedModel drives random claim/commit sequences against the table
-// and a map-backed reference and requires identical arenas: order, keys
-// and parents. The order is where the smallest-ordinal rule shows: a claim
-// kept other than the minimum commits out of place. A four-value fingerprint puts every key in
-// one of four probe chains (confirming by full key is all that tells them
-// apart, and every table doubling happens with pending refs live), and
-// 64-byte chunks put a rollover every few states, including keys that end
-// exactly on a chunk's last byte. With claimers > 1 each layer's claims are
-// dealt to that many goroutines, so under -race this is also the store's
-// concurrency test.
+// and a map-backed reference and requires identical arenas — order, keys
+// and parents — and identical segment ids. The order is where the
+// smallest-ordinal rule shows: a claim kept other than the minimum commits
+// out of place. Keys are three segments drawn from a small shared pool, so
+// most segments are already interned when a key commits; many are their
+// parent's with one or two segments replaced and some of the rest marked
+// copied, lent the parent's ids as a worker lends them; and new keys
+// sharing a segment no committed key has are claimed in the same layer:
+// the reference hands out ids in commit order, so a segment interned twice
+// or in claim order shows. A four-value fingerprint puts every key and
+// every segment in one of four probe chains (comparing bytes is all that
+// tells them apart, and every table doubling happens with pending refs
+// live), and 64-byte chunks put a rollover every few states, including
+// segments that end exactly on a chunk's last byte. With claimers > 1 each
+// layer's claims are dealt to that many goroutines, so under -race this is
+// also the store's concurrency test, and ids assigned at the barrier must
+// not depend on the claimers.
+//
+// Mutations that must each fail it (tried when it was written): equal
+// accepting a copied segment whose id is the parent's at any position
+// rather than at its own, or stepping over a copied segment one byte
+// short; claim lending a copied segment the id of the parent's segment
+// before it; and expand reading each id as the next one.
 func TestVisitedModel(t *testing.T) {
 	for _, claimers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("claimers=%d", claimers), func(t *testing.T) {
@@ -257,11 +381,16 @@ func TestVisitedModel(t *testing.T) {
 				vt := newVisited()
 				vt.hash = func(b []byte) uint64 { return uint64(len(b)%4) * (1<<shardShift + 1) }
 				vt.chunkSize = 64
-				m := &modelStore{seen: map[string]bool{"root": true}, pending: map[string]modelClaim{},
-					arena: []modelState{{"root", -1}}}
-				layer := mustRoot(t, vt, "root")
+				root := "\x01r\x01r\x01r"
+				m := &modelStore{seen: map[string]bool{root: true}, pending: map[string]modelClaim{},
+					arena: []modelState{{root, -1}}, ids: map[string]uint32{"\x01r": 0}}
+				layer, err := vt.addRoot(modelKey(modelClaim{key: root}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := 0
 				for depth := 0; depth < 12 && len(layer) > 0; depth++ {
-					claims := modelLayer(rng, m, len(layer), vt.chunkSize)
+					claims := modelLayer(rng, m, layer, vt.chunkSize, &fresh)
 					var wg sync.WaitGroup
 					for g := 0; g < claimers; g++ {
 						wg.Add(1)
@@ -269,7 +398,9 @@ func TestVisitedModel(t *testing.T) {
 							defer wg.Done()
 							for i := g; i < len(claims); i += claimers {
 								c := claims[i]
-								if err := vt.claim([]byte(c.key), c.pos, c.ord); err != nil {
+								from := parentSegs{ids: vt.appendIDs(nil, layer[c.pos]),
+									ends: modelKey(modelClaim{key: m.arena[layer[c.pos]].key}).ends}
+								if err := vt.claim(modelKey(c), &from, c.pos, c.ord, claimers > 1); err != nil {
 									t.Error(err)
 								}
 							}
@@ -286,8 +417,8 @@ func TestVisitedModel(t *testing.T) {
 					checkAgainstModel(t, vt, m)
 					layer = next
 				}
-				if len(vt.chunks) < 10 || vt.shards[0].used < 2*minSlots {
-					t.Fatalf("seed %d: run too thin: %d chunks, %d states", seed, len(vt.chunks), vt.states())
+				if len(vt.chunks) < 10 || vt.shards[0].used < 2*minSlots || len(vt.segs) >= 3*vt.states() {
+					t.Fatalf("seed %d: run too thin: %d chunks, %d states, %d segments", seed, len(vt.chunks), vt.states(), len(vt.segs))
 				}
 			}
 		})
@@ -296,16 +427,24 @@ func TestVisitedModel(t *testing.T) {
 
 // CheckVisitedAllocs is the store's allocation contract (TestVisitedAllocs
 // runs it, where raceEnabled is in reach): looking up a state already seen —
-// committed or pending — allocates nothing, and inserting N new states
-// allocates per chunk, per table doubling and per slice growth, not per
-// state.
+// committed or pending — allocates nothing; inserting N new states
+// allocates per chunk, per table doubling (the shards' and the intern
+// table's) and per slice growth, not per state; and once the arena has room
+// for them, a commit no larger than an earlier one allocates nothing: the
+// barrier's sort, record and layer buffers are the table's own.
 func CheckVisitedAllocs(t *testing.T) {
 	const n = 1 << 20
-	keys := make([]byte, 0, n*24)
+	keys := make([]byte, 0, n*12)
 	for i := 0; i < n; i++ {
-		keys = fmt.Appendf(keys, "state-encoding-%09d", i)
+		keys = fmt.Appendf(keys, "a%04db%04dt%d", i&1023, i>>10, i%7)
 	}
-	key := func(i int) []byte { return keys[i*24 : (i+1)*24] }
+	var kb keyBuf
+	key := func(i int) *keyBuf {
+		kb.Reset(nil)
+		kb.Raw(keys[i*12 : (i+1)*12])
+		kb.ends = append(kb.ends[:0], 5, 10)
+		return &kb
+	}
 	mallocs := func() uint64 {
 		var ms goruntime.MemStats
 		goruntime.ReadMemStats(&ms)
@@ -313,10 +452,10 @@ func CheckVisitedAllocs(t *testing.T) {
 	}
 
 	vt := newVisited()
-	layer := mustRoot(t, vt, "root")
+	layer := mustRoot(t, vt, "a0000|b0000|t7")
 	before := mallocs()
 	for i := 0; i < n; i++ {
-		if err := vt.claim(key(i), 0, int32(i)); err != nil {
+		if err := vt.claim(key(i), nil, 0, int32(i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,20 +464,37 @@ func CheckVisitedAllocs(t *testing.T) {
 	if len(layer) != n {
 		t.Fatalf("committed %d states, want %d", len(layer), n)
 	}
-	t.Logf("inserting %d states: %d allocations, %d chunks", n, insert, len(vt.chunks))
+	t.Logf("inserting %d states: %d allocations, %d chunks, %d segments", n, insert, len(vt.chunks), len(vt.segs))
 	if insert >= n/100 {
 		t.Errorf("inserting %d states made %d allocations, want fewer than %d", n, insert, n/100)
 	}
 
-	mustClaim(t, vt, "pending", 0, 0)
-	pending := []byte("pending")
+	mustClaim(t, vt, "pending|x|y", 0, 0)
+	pending := segmented("pending|x|y")
 	before = mallocs()
 	for i := 0; i < n; i++ {
-		vt.claim(key(i), 0, 0)
-		vt.claim(pending, 0, 1)
+		vt.claim(key(i), nil, 0, 0, false)
+		vt.claim(pending, nil, 0, 1, false)
 	}
 	if hit := mallocs() - before; hit != 0 {
 		t.Errorf("claiming seen keys made %d allocations in %d claims, want 0", hit, 2*n)
+	}
+	layer = mustCommit(t, vt, layer)
+
+	// Layers of new states whose segments are all interned, the arena given
+	// room for them first: what is left to allocate is the barrier's own.
+	const m = 1 << 10
+	for round := 1; round <= 3; round++ {
+		vt.locs, vt.parents = slices.Grow(vt.locs, m), slices.Grow(vt.parents, m)
+		vt.chunks = append(vt.chunks, make([]byte, 0, vt.chunkSize))
+		for i := 0; i < m; i++ {
+			mustClaim(t, vt, fmt.Sprintf("a%04d|b%04d|t7", i, round), int32(i%len(layer)), int32(i))
+		}
+		before = mallocs()
+		layer = mustCommit(t, vt, layer)
+		if got := mallocs() - before; got != 0 || len(layer) != m {
+			t.Errorf("round %d: committing %d states made %d allocations, want 0", round, len(layer), got)
+		}
 	}
 }
 
@@ -369,7 +525,8 @@ func CheckFingerprintSpread(t *testing.T, cfg Config) SpreadStats {
 	st.ShardMin, st.ShardMax = int(mins), int(maxs)
 	owner := make(map[uint64]int32, vt.states())
 	for idx := int32(0); idx < int32(vt.states()); idx++ {
-		fp := fingerprint(vt.key(idx))
+		key, _ := vt.expand(nil, nil, idx)
+		fp := fingerprint(key)
 		if other, dup := owner[fp]; dup {
 			t.Errorf("states %d and %d share the fingerprint %#x", other, idx, fp)
 		}

@@ -35,8 +35,9 @@ done
 # Not under -race. The allocation contracts (canonicalize: 0 over warmed
 # scratch; Snapshot: the returned string only; mc.Check: at most 0.1 per
 # transition a larger exploration adds — regions, not the heap, hold what
-# expanding a state builds; the visited store: 0 per claim of a seen key,
-# under N/100 to insert N states; a delivery into a warmed engine: 0, support
+# expanding a state builds; the visited store and its intern table of key
+# segments: 0 per claim of a seen key, under N/100 to insert N states, and
+# 0 for a commit no larger than an earlier one; a delivery into a warmed engine: 0, support
 # call, send and all, register stack empty afterwards; a whole simulated run:
 # at most 1 per message; a warmed fuzz.Judge run of each litmus corpus test,
 # recorder and trace cursor included: under 20; a warmed litmus runner run
