@@ -145,6 +145,12 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  visited set:    %s (%.0f bytes/state)\n", mc.FormatBytes(res.VisitedBytes), st.BytesPerState)
 		fmt.Fprintf(stdout, "  segments:       %d distinct, %s\n", res.Segments, mc.FormatBytes(res.SegmentBytes))
 		fmt.Fprintf(stdout, "  shards:         %d..%d states per shard\n", st.ShardMin, st.ShardMax)
+		if m := res.Memo; m.Bypass != "" {
+			fmt.Fprintf(stdout, "  memo:           off: %s\n", m.Bypass)
+		} else {
+			fmt.Fprintf(stdout, "  memo:           %d entries, %s, %.1f%% of %d handler runs replayed\n",
+				m.Entries, mc.FormatBytes(m.Bytes), 100*float64(m.Hits)/float64(max(m.Runs, 1)), m.Runs)
+		}
 		fmt.Fprintf(stdout, "  rate:           %.0f states/s\n", st.StatesPerSec)
 		fmt.Fprintf(stdout, "  dedup ratio:    %.2f transitions/state\n", st.DedupRatio)
 		fmt.Fprintf(stdout, "  symmetry group: %d\n", res.SymmetryGroup)

@@ -30,11 +30,12 @@ import (
 // compact parent chain from the initial state. States, Transitions,
 // MaxDepth, the violation kind, and the trace are identical for any worker
 // count.
-func Check(cfg Config) (*Result, error) { return check(cfg, newVisited()) }
+func Check(cfg Config) (*Result, error) { return check(cfg, newVisited(), nil) }
 
-// check is Check over the visited table it is handed (empty; tests hand in
-// one with its limits lowered).
-func check(cfg Config, vt *visitedTable) (*Result, error) {
+// check is Check over the visited table and the transition memo it is
+// handed (empty; tests hand in a table with its limits lowered, and read
+// both afterwards). A nil memo is made if the run uses one.
+func check(cfg Config, vt *visitedTable, mm *memo) (*Result, error) {
 	cfg.normalize()
 	// Exploration never attaches Config.Obs to the worlds it expands: that
 	// sink is the replay path's (see ReplaySteps). Coverage accounting has
@@ -52,6 +53,14 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 	if red != nil {
 		res.SymmetryGroup = len(red.group)
 	}
+	bypass := memoBypass(&cfg)
+	var use *memo // nil when bypassed
+	if bypass == "" {
+		if use = mm; use == nil {
+			use = new(memo)
+		}
+		use.segs = vt
+	}
 
 	root, err := new(keyScratch).key(newWorld(&cfg), red, nil)
 	if err != nil {
@@ -66,7 +75,7 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 
 	for depth := 0; len(layer) > 0; depth++ {
 		res.MaxDepth = depth
-		out, err := expandLayer(&cfg, vt, red, layer, workers)
+		out, err := expandLayer(&cfg, vt, use, red, layer, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -77,6 +86,11 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 		next, err := vt.commit(layer)
 		if err != nil {
 			return nil, err
+		}
+		if use != nil {
+			use.runs += out.memoRuns
+			use.hits += out.memoHits
+			use.absorb(workers)
 		}
 		if len(next) > res.PeakFrontier {
 			res.PeakFrontier = len(next)
@@ -117,6 +131,10 @@ func check(cfg Config, vt *visitedTable) (*Result, error) {
 	res.VisitedBytes = vt.bytes()
 	res.Segments, res.SegmentBytes = len(vt.segs), vt.segBytes
 	res.ShardMin, res.ShardMax = vt.shardStats()
+	res.Memo = MemoStats{Bypass: bypass}
+	if use != nil {
+		res.Memo = use.stats()
+	}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
@@ -146,6 +164,8 @@ type layerOut struct {
 	decodes     int64
 	// Key bytes built and key bytes encoded (see Result.KeyBytes).
 	keyBytes, keyEncoded int64
+	// Handler runs looked up in the memo, and how many it served.
+	memoRuns, memoHits int64
 }
 
 func (o *layerOut) take(c *candidate) {
@@ -164,7 +184,8 @@ func (o *layerOut) take(c *candidate) {
 // copies the bytes it keeps), the parent is untouched until its last action
 // and finished with after it, and the Terminal and EventGen hooks see a
 // world only for the length of the call. The per-layer fields (layerOut,
-// cov, err) are reset by expandLayer.
+// cov, err) are reset by expandLayer, and the memo's (misses) by
+// memo.absorb.
 type worker struct {
 	parent, succ *World
 	region       runtime.Region
@@ -172,6 +193,7 @@ type worker struct {
 	keys         keyScratch // successor keys are built here, never on the heap
 	src          []byte     // the key of the state being expanded, spelled out of its segments
 	from         parentSegs // and those segments
+	*memoScratch            // the memo's, when the run has one
 
 	layerOut
 	cov    *obs.Coverage // this layer's coverage, merged at the barrier
@@ -189,7 +211,7 @@ const inlineLayer = 64
 // len(workers) goroutines pulling positions from a shared cursor — or, for
 // a layer shorter than inlineLayer, on the calling goroutine alone. Which of
 // the two ran cannot be told from the result.
-func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, workers []worker) (*layerOut, error) {
+func expandLayer(cfg *Config, vt *visitedTable, mm *memo, red *reduction, layer []int32, workers []worker) (*layerOut, error) {
 	if len(workers) > len(layer) {
 		workers = workers[:len(layer)]
 	}
@@ -202,7 +224,7 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 		wk := &workers[0]
 		wk.cov = cfg.Coverage // accumulate in place, nothing to merge
 		for pos := range layer {
-			if err := wk.expandState(cfg, vt, red, layer, int32(pos)); err != nil {
+			if err := wk.expandState(cfg, vt, mm, red, layer, int32(pos)); err != nil {
 				return nil, err
 			}
 		}
@@ -224,7 +246,7 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 				if pos >= int64(len(layer)) {
 					return
 				}
-				if wk.err = wk.expandState(cfg, vt, red, layer, int32(pos)); wk.err != nil {
+				if wk.err = wk.expandState(cfg, vt, mm, red, layer, int32(pos)); wk.err != nil {
 					cursor.Store(int64(len(layer))) // the layer is lost: stop the others
 					return
 				}
@@ -242,6 +264,8 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 		merged.decodes += wk.decodes
 		merged.keyBytes += wk.keyBytes
 		merged.keyEncoded += wk.keyEncoded
+		merged.memoRuns += wk.memoRuns
+		merged.memoHits += wk.memoHits
 		if cfg.Coverage != nil {
 			// Set union with count addition commutes, so merging in worker
 			// order (or any order) accumulates identical coverage.
@@ -258,11 +282,13 @@ func expandLayer(cfg *Config, vt *visitedTable, red *reduction, layer []int32, w
 // enumerates its actions, and claims every successor, deriving each into
 // the worker's scratch world — the last from the parent itself. A derived
 // successor decodes only the engine its action runs on and reads the
-// parent's other engines (see World.derive). With symmetry
+// parent's other engines (see World.derive). With a memo (nil: bypassed)
+// a handler run it holds is replayed instead (replay), and one it does not
+// hold is journaled and buffered for the barrier. With symmetry
 // reduction active every successor is canonicalized before the claim, so
 // the visited table (and its per-shard balance statistics) sees only
 // post-canonicalization keys.
-func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, layer []int32, pos int32) error {
+func (wk *worker) expandState(cfg *Config, vt *visitedTable, mm *memo, red *reduction, layer []int32, pos int32) error {
 	if wk.src == nil {
 		wk.src = make([]byte, 0, 256)
 		wk.from = parentSegs{ids: make([]uint32, 0, 2*cfg.Nodes+1), ends: make([]int, 0, 2*cfg.Nodes)}
@@ -290,27 +316,119 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, red *reduction, lay
 		}
 		return nil
 	}
-	for i, a := range wk.acts {
-		wa, err := w.branch(a, i == len(wk.acts)-1, wk.cov, wk.succ)
+	if mm != nil && wk.memoScratch == nil {
+		wk.memoScratch = new(memoScratch)
+	}
+	for i := range wk.acts {
+		a := &wk.acts[i]
+		wk.transitions++
+		var k memoKey
+		memoize := false
+		if mm != nil {
+			if k, memoize = memoKeyFor(a, wk.from.ids, cfg.Nodes); memoize {
+				wk.memoRuns++
+				if seg, jrn, ok := mm.lookup(&k); ok {
+					// In the memo already: replayed, or run below only
+					// when the replay breaks an invariant, for the message.
+					memoize = false
+					kb, err := wk.replay(cfg, w, red, a, seg, jrn)
+					if err != nil {
+						return err
+					}
+					if kb != nil {
+						wk.memoHits++
+						if err := wk.claim(vt, kb, pos, int32(i)); err != nil {
+							return err
+						}
+						continue
+					}
+				}
+			}
+		}
+		wa, err := w.branch(*a, i == len(wk.acts)-1, wk.cov, wk.succ)
 		if err != nil {
 			return fmt.Errorf("mc: decode: %w", err)
 		}
-		wk.transitions++
-		if kind, msg := wa.applyChecked(a); kind != "" {
+		if memoize {
+			wk.rec.reset()
+			wa.rec = &wk.rec
+		}
+		kind, msg := wa.applyChecked(*a)
+		wa.rec = nil
+		if kind != "" {
 			wk.take(&candidate{kind: kind, msg: msg, pos: pos, ord: int32(i)})
 			continue
 		}
-		succ, err := wk.keys.key(wa, red, &wk.acts[i])
+		kb, err := wk.keys.plain(wa, a, nil)
 		if err != nil {
 			return fmt.Errorf("mc: encode: %w", err)
 		}
-		wk.keyBytes += int64(len(succ.Bytes()))
-		wk.keyEncoded += int64(wk.keys.encoded)
-		if err := vt.claim(succ, &wk.from, pos, int32(i), wk.shared); err != nil {
+		if memoize && wk.rec.err == nil {
+			wk.misses.add(mm, &k, pos, int32(i), segmentOf(kb.Bytes(), kb.ends, a.engine()), wk.rec.jrn)
+		}
+		if red != nil {
+			if err := red.canonicalize(wa, &wk.keys); err != nil {
+				return fmt.Errorf("mc: encode: %w", err)
+			}
+		}
+		if err := wk.claim(vt, kb, pos, int32(i)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// claim claims the successor key kb holds, reached from layer position pos
+// by its ord-th action, counting its bytes.
+func (wk *worker) claim(vt *visitedTable, kb *keyBuf, pos, ord int32) error {
+	wk.keyBytes += int64(len(kb.Bytes()))
+	wk.keyEncoded += int64(wk.keys.encoded)
+	return vt.claim(kb, &wk.from, pos, ord, wk.shared)
+}
+
+// replay writes into the worker's key scratch the successor key of action
+// a, which runs a handler the memo holds (seg, jrn), from w, the state
+// being expanded, left untouched. Without reduction the key is written
+// straight from w's key, the segment and the journal, with only the
+// successor's tail built, in the scratch world; with reduction the scratch
+// world is the whole successor (World.deriveHit), to canonicalize. It
+// returns nil when the successor breaks an invariant: the caller runs the
+// handler for the violation's message.
+func (wk *worker) replay(cfg *Config, w *World, red *reduction, a *action, seg, jrn []byte) (*keyBuf, error) {
+	h := &wk.hit
+	if h.sends == nil {
+		h.sends = make([]int, cfg.Nodes)
+	}
+	h.parent, h.a, h.touch, h.delivered, h.seg, h.jrn = w, a, a.engine(), -1, seg, jrn
+	if a.kind == actDeliver {
+		h.delivered = a.from*cfg.Nodes + a.to
+	}
+	succ := wk.succ
+	if red == nil {
+		copy(succ.access, w.access)
+		copy(succ.stalled, w.stalled)
+		succ.drops, succ.dups = w.drops, w.dups
+		succ.src, succ.segEnds = w.src, w.segEnds
+		h.replayTail(succ)
+		if !h.holds(succ) {
+			return nil, nil
+		}
+	} else {
+		if err := w.deriveHit(succ, h); err != nil {
+			return nil, fmt.Errorf("mc: decode: %w", err)
+		}
+		if succ.checkInvariants() != "" {
+			return nil, nil
+		}
+	}
+	kb, err := wk.keys.plain(succ, a, h)
+	if err == nil && red != nil {
+		err = red.canonicalize(succ, &wk.keys)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("mc: encode: %w", err)
+	}
+	return kb, nil
 }
 
 // decode empties the worker's region and decodes key into its parent world
@@ -392,7 +510,7 @@ func (w *World) applyChecked(a action) (kind, msg string) {
 // pre-action world.
 func (wk *worker) buildViolation(cfg *Config, vt *visitedTable, red *reduction, state int32, c *candidate) (*Violation, error) {
 	var chain []int32 // arena indices from the root to state
-	for idx := state; idx >= 0; idx = vt.parents[idx] {
+	for idx := state; idx >= 0; idx = vt.parent(idx) {
 		chain = append(chain, idx)
 	}
 	slices.Reverse(chain)

@@ -255,6 +255,9 @@ type Result struct {
 	// SymmetryNote explains why SymmetryAuto fell back to no reduction
 	// ("" when reduction ran or was off).
 	SymmetryNote string
+	// Memo reports the transition memo: what it holds, how often it served
+	// a handler run, or why the run bypassed it.
+	Memo MemoStats
 }
 
 // Violation describes a found bug with its event trace from the initial
@@ -325,6 +328,10 @@ type World struct {
 	obsSink obs.Sink
 
 	sendErr error
+
+	// rec, when non-nil, journals the Machine calls of the handler run the
+	// checker is about to memoize (see memo.go).
+	rec *recorder
 
 	dec runtime.Decoder // decodeInto's reader, kept here so it is not allocated per state
 
@@ -422,14 +429,23 @@ func (w *World) Send(from, dst int, m *runtime.Message) {
 	}
 	ch := from*w.cfg.Nodes + dst
 	w.channels[ch] = append(w.channels[ch], m)
+	if w.rec != nil {
+		w.rec.send(w.engines[from], dst, m)
+	}
 }
 
 func (w *World) AccessChange(node, id int, mode sema.AccessMode) {
 	w.access[node*w.cfg.Blocks+id] = mode
+	if w.rec != nil {
+		w.rec.op(jAccess, id, mode)
+	}
 }
 
 func (w *World) RecvData(node, id int, mode sema.AccessMode) {
 	w.access[node*w.cfg.Blocks+id] = mode
+	if w.rec != nil {
+		w.rec.op(jRecv, id, mode)
+	}
 }
 
 // RecvDataMsg implements runtime.DataMachine: the access change RecvData
@@ -439,6 +455,9 @@ func (w *World) RecvData(node, id int, mode sema.AccessMode) {
 // RecvData.
 func (w *World) RecvDataMsg(node, id int, mode sema.AccessMode, msg *runtime.Message) {
 	w.access[node*w.cfg.Blocks+id] = mode
+	if w.rec != nil {
+		w.rec.op(jRecv, id, mode)
+	}
 	if w.cmem == nil || id < 0 || id >= w.cfg.Blocks {
 		return
 	}
@@ -448,6 +467,9 @@ func (w *World) RecvDataMsg(node, id int, mode sema.AccessMode, msg *runtime.Mes
 }
 
 func (w *World) WakeUp(node, id int) {
+	if w.rec != nil {
+		w.rec.op(jWake, id, 0)
+	}
 	if w.stalled[node] == id {
 		w.stalled[node] = -1
 		w.clientWake(node, id)
@@ -516,6 +538,19 @@ func partEnds(dst, segEnds []int, nodes int) []int {
 		dst = append(dst, segEnds[partLast(part, nodes)])
 	}
 	return dst
+}
+
+// segmentOf returns segment k of key, whose segments but the last end at
+// ends.
+func segmentOf(key []byte, ends []int, k int) []byte {
+	start, end := 0, len(key)
+	if k > 0 {
+		start = ends[k-1]
+	}
+	if k < len(ends) {
+		end = ends[k]
+	}
+	return key[start:end]
 }
 
 // partFirst and partLast return the world segments that store segment
@@ -608,8 +643,10 @@ func (w *World) encodeTo(kb *keyBuf, bound []byte) (smaller bool, err error) {
 // Only the segments via may change (action.changes) are encoded; each
 // maximal run of the others is copied from src whole. Which those are is a
 // function of the action — there are no dirty flags to forget to set.
-// copied is how many bytes were copied.
-func (w *World) encodeVia(kb *keyBuf, via *action) (copied int, err error) {
+// copied is how many bytes were copied. With hit set, via was replayed
+// from the memo, not run: the changed segments are the hit's to write, and
+// w need hold only the successor's tail.
+func (w *World) encodeVia(kb *keyBuf, via *action, hit *memoHit) (copied int, err error) {
 	enc := &kb.Encoder
 	nodes := w.cfg.Nodes
 	ends, mask := kb.sizeEnds(nodes), uint64(0)
@@ -636,9 +673,12 @@ func (w *World) encodeVia(kb *keyBuf, via *action) (copied int, err error) {
 			}
 		}
 		for seg := c.lo; seg < c.hi; seg++ {
-			if seg < nodes {
+			switch {
+			case hit != nil:
+				err = hit.segment(enc, seg)
+			case seg < nodes:
 				err = w.engines[seg].EncodeState(enc)
-			} else {
+			default:
 				err = w.encodeChannel(enc, seg-nodes)
 			}
 			if err != nil {
@@ -680,13 +720,19 @@ func (w *World) encodeChannel(enc *runtime.Encoder, ch int) error {
 func (w *World) encodeTail(enc *runtime.Encoder) {
 	r := enc.Remap()
 	nodes, blocks := w.cfg.Nodes, w.cfg.Blocks
-	for n := 0; n < nodes; n++ {
-		row := w.access[r.SrcNode(n)*blocks:]
-		for b := 0; b < blocks; b++ {
-			enc.Byte(byte(row[r.SrcBlock(b)]))
+	if r == nil {
+		for _, a := range w.access {
+			enc.Byte(byte(a))
+		}
+	} else {
+		for n := 0; n < nodes; n++ {
+			row := w.access[r.SrcNode(n)*blocks:]
+			for b := 0; b < blocks; b++ {
+				enc.Byte(byte(row[r.SrcBlock(b)]))
+			}
 		}
 	}
-	for n := 0; n < nodes; n++ {
+	for n := range w.stalled {
 		enc.Int(int64(r.MapBlock(w.stalled[r.SrcNode(n)])))
 	}
 	enc.Int(int64(w.drops))
@@ -1030,19 +1076,8 @@ const (
 // checkInvariants returns a violation message, or "".
 func (w *World) checkInvariants() string {
 	if w.cfg.CheckCoherence {
-		for b := 0; b < w.cfg.Blocks; b++ {
-			writers, readers := 0, 0
-			for n := 0; n < w.cfg.Nodes; n++ {
-				switch w.Access(n, b) {
-				case sema.AccReadWrite:
-					writers++
-				case sema.AccReadOnly:
-					readers++
-				}
-			}
-			if writers > 1 || (writers == 1 && readers > 0) {
-				return fmt.Sprintf("coherence violated on block %d: %d writers, %d readers", b, writers, readers)
-			}
+		if msg := w.incoherent(); msg != "" {
+			return msg
 		}
 	}
 	for ch, msgs := range w.channels {
@@ -1059,6 +1094,39 @@ func (w *World) checkInvariants() string {
 		}
 	}
 	return ""
+}
+
+// incoherent returns the single-writer/multiple-readers violation of the
+// access map, or "".
+func (w *World) incoherent() string {
+	for b := 0; b < w.cfg.Blocks; b++ {
+		if !w.coherent(b) {
+			writers, readers := w.holders(b)
+			return fmt.Sprintf("coherence violated on block %d: %d writers, %d readers", b, writers, readers)
+		}
+	}
+	return ""
+}
+
+// coherent reports whether block b has one writer and no reader, or
+// readers only.
+func (w *World) coherent(b int) bool {
+	writers, readers := w.holders(b)
+	return writers == 0 || writers == 1 && readers == 0
+}
+
+// holders counts the nodes that may write block b and those that may only
+// read it.
+func (w *World) holders(b int) (writers, readers int) {
+	for n := 0; n < w.cfg.Nodes; n++ {
+		switch w.Access(n, b) {
+		case sema.AccReadWrite:
+			writers++
+		case sema.AccReadOnly:
+			readers++
+		}
+	}
+	return writers, readers
 }
 
 // anyStalled reports whether some processor is stalled.

@@ -8,6 +8,7 @@ import (
 	"teapot/internal/netmodel"
 	"teapot/internal/obs"
 	"teapot/internal/protocols/lcm"
+	"teapot/internal/runtime"
 )
 
 // equivalenceConfigs are the machines the worker-equivalence contract is
@@ -135,6 +136,99 @@ func TestWorkerEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMemoWorkerEquivalence: the transition memo is written only at layer
+// barriers, in commit order, so what it holds — entries and bytes — and
+// which handler runs it serves are the same for any worker count. And it
+// changes nothing a run reports: a run that records coverage bypasses the
+// memo (and says so), and reaches the same states, transitions, depth, key
+// bytes and violation as one that replays.
+func TestMemoWorkerEquivalence(t *testing.T) {
+	for name, mk := range equivalenceConfigs(t) {
+		t.Run(name, func(t *testing.T) {
+			var base *mc.Result
+			for _, workers := range []int{1, 2} {
+				cfg := mk()
+				cfg.Workers = workers
+				res, err := mc.Check(cfg)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if m := res.Memo; m.Bypass != "" || m.Entries == 0 || m.Hits == 0 || m.Hits > m.Runs {
+					t.Fatalf("workers=%d: memo %+v: want it on, holding runs and serving some", workers, m)
+				}
+				if base == nil {
+					base = res
+					continue
+				}
+				if res.Memo != base.Memo {
+					t.Errorf("workers=%d: memo %+v, workers=1 %+v", workers, res.Memo, base.Memo)
+				}
+			}
+			cfg := mk()
+			cfg.Workers = 1
+			cfg.Coverage = obs.NewCoverage()
+			res, err := mc.Check(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Memo.Bypass == "" || res.Memo.Runs != 0 {
+				t.Errorf("coverage run: memo %+v, want it bypassed", res.Memo)
+			}
+			if res.States != base.States || res.Transitions != base.Transitions || res.MaxDepth != base.MaxDepth ||
+				res.KeyBytes != base.KeyBytes || res.KeyBytesEncoded != base.KeyBytesEncoded {
+				t.Errorf("without the memo (states,transitions,depth,key bytes) = (%d,%d,%d,%d/%d), with it (%d,%d,%d,%d/%d)",
+					res.States, res.Transitions, res.MaxDepth, res.KeyBytes, res.KeyBytesEncoded,
+					base.States, base.Transitions, base.MaxDepth, base.KeyBytes, base.KeyBytesEncoded)
+			}
+			if (res.Violation == nil) != (base.Violation == nil) ||
+				res.Violation != nil && !reflect.DeepEqual(res.Violation, base.Violation) {
+				t.Errorf("without the memo violation %v, with it %v", res.Violation, base.Violation)
+			}
+		})
+	}
+}
+
+// TestMemoBypassUnvouched: a support module that does not vouch its
+// routines local runs without the memo, and the run says which routine it
+// missed; the result is the vouched run's.
+func TestMemoBypassUnvouched(t *testing.T) {
+	cfg := stacheConfig(t, 2, 1, 1)
+	want, err := mc.Check(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Support = struct{ runtime.Support }{cfg.Support} // hides mc.LocalSupport
+	got, err := mc.Check(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Memo.Bypass != "support routine AddSharer is not vouched local" || got.Memo.Runs != 0 {
+		t.Errorf("memo %+v, want it bypassed for AddSharer", got.Memo)
+	}
+	if got.States != want.States || got.Transitions != want.Transitions || got.MaxDepth != want.MaxDepth {
+		t.Errorf("unvouched run %d/%d/%d, vouched %d/%d/%d", got.States, got.Transitions, got.MaxDepth,
+			want.States, want.Transitions, want.MaxDepth)
+	}
+}
+
+// TestMachineAnswersOnlyHomeNode pins the fact the transition memo rests
+// on: of the calls a handler can make on its machine, and on the machine
+// extensions the checker's World implements, only HomeNode returns a value
+// (a function of the configuration), so a handler run cannot read the world.
+func TestMachineAnswersOnlyHomeNode(t *testing.T) {
+	for _, iface := range []reflect.Type{
+		reflect.TypeFor[runtime.Machine](),
+		reflect.TypeFor[runtime.DataMachine](),
+		reflect.TypeFor[runtime.TimeoutArmer](),
+	} {
+		for i := range iface.NumMethod() {
+			if m := iface.Method(i); m.Type.NumOut() > 0 && m.Name != "HomeNode" {
+				t.Errorf("%s.%s returns a value: a handler could read the world through it, and the memo would replay a run that depends on it", iface, m.Name)
+			}
+		}
 	}
 }
 

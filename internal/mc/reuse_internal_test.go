@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"teapot/internal/obs"
+	"teapot/internal/runtime"
 	"teapot/internal/vm"
 )
 
@@ -171,6 +172,10 @@ type ExpandStats struct {
 	// successors derived into the scratch world right after an apply on it
 	// failed (a handler abandoned mid-run).
 	Failed, AfterFailed int
+	// Hits counts the handler runs the check's transition memo held, each
+	// replayed and run; MemoBypass is why the check ran without the memo.
+	Hits       int
+	MemoBypass string
 }
 
 // CheckExpandMatchesReference is the differential test of what a worker
@@ -198,34 +203,49 @@ type ExpandStats struct {
 // engine's stale bytes are copied); partFirst putting an engine's start
 // one segment early, so that encodeVia does not mark untouched engines
 // copied (the store would intern what it could take from the parent).
+//
+// The transition memo the check filled is the last leg: on every handler
+// run it holds, the worker's replay of it (worker.replay, which leaves the
+// parent as it was) must yield the reference's key — or decline exactly
+// when the reference breaks an invariant — and running the handler must
+// leave the engine's segment and the journal the memo holds, and must not
+// fail. Mutations that must each fail it (tried when it was written): a
+// memo key without the message's index in its channel (a reordered
+// delivery replays another message's run); a key without the node (a
+// cache replays another cache's run, its sends stamped with the other's
+// id); a replay that skips the journal's WakeUp (the processor stays
+// stalled).
 func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) ExpandStats {
 	t.Helper()
 	cfg.Workers = 1
-	vt := newVisited()
+	vt, mm := newVisited(), new(memo)
 	// A violation only ends the exploration early: the states stored by
 	// then are compared all the same, and the caller judges their number.
-	if _, err := check(cfg, vt); err != nil {
+	res, err := check(cfg, vt, mm)
+	if err != nil {
 		t.Fatal(err)
 	}
+	memoOn := res.Memo.Bypass == ""
 	cfg.normalize()
 	red, _, err := buildReduction(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wk worker
+	wk := worker{memoScratch: new(memoScratch)}
 	if withCoverage {
 		wk.cov = obs.NewCoverage()
 	}
 	var ref keyScratch
-	st := ExpandStats{States: vt.states()}
+	st := ExpandStats{States: vt.states(), MemoBypass: res.Memo.Bypass}
 	lastFailed := false
 	for idx := int32(0); idx < int32(vt.states()); idx++ {
-		src, _ := vt.expand(nil, nil, idx)
+		src, ids := vt.expand(nil, nil, idx)
 		key := string(src)
 		w, err := wk.decode(&cfg, src)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wk.from = parentSegs{ids: ids, ends: partEnds(nil, w.segEnds, cfg.Nodes)}
 		fresh, err := cfg.decode(key)
 		if err != nil {
 			t.Fatal(err)
@@ -236,6 +256,24 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 		}
 		for i, a := range wk.acts {
 			what := fresh.describe(a)
+			// The memo leg replays first: the last action is applied to
+			// the parent itself below.
+			var hit bool
+			var memoSeg, memoJrn, replayed []byte
+			if k, ok := memoKeyFor(&wk.acts[i], ids, cfg.Nodes); ok && memoOn {
+				if memoSeg, memoJrn, hit = mm.lookup(&k); hit {
+					kb, err := wk.replay(&cfg, w, red, &wk.acts[i], memoSeg, memoJrn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if kb != nil {
+						replayed = slices.Clone(kb.Bytes())
+					}
+					if got, err := w.encode(); err != nil || got != key {
+						t.Fatalf("state %d, %s: replaying the memoized run changed its parent (err %v)", idx, what, err)
+					}
+				}
+			}
 			wa, err := w.branch(a, i == len(wk.acts)-1, wk.cov, wk.succ)
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +285,29 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 			if wa == wk.succ && lastFailed {
 				st.AfterFailed++
 			}
+			var rec recorder
+			if hit {
+				wa.rec = &rec
+			}
 			errW, errF := wa.apply(a), fs.apply(a)
+			wa.rec = nil
+			if hit {
+				st.Hits++
+				if errW != nil {
+					t.Fatalf("state %d, %s: the memo holds a run that fails: %v", idx, what, errW)
+				}
+				var enc runtime.Encoder
+				if err := wa.engines[a.engine()].EncodeState(&enc); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(enc.Bytes(), memoSeg) || !bytes.Equal(rec.jrn, memoJrn) {
+					t.Fatalf("state %d, %s: the run leaves segment %x and journal %x, the memo holds %x and %x",
+						idx, what, enc.Bytes(), rec.jrn, memoSeg, memoJrn)
+				}
+				if broken := fs.checkInvariants() != ""; broken != (replayed == nil) {
+					t.Fatalf("state %d, %s: the replay declined %v, the reference breaks an invariant %v", idx, what, replayed == nil, broken)
+				}
+			}
 			if wa == wk.succ {
 				lastFailed = errW != nil
 				if got, err := w.encode(); err != nil || got != key {
@@ -272,6 +332,9 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("state %d, %s: worker key (%d bytes) differs from the reference's (%d bytes)",
 					idx, what, len(got.Bytes()), len(want.Bytes()))
+			}
+			if replayed != nil && !bytes.Equal(replayed, want.Bytes()) {
+				t.Fatalf("state %d, %s: the memo's replay keys %x, the reference %x", idx, what, replayed, want.Bytes())
 			}
 			// The segments the store interns the key by are the ones
 			// reading the key back finds, however the key was built: where
@@ -302,17 +365,4 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 		}
 	}
 	return st
-}
-
-// segmentOf returns segment k of key, whose segments but the last end at
-// ends.
-func segmentOf(key []byte, ends []int, k int) []byte {
-	start, end := 0, len(key)
-	if k > 0 {
-		start = ends[k-1]
-	}
-	if k < len(ends) {
-		end = ends[k]
-	}
-	return key[start:end]
 }

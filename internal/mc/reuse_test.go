@@ -93,7 +93,9 @@ func TestDecodeIntoDirtyWorld(t *testing.T) {
 // Stache under a duplicate it has no tolerance for, whose handlers
 // fail — so the scratch world is also derived into right after an action
 // abandoned it mid-handler. Each runs with symmetry off and auto, and once
-// more with coverage sinks wired to every successor.
+// more with coverage sinks wired to every successor; in every leg each
+// handler run the transition memo holds is replayed and run again. The
+// scripted client bypasses the memo, and nothing else does.
 func TestExpandMatchesReference(t *testing.T) {
 	shapes := []struct {
 		reuseShape
@@ -123,6 +125,9 @@ func TestExpandMatchesReference(t *testing.T) {
 				}
 				if sh.name == "stache-2n-dup" && st.AfterFailed == 0 {
 					t.Errorf("the scratch world was never derived into after a failed apply: %+v", st)
+				}
+				if client := sh.name == "litmus-sb-cas"; client != (st.MemoBypass != "") || !client && st.Hits < st.Succs/2 {
+					t.Errorf("memo bypassed %q, %d runs replayed: want the memo on every shape but the client's, serving most successors", st.MemoBypass, st.Hits)
 				}
 			})
 		}

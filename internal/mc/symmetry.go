@@ -151,18 +151,25 @@ type keyScratch struct {
 // from (nil: encode all of it); only the plain encoding can use it
 // (World.encodeVia), the remapped challengers stream every byte.
 func (sc *keyScratch) key(w *World, red *reduction, via *action) (*keyBuf, error) {
+	kb, err := sc.plain(w, via, nil)
+	if err == nil && red != nil {
+		err = red.canonicalize(w, sc)
+	}
+	return kb, err
+}
+
+// plain is key without the canonicalization: the plain encoding of w, with
+// hit, if set, writing what via changed (World.encodeVia).
+func (sc *keyScratch) plain(w *World, via *action, hit *memoHit) (*keyBuf, error) {
 	sc.best.Reset(nil)
 	var copied int
 	var err error
 	if via != nil {
-		copied, err = w.encodeVia(&sc.best, via)
+		copied, err = w.encodeVia(&sc.best, via, hit)
 	} else {
 		_, err = w.encodeTo(&sc.best, nil)
 	}
 	sc.encoded = len(sc.best.Bytes()) - copied
-	if err == nil && red != nil {
-		err = red.canonicalize(w, sc)
-	}
 	return &sc.best, err
 }
 

@@ -25,16 +25,17 @@ import (
 //     a state's record, one uvarint id per segment, is an eighth of its
 //     key. SPIN's collapse compression does the same with its process and
 //     channel vectors.
-//   - Every discovered state lives once in an append-only arena: locs[i]
-//     locates state i's record (chunk index and offset) and parents[i] is
-//     the arena index of the state it was first reached from — all a
+//   - Every discovered state lives once in an append-only arena: its
+//     locator (chunk index and offset of its record) and its parent (the
+//     arena index of the state it was first reached from — all a
 //     counterexample trace needs, since replaying the chain finds each step
-//     as the one whose successor has the next state's key (buildViolation).
-//     Records and segment bytes share []byte chunks of a fixed capacity,
-//     and nothing straddles two, so everything is read where it lies. They
-//     are chunks rather than one growing slice because append grows a
-//     large slice by a quarter at a time and so copies — and for a while
-//     holds twice — the whole arena again and again; the first chunks are
+//     as the one whose successor has the next state's key: buildViolation)
+//     lie in pages of pageSize states. Records and segment bytes share
+//     []byte chunks of a fixed capacity, and nothing straddles two, so
+//     everything is read where it lies. They are chunks and pages rather
+//     than growing slices because append grows a large slice by a quarter
+//     at a time and so copies — and for a while holds twice — the whole
+//     arena again and again; the first chunks, and the first page, are
 //     small so that a 14-state check does not pay for a 1 MiB one.
 //   - Membership is numShards mutex-protected open-addressed tables (linear
 //     probing, doubled under the shard lock, allocated on first use) of
@@ -50,7 +51,9 @@ import (
 //   - Discoveries made while a BFS layer is expanding are buffered as
 //     per-shard pending claims — a slab of records plus a slab of their key
 //     bytes and segment descriptors, both truncated and reused at every
-//     barrier — and folded into the arena only at the layer barrier,
+//     barrier, and both carved, as they grow, out of blocks the table
+//     allocates for all 64 shards at once (slabs) — and folded into the
+//     arena only at the layer barrier,
 //     ordered by (parent position, action ordinal). Concurrent workers may
 //     race to claim the same successor, but the merge keeps the smallest
 //     claim — the transition a sequential scan would have taken, and the
@@ -75,6 +78,20 @@ const (
 	chunkSize  = 1 << 20 // ... up to this, the size of all later chunks
 
 	minSlots = 8 // a shard table's first allocation; always a power of two
+
+	// The arena's pages: pageSize states each, the first growing to it by
+	// doubling from firstPage.
+	pageShift = 13
+	pageSize  = 1 << pageShift
+	firstPage = 16
+
+	// A shard's pending slabs start at minPend records and minPendKeys
+	// bytes, and are carved from blocks whose sizes double from
+	// firstPendBlock records and firstKeysBlock bytes up to 8 times those.
+	minPend        = 2
+	minPendKeys    = 64
+	firstPendBlock = 16
+	firstKeysBlock = 256
 
 	// The first allocations of the intern table (its slots, a power of
 	// two, and its segment locators) and of commit's layer buffers: past
@@ -134,7 +151,7 @@ func fold(a, b uint64) uint64 {
 // claim's ref sits in the shard table, kept current when the table grows,
 // so commit can overwrite it without probing.
 type pendRec struct {
-	keyOff, slot     int
+	keyOff, slot     uint32
 	keyLen, pos, ord int32
 }
 
@@ -165,9 +182,18 @@ type visitedTable struct {
 	hash   func([]byte) uint64 // fingerprint; replaceable in tests
 	shards [numShards]shard
 
-	chunks  [][]byte // records and segment bytes
-	locs    []uint64 // per state: chunk index << 32 | offset of its record
-	parents []int32  // per state: arena index of its parent, -1 for the root
+	chunks [][]byte // records and segment bytes
+	// Per state, in pages (see pageSize): locs holds chunk index << 32 |
+	// offset of its record, parents the arena index of its parent (-1 for
+	// the root). n is the number of states.
+	locs    [][]uint64
+	parents [][]int32
+	n       int
+
+	// What the shards' pending slabs are carved from (see claim).
+	slabMu   sync.Mutex
+	pendSlab slab[pendRec]
+	keysSlab slab[byte]
 
 	// The intern table: segs[id] locates segment id in chunks, segSlots
 	// is an open-addressed table of the segments' fingerprint tags above
@@ -198,7 +224,13 @@ func newVisited() *visitedTable {
 }
 
 // states returns the number of committed states.
-func (t *visitedTable) states() int { return len(t.parents) }
+func (t *visitedTable) states() int { return t.n }
+
+// parent returns the arena index of the state state idx was first reached
+// from, -1 for the root.
+func (t *visitedTable) parent(idx int32) int32 {
+	return t.parents[idx>>pageShift][idx&(pageSize-1)]
+}
 
 // segment returns interned segment id, read-only, in place.
 func (t *visitedTable) segment(id uint32) []byte {
@@ -209,7 +241,7 @@ func (t *visitedTable) segment(id uint32) []byte {
 // record returns state idx's record, its nseg segment ids, in place — and
 // whatever follows it in its chunk.
 func (t *visitedTable) record(idx int32) []byte {
-	loc := t.locs[idx]
+	loc := t.locs[idx>>pageShift][idx&(pageSize-1)]
 	return t.chunks[loc>>32][uint32(loc):]
 }
 
@@ -287,7 +319,7 @@ func (t *visitedTable) equal(idx int32, kb *keyBuf, from *parentSegs) bool {
 // pendKey returns the key of the shard's i-th pending claim.
 func (s *shard) pendKey(i int) []byte {
 	p := &s.pend[i]
-	return s.pendKeys[p.keyOff : p.keyOff+int(p.keyLen)]
+	return s.pendKeys[p.keyOff : p.keyOff+uint32(p.keyLen)]
 }
 
 // pendSegs returns the segment descriptors of the shard's i-th pending
@@ -295,10 +327,10 @@ func (s *shard) pendKey(i int) []byte {
 func (s *shard) pendSegs(i int) []byte {
 	end := len(s.pendKeys)
 	if i+1 < len(s.pend) {
-		end = s.pend[i+1].keyOff
+		end = int(s.pend[i+1].keyOff)
 	}
 	p := &s.pend[i]
-	return s.pendKeys[p.keyOff+int(p.keyLen) : end]
+	return s.pendKeys[p.keyOff+uint32(p.keyLen) : end]
 }
 
 // put stores e, a slot value, in the first empty slot of its probe
@@ -325,7 +357,7 @@ func (s *shard) grow() {
 		}
 		slot := put(s.slots, e)
 		if ref := int32(e); ref < 0 {
-			s.pend[-ref-1].slot = slot
+			s.pend[-ref-1].slot = uint32(slot)
 		}
 	}
 }
@@ -401,7 +433,7 @@ func (t *visitedTable) intern(seg []byte) (uint32, error) {
 // in its descriptor, a new one is interned. Only commit calls it: on the
 // driver goroutine, never while workers run.
 func (t *visitedTable) appendState(key, segs []byte, parent int32) (int32, error) {
-	if len(t.parents) >= t.maxStates {
+	if t.n >= t.maxStates {
 		return 0, t.errFull()
 	}
 	rec := t.rec[:0]
@@ -425,10 +457,51 @@ func (t *visitedTable) appendState(key, segs []byte, parent int32) (int32, error
 	if err != nil {
 		return 0, err
 	}
-	idx := int32(len(t.parents))
-	t.locs = append(t.locs, loc)
-	t.parents = append(t.parents, parent)
+	idx, p := int32(t.n), t.n>>pageShift
+	if p == len(t.locs) {
+		n := pageSize
+		if p == 0 {
+			n = firstPage
+		}
+		t.locs, t.parents = append(t.locs, make([]uint64, 0, n)), append(t.parents, make([]int32, 0, n))
+	} else if len(t.locs[p]) == cap(t.locs[p]) { // the first page, doubling
+		n := 2 * cap(t.locs[p])
+		t.locs[p] = append(make([]uint64, 0, n), t.locs[p]...)
+		t.parents[p] = append(make([]int32, 0, n), t.parents[p]...)
+	}
+	t.locs[p], t.parents[p] = append(t.locs[p], loc), append(t.parents[p], parent)
+	t.n++
 	return idx, nil
+}
+
+// slab is where the shards' pending slabs of one kind are carved from: the
+// block being carved, and how many blocks there have been.
+type slab[T any] struct {
+	block  []T
+	blocks int
+}
+
+// carve returns old, a shard's pending slab, grown to hold need more: its
+// contents copied into a piece of the slab's block twice its capacity (at
+// least first). Blocks double from firstBlock up to 8 times that, a piece
+// larger than a quarter of the next one getting a block of its own, so all
+// 64 shards' slabs take a few allocations where growing each on its own
+// took dozens. Claims on distinct shards may call it at the same time; mu
+// serializes them.
+func (s *slab[T]) carve(mu *sync.Mutex, old []T, need, first, firstBlock int) []T {
+	n := max(2*cap(old), len(old)+need, first)
+	mu.Lock()
+	defer mu.Unlock()
+	if b := s.block; cap(b)-len(b) < n {
+		size := firstBlock << min(s.blocks, 3)
+		if n > size/4 {
+			return append(make([]T, 0, n), old...)
+		}
+		s.block, s.blocks = make([]T, 0, size), s.blocks+1
+	}
+	b := s.block
+	s.block = b[:len(b)+n]
+	return append(b[len(b):len(b):len(b)+n], old...)
 }
 
 // addRoot installs the initial state — the one claim of a layer whose
@@ -488,15 +561,24 @@ func (t *visitedTable) claim(kb *keyBuf, from *parentSegs, pos, ord int32, share
 	if len(s.pend) >= t.maxStates {
 		return t.errFull()
 	}
+	if len(s.pendKeys)+len(key) > math.MaxUint32 {
+		return fmt.Errorf("mc: visited store is full: a shard's pending keys outgrew their 32-bit offsets in one layer")
+	}
 	if (s.used+1)*4 > len(s.slots)*3 {
 		s.grow()
 	}
 	s.used++
-	s.pend = append(s.pend, pendRec{keyOff: len(s.pendKeys), keyLen: int32(len(key)), pos: pos, ord: ord})
-	b, copied, off := append(s.pendKeys, key...), kb.copied, 0
+	if len(s.pend) == cap(s.pend) {
+		s.pend = t.pendSlab.carve(&t.slabMu, s.pend, 1, minPend, firstPendBlock)
+	}
+	s.pend = append(s.pend, pendRec{keyOff: uint32(len(s.pendKeys)), keyLen: int32(len(key)), pos: pos, ord: ord})
+	// The segments' descriptors, written aside first so that the slab is
+	// grown once, to its exact need.
+	var descs [128]byte
+	d, copied, off := descs[:0], kb.copied, 0
 	for k := range t.nseg {
 		if copied&(1<<k) != 0 {
-			b = binary.AppendUvarint(b, uint64(from.ids[k])+1)
+			d = binary.AppendUvarint(d, uint64(from.ids[k])+1)
 			start, end := from.span(k)
 			off += end - start
 			continue
@@ -506,14 +588,18 @@ func (t *visitedTable) claim(kb *keyBuf, from *parentSegs, pos, ord int32, share
 			end = kb.ends[k]
 		}
 		if id, ok := t.lookup(key[off:end], t.hash(key[off:end])); ok {
-			b = binary.AppendUvarint(b, uint64(id)+1)
+			d = binary.AppendUvarint(d, uint64(id)+1)
 		} else {
-			b = binary.AppendUvarint(binary.AppendUvarint(append(b, 0), uint64(off)), uint64(end-off))
+			d = binary.AppendUvarint(binary.AppendUvarint(append(d, 0), uint64(off)), uint64(end-off))
 		}
 		off = end
 	}
+	if need := len(key) + len(d); cap(s.pendKeys)-len(s.pendKeys) < need {
+		s.pendKeys = t.keysSlab.carve(&t.slabMu, s.pendKeys, need, minPendKeys, firstKeysBlock)
+	}
+	b := append(append(s.pendKeys, key...), d...)
 	s.pendKeys = b
-	s.pend[len(s.pend)-1].slot = put(s.slots, tag|uint64(uint32(-len(s.pend))))
+	s.pend[len(s.pend)-1].slot = uint32(put(s.slots, tag|uint64(uint32(-len(s.pend)))))
 	return nil
 }
 
@@ -572,8 +658,10 @@ func (t *visitedTable) commit(layer []int32) ([]int32, error) {
 // workers interleaved: chunks and the flat slices grow in commit order, and
 // every claim a table grew for has become a state by the barrier.
 func (t *visitedTable) bytes() int64 {
-	n := int64(cap(t.locs))*8 + int64(cap(t.parents))*4 +
-		int64(cap(t.segs))*12 + int64(len(t.segSlots))*8 // a segRef is 12 bytes
+	n := int64(cap(t.segs))*12 + int64(len(t.segSlots))*8 // a segRef is 12 bytes
+	for p := range t.locs {
+		n += int64(cap(t.locs[p]))*8 + int64(cap(t.parents[p]))*4
+	}
 	for _, c := range t.chunks {
 		n += int64(cap(c))
 	}

@@ -30,24 +30,25 @@ func NewSupport(p *runtime.Protocol) (*Support, error) {
 	sup, err := stache.Routines.With(stache.Table{
 		// Reconciliation of a PUT_ACCUM into the master copy. Data movement
 		// is modeled by the Data flag; here only the merge work is counted,
-		// a statistic outside the checker's state.
-		"Merge": {Equivariant: true, Body: func(stache.Call) vm.Value {
+		// a statistic outside the checker's state (which a checker run that
+		// replays a handler instead of running it counts once per run).
+		"Merge": {Equivariant: true, Local: true, Body: func(stache.Call) vm.Value {
 			s.Merges.Add(1)
 			return vm.Value{}
 		}},
 		"RecordConsumer": stache.Routines["AddSharer"],
 		"ClearConsumers": stache.Routines["ClearSharers"],
 		// The home never pushes to itself; it drops itself from the set.
-		"PushUpdates": {Vars: []string{"sharers"}, Msg: "LCM_UPDATE", Equivariant: true, Body: func(c stache.Call) vm.Value {
+		"PushUpdates": {Vars: []string{"sharers"}, Msg: "LCM_UPDATE", Equivariant: true, Local: true, Body: func(c stache.Call) vm.Value {
 			set := c.Mask(0) &^ (1 << uint(c.Engine.Node))
 			c.Multicast(set, c.Arg(1), true)
 			c.SetMask(0, set)
 			return vm.Value{}
 		}},
-		"HasHolder": {Vars: holder, Equivariant: true, Body: func(c stache.Call) vm.Value {
+		"HasHolder": {Vars: holder, Equivariant: true, Local: true, Body: func(c stache.Call) vm.Value {
 			return vm.BoolVal(c.Var(0).Int >= 0)
 		}},
-		"ClearHolder": {Vars: holder, Equivariant: true, Body: func(c stache.Call) vm.Value {
+		"ClearHolder": {Vars: holder, Equivariant: true, Local: true, Body: func(c stache.Call) vm.Value {
 			*c.Var(0) = vm.NodeVal(-1)
 			return vm.Value{}
 		}},

@@ -79,7 +79,8 @@ func TestSpecHonoursOptimize(t *testing.T) {
 // every support routine the compiled IR calls and every routine it vouches
 // for, and the vouch — routines and node-set variables — is the one pinned
 // here, which the symmetry reduction of every bundled protocol was measured
-// with.
+// with. Every routine it declares is also vouched local
+// (mc.LocalSupport), which the checker's transition memo needs.
 func TestSupportWiring(t *testing.T) {
 	stacheVouch := []string{"AddSharer", "ClearSharers", "InvalidateSharers", "IsSharer", "NumSharers", "RemoveSharer"}
 	ftVouch := append(slices.Clone(stacheVouch), "ResendInvalidates", "TakeAwaiting")
@@ -116,6 +117,12 @@ func TestSupportWiring(t *testing.T) {
 		slices.Sort(w.vouch)
 		if !slices.Equal(vouch, w.vouch) || !slices.Equal(sets, w.sets) {
 			t.Errorf("%s: vouches for %v over %v, want %v over %v", name, vouch, sets, w.vouch, w.sets)
+		}
+		local, _ := spec.Support.(mc.LocalSupport)
+		for fn, f := range spec.Proto.Sema().Funcs {
+			if f.Builtin == sema.BNone && (local == nil || !slices.Contains(local.LocalRoutines(), fn)) {
+				t.Errorf("%s: declared routine %s is not vouched local", name, fn)
+			}
 		}
 		var called []string
 		for _, f := range spec.Proto.IR.Funcs {

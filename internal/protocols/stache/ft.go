@@ -594,17 +594,17 @@ var awaiting = []string{"awaiting"}
 var FTRoutines = Routines.With(Table{
 	// Records the set it invalidates — every sharer but the excluded
 	// requester: the nodes whose acks the wait loop may count.
-	"InvalidateSharers": {Vars: []string{"sharers", "awaiting"}, Msg: "PUT_NO_DATA_REQ", Equivariant: true, Body: func(c Call) vm.Value {
+	"InvalidateSharers": {Vars: []string{"sharers", "awaiting"}, Msg: "PUT_NO_DATA_REQ", Equivariant: true, Local: true, Body: func(c Call) vm.Value {
 		set := c.Mask(0) &^ c.Bit(1)
 		c.SetMask(1, set)
 		return vm.IntVal(c.Multicast(set, c.Arg(2), false))
 	}},
-	"TakeAwaiting": {Vars: awaiting, Equivariant: true, Body: func(c Call) vm.Value {
+	"TakeAwaiting": {Vars: awaiting, Equivariant: true, Local: true, Body: func(c Call) vm.Value {
 		owed := c.Mask(0)&c.Bit(1) != 0
 		c.SetMask(0, c.Mask(0)&^c.Bit(1))
 		return vm.BoolVal(owed)
 	}},
-	"ResendInvalidates": {Vars: awaiting, Msg: "PUT_NO_DATA_REQ", Equivariant: true, Body: func(c Call) vm.Value {
+	"ResendInvalidates": {Vars: awaiting, Msg: "PUT_NO_DATA_REQ", Equivariant: true, Local: true, Body: func(c Call) vm.Value {
 		c.Multicast(c.Mask(0), c.Arg(1), false)
 		return vm.Value{}
 	}},

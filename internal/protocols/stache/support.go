@@ -17,11 +17,13 @@ import (
 // snapshots, and multicast to their members. A protocol's routines are the
 // entries of a Table — Stache's are Routines, and each variant adds its own
 // — and what the module vouches for under symmetry reduction
-// (runtime.SymmetryDecl) is read off the entries it was bound with, so the
-// vouch cannot drift from what is implemented.
+// (runtime.SymmetryDecl) and to the checker's transition memo
+// (mc.LocalSupport) is read off the entries it was bound with, so the
+// vouches cannot drift from what is implemented.
 type Support struct {
 	routines []*bound // by name
 	vouched  []string // the bound entries marked Equivariant, by name
+	local    []string // the bound entries marked Local, by name
 	masks    []int    // the int-typed variables the bound entries name, sorted
 }
 
@@ -35,7 +37,11 @@ type Routine struct {
 	// Equivariant vouches that the routine commutes with node and block
 	// permutation once its node sets are re-indexed.
 	Equivariant bool
-	Body        func(c Call) vm.Value
+	// Local vouches that Body reads nothing but its Call — the engine,
+	// block and message of its Ctx, and its arguments — and acts only
+	// through them (a count kept for statistics aside).
+	Local bool
+	Body  func(c Call) vm.Value
 }
 
 // Table maps routine names, as a protocol's modules declare them, to their
@@ -97,6 +103,9 @@ func (t Table) Bind(p *runtime.Protocol) (*Support, error) {
 		if r.Equivariant {
 			s.vouched = append(s.vouched, name)
 		}
+		if r.Local {
+			s.local = append(s.local, name)
+		}
 	}
 	slices.Sort(s.masks)
 	return s, nil
@@ -140,25 +149,25 @@ var sharers = []string{"sharers"}
 
 // Routines is StacheSupport: the sharer set, and the invalidation multicast.
 var Routines = Table{
-	"AddSharer": {Vars: sharers, Equivariant: true, Body: func(c Call) vm.Value {
+	"AddSharer": {Vars: sharers, Equivariant: true, Local: true, Body: func(c Call) vm.Value {
 		c.SetMask(0, c.Mask(0)|c.Bit(1))
 		return vm.Value{}
 	}},
-	"RemoveSharer": {Vars: sharers, Equivariant: true, Body: func(c Call) vm.Value {
+	"RemoveSharer": {Vars: sharers, Equivariant: true, Local: true, Body: func(c Call) vm.Value {
 		c.SetMask(0, c.Mask(0)&^c.Bit(1))
 		return vm.Value{}
 	}},
-	"ClearSharers": {Vars: sharers, Equivariant: true, Body: func(c Call) vm.Value {
+	"ClearSharers": {Vars: sharers, Equivariant: true, Local: true, Body: func(c Call) vm.Value {
 		c.SetMask(0, 0)
 		return vm.Value{}
 	}},
-	"IsSharer": {Vars: sharers, Equivariant: true, Body: func(c Call) vm.Value {
+	"IsSharer": {Vars: sharers, Equivariant: true, Local: true, Body: func(c Call) vm.Value {
 		return vm.BoolVal(c.Mask(0)&c.Bit(1) != 0)
 	}},
-	"NumSharers": {Vars: sharers, Equivariant: true, Body: func(c Call) vm.Value {
+	"NumSharers": {Vars: sharers, Equivariant: true, Local: true, Body: func(c Call) vm.Value {
 		return vm.IntVal(int64(bits.OnesCount64(uint64(c.Mask(0)))))
 	}},
-	"InvalidateSharers": {Vars: sharers, Msg: "PUT_NO_DATA_REQ", Equivariant: true, Body: func(c Call) vm.Value {
+	"InvalidateSharers": {Vars: sharers, Msg: "PUT_NO_DATA_REQ", Equivariant: true, Local: true, Body: func(c Call) vm.Value {
 		return vm.IntVal(c.Multicast(c.Mask(0)&^c.Bit(1), c.Arg(2), false))
 	}},
 }
@@ -192,3 +201,6 @@ func (s *Support) NodeMaskSlots() []int { return s.masks }
 
 // EquivariantRoutines implements runtime.SymmetryDecl.
 func (s *Support) EquivariantRoutines() []string { return s.vouched }
+
+// LocalRoutines implements mc.LocalSupport.
+func (s *Support) LocalRoutines() []string { return s.local }

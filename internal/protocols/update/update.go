@@ -286,7 +286,7 @@ end;
 // declares all but ClearSharers and InvalidateSharers) and the
 // data-carrying UPDATE multicast.
 var Routines = stache.Routines.With(stache.Table{
-	"SendUpdates": {Vars: []string{"sharers"}, Msg: "UPDATE", Equivariant: true, Body: func(c stache.Call) vm.Value {
+	"SendUpdates": {Vars: []string{"sharers"}, Msg: "UPDATE", Equivariant: true, Local: true, Body: func(c stache.Call) vm.Value {
 		return vm.IntVal(c.Multicast(c.Mask(0)&^c.Bit(1), c.Arg(2), true))
 	}},
 })

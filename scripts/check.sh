@@ -18,7 +18,8 @@ go vet ./...
 unformatted="$(gofmt -l .)"
 test -z "$unformatted" || { echo "check.sh: gofmt -l . lists: $unformatted" >&2; exit 1; }
 # Every suite under the race detector: the parallel checker's determinism
-# contract and sharded visited table, the differential replay, the symmetry
+# contract and sharded visited table, the transition memo's worker
+# equivalence (TestMemoWorkerEquivalence), the differential replay, the symmetry
 # equivalence suite, the litmus harness, the committed reproducers and the
 # fuzz-target seed corpora are all in here once. Tests run in shuffled order:
 # a bundled protocol compiles once per process and every Spec shares it, so
