@@ -143,7 +143,11 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "  keys:           %d bytes mean, %.0f%% encoded per successor\n",
 			res.KeyBytes/int64(max(res.Transitions, 1)), 100*float64(res.KeyBytesEncoded)/float64(max(res.KeyBytes, 1)))
 		fmt.Fprintf(stdout, "  visited set:    %s (%.0f bytes/state)\n", mc.FormatBytes(res.VisitedBytes), st.BytesPerState)
-		fmt.Fprintf(stdout, "  segments:       %d distinct, %s\n", res.Segments, mc.FormatBytes(res.SegmentBytes))
+		fmt.Fprintf(stdout, "  segments:       %d distinct, %s", res.Segments, mc.FormatBytes(res.SegmentBytes))
+		if res.SymmetryGroup > 1 {
+			fmt.Fprintf(stdout, "; remap table %d pieces, %s", res.RemapPieces, mc.FormatBytes(res.RemapBytes))
+		}
+		fmt.Fprintln(stdout)
 		fmt.Fprintf(stdout, "  shards:         %d..%d states per shard\n", st.ShardMin, st.ShardMax)
 		if m := res.Memo; m.Bypass != "" {
 			fmt.Fprintf(stdout, "  memo:           off: %s\n", m.Bypass)

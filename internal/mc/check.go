@@ -30,12 +30,13 @@ import (
 // compact parent chain from the initial state. States, Transitions,
 // MaxDepth, the violation kind, and the trace are identical for any worker
 // count.
-func Check(cfg Config) (*Result, error) { return check(cfg, newVisited(), nil) }
+func Check(cfg Config) (*Result, error) { return check(cfg, newVisited(), nil, nil) }
 
-// check is Check over the visited table and the transition memo it is
-// handed (empty; tests hand in a table with its limits lowered, and read
-// both afterwards). A nil memo is made if the run uses one.
-func check(cfg Config, vt *visitedTable, mm *memo) (*Result, error) {
+// check is Check over the visited table, the transition memo and the remap
+// table it is handed (empty; tests hand in a table with its limits
+// lowered, and read them all afterwards). A nil memo or remap table is made
+// if the run uses one.
+func check(cfg Config, vt *visitedTable, mm *memo, rt *remapTable) (*Result, error) {
 	cfg.normalize()
 	// Exploration never attaches Config.Obs to the worlds it expands: that
 	// sink is the replay path's (see ReplaySteps). Coverage accounting has
@@ -52,6 +53,10 @@ func check(cfg Config, vt *visitedTable, mm *memo) (*Result, error) {
 	res := &Result{Workers: cfg.Workers, SymmetryGroup: 1, SymmetryNote: note}
 	if red != nil {
 		res.SymmetryGroup = len(red.group)
+		if red.table = rt; rt == nil {
+			red.table = new(remapTable)
+		}
+		red.table.segs, red.table.group = vt, len(red.group)
 	}
 	bypass := memoBypass(&cfg)
 	var use *memo // nil when bypassed
@@ -62,7 +67,11 @@ func check(cfg Config, vt *visitedTable, mm *memo) (*Result, error) {
 		use.segs = vt
 	}
 
-	root, err := new(keyScratch).key(newWorld(&cfg), red, nil)
+	workers := make([]worker, cfg.Workers)
+	// The first worker's parent world holds the initial state until its
+	// first decode.
+	workers[0].worlds(&cfg)
+	root, err := workers[0].keys.key(workers[0].parent, red, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +80,6 @@ func check(cfg Config, vt *visitedTable, mm *memo) (*Result, error) {
 		return nil, err
 	}
 	res.PeakFrontier = 1
-	workers := make([]worker, cfg.Workers)
 
 	for depth := 0; len(layer) > 0; depth++ {
 		res.MaxDepth = depth
@@ -91,6 +99,11 @@ func check(cfg Config, vt *visitedTable, mm *memo) (*Result, error) {
 			use.runs += out.memoRuns
 			use.hits += out.memoHits
 			use.absorb(workers)
+		}
+		if red != nil {
+			if err := red.absorb(workers); err != nil {
+				return nil, err
+			}
 		}
 		if len(next) > res.PeakFrontier {
 			res.PeakFrontier = len(next)
@@ -131,6 +144,9 @@ func check(cfg Config, vt *visitedTable, mm *memo) (*Result, error) {
 	res.VisitedBytes = vt.bytes()
 	res.Segments, res.SegmentBytes = len(vt.segs), vt.segBytes
 	res.ShardMin, res.ShardMax = vt.shardStats()
+	if red != nil {
+		res.RemapPieces, res.RemapBytes = red.table.stats()
+	}
 	res.Memo = MemoStats{Bypass: bypass}
 	if use != nil {
 		res.Memo = use.stats()
@@ -184,15 +200,15 @@ func (o *layerOut) take(c *candidate) {
 // copies the bytes it keeps), the parent is untouched until its last action
 // and finished with after it, and the Terminal and EventGen hooks see a
 // world only for the length of the call. The per-layer fields (layerOut,
-// cov, err) are reset by expandLayer, and the memo's (misses) by
-// memo.absorb.
+// cov, err) are reset by expandLayer, and the barrier buffers (the memo's
+// misses, the key scratch's pend) by the tables that absorb them.
 type worker struct {
 	parent, succ *World
 	region       runtime.Region
 	acts         []action
 	keys         keyScratch // successor keys are built here, never on the heap
 	src          []byte     // the key of the state being expanded, spelled out of its segments
-	from         parentSegs // and those segments
+	from         []uint32   // and those segments' ids
 	*memoScratch            // the memo's, when the run has one
 
 	layerOut
@@ -287,18 +303,17 @@ func expandLayer(cfg *Config, vt *visitedTable, mm *memo, red *reduction, layer 
 // hold is journaled and buffered for the barrier. With symmetry
 // reduction active every successor is canonicalized before the claim, so
 // the visited table (and its per-shard balance statistics) sees only
-// post-canonicalization keys.
+// post-canonicalization keys; the pieces the remap table lacked are
+// buffered for the barrier too.
 func (wk *worker) expandState(cfg *Config, vt *visitedTable, mm *memo, red *reduction, layer []int32, pos int32) error {
 	if wk.src == nil {
-		wk.src = make([]byte, 0, 256)
-		wk.from = parentSegs{ids: make([]uint32, 0, 2*cfg.Nodes+1), ends: make([]int, 0, 2*cfg.Nodes)}
+		wk.src, wk.from = make([]byte, 0, 256), make([]uint32, 0, 2*cfg.Nodes+1)
 	}
-	wk.src, wk.from.ids = vt.expand(wk.src[:0], wk.from.ids[:0], layer[pos])
+	wk.src, wk.from = vt.expand(wk.src[:0], wk.from[:0], layer[pos])
 	w, err := wk.decode(cfg, wk.src)
 	if err != nil {
 		return err
 	}
-	wk.from.ends = partEnds(wk.from.ends[:0], w.segEnds, cfg.Nodes)
 	// Terminal-state judgment (litmus runs): a state where every script has
 	// finished, nothing is stalled, and the network has drained is a final
 	// outcome; a judging hook that rejects it makes the state itself the
@@ -325,13 +340,13 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, mm *memo, red *redu
 		var k memoKey
 		memoize := false
 		if mm != nil {
-			if k, memoize = memoKeyFor(a, wk.from.ids, cfg.Nodes); memoize {
+			if k, memoize = memoKeyFor(a, wk.from, cfg.Nodes); memoize {
 				wk.memoRuns++
-				if seg, jrn, ok := mm.lookup(&k); ok {
+				if run, ok := mm.lookup(&k); ok {
 					// In the memo already: replayed, or run below only
 					// when the replay breaks an invariant, for the message.
 					memoize = false
-					kb, err := wk.replay(cfg, w, red, a, seg, jrn)
+					kb, err := wk.replay(cfg, w, red, a, run, pos, int32(i))
 					if err != nil {
 						return err
 					}
@@ -359,15 +374,15 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, mm *memo, red *redu
 			wk.take(&candidate{kind: kind, msg: msg, pos: pos, ord: int32(i)})
 			continue
 		}
-		kb, err := wk.keys.plain(wa, a, nil)
+		kb, err := wk.keys.plain(wa, a, nil, wk.from)
 		if err != nil {
 			return fmt.Errorf("mc: encode: %w", err)
 		}
 		if memoize && wk.rec.err == nil {
-			wk.misses.add(mm, &k, pos, int32(i), segmentOf(kb.Bytes(), kb.ends, a.engine()), wk.rec.jrn)
+			wk.misses.addMiss(mm, &k, pos, int32(i), segmentOf(kb.Bytes(), kb.ends, a.engine()), wk.rec.jrn)
 		}
 		if red != nil {
-			if err := red.canonicalize(wa, &wk.keys); err != nil {
+			if err := red.canonicalize(&wk.keys, true, pos, int32(i)); err != nil {
 				return fmt.Errorf("mc: encode: %w", err)
 			}
 		}
@@ -383,47 +398,38 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, mm *memo, red *redu
 func (wk *worker) claim(vt *visitedTable, kb *keyBuf, pos, ord int32) error {
 	wk.keyBytes += int64(len(kb.Bytes()))
 	wk.keyEncoded += int64(wk.keys.encoded)
-	return vt.claim(kb, &wk.from, pos, ord, wk.shared)
+	return vt.claim(kb, pos, ord, wk.shared)
 }
 
 // replay writes into the worker's key scratch the successor key of action
-// a, which runs a handler the memo holds (seg, jrn), from w, the state
-// being expanded, left untouched. Without reduction the key is written
-// straight from w's key, the segment and the journal, with only the
-// successor's tail built, in the scratch world; with reduction the scratch
-// world is the whole successor (World.deriveHit), to canonicalize. It
-// returns nil when the successor breaks an invariant: the caller runs the
-// handler for the violation's message.
-func (wk *worker) replay(cfg *Config, w *World, red *reduction, a *action, seg, jrn []byte) (*keyBuf, error) {
+// a, the (pos, ord) transition, which runs a handler the memo holds, from
+// w, the state being expanded, left untouched. The key is written straight
+// from w's key, the memoized segment and the journal, with only the
+// successor's tail built, in the scratch world, and then canonicalized
+// from its segments under reduction. It returns nil when the successor
+// breaks an invariant: the caller runs the handler for the violation's
+// message.
+func (wk *worker) replay(cfg *Config, w *World, red *reduction, a *action, run memoRun, pos, ord int32) (*keyBuf, error) {
 	h := &wk.hit
 	if h.sends == nil {
 		h.sends = make([]int, cfg.Nodes)
 	}
-	h.parent, h.a, h.touch, h.delivered, h.seg, h.jrn = w, a, a.engine(), -1, seg, jrn
+	h.memoRun, h.parent, h.a, h.touch, h.delivered = run, w, a, a.engine(), -1
 	if a.kind == actDeliver {
 		h.delivered = a.from*cfg.Nodes + a.to
 	}
 	succ := wk.succ
-	if red == nil {
-		copy(succ.access, w.access)
-		copy(succ.stalled, w.stalled)
-		succ.drops, succ.dups = w.drops, w.dups
-		succ.src, succ.segEnds = w.src, w.segEnds
-		h.replayTail(succ)
-		if !h.holds(succ) {
-			return nil, nil
-		}
-	} else {
-		if err := w.deriveHit(succ, h); err != nil {
-			return nil, fmt.Errorf("mc: decode: %w", err)
-		}
-		if succ.checkInvariants() != "" {
-			return nil, nil
-		}
+	copy(succ.access, w.access)
+	copy(succ.stalled, w.stalled)
+	succ.drops, succ.dups = w.drops, w.dups
+	succ.src, succ.segEnds = w.src, w.segEnds
+	h.replayTail(succ)
+	if !h.holds(succ) {
+		return nil, nil
 	}
-	kb, err := wk.keys.plain(succ, a, h)
+	kb, err := wk.keys.plain(succ, a, h, wk.from)
 	if err == nil && red != nil {
-		err = red.canonicalize(succ, &wk.keys)
+		err = red.canonicalize(&wk.keys, true, pos, ord)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("mc: encode: %w", err)
@@ -439,19 +445,28 @@ func (wk *worker) replay(cfg *Config, w *World, red *reduction, a *action, seg, 
 // been keyed (World.src): expandState spells the state's key out into the
 // worker's src, which nothing else writes.
 func (wk *worker) decode(cfg *Config, key []byte) (*World, error) {
-	if wk.parent == nil {
-		wk.parent, wk.succ = newWorld(cfg), newWorld(cfg)
-		for n := range wk.parent.owned {
-			wk.parent.owned[n].SetRegion(&wk.region)
-			wk.succ.owned[n].SetRegion(&wk.region)
-		}
-	}
+	wk.worlds(cfg)
 	wk.region.Reset()
 	if err := cfg.decodeInto(wk.parent, key); err != nil {
 		return nil, fmt.Errorf("mc: decode: %w", err)
 	}
 	wk.decodes++
 	return wk.parent, nil
+}
+
+// worlds builds the worker's parent and scratch worlds on first use, their
+// engines building in its region, and lends the scratch world to its key
+// scratch to remap segments in (see remapper).
+func (wk *worker) worlds(cfg *Config) {
+	if wk.parent != nil {
+		return
+	}
+	wk.parent, wk.succ = newWorld(cfg), newWorld(cfg)
+	for n := range wk.parent.owned {
+		wk.parent.owned[n].SetRegion(&wk.region)
+		wk.succ.owned[n].SetRegion(&wk.region)
+	}
+	wk.keys.remap.w, wk.keys.remap.region = wk.succ, &wk.region
 }
 
 // branch returns the world action a is to be applied to: w itself for the
@@ -518,9 +533,13 @@ func (wk *worker) buildViolation(cfg *Config, vt *visitedTable, red *reduction, 
 	if err != nil {
 		return nil, err
 	}
+	// cur is the key of the state the trace has reached, next the plain
+	// key of a successor tried: canonicalizing a successor remaps in the
+	// scratch world it was derived into (remapper).
+	cur, next := []byte(key), []byte(nil)
 	v := &Violation{Kind: c.kind, Msg: c.msg}
 	for k := 1; ; k++ {
-		w, err := wk.decode(cfg, []byte(key))
+		w, err := wk.decode(cfg, cur)
 		if err != nil {
 			return nil, err
 		}
@@ -545,16 +564,20 @@ func (wk *worker) buildViolation(cfg *Config, vt *visitedTable, red *reduction, 
 					taken, v.Msg = i, msg
 				}
 			case kind == "":
-				sk, err := wk.keys.key(succ, red, &wk.acts[i])
+				sk, err := wk.keys.plain(succ, &wk.acts[i], nil, nil)
+				if err == nil && red != nil {
+					next = append(next[:0], sk.Bytes()...)
+					err = red.canonicalize(&wk.keys, false, 0, 0)
+				}
 				if err != nil {
 					return nil, fmt.Errorf("mc: encode: %w", err)
 				}
-				// The replayed world is not a stored state: no ids to lend.
-				if vt.equal(chain[k], sk, nil) {
+				if vt.equal(chain[k], sk) {
 					taken = i
-					if key, err = succ.encode(); err != nil {
-						return nil, err
+					if red == nil {
+						next = append(next[:0], sk.Bytes()...)
 					}
+					cur, next = next, cur
 				}
 			}
 		}

@@ -19,7 +19,6 @@
 package mc
 
 import (
-	"bytes"
 	"fmt"
 	goruntime "runtime"
 	"slices"
@@ -235,10 +234,13 @@ type Result struct {
 	// KeyBytes is the total length of the successor keys built, one per
 	// transition that reached a state. KeyBytesEncoded is how many bytes
 	// were actually encoded to build them: the segments copied from the
-	// parent's key (see World.encodeTo) are left out, and every byte a
-	// symmetry challenger wrote before winning or giving up is counted in —
-	// so without reduction the ratio is the share of a key an action
-	// touches, and with it the price of canonicalization.
+	// parent's key (see World.encodeVia) are left out, and so is every piece
+	// of a symmetry challenger read from the remap table; a piece remapped
+	// on the spot, its segment's images not in the table yet, is counted
+	// in, once per challenger that needed it — so without reduction the
+	// ratio is the share of a key an action touches, and with it that plus
+	// the price of canonicalization. The images the table fills at the
+	// barriers are not counted.
 	KeyBytes, KeyBytesEncoded int64
 	// VisitedBytes is what the visited store retains at the end of the
 	// run, and ShardMin/ShardMax its final shard balance (see ProgressInfo).
@@ -252,6 +254,10 @@ type Result struct {
 	// SymmetryGroup is the order of the node/block permutation group the
 	// run canonicalized by; 1 means no reduction (off, refused, or trivial).
 	SymmetryGroup int
+	// RemapPieces is how many remapped segments the remap table holds, and
+	// RemapBytes what it retains (both 0 without reduction).
+	RemapPieces int
+	RemapBytes  int64
 	// SymmetryNote explains why SymmetryAuto fell back to no reduction
 	// ("" when reduction ran or was off).
 	SymmetryNote string
@@ -512,32 +518,32 @@ func newWorld(cfg *Config) *World {
 // world's (World.src), whose channels are one segment each, because a
 // channel is mostly a byte or two and its id would cost as much. ends[k]
 // is where store segment k ends; the tail's end, the key's, is not
-// recorded. Bit k of copied is set when store segment k — one of the first
-// 64, and never the tail — was copied whole from the key of the world it
-// was derived from (encodeVia).
+// recorded. Bit k of known is set when store segment k, one of the first
+// 64, is known to have intern id ids[k]: it was copied whole from the key
+// of the stored state the world was derived from (encodeVia and
+// keyScratch.plain), or the memo or the remap table named it.
 type keyBuf struct {
 	runtime.Encoder
-	ends   []int
-	copied uint64
+	ends  []int
+	ids   []uint32
+	known uint64
 }
 
-// sizeEnds sizes kb's ends for a key of a machine of the given nodes, and
-// returns them to be filled in.
+// sizeEnds sizes kb's ends and ids for a key of a machine of the given
+// nodes, forgets every id, and returns the ends to be filled in.
 func (kb *keyBuf) sizeEnds(nodes int) []int {
 	if cap(kb.ends) < 2*nodes {
-		kb.ends = make([]int, 2*nodes)
+		kb.ends, kb.ids = make([]int, 2*nodes), make([]uint32, 2*nodes+1)
 	}
-	kb.ends = kb.ends[:2*nodes]
+	kb.ends, kb.ids, kb.known = kb.ends[:2*nodes], kb.ids[:2*nodes+1], 0
 	return kb.ends
 }
 
-// partEnds appends to dst where the store segments but the tail end in a
-// key whose world segments end at segEnds (see keyBuf).
-func partEnds(dst, segEnds []int, nodes int) []int {
-	for part := range 2 * nodes {
-		dst = append(dst, segEnds[partLast(part, nodes)])
+// know records that store segment k has intern id id.
+func (kb *keyBuf) know(k int, id uint32) {
+	if k < 64 {
+		kb.ids[k], kb.known = id, kb.known|1<<k
 	}
-	return dst
 }
 
 // segmentOf returns segment k of key, whose segments but the last end at
@@ -580,7 +586,7 @@ func (w *World) encode() (string, error) {
 	kb := encoderPool.Get().(*keyBuf)
 	defer encoderPool.Put(kb)
 	kb.Reset(nil)
-	if _, err := w.encodeTo(kb, nil); err != nil {
+	if err := w.encodeTo(kb); err != nil {
 		return "", err
 	}
 	return string(kb.Bytes()), nil
@@ -592,50 +598,27 @@ func (w *World) encode() (string, error) {
 // are walked in π⁻¹/σ⁻¹ order and the encoder maps every identity value it
 // writes, so the bytes equal those of the permuted world without that
 // world ever existing. With no remap this is the plain encoding.
-//
-// A non-nil bound turns the walk into a race against the best key so far:
-// it is abandoned at the first engine boundary where the bytes written
-// already compare greater than bound, and the result reports whether the
-// completed encoding is strictly smaller than bound.
-func (w *World) encodeTo(kb *keyBuf, bound []byte) (smaller bool, err error) {
+func (w *World) encodeTo(kb *keyBuf) error {
 	enc := &kb.Encoder
 	r := enc.Remap()
 	nodes := w.cfg.Nodes
 	ends := kb.sizeEnds(nodes)
-	kb.copied = 0
-	// decided: -1 smaller than bound, +1 not smaller, 0 equal through
-	// the first 'checked' bytes.
-	decided, checked := 0, 0
-	if bound == nil {
-		decided = 1
-	}
 	for i := 0; i < nodes; i++ {
 		if err := w.engines[r.SrcNode(i)].EncodeState(enc); err != nil {
-			return false, err
+			return err
 		}
 		ends[i] = len(enc.Bytes())
-		if decided == 0 {
-			n := min(len(enc.Bytes()), len(bound))
-			decided = bytes.Compare(enc.Bytes()[checked:n], bound[checked:n])
-			if decided > 0 {
-				return false, nil
-			}
-			checked = n
-		}
 	}
 	for from := 0; from < nodes; from++ {
 		for ch := from * nodes; ch < (from+1)*nodes; ch++ {
 			if err := w.encodeChannel(enc, ch); err != nil {
-				return false, err
+				return err
 			}
 		}
 		ends[nodes+from] = len(enc.Bytes())
 	}
 	w.encodeTail(enc)
-	if decided == 0 {
-		decided = bytes.Compare(enc.Bytes()[checked:], bound[checked:])
-	}
-	return decided < 0, nil
+	return nil
 }
 
 // encodeVia writes the plain encoding of w, which must be the world w.src
@@ -643,13 +626,16 @@ func (w *World) encodeTo(kb *keyBuf, bound []byte) (smaller bool, err error) {
 // Only the segments via may change (action.changes) are encoded; each
 // maximal run of the others is copied from src whole. Which those are is a
 // function of the action — there are no dirty flags to forget to set.
-// copied is how many bytes were copied. With hit set, via was replayed
-// from the memo, not run: the changed segments are the hit's to write, and
-// w need hold only the successor's tail.
-func (w *World) encodeVia(kb *keyBuf, via *action, hit *memoHit) (copied int, err error) {
+// copied is how many bytes were copied. from, if set, holds the ids of the
+// segments of the stored state src is the key of: kb knows the ids of the
+// store segments copied whole. With hit set, via was replayed from the
+// memo, not run: the changed segments are the hit's to write — kb knows
+// the engine's id if the memo does — and w need hold only the successor's
+// tail.
+func (w *World) encodeVia(kb *keyBuf, via *action, hit *memoHit, from []uint32) (copied int, err error) {
 	enc := &kb.Encoder
 	nodes := w.cfg.Nodes
-	ends, mask := kb.sizeEnds(nodes), uint64(0)
+	ends := kb.sizeEnds(nodes)
 	// part is the next store segment to end, at world segment last.
 	part, last := 0, 0
 	// The changed ranges, then an empty one at the end of the channels, so
@@ -666,8 +652,8 @@ func (w *World) encodeVia(kb *keyBuf, via *action, hit *memoHit) (copied int, er
 			// The store segments ending in the run end where they did in
 			// src, shifted; those it holds whole are copied.
 			for ; last < c.lo; part, last = part+1, partLast(part+1, nodes) {
-				if partFirst(part, nodes) >= next && part < 64 {
-					mask |= 1 << part
+				if partFirst(part, nodes) >= next && from != nil {
+					kb.know(part, from[part])
 				}
 				ends[part] = w.segEnds[last] + shift
 			}
@@ -676,6 +662,9 @@ func (w *World) encodeVia(kb *keyBuf, via *action, hit *memoHit) (copied int, er
 			switch {
 			case hit != nil:
 				err = hit.segment(enc, seg)
+				if seg == hit.touch && hit.interned {
+					kb.know(seg, hit.id)
+				}
 			case seg < nodes:
 				err = w.engines[seg].EncodeState(enc)
 			default:
@@ -691,7 +680,6 @@ func (w *World) encodeVia(kb *keyBuf, via *action, hit *memoHit) (copied int, er
 		}
 		next = c.hi
 	}
-	kb.copied = mask
 	w.encodeTail(enc)
 	return copied, nil
 }
@@ -801,17 +789,9 @@ func (cfg *Config) decodeInto(w *World, key []byte) error {
 		}
 		w.segEnds = append(w.segEnds, d.Pos())
 	}
-	for i := range w.access {
-		w.access[i] = sema.AccessMode(d.Byte())
+	if err := w.decodeTail(d); err != nil {
+		return err
 	}
-	for i := range w.stalled {
-		w.stalled[i] = int(d.Int())
-		if w.stalled[i] < -1 || w.stalled[i] >= cfg.Blocks {
-			return fmt.Errorf("mc: node %d stalled on block %d in encoding", i, w.stalled[i])
-		}
-	}
-	w.drops = int(d.Int())
-	w.dups = int(d.Int())
 	if w.pcs != nil {
 		for i := range w.pcs {
 			w.pcs[i] = int(d.Int())
@@ -834,6 +814,23 @@ func (cfg *Config) decodeInto(w *World, key []byte) error {
 		}
 	}
 	return d.Finish()
+}
+
+// decodeTail reads what encodeTail writes before the client plane:
+// access, stalled and the spent budgets.
+func (w *World) decodeTail(d *runtime.Decoder) error {
+	for i := range w.access {
+		w.access[i] = sema.AccessMode(d.Byte())
+	}
+	for i := range w.stalled {
+		w.stalled[i] = int(d.Int())
+		if w.stalled[i] < -1 || w.stalled[i] >= w.cfg.Blocks {
+			return fmt.Errorf("mc: node %d stalled on block %d in encoding", i, w.stalled[i])
+		}
+	}
+	w.drops = int(d.Int())
+	w.dups = int(d.Int())
+	return nil
 }
 
 // actKind classifies an action. Deliveries and faults act on a channel

@@ -24,9 +24,9 @@ import (
 // The first run of a (node, segment, input) records both. Every later one
 // replays them: the successor key is written from the parent's key, the
 // memoized segment and the journal (memoHit), with no engine decoded, no
-// handler run and no engine encoded. Under symmetry reduction a hit still
-// needs a world to canonicalize, so the memoized segment is decoded into the
-// scratch engine instead of the handler being run (World.deriveHit).
+// handler run and no engine encoded — with or without symmetry reduction,
+// which canonicalizes the key from its segments and so needs no world
+// (reduction.canonicalize).
 //
 // The key names the node, because segment ids are one id space for every
 // position and a home and a cache, or two caches, can hold the same bytes
@@ -36,7 +36,7 @@ import (
 // and neither are runs whose successor breaks an invariant.
 //
 // The memo is written only at layer barriers, in commit order — misses are
-// buffered per worker (memoMiss) and merged by (parent position, action
+// buffered per worker (pendBuf) and merged by (parent position, action
 // ordinal) — and read without a lock while a layer expands, as the intern
 // table is. So which transitions hit, and what the memo holds, are the same
 // for any worker count. Its entries lie in pointer-free chunks located by
@@ -197,13 +197,21 @@ func (m *memo) entryAt(e uint64) []byte {
 	return m.chunks[loc>>20][loc&(1<<20-1):]
 }
 
-// lookup returns the memoized successor segment and journal of the run k
-// names. Workers call it while a layer expands: the memo, and the intern
-// table it refers to, are written only at the barrier.
-func (m *memo) lookup(k *memoKey) (seg, jrn []byte, ok bool) {
+// memoRun is a memoized handler run: the successor's engine segment, its
+// intern id when interned is set, and the journal.
+type memoRun struct {
+	seg, jrn []byte
+	id       uint32
+	interned bool
+}
+
+// lookup returns the memoized run k names. Workers call it while a layer
+// expands: the memo, and the intern table it refers to, are written only at
+// the barrier.
+func (m *memo) lookup(k *memoKey) (run memoRun, ok bool) {
 	mask := len(m.slots) - 1
 	if mask < 0 {
-		return nil, nil, false
+		return run, false
 	}
 	var buf [6 * binary.MaxVarintLen32]byte
 	stored := k.appendTo(buf[:0])
@@ -214,12 +222,20 @@ func (m *memo) lookup(k *memoKey) (seg, jrn []byte, ok bool) {
 			continue
 		}
 		if ent := m.entryAt(m.slots[i]); len(ent) >= len(stored) && string(ent[:len(stored)]) == string(stored) {
-			seg, rest := m.segment(ent[len(stored):])
-			jrn, _ := lenPrefixed(rest)
-			return seg, jrn, true
+			b := ent[len(stored):]
+			v, w := binary.Uvarint(b)
+			if v&1 != 0 {
+				run.id, run.interned = uint32(v>>1), true
+				run.seg, b = m.segs.segment(run.id), b[w:]
+			} else {
+				n := int(v >> 1)
+				run.seg, b = b[w:w+n], b[w+n:]
+			}
+			run.jrn, _ = lenPrefixed(b)
+			return run, true
 		}
 	}
-	return nil, nil, false
+	return run, false
 }
 
 // splitEntry splits the entry at the front of b into its key, the
@@ -235,16 +251,6 @@ func splitEntry(b []byte) (k memoKey, seg, jrn, rest []byte) {
 	return k, seg, jrn, rest
 }
 
-// segment reads an entry's successor segment off the front of b.
-func (m *memo) segment(b []byte) (seg, rest []byte) {
-	v, w := binary.Uvarint(b)
-	if v&1 != 0 {
-		return m.segs.segment(uint32(v >> 1)), b[w:]
-	}
-	n := int(v >> 1)
-	return b[w : w+n], b[w+n:]
-}
-
 // lenPrefixed splits a uvarint-length-prefixed field off the front of b.
 func lenPrefixed(b []byte) (field, rest []byte) {
 	n, w := binary.Uvarint(b)
@@ -256,7 +262,7 @@ func lenPrefixed(b []byte) (field, rest []byte) {
 // already. A memo that has run out of locators stays as it is: the checker
 // runs what it cannot look up.
 func (m *memo) insert(k *memoKey, seg, jrn []byte) {
-	if _, _, ok := m.lookup(k); ok {
+	if _, ok := m.lookup(k); ok {
 		return
 	}
 	ent := k.appendTo(m.ent[:0])
@@ -319,64 +325,85 @@ func (m *memo) grow() {
 
 // memoScratch is what a worker keeps for the memo: the journal of a
 // handler run to be memoized, the memoized run being replayed, and this
-// layer's runs, for the memo at the barrier, of which the barrier has
-// absorbed taken bytes.
+// layer's runs, for the memo at the barrier.
 type memoScratch struct {
 	rec    recorder
 	hit    memoHit
-	misses memoMiss
-	taken  int
+	misses pendBuf
 }
 
-// memoMiss is one worker's buffer of the handler runs it made during a
-// layer and would memoize, in the order it made them: each the run's
-// parent position and action ordinal as uvarints, its key's stored form,
-// the reference to its successor segment (memo.appendSegment) and its
-// length-prefixed journal. It is truncated and reused at every barrier.
-type memoMiss []byte
-
-// add buffers one run.
-func (b *memoMiss) add(m *memo, k *memoKey, pos, ord int32, seg, jrn []byte) {
-	e := binary.AppendUvarint(binary.AppendUvarint(*b, uint64(pos)), uint64(ord))
-	e = m.appendSegment(k.appendTo(e), seg)
-	*b = append(binary.AppendUvarint(e, uint64(len(jrn))), jrn...)
+// addMiss buffers one run for the barrier: after the pendBuf header, its
+// key's stored form, the reference to its successor segment
+// (memo.appendSegment) and its length-prefixed journal.
+func (b *pendBuf) addMiss(m *memo, k *memoKey, pos, ord int32, seg, jrn []byte) {
+	e := m.appendSegment(k.appendTo(b.begin(pos, ord)), seg)
+	b.b = append(binary.AppendUvarint(e, uint64(len(jrn))), jrn...)
 }
 
 // absorb writes the runs the workers buffered during a layer into the memo
-// in commit order — by (parent position, action ordinal), merging the
-// workers' buffers, each in that order already because a worker takes
-// positions in increasing order — and empties the buffers. It runs after
-// the layer's commit, so that a segment the layer's new states brought is
-// interned and an entry can refer to it by id.
+// in commit order (absorbInOrder). It runs after the layer's commit, so
+// that a segment the layer's new states brought is interned and an entry
+// can refer to it by id.
 func (m *memo) absorb(workers []worker) {
+	absorbInOrder(workers, func(wk *worker) *pendBuf {
+		if wk.memoScratch == nil {
+			return nil
+		}
+		return &wk.misses
+	}, func(e []byte) []byte {
+		k, seg, jrn, rest := splitEntry(e)
+		m.insert(&k, seg, jrn)
+		return rest
+	})
+}
+
+// pendBuf is one worker's buffer of what it found during a layer for a
+// table the barrier writes — the memo's runs, the remap table's pieces —
+// in the order it found them: each entry begins with its transition's
+// parent position and action ordinal as uvarints. It is truncated and
+// reused at every barrier; taken is how much of it the barrier has
+// absorbed.
+type pendBuf struct {
+	b     []byte
+	taken int
+}
+
+// begin starts an entry for the transition (pos, ord) and returns the
+// buffer to append the rest of it to.
+func (b *pendBuf) begin(pos, ord int32) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(b.b, uint64(pos)), uint64(ord))
+}
+
+// absorbInOrder hands take every entry of the buffers bufOf picks from the
+// workers (nil: none), past its two leading numbers, in commit order — by
+// (parent position, action ordinal), merging the buffers, each in that
+// order already because a worker takes positions in increasing order — so
+// that a table written from them is the same for any worker count. take
+// returns what follows the entry. The buffers are emptied.
+func absorbInOrder(workers []worker, bufOf func(*worker) *pendBuf, take func(e []byte) (rest []byte)) {
 	for {
-		var best []byte // the earliest run not yet taken
+		var best *pendBuf // the one holding the earliest entry not yet taken
 		var at uint64
-		bw := -1
 		for i := range workers {
-			if workers[i].memoScratch == nil {
-				continue
-			}
-			if b := workers[i].misses[workers[i].taken:]; len(b) > 0 {
-				pos, w := binary.Uvarint(b)
-				ord, _ := binary.Uvarint(b[w:])
-				if a := pos<<32 | ord; bw < 0 || a < at {
-					best, at, bw = b, a, i
+			if b := bufOf(&workers[i]); b != nil && b.taken < len(b.b) {
+				pos, w := binary.Uvarint(b.b[b.taken:])
+				ord, _ := binary.Uvarint(b.b[b.taken+w:])
+				if a := pos<<32 | ord; best == nil || a < at {
+					best, at = b, a
 				}
 			}
 		}
-		if bw < 0 {
+		if best == nil {
 			break
 		}
-		_, w := binary.Uvarint(best)
-		_, w2 := binary.Uvarint(best[w:])
-		k, seg, jrn, rest := splitEntry(best[w+w2:])
-		m.insert(&k, seg, jrn)
-		workers[bw].taken += len(best) - len(rest)
+		e := best.b[best.taken:]
+		_, w := binary.Uvarint(e)
+		_, w2 := binary.Uvarint(e[w:])
+		best.taken += len(e) - len(take(e[w+w2:]))
 	}
 	for i := range workers {
-		if workers[i].memoScratch != nil {
-			workers[i].misses, workers[i].taken = workers[i].misses[:0], 0
+		if b := bufOf(&workers[i]); b != nil {
+			b.b, b.taken = b.b[:0], 0
 		}
 	}
 }
@@ -435,11 +462,11 @@ func nextOp(jrn []byte) (o jop, rest []byte) {
 // memoHit is a memoized handler run being replayed onto parent, the world
 // the state being expanded was decoded into, for action a.
 type memoHit struct {
+	memoRun
 	parent    *World
 	a         *action
 	touch     int
-	delivered int // the channel a delivers from, -1 if a is no delivery
-	seg, jrn  []byte
+	delivered int   // the channel a delivers from, -1 if a is no delivery
 	sends     []int // per destination, the journal's sends to it
 }
 
@@ -539,45 +566,4 @@ func (h *memoHit) holds(succ *World) bool {
 		}
 	}
 	return true
-}
-
-// deriveHit overwrites dst, as derive does, with the successor the hit
-// describes, for canonicalization: the parent's channels and engines, the
-// delivered message removed, the memoized segment decoded into dst's own
-// engine for the touched node, the journal's messages decoded into the
-// channels they were sent to, and the tail replayed. Nothing is run on it.
-func (w *World) deriveHit(dst *World, h *memoHit) error {
-	copy(dst.access, w.access)
-	copy(dst.stalled, w.stalled)
-	dst.drops, dst.dups = w.drops, w.dups
-	dst.obsSink, dst.sendErr = nil, nil
-	dst.src, dst.segEnds = w.src, w.segEnds
-	copy(dst.engines, w.engines)
-	for ch := range w.channels {
-		dst.channels[ch] = append(dst.channels[ch][:0], w.channels[ch]...)
-	}
-	if a := h.a; a.kind == actDeliver {
-		dst.removeAt(a.from*w.cfg.Nodes+a.to, a.idx)
-	}
-	e, d := dst.owned[h.touch], &dst.dec
-	e.SetObs(nil)
-	dst.engines[h.touch] = e
-	d.Reset(h.seg)
-	if err := e.DecodeState(d); err != nil {
-		return err
-	}
-	h.replayTail(dst)
-	for j := h.jrn; len(j) > 0; {
-		var o jop
-		if o, j = nextOp(j); o.op == jSend {
-			d.Reset(o.msg)
-			m, err := e.DecodeMessage(d)
-			if err != nil {
-				return err
-			}
-			ch := h.touch*w.cfg.Nodes + o.arg
-			dst.channels[ch] = append(dst.channels[ch], m)
-		}
-	}
-	return nil
 }

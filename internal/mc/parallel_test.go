@@ -121,6 +121,13 @@ func TestWorkerEquivalence(t *testing.T) {
 						workers, res.VisitedBytes, res.Segments, res.SegmentBytes,
 						base.VisitedBytes, base.Segments, base.SegmentBytes)
 				}
+				// So does the remap table, filled at the barrier in commit
+				// order.
+				if res.RemapPieces != base.RemapPieces || res.RemapBytes != base.RemapBytes ||
+					(res.SymmetryGroup > 1) != (res.RemapPieces > 0) {
+					t.Errorf("workers=%d: remap table %d pieces of %d bytes, want %d, %d (symmetry /%d)",
+						workers, res.RemapPieces, res.RemapBytes, base.RemapPieces, base.RemapBytes, res.SymmetryGroup)
+				}
 				switch {
 				case (res.Violation == nil) != (base.Violation == nil):
 					t.Errorf("workers=%d: violation presence differs", workers)

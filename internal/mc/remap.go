@@ -1,0 +1,555 @@
+package mc
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"slices"
+
+	"teapot/internal/runtime"
+)
+
+// The remap table: the images of key segments under the symmetry group,
+// from which reduction.canonicalize assembles challengers (see the
+// comment on symmetry reduction in symmetry.go).
+
+// alien marks a source id (remapTable) the remap table gave a segment the
+// visited store has not interned: a plain key's segment in an orientation
+// no stored state has, which every successor that has it would otherwise
+// remap again.
+const alien = 1 << 31
+
+// remapper remaps segments: it decodes one into a world (load) and encodes
+// it again under a remap (write). The world is a worker's scratch
+// successor world (worker.worlds), or one of the remapper's own, built on
+// first use. Borrowing is sound because a successor's key is complete
+// before it is canonicalized, and nothing else of the scratch world is
+// read after that — the worker derives or replays into it afresh for its
+// next action — and because only the world's own engines and tail are
+// decoded into, never the parent's engines it may point at. region is
+// where the world's engines build: the worker's, which its next state's
+// decode resets (and the barrier, where nothing in it is live, may reset
+// too), or the remapper's own, reset per segment.
+type remapper struct {
+	w      *World
+	region *runtime.Region
+	own    bool
+	chans  [][]*runtime.Message // a row's channels, decoded
+	enc    runtime.Encoder
+}
+
+// remap returns segment seg, which is of the given kind and is store
+// segment src of its key, written under r. The bytes are valid until the
+// next call.
+func (x *remapper) remap(cfg *Config, kind int, seg []byte, src int, r *runtime.Remap) ([]byte, error) {
+	if err := x.load(cfg, kind, seg, src); err != nil {
+		return nil, err
+	}
+	return x.write(cfg, kind, src, r)
+}
+
+// load decodes segment seg, of the given kind and store segment src of
+// its key: an engine's into the world's engine for that node — whose
+// states and records are the ones it builds anyway — a row's messages by
+// the engines they are bound for, the tail as the tail.
+func (x *remapper) load(cfg *Config, kind int, seg []byte, src int) error {
+	nodes := cfg.Nodes
+	if x.w == nil {
+		x.w, x.region, x.own = newWorld(cfg), new(runtime.Region), true
+		for _, e := range x.w.owned {
+			e.SetRegion(x.region)
+		}
+	}
+	if x.own {
+		x.region.Reset()
+	}
+	w, d := x.w, &x.w.dec
+	d.Reset(seg)
+	var err error
+	switch kind {
+	case pieceEngine:
+		err = w.owned[src%nodes].DecodeState(d)
+	case pieceRow:
+		if x.chans == nil {
+			// Room for a stored state's channels, which hold at most
+			// channelCap messages each.
+			all := make([]*runtime.Message, nodes*(channelCap+1))
+			x.chans = make([][]*runtime.Message, nodes)
+			for i := range x.chans {
+				x.chans[i] = all[i*(channelCap+1) : i*(channelCap+1) : (i+1)*(channelCap+1)]
+			}
+		}
+		for to := 0; to < nodes && err == nil; to++ {
+			x.chans[to], err = decodeChannel(d, w.owned[to], x.chans[to])
+		}
+	case pieceTail:
+		err = w.decodeTail(d)
+	}
+	if err == nil {
+		err = d.Finish()
+	}
+	if err != nil {
+		return fmt.Errorf("mc: remap: %w", err)
+	}
+	return nil
+}
+
+// write encodes what load decoded under r: an engine's state again, a
+// row's channels in image order, the tail as the tail.
+func (x *remapper) write(cfg *Config, kind, src int, r *runtime.Remap) ([]byte, error) {
+	w, enc := x.w, &x.enc
+	enc.Reset(r)
+	var err error
+	switch kind {
+	case pieceEngine:
+		err = w.owned[src%cfg.Nodes].EncodeState(enc)
+	case pieceRow:
+		for to := 0; to < cfg.Nodes && err == nil; to++ {
+			msgs := x.chans[r.SrcNode(to)]
+			enc.Int(int64(len(msgs)))
+			for i := 0; i < len(msgs) && err == nil; i++ {
+				err = w.owned[0].EncodeMessage(enc, msgs[i])
+			}
+		}
+	case pieceTail:
+		w.encodeTail(enc)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("mc: remap: %w", err)
+	}
+	return enc.Bytes(), nil
+}
+
+// remapTable holds the remapped segments of one Check. It knows a segment
+// by its source id: its intern id, or, for a segment the visited store
+// lacks, an alien id (alien) it gives it. For each segment as each kind a
+// challenger needed it as, it keeps a block: the segment's images under
+// every group element but the identity — each as its intern id when the
+// image is interned, else as its bytes — and the rank of every image among
+// them, the identity's too. A block is filled whole, at a layer barrier,
+// the first time a worker misses one of its pieces, so that comparing two
+// images of one segment is comparing two ranks; only needed segments get
+// one, so a group of order 120 does not store 119 images of every
+// segment. The table is written only at layer barriers, in commit order
+// (reduction.absorb), and workers read it without a lock, as they do the
+// intern table, so what it holds is the same for any worker count.
+type remapTable struct {
+	segs  *visitedTable
+	group int // |G|: a block's words
+	// The entry of source id sid (atAlien's for alien ids; see head) is
+	// 1 + the index of the segment's first block, 0 for none. A block is
+	// group words (see word): a header, kind+1 | 1 + the index of the
+	// segment's next block (another kind) << 2, then group element g's
+	// image at g — id<<1|1 for an interned one, (loc+1)<<1 for one whose
+	// bytes, length-prefixed, are at loc, chunk<<20 | offset — each word
+	// with its image's rank in bits 32..47 (the header holds the
+	// identity's). Both lie in pages that are never copied, so that the
+	// table grows by what it holds.
+	at, atAlien [][]uint32
+	vals        [][]uint64
+	shift       int // a page of vals holds 1 << shift blocks
+	blocks      int
+	chunks      [][]byte
+	// The alien segments: aliens[aid] locates aid's bytes (as a block's
+	// loc does), alienSlots is an open-addressed table of their
+	// fingerprint tags << 32 | aid+1.
+	aliens     []uint32
+	alienSlots []uint64
+	pieces     int
+	// fill's scratch: the images of one segment, and their order.
+	imgs  []byte
+	ends  []int
+	order []int
+}
+
+const (
+	remapAtPage     = 1 << 10 // source ids per page of at
+	remapValsPage   = 8 << 10 // the most bytes a page of vals takes, if a block fits
+	remapFirst      = 256     // the aliens' first allocations, in words
+	remapPages      = 16      // the first capacity of each list of pages
+	remapFirstChunk = 4 << 10 // chunk capacities double every other chunk from here ...
+	remapChunkSize  = 1 << 20 // ... up to this
+	remapMaxChunks  = 1 << 10 // what a locator can address
+)
+
+// head returns the entry of source id sid, nil if no page holds it.
+func (t *remapTable) head(sid uint32) *uint32 {
+	at := t.at
+	if sid&alien != 0 {
+		at, sid = t.atAlien, sid&^alien
+	}
+	if p := int(sid / remapAtPage); p < len(at) {
+		return &at[p][sid%remapAtPage]
+	}
+	return nil
+}
+
+// word returns word g of block b.
+func (t *remapTable) word(b, g int) *uint64 {
+	return &t.vals[b>>t.shift][(b&(1<<t.shift-1))*t.group+g]
+}
+
+// block returns the index of the block of the segment with source id sid
+// as the given kind, -1 for none.
+func (t *remapTable) block(kind int, sid uint32) int {
+	h := t.head(sid)
+	if h == nil {
+		return -1
+	}
+	for b := int(*h) - 1; b >= 0; {
+		w := *t.word(b, 0)
+		if int(w&3)-1 == kind {
+			return b
+		}
+		b = int(uint32(w)>>2) - 1
+	}
+	return -1
+}
+
+// get sets *out to group element g's image of segment s, whose block
+// the table has.
+func (t *remapTable) get(out *piece, s *piece, g int) {
+	v := *t.word(int(s.blk), g)
+	*out = piece{val: v, src: s.src, blk: s.blk, rank: uint16(v >> 32), in: inTable, sourced: true, ranked: true}
+	if v&1 != 0 {
+		out.id, out.ok, out.in = uint32(v)>>1, true, inSegs
+	}
+}
+
+// image returns the bytes of p, a piece get set.
+func (t *remapTable) image(p *piece) []byte {
+	if p.in == inSegs {
+		return t.segs.segment(p.id)
+	}
+	return t.stored(uint32(p.val)>>1 - 1)
+}
+
+// stored returns the bytes stored, length-prefixed, at loc in the chunks.
+func (t *remapTable) stored(loc uint32) []byte {
+	b, _ := lenPrefixed(t.chunks[loc>>20][loc&(1<<20-1):])
+	return b
+}
+
+// store appends b, length-prefixed, to the chunks and returns its locator,
+// or false if the chunks cannot take it.
+func (t *remapTable) store(b []byte) (uint32, bool) {
+	var buf [binary.MaxVarintLen64]byte
+	ent := binary.AppendUvarint(buf[:0], uint64(len(b)))
+	last := len(t.chunks) - 1
+	if need := len(ent) + len(b); last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < need {
+		if need > remapChunkSize || len(t.chunks) >= remapMaxChunks {
+			return 0, false
+		}
+		if t.chunks == nil {
+			t.chunks = make([][]byte, 0, remapPages)
+		}
+		t.chunks = append(t.chunks, make([]byte, 0, min(max(remapFirstChunk<<(len(t.chunks)/2), need), remapChunkSize)))
+		last++
+	}
+	loc := uint32(last)<<20 | uint32(len(t.chunks[last]))
+	t.chunks[last] = append(append(t.chunks[last], ent...), b...)
+	return loc, true
+}
+
+// alienID returns the alien id of seg, whose fingerprint is fp, if it has
+// one.
+func (t *remapTable) alienID(seg []byte, fp uint64) (uint32, bool) {
+	if mask := len(t.alienSlots) - 1; mask > 0 {
+		for i := int(fp) & mask; t.alienSlots[i] != 0; i = (i + 1) & mask {
+			if e := t.alienSlots[i]; e>>32 == fp&(1<<32-1) {
+				if aid := uint32(e) - 1; string(t.stored(t.aliens[aid])) == string(seg) {
+					return aid, true
+				}
+			}
+		}
+	}
+	return 0, false
+}
+
+// sourceID returns seg's source id, giving it an alien id if it has none,
+// or false if the chunks cannot take it.
+func (t *remapTable) sourceID(seg []byte) (uint32, bool) {
+	fp := t.segs.hash(seg)
+	if id, ok := t.segs.lookup(seg, fp); ok {
+		return id, true
+	}
+	if aid, ok := t.alienID(seg, fp); ok {
+		return aid | alien, true
+	}
+	loc, ok := t.store(seg)
+	if !ok || len(t.aliens) >= alien-1 {
+		return 0, false
+	}
+	if (len(t.aliens)+1)*4 > len(t.alienSlots)*3 {
+		old := t.alienSlots
+		t.alienSlots = make([]uint64, max(2*len(old), remapFirst))
+		for _, e := range old {
+			if e != 0 {
+				t.putAlien(e)
+			}
+		}
+	}
+	if len(t.aliens) == cap(t.aliens) {
+		t.aliens = append(make([]uint32, 0, max(2*cap(t.aliens), remapFirst)), t.aliens...)
+	}
+	t.aliens = append(t.aliens, loc)
+	t.putAlien((fp&(1<<32-1))<<32 | uint64(len(t.aliens)))
+	return uint32(len(t.aliens)-1) | alien, true
+}
+
+// putAlien stores slot value e in the first empty slot of its probe
+// sequence, which starts where the fingerprint's low bits, its tag, say.
+func (t *remapTable) putAlien(e uint64) {
+	mask := len(t.alienSlots) - 1
+	i := int(e>>32) & mask
+	for t.alienSlots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.alienSlots[i] = e
+}
+
+// fill gives the segment seg, with source id sid, its block as the given
+// kind: every image under the group, remapped with x (at a barrier, where
+// nothing in its region is live), filed, and ranked. A segment whose images
+// the chunks cannot take gets none: the workers remap what the table
+// lacks.
+func (r *reduction) fill(x *remapper, kind int, sid uint32, seg []byte) error {
+	t, cfg := r.table, r.cfg
+	x.region.Reset()
+	if err := x.load(cfg, kind, seg, kind*cfg.Nodes); err != nil {
+		return err
+	}
+	if t.order == nil {
+		t.imgs, t.ends, t.order = make([]byte, 0, 64*t.group), make([]int, 0, t.group), make([]int, 0, t.group)
+	}
+	t.imgs, t.ends, t.order = append(t.imgs[:0], seg...), append(t.ends[:0], len(seg)), t.order[:0]
+	for g := 1; g < t.group; g++ {
+		b, err := x.write(cfg, kind, kind*cfg.Nodes, r.remaps[g])
+		if err != nil {
+			return err
+		}
+		t.imgs = append(t.imgs, b...)
+		t.ends = append(t.ends, len(t.imgs))
+	}
+	img := func(g int) []byte {
+		start := 0
+		if g > 0 {
+			start = t.ends[g-1]
+		}
+		return t.imgs[start:t.ends[g]]
+	}
+	for g := range t.group {
+		t.order = append(t.order, g)
+	}
+	slices.SortStableFunc(t.order, func(a, b int) int { return bytes.Compare(img(a), img(b)) })
+	blk := t.blocks
+	if t.vals == nil {
+		t.vals = make([][]uint64, 0, remapPages)
+		t.shift = max(bits.Len(uint(remapValsPage/(8*t.group)))-1, 0)
+	}
+	if blk>>t.shift == len(t.vals) {
+		t.vals = append(t.vals, make([]uint64, t.group<<t.shift))
+	}
+	words := t.vals[blk>>t.shift][(blk&(1<<t.shift-1))*t.group:][:t.group]
+	clear(words)
+	rank := 0
+	for i, g := range t.order {
+		if i > 0 && !bytes.Equal(img(g), img(t.order[i-1])) {
+			rank++
+		}
+		words[g] = uint64(rank) << 32
+	}
+	words[0] |= uint64(kind + 1)
+	for g := 1; g < t.group; g++ {
+		b := img(g)
+		if id, ok := t.segs.lookup(b, t.segs.hash(b)); ok && id < alien {
+			words[g] |= uint64(id)<<1 | 1
+		} else if loc, ok := t.store(b); ok {
+			words[g] |= uint64(loc+1) << 1
+		} else {
+			return nil
+		}
+	}
+	t.blocks++
+	t.pieces += t.group - 1
+	// Link the block in last: a segment needed as two kinds is rare.
+	h := t.head(sid)
+	for h == nil {
+		at := &t.at
+		if sid&alien != 0 {
+			at = &t.atAlien
+		}
+		if *at == nil {
+			*at = make([][]uint32, 0, remapPages)
+		}
+		*at = append(*at, make([]uint32, remapAtPage))
+		h = t.head(sid)
+	}
+	if *h == 0 {
+		*h = uint32(blk + 1)
+		return nil
+	}
+	b := int(*h) - 1
+	for uint32(*t.word(b, 0))>>2 != 0 {
+		b = int(uint32(*t.word(b, 0))>>2) - 1
+	}
+	*t.word(b, 0) |= uint64(blk+1) << 2
+	return nil
+}
+
+// absorb gives a block, in commit order (absorbInOrder), to each segment
+// whose piece a worker missed during a layer — and an alien id first to
+// one that has no source id — and empties the workers' buffers. It runs
+// after the layer's commit, so that a segment the layer's new states
+// brought is known by its intern id, and it remaps with the first
+// worker's remapper, idle at the barrier.
+func (r *reduction) absorb(workers []worker) error {
+	t := r.table
+	var err error
+	absorbInOrder(workers, func(wk *worker) *pendBuf { return &wk.keys.pend.pendBuf }, func(e []byte) []byte {
+		kind, _, sid, sourced, src, _, rest := readPend(e)
+		if err != nil {
+			return rest
+		}
+		if !sourced {
+			if sid, sourced = t.sourceID(src); !sourced {
+				return rest
+			}
+		}
+		if t.block(kind, sid) < 0 {
+			if sid&alien == 0 {
+				src = t.segs.segment(sid)
+			} else if src == nil {
+				src = t.stored(t.aliens[sid&^alien])
+			}
+			err = r.fill(&workers[0].keys.remap, kind, sid, src)
+		}
+		return rest
+	})
+	for i := range workers {
+		workers[i].keys.pend.reset()
+	}
+	return err
+}
+
+// stats returns how many pieces the table holds and what it retains.
+func (t *remapTable) stats() (pieces int, bytes int64) {
+	bytes = int64(len(t.at)+len(t.atAlien))*remapAtPage*4 + int64(len(t.vals))*int64(t.group)<<t.shift*8 +
+		int64(cap(t.aliens))*4 + int64(len(t.alienSlots))*8
+	for _, c := range t.chunks {
+		bytes += int64(cap(c))
+	}
+	return t.pieces, bytes
+}
+
+// remapPend is one worker's buffer of the pieces it remapped during a
+// layer because the table lacked them, for the barrier to give their
+// segments blocks — after the pendBuf header, the piece's kind and group
+// element, then its segment's source id or, if it has none, its
+// length-prefixed bytes, then the piece's length-prefixed bytes (readPend)
+// — and an index of them, so that a piece needed again before the barrier
+// is remapped once.
+type remapPend struct {
+	pendBuf
+	// index holds pairs: a piece's pendKey, then where its entry starts
+	// past the header. Open-addressed, 0 for empty.
+	index []uint64
+	n     int
+}
+
+// pendKey keys the image under g of segment s, with bytes seg, as the
+// given kind: by its source id, or else by its bytes' fingerprint (never
+// 0: g is at least 1).
+func pendKey(kind int, s *piece, seg []byte, g int) uint64 {
+	if s.sourced {
+		return uint64(s.src)<<32 | uint64(g)<<2 | uint64(kind)
+	}
+	return fold(fingerprint(seg)^uint64(g)<<2^uint64(kind), fpMul) | 1<<63
+}
+
+// readPend reads the entry at the front of e, past its header.
+func readPend(e []byte) (kind, g int, sid uint32, sourced bool, src, piece, rest []byte) {
+	kind, g, flag := int(e[0]), 0, e[1]
+	v, w := binary.Uvarint(e[2:])
+	g, e = int(v), e[2+w:]
+	if sourced = flag != 0; sourced {
+		v, w = binary.Uvarint(e)
+		sid, e = uint32(v), e[w:]
+	} else {
+		src, e = lenPrefixed(e)
+	}
+	piece, rest = lenPrefixed(e)
+	return kind, g, sid, sourced, src, piece, rest
+}
+
+// find returns where in the buffer the piece this worker buffered for the
+// image under g of segment s, with bytes seg, as the given kind is, if it
+// buffered one.
+func (p *remapPend) find(kind int, s *piece, seg []byte, g int) (off, n uint32, ok bool) {
+	mask := len(p.index)/2 - 1
+	if mask < 0 {
+		return 0, 0, false
+	}
+	k := pendKey(kind, s, seg, g)
+	for i := int(fold(k, fpMul)) & mask; p.index[2*i] != 0; i = (i + 1) & mask {
+		if p.index[2*i] != k {
+			continue
+		}
+		e := p.b[p.index[2*i+1]:]
+		kd, gd, sid, sourced, src, b, rest := readPend(e)
+		if kd == kind && gd == g && sourced == s.sourced && (sourced && sid == s.src || !sourced && string(src) == string(seg)) {
+			at := len(p.b) - len(rest) - len(b)
+			return uint32(at), uint32(len(b)), true
+		}
+	}
+	return 0, 0, false
+}
+
+// add buffers piece b, the image under g of segment s, with bytes seg, as
+// the given kind, made by transition (pos, ord), and returns where in the
+// buffer the copy is.
+func (p *remapPend) add(pos, ord int32, kind int, s *piece, seg []byte, g int, b []byte) uint32 {
+	if p.b == nil {
+		p.b = make([]byte, 0, 4<<10)
+	}
+	e := p.begin(pos, ord)
+	at := len(e)
+	e = binary.AppendUvarint(append(e, byte(kind), 0), uint64(g))
+	if s.sourced {
+		e[at+1] = 1
+		e = binary.AppendUvarint(e, uint64(s.src))
+	} else {
+		e = append(binary.AppendUvarint(e, uint64(len(seg))), seg...)
+	}
+	e = binary.AppendUvarint(e, uint64(len(b)))
+	piece := len(e)
+	p.b = append(e, b...)
+	if (p.n+1)*4 > len(p.index)/2*3 {
+		old := p.index
+		p.index = make([]uint64, max(2*len(old), 2*64))
+		for i := 0; i < len(old); i += 2 {
+			if old[i] != 0 {
+				p.insert(old[i], old[i+1])
+			}
+		}
+	}
+	p.insert(pendKey(kind, s, seg, g), uint64(at))
+	p.n++
+	return uint32(piece)
+}
+
+func (p *remapPend) insert(k, v uint64) {
+	mask := len(p.index)/2 - 1
+	i := int(fold(k, fpMul)) & mask
+	for p.index[2*i] != 0 {
+		i = (i + 1) & mask
+	}
+	p.index[2*i], p.index[2*i+1] = k, v
+}
+
+// reset empties the index; absorbInOrder has emptied the buffer.
+func (p *remapPend) reset() {
+	clear(p.index)
+	p.n = 0
+}

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -176,6 +177,10 @@ type ExpandStats struct {
 	// replayed and run; MemoBypass is why the check ran without the memo.
 	Hits       int
 	MemoBypass string
+	// Challengers counts the symmetry challengers assembled and compared
+	// with the streamed encoding, and Pieces the pieces the check's remap
+	// table holds, each compared with a remap of its segment.
+	Challengers, Pieces int
 }
 
 // CheckExpandMatchesReference is the differential test of what a worker
@@ -204,7 +209,7 @@ type ExpandStats struct {
 // one segment early, so that encodeVia does not mark untouched engines
 // copied (the store would intern what it could take from the parent).
 //
-// The transition memo the check filled is the last leg: on every handler
+// The transition memo the check filled is the next leg: on every handler
 // run it holds, the worker's replay of it (worker.replay, which leaves the
 // parent as it was) must yield the reference's key — or decline exactly
 // when the reference breaks an invariant — and running the handler must
@@ -215,13 +220,25 @@ type ExpandStats struct {
 // cache replays another cache's run, its sends stamped with the other's
 // id); a replay that skips the journal's WakeUp (the processor stays
 // stalled).
+//
+// Under symmetry reduction the last leg is the assembled challengers: for
+// every successor, worker path and memo replay alike, and every group
+// element, the challenger assembled from the plain key's remapped segments
+// — through the check's remap table, with its misses remapped on the spot
+// — must be byte for byte the reference world streamed under the remap
+// (World.encodeTo); every id a key says it knows must be the id of its
+// bytes; and every piece the table holds must be the remap of the segment
+// it is filed under. Mutations that must each fail it (tried when it was
+// written): remapping a row without reordering its channels (a message
+// sits in its source's channel slot); a remap-table key without the
+// segment kind (a row's piece is filed as an engine's).
 func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) ExpandStats {
 	t.Helper()
 	cfg.Workers = 1
-	vt, mm := newVisited(), new(memo)
+	vt, mm, rt := newVisited(), new(memo), new(remapTable)
 	// A violation only ends the exploration early: the states stored by
 	// then are compared all the same, and the caller judges their number.
-	res, err := check(cfg, vt, mm)
+	res, err := check(cfg, vt, mm, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +248,54 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 	if err != nil {
 		t.Fatal(err)
 	}
+	if red != nil {
+		red.table = rt
+	}
 	wk := worker{memoScratch: new(memoScratch)}
 	if withCoverage {
 		wk.cov = obs.NewCoverage()
 	}
 	var ref keyScratch
 	st := ExpandStats{States: vt.states(), MemoBypass: res.Memo.Bypass}
+	// challengers assembles every challenger of the plain key in wk.keys
+	// and returns them, counted.
+	challengers := func() [][]byte {
+		if red == nil {
+			return nil
+		}
+		var out [][]byte
+		for g := 1; g < len(red.remaps); g++ {
+			b, err := red.assemble(&wk.keys, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		st.Challengers += len(out)
+		return out
+	}
+	// streamed checks challengers against fs, the reference successor,
+	// streamed under each remap.
+	streamed := func(fs *World, chal [][]byte, what string) {
+		for i, b := range chal {
+			var enc keyBuf
+			enc.Reset(red.remaps[i+1])
+			if err := fs.encodeTo(&enc); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, enc.Bytes()) {
+				t.Fatalf("%s: challenger %d assembled %x, streamed %x", what, i+1, b, enc.Bytes())
+			}
+		}
+	}
+	// knownIDs checks that each id kb says it knows is its segment's.
+	knownIDs := func(kb *keyBuf, what string) {
+		for k := range vt.nseg {
+			if kb.known&(1<<k) != 0 && !bytes.Equal(vt.segment(kb.ids[k]), segmentOf(kb.Bytes(), kb.ends, k)) {
+				t.Fatalf("%s: segment %d said to be id %d, which is %x, not %x", what, k, kb.ids[k], vt.segment(kb.ids[k]), segmentOf(kb.Bytes(), kb.ends, k))
+			}
+		}
+	}
 	lastFailed := false
 	for idx := int32(0); idx < int32(vt.states()); idx++ {
 		src, ids := vt.expand(nil, nil, idx)
@@ -245,7 +304,7 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 		if err != nil {
 			t.Fatal(err)
 		}
-		wk.from = parentSegs{ids: ids, ends: partEnds(nil, w.segEnds, cfg.Nodes)}
+		wk.from = ids
 		fresh, err := cfg.decode(key)
 		if err != nil {
 			t.Fatal(err)
@@ -259,14 +318,23 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 			// The memo leg replays first: the last action is applied to
 			// the parent itself below.
 			var hit bool
-			var memoSeg, memoJrn, replayed []byte
+			var run memoRun
+			var replayed []byte
+			var replayChal [][]byte
 			if k, ok := memoKeyFor(&wk.acts[i], ids, cfg.Nodes); ok && memoOn {
-				if memoSeg, memoJrn, hit = mm.lookup(&k); hit {
-					kb, err := wk.replay(&cfg, w, red, &wk.acts[i], memoSeg, memoJrn)
+				if run, hit = mm.lookup(&k); hit {
+					kb, err := wk.replay(&cfg, w, nil, &wk.acts[i], run, 0, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if kb != nil {
+						replayChal = challengers()
+						if red != nil {
+							if err := red.canonicalize(&wk.keys, false, 0, 0); err != nil {
+								t.Fatal(err)
+							}
+						}
+						knownIDs(kb, what)
 						replayed = slices.Clone(kb.Bytes())
 					}
 					if got, err := w.encode(); err != nil || got != key {
@@ -300,9 +368,9 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 				if err := wa.engines[a.engine()].EncodeState(&enc); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(enc.Bytes(), memoSeg) || !bytes.Equal(rec.jrn, memoJrn) {
+				if !bytes.Equal(enc.Bytes(), run.seg) || !bytes.Equal(rec.jrn, run.jrn) {
 					t.Fatalf("state %d, %s: the run leaves segment %x and journal %x, the memo holds %x and %x",
-						idx, what, enc.Bytes(), rec.jrn, memoSeg, memoJrn)
+						idx, what, enc.Bytes(), rec.jrn, run.seg, run.jrn)
 				}
 				if broken := fs.checkInvariants() != ""; broken != (replayed == nil) {
 					t.Fatalf("state %d, %s: the replay declined %v, the reference breaks an invariant %v", idx, what, replayed == nil, broken)
@@ -321,10 +389,19 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 				st.Failed++
 				continue
 			}
-			got, err := wk.keys.key(wa, red, &wk.acts[i])
+			got, err := wk.keys.plain(wa, &wk.acts[i], nil, ids)
 			if err != nil {
 				t.Fatal(err)
 			}
+			plain, plainEnds := slices.Clone(got.Bytes()), slices.Clone(got.ends)
+			plainKnown, plainIDs := got.known, slices.Clone(got.ids)
+			streamed(fs, challengers(), what)
+			if red != nil {
+				if err := red.canonicalize(&wk.keys, false, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			knownIDs(got, what)
 			want, err := ref.key(fs, red, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -333,8 +410,11 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 				t.Fatalf("state %d, %s: worker key (%d bytes) differs from the reference's (%d bytes)",
 					idx, what, len(got.Bytes()), len(want.Bytes()))
 			}
-			if replayed != nil && !bytes.Equal(replayed, want.Bytes()) {
-				t.Fatalf("state %d, %s: the memo's replay keys %x, the reference %x", idx, what, replayed, want.Bytes())
+			if replayed != nil {
+				if !bytes.Equal(replayed, want.Bytes()) {
+					t.Fatalf("state %d, %s: the memo's replay keys %x, the reference %x", idx, what, replayed, want.Bytes())
+				}
+				streamed(fs, replayChal, what+" (replayed)")
 			}
 			// The segments the store interns the key by are the ones
 			// reading the key back finds, however the key was built: where
@@ -343,26 +423,107 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 			if err := cfg.decodeInto(fs, want.Bytes()); err != nil {
 				t.Fatal(err)
 			}
-			decoded, parent := partEnds(nil, fs.segEnds, cfg.Nodes), partEnds(nil, w.segEnds, cfg.Nodes)
-			if want.copied != 0 || !slices.Equal(want.ends, decoded) {
-				t.Fatalf("state %d, %s: reference segment ends %v (copied %#x), decoded %v", idx, what, want.ends, want.copied, decoded)
+			if decoded := partEnds(nil, fs.segEnds, cfg.Nodes); !slices.Equal(want.ends, decoded) || !slices.Equal(got.ends, decoded) {
+				t.Fatalf("state %d, %s: reference segment ends %v, worker's %v, decoded %v", idx, what, want.ends, got.ends, decoded)
 			}
-			if !slices.Equal(got.ends, decoded) {
-				t.Fatalf("state %d, %s: segment ends %v, decoded %v", idx, what, got.ends, decoded)
+			if err := cfg.decodeInto(fs, plain); err != nil {
+				t.Fatal(err)
+			}
+			decoded, parent := partEnds(nil, fs.segEnds, cfg.Nodes), partEnds(nil, w.segEnds, cfg.Nodes)
+			if !slices.Equal(plainEnds, decoded) {
+				t.Fatalf("state %d, %s: plain segment ends %v, decoded %v", idx, what, plainEnds, decoded)
 			}
 			changed := wk.acts[i].changes(cfg.Nodes, nil)
 			for k := range decoded {
 				first, last := partFirst(k, cfg.Nodes), partLast(k, cfg.Nodes)
 				untouched := !slices.ContainsFunc(changed, func(r segRange) bool { return r.lo <= last && first < r.hi })
-				switch copied := got.copied&(1<<k) != 0; {
-				case copied && !bytes.Equal(segmentOf(got.Bytes(), decoded, k), segmentOf(src, parent, k)):
+				switch copied := plainKnown&(1<<k) != 0; {
+				case copied && (plainIDs[k] != ids[k] || !bytes.Equal(segmentOf(plain, decoded, k), segmentOf(src, parent, k))):
 					t.Fatalf("state %d, %s: segment %d marked copied but differs from the parent's", idx, what, k)
-				case copied != untouched && red == nil:
+				case copied != untouched:
 					t.Fatalf("state %d, %s: segment %d marked copied %v, but the action leaves it untouched: %v", idx, what, k, copied, untouched)
 				}
 			}
 			st.Succs++
 		}
 	}
+	if red != nil {
+		st.Pieces = checkRemapTable(t, red, rt)
+	}
 	return st
+}
+
+// partEnds appends to dst where the store segments but the tail end in a
+// key whose world segments end at segEnds (see keyBuf).
+func partEnds(dst, segEnds []int, nodes int) []int {
+	for part := range 2 * nodes {
+		dst = append(dst, segEnds[partLast(part, nodes)])
+	}
+	return dst
+}
+
+// assemble returns challenger g of the plain key in sc.best whole, piece
+// by piece as canonicalize assembles it.
+func (r *reduction) assemble(sc *keyScratch, g int) ([]byte, error) {
+	var out []byte
+	sc.begin()
+	for p := range 2*r.cfg.Nodes + 1 {
+		kind, src := pieceSource(p, r.cfg.Nodes, r.remaps[g])
+		var c piece
+		if err := r.piece(sc, &c, kind, src, g, false, 0, 0); err != nil {
+			return nil, err
+		}
+		out = append(out, r.bytes(sc, &c)...)
+	}
+	return out, nil
+}
+
+// checkRemapTable checks every block rt holds against the remaps of the
+// segment it is filed under — each image, and the order of their ranks —
+// and returns how many pieces it holds.
+func checkRemapTable(t *testing.T, red *reduction, rt *remapTable) int {
+	t.Helper()
+	var x remapper
+	n := 0
+	check := func(sid uint32, seg []byte) {
+		for kind := range pieceTail + 1 {
+			blk := rt.block(kind, sid)
+			if blk < 0 {
+				continue
+			}
+			imgs := [][]byte{seg}
+			var ranks []uint16
+			for g := 1; g < rt.group; g++ {
+				var c piece
+				rt.get(&c, &piece{src: sid, blk: int32(blk)}, g)
+				n++
+				want, err := x.remap(red.cfg, kind, seg, kind*red.cfg.Nodes, red.remaps[g])
+				if err != nil {
+					t.Fatalf("piece (%d, %#x, %d): its segment does not remap as its kind: %v", kind, sid, g, err)
+				}
+				if got := rt.image(&c); !bytes.Equal(got, want) {
+					t.Fatalf("piece (%d, %#x, %d) is %x, its segment remaps to %x", kind, sid, g, got, want)
+				}
+				imgs, ranks = append(imgs, slices.Clone(want)), append(ranks, c.rank)
+			}
+			ranks = append([]uint16{uint16(*rt.word(blk, 0) >> 32)}, ranks...)
+			for a := range imgs {
+				for b := range imgs {
+					if bytes.Compare(imgs[a], imgs[b]) != cmp.Compare(ranks[a], ranks[b]) {
+						t.Fatalf("block (%d, %#x): images %d and %d compare %d, their ranks %d and %d", kind, sid, a, b, bytes.Compare(imgs[a], imgs[b]), ranks[a], ranks[b])
+					}
+				}
+			}
+		}
+	}
+	for id := range len(rt.segs.segs) {
+		check(uint32(id), rt.segs.segment(uint32(id)))
+	}
+	for aid, loc := range rt.aliens {
+		check(uint32(aid)|alien, rt.stored(loc))
+	}
+	if n != rt.pieces {
+		t.Fatalf("the table counts %d pieces, holds %d", rt.pieces, n)
+	}
+	return n
 }

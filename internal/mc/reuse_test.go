@@ -3,6 +3,7 @@ package mc_test
 import (
 	"math"
 	goruntime "runtime"
+	"strings"
 	"testing"
 
 	"teapot/internal/mc"
@@ -129,6 +130,9 @@ func TestExpandMatchesReference(t *testing.T) {
 				if client := sh.name == "litmus-sb-cas"; client != (st.MemoBypass != "") || !client && st.Hits < st.Succs/2 {
 					t.Errorf("memo bypassed %q, %d runs replayed: want the memo on every shape but the client's, serving most successors", st.MemoBypass, st.Hits)
 				}
+				if reduced := leg.sym != mc.SymmetryOff && strings.HasSuffix(sh.name, "-3n"); reduced != (st.Challengers > 0) || reduced && st.Pieces == 0 {
+					t.Errorf("%d challengers assembled, %d remap-table pieces audited: want both on the reduced 3-node shapes and none elsewhere", st.Challengers, st.Pieces)
+				}
 			})
 		}
 	}
@@ -144,30 +148,47 @@ func TestExpandMatchesReference(t *testing.T) {
 // store's growth, so the bound is marginal, where fixed set-up cannot hide a
 // per-transition cost: the allocations a larger exploration of the same
 // machine adds, per transition it adds. (Measured: 0.05, the visited store's
-// growth; before workers had regions: 3.3.)
+// growth; before workers had regions: 3.3.) The SymmetryOn leg holds a
+// reduced run to the same bound, on 3 nodes where the group is not
+// trivial: challengers are assembled in scratch, and the remap table grows
+// by doubling like the store.
 func TestExpandAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	run := func(net netmodel.Model) (mallocs uint64, transitions int) {
-		cfg := namedConfig("stache-ft", 2, 1, net)(t)
-		cfg.Workers = 1
-		var before, after goruntime.MemStats
-		goruntime.ReadMemStats(&before)
-		res, err := mc.Check(cfg)
-		goruntime.ReadMemStats(&after)
-		if err != nil || res.Violation != nil {
-			t.Fatalf("err %v, violation %v", err, res.Violation)
-		}
-		return after.Mallocs - before.Mallocs, res.Transitions
-	}
-	smallAllocs, smallTrans := run(netmodel.Model{MaxDrops: 1})
-	largeAllocs, largeTrans := run(netmodel.Model{MaxDrops: 2, MaxDups: 1})
-	marginal := (float64(largeAllocs) - float64(smallAllocs)) / float64(largeTrans-smallTrans)
-	t.Logf("%d allocations for %d transitions, %d for %d: %.3f per added transition",
-		smallAllocs, smallTrans, largeAllocs, largeTrans, marginal)
-	if marginal > 0.1 {
-		t.Errorf("%.3f allocations per added transition, want at most 0.1", marginal)
+	for _, leg := range []struct {
+		sym          mc.SymmetryMode
+		nodes        int
+		small, large netmodel.Model
+	}{
+		{mc.SymmetryOff, 2, netmodel.Model{MaxDrops: 1}, netmodel.Model{MaxDrops: 2, MaxDups: 1}},
+		{mc.SymmetryOn, 3, netmodel.Model{}, netmodel.Model{MaxDrops: 1}},
+	} {
+		t.Run(leg.sym.String(), func(t *testing.T) {
+			run := func(net netmodel.Model) (mallocs uint64, transitions int) {
+				cfg := namedConfig("stache-ft", leg.nodes, 1, net)(t)
+				cfg.Workers, cfg.Symmetry = 1, leg.sym
+				var before, after goruntime.MemStats
+				goruntime.ReadMemStats(&before)
+				res, err := mc.Check(cfg)
+				goruntime.ReadMemStats(&after)
+				if err != nil || res.Violation != nil {
+					t.Fatalf("err %v, violation %v", err, res.Violation)
+				}
+				if leg.sym == mc.SymmetryOn && res.RemapPieces == 0 {
+					t.Fatalf("a reduced run filled no remap table: %+v", res)
+				}
+				return after.Mallocs - before.Mallocs, res.Transitions
+			}
+			smallAllocs, smallTrans := run(leg.small)
+			largeAllocs, largeTrans := run(leg.large)
+			marginal := (float64(largeAllocs) - float64(smallAllocs)) / float64(largeTrans-smallTrans)
+			t.Logf("%d allocations for %d transitions, %d for %d: %.3f per added transition",
+				smallAllocs, smallTrans, largeAllocs, largeTrans, marginal)
+			if marginal > 0.1 {
+				t.Errorf("%.3f allocations per added transition, want at most 0.1", marginal)
+			}
+		})
 	}
 }
 

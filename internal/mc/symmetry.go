@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 
 	"teapot/internal/analysis"
@@ -24,22 +26,42 @@ import (
 // The admissible group is {(π over nodes, σ over blocks) : π(home(b)) =
 // home(σ(b)) for all b}, home being runtime.HomeOf — home bindings are the
 // machine's, not state, so a permutation must map homes onto homes.
-// Canonicalization encodes the world under every group element and keeps
-// the lexicographically smallest key. Which element won is not kept:
+// Canonicalization takes the lexicographically smallest of the world's
+// encodings under every group element. Which element won is not kept:
 // counterexample traces are replayed in original coordinates, each step the
 // first whose successor canonicalizes to the next stored key (see
 // buildViolation), so no group algebra is ever needed.
 //
-// No permuted world is ever built. A group element is a runtime.Remap the
-// encoder applies as it writes (World.encodeTo): the one walk that produces
-// the plain key produces, under a remap, the key of the permuted world.
-// Candidates go into a worker's two scratch buffers and lose early — a
-// candidate whose prefix already exceeds the best key so far is abandoned
-// at the next engine boundary — so a transition costs one plain encode (of
-// the segments its action touched: World.encodeTo) plus a fraction of a full
-// one per further group element, and allocates nothing.
-// What the remap must touch, and the reference implementation it is tested
-// against (permuteWorld), are in symmetry_internal_test.go.
+// No permuted world is ever built, and the checker never re-encodes a
+// world to canonicalize it. A group element is a runtime.Remap the encoder
+// applies as it writes (World.encodeTo walks a whole world under one; the
+// reference implementation it is tested against, permuteWorld, and what the
+// remap must touch are in symmetry_internal_test.go), and a challenger is
+// assembled from the plain key's segments, each remapped on its own:
+//
+//   - Segment locality. Under g = (π, σ) the image's engine i is engine
+//     π⁻¹(i)'s segment remapped; its row i is row π⁻¹(i), its channels
+//     reordered by π and their messages remapped; its tail is the tail
+//     remapped. So each piece of a challenger is a pure function of (the
+//     segment's kind, its bytes, g), and the remap table (remapTable) keeps
+//     the images of a segment under the whole group, with their order,
+//     filled at the barriers for the segments challengers needed.
+//   - Prefix-freeness. The encoding is self-delimiting, so no segment of a
+//     kind is a proper prefix of another of that kind, and comparing two
+//     challengers piece by piece, in order, decides as comparing their
+//     whole keys byte by byte would. Two pieces with the same intern id are
+//     equal unread, and two images of one segment compare by their ranks.
+//
+// So a transition costs one plain encode of the segments its action
+// touched (World.encodeVia) and, per further group element, a table read
+// per piece until a piece decides — mostly a rank or id comparison, since
+// a piece whose source is the plain key's own segment there (a home node,
+// which every element fixes with one block) is an image of the same
+// segment. A segment the table has no images of yet is remapped on the
+// spot, decoded into the worker's scratch and encoded under the remap, and
+// the barrier fills its images. A challenger that wins is copied out of
+// its pieces, not encoded. Over warmed scratch and a warmed table none of
+// it allocates.
 
 // SymmetryMode selects the reduction policy for a run.
 type SymmetryMode int
@@ -95,16 +117,20 @@ type EquivariantEvents interface {
 // maxSymmetryDim bounds permutation-group enumeration (dim! each way).
 const maxSymmetryDim = 8
 
-// maxAutoGroupOrder bounds the group SymmetryAuto will reduce by. A
-// transition pays one full encode plus a partial one per further group
-// element, so per-transition cost grows linearly in |G| while the orbits
-// only thin out by |G| deep into a run. Measured on base Stache and LCM
-// Simple, state-capped, at the deepest layer both runs finished: up to
-// order 120 a reduced run reaches a given depth in under a fifth of the
-// unreduced time at 3.5–5.3× the cost per transition; at 240–720 the cost
-// is 10–43× and shallow prefixes break even at best; from 1440 up
-// reduction loses outright. SymmetryOn is the caller asking for the group whatever its
-// order.
+// maxAutoGroupOrder bounds the group SymmetryAuto will reduce by. Every
+// further group element costs each transition a challenger — a table read
+// and a comparison per piece until one decides — and the table holds |G|−1
+// images of each segment a challenger needed, remapped at the barriers, so
+// cost and memory grow linearly in |G| while the orbits thin out by |G|
+// only deep into a run. The bound was set
+// when each challenger re-encoded the world: measured on base Stache and LCM
+// Simple, state-capped, at the deepest layer both runs finished, up to order
+// 120 a reduced run reached a given depth in under a fifth of the unreduced
+// time at 3.5–5.3× the cost per transition; at 240–720 the cost was 10–43×
+// and shallow prefixes broke even at best; from 1440 up reduction lost
+// outright. Assembled challengers cost less than that, so the bound errs on
+// the cautious side. SymmetryOn is the caller asking for the group whatever
+// its order.
 const maxAutoGroupOrder = 120
 
 // perm is one admissible group element.
@@ -129,45 +155,60 @@ func (g *perm) identity() bool {
 
 // reduction is the active symmetry machinery for one run.
 type reduction struct {
+	cfg   *Config
 	group []*perm // identity first, then enumeration order
 	// remaps[i] is group[i] as the encoder applies it, inverses
 	// precomputed; remaps[0] is nil (the identity encodes plainly).
 	remaps []*runtime.Remap
+	// table holds the run's remapped segments (nil: every piece is
+	// remapped on the spot, as for a world no checker stored).
+	table *remapTable
 }
 
-// keyScratch is one worker's pair of reusable key buffers: best holds the
-// smallest encoding so far, cand the challenger, and they swap when a
-// challenger wins. Keys returned from it are valid until its next use.
-// encoded is how many bytes the last key cost to encode (see
-// Result.KeyBytesEncoded).
+// keyScratch is one worker's reusable key buffers: best holds the key,
+// cand is where a winning challenger is copied out, and they swap when one
+// wins. Keys returned from it are valid until its next use. encoded is how
+// many bytes the last key cost to encode (see Result.KeyBytesEncoded). The
+// rest is canonicalize's: the plain key's segments it has resolved and
+// the pieces of two challengers (made on its first use, so that a run
+// without reduction does not carry them), the bytes of pieces remapped on
+// the spot, what remaps them, and the pieces the table lacked, for the
+// barrier.
 type keyScratch struct {
 	best, cand keyBuf
 	encoded    int
+
+	resolved uint64 // plain segments resolved (reduction.source)
+	pieces   *keyPieces
+	made     []byte
+	remap    remapper
+	pend     remapPend
 }
 
 // key encodes w into the scratch — canonicalized when red is non-nil —
 // and returns the buffer holding the visited-set key, with its segments
 // (keyBuf). via is the action that derived w from the state it was decoded
-// from (nil: encode all of it); only the plain encoding can use it
-// (World.encodeVia), the remapped challengers stream every byte.
+// from (nil: encode all of it; World.encodeVia). The remap table's misses
+// are not buffered: key serves the initial state and tests, not a layer.
 func (sc *keyScratch) key(w *World, red *reduction, via *action) (*keyBuf, error) {
-	kb, err := sc.plain(w, via, nil)
+	kb, err := sc.plain(w, via, nil, nil)
 	if err == nil && red != nil {
-		err = red.canonicalize(w, sc)
+		err = red.canonicalize(sc, false, 0, 0)
 	}
 	return kb, err
 }
 
 // plain is key without the canonicalization: the plain encoding of w, with
-// hit, if set, writing what via changed (World.encodeVia).
-func (sc *keyScratch) plain(w *World, via *action, hit *memoHit) (*keyBuf, error) {
+// hit, if set, writing what via changed (World.encodeVia), and from, if
+// set, the ids of the segments of the stored state w was decoded from.
+func (sc *keyScratch) plain(w *World, via *action, hit *memoHit, from []uint32) (*keyBuf, error) {
 	sc.best.Reset(nil)
 	var copied int
 	var err error
 	if via != nil {
-		copied, err = w.encodeVia(&sc.best, via, hit)
+		copied, err = w.encodeVia(&sc.best, via, hit, from)
 	} else {
-		_, err = w.encodeTo(&sc.best, nil)
+		err = w.encodeTo(&sc.best)
 	}
 	sc.encoded = len(sc.best.Bytes()) - copied
 	return &sc.best, err
@@ -233,7 +274,7 @@ func buildReduction(cfg *Config) (*reduction, string, error) {
 		return refuse("the symmetry group of %d nodes / %d blocks has order %d, above the %d that -symmetry=auto reduces by (every transition would pay for up to %d encodes; -symmetry=on overrides)",
 			cfg.Nodes, cfg.Blocks, len(group), maxAutoGroupOrder, len(group))
 	}
-	red := &reduction{group: group, remaps: make([]*runtime.Remap, len(group))}
+	red := &reduction{cfg: cfg, group: group, remaps: make([]*runtime.Remap, len(group))}
 	for i := 1; i < len(group); i++ {
 		red.remaps[i] = runtime.NewRemap(group[i].node, group[i].blk, maskSlots)
 	}
@@ -319,20 +360,224 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// canonicalize takes sc.best, holding the plain encoding of w, to the
-// lexicographically smallest encoding of w over the group. Each challenger
-// is a remapped encode of w itself that gives up once it can no longer win.
-func (r *reduction) canonicalize(w *World, sc *keyScratch) error {
-	for i := 1; i < len(r.remaps); i++ {
-		sc.cand.Reset(r.remaps[i])
-		smaller, err := w.encodeTo(&sc.cand, sc.best.Bytes())
-		sc.encoded += len(sc.cand.Bytes())
-		if err != nil {
-			return err
+// The kinds of store segment (keyBuf), as a remap treats them.
+const (
+	pieceEngine = iota
+	pieceRow
+	pieceTail
+)
+
+// pieceSource returns the kind of store segment p of a key, and the store
+// segment of the world that, remapped under r, is segment p of the
+// world's image (see the package comment).
+func pieceSource(p, nodes int, r *runtime.Remap) (kind, src int) {
+	switch {
+	case p < nodes:
+		return pieceEngine, r.SrcNode(p)
+	case p < 2*nodes:
+		return pieceRow, nodes + r.SrcNode(p-nodes)
+	}
+	return pieceTail, p
+}
+
+// piece is one store segment of a key being assembled, without its bytes:
+// in says where they are (reduction.bytes) — in the plain key or a buffer
+// of the scratch at off, n bytes; the intern table's segment id; or the
+// remap table's chunks, at the locator its word val holds — so that
+// writing one costs the garbage collector nothing. id is its intern id
+// when ok. When sourced, src is the source id the table knows the segment
+// it is an image of by, blk that segment's block as this kind (-1: none
+// yet), and, when ranked, rank is the piece's place among the segment's
+// images under the group.
+type piece struct {
+	val                 uint64
+	id, src, off, n     uint32
+	blk                 int32
+	rank                uint16
+	in                  uint8
+	ok, sourced, ranked bool
+}
+
+// Where a piece's bytes are (piece.in).
+const (
+	inKey   = iota // the plain key in sc.best
+	inSegs         // the intern table, as segment id
+	inTable        // the remap table's chunks
+	inPend         // sc.pend's buffer
+	inMade         // sc.made
+)
+
+// bytes returns p's bytes, from sc's buffers or the tables.
+func (r *reduction) bytes(sc *keyScratch, p *piece) []byte {
+	switch p.in {
+	case inKey:
+		return sc.best.Bytes()[p.off : p.off+p.n]
+	case inSegs, inTable:
+		return r.table.image(p)
+	case inPend:
+		return sc.pend.b[p.off : p.off+p.n]
+	}
+	return sc.made[p.off : p.off+p.n]
+}
+
+// compare orders p and q, pieces at the same place of two keys, as the
+// keys compare from there on (each kind is prefix-free): by rank when both
+// are images of one segment, as equal when they have one id, else by their
+// bytes.
+func (r *reduction) compare(sc *keyScratch, p, q *piece) int {
+	switch {
+	case p.ranked && q.ranked && p.src == q.src:
+		return cmp.Compare(p.rank, q.rank)
+	case p.ok && q.ok && p.id == q.id:
+		return 0
+	}
+	return bytes.Compare(r.bytes(sc, p), r.bytes(sc, q))
+}
+
+// canonicalize takes sc.best, holding the plain key of a world with its
+// segment ends and the ids it knows, to the lexicographically smallest key
+// of the world over the group. Each challenger is assembled piece by piece
+// (piece) and compared as it goes: it loses at the first piece greater than
+// the best key's, and wins only if one is smaller, so ties keep the lowest
+// group index. The ids it learns stay with the key for the claim. With
+// buffer set, a piece the table lacks is buffered for the barrier as one
+// transition (pos, ord) made.
+func (r *reduction) canonicalize(sc *keyScratch, buffer bool, pos, ord int32) error {
+	nodes := r.cfg.Nodes
+	n := 2*nodes + 1
+	sc.begin()
+	// The best challenger's pieces and the current one's; none is best
+	// while the plain key is.
+	best, chal, won := &sc.pieces.chal[0], &sc.pieces.chal[1], 0
+	for g := 1; g < len(r.remaps); g++ {
+		c := 0
+		for p := range n {
+			kind, src := pieceSource(p, nodes, r.remaps[g])
+			if err := r.piece(sc, &chal[p], kind, src, g, buffer, pos, ord); err != nil {
+				return err
+			}
+			if c == 0 {
+				top := &best[p]
+				if won == 0 {
+					top = r.source(sc, kind, p)
+				}
+				if c = r.compare(sc, &chal[p], top); c > 0 {
+					break
+				}
+			}
 		}
-		if smaller {
-			sc.best, sc.cand = sc.cand, sc.best
+		if c < 0 {
+			best, chal, won = chal, best, g
 		}
+	}
+	if won == 0 {
+		return nil
+	}
+	out := &sc.cand
+	out.Reset(nil)
+	ends := out.sizeEnds(nodes)
+	for p := range n {
+		out.Raw(r.bytes(sc, &best[p]))
+		if p < len(ends) {
+			ends[p] = len(out.Bytes())
+		}
+		if best[p].ok {
+			out.know(p, best[p].id)
+		}
+	}
+	sc.best, sc.cand = sc.cand, sc.best
+	return nil
+}
+
+// maxPieces bounds the segments of a key under reduction: 2·8 + 1.
+const maxPieces = 2*maxSymmetryDim + 1
+
+// keyPieces is the plain key's segments and two challengers' pieces.
+type keyPieces struct {
+	src  [maxPieces]piece
+	chal [2][maxPieces]piece
+}
+
+// begin readies the scratch to assemble the challengers of the plain key
+// in sc.best.
+func (sc *keyScratch) begin() {
+	if sc.pieces == nil {
+		sc.pieces = new(keyPieces)
+	}
+	sc.resolved, sc.made = 0, sc.made[:0]
+}
+
+// source returns store segment k, of the given kind, of the plain key in
+// sc.best, resolved once per canonicalization: its intern id — looked up
+// if the key does not know it, and then known to the key — or else its
+// alien id, and its block of images with its own rank among them if the
+// table has them.
+func (r *reduction) source(sc *keyScratch, kind, k int) *piece {
+	s := &sc.pieces.src[k]
+	if sc.resolved&(1<<k) != 0 {
+		return s
+	}
+	sc.resolved |= 1 << k
+	kb, t := &sc.best, r.table
+	start, end := 0, len(kb.Bytes())
+	if k > 0 {
+		start = kb.ends[k-1]
+	}
+	if k < len(kb.ends) {
+		end = kb.ends[k]
+	}
+	*s = piece{off: uint32(start), n: uint32(end - start), id: kb.ids[k], ok: kb.known&(1<<k) != 0, blk: -1}
+	if t == nil {
+		return s
+	}
+	if !s.ok {
+		seg := kb.Bytes()[start:end]
+		fp := t.segs.hash(seg)
+		if s.id, s.ok = t.segs.lookup(seg, fp); s.ok {
+			kb.know(k, s.id)
+		} else if aid, ok := t.alienID(seg, fp); ok {
+			s.src, s.sourced = aid|alien, true
+		}
+	}
+	if s.ok {
+		s.src, s.sourced = s.id, true
+	}
+	if s.sourced {
+		if b := t.block(kind, s.src); b >= 0 {
+			s.blk, s.rank, s.ranked = int32(b), uint16(*t.word(b, 0)>>32), true
+		}
+	}
+	return s
+}
+
+// piece sets *out to store segment src of the plain key in sc.best, of the
+// given kind, remapped under group element g: from the table, from what
+// this worker remapped of it already this layer, or remapped here.
+func (r *reduction) piece(sc *keyScratch, out *piece, kind, src, g int, buffer bool, pos, ord int32) error {
+	s := r.source(sc, kind, src)
+	if s.blk >= 0 {
+		r.table.get(out, s, g)
+		return nil
+	}
+	seg := r.bytes(sc, s)
+	if r.table != nil && buffer {
+		if off, n, ok := sc.pend.find(kind, s, seg, g); ok {
+			// Counted as remapped, as it would be by any other worker.
+			sc.encoded += int(n)
+			*out = piece{in: inPend, off: off, n: n}
+			return nil
+		}
+	}
+	b, err := sc.remap.remap(r.cfg, kind, seg, src, r.remaps[g])
+	if err != nil {
+		return err
+	}
+	sc.encoded += len(b)
+	if r.table != nil && buffer {
+		*out = piece{in: inPend, off: sc.pend.add(pos, ord, kind, s, seg, g, b), n: uint32(len(b))}
+	} else {
+		*out = piece{in: inMade, off: uint32(len(sc.made)), n: uint32(len(b))}
+		sc.made = append(sc.made, b...)
 	}
 	return nil
 }

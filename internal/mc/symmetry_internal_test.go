@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -512,7 +513,7 @@ func CheckStreamedAgainstReference(t *testing.T, cfg Config, seed int64, walks, 
 	err = randomWalk(&cfg, seed, walks, steps, func(w *World) {
 		if !t.Failed() {
 			feat.observe(w, red.maskSlots())
-			checkWorldAgainstReference(t, red, w)
+			checkWorldAgainstReference(t, red, w, true)
 		}
 	})
 	if err != nil {
@@ -522,19 +523,20 @@ func CheckStreamedAgainstReference(t *testing.T, cfg Config, seed int64, walks, 
 }
 
 // checkWorldAgainstReference compares, for one world, every remapped encode
-// and the canonicalization result with the permuteWorld reference.
-func checkWorldAgainstReference(t *testing.T, red *reduction, w *World) {
+// and — with canon set — the canonicalization result with the permuteWorld
+// reference.
+func checkWorldAgainstReference(t *testing.T, red *reduction, w *World, canon bool) {
 	t.Helper()
 	var enc, plain keyBuf
 	wantKey := ""
 	for i, g := range red.group {
 		plain.Reset(nil)
-		if _, err := red.permuteWorld(w, g).encodeTo(&plain, nil); err != nil {
+		if err := red.permuteWorld(w, g).encodeTo(&plain); err != nil {
 			t.Fatalf("reference encode: %v", err)
 		}
 		ref := string(plain.Bytes())
 		enc.Reset(red.remaps[i])
-		if _, err := w.encodeTo(&enc, nil); err != nil {
+		if err := w.encodeTo(&enc); err != nil {
 			t.Fatalf("streamed encode: %v", err)
 		}
 		if string(enc.Bytes()) != ref || !slices.Equal(enc.ends, plain.ends) {
@@ -545,6 +547,9 @@ func checkWorldAgainstReference(t *testing.T, red *reduction, w *World) {
 		if i == 0 || ref < wantKey {
 			wantKey = ref
 		}
+	}
+	if !canon {
+		return
 	}
 	key, err := canonKey(red, w)
 	if err != nil {
@@ -568,7 +573,9 @@ func MidRunWorld(t *testing.T, cfg *Config, seed int64, steps int) *World {
 }
 
 // Canonicalizer returns a function that canonicalizes a world of cfg into
-// one reused scratch, the way a checker worker does.
+// one reused scratch, the way a checker worker does, over a remap table
+// warmed for it: the world's plain segments interned, and the pieces its
+// first canonicalization remapped absorbed at a barrier.
 func Canonicalizer(t *testing.T, cfg *Config) func(w *World) error {
 	t.Helper()
 	cfg.normalize()
@@ -580,8 +587,31 @@ func Canonicalizer(t *testing.T, cfg *Config) func(w *World) error {
 	if len(red.group) < 2 {
 		t.Fatalf("trivial group: nothing to canonicalize")
 	}
-	sc := new(keyScratch)
+	vt := newVisited()
+	red.table = &remapTable{segs: vt, group: len(red.group)}
+	wk := []worker{{}}
+	sc := &wk[0].keys
+	warmed := false
 	return func(w *World) error {
+		if !warmed {
+			kb, err := sc.plain(w, nil, nil, nil)
+			if err != nil {
+				return err
+			}
+			if _, err := vt.addRoot(kb); err != nil {
+				return err
+			}
+			if err := red.canonicalize(sc, true, 0, 0); err != nil {
+				return err
+			}
+			if err := red.absorb(wk); err != nil {
+				return err
+			}
+			if red.table.pieces == 0 {
+				return errors.New("warming the remap table filled no piece")
+			}
+			warmed = true
+		}
 		_, err := sc.key(w, red, nil)
 		return err
 	}
@@ -606,6 +636,9 @@ func TestStreamedEncodingPing(t *testing.T) {
 // reached — the encoder does not care — with node and block ids at every
 // nesting the remap must descend into, on a shape (4 nodes / 2 blocks,
 // |G| = 4) where both permutations are non-trivial and two nodes stall.
+// Canonicalization decodes each segment it remaps, and Ping has no suspend
+// site for a planted continuation to name, so it is checked on a second
+// planting whose ids nest in state values instead of continuations.
 func TestStreamedEncodingPlantedIdentities(t *testing.T) {
 	p := compilePing(t)
 	cfg := Config{Proto: p, Nodes: 4, Blocks: 2, Symmetry: SymmetryOn}
@@ -617,12 +650,25 @@ func TestStreamedEncodingPlantedIdentities(t *testing.T) {
 	if len(red.group) != 4 {
 		t.Fatalf("group order %d, want 4", len(red.group))
 	}
-	w := newWorld(&cfg)
+	for _, conts := range []bool{true, false} {
+		plantIdentities(t, red, &cfg, conts)
+	}
+}
+
+// plantIdentities plants the world TestStreamedEncodingPlantedIdentities
+// checks, its ids nested in continuations or, if not conts, in state
+// values, and checks it.
+func plantIdentities(t *testing.T, red *reduction, cfg *Config, conts bool) {
+	w := newWorld(cfg)
 	ids := func(n, b int) vm.Value {
-		return vm.ContVal(&vm.Cont{Site: n, Saved: []vm.Value{
+		saved := []vm.Value{
 			vm.NodeVal(n), vm.IDVal(b),
 			vm.StateValue(&vm.StateVal{State: b, Args: []vm.Value{vm.IDVal(b), vm.NodeVal(-1)}}),
-		}})
+		}
+		if !conts {
+			return vm.StateValue(&vm.StateVal{State: n % 3, Args: saved})
+		}
+		return vm.ContVal(&vm.Cont{Site: n, Saved: saved})
 	}
 	for n, e := range w.engines {
 		for b, blk := range e.Blocks {
@@ -638,5 +684,5 @@ func TestStreamedEncodingPlantedIdentities(t *testing.T) {
 	}
 	w.access[2*cfg.Blocks+1] = sema.AccReadOnly
 	w.stalled[2], w.stalled[1] = 1, 0
-	checkWorldAgainstReference(t, red, w)
+	checkWorldAgainstReference(t, red, w, !conts)
 }

@@ -327,9 +327,9 @@ func TestSymmetryWorkerEquivalence(t *testing.T) {
 }
 
 // TestCanonicalizeAllocs: the reduction's per-transition work must not
-// touch the heap — candidates are written into the worker's scratch and
-// compared there — and the plain encode behind World.Snapshot allocates
-// the string it returns and nothing else.
+// touch the heap — challengers are assembled from a warmed remap table's
+// pieces in the worker's scratch and compared there — and the plain encode
+// behind World.Snapshot allocates the string it returns and nothing else.
 func TestCanonicalizeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop entries at random")

@@ -269,51 +269,30 @@ func (t *visitedTable) expand(key []byte, ids []uint32, idx int32) ([]byte, []ui
 	return key, ids
 }
 
-// parentSegs is what a worker knows of the state it is expanding: its
-// segments' ids, and where they end in its key (partEnds). A successor
-// key's copied segments (keyBuf.copied) are that state's.
-type parentSegs struct {
-	ids  []uint32
-	ends []int
-}
-
-// span returns where segment k, which is not the tail, starts and ends in
-// the parent's key.
-func (p *parentSegs) span(k int) (start, end int) {
-	if k > 0 {
-		start = p.ends[k-1]
-	}
-	return start, p.ends[k]
-}
-
 // equal reports whether the key kb holds is state idx's canonical
 // encoding: whether the state's segments, read in order, spell it. A
-// segment kb copied from its parent (nil: none lent) is the state's when
-// its id is the parent's there; any other is compared byte for byte.
-func (t *visitedTable) equal(idx int32, kb *keyBuf, from *parentSegs) bool {
-	key, copied := kb.Bytes(), kb.copied
-	if from == nil {
-		copied = 0
-	}
+// segment whose id kb knows (keyBuf.known) is the state's when the ids
+// agree; any other is compared byte for byte.
+func (t *visitedTable) equal(idx int32, kb *keyBuf) bool {
+	key := kb.Bytes()
 	rec, off := t.record(idx), 0
 	for k := range t.nseg {
 		id, w := nextID(rec)
 		rec = rec[w:]
-		if copied&(1<<k) != 0 {
-			if id != from.ids[k] {
+		end := len(key)
+		if k < len(kb.ends) {
+			end = kb.ends[k]
+		}
+		if kb.known&(1<<k) != 0 {
+			if id != kb.ids[k] {
 				return false
 			}
-			start, end := from.span(k)
-			off += end - start
-			continue
-		}
-		seg := t.segment(id)
-		if len(seg) > len(key)-off || string(seg) != string(key[off:off+len(seg)]) {
+		} else if seg := t.segment(id); string(seg) != string(key[off:end]) {
 			return false
 		}
-		off += len(seg)
+		off = end
 	}
-	return off == len(key)
+	return true
 }
 
 // pendKey returns the key of the shard's i-th pending claim.
@@ -510,26 +489,25 @@ func (s *slab[T]) carve(mu *sync.Mutex, old []T, need, first, firstBlock int) []
 func (t *visitedTable) addRoot(kb *keyBuf) ([]int32, error) {
 	t.nseg = len(kb.ends) + 1
 	t.rec = make([]byte, 0, binary.MaxVarintLen32*t.nseg)
-	if err := t.claim(kb, nil, 0, -1, false); err != nil {
+	if err := t.claim(kb, 0, -1, false); err != nil {
 		return nil, err
 	}
 	return t.commit([]int32{-1})
 }
 
 // claim records that the key kb holds was reached from layer position pos
-// via action ord, from the state from describes (which may be nil only when
-// kb copied no segment). Already-committed states are ignored; claims for
-// the same key made during one layer are merged keeping the smallest (pos,
-// ord). kb and from are the caller's scratch: they are only read here, and
-// the key is copied into the shard's pending slab when — and only when — it
-// becomes a new pending claim, followed by a uvarint descriptor per
-// segment: id+1 for a segment whose id is known — copied from the parent,
-// or found in the intern table — and for a new one 0, its start and its
-// length, to be interned at the barrier. shared says whether other
+// via action ord. Already-committed states are ignored; claims for the
+// same key made during one layer are merged keeping the smallest (pos,
+// ord). kb is the caller's scratch: it is only read here, and the key is
+// copied into the shard's pending slab when — and only when — it becomes a
+// new pending claim, followed by a uvarint descriptor per segment: id+1 for
+// a segment whose id is known — kb knows it (keyBuf.known), or the intern
+// table has it — and for a new one 0, its start and its length, to be
+// interned at the barrier. shared says whether other
 // goroutines may be claiming at the same time; if so the shard is locked,
 // which a lone worker need not pay for. The error is a store limit reached
 // (see visitedTable); the table is then good for nothing further.
-func (t *visitedTable) claim(kb *keyBuf, from *parentSegs, pos, ord int32, shared bool) error {
+func (t *visitedTable) claim(kb *keyBuf, pos, ord int32, shared bool) error {
 	key := kb.Bytes()
 	fp := t.hash(key)
 	s := &t.shards[fp>>shardShift]
@@ -547,7 +525,7 @@ func (t *visitedTable) claim(kb *keyBuf, from *parentSegs, pos, ord int32, share
 				// The arena and the intern table are only appended to at
 				// layer barriers, never while workers hold shard locks, so
 				// reading them here is race-free.
-				if t.equal(ref-1, kb, from) {
+				if t.equal(ref-1, kb) {
 					return nil
 				}
 			} else if p := int(-ref - 1); bytes.Equal(s.pendKey(p), key) {
@@ -575,19 +553,15 @@ func (t *visitedTable) claim(kb *keyBuf, from *parentSegs, pos, ord int32, share
 	// The segments' descriptors, written aside first so that the slab is
 	// grown once, to its exact need.
 	var descs [128]byte
-	d, copied, off := descs[:0], kb.copied, 0
+	d, off := descs[:0], 0
 	for k := range t.nseg {
-		if copied&(1<<k) != 0 {
-			d = binary.AppendUvarint(d, uint64(from.ids[k])+1)
-			start, end := from.span(k)
-			off += end - start
-			continue
-		}
 		end := len(key)
 		if k < len(kb.ends) {
 			end = kb.ends[k]
 		}
-		if id, ok := t.lookup(key[off:end], t.hash(key[off:end])); ok {
+		if kb.known&(1<<k) != 0 {
+			d = binary.AppendUvarint(d, uint64(kb.ids[k])+1)
+		} else if id, ok := t.lookup(key[off:end], t.hash(key[off:end])); ok {
 			d = binary.AppendUvarint(d, uint64(id)+1)
 		} else {
 			d = binary.AppendUvarint(binary.AppendUvarint(append(d, 0), uint64(off)), uint64(end-off))

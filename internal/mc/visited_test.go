@@ -14,7 +14,7 @@ import (
 const InlineLayer = inlineLayer
 
 // segmented returns a test key as claim takes it: split at its '|'s, the
-// separators left out, none of its segments copied.
+// separators left out, none of its segments' ids known.
 func segmented(key string) *keyBuf {
 	kb := new(keyBuf)
 	for i, seg := range strings.Split(key, "|") {
@@ -49,7 +49,7 @@ func mustRoot(t *testing.T, vt *visitedTable, key string) []int32 {
 
 func mustClaim(t *testing.T, vt *visitedTable, key string, pos, ord int32) {
 	t.Helper()
-	if err := vt.claim(segmented(key), nil, pos, ord, false); err != nil {
+	if err := vt.claim(segmented(key), pos, ord, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -147,7 +147,7 @@ func TestShardedVisitedRace(t *testing.T) {
 				// Every goroutine claims every key with a different
 				// ordinal; the minimum (0, i) must survive.
 				ord := i + keys*((g+i)%goroutines)
-				if err := vt.claim(segmented(fmt.Sprintf("state-%03d", i)), nil, 0, int32(ord), true); err != nil {
+				if err := vt.claim(segmented(fmt.Sprintf("state-%03d", i)), 0, int32(ord), true); err != nil {
 					t.Error(err)
 				}
 			}
@@ -300,14 +300,20 @@ func modelLayer(rng *rand.Rand, m *modelStore, layer []int32, chunk int, fresh *
 	return claims
 }
 
-// modelKey returns a model claim as claim takes it.
-func modelKey(c modelClaim) *keyBuf {
-	kb := &keyBuf{copied: c.copied}
+// modelKey returns a model claim as claim takes it: its copied segments
+// lent the ids from holds, the parent's, as encodeVia lends them.
+func modelKey(c modelClaim, from []uint32) *keyBuf {
+	kb := &keyBuf{ids: make([]uint32, 3)}
 	kb.Raw([]byte(c.key))
 	n := 0
 	for _, seg := range modelSegs(c.key)[:2] {
 		n += len(seg)
 		kb.ends = append(kb.ends, n)
+	}
+	for k := range 3 {
+		if c.copied&(1<<k) != 0 {
+			kb.know(k, from[k])
+		}
 	}
 	return kb
 }
@@ -367,11 +373,12 @@ func checkAgainstModel(t *testing.T, vt *visitedTable, m *modelStore) {
 // also the store's concurrency test, and ids assigned at the barrier must
 // not depend on the claimers.
 //
-// Mutations that must each fail it (tried when it was written): equal
-// accepting a copied segment whose id is the parent's at any position
-// rather than at its own, or stepping over a copied segment one byte
-// short; claim lending a copied segment the id of the parent's segment
-// before it; and expand reading each id as the next one.
+// Mutations that must each fail it (tried when it was written, and again
+// when keys began carrying their known ids): equal accepting a known
+// segment whose id is the key's at any position rather than at its own,
+// or comparing the segment after a known one from one byte early; claim
+// describing a known segment by the id of the segment before it; and
+// expand reading each id as the next one.
 func TestVisitedModel(t *testing.T) {
 	for _, claimers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("claimers=%d", claimers), func(t *testing.T) {
@@ -383,7 +390,7 @@ func TestVisitedModel(t *testing.T) {
 				root := "\x01r\x01r\x01r"
 				m := &modelStore{seen: map[string]bool{root: true}, pending: map[string]modelClaim{},
 					arena: []modelState{{root, -1}}, ids: map[string]uint32{"\x01r": 0}}
-				layer, err := vt.addRoot(modelKey(modelClaim{key: root}))
+				layer, err := vt.addRoot(modelKey(modelClaim{key: root}, nil))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -397,9 +404,8 @@ func TestVisitedModel(t *testing.T) {
 							defer wg.Done()
 							for i := g; i < len(claims); i += claimers {
 								c := claims[i]
-								from := parentSegs{ids: vt.appendIDs(nil, layer[c.pos]),
-									ends: modelKey(modelClaim{key: m.arena[layer[c.pos]].key}).ends}
-								if err := vt.claim(modelKey(c), &from, c.pos, c.ord, claimers > 1); err != nil {
+								from := vt.appendIDs(nil, layer[c.pos])
+								if err := vt.claim(modelKey(c, from), c.pos, c.ord, claimers > 1); err != nil {
 									t.Error(err)
 								}
 							}
@@ -454,7 +460,7 @@ func CheckVisitedAllocs(t *testing.T) {
 	layer := mustRoot(t, vt, "a0000|b0000|t7")
 	before := mallocs()
 	for i := 0; i < n; i++ {
-		if err := vt.claim(key(i), nil, 0, int32(i), false); err != nil {
+		if err := vt.claim(key(i), 0, int32(i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -472,8 +478,8 @@ func CheckVisitedAllocs(t *testing.T) {
 	pending := segmented("pending|x|y")
 	before = mallocs()
 	for i := 0; i < n; i++ {
-		vt.claim(key(i), nil, 0, 0, false)
-		vt.claim(pending, nil, 0, 1, false)
+		vt.claim(key(i), 0, 0, false)
+		vt.claim(pending, 0, 1, false)
 	}
 	if hit := mallocs() - before; hit != 0 {
 		t.Errorf("claiming seen keys made %d allocations in %d claims, want 0", hit, 2*n)
@@ -518,7 +524,7 @@ type SpreadStats struct {
 func CheckFingerprintSpread(t *testing.T, cfg Config) SpreadStats {
 	t.Helper()
 	vt := newVisited()
-	if _, err := check(cfg, vt, new(memo)); err != nil {
+	if _, err := check(cfg, vt, new(memo), nil); err != nil {
 		t.Fatal(err)
 	}
 	st := SpreadStats{States: vt.states()}
@@ -587,7 +593,7 @@ func TestVisitedLimits(t *testing.T) {
 				tc.lower(vt)
 				c := cfg
 				c.Workers = workers
-				res, err := check(c, vt, new(memo))
+				res, err := check(c, vt, new(memo), nil)
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("err = %v (result %+v), want one naming %q", err, res, tc.want)
 				}
@@ -597,7 +603,7 @@ func TestVisitedLimits(t *testing.T) {
 	// At the limit exactly, the run completes.
 	vt := newVisited()
 	vt.maxStates = full.States
-	if res, err := check(cfg, vt, new(memo)); err != nil || res.States != full.States {
+	if res, err := check(cfg, vt, new(memo), nil); err != nil || res.States != full.States {
 		t.Fatalf("maxStates == reachable states: %+v, err %v", res, err)
 	}
 }

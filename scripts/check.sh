@@ -37,7 +37,7 @@ done
 # scratch; Snapshot: the returned string only; mc.Check: at most 0.1 per
 # transition a larger exploration adds — regions, not the heap, hold what
 # expanding a state builds; the visited store and its intern table of key
-# segments: 0 per claim of a seen key, under N/100 to insert N states, and
+# segments: 0 per claim of a seen key, under N/400 to insert N states, and
 # 0 for a commit no larger than an earlier one; a delivery into a warmed engine: 0, support
 # call, send and all, register stack empty afterwards; a whole simulated run:
 # at most 1 per message; a warmed fuzz.Judge run of each litmus corpus test,
