@@ -185,7 +185,7 @@ func TestExitStatus(t *testing.T) {
 		// is reported on the segments line only under reduction.
 		{args: "verify -proto stache-ft -nodes 3 -blocks 1 -net drop=1 -symmetry=on -stats", status: 0,
 			stdout: "85409 states, 260874 transitions … keys:           74 bytes mean, 43% encoded per successor\n" +
-				" … segments:       1397 distinct, 34.0 KiB; remap table 1389 pieces, 79.0 KiB\n" +
+				" … segments:       1397 distinct, 34.0 KiB; remap table 1389 pieces, 132.0 KiB\n" +
 				" … memo:           6157 entries, 255.0 KiB, 96.2% of 221693 handler runs replayed\n", slow: true},
 		// The large shape: 4 nodes under one drop is 9.2 M states in full, so
 		// cut it — the run stops at the first layer barrier past the limit

@@ -33,7 +33,7 @@ import (
 func Check(cfg Config) (*Result, error) { return check(cfg, newVisited(), nil, nil) }
 
 // check is Check over the visited table, the transition memo and the remap
-// table it is handed (empty; tests hand in a table with its limits
+// table it is handed (empty, over vt; tests hand in a table with its limits
 // lowered, and read them all afterwards). A nil memo or remap table is made
 // if the run uses one.
 func check(cfg Config, vt *visitedTable, mm *memo, rt *remapTable) (*Result, error) {
@@ -54,17 +54,15 @@ func check(cfg Config, vt *visitedTable, mm *memo, rt *remapTable) (*Result, err
 	if red != nil {
 		res.SymmetryGroup = len(red.group)
 		if red.table = rt; rt == nil {
-			red.table = new(remapTable)
+			red.table = newRemapTable(vt, len(red.group))
 		}
-		red.table.segs, red.table.group = vt, len(red.group)
 	}
 	bypass := memoBypass(&cfg)
 	var use *memo // nil when bypassed
 	if bypass == "" {
 		if use = mm; use == nil {
-			use = new(memo)
+			use = newMemo(vt)
 		}
-		use.segs = vt
 	}
 
 	workers := make([]worker, cfg.Workers)
@@ -142,7 +140,7 @@ func check(cfg Config, vt *visitedTable, mm *memo, rt *remapTable) (*Result, err
 
 	res.States = vt.states()
 	res.VisitedBytes = vt.bytes()
-	res.Segments, res.SegmentBytes = len(vt.segs), vt.segBytes
+	res.Segments, res.SegmentBytes = len(vt.intern.refs), vt.intern.size
 	res.ShardMin, res.ShardMax = vt.shardStats()
 	if red != nil {
 		res.RemapPieces, res.RemapBytes = red.table.stats()

@@ -39,8 +39,8 @@ import (
 // buffered per worker (pendBuf) and merged by (parent position, action
 // ordinal) — and read without a lock while a layer expands, as the intern
 // table is. So which transitions hit, and what the memo holds, are the same
-// for any worker count. Its entries lie in pointer-free chunks located by
-// one open-addressed slot table, like the visited store's.
+// for any worker count. Its entries lie in an arena, located by a slots
+// table (table.go).
 //
 // Runs that record coverage bypass it (coverage needs the handlers' event
 // stream), and so do runs with a scripted client, whose Send stamps data
@@ -49,16 +49,9 @@ import (
 // (LocalSupport). memoBypass says which.
 
 const (
-	memoFirstChunk = 1 << 10 // chunk capacities double from here ...
-	memoChunkSize  = 1 << 20 // ... up to this
-	memoMaxChunks  = 1 << 20 // what a slot's locator can address
+	memoFirstChunk = 1 << 10 // the arena's chunk capacities double from here
+	memoMaxChunks  = 1 << 12 // what a slot's 32-bit locator can address
 	memoMinSlots   = 64
-
-	// An occupied slot is its entry's fingerprint tag above the entry's
-	// chunk and offset: 1 | tag (23 bits) | chunk (20) | offset (20).
-	memoUsed     = 1 << 63
-	memoTagShift = 40
-	memoLocMask  = 1<<memoTagShift - 1
 )
 
 // Journal operations: a byte, then the operands as uvarints.
@@ -103,27 +96,25 @@ func (k *memoKey) appendTo(b []byte) []byte {
 	return b
 }
 
-// readMemoKey reads a key's stored form off the front of b.
-func readMemoKey(b []byte) (k memoKey, rest []byte) {
-	for _, f := range [...]*uint32{&k.kind, &k.node, &k.seg, &k.in0, &k.in1, &k.in2} {
-		v, w := binary.Uvarint(b)
-		*f, b = uint32(v), b[w:]
-	}
-	return k, b
-}
-
 // memo is the transition memo of one Check. An entry is a key's stored
 // form, the engine's successor segment — uvarint id<<1|1 when the visited
 // store has interned it (segs), else uvarint len<<1 and the bytes — and the
-// length-prefixed journal.
+// length-prefixed journal. A slot holds the tag of the key's hash above the
+// entry's locator + 1, which fits 32 bits: with memoMaxChunks chunks only
+// the last chunk's last byte has locator 2³²−1, and an entry is longer than
+// a byte.
 type memo struct {
-	segs    *visitedTable
-	chunks  [][]byte
-	slots   []uint64
-	entries int
+	segs  *visitedTable
+	arena arena
+	slots slots
 	// runs counts the handler runs looked up, hits those the memo served.
 	runs, hits int64
 	ent        []byte // insert's scratch
+}
+
+func newMemo(segs *visitedTable) *memo {
+	return &memo{segs: segs, arena: arena{first: memoFirstChunk, size: arenaChunk, most: memoMaxChunks},
+		slots: slots{first: memoMinSlots}}
 }
 
 // MemoStats is what Result reports of the transition memo.
@@ -141,11 +132,7 @@ type MemoStats struct {
 
 // stats reports the memo.
 func (m *memo) stats() MemoStats {
-	st := MemoStats{Entries: m.entries, Runs: m.runs, Hits: m.hits, Bytes: int64(len(m.slots)) * 8}
-	for _, c := range m.chunks {
-		st.Bytes += int64(cap(c))
-	}
-	return st
+	return MemoStats{Entries: m.slots.used, Runs: m.runs, Hits: m.hits, Bytes: m.slots.bytes() + m.arena.bytes()}
 }
 
 // LocalSupport is implemented by support modules that vouch their routines
@@ -191,12 +178,6 @@ func memoBypass(cfg *Config) string {
 	return ""
 }
 
-// entryAt returns the entry a slot locates, and what follows it.
-func (m *memo) entryAt(e uint64) []byte {
-	loc := e & memoLocMask
-	return m.chunks[loc>>20][loc&(1<<20-1):]
-}
-
 // memoRun is a memoized handler run: the successor's engine segment, its
 // intern id when interned is set, and the journal.
 type memoRun struct {
@@ -209,24 +190,16 @@ type memoRun struct {
 // expands: the memo, and the intern table it refers to, are written only at
 // the barrier.
 func (m *memo) lookup(k *memoKey) (run memoRun, ok bool) {
-	mask := len(m.slots) - 1
-	if mask < 0 {
-		return run, false
-	}
 	var buf [6 * binary.MaxVarintLen32]byte
 	stored := k.appendTo(buf[:0])
-	fp := k.hash()
-	tag := fp>>(64-23)<<memoTagShift | memoUsed
-	for i := int(fp) & mask; m.slots[i] != 0; i = (i + 1) & mask {
-		if m.slots[i]&^memoLocMask != tag {
-			continue
-		}
-		if ent := m.entryAt(m.slots[i]); len(ent) >= len(stored) && string(ent[:len(stored)]) == string(stored) {
+	tag := uint32(k.hash())
+	for loc, i := m.slots.find(tag, int(tag)); loc != 0; loc, i = m.slots.find(tag, i) {
+		if ent := m.arena.at(uint64(loc - 1)); len(ent) >= len(stored) && string(ent[:len(stored)]) == string(stored) {
 			b := ent[len(stored):]
 			v, w := binary.Uvarint(b)
 			if v&1 != 0 {
 				run.id, run.interned = uint32(v>>1), true
-				run.seg, b = m.segs.segment(run.id), b[w:]
+				run.seg, b = m.segs.intern.at(run.id), b[w:]
 			} else {
 				n := int(v >> 1)
 				run.seg, b = b[w:w+n], b[w+n:]
@@ -241,12 +214,15 @@ func (m *memo) lookup(k *memoKey) (run memoRun, ok bool) {
 // splitEntry splits the entry at the front of b into its key, the
 // reference to its segment (as stored: see memo) and its journal.
 func splitEntry(b []byte) (k memoKey, seg, jrn, rest []byte) {
-	k, rest = readMemoKey(b)
-	v, n := binary.Uvarint(rest)
+	for _, f := range [...]*uint32{&k.kind, &k.node, &k.seg, &k.in0, &k.in1, &k.in2} {
+		v, w := binary.Uvarint(b)
+		*f, b = uint32(v), b[w:]
+	}
+	v, n := binary.Uvarint(b)
 	if v&1 == 0 {
 		n += int(v >> 1)
 	}
-	seg, rest = rest[:n], rest[n:]
+	seg, rest = b[:n], b[n:]
 	jrn, rest = lenPrefixed(rest)
 	return k, seg, jrn, rest
 }
@@ -273,54 +249,18 @@ func (m *memo) insert(k *memoKey, seg, jrn []byte) {
 	}
 	ent = append(binary.AppendUvarint(ent, uint64(len(jrn))), jrn...)
 	m.ent = ent
-	last := len(m.chunks) - 1
-	if last < 0 || cap(m.chunks[last])-len(m.chunks[last]) < len(ent) {
-		if len(ent) > memoChunkSize || len(m.chunks) >= memoMaxChunks {
-			return
-		}
-		size := min(max(memoFirstChunk<<min(len(m.chunks), 10), len(ent)), memoChunkSize)
-		m.chunks = append(m.chunks, make([]byte, 0, size))
-		last++
+	if loc, ok := m.arena.add(ent); ok {
+		m.slots.add(uint32(k.hash()), uint32(loc+1), nil)
 	}
-	if (m.entries+1)*4 > len(m.slots)*3 {
-		m.grow()
-	}
-	off := len(m.chunks[last])
-	m.chunks[last] = append(m.chunks[last], ent...)
-	m.entries++
-	fp := k.hash()
-	m.put(fp, fp>>(64-23)<<memoTagShift|memoUsed|uint64(last)<<20|uint64(off))
 }
 
 // appendSegment appends to b the reference to segment seg an entry holds:
 // its id if the visited store has interned it, else its bytes.
 func (m *memo) appendSegment(b, seg []byte) []byte {
-	if id, ok := m.segs.lookup(seg, m.segs.hash(seg)); ok {
+	if id, ok := m.segs.lookup(seg); ok {
 		return binary.AppendUvarint(b, uint64(id)<<1|1)
 	}
 	return append(binary.AppendUvarint(b, uint64(len(seg))<<1), seg...)
-}
-
-// put stores slot value e in the first empty slot of fp's probe sequence.
-func (m *memo) put(fp, e uint64) {
-	mask := len(m.slots) - 1
-	i := int(fp) & mask
-	for m.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	m.slots[i] = e
-}
-
-// grow doubles the slot table (or allocates it), rehashing each entry's key.
-func (m *memo) grow() {
-	old := m.slots
-	m.slots = make([]uint64, max(2*len(old), memoMinSlots))
-	for _, e := range old {
-		if e != 0 {
-			k, _ := readMemoKey(m.entryAt(e))
-			m.put(k.hash(), e)
-		}
-	}
 }
 
 // memoScratch is what a worker keeps for the memo: the journal of a

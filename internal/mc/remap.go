@@ -123,8 +123,8 @@ func (x *remapper) write(cfg *Config, kind, src int, r *runtime.Remap) ([]byte, 
 
 // remapTable holds the remapped segments of one Check. It knows a segment
 // by its source id: its intern id, or, for a segment the visited store
-// lacks, an alien id (alien) it gives it. For each segment as each kind a
-// challenger needed it as, it keeps a block: the segment's images under
+// lacks, an alien id (alien) its own interner gives it. For each segment as
+// each kind a challenger needed it as, it keeps a block: the images under
 // every group element but the identity — each as its intern id when the
 // image is interned, else as its bytes — and the rank of every image among
 // them, the identity's too. A block is filled whole, at a layer barrier,
@@ -137,52 +137,46 @@ func (x *remapper) write(cfg *Config, kind, src int, r *runtime.Remap) ([]byte, 
 type remapTable struct {
 	segs  *visitedTable
 	group int // |G|: a block's words
-	// The entry of source id sid (atAlien's for alien ids; see head) is
-	// 1 + the index of the segment's first block, 0 for none. A block is
-	// group words (see word): a header, kind+1 | 1 + the index of the
-	// segment's next block (another kind) << 2, then group element g's
-	// image at g — id<<1|1 for an interned one, (loc+1)<<1 for one whose
-	// bytes, length-prefixed, are at loc, chunk<<20 | offset — each word
-	// with its image's rank in bits 32..47 (the header holds the
-	// identity's). Both lie in pages that are never copied, so that the
-	// table grows by what it holds.
+	// The entries of source id sid (atAlien's for alien ids; see head)
+	// are 1 + the index of the segment's block as each kind, 0 for none. A
+	// block is group words (see word): group element g's image at g —
+	// id<<1|1 for an interned one, (loc+1)<<1 for one whose bytes,
+	// length-prefixed, are at loc in images — each word with its image's
+	// rank in bits 32..47, and the identity's rank at 0. Both lie in pages
+	// that are never copied, so that the table grows by what it holds.
 	at, atAlien [][]uint32
 	vals        [][]uint64
 	shift       int // a page of vals holds 1 << shift blocks
 	blocks      int
-	chunks      [][]byte
-	// The alien segments: aliens[aid] locates aid's bytes (as a block's
-	// loc does), alienSlots is an open-addressed table of their
-	// fingerprint tags << 32 | aid+1.
-	aliens     []uint32
-	alienSlots []uint64
-	pieces     int
-	// fill's scratch: the images of one segment, and their order.
+	images      arena
+	aliens      interner // the alien segments, by alien id
+	pieces      int
+	// fill's scratch: the images of one segment, their order, and one
+	// image length-prefixed.
 	imgs  []byte
 	ends  []int
 	order []int
+	ent   []byte
 }
 
 const (
 	remapAtPage     = 1 << 10 // source ids per page of at
 	remapValsPage   = 8 << 10 // the most bytes a page of vals takes, if a block fits
-	remapFirst      = 256     // the aliens' first allocations, in words
-	remapPages      = 16      // the first capacity of each list of pages
-	remapFirstChunk = 4 << 10 // chunk capacities double every other chunk from here ...
-	remapChunkSize  = 1 << 20 // ... up to this
-	remapMaxChunks  = 1 << 10 // what a locator can address
+	remapFirstChunk = 4 << 10 // the images' chunk capacities double from here
+	remapMaxChunks  = 1 << 10 // an image's (locator+1)<<1 fits a word's low 32 bits
+	alienFirstChunk = 1 << 10 // the aliens' chunk capacities double from here
+	alienSlots      = 64      // the aliens' first table
+	remapPendSlots  = 64      // a remapPend index's first table
 )
 
-// head returns the entry of source id sid, nil if no page holds it.
-func (t *remapTable) head(sid uint32) *uint32 {
-	at := t.at
-	if sid&alien != 0 {
-		at, sid = t.atAlien, sid&^alien
-	}
-	if p := int(sid / remapAtPage); p < len(at) {
-		return &at[p][sid%remapAtPage]
-	}
-	return nil
+// newRemapTable returns an empty remap table of a group of the given order
+// over the intern table of segs.
+func newRemapTable(segs *visitedTable, group int) *remapTable {
+	return &remapTable{segs: segs, group: group, shift: max(bits.Len(uint(remapValsPage/(8*group)))-1, 0),
+		images: arena{first: remapFirstChunk, size: arenaChunk, most: remapMaxChunks},
+		aliens: interner{arena: arena{first: alienFirstChunk, size: arenaChunk, most: remapMaxChunks},
+			slots: slots{first: alienSlots}, refs: make([]segRef, 0, alienSlots)},
+		imgs: make([]byte, 0, 64*group), ends: make([]int, 0, group), order: make([]int, 0, group)}
 }
 
 // word returns word g of block b.
@@ -190,19 +184,24 @@ func (t *remapTable) word(b, g int) *uint64 {
 	return &t.vals[b>>t.shift][(b&(1<<t.shift-1))*t.group+g]
 }
 
+// head returns the entry of the segment with source id sid as the given
+// kind, nil if no page holds it.
+func (t *remapTable) head(kind int, sid uint32) *uint32 {
+	at := t.at
+	if sid&alien != 0 {
+		at, sid = t.atAlien, sid&^alien
+	}
+	if p := int(sid / remapAtPage); p < len(at) {
+		return &at[p][3*(sid%remapAtPage)+uint32(kind)]
+	}
+	return nil
+}
+
 // block returns the index of the block of the segment with source id sid
 // as the given kind, -1 for none.
 func (t *remapTable) block(kind int, sid uint32) int {
-	h := t.head(sid)
-	if h == nil {
-		return -1
-	}
-	for b := int(*h) - 1; b >= 0; {
-		w := *t.word(b, 0)
-		if int(w&3)-1 == kind {
-			return b
-		}
-		b = int(uint32(w)>>2) - 1
+	if h := t.head(kind, sid); h != nil {
+		return int(*h) - 1
 	}
 	return -1
 }
@@ -220,108 +219,33 @@ func (t *remapTable) get(out *piece, s *piece, g int) {
 // image returns the bytes of p, a piece get set.
 func (t *remapTable) image(p *piece) []byte {
 	if p.in == inSegs {
-		return t.segs.segment(p.id)
+		return t.segs.intern.at(p.id)
 	}
-	return t.stored(uint32(p.val)>>1 - 1)
-}
-
-// stored returns the bytes stored, length-prefixed, at loc in the chunks.
-func (t *remapTable) stored(loc uint32) []byte {
-	b, _ := lenPrefixed(t.chunks[loc>>20][loc&(1<<20-1):])
+	b, _ := lenPrefixed(t.images.at(uint64(uint32(p.val)>>1 - 1)))
 	return b
 }
 
-// store appends b, length-prefixed, to the chunks and returns its locator,
-// or false if the chunks cannot take it.
-func (t *remapTable) store(b []byte) (uint32, bool) {
-	var buf [binary.MaxVarintLen64]byte
-	ent := binary.AppendUvarint(buf[:0], uint64(len(b)))
-	last := len(t.chunks) - 1
-	if need := len(ent) + len(b); last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < need {
-		if need > remapChunkSize || len(t.chunks) >= remapMaxChunks {
-			return 0, false
-		}
-		if t.chunks == nil {
-			t.chunks = make([][]byte, 0, remapPages)
-		}
-		t.chunks = append(t.chunks, make([]byte, 0, min(max(remapFirstChunk<<(len(t.chunks)/2), need), remapChunkSize)))
-		last++
-	}
-	loc := uint32(last)<<20 | uint32(len(t.chunks[last]))
-	t.chunks[last] = append(append(t.chunks[last], ent...), b...)
-	return loc, true
-}
-
-// alienID returns the alien id of seg, whose fingerprint is fp, if it has
-// one.
-func (t *remapTable) alienID(seg []byte, fp uint64) (uint32, bool) {
-	if mask := len(t.alienSlots) - 1; mask > 0 {
-		for i := int(fp) & mask; t.alienSlots[i] != 0; i = (i + 1) & mask {
-			if e := t.alienSlots[i]; e>>32 == fp&(1<<32-1) {
-				if aid := uint32(e) - 1; string(t.stored(t.aliens[aid])) == string(seg) {
-					return aid, true
-				}
-			}
-		}
-	}
-	return 0, false
-}
-
 // sourceID returns seg's source id, giving it an alien id if it has none,
-// or false if the chunks cannot take it.
+// or false if the aliens' arena cannot take it. (The arena, 2³⁰ bytes,
+// holds fewer aliens than alien ids.)
 func (t *remapTable) sourceID(seg []byte) (uint32, bool) {
 	fp := t.segs.hash(seg)
-	if id, ok := t.segs.lookup(seg, fp); ok {
+	if id, ok := t.segs.intern.lookup(seg, fp); ok {
 		return id, true
 	}
-	if aid, ok := t.alienID(seg, fp); ok {
-		return aid | alien, true
-	}
-	loc, ok := t.store(seg)
-	if !ok || len(t.aliens) >= alien-1 {
-		return 0, false
-	}
-	if (len(t.aliens)+1)*4 > len(t.alienSlots)*3 {
-		old := t.alienSlots
-		t.alienSlots = make([]uint64, max(2*len(old), remapFirst))
-		for _, e := range old {
-			if e != 0 {
-				t.putAlien(e)
-			}
-		}
-	}
-	if len(t.aliens) == cap(t.aliens) {
-		t.aliens = append(make([]uint32, 0, max(2*cap(t.aliens), remapFirst)), t.aliens...)
-	}
-	t.aliens = append(t.aliens, loc)
-	t.putAlien((fp&(1<<32-1))<<32 | uint64(len(t.aliens)))
-	return uint32(len(t.aliens)-1) | alien, true
-}
-
-// putAlien stores slot value e in the first empty slot of its probe
-// sequence, which starts where the fingerprint's low bits, its tag, say.
-func (t *remapTable) putAlien(e uint64) {
-	mask := len(t.alienSlots) - 1
-	i := int(e>>32) & mask
-	for t.alienSlots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	t.alienSlots[i] = e
+	aid, ok := t.aliens.intern(seg, fp)
+	return aid | alien, ok
 }
 
 // fill gives the segment seg, with source id sid, its block as the given
 // kind: every image under the group, remapped with x (at a barrier, where
 // nothing in its region is live), filed, and ranked. A segment whose images
-// the chunks cannot take gets none: the workers remap what the table
-// lacks.
+// the arena cannot take gets none: the workers remap what the table lacks.
 func (r *reduction) fill(x *remapper, kind int, sid uint32, seg []byte) error {
 	t, cfg := r.table, r.cfg
 	x.region.Reset()
 	if err := x.load(cfg, kind, seg, kind*cfg.Nodes); err != nil {
 		return err
-	}
-	if t.order == nil {
-		t.imgs, t.ends, t.order = make([]byte, 0, 64*t.group), make([]int, 0, t.group), make([]int, 0, t.group)
 	}
 	t.imgs, t.ends, t.order = append(t.imgs[:0], seg...), append(t.ends[:0], len(seg)), t.order[:0]
 	for g := 1; g < t.group; g++ {
@@ -344,10 +268,6 @@ func (r *reduction) fill(x *remapper, kind int, sid uint32, seg []byte) error {
 	}
 	slices.SortStableFunc(t.order, func(a, b int) int { return bytes.Compare(img(a), img(b)) })
 	blk := t.blocks
-	if t.vals == nil {
-		t.vals = make([][]uint64, 0, remapPages)
-		t.shift = max(bits.Len(uint(remapValsPage/(8*t.group)))-1, 0)
-	}
 	if blk>>t.shift == len(t.vals) {
 		t.vals = append(t.vals, make([]uint64, t.group<<t.shift))
 	}
@@ -360,41 +280,31 @@ func (r *reduction) fill(x *remapper, kind int, sid uint32, seg []byte) error {
 		}
 		words[g] = uint64(rank) << 32
 	}
-	words[0] |= uint64(kind + 1)
 	for g := 1; g < t.group; g++ {
 		b := img(g)
-		if id, ok := t.segs.lookup(b, t.segs.hash(b)); ok && id < alien {
+		if id, ok := t.segs.lookup(b); ok && id < alien {
 			words[g] |= uint64(id)<<1 | 1
-		} else if loc, ok := t.store(b); ok {
-			words[g] |= uint64(loc+1) << 1
-		} else {
+			continue
+		}
+		t.ent = append(binary.AppendUvarint(t.ent[:0], uint64(len(b))), b...)
+		loc, ok := t.images.add(t.ent)
+		if !ok {
 			return nil
 		}
+		words[g] |= (loc + 1) << 1
 	}
 	t.blocks++
 	t.pieces += t.group - 1
-	// Link the block in last: a segment needed as two kinds is rare.
-	h := t.head(sid)
+	h := t.head(kind, sid)
 	for h == nil {
 		at := &t.at
 		if sid&alien != 0 {
 			at = &t.atAlien
 		}
-		if *at == nil {
-			*at = make([][]uint32, 0, remapPages)
-		}
-		*at = append(*at, make([]uint32, remapAtPage))
-		h = t.head(sid)
+		*at = append(*at, make([]uint32, 3*remapAtPage))
+		h = t.head(kind, sid)
 	}
-	if *h == 0 {
-		*h = uint32(blk + 1)
-		return nil
-	}
-	b := int(*h) - 1
-	for uint32(*t.word(b, 0))>>2 != 0 {
-		b = int(uint32(*t.word(b, 0))>>2) - 1
-	}
-	*t.word(b, 0) |= uint64(blk+1) << 2
+	*h = uint32(blk + 1)
 	return nil
 }
 
@@ -419,28 +329,24 @@ func (r *reduction) absorb(workers []worker) error {
 		}
 		if t.block(kind, sid) < 0 {
 			if sid&alien == 0 {
-				src = t.segs.segment(sid)
+				src = t.segs.intern.at(sid)
 			} else if src == nil {
-				src = t.stored(t.aliens[sid&^alien])
+				src = t.aliens.at(sid &^ alien)
 			}
 			err = r.fill(&workers[0].keys.remap, kind, sid, src)
 		}
 		return rest
 	})
 	for i := range workers {
-		workers[i].keys.pend.reset()
+		workers[i].keys.pend.index.reset()
 	}
 	return err
 }
 
 // stats returns how many pieces the table holds and what it retains.
 func (t *remapTable) stats() (pieces int, bytes int64) {
-	bytes = int64(len(t.at)+len(t.atAlien))*remapAtPage*4 + int64(len(t.vals))*int64(t.group)<<t.shift*8 +
-		int64(cap(t.aliens))*4 + int64(len(t.alienSlots))*8
-	for _, c := range t.chunks {
-		bytes += int64(cap(c))
-	}
-	return t.pieces, bytes
+	return t.pieces, int64(len(t.at)+len(t.atAlien))*3*remapAtPage*4 + int64(len(t.vals))*int64(t.group)<<t.shift*8 +
+		t.images.bytes() + t.aliens.bytes()
 }
 
 // remapPend is one worker's buffer of the pieces it remapped during a
@@ -452,20 +358,19 @@ func (t *remapTable) stats() (pieces int, bytes int64) {
 // is remapped once.
 type remapPend struct {
 	pendBuf
-	// index holds pairs: a piece's pendKey, then where its entry starts
-	// past the header. Open-addressed, 0 for empty.
-	index []uint64
-	n     int
+	// index holds a piece's pendTag above where its entry starts past the
+	// header, + 1.
+	index slots
 }
 
-// pendKey keys the image under g of segment s, with bytes seg, as the
-// given kind: by its source id, or else by its bytes' fingerprint (never
-// 0: g is at least 1).
-func pendKey(kind int, s *piece, seg []byte, g int) uint64 {
-	if s.sourced {
-		return uint64(s.src)<<32 | uint64(g)<<2 | uint64(kind)
+// pendTag hashes the image under g of segment s, with bytes seg, as the
+// given kind: by its source id, or else by its bytes' fingerprint.
+func pendTag(kind int, s *piece, seg []byte, g int) uint32 {
+	k := uint64(s.src) << 32
+	if !s.sourced {
+		k = fingerprint(seg)
 	}
-	return fold(fingerprint(seg)^uint64(g)<<2^uint64(kind), fpMul) | 1<<63
+	return uint32(fold(k^uint64(g)<<2^uint64(kind), fpMul))
 }
 
 // readPend reads the entry at the front of e, past its header.
@@ -487,20 +392,11 @@ func readPend(e []byte) (kind, g int, sid uint32, sourced bool, src, piece, rest
 // image under g of segment s, with bytes seg, as the given kind is, if it
 // buffered one.
 func (p *remapPend) find(kind int, s *piece, seg []byte, g int) (off, n uint32, ok bool) {
-	mask := len(p.index)/2 - 1
-	if mask < 0 {
-		return 0, 0, false
-	}
-	k := pendKey(kind, s, seg, g)
-	for i := int(fold(k, fpMul)) & mask; p.index[2*i] != 0; i = (i + 1) & mask {
-		if p.index[2*i] != k {
-			continue
-		}
-		e := p.b[p.index[2*i+1]:]
-		kd, gd, sid, sourced, src, b, rest := readPend(e)
+	tag := pendTag(kind, s, seg, g)
+	for at, i := p.index.find(tag, int(tag)); at != 0; at, i = p.index.find(tag, i) {
+		kd, gd, sid, sourced, src, b, rest := readPend(p.b[at-1:])
 		if kd == kind && gd == g && sourced == s.sourced && (sourced && sid == s.src || !sourced && string(src) == string(seg)) {
-			at := len(p.b) - len(rest) - len(b)
-			return uint32(at), uint32(len(b)), true
+			return uint32(len(p.b) - len(rest) - len(b)), uint32(len(b)), true
 		}
 	}
 	return 0, 0, false
@@ -511,7 +407,7 @@ func (p *remapPend) find(kind int, s *piece, seg []byte, g int) (off, n uint32, 
 // buffer the copy is.
 func (p *remapPend) add(pos, ord int32, kind int, s *piece, seg []byte, g int, b []byte) uint32 {
 	if p.b == nil {
-		p.b = make([]byte, 0, 4<<10)
+		p.b, p.index.first = make([]byte, 0, 4<<10), remapPendSlots
 	}
 	e := p.begin(pos, ord)
 	at := len(e)
@@ -525,31 +421,6 @@ func (p *remapPend) add(pos, ord int32, kind int, s *piece, seg []byte, g int, b
 	e = binary.AppendUvarint(e, uint64(len(b)))
 	piece := len(e)
 	p.b = append(e, b...)
-	if (p.n+1)*4 > len(p.index)/2*3 {
-		old := p.index
-		p.index = make([]uint64, max(2*len(old), 2*64))
-		for i := 0; i < len(old); i += 2 {
-			if old[i] != 0 {
-				p.insert(old[i], old[i+1])
-			}
-		}
-	}
-	p.insert(pendKey(kind, s, seg, g), uint64(at))
-	p.n++
+	p.index.add(pendTag(kind, s, seg, g), uint32(at+1), nil)
 	return uint32(piece)
-}
-
-func (p *remapPend) insert(k, v uint64) {
-	mask := len(p.index)/2 - 1
-	i := int(fold(k, fpMul)) & mask
-	for p.index[2*i] != 0 {
-		i = (i + 1) & mask
-	}
-	p.index[2*i], p.index[2*i+1] = k, v
-}
-
-// reset empties the index; absorbInOrder has emptied the buffer.
-func (p *remapPend) reset() {
-	clear(p.index)
-	p.n = 0
 }

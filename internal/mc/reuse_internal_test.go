@@ -235,7 +235,17 @@ type ExpandStats struct {
 func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) ExpandStats {
 	t.Helper()
 	cfg.Workers = 1
-	vt, mm, rt := newVisited(), new(memo), new(remapTable)
+	cfg.normalize()
+	red, _, err := buildReduction(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vt := newVisited()
+	mm, rt := newMemo(vt), (*remapTable)(nil)
+	if red != nil {
+		rt = newRemapTable(vt, len(red.group))
+		red.table = rt
+	}
 	// A violation only ends the exploration early: the states stored by
 	// then are compared all the same, and the caller judges their number.
 	res, err := check(cfg, vt, mm, rt)
@@ -243,14 +253,6 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 		t.Fatal(err)
 	}
 	memoOn := res.Memo.Bypass == ""
-	cfg.normalize()
-	red, _, err := buildReduction(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if red != nil {
-		red.table = rt
-	}
 	wk := worker{memoScratch: new(memoScratch)}
 	if withCoverage {
 		wk.cov = obs.NewCoverage()
@@ -291,8 +293,8 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 	// knownIDs checks that each id kb says it knows is its segment's.
 	knownIDs := func(kb *keyBuf, what string) {
 		for k := range vt.nseg {
-			if kb.known&(1<<k) != 0 && !bytes.Equal(vt.segment(kb.ids[k]), segmentOf(kb.Bytes(), kb.ends, k)) {
-				t.Fatalf("%s: segment %d said to be id %d, which is %x, not %x", what, k, kb.ids[k], vt.segment(kb.ids[k]), segmentOf(kb.Bytes(), kb.ends, k))
+			if kb.known&(1<<k) != 0 && !bytes.Equal(vt.intern.at(kb.ids[k]), segmentOf(kb.Bytes(), kb.ends, k)) {
+				t.Fatalf("%s: segment %d said to be id %d, which is %x, not %x", what, k, kb.ids[k], vt.intern.at(kb.ids[k]), segmentOf(kb.Bytes(), kb.ends, k))
 			}
 		}
 	}
@@ -516,11 +518,11 @@ func checkRemapTable(t *testing.T, red *reduction, rt *remapTable) int {
 			}
 		}
 	}
-	for id := range len(rt.segs.segs) {
-		check(uint32(id), rt.segs.segment(uint32(id)))
+	for id := range len(rt.segs.intern.refs) {
+		check(uint32(id), rt.segs.intern.at(uint32(id)))
 	}
-	for aid, loc := range rt.aliens {
-		check(uint32(aid)|alien, rt.stored(loc))
+	for aid := range len(rt.aliens.refs) {
+		check(uint32(aid)|alien, rt.aliens.at(uint32(aid)))
 	}
 	if n != rt.pieces {
 		t.Fatalf("the table counts %d pieces, holds %d", rt.pieces, n)

@@ -200,6 +200,14 @@ func TestVisitedAllocs(t *testing.T) {
 	mc.CheckVisitedAllocs(t)
 }
 
+// TestProbeAllocs: see mc.CheckProbeAllocs.
+func TestProbeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	mc.CheckProbeAllocs(t)
+}
+
 // TestFingerprintSpread: over every key a real exploration stores, the
 // fingerprint gives no two keys the same 64 bits, balances the 64 shards,
 // and almost never sends a lookup to compare against a key it is not. The

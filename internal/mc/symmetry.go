@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"sync"
 
 	"teapot/internal/analysis"
 	"teapot/internal/runtime"
@@ -160,8 +161,7 @@ type reduction struct {
 	// remaps[i] is group[i] as the encoder applies it, inverses
 	// precomputed; remaps[0] is nil (the identity encodes plainly).
 	remaps []*runtime.Remap
-	// table holds the run's remapped segments (nil: every piece is
-	// remapped on the spot, as for a world no checker stored).
+	// table holds the run's remapped segments.
 	table *remapTable
 }
 
@@ -236,7 +236,7 @@ func buildReduction(cfg *Config) (*reduction, string, error) {
 		return refuse("%d nodes / %d blocks exceeds the permutation enumeration bound (%d)",
 			cfg.Nodes, cfg.Blocks, maxSymmetryDim)
 	}
-	cert := analysis.ProveSymmetry(cfg.Proto)
+	cert := proveSymmetry(cfg.Proto)
 	for _, dim := range []struct {
 		name string
 		d    *analysis.SymmetryDim
@@ -279,6 +279,23 @@ func buildReduction(cfg *Config) (*reduction, string, error) {
 		red.remaps[i] = runtime.NewRemap(group[i].node, group[i].blk, maskSlots)
 	}
 	return red, "", nil
+}
+
+// certs memoizes analysis.ProveSymmetry per compiled protocol, so that a
+// process proves a protocol once, not once per Check: protocols.Spec shares
+// one build per process. The certificate is a function of the protocol
+// alone, which is read-only once compiled, so no Check sees another's
+// state through it. A protocol compiled apart stays reachable from here.
+var certs sync.Map // *runtime.Protocol → *analysis.SymmetryCert
+
+// proveSymmetry returns p's certificate (analysis.ProveSymmetry), proving
+// it on first use.
+func proveSymmetry(p *runtime.Protocol) *analysis.SymmetryCert {
+	c, ok := certs.Load(p)
+	if !ok {
+		c, _ = certs.LoadOrStore(p, analysis.ProveSymmetry(p))
+	}
+	return c.(*analysis.SymmetryCert)
 }
 
 // enumerateGroup lists the admissible (node, block) permutation pairs,
@@ -527,15 +544,12 @@ func (r *reduction) source(sc *keyScratch, kind, k int) *piece {
 		end = kb.ends[k]
 	}
 	*s = piece{off: uint32(start), n: uint32(end - start), id: kb.ids[k], ok: kb.known&(1<<k) != 0, blk: -1}
-	if t == nil {
-		return s
-	}
 	if !s.ok {
 		seg := kb.Bytes()[start:end]
 		fp := t.segs.hash(seg)
-		if s.id, s.ok = t.segs.lookup(seg, fp); s.ok {
+		if s.id, s.ok = t.segs.intern.lookup(seg, fp); s.ok {
 			kb.know(k, s.id)
-		} else if aid, ok := t.alienID(seg, fp); ok {
+		} else if aid, ok := t.aliens.lookup(seg, fp); ok {
 			s.src, s.sourced = aid|alien, true
 		}
 	}
@@ -560,7 +574,7 @@ func (r *reduction) piece(sc *keyScratch, out *piece, kind, src, g int, buffer b
 		return nil
 	}
 	seg := r.bytes(sc, s)
-	if r.table != nil && buffer {
+	if buffer {
 		if off, n, ok := sc.pend.find(kind, s, seg, g); ok {
 			// Counted as remapped, as it would be by any other worker.
 			sc.encoded += int(n)
@@ -573,7 +587,7 @@ func (r *reduction) piece(sc *keyScratch, out *piece, kind, src, g int, buffer b
 		return err
 	}
 	sc.encoded += len(b)
-	if r.table != nil && buffer {
+	if buffer {
 		*out = piece{in: inPend, off: sc.pend.add(pos, ord, kind, s, seg, g, b), n: uint32(len(b))}
 	} else {
 		*out = piece{in: inMade, off: uint32(len(sc.made)), n: uint32(len(b))}

@@ -178,10 +178,7 @@ func TestCanonicalFixpoint(t *testing.T) {
 	}
 	cfg.Events = &pingEvents{tag: p.MsgIndex("PING_FAULT")}
 	cfg.normalize()
-	red, note, err := buildReduction(&cfg)
-	if err != nil {
-		t.Fatalf("buildReduction: %v (note %q)", err, note)
-	}
+	red := reduce(t, &cfg)
 	if len(red.group) != 6 {
 		t.Fatalf("group order %d, want 6", len(red.group))
 	}
@@ -237,6 +234,18 @@ func TestCanonicalFixpoint(t *testing.T) {
 		t.Fatalf("only %d reachable orbits; event generator inert", len(seen))
 	}
 	t.Logf("%d canonical orbits, all fixpoints", len(seen))
+}
+
+// reduce builds cfg's reduction over an empty remap table, as Check does,
+// or fails the test.
+func reduce(t *testing.T, cfg *Config) *reduction {
+	t.Helper()
+	red, note, err := buildReduction(cfg)
+	if err != nil || red == nil {
+		t.Fatalf("buildReduction: %v (note %q)", err, note)
+	}
+	red.table = newRemapTable(newVisited(), len(red.group))
+	return red
 }
 
 // canonKey canonicalizes through a fresh scratch and returns the key as a
@@ -505,12 +514,9 @@ func CheckStreamedAgainstReference(t *testing.T, cfg Config, seed int64, walks, 
 	t.Helper()
 	cfg.normalize()
 	cfg.Symmetry = SymmetryOn
-	red, _, err := buildReduction(&cfg)
-	if err != nil {
-		t.Fatalf("buildReduction: %v", err)
-	}
+	red := reduce(t, &cfg)
 	var feat StreamFeatures
-	err = randomWalk(&cfg, seed, walks, steps, func(w *World) {
+	err := randomWalk(&cfg, seed, walks, steps, func(w *World) {
 		if !t.Failed() {
 			feat.observe(w, red.maskSlots())
 			checkWorldAgainstReference(t, red, w, true)
@@ -580,15 +586,11 @@ func Canonicalizer(t *testing.T, cfg *Config) func(w *World) error {
 	t.Helper()
 	cfg.normalize()
 	cfg.Symmetry = SymmetryOn
-	red, _, err := buildReduction(cfg)
-	if err != nil {
-		t.Fatalf("buildReduction: %v", err)
-	}
+	red := reduce(t, cfg)
 	if len(red.group) < 2 {
 		t.Fatalf("trivial group: nothing to canonicalize")
 	}
-	vt := newVisited()
-	red.table = &remapTable{segs: vt, group: len(red.group)}
+	vt := red.table.segs
 	wk := []worker{{}}
 	sc := &wk[0].keys
 	warmed := false
@@ -643,10 +645,7 @@ func TestStreamedEncodingPlantedIdentities(t *testing.T) {
 	p := compilePing(t)
 	cfg := Config{Proto: p, Nodes: 4, Blocks: 2, Symmetry: SymmetryOn}
 	cfg.normalize()
-	red, _, err := buildReduction(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	red := reduce(t, &cfg)
 	if len(red.group) != 4 {
 		t.Fatalf("group order %d, want 4", len(red.group))
 	}

@@ -13,9 +13,8 @@ import (
 
 // The visited set is the checker's dominant memory consumer: how many states
 // it can hold is how far verification reaches. It is therefore built from
-// flat, pointer-free arrays the garbage collector neither traces nor moves —
-// a run holds O(chunks + shards) heap objects, not O(states) — and it stores
-// a state as the ids of its key's segments, not as the key:
+// the pointer-free tables of table.go, and it stores a state as the ids of
+// its key's segments, not as the key:
 //
 //   - A canonical key divides into one segment per engine, one per node's
 //     row of outgoing channels, and the tail (keyBuf). The intern table
@@ -25,25 +24,18 @@ import (
 //     a state's record, one uvarint id per segment, is an eighth of its
 //     key. SPIN's collapse compression does the same with its process and
 //     channel vectors.
-//   - Every discovered state lives once in an append-only arena: its
-//     locator (chunk index and offset of its record) and its parent (the
+//   - Every discovered state lives once: its record in the intern table's
+//     arena, beside the segment bytes, and its locator and its parent (the
 //     arena index of the state it was first reached from — all a
 //     counterexample trace needs, since replaying the chain finds each step
 //     as the one whose successor has the next state's key: buildViolation)
-//     lie in pages of pageSize states. Records and segment bytes share
-//     []byte chunks of a fixed capacity, and nothing straddles two, so
-//     everything is read where it lies. They are chunks and pages rather
-//     than growing slices because append grows a large slice by a quarter
-//     at a time and so copies — and for a while holds twice — the whole
-//     arena again and again; the first chunks, and the first page, are
-//     small so that a 14-state check does not pay for a 1 MiB one.
-//   - Membership is numShards mutex-protected open-addressed tables (linear
-//     probing, doubled under the shard lock, allocated on first use) of
-//     8-byte slots, each the low 32 bits of a key's fingerprint above a
-//     32-bit ref: a positive ref is an arena index + 1, a negative one a slot
-//     in the shard's pending slab, 0 an empty slot. A probe reads one array,
-//     and the fingerprint bits it keeps are the ones the slot index came
-//     from, so a table can be doubled without hashing a key again. The
+//     in pages of pageSize states, pages for the reason an arena is chunks.
+//     The first chunks, and the first page, are small so that a 14-state
+//     check does not pay for a 1 MiB one.
+//   - Membership is numShards mutex-protected slots tables (doubled under
+//     the shard lock, allocated on first use), each tag the low 32 bits of
+//     a key's fingerprint above a 32-bit ref: a positive ref is an arena
+//     index + 1, a negative one a slot in the shard's pending slab. The
 //     fingerprint is taken over the whole key, and a hit is confirmed
 //     against the whole key — a committed state's segments, read in order,
 //     must spell it — so hash collisions can never merge distinct states
@@ -74,10 +66,8 @@ const (
 	numShards  = 64
 	shardShift = 64 - 6 // the shard is the fingerprint's top six bits
 
-	firstChunk = 4 << 10 // chunk capacities double from here ...
-	chunkSize  = 1 << 20 // ... up to this, the size of all later chunks
-
-	minSlots = 8 // a shard table's first allocation; always a power of two
+	firstChunk = 4 << 10 // the intern table's chunk capacities double from here
+	minSlots   = 8       // a shard table's first allocation
 
 	// The arena's pages: pageSize states each, the first growing to it by
 	// doubling from firstPage.
@@ -93,15 +83,11 @@ const (
 	firstPendBlock = 16
 	firstKeysBlock = 256
 
-	// The first allocations of the intern table (its slots, a power of
-	// two, and its segment locators) and of commit's layer buffers: past
-	// the sizes a few-state check would otherwise grow through one by one.
+	// The first allocations of the intern table (its slots and its
+	// segment locators) and of commit's layer buffers: past the sizes a
+	// few-state check would otherwise grow through one by one.
 	minSegSlots = 64
 	minLayer    = 64
-
-	// A slot is a key's fingerprint tag (its low 32 bits) above its ref.
-	refBits = 32
-	refMask = 1<<refBits - 1
 
 	// The fingerprint's seed and multipliers: fixed odd 64-bit constants
 	// with well-spread bits (the first is 2⁶⁴ over the golden ratio).
@@ -148,8 +134,8 @@ func fold(a, b uint64) uint64 {
 // shard's pendKeys, keyLen bytes long and followed by its segments'
 // descriptors (up to the next record's keyOff; see claim), was reached from
 // the state at layer position pos via its ord-th action. slot is where the
-// claim's ref sits in the shard table, kept current when the table grows,
-// so commit can overwrite it without probing.
+// claim's ref sits in the shard table, kept current when the table grows
+// (shard.moved), so commit can overwrite it without probing.
 type pendRec struct {
 	keyOff, slot     uint32
 	keyLen, pos, ord int32
@@ -157,14 +143,18 @@ type pendRec struct {
 
 type shard struct {
 	mu sync.Mutex
-	// slots[i] is 0 when empty, else its entry's fingerprint tag <<
-	// refBits | uint32(ref), ref being the arena index + 1 or -(pend index
-	// + 1).
-	slots []uint64
-	used  int // occupied slots
+	// The refs: the arena index + 1, or -(pend index + 1).
+	slots slots
 
 	pend     []pendRec
 	pendKeys []byte
+}
+
+// moved keeps a pending claim's slot current when the table doubles.
+func (s *shard) moved(ref uint32, slot int) {
+	if ref := int32(ref); ref < 0 {
+		s.pend[-ref-1].slot = uint32(slot)
+	}
 }
 
 // commitRec orders one pending claim at the barrier.
@@ -173,19 +163,19 @@ type commitRec struct {
 	shard, pend int32
 }
 
-// segRef locates an interned segment's bytes: n bytes at off in chunk.
-type segRef struct{ chunk, off, n uint32 }
-
 // visitedTable is the sharded visited set, the state arena and the intern
 // table.
 type visitedTable struct {
 	hash   func([]byte) uint64 // fingerprint; replaceable in tests
 	shards [numShards]shard
 
-	chunks [][]byte // records and segment bytes
-	// Per state, in pages (see pageSize): locs holds chunk index << 32 |
-	// offset of its record, parents the arena index of its parent (-1 for
-	// the root). n is the number of states.
+	// The intern table of key segments, whose arena holds the states'
+	// records too. nseg is the segments per key, set by the root's claim.
+	intern interner
+	nseg   int
+	// Per state, in pages (see pageSize): locs holds the locator of its
+	// record, parents the arena index of its parent (-1 for the root). n is
+	// the number of states.
 	locs    [][]uint64
 	parents [][]int32
 	n       int
@@ -195,15 +185,6 @@ type visitedTable struct {
 	pendSlab slab[pendRec]
 	keysSlab slab[byte]
 
-	// The intern table: segs[id] locates segment id in chunks, segSlots
-	// is an open-addressed table of the segments' fingerprint tags above
-	// id + 1, segBytes the segments' total length. nseg is the segments per
-	// key, set by the root's claim.
-	segs     []segRef
-	segSlots []uint64
-	segBytes int64
-	nseg     int
-
 	// commit's scratch, reused: the sort buffer, the record being built,
 	// and the two next-layer buffers it alternates between (flip is the
 	// one the next commit fills).
@@ -212,15 +193,21 @@ type visitedTable struct {
 	layers [2][]int32
 	flip   int
 
-	// The store's hard limits, fields so tests can reach them: states are
-	// int32 arena indices, a locator holds a 32-bit chunk index, and a
-	// record or a segment must fit a chunk.
-	maxStates, maxChunks, chunkSize int
+	// The store's hard limit on states, a field so tests can reach it:
+	// states are int32 arena indices. (The arena's limits, a chunk a record
+	// or a segment must fit and 2³² chunks, are the intern table's.)
+	maxStates int
 }
 
 func newVisited() *visitedTable {
-	return &visitedTable{hash: fingerprint,
-		maxStates: math.MaxInt32, maxChunks: math.MaxUint32, chunkSize: chunkSize}
+	t := &visitedTable{hash: fingerprint, maxStates: math.MaxInt32, intern: interner{
+		arena: arena{first: firstChunk, size: arenaChunk, most: math.MaxUint32},
+		slots: slots{first: minSegSlots}, refs: make([]segRef, 0, minSegSlots),
+	}}
+	for i := range t.shards {
+		t.shards[i].slots.first = minSlots
+	}
+	return t
 }
 
 // states returns the number of committed states.
@@ -232,17 +219,14 @@ func (t *visitedTable) parent(idx int32) int32 {
 	return t.parents[idx>>pageShift][idx&(pageSize-1)]
 }
 
-// segment returns interned segment id, read-only, in place.
-func (t *visitedTable) segment(id uint32) []byte {
-	s := t.segs[id]
-	return t.chunks[s.chunk][s.off : s.off+s.n]
-}
+// lookup returns the id of segment seg, if it has one. Workers call it
+// while a layer expands: the intern table is written only at the barrier.
+func (t *visitedTable) lookup(seg []byte) (uint32, bool) { return t.intern.lookup(seg, t.hash(seg)) }
 
 // record returns state idx's record, its nseg segment ids, in place — and
 // whatever follows it in its chunk.
 func (t *visitedTable) record(idx int32) []byte {
-	loc := t.locs[idx>>pageShift][idx&(pageSize-1)]
-	return t.chunks[loc>>32][uint32(loc):]
+	return t.intern.arena.at(t.locs[idx>>pageShift][idx&(pageSize-1)])
 }
 
 // nextID returns the id at the front of rec and its width in bytes.
@@ -264,7 +248,7 @@ func (t *visitedTable) expand(key []byte, ids []uint32, idx int32) ([]byte, []ui
 	for range t.nseg {
 		id, w := nextID(rec)
 		rec = rec[w:]
-		key, ids = append(key, t.segment(id)...), append(ids, id)
+		key, ids = append(key, t.intern.at(id)...), append(ids, id)
 	}
 	return key, ids
 }
@@ -287,7 +271,7 @@ func (t *visitedTable) equal(idx int32, kb *keyBuf) bool {
 			if id != kb.ids[k] {
 				return false
 			}
-		} else if seg := t.segment(id); string(seg) != string(key[off:end]) {
+		} else if seg := t.intern.at(id); string(seg) != string(key[off:end]) {
 			return false
 		}
 		off = end
@@ -312,99 +296,14 @@ func (s *shard) pendSegs(i int) []byte {
 	return s.pendKeys[p.keyOff+uint32(p.keyLen) : end]
 }
 
-// put stores e, a slot value, in the first empty slot of its probe
-// sequence — which starts where the fingerprint's low bits say, and the tag
-// holds them — and returns where. An empty slot must exist.
-func put(slots []uint64, e uint64) int {
-	mask := len(slots) - 1
-	i := int(e>>refBits) & mask
-	for slots[i] != 0 {
-		i = (i + 1) & mask
+// refused returns the error for b, a record or a segment (what says
+// which), that the intern table's arena would not take.
+func (t *visitedTable) refused(b []byte, what string) error {
+	a := &t.intern.arena
+	if len(b) > a.size {
+		return fmt.Errorf("mc: a %d-byte %s exceeds the visited store's %d-byte key chunk", len(b), what, a.size)
 	}
-	slots[i] = e
-	return i
-}
-
-// grow doubles the shard's table (or allocates it), moving every entry and
-// telling live pending claims their new slot.
-func (s *shard) grow() {
-	old := s.slots
-	s.slots = make([]uint64, max(2*len(old), minSlots))
-	for _, e := range old {
-		if e == 0 {
-			continue
-		}
-		slot := put(s.slots, e)
-		if ref := int32(e); ref < 0 {
-			s.pend[-ref-1].slot = uint32(slot)
-		}
-	}
-}
-
-// store appends b, a record or a segment (what says which), to the last
-// chunk — to a new one if it does not fit — and returns its locator, chunk
-// index << 32 | offset. Only commit calls it.
-func (t *visitedTable) store(b []byte, what string) (uint64, error) {
-	last := len(t.chunks) - 1
-	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < len(b) {
-		if len(b) > t.chunkSize {
-			return 0, fmt.Errorf("mc: a %d-byte %s exceeds the visited store's %d-byte key chunk", len(b), what, t.chunkSize)
-		}
-		if len(t.chunks) >= t.maxChunks {
-			return 0, fmt.Errorf("mc: visited store is full: its key locators address at most %d chunks of %d bytes", t.maxChunks, t.chunkSize)
-		}
-		size := min(max(firstChunk<<min(len(t.chunks), 8), len(b)), t.chunkSize)
-		t.chunks = append(t.chunks, make([]byte, 0, size))
-		last++
-	}
-	c := t.chunks[last]
-	t.chunks[last] = append(c, b...)
-	return uint64(last)<<32 | uint64(len(c)), nil
-}
-
-// lookup returns the id of seg, whose fingerprint is fp, if it has one.
-// Workers call it while a layer expands: the intern table is written only
-// at the barrier.
-func (t *visitedTable) lookup(seg []byte, fp uint64) (uint32, bool) {
-	tag := fp << refBits
-	if mask := len(t.segSlots) - 1; mask > 0 {
-		for i := int(fp) & mask; t.segSlots[i] != 0; i = (i + 1) & mask {
-			if e := t.segSlots[i]; e&^refMask == tag && string(t.segment(uint32(e)-1)) == string(seg) {
-				return uint32(e) - 1, true
-			}
-		}
-	}
-	return 0, false
-}
-
-// intern returns seg's id, giving it the next one if it is new. Only
-// commit calls it, so ids are handed out in commit order.
-func (t *visitedTable) intern(seg []byte) (uint32, error) {
-	fp := t.hash(seg)
-	if id, ok := t.lookup(seg, fp); ok {
-		return id, nil
-	}
-	if (len(t.segs)+1)*4 > len(t.segSlots)*3 {
-		old := t.segSlots
-		t.segSlots = make([]uint64, max(2*len(old), minSegSlots))
-		for _, e := range old {
-			if e != 0 {
-				put(t.segSlots, e)
-			}
-		}
-	}
-	loc, err := t.store(seg, "key segment")
-	if err != nil {
-		return 0, err
-	}
-	id := uint32(len(t.segs))
-	if t.segs == nil {
-		t.segs = make([]segRef, 0, minSegSlots)
-	}
-	t.segs = append(t.segs, segRef{chunk: uint32(loc >> 32), off: uint32(loc), n: uint32(len(seg))})
-	t.segBytes += int64(len(seg))
-	put(t.segSlots, fp<<refBits|uint64(id+1))
-	return id, nil
+	return fmt.Errorf("mc: visited store is full: its key locators address at most %d chunks of %d bytes", a.most, a.size)
 }
 
 // appendState adds the state with key to the arena and returns its index.
@@ -424,17 +323,18 @@ func (t *visitedTable) appendState(key, segs []byte, parent int32) (int32, error
 			start, w := binary.Uvarint(segs)
 			n, w2 := binary.Uvarint(segs[w:])
 			segs = segs[w+w2:]
-			var err error
-			if id, err = t.intern(key[start : start+n]); err != nil {
-				return 0, err
+			seg := key[start : start+n]
+			var ok bool
+			if id, ok = t.intern.intern(seg, t.hash(seg)); !ok {
+				return 0, t.refused(seg, "key segment")
 			}
 		}
 		rec = binary.AppendUvarint(rec, uint64(id))
 	}
 	t.rec = rec
-	loc, err := t.store(rec, "state record")
-	if err != nil {
-		return 0, err
+	loc, ok := t.intern.arena.add(rec)
+	if !ok {
+		return 0, t.refused(rec, "state record")
 	}
 	idx, p := int32(t.n), t.n>>pageShift
 	if p == len(t.locs) {
@@ -515,25 +415,20 @@ func (t *visitedTable) claim(kb *keyBuf, pos, ord int32, shared bool) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	tag := fp << refBits
-	if mask := len(s.slots) - 1; mask > 0 { // else the shard has no table yet
-		for i := int(fp) & mask; s.slots[i] != 0; i = (i + 1) & mask {
-			if s.slots[i]&^refMask != tag {
-				continue
-			}
-			if ref := int32(s.slots[i]); ref > 0 {
-				// The arena and the intern table are only appended to at
-				// layer barriers, never while workers hold shard locks, so
-				// reading them here is race-free.
-				if t.equal(ref-1, kb) {
-					return nil
-				}
-			} else if p := int(-ref - 1); bytes.Equal(s.pendKey(p), key) {
-				if c := &s.pend[p]; pos < c.pos || (pos == c.pos && ord < c.ord) {
-					c.pos, c.ord = pos, ord
-				}
+	tag := uint32(fp)
+	for v, i := s.slots.find(tag, int(tag)); v != 0; v, i = s.slots.find(tag, i) {
+		if ref := int32(v); ref > 0 {
+			// The arena and the intern table are only appended to at layer
+			// barriers, never while workers hold shard locks, so reading
+			// them here is race-free.
+			if t.equal(ref-1, kb) {
 				return nil
 			}
+		} else if p := int(-ref - 1); bytes.Equal(s.pendKey(p), key) {
+			if c := &s.pend[p]; pos < c.pos || (pos == c.pos && ord < c.ord) {
+				c.pos, c.ord = pos, ord
+			}
+			return nil
 		}
 	}
 	if len(s.pend) >= t.maxStates {
@@ -542,10 +437,6 @@ func (t *visitedTable) claim(kb *keyBuf, pos, ord int32, shared bool) error {
 	if len(s.pendKeys)+len(key) > math.MaxUint32 {
 		return fmt.Errorf("mc: visited store is full: a shard's pending keys outgrew their 32-bit offsets in one layer")
 	}
-	if (s.used+1)*4 > len(s.slots)*3 {
-		s.grow()
-	}
-	s.used++
 	if len(s.pend) == cap(s.pend) {
 		s.pend = t.pendSlab.carve(&t.slabMu, s.pend, 1, minPend, firstPendBlock)
 	}
@@ -561,7 +452,7 @@ func (t *visitedTable) claim(kb *keyBuf, pos, ord int32, shared bool) error {
 		}
 		if kb.known&(1<<k) != 0 {
 			d = binary.AppendUvarint(d, uint64(kb.ids[k])+1)
-		} else if id, ok := t.lookup(key[off:end], t.hash(key[off:end])); ok {
+		} else if id, ok := t.lookup(key[off:end]); ok {
 			d = binary.AppendUvarint(d, uint64(id)+1)
 		} else {
 			d = binary.AppendUvarint(binary.AppendUvarint(append(d, 0), uint64(off)), uint64(end-off))
@@ -573,7 +464,7 @@ func (t *visitedTable) claim(kb *keyBuf, pos, ord int32, shared bool) error {
 	}
 	b := append(append(s.pendKeys, key...), d...)
 	s.pendKeys = b
-	s.pend[len(s.pend)-1].slot = uint32(put(s.slots, tag|uint64(uint32(-len(s.pend)))))
+	s.pend[len(s.pend)-1].slot = uint32(s.slots.add(uint32(fp), uint32(-len(s.pend)), s.moved))
 	return nil
 }
 
@@ -613,7 +504,7 @@ func (t *visitedTable) commit(layer []int32) ([]int32, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.slots[p.slot] = s.slots[p.slot]&^refMask | uint64(idx+1)
+		s.slots.set(int(p.slot), uint32(idx+1))
 		next = append(next, idx)
 	}
 	for i := range t.shards {
@@ -624,23 +515,20 @@ func (t *visitedTable) commit(layer []int32) ([]int32, error) {
 	return next, nil
 }
 
-// bytes is what the committed structures retain: the chunks' capacity, the
-// per-state locators and parents, every shard's table slots, and the
-// intern table's locators and slots. The pending slabs and commit's
-// buffers, scratch reused from layer to layer, are left out. Called between
-// layers it depends only on which states have been committed, never on how
-// workers interleaved: chunks and the flat slices grow in commit order, and
+// bytes is what the committed structures retain: the intern table (its
+// arena holding the records), the per-state locators and parents, and
+// every shard's table. The pending slabs and commit's buffers, scratch
+// reused from layer to layer, are left out. Called between layers it
+// depends only on which states have been committed, never on how workers
+// interleaved: the arena and the flat slices grow in commit order, and
 // every claim a table grew for has become a state by the barrier.
 func (t *visitedTable) bytes() int64 {
-	n := int64(cap(t.segs))*12 + int64(len(t.segSlots))*8 // a segRef is 12 bytes
+	n := t.intern.bytes()
 	for p := range t.locs {
 		n += int64(cap(t.locs[p]))*8 + int64(cap(t.parents[p]))*4
 	}
-	for _, c := range t.chunks {
-		n += int64(cap(c))
-	}
 	for i := range t.shards {
-		n += int64(len(t.shards[i].slots)) * 8
+		n += t.shards[i].slots.bytes()
 	}
 	return n
 }
@@ -648,16 +536,11 @@ func (t *visitedTable) bytes() int64 {
 // shardStats returns the smallest and largest committed-state count across
 // the shards — a balance indicator for the fingerprint distribution. Called
 // between layers, when every occupied slot is a committed state.
-func (t *visitedTable) shardStats() (min, max int64) {
-	min = int64(t.shards[0].used)
+func (t *visitedTable) shardStats() (lo, hi int64) {
+	lo = math.MaxInt64
 	for i := range t.shards {
-		n := int64(t.shards[i].used)
-		if n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
+		n := int64(t.shards[i].slots.used)
+		lo, hi = min(lo, n), max(hi, n)
 	}
-	return min, max
+	return lo, hi
 }

@@ -342,12 +342,12 @@ func checkAgainstModel(t *testing.T, vt *visitedTable, m *modelStore) {
 	for seg := range m.ids {
 		segBytes += int64(len(seg))
 	}
-	if len(vt.segs) != len(m.ids) || vt.segBytes != segBytes {
-		t.Fatalf("%d segments of %d bytes interned, reference has %d of %d", len(vt.segs), vt.segBytes, len(m.ids), segBytes)
+	if len(vt.intern.refs) != len(m.ids) || vt.intern.size != segBytes {
+		t.Fatalf("%d segments of %d bytes interned, reference has %d of %d", len(vt.intern.refs), vt.intern.size, len(m.ids), segBytes)
 	}
 	committed := 0
 	for i := range vt.shards {
-		committed += vt.shards[i].used
+		committed += vt.shards[i].slots.used
 	}
 	if committed != len(m.arena) {
 		t.Fatalf("shard counts sum to %d, want %d", committed, len(m.arena))
@@ -386,7 +386,7 @@ func TestVisitedModel(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				vt := newVisited()
 				vt.hash = func(b []byte) uint64 { return uint64(len(b)%4) * (1<<shardShift + 1) }
-				vt.chunkSize = 64
+				vt.intern.arena.size = 64
 				root := "\x01r\x01r\x01r"
 				m := &modelStore{seen: map[string]bool{root: true}, pending: map[string]modelClaim{},
 					arena: []modelState{{root, -1}}, ids: map[string]uint32{"\x01r": 0}}
@@ -396,7 +396,7 @@ func TestVisitedModel(t *testing.T) {
 				}
 				fresh := 0
 				for depth := 0; depth < 12 && len(layer) > 0; depth++ {
-					claims := modelLayer(rng, m, layer, vt.chunkSize, &fresh)
+					claims := modelLayer(rng, m, layer, vt.intern.arena.size, &fresh)
 					var wg sync.WaitGroup
 					for g := 0; g < claimers; g++ {
 						wg.Add(1)
@@ -422,8 +422,8 @@ func TestVisitedModel(t *testing.T) {
 					checkAgainstModel(t, vt, m)
 					layer = next
 				}
-				if len(vt.chunks) < 10 || vt.shards[0].used < 2*minSlots || len(vt.segs) >= 3*vt.states() {
-					t.Fatalf("seed %d: run too thin: %d chunks, %d states, %d segments", seed, len(vt.chunks), vt.states(), len(vt.segs))
+				if len(vt.intern.arena.chunks) < 10 || vt.shards[0].slots.used < 2*minSlots || len(vt.intern.refs) >= 3*vt.states() {
+					t.Fatalf("seed %d: run too thin: %d chunks, %d states, %d segments", seed, len(vt.intern.arena.chunks), vt.states(), len(vt.intern.refs))
 				}
 			}
 		})
@@ -469,7 +469,7 @@ func CheckVisitedAllocs(t *testing.T) {
 	if len(layer) != n {
 		t.Fatalf("committed %d states, want %d", len(layer), n)
 	}
-	t.Logf("inserting %d states: %d allocations, %d chunks, %d segments", n, insert, len(vt.chunks), len(vt.segs))
+	t.Logf("inserting %d states: %d allocations, %d chunks, %d segments", n, insert, len(vt.intern.arena.chunks), len(vt.intern.refs))
 	if insert >= n/400 {
 		t.Errorf("inserting %d states made %d allocations, want fewer than %d", n, insert, n/400)
 	}
@@ -493,7 +493,7 @@ func CheckVisitedAllocs(t *testing.T) {
 		for len(vt.locs) <= (vt.n+m)>>pageShift {
 			vt.locs, vt.parents = append(vt.locs, make([]uint64, 0, pageSize)), append(vt.parents, make([]int32, 0, pageSize))
 		}
-		vt.chunks = append(vt.chunks, make([]byte, 0, vt.chunkSize))
+		vt.intern.arena.chunks = append(vt.intern.arena.chunks, make([]byte, 0, vt.intern.arena.size))
 		for i := 0; i < m; i++ {
 			mustClaim(t, vt, fmt.Sprintf("a%04d|b%04d|t7", i, round), int32(i%len(layer)), int32(i))
 		}
@@ -524,7 +524,7 @@ type SpreadStats struct {
 func CheckFingerprintSpread(t *testing.T, cfg Config) SpreadStats {
 	t.Helper()
 	vt := newVisited()
-	if _, err := check(cfg, vt, new(memo), nil); err != nil {
+	if _, err := check(cfg, vt, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := SpreadStats{States: vt.states()}
@@ -539,17 +539,12 @@ func CheckFingerprintSpread(t *testing.T, cfg Config) SpreadStats {
 		}
 		owner[fp] = idx
 		s := &vt.shards[fp>>shardShift]
-		mask := len(s.slots) - 1
-		for i := int(fp) & mask; ; i = (i + 1) & mask {
-			e := s.slots[i]
-			if e == 0 {
+		for ref, i := s.slots.find(uint32(fp), int(uint32(fp))); ; ref, i = s.slots.find(uint32(fp), i) {
+			if ref == 0 {
 				t.Fatalf("state %d is not in its shard's table", idx)
 			}
-			if e&^refMask != fp<<refBits {
-				continue
-			}
 			st.Confirms++
-			if int32(e) == idx+1 {
+			if int32(ref) == idx+1 {
 				break
 			}
 			st.Failed++
@@ -584,8 +579,8 @@ func TestVisitedLimits(t *testing.T) {
 		{"state index space, pending slab", func(vt *visitedTable) {
 			vt.maxStates, vt.hash = 210, func([]byte) uint64 { return 7 }
 		}, "32-bit arena indices"},
-		{"locator chunks", func(vt *visitedTable) { vt.chunkSize, vt.maxChunks = 256, 3 }, "key locators address at most 3 chunks"},
-		{"key longer than a chunk", func(vt *visitedTable) { vt.chunkSize = 16 }, "exceeds the visited store's 16-byte key chunk"},
+		{"locator chunks", func(vt *visitedTable) { vt.intern.arena.size, vt.intern.arena.most = 256, 3 }, "key locators address at most 3 chunks"},
+		{"key longer than a chunk", func(vt *visitedTable) { vt.intern.arena.size = 16 }, "exceeds the visited store's 16-byte key chunk"},
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
@@ -593,7 +588,7 @@ func TestVisitedLimits(t *testing.T) {
 				tc.lower(vt)
 				c := cfg
 				c.Workers = workers
-				res, err := check(c, vt, new(memo), nil)
+				res, err := check(c, vt, nil, nil)
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Fatalf("err = %v (result %+v), want one naming %q", err, res, tc.want)
 				}
@@ -603,7 +598,7 @@ func TestVisitedLimits(t *testing.T) {
 	// At the limit exactly, the run completes.
 	vt := newVisited()
 	vt.maxStates = full.States
-	if res, err := check(cfg, vt, new(memo), nil); err != nil || res.States != full.States {
+	if res, err := check(cfg, vt, nil, nil); err != nil || res.States != full.States {
 		t.Fatalf("maxStates == reachable states: %+v, err %v", res, err)
 	}
 }

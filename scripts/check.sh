@@ -38,7 +38,8 @@ done
 # transition a larger exploration adds — regions, not the heap, hold what
 # expanding a state builds; the visited store and its intern table of key
 # segments: 0 per claim of a seen key, under N/400 to insert N states, and
-# 0 for a commit no larger than an earlier one; a delivery into a warmed engine: 0, support
+# 0 for a commit no larger than an earlier one; a probe of the checker's
+# tables (slots, interner lookups, hit or miss): 0; a delivery into a warmed engine: 0, support
 # call, send and all, register stack empty afterwards; a whole simulated run:
 # at most 1 per message; a warmed fuzz.Judge run of each litmus corpus test,
 # recorder and trace cursor included: under 20; a warmed litmus runner run
@@ -52,16 +53,18 @@ done
 # and the TestExitStatus rows and EXPERIMENTS.md blocks that skip under it
 # for taking seconds (the 3-node drop envelope, the 4-node cut at 200 000
 # states, the larger symmetry pairs).
-go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestJudgeAllocs|TestRunnerAllocs|TestLookupAllocs|TestLivenessAllocs|TestCompileAllocs|TestBackEndsAllocateTheirText|TestWorkloadTracesExactlySized|TestExitStatus|TestExperimentsCurrent' \
+go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestProbeAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestJudgeAllocs|TestRunnerAllocs|TestLookupAllocs|TestLivenessAllocs|TestCompileAllocs|TestBackEndsAllocateTheirText|TestWorkloadTracesExactlySized|TestExitStatus|TestExperimentsCurrent' \
   ./internal/mc/ ./internal/runtime/ ./internal/litmus/ ./internal/token/ ./internal/liveness/ ./internal/core/ ./internal/sim/ .
 # The benchmark harness's own tests: small-shape correctness checks that run
 # the checker (reduced and unreduced), the simulator and the litmus corpus
 # against benchmarks/expected.json. A module of its own, so `go test ./...`
 # above does not reach it.
 (cd benchmarks && go test ./...)
-# The tracked size metrics (ROADMAP "Prune, round three"), measured the one
-# way every CHANGES.md entry quotes them.
-echo "non-test Go outside benchmarks/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l) lines;" \
+# The tracked size metrics (ROADMAP "Prune, round four"), measured the one
+# way every CHANGES.md entry quotes them, with internal/mc's share beside the
+# total: the checker is what that round prunes.
+echo "non-test Go outside benchmarks/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l) lines" \
+  "(internal/mc: $(find internal/mc -name '*.go' ! -name '*_test.go' | xargs cat | wc -l));" \
   "DESIGN.md: $(wc -l < DESIGN.md) lines; EXPERIMENTS.md: $(wc -l < EXPERIMENTS.md) lines"
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
   echo "check.sh: the checks changed the working tree:" >&2
