@@ -119,9 +119,8 @@ func TestExitStatus(t *testing.T) {
 		{args: "verify -proto lcm", status: 0, stdout: "verified: no deadlock, no unexpected messages, coherence not checked", absent: "coherence holds"},
 		{args: "verify -proto stache -progress=always", status: 0, stderr: "mc: depth 0  frontier 2  states 3"},
 		{args: "verify -proto stache -nodes 3 -symmetry=on", status: 0, stdout: "symmetry /2"},
-		// -stats says what a key cost and how evenly the fingerprint spread
-		// the visited shards.
-		{args: "verify -proto stache -stats", status: 0, stdout: "  keys:           40 bytes mean, 67% encoded per successor\n … \n  shards:         0..8 states per shard\n"},
+		// -stats says what a key cost and what the visited store retains.
+		{args: "verify -proto stache -stats", status: 0, stdout: "  keys:           40 bytes mean, 67% encoded per successor\n  visited set:    13.5 KiB (63 bytes/state)\n"},
 		// A deadlock says what each stalled block waits for: the messages
 		// its state handles, and the drops of messages about it.
 		{args: "verify -proto stache-buggy", status: 1, stdout: "VIOLATION deadlock" +
@@ -177,7 +176,6 @@ func TestExitStatus(t *testing.T) {
 			stdout: "170738 states, 521346 transitions … keys:           74 bytes mean, 43% encoded per successor\n" +
 				" … visited set:    6.0 MiB (37 bytes/state)\n" +
 				"  segments:       2487 distinct, 63.6 KiB\n" +
-				"  shards:         2551..2735 states per shard\n" +
 				"  memo:           11307 entries, 383.0 KiB, 96.5% of 443104 handler runs replayed\n", slow: true},
 		// The same shape reduced is the verify_sym benchmark: a symmetric
 		// successor's challengers are assembled from remapped segments, and

@@ -62,8 +62,6 @@ func mcStats(res *mc.Result) *manifest.MCStats {
 		PeakFrontier:  res.PeakFrontier,
 		Decodes:       res.Decodes,
 		VisitedBytes:  res.VisitedBytes,
-		ShardMin:      res.ShardMin,
-		ShardMax:      res.ShardMax,
 		SymmetryGroup: res.SymmetryGroup,
 		SymmetryNote:  res.SymmetryNote,
 	}

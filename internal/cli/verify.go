@@ -148,7 +148,6 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "; remap table %d pieces, %s", res.RemapPieces, mc.FormatBytes(res.RemapBytes))
 		}
 		fmt.Fprintln(stdout)
-		fmt.Fprintf(stdout, "  shards:         %d..%d states per shard\n", st.ShardMin, st.ShardMax)
 		if m := res.Memo; m.Bypass != "" {
 			fmt.Fprintf(stdout, "  memo:           off: %s\n", m.Bypass)
 		} else {

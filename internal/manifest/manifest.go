@@ -64,21 +64,17 @@ type ObsSummary struct {
 // MCStats is the model checker's resource accounting: everything except
 // ElapsedSec and StatesPerSec is deterministic for any worker count.
 type MCStats struct {
-	States        int     `json:"states"`
-	Transitions   int     `json:"transitions"`
-	MaxDepth      int     `json:"max_depth"`
-	Workers       int     `json:"workers"`
-	ElapsedSec    float64 `json:"elapsed_sec"`
-	StatesPerSec  float64 `json:"states_per_sec"`
-	PeakFrontier  int     `json:"peak_frontier"`
-	Decodes       int64   `json:"decodes"`
-	VisitedBytes  int64   `json:"visited_bytes"`
-	BytesPerState float64 `json:"bytes_per_state"`
-	DedupRatio    float64 `json:"dedup_ratio"`
-	// ShardMin/ShardMax are the visited table's final shard balance, taken
-	// from the last progress-stream snapshot (0 when no layer completed).
-	ShardMin      int64      `json:"shard_min"`
-	ShardMax      int64      `json:"shard_max"`
+	States        int        `json:"states"`
+	Transitions   int        `json:"transitions"`
+	MaxDepth      int        `json:"max_depth"`
+	Workers       int        `json:"workers"`
+	ElapsedSec    float64    `json:"elapsed_sec"`
+	StatesPerSec  float64    `json:"states_per_sec"`
+	PeakFrontier  int        `json:"peak_frontier"`
+	Decodes       int64      `json:"decodes"`
+	VisitedBytes  int64      `json:"visited_bytes"`
+	BytesPerState float64    `json:"bytes_per_state"`
+	DedupRatio    float64    `json:"dedup_ratio"`
 	SymmetryGroup int        `json:"symmetry_group"`
 	SymmetryNote  string     `json:"symmetry_note,omitempty"`
 	Violation     *Violation `json:"violation,omitempty"`

@@ -20,10 +20,15 @@ import (
 // which preserves the BFS invariant (counterexample traces are
 // shortest-path) and makes every reported figure deterministic. Expanding a
 // state decodes its canonical encoding exactly once, into a world its
-// worker keeps for the whole run; each successor is derived into the
-// worker's one scratch world — re-decoding only the engine its action runs
-// on — plus one action (the final action is applied to the decoded world in
-// place), never a new World (see worker). Violations found while a
+// worker keeps for the whole run. A successor whose handler run the
+// transition memo holds — most of them, once a run is past its first
+// layers — is replayed: its key is written from the state's key, the
+// memoized segment and the run's journal, with no handler run (replay).
+// Any other is derived into the worker's one scratch world — re-decoding
+// only the engine its action runs on — plus one action (the final action
+// is applied to the decoded world in place), never a new World (see
+// worker). Successors are claimed in the worker's buffer and committed at
+// the layer's barrier (visitedTable.commit). Violations found while a
 // layer expands are collected, the layer is finished, and the one the
 // sequential scan would have hit first — smallest (frontier position,
 // action ordinal) — is reported, with its trace re-derived by replaying the
@@ -73,7 +78,7 @@ func check(cfg Config, vt *visitedTable, mm *memo, rt *remapTable) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	layer, err := vt.addRoot(root)
+	layer, err := vt.addRoot(root, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +94,7 @@ func check(cfg Config, vt *visitedTable, mm *memo, rt *remapTable) (*Result, err
 		res.Decodes += out.decodes
 		res.KeyBytes += out.keyBytes
 		res.KeyBytesEncoded += out.keyEncoded
-		next, err := vt.commit(layer)
+		next, err := vt.commit(layer, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -109,7 +114,6 @@ func check(cfg Config, vt *visitedTable, mm *memo, rt *remapTable) (*Result, err
 		if cfg.Progress != nil {
 			// Reported from the driver goroutine, after the barrier: the
 			// snapshot reads no state a worker could still be touching.
-			min, max := vt.shardStats()
 			cfg.Progress(ProgressInfo{
 				Depth:         depth,
 				Frontier:      len(next),
@@ -117,8 +121,6 @@ func check(cfg Config, vt *visitedTable, mm *memo, rt *remapTable) (*Result, err
 				Transitions:   int64(res.Transitions),
 				Elapsed:       time.Since(start),
 				VisitedBytes:  vt.bytes(),
-				ShardMin:      min,
-				ShardMax:      max,
 				SymmetryGroup: res.SymmetryGroup,
 			})
 		}
@@ -141,7 +143,6 @@ func check(cfg Config, vt *visitedTable, mm *memo, rt *remapTable) (*Result, err
 	res.States = vt.states()
 	res.VisitedBytes = vt.bytes()
 	res.Segments, res.SegmentBytes = len(vt.intern.refs), vt.intern.size
-	res.ShardMin, res.ShardMax = vt.shardStats()
 	if red != nil {
 		res.RemapPieces, res.RemapBytes = red.table.stats()
 	}
@@ -198,8 +199,8 @@ func (o *layerOut) take(c *candidate) {
 // copies the bytes it keeps), the parent is untouched until its last action
 // and finished with after it, and the Terminal and EventGen hooks see a
 // world only for the length of the call. The per-layer fields (layerOut,
-// cov, err) are reset by expandLayer, and the barrier buffers (the memo's
-// misses, the key scratch's pend) by the tables that absorb them.
+// cov, err) are reset by expandLayer, and the barrier buffers (claims, the
+// memo's misses, the key scratch's pend) by the tables that absorb them.
 type worker struct {
 	parent, succ *World
 	region       runtime.Region
@@ -209,10 +210,11 @@ type worker struct {
 	from         []uint32   // and those segments' ids
 	*memoScratch            // the memo's, when the run has one
 
+	claims pendIndex // this layer's claims, for the visited store's barrier
+
 	layerOut
-	cov    *obs.Coverage // this layer's coverage, merged at the barrier
-	err    error
-	shared bool // other workers expand the same layer at the same time
+	cov *obs.Coverage // this layer's coverage, merged at the barrier
+	err error
 }
 
 // inlineLayer is the layer length below which fanning out costs more than
@@ -231,7 +233,7 @@ func expandLayer(cfg *Config, vt *visitedTable, mm *memo, red *reduction, layer 
 	}
 	for i := range workers {
 		wk := &workers[i]
-		wk.layerOut, wk.cov, wk.err, wk.shared = layerOut{}, nil, nil, false
+		wk.layerOut, wk.cov, wk.err = layerOut{}, nil, nil
 	}
 
 	if len(workers) <= 1 || len(layer) < inlineLayer {
@@ -251,7 +253,6 @@ func expandLayer(cfg *Config, vt *visitedTable, mm *memo, red *reduction, layer 
 		if cfg.Coverage != nil {
 			workers[i].cov = obs.NewCoverage()
 		}
-		workers[i].shared = true
 		wg.Add(1)
 		go func(wk *worker) {
 			defer wg.Done()
@@ -300,9 +301,8 @@ func expandLayer(cfg *Config, vt *visitedTable, mm *memo, red *reduction, layer 
 // a handler run it holds is replayed instead (replay), and one it does not
 // hold is journaled and buffered for the barrier. With symmetry
 // reduction active every successor is canonicalized before the claim, so
-// the visited table (and its per-shard balance statistics) sees only
-// post-canonicalization keys; the pieces the remap table lacked are
-// buffered for the barrier too.
+// the visited table sees only post-canonicalization keys; the pieces the
+// remap table lacked are buffered for the barrier too.
 func (wk *worker) expandState(cfg *Config, vt *visitedTable, mm *memo, red *reduction, layer []int32, pos int32) error {
 	if wk.src == nil {
 		wk.src, wk.from = make([]byte, 0, 256), make([]uint32, 0, 2*cfg.Nodes+1)
@@ -396,7 +396,7 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, mm *memo, red *redu
 func (wk *worker) claim(vt *visitedTable, kb *keyBuf, pos, ord int32) error {
 	wk.keyBytes += int64(len(kb.Bytes()))
 	wk.keyEncoded += int64(wk.keys.encoded)
-	return vt.claim(kb, pos, ord, wk.shared)
+	return vt.claim(&wk.claims, kb, pos, ord)
 }
 
 // replay writes into the worker's key scratch the successor key of action

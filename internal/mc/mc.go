@@ -132,15 +132,8 @@ type ProgressInfo struct {
 	Elapsed     time.Duration // wall time since Check started
 	// VisitedBytes is what the visited store's committed structures
 	// retain: key chunk capacity, per-state locators and records, and the
-	// shard tables' slots. It is the same for any worker count.
+	// table's slots. It is the same for any worker count.
 	VisitedBytes int64
-	// ShardMin and ShardMax are the smallest and largest committed-state
-	// counts over the visited table's shards — a fingerprint-balance
-	// indicator (ShardMax >> ShardMin means the hash is clumping). When
-	// symmetry reduction is active these count post-canonicalization
-	// fingerprints: each shard holds canonical orbit representatives, so the
-	// balance read-out describes the reduced space actually stored.
-	ShardMin, ShardMax int64
 	// SymmetryGroup is the order of the permutation group the run reduces
 	// by (1 when reduction is off or trivial).
 	SymmetryGroup int
@@ -243,9 +236,8 @@ type Result struct {
 	// barriers are not counted.
 	KeyBytes, KeyBytesEncoded int64
 	// VisitedBytes is what the visited store retains at the end of the
-	// run, and ShardMin/ShardMax its final shard balance (see ProgressInfo).
-	VisitedBytes       int64
-	ShardMin, ShardMax int64
+	// run (see ProgressInfo).
+	VisitedBytes int64
 	// Segments is how many distinct key segments the visited store
 	// interned — a state is stored as the ids of its segments — and
 	// SegmentBytes their total length.

@@ -3,6 +3,7 @@ package mc
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"teapot/internal/runtime"
@@ -250,7 +251,7 @@ func (m *memo) insert(k *memoKey, seg, jrn []byte) {
 	ent = append(binary.AppendUvarint(ent, uint64(len(jrn))), jrn...)
 	m.ent = ent
 	if loc, ok := m.arena.add(ent); ok {
-		m.slots.add(uint32(k.hash()), uint32(loc+1), nil)
+		m.slots.add(uint32(k.hash()), uint32(loc+1))
 	}
 }
 
@@ -290,7 +291,7 @@ func (m *memo) absorb(workers []worker) {
 			return nil
 		}
 		return &wk.misses
-	}, func(e []byte) []byte {
+	}, func(_ int32, e []byte) []byte {
 		k, seg, jrn, rest := splitEntry(e)
 		m.insert(&k, seg, jrn)
 		return rest
@@ -315,12 +316,13 @@ func (b *pendBuf) begin(pos, ord int32) []byte {
 }
 
 // absorbInOrder hands take every entry of the buffers bufOf picks from the
-// workers (nil: none), past its two leading numbers, in commit order — by
-// (parent position, action ordinal), merging the buffers, each in that
-// order already because a worker takes positions in increasing order — so
-// that a table written from them is the same for any worker count. take
-// returns what follows the entry. The buffers are emptied.
-func absorbInOrder(workers []worker, bufOf func(*worker) *pendBuf, take func(e []byte) (rest []byte)) {
+// workers (nil: none) — its parent position, and what follows its two
+// leading numbers — in commit order: by (parent position, action ordinal),
+// merging the buffers, each in that order already because a worker takes
+// positions in increasing order, so that a table written from them is the
+// same for any worker count. take returns what follows the entry. The
+// buffers are emptied.
+func absorbInOrder(workers []worker, bufOf func(*worker) *pendBuf, take func(pos int32, e []byte) (rest []byte)) {
 	for {
 		var best *pendBuf // the one holding the earliest entry not yet taken
 		var at uint64
@@ -339,13 +341,44 @@ func absorbInOrder(workers []worker, bufOf func(*worker) *pendBuf, take func(e [
 		e := best.b[best.taken:]
 		_, w := binary.Uvarint(e)
 		_, w2 := binary.Uvarint(e[w:])
-		best.taken += len(e) - len(take(e[w+w2:]))
+		best.taken += len(e) - len(take(int32(at>>32), e[w+w2:]))
 	}
 	for i := range workers {
 		if b := bufOf(&workers[i]); b != nil {
 			b.b, b.taken = b.b[:0], 0
 		}
 	}
+}
+
+// pendIndex is a pendBuf with an index of its entries, for a worker that
+// looks up what it buffered earlier in the layer before the barrier does —
+// the visited store's claims, the remap table's pieces: index holds each
+// entry's tag above where it starts past its header, + 1. The buffer grows
+// by doubling (open), where append would grow a large one a quarter at a
+// time and so allocate several times a layer's bytes. The barrier that
+// absorbs it resets the index.
+type pendIndex struct {
+	pendBuf
+	index slots
+}
+
+const (
+	pendFirst = 4 << 10 // a pendIndex's first buffer
+	pendSlots = 64      // and its index's first table
+)
+
+// open starts an entry for the transition (pos, ord) of at most n bytes
+// past its header, doubling the buffer first if it lacks the room, and
+// returns the buffer to append the rest of it to; false, with nothing
+// written, if the entry could end past what a 32-bit offset addresses.
+func (p *pendIndex) open(pos, ord int32, n int) ([]byte, bool) {
+	if n += 2 * binary.MaxVarintLen32; len(p.b)+n >= math.MaxUint32 {
+		return nil, false
+	}
+	if cap(p.b)-len(p.b) < n {
+		p.b, p.index.first = append(make([]byte, 0, max(2*cap(p.b), len(p.b)+n, pendFirst)), p.b...), pendSlots
+	}
+	return p.begin(pos, ord), true
 }
 
 // recorder writes a handler run's journal while it runs (World.rec).

@@ -85,11 +85,10 @@ func TestWorkerEquivalence(t *testing.T) {
 					}
 				}
 				if last := snaps[len(snaps)-1]; last.States != res.States ||
-					last.Transitions != int64(res.Transitions) ||
-					last.ShardMin != res.ShardMin || last.ShardMax != res.ShardMax {
-					t.Errorf("workers=%d: final snapshot (states,transitions,shards) = (%d,%d,%d..%d), result has (%d,%d,%d..%d)",
-						workers, last.States, last.Transitions, last.ShardMin, last.ShardMax,
-						res.States, res.Transitions, res.ShardMin, res.ShardMax)
+					last.Transitions != int64(res.Transitions) || last.VisitedBytes != res.VisitedBytes {
+					t.Errorf("workers=%d: final snapshot (states,transitions,visited bytes) = (%d,%d,%d), result has (%d,%d,%d)",
+						workers, last.States, last.Transitions, last.VisitedBytes,
+						res.States, res.Transitions, res.VisitedBytes)
 				}
 				if res.Workers != workers {
 					t.Errorf("res.Workers = %d, want %d", res.Workers, workers)
@@ -108,10 +107,6 @@ func TestWorkerEquivalence(t *testing.T) {
 					res.KeyBytes == 0 || res.KeyBytesEncoded == 0 {
 					t.Errorf("workers=%d: key bytes (built,encoded) = (%d,%d), want (%d,%d), neither zero",
 						workers, res.KeyBytes, res.KeyBytesEncoded, base.KeyBytes, base.KeyBytesEncoded)
-				}
-				if res.ShardMin != base.ShardMin || res.ShardMax != base.ShardMax || res.ShardMax == 0 {
-					t.Errorf("workers=%d: shards %d..%d, want %d..%d, not empty",
-						workers, res.ShardMin, res.ShardMax, base.ShardMin, base.ShardMax)
 				}
 				// The store interns segments at the barrier, in commit order,
 				// so what it holds is the same for any worker count too.
@@ -284,7 +279,7 @@ func TestSmallLayersInline(t *testing.T) {
 }
 
 // TestWiderEnvelope pins the first committed shape that crosses the visited
-// store's chunk rollover and several doublings of every shard table:
+// store's chunk rollover and several doublings of its table:
 // stache-ft at 4 nodes with one dropped message, reduced by its group of 6,
 // cut at 300,000 states (the full space is 9,230,544; see EXPERIMENTS.md).
 // Where the cut falls is a whole layer, so states, transitions and depth

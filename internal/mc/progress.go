@@ -42,9 +42,8 @@ func (pw *ProgressWriter) Report(p ProgressInfo) {
 	}
 	pw.last = t
 	pw.lines++
-	fmt.Fprintf(pw.W, "mc: depth %d  frontier %d  states %d (%s)  %.0f st/s  dedup %.2f  shards %d..%d\n",
-		p.Depth, p.Frontier, p.States, FormatBytes(p.VisitedBytes),
-		p.StatesPerSec(), p.DedupRatio(), p.ShardMin, p.ShardMax)
+	fmt.Fprintf(pw.W, "mc: depth %d  frontier %d  states %d (%s)  %.0f st/s  dedup %.2f\n",
+		p.Depth, p.Frontier, p.States, FormatBytes(p.VisitedBytes), p.StatesPerSec(), p.DedupRatio())
 }
 
 // Lines returns how many lines have been written (rate-limited ones

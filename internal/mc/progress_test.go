@@ -22,7 +22,7 @@ func TestProgressWriterRateLimit(t *testing.T) {
 	snap := func(depth int) mc.ProgressInfo {
 		return mc.ProgressInfo{Depth: depth, Frontier: 10 * depth, States: 100 * depth,
 			Transitions: int64(300 * depth), Elapsed: time.Second,
-			VisitedBytes: 2048, ShardMin: 1, ShardMax: 4}
+			VisitedBytes: 2048}
 	}
 	pw.Report(snap(0)) // first line always prints
 	pw.Report(snap(1)) // same instant: suppressed
@@ -37,10 +37,10 @@ func TestProgressWriterRateLimit(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("wrote %d lines, want 2:\n%s", len(lines), b.String())
 	}
-	if want := "mc: depth 0  frontier 0  states 0 (2.0 KiB)  0 st/s  dedup 0.00  shards 1..4"; lines[0] != want {
+	if want := "mc: depth 0  frontier 0  states 0 (2.0 KiB)  0 st/s  dedup 0.00"; lines[0] != want {
 		t.Errorf("line 0 = %q, want %q", lines[0], want)
 	}
-	if want := "mc: depth 3  frontier 30  states 300 (2.0 KiB)  300 st/s  dedup 3.00  shards 1..4"; lines[1] != want {
+	if want := "mc: depth 3  frontier 30  states 300 (2.0 KiB)  300 st/s  dedup 3.00"; lines[1] != want {
 		t.Errorf("line 1 = %q, want %q", lines[1], want)
 	}
 }
@@ -62,8 +62,7 @@ func TestFormatBytes(t *testing.T) {
 
 // TestProgressSnapshotInvariants checks the per-snapshot bookkeeping on a
 // real run: states/transitions/bytes are nondecreasing across layers,
-// frontier matches the next layer's growth, and the shard counts sum to
-// the committed-state total.
+// and frontier matches the next layer's growth.
 func TestProgressSnapshotInvariants(t *testing.T) {
 	cfg := stacheConfig(t, 2, 1, 1)
 	var snaps []mc.ProgressInfo
@@ -88,9 +87,6 @@ func TestProgressSnapshotInvariants(t *testing.T) {
 		if p.States != prev.States+p.Frontier {
 			t.Errorf("snapshot %d: states %d != previous %d + frontier %d",
 				i, p.States, prev.States, p.Frontier)
-		}
-		if p.ShardMin > p.ShardMax {
-			t.Errorf("snapshot %d: shard min %d > max %d", i, p.ShardMin, p.ShardMax)
 		}
 		if p.Frontier > peak {
 			peak = p.Frontier

@@ -166,7 +166,6 @@ const (
 	remapMaxChunks  = 1 << 10 // an image's (locator+1)<<1 fits a word's low 32 bits
 	alienFirstChunk = 1 << 10 // the aliens' chunk capacities double from here
 	alienSlots      = 64      // the aliens' first table
-	remapPendSlots  = 64      // a remapPend index's first table
 )
 
 // newRemapTable returns an empty remap table of a group of the given order
@@ -317,7 +316,7 @@ func (r *reduction) fill(x *remapper, kind int, sid uint32, seg []byte) error {
 func (r *reduction) absorb(workers []worker) error {
 	t := r.table
 	var err error
-	absorbInOrder(workers, func(wk *worker) *pendBuf { return &wk.keys.pend.pendBuf }, func(e []byte) []byte {
+	absorbInOrder(workers, func(wk *worker) *pendBuf { return &wk.keys.pend.pendBuf }, func(_ int32, e []byte) []byte {
 		kind, _, sid, sourced, src, _, rest := readPend(e)
 		if err != nil {
 			return rest
@@ -349,20 +348,6 @@ func (t *remapTable) stats() (pieces int, bytes int64) {
 		t.images.bytes() + t.aliens.bytes()
 }
 
-// remapPend is one worker's buffer of the pieces it remapped during a
-// layer because the table lacked them, for the barrier to give their
-// segments blocks — after the pendBuf header, the piece's kind and group
-// element, then its segment's source id or, if it has none, its
-// length-prefixed bytes, then the piece's length-prefixed bytes (readPend)
-// — and an index of them, so that a piece needed again before the barrier
-// is remapped once.
-type remapPend struct {
-	pendBuf
-	// index holds a piece's pendTag above where its entry starts past the
-	// header, + 1.
-	index slots
-}
-
 // pendTag hashes the image under g of segment s, with bytes seg, as the
 // given kind: by its source id, or else by its bytes' fingerprint.
 func pendTag(kind int, s *piece, seg []byte, g int) uint32 {
@@ -373,7 +358,13 @@ func pendTag(kind int, s *piece, seg []byte, g int) uint32 {
 	return uint32(fold(k^uint64(g)<<2^uint64(kind), fpMul))
 }
 
-// readPend reads the entry at the front of e, past its header.
+// readPend reads the entry at the front of e, past its header: a piece a
+// worker remapped during a layer because the table lacked it, buffered in
+// its keyScratch's pendIndex for the barrier to give its segment a block,
+// and indexed by pendTag, so that a piece needed again before the barrier
+// is remapped once. After the header come the piece's kind and group
+// element, then its segment's source id or, if it has none, its
+// length-prefixed bytes, then the piece's length-prefixed bytes.
 func readPend(e []byte) (kind, g int, sid uint32, sourced bool, src, piece, rest []byte) {
 	kind, g, flag := int(e[0]), 0, e[1]
 	v, w := binary.Uvarint(e[2:])
@@ -388,10 +379,10 @@ func readPend(e []byte) (kind, g int, sid uint32, sourced bool, src, piece, rest
 	return kind, g, sid, sourced, src, piece, rest
 }
 
-// find returns where in the buffer the piece this worker buffered for the
-// image under g of segment s, with bytes seg, as the given kind is, if it
-// buffered one.
-func (p *remapPend) find(kind int, s *piece, seg []byte, g int) (off, n uint32, ok bool) {
+// findPiece returns where in the buffer the piece this worker buffered for
+// the image under g of segment s, with bytes seg, as the given kind is, if
+// it buffered one.
+func (p *pendIndex) findPiece(kind int, s *piece, seg []byte, g int) (off, n uint32, ok bool) {
 	tag := pendTag(kind, s, seg, g)
 	for at, i := p.index.find(tag, int(tag)); at != 0; at, i = p.index.find(tag, i) {
 		kd, gd, sid, sourced, src, b, rest := readPend(p.b[at-1:])
@@ -402,14 +393,14 @@ func (p *remapPend) find(kind int, s *piece, seg []byte, g int) (off, n uint32, 
 	return 0, 0, false
 }
 
-// add buffers piece b, the image under g of segment s, with bytes seg, as
-// the given kind, made by transition (pos, ord), and returns where in the
-// buffer the copy is.
-func (p *remapPend) add(pos, ord int32, kind int, s *piece, seg []byte, g int, b []byte) uint32 {
-	if p.b == nil {
-		p.b, p.index.first = make([]byte, 0, 4<<10), remapPendSlots
+// addPiece buffers piece b, the image under g of segment s, with bytes
+// seg, as the given kind, made by transition (pos, ord), and returns where
+// in the buffer the copy is; false if the buffer is full (pendIndex.open).
+func (p *pendIndex) addPiece(pos, ord int32, kind int, s *piece, seg []byte, g int, b []byte) (uint32, bool) {
+	e, ok := p.open(pos, ord, 3+3*binary.MaxVarintLen32+len(seg)+len(b))
+	if !ok {
+		return 0, false
 	}
-	e := p.begin(pos, ord)
 	at := len(e)
 	e = binary.AppendUvarint(append(e, byte(kind), 0), uint64(g))
 	if s.sourced {
@@ -421,6 +412,6 @@ func (p *remapPend) add(pos, ord int32, kind int, s *piece, seg []byte, g int, b
 	e = binary.AppendUvarint(e, uint64(len(b)))
 	piece := len(e)
 	p.b = append(e, b...)
-	p.index.add(pendTag(kind, s, seg, g), uint32(at+1), nil)
-	return uint32(piece)
+	p.index.add(pendTag(kind, s, seg, g), uint32(at+1))
+	return uint32(piece), true
 }

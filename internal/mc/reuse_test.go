@@ -209,14 +209,16 @@ func TestProbeAllocs(t *testing.T) {
 }
 
 // TestFingerprintSpread: over every key a real exploration stores, the
-// fingerprint gives no two keys the same 64 bits, balances the 64 shards,
-// and almost never sends a lookup to compare against a key it is not. The
-// explorations are stache-ft 2n under drops and a duplicate (8,021 states)
-// and the verify_full benchmark's 3n drop=1 (170,738). A shard's count is
-// held within ±15 % of the mean, or within five standard deviations of what
-// a uniform hash would put there where that is wider: at 125 states per
-// shard one deviation is 8.9 % of the mean, and a uniform hash puts a few of
-// 64 shards outside ±15 %; at 2,668 it is 1.9 %.
+// fingerprint gives no two keys the same 64 bits, spreads them evenly over
+// 64 buckets by its top six bits and by its low six bits — the ones that
+// pick where a probe starts — and almost never sends a lookup to compare
+// against a key it is not. The explorations are stache-ft 2n under drops
+// and a duplicate (8,021 states) and the verify_full benchmark's 3n drop=1
+// (170,738). A bucket's count is held within ±15 % of the mean, or within
+// five standard deviations of what a uniform hash would put there where
+// that is wider: at 125 keys per bucket one deviation is 8.9 % of the mean,
+// and a uniform hash puts a few of 64 buckets outside ±15 %; at 2,668 it is
+// 1.9 %.
 func TestFingerprintSpread(t *testing.T) {
 	for _, sh := range []struct {
 		reuseShape
@@ -239,8 +241,13 @@ func TestFingerprintSpread(t *testing.T) {
 			}
 			mean := float64(st.States) / 64
 			tol := max(0.15, 5*math.Sqrt(mean*63/64)/mean)
-			if float64(st.ShardMin) < (1-tol)*mean || float64(st.ShardMax) > (1+tol)*mean {
-				t.Errorf("shards hold %d..%d states around a mean of %.1f, want within ±%.0f%%", st.ShardMin, st.ShardMax, mean, 100*tol)
+			for _, b := range []struct {
+				bits     string
+				min, max int
+			}{{"top", st.TopMin, st.TopMax}, {"low", st.LowMin, st.LowMax}} {
+				if float64(b.min) < (1-tol)*mean || float64(b.max) > (1+tol)*mean {
+					t.Errorf("buckets by the %s six bits hold %d..%d keys around a mean of %.1f, want within ±%.0f%%", b.bits, b.min, b.max, mean, 100*tol)
+				}
 			}
 			if st.Failed*1000 >= st.Confirms {
 				t.Errorf("%d of %d full-key confirmations failed, want under 1 in 1,000", st.Failed, st.Confirms)

@@ -182,7 +182,7 @@ type keyScratch struct {
 	pieces   *keyPieces
 	made     []byte
 	remap    remapper
-	pend     remapPend
+	pend     pendIndex
 }
 
 // key encodes w into the scratch — canonicalized when red is non-nil —
@@ -575,7 +575,7 @@ func (r *reduction) piece(sc *keyScratch, out *piece, kind, src, g int, buffer b
 	}
 	seg := r.bytes(sc, s)
 	if buffer {
-		if off, n, ok := sc.pend.find(kind, s, seg, g); ok {
+		if off, n, ok := sc.pend.findPiece(kind, s, seg, g); ok {
 			// Counted as remapped, as it would be by any other worker.
 			sc.encoded += int(n)
 			*out = piece{in: inPend, off: off, n: n}
@@ -588,7 +588,11 @@ func (r *reduction) piece(sc *keyScratch, out *piece, kind, src, g int, buffer b
 	}
 	sc.encoded += len(b)
 	if buffer {
-		*out = piece{in: inPend, off: sc.pend.add(pos, ord, kind, s, seg, g, b), n: uint32(len(b))}
+		off, ok := sc.pend.addPiece(pos, ord, kind, s, seg, g, b)
+		if !ok {
+			return fmt.Errorf("mc: a worker's remapped pieces outgrew their 32-bit offsets in one layer")
+		}
+		*out = piece{in: inPend, off: off, n: uint32(len(b))}
 	} else {
 		*out = piece{in: inMade, off: uint32(len(sc.made)), n: uint32(len(b))}
 		sc.made = append(sc.made, b...)

@@ -166,8 +166,8 @@ func (e *pingEvents) SymmetricEvents() {}
 //   - orbit invariance: every permuted image of a world canonicalizes to
 //     the same key, so an orbit can never occupy two arena slots;
 //   - fixpoint: decoding a canonical key and re-canonicalizing returns the
-//     key itself, so arena keys (and the shard fingerprints derived from
-//     them) are stable representatives.
+//     key itself, so arena keys (and the fingerprints derived from them)
+//     are stable representatives.
 func TestCanonicalFixpoint(t *testing.T) {
 	p := compilePing(t)
 	cfg := Config{
@@ -600,7 +600,7 @@ func Canonicalizer(t *testing.T, cfg *Config) func(w *World) error {
 			if err != nil {
 				return err
 			}
-			if _, err := vt.addRoot(kb); err != nil {
+			if _, err := vt.addRoot(kb, wk); err != nil {
 				return err
 			}
 			if err := red.canonicalize(sc, true, 0, 0); err != nil {

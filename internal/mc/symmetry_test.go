@@ -212,9 +212,7 @@ func TestSymmetryGate(t *testing.T) {
 }
 
 // TestSymmetryProgressReportsGroup: the per-layer snapshots carry the group
-// order, and the shard-balance statistics keep describing the stored —
-// post-canonicalization — fingerprints (their totals must sum to the
-// reduced state count, not the full one).
+// order, and count the stored — post-canonicalization — states.
 func TestSymmetryProgressReportsGroup(t *testing.T) {
 	cfg := stacheConfig(t, 3, 1, 0)
 	cfg.Symmetry = mc.SymmetryOn
@@ -235,10 +233,6 @@ func TestSymmetryProgressReportsGroup(t *testing.T) {
 	last := snaps[len(snaps)-1]
 	if last.States != res.States {
 		t.Errorf("final snapshot states %d != result %d", last.States, res.States)
-	}
-	if last.ShardMax*64 < int64(res.States) {
-		t.Errorf("shard stats inconsistent with reduced count: max %d over 64 shards, %d states",
-			last.ShardMax, res.States)
 	}
 }
 

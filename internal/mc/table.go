@@ -1,8 +1,8 @@
 package mc
 
-// The checker's stores — the visited set's shard tables and intern table,
-// the transition memo, the remap table's alien segments and images, and a
-// worker's index of the pieces it remapped during a layer — are built from
+// The checker's stores — the visited set's table and intern table, the
+// transition memo, the remap table's alien segments and images, and a
+// worker's index of what it buffered during a layer — are built from
 // the three types here, each table fixing their sizes by its own constants:
 //
 //   - slots, an open-addressed table of 8-byte words, each a 32-bit
@@ -54,39 +54,32 @@ func (s *slots) find(tag uint32, i int) (v uint32, next int) {
 	return 0, i
 }
 
-// add stores v under tag and returns its slot, doubling the table first (or
-// allocating it) if it would pass 3/4 load. moved, if not nil, is told the
-// new slot of every value the doubling moved.
-func (s *slots) add(tag, v uint32, moved func(v uint32, slot int)) int {
+// add stores v under tag, doubling the table first (or allocating it) if
+// it would pass 3/4 load.
+func (s *slots) add(tag, v uint32) {
 	if (s.used+1)*4 > len(s.w)*3 {
 		old := s.w
 		s.w = make([]uint64, max(2*len(old), s.first))
 		for _, e := range old {
 			if e != 0 {
-				if i := s.put(e); moved != nil {
-					moved(uint32(e), i)
-				}
+				s.put(e)
 			}
 		}
 	}
 	s.used++
-	return s.put(uint64(tag)<<32 | uint64(v))
+	s.put(uint64(tag)<<32 | uint64(v))
 }
 
-// put stores word e in the first empty slot of its tag's probe sequence and
-// returns where. An empty slot must exist.
-func (s *slots) put(e uint64) int {
+// put stores word e in the first empty slot of its tag's probe sequence.
+// An empty slot must exist.
+func (s *slots) put(e uint64) {
 	tag := uint32(e >> 32)
 	v, i := s.find(tag, int(tag))
 	for v != 0 {
 		v, i = s.find(tag, i)
 	}
 	s.w[i] = e
-	return i
 }
-
-// set replaces the value in slot i, keeping its tag.
-func (s *slots) set(i int, v uint32) { s.w[i] = s.w[i]&^(1<<32-1) | uint64(v) }
 
 // reset empties the table, keeping its allocation.
 func (s *slots) reset() { clear(s.w); s.used = 0 }
@@ -173,7 +166,7 @@ func (n *interner) intern(b []byte, fp uint64) (uint32, bool) {
 	id := uint32(len(n.refs))
 	n.refs = append(n.refs, segRef{chunk: uint32(loc >> 20), off: uint32(loc) & (arenaChunk - 1), n: uint32(len(b))})
 	n.size += int64(len(b))
-	n.slots.add(uint32(fp), id+1, nil)
+	n.slots.add(uint32(fp), id+1)
 	return id, true
 }
 

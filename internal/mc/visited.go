@@ -2,13 +2,10 @@ package mc
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
-	"sync"
 )
 
 // The visited set is the checker's dominant memory consumer: how many states
@@ -32,42 +29,36 @@ import (
 //     in pages of pageSize states, pages for the reason an arena is chunks.
 //     The first chunks, and the first page, are small so that a 14-state
 //     check does not pay for a 1 MiB one.
-//   - Membership is numShards mutex-protected slots tables (doubled under
-//     the shard lock, allocated on first use), each tag the low 32 bits of
-//     a key's fingerprint above a 32-bit ref: a positive ref is an arena
-//     index + 1, a negative one a slot in the shard's pending slab. The
-//     fingerprint is taken over the whole key, and a hit is confirmed
-//     against the whole key — a committed state's segments, read in order,
-//     must spell it — so hash collisions can never merge distinct states
-//     (unlike Murphi's lossy hash compaction, exactness is preserved).
-//   - Discoveries made while a BFS layer is expanding are buffered as
-//     per-shard pending claims — a slab of records plus a slab of their key
-//     bytes and segment descriptors, both truncated and reused at every
-//     barrier, and both carved, as they grow, out of blocks the table
-//     allocates for all 64 shards at once (slabs) — and folded into the
-//     arena only at the layer barrier,
-//     ordered by (parent position, action ordinal). Concurrent workers may
-//     race to claim the same successor, but the merge keeps the smallest
-//     claim — the transition a sequential scan would have taken, and the
-//     one trace replay picks — so arena order, recorded parents, and
-//     therefore every result the checker reports are identical for any
-//     worker count.
+//   - Membership is one slots table, each tag the low 32 bits of a key's
+//     fingerprint above the state's arena index + 1. The fingerprint is
+//     taken over the whole key, and a hit is confirmed against the whole
+//     key — a committed state's segments, read in order, must spell it — so
+//     hash collisions can never merge distinct states (unlike Murphi's
+//     lossy hash compaction, exactness is preserved).
+//   - The table is written only at layer barriers, as the memo and the
+//     remap table are: while a layer expands, workers read it without a
+//     lock, and a worker buffers each successor that is new to it — not in
+//     the table, not in its buffer yet — in its own pendIndex (claim), with
+//     its key and its segments' descriptors. The barrier (commit) absorbs
+//     the buffers in (parent position, action ordinal) order
+//     (absorbInOrder), dropping each key the table holds by then. A worker
+//     takes positions in increasing order, so the entry a key has in its
+//     buffer is its smallest claim there; across workers the smallest
+//     comes first at the barrier. So the claim that commits is the
+//     transition a sequential scan would have taken, and the one trace
+//     replay picks, and arena order, recorded parents, and therefore every
+//     result the checker reports are identical for any worker count.
 //   - Segments are interned at the barrier too, in commit order, so ids and
-//     the store's size are the same for any worker count, and the intern
-//     table is never written while workers read it: they take no lock to
-//     look a segment up, to confirm a hit, or to spell a state's key out of
-//     its segments. The claims of one key carry
-//     the same segmentation whichever worker made them, because the
-//     canonical encoding is self-delimiting: where each segment ends is a
-//     function of the bytes (World.decodeInto finds the same ends reading
-//     them), so a key has exactly one record.
+//     the store's size are the same for any worker count, and workers look
+//     a segment up, confirm a hit, or spell a state's key out of its
+//     segments without a lock. The claims of one key carry the same
+//     segmentation whichever worker made them, because the canonical
+//     encoding is self-delimiting: where each segment ends is a function
+//     of the bytes (World.decodeInto finds the same ends reading them), so
+//     a key has exactly one record.
 
 const (
-	numShards  = 64
-	shardShift = 64 - 6 // the shard is the fingerprint's top six bits
-
 	firstChunk = 4 << 10 // the intern table's chunk capacities double from here
-	minSlots   = 8       // a shard table's first allocation
 
 	// The arena's pages: pageSize states each, the first growing to it by
 	// doubling from firstPage.
@@ -75,19 +66,11 @@ const (
 	pageSize  = 1 << pageShift
 	firstPage = 16
 
-	// A shard's pending slabs start at minPend records and minPendKeys
-	// bytes, and are carved from blocks whose sizes double from
-	// firstPendBlock records and firstKeysBlock bytes up to 8 times those.
-	minPend        = 2
-	minPendKeys    = 64
-	firstPendBlock = 16
-	firstKeysBlock = 256
-
-	// The first allocations of the intern table (its slots and its
-	// segment locators) and of commit's layer buffers: past the sizes a
-	// few-state check would otherwise grow through one by one.
-	minSegSlots = 64
-	minLayer    = 64
+	// The first allocations of the membership and intern tables, the
+	// intern table's segment locators and commit's layer buffers: past the
+	// sizes a few-state check would otherwise grow through one by one.
+	minSlots = 64
+	minLayer = 64
 
 	// The fingerprint's seed and multipliers: fixed odd 64-bit constants
 	// with well-spread bits (the first is 2⁶⁴ over the golden ratio).
@@ -104,9 +87,9 @@ const (
 // the key's final word (overlapping the words already read) or, in a key
 // shorter than a word, as its bytes zero-extended; the state starts from the
 // length, so keys that differ only in trailing zero bytes differ. It is a
-// pure function of the bytes — nothing random — so shard balance repeats
-// from run to run. The table takes the shard from the top of the result and
-// the slot from the bottom.
+// pure function of the bytes — nothing random — so where a key lands
+// repeats from run to run. The tables take the tag, and with it the slot a
+// probe starts at, from the bottom of the result.
 func fingerprint(key []byte) uint64 {
 	h := fpSeed ^ uint64(len(key))
 	s := key
@@ -130,44 +113,11 @@ func fold(a, b uint64) uint64 {
 	return hi ^ lo
 }
 
-// pendRec is a tentative intra-layer discovery: the key at keyOff in the
-// shard's pendKeys, keyLen bytes long and followed by its segments'
-// descriptors (up to the next record's keyOff; see claim), was reached from
-// the state at layer position pos via its ord-th action. slot is where the
-// claim's ref sits in the shard table, kept current when the table grows
-// (shard.moved), so commit can overwrite it without probing.
-type pendRec struct {
-	keyOff, slot     uint32
-	keyLen, pos, ord int32
-}
-
-type shard struct {
-	mu sync.Mutex
-	// The refs: the arena index + 1, or -(pend index + 1).
-	slots slots
-
-	pend     []pendRec
-	pendKeys []byte
-}
-
-// moved keeps a pending claim's slot current when the table doubles.
-func (s *shard) moved(ref uint32, slot int) {
-	if ref := int32(ref); ref < 0 {
-		s.pend[-ref-1].slot = uint32(slot)
-	}
-}
-
-// commitRec orders one pending claim at the barrier.
-type commitRec struct {
-	at          uint64 // pos<<32 | ord
-	shard, pend int32
-}
-
-// visitedTable is the sharded visited set, the state arena and the intern
-// table.
+// visitedTable is the visited set, the state arena and the intern table.
 type visitedTable struct {
-	hash   func([]byte) uint64 // fingerprint; replaceable in tests
-	shards [numShards]shard
+	hash func([]byte) uint64 // fingerprint; replaceable in tests
+	// The committed states' tags above their arena index + 1.
+	slots slots
 
 	// The intern table of key segments, whose arena holds the states'
 	// records too. nseg is the segments per key, set by the root's claim.
@@ -180,15 +130,9 @@ type visitedTable struct {
 	parents [][]int32
 	n       int
 
-	// What the shards' pending slabs are carved from (see claim).
-	slabMu   sync.Mutex
-	pendSlab slab[pendRec]
-	keysSlab slab[byte]
-
-	// commit's scratch, reused: the sort buffer, the record being built,
-	// and the two next-layer buffers it alternates between (flip is the
-	// one the next commit fills).
-	order  []commitRec
+	// commit's scratch, reused: the record being built, and the two
+	// next-layer buffers it alternates between (flip is the one the next
+	// commit fills).
 	rec    []byte
 	layers [2][]int32
 	flip   int
@@ -200,14 +144,10 @@ type visitedTable struct {
 }
 
 func newVisited() *visitedTable {
-	t := &visitedTable{hash: fingerprint, maxStates: math.MaxInt32, intern: interner{
+	return &visitedTable{hash: fingerprint, maxStates: math.MaxInt32, slots: slots{first: minSlots}, intern: interner{
 		arena: arena{first: firstChunk, size: arenaChunk, most: math.MaxUint32},
-		slots: slots{first: minSegSlots}, refs: make([]segRef, 0, minSegSlots),
+		slots: slots{first: minSlots}, refs: make([]segRef, 0, minSlots),
 	}}
-	for i := range t.shards {
-		t.shards[i].slots.first = minSlots
-	}
-	return t
 }
 
 // states returns the number of committed states.
@@ -279,21 +219,20 @@ func (t *visitedTable) equal(idx int32, kb *keyBuf) bool {
 	return true
 }
 
-// pendKey returns the key of the shard's i-th pending claim.
-func (s *shard) pendKey(i int) []byte {
-	p := &s.pend[i]
-	return s.pendKeys[p.keyOff : p.keyOff+uint32(p.keyLen)]
-}
-
-// pendSegs returns the segment descriptors of the shard's i-th pending
-// claim (see claim).
-func (s *shard) pendSegs(i int) []byte {
-	end := len(s.pendKeys)
-	if i+1 < len(s.pend) {
-		end = int(s.pend[i+1].keyOff)
+// spells reports whether state idx's segments, read in order, spell key:
+// equal for a key known only by its bytes.
+func (t *visitedTable) spells(idx int32, key []byte) bool {
+	rec := t.record(idx)
+	for range t.nseg {
+		id, w := nextID(rec)
+		rec = rec[w:]
+		seg := t.intern.at(id)
+		if !bytes.HasPrefix(key, seg) {
+			return false
+		}
+		key = key[len(seg):]
 	}
-	p := &s.pend[i]
-	return s.pendKeys[p.keyOff+uint32(p.keyLen) : end]
+	return len(key) == 0
 }
 
 // refused returns the error for b, a record or a segment (what says
@@ -353,96 +292,49 @@ func (t *visitedTable) appendState(key, segs []byte, parent int32) (int32, error
 	return idx, nil
 }
 
-// slab is where the shards' pending slabs of one kind are carved from: the
-// block being carved, and how many blocks there have been.
-type slab[T any] struct {
-	block  []T
-	blocks int
-}
-
-// carve returns old, a shard's pending slab, grown to hold need more: its
-// contents copied into a piece of the slab's block twice its capacity (at
-// least first). Blocks double from firstBlock up to 8 times that, a piece
-// larger than a quarter of the next one getting a block of its own, so all
-// 64 shards' slabs take a few allocations where growing each on its own
-// took dozens. Claims on distinct shards may call it at the same time; mu
-// serializes them.
-func (s *slab[T]) carve(mu *sync.Mutex, old []T, need, first, firstBlock int) []T {
-	n := max(2*cap(old), len(old)+need, first)
-	mu.Lock()
-	defer mu.Unlock()
-	if b := s.block; cap(b)-len(b) < n {
-		size := firstBlock << min(s.blocks, 3)
-		if n > size/4 {
-			return append(make([]T, 0, n), old...)
-		}
-		s.block, s.blocks = make([]T, 0, size), s.blocks+1
-	}
-	b := s.block
-	s.block = b[:len(b)+n]
-	return append(b[len(b):len(b):len(b)+n], old...)
-}
-
 // addRoot installs the initial state — the one claim of a layer whose
-// parent is nothing — and returns it as the first layer. Its segments fix
-// how many every key has.
-func (t *visitedTable) addRoot(kb *keyBuf) ([]int32, error) {
+// parent is nothing — through the first worker's buffer and returns it as
+// the first layer. Its segments fix how many every key has.
+func (t *visitedTable) addRoot(kb *keyBuf, workers []worker) ([]int32, error) {
 	t.nseg = len(kb.ends) + 1
 	t.rec = make([]byte, 0, binary.MaxVarintLen32*t.nseg)
-	if err := t.claim(kb, 0, -1, false); err != nil {
+	if err := t.claim(&workers[0].claims, kb, 0, 0); err != nil {
 		return nil, err
 	}
-	return t.commit([]int32{-1})
+	return t.commit([]int32{-1}, workers[:1])
 }
 
-// claim records that the key kb holds was reached from layer position pos
-// via action ord. Already-committed states are ignored; claims for the
-// same key made during one layer are merged keeping the smallest (pos,
-// ord). kb is the caller's scratch: it is only read here, and the key is
-// copied into the shard's pending slab when — and only when — it becomes a
-// new pending claim, followed by a uvarint descriptor per segment: id+1 for
-// a segment whose id is known — kb knows it (keyBuf.known), or the intern
-// table has it — and for a new one 0, its start and its length, to be
-// interned at the barrier. shared says whether other
-// goroutines may be claiming at the same time; if so the shard is locked,
-// which a lone worker need not pay for. The error is a store limit reached
-// (see visitedTable); the table is then good for nothing further.
-func (t *visitedTable) claim(kb *keyBuf, pos, ord int32, shared bool) error {
+// claim records, in the worker's buffer b, that the key kb holds was
+// reached from layer position pos via action ord, unless the key is a
+// committed state or b holds it already: a worker claims in (pos, ord)
+// order, so the claim b holds is the smaller. kb is the caller's scratch:
+// it is only read here. The entry is, after b's header, the key and the
+// segments' descriptors, each length-prefixed: a uvarint per segment, id+1
+// for a segment whose id is known — kb knows it (keyBuf.known), or the
+// intern table has it — and for a new one 0, its start and its length, to
+// be interned at the barrier. The error is a store limit reached (see
+// visitedTable); the table is then good for nothing further.
+func (t *visitedTable) claim(b *pendIndex, kb *keyBuf, pos, ord int32) error {
 	key := kb.Bytes()
-	fp := t.hash(key)
-	s := &t.shards[fp>>shardShift]
-	if shared {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-	}
-	tag := uint32(fp)
-	for v, i := s.slots.find(tag, int(tag)); v != 0; v, i = s.slots.find(tag, i) {
-		if ref := int32(v); ref > 0 {
-			// The arena and the intern table are only appended to at layer
-			// barriers, never while workers hold shard locks, so reading
-			// them here is race-free.
-			if t.equal(ref-1, kb) {
-				return nil
-			}
-		} else if p := int(-ref - 1); bytes.Equal(s.pendKey(p), key) {
-			if c := &s.pend[p]; pos < c.pos || (pos == c.pos && ord < c.ord) {
-				c.pos, c.ord = pos, ord
-			}
+	tag := uint32(t.hash(key))
+	// The table and the intern table are written only at the barrier,
+	// never while workers claim, so reading them here is race-free.
+	for v, i := t.slots.find(tag, int(tag)); v != 0; v, i = t.slots.find(tag, i) {
+		if t.equal(int32(v-1), kb) {
 			return nil
 		}
 	}
-	if len(s.pend) >= t.maxStates {
+	for at, i := b.index.find(tag, int(tag)); at != 0; at, i = b.index.find(tag, i) {
+		if k, _ := lenPrefixed(b.b[at-1:]); string(k) == string(key) {
+			return nil
+		}
+	}
+	// Every entry of b becomes a state at the barrier.
+	if t.n+b.index.used >= t.maxStates {
 		return t.errFull()
 	}
-	if len(s.pendKeys)+len(key) > math.MaxUint32 {
-		return fmt.Errorf("mc: visited store is full: a shard's pending keys outgrew their 32-bit offsets in one layer")
-	}
-	if len(s.pend) == cap(s.pend) {
-		s.pend = t.pendSlab.carve(&t.slabMu, s.pend, 1, minPend, firstPendBlock)
-	}
-	s.pend = append(s.pend, pendRec{keyOff: uint32(len(s.pendKeys)), keyLen: int32(len(key)), pos: pos, ord: ord})
-	// The segments' descriptors, written aside first so that the slab is
-	// grown once, to its exact need.
+	// The segments' descriptors, written aside first so that the entry's
+	// size is known before the buffer is grown.
 	var descs [128]byte
 	d, off := descs[:0], 0
 	for k := range t.nseg {
@@ -459,12 +351,13 @@ func (t *visitedTable) claim(kb *keyBuf, pos, ord int32, shared bool) error {
 		}
 		off = end
 	}
-	if need := len(key) + len(d); cap(s.pendKeys)-len(s.pendKeys) < need {
-		s.pendKeys = t.keysSlab.carve(&t.slabMu, s.pendKeys, need, minPendKeys, firstKeysBlock)
+	e, ok := b.open(pos, ord, 2*binary.MaxVarintLen32+len(key)+len(d))
+	if !ok {
+		return fmt.Errorf("mc: visited store is full: a worker's claims outgrew their 32-bit offsets in one layer")
 	}
-	b := append(append(s.pendKeys, key...), d...)
-	s.pendKeys = b
-	s.pend[len(s.pend)-1].slot = uint32(s.slots.add(uint32(fp), uint32(-len(s.pend)), s.moved))
+	b.index.add(tag, uint32(len(e)+1))
+	e = append(binary.AppendUvarint(e, uint64(len(key))), key...)
+	b.b = append(binary.AppendUvarint(e, uint64(len(d))), d...)
 	return nil
 }
 
@@ -472,75 +365,67 @@ func (t *visitedTable) errFull() error {
 	return fmt.Errorf("mc: visited store is full: states are 32-bit arena indices, at most %d", t.maxStates)
 }
 
-// commit folds the layer's claims into the arena in deterministic
-// (parent position, action ordinal) order and returns the next layer as
-// arena indices. layer maps claim positions back to arena indices; it must
-// be the previous commit's result (or addRoot's one-entry layer), and it
-// stays valid after the call: the next layer goes into the other of the
-// table's two buffers. Both are grown together, so a commit no larger than
-// an earlier one allocates nothing of its own. Called at the barrier only —
-// never concurrently with claim. The error is a store limit reached.
-func (t *visitedTable) commit(layer []int32) ([]int32, error) {
-	order := t.order[:0]
-	for i := range t.shards {
-		for j, p := range t.shards[i].pend {
-			order = append(order, commitRec{at: uint64(p.pos)<<32 | uint64(uint32(p.ord)), shard: int32(i), pend: int32(j)})
-		}
+// commit absorbs the workers' claim buffers into the arena in
+// deterministic (parent position, action ordinal) order (absorbInOrder),
+// dropping a claim whose key an earlier one committed, and returns the next
+// layer as arena indices. layer maps claim positions back to arena
+// indices; it must be the previous commit's result (or addRoot's one-entry
+// layer), and it stays valid after the call: the next layer goes into the
+// other of the table's two buffers. Both are grown together, so a commit no
+// larger than an earlier one allocates nothing of its own. Called at the
+// barrier only — never concurrently with claim. The error is a store limit
+// reached.
+func (t *visitedTable) commit(layer []int32, workers []worker) ([]int32, error) {
+	n := 0
+	for i := range workers {
+		n += workers[i].claims.index.used
 	}
-	t.order = order
-	// (pos, ord) pairs are unique — one transition yields one successor,
-	// and duplicate keys were merged in claim — so this order is total.
-	slices.SortFunc(order, func(a, b commitRec) int { return cmp.Compare(a.at, b.at) })
-	if n := len(order); cap(t.layers[t.flip]) < n {
+	if cap(t.layers[t.flip]) < n {
 		// Both grow, geometrically; the caller's layer keeps the array it has.
 		n = max(n, 2*cap(t.layers[t.flip]), minLayer)
 		t.layers = [2][]int32{make([]int32, 0, n), make([]int32, 0, n)}
 	}
 	next := t.layers[t.flip][:0]
-	for _, c := range order {
-		s := &t.shards[c.shard]
-		p := &s.pend[c.pend]
-		idx, err := t.appendState(s.pendKey(int(c.pend)), s.pendSegs(int(c.pend)), layer[p.pos])
+	var err error
+	absorbInOrder(workers, func(wk *worker) *pendBuf { return &wk.claims.pendBuf }, func(pos int32, e []byte) []byte {
+		key, e := lenPrefixed(e)
+		segs, rest := lenPrefixed(e)
 		if err != nil {
-			return nil, err
+			return rest
 		}
-		s.slots.set(int(p.slot), uint32(idx+1))
-		next = append(next, idx)
+		tag := uint32(t.hash(key))
+		for v, i := t.slots.find(tag, int(tag)); v != 0; v, i = t.slots.find(tag, i) {
+			if t.spells(int32(v-1), key) {
+				return rest
+			}
+		}
+		var idx int32
+		if idx, err = t.appendState(key, segs, layer[pos]); err == nil {
+			t.slots.add(tag, uint32(idx+1))
+			next = append(next, idx)
+		}
+		return rest
+	})
+	for i := range workers {
+		workers[i].claims.index.reset()
 	}
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.pend, s.pendKeys = s.pend[:0], s.pendKeys[:0]
+	if err != nil {
+		return nil, err
 	}
 	t.layers[t.flip], t.flip = next, 1-t.flip
 	return next, nil
 }
 
 // bytes is what the committed structures retain: the intern table (its
-// arena holding the records), the per-state locators and parents, and
-// every shard's table. The pending slabs and commit's buffers, scratch
-// reused from layer to layer, are left out. Called between layers it
-// depends only on which states have been committed, never on how workers
-// interleaved: the arena and the flat slices grow in commit order, and
-// every claim a table grew for has become a state by the barrier.
+// arena holding the records), the per-state locators and parents, and the
+// table. The workers' buffers and commit's scratch, reused from layer to
+// layer, are left out. Called between layers it depends only on which
+// states have been committed, never on how workers interleaved: everything
+// it counts grows in commit order.
 func (t *visitedTable) bytes() int64 {
-	n := t.intern.bytes()
+	n := t.intern.bytes() + t.slots.bytes()
 	for p := range t.locs {
 		n += int64(cap(t.locs[p]))*8 + int64(cap(t.parents[p]))*4
 	}
-	for i := range t.shards {
-		n += t.shards[i].slots.bytes()
-	}
 	return n
-}
-
-// shardStats returns the smallest and largest committed-state count across
-// the shards — a balance indicator for the fingerprint distribution. Called
-// between layers, when every occupied slot is a committed state.
-func (t *visitedTable) shardStats() (lo, hi int64) {
-	lo = math.MaxInt64
-	for i := range t.shards {
-		n := int64(t.shards[i].slots.used)
-		lo, hi = min(lo, n), max(hi, n)
-	}
-	return lo, hi
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,25 +39,26 @@ func keyOf(vt *visitedTable, idx int32) string {
 	return string(key)
 }
 
-func mustRoot(t *testing.T, vt *visitedTable, key string) []int32 {
+func mustRoot(t *testing.T, vt *visitedTable, ws []worker, key string) []int32 {
 	t.Helper()
-	layer, err := vt.addRoot(segmented(key))
+	layer, err := vt.addRoot(segmented(key), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return layer
 }
 
-func mustClaim(t *testing.T, vt *visitedTable, key string, pos, ord int32) {
+// mustClaim claims key in wk's buffer; a worker claims in (pos, ord) order.
+func mustClaim(t *testing.T, vt *visitedTable, wk *worker, key string, pos, ord int32) {
 	t.Helper()
-	if err := vt.claim(segmented(key), pos, ord, false); err != nil {
+	if err := vt.claim(&wk.claims, segmented(key), pos, ord); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func mustCommit(t *testing.T, vt *visitedTable, layer []int32) []int32 {
+func mustCommit(t *testing.T, vt *visitedTable, ws []worker, layer []int32) []int32 {
 	t.Helper()
-	next, err := vt.commit(layer)
+	next, err := vt.commit(layer, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,20 +66,21 @@ func mustCommit(t *testing.T, vt *visitedTable, layer []int32) []int32 {
 }
 
 // TestVisitedCommitOrder: claims commit in (parent position, action
-// ordinal) order, duplicate claims keep the minimum — which only the order
-// shows, the store keeping no ordinal — and committed states are recognized
-// in later layers.
+// ordinal) order across the workers' buffers, duplicate claims keep the
+// minimum — which only the order shows, the store keeping no ordinal —
+// whether the duplicates are in one buffer or two, and committed states are
+// recognized in later layers.
 func TestVisitedCommitOrder(t *testing.T) {
-	vt := newVisited()
-	layer := mustRoot(t, vt, "root")
+	vt, ws := newVisited(), make([]worker, 2)
+	layer := mustRoot(t, vt, ws, "root")
 
-	mustClaim(t, vt, "b", 0, 1)
-	mustClaim(t, vt, "a", 0, 3)
-	mustClaim(t, vt, "a", 0, 0) // duplicate from an earlier action: must win, so a precedes b
-	mustClaim(t, vt, "c", 0, 4)
-	mustClaim(t, vt, "b", 0, 5) // worse duplicate: must lose, so b precedes c
+	mustClaim(t, vt, &ws[0], "b", 0, 1)
+	mustClaim(t, vt, &ws[0], "a", 0, 3)
+	mustClaim(t, vt, &ws[0], "b", 0, 5) // worse duplicate, same buffer: must lose, so b precedes c
+	mustClaim(t, vt, &ws[1], "a", 0, 0) // duplicate from an earlier action, other buffer: must win, so a precedes b
+	mustClaim(t, vt, &ws[1], "c", 0, 4)
 
-	next := mustCommit(t, vt, layer)
+	next := mustCommit(t, vt, ws, layer)
 	var got []string
 	for _, idx := range next {
 		got = append(got, keyOf(vt, idx))
@@ -90,9 +93,9 @@ func TestVisitedCommitOrder(t *testing.T) {
 	}
 
 	// Next layer: re-claiming committed states is a no-op.
-	mustClaim(t, vt, "a", 1, 0)
-	mustClaim(t, vt, "root", 0, 0)
-	if got := mustCommit(t, vt, next); len(got) != 0 {
+	mustClaim(t, vt, &ws[1], "root", 0, 0)
+	mustClaim(t, vt, &ws[0], "a", 1, 0)
+	if got := mustCommit(t, vt, ws, next); len(got) != 0 {
 		t.Errorf("re-claimed committed states were committed again: %d", len(got))
 	}
 }
@@ -100,16 +103,16 @@ func TestVisitedCommitOrder(t *testing.T) {
 // TestVisitedFingerprintCollision forces every key onto one fingerprint:
 // full-key confirmation must keep distinct states distinct.
 func TestVisitedFingerprintCollision(t *testing.T) {
-	vt := newVisited()
+	vt, ws := newVisited(), make([]worker, 1)
 	vt.hash = func([]byte) uint64 { return 42 }
-	layer := mustRoot(t, vt, "root")
+	layer := mustRoot(t, vt, ws, "root")
 
 	const n = 20
 	for i := 0; i < n; i++ {
-		mustClaim(t, vt, fmt.Sprintf("s%02d", i), 0, int32(i))
+		mustClaim(t, vt, &ws[0], fmt.Sprintf("s%02d", i), 0, int32(i))
 	}
-	mustClaim(t, vt, "root", 0, 5) // colliding fingerprint AND previously committed
-	next := mustCommit(t, vt, layer)
+	mustClaim(t, vt, &ws[0], "root", 0, n) // colliding fingerprint AND previously committed
+	next := mustCommit(t, vt, ws, layer)
 	if len(next) != n {
 		t.Fatalf("committed %d states under total fingerprint collision, want %d", len(next), n)
 	}
@@ -120,48 +123,54 @@ func TestVisitedFingerprintCollision(t *testing.T) {
 	}
 	// All distinct keys re-claimed: every one must be recognized.
 	for i := 0; i < n; i++ {
-		mustClaim(t, vt, fmt.Sprintf("s%02d", i), 0, 0)
+		mustClaim(t, vt, &ws[0], fmt.Sprintf("s%02d", i), 0, int32(i))
 	}
-	if got := mustCommit(t, vt, next); len(got) != 0 {
+	if got := mustCommit(t, vt, ws, next); len(got) != 0 {
 		t.Errorf("collision chain lost committed states: %d re-committed", len(got))
 	}
 }
 
-// TestShardedVisitedRace hammers the table from many goroutines with
+// TestVisitedRace hammers the table from many goroutines with
 // overlapping keys — run under -race (scripts/check.sh does) — and then
-// checks the merge kept the minimum claim for every key regardless of the
-// interleaving: key i's claims have ordinals i + keys·m for every m below
-// goroutines, so only the minimum, i, commits the keys in ascending order.
-func TestShardedVisitedRace(t *testing.T) {
-	vt := newVisited()
-	layer := mustRoot(t, vt, "root")
-
+// checks the barrier kept the minimum claim for every key regardless of the
+// interleaving. Each goroutine claims in (pos, ord) order, as a worker does:
+// goroutine g claims key i at position (i+g) mod goroutines with ordinal i,
+// so every key's minimum is at position 0, in a different goroutine's
+// buffer for each key, and only the minima commit the keys in ascending
+// order.
+func TestVisitedRace(t *testing.T) {
 	const goroutines = 16
 	const keys = 200
+	vt, ws := newVisited(), make([]worker, goroutines)
+	layer := mustRoot(t, vt, ws, "root")
+	for p := range goroutines {
+		mustClaim(t, vt, &ws[0], fmt.Sprintf("parent-%02d", p), 0, int32(p))
+	}
+	layer = mustCommit(t, vt, ws, layer)
+
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < keys; i++ {
-				// Every goroutine claims every key with a different
-				// ordinal; the minimum (0, i) must survive.
-				ord := i + keys*((g+i)%goroutines)
-				if err := vt.claim(segmented(fmt.Sprintf("state-%03d", i)), 0, int32(ord), true); err != nil {
-					t.Error(err)
+			for p := range goroutines {
+				for i := (p - g + goroutines) % goroutines; i < keys; i += goroutines {
+					if err := vt.claim(&ws[g].claims, segmented(fmt.Sprintf("state-%03d", i)), int32(p), int32(i)); err != nil {
+						t.Error(err)
+					}
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	next := mustCommit(t, vt, layer)
+	next := mustCommit(t, vt, ws, layer)
 	if len(next) != keys {
 		t.Fatalf("committed %d states, want %d", len(next), keys)
 	}
 	for i, idx := range next {
-		if want := fmt.Sprintf("state-%03d", i); keyOf(vt, idx) != want {
-			t.Errorf("commit %d = %q, want %q: a claim other than the minimum was kept", i, keyOf(vt, idx), want)
+		if want := fmt.Sprintf("state-%03d", i); keyOf(vt, idx) != want || vt.parent(idx) != layer[0] {
+			t.Errorf("commit %d = %q parent %d, want %q parent %d: a claim other than the minimum was kept", i, keyOf(vt, idx), vt.parent(idx), want, layer[0])
 		}
 	}
 }
@@ -345,12 +354,8 @@ func checkAgainstModel(t *testing.T, vt *visitedTable, m *modelStore) {
 	if len(vt.intern.refs) != len(m.ids) || vt.intern.size != segBytes {
 		t.Fatalf("%d segments of %d bytes interned, reference has %d of %d", len(vt.intern.refs), vt.intern.size, len(m.ids), segBytes)
 	}
-	committed := 0
-	for i := range vt.shards {
-		committed += vt.shards[i].slots.used
-	}
-	if committed != len(m.arena) {
-		t.Fatalf("shard counts sum to %d, want %d", committed, len(m.arena))
+	if vt.slots.used != len(m.arena) {
+		t.Fatalf("the table holds %d states, want %d", vt.slots.used, len(m.arena))
 	}
 }
 
@@ -366,46 +371,58 @@ func checkAgainstModel(t *testing.T, vt *visitedTable, m *modelStore) {
 // the reference hands out ids in commit order, so a segment interned twice
 // or in claim order shows. A four-value fingerprint puts every key and
 // every segment in one of four probe chains (comparing bytes is all that
-// tells them apart, and every table doubling happens with pending refs
-// live), and 64-byte chunks put a rollover every few states, including
-// segments that end exactly on a chunk's last byte. With claimers > 1 each
-// layer's claims are dealt to that many goroutines, so under -race this is
-// also the store's concurrency test, and ids assigned at the barrier must
-// not depend on the claimers.
+// tells them apart), and 64-byte chunks put a rollover every few states,
+// including segments that end exactly on a chunk's last byte. Each layer's
+// positions are dealt at random to claimers goroutines, each claiming its
+// positions' claims in (pos, ord) order, as expandLayer's workers do: so
+// with one claimer every duplicate is within its buffer, and with 8 most
+// are across buffers; under -race this is also the store's concurrency
+// test, and ids assigned at the barrier must not depend on the claimers.
 //
-// Mutations that must each fail it (tried when it was written, and again
-// when keys began carrying their known ids): equal accepting a known
-// segment whose id is the key's at any position rather than at its own,
-// or comparing the segment after a known one from one byte early; claim
-// describing a known segment by the id of the segment before it; and
-// expand reading each id as the next one.
+// Mutations that must each fail it (tried when it was written, again when
+// keys began carrying their known ids, and again when claims went into
+// per-worker buffers): equal accepting a known segment whose id is the
+// key's at any position rather than at its own, or comparing the segment
+// after a known one from one byte early; claim describing a known segment
+// by the id of the segment before it; expand reading each id as the next
+// one; a duplicate within a buffer replacing the entry it found; and a
+// barrier absorbing the buffers in worker order, or not probing the table
+// for keys that an earlier buffer committed.
 func TestVisitedModel(t *testing.T) {
 	for _, claimers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("claimers=%d", claimers), func(t *testing.T) {
 			for seed := int64(1); seed <= 20; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				vt := newVisited()
-				vt.hash = func(b []byte) uint64 { return uint64(len(b)%4) * (1<<shardShift + 1) }
+				vt, ws := newVisited(), make([]worker, claimers)
+				vt.hash = func(b []byte) uint64 { return uint64(len(b) % 4) }
 				vt.intern.arena.size = 64
 				root := "\x01r\x01r\x01r"
 				m := &modelStore{seen: map[string]bool{root: true}, pending: map[string]modelClaim{},
 					arena: []modelState{{root, -1}}, ids: map[string]uint32{"\x01r": 0}}
-				layer, err := vt.addRoot(modelKey(modelClaim{key: root}, nil))
+				layer, err := vt.addRoot(modelKey(modelClaim{key: root}, nil), ws)
 				if err != nil {
 					t.Fatal(err)
 				}
 				fresh := 0
 				for depth := 0; depth < 12 && len(layer) > 0; depth++ {
 					claims := modelLayer(rng, m, layer, vt.intern.arena.size, &fresh)
+					dealt := make([][]modelClaim, claimers)
+					owner := rng.Perm(len(layer))
+					for _, c := range claims {
+						g := owner[c.pos] % claimers
+						dealt[g] = append(dealt[g], c)
+					}
 					var wg sync.WaitGroup
-					for g := 0; g < claimers; g++ {
+					for g, cs := range dealt {
+						sort.Slice(cs, func(i, j int) bool {
+							return cs[i].pos < cs[j].pos || cs[i].pos == cs[j].pos && cs[i].ord < cs[j].ord
+						})
 						wg.Add(1)
 						go func(g int) {
 							defer wg.Done()
-							for i := g; i < len(claims); i += claimers {
-								c := claims[i]
+							for _, c := range cs {
 								from := vt.appendIDs(nil, layer[c.pos])
-								if err := vt.claim(modelKey(c, from), c.pos, c.ord, claimers > 1); err != nil {
+								if err := vt.claim(&ws[g].claims, modelKey(c, from), c.pos, c.ord); err != nil {
 									t.Error(err)
 								}
 							}
@@ -415,14 +432,14 @@ func TestVisitedModel(t *testing.T) {
 					for _, c := range claims {
 						m.claim(c)
 					}
-					next, want := mustCommit(t, vt, layer), m.commit(layer)
+					next, want := mustCommit(t, vt, ws, layer), m.commit(layer)
 					if fmt.Sprint(next) != fmt.Sprint(want) {
 						t.Fatalf("seed %d depth %d: next layer %v, reference %v", seed, depth, next, want)
 					}
 					checkAgainstModel(t, vt, m)
 					layer = next
 				}
-				if len(vt.intern.arena.chunks) < 10 || vt.shards[0].slots.used < 2*minSlots || len(vt.intern.refs) >= 3*vt.states() {
+				if len(vt.intern.arena.chunks) < 10 || len(vt.slots.w) < 4*minSlots || len(vt.intern.refs) >= 3*vt.states() {
 					t.Fatalf("seed %d: run too thin: %d chunks, %d states, %d segments", seed, len(vt.intern.arena.chunks), vt.states(), len(vt.intern.refs))
 				}
 			}
@@ -432,11 +449,13 @@ func TestVisitedModel(t *testing.T) {
 
 // CheckVisitedAllocs is the store's allocation contract (TestVisitedAllocs
 // runs it, where raceEnabled is in reach): looking up a state already seen —
-// committed or pending — allocates nothing; inserting N new states
-// allocates per chunk, per table doubling (the shards' and the intern
-// table's) and per slice growth, not per state; and once the arena has room
-// for them, a commit no larger than an earlier one allocates nothing: the
-// barrier's sort, record and layer buffers are the table's own.
+// committed, or pending in the worker's own buffer — allocates nothing;
+// inserting N new states allocates per chunk, per table doubling (the
+// store's, the intern table's and the buffer's index) and per buffer or
+// slice growth, not per state; and once the arena has room for them, a
+// commit no larger than an earlier one allocates nothing: the barrier's
+// record and layer buffers are the table's own, and the workers' buffers
+// are reused.
 func CheckVisitedAllocs(t *testing.T) {
 	const n = 1 << 20
 	keys := make([]byte, 0, n*12)
@@ -456,15 +475,16 @@ func CheckVisitedAllocs(t *testing.T) {
 		return ms.Mallocs
 	}
 
-	vt := newVisited()
-	layer := mustRoot(t, vt, "a0000|b0000|t7")
+	vt, ws := newVisited(), make([]worker, 1)
+	b := &ws[0].claims
+	layer := mustRoot(t, vt, ws, "a0000|b0000|t7")
 	before := mallocs()
 	for i := 0; i < n; i++ {
-		if err := vt.claim(key(i), 0, int32(i), false); err != nil {
+		if err := vt.claim(b, key(i), 0, int32(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	layer = mustCommit(t, vt, layer)
+	layer = mustCommit(t, vt, ws, layer)
 	insert := mallocs() - before
 	if len(layer) != n {
 		t.Fatalf("committed %d states, want %d", len(layer), n)
@@ -474,17 +494,17 @@ func CheckVisitedAllocs(t *testing.T) {
 		t.Errorf("inserting %d states made %d allocations, want fewer than %d", n, insert, n/400)
 	}
 
-	mustClaim(t, vt, "pending|x|y", 0, 0)
+	mustClaim(t, vt, &ws[0], "pending|x|y", 0, 0)
 	pending := segmented("pending|x|y")
 	before = mallocs()
 	for i := 0; i < n; i++ {
-		vt.claim(key(i), 0, 0, false)
-		vt.claim(pending, 0, 1, false)
+		vt.claim(b, key(i), 0, int32(2*i+1))
+		vt.claim(b, pending, 0, int32(2*i+2))
 	}
 	if hit := mallocs() - before; hit != 0 {
 		t.Errorf("claiming seen keys made %d allocations in %d claims, want 0", hit, 2*n)
 	}
-	layer = mustCommit(t, vt, layer)
+	layer = mustCommit(t, vt, ws, layer)
 
 	// Layers of new states whose segments are all interned, the arena given
 	// room for them first: what is left to allocate is the barrier's own.
@@ -495,10 +515,10 @@ func CheckVisitedAllocs(t *testing.T) {
 		}
 		vt.intern.arena.chunks = append(vt.intern.arena.chunks, make([]byte, 0, vt.intern.arena.size))
 		for i := 0; i < m; i++ {
-			mustClaim(t, vt, fmt.Sprintf("a%04d|b%04d|t7", i, round), int32(i%len(layer)), int32(i))
+			mustClaim(t, vt, &ws[0], fmt.Sprintf("a%04d|b%04d|t7", i, round), int32(i%len(layer)), int32(i))
 		}
 		before = mallocs()
-		layer = mustCommit(t, vt, layer)
+		layer = mustCommit(t, vt, ws, layer)
 		if got := mallocs() - before; got != 0 || len(layer) != m {
 			t.Errorf("round %d: committing %d states made %d allocations, want 0", round, len(layer), got)
 		}
@@ -507,8 +527,12 @@ func CheckVisitedAllocs(t *testing.T) {
 
 // SpreadStats is what CheckFingerprintSpread measured.
 type SpreadStats struct {
-	States             int
-	ShardMin, ShardMax int
+	States int
+	// Buckets is, for the fingerprint's top six bits and for its low six
+	// bits (which pick the slot a probe starts at in a table of 64 or
+	// more), the fewest and the most stored keys whose fingerprints share
+	// one of the 64 values.
+	TopMin, TopMax, LowMin, LowMax int
 	// Confirms is how many full-key comparisons looking every stored key up
 	// again makes, Failed how many of them find another key under the same
 	// fingerprint tag.
@@ -517,8 +541,9 @@ type SpreadStats struct {
 
 // CheckFingerprintSpread explores cfg and looks at how the fingerprint
 // spread what the run stored: it fails the test if two distinct keys share
-// a 64-bit fingerprint, and reports the shard balance and the full-key
-// confirmations that looking every stored key up in the final tables makes
+// a 64-bit fingerprint, and reports how evenly the fingerprints fill 64
+// buckets by their top and by their low six bits, and the full-key
+// confirmations that looking every stored key up in the final table makes
 // — each slot on its probe sequence whose tag equals its fingerprint's is
 // one, and those holding another state are the failed ones.
 func CheckFingerprintSpread(t *testing.T, cfg Config) SpreadStats {
@@ -528,8 +553,7 @@ func CheckFingerprintSpread(t *testing.T, cfg Config) SpreadStats {
 		t.Fatal(err)
 	}
 	st := SpreadStats{States: vt.states()}
-	mins, maxs := vt.shardStats()
-	st.ShardMin, st.ShardMax = int(mins), int(maxs)
+	var top, low [64]int
 	owner := make(map[uint64]int32, vt.states())
 	for idx := int32(0); idx < int32(vt.states()); idx++ {
 		key, _ := vt.expand(nil, nil, idx)
@@ -538,10 +562,11 @@ func CheckFingerprintSpread(t *testing.T, cfg Config) SpreadStats {
 			t.Errorf("states %d and %d share the fingerprint %#x", other, idx, fp)
 		}
 		owner[fp] = idx
-		s := &vt.shards[fp>>shardShift]
-		for ref, i := s.slots.find(uint32(fp), int(uint32(fp))); ; ref, i = s.slots.find(uint32(fp), i) {
+		top[fp>>58]++
+		low[fp&63]++
+		for ref, i := vt.slots.find(uint32(fp), int(uint32(fp))); ; ref, i = vt.slots.find(uint32(fp), i) {
 			if ref == 0 {
-				t.Fatalf("state %d is not in its shard's table", idx)
+				t.Fatalf("state %d is not in the table", idx)
 			}
 			st.Confirms++
 			if int32(ref) == idx+1 {
@@ -550,6 +575,8 @@ func CheckFingerprintSpread(t *testing.T, cfg Config) SpreadStats {
 			st.Failed++
 		}
 	}
+	st.TopMin, st.TopMax = slices.Min(top[:]), slices.Max(top[:])
+	st.LowMin, st.LowMax = slices.Min(low[:]), slices.Max(low[:])
 	return st
 }
 
@@ -573,10 +600,12 @@ func TestVisitedLimits(t *testing.T) {
 		{"state index space", func(vt *visitedTable) { vt.maxStates = full.States - 1 }, "32-bit arena indices"},
 		{"state index space, one layer's claims", func(vt *visitedTable) { vt.maxStates = 1 }, "32-bit arena indices"},
 		{"root alone", func(vt *visitedTable) { vt.maxStates = 0 }, "32-bit arena indices"},
-		// In one shard, the fifth layer (120 states, so expanded by all the
-		// workers) claims 216 successors on top of 204 committed states:
-		// the limit is met inside claim, on a worker goroutine.
-		{"state index space, pending slab", func(vt *visitedTable) {
+		// Under one fingerprint, the fifth layer (120 states, so expanded
+		// by all the workers) claims 216 successors on top of 204
+		// committed states: the limit is met inside claim, on a worker
+		// goroutine, as soon as a worker holds more new keys than the
+		// store has room for.
+		{"state index space, a worker's claims", func(vt *visitedTable) {
 			vt.maxStates, vt.hash = 210, func([]byte) uint64 { return 7 }
 		}, "32-bit arena indices"},
 		{"locator chunks", func(vt *visitedTable) { vt.intern.arena.size, vt.intern.arena.most = 256, 3 }, "key locators address at most 3 chunks"},

@@ -18,7 +18,9 @@ go vet ./...
 unformatted="$(gofmt -l .)"
 test -z "$unformatted" || { echo "check.sh: gofmt -l . lists: $unformatted" >&2; exit 1; }
 # Every suite under the race detector: the parallel checker's determinism
-# contract and sharded visited table, the transition memo's worker
+# contract and the visited store's barrier (workers claim into buffers of
+# their own and read its table unlocked: TestVisitedRace, TestVisitedModel),
+# the transition memo's worker
 # equivalence (TestMemoWorkerEquivalence), the differential replay, the symmetry
 # equivalence suite, the litmus harness, the committed reproducers and the
 # fuzz-target seed corpora are all in here once. Tests run in shuffled order:
@@ -37,8 +39,9 @@ done
 # scratch; Snapshot: the returned string only; mc.Check: at most 0.1 per
 # transition a larger exploration adds — regions, not the heap, hold what
 # expanding a state builds; the visited store and its intern table of key
-# segments: 0 per claim of a seen key, under N/400 to insert N states, and
-# 0 for a commit no larger than an earlier one; a probe of the checker's
+# segments: 0 per claim of a key committed, or pending in the claiming
+# worker's own buffer, under N/400 to insert N states, and 0 for a commit
+# no larger than an earlier one, which reuses the workers' buffers; a probe of the checker's
 # tables (slots, interner lookups, hit or miss): 0; a delivery into a warmed engine: 0, support
 # call, send and all, register stack empty afterwards; a whole simulated run:
 # at most 1 per message; a warmed fuzz.Judge run of each litmus corpus test,
