@@ -153,7 +153,7 @@ func campaign(t *testing.T, name, proto string, nodes int, net netmodel.Model, i
 		t.Fatal(err)
 	}
 	spec.Net = net
-	evict := inv.ReadLatest
+	evict := inv.Data
 	c := judgeCase{name: name, spec: spec, oc: oracle.Config{Inv: inv}, runs: lead}
 	for i := 0; i < n; i++ {
 		wSeed := netmodel.Rand(1).Derive(uint64(2 * i))

@@ -78,6 +78,9 @@ func check(cfg Config, vt *visitedTable, mm *memo, rt *remapTable) (*Result, err
 	if err != nil {
 		return nil, err
 	}
+	// The pieces the root's key remapped are not the first layer's: the
+	// table fills only what a layer's successors miss.
+	workers[0].keys.pend.reset()
 	layer, err := vt.addRoot(root, workers)
 	if err != nil {
 		return nil, err
@@ -380,7 +383,7 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, mm *memo, red *redu
 			wk.misses.addMiss(mm, &k, pos, int32(i), segmentOf(kb.Bytes(), kb.ends, a.engine()), wk.rec.jrn)
 		}
 		if red != nil {
-			if err := red.canonicalize(&wk.keys, true, pos, int32(i)); err != nil {
+			if err := red.canonicalize(&wk.keys, pos, int32(i)); err != nil {
 				return fmt.Errorf("mc: encode: %w", err)
 			}
 		}
@@ -427,7 +430,7 @@ func (wk *worker) replay(cfg *Config, w *World, red *reduction, a *action, run m
 	}
 	kb, err := wk.keys.plain(succ, a, h, wk.from)
 	if err == nil && red != nil {
-		err = red.canonicalize(&wk.keys, true, pos, ord)
+		err = red.canonicalize(&wk.keys, pos, ord)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("mc: encode: %w", err)
@@ -533,7 +536,8 @@ func (wk *worker) buildViolation(cfg *Config, vt *visitedTable, red *reduction, 
 	}
 	// cur is the key of the state the trace has reached, next the plain
 	// key of a successor tried: canonicalizing a successor remaps in the
-	// scratch world it was derived into (remapper).
+	// scratch world it was derived into (remapper), and buffers what it
+	// remaps in wk's pendIndex, which no barrier absorbs after the last.
 	cur, next := []byte(key), []byte(nil)
 	v := &Violation{Kind: c.kind, Msg: c.msg}
 	for k := 1; ; k++ {
@@ -565,7 +569,7 @@ func (wk *worker) buildViolation(cfg *Config, vt *visitedTable, red *reduction, 
 				sk, err := wk.keys.plain(succ, &wk.acts[i], nil, nil)
 				if err == nil && red != nil {
 					next = append(next[:0], sk.Bytes()...)
-					err = red.canonicalize(&wk.keys, false, 0, 0)
+					err = red.canonicalize(&wk.keys, 0, 0)
 				}
 				if err != nil {
 					return nil, fmt.Errorf("mc: encode: %w", err)

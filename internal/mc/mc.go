@@ -359,11 +359,6 @@ func (w *World) emitFault(kind obs.Kind, from, to int, m *runtime.Message) {
 	w.obsSink.Emit(tempest.FaultEvent(kind, from, to, m))
 }
 
-// Drops returns how many messages have been dropped on the path to this
-// world (the deadlock reporter uses it to tell a lost-message stall from a
-// genuine protocol deadlock).
-func (w *World) Drops() int { return w.drops }
-
 // StateName returns the protocol state name of (node, block).
 func (w *World) StateName(node, block int) string {
 	return w.engines[node].Blocks[block].StateName(w.cfg.Proto)
@@ -411,9 +406,6 @@ func (w *World) AnyMessage(pred func(m *runtime.Message) bool) bool {
 	}
 	return false
 }
-
-// Proto returns the protocol under check.
-func (w *World) Proto() *runtime.Protocol { return w.cfg.Proto }
 
 // ---- runtime.Machine implementation ----
 

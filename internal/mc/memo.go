@@ -356,7 +356,7 @@ func absorbInOrder(workers []worker, bufOf func(*worker) *pendBuf, take func(pos
 // entry's tag above where it starts past its header, + 1. The buffer grows
 // by doubling (open), where append would grow a large one a quarter at a
 // time and so allocate several times a layer's bytes. The barrier that
-// absorbs it resets the index.
+// absorbs it resets it.
 type pendIndex struct {
 	pendBuf
 	index slots
@@ -366,6 +366,12 @@ const (
 	pendFirst = 4 << 10 // a pendIndex's first buffer
 	pendSlots = 64      // and its index's first table
 )
+
+// reset empties the buffer and its index.
+func (p *pendIndex) reset() {
+	p.b, p.taken = p.b[:0], 0
+	p.index.reset()
+}
 
 // open starts an entry for the transition (pos, ord) of at most n bytes
 // past its header, doubling the buffer first if it lacks the room, and

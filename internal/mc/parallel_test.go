@@ -2,6 +2,7 @@ package mc_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"teapot/internal/mc"
@@ -56,8 +57,9 @@ func equivalenceConfigs(t *testing.T) map[string]func() mc.Config {
 
 // TestWorkerEquivalence is the determinism contract of the parallel
 // checker: States, Transitions, MaxDepth, the violation kind, the
-// counterexample trace length, and what the visited store holds (its bytes
-// and interned segments) must be identical for any worker count.
+// counterexample trace length, and what the visited store holds (its bytes,
+// its interned segments, and its states' keys and parents in arena order)
+// must be identical for any worker count.
 // Every run has a Progress callback installed — observation must never
 // perturb the result — and the snapshots themselves are checked for the
 // deterministic shape Check promises (one per layer, depth increasing,
@@ -66,12 +68,14 @@ func TestWorkerEquivalence(t *testing.T) {
 	for name, mk := range equivalenceConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			var base *mc.Result
+			var baseKeys []string
+			var baseParents []int32
 			for _, workers := range []int{1, 2, 8} {
 				cfg := mk()
 				cfg.Workers = workers
 				var snaps []mc.ProgressInfo
 				cfg.Progress = func(p mc.ProgressInfo) { snaps = append(snaps, p) }
-				res, err := mc.Check(cfg)
+				res, keys, parents, err := mc.CheckStored(cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -94,8 +98,16 @@ func TestWorkerEquivalence(t *testing.T) {
 					t.Errorf("res.Workers = %d, want %d", res.Workers, workers)
 				}
 				if base == nil {
-					base = res
+					base, baseKeys, baseParents = res, keys, parents
 					continue
+				}
+				// The barrier commits claims in (parent position, action
+				// ordinal) order, whichever worker made them.
+				if !slices.Equal(keys, baseKeys) {
+					t.Errorf("workers=%d: the arena holds other keys or holds them in another order", workers)
+				}
+				if !slices.Equal(parents, baseParents) {
+					t.Errorf("workers=%d: the arena's parents differ", workers)
 				}
 				if res.States != base.States || res.Transitions != base.Transitions ||
 					res.MaxDepth != base.MaxDepth {

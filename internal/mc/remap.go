@@ -21,20 +21,18 @@ import (
 const alien = 1 << 31
 
 // remapper remaps segments: it decodes one into a world (load) and encodes
-// it again under a remap (write). The world is a worker's scratch
-// successor world (worker.worlds), or one of the remapper's own, built on
-// first use. Borrowing is sound because a successor's key is complete
-// before it is canonicalized, and nothing else of the scratch world is
-// read after that — the worker derives or replays into it afresh for its
-// next action — and because only the world's own engines and tail are
-// decoded into, never the parent's engines it may point at. region is
-// where the world's engines build: the worker's, which its next state's
-// decode resets (and the barrier, where nothing in it is live, may reset
-// too), or the remapper's own, reset per segment.
+// it again under a remap (write). The world is its worker's scratch
+// successor world, lent by worker.worlds. Borrowing is sound because a
+// successor's key is complete before it is canonicalized, and nothing else
+// of the scratch world is read after that — the worker derives or replays
+// into it afresh for its next action — and because only the world's own
+// engines and tail are decoded into, never the parent's engines it may
+// point at. region is where the world's engines build: the worker's, which
+// its next state's decode resets (and the barrier, where nothing in it is
+// live, may reset too).
 type remapper struct {
 	w      *World
 	region *runtime.Region
-	own    bool
 	chans  [][]*runtime.Message // a row's channels, decoded
 	enc    runtime.Encoder
 }
@@ -55,15 +53,6 @@ func (x *remapper) remap(cfg *Config, kind int, seg []byte, src int, r *runtime.
 // the engines they are bound for, the tail as the tail.
 func (x *remapper) load(cfg *Config, kind int, seg []byte, src int) error {
 	nodes := cfg.Nodes
-	if x.w == nil {
-		x.w, x.region, x.own = newWorld(cfg), new(runtime.Region), true
-		for _, e := range x.w.owned {
-			e.SetRegion(x.region)
-		}
-	}
-	if x.own {
-		x.region.Reset()
-	}
 	w, d := x.w, &x.w.dec
 	d.Reset(seg)
 	var err error
@@ -337,7 +326,7 @@ func (r *reduction) absorb(workers []worker) error {
 		return rest
 	})
 	for i := range workers {
-		workers[i].keys.pend.index.reset()
+		workers[i].keys.pend.reset()
 	}
 	return err
 }

@@ -257,7 +257,8 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 	if withCoverage {
 		wk.cov = obs.NewCoverage()
 	}
-	var ref keyScratch
+	var ref worker // its pend is emptied before each key, so that every piece is remapped afresh
+	ref.worlds(&cfg)
 	st := ExpandStats{States: vt.states(), MemoBypass: res.Memo.Bypass}
 	// challengers assembles every challenger of the plain key in wk.keys
 	// and returns them, counted.
@@ -332,7 +333,7 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 					if kb != nil {
 						replayChal = challengers()
 						if red != nil {
-							if err := red.canonicalize(&wk.keys, false, 0, 0); err != nil {
+							if err := red.canonicalize(&wk.keys, 0, 0); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -399,12 +400,13 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 			plainKnown, plainIDs := got.known, slices.Clone(got.ids)
 			streamed(fs, challengers(), what)
 			if red != nil {
-				if err := red.canonicalize(&wk.keys, false, 0, 0); err != nil {
+				if err := red.canonicalize(&wk.keys, 0, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
 			knownIDs(got, what)
-			want, err := ref.key(fs, red, nil)
+			ref.keys.pend.reset()
+			want, err := ref.keys.key(fs, red, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -472,7 +474,7 @@ func (r *reduction) assemble(sc *keyScratch, g int) ([]byte, error) {
 	for p := range 2*r.cfg.Nodes + 1 {
 		kind, src := pieceSource(p, r.cfg.Nodes, r.remaps[g])
 		var c piece
-		if err := r.piece(sc, &c, kind, src, g, false, 0, 0); err != nil {
+		if err := r.piece(sc, &c, kind, src, g, 0, 0); err != nil {
 			return nil, err
 		}
 		out = append(out, r.bytes(sc, &c)...)
@@ -485,7 +487,9 @@ func (r *reduction) assemble(sc *keyScratch, g int) ([]byte, error) {
 // and returns how many pieces it holds.
 func checkRemapTable(t *testing.T, red *reduction, rt *remapTable) int {
 	t.Helper()
-	var x remapper
+	var wk worker
+	wk.worlds(red.cfg)
+	x := &wk.keys.remap
 	n := 0
 	check := func(sid uint32, seg []byte) {
 		for kind := range pieceTail + 1 {

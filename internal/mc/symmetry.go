@@ -60,9 +60,10 @@ import (
 // which every element fixes with one block) is an image of the same
 // segment. A segment the table has no images of yet is remapped on the
 // spot, decoded into the worker's scratch and encoded under the remap, and
-// the barrier fills its images. A challenger that wins is copied out of
-// its pieces, not encoded. Over warmed scratch and a warmed table none of
-// it allocates.
+// the piece is buffered in the worker's pendIndex, where a later key of the
+// layer finds it, until the barrier fills the segment's images. A
+// challenger that wins is copied out of its pieces, not encoded. Over
+// warmed scratch and a warmed table none of it allocates.
 
 // SymmetryMode selects the reduction policy for a run.
 type SymmetryMode int
@@ -171,16 +172,14 @@ type reduction struct {
 // many bytes the last key cost to encode (see Result.KeyBytesEncoded). The
 // rest is canonicalize's: the plain key's segments it has resolved and
 // the pieces of two challengers (made on its first use, so that a run
-// without reduction does not carry them), the bytes of pieces remapped on
-// the spot, what remaps them, and the pieces the table lacked, for the
-// barrier.
+// without reduction does not carry them), what remaps the pieces the table
+// lacks, and those pieces, for the barrier.
 type keyScratch struct {
 	best, cand keyBuf
 	encoded    int
 
 	resolved uint64 // plain segments resolved (reduction.source)
 	pieces   *keyPieces
-	made     []byte
 	remap    remapper
 	pend     pendIndex
 }
@@ -189,11 +188,12 @@ type keyScratch struct {
 // and returns the buffer holding the visited-set key, with its segments
 // (keyBuf). via is the action that derived w from the state it was decoded
 // from (nil: encode all of it; World.encodeVia). The remap table's misses
-// are not buffered: key serves the initial state and tests, not a layer.
+// are buffered as the transition (0, 0): key serves the initial state and
+// tests, not a layer.
 func (sc *keyScratch) key(w *World, red *reduction, via *action) (*keyBuf, error) {
 	kb, err := sc.plain(w, via, nil, nil)
 	if err == nil && red != nil {
-		err = red.canonicalize(sc, false, 0, 0)
+		err = red.canonicalize(sc, 0, 0)
 	}
 	return kb, err
 }
@@ -398,8 +398,8 @@ func pieceSource(p, nodes int, r *runtime.Remap) (kind, src int) {
 }
 
 // piece is one store segment of a key being assembled, without its bytes:
-// in says where they are (reduction.bytes) — in the plain key or a buffer
-// of the scratch at off, n bytes; the intern table's segment id; or the
+// in says where they are (reduction.bytes) — in the plain key or the
+// scratch's pendIndex at off, n bytes; the intern table's segment id; or the
 // remap table's chunks, at the locator its word val holds — so that
 // writing one costs the garbage collector nothing. id is its intern id
 // when ok. When sourced, src is the source id the table knows the segment
@@ -421,7 +421,6 @@ const (
 	inSegs         // the intern table, as segment id
 	inTable        // the remap table's chunks
 	inPend         // sc.pend's buffer
-	inMade         // sc.made
 )
 
 // bytes returns p's bytes, from sc's buffers or the tables.
@@ -431,10 +430,8 @@ func (r *reduction) bytes(sc *keyScratch, p *piece) []byte {
 		return sc.best.Bytes()[p.off : p.off+p.n]
 	case inSegs, inTable:
 		return r.table.image(p)
-	case inPend:
-		return sc.pend.b[p.off : p.off+p.n]
 	}
-	return sc.made[p.off : p.off+p.n]
+	return sc.pend.b[p.off : p.off+p.n]
 }
 
 // compare orders p and q, pieces at the same place of two keys, as the
@@ -456,10 +453,10 @@ func (r *reduction) compare(sc *keyScratch, p, q *piece) int {
 // of the world over the group. Each challenger is assembled piece by piece
 // (piece) and compared as it goes: it loses at the first piece greater than
 // the best key's, and wins only if one is smaller, so ties keep the lowest
-// group index. The ids it learns stay with the key for the claim. With
-// buffer set, a piece the table lacks is buffered for the barrier as one
-// transition (pos, ord) made.
-func (r *reduction) canonicalize(sc *keyScratch, buffer bool, pos, ord int32) error {
+// group index. The ids it learns stay with the key for the claim. A piece
+// the table lacks is buffered for the barrier as one transition (pos, ord)
+// made.
+func (r *reduction) canonicalize(sc *keyScratch, pos, ord int32) error {
 	nodes := r.cfg.Nodes
 	n := 2*nodes + 1
 	sc.begin()
@@ -470,7 +467,7 @@ func (r *reduction) canonicalize(sc *keyScratch, buffer bool, pos, ord int32) er
 		c := 0
 		for p := range n {
 			kind, src := pieceSource(p, nodes, r.remaps[g])
-			if err := r.piece(sc, &chal[p], kind, src, g, buffer, pos, ord); err != nil {
+			if err := r.piece(sc, &chal[p], kind, src, g, pos, ord); err != nil {
 				return err
 			}
 			if c == 0 {
@@ -521,7 +518,7 @@ func (sc *keyScratch) begin() {
 	if sc.pieces == nil {
 		sc.pieces = new(keyPieces)
 	}
-	sc.resolved, sc.made = 0, sc.made[:0]
+	sc.resolved = 0
 }
 
 // source returns store segment k, of the given kind, of the plain key in
@@ -566,36 +563,29 @@ func (r *reduction) source(sc *keyScratch, kind, k int) *piece {
 
 // piece sets *out to store segment src of the plain key in sc.best, of the
 // given kind, remapped under group element g: from the table, from what
-// this worker remapped of it already this layer, or remapped here.
-func (r *reduction) piece(sc *keyScratch, out *piece, kind, src, g int, buffer bool, pos, ord int32) error {
+// this worker remapped of it already this layer, or remapped here and
+// buffered as one transition (pos, ord) made.
+func (r *reduction) piece(sc *keyScratch, out *piece, kind, src, g int, pos, ord int32) error {
 	s := r.source(sc, kind, src)
 	if s.blk >= 0 {
 		r.table.get(out, s, g)
 		return nil
 	}
 	seg := r.bytes(sc, s)
-	if buffer {
-		if off, n, ok := sc.pend.findPiece(kind, s, seg, g); ok {
-			// Counted as remapped, as it would be by any other worker.
-			sc.encoded += int(n)
-			*out = piece{in: inPend, off: off, n: n}
-			return nil
+	off, n, ok := sc.pend.findPiece(kind, s, seg, g)
+	if !ok {
+		b, err := sc.remap.remap(r.cfg, kind, seg, src, r.remaps[g])
+		if err != nil {
+			return err
 		}
-	}
-	b, err := sc.remap.remap(r.cfg, kind, seg, src, r.remaps[g])
-	if err != nil {
-		return err
-	}
-	sc.encoded += len(b)
-	if buffer {
-		off, ok := sc.pend.addPiece(pos, ord, kind, s, seg, g, b)
-		if !ok {
+		if off, ok = sc.pend.addPiece(pos, ord, kind, s, seg, g, b); !ok {
 			return fmt.Errorf("mc: a worker's remapped pieces outgrew their 32-bit offsets in one layer")
 		}
-		*out = piece{in: inPend, off: off, n: uint32(len(b))}
-	} else {
-		*out = piece{in: inMade, off: uint32(len(sc.made)), n: uint32(len(b))}
-		sc.made = append(sc.made, b...)
+		n = uint32(len(b))
 	}
+	// A piece found in the buffer is counted as remapped, as it would be by
+	// any other worker.
+	sc.encoded += int(n)
+	*out = piece{in: inPend, off: off, n: n}
 	return nil
 }

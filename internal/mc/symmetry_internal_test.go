@@ -1,7 +1,9 @@
 package mc
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -248,10 +250,12 @@ func reduce(t *testing.T, cfg *Config) *reduction {
 	return red
 }
 
-// canonKey canonicalizes through a fresh scratch and returns the key as a
-// string, for tests that keep keys across calls.
+// canonKey canonicalizes through a fresh worker's scratch and returns the
+// key as a string, for tests that keep keys across calls.
 func canonKey(red *reduction, w *World) (string, error) {
-	k, err := new(keyScratch).key(w, red, nil)
+	var wk worker
+	wk.worlds(red.cfg)
+	k, err := wk.keys.key(w, red, nil)
 	if err != nil {
 		return "", err
 	}
@@ -592,6 +596,7 @@ func Canonicalizer(t *testing.T, cfg *Config) func(w *World) error {
 	}
 	vt := red.table.segs
 	wk := []worker{{}}
+	wk[0].worlds(cfg)
 	sc := &wk[0].keys
 	warmed := false
 	return func(w *World) error {
@@ -603,7 +608,7 @@ func Canonicalizer(t *testing.T, cfg *Config) func(w *World) error {
 			if _, err := vt.addRoot(kb, wk); err != nil {
 				return err
 			}
-			if err := red.canonicalize(sc, true, 0, 0); err != nil {
+			if err := red.canonicalize(sc, 0, 0); err != nil {
 				return err
 			}
 			if err := red.absorb(wk); err != nil {
@@ -684,4 +689,108 @@ func plantIdentities(t *testing.T, red *reduction, cfg *Config, conts bool) {
 	w.access[2*cfg.Blocks+1] = sema.AccReadOnly
 	w.stalled[2], w.stalled[1] = 1, 0
 	checkWorldAgainstReference(t, red, w, !conts)
+}
+
+// pendPieces counts the pieces p buffers by what each is an image of: its
+// kind, its group element and its segment (a source id, or the bytes).
+func pendPieces(p *pendIndex) map[string]int {
+	out := map[string]int{}
+	for e := p.b; len(e) > 0; {
+		_, w := binary.Uvarint(e)
+		_, w2 := binary.Uvarint(e[w:])
+		kind, g, sid, sourced, src, _, rest := readPend(e[w+w2:])
+		out[fmt.Sprintf("%d/%d/%v/%d/%x", kind, g, sourced, sid, src)]++
+		e = rest
+	}
+	return out
+}
+
+// TestOnTheSpotPiecesBufferedOnce: a piece the remap table lacks is remapped
+// on the spot once and buffered in the worker's pendIndex, where every later
+// key finds it until a barrier absorbs it — on the two paths that key
+// outside a layer as on the layer's own: the root key, keyed again and
+// again and then its successors' keys, which share its untouched segments,
+// and a counterexample replay, run twice over an empty table. Each piece is
+// buffered once, and keying what was keyed before buffers nothing more.
+func TestOnTheSpotPiecesBufferedOnce(t *testing.T) {
+	p := compilePing(t)
+	cfg := Config{Proto: p, Nodes: 4, Blocks: 1, Symmetry: SymmetryOn}
+	cfg.Events = &pingEvents{tag: p.MsgIndex("PING_FAULT")}
+	cfg.normalize()
+	once := func(what string, pend *pendIndex) int {
+		t.Helper()
+		pieces := pendPieces(pend)
+		if len(pieces) == 0 {
+			t.Fatalf("%s: nothing buffered", what)
+		}
+		for k, n := range pieces {
+			if n != 1 {
+				t.Errorf("%s: piece %s buffered %d times", what, k, n)
+			}
+		}
+		return len(pend.b)
+	}
+
+	red := reduce(t, &cfg)
+	init, err := newWorld(&cfg).encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wk worker
+	root, err := wk.decode(&cfg, []byte(init))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wk.keys.key(root, red, nil); err != nil {
+		t.Fatal(err)
+	}
+	n := once("root", &wk.keys.pend)
+	for range 2 {
+		if _, err := wk.keys.key(root, red, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := once("root again", &wk.keys.pend); got != n {
+			t.Fatalf("keying the root again grew the buffer %d → %d bytes", n, got)
+		}
+	}
+	acts := root.actions()
+	if len(acts) < 2 {
+		t.Fatalf("the root enables %d actions", len(acts))
+	}
+	for i, a := range acts {
+		succ, err := root.branch(a, false, nil, wk.succ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind, msg := succ.applyChecked(a); kind != "" {
+			t.Fatalf("action %d: %s %s", i, kind, msg)
+		}
+		if _, err := wk.keys.key(succ, red, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	once("the root's successors", &wk.keys.pend)
+
+	vt := newVisited()
+	if _, err := check(cfg, vt, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	red.table = newRemapTable(vt, len(red.group))
+	var rw worker
+	last := int32(vt.states() - 1)
+	c := &candidate{kind: "litmus", ord: -1}
+	v, err := rw.buildViolation(&cfg, vt, red, last, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Steps) == 0 {
+		t.Fatalf("state %d replayed in no steps", last)
+	}
+	n = once("replay", &rw.keys.pend)
+	if _, err := rw.buildViolation(&cfg, vt, red, last, c); err != nil {
+		t.Fatal(err)
+	}
+	if got := once("replay again", &rw.keys.pend); got != n {
+		t.Fatalf("replaying again grew the buffer %d → %d bytes", n, got)
+	}
 }

@@ -407,7 +407,7 @@ func (t *visitedTable) commit(layer []int32, workers []worker) ([]int32, error) 
 		return rest
 	})
 	for i := range workers {
-		workers[i].claims.index.reset()
+		workers[i].claims.reset()
 	}
 	if err != nil {
 		return nil, err

@@ -539,6 +539,21 @@ type SpreadStats struct {
 	Confirms, Failed int
 }
 
+// CheckStored is Check that also returns what the visited store holds at the
+// end, in arena order: each state's key and the arena index of its parent
+// (-1 for the root).
+func CheckStored(cfg Config) (res *Result, keys []string, parents []int32, err error) {
+	vt := newVisited()
+	if res, err = check(cfg, vt, nil, nil); err != nil {
+		return nil, nil, nil, err
+	}
+	for idx := int32(0); idx < int32(vt.states()); idx++ {
+		key, _ := vt.expand(nil, nil, idx)
+		keys, parents = append(keys, string(key)), append(parents, vt.parent(idx))
+	}
+	return res, keys, parents, nil
+}
+
 // CheckFingerprintSpread explores cfg and looks at how the fingerprint
 // spread what the run stored: it fails the test if two distinct keys share
 // a 64-bit fingerprint, and reports how evenly the fingerprints fill 64

@@ -31,21 +31,18 @@ import (
 	"teapot/internal/sema"
 )
 
-// Invariants selects which checks run. Data-value checks (ReadLatest,
-// NoLostWrites) assume an invalidation-style protocol where a completed
-// write makes every other copy unreadable; write-through and buffered
-// protocols (update, bufwrite) propagate values asynchronously and are
-// judged on SWMR only.
+// Invariants selects which checks run. Data turns on both data-value
+// checks, ReadLatest and NoLostWrites, which assume an invalidation-style
+// protocol where a completed write makes every other copy unreadable;
+// write-through and buffered protocols (update, bufwrite) propagate values
+// asynchronously and are judged on SWMR only.
 type Invariants struct {
-	SWMR         bool
-	ReadLatest   bool
-	NoLostWrites bool
+	SWMR bool
+	Data bool
 }
 
 // AllInvariants enables every check.
-func AllInvariants() Invariants {
-	return Invariants{SWMR: true, ReadLatest: true, NoLostWrites: true}
-}
+func AllInvariants() Invariants { return Invariants{SWMR: true, Data: true} }
 
 // SWMROnly checks the access-control invariant alone.
 func SWMROnly() Invariants { return Invariants{SWMR: true} }
@@ -174,9 +171,6 @@ func (c *Checker) Reset() {
 // context line up with Chrome traces of the same run.
 func (c *Checker) SetClock(now func() int64) { c.now = now }
 
-// Violation returns the first latched violation, or nil.
-func (c *Checker) Violation() *Violation { return c.v }
-
 // Emit implements obs.Sink.
 func (c *Checker) Emit(ev obs.Event) {
 	ev.Seq = c.seq
@@ -280,7 +274,7 @@ func (c *Checker) checkRead(ev obs.Event) {
 			fmt.Sprintf("read completed under %s access", accName(mode)))
 		return
 	}
-	if c.cfg.Inv.ReadLatest && ev.Arg != c.version[block] {
+	if c.cfg.Inv.Data && ev.Arg != c.version[block] {
 		c.fail("read-latest", node, block, ev,
 			fmt.Sprintf("read observed version %d, latest write is version %d (by node %d)",
 				ev.Arg, c.version[block], c.writer[block]))
@@ -310,7 +304,7 @@ func (c *Checker) Finish() *Violation {
 	if c.v == nil {
 		c.evalDirty(end)
 	}
-	if c.v == nil && c.cfg.Inv.NoLostWrites {
+	if c.v == nil && c.cfg.Inv.Data {
 		for b := 0; b < c.cfg.Blocks; b++ {
 			if c.version[b] == 0 {
 				continue // never written

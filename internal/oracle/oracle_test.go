@@ -164,7 +164,7 @@ func TestSWMROnlySkipsDataChecks(t *testing.T) {
 		data(1, 0, 0), acc(1, 0, sema.AccReadOnly),
 		acc(0, 0, sema.AccReadOnly),
 		deliver(1, 0),
-		read(1, 0, 99), // wrong version: ignored without ReadLatest
+		read(1, 0, 99), // wrong version: ignored without Data
 	})
 	if v != nil {
 		t.Fatalf("SWMR-only run flagged: %v", v)

@@ -72,11 +72,10 @@ func (e Entry) Runnable() bool { return e.Support != nil }
 func bind(t stache.Table) func(*runtime.Protocol) (runtime.Support, error) {
 	return func(p *runtime.Protocol) (runtime.Support, error) { return t.Bind(p) }
 }
-func lcmSupport(p *runtime.Protocol) (runtime.Support, error) { return lcm.NewSupport(p) }
-func stacheEvents(p *runtime.Protocol) mc.EventGen            { return stache.NewEvents(p) }
-func lcmEvents(p *runtime.Protocol) mc.EventGen               { return lcm.NewEvents(p) }
-func bufwriteEvents(p *runtime.Protocol) mc.EventGen          { return bufwrite.NewEvents(p) }
-func updateEvents(p *runtime.Protocol) mc.EventGen            { return update.NewEvents(p) }
+func stacheEvents(p *runtime.Protocol) mc.EventGen   { return stache.NewEvents(p) }
+func lcmEvents(p *runtime.Protocol) mc.EventGen      { return lcm.NewEvents(p) }
+func bufwriteEvents(p *runtime.Protocol) mc.EventGen { return bufwrite.NewEvents(p) }
+func updateEvents(p *runtime.Protocol) mc.EventGen   { return update.NewEvents(p) }
 func stacheHW(p *runtime.Protocol, nodes, blocks int, m runtime.Machine) tempest.Engine {
 	return stache.NewHW(p, nodes, blocks, m)
 }
@@ -115,10 +114,10 @@ var registry = sync.OnceValue(func() []Entry {
 		{Name: "stache-ft-buggy", Config: cfg("stache-ft-buggy", stache.FTBuggySource, "Home_Idle"), Buggy: true,
 			Support: bind(stache.FTRoutines), Events: stacheEvents, CheckCoherence: true, Oracle: invalidation},
 		{Name: "lcm", Config: cfg("lcm", lcm.Source(lcm.Base), "Home_Idle"),
-			Support: lcmSupport, Events: lcmEvents, HandWritten: lcmHW},
+			Support: bind(lcm.Routines), Events: lcmEvents, HandWritten: lcmHW},
 		{Name: "lcm-update", Config: cfg("lcm-update", lcm.Source(lcm.Update), "Home_Idle")},
 		{Name: "lcm-mcc", Config: cfg("lcm-mcc", lcm.Source(lcm.MCC), "Home_Idle"),
-			Support: lcmSupport, Events: lcmEvents},
+			Support: bind(lcm.Routines), Events: lcmEvents},
 		{Name: "lcm-both", Config: cfg("lcm-both", lcm.Source(lcm.Both), "Home_Idle")},
 		// Buffered-write adds no support routines, only a counter variable.
 		{Name: "bufwrite", Config: cfg("bufwrite", bufwrite.Source, "Home_Idle"),

@@ -39,7 +39,8 @@ type Routine struct {
 	Equivariant bool
 	// Local vouches that Body reads nothing but its Call — the engine,
 	// block and message of its Ctx, and its arguments — and acts only
-	// through them (a count kept for statistics aside).
+	// through them, so a run replayed from the checker's transition memo
+	// leaves everything as running Body would.
 	Local bool
 	Body  func(c Call) vm.Value
 }

@@ -161,8 +161,8 @@ const (
 	OpWrite                    // shared-memory store
 	OpEvict                    // voluntary eviction of a clean copy
 	OpSync                     // synchronization point (buffered-write)
-	OpBeginPhase               // LCM phase entry
-	OpEndPhase                 // LCM phase exit
+	OpBeginPhase               // LCM phase entry for block Addr
+	OpEndPhase                 // LCM phase exit for block Addr
 	OpBarrier                  // application barrier (all nodes rendezvous)
 	OpCAS                      // atomic compare-and-swap (litmus workloads)
 	// OpYield advances the node clock by Cycles like Compute, then yields
@@ -177,7 +177,7 @@ const (
 // Op is one workload operation.
 type Op struct {
 	Kind   OpKind
-	Addr   int   // block, for Read/Write/Evict/CAS
+	Addr   int   // block, for Read/Write/Evict/CAS and the phase ops
 	Cycles int64 // for Compute
 	// Val is the value a Write or CAS stores (litmus workloads; 0 = the
 	// plain version model, where a store is just "a fresh version").
@@ -854,14 +854,14 @@ func (m *Machine) step(node int) {
 			continue
 		case OpBeginPhase:
 			if m.cfg.Tags.BeginPhase >= 0 {
-				m.phaseEvent(node, m.cfg.Tags.BeginPhase, op.Addr)
+				m.fireEvent(node, m.cfg.Tags.BeginPhase, op.Addr)
 				if m.err != nil {
 					return
 				}
 			}
 		case OpEndPhase:
 			if m.cfg.Tags.EndPhase >= 0 {
-				m.phaseEvent(node, m.cfg.Tags.EndPhase, op.Addr)
+				m.fireEvent(node, m.cfg.Tags.EndPhase, op.Addr)
 				if m.err != nil {
 					return
 				}
@@ -878,22 +878,6 @@ func (m *Machine) fireEvent(node, tag, addr int) {
 		return
 	}
 	m.nodeTime[node] = m.chargeProtocol(node, m.nodeTime[node])
-}
-
-// phaseEvent raises an LCM phase boundary. With addr >= 0 it targets one
-// block (the workload announces the blocks it will touch); addr < 0 sweeps
-// every block.
-func (m *Machine) phaseEvent(node, tag, addr int) {
-	if addr >= 0 {
-		m.fireEvent(node, tag, addr)
-		return
-	}
-	for b := 0; b < m.cfg.Blocks; b++ {
-		m.fireEvent(node, tag, b)
-		if m.err != nil {
-			return
-		}
-	}
 }
 
 // The processor model's rules. The checker's scripted-client plane

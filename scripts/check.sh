@@ -65,9 +65,10 @@ go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs
 (cd benchmarks && go test ./...)
 # The tracked size metrics (ROADMAP "Prune, round four"), measured the one
 # way every CHANGES.md entry quotes them, with internal/mc's share beside the
-# total: the checker is what that round prunes.
+# total (the checker is what that round prunes) and the test Go beside it.
 echo "non-test Go outside benchmarks/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l) lines" \
   "(internal/mc: $(find internal/mc -name '*.go' ! -name '*_test.go' | xargs cat | wc -l));" \
+  "test Go outside benchmarks/: $(find . -name '*_test.go' ! -path './benchmarks/*' | xargs cat | wc -l) lines;" \
   "DESIGN.md: $(wc -l < DESIGN.md) lines; EXPERIMENTS.md: $(wc -l < EXPERIMENTS.md) lines"
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
   echo "check.sh: the checks changed the working tree:" >&2
