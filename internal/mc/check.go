@@ -380,7 +380,7 @@ func (wk *worker) expandState(cfg *Config, vt *visitedTable, mm *memo, red *redu
 			return fmt.Errorf("mc: encode: %w", err)
 		}
 		if memoize && wk.rec.err == nil {
-			wk.misses.addMiss(mm, &k, pos, int32(i), segmentOf(kb.Bytes(), kb.ends, a.engine()), wk.rec.jrn)
+			wk.misses.addMiss(mm, &k, pos, int32(i), kb.segment(a.engine()), wk.rec.jrn)
 		}
 		if red != nil {
 			if err := red.canonicalize(&wk.keys, pos, int32(i)); err != nil {
@@ -420,9 +420,7 @@ func (wk *worker) replay(cfg *Config, w *World, red *reduction, a *action, run m
 		h.delivered = a.from*cfg.Nodes + a.to
 	}
 	succ := wk.succ
-	copy(succ.access, w.access)
-	copy(succ.stalled, w.stalled)
-	succ.drops, succ.dups = w.drops, w.dups
+	w.copyTail(succ)
 	succ.src, succ.segEnds = w.src, w.segEnds
 	h.replayTail(succ)
 	if !h.holds(succ) {

@@ -420,7 +420,7 @@ func (w *World) Send(from, dst int, m *runtime.Message) {
 	ch := from*w.cfg.Nodes + dst
 	w.channels[ch] = append(w.channels[ch], m)
 	if w.rec != nil {
-		w.rec.send(w.engines[from], dst, m)
+		w.rec.send(dst, m)
 	}
 }
 
@@ -530,34 +530,24 @@ func (kb *keyBuf) know(k int, id uint32) {
 	}
 }
 
-// segmentOf returns segment k of key, whose segments but the last end at
-// ends.
-func segmentOf(key []byte, ends []int, k int) []byte {
-	start, end := 0, len(key)
+// bounds returns where segment k starts and ends in a key of n bytes whose
+// segments but the last end at ends: the one reading of a segment's place,
+// for the store's segments (keyBuf.ends), the world's (World.segEnds) and
+// a remapped segment's images (remapTable.fill).
+func bounds(ends []int, n, k int) (start, end int) {
 	if k > 0 {
 		start = ends[k-1]
 	}
 	if k < len(ends) {
-		end = ends[k]
+		n = ends[k]
 	}
-	return key[start:end]
+	return start, n
 }
 
-// partFirst and partLast return the world segments that store segment
-// part, not the tail, starts and ends with (see keyBuf): engine part, or a
-// row's first and last channels.
-func partFirst(part, nodes int) int {
-	if part < nodes {
-		return part
-	}
-	return (part - nodes + 1) * nodes
-}
-
-func partLast(part, nodes int) int {
-	if part < nodes {
-		return part
-	}
-	return (part-nodes+2)*nodes - 1
+// segment returns store segment k of the key kb holds.
+func (kb *keyBuf) segment(k int) []byte {
+	start, end := bounds(kb.ends, len(kb.Bytes()), k)
+	return kb.Bytes()[start:end]
 }
 
 // encoderPool backs the string-returning encode (Snapshot, the root state,
@@ -607,48 +597,58 @@ func (w *World) encodeTo(kb *keyBuf) error {
 
 // encodeVia writes the plain encoding of w, which must be the world w.src
 // was decoded into, or derived from it, with via applied and nothing else.
-// Only the segments via may change (action.changes) are encoded; each
-// maximal run of the others is copied from src whole. Which those are is a
-// function of the action — there are no dirty flags to forget to set.
-// copied is how many bytes were copied. from, if set, holds the ids of the
-// segments of the stored state src is the key of: kb knows the ids of the
-// store segments copied whole. With hit set, via was replayed from the
-// memo, not run: the changed segments are the hit's to write — kb knows
-// the engine's id if the memo does — and w need hold only the successor's
-// tail.
+// It walks the store segments in order. An action runs handlers on one
+// engine, and a handler's only way out of its engine is to send from it;
+// the network faults edit the channel they name. So the engine via runs on
+// and that engine's row are written; in the row holding the channel a
+// delivery, drop or dup names, that channel is written and the others are
+// copied from src; every other segment is copied from src whole, and kb
+// knows its id from from, if set (the ids of the segments of the stored
+// state src is the key of). What else via changes lies in the tail, which
+// every key writes. So what is written is a function of the action: there
+// are no dirty flags to forget to set. copied is how many bytes were
+// copied. With hit set, via was replayed from the memo, not run: the
+// written segments are the hit's to write — kb knows the engine's id if
+// the memo does — and w need hold only the successor's tail.
 func (w *World) encodeVia(kb *keyBuf, via *action, hit *memoHit, from []uint32) (copied int, err error) {
 	enc := &kb.Encoder
 	nodes := w.cfg.Nodes
+	touch, named := via.engine(), -1
+	switch via.kind {
+	case actDeliver, actDrop, actDup:
+		named = nodes + via.from*nodes + via.to
+	}
 	ends := kb.sizeEnds(nodes)
-	// part is the next store segment to end, at world segment last.
-	part, last := 0, 0
-	// The changed ranges, then an empty one at the end of the channels, so
-	// that the run after the last range is copied too.
-	end := nodes + nodes*nodes
-	var buf [4]segRange
-	next := 0 // the first segment not yet written
-	for _, c := range append(via.changes(nodes, buf[:]), segRange{end, end}) {
-		if c.lo > next {
-			run := w.span(next, c.lo)
-			shift := len(enc.Bytes()) - (w.segEnds[c.lo-1] - len(run))
-			enc.Raw(run)
-			copied += len(run)
-			// The store segments ending in the run end where they did in
-			// src, shifted; those it holds whole are copied.
-			for ; last < c.lo; part, last = part+1, partLast(part+1, nodes) {
-				if partFirst(part, nodes) >= next && from != nil {
-					kb.know(part, from[part])
-				}
-				ends[part] = w.segEnds[last] + shift
+	for p := range ends {
+		lo, hi := p, p+1 // the world segments store segment p holds
+		if p >= nodes {
+			lo = (p - nodes + 1) * nodes
+			hi = lo + nodes
+		}
+		// Of those, via writes wlo..whi-1 and the others are copied.
+		wlo, whi := lo, hi
+		switch {
+		case p == touch || touch != noEngine && p == nodes+touch:
+			if p == touch && hit != nil && hit.interned {
+				kb.know(p, hit.id)
+			}
+		case lo <= named && named < hi:
+			wlo, whi = named, named+1
+		default:
+			wlo, whi = hi, hi
+			if from != nil {
+				kb.know(p, from[p])
 			}
 		}
-		for seg := c.lo; seg < c.hi; seg++ {
+		if wlo > lo {
+			run := w.span(lo, wlo)
+			enc.Raw(run)
+			copied += len(run)
+		}
+		for seg := wlo; seg < whi; seg++ {
 			switch {
 			case hit != nil:
 				err = hit.segment(enc, seg)
-				if seg == hit.touch && hit.interned {
-					kb.know(seg, hit.id)
-				}
 			case seg < nodes:
 				err = w.engines[seg].EncodeState(enc)
 			default:
@@ -657,12 +657,13 @@ func (w *World) encodeVia(kb *keyBuf, via *action, hit *memoHit, from []uint32) 
 			if err != nil {
 				return copied, err
 			}
-			if seg == last {
-				ends[part] = len(enc.Bytes())
-				part, last = part+1, partLast(part+1, nodes)
-			}
 		}
-		next = c.hi
+		if whi < hi {
+			run := w.span(whi, hi)
+			enc.Raw(run)
+			copied += len(run)
+		}
+		ends[p] = len(enc.Bytes())
 	}
 	w.encodeTail(enc)
 	return copied, nil
@@ -670,15 +671,13 @@ func (w *World) encodeVia(kb *keyBuf, via *action, hit *memoHit, from []uint32) 
 
 // encodeChannel writes channel ch of the world's image under the encoder's
 // remap (ch = from*Nodes + to in image positions): its length, then its
-// messages, built — for info-handle reconstruction — by the destination's
-// engine.
+// messages. Writing needs no engine; reading one back does (decodeChannel).
 func (w *World) encodeChannel(enc *runtime.Encoder, ch int) error {
 	r, nodes := enc.Remap(), w.cfg.Nodes
-	dst := r.SrcNode(ch % nodes)
-	msgs := w.channels[r.SrcNode(ch/nodes)*nodes+dst]
+	msgs := w.channels[r.SrcNode(ch/nodes)*nodes+r.SrcNode(ch%nodes)]
 	enc.Int(int64(len(msgs)))
 	for _, m := range msgs {
-		if err := w.engines[dst].EncodeMessage(enc, m); err != nil {
+		if err := enc.Message(m); err != nil {
 			return err
 		}
 	}
@@ -776,32 +775,11 @@ func (cfg *Config) decodeInto(w *World, key []byte) error {
 	if err := w.decodeTail(d); err != nil {
 		return err
 	}
-	if w.pcs != nil {
-		for i := range w.pcs {
-			w.pcs[i] = int(d.Int())
-			if w.pcs[i] < 0 || w.pcs[i] > len(cfg.Client.program(i)) {
-				return fmt.Errorf("mc: node %d at script position %d in encoding", i, w.pcs[i])
-			}
-		}
-		for n := range w.regs {
-			cnt := d.Count()
-			w.regs[n] = w.regs[n][:0]
-			for i := 0; i < cnt; i++ {
-				w.regs[n] = append(w.regs[n], d.Int())
-			}
-		}
-		for i := range w.cver {
-			w.cver[i] = d.Int()
-		}
-		for i := range w.cmem {
-			w.cmem[i] = d.Int()
-		}
-	}
 	return d.Finish()
 }
 
-// decodeTail reads what encodeTail writes before the client plane:
-// access, stalled and the spent budgets.
+// decodeTail reads what encodeTail writes: access, stalled, the spent
+// budgets and the client plane.
 func (w *World) decodeTail(d *runtime.Decoder) error {
 	for i := range w.access {
 		w.access[i] = sema.AccessMode(d.Byte())
@@ -814,7 +792,42 @@ func (w *World) decodeTail(d *runtime.Decoder) error {
 	}
 	w.drops = int(d.Int())
 	w.dups = int(d.Int())
+	for i := range w.pcs {
+		w.pcs[i] = int(d.Int())
+		if w.pcs[i] < 0 || w.pcs[i] > len(w.cfg.Client.program(i)) {
+			return fmt.Errorf("mc: node %d at script position %d in encoding", i, w.pcs[i])
+		}
+	}
+	for n := range w.regs {
+		cnt := d.Count()
+		w.regs[n] = w.regs[n][:0]
+		for i := 0; i < cnt; i++ {
+			w.regs[n] = append(w.regs[n], d.Int())
+		}
+	}
+	for i := range w.cver {
+		w.cver[i] = d.Int()
+	}
+	for i := range w.cmem {
+		w.cmem[i] = d.Int()
+	}
 	return nil
+}
+
+// copyTail copies w's tail — access, stalled, the spent budgets and the
+// client plane — into dst's own arrays.
+func (w *World) copyTail(dst *World) {
+	copy(dst.access, w.access)
+	copy(dst.stalled, w.stalled)
+	dst.drops, dst.dups = w.drops, w.dups
+	if w.pcs != nil {
+		copy(dst.pcs, w.pcs)
+		copy(dst.cver, w.cver)
+		copy(dst.cmem, w.cmem)
+		for n, r := range w.regs {
+			dst.regs[n] = append(dst.regs[n][:0], r...)
+		}
+	}
 }
 
 // actKind classifies an action. Deliveries and faults act on a channel
@@ -1146,50 +1159,11 @@ func (a *action) engine() int {
 // noEngine is action.engine's answer for the network faults.
 const noEngine = -1
 
-// segRange is the key segments lo..hi-1: engine k is segment k, channel c
-// segment Nodes+c (see World.src).
-type segRange struct{ lo, hi int }
-
-// changes returns the key segments applying a may change as at most three
-// ranges, ascending and disjoint, in the array of buf (whose contents it
-// drops). An action runs handlers on one engine, and a handler's only way
-// out of its engine is to send from it; the faults edit the channel they
-// name. So a may change its engine, that engine's outgoing row of channels
-// — one range, the channels from a node being adjacent — and the channel it
-// names. What else it changes (access, stalled, budgets, the client plane)
-// lies in the tail, which every key encodes.
-func (a *action) changes(nodes int, buf []segRange) []segRange {
-	out := buf[:0]
-	if e := a.engine(); e != noEngine {
-		row := nodes + e*nodes
-		out = append(out, segRange{e, e + 1}, segRange{row, row + nodes})
-	}
-	switch a.kind {
-	case actDeliver, actDrop, actDup:
-		out = withSegment(out, nodes+a.from*nodes+a.to)
-	}
-	return out
-}
-
-// withSegment adds segment k to the ascending, disjoint ranges rs.
-func withSegment(rs []segRange, k int) []segRange {
-	i := 0
-	for i < len(rs) && rs[i].hi <= k {
-		i++
-	}
-	if i < len(rs) && rs[i].lo <= k {
-		return rs // already in
-	}
-	return slices.Insert(rs, i, segRange{k, k + 1})
-}
-
-// span returns key segments lo..hi-1 of w.src, in place (see World.src).
+// span returns world segments lo..hi-1 of w.src, in place (see World.src).
 func (w *World) span(lo, hi int) []byte {
-	start := 0
-	if lo > 0 {
-		start = w.segEnds[lo-1]
-	}
-	return w.src[start:w.segEnds[hi-1]]
+	start, _ := bounds(w.segEnds, len(w.src), lo)
+	end, _ := bounds(w.segEnds, len(w.src), hi)
+	return w.src[start:end]
 }
 
 // derive overwrites dst — a world newWorld built for this configuration,
@@ -1207,19 +1181,9 @@ func (w *World) span(lo, hi int) []byte {
 // action to the parent itself). A shared engine calls back into w if run, so
 // a world derived for one node must never execute another's engine.
 func (w *World) derive(dst *World, touch int) error {
-	copy(dst.access, w.access)
-	copy(dst.stalled, w.stalled)
-	dst.drops, dst.dups = w.drops, w.dups
+	w.copyTail(dst)
 	dst.obsSink, dst.sendErr = nil, nil
 	dst.src, dst.segEnds = w.src, w.segEnds
-	if w.pcs != nil {
-		copy(dst.pcs, w.pcs)
-		copy(dst.cver, w.cver)
-		copy(dst.cmem, w.cmem)
-		for n, r := range w.regs {
-			dst.regs[n] = append(dst.regs[n][:0], r...)
-		}
-	}
 	copy(dst.engines, w.engines)
 	nodes := w.cfg.Nodes
 	for from := 0; from < nodes; from++ {
@@ -1264,8 +1228,9 @@ func decodeChannel(d *runtime.Decoder, e *runtime.Engine, msgs []*runtime.Messag
 	return msgs, d.Err()
 }
 
-// InitialWorld builds the machine's initial state (exported for benchmarks
-// and tooling; Check builds its own). cfg defaults are filled in place.
+// InitialWorld builds the machine's initial state (exported for tests
+// outside the package; Check builds its own). cfg defaults are filled in
+// place.
 func InitialWorld(cfg *Config) *World {
 	cfg.normalize()
 	return newWorld(cfg)

@@ -398,9 +398,9 @@ func (r *recorder) reset() {
 	r.jrn, r.err = r.jrn[:0], nil
 }
 
-func (r *recorder) send(e *runtime.Engine, dst int, m *runtime.Message) {
+func (r *recorder) send(dst int, m *runtime.Message) {
 	r.enc.Reset(nil)
-	if err := e.EncodeMessage(&r.enc, m); err != nil {
+	if err := r.enc.Message(m); err != nil {
 		r.err = err
 		return
 	}
@@ -472,10 +472,10 @@ func (h *memoHit) replayTail(succ *World) {
 	}
 }
 
-// segment writes the successor's key segment seg, one an action that runs
-// engine h.touch may change (action.changes): the memoized engine segment,
-// or a channel as the parent holds it, less the delivered message, plus what
-// the journal sends into it.
+// segment writes the successor's world segment seg, one World.encodeVia
+// writes for an action that runs engine h.touch: the memoized engine
+// segment, or a channel as the parent holds it, less the delivered message,
+// plus what the journal sends into it.
 func (h *memoHit) segment(enc *runtime.Encoder, seg int) error {
 	p := h.parent
 	nodes := p.cfg.Nodes
@@ -485,7 +485,7 @@ func (h *memoHit) segment(enc *runtime.Encoder, seg int) error {
 	}
 	// The channel is in the touched engine's row, or the delivered one.
 	ch := seg - nodes
-	msgs, dst, sends := p.channels[ch], h.a.to, 0
+	msgs, dst, sends := p.channels[ch], 0, 0
 	if row := h.touch * nodes; ch >= row && ch < row+nodes {
 		dst = ch - row
 		sends = h.sends[dst]
@@ -494,7 +494,7 @@ func (h *memoHit) segment(enc *runtime.Encoder, seg int) error {
 		enc.Int(int64(len(msgs) - 1 + sends))
 		for i, m := range msgs {
 			if i != h.a.idx {
-				if err := p.engines[dst].EncodeMessage(enc, m); err != nil {
+				if err := enc.Message(m); err != nil {
 					return err
 				}
 			}

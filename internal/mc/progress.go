@@ -7,37 +7,32 @@ import (
 )
 
 // DefaultProgressInterval is the minimum spacing between ProgressWriter
-// lines unless overridden.
+// lines.
 const DefaultProgressInterval = 500 * time.Millisecond
 
 // ProgressWriter renders ProgressInfo snapshots as rate-limited plain-text
-// lines (teapot verify -progress attaches one to stderr). The zero
-// Interval means DefaultProgressInterval; Now is a test hook for the rate
-// limiter's clock. Report is the Config.Progress callback.
+// lines (teapot verify -progress attaches one to stderr). Now is a test
+// hook for the rate limiter's clock. Report is the Config.Progress
+// callback.
 type ProgressWriter struct {
-	W        io.Writer
-	Interval time.Duration
-	Now      func() time.Time
+	W   io.Writer
+	Now func() time.Time
 
 	last  time.Time
 	lines int
 }
 
 // Report writes one progress line unless the previous line was written
-// less than Interval ago. Layers are frequent early in a search (small
-// frontiers expand in microseconds), so without the limiter a run would
-// emit thousands of lines before the interesting depths.
+// less than DefaultProgressInterval ago. Layers are frequent early in a
+// search (small frontiers expand in microseconds), so without the limiter a
+// run would emit thousands of lines before the interesting depths.
 func (pw *ProgressWriter) Report(p ProgressInfo) {
 	now := time.Now
 	if pw.Now != nil {
 		now = pw.Now
 	}
-	interval := pw.Interval
-	if interval == 0 {
-		interval = DefaultProgressInterval
-	}
 	t := now()
-	if pw.lines > 0 && t.Sub(pw.last) < interval {
+	if pw.lines > 0 && t.Sub(pw.last) < DefaultProgressInterval {
 		return
 	}
 	pw.last = t

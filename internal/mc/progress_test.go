@@ -14,11 +14,8 @@ import (
 func TestProgressWriterRateLimit(t *testing.T) {
 	var b strings.Builder
 	now := time.Unix(0, 0)
-	pw := &mc.ProgressWriter{
-		W:        &b,
-		Interval: 100 * time.Millisecond,
-		Now:      func() time.Time { return now },
-	}
+	pw := &mc.ProgressWriter{W: &b, Now: func() time.Time { return now }}
+	half := mc.DefaultProgressInterval / 2
 	snap := func(depth int) mc.ProgressInfo {
 		return mc.ProgressInfo{Depth: depth, Frontier: 10 * depth, States: 100 * depth,
 			Transitions: int64(300 * depth), Elapsed: time.Second,
@@ -26,10 +23,12 @@ func TestProgressWriterRateLimit(t *testing.T) {
 	}
 	pw.Report(snap(0)) // first line always prints
 	pw.Report(snap(1)) // same instant: suppressed
-	now = now.Add(50 * time.Millisecond)
+	now = now.Add(half)
 	pw.Report(snap(2)) // inside the interval: suppressed
-	now = now.Add(60 * time.Millisecond)
-	pw.Report(snap(3)) // 110ms since last line: prints
+	now = now.Add(half - time.Nanosecond)
+	pw.Report(snap(3)) // a nanosecond short of the interval: suppressed
+	now = now.Add(time.Nanosecond)
+	pw.Report(snap(4)) // the interval since the last line: prints
 	if pw.Lines() != 2 {
 		t.Fatalf("Lines() = %d, want 2\n%s", pw.Lines(), b.String())
 	}
@@ -40,7 +39,7 @@ func TestProgressWriterRateLimit(t *testing.T) {
 	if want := "mc: depth 0  frontier 0  states 0 (2.0 KiB)  0 st/s  dedup 0.00"; lines[0] != want {
 		t.Errorf("line 0 = %q, want %q", lines[0], want)
 	}
-	if want := "mc: depth 3  frontier 30  states 300 (2.0 KiB)  300 st/s  dedup 3.00"; lines[1] != want {
+	if want := "mc: depth 4  frontier 40  states 400 (2.0 KiB)  400 st/s  dedup 3.00"; lines[1] != want {
 		t.Errorf("line 1 = %q, want %q", lines[1], want)
 	}
 }

@@ -20,20 +20,20 @@ import (
 // remap again.
 const alien = 1 << 31
 
-// remapper remaps segments: it decodes one into a world (load) and encodes
-// it again under a remap (write). The world is its worker's scratch
-// successor world, lent by worker.worlds. Borrowing is sound because a
-// successor's key is complete before it is canonicalized, and nothing else
-// of the scratch world is read after that — the worker derives or replays
-// into it afresh for its next action — and because only the world's own
-// engines and tail are decoded into, never the parent's engines it may
-// point at. region is where the world's engines build: the worker's, which
-// its next state's decode resets (and the barrier, where nothing in it is
-// live, may reset too).
+// remapper remaps segments through the world's own codec: it decodes one
+// into a world (load) and encodes it again under a remap (write). The world
+// is its worker's scratch successor world, lent by worker.worlds. Borrowing
+// is sound because a successor's key is complete before it is
+// canonicalized, and nothing else of the scratch world is read after that —
+// the next derive rewrites its tail and every channel, and a memo replay
+// writes its tail and reads none of its channels — and because only the
+// world's own engines, channels and tail are decoded into, never the
+// parent's engines it may point at. region is where the world's engines
+// build: the worker's, which its next state's decode resets (and the
+// barrier, where nothing in it is live, may reset too).
 type remapper struct {
 	w      *World
 	region *runtime.Region
-	chans  [][]*runtime.Message // a row's channels, decoded
 	enc    runtime.Encoder
 }
 
@@ -48,9 +48,10 @@ func (x *remapper) remap(cfg *Config, kind int, seg []byte, src int, r *runtime.
 }
 
 // load decodes segment seg, of the given kind and store segment src of
-// its key: an engine's into the world's engine for that node — whose
-// states and records are the ones it builds anyway — a row's messages by
-// the engines they are bound for, the tail as the tail.
+// its key, into the world as that segment: an engine's into the world's
+// engine for that node — whose states and records are the ones it builds
+// anyway — a row into the world's channels from that node, the tail as the
+// tail.
 func (x *remapper) load(cfg *Config, kind int, seg []byte, src int) error {
 	nodes := cfg.Nodes
 	w, d := x.w, &x.w.dec
@@ -60,17 +61,9 @@ func (x *remapper) load(cfg *Config, kind int, seg []byte, src int) error {
 	case pieceEngine:
 		err = w.owned[src%nodes].DecodeState(d)
 	case pieceRow:
-		if x.chans == nil {
-			// Room for a stored state's channels, which hold at most
-			// channelCap messages each.
-			all := make([]*runtime.Message, nodes*(channelCap+1))
-			x.chans = make([][]*runtime.Message, nodes)
-			for i := range x.chans {
-				x.chans[i] = all[i*(channelCap+1) : i*(channelCap+1) : (i+1)*(channelCap+1)]
-			}
-		}
+		row := (src - nodes) * nodes
 		for to := 0; to < nodes && err == nil; to++ {
-			x.chans[to], err = decodeChannel(d, w.owned[to], x.chans[to])
+			w.channels[row+to], err = decodeChannel(d, w.owned[to], w.channels[row+to])
 		}
 	case pieceTail:
 		err = w.decodeTail(d)
@@ -85,7 +78,7 @@ func (x *remapper) load(cfg *Config, kind int, seg []byte, src int) error {
 }
 
 // write encodes what load decoded under r: an engine's state again, a
-// row's channels in image order, the tail as the tail.
+// row as the world's image row it becomes, the tail as the tail.
 func (x *remapper) write(cfg *Config, kind, src int, r *runtime.Remap) ([]byte, error) {
 	w, enc := x.w, &x.enc
 	enc.Reset(r)
@@ -94,12 +87,9 @@ func (x *remapper) write(cfg *Config, kind, src int, r *runtime.Remap) ([]byte, 
 	case pieceEngine:
 		err = w.owned[src%cfg.Nodes].EncodeState(enc)
 	case pieceRow:
-		for to := 0; to < cfg.Nodes && err == nil; to++ {
-			msgs := x.chans[r.SrcNode(to)]
-			enc.Int(int64(len(msgs)))
-			for i := 0; i < len(msgs) && err == nil; i++ {
-				err = w.owned[0].EncodeMessage(enc, msgs[i])
-			}
+		img := r.MapNode(src-cfg.Nodes) * cfg.Nodes
+		for ch := img; ch < img+cfg.Nodes && err == nil; ch++ {
+			err = w.encodeChannel(enc, ch)
 		}
 	case pieceTail:
 		w.encodeTail(enc)
@@ -245,11 +235,8 @@ func (r *reduction) fill(x *remapper, kind int, sid uint32, seg []byte) error {
 		t.ends = append(t.ends, len(t.imgs))
 	}
 	img := func(g int) []byte {
-		start := 0
-		if g > 0 {
-			start = t.ends[g-1]
-		}
-		return t.imgs[start:t.ends[g]]
+		start, end := bounds(t.ends, len(t.imgs), g)
+		return t.imgs[start:end]
 	}
 	for g := range t.group {
 		t.order = append(t.order, g)

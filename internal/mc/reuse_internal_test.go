@@ -198,16 +198,20 @@ type ExpandStats struct {
 // canonicalization) that is told of no action. And after
 // every derived successor the parent must still encode to its key.
 //
+// Which segments a key may copy from its parent's is the action's to say,
+// and the check says it in its own terms (untouched), not encodeVia's: a
+// segment is marked copied exactly when the action leaves it alone.
+//
 // Mutations that must each fail it (tried when it was written): the
 // region reset moved after decodeInto in worker.decode (the decoded state
-// is overwritten by what the successors build); action.changes leaving out
-// the engine the action ran on (its stale segment is copied); the scratch
+// is overwritten by what the successors build); encodeVia copying the
+// engine the action ran on (its stale segment is copied); the scratch
 // world's engines bound to the parent world instead of the successor (what
-// a derived engine sends lands in the parent); a run encodeVia copies
-// reaching one segment into the changed range after it (the touched
-// engine's stale bytes are copied); partFirst putting an engine's start
-// one segment early, so that encodeVia does not mark untouched engines
-// copied (the store would intern what it could take from the parent).
+// a derived engine sends lands in the parent); encodeVia copying, on a
+// delivery, the row that holds the delivered channel whole (the delivered
+// message is still in the key); encodeVia marking the touched engine's
+// segment known from the parent's ids (the store would take the parent's
+// segment for the successor's).
 //
 // The transition memo the check filled is the next leg: on every handler
 // run it holds, the worker's replay of it (worker.replay, which leaves the
@@ -294,8 +298,8 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 	// knownIDs checks that each id kb says it knows is its segment's.
 	knownIDs := func(kb *keyBuf, what string) {
 		for k := range vt.nseg {
-			if kb.known&(1<<k) != 0 && !bytes.Equal(vt.intern.at(kb.ids[k]), segmentOf(kb.Bytes(), kb.ends, k)) {
-				t.Fatalf("%s: segment %d said to be id %d, which is %x, not %x", what, k, kb.ids[k], vt.intern.at(kb.ids[k]), segmentOf(kb.Bytes(), kb.ends, k))
+			if kb.known&(1<<k) != 0 && !bytes.Equal(vt.intern.at(kb.ids[k]), kb.segment(k)) {
+				t.Fatalf("%s: segment %d said to be id %d, which is %x, not %x", what, k, kb.ids[k], vt.intern.at(kb.ids[k]), kb.segment(k))
 			}
 		}
 	}
@@ -437,12 +441,9 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 			if !slices.Equal(plainEnds, decoded) {
 				t.Fatalf("state %d, %s: plain segment ends %v, decoded %v", idx, what, plainEnds, decoded)
 			}
-			changed := wk.acts[i].changes(cfg.Nodes, nil)
 			for k := range decoded {
-				first, last := partFirst(k, cfg.Nodes), partLast(k, cfg.Nodes)
-				untouched := !slices.ContainsFunc(changed, func(r segRange) bool { return r.lo <= last && first < r.hi })
-				switch copied := plainKnown&(1<<k) != 0; {
-				case copied && (plainIDs[k] != ids[k] || !bytes.Equal(segmentOf(plain, decoded, k), segmentOf(src, parent, k))):
+				switch copied, untouched := plainKnown&(1<<k) != 0, untouched(a, cfg.Nodes, k); {
+				case copied && (plainIDs[k] != ids[k] || !bytes.Equal(storeSegment(plain, decoded, k), storeSegment(src, parent, k))):
 					t.Fatalf("state %d, %s: segment %d marked copied but differs from the parent's", idx, what, k)
 				case copied != untouched:
 					t.Fatalf("state %d, %s: segment %d marked copied %v, but the action leaves it untouched: %v", idx, what, k, copied, untouched)
@@ -458,12 +459,51 @@ func CheckExpandMatchesReference(t *testing.T, cfg Config, withCoverage bool) Ex
 }
 
 // partEnds appends to dst where the store segments but the tail end in a
-// key whose world segments end at segEnds (see keyBuf).
+// key whose world segments end at segEnds (see keyBuf): each engine's end,
+// then the end of each row's last channel.
 func partEnds(dst, segEnds []int, nodes int) []int {
-	for part := range 2 * nodes {
-		dst = append(dst, segEnds[partLast(part, nodes)])
+	dst = append(dst, segEnds[:nodes]...)
+	for from := range nodes {
+		dst = append(dst, segEnds[nodes+from*nodes+nodes-1])
 	}
 	return dst
+}
+
+// storeSegment returns store segment k of key, whose store segments but the
+// tail end at ends.
+func storeSegment(key []byte, ends []int, k int) []byte {
+	start, end := 0, len(key)
+	if k > 0 {
+		start = ends[k-1]
+	}
+	if k < len(ends) {
+		end = ends[k]
+	}
+	return key[start:end]
+}
+
+// untouched reports whether applying a leaves store segment k of a key of
+// a machine of the given nodes as it is, by the action's own terms: a
+// delivery runs its destination's engine and takes a message out of a
+// channel in its sender's row, a drop or a dup edits a channel in its
+// sender's row and runs no engine, and an event, a timeout or a client step
+// runs its node's engine. An engine that runs may change itself and its
+// row of outgoing channels; the tail may change in any case.
+func untouched(a action, nodes, k int) bool {
+	runs, edits := a.node, -1
+	switch a.kind {
+	case actDeliver:
+		runs, edits = a.to, a.from
+	case actDrop, actDup:
+		runs, edits = -1, a.from
+	}
+	switch {
+	case k < nodes:
+		return k != runs
+	case k < 2*nodes:
+		return k-nodes != runs && k-nodes != edits
+	}
+	return false
 }
 
 // assemble returns challenger g of the plain key in sc.best whole, piece

@@ -533,13 +533,7 @@ func (r *reduction) source(sc *keyScratch, kind, k int) *piece {
 	}
 	sc.resolved |= 1 << k
 	kb, t := &sc.best, r.table
-	start, end := 0, len(kb.Bytes())
-	if k > 0 {
-		start = kb.ends[k-1]
-	}
-	if k < len(kb.ends) {
-		end = kb.ends[k]
-	}
+	start, end := bounds(kb.ends, len(kb.Bytes()), k)
 	*s = piece{off: uint32(start), n: uint32(end - start), id: kb.ids[k], ok: kb.known&(1<<k) != 0, blk: -1}
 	if !s.ok {
 		seg := kb.Bytes()[start:end]

@@ -198,23 +198,17 @@ func (t *visitedTable) expand(key []byte, ids []uint32, idx int32) ([]byte, []ui
 // segment whose id kb knows (keyBuf.known) is the state's when the ids
 // agree; any other is compared byte for byte.
 func (t *visitedTable) equal(idx int32, kb *keyBuf) bool {
-	key := kb.Bytes()
-	rec, off := t.record(idx), 0
+	rec := t.record(idx)
 	for k := range t.nseg {
 		id, w := nextID(rec)
 		rec = rec[w:]
-		end := len(key)
-		if k < len(kb.ends) {
-			end = kb.ends[k]
-		}
 		if kb.known&(1<<k) != 0 {
 			if id != kb.ids[k] {
 				return false
 			}
-		} else if seg := t.intern.at(id); string(seg) != string(key[off:end]) {
+		} else if string(t.intern.at(id)) != string(kb.segment(k)) {
 			return false
 		}
-		off = end
 	}
 	return true
 }
@@ -336,20 +330,16 @@ func (t *visitedTable) claim(b *pendIndex, kb *keyBuf, pos, ord int32) error {
 	// The segments' descriptors, written aside first so that the entry's
 	// size is known before the buffer is grown.
 	var descs [128]byte
-	d, off := descs[:0], 0
+	d := descs[:0]
 	for k := range t.nseg {
-		end := len(key)
-		if k < len(kb.ends) {
-			end = kb.ends[k]
-		}
+		start, end := bounds(kb.ends, len(key), k)
 		if kb.known&(1<<k) != 0 {
 			d = binary.AppendUvarint(d, uint64(kb.ids[k])+1)
-		} else if id, ok := t.lookup(key[off:end]); ok {
+		} else if id, ok := t.lookup(key[start:end]); ok {
 			d = binary.AppendUvarint(d, uint64(id)+1)
 		} else {
-			d = binary.AppendUvarint(binary.AppendUvarint(append(d, 0), uint64(off)), uint64(end-off))
+			d = binary.AppendUvarint(binary.AppendUvarint(append(d, 0), uint64(start)), uint64(end-start))
 		}
-		off = end
 	}
 	e, ok := b.open(pos, ord, 2*binary.MaxVarintLen32+len(key)+len(d))
 	if !ok {

@@ -243,10 +243,10 @@ func (d *Decoder) Byte() byte {
 	return b
 }
 
-// EncodeValue writes one value. An abstract support value is opaque to the
+// Value writes one value. An abstract support value is opaque to the
 // runtime and has no encoding: a protocol that keeps one in a block variable
 // or a continuation cannot be snapshotted, and says so here.
-func (e *Engine) EncodeValue(enc *Encoder, v vm.Value) error {
+func (enc *Encoder) Value(v vm.Value) error {
 	enc.Byte(byte(v.Kind))
 	switch v.Kind {
 	case vm.KNil:
@@ -263,7 +263,7 @@ func (e *Engine) EncodeValue(enc *Encoder, v vm.Value) error {
 		enc.Int(int64(sv.State))
 		enc.Int(int64(len(sv.Args)))
 		for _, a := range sv.Args {
-			if err := e.EncodeValue(enc, a); err != nil {
+			if err := enc.Value(a); err != nil {
 				return err
 			}
 		}
@@ -272,7 +272,7 @@ func (e *Engine) EncodeValue(enc *Encoder, v vm.Value) error {
 		enc.Int(int64(c.Site))
 		enc.Int(int64(len(c.Saved)))
 		for _, a := range c.Saved {
-			if err := e.EncodeValue(enc, a); err != nil {
+			if err := enc.Value(a); err != nil {
 				return err
 			}
 		}
@@ -346,9 +346,9 @@ func (e *Engine) decodeValues(d *Decoder, dst []vm.Value, block *Block) (err err
 	return nil
 }
 
-// EncodeMessage writes a message (without its destination, which the
-// channel key carries).
-func (e *Engine) EncodeMessage(enc *Encoder, m *Message) error {
+// Message writes a message (without its destination, which the channel
+// key carries).
+func (enc *Encoder) Message(m *Message) error {
 	enc.Int(int64(m.Tag))
 	enc.Int(int64(enc.remap.MapBlock(m.ID)))
 	enc.Int(int64(enc.remap.MapNode(m.Src)))
@@ -360,14 +360,14 @@ func (e *Engine) EncodeMessage(enc *Encoder, m *Message) error {
 	enc.Int(m.Val)
 	enc.Int(int64(len(m.Payload)))
 	for _, v := range m.Payload {
-		if err := e.EncodeValue(enc, v); err != nil {
+		if err := enc.Value(v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// DecodeMessage reads a message encoded by EncodeMessage. The error may be
+// DecodeMessage reads a message encoded by Encoder.Message. The error may be
 // the decoder's sticky one.
 func (e *Engine) DecodeMessage(d *Decoder) (*Message, error) {
 	m := e.newMessage()
@@ -394,20 +394,20 @@ func (e *Engine) EncodeState(enc *Encoder) error {
 	r := enc.remap
 	for i := range e.Blocks {
 		b := e.Blocks[r.SrcBlock(i)]
-		if err := e.EncodeValue(enc, vm.StateValue(b.State)); err != nil {
+		if err := enc.Value(vm.StateValue(b.State)); err != nil {
 			return err
 		}
 		for slot, v := range b.Vars {
 			if r != nil && v.Kind == vm.KInt && r.isMaskSlot(slot) {
 				v.Int = r.mapMask(v.Int)
 			}
-			if err := e.EncodeValue(enc, v); err != nil {
+			if err := enc.Value(v); err != nil {
 				return err
 			}
 		}
 		enc.Int(int64(len(b.Deferred)))
 		for _, m := range b.Deferred {
-			if err := e.EncodeMessage(enc, m); err != nil {
+			if err := enc.Message(m); err != nil {
 				return err
 			}
 		}

@@ -68,7 +68,7 @@ func TestValueRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		v := randomValue(rng, e, 2)
 		enc := &runtime.Encoder{}
-		if err := e.EncodeValue(enc, v); err != nil {
+		if err := enc.Value(v); err != nil {
 			return false
 		}
 		got, err := e.DecodeValue(runtime.NewDecoder(enc.Bytes()), block)
@@ -76,7 +76,7 @@ func TestValueRoundTripProperty(t *testing.T) {
 			return false
 		}
 		enc2 := &runtime.Encoder{}
-		if err := e.EncodeValue(enc2, got); err != nil {
+		if err := enc2.Value(got); err != nil {
 			return false
 		}
 		return vm.Equal(v, got) && string(enc.Bytes()) == string(enc2.Bytes())
@@ -222,7 +222,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		Payload: []vm.Value{vm.IntVal(7), vm.BoolVal(true), vm.StringVal("x")},
 	}
 	enc := &runtime.Encoder{}
-	if err := e.EncodeMessage(enc, msg); err != nil {
+	if err := enc.Message(msg); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e.DecodeMessage(runtime.NewDecoder(enc.Bytes()))
@@ -302,7 +302,7 @@ func TestIntEncodingMatchesVarint(t *testing.T) {
 func TestAbstractValueCannotBeSnapshotted(t *testing.T) {
 	e, _ := encodeFixture(t)
 	enc := &runtime.Encoder{}
-	if err := e.EncodeValue(enc, vm.AbstractVal("opaque")); err == nil {
+	if err := enc.Value(vm.AbstractVal("opaque")); err == nil {
 		t.Error("an abstract value was encoded")
 	}
 	d := runtime.NewDecoder([]byte{byte(vm.KAbstract)})
@@ -371,8 +371,8 @@ func TestRemappedEncodeProperty(t *testing.T) {
 		if v.Kind == vm.KCont || v.Kind == vm.KState {
 			nested++
 		}
-		got := remapped(func(enc *runtime.Encoder) error { return e.EncodeValue(enc, v) })
-		want := plain(func(enc *runtime.Encoder) error { return e.EncodeValue(enc, relabel(v, r)) })
+		got := remapped(func(enc *runtime.Encoder) error { return enc.Value(v) })
+		want := plain(func(enc *runtime.Encoder) error { return enc.Value(relabel(v, r)) })
 		if got != want {
 			t.Fatalf("value %v: remapped encode %x, encode of relabelled value %x", v, got, want)
 		}
@@ -380,8 +380,8 @@ func TestRemappedEncodeProperty(t *testing.T) {
 			Payload: []vm.Value{v, randomValue(rng, e, 1)}}
 		rm := &runtime.Message{Tag: m.Tag, ID: r.MapBlock(m.ID), Src: r.MapNode(m.Src),
 			Payload: []vm.Value{relabel(m.Payload[0], r), relabel(m.Payload[1], r)}}
-		got = remapped(func(enc *runtime.Encoder) error { return e.EncodeMessage(enc, m) })
-		want = plain(func(enc *runtime.Encoder) error { return e.EncodeMessage(enc, rm) })
+		got = remapped(func(enc *runtime.Encoder) error { return enc.Message(m) })
+		want = plain(func(enc *runtime.Encoder) error { return enc.Message(rm) })
 		if got != want {
 			t.Fatalf("message %+v: remapped encode differs from encode of relabelled message", m)
 		}

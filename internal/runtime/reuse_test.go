@@ -265,7 +265,7 @@ func TestDecodeDamagedEncoding(t *testing.T) {
 
 	// A message naming a block the engine does not have.
 	enc := &runtime.Encoder{}
-	if err := e.EncodeMessage(enc, &runtime.Message{Tag: 1, ID: 99, Src: 0}); err != nil {
+	if err := enc.Message(&runtime.Message{Tag: 1, ID: 99, Src: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.DecodeMessage(runtime.NewDecoder(enc.Bytes())); err == nil {

@@ -56,8 +56,17 @@ done
 # and the TestExitStatus rows and EXPERIMENTS.md blocks that skip under it
 # for taking seconds (the 3-node drop envelope, the 4-node cut at 200 000
 # states, the larger symmetry pairs).
-go test -count=1 -run 'TestCanonicalizeAllocs|TestExpandAllocs|TestVisitedAllocs|TestProbeAllocs|TestDispatchAllocs|TestSimAllocsPerMessage|TestJudgeAllocs|TestRunnerAllocs|TestLookupAllocs|TestLivenessAllocs|TestCompileAllocs|TestBackEndsAllocateTheirText|TestWorkloadTracesExactlySized|TestExitStatus|TestExperimentsCurrent' \
-  ./internal/mc/ ./internal/runtime/ ./internal/litmus/ ./internal/token/ ./internal/liveness/ ./internal/core/ ./internal/sim/ .
+contracts=(TestCanonicalizeAllocs TestExpandAllocs TestVisitedAllocs TestProbeAllocs TestDispatchAllocs TestSimAllocsPerMessage
+  TestJudgeAllocs TestRunnerAllocs TestLookupAllocs TestLivenessAllocs TestCompileAllocs TestBackEndsAllocateTheirText
+  TestWorkloadTracesExactlySized TestExitStatus TestExperimentsCurrent)
+contract_pkgs=(./internal/mc/ ./internal/runtime/ ./internal/litmus/ ./internal/token/ ./internal/liveness/ ./internal/core/ ./internal/sim/ .)
+# A -run pattern that matches no test passes ("no tests to run"), so a
+# renamed contract would drop out silently: each name must be a test there.
+listed="$(go test -list . "${contract_pkgs[@]}")"
+for name in "${contracts[@]}"; do
+  grep -qx "$name" <<<"$listed" || { echo "check.sh: no test named $name in ${contract_pkgs[*]}" >&2; exit 1; }
+done
+go test -count=1 -run "$(IFS='|'; echo "${contracts[*]}")" "${contract_pkgs[@]}"
 # The benchmark harness's own tests: small-shape correctness checks that run
 # the checker (reduced and unreduced), the simulator and the litmus corpus
 # against benchmarks/expected.json. A module of its own, so `go test ./...`
