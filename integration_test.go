@@ -120,7 +120,7 @@ func TestExitStatus(t *testing.T) {
 		{args: "verify -proto stache -progress=always", status: 0, stderr: "mc: depth 0  frontier 2  states 3"},
 		{args: "verify -proto stache -nodes 3 -symmetry=on", status: 0, stdout: "symmetry /2"},
 		// -stats says what a key cost and what the visited store retains.
-		{args: "verify -proto stache -stats", status: 0, stdout: "  keys:           40 bytes mean, 67% encoded per successor\n  visited set:    13.5 KiB (63 bytes/state)\n"},
+		{args: "verify -proto stache -stats", status: 0, stdout: "  keys:           40 bytes mean, 57% encoded per successor\n  visited set:    13.5 KiB (63 bytes/state)\n"},
 		// A deadlock says what each stalled block waits for: the messages
 		// its state handles, and the drops of messages about it.
 		{args: "verify -proto stache-buggy", status: 1, stdout: "VIOLATION deadlock" +
@@ -168,23 +168,26 @@ func TestExitStatus(t *testing.T) {
 		{args: "verify -proto stache-ft -nodes 3 -blocks 1 -net drop=1", status: 0, stdout: "verified", slow: true},
 		// The same shape unreduced is the verify_full benchmark: a successor's
 		// key copies from its parent's what its action cannot have changed,
-		// and the copied bytes are not counted as encoded; the visited store
-		// keeps its 170,738 states as ids of 2,487 distinct segments; and
-		// all but 3.5% of the handler runs are replayed from the transition
-		// memo, the same for any worker count.
+		// and what a replay or a fault splices from it, and the copied bytes
+		// are not counted as encoded; a state is decoded only when one of its
+		// actions must run a handler; the visited store keeps its 170,738
+		// states as ids of 2,487 distinct segments; and all but 1.9% of the
+		// handler runs are replayed from the transition memo, which keys a
+		// delivery by its message, the same for any worker count.
 		{args: "verify -proto stache-ft -nodes 3 -blocks 1 -net drop=1 -symmetry=off -stats", status: 0,
-			stdout: "170738 states, 521346 transitions … keys:           74 bytes mean, 43% encoded per successor\n" +
-				" … visited set:    6.0 MiB (37 bytes/state)\n" +
+			stdout: "170738 states, 521346 transitions … decodes:        8456 (states decoded into a world, at most once each)\n" +
+				"  keys:           74 bytes mean, 34% encoded per successor\n" +
+				"  visited set:    6.0 MiB (37 bytes/state)\n" +
 				"  segments:       2487 distinct, 63.6 KiB\n" +
-				"  memo:           11307 entries, 383.0 KiB, 96.5% of 443104 handler runs replayed\n", slow: true},
+				"  memo:           6379 entries, 447.0 KiB, 98.1% of 443104 handler runs replayed\n", slow: true},
 		// The same shape reduced is the verify_sym benchmark: a symmetric
 		// successor's challengers are assembled from remapped segments, and
 		// only the pieces the remap table lacked count as encoded; the table
 		// is reported on the segments line only under reduction.
 		{args: "verify -proto stache-ft -nodes 3 -blocks 1 -net drop=1 -symmetry=on -stats", status: 0,
-			stdout: "85409 states, 260874 transitions … keys:           74 bytes mean, 43% encoded per successor\n" +
+			stdout: "85409 states, 260874 transitions … keys:           74 bytes mean, 34% encoded per successor\n" +
 				" … segments:       1397 distinct, 34.0 KiB; remap table 1389 pieces, 132.0 KiB\n" +
-				" … memo:           6157 entries, 255.0 KiB, 96.2% of 221693 handler runs replayed\n", slow: true},
+				" … memo:           3269 entries, 255.0 KiB, 98.0% of 221693 handler runs replayed\n", slow: true},
 		// The large shape: 4 nodes under one drop is 9.2 M states in full, so
 		// cut it — the run stops at the first layer barrier past the limit
 		// with exactly these counts (TestWiderEnvelope pins the 300 000 cut),

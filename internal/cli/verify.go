@@ -139,7 +139,7 @@ func cmdVerify(args []string, stdout, stderr io.Writer) error {
 	}
 	if *stats {
 		fmt.Fprintf(stdout, "  peak frontier:  %d states\n", res.PeakFrontier)
-		fmt.Fprintf(stdout, "  decodes:        %d (one per expanded state)\n", res.Decodes)
+		fmt.Fprintf(stdout, "  decodes:        %d (states decoded into a world, at most once each)\n", res.Decodes)
 		fmt.Fprintf(stdout, "  keys:           %d bytes mean, %.0f%% encoded per successor\n",
 			res.KeyBytes/int64(max(res.Transitions, 1)), 100*float64(res.KeyBytesEncoded)/float64(max(res.KeyBytes, 1)))
 		fmt.Fprintf(stdout, "  visited set:    %s (%.0f bytes/state)\n", mc.FormatBytes(res.VisitedBytes), st.BytesPerState)

@@ -71,7 +71,7 @@ type MCStats struct {
 	ElapsedSec    float64    `json:"elapsed_sec"`
 	StatesPerSec  float64    `json:"states_per_sec"`
 	PeakFrontier  int        `json:"peak_frontier"`
-	Decodes       int64      `json:"decodes"`
+	Decodes       int64      `json:"decodes"` // states decoded because a handler had to run (mc.Result.Decodes)
 	VisitedBytes  int64      `json:"visited_bytes"`
 	BytesPerState float64    `json:"bytes_per_state"`
 	DedupRatio    float64    `json:"dedup_ratio"`

@@ -31,10 +31,10 @@ import (
 //
 // The key names the node, because segment ids are one id space for every
 // position and a home and a cache, or two caches, can hold the same bytes
-// and still act differently. A delivery's input is the sending node, its
-// row of channels (by segment id) and the position in the channel; an event
-// or timeout's is its tag and block. Handlers that fail are never memoized,
-// and neither are runs whose successor breaks an invariant.
+// and still act differently. A delivery's input is the delivered message,
+// by its id (facts.go), wherever it lies; an event or timeout's is its tag
+// and block. Handlers that fail are never memoized, and neither are runs
+// whose successor breaks an invariant.
 //
 // The memo is written only at layer barriers, in commit order — misses are
 // buffered per worker (pendBuf) and merged by (parent position, action
@@ -65,33 +65,33 @@ const (
 
 // memoKey names one handler run (see the package comment above): the kind
 // of action, the node whose engine runs, that engine's segment id in the
-// state's key, and the input — a delivery's sender, the id of the sender's
-// row of channels and the message's position in the channel; an event's or
-// a timeout's tag and block.
-type memoKey struct{ kind, node, seg, in0, in1, in2 uint32 }
+// state's key, and the input — a delivery's message id; an event's or a
+// timeout's tag and block.
+type memoKey struct{ kind, node, seg, in0, in1 uint32 }
 
 // memoKeyFor returns the key of the handler run action a makes in the
-// state whose segment ids are ids, and whether a runs handlers at all — the
-// network faults do not, and a client step is never memoized (the client
-// plane bypasses the memo).
-func memoKeyFor(a *action, ids []uint32, nodes int) (memoKey, bool) {
+// state whose segment ids are ids and whose facts v holds, and whether a
+// runs handlers at all — the network faults do not, and a client step is
+// never memoized (the client plane bypasses the memo).
+func memoKeyFor(a *action, ids []uint32, v *view) (memoKey, bool) {
 	switch a.kind {
 	case actDeliver:
-		return memoKey{uint32(a.kind), uint32(a.to), ids[a.to], uint32(a.from), ids[nodes+a.from], uint32(a.idx)}, true
+		id, _, _ := v.message(a)
+		return memoKey{uint32(a.kind), uint32(a.to), ids[a.to], id, 0}, true
 	case actEvent, actTimeout:
-		return memoKey{uint32(a.kind), uint32(a.node), ids[a.node], uint32(a.event.Tag), uint32(a.block), 0}, true
+		return memoKey{uint32(a.kind), uint32(a.node), ids[a.node], uint32(a.event.Tag), uint32(a.block)}, true
 	}
 	return memoKey{}, false
 }
 
 func (k *memoKey) hash() uint64 {
 	return fold(fold(fpSeed^(uint64(k.seg)<<32|uint64(k.node)<<8|uint64(k.kind)), fpMul)^
-		(uint64(k.in1)<<32|uint64(k.in0)<<16|uint64(k.in2)), fpFin)
+		(uint64(k.in1)<<32|uint64(k.in0)), fpFin)
 }
 
 // appendTo appends k's stored form, its fields as uvarints, to b.
 func (k *memoKey) appendTo(b []byte) []byte {
-	for _, f := range [...]uint32{k.kind, k.node, k.seg, k.in0, k.in1, k.in2} {
+	for _, f := range [...]uint32{k.kind, k.node, k.seg, k.in0, k.in1} {
 		b = binary.AppendUvarint(b, uint64(f))
 	}
 	return b
@@ -103,7 +103,8 @@ func (k *memoKey) appendTo(b []byte) []byte {
 // length-prefixed journal. A slot holds the tag of the key's hash above the
 // entry's locator + 1, which fits 32 bits: with memoMaxChunks chunks only
 // the last chunk's last byte has locator 2³²−1, and an entry is longer than
-// a byte.
+// a byte. The arena also holds the segment facts, and the table the
+// message ids (facts).
 type memo struct {
 	segs  *visitedTable
 	arena arena
@@ -111,6 +112,7 @@ type memo struct {
 	// runs counts the handler runs looked up, hits those the memo served.
 	runs, hits int64
 	ent        []byte // insert's scratch
+	facts
 }
 
 func newMemo(segs *visitedTable) *memo {
@@ -123,7 +125,8 @@ type MemoStats struct {
 	// Bypass says why the run did not use the memo ("" when it did).
 	Bypass string
 	// Entries is how many handler runs the memo holds, and Bytes what its
-	// chunks and slot table retain.
+	// chunks and slot table retain, the segment facts and message ids
+	// included.
 	Entries int
 	Bytes   int64
 	// Runs counts the handler runs the checker looked up; Hits how many of
@@ -133,7 +136,8 @@ type MemoStats struct {
 
 // stats reports the memo.
 func (m *memo) stats() MemoStats {
-	return MemoStats{Entries: m.slots.used, Runs: m.runs, Hits: m.hits, Bytes: m.slots.bytes() + m.arena.bytes()}
+	return MemoStats{Entries: m.slots.used - m.messages, Runs: m.runs, Hits: m.hits,
+		Bytes: m.slots.bytes() + m.arena.bytes() + int64(cap(m.at))*4}
 }
 
 // LocalSupport is implemented by support modules that vouch their routines
@@ -191,7 +195,7 @@ type memoRun struct {
 // expands: the memo, and the intern table it refers to, are written only at
 // the barrier.
 func (m *memo) lookup(k *memoKey) (run memoRun, ok bool) {
-	var buf [6 * binary.MaxVarintLen32]byte
+	var buf [5 * binary.MaxVarintLen32]byte
 	stored := k.appendTo(buf[:0])
 	tag := uint32(k.hash())
 	for loc, i := m.slots.find(tag, int(tag)); loc != 0; loc, i = m.slots.find(tag, i) {
@@ -215,7 +219,7 @@ func (m *memo) lookup(k *memoKey) (run memoRun, ok bool) {
 // splitEntry splits the entry at the front of b into its key, the
 // reference to its segment (as stored: see memo) and its journal.
 func splitEntry(b []byte) (k memoKey, seg, jrn, rest []byte) {
-	for _, f := range [...]*uint32{&k.kind, &k.node, &k.seg, &k.in0, &k.in1, &k.in2} {
+	for _, f := range [...]*uint32{&k.kind, &k.node, &k.seg, &k.in0, &k.in1} {
 		v, w := binary.Uvarint(b)
 		*f, b = uint32(v), b[w:]
 	}
@@ -271,6 +275,7 @@ type memoScratch struct {
 	rec    recorder
 	hit    memoHit
 	misses pendBuf
+	view   view // the facts of the state being expanded
 }
 
 // addMiss buffers one run for the barrier: after the pendBuf header, its
@@ -282,10 +287,11 @@ func (b *pendBuf) addMiss(m *memo, k *memoKey, pos, ord int32, seg, jrn []byte) 
 }
 
 // absorb writes the runs the workers buffered during a layer into the memo
-// in commit order (absorbInOrder). It runs after the layer's commit, so
-// that a segment the layer's new states brought is interned and an entry
-// can refer to it by id.
-func (m *memo) absorb(workers []worker) {
+// in commit order (absorbInOrder), and then the facts of layer's states,
+// the next (learn). It runs after the layer's commit, so that a segment the
+// layer's new states brought is interned and an entry can refer to it by
+// id.
+func (m *memo) absorb(workers []worker, layer []int32) error {
 	absorbInOrder(workers, func(wk *worker) *pendBuf {
 		if wk.memoScratch == nil {
 			return nil
@@ -296,6 +302,7 @@ func (m *memo) absorb(workers []worker) {
 		m.insert(&k, seg, jrn)
 		return rest
 	})
+	return m.learn(layer, &workers[0].keys.remap)
 }
 
 // pendBuf is one worker's buffer of what it found during a layer for a
@@ -439,24 +446,37 @@ func nextOp(jrn []byte) (o jop, rest []byte) {
 }
 
 // memoHit is a memoized handler run being replayed onto parent, the world
-// the state being expanded was decoded into, for action a.
+// the state being expanded was decoded into or whose key, segment ends and
+// tail its view holds, for action a — or a drop or a dup, replayed as a
+// run of no handler.
 type memoHit struct {
 	memoRun
-	parent    *World
-	a         *action
-	touch     int
-	delivered int   // the channel a delivers from, -1 if a is no delivery
-	sends     []int // per destination, the journal's sends to it
+	parent *World
+	view   *view
+	a      *action
+	touch  int
+	named  int   // the channel a delivers from, drops from or dups in; -1 for none
+	sends  []int // per destination, the journal's sends to it
+	access []int // the blocks whose access the journal changes
 }
 
 // replayTail applies the run's effects outside the engine and its channels
 // to succ's tail, which holds a copy of the parent's: the stall an event
-// makes, then the journal's access changes and wakeups in order. It counts
-// the sends per destination into h.sends.
+// makes or the fault budget a drop or dup spends, then the journal's access
+// changes and wakeups in order. It counts the sends per destination into
+// h.sends, and lists the blocks whose access changes in h.access.
 func (h *memoHit) replayTail(succ *World) {
 	clear(h.sends)
-	if h.a.kind == actEvent && h.a.event.Stalls {
-		succ.stalled[h.touch] = h.a.block
+	h.access = h.access[:0]
+	switch h.a.kind {
+	case actEvent:
+		if h.a.event.Stalls {
+			succ.stalled[h.touch] = h.a.block
+		}
+	case actDrop:
+		succ.drops++
+	case actDup:
+		succ.dups++
 	}
 	for j := h.jrn; len(j) > 0; {
 		var o jop
@@ -466,6 +486,7 @@ func (h *memoHit) replayTail(succ *World) {
 			h.sends[o.arg]++
 		case jAccess, jRecv:
 			succ.access[h.touch*succ.cfg.Blocks+o.arg] = o.mode
+			h.access = append(h.access, o.arg)
 		case jWake:
 			succ.WakeUp(h.touch, o.arg)
 		}
@@ -473,35 +494,45 @@ func (h *memoHit) replayTail(succ *World) {
 }
 
 // segment writes the successor's world segment seg, one World.encodeVia
-// writes for an action that runs engine h.touch: the memoized engine
-// segment, or a channel as the parent holds it, less the delivered message,
-// plus what the journal sends into it.
-func (h *memoHit) segment(enc *runtime.Encoder, seg int) error {
-	p := h.parent
-	nodes := p.cfg.Nodes
+// writes for h's action, and returns how many of its bytes it copied from
+// the parent's key: the memoized engine segment, or a channel as the
+// parent's key holds it, less the span of the message a delivers or drops
+// or with a dup's written twice, plus what the journal sends into it.
+func (h *memoHit) segment(enc *runtime.Encoder, seg int) (copied int) {
+	p, v := h.parent, h.view
+	nodes := len(v.nodes)
 	if seg < nodes {
 		enc.Raw(h.seg)
-		return nil
+		return 0
 	}
-	// The channel is in the touched engine's row, or the delivered one.
-	ch := seg - nodes
-	msgs, dst, sends := p.channels[ch], 0, 0
-	if row := h.touch * nodes; ch >= row && ch < row+nodes {
+	// The channel is in the touched engine's row, or the named one.
+	ch, dst, sends := seg-nodes, 0, 0
+	if row := h.touch * nodes; h.touch != noEngine && ch >= row && ch < row+nodes {
 		dst = ch - row
 		sends = h.sends[dst]
 	}
-	if ch == h.delivered {
-		enc.Int(int64(len(msgs) - 1 + sends))
-		for i, m := range msgs {
-			if i != h.a.idx {
-				if err := enc.Message(m); err != nil {
-					return err
-				}
-			}
+	start, end := bounds(p.segEnds, len(p.src), seg)
+	if ch != h.named && sends == 0 {
+		enc.Raw(p.src[start:end])
+		return end - start
+	}
+	n := v.counts[ch]
+	start += intLen(int64(n)) // past the count, at the messages
+	switch {
+	case ch != h.named:
+		enc.Int(int64(n + sends))
+		enc.Raw(p.src[start:end])
+		copied = end - start
+	default: // less the message's span, or for a dup with it twice
+		_, ms, me := v.message(h.a)
+		cut, resume, count := ms, me, n-1+sends
+		if h.a.kind == actDup {
+			cut, resume, count = me, ms, n+1
 		}
-	} else {
-		enc.Int(int64(len(msgs) + sends))
-		enc.Raw(p.span(seg, seg+1)[intLen(int64(len(msgs))):])
+		enc.Int(int64(count))
+		enc.Raw(p.src[start:cut])
+		enc.Raw(p.src[resume:end])
+		copied = cut - start + end - resume
 	}
 	for j := h.jrn; sends > 0; {
 		var o jop
@@ -510,7 +541,20 @@ func (h *memoHit) segment(enc *runtime.Encoder, seg int) error {
 			sends--
 		}
 	}
-	return nil
+	return copied
+}
+
+// writes returns the first of world segments lo..hi-1, the touched
+// engine's row, that the hit changes — one its journal sends into, or the
+// one its action names — and the one past the last; hi, hi for none.
+func (h *memoHit) writes(lo, hi int) (first, last int) {
+	first, last = hi, hi
+	for dst, n := range h.sends {
+		if seg := lo + dst; n > 0 || seg-len(h.view.nodes) == h.named {
+			first, last = min(first, seg), seg+1
+		}
+	}
+	return first, last
 }
 
 // intLen is how many bytes runtime.Encoder.Int writes for v.
@@ -526,20 +570,24 @@ func intLen(v int64) int {
 // invariants (World.checkInvariants) — succ holding its tail. The parent
 // kept them, and the memoized run did too, so only what the replay changed
 // can break one: the access of the blocks the journal names, and the
-// channels the touched engine sends into.
+// channels the touched engine sends into or a dup duplicates into.
 func (h *memoHit) holds(succ *World) bool {
-	p, nodes := h.parent, h.parent.cfg.Nodes
-	for j := h.jrn; len(j) > 0; {
-		var o jop
-		o, j = nextOp(j)
-		switch o.op {
-		case jSend:
-			ch := h.touch*nodes + o.arg
-			if n := len(p.channels[ch]) + h.sends[o.arg]; n > channelCap && (ch != h.delivered || n-1 > channelCap) {
-				return false
-			}
-		case jAccess, jRecv:
-			if succ.cfg.CheckCoherence && !succ.coherent(o.arg) {
+	nodes := h.parent.cfg.Nodes
+	if h.a.kind == actDup && h.view.counts[h.named]+1 > channelCap {
+		return false
+	}
+	for dst, sends := range h.sends {
+		if sends == 0 {
+			continue
+		}
+		ch := h.touch*nodes + dst
+		if n := h.view.counts[ch] + sends; n > channelCap && (ch != h.named || n-1 > channelCap) {
+			return false
+		}
+	}
+	if succ.cfg.CheckCoherence {
+		for _, b := range h.access {
+			if !succ.coherent(b) {
 				return false
 			}
 		}

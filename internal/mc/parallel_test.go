@@ -156,9 +156,11 @@ func TestWorkerEquivalence(t *testing.T) {
 // TestMemoWorkerEquivalence: the transition memo is written only at layer
 // barriers, in commit order, so what it holds — entries and bytes — and
 // which handler runs it serves are the same for any worker count. And it
-// changes nothing a run reports: a run that records coverage bypasses the
-// memo (and says so), and reaches the same states, transitions, depth, key
-// bytes and violation as one that replays.
+// changes nothing a run reports but what its keys cost: a run that records
+// coverage bypasses the memo (and says so), and reaches the same states,
+// transitions, depth, key bytes and violation as one that replays — whose
+// keys encode no more bytes, since what a replay or a fault splices from its
+// parent's key counts as copied.
 func TestMemoWorkerEquivalence(t *testing.T) {
 	for name, mk := range equivalenceConfigs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -192,7 +194,7 @@ func TestMemoWorkerEquivalence(t *testing.T) {
 				t.Errorf("coverage run: memo %+v, want it bypassed", res.Memo)
 			}
 			if res.States != base.States || res.Transitions != base.Transitions || res.MaxDepth != base.MaxDepth ||
-				res.KeyBytes != base.KeyBytes || res.KeyBytesEncoded != base.KeyBytesEncoded {
+				res.KeyBytes != base.KeyBytes || res.KeyBytesEncoded < base.KeyBytesEncoded {
 				t.Errorf("without the memo (states,transitions,depth,key bytes) = (%d,%d,%d,%d/%d), with it (%d,%d,%d,%d/%d)",
 					res.States, res.Transitions, res.MaxDepth, res.KeyBytes, res.KeyBytesEncoded,
 					base.States, base.Transitions, base.MaxDepth, base.KeyBytes, base.KeyBytesEncoded)
@@ -320,20 +322,42 @@ func TestWiderEnvelope(t *testing.T) {
 	}
 }
 
-// TestDecodesPerState asserts the one-full-decode contract: a clean run
-// decodes every visited state exactly once (a successor re-decodes only the
-// segments its action touches; the seed checker decoded the whole state once
-// per enabled action on top of once per state).
+// TestDecodesPerState: a state is decoded only when one of its actions must
+// run a handler — the memo lacks the run, or its replay breaks an invariant
+// — and then once; the rest is enumerated from its segments' facts and
+// replayed or spliced. So a clean run decodes at most one world per state
+// and, on the verify_full shape (stache-ft, 3 nodes, one drop), where all
+// but a few percent of handler runs are replayed, under a tenth of them.
 func TestDecodesPerState(t *testing.T) {
-	res, err := mc.Check(stacheConfig(t, 2, 1, 1))
-	if err != nil {
-		t.Fatal(err)
+	shapes := []struct {
+		name  string
+		cfg   func() mc.Config
+		share float64
+		slow  bool
+	}{
+		{"stache-2n-reorder1", func() mc.Config { return stacheConfig(t, 2, 1, 1) }, 1, false},
+		{"stache-ft-3n-drop1", func() mc.Config {
+			return stacheFTConfig(t, 3, 1, netmodel.Model{MaxDrops: 1})
+		}, 0.1, true},
 	}
-	if res.Violation != nil {
-		t.Fatalf("violation: %s", res.Violation)
-	}
-	if res.Decodes != int64(res.States) {
-		t.Errorf("decodes = %d, want exactly one per state (%d)", res.Decodes, res.States)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			if sh.slow && (raceEnabled || testing.Short()) {
+				t.Skip("a second of checking; minutes under the race detector")
+			}
+			cfg := sh.cfg()
+			cfg.Symmetry = mc.SymmetryOff
+			res, err := mc.Check(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Violation != nil {
+				t.Fatalf("violation: %s", res.Violation)
+			}
+			if share := float64(res.Decodes) / float64(res.States); res.Decodes == 0 || share > sh.share || sh.share < 1 && share >= sh.share {
+				t.Errorf("decodes = %d for %d states (%.3f per state), want some and at most %.1f per state", res.Decodes, res.States, share, sh.share)
+			}
+		})
 	}
 }
 

@@ -132,9 +132,13 @@ end;
 `
 
 // compilePing mirrors core.Compile without importing core.
-func compilePing(t *testing.T) *runtime.Protocol {
+func compilePing(t *testing.T) *runtime.Protocol { return compileTest(t, pingSource) }
+
+// compileTest compiles a protocol whose home starts in state Home and
+// whose caches start in Cache_Inv, as core.Compile would.
+func compileTest(t testing.TB, src string) *runtime.Protocol {
 	t.Helper()
-	prog, err := parser.Parse("ping.tea", pingSource)
+	prog, err := parser.Parse("test.tea", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}

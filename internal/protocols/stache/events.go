@@ -62,3 +62,7 @@ var BuggySource = Extend("stache-buggy", "Stache", Source).Replace(buggyHandler,
 // SymmetricEvents implements mc.EquivariantEvents: enablement depends only
 // on state names, stall status, and home-ness — all permutation-covariant.
 func (e *Events) SymmetricEvents() {}
+
+// LocalEvents implements mc.LocalEvents: Enabled reads only the block's
+// state name.
+func (e *Events) LocalEvents() {}

@@ -53,12 +53,14 @@ done
 # under 1.5 times the text they return; making the Mp3d trace at 32 nodes:
 # at most 8),
 # which -race perturbs by allocating on its own account;
-# and the TestExitStatus rows and EXPERIMENTS.md blocks that skip under it
-# for taking seconds (the 3-node drop envelope, the 4-node cut at 200 000
-# states, the larger symmetry pairs).
+# and the TestExitStatus rows, EXPERIMENTS.md blocks and checker tests that
+# skip under it for taking seconds (the 3-node drop envelope, the 4-node cut
+# at 200 000 states, the larger symmetry pairs, the reference expansion of
+# the 3-node drop envelope cut at 40 000 states, and the decode share on
+# the whole envelope).
 contracts=(TestCanonicalizeAllocs TestExpandAllocs TestVisitedAllocs TestProbeAllocs TestDispatchAllocs TestSimAllocsPerMessage
   TestJudgeAllocs TestRunnerAllocs TestLookupAllocs TestLivenessAllocs TestCompileAllocs TestBackEndsAllocateTheirText
-  TestWorkloadTracesExactlySized TestExitStatus TestExperimentsCurrent)
+  TestWorkloadTracesExactlySized TestExitStatus TestExperimentsCurrent TestExpandMatchesReference TestDecodesPerState)
 contract_pkgs=(./internal/mc/ ./internal/runtime/ ./internal/litmus/ ./internal/token/ ./internal/liveness/ ./internal/core/ ./internal/sim/ .)
 # A -run pattern that matches no test passes ("no tests to run"), so a
 # renamed contract would drop out silently: each name must be a test there.
