@@ -29,8 +29,9 @@ const alien = 1 << 31
 // writes its tail and reads none of its channels — and because only the
 // world's own engines, channels and tail are decoded into, never the
 // parent's engines it may point at. region is where the world's engines
-// build: the worker's, which its next state's decode resets (and the
-// barrier, where nothing in it is live, may reset too).
+// build: the worker's, which expandState resets at the start of every
+// state, decoded or not (and the barrier, where nothing in it is live, may
+// reset too).
 type remapper struct {
 	w      *World
 	region *runtime.Region

@@ -445,7 +445,7 @@ func (e *Engine) Release(m *Message) {
 // engine builds while the checker expands one state. A nil *Region is the
 // heap. The rule is lifetime, as Release's is ownership: nothing built in a
 // region may be reachable after its next Reset, so whoever resets it (an mc
-// worker, before each decodeInto) must overwrite or abandon every world
+// worker, as it starts each state and before each decodeInto) must overwrite or abandon every world
 // whose engines build into it, and a world that must outlive the reset is
 // decoded from its key onto the heap.
 type Region struct {
